@@ -111,11 +111,14 @@ pub use query::show::{execute_show, ShowReport};
 pub use query::{QueryTranslation, QueryTranslator};
 
 use datastore::exec::{execute_with_stats, Plan, ResultSet};
-use datastore::fingerprint::{fnv, FNV_OFFSET};
-use datastore::obs::Counter;
-use datastore::{CacheStatus, Database, ParamKind, StatementMeta, Value};
-use sqlparse::{Literal, NormalizedStatement, SelectStatement};
-use std::collections::HashMap;
+use datastore::obs::{Counter, StatementPhases};
+use datastore::{
+    CacheLookup, CacheStatus, CachedVerdict, Database, ParamKind, PlanKey, StatementMeta,
+    Uncacheable, Value,
+};
+use sqlparse::SelectStatement;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// The facade: one database plus the content and query translators,
 /// providing the "talk back" operations of the paper in one place.
@@ -199,12 +202,14 @@ impl Talkback {
     /// Two adaptive layers run by default (both are
     /// [`PlannerOptions`] A/B knobs):
     ///
-    /// * **Plan cache** — the statement text is literal-normalized and
-    ///   hashed; a repeat of a cached shape re-binds the new literals into
-    ///   the cached physical template and skips lexing, parsing, and
-    ///   planning entirely. Templates are invalidated by DDL, stats
-    ///   refresh, and absorbed feedback through the database's adaptive
-    ///   epoch.
+    /// * **Plan cache** — the statement text is literal-normalized and the
+    ///   cache probed once under (text, options, literal kinds). A template
+    ///   there is re-bound with the new literals and executed: no lexing,
+    ///   parsing, or planning. A *negative* entry there says the shape
+    ///   cannot be templated (and why), so the statement goes straight to
+    ///   the parser and planner without being examined again. Entries of
+    ///   both kinds die with the database's adaptive epoch — DDL, a write
+    ///   that drops statistics, absorbed feedback.
     /// * **Cardinality feedback** — after execution, per-filter est-vs.-
     ///   actual deltas that cleared the misestimate threshold are folded
     ///   into the feedback store, so the *next* plan of that predicate
@@ -220,123 +225,127 @@ impl Talkback {
         sql: &str,
         options: PlannerOptions,
     ) -> Result<ResultSet, TalkbackError> {
-        use std::time::Instant;
         let t0 = Instant::now();
-        let adaptive = self.db.adaptive();
-        // The cache key is computed from the raw text alone; planning state
-        // is only consulted on a miss.
+        let epoch = self.db.adaptive().epoch();
+        let cache = self.db.adaptive().plan_cache();
+        // The key is computed from the raw text alone; the parser and the
+        // planner only run when the cache has no template for it.
         let normalized = if options.use_plan_cache {
             sqlparse::normalize_statement(sql)
         } else {
             None
         };
-        let epoch = adaptive.epoch();
-        let mut cache_status = CacheStatus::Off;
-        if let Some(n) = &normalized {
-            let key = plan_cache_key(&n.text, &options);
-            if let Some(kinds) = param_kinds(&n.literals) {
-                let (cached, status) = adaptive.plan_cache().lookup_detailed(key, epoch, &kinds);
-                cache_status = status;
-                if let Some(template) = cached {
+        let key = normalized
+            .as_ref()
+            .map(|n| PlanKey::new(&n.text, options.cache_bits(), &n.literals));
+        let mut meta = StatementMeta {
+            cache: CacheStatus::Off,
+            epoch,
+        };
+        if let Some(key) = &key {
+            let found = cache.lookup(key, epoch);
+            meta.cache = found.status();
+            match found {
+                CacheLookup::Found(CachedVerdict::Template(template)) => {
                     self.db.obs().incr(Counter::PlanCacheHits);
-                    let plan = template.bind_params(&literal_bindings(&n.literals));
-                    let t2 = Instant::now();
-                    let (result, profile) = execute_with_stats(&self.db, &plan)?;
-                    let t3 = Instant::now();
-                    if options.use_feedback {
-                        adaptive.absorb(&profile, options.misestimate_factor);
-                    }
-                    self.db.obs().record_statement(
-                        sql,
-                        &profile,
-                        datastore::obs::StatementPhases {
-                            parse: std::time::Duration::ZERO,
-                            plan: t2 - t0,
-                            execute: t3 - t2,
-                        },
-                        result.len() as u64,
-                        options.misestimate_factor,
-                        StatementMeta {
-                            cache: cache_status,
-                            epoch,
-                        },
-                    );
-                    return Ok(result);
+                    let plan = template.bind_params(&|i| key.params.get(i as usize));
+                    let phases = StatementPhases {
+                        plan: t0.elapsed(),
+                        ..StatementPhases::default()
+                    };
+                    return self.execute_planned(sql, &plan, options, phases, meta);
                 }
-                self.db.obs().incr(Counter::PlanCacheMisses);
+                CacheLookup::Found(CachedVerdict::Uncacheable(why)) => {
+                    self.db.obs().note_uncacheable(why)
+                }
+                CacheLookup::Stale | CacheLookup::Miss => {}
             }
+            self.db.obs().incr(Counter::PlanCacheMisses);
         }
         let query = sqlparse::parse_query(sql)?;
         let t1 = Instant::now();
         let planned = plan_query_with(&self.db, &query, options)?;
-        let t2 = Instant::now();
-        if let Some(n) = &normalized {
-            self.try_cache_plan(&query, n, &planned.plan, options, epoch);
+        if let (Some(key), CacheStatus::Miss | CacheStatus::Stale) = (&key, meta.cache) {
+            let verdict = self.examine_for_caching(&query, key, &planned.plan, options);
+            let evicted = cache.insert(key, epoch, verdict);
+            self.db.obs().add(Counter::PlanCacheEvictions, evicted);
         }
-        let (result, profile) = execute_with_stats(&self.db, &planned.plan)?;
-        let t3 = Instant::now();
+        let phases = StatementPhases {
+            parse: t1 - t0,
+            plan: t1.elapsed(),
+            ..StatementPhases::default()
+        };
+        self.execute_planned(sql, &planned.plan, options, phases, meta)
+    }
+
+    /// Execute a planned statement, absorb its feedback and record it;
+    /// `phases` says how long parsing and planning took.
+    fn execute_planned(
+        &self,
+        sql: &str,
+        plan: &Plan,
+        options: PlannerOptions,
+        mut phases: StatementPhases,
+        meta: StatementMeta,
+    ) -> Result<ResultSet, TalkbackError> {
+        let start = Instant::now();
+        let (result, profile) = execute_with_stats(&self.db, plan)?;
+        phases.execute = start.elapsed();
         if options.use_feedback {
-            adaptive.absorb(&profile, options.misestimate_factor);
+            self.db
+                .adaptive()
+                .absorb(&profile, options.misestimate_factor);
         }
         self.db.obs().record_statement(
             sql,
             &profile,
-            datastore::obs::StatementPhases {
-                parse: t1 - t0,
-                plan: t2 - t1,
-                execute: t3 - t2,
-            },
+            phases,
             result.len() as u64,
             options.misestimate_factor,
-            StatementMeta {
-                cache: cache_status,
-                epoch,
-            },
+            meta,
         );
         Ok(result)
     }
 
-    /// Try to install a literal-normalized template for a just-planned
-    /// statement. The template is trusted only when (a) the AST lifts
-    /// exactly the literals the text scanner extracted, in the same order —
-    /// so future text-extracted literals bind positionally — and (b)
-    /// re-planning the parameterized statement and re-binding the original
-    /// literals reproduces the fresh plan byte-for-byte, estimates and all.
-    /// Any divergence means the plan depends on a literal's *value* (a
-    /// range bound steering the histogram, a hash-index type check, …) and
-    /// the statement silently stays uncached.
-    fn try_cache_plan(
+    /// Decide, once per epoch, what the plan cache should hold for a
+    /// just-planned statement the cache did not know. A template is trusted
+    /// only when (a) the AST lifts exactly the literals the text scanner
+    /// extracted, in the same order — so future text-extracted literals bind
+    /// positionally — and (b) planning the parameterized statement, each
+    /// `$i` typed by its literal's kind, and re-binding the original
+    /// literals reproduces the fresh plan node for node, estimates and all.
+    /// Anything else is a negative verdict with its reason: the next
+    /// execution of the shape is planned fresh without coming back here.
+    fn examine_for_caching(
         &self,
         query: &SelectStatement,
-        normalized: &NormalizedStatement,
+        key: &PlanKey,
         fresh: &Plan,
         options: PlannerOptions,
-        epoch: u64,
-    ) {
-        let Some((template_stmt, lits)) = sqlparse::parameterize_select(query) else {
-            return;
+    ) -> CachedVerdict {
+        let (template_stmt, lifted) = match sqlparse::parameterize_select(query) {
+            Ok(parameterized) => parameterized,
+            Err(why) => return CachedVerdict::Uncacheable(why),
         };
-        if lits != normalized.literals {
-            return;
-        }
-        let Some(kinds) = param_kinds(&lits) else {
-            return;
+        // `Value` equality is SQL's (3 = 3.0); a template's is also by kind.
+        let same = |(a, b): (&Value, &Value)| a == b && ParamKind::of(a) == ParamKind::of(b);
+        let kinds = match key.kinds() {
+            Some(kinds)
+                if lifted.len() == key.params.len() && lifted.iter().zip(key.params).all(same) =>
+            {
+                kinds
+            }
+            // What the text scanner and the parser disagree on is a constant
+            // neither can be trusted to lift.
+            _ => return CachedVerdict::Uncacheable(Uncacheable::Constant),
         };
-        let Ok(template) = planner::plan_query_silent(&self.db, &template_stmt, options) else {
-            return;
-        };
-        let rebound = template.plan.bind_params(&literal_bindings(&lits));
-        if format!("{rebound:?}") != format!("{fresh:?}") {
-            return;
-        }
-        let evicted = self.db.adaptive().plan_cache().insert(
-            plan_cache_key(&normalized.text, &options),
-            template.plan,
-            kinds,
-            epoch,
-        );
-        if evicted > 0 {
-            self.db.obs().add(Counter::PlanCacheEvictions, evicted);
+        match planner::plan_template(&self.db, &template_stmt, options, &kinds) {
+            Ok(template)
+                if template.plan.bind_params(&|i| key.params.get(i as usize)) == *fresh =>
+            {
+                CachedVerdict::Template(Arc::new(template.plan))
+            }
+            _ => CachedVerdict::Uncacheable(Uncacheable::ValueDependent),
         }
     }
 
@@ -492,73 +501,6 @@ impl Talkback {
         let chunks = tts.synthesize(&narrative);
         Ok((recognition, narrative, chunks))
     }
-}
-
-/// The plan-cache key: FNV-1a over the literal-normalized statement text
-/// plus every planner knob that can change the chosen plan — the same text
-/// planned under different options must not share a template.
-fn plan_cache_key(text: &str, options: &PlannerOptions) -> u64 {
-    let mut hash = FNV_OFFSET;
-    fnv(&mut hash, text.as_bytes());
-    fnv(
-        &mut hash,
-        &[
-            options.reorder_joins as u8,
-            options.decorrelate_subqueries as u8,
-            options.use_indexes as u8,
-            options.use_vectorized as u8,
-            options.use_feedback as u8,
-        ],
-    );
-    fnv(&mut hash, &(options.parallelism as u64).to_le_bytes());
-    fnv(
-        &mut hash,
-        &options.parallel_row_threshold.to_bits().to_le_bytes(),
-    );
-    fnv(
-        &mut hash,
-        &options.misestimate_factor.to_bits().to_le_bytes(),
-    );
-    fnv(
-        &mut hash,
-        &(options.parallel_build_min as u64).to_le_bytes(),
-    );
-    fnv(&mut hash, &(options.apply_cache_cap as u64).to_le_bytes());
-    fnv(&mut hash, &options.index_scan_ratio.to_bits().to_le_bytes());
-    fnv(&mut hash, &options.inlj_ratio.to_bits().to_le_bytes());
-    hash
-}
-
-/// The cached template's parameter signature. `None` for literal kinds the
-/// text scanner never extracts (defensive; it only produces these three).
-fn param_kinds(literals: &[Literal]) -> Option<Vec<ParamKind>> {
-    literals
-        .iter()
-        .map(|l| match l {
-            Literal::Integer(_) => Some(ParamKind::Integer),
-            Literal::Float(_) => Some(ParamKind::Float),
-            Literal::String(_) => Some(ParamKind::Text),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Positional `$i → value` bindings for a template's extracted literals.
-fn literal_bindings(literals: &[Literal]) -> HashMap<u32, Value> {
-    literals
-        .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            let value = match l {
-                Literal::Integer(v) => Value::Integer(*v),
-                Literal::Float(v) => Value::Float(*v),
-                Literal::String(s) => Value::Text(s.clone()),
-                Literal::Boolean(b) => Value::Boolean(*b),
-                Literal::Null => Value::Null,
-            };
-            (i as u32, value)
-        })
-        .collect()
 }
 
 #[cfg(test)]

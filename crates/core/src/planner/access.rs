@@ -29,8 +29,11 @@
 //! they are only used when the literal's type equals the column's declared
 //! type and the column cannot hold mixed numerics (a Float column may store
 //! Integers via type coercion; such columns never use hash probes). A
-//! parameterized bound has no plan-time literal to type-check, so parameters
-//! only ever probe ordered indexes.
+//! plan-cache parameter (`col = $i` in a template) carries the kind of the
+//! literal it stands for — the kinds are part of the template's identity, so
+//! only literals of that kind are ever bound into it — and gets exactly the
+//! test a literal of that kind would. A *correlation* parameter's type is
+//! only known per outer row, so those only ever probe ordered indexes.
 
 use super::cost::{AccessPathKind, Estimator, PlanDecision};
 use super::logical::Relation;
@@ -85,9 +88,10 @@ pub(super) enum ScanPath {
 pub(super) struct Sarg {
     pub column: String,
     pub shape: SargShape,
-    /// The literal an equality compares against, for hash-index type checks
-    /// (`None` for ranges and parameterized terms).
-    pub literal: Option<Value>,
+    /// The type of the term an equality compares against, for hash-index
+    /// exactness: a literal's own, or a plan-cache parameter's declared kind
+    /// (`None` for ranges and correlation parameters).
+    pub term_type: Option<DataType>,
     /// Estimated fraction of rows the conjunct keeps.
     pub selectivity: f64,
 }
@@ -147,18 +151,18 @@ fn as_sarg(
 ) -> Option<Sarg> {
     if let Some((col, op, lit)) = conjunct.as_selection_predicate() {
         let value = literal_value(lit);
-        let shape = range_shape(op, BoundTerm::Value(value.clone()))?;
-        let literal = matches!(shape, SargShape::Eq(_)).then_some(value);
+        let term_type = (op == BinaryOperator::Eq)
+            .then(|| value.data_type())
+            .flatten();
         return Some(Sarg {
             column: col.column.clone(),
-            shape,
-            literal,
+            shape: range_shape(op, BoundTerm::Value(value))?,
+            term_type,
             selectivity: estimator.effective_conjunct_selectivity(rel, stats, conjunct),
         });
     }
-    // A plan-cache parameter probes like the equality literal it stands for
-    // (same 1/NDV selectivity); with no plan-time value to type-check,
-    // `match_index` will admit it on ordered indexes only.
+    // A plan-cache parameter probes like the equality literal it stands for:
+    // same 1/NDV selectivity, and the type of the literal's kind.
     if let Expr::BinaryOp {
         left,
         op: BinaryOperator::Eq,
@@ -171,7 +175,7 @@ fn as_sarg(
             return Some(Sarg {
                 column: c.column.clone(),
                 shape: SargShape::Eq(BoundTerm::Param(*n)),
-                literal: None,
+                term_type: estimator.param_type(*n),
                 selectivity: estimator.effective_conjunct_selectivity(rel, stats, conjunct),
             });
         }
@@ -192,7 +196,7 @@ fn as_sarg(
                     lo: Some((BoundTerm::Value(literal_value(lo)), true)),
                     hi: Some((BoundTerm::Value(literal_value(hi)), true)),
                 },
-                literal: None,
+                term_type: None,
                 selectivity: estimator.effective_conjunct_selectivity(rel, stats, conjunct),
             });
         }
@@ -205,21 +209,13 @@ fn as_sarg(
 fn probe_is_exact(
     index_kind: datastore::IndexKind,
     declared: DataType,
-    literal: Option<&Value>,
+    term_type: Option<DataType>,
 ) -> bool {
     match index_kind {
         datastore::IndexKind::Ordered => true,
-        datastore::IndexKind::Hash => {
-            // Float columns can hold coerced Integers, whose GroupKey differs
-            // from the equal Float — never hash-probe them.
-            if declared == DataType::Float {
-                return false;
-            }
-            match literal {
-                Some(v) => v.data_type() == Some(declared),
-                None => false,
-            }
-        }
+        // Float columns can hold coerced Integers, whose GroupKey differs
+        // from the equal Float — never hash-probe them.
+        datastore::IndexKind::Hash => declared != DataType::Float && term_type == Some(declared),
     }
 }
 
@@ -251,16 +247,8 @@ fn match_index(
         let found = sargs.iter().enumerate().find(|(i, (_, s))| {
             !used[*i]
                 && s.column.eq_ignore_ascii_case(key_col)
-                && match &s.shape {
-                    SargShape::Eq(_) => {
-                        probe_is_exact(index.def().kind, declared, s.literal.as_ref())
-                            // Parameters have no plan-time literal to
-                            // type-check against a hash key.
-                            || (index.supports_range()
-                                && matches!(s.shape, SargShape::Eq(BoundTerm::Param(_))))
-                    }
-                    SargShape::Range { .. } => false,
-                }
+                && matches!(s.shape, SargShape::Eq(_))
+                && probe_is_exact(index.def().kind, declared, s.term_type)
         });
         let Some((i, (source, sarg))) = found else {
             break;
@@ -369,7 +357,7 @@ pub(super) fn choose_scan_path(
                         hi: hi.clone(),
                     },
                 },
-                literal: sarg.literal.clone(),
+                term_type: sarg.term_type,
                 selectivity: sarg.selectivity,
             },
         ));

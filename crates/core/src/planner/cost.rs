@@ -25,10 +25,10 @@
 //! comparison stays an apples-to-apples one.
 
 use super::logical::{JoinGraph, Relation};
-use datastore::adaptive::AdaptiveState;
+use datastore::adaptive::{AdaptiveState, ParamKind};
 use datastore::index::Index;
 use datastore::stats::{join_cardinality, TableStats, DEFAULT_SELECTIVITY};
-use datastore::Database;
+use datastore::{DataType, Database};
 use sqlparse::ast::{BinaryOperator, Expr, Literal, UnaryOperator};
 use std::sync::Arc;
 
@@ -352,6 +352,10 @@ pub struct Estimator<'a> {
     /// each table's real indexes. Plans chosen under them must never be
     /// executed or cached — the index has no entries.
     hypothetical: Vec<Index>,
+    /// The literal kind each plan-cache parameter `$i` stands for, when a
+    /// template is being planned (empty otherwise). Correlation parameters
+    /// are numbered in a statement of their own and never listed here.
+    param_kinds: &'a [ParamKind],
 }
 
 impl<'a> Estimator<'a> {
@@ -362,6 +366,7 @@ impl<'a> Estimator<'a> {
             feedback: None,
             overrides: std::cell::RefCell::new(Vec::new()),
             hypothetical: Vec::new(),
+            param_kinds: &[],
         }
     }
 
@@ -386,6 +391,17 @@ impl<'a> Estimator<'a> {
         self.hypothetical
             .iter()
             .filter(move |ix| ix.def().table.eq_ignore_ascii_case(table))
+    }
+
+    /// Declare the literal kinds of the statement's plan-cache parameters.
+    pub fn set_param_kinds(&mut self, kinds: &'a [ParamKind]) {
+        self.param_kinds = kinds;
+    }
+
+    /// The column type a literal of parameter `$id`'s kind has, when the
+    /// statement is a template whose kinds were declared.
+    pub fn param_type(&self, id: u32) -> Option<DataType> {
+        self.param_kinds.get(id as usize).map(|k| k.data_type())
     }
 
     /// The [`PlanDecision::Feedback`] records for every override this

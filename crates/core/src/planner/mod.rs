@@ -48,11 +48,13 @@ pub use parallel::PARALLEL_ROW_THRESHOLD;
 pub use physical::lower_expr;
 
 use crate::error::TalkbackError;
+use datastore::adaptive::{OptionBits, ParamKind};
 use datastore::exec::Plan;
 use datastore::Database;
 use sqlparse::ast::SelectStatement;
 use sqlparse::bind::bind_query;
 use sqlparse::rewrite::flatten_in_subqueries;
+use std::sync::OnceLock;
 
 /// Planner knobs.
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +73,10 @@ pub struct PlannerOptions {
     /// parallelization pass entirely; with more, pipelines whose driver scan
     /// clears `parallel_row_threshold` run morsel-parallel through an
     /// exchange, and qualifying `Apply` evaluations fan out.
+    ///
+    /// The default is read from the OS once per process — asking costs
+    /// 12–17 µs, more than a cached point read — so a cgroup CPU quota that
+    /// changes after start-up is not seen; set the field to follow one.
     pub parallelism: usize,
     /// Minimum estimated driver rows before work is parallelized (default
     /// [`PARALLEL_ROW_THRESHOLD`]); below it, thread startup costs more than
@@ -126,12 +132,15 @@ pub struct PlannerOptions {
 
 impl Default for PlannerOptions {
     fn default() -> PlannerOptions {
+        static CORES: OnceLock<usize> = OnceLock::new();
         PlannerOptions {
             reorder_joins: true,
             decorrelate_subqueries: true,
-            parallelism: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            parallelism: *CORES.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            }),
             parallel_row_threshold: PARALLEL_ROW_THRESHOLD,
             use_indexes: true,
             misestimate_factor: datastore::exec::MISESTIMATE_FACTOR,
@@ -147,6 +156,25 @@ impl Default for PlannerOptions {
 }
 
 impl PlannerOptions {
+    /// Every knob that can change the chosen plan, bit for bit: the part of
+    /// a plan-cache entry's identity that says which planner planned it.
+    pub(crate) fn cache_bits(&self) -> OptionBits {
+        [
+            u64::from(self.reorder_joins)
+                | u64::from(self.decorrelate_subqueries) << 1
+                | u64::from(self.use_indexes) << 2
+                | u64::from(self.use_vectorized) << 3
+                | u64::from(self.use_feedback) << 4,
+            self.parallelism as u64,
+            self.parallel_row_threshold.to_bits(),
+            self.misestimate_factor.to_bits(),
+            self.parallel_build_min as u64,
+            self.apply_cache_cap as u64,
+            self.index_scan_ratio.to_bits(),
+            self.inlj_ratio.to_bits(),
+        ]
+    }
+
     /// Options with parallelism disabled — the single-threaded baseline used
     /// by A/B benchmarks and order-sensitive golden tests.
     pub fn sequential() -> PlannerOptions {
@@ -184,18 +212,20 @@ pub fn plan_query_with(
     query: &SelectStatement,
     options: PlannerOptions,
 ) -> Result<PlannedQuery, TalkbackError> {
-    plan_query_impl(db, query, options, true, Vec::new())
+    plan_query_impl(db, query, options, true, Vec::new(), &[])
 }
 
-/// [`plan_query_with`] without recording anything into the observability
-/// registry — for internal re-planning (plan-cache template verification),
-/// which must not double-count the user's one statement.
-pub(crate) fn plan_query_silent(
+/// Plan a plan-cache template: a statement whose equality literals are
+/// `$i` placeholders, `$i` standing for a literal of kind `param_kinds[i]`.
+/// Nothing is recorded into the observability registry — this is the
+/// engine's own second look at a statement the user ran once.
+pub(crate) fn plan_template(
     db: &Database,
     query: &SelectStatement,
     options: PlannerOptions,
+    param_kinds: &[ParamKind],
 ) -> Result<PlannedQuery, TalkbackError> {
-    plan_query_impl(db, query, options, false, Vec::new())
+    plan_query_impl(db, query, options, false, Vec::new(), param_kinds)
 }
 
 /// What-if planning for the advisor: plan silently with metadata-only
@@ -208,7 +238,7 @@ pub(crate) fn plan_query_what_if(
     options: PlannerOptions,
     hypothetical: Vec<datastore::Index>,
 ) -> Result<PlannedQuery, TalkbackError> {
-    plan_query_impl(db, query, options, false, hypothetical)
+    plan_query_impl(db, query, options, false, hypothetical, &[])
 }
 
 fn plan_query_impl(
@@ -217,6 +247,7 @@ fn plan_query_impl(
     options: PlannerOptions,
     record: bool,
     hypothetical: Vec<datastore::Index>,
+    param_kinds: &[ParamKind],
 ) -> Result<PlannedQuery, TalkbackError> {
     let effective = flatten_in_subqueries(query).unwrap_or_else(|| query.clone());
     let bound = bind_query(db.catalog(), &effective)?;
@@ -235,6 +266,7 @@ fn plan_query_impl(
         cost::Estimator::new(db)
     };
     estimator.add_hypothetical(hypothetical);
+    estimator.set_param_kinds(param_kinds);
     let estimator = estimator;
     // Relations a decorrelatable EXISTS/IN will thin out downstream enter
     // the enumeration at their semi-join-reduced cardinality.

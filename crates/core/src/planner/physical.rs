@@ -599,7 +599,7 @@ fn correlated_sargs(
             access::Sarg {
                 column: local.column.clone(),
                 shape,
-                literal: None,
+                term_type: None,
                 selectivity: access::correlated_selectivity(db, &rel.table, &local.column, is_eq),
             },
         ));

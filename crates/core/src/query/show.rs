@@ -175,6 +175,40 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
                 }
             )));
         }
+        let hits = obs.counter(Counter::PlanCacheHits);
+        let asked = hits + obs.counter(Counter::PlanCacheMisses);
+        if asked > 0 {
+            let mut sentence = format!(
+                "My plan cache answered {} of the {} statement{} it was asked about without \
+                 parsing or planning",
+                if hits == 0 {
+                    "none".to_string()
+                } else {
+                    count_phrase(hits as usize)
+                },
+                count_phrase(asked as usize),
+                if asked == 1 { "" } else { "s" },
+            );
+            let uncacheable: Vec<String> = obs
+                .uncacheable_by_reason()
+                .into_iter()
+                .map(|(why, n)| {
+                    format!(
+                        "{} statement{} {}",
+                        count_phrase(n as usize),
+                        if n == 1 { "" } else { "s" },
+                        why.clause()
+                    )
+                })
+                .collect();
+            if !uncacheable.is_empty() {
+                sentence.push_str(&format!(
+                    ", and {}, which I plan afresh every time",
+                    nlg::join_with_and(&uncacheable)
+                ));
+            }
+            sentences.push(finish_sentence(&sentence));
+        }
         let workers = obs.counter(Counter::WorkersSpawned);
         if workers > 0 {
             sentences.push(finish_sentence(&format!(

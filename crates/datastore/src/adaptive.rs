@@ -11,21 +11,24 @@
 //! query plans differently (and explains why) on its next run.
 //!
 //! The [`PlanCache`] makes the second run cheaper as well as better: a
-//! bounded map from a literal-normalized statement fingerprint to a physical
-//! [`Plan`] template with `Expr::Param` placeholders, re-bound with the
-//! statement's literals at lookup. Both structures are invalidated by one
-//! epoch counter, bumped on DDL, statistics invalidation, and feedback
-//! absorption — anything that could make a cached decision stale.
+//! bounded map from a statement's identity — literal-normalized text,
+//! planner options, literal kinds — to a physical [`Plan`] template with
+//! `Expr::Param` placeholders, re-bound with the statement's literals on a
+//! hit, or to the verdict that the shape cannot be templated and why
+//! ([`Uncacheable`]). Both structures are invalidated by one epoch counter,
+//! bumped on DDL, statistics invalidation, and feedback absorption —
+//! anything that could make a cached decision stale.
 
 use crate::exec::plan::Plan;
 use crate::exec::stream::PlanProfile;
-use crate::fingerprint::{feedback_shape, profile_table};
+use crate::fingerprint::{feedback_shape, fnv_hash, profile_table};
 use crate::obs::CacheStatus;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use crate::value::{DataType, Value};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Default plan-cache capacity (templates retained).
+/// Default plan-cache capacity (templates and negative verdicts retained).
 pub const PLAN_CACHE_CAP: usize = 64;
 
 /// Why the epoch moved. The doctor's `CHECKUP` narrates the last movement
@@ -78,9 +81,11 @@ pub struct FeedbackEntry {
     pub observations: u64,
 }
 
-/// The kind of an extracted statement literal. Cached templates record the
-/// kinds of their parameter slots; a lookup whose literals disagree in kind
-/// misses (the plan may be type-dependent even when it is value-independent).
+/// The kind of an extracted statement literal. The kinds of a statement's
+/// literals are part of its plan-cache identity: a plan may be
+/// type-dependent even when it is value-independent (a hash index answers
+/// `name = 'x'` but not `name = 5`), so `= 5` and `= 'five'` hold two
+/// templates, each planned knowing what its `$i` will be bound to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParamKind {
     /// Integer literal.
@@ -91,23 +96,189 @@ pub enum ParamKind {
     Text,
 }
 
-/// One cached plan template.
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    template: Plan,
-    kinds: Vec<ParamKind>,
+impl ParamKind {
+    /// The kind of a literal's value; `None` for values the statement
+    /// normalizer never extracts (NULL, booleans, dates).
+    pub fn of(value: &Value) -> Option<ParamKind> {
+        match value {
+            Value::Integer(_) => Some(ParamKind::Integer),
+            Value::Float(_) => Some(ParamKind::Float),
+            Value::Text(_) => Some(ParamKind::Text),
+            _ => None,
+        }
+    }
+
+    /// The column type a literal of this kind has.
+    pub fn data_type(self) -> DataType {
+        match self {
+            ParamKind::Integer => DataType::Integer,
+            ParamKind::Float => DataType::Float,
+            ParamKind::Text => DataType::Text,
+        }
+    }
+}
+
+/// Why a statement shape cannot be served from a template. The verdict is
+/// cached like a template (same key, same epoch, same eviction), so the
+/// engine examines a shape once per epoch instead of once per execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Uncacheable {
+    /// A literal bounds a range (`<`, `<=`, `>`, `>=`, `BETWEEN`): the plan
+    /// *and* its estimates depend on the value.
+    RangeBound,
+    /// A literal is a `LIKE` pattern.
+    LikePattern,
+    /// A literal is a member of an `IN (…)` list.
+    InList,
+    /// A literal sits anywhere else the template pass cannot lift it from:
+    /// the projection, arithmetic, `<>`.
+    Constant,
+    /// The statement contains a subquery, whose correlation parameters own
+    /// the `$n` numbering.
+    Subquery,
+    /// The template did not reproduce the fresh plan: the plan depends on
+    /// the value compared, not only on its kind.
+    ValueDependent,
+}
+
+impl Uncacheable {
+    /// Every reason, in display order.
+    pub const ALL: [Uncacheable; 6] = [
+        Uncacheable::RangeBound,
+        Uncacheable::LikePattern,
+        Uncacheable::InList,
+        Uncacheable::Constant,
+        Uncacheable::Subquery,
+        Uncacheable::ValueDependent,
+    ];
+
+    /// How the system describes statements of this kind, completing
+    /// "… statements …, which I plan afresh every time".
+    pub fn clause(self) -> &'static str {
+        match self {
+            Uncacheable::RangeBound => "whose plan depends on a range bound",
+            Uncacheable::LikePattern => "whose plan depends on a LIKE pattern",
+            Uncacheable::InList => "whose plan depends on an IN list",
+            Uncacheable::Constant => "with a constant outside a column equality",
+            Uncacheable::Subquery => "with a subquery inside",
+            Uncacheable::ValueDependent => "whose plan changes with the value compared",
+        }
+    }
+}
+
+/// Words in [`OptionBits`].
+pub const OPTION_WORDS: usize = 8;
+
+/// The planner knobs an entry was planned under, bit for bit and opaque to
+/// the cache: the same text planned under different options must not share
+/// an entry.
+pub type OptionBits = [u64; OPTION_WORDS];
+
+/// What a statement presents to the plan cache. An entry's identity is the
+/// normalized text, the option bits and the *kinds* of the literals — all
+/// compared in full on every probe, so two texts whose hashes collide can
+/// never run each other's plan. The literal values themselves are only
+/// carried along: a hit binds them into the template.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanKey<'a> {
+    /// FNV-1a of `text`: narrows the probe, decides nothing.
+    pub hash: u64,
+    /// The literal-normalized statement text.
+    pub text: &'a str,
+    /// The planner knobs in force.
+    pub options: OptionBits,
+    /// The statement's literals, in textual order.
+    pub params: &'a [Value],
+}
+
+impl<'a> PlanKey<'a> {
+    /// The key of a normalized statement under the given options.
+    pub fn new(text: &'a str, options: OptionBits, params: &'a [Value]) -> PlanKey<'a> {
+        PlanKey {
+            hash: fnv_hash(text.as_bytes()),
+            text,
+            options,
+            params,
+        }
+    }
+
+    /// The kinds of the literals; `None` if one has no kind.
+    pub fn kinds(&self) -> Option<Box<[ParamKind]>> {
+        self.params.iter().map(ParamKind::of).collect()
+    }
+}
+
+/// What the cache holds for one key: a plan template with `Expr::Param`
+/// placeholders, or the verdict that the shape cannot have one.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CachedVerdict {
+    /// A verified template, shared with whoever is binding it.
+    Template(Arc<Plan>),
+    /// A negative entry.
+    Uncacheable(Uncacheable),
+}
+
+/// What one probe of the cache found.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CacheLookup {
+    /// An entry of the current epoch: a template to bind, or the verdict
+    /// that says plan fresh and examine nothing.
+    Found(CachedVerdict),
+    /// An entry from an older epoch (evicted by this probe).
+    Stale,
+    /// Nothing under this text, options and kinds.
+    Miss,
+}
+
+impl CacheLookup {
+    /// The journal's word for this outcome.
+    pub fn status(&self) -> CacheStatus {
+        match self {
+            CacheLookup::Found(CachedVerdict::Template(_)) => CacheStatus::Hit,
+            CacheLookup::Found(CachedVerdict::Uncacheable(why)) => CacheStatus::Uncacheable(*why),
+            CacheLookup::Stale => CacheStatus::Stale,
+            CacheLookup::Miss => CacheStatus::Miss,
+        }
+    }
+}
+
+#[derive(Debug)]
+struct CacheEntry {
+    hash: u64,
+    text: Box<str>,
+    options: OptionBits,
+    kinds: Box<[ParamKind]>,
     epoch: u64,
+    /// [`PlanCacheInner::clock`] at the last hit or insert.
+    used: u64,
+    verdict: CachedVerdict,
+}
+
+impl CacheEntry {
+    fn is(&self, key: &PlanKey) -> bool {
+        self.hash == key.hash
+            && self.options == key.options
+            && *self.text == *key.text
+            && self.kinds.len() == key.params.len()
+            && self
+                .kinds
+                .iter()
+                .zip(key.params)
+                .all(|(kind, value)| ParamKind::of(value) == Some(*kind))
+    }
 }
 
 #[derive(Debug, Default)]
 struct PlanCacheInner {
-    entries: HashMap<u64, CachedPlan>,
-    /// Keys in least-recently-used-first order.
-    order: VecDeque<u64>,
+    /// A few dozen entries at most ([`PLAN_CACHE_CAP`]): probed linearly.
+    entries: Vec<CacheEntry>,
+    /// Counts probes and inserts; recency is the stamp an entry carries.
+    clock: u64,
 }
 
-/// Bounded LRU map from literal-normalized statement fingerprint to plan
-/// template. Entries from an older epoch are dropped on lookup.
+/// Bounded LRU map from statement identity ([`PlanKey`]) to a plan template
+/// or a negative verdict. Entries of both kinds share the capacity, and
+/// entries from an older epoch are dropped when probed.
 #[derive(Debug)]
 pub struct PlanCache {
     cap: usize,
@@ -122,94 +293,77 @@ impl PlanCache {
         }
     }
 
-    /// Maximum templates retained.
+    /// Maximum entries retained, templates and verdicts together.
     pub fn capacity(&self) -> usize {
         self.cap
     }
 
-    /// Templates currently retained.
+    /// Entries currently retained.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("plan cache lock").entries.len()
     }
 
-    /// True when no template is cached.
+    /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Look up a template. Hits require the current epoch and literal kinds
-    /// matching the template's parameter slots; a stale-epoch entry is
-    /// removed on the spot. A hit refreshes the entry's LRU position.
-    pub fn lookup(&self, key: u64, epoch: u64, kinds: &[ParamKind]) -> Option<Plan> {
-        self.lookup_detailed(key, epoch, kinds).0
-    }
-
-    /// [`PlanCache::lookup`], also reporting *why* a miss missed: a
-    /// [`CacheStatus::Stale`] entry was planned in an older epoch (and is
-    /// evicted here), a [`CacheStatus::Miss`] was never cached or cached with
-    /// different literal kinds. The journal's `cache` column audits this.
-    pub fn lookup_detailed(
-        &self,
-        key: u64,
-        epoch: u64,
-        kinds: &[ParamKind],
-    ) -> (Option<Plan>, CacheStatus) {
+    /// Probe for `key`. An entry answers only if its text, options and kinds
+    /// equal the key's and it was made in `epoch`; an entry from another
+    /// epoch is removed on the spot. A template comes back as a shared
+    /// handle — the lock is released before anyone binds it.
+    pub fn lookup(&self, key: &PlanKey, epoch: u64) -> CacheLookup {
         let mut inner = self.inner.lock().expect("plan cache lock");
-        match inner.entries.get(&key) {
-            Some(entry) if entry.epoch != epoch => {
-                inner.entries.remove(&key);
-                inner.order.retain(|k| *k != key);
-                (None, CacheStatus::Stale)
-            }
-            Some(entry) if entry.kinds != kinds => (None, CacheStatus::Miss),
-            Some(entry) => {
-                let template = entry.template.clone();
-                inner.order.retain(|k| *k != key);
-                inner.order.push_back(key);
-                (Some(template), CacheStatus::Hit)
-            }
-            None => (None, CacheStatus::Miss),
+        let Some(at) = inner.entries.iter().position(|e| e.is(key)) else {
+            return CacheLookup::Miss;
+        };
+        if inner.entries[at].epoch != epoch {
+            inner.entries.swap_remove(at);
+            return CacheLookup::Stale;
         }
+        inner.clock += 1;
+        inner.entries[at].used = inner.clock;
+        CacheLookup::Found(inner.entries[at].verdict.clone())
     }
 
-    /// Insert a template, evicting the least-recently-used entry when full.
-    /// Returns the number of evictions (0 or 1).
-    pub fn insert(&self, key: u64, template: Plan, kinds: Vec<ParamKind>, epoch: u64) -> u64 {
+    /// Store the verdict on `key` reached in `epoch`, replacing whatever the
+    /// key held and evicting the least recently used entry when full.
+    /// Returns the number of evictions (0 or 1). A key whose literals have
+    /// no kind is not stored.
+    pub fn insert(&self, key: &PlanKey, epoch: u64, verdict: CachedVerdict) -> u64 {
+        let Some(kinds) = key.kinds() else {
+            return 0;
+        };
         let mut inner = self.inner.lock().expect("plan cache lock");
-        if inner
-            .entries
-            .insert(
-                key,
-                CachedPlan {
-                    template,
-                    kinds,
-                    epoch,
-                },
-            )
-            .is_none()
-        {
-            inner.order.push_back(key);
-        } else {
-            inner.order.retain(|k| *k != key);
-            inner.order.push_back(key);
+        inner.clock += 1;
+        let used = inner.clock;
+        if let Some(entry) = inner.entries.iter_mut().find(|e| e.is(key)) {
+            (entry.epoch, entry.used, entry.verdict) = (epoch, used, verdict);
+            return 0;
         }
         let mut evicted = 0;
-        while inner.entries.len() > self.cap {
-            if let Some(old) = inner.order.pop_front() {
-                inner.entries.remove(&old);
-                evicted += 1;
-            } else {
-                break;
-            }
+        while inner.entries.len() >= self.cap {
+            let oldest = (0..inner.entries.len())
+                .min_by_key(|&i| inner.entries[i].used)
+                .expect("a full cache has entries");
+            inner.entries.swap_remove(oldest);
+            evicted += 1;
         }
+        inner.entries.push(CacheEntry {
+            hash: key.hash,
+            text: key.text.into(),
+            options: key.options,
+            kinds,
+            epoch,
+            used,
+            verdict,
+        });
         evicted
     }
 
-    /// Drop every template.
+    /// Drop every entry.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        inner.entries.clear();
-        inner.order.clear();
+        self.inner.lock().expect("plan cache lock").entries.clear();
     }
 }
 
@@ -362,47 +516,156 @@ impl AdaptiveState {
 mod tests {
     use super::*;
 
-    fn plan() -> Plan {
-        Plan::scan("MOVIES", "m")
+    const OPTIONS: OptionBits = [0; OPTION_WORDS];
+
+    fn template(table: &str) -> CachedVerdict {
+        CachedVerdict::Template(Arc::new(Plan::scan(table, "t")))
+    }
+
+    fn is_hit(found: &CacheLookup, table: &str) -> bool {
+        *found == CacheLookup::Found(template(table))
     }
 
     #[test]
     fn cache_hits_require_matching_epoch_and_kinds() {
         let state = AdaptiveState::new(4);
+        let cache = state.plan_cache();
         let epoch = state.epoch();
-        state
-            .plan_cache()
-            .insert(1, plan(), vec![ParamKind::Integer], epoch);
-        assert!(state
-            .plan_cache()
-            .lookup(1, epoch, &[ParamKind::Integer])
-            .is_some());
-        // Kind mismatch misses without evicting.
-        assert!(state
-            .plan_cache()
-            .lookup(1, epoch, &[ParamKind::Text])
-            .is_none());
-        assert_eq!(state.plan_cache().len(), 1);
-        // Epoch bump turns the entry stale; the lookup removes it.
+        let (five, text) = ([Value::int(5)], [Value::text("five")]);
+        let by_int = PlanKey::new("select ?", OPTIONS, &five);
+        let by_text = PlanKey::new("select ?", OPTIONS, &text);
+        cache.insert(&by_int, epoch, template("INT"));
+        // Another value of the same kind hits; another kind is another key.
+        let seven = [Value::int(7)];
+        let found = cache.lookup(&PlanKey::new("select ?", OPTIONS, &seven), epoch);
+        assert!(is_hit(&found, "INT"));
+        assert_eq!(cache.lookup(&by_text, epoch), CacheLookup::Miss);
+        // The two kinds hold two templates instead of overwriting one another.
+        cache.insert(&by_text, epoch, template("TEXT"));
+        assert_eq!(cache.len(), 2);
+        assert!(is_hit(&cache.lookup(&by_int, epoch), "INT"));
+        assert!(is_hit(&cache.lookup(&by_text, epoch), "TEXT"));
+        // So do two sets of planner options.
+        let other = PlanKey::new("select ?", [1; OPTION_WORDS], &five);
+        assert_eq!(cache.lookup(&other, epoch), CacheLookup::Miss);
+        // Epoch bump turns an entry stale; the probe removes it.
         state.bump_epoch();
-        assert!(state
-            .plan_cache()
-            .lookup(1, state.epoch(), &[ParamKind::Integer])
-            .is_none());
-        assert!(state.plan_cache().is_empty());
+        assert_eq!(cache.lookup(&by_int, state.epoch()), CacheLookup::Stale);
+        assert_eq!(cache.lookup(&by_int, state.epoch()), CacheLookup::Miss);
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// Regression: a hit used to be decided by the 64-bit hash alone, so two
+    /// statements whose hashes collide ran each other's plan.
+    #[test]
+    fn colliding_hashes_never_share_an_entry() {
+        let cache = PlanCache::new(4);
+        let key = |text| PlanKey {
+            hash: 42,
+            text,
+            options: OPTIONS,
+            params: &[],
+        };
+        cache.insert(&key("select a"), 0, template("A"));
+        assert_eq!(cache.lookup(&key("select b"), 0), CacheLookup::Miss);
+        cache.insert(&key("select b"), 0, template("B"));
+        assert!(is_hit(&cache.lookup(&key("select a"), 0), "A"));
+        assert!(is_hit(&cache.lookup(&key("select b"), 0), "B"));
     }
 
     #[test]
     fn cache_evicts_least_recently_used() {
-        let state = AdaptiveState::new(2);
-        let epoch = state.epoch();
-        assert_eq!(state.plan_cache().insert(1, plan(), vec![], epoch), 0);
-        assert_eq!(state.plan_cache().insert(2, plan(), vec![], epoch), 0);
-        // Touch 1 so 2 becomes the LRU victim.
-        state.plan_cache().lookup(1, epoch, &[]);
-        assert_eq!(state.plan_cache().insert(3, plan(), vec![], epoch), 1);
-        assert!(state.plan_cache().lookup(2, epoch, &[]).is_none());
-        assert!(state.plan_cache().lookup(1, epoch, &[]).is_some());
-        assert!(state.plan_cache().lookup(3, epoch, &[]).is_some());
+        let cache = PlanCache::new(2);
+        let key = |text| PlanKey::new(text, OPTIONS, &[]);
+        let range = CachedVerdict::Uncacheable(Uncacheable::RangeBound);
+        assert_eq!(cache.insert(&key("one"), 0, template("ONE")), 0);
+        assert_eq!(cache.insert(&key("two"), 0, range.clone()), 0);
+        // Re-inserting a key replaces its verdict without evicting.
+        assert_eq!(cache.insert(&key("two"), 0, range), 0);
+        // Touch "one" so the negative entry becomes the LRU victim.
+        cache.lookup(&key("one"), 0);
+        assert_eq!(cache.insert(&key("three"), 0, template("THREE")), 1);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lookup(&key("two"), 0), CacheLookup::Miss);
+        assert!(is_hit(&cache.lookup(&key("one"), 0), "ONE"));
+        assert!(is_hit(&cache.lookup(&key("three"), 0), "THREE"));
+        // A negative entry answers with its reason until the epoch moves.
+        cache.insert(
+            &key("four"),
+            0,
+            CachedVerdict::Uncacheable(Uncacheable::Subquery),
+        );
+        assert_eq!(
+            cache.lookup(&key("four"), 0),
+            CacheLookup::Found(CachedVerdict::Uncacheable(Uncacheable::Subquery))
+        );
+        assert_eq!(cache.lookup(&key("four"), 1), CacheLookup::Stale);
+    }
+
+    /// Eight threads insert templates and negative verdicts, probe, and bump
+    /// the epoch on one small cache. Each template scans a table named after
+    /// its own text and kind, so a hit for anyone else's key would show.
+    #[test]
+    fn concurrent_probes_only_ever_get_their_own_template() {
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 2_000;
+        const TEXTS: [&str; 6] = ["q0", "q1", "q2", "q3", "q4", "q5"];
+        let state = AdaptiveState::new(8);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let (state, start) = (&state, &start);
+                scope.spawn(move || {
+                    let cache = state.plan_cache();
+                    let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(thread + 1);
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        let text = TEXTS[(rng % 6) as usize];
+                        let params = match (rng >> 8) % 3 {
+                            0 => vec![Value::int(rng as i64)],
+                            1 => vec![Value::text("x")],
+                            _ => Vec::new(),
+                        };
+                        let own = format!("{text}/{:?}", params.first().and_then(ParamKind::of));
+                        // Every text shares one hash: equality alone decides.
+                        let key = PlanKey {
+                            hash: 7,
+                            text,
+                            options: OPTIONS,
+                            params: &params,
+                        };
+                        let epoch = state.epoch();
+                        match (rng >> 16) % 8 {
+                            0 => state.bump_epoch(),
+                            1 | 2 => {
+                                cache.insert(&key, epoch, template(&own));
+                            }
+                            3 => {
+                                let verdict = CachedVerdict::Uncacheable(Uncacheable::InList);
+                                cache.insert(&key, epoch, verdict);
+                            }
+                            _ => {
+                                let found = cache.lookup(&key, epoch);
+                                let in_list = CachedVerdict::Uncacheable(Uncacheable::InList);
+                                assert!(
+                                    [
+                                        CacheLookup::Found(template(&own)),
+                                        CacheLookup::Found(in_list),
+                                        CacheLookup::Stale,
+                                        CacheLookup::Miss
+                                    ]
+                                    .contains(&found),
+                                    "{own} was answered {found:?}"
+                                );
+                            }
+                        }
+                        assert!(cache.len() <= cache.capacity());
+                    }
+                });
+            }
+        });
     }
 }

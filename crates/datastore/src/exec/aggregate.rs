@@ -48,7 +48,7 @@ impl AggFunc {
 
 /// An aggregate expression: a function applied to an argument expression
 /// (`None` means `COUNT(*)`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggExpr {
     pub func: AggFunc,
     /// Argument over the input row; `None` encodes `*`.

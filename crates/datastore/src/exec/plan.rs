@@ -14,11 +14,9 @@
 //! binding).
 
 use crate::exec::aggregate::AggExpr;
-use crate::expr::{CmpOp, Expr};
+use crate::expr::{CmpOp, Expr, ParamLookup};
 use crate::index::{IndexBounds, ProbeOrder};
 use crate::tuple::Row;
-use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A named output column of a plan node, carrying the relation alias it came
@@ -108,7 +106,7 @@ pub struct SortKey {
 ///
 /// Every mode gathers in morsel order, so the result is byte-identical to
 /// the single-threaded run at any worker count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GatherMode {
     /// Concatenate worker outputs in morsel order (plain pipelines).
     Rows,
@@ -150,7 +148,7 @@ impl GatherMode {
 /// The operator lives in [`PlanNode`]; the wrapper carries the estimated
 /// output cardinality the optimizer planned with, so `EXPLAIN ANALYZE` can
 /// put estimated and actual rows side by side for every operator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// The physical operator.
     pub node: PlanNode,
@@ -160,7 +158,7 @@ pub struct Plan {
 }
 
 /// Physical plan operators.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
     /// Full scan of a stored table; output columns are the table's columns
     /// qualified with `alias`.
@@ -329,7 +327,7 @@ pub enum PlanNode {
 }
 
 /// What an [`PlanNode::Apply`] operator checks against each subquery result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ApplyMode {
     /// Keep the row iff the subquery produced [no] rows (`[NOT] EXISTS`).
     Exists { negated: bool },
@@ -389,7 +387,7 @@ impl ApplyMode {
 }
 
 /// Clone a list of aggregate expressions with parameters substituted.
-fn bind_aggregates(aggregates: &[AggExpr], bindings: &HashMap<u32, Value>) -> Vec<AggExpr> {
+fn bind_aggregates(aggregates: &[AggExpr], bindings: ParamLookup<'_>) -> Vec<AggExpr> {
     aggregates
         .iter()
         .map(|a| AggExpr {
@@ -648,9 +646,9 @@ impl Plan {
     }
 
     /// Clone this plan with the given parameter bindings substituted into
-    /// every expression (including nested subplans). Parameters not present
-    /// in `bindings` — owned by a deeper `Apply` — are left in place.
-    pub fn bind_params(&self, bindings: &HashMap<u32, Value>) -> Plan {
+    /// every expression (including nested subplans). Parameters `bindings`
+    /// has no value for — owned by a deeper `Apply` — are left in place.
+    pub fn bind_params(&self, bindings: ParamLookup<'_>) -> Plan {
         let node = match &self.node {
             PlanNode::Scan { table, alias } => PlanNode::Scan {
                 table: table.clone(),

@@ -2766,11 +2766,10 @@ fn evaluate_binding(
     mode: &ApplyMode,
     row: &Row,
 ) -> Result<(SubResult, PlanProfile), StoreError> {
-    let bindings: HashMap<u32, Value> = params
-        .iter()
-        .map(|&(id, idx)| (id, row.get(idx).cloned().unwrap_or(Value::Null)))
-        .collect();
-    let bound = subplan.bind_params(&bindings);
+    let bound = subplan.bind_params(&|id| {
+        let &(_, idx) = params.iter().find(|&&(param, _)| param == id)?;
+        Some(row.get(idx).unwrap_or(&Value::Null))
+    });
     let mut src = open_owned(ctx, &bound)?;
     let result = match mode {
         ApplyMode::Exists { .. } => {

@@ -97,6 +97,12 @@ pub enum Expr {
     Param(u32),
 }
 
+/// The values a parameter substitution binds: `Some` for a parameter the
+/// caller owns, `None` for one a deeper `Apply` will bind. A lookup rather
+/// than a map, so a cached plan template binds straight from its statement's
+/// literal slice and an `Apply` straight from the outer row.
+pub type ParamLookup<'a> = &'a dyn Fn(u32) -> Option<&'a Value>;
+
 impl Expr {
     /// Convenience constructor for an equality comparison of two columns.
     pub fn col_eq(left: usize, right: usize) -> Expr {
@@ -255,11 +261,11 @@ impl Expr {
     }
 
     /// Replace every bound [`Expr::Param`] with the literal value supplied
-    /// for it, leaving parameters owned by deeper `Apply` operators (absent
-    /// from `bindings`) untouched.
-    pub fn substitute_params(&self, bindings: &std::collections::HashMap<u32, Value>) -> Expr {
+    /// for it, leaving parameters owned by deeper `Apply` operators (which
+    /// `bindings` has no value for) untouched.
+    pub fn substitute_params(&self, bindings: ParamLookup<'_>) -> Expr {
         match self {
-            Expr::Param(id) => match bindings.get(id) {
+            Expr::Param(id) => match bindings(*id) {
                 Some(v) => Expr::Literal(v.clone()),
                 None => Expr::Param(*id),
             },
@@ -547,7 +553,6 @@ mod tests {
 
     #[test]
     fn params_substitute_and_error_when_unbound() {
-        use std::collections::HashMap;
         let r = row();
         let e = Expr::Compare {
             op: CmpOp::Eq,
@@ -556,8 +561,8 @@ mod tests {
         };
         assert!(e.has_params());
         assert!(e.eval(&r).is_err(), "unbound parameters must not evaluate");
-        let mut bindings = HashMap::new();
-        bindings.insert(7, Value::int(10));
+        let ten = Value::int(10);
+        let bindings = |id: u32| (id == 7).then_some(&ten);
         let bound = e.substitute_params(&bindings);
         assert!(!bound.has_params());
         assert_eq!(bound.eval(&r).unwrap(), Value::Boolean(true));

@@ -42,6 +42,7 @@
 //! their rows.
 
 use crate::error::StoreError;
+use crate::expr::ParamLookup;
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
 use std::cmp::Ordering;
@@ -173,9 +174,9 @@ impl BoundTerm {
         }
     }
 
-    fn bind(&self, params: &HashMap<u32, Value>) -> BoundTerm {
+    fn bind(&self, params: ParamLookup<'_>) -> BoundTerm {
         match self {
-            BoundTerm::Param(id) => match params.get(id) {
+            BoundTerm::Param(id) => match params(*id) {
                 Some(v) => BoundTerm::Value(v.clone()),
                 None => self.clone(),
             },
@@ -262,7 +263,7 @@ impl IndexBounds {
 
     /// The bounds with every parameter that `params` carries substituted by
     /// its value (the `bind_params` step of an `Apply` binding).
-    pub fn bind(&self, params: &HashMap<u32, Value>) -> IndexBounds {
+    pub fn bind(&self, params: ParamLookup<'_>) -> IndexBounds {
         IndexBounds {
             eq: self.eq.iter().map(|t| t.bind(params)).collect(),
             lo: self.lo.as_ref().map(|(t, inc)| (t.bind(params), *inc)),
@@ -929,11 +930,11 @@ mod tests {
             idx.probe(&bounds, ProbeOrder::Position).unwrap_err(),
             StoreError::Eval { .. }
         ));
-        let bound = bounds.bind(&HashMap::from([(0, Value::int(2))]));
+        let bound = bounds.bind(&|_| Some(&Value::Integer(2)));
         assert!(!bound.has_params());
         assert_eq!(idx.probe(&bound, ProbeOrder::Position).unwrap(), vec![0, 2]);
         // A NULL binding matches nothing, like any NULL equality.
-        let null_bound = bounds.bind(&HashMap::from([(0, Value::Null)]));
+        let null_bound = bounds.bind(&|_| Some(&Value::Null));
         assert!(idx
             .probe(&null_bound, ProbeOrder::Position)
             .unwrap()

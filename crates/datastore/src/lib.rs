@@ -41,7 +41,10 @@ pub mod table;
 pub mod tuple;
 pub mod value;
 
-pub use adaptive::{AdaptiveState, EpochCause, FeedbackEntry, FeedbackNote, ParamKind, PlanCache};
+pub use adaptive::{
+    AdaptiveState, CacheLookup, CachedVerdict, EpochCause, FeedbackEntry, FeedbackNote, ParamKind,
+    PlanCache, PlanKey, Uncacheable,
+};
 pub use catalog::Catalog;
 pub use database::Database;
 pub use error::StoreError;

@@ -29,6 +29,7 @@
 
 pub mod doctor;
 
+use crate::adaptive::Uncacheable;
 use crate::exec::stream::PlanProfile;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -78,11 +79,14 @@ pub enum Counter {
     PlanCacheMisses,
     PlanCacheEvictions,
     FeedbackOverridesApplied,
+    /// Of the statements [`Counter::PlanCacheMisses`] counts, those a
+    /// negative cache entry sent straight to the planner.
+    PlanCacheUncacheable,
 }
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 15] = [
+    pub const ALL: [Counter; 16] = [
         Counter::QueriesExecuted,
         Counter::RowsScanned,
         Counter::RowsEmitted,
@@ -98,6 +102,7 @@ impl Counter {
         Counter::PlanCacheMisses,
         Counter::PlanCacheEvictions,
         Counter::FeedbackOverridesApplied,
+        Counter::PlanCacheUncacheable,
     ];
 
     /// Stable snake_case name, used as the metric key in `SHOW METRICS`.
@@ -118,6 +123,7 @@ impl Counter {
             Counter::PlanCacheMisses => "plan_cache_misses",
             Counter::PlanCacheEvictions => "plan_cache_evictions",
             Counter::FeedbackOverridesApplied => "feedback_overrides_applied",
+            Counter::PlanCacheUncacheable => "plan_cache_uncacheable",
         }
     }
 }
@@ -349,6 +355,9 @@ pub enum CacheStatus {
     Miss,
     /// A template existed but its epoch was stale; re-planned.
     Stale,
+    /// The cache already knew this shape cannot be templated, and why; the
+    /// statement was planned from scratch without being examined again.
+    Uncacheable(Uncacheable),
     /// The plan cache was not consulted (caching off, or not a query).
     #[default]
     Off,
@@ -361,6 +370,7 @@ impl CacheStatus {
             CacheStatus::Hit => "hit",
             CacheStatus::Miss => "miss",
             CacheStatus::Stale => "stale",
+            CacheStatus::Uncacheable(_) => "uncacheable",
             CacheStatus::Off => "-",
         }
     }
@@ -585,7 +595,9 @@ pub struct ObsRegistry {
     counters: [AtomicU64; Counter::ALL.len()],
     latency: [LatencyHistogram; Phase::ALL.len()],
     decisions: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, u64>>,
+    /// [`Counter::PlanCacheUncacheable`] by reason, in [`Uncacheable::ALL`]
+    /// order.
+    uncacheable: [AtomicU64; Uncacheable::ALL.len()],
     journal: Journal,
     misestimates: Mutex<BTreeMap<(String, String), MisestimateStat>>,
     workload: doctor::WorkloadLedger,
@@ -605,7 +617,7 @@ impl ObsRegistry {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: std::array::from_fn(|_| LatencyHistogram::default()),
             decisions: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
+            uncacheable: std::array::from_fn(|_| AtomicU64::new(0)),
             journal: Journal::new(journal_cap),
             misestimates: Mutex::new(BTreeMap::new()),
             workload: doctor::WorkloadLedger::default(),
@@ -658,18 +670,36 @@ impl ObsRegistry {
         self.decisions.lock().expect("decisions lock").clone()
     }
 
-    /// Set a sampled gauge.
-    pub fn set_gauge(&self, name: &str, value: u64) {
+    /// Count one statement a negative plan-cache entry sent straight to the
+    /// planner: [`Counter::PlanCacheUncacheable`], and the tally of its
+    /// reason.
+    pub fn note_uncacheable(&self, why: Uncacheable) {
         if !self.enabled() {
             return;
         }
-        let mut gauges = self.gauges.lock().expect("gauges lock");
-        gauges.insert(name.to_string(), value);
+        self.incr(Counter::PlanCacheUncacheable);
+        self.uncacheable[why as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Current gauge values.
+    /// [`Counter::PlanCacheUncacheable`] by reason (reasons never seen are
+    /// left out).
+    pub fn uncacheable_by_reason(&self) -> Vec<(Uncacheable, u64)> {
+        Uncacheable::ALL
+            .into_iter()
+            .map(|why| (why, self.uncacheable[why as usize].load(Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect()
+    }
+
+    /// Current gauge values, read from their sources: `journal_entries` is
+    /// how many statements the journal holds (absent until it holds one).
     pub fn gauges(&self) -> BTreeMap<String, u64> {
-        self.gauges.lock().expect("gauges lock").clone()
+        let mut gauges = BTreeMap::new();
+        let held = self.journal.len() as u64;
+        if held > 0 {
+            gauges.insert("journal_entries".to_string(), held);
+        }
+        gauges
     }
 
     /// Record a phase latency sample.
@@ -780,7 +810,6 @@ impl ObsRegistry {
             worst_misestimate: worst,
             cache: meta.cache,
         });
-        self.set_gauge("journal_entries", self.journal.len() as u64);
     }
 
     /// Walk an executed profile, fold every flagged misestimate into the

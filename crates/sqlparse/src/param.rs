@@ -4,34 +4,37 @@
 //!
 //! * [`normalize_statement`] works on the raw SQL *text*, before any lexing
 //!   the engine would otherwise do: every string/number literal becomes `?`
-//!   and is collected in order. The normalized text is what the plan cache
-//!   hashes, so `WHERE id = 4` and `WHERE id = 7` share a key — and on a
-//!   cache hit the engine never lexes, parses, or plans at all.
+//!   and its value is collected in order. The normalized text is what the
+//!   plan cache keys on, so `WHERE id = 4` and `WHERE id = 7` share an entry
+//!   — and on a cache hit the engine never lexes, parses, or plans at all.
 //! * [`parameterize_select`] works on the parsed *AST*: literals compared to
 //!   a column with `=` become [`Expr::Param`] placeholders, numbered in the
-//!   same clause order the text scanner sees them, and the extracted
-//!   literals are returned for re-binding.
+//!   same clause order the text scanner sees them, and the extracted values
+//!   are returned for re-binding.
 //!
-//! A statement is only cacheable when the two literal sequences agree
+//! A statement is only cacheable when the two value sequences agree
 //! element-for-element: then `$i` in the template corresponds exactly to the
 //! `i`-th `?` of the normalized text, and future literals extracted from the
 //! text can be bound positionally. Any literal the AST pass cannot lift into
 //! a parameter (a range bound, a LIKE pattern, an IN-list member, a
-//! projected constant) makes the sequences diverge and the statement is
-//! planned fresh every time — equality is the one comparison whose
-//! selectivity estimate does not depend on the literal's value, so it is the
-//! one position where re-binding a different value provably yields the same
-//! plan.
+//! projected constant) would make the sequences diverge, so the pass stops
+//! there and says which it was ([`Uncacheable`]): the verdict is cached, and
+//! the statement is planned fresh every time — equality is the one
+//! comparison whose selectivity estimate does not depend on the literal's
+//! value, so it is the one position where re-binding a different value of
+//! the same kind provably yields the same plan.
 
 use crate::ast::{BinaryOperator, Expr, Literal, SelectItem, SelectStatement};
+use datastore::{Uncacheable, Value};
 
 /// A statement with its literals lifted out at the text level.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NormalizedStatement {
     /// The SQL text with literals replaced by `?` and whitespace collapsed.
     pub text: String,
-    /// The extracted literals, in textual order.
-    pub literals: Vec<Literal>,
+    /// The extracted literals' values, in textual order: integers, floats
+    /// and text, nothing else.
+    pub literals: Vec<Value>,
 }
 
 fn is_ident_part(c: char) -> bool {
@@ -48,153 +51,159 @@ fn is_ident_part(c: char) -> bool {
 /// a bindable value.
 pub fn normalize_statement(sql: &str) -> Option<NormalizedStatement> {
     let trimmed = sql.trim();
-    let first_word: String = trimmed.chars().take_while(|c| is_ident_part(*c)).collect();
-    if !first_word.eq_ignore_ascii_case("SELECT") {
+    let bytes = trimmed.as_bytes();
+    // Where the run of bytes that satisfy `keep`, starting at `from`, ends.
+    let run = |from: usize, keep: fn(char) -> bool| {
+        let kept = bytes[from..].iter().take_while(|&&b| keep(b as char));
+        from + kept.count()
+    };
+    if !trimmed[..run(0, is_ident_part)].eq_ignore_ascii_case("SELECT") {
         return None;
     }
 
     let mut text = String::with_capacity(trimmed.len());
     let mut literals = Vec::new();
-    let mut chars = trimmed.chars().peekable();
-    // The last identifier-like word scanned, uppercased; a number directly
-    // after `LIMIT` is kept verbatim instead of extracted.
-    let mut last_word = String::new();
-    // The previous significant character, to tell `g2` (identifier) apart
-    // from ` 2` (literal).
-    let mut prev: Option<char> = None;
-
-    while let Some(c) = chars.next() {
+    // Whether the last word scanned was `LIMIT`: a number directly after it
+    // is kept verbatim instead of extracted.
+    let mut after_limit = false;
+    // A byte offset, always on a character boundary.
+    let mut at = 0;
+    while let Some(c) = trimmed[at..].chars().next() {
+        let start = at;
+        at += c.len_utf8();
         if c == '\'' {
             // String literal with '' as the escape for a single quote.
             let mut value = String::new();
             loop {
-                match chars.next() {
-                    Some('\'') => {
-                        if chars.peek() == Some(&'\'') {
-                            chars.next();
-                            value.push('\'');
-                        } else {
-                            break;
-                        }
-                    }
-                    Some(ch) => value.push(ch),
-                    None => return None,
+                let close = at + trimmed[at..].find('\'')?;
+                value.push_str(&trimmed[at..close]);
+                at = close + 1;
+                if bytes.get(at) != Some(&b'\'') {
+                    break;
                 }
+                value.push('\'');
+                at += 1;
             }
-            literals.push(Literal::String(value));
+            literals.push(Value::Text(value));
             text.push('?');
-            prev = Some('?');
-            last_word.clear();
-        } else if c.is_ascii_digit() && !prev.map(is_ident_part).unwrap_or(false) {
-            let mut number = String::new();
-            number.push(c);
-            while chars.peek().map(|p| p.is_ascii_digit()).unwrap_or(false) {
-                number.push(chars.next().expect("peeked digit"));
-            }
-            let mut is_float = false;
-            if chars.peek() == Some(&'.') {
-                is_float = true;
-                number.push(chars.next().expect("peeked dot"));
-                while chars.peek().map(|p| p.is_ascii_digit()).unwrap_or(false) {
-                    number.push(chars.next().expect("peeked digit"));
-                }
+            after_limit = false;
+        } else if c.is_ascii_digit() {
+            // A word that contains digits (`g2`) was consumed whole by the
+            // word branch, so a digit seen here starts a number.
+            at = run(at, |c| c.is_ascii_digit());
+            let is_float = bytes.get(at) == Some(&b'.');
+            if is_float {
+                at = run(at + 1, |c| c.is_ascii_digit());
             }
             // `123abc`, `1e5`: not a token this scanner understands.
-            if chars.peek().map(|p| is_ident_part(*p)).unwrap_or(false) {
+            if bytes.get(at).is_some_and(|&b| is_ident_part(b as char)) {
                 return None;
             }
-            if last_word == "LIMIT" {
-                text.push_str(&number);
+            let number = &trimmed[start..at];
+            if after_limit {
+                text.push_str(number);
             } else if is_float {
-                literals.push(Literal::Float(number.parse().ok()?));
+                literals.push(Value::Float(number.parse().ok()?));
                 text.push('?');
             } else {
-                literals.push(Literal::Integer(number.parse().ok()?));
+                literals.push(Value::Integer(number.parse().ok()?));
                 text.push('?');
             }
-            prev = Some('?');
-            last_word.clear();
+            after_limit = false;
         } else if c.is_whitespace() {
-            if !text.ends_with(' ') && !text.is_empty() {
+            // Whitespace does not reset `after_limit`: `LIMIT   10` still
+            // protects the 10.
+            if !text.ends_with(' ') {
                 text.push(' ');
             }
-            // Whitespace does not reset `last_word`: `LIMIT   10` still
-            // protects the 10.
-            prev = Some(' ');
         } else if is_ident_part(c) {
-            let mut word = String::new();
-            word.push(c);
-            while chars.peek().map(|p| is_ident_part(*p)).unwrap_or(false) {
-                word.push(chars.next().expect("peeked ident char"));
-            }
-            text.push_str(&word);
-            last_word = word.to_ascii_uppercase();
-            prev = word.chars().last();
+            at = run(at, is_ident_part);
+            let word = &trimmed[start..at];
+            text.push_str(word);
+            after_limit = word.eq_ignore_ascii_case("LIMIT");
         } else {
             text.push(c);
-            prev = Some(c);
-            last_word.clear();
+            after_limit = false;
         }
     }
-
-    Some(NormalizedStatement {
-        text: text.trim_end().to_string(),
-        literals,
-    })
+    // (`trimmed` neither starts nor ends with whitespace, so neither does
+    // `text`.)
+    Some(NormalizedStatement { text, literals })
 }
 
-fn extractable(lit: &Literal) -> bool {
-    matches!(
-        lit,
-        Literal::Integer(_) | Literal::Float(_) | Literal::String(_)
-    )
+/// The value of a literal the text scanner extracts; `None` for the
+/// keywords it leaves in the text (`NULL`, `TRUE`, `FALSE`).
+fn extracted(lit: &Literal) -> Option<Value> {
+    match lit {
+        Literal::Integer(i) => Some(Value::Integer(*i)),
+        Literal::Float(f) => Some(Value::Float(*f)),
+        Literal::String(s) => Some(Value::Text(s.clone())),
+        Literal::Boolean(_) | Literal::Null => None,
+    }
 }
 
-fn param_expr(expr: &mut Expr, out: &mut Vec<Literal>, ok: &mut bool) {
+/// Lift the `column = literal` comparisons of `expr` into `out`. An
+/// extracted literal anywhere else is what makes the statement
+/// untemplatable; `blame` says what a literal found *here* would be.
+fn param_expr(
+    expr: &mut Expr,
+    out: &mut Vec<Value>,
+    blame: Uncacheable,
+) -> Result<(), Uncacheable> {
     match expr {
-        Expr::Column(_) | Expr::Literal(_) | Expr::Param(_) => {}
+        Expr::Column(_) | Expr::Param(_) => Ok(()),
+        Expr::Literal(lit) => match extracted(lit) {
+            Some(_) => Err(blame),
+            None => Ok(()),
+        },
         Expr::BinaryOp { left, op, right } => {
             if *op == BinaryOperator::Eq {
-                match (left.as_mut(), right.as_mut()) {
-                    (Expr::Column(_), Expr::Literal(lit)) if extractable(lit) => {
-                        out.push(lit.clone());
-                        **right = Expr::Param(out.len() as u32 - 1);
-                        return;
-                    }
-                    (Expr::Literal(lit), Expr::Column(_)) if extractable(lit) => {
-                        out.push(lit.clone());
-                        **left = Expr::Param(out.len() as u32 - 1);
-                        return;
-                    }
-                    _ => {}
+                let value = match (&**left, &**right) {
+                    (Expr::Column(_), Expr::Literal(lit))
+                    | (Expr::Literal(lit), Expr::Column(_)) => extracted(lit),
+                    _ => None,
+                };
+                if let Some(value) = value {
+                    let side = if matches!(**left, Expr::Column(_)) {
+                        right
+                    } else {
+                        left
+                    };
+                    **side = Expr::Param(out.len() as u32);
+                    out.push(value);
+                    return Ok(());
                 }
             }
-            param_expr(left, out, ok);
-            param_expr(right, out, ok);
+            let blame = match op {
+                BinaryOperator::Lt
+                | BinaryOperator::LtEq
+                | BinaryOperator::Gt
+                | BinaryOperator::GtEq => Uncacheable::RangeBound,
+                _ => blame,
+            };
+            param_expr(left, out, blame)?;
+            param_expr(right, out, blame)
         }
-        Expr::UnaryOp { expr, .. } => param_expr(expr, out, ok),
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                param_expr(a, out, ok);
-            }
-        }
-        Expr::IsNull { expr, .. } => param_expr(expr, out, ok),
+        Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } => param_expr(expr, out, blame),
+        Expr::Aggregate { arg, .. } => match arg {
+            Some(a) => param_expr(a, out, blame),
+            None => Ok(()),
+        },
         Expr::InList { expr, list, .. } => {
-            param_expr(expr, out, ok);
-            for e in list {
-                param_expr(e, out, ok);
-            }
+            param_expr(expr, out, blame)?;
+            list.iter_mut()
+                .try_for_each(|e| param_expr(e, out, Uncacheable::InList))
         }
         Expr::Between {
             expr, low, high, ..
         } => {
-            param_expr(expr, out, ok);
-            param_expr(low, out, ok);
-            param_expr(high, out, ok);
+            param_expr(expr, out, blame)?;
+            param_expr(low, out, Uncacheable::RangeBound)?;
+            param_expr(high, out, Uncacheable::RangeBound)
         }
         Expr::Like { expr, pattern, .. } => {
-            param_expr(expr, out, ok);
-            param_expr(pattern, out, ok);
+            param_expr(expr, out, blame)?;
+            param_expr(pattern, out, Uncacheable::LikePattern)
         }
         // Subqueries carry their own parameter numbering (the decorrelation
         // pass starts at $0 per statement); mixing the two spaces would
@@ -202,42 +211,43 @@ fn param_expr(expr: &mut Expr, out: &mut Vec<Literal>, ok: &mut bool) {
         Expr::InSubquery { .. }
         | Expr::Exists { .. }
         | Expr::QuantifiedComparison { .. }
-        | Expr::ScalarSubquery(_) => *ok = false,
+        | Expr::ScalarSubquery(_) => Err(Uncacheable::Subquery),
     }
 }
 
 /// Replace every `column = literal` (or `literal = column`) comparison with
 /// a numbered [`Expr::Param`], returning the rewritten statement and the
-/// extracted literals in clause order (projection, WHERE, GROUP BY, HAVING,
+/// lifted values in clause order (projection, WHERE, GROUP BY, HAVING,
 /// ORDER BY — the order the clauses appear in the text).
 ///
-/// Returns `None` when the statement contains any subquery: the
-/// decorrelation pass owns the `$n` parameter space there.
-pub fn parameterize_select(stmt: &SelectStatement) -> Option<(SelectStatement, Vec<Literal>)> {
+/// Fails, saying why, at the first thing no template can hold: a literal
+/// this pass cannot lift (the text scanner extracts *every* literal, so the
+/// two sequences could no longer agree), or a subquery (the decorrelation
+/// pass owns the `$n` parameter space there).
+pub fn parameterize_select(
+    stmt: &SelectStatement,
+) -> Result<(SelectStatement, Vec<Value>), Uncacheable> {
     let mut rewritten = stmt.clone();
-    let mut literals = Vec::new();
-    let mut ok = true;
+    let mut lifted = Vec::new();
+    let blame = Uncacheable::Constant;
     for item in &mut rewritten.projection {
         if let SelectItem::Expr { expr, .. } = item {
-            param_expr(expr, &mut literals, &mut ok);
+            param_expr(expr, &mut lifted, blame)?;
         }
     }
     if let Some(w) = &mut rewritten.selection {
-        param_expr(w, &mut literals, &mut ok);
+        param_expr(w, &mut lifted, blame)?;
     }
     for g in &mut rewritten.group_by {
-        param_expr(g, &mut literals, &mut ok);
+        param_expr(g, &mut lifted, blame)?;
     }
     if let Some(h) = &mut rewritten.having {
-        param_expr(h, &mut literals, &mut ok);
+        param_expr(h, &mut lifted, blame)?;
     }
     for o in &mut rewritten.order_by {
-        param_expr(&mut o.expr, &mut literals, &mut ok);
+        param_expr(&mut o.expr, &mut lifted, blame)?;
     }
-    if !ok {
-        return None;
-    }
-    Some((rewritten, literals))
+    Ok((rewritten, lifted))
 }
 
 #[cfg(test)]
@@ -249,7 +259,7 @@ mod tests {
     fn normalizes_point_lookup_text() {
         let n = normalize_statement("SELECT  title FROM movies  WHERE id =  42").unwrap();
         assert_eq!(n.text, "SELECT title FROM movies WHERE id = ?");
-        assert_eq!(n.literals, vec![Literal::Integer(42)]);
+        assert_eq!(n.literals, vec![Value::Integer(42)]);
         // A different literal yields the same normalized text.
         let m = normalize_statement("SELECT  title FROM movies  WHERE id =  7").unwrap();
         assert_eq!(m.text, n.text);
@@ -260,10 +270,7 @@ mod tests {
         let n =
             normalize_statement("SELECT * FROM t WHERE name = 'it''s' AND score = 1.5").unwrap();
         assert_eq!(n.text, "SELECT * FROM t WHERE name = ? AND score = ?");
-        assert_eq!(
-            n.literals,
-            vec![Literal::String("it's".into()), Literal::Float(1.5)]
-        );
+        assert_eq!(n.literals, vec![Value::text("it's"), Value::Float(1.5)]);
     }
 
     #[test]
@@ -274,7 +281,7 @@ mod tests {
             n.text,
             "SELECT g2.mid FROM gen g2 WHERE g2.year = ? LIMIT 10"
         );
-        assert_eq!(n.literals, vec![Literal::Integer(1968)]);
+        assert_eq!(n.literals, vec![Value::Integer(1968)]);
     }
 
     #[test]
@@ -301,18 +308,46 @@ mod tests {
 
     #[test]
     fn range_literals_stay_in_place_so_sequences_diverge() {
-        let sql = "SELECT * FROM movies m WHERE m.year > 1968 AND m.genre = 'Drama'";
-        let stmt = parse_query(sql).unwrap();
-        let (_, lits) = parameterize_select(&stmt).unwrap();
-        // AST lifts only the equality; the text scanner sees both.
-        assert_eq!(lits, vec![Literal::String("Drama".into())]);
-        assert_ne!(lits, normalize_statement(sql).unwrap().literals);
+        // The AST pass could lift only the equality while the text scanner
+        // sees both literals: it stops at the bound and names it.
+        let blame = |sql: &str| parameterize_select(&parse_query(sql).unwrap()).unwrap_err();
+        assert_eq!(
+            blame("SELECT * FROM movies m WHERE m.year > 1968 AND m.genre = 'Drama'"),
+            Uncacheable::RangeBound
+        );
+        assert_eq!(
+            blame("SELECT * FROM movies m WHERE m.genre = 'Drama' AND m.year BETWEEN 1 AND 2"),
+            Uncacheable::RangeBound
+        );
+        assert_eq!(
+            blame("SELECT * FROM movies m WHERE m.title LIKE 'The %'"),
+            Uncacheable::LikePattern
+        );
+        assert_eq!(
+            blame("SELECT * FROM movies m WHERE m.year IN (1968, 1969)"),
+            Uncacheable::InList
+        );
+        assert_eq!(
+            blame("SELECT m.title, 1 FROM movies m WHERE m.year = 1968"),
+            Uncacheable::Constant
+        );
+        assert_eq!(
+            blame("SELECT * FROM movies m WHERE m.year = -1968"),
+            Uncacheable::Constant
+        );
+        // Keywords are not literals to either pass.
+        let sql = "SELECT * FROM movies m WHERE m.year IS NOT NULL AND m.id = 7";
+        let (_, lifted) = parameterize_select(&parse_query(sql).unwrap()).unwrap();
+        assert_eq!(lifted, normalize_statement(sql).unwrap().literals);
     }
 
     #[test]
     fn subqueries_are_never_parameterized() {
         let sql = "SELECT * FROM movies m WHERE m.mid IN (SELECT g.mid FROM genres g)";
         let stmt = parse_query(sql).unwrap();
-        assert!(parameterize_select(&stmt).is_none());
+        assert_eq!(
+            parameterize_select(&stmt).unwrap_err(),
+            Uncacheable::Subquery
+        );
     }
 }

@@ -3,13 +3,14 @@
 //! run) and the literal-normalized plan cache (repeated point lookups skip
 //! parsing and planning entirely, invalidated by DDL/write/feedback epochs).
 //! A seeded pseudo-random property test interleaves inserts, CREATE/DROP
-//! INDEX, and varying literals to check cached and uncached executions stay
-//! byte-identical, and the nine paper queries are run under every
-//! feedback × cache × parallelism combination.
+//! INDEX (ordered and hash), and literals of varying value and kind to check
+//! cached and uncached executions stay byte-identical; negative cache entries
+//! are followed through their life; and the nine paper queries are run under
+//! every feedback × cache × parallelism combination.
 
 use datastore::obs::Counter;
 use datastore::sample::movie_database;
-use datastore::{ColumnDef, DataType, Database, TableSchema, Value};
+use datastore::{CacheStatus, ColumnDef, DataType, Database, TableSchema, Uncacheable, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use talkback::{PlanDecision, PlannerOptions, Talkback};
@@ -230,8 +231,28 @@ fn repeated_point_lookups_hit_the_plan_cache() {
     // The literals were really re-bound — these are different movies.
     assert_ne!(first.rows, second.rows);
 
-    // And the cached run still journals like any other statement.
-    assert_eq!(obs.journal().len(), 2);
+    // A literal of another kind is another template, not a replacement for
+    // this one: the float shape misses once, then both shapes hit.
+    let run = |sql: &str| system.run_query_with(sql, sequential()).unwrap();
+    assert_eq!(
+        run("select m.title from MOVIES m where m.id = 6.0").rows,
+        first.rows
+    );
+    assert_eq!(obs.counter(Counter::PlanCacheMisses), 2);
+    assert_eq!(
+        run("select m.title from MOVIES m where m.id = 3.0").rows,
+        second.rows
+    );
+    assert_eq!(
+        run("select m.title from MOVIES m where m.id = 6").rows,
+        first.rows
+    );
+    assert_eq!(obs.counter(Counter::PlanCacheHits), 3);
+    assert_eq!(obs.counter(Counter::PlanCacheMisses), 2);
+    assert_eq!(system.database().adaptive().plan_cache().len(), 2);
+
+    // And the cached runs still journal like any other statement.
+    assert_eq!(obs.journal().len(), 5);
 
     // A/B knob: with the cache off, nothing is consulted or counted.
     let off = PlannerOptions {
@@ -241,8 +262,8 @@ fn repeated_point_lookups_hit_the_plan_cache() {
     system
         .run_query_with("select m.title from MOVIES m where m.id = 6", off)
         .unwrap();
-    assert_eq!(obs.counter(Counter::PlanCacheHits), 1);
-    assert_eq!(obs.counter(Counter::PlanCacheMisses), 1);
+    assert_eq!(obs.counter(Counter::PlanCacheHits), 3);
+    assert_eq!(obs.counter(Counter::PlanCacheMisses), 2);
 }
 
 /// DDL and writes bump the epoch, so a cached template is never replayed
@@ -284,11 +305,20 @@ fn ddl_and_writes_invalidate_cached_plans() {
 /// Seeded pseudo-random property test (the workspace has no proptest): two
 /// engines over identical data — one with the plan cache, one without —
 /// stay byte-identical in rows, row order, columns, and executed plan shape
-/// while the test interleaves point lookups with varying literals, inserts,
-/// and CREATE/DROP INDEX. The cached engine must actually hit its cache for
-/// the comparison to mean anything.
+/// while the test interleaves lookups with literals of varying value *and
+/// kind*, inserts, and CREATE/DROP INDEX of ordered and hash indexes. The
+/// cached engine must actually hit its cache for the comparison to mean
+/// anything — in particular on the shapes whose plan probes a hash index,
+/// which a template can only do when it knows its parameter's kind.
 #[test]
 fn cached_and_uncached_executions_are_byte_identical() {
+    const ACTORS: [&str; 4] = ["Brad Pitt", "Scarlett Johansson", "Mark Hamill", "Nobody"];
+    // (name, definition) of the secondary indexes the test toggles.
+    const INDEXES: [(&str, &str); 3] = [
+        ("adaptive_by_year", "MOVIES(year)"),
+        ("adaptive_by_name", "ACTOR(name) using hash"),
+        ("adaptive_by_aid", "CAST(aid) using hash"),
+    ];
     let mut rng = StdRng::seed_from_u64(0xADA9_71CE);
     let mut cached = Talkback::new(movie_database());
     let mut uncached = Talkback::new(movie_database());
@@ -298,9 +328,11 @@ fn cached_and_uncached_executions_are_byte_identical() {
         ..sequential()
     };
 
-    let mut indexed = false;
+    let mut indexed = [false; INDEXES.len()];
     let mut next_id = 1000i64;
-    for step in 0..300 {
+    // Cache hits whose executed plan probed one of the two hash indexes.
+    let mut hash_probe_hits = [0u32; 2];
+    for step in 0..600 {
         match rng.gen_range(0..10u8) {
             // Insert the same row into both engines (invalidates stats and
             // epoch on the cached side).
@@ -316,18 +348,21 @@ fn cached_and_uncached_executions_are_byte_identical() {
             }
             // Toggle a secondary index on both engines.
             1 => {
-                let ddl = if indexed {
-                    "drop index adaptive_by_year"
+                let which = rng.gen_range(0..INDEXES.len());
+                let (name, definition) = INDEXES[which];
+                let ddl = if indexed[which] {
+                    format!("drop index {name}")
                 } else {
-                    "create index adaptive_by_year on MOVIES(year)"
+                    format!("create index {name} on {definition}")
                 };
-                indexed = !indexed;
-                cached.execute_ddl(ddl).unwrap();
-                uncached.execute_ddl(ddl).unwrap();
+                indexed[which] = !indexed[which];
+                cached.execute_ddl(&ddl).unwrap();
+                uncached.execute_ddl(&ddl).unwrap();
             }
             // Run the same statement on both and demand identical bytes.
             _ => {
-                let sql = match rng.gen_range(0..4u8) {
+                let actor = ACTORS[rng.gen_range(0..ACTORS.len())];
+                let sql = match rng.gen_range(0..8u8) {
                     0 => format!(
                         "select m.title from MOVIES m where m.id = {}",
                         rng.gen_range(0..20i64)
@@ -340,10 +375,34 @@ fn cached_and_uncached_executions_are_byte_identical() {
                         "select m.title from MOVIES m where m.year = {}",
                         rng.gen_range(1990..2020i64)
                     ),
-                    _ => format!(
+                    3 => format!(
                         "select m.title, a.name from MOVIES m, CAST c, ACTOR a \
                          where m.id = c.mid and c.aid = a.id and m.year = {}",
                         rng.gen_range(1990..2020i64)
+                    ),
+                    // Text equality a hash index can answer.
+                    4 => format!("select a.id from ACTOR a where a.name = '{actor}'"),
+                    // One shape, three literal kinds: only the integer may
+                    // probe the hash index on the integer column.
+                    5 => {
+                        let aid = rng.gen_range(10..16i64);
+                        let literal = match rng.gen_range(0..3u8) {
+                            0 => format!("{aid}"),
+                            1 => format!("{aid}.0"),
+                            _ => format!("'{aid}'"),
+                        };
+                        format!("select c.role from CAST c where c.aid = {literal}")
+                    }
+                    // A text literal on the other integer column.
+                    6 => format!(
+                        "select a.name from ACTOR a where a.id = '{}'",
+                        rng.gen_range(10..16i64)
+                    ),
+                    // The index-nested-loop join driven by one actor found
+                    // by (hashed) name.
+                    _ => format!(
+                        "select m.title from ACTOR a, CAST c, MOVIES m \
+                         where a.name = '{actor}' and c.aid = a.id and m.id = c.mid"
                     ),
                 };
                 let a = cached.run_query_with(&sql, cached_opts).unwrap();
@@ -351,24 +410,158 @@ fn cached_and_uncached_executions_are_byte_identical() {
                 assert_eq!(a.rows, b.rows, "step {step}: rows diverged for {sql}");
                 assert_eq!(a.columns, b.columns, "step {step}: columns diverged");
                 // Same executed plan shape, as journaled by the engine.
-                let ha = cached.database().obs().journal().last().unwrap().plan_hash;
-                let hb = uncached
-                    .database()
-                    .obs()
-                    .journal()
-                    .last()
-                    .unwrap()
-                    .plan_hash;
-                assert_eq!(ha, hb, "step {step}: plan shape diverged for {sql}");
+                let ja = cached.database().obs().journal().last().unwrap();
+                let jb = uncached.database().obs().journal().last().unwrap();
+                assert_eq!(
+                    ja.plan_hash, jb.plan_hash,
+                    "step {step}: plan shape diverged for {sql}"
+                );
+                // The two single-table shapes a hash index can answer.
+                let watched = ["from ACTOR a where a.name", "from CAST c where c.aid"]
+                    .iter()
+                    .position(|shape| sql.contains(shape));
+                if let (Some(shape), CacheStatus::Hit) = (watched, ja.cache) {
+                    let index = INDEXES[1 + shape].0;
+                    let probed = ja
+                        .span
+                        .flatten()
+                        .iter()
+                        .any(|(_, s)| s.detail.contains(index));
+                    hash_probe_hits[shape] += u32::from(probed);
+                }
             }
         }
     }
     let hits = cached.database().obs().counter(Counter::PlanCacheHits);
     assert!(
-        hits >= 50,
+        hits >= 100,
         "the cached engine should have hit its cache often, got {hits}"
     );
+    // Regression: a template used to plan `col = $0` without knowing the
+    // parameter's kind, so it could not probe a hash index, never verified
+    // against the fresh plan, and was re-examined on every execution.
+    assert!(
+        hash_probe_hits.iter().all(|&hits| hits > 0),
+        "templates should probe the hash indexes on name and aid: {hash_probe_hits:?}"
+    );
     assert_eq!(uncached.database().obs().counter(Counter::PlanCacheHits), 0);
+}
+
+/// A shape no template can hold is examined once per epoch: the verdict is
+/// cached with its reason, later executions are planned fresh without being
+/// parameterized or verified again, and the journal and counters say so.
+#[test]
+fn uncacheable_shapes_are_examined_once_per_epoch() {
+    let mut system = Talkback::new(movie_database());
+    let status = |system: &Talkback| system.database().obs().journal().last().unwrap().cache;
+    let counter = |system: &Talkback, c| system.database().obs().counter(c);
+    let range = |year: i64, id: i64| {
+        format!("select m.title from MOVIES m where m.year = {year} and m.id <= {id}")
+    };
+    let nested = "select m.title from MOVIES m where exists \
+                  (select * from CAST c where c.mid = m.id)";
+
+    // First execution: a plain miss, examined. From the second on the
+    // negative entry answers — whatever the literals.
+    system
+        .run_query_with(&range(2004, 8), sequential())
+        .unwrap();
+    assert_eq!(status(&system), CacheStatus::Miss);
+    system.run_query_with(nested, sequential()).unwrap();
+    assert_eq!(status(&system), CacheStatus::Miss);
+    assert_eq!(counter(&system, Counter::PlanCacheUncacheable), 0);
+    let expected = system
+        .run_query_with(&range(2005, 9), sequential())
+        .unwrap();
+    assert_eq!(
+        status(&system),
+        CacheStatus::Uncacheable(Uncacheable::RangeBound)
+    );
+    system.run_query_with(nested, sequential()).unwrap();
+    assert_eq!(
+        status(&system),
+        CacheStatus::Uncacheable(Uncacheable::Subquery)
+    );
+    assert_eq!(counter(&system, Counter::PlanCacheUncacheable), 2);
+    // Every one of the four was planned fresh, and is counted as such.
+    assert_eq!(counter(&system, Counter::PlanCacheMisses), 4);
+    assert_eq!(counter(&system, Counter::PlanCacheHits), 0);
+    assert_eq!(system.database().adaptive().plan_cache().len(), 2);
+    // Planned fresh means answered right.
+    let uncached = PlannerOptions {
+        use_plan_cache: false,
+        ..sequential()
+    };
+    let reference = system.run_query_with(&range(2005, 9), uncached).unwrap();
+    assert_eq!(expected.rows, reference.rows);
+    assert_eq!(expected.len(), 1, "Match Point is the one movie of 2005");
+
+    let log = system.execute_show("show query log").unwrap();
+    assert_eq!(
+        log.table.matches(" uncacheable ").count(),
+        2,
+        "{}",
+        log.table
+    );
+    let metrics = system.execute_show("show metrics").unwrap();
+    assert!(
+        metrics.narration.contains(
+            "My plan cache answered none of the four statements it was asked about without \
+             parsing or planning, and one statement whose plan depends on a range bound and \
+             one statement with a subquery inside, which I plan afresh every time."
+        ),
+        "{}",
+        metrics.narration
+    );
+
+    // A write, then index DDL: each bumps the epoch, the verdict dies with
+    // it, and the shape is examined again — once.
+    for bump in ["write", "index DDL"] {
+        if bump == "write" {
+            let row = vec![Value::int(900), Value::text("Epoch"), Value::int(2005)];
+            system.database_mut().insert("MOVIES", row).unwrap();
+        } else {
+            system
+                .execute_ddl("create index by_year on MOVIES(year)")
+                .unwrap();
+        }
+        system
+            .run_query_with(&range(2005, 9), sequential())
+            .unwrap();
+        assert_eq!(status(&system), CacheStatus::Stale, "after the {bump}");
+        system
+            .run_query_with(&range(2005, 9), sequential())
+            .unwrap();
+        assert_eq!(
+            status(&system),
+            CacheStatus::Uncacheable(Uncacheable::RangeBound),
+            "after the {bump}"
+        );
+    }
+
+    // Templates and verdicts share one capacity.
+    let cache_len = |system: &Talkback| system.database().adaptive().plan_cache().len();
+    let capacity = system.database().adaptive().plan_cache().capacity();
+    for i in 0..2 * capacity {
+        let sql = if i % 2 == 0 {
+            format!("select x{i}.title from MOVIES x{i} where x{i}.id = 3")
+        } else {
+            format!("select x{i}.title from MOVIES x{i} where x{i}.id <= 3")
+        };
+        system.run_query_with(&sql, sequential()).unwrap();
+        assert!(cache_len(&system) <= capacity, "statement {i}");
+    }
+    assert_eq!(cache_len(&system), capacity);
+    assert!(counter(&system, Counter::PlanCacheEvictions) >= capacity as u64);
+}
+
+/// The default worker count is the machine's core count, asked for once.
+#[test]
+fn default_parallelism_is_the_core_count_on_every_call() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for _ in 0..3 {
+        assert_eq!(PlannerOptions::default().parallelism, cores);
+    }
 }
 
 /// The nine paper queries return byte-identical rows, order, and columns

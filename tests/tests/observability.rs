@@ -157,6 +157,46 @@ fn show_metrics_golden_table_and_narration() {
     );
     assert!(narration.contains("My indexes answered"), "{narration}");
     assert!(narration.contains("My planner recorded"), "{narration}");
+    // Both statements were new to the plan cache.
+    assert_eq!(row("counter", "plan_cache_misses")[2], "2");
+    assert_eq!(row("counter", "plan_cache_uncacheable")[2], "0");
+    assert!(
+        narration.contains(
+            "My plan cache answered none of the two statements it was asked about without \
+             parsing or planning."
+        ),
+        "{narration}"
+    );
+
+    // A repeated shape with a range bound: examined once, then known to be
+    // uncacheable — and the cache says why, in the system's voice.
+    system.run_query(Q1).unwrap();
+    for year in [2000, 2004] {
+        system
+            .run_query(&format!(
+                "select m.title from MOVIES m where m.year > {year}"
+            ))
+            .unwrap();
+    }
+    let report = system.execute_show("show metrics").unwrap();
+    let counter = |metric: &str| -> String {
+        let line = report.table.lines().find(|l| l.contains(metric));
+        let value = line.and_then(|l| l.split_whitespace().nth(2));
+        value.unwrap_or_else(|| panic!("no {metric}")).to_string()
+    };
+    assert_eq!(counter("plan_cache_hits"), "1");
+    assert_eq!(counter("plan_cache_misses"), "4");
+    assert_eq!(counter("plan_cache_uncacheable"), "1");
+    assert_eq!(counter("journal_entries"), "5");
+    assert!(
+        report.narration.contains(
+            "My plan cache answered one of the five statements it was asked about without \
+             parsing or planning, and one statement whose plan depends on a range bound, which \
+             I plan afresh every time."
+        ),
+        "{}",
+        report.narration
+    );
 }
 
 #[test]
@@ -190,6 +230,36 @@ fn show_query_log_golden_table_and_narration() {
     let table = normalize_durations(&limited.table);
     assert_eq!(table.lines().count(), 2, "{table}");
     assert!(table.lines().nth(1).unwrap().starts_with('2'), "{table}");
+
+    // The `cache` column: both statements above were new to the plan cache;
+    // a repeat hits, and a repeated shape no template can hold is
+    // `uncacheable` from its second execution on.
+    system.run_query(Q1).unwrap();
+    for year in [2000, 2004] {
+        system
+            .run_query(&format!(
+                "select m.title from MOVIES m where m.year > {year}"
+            ))
+            .unwrap();
+    }
+    let report = system.execute_show("show query log").unwrap();
+    let cache: Vec<&str> = report
+        .table
+        .lines()
+        .skip(1)
+        .map(|line| {
+            // The last two columns: `cache`, then `-` for no misestimate.
+            let mut columns = line.split_whitespace().rev();
+            assert_eq!(columns.next(), Some("-"), "{line}");
+            columns.next().unwrap()
+        })
+        .collect();
+    assert_eq!(
+        cache,
+        ["miss", "miss", "hit", "miss", "uncacheable"],
+        "{}",
+        report.table
+    );
 }
 
 #[test]
