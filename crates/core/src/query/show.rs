@@ -209,6 +209,22 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
             }
             sentences.push(finish_sentence(&sentence));
         }
+        let snapshots = obs.counter(Counter::StatsSnapshots);
+        if snapshots > 0 {
+            let rederived = obs.counter(Counter::StatsColumnsRederived);
+            sentences.push(finish_sentence(&format!(
+                "I refreshed table statistics {} time{} and had to re-derive {} column \
+                 histogram{} from their value counts; no table was re-read",
+                count_phrase(snapshots as usize),
+                if snapshots == 1 { "" } else { "s" },
+                if rederived == 0 {
+                    "no".to_string()
+                } else {
+                    count_phrase(rederived as usize)
+                },
+                if rederived == 1 { "" } else { "s" },
+            )));
+        }
         let workers = obs.counter(Counter::WorkersSpawned);
         if workers > 0 {
             sentences.push(finish_sentence(&format!(

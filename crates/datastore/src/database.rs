@@ -5,7 +5,7 @@ use crate::adaptive::{AdaptiveState, EpochCause};
 use crate::catalog::Catalog;
 use crate::error::StoreError;
 use crate::index::{Index, IndexDef, IndexKind};
-use crate::obs::ObsRegistry;
+use crate::obs::{Counter, ObsRegistry};
 use crate::schema::{ForeignKey, TableSchema};
 use crate::stats::TableStats;
 use crate::table::Table;
@@ -248,20 +248,31 @@ impl Database {
     /// Mutable access to a table. Conservatively drops the table's cached
     /// statistics, since the caller may mutate rows through the reference;
     /// if an in-flight query still holds the table's `Arc`, the table is
-    /// copied first so the query keeps reading its snapshot.
+    /// copied first so the query keeps reading its snapshot. An unknown
+    /// name is `None` and nothing else: no statistics dropped, no epoch
+    /// bumped.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
+        let key = Self::key(name);
+        if !self.tables.contains_key(&key) {
+            return None;
+        }
         self.invalidate_stats(name);
-        self.tables.get_mut(&Self::key(name)).map(Arc::make_mut)
+        self.tables.get_mut(&key).map(Arc::make_mut)
     }
 
-    /// Statistics of a table, computed on first access and cached until the
-    /// table is next written. `None` for unknown tables.
+    /// Statistics of a table: a snapshot of the summaries the table keeps
+    /// current with every write (no row is read), taken on first access and
+    /// cached until the table is next written. `None` for unknown tables.
     pub fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
         let key = Self::key(name);
         if let Some(s) = self.stats.read().expect("stats lock").get(&key) {
             return Some(Arc::clone(s));
         }
-        let stats = Arc::new(TableStats::collect(self.tables.get(&key)?));
+        let (stats, rederived) = TableStats::snapshot(self.tables.get(&key)?);
+        self.obs.incr(Counter::StatsSnapshots);
+        self.obs
+            .add(Counter::StatsColumnsRederived, rederived as u64);
+        let stats = Arc::new(stats);
         self.stats
             .write()
             .expect("stats lock")
@@ -269,17 +280,19 @@ impl Database {
         Some(stats)
     }
 
-    /// Eagerly collect statistics for every table (an `ANALYZE` of the whole
-    /// database); subsequent planning reads the cache.
+    /// Eagerly snapshot the statistics of every table (an `ANALYZE` of the
+    /// whole database); subsequent planning reads the cache.
     pub fn analyze(&self) {
         for name in self.tables.keys() {
             self.table_stats(name);
         }
     }
 
-    /// Drop the cached statistics of one table (called on every write).
-    /// Also advances the adaptive epoch: plans cached against the old
-    /// statistics may no longer be the plans the optimizer would pick.
+    /// Drop the cached statistics snapshot of one table (called on every
+    /// write; the next reader copies a new one from the table's live
+    /// summaries). Also advances the adaptive epoch: plans cached against
+    /// the old statistics may no longer be the plans the optimizer would
+    /// pick.
     fn invalidate_stats(&self, table: &str) {
         self.stats
             .write()
@@ -664,6 +677,22 @@ mod tests {
             .unwrap();
         assert_eq!(snapshot.len(), 1, "snapshot must not see the new row");
         assert_eq!(db.table("MOVIES").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn table_mut_of_an_unknown_table_has_no_side_effects() {
+        let mut db = movie_db();
+        db.insert("MOVIES", vec![Value::int(1), Value::text("Troy")])
+            .unwrap();
+        let cached = db.table_stats("MOVIES").unwrap();
+        let before = (db.adaptive().epoch(), db.adaptive().epoch_cause_counts());
+        assert!(db.table_mut("NOPE").is_none());
+        let after = (db.adaptive().epoch(), db.adaptive().epoch_cause_counts());
+        assert_eq!(before, after, "a miss is not a write");
+        assert!(Arc::ptr_eq(&cached, &db.table_stats("MOVIES").unwrap()));
+        // A hit is one, whatever the caller goes on to do with it.
+        assert!(db.table_mut("movies").is_some());
+        assert_eq!(db.adaptive().epoch(), before.0 + 1);
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! table per binding" into "one point probe per binding".
 //!
 //! Indexes live on the [`crate::table::Table`] (next to the primary-key
-//! index) and are maintained on every insert; deletes and updates rebuild
-//! them, exactly like the PK index. Because tables sit behind `Arc` with
+//! index) and are edited, never rebuilt, by its writes: an insert adds the
+//! row's entry, a delete removes the doomed rows' entries and moves the
+//! positions behind them down, an update re-keys the rows it touched —
+//! exactly like the PK index. Because tables sit behind `Arc` with
 //! copy-on-write mutation ([`crate::database::Database::table_mut`]), an
 //! in-flight query keeps probing the index version of *its* snapshot while a
 //! writer builds the next one — index maintenance never races a reader.
@@ -46,7 +48,7 @@ use crate::expr::ParamLookup;
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
 use std::fmt;
 
 /// The physical shape of a secondary index.
@@ -145,6 +147,33 @@ impl Ord for OrdKey {
 /// prefix probe seek with a short key.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct CompositeKey(Vec<OrdKey>);
+
+impl CompositeKey {
+    fn of(values: Vec<Value>) -> CompositeKey {
+        CompositeKey(values.into_iter().map(OrdKey).collect())
+    }
+}
+
+/// The hash store's key for the same values.
+fn hash_key(values: &[Value]) -> Vec<GroupKey> {
+    values.iter().map(Value::group_key).collect()
+}
+
+/// The values of `row` at the key columns; `None` when the row is not
+/// indexed.
+fn key_values(column_pos: &[usize], row: &Row) -> Option<Vec<Value>> {
+    let values: Vec<Value> = column_pos
+        .iter()
+        .map(|&i| row.get(i).cloned().unwrap_or(Value::Null))
+        .collect();
+    // No probe can match a NULL leading key (every probe constrains the
+    // leading column, and no SQL comparison is true against NULL), so the
+    // row is dead weight — skip it, like the single-column index always has.
+    if values.first().is_none_or(Value::is_null) {
+        return None;
+    }
+    Some(values)
+}
 
 /// One term of an index probe: a literal value known at plan time, or a
 /// correlation parameter resolved per outer-row binding by
@@ -327,6 +356,10 @@ pub enum ProbeOrder {
 /// The stored structure of one index.
 #[derive(Debug, Clone)]
 enum IndexStore {
+    /// Two spellings of one number (`3` and `3.0`, `0.0` and `-0.0`) are one
+    /// key here, spelled like the first row under it — which is what an
+    /// index-only scan reports, and what building the index afresh over the
+    /// same rows would store; edits keep it so.
     Ordered(BTreeMap<CompositeKey, Vec<usize>>),
     Hash(HashMap<Vec<GroupKey>, Vec<usize>>),
 }
@@ -403,31 +436,96 @@ impl Index {
         self.def.kind == IndexKind::Ordered
     }
 
-    /// Register one row (maintenance on insert).
+    /// Register one row (maintenance on insert and update). Posting lists
+    /// stay in position order wherever `pos` lies: an update re-enters a
+    /// row in the middle of the table.
     pub(crate) fn insert(&mut self, row: &Row, pos: usize) {
-        let values: Vec<Value> = self
-            .column_pos
-            .iter()
-            .map(|&i| row.get(i).cloned().unwrap_or(Value::Null))
-            .collect();
-        // No probe can match a NULL leading key (every probe constrains the
-        // leading column, and no SQL comparison is true against NULL), so
-        // the row is dead weight — skip it, like the single-column index
-        // always has.
-        if values.first().is_none_or(Value::is_null) {
+        let Some(values) = key_values(&self.column_pos, row) else {
             return;
-        }
+        };
+        let place = |postings: &mut Vec<usize>| {
+            let at = postings.partition_point(|&p| p < pos);
+            postings.insert(at, pos);
+        };
         match &mut self.store {
-            IndexStore::Ordered(map) => {
-                let key = CompositeKey(values.into_iter().map(OrdKey).collect());
-                map.entry(key).or_default().push(pos);
-            }
-            IndexStore::Hash(map) => {
-                let key: Vec<GroupKey> = values.iter().map(Value::group_key).collect();
-                map.entry(key).or_default().push(pos);
-            }
+            IndexStore::Ordered(map) => match map.entry(CompositeKey::of(values)) {
+                btree_map::Entry::Vacant(free) => {
+                    free.insert(vec![pos]);
+                }
+                // In front of every row under this key: the key takes this
+                // row's spelling (see [`IndexStore::Ordered`]).
+                btree_map::Entry::Occupied(under) if pos < under.get()[0] => {
+                    let mut postings = under.remove();
+                    postings.insert(0, pos);
+                    let values = key_values(&self.column_pos, row).expect("it had a key above");
+                    map.insert(CompositeKey::of(values), postings);
+                }
+                btree_map::Entry::Occupied(mut under) => place(under.get_mut()),
+            },
+            IndexStore::Hash(map) => place(map.entry(hash_key(&values)).or_default()),
         }
         self.entries += 1;
+    }
+
+    /// Withdraw the row at `pos` of `rows`, registered with the key values
+    /// it still has — the inverse of [`Index::insert`] (maintenance on
+    /// delete and update). A key whose last row goes, goes too.
+    pub(crate) fn remove(&mut self, rows: &[Row], pos: usize) {
+        let Some(values) = key_values(&self.column_pos, &rows[pos]) else {
+            return;
+        };
+        let withdraw = |postings: &mut Vec<usize>| {
+            let at = postings.binary_search(&pos).ok();
+            if let Some(at) = at {
+                postings.remove(at);
+            }
+            at
+        };
+        let removed = match &mut self.store {
+            IndexStore::Ordered(map) => match map.entry(CompositeKey::of(values)) {
+                btree_map::Entry::Vacant(_) => None,
+                btree_map::Entry::Occupied(mut under) => {
+                    let at = withdraw(under.get_mut());
+                    if under.get().is_empty() {
+                        under.remove();
+                    } else if at == Some(0) {
+                        // The key's first row went: it takes the next one's
+                        // spelling.
+                        let postings = under.remove();
+                        let values = key_values(&self.column_pos, &rows[postings[0]])
+                            .expect("a row under a key has one");
+                        map.insert(CompositeKey::of(values), postings);
+                    }
+                    at
+                }
+            },
+            IndexStore::Hash(map) => match map.entry(hash_key(&values)) {
+                hash_map::Entry::Vacant(_) => None,
+                hash_map::Entry::Occupied(mut under) => {
+                    let at = withdraw(under.get_mut());
+                    if under.get().is_empty() {
+                        under.remove();
+                    }
+                    at
+                }
+            },
+        };
+        self.entries -= usize::from(removed.is_some());
+    }
+
+    /// Rows were deleted: every recorded position becomes `moved(position)`.
+    /// `moved` must be monotone, which keeps posting lists in position
+    /// order.
+    pub(crate) fn move_positions(&mut self, moved: impl Fn(usize) -> usize) {
+        let shift = |postings: &mut Vec<usize>| {
+            for pos in postings {
+                *pos = moved(*pos);
+            }
+        };
+        match &mut self.store {
+            IndexStore::Ordered(map) => map.values_mut().for_each(shift),
+            IndexStore::Hash(map) => map.values_mut().for_each(shift),
+        }
     }
 
     /// Row positions with the leading key column equal to `value`, in
@@ -580,8 +678,7 @@ impl Index {
                         ),
                     });
                 }
-                let key: Vec<GroupKey> = resolved.eq.iter().map(Value::group_key).collect();
-                if let Some(positions) = map.get(&key) {
+                if let Some(positions) = map.get(&hash_key(&resolved.eq)) {
                     out.extend_from_slice(positions);
                 }
             }
@@ -968,6 +1065,63 @@ mod tests {
         assert!(hash
             .probe_entries(&IndexBounds::point(Value::int(2004)), ProbeOrder::Position)
             .is_err());
+    }
+
+    #[test]
+    fn an_edited_index_is_the_index_a_fresh_build_would_be() {
+        // `0.0`/`-0.0` and `3`/`3.0` are one key each, spelled like the
+        // first row under it.
+        let mut rows: Vec<Row> = [
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Integer(3),
+            Value::Float(3.0),
+            Value::Integer(5),
+            Value::Null,
+        ]
+        .into_iter()
+        .map(|v| Row::new(vec![v]))
+        .collect();
+        let def = IndexDef::single("x", "T", "x", IndexKind::Ordered);
+        let mut idx = Index::build(def.clone(), &rows, vec![0]);
+        let same_as_fresh = |idx: &Index, rows: &[Row]| {
+            let fresh = Index::build(def.clone(), rows, vec![0]);
+            assert_eq!(format!("{:?}", idx.store), format!("{:?}", fresh.store));
+            assert_eq!(
+                (idx.len(), idx.key_count()),
+                (fresh.len(), fresh.key_count())
+            );
+        };
+        let update = |idx: &mut Index, rows: &mut Vec<Row>, pos: usize, v: Value| {
+            idx.remove(rows, pos);
+            rows[pos] = Row::new(vec![v]);
+            idx.insert(&rows[pos], pos);
+        };
+        // The first row of a key leaves it: the key is respelled `-0.0`.
+        update(&mut idx, &mut rows, 0, Value::Integer(5));
+        assert_eq!(
+            idx.probe_point(&Value::int(5)),
+            &[0, 4],
+            "in position order"
+        );
+        same_as_fresh(&idx, &rows);
+        // A row enters in front of a key's rows: respelled `3.0`.
+        update(&mut idx, &mut rows, 1, Value::Float(3.0));
+        assert_eq!(idx.probe_point(&Value::int(3)), &[1, 2, 3]);
+        same_as_fresh(&idx, &rows);
+        // To and from NULL (not indexed), and a key that empties.
+        update(&mut idx, &mut rows, 2, Value::Null);
+        update(&mut idx, &mut rows, 5, Value::Integer(7));
+        update(&mut idx, &mut rows, 5, Value::Integer(8));
+        assert!(idx.probe_point(&Value::int(7)).is_empty());
+        same_as_fresh(&idx, &rows);
+        // Rows 1 and 3 are deleted: what was behind them moves down.
+        idx.remove(&rows, 1);
+        idx.remove(&rows, 3);
+        idx.move_positions(|pos| pos - usize::from(pos > 1) - usize::from(pos > 3));
+        rows.remove(3);
+        rows.remove(1);
+        same_as_fresh(&idx, &rows);
     }
 
     #[test]

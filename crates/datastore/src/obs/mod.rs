@@ -82,11 +82,17 @@ pub enum Counter {
     /// Of the statements [`Counter::PlanCacheMisses`] counts, those a
     /// negative cache entry sent straight to the planner.
     PlanCacheUncacheable,
+    /// Statistics snapshots taken of a table's live column summaries (the
+    /// first read of a table's statistics after a write to it).
+    StatsSnapshots,
+    /// Of the columns in those snapshots, the ones whose bounds and
+    /// histogram had to be re-derived from the column's value counts.
+    StatsColumnsRederived,
 }
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 16] = [
+    pub const ALL: [Counter; 18] = [
         Counter::QueriesExecuted,
         Counter::RowsScanned,
         Counter::RowsEmitted,
@@ -103,6 +109,8 @@ impl Counter {
         Counter::PlanCacheEvictions,
         Counter::FeedbackOverridesApplied,
         Counter::PlanCacheUncacheable,
+        Counter::StatsSnapshots,
+        Counter::StatsColumnsRederived,
     ];
 
     /// Stable snake_case name, used as the metric key in `SHOW METRICS`.
@@ -124,6 +132,8 @@ impl Counter {
             Counter::PlanCacheEvictions => "plan_cache_evictions",
             Counter::FeedbackOverridesApplied => "feedback_overrides_applied",
             Counter::PlanCacheUncacheable => "plan_cache_uncacheable",
+            Counter::StatsSnapshots => "stats_snapshots",
+            Counter::StatsColumnsRederived => "stats_columns_rederived",
         }
     }
 }

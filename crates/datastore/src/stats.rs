@@ -6,15 +6,24 @@
 //! and can be summarized textually as above". This module provides those
 //! derived artifacts so the content translator can narrate them, and it is
 //! also the estimation layer behind cost-based join ordering: [`TableStats`]
-//! collects per-column NDV, null counts, min/max and a histogram once per
-//! table (cached on [`crate::Database`]), [`ColumnStats`] turns predicates
+//! holds per-column NDV, null counts, min/max and a histogram (a snapshot
+//! cached on [`crate::Database`]), [`ColumnStats`] turns predicates
 //! into selectivities, and [`join_cardinality`] is the classic
 //! |L|·|R| / max(ndv_l, ndv_r) estimate — the numbers the planner quotes
 //! when it explains *why* it chose a join order.
+//!
+//! Nothing here reads a table's rows. Every [`Table`] keeps one
+//! [`LiveColumn`] per column current as rows come and go, and statistics,
+//! histograms and frequency tables are all views of those: exact at all
+//! times, at the price of one counter update per value written.
 
 use crate::table::Table;
-use crate::value::{GroupKey, Value};
-use std::collections::{BTreeMap, HashSet};
+use crate::value::{DataType, GroupKey, Value};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::sync::OnceLock;
 
 /// Buckets used for the histograms collected into [`TableStats`].
 pub const STATS_HISTOGRAM_BUCKETS: usize = 10;
@@ -96,64 +105,23 @@ impl Histogram {
     }
 }
 
-/// Build an equi-width histogram over a numeric column.
+/// Build an equi-width histogram over a numeric column, from the column's
+/// value counts (one step per distinct value, not per row).
 pub fn histogram(table: &Table, column: &str, buckets: usize) -> Option<Histogram> {
-    let values = table.column_values(column);
-    let numeric: Vec<f64> = values.iter().filter_map(Value::as_f64).collect();
-    let nulls = values.iter().filter(|v| v.is_null()).count();
-    histogram_from_numeric(table.name(), column, &numeric, nulls, buckets)
-}
-
-/// Build an equi-width histogram from already-extracted numeric values —
-/// the shared core of [`histogram`] and [`TableStats::collect`].
-fn histogram_from_numeric(
-    table: &str,
-    column: &str,
-    numeric: &[f64],
-    nulls: usize,
-    buckets: usize,
-) -> Option<Histogram> {
-    if buckets == 0 || numeric.is_empty() {
-        return None;
-    }
-    let min = numeric.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = numeric.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let mut counts = vec![0usize; buckets];
-    let width = if max > min {
-        (max - min) / buckets as f64
-    } else {
-        1.0
-    };
-    for x in numeric {
-        let mut idx = ((x - min) / width) as usize;
-        if idx >= buckets {
-            idx = buckets - 1;
-        }
-        counts[idx] += 1;
-    }
-    Some(Histogram {
-        table: table.to_string(),
-        column: column.to_string(),
-        min,
-        max,
-        buckets: counts,
-        nulls,
-    })
+    let live = table.live_column(column)?;
+    let built = live.counts.buckets(buckets)?;
+    Some(built.histogram(table.name(), column, live.nulls))
 }
 
 /// Frequency table of the most common values of a (typically categorical)
-/// column, descending by count.
+/// column, descending by count, ties by value. Values are told apart the
+/// way the statistics tell them apart (by [`Value::group_key`]).
 pub fn top_values(table: &Table, column: &str, k: usize) -> Vec<(Value, usize)> {
-    let mut counts: BTreeMap<String, (Value, usize)> = BTreeMap::new();
-    for v in table.column_values(column) {
-        if v.is_null() {
-            continue;
-        }
-        let key = v.to_string();
-        counts.entry(key).or_insert_with(|| (v.clone(), 0)).1 += 1;
-    }
-    let mut out: Vec<(Value, usize)> = counts.into_values().collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
+    let Some(live) = table.live_column(column) else {
+        return Vec::new();
+    };
+    let mut out = live.counts.values();
+    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| extreme_cmp(&a.0, &b.0)));
     out.truncate(k);
     out
 }
@@ -184,31 +152,21 @@ pub struct ColumnSummary {
     pub max: Option<Value>,
 }
 
-/// Summarize a column: counts, distinct values, min and max.
+/// Summarize a column: counts, distinct values, min and max — the column's
+/// statistics under other names. `distinct` is therefore the statistics'
+/// NDV: a Float column holding `3` and `3.0` has two distinct values, though
+/// both print as "3".
 pub fn summarize_column(table: &Table, column: &str) -> Option<ColumnSummary> {
-    table.schema().column_index(column)?;
-    let values = table.column_values(column);
-    let nulls = values.iter().filter(|v| v.is_null()).count();
-    let non_null: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
-    let mut keys: Vec<String> = non_null.iter().map(|v| v.to_string()).collect();
-    keys.sort();
-    keys.dedup();
-    let min = non_null
-        .iter()
-        .min_by(|a, b| a.total_cmp(b))
-        .map(|v| (*v).clone());
-    let max = non_null
-        .iter()
-        .max_by(|a, b| a.total_cmp(b))
-        .map(|v| (*v).clone());
+    let live = table.live_column(column)?;
+    let (stats, _) = live.stats(table.name(), column, table.len());
     Some(ColumnSummary {
         table: table.name().to_string(),
         column: column.to_string(),
-        non_null: non_null.len(),
-        nulls,
-        distinct: keys.len(),
-        min,
-        max,
+        non_null: stats.non_null,
+        nulls: stats.nulls,
+        distinct: stats.ndv,
+        min: stats.min,
+        max: stats.max,
     })
 }
 
@@ -223,6 +181,10 @@ pub struct ColumnStats {
     pub nulls: usize,
     /// Number of non-NULL values.
     pub non_null: usize,
+    /// Smallest and largest non-NULL value under [`Value::total_cmp`]. Where
+    /// that calls two spellings equal (`3` and `3.0` in a Float column) the
+    /// integer counts as the smaller, then the smaller bit pattern, so both
+    /// are a function of the values alone.
     pub min: Option<Value>,
     pub max: Option<Value>,
     /// Histogram over the column, when it is numeric.
@@ -330,8 +292,8 @@ impl ColumnStats {
     }
 }
 
-/// Per-table statistics, collected in one pass over the rows and cached on
-/// the [`crate::Database`] catalog until the table is next written.
+/// Per-table statistics: a snapshot of the table's live column summaries,
+/// cached on the [`crate::Database`] catalog until the table is next written.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     pub table: String,
@@ -341,65 +303,29 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Collect statistics for every column of a table, in a single pass
-    /// over the rows: per column it counts NULLs, tracks min/max by
-    /// reference, hashes distinct values as [`GroupKey`]s and gathers the
-    /// numeric values the histogram is built from — no per-value cloning
-    /// until the final min/max are materialized.
+    /// The statistics of every column of a table as of now. No row is read:
+    /// the table has kept them current with every write (see
+    /// [`LiveColumn`]).
     pub fn collect(table: &Table) -> TableStats {
-        let schema_columns = &table.schema().columns;
-        let ncols = schema_columns.len();
-        let mut nulls = vec![0usize; ncols];
-        let mut distinct: Vec<HashSet<GroupKey>> = vec![HashSet::new(); ncols];
-        let mut bounds: Vec<Option<(&Value, &Value)>> = vec![None; ncols];
-        let mut numeric: Vec<Vec<f64>> = vec![Vec::new(); ncols];
-        for row in table.rows() {
-            for i in 0..ncols {
-                let Some(v) = row.get(i) else { continue };
-                if v.is_null() {
-                    nulls[i] += 1;
-                    continue;
-                }
-                distinct[i].insert(v.group_key());
-                bounds[i] = Some(match bounds[i] {
-                    None => (v, v),
-                    Some((min, max)) => (
-                        if v.total_cmp(min).is_lt() { v } else { min },
-                        if v.total_cmp(max).is_gt() { v } else { max },
-                    ),
-                });
-                if let Some(x) = v.as_f64() {
-                    numeric[i].push(x);
-                }
-            }
-        }
+        TableStats::snapshot(table).0
+    }
+
+    /// [`TableStats::collect`], and how many columns had their bounds and
+    /// histogram re-derived from their value counts on the way.
+    pub(crate) fn snapshot(table: &Table) -> (TableStats, usize) {
+        let mut rederived = 0;
         let mut columns = BTreeMap::new();
-        for (i, col) in schema_columns.iter().enumerate() {
-            let non_null = table.len() - nulls[i];
-            columns.insert(
-                col.name.to_lowercase(),
-                ColumnStats {
-                    column: col.name.clone(),
-                    ndv: distinct[i].len(),
-                    nulls: nulls[i],
-                    non_null,
-                    min: bounds[i].map(|(min, _)| min.clone()),
-                    max: bounds[i].map(|(_, max)| max.clone()),
-                    histogram: histogram_from_numeric(
-                        table.name(),
-                        &col.name,
-                        &numeric[i],
-                        nulls[i],
-                        STATS_HISTOGRAM_BUCKETS,
-                    ),
-                },
-            );
+        for (col, live) in table.schema().columns.iter().zip(table.live_columns()) {
+            let (stats, fresh) = live.stats(table.name(), &col.name, table.len());
+            rederived += usize::from(fresh);
+            columns.insert(col.name.to_lowercase(), stats);
         }
-        TableStats {
+        let stats = TableStats {
             table: table.name().to_string(),
             row_count: table.len(),
             columns,
-        }
+        };
+        (stats, rederived)
     }
 
     /// Statistics of one column by case-insensitive name.
@@ -411,6 +337,389 @@ impl TableStats {
     /// safest assumption: an unknown key does not reduce a join's output).
     pub fn ndv(&self, column: &str) -> usize {
         self.column(column).map(|c| c.ndv).unwrap_or(1)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Live column summaries
+// ---------------------------------------------------------------------------
+
+/// The order a column's extremes are picked by: [`Value::total_cmp`], and
+/// where that calls two spellings equal (`3` and `3.0`) the integer first,
+/// then the smaller bit pattern — never the order rows arrived in or a hash
+/// map happens to iterate in.
+fn extreme_cmp(a: &Value, b: &Value) -> Ordering {
+    fn spelling(v: &Value) -> (bool, u64) {
+        match v {
+            Value::Float(f) => (true, f.to_bits()),
+            _ => (false, 0),
+        }
+    }
+    a.total_cmp(b).then_with(|| spelling(a).cmp(&spelling(b)))
+}
+
+/// How often each distinct non-NULL value of one column occurs. Typed by the
+/// column's declared type, because the map stays resident: an integer costs
+/// its eight bytes, a text one boxed string that a lookup borrows — counting
+/// a value already present allocates nothing. A value of another type (only
+/// an unchecked `update_where` can store one) turns the map into the general
+/// one, which a Float column starts with: it tells `3` from `3.0`, as
+/// [`Value::group_key`] does.
+#[derive(Debug, Clone)]
+enum ValueCounts {
+    Integer(HashMap<i64, u32>),
+    Text(HashMap<Box<str>, u32>),
+    Other(HashMap<GroupKey, u32>),
+}
+
+impl ValueCounts {
+    fn for_type(data_type: DataType) -> ValueCounts {
+        match data_type {
+            DataType::Integer => ValueCounts::Integer(HashMap::new()),
+            DataType::Text => ValueCounts::Text(HashMap::new()),
+            _ => ValueCounts::Other(HashMap::new()),
+        }
+    }
+
+    fn add(&mut self, v: &Value) {
+        match (&mut *self, v) {
+            (ValueCounts::Integer(m), Value::Integer(i)) => *m.entry(*i).or_insert(0) += 1,
+            (ValueCounts::Text(m), Value::Text(s)) => match m.get_mut(s.as_str()) {
+                Some(count) => *count += 1,
+                None => {
+                    m.insert(s.as_str().into(), 1);
+                }
+            },
+            (ValueCounts::Other(m), _) => *m.entry(v.group_key()).or_insert(0) += 1,
+            _ => {
+                self.generalize();
+                self.add(v);
+            }
+        }
+    }
+
+    fn generalize(&mut self) {
+        let general = match std::mem::replace(self, ValueCounts::Other(HashMap::new())) {
+            ValueCounts::Integer(m) => m
+                .into_iter()
+                .map(|(i, count)| (GroupKey::Integer(i), count))
+                .collect(),
+            ValueCounts::Text(m) => m
+                .into_iter()
+                .map(|(s, count)| (GroupKey::Text(s.into()), count))
+                .collect(),
+            ValueCounts::Other(m) => m,
+        };
+        *self = ValueCounts::Other(general);
+    }
+
+    /// Forget one occurrence; true when it was the last of its value.
+    fn remove(&mut self, v: &Value) -> bool {
+        fn take<K, Q>(m: &mut HashMap<K, u32>, key: &Q) -> bool
+        where
+            K: Borrow<Q> + Hash + Eq,
+            Q: Hash + Eq + ?Sized,
+        {
+            match m.get_mut(key) {
+                Some(count) if *count > 1 => {
+                    *count -= 1;
+                    false
+                }
+                Some(_) => {
+                    m.remove(key);
+                    true
+                }
+                None => false,
+            }
+        }
+        match (self, v) {
+            (ValueCounts::Integer(m), Value::Integer(i)) => take(m, i),
+            (ValueCounts::Text(m), Value::Text(s)) => take(m, s.as_str()),
+            (ValueCounts::Other(m), _) => take(m, &v.group_key()),
+            // A typed map that met another type is no longer typed.
+            _ => false,
+        }
+    }
+
+    /// Number of distinct values.
+    fn distinct(&self) -> usize {
+        match self {
+            ValueCounts::Integer(m) => m.len(),
+            ValueCounts::Text(m) => m.len(),
+            ValueCounts::Other(m) => m.len(),
+        }
+    }
+
+    /// Every distinct value with its count, in no particular order.
+    fn values(&self) -> Vec<(Value, usize)> {
+        match self {
+            ValueCounts::Integer(m) => m
+                .iter()
+                .map(|(i, count)| (Value::Integer(*i), *count as usize))
+                .collect(),
+            ValueCounts::Text(m) => m
+                .iter()
+                .map(|(s, count)| (Value::text(&**s), *count as usize))
+                .collect(),
+            ValueCounts::Other(m) => m
+                .iter()
+                .map(|(key, count)| (key.to_value(), *count as usize))
+                .collect(),
+        }
+    }
+
+    /// Extremes and histogram from scratch: two passes over the distinct
+    /// values.
+    fn shape(&self) -> Shape {
+        fn bounds(values: impl Iterator<Item = Value>) -> Option<(Value, Value)> {
+            let mut bounds: Option<(Value, Value)> = None;
+            for v in values {
+                match &mut bounds {
+                    None => bounds = Some((v.clone(), v)),
+                    Some((min, _)) if extreme_cmp(&v, min).is_lt() => *min = v,
+                    Some((_, max)) if extreme_cmp(&v, max).is_gt() => *max = v,
+                    Some(_) => {}
+                }
+            }
+            bounds
+        }
+        match self {
+            // Integers are their own numeric view: the extremes are the
+            // histogram's range (`as f64` is monotone).
+            ValueCounts::Integer(m) => {
+                let range = m.keys().fold(None, |range: Option<(i64, i64)>, &i| {
+                    let (lo, hi) = range.unwrap_or((i, i));
+                    Some((lo.min(i), hi.max(i)))
+                });
+                Shape {
+                    bounds: range.map(|(lo, hi)| (Value::Integer(lo), Value::Integer(hi))),
+                    buckets: range.map(|(lo, hi)| {
+                        let values = m.iter().map(|(i, count)| (*i as f64, *count));
+                        Buckets::fill(lo as f64, hi as f64, values, STATS_HISTOGRAM_BUCKETS)
+                    }),
+                }
+            }
+            // Strings are compared where they lie; only the two extremes
+            // are copied.
+            ValueCounts::Text(m) => {
+                let text = |s: &str| Value::text(s);
+                let (min, max) = (m.keys().min(), m.keys().max());
+                Shape {
+                    bounds: min.zip(max).map(|(min, max)| (text(min), text(max))),
+                    buckets: None,
+                }
+            }
+            ValueCounts::Other(m) => Shape {
+                bounds: bounds(m.keys().map(GroupKey::to_value)),
+                buckets: self.buckets(STATS_HISTOGRAM_BUCKETS),
+            },
+        }
+    }
+
+    /// An equi-width histogram of `n` buckets over the numeric values.
+    fn buckets(&self, n: usize) -> Option<Buckets> {
+        match self {
+            ValueCounts::Integer(m) => {
+                Buckets::build(m.iter().map(|(i, count)| (*i as f64, *count)), n)
+            }
+            ValueCounts::Text(_) => None,
+            ValueCounts::Other(m) => Buckets::build(
+                m.iter()
+                    .filter_map(|(key, count)| Some((key.to_value().as_f64()?, *count))),
+                n,
+            ),
+        }
+    }
+}
+
+/// Equi-width bucket counts over the numeric values of one column.
+#[derive(Debug, Clone)]
+struct Buckets {
+    min: f64,
+    max: f64,
+    /// Width of one bucket; 1 when all values are one point.
+    width: f64,
+    counts: Vec<usize>,
+}
+
+impl Buckets {
+    /// From (value, count) pairs: one pass for the range, one to fill.
+    fn build(values: impl Iterator<Item = (f64, u32)> + Clone, n: usize) -> Option<Buckets> {
+        if n == 0 {
+            return None;
+        }
+        let mut range: Option<(f64, f64)> = None;
+        for (x, _) in values.clone() {
+            let (min, max) = range.unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
+            range = Some((min.min(x), max.max(x)));
+        }
+        let (min, max) = range?;
+        Some(Buckets::fill(min, max, values, n))
+    }
+
+    /// `n` buckets between `min` and `max`, counting `values`.
+    fn fill(min: f64, max: f64, values: impl Iterator<Item = (f64, u32)>, n: usize) -> Buckets {
+        let width = if max > min {
+            (max - min) / n as f64
+        } else {
+            1.0
+        };
+        let mut buckets = Buckets {
+            min,
+            max,
+            width,
+            counts: vec![0; n],
+        };
+        for (x, count) in values {
+            let slot = buckets.slot(x);
+            buckets.counts[slot] += count as usize;
+        }
+        buckets
+    }
+
+    /// The bucket `x` falls in.
+    fn slot(&self, x: f64) -> usize {
+        (((x - self.min) / self.width) as usize).min(self.counts.len() - 1)
+    }
+
+    fn histogram(&self, table: &str, column: &str, nulls: usize) -> Histogram {
+        Histogram {
+            table: table.to_string(),
+            column: column.to_string(),
+            min: self.min,
+            max: self.max,
+            buckets: self.counts.clone(),
+            nulls,
+        }
+    }
+}
+
+/// What of a column's statistics depends on where its values lie: the
+/// extremes, and the [`STATS_HISTOGRAM_BUCKETS`] buckets between the numeric
+/// ones.
+#[derive(Debug, Clone)]
+struct Shape {
+    bounds: Option<(Value, Value)>,
+    buckets: Option<Buckets>,
+}
+
+impl Shape {
+    /// Take a new occurrence of `v` in; false when it lies outside the
+    /// histogram's range, which moves every bucket boundary.
+    fn admit(&mut self, v: &Value) -> bool {
+        match &mut self.bounds {
+            None => self.bounds = Some((v.clone(), v.clone())),
+            Some((min, _)) if extreme_cmp(v, min).is_lt() => *min = v.clone(),
+            Some((_, max)) if extreme_cmp(v, max).is_gt() => *max = v.clone(),
+            Some(_) => {}
+        }
+        match (v.as_f64(), &mut self.buckets) {
+            (None, _) => true,
+            (Some(x), Some(buckets)) if buckets.min <= x && x <= buckets.max => {
+                let slot = buckets.slot(x);
+                buckets.counts[slot] += 1;
+                true
+            }
+            (Some(_), _) => false,
+        }
+    }
+
+    /// Let one occurrence of `v` go (`last`: no other is left); false when
+    /// that takes an extreme away, and the next one has to be looked for.
+    fn release(&mut self, v: &Value, last: bool) -> bool {
+        let is_extreme =
+            |(min, max): &(Value, Value)| v.total_cmp(min).is_eq() || v.total_cmp(max).is_eq();
+        if last && self.bounds.as_ref().is_some_and(is_extreme) {
+            return false;
+        }
+        match (v.as_f64(), &mut self.buckets) {
+            (None, _) => true,
+            (Some(x), Some(buckets)) if !(last && (x == buckets.min || x == buckets.max)) => {
+                let slot = buckets.slot(x);
+                buckets.counts[slot] -= 1;
+                true
+            }
+            (Some(_), _) => false,
+        }
+    }
+}
+
+/// The running summary of one column, kept by its [`Table`]: a write costs
+/// one counter update per value, and where the value lies between the
+/// current extremes, one bucket update. Only a value that widens the
+/// histogram's range, or the disappearance of the last copy of an extreme,
+/// leaves the [`Shape`] to be re-derived — from the value counts, in one
+/// step per distinct value of this column, when statistics are next asked
+/// for; any number of such writes in between cost nothing more.
+#[derive(Debug, Clone)]
+pub(crate) struct LiveColumn {
+    counts: ValueCounts,
+    nulls: usize,
+    /// Unset while waiting to be re-derived. A `OnceLock` so that asking for
+    /// statistics through `&Table` can store what it derived; writers hold
+    /// `&mut` and update or clear it without synchronisation.
+    shape: OnceLock<Shape>,
+}
+
+impl LiveColumn {
+    pub(crate) fn new(data_type: DataType) -> LiveColumn {
+        LiveColumn {
+            counts: ValueCounts::for_type(data_type),
+            nulls: 0,
+            shape: OnceLock::new(),
+        }
+    }
+
+    /// Count one more occurrence of `v`.
+    pub(crate) fn add(&mut self, v: &Value) {
+        if v.is_null() {
+            self.nulls += 1;
+            return;
+        }
+        self.counts.add(v);
+        if self.shape.get_mut().is_some_and(|shape| !shape.admit(v)) {
+            self.shape.take();
+        }
+    }
+
+    /// Count one occurrence of `v` less.
+    pub(crate) fn remove(&mut self, v: &Value) {
+        if v.is_null() {
+            self.nulls -= 1;
+            return;
+        }
+        let last = self.counts.remove(v);
+        if self
+            .shape
+            .get_mut()
+            .is_some_and(|shape| !shape.release(v, last))
+        {
+            self.shape.take();
+        }
+    }
+
+    /// The column's statistics over `rows` rows, and whether the shape had
+    /// to be re-derived for them.
+    fn stats(&self, table: &str, column: &str, rows: usize) -> (ColumnStats, bool) {
+        let mut rederived = false;
+        let shape = self.shape.get_or_init(|| {
+            rederived = true;
+            self.counts.shape()
+        });
+        let (min, max) = shape.bounds.clone().unzip();
+        let stats = ColumnStats {
+            column: column.to_string(),
+            ndv: self.counts.distinct(),
+            nulls: self.nulls,
+            non_null: rows - self.nulls,
+            min,
+            max,
+            histogram: shape
+                .buckets
+                .as_ref()
+                .map(|buckets| buckets.histogram(table, column, self.nulls)),
+        };
+        (stats, rederived)
     }
 }
 
@@ -448,7 +757,295 @@ pub fn anti_join_cardinality(probe_rows: f64, probe_ndv: usize, build_ndv: usize
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, TableSchema};
-    use crate::value::DataType;
+    use crate::value::Date;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
+
+    /// The oracle: statistics collected from scratch in one pass over the
+    /// rows, as [`TableStats::collect`] did before tables kept summaries.
+    fn collect_from_rows(table: &Table) -> TableStats {
+        let schema_columns = &table.schema().columns;
+        let ncols = schema_columns.len();
+        let mut nulls = vec![0usize; ncols];
+        let mut distinct: Vec<HashSet<GroupKey>> = vec![HashSet::new(); ncols];
+        let mut bounds: Vec<Option<(&Value, &Value)>> = vec![None; ncols];
+        let mut numeric: Vec<Vec<f64>> = vec![Vec::new(); ncols];
+        for row in table.rows() {
+            for i in 0..ncols {
+                let Some(v) = row.get(i) else { continue };
+                if v.is_null() {
+                    nulls[i] += 1;
+                    continue;
+                }
+                distinct[i].insert(v.group_key());
+                bounds[i] = Some(match bounds[i] {
+                    None => (v, v),
+                    Some((min, max)) => (
+                        if extreme_cmp(v, min).is_lt() { v } else { min },
+                        if extreme_cmp(v, max).is_gt() { v } else { max },
+                    ),
+                });
+                if let Some(x) = v.as_f64() {
+                    numeric[i].push(x);
+                }
+            }
+        }
+        let mut columns = BTreeMap::new();
+        for (i, col) in schema_columns.iter().enumerate() {
+            columns.insert(
+                col.name.to_lowercase(),
+                ColumnStats {
+                    column: col.name.clone(),
+                    ndv: distinct[i].len(),
+                    nulls: nulls[i],
+                    non_null: table.len() - nulls[i],
+                    min: bounds[i].map(|(min, _)| min.clone()),
+                    max: bounds[i].map(|(_, max)| max.clone()),
+                    histogram: histogram_from_numeric(
+                        table.name(),
+                        &col.name,
+                        &numeric[i],
+                        nulls[i],
+                        STATS_HISTOGRAM_BUCKETS,
+                    ),
+                },
+            );
+        }
+        TableStats {
+            table: table.name().to_string(),
+            row_count: table.len(),
+            columns,
+        }
+    }
+
+    fn histogram_from_numeric(
+        table: &str,
+        column: &str,
+        numeric: &[f64],
+        nulls: usize,
+        buckets: usize,
+    ) -> Option<Histogram> {
+        if buckets == 0 || numeric.is_empty() {
+            return None;
+        }
+        let min = numeric.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = numeric.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut counts = vec![0usize; buckets];
+        let width = if max > min {
+            (max - min) / buckets as f64
+        } else {
+            1.0
+        };
+        for x in numeric {
+            let mut idx = ((x - min) / width) as usize;
+            if idx >= buckets {
+                idx = buckets - 1;
+            }
+            counts[idx] += 1;
+        }
+        Some(Histogram {
+            table: table.to_string(),
+            column: column.to_string(),
+            min,
+            max,
+            buckets: counts,
+            nulls,
+        })
+    }
+
+    /// Live statistics equal the oracle's, spelling included (`==` on values
+    /// cannot tell `3` from `3.0`; `Debug` can).
+    fn assert_live_matches_rows(table: &Table, context: &str) {
+        let (live, oracle) = (TableStats::collect(table), collect_from_rows(table));
+        assert_eq!(live, oracle, "{context}");
+        assert_eq!(format!("{live:?}"), format!("{oracle:?}"), "{context}");
+    }
+
+    /// A table with one column of every type; `score` is a Float column
+    /// that is fed integers too.
+    fn typed_table() -> Table {
+        Table::new(
+            TableSchema::new(
+                "T",
+                vec![
+                    ColumnDef::new("id", DataType::Integer),
+                    ColumnDef::nullable("name", DataType::Text),
+                    ColumnDef::nullable("score", DataType::Float),
+                    ColumnDef::nullable("day", DataType::Date),
+                    ColumnDef::nullable("flag", DataType::Boolean),
+                ],
+            )
+            .with_primary_key(&["id"]),
+        )
+    }
+
+    fn typed_row(rng: &mut StdRng, id: i64) -> Vec<Value> {
+        let maybe = |rng: &mut StdRng, v: Value| if rng.gen_bool(0.15) { Value::Null } else { v };
+        let name = Value::text(format!("n{}", rng.gen_range(0..12u8)));
+        let score = match rng.gen_range(0..3u8) {
+            0 => Value::Integer(rng.gen_range(-4..=4i64)),
+            1 => Value::Float(rng.gen_range(-4..=4i64) as f64),
+            _ => Value::Float(rng.gen_range(-40..=40i64) as f64 / 8.0),
+        };
+        let day = Value::Date(
+            Date::new(2000 + rng.gen_range(0..3i32), 1, rng.gen_range(1..=5u8)).unwrap(),
+        );
+        let flag = Value::Boolean(rng.gen_bool(0.5));
+        vec![
+            Value::int(id),
+            maybe(rng, name),
+            maybe(rng, score),
+            maybe(rng, day),
+            maybe(rng, flag),
+        ]
+    }
+
+    #[test]
+    fn live_statistics_equal_a_from_scratch_collection_after_every_write() {
+        for seed in [0xDB15_0001u64, 0xDB15_0002, 0xDB15_0003] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut t = typed_table();
+            let mut next_id = 0;
+            for step in 0..300 {
+                let context = format!("seed {seed:#x}, step {step}");
+                match rng.gen_range(0..10u8) {
+                    0..=4 => {
+                        // Several inserts between two snapshots.
+                        for _ in 0..rng.gen_range(1..=6u8) {
+                            next_id += 1;
+                            t.insert_values(typed_row(&mut rng, next_id)).unwrap();
+                        }
+                    }
+                    5 => {
+                        // The current minimum and maximum score, all copies.
+                        let stats = TableStats::collect(&t);
+                        let score = stats.column("score").unwrap();
+                        let (min, max) = (score.min.clone(), score.max.clone());
+                        t.delete_where(|r| r.get(2) == min.as_ref() || r.get(2) == max.as_ref());
+                    }
+                    6 => {
+                        // From the middle.
+                        let k = rng.gen_range(2..=5i64);
+                        t.delete_where(|r| r.get(0).and_then(Value::as_i64).unwrap() % k == 0);
+                    }
+                    7 => {
+                        // The tail, or now and then everything.
+                        let from = if rng.gen_bool(0.2) { 0 } else { next_id - 3 };
+                        t.delete_where(|r| r.get(0).and_then(Value::as_i64).unwrap() > from);
+                    }
+                    8 => {
+                        let replacement = typed_row(&mut rng, 0);
+                        let k = rng.gen_range(2..=4i64);
+                        t.update_where(
+                            |r| r.get(0).and_then(Value::as_i64).unwrap() % k == 1,
+                            |r| {
+                                for (col, value) in replacement.iter().enumerate().skip(1) {
+                                    *r.get_mut(col).unwrap() = value.clone();
+                                }
+                            },
+                        );
+                    }
+                    _ => {
+                        // Key columns move to ids not used yet.
+                        let base = next_id;
+                        next_id += base;
+                        t.update_where(
+                            |r| r.get(0).and_then(Value::as_i64).unwrap() % 3 == 0,
+                            |r| {
+                                let id = r.get(0).and_then(Value::as_i64).unwrap();
+                                *r.get_mut(0).unwrap() = Value::int(id + base);
+                            },
+                        );
+                    }
+                }
+                assert_live_matches_rows(&t, &context);
+            }
+        }
+    }
+
+    #[test]
+    fn equal_extremes_of_different_spelling_are_reported_by_rule_not_by_arrival() {
+        let float_column = || {
+            Table::new(TableSchema::new(
+                "F",
+                vec![ColumnDef::new("x", DataType::Float)],
+            ))
+        };
+        let spelled = |t: &Table| {
+            let stats = TableStats::collect(t);
+            let x = stats.column("x").unwrap();
+            format!("{:?} {:?}", x.min, x.max)
+        };
+        let (mut a, mut b) = (float_column(), float_column());
+        for v in [Value::Integer(3), Value::Float(3.0)] {
+            a.insert_values(vec![v]).unwrap();
+        }
+        for v in [Value::Float(3.0), Value::Integer(3)] {
+            b.insert_values(vec![v]).unwrap();
+        }
+        assert_eq!(spelled(&a), "Some(Integer(3)) Some(Float(3.0))");
+        assert_eq!(spelled(&b), spelled(&a));
+        assert_eq!(TableStats::collect(&a).ndv("x"), 2, "3 and 3.0 are two");
+        // Written while a snapshot is current, and re-derived after the
+        // integer goes: the same rule.
+        b.insert_values(vec![Value::Float(3.0)]).unwrap();
+        assert_eq!(spelled(&b), spelled(&a));
+        b.delete_where(|r| matches!(r.get(0), Some(Value::Integer(_))));
+        assert_eq!(spelled(&b), "Some(Float(3.0)) Some(Float(3.0))");
+        assert_live_matches_rows(&b, "after the integer spelling left");
+    }
+
+    #[test]
+    fn only_writes_past_the_extremes_leave_a_column_to_re_derive() {
+        let mut t = table();
+        let rederived = |t: &Table| TableStats::snapshot(t).1;
+        assert_eq!(rederived(&t), 3, "a new table derives every column once");
+        assert_eq!(rederived(&t), 0, "and keeps what it derived");
+        // Inside [min, max] of every column: buckets move, nothing else.
+        t.delete_where(|r| r.get(0) == Some(&Value::int(3)));
+        assert_eq!(rederived(&t), 0, "a middle value left");
+        t.insert_values(vec![Value::int(3), Value::text("C"), Value::int(1995)])
+            .unwrap();
+        assert_eq!(rederived(&t), 0, "and came back");
+        // Six inserts that each push `id` and `title` further out: the text
+        // column has no histogram and just takes the new maximum, the
+        // integer one is re-derived once for all six.
+        for id in 7..13 {
+            t.insert_values(vec![
+                Value::int(id),
+                Value::text(format!("Z{id}")),
+                Value::int(2000),
+            ])
+            .unwrap();
+        }
+        assert_eq!(rederived(&t), 1);
+        // The last copy of the maximum year leaves; one of two copies does not.
+        t.delete_where(|r| r.get(0) == Some(&Value::int(4)));
+        assert_eq!(rederived(&t), 0, "2005 is still there");
+        t.delete_where(|r| r.get(0) == Some(&Value::int(5)));
+        assert_eq!(rederived(&t), 1, "2005 is gone: year only");
+        assert_live_matches_rows(&t, "after all of it");
+    }
+
+    #[test]
+    fn a_value_of_another_type_generalizes_the_count_map() {
+        // Only an unchecked update can store text in an integer column; the
+        // statistics stay those of the rows.
+        let mut t = table();
+        t.update_where(
+            |r| r.get(0) == Some(&Value::int(2)),
+            |r| *r.get_mut(2).unwrap() = Value::text("unknown"),
+        );
+        assert_live_matches_rows(&t, "text in an integer column");
+        t.update_where(
+            |r| r.get(0) == Some(&Value::int(2)),
+            |r| *r.get_mut(1).unwrap() = Value::int(7),
+        );
+        assert_live_matches_rows(&t, "an integer in a text column");
+        t.delete_where(|r| r.get(0) == Some(&Value::int(2)));
+        assert_live_matches_rows(&t, "and gone again");
+    }
 
     fn table() -> Table {
         let mut t = Table::new(

@@ -1,18 +1,24 @@
-//! A single in-memory table: rows plus a primary-key index and insertion
-//! time type/constraint checking.
+//! A single in-memory table: rows, insertion-time type/constraint checking,
+//! and the state derived from the rows — primary-key map, secondary indexes,
+//! column summaries — which the table keeps current itself.
 
 use crate::error::StoreError;
 use crate::index::{Index, IndexDef};
 use crate::schema::TableSchema;
+use crate::stats::LiveColumn;
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// An in-memory table. Rows are stored in insertion order (which the
 /// deterministic data generators rely on for reproducible narratives) with a
-/// hash index on the primary key for FK checks and point lookups, plus any
-/// number of secondary [`Index`]es maintained alongside the rows (see
-/// [`crate::index`]).
+/// hash index on the primary key for FK checks and point lookups, any number
+/// of secondary [`Index`]es (see [`crate::index`]) and one running summary
+/// per column (see [`crate::stats`]). Only [`Table::insert`],
+/// [`Table::delete_where`] and [`Table::update_where`] change rows, and each
+/// edits all of that for exactly the rows it touches: a write costs what it
+/// touches, not what the table holds.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
@@ -23,16 +29,25 @@ pub struct Table {
     /// Secondary indexes, in creation order. Cloned with the table, so a
     /// copy-on-write snapshot keeps probing its own index versions.
     indexes: Vec<Index>,
+    /// What the statistics are read from, one per schema column; cloned
+    /// with the table like the indexes.
+    summaries: Vec<LiveColumn>,
 }
 
 impl Table {
     /// Create an empty table with the given schema.
     pub fn new(schema: TableSchema) -> Table {
+        let summaries = schema
+            .columns
+            .iter()
+            .map(|c| LiveColumn::new(c.data_type))
+            .collect();
         Table {
             schema,
             rows: Vec::new(),
             pk_index: HashMap::new(),
             indexes: Vec::new(),
+            summaries,
         }
     }
 
@@ -110,24 +125,55 @@ impl Table {
     }
 
     /// Insert a row, enforcing types, NOT NULL and primary-key uniqueness.
-    /// Every secondary index is maintained in the same step.
+    /// Every secondary index and column summary is maintained in the same
+    /// step.
     pub fn insert(&mut self, row: Row) -> Result<usize, StoreError> {
         self.validate_row(&row)?;
-        if let Some(key) = self.pk_key(&row) {
-            if self.pk_index.contains_key(&key) {
-                return Err(StoreError::DuplicateKey {
-                    table: self.schema.name.clone(),
-                    key: format!("{:?}", key),
-                });
-            }
-            self.pk_index.insert(key, self.rows.len());
-        }
         let pos = self.rows.len();
-        for index in &mut self.indexes {
-            index.insert(&row, pos);
+        if let Some(key) = self.pk_key(&row) {
+            match self.pk_index.entry(key) {
+                Entry::Occupied(taken) => {
+                    return Err(StoreError::DuplicateKey {
+                        table: self.schema.name.clone(),
+                        key: format!("{:?}", taken.key()),
+                    });
+                }
+                Entry::Vacant(free) => {
+                    free.insert(pos);
+                }
+            }
         }
         self.rows.push(row);
+        self.enter(pos);
         Ok(pos)
+    }
+
+    /// Register the row at `pos` with every index and column summary.
+    fn enter(&mut self, pos: usize) {
+        let row = &self.rows[pos];
+        for index in &mut self.indexes {
+            index.insert(row, pos);
+        }
+        for (summary, value) in self.summaries.iter_mut().zip(row.values()) {
+            summary.add(value);
+        }
+    }
+
+    /// Withdraw the row at `pos` from the primary-key map, every index and
+    /// column summary (the row itself stays where it is).
+    fn leave(&mut self, pos: usize) {
+        let row = &self.rows[pos];
+        if let Some(key) = self.pk_key(row) {
+            if self.pk_index.get(&key) == Some(&pos) {
+                self.pk_index.remove(&key);
+            }
+        }
+        for index in &mut self.indexes {
+            index.remove(&self.rows, pos);
+        }
+        for (summary, value) in self.summaries.iter_mut().zip(row.values()) {
+            summary.remove(value);
+        }
     }
 
     /// Insert from a vector of values.
@@ -160,62 +206,66 @@ impl Table {
     }
 
     /// Delete rows matching a predicate; returns how many were removed.
-    /// The primary-key index is rebuilt afterwards.
+    /// The doomed rows' entries leave the primary-key map, the indexes and
+    /// the column summaries one by one; if a surviving row sits behind a
+    /// doomed one, the positions on record move down in one pass (when the
+    /// doomed rows are the table's tail, nothing is behind them).
     pub fn delete_where<F: Fn(&Row) -> bool>(&mut self, pred: F) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|r| !pred(r));
-        let removed = before - self.rows.len();
-        if removed > 0 {
-            self.rebuild_index();
+        let doomed: Vec<usize> = (0..self.rows.len())
+            .filter(|&pos| pred(&self.rows[pos]))
+            .collect();
+        let Some(&first) = doomed.first() else {
+            return 0;
+        };
+        for &pos in &doomed {
+            self.leave(pos);
         }
-        removed
+        let survivors = self.rows.len() - doomed.len();
+        if first == survivors {
+            self.rows.truncate(survivors);
+        } else {
+            let moved = |pos: usize| pos - doomed.partition_point(|&gone| gone < pos);
+            for pos in self.pk_index.values_mut() {
+                *pos = moved(*pos);
+            }
+            for index in &mut self.indexes {
+                index.move_positions(moved);
+            }
+            let (mut pos, mut gone) = (0, doomed.iter().peekable());
+            self.rows.retain(|_| {
+                pos += 1;
+                gone.next_if_eq(&&(pos - 1)).is_none()
+            });
+        }
+        doomed.len()
     }
 
     /// Update rows in place via a closure; returns how many rows were
-    /// visited and potentially modified.
+    /// visited and potentially modified. Each of them is withdrawn from the
+    /// primary-key map, the indexes and the column summaries as it was and
+    /// entered again as it has become. What the closure wrote is not
+    /// validated, key uniqueness included (it never was): should two rows
+    /// come to share a primary key, [`Table::find_by_pk`] answers with the
+    /// one updated last.
     pub fn update_where<P, U>(&mut self, pred: P, update: U) -> usize
     where
         P: Fn(&Row) -> bool,
         U: Fn(&mut Row),
     {
         let mut touched = 0;
-        for row in &mut self.rows {
-            if pred(row) {
-                update(row);
-                touched += 1;
+        for pos in 0..self.rows.len() {
+            if !pred(&self.rows[pos]) {
+                continue;
             }
-        }
-        if touched > 0 {
-            self.rebuild_index();
+            self.leave(pos);
+            update(&mut self.rows[pos]);
+            if let Some(key) = self.pk_key(&self.rows[pos]) {
+                self.pk_index.insert(key, pos);
+            }
+            self.enter(pos);
+            touched += 1;
         }
         touched
-    }
-
-    fn rebuild_index(&mut self) {
-        self.pk_index.clear();
-        let idx = self.schema.primary_key_indices();
-        if !idx.is_empty() {
-            for (pos, row) in self.rows.iter().enumerate() {
-                self.pk_index.insert(row.group_key(&idx), pos);
-            }
-        }
-        // Row positions shifted: rebuild every secondary index too.
-        let defs: Vec<IndexDef> = self.indexes.iter().map(|i| i.def().clone()).collect();
-        self.indexes = defs
-            .into_iter()
-            .filter_map(|def| {
-                let pos = self.key_positions(&def)?;
-                Some(Index::build(def, &self.rows, pos))
-            })
-            .collect();
-    }
-
-    /// Positions of an index's key columns in this table's rows.
-    fn key_positions(&self, def: &IndexDef) -> Option<Vec<usize>> {
-        def.columns
-            .iter()
-            .map(|c| self.schema.column_index(c))
-            .collect()
     }
 
     // -- secondary indexes --------------------------------------------------
@@ -265,6 +315,16 @@ impl Table {
                 index: name.to_string(),
             }),
         }
+    }
+
+    /// The running summary of one column.
+    pub(crate) fn live_column(&self, column: &str) -> Option<&LiveColumn> {
+        Some(&self.summaries[self.schema.column_index(column)?])
+    }
+
+    /// The running summaries of all columns, in schema order.
+    pub(crate) fn live_columns(&self) -> &[LiveColumn] {
+        &self.summaries
     }
 
     /// A secondary index by (case-insensitive) name.
@@ -450,7 +510,7 @@ mod tests {
         }
         let idx = t.index("IDX_YEAR").expect("case-insensitive lookup");
         assert_eq!(idx.probe_point(&Value::int(2000)), &[0, 3]);
-        // Delete shifts positions; the index must be rebuilt.
+        // Delete shifts positions; the index must follow.
         t.delete_where(|r| r.get(0) == Some(&Value::int(0)));
         let idx = t.index("idx_year").unwrap();
         assert_eq!(idx.probe_point(&Value::int(2000)), &[2]);
@@ -507,6 +567,56 @@ mod tests {
             t.drop_index("idx_year").unwrap_err(),
             StoreError::UnknownIndex { .. }
         ));
+    }
+
+    #[test]
+    fn deletes_from_the_middle_the_tail_and_of_everything_keep_lookups_right() {
+        use crate::index::{IndexDef, IndexKind};
+        let mut t = movies();
+        for (name, kind) in [("o_year", IndexKind::Ordered), ("h_year", IndexKind::Hash)] {
+            t.create_index(IndexDef::single(name, "MOVIES", "year", kind))
+                .unwrap();
+        }
+        for i in 0..10 {
+            t.insert_values(vec![
+                Value::int(i),
+                Value::text(format!("m{i}")),
+                Value::int(2000 + i % 2),
+            ])
+            .unwrap();
+        }
+        let check = |t: &Table, ids: &[i64]| {
+            let at = |year: i64| -> Vec<usize> {
+                let ids = ids.iter().enumerate();
+                ids.filter(|(_, id)| 2000 + *id % 2 == year)
+                    .map(|(pos, _)| pos)
+                    .collect()
+            };
+            for name in ["o_year", "h_year"] {
+                let idx = t.index(name).unwrap();
+                assert_eq!(idx.probe_point(&Value::int(2000)), at(2000), "{name}");
+                assert_eq!(idx.probe_point(&Value::int(2001)), at(2001), "{name}");
+                assert_eq!(idx.len(), ids.len());
+            }
+            for (pos, id) in ids.iter().enumerate() {
+                assert_eq!(t.find_by_pk(&[Value::int(*id)]), t.row(pos));
+            }
+            assert_eq!(t.len(), ids.len());
+        };
+        let id = |r: &Row| r.get(0).and_then(Value::as_i64).unwrap();
+        assert_eq!(t.delete_where(|r| [2, 3, 6].contains(&id(r))), 3);
+        assert!(!t.contains_pk(&[Value::int(3)]));
+        check(&t, &[0, 1, 4, 5, 7, 8, 9]);
+        assert_eq!(t.delete_where(|r| id(r) >= 8), 2);
+        check(&t, &[0, 1, 4, 5, 7]);
+        assert_eq!(t.delete_where(|r| id(r) > 100), 0);
+        assert_eq!(t.delete_where(|_| true), 5);
+        check(&t, &[]);
+        assert_eq!(t.index("o_year").unwrap().key_count(), 0);
+        // And the emptied table takes rows again.
+        t.insert_values(vec![Value::int(3), Value::text("back"), Value::int(2001)])
+            .unwrap();
+        check(&t, &[3]);
     }
 
     #[test]

@@ -325,6 +325,20 @@ pub enum GroupKey {
     Date(Date),
 }
 
+impl GroupKey {
+    /// The value this key was made from ([`Value::group_key`]'s inverse).
+    pub fn to_value(&self) -> Value {
+        match self {
+            GroupKey::Null => Value::Null,
+            GroupKey::Integer(i) => Value::Integer(*i),
+            GroupKey::FloatBits(bits) => Value::Float(f64::from_bits(*bits)),
+            GroupKey::Text(s) => Value::Text(s.clone()),
+            GroupKey::Boolean(b) => Value::Boolean(*b),
+            GroupKey::Date(d) => Value::Date(*d),
+        }
+    }
+}
+
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Integer(v)

@@ -300,6 +300,15 @@ fn ddl_and_writes_invalidate_cached_plans() {
     system.run_query_with(q, sequential()).unwrap(); // stale → miss
     assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 2);
     assert_eq!(system.database().obs().counter(Counter::PlanCacheMisses), 3);
+
+    // Asking for a table that does not exist is not a write: the epoch
+    // stays and the cached plan goes on answering.
+    let epoch = system.database().adaptive().epoch();
+    assert!(system.database_mut().table_mut("NOPE").is_none());
+    assert_eq!(system.database().adaptive().epoch(), epoch);
+    system.run_query_with(q, sequential()).unwrap(); // hit
+    assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 3);
+    assert_eq!(system.database().obs().counter(Counter::PlanCacheMisses), 3);
 }
 
 /// Seeded pseudo-random property test (the workspace has no proptest): two

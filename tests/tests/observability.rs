@@ -157,6 +157,18 @@ fn show_metrics_golden_table_and_narration() {
     );
     assert!(narration.contains("My indexes answered"), "{narration}");
     assert!(narration.contains("My planner recorded"), "{narration}");
+    // Planning Q1 read the statistics of its three relations for the first
+    // time — nine columns, each derived once from its value counts — and the
+    // scan of MOVIES found them cached.
+    assert_eq!(row("counter", "stats_snapshots")[2], "3");
+    assert_eq!(row("counter", "stats_columns_rederived")[2], "9");
+    assert!(
+        narration.contains(
+            "I refreshed table statistics three times and had to re-derive nine column \
+             histograms from their value counts; no table was re-read."
+        ),
+        "{narration}"
+    );
     // Both statements were new to the plan cache.
     assert_eq!(row("counter", "plan_cache_misses")[2], "2");
     assert_eq!(row("counter", "plan_cache_uncacheable")[2], "0");
