@@ -33,10 +33,11 @@
 //! 2. **[`planner`]** lowers a query to a `datastore` [`datastore::exec::Plan`]:
 //!    the *logical* phase decomposes WHERE into a join graph (equi-join
 //!    edges, pushed single-table conjuncts, residual predicates), the *cost*
-//!    phase greedily picks a left-deep join order from table statistics
-//!    (per-column NDV, min/max and histograms cached on the `Database`) —
-//!    smallest estimated relation first, then whichever connected relation
-//!    keeps the estimated intermediate result smallest — and the *subquery*
+//!    phase picks the left-deep join order with the smallest estimated
+//!    intermediate results from table statistics (per-column NDV, min/max
+//!    and histograms kept current by each table) — by dynamic programming
+//!    over connected subsets, falling back to a greedy walk past
+//!    [`planner::DP_MAX_RELATIONS`] relations — and the *subquery*
 //!    phase decorrelates `WHERE`/`HAVING` subqueries into semi-/anti-joins
 //!    (NULL-aware for `NOT IN`) or evaluate-once scalars, falling back to a
 //!    memoized per-row `Apply` for genuinely correlated shapes, so every
@@ -91,11 +92,6 @@ pub mod narrative_metrics;
 pub mod pipeline;
 pub mod planner;
 pub mod query;
-
-/// Former name of [`narrative_metrics`], kept so `talkback::metrics` paths
-/// still compile. The module holds *narrative* quality proxies; engine
-/// metrics live in [`datastore::obs`].
-pub use narrative_metrics as metrics;
 
 pub use content::{ContentConfig, ContentTranslator, UserProfile};
 pub use error::TalkbackError;
@@ -199,8 +195,8 @@ impl Talkback {
     /// observability registry, so `SHOW QUERY LOG` / `SHOW PROFILE` can talk
     /// about it afterwards.
     ///
-    /// Two adaptive layers run by default (both are
-    /// [`PlannerOptions`] A/B knobs):
+    /// Two adaptive layers run by default (each has a [`PlannerOptions`]
+    /// switch):
     ///
     /// * **Plan cache** — the statement text is literal-normalized and the
     ///   cache probed once under (text, options, literal kinds). A template
@@ -218,8 +214,8 @@ impl Talkback {
         self.run_query_with(sql, PlannerOptions::default())
     }
 
-    /// [`Talkback::run_query`] with explicit planner options — the A/B entry
-    /// point for pinning the feedback, plan-cache, and parallelism knobs.
+    /// [`Talkback::run_query`] with explicit planner options: the worker
+    /// count, or the switches that select the reference engine.
     pub fn run_query_with(
         &self,
         sql: &str,

@@ -6,12 +6,8 @@
 //! fast and unique interpretation"). Without a user study those qualities
 //! can only be approximated; this module computes the measurable proxies the
 //! benchmark harness reports: how many query elements the narrative covers,
-//! how long it is, and how repetitive it is.
-//!
-//! This module used to be called `metrics`; it was renamed so the name
-//! doesn't shadow the engine-wide observability registry
-//! ([`datastore::obs`]), which is what `SHOW METRICS` reads. The old path
-//! `talkback::metrics` still works as a re-export.
+//! how long it is, and how repetitive it is. (Engine metrics — what `SHOW
+//! METRICS` reads — live in [`datastore::obs`].)
 
 use sqlparse::ast::{Expr, Literal, SelectStatement};
 

@@ -6,12 +6,11 @@
 //!
 //! The cost model is deliberately small. A full scan touches every row once,
 //! cheaply; an index probe touches only the matching rows but pays pointer
-//! chasing per row, priced at `index_scan_ratio` scan-rows each
-//! ([`super::PlannerOptions::index_scan_ratio`], default
-//! [`INDEX_PROBE_ROW_COST`]). An index scan therefore wins when
-//! `matching_rows × index_scan_ratio ≤ table_rows`. The same coin prices an
-//! index-nested-loop join: `outer_rows` probes against building a hash table
-//! over `inner_rows` build rows, weighed at `inlj_ratio`.
+//! chasing per row, priced at [`INDEX_PROBE_ROW_COST`] scan-rows each. An
+//! index scan therefore wins when `matching_rows × INDEX_PROBE_ROW_COST ≤
+//! table_rows`. The same coin prices an index-nested-loop join:
+//! `outer_rows` probes against building a hash table over `inner_rows`
+//! build rows.
 //!
 //! Composite keys: a probe may pin a leading *prefix* of a composite key
 //! with equalities and optionally add one range on the next key column —
@@ -42,9 +41,8 @@ use datastore::stats::DEFAULT_SELECTIVITY;
 use datastore::{DataType, Database, Value};
 use sqlparse::ast::{BinaryOperator, Expr, Literal};
 
-/// Scan-rows one index-probed row costs — the default for
-/// [`super::PlannerOptions::index_scan_ratio`] and
-/// [`super::PlannerOptions::inlj_ratio`]. 4 means "use the index below 25%
+/// Scan-rows one index-probed row costs, for index scans and
+/// index-nested-loop probes alike. 4 means "use the index below 25%
 /// selectivity".
 pub const INDEX_PROBE_ROW_COST: f64 = 4.0;
 
@@ -327,7 +325,7 @@ fn match_index(
 /// table is matched against the sargable pushed conjuncts plus the caller's
 /// correlated sargs (equality/range against an enclosing scope's column,
 /// probed as a parameter); the most selective match is costed against the
-/// full scan at `index_scan_ratio`. `None` when no conjunct can use any
+/// full scan at [`INDEX_PROBE_ROW_COST`]. `None` when no conjunct can use any
 /// index (nothing to decide, nothing to narrate).
 pub(super) fn choose_scan_path(
     db: &Database,
@@ -335,7 +333,6 @@ pub(super) fn choose_scan_path(
     rel: &Relation,
     base_rows: f64,
     correlated: &[Sarg],
-    index_scan_ratio: f64,
 ) -> Option<ScanPath> {
     let table = db.table(&rel.table)?;
     let stats = db.table_stats(&rel.table)?;
@@ -387,7 +384,7 @@ pub(super) fn choose_scan_path(
         }
     }
     let choice = best?;
-    if choice.estimated_rows * index_scan_ratio <= base_rows {
+    if choice.estimated_rows * INDEX_PROBE_ROW_COST <= base_rows {
         Some(ScanPath::Index(choice))
     } else {
         Some(ScanPath::FullScan(choice))
@@ -411,7 +408,6 @@ pub(super) fn scan_decision(
     choice: &ScanChoice,
     base_rows: f64,
     chosen: bool,
-    ratio: f64,
     index_only: bool,
 ) -> PlanDecision {
     PlanDecision::AccessPath {
@@ -423,7 +419,7 @@ pub(super) fn scan_decision(
         estimated_rows: choice.estimated_rows,
         table_rows: base_rows,
         chosen,
-        ratio,
+        ratio: INDEX_PROBE_ROW_COST,
         parameterized: choice.parameterized,
         index_only,
     }
@@ -481,8 +477,8 @@ pub(super) fn join_probe_candidate(
 }
 
 /// True when probing the inner index once per outer row is estimated
-/// cheaper than building a hash table over the inner rows, at the planner's
-/// `inlj_ratio`.
-pub(super) fn prefer_index_join(outer_rows: f64, inner_rows: f64, inlj_ratio: f64) -> bool {
-    outer_rows * inlj_ratio <= inner_rows
+/// cheaper than building a hash table over the inner rows, at
+/// [`INDEX_PROBE_ROW_COST`] per probe.
+pub(super) fn prefer_index_join(outer_rows: f64, inner_rows: f64) -> bool {
+    outer_rows * INDEX_PROBE_ROW_COST <= inner_rows
 }

@@ -8,12 +8,11 @@
 //! (Selinger-style, cross products deferred until nothing connects): every
 //! subset of relations keeps its cheapest order by C_out, so the chosen
 //! order is optimal within that space. Beyond [`DP_MAX_RELATIONS`] relations
-//! the enumerator falls back to the greedy walk
-//! ([`choose_join_order_greedy`]) — start from the smallest estimated
-//! relation, repeatedly join the connected relation with the smallest
-//! estimated output. Either way it records every choice (and every rejected
-//! alternative) as a [`PlanDecision`], so the optimizer can later *say why*
-//! it ordered the joins the way it did.
+//! the enumerator falls back to the greedy walk — start from the smallest
+//! estimated relation, repeatedly join the connected relation with the
+//! smallest estimated output. Either way it records every choice (and
+//! every rejected alternative) as a [`PlanDecision`], so the optimizer can
+//! later *say why* it ordered the joins the way it did.
 //!
 //! Semi-/anti-join interleaving: relations that are the probe side of a
 //! decorrelatable `EXISTS` / `IN` predicate will be reduced downstream by
@@ -27,6 +26,7 @@
 use super::logical::{JoinGraph, Relation};
 use datastore::adaptive::{AdaptiveState, ParamKind};
 use datastore::index::Index;
+use datastore::obs::DecisionKind;
 use datastore::stats::{join_cardinality, TableStats, DEFAULT_SELECTIVITY};
 use datastore::{DataType, Database};
 use sqlparse::ast::{BinaryOperator, Expr, Literal, UnaryOperator};
@@ -112,9 +112,9 @@ pub enum PlanDecision {
         on: Option<String>,
         /// The correlation columns an `Apply` binds per row, when any.
         correlated_on: Vec<String>,
-        /// The planner's apply memo-cache capacity
-        /// ([`super::PlannerOptions::apply_cache_cap`]), narrated when the
-        /// strategy is an `Apply`.
+        /// The apply memo-cache capacity
+        /// ([`datastore::exec::APPLY_CACHE_CAP`]), narrated when the strategy
+        /// is an `Apply`.
         cache_cap: usize,
     },
     /// How a base relation is read — the access-path choice, recorded
@@ -139,10 +139,9 @@ pub enum PlanDecision {
         table_rows: f64,
         /// True when the index path was chosen over the scan / hash join.
         chosen: bool,
-        /// The planner's probe-cost ratio the estimate was weighed against
-        /// ([`super::PlannerOptions::index_scan_ratio`] for scans,
-        /// [`super::PlannerOptions::inlj_ratio`] for nested-loop probes): the
-        /// index wins when `estimated_rows × ratio ≤ table_rows`.
+        /// The probe-cost ratio the estimate was weighed against
+        /// ([`super::INDEX_PROBE_ROW_COST`]): the index wins when
+        /// `estimated_rows × ratio ≤ table_rows`.
         ratio: f64,
         /// True when a probe bound is a correlation parameter — the bound
         /// resolves per `Apply` binding rather than at plan time.
@@ -219,34 +218,35 @@ pub enum PlanDecision {
         selectivity: f64,
     },
     /// Whether a hash (semi-/anti-)join's build side qualifies for the
-    /// hash-partitioned parallel build, per the planner's `build_min` knob.
+    /// hash-partitioned parallel build
+    /// ([`datastore::exec::PARALLEL_BUILD_MIN`]).
     PartitionedBuild {
         /// The join's build-side description ("CAST as c").
         target: String,
         /// Estimated build-side rows.
         estimated_rows: f64,
-        /// The planner's minimum build rows for partitioning.
+        /// The executor's minimum build rows for partitioning.
         build_min: usize,
-        /// True when the estimate cleared the knob.
+        /// True when the estimate cleared it.
         partitioned: bool,
     },
 }
 
 impl PlanDecision {
-    /// Stable snake_case kind label, used as the key when the observability
-    /// registry counts planner decisions (`SHOW METRICS`).
-    pub fn kind_name(&self) -> &'static str {
+    /// The slot the observability registry counts this decision in
+    /// (`SHOW METRICS`).
+    pub fn kind(&self) -> DecisionKind {
         match self {
-            PlanDecision::Start { .. } => "start",
-            PlanDecision::Join { .. } => "join",
-            PlanDecision::OrderComparison { .. } => "order_comparison",
-            PlanDecision::Subquery { .. } => "subquery",
-            PlanDecision::AccessPath { .. } => "access_path",
-            PlanDecision::SortElided { .. } => "sort_elided",
-            PlanDecision::Parallel { .. } => "parallel",
-            PlanDecision::Vectorize { .. } => "vectorize",
-            PlanDecision::Feedback { .. } => "feedback",
-            PlanDecision::PartitionedBuild { .. } => "partitioned_build",
+            PlanDecision::Start { .. } => DecisionKind::Start,
+            PlanDecision::Join { .. } => DecisionKind::Join,
+            PlanDecision::OrderComparison { .. } => DecisionKind::OrderComparison,
+            PlanDecision::Subquery { .. } => DecisionKind::Subquery,
+            PlanDecision::AccessPath { .. } => DecisionKind::AccessPath,
+            PlanDecision::SortElided { .. } => DecisionKind::SortElided,
+            PlanDecision::Parallel { .. } => DecisionKind::Parallel,
+            PlanDecision::Vectorize { .. } => DecisionKind::Vectorize,
+            PlanDecision::Feedback { .. } => DecisionKind::Feedback,
+            PlanDecision::PartitionedBuild { .. } => DecisionKind::PartitionedBuild,
         }
     }
 }
@@ -830,7 +830,7 @@ fn shape_into(
 }
 
 /// Simulate a fixed left-deep order, producing its per-step estimates.
-fn simulate_order(
+pub(super) fn simulate_order(
     graph: &JoinGraph,
     est: &Estimator,
     filtered: &[f64],
@@ -882,28 +882,17 @@ fn extension_pool(graph: &JoinGraph, joined: &[bool]) -> Vec<usize> {
     }
 }
 
-/// Choose a left-deep join order. With `reorder` disabled (or a single
-/// relation) the written FROM order is kept, still with per-step estimates.
-/// Otherwise a dynamic program over connected subsets finds the C_out-
-/// cheapest order (greedy fallback past [`DP_MAX_RELATIONS`] relations),
-/// recording every decision. No semi-join hints; see
-/// [`choose_join_order_hinted`].
+/// Choose a left-deep join order: a dynamic program over connected subsets
+/// finds the C_out-cheapest order (greedy fallback past
+/// [`DP_MAX_RELATIONS`] relations), recording every decision; a single
+/// relation leaves nothing to decide. `hints[rel] ∈ (0, 1]` (empty for
+/// none) are per-relation semi-join selectivities: a relation that a
+/// downstream semi-/anti-join will thin out is costed at its reduced
+/// cardinality, so the enumerator can interleave that knowledge into the
+/// order.
 pub fn choose_join_order(
     graph: &JoinGraph,
     est: &Estimator,
-    reorder: bool,
-) -> (JoinOrder, Vec<PlanDecision>) {
-    choose_join_order_hinted(graph, est, reorder, &[])
-}
-
-/// [`choose_join_order`] with per-relation semi-join selectivity hints
-/// (`hints[rel] ∈ (0, 1]`, empty for none): a relation that a downstream
-/// semi-/anti-join will thin out is costed at its reduced cardinality, so
-/// the enumerator can interleave that knowledge into the order.
-pub fn choose_join_order_hinted(
-    graph: &JoinGraph,
-    est: &Estimator,
-    reorder: bool,
     hints: &[f64],
 ) -> (JoinOrder, Vec<PlanDecision>) {
     let n = graph.relations.len();
@@ -916,7 +905,7 @@ pub fn choose_join_order_hinted(
         *rows *= hint.clamp(0.0, 1.0);
     }
     let written_order: Vec<usize> = (0..n).collect();
-    if !reorder || n <= 1 {
+    if n <= 1 {
         return (
             simulate_order(graph, est, &filtered, &written_order),
             Vec::new(),
@@ -948,46 +937,6 @@ pub fn choose_join_order_hinted(
         chosen_cost: chosen.cost(),
         written_cost: written.cost(),
         method,
-    });
-    (chosen, decisions)
-}
-
-/// The greedy left-deep enumerator, kept callable on its own so the DP's
-/// advantage can be measured head-to-head (and used as the fallback for
-/// joins too wide for the subset table).
-pub fn choose_join_order_greedy(
-    graph: &JoinGraph,
-    est: &Estimator,
-    reorder: bool,
-) -> (JoinOrder, Vec<PlanDecision>) {
-    let n = graph.relations.len();
-    let filtered: Vec<f64> = graph
-        .relations
-        .iter()
-        .map(|r| est.relation_rows(r))
-        .collect();
-    let written_order: Vec<usize> = (0..n).collect();
-    if !reorder || n <= 1 {
-        return (
-            simulate_order(graph, est, &filtered, &written_order),
-            Vec::new(),
-        );
-    }
-    let order = greedy_join_order(graph, est, &filtered);
-    let chosen = simulate_order(graph, est, &filtered, &order);
-    let written = simulate_order(graph, est, &filtered, &written_order);
-    if written.cost() < chosen.cost() {
-        let decisions =
-            decisions_for_written_order(graph, &written, &filtered, JoinEnumeration::Greedy);
-        return (written, decisions);
-    }
-    let mut decisions = decisions_for_chosen_order(graph, est, &filtered, &chosen);
-    decisions.push(PlanDecision::OrderComparison {
-        chosen: chosen.aliases(graph),
-        written: written.aliases(graph),
-        chosen_cost: chosen.cost(),
-        written_cost: written.cost(),
-        method: JoinEnumeration::Greedy,
     });
     (chosen, decisions)
 }
@@ -1065,8 +1014,14 @@ fn alias_seq_less(graph: &JoinGraph, prefix: &[usize], last: usize, incumbent: &
 }
 
 /// The greedy walk: start from the smallest filtered estimate, repeatedly
-/// take the connected relation with the smallest join output.
-fn greedy_join_order(graph: &JoinGraph, est: &Estimator, filtered: &[f64]) -> Vec<usize> {
+/// take the connected relation with the smallest join output. The fallback
+/// for joins too wide for the subset table, and the reference the DP is
+/// tested against.
+pub(super) fn greedy_join_order(
+    graph: &JoinGraph,
+    est: &Estimator,
+    filtered: &[f64],
+) -> Vec<usize> {
     let n = graph.relations.len();
     let start = (0..n)
         .min_by(|&a, &b| filtered[a].total_cmp(&filtered[b]))

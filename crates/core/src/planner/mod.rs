@@ -56,17 +56,16 @@ use sqlparse::bind::bind_query;
 use sqlparse::rewrite::flatten_in_subqueries;
 use std::sync::OnceLock;
 
-/// Planner knobs.
+/// Planner options: how many threads and from how many rows, how far off an
+/// estimate must be to be flagged, and the switches whose "off" side is the
+/// naive reference engine the tests and the benchmark's verifier compare
+/// every answer against.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerOptions {
-    /// Reorder joins by estimated cost (on by default). With it off, the
-    /// written FROM order is kept — useful for A/B benchmarks and for
-    /// reproducing the pre-optimizer behaviour.
-    pub reorder_joins: bool,
     /// Decorrelate subqueries into semi-/anti-joins and evaluate-once
     /// scalars (on by default). With it off, every subquery runs through the
-    /// naive per-row `Apply` — useful for A/B benchmarks of the
-    /// decorrelation win.
+    /// naive per-row `Apply` — the reference the decorrelated plans are
+    /// tested against.
     pub decorrelate_subqueries: bool,
     /// Worker threads the executor may use (defaults to the machine's
     /// [`std::thread::available_parallelism`]). 1 disables the
@@ -86,7 +85,7 @@ pub struct PlannerOptions {
     /// Consider index access paths — point/range index scans for sargable
     /// pushed predicates, index-nested-loop joins for tiny outer sides —
     /// recording a [`PlanDecision::AccessPath`] either way (on by default).
-    /// With it off, every access is a full scan: the A/B baseline the
+    /// With it off, every access is a full scan: the reference the
     /// byte-identical-results property tests compare against.
     pub use_indexes: bool,
     /// Factor by which an estimate must be off (in either direction) before
@@ -96,31 +95,14 @@ pub struct PlannerOptions {
     /// Hand eligible filters, aggregates, and hash-join probes to the
     /// columnar batch kernels (on by default), recording a
     /// [`PlanDecision::Vectorize`] either way. With it off, every operator
-    /// runs row-at-a-time: the A/B baseline the byte-identical-results
+    /// runs row-at-a-time: the reference the byte-identical-results
     /// property tests compare against.
     pub use_vectorized: bool,
-    /// Minimum estimated build-side rows before a hash (semi-/anti-)join
-    /// build is hash-partitioned across the exchange's workers. Defaults to
-    /// [`datastore::exec::PARALLEL_BUILD_MIN`].
-    pub parallel_build_min: usize,
-    /// Entry bound of the `Apply` operator's per-binding memoization cache.
-    /// Defaults to [`datastore::exec::APPLY_CACHE_CAP`].
-    pub apply_cache_cap: usize,
-    /// Scan-rows one index-probed row is priced at: an index scan wins a
-    /// base-relation access when `matching_rows × index_scan_ratio ≤
-    /// table_rows`. Defaults to [`INDEX_PROBE_ROW_COST`]; raise it to make
-    /// the planner warier of indexes, lower it to make probes cheaper.
-    pub index_scan_ratio: f64,
-    /// The same coin for index-nested-loop joins: probing the inner index
-    /// once per outer row wins when `outer_rows × inlj_ratio ≤ inner_rows`
-    /// (vs. building a hash table over the inner side). Defaults to
-    /// [`INDEX_PROBE_ROW_COST`].
-    pub inlj_ratio: f64,
     /// Consult the cardinality-feedback store before histogram estimation
     /// (on by default): a predicate shape whose last execution misestimated
     /// by ≥ `misestimate_factor` plans with its *observed* selectivity
     /// instead, recording a [`PlanDecision::Feedback`]. Off restores purely
-    /// statistical estimates — the A/B baseline.
+    /// statistical estimates.
     pub use_feedback: bool,
     /// Cache literal-normalized physical plans per database (on by default):
     /// repeated statements that differ only in equality literals skip
@@ -134,7 +116,6 @@ impl Default for PlannerOptions {
     fn default() -> PlannerOptions {
         static CORES: OnceLock<usize> = OnceLock::new();
         PlannerOptions {
-            reorder_joins: true,
             decorrelate_subqueries: true,
             parallelism: *CORES.get_or_init(|| {
                 std::thread::available_parallelism()
@@ -145,10 +126,6 @@ impl Default for PlannerOptions {
             use_indexes: true,
             misestimate_factor: datastore::exec::MISESTIMATE_FACTOR,
             use_vectorized: true,
-            parallel_build_min: datastore::exec::PARALLEL_BUILD_MIN,
-            apply_cache_cap: datastore::exec::APPLY_CACHE_CAP,
-            index_scan_ratio: INDEX_PROBE_ROW_COST,
-            inlj_ratio: INDEX_PROBE_ROW_COST,
             use_feedback: true,
             use_plan_cache: true,
         }
@@ -156,27 +133,36 @@ impl Default for PlannerOptions {
 }
 
 impl PlannerOptions {
-    /// Every knob that can change the chosen plan, bit for bit: the part of
-    /// a plan-cache entry's identity that says which planner planned it.
+    /// Every option that can change the chosen plan, bit for bit: the part
+    /// of a plan-cache entry's identity that says which planner planned it.
+    /// The destructuring names every field, so a new one does not compile
+    /// until it is placed here.
     pub(crate) fn cache_bits(&self) -> OptionBits {
+        let PlannerOptions {
+            decorrelate_subqueries,
+            parallelism,
+            parallel_row_threshold,
+            use_indexes,
+            misestimate_factor,
+            use_vectorized,
+            use_feedback,
+            // Says whether the cache is consulted at all, not which plan a
+            // consulted cache holds.
+            use_plan_cache: _,
+        } = *self;
         [
-            u64::from(self.reorder_joins)
-                | u64::from(self.decorrelate_subqueries) << 1
-                | u64::from(self.use_indexes) << 2
-                | u64::from(self.use_vectorized) << 3
-                | u64::from(self.use_feedback) << 4,
-            self.parallelism as u64,
-            self.parallel_row_threshold.to_bits(),
-            self.misestimate_factor.to_bits(),
-            self.parallel_build_min as u64,
-            self.apply_cache_cap as u64,
-            self.index_scan_ratio.to_bits(),
-            self.inlj_ratio.to_bits(),
+            u64::from(decorrelate_subqueries)
+                | u64::from(use_indexes) << 1
+                | u64::from(use_vectorized) << 2
+                | u64::from(use_feedback) << 3,
+            parallelism as u64,
+            parallel_row_threshold.to_bits(),
+            misestimate_factor.to_bits(),
         ]
     }
 
     /// Options with parallelism disabled — the single-threaded baseline used
-    /// by A/B benchmarks and order-sensitive golden tests.
+    /// by order-sensitive golden tests.
     pub fn sequential() -> PlannerOptions {
         PlannerOptions {
             parallelism: 1,
@@ -193,8 +179,8 @@ pub struct PlannedQuery {
     /// The flattened AST the plan was built from (differs from the input
     /// when the rewriter removed nesting).
     pub effective_query: SelectStatement,
-    /// The join-order decisions the optimizer took (empty when there was
-    /// nothing to decide — a single relation, or reordering disabled).
+    /// The decisions the optimizer took (empty when there was nothing to
+    /// decide).
     pub decisions: Vec<PlanDecision>,
 }
 
@@ -271,8 +257,7 @@ fn plan_query_impl(
     // Relations a decorrelatable EXISTS/IN will thin out downstream enter
     // the enumeration at their semi-join-reduced cardinality.
     let hints = subquery::semi_join_hints(db, &estimator, &graph, &bound, &where_subs);
-    let (order, mut decisions) =
-        cost::choose_join_order_hinted(&graph, &estimator, options.reorder_joins, &hints);
+    let (order, mut decisions) = cost::choose_join_order(&graph, &estimator, &hints);
     let subctx = subquery::SubqueryContext::new(db, options);
     let scopes = subquery::ScopeChain::root(&subctx);
     let (plan, _columns) = physical::lower_select(
@@ -288,10 +273,8 @@ fn plan_query_impl(
         true,
     )?;
     decisions.extend(subctx.take_decisions());
-    // The vectorize pass stamps the executor knobs (vector kernels, the
-    // partitioned-build threshold, the apply cache cap) onto the lowered
-    // plan — always, so the knobs reach the executor even when the
-    // vectorized kernels themselves are switched off.
+    // The vectorize pass always runs: with the vector kernels switched off
+    // it still records which builds a parallel run would partition.
     let plan = vectorize::vectorize_plan(db, plan, &options, &mut decisions);
     // Parallelization runs last, over the final physical plan: wrap
     // qualifying pipelines in exchanges (pushing aggregation, sorting, and
@@ -317,7 +300,7 @@ fn plan_query_impl(
     // often the optimizer reordered, decorrelated, parallelized, ….
     if record {
         for decision in &decisions {
-            db.obs().record_decision(decision.kind_name());
+            db.obs().record_decision(decision.kind());
         }
     }
     Ok(PlannedQuery {
@@ -533,26 +516,51 @@ mod tests {
     }
 
     #[test]
-    fn reordering_can_be_disabled() {
-        let db = movie_database();
-        let q = parse_query(
-            "select m.title from MOVIES m, CAST c, ACTOR a \
-             where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
-        )
-        .unwrap();
-        let planned = plan_query_with(
-            &db,
-            &q,
+    fn every_plan_affecting_option_changes_the_cache_bits() {
+        let base = PlannerOptions::default();
+        let flipped = [
             PlannerOptions {
-                reorder_joins: false,
-                use_vectorized: false,
-                ..PlannerOptions::sequential()
+                decorrelate_subqueries: !base.decorrelate_subqueries,
+                ..base
             },
-        )
-        .unwrap();
-        assert_eq!(scan_order(&planned.plan), vec!["MOVIES", "CAST", "ACTOR"]);
-        assert!(planned.decisions.is_empty());
-        assert_eq!(execute(&db, &planned.plan).unwrap().len(), 2);
+            PlannerOptions {
+                parallelism: base.parallelism + 1,
+                ..base
+            },
+            PlannerOptions {
+                parallel_row_threshold: base.parallel_row_threshold + 1.0,
+                ..base
+            },
+            PlannerOptions {
+                use_indexes: !base.use_indexes,
+                ..base
+            },
+            PlannerOptions {
+                misestimate_factor: base.misestimate_factor + 1.0,
+                ..base
+            },
+            PlannerOptions {
+                use_vectorized: !base.use_vectorized,
+                ..base
+            },
+            PlannerOptions {
+                use_feedback: !base.use_feedback,
+                ..base
+            },
+        ];
+        // Each differs from the default and from every other: no two options
+        // share a bit, so no two planners share a cache entry.
+        let mut seen = vec![base.cache_bits()];
+        for options in flipped {
+            let bits = options.cache_bits();
+            assert!(!seen.contains(&bits), "aliased cache bits for {options:?}");
+            seen.push(bits);
+        }
+        let uncached = PlannerOptions {
+            use_plan_cache: false,
+            ..base
+        };
+        assert_eq!(uncached.cache_bits(), base.cache_bits());
     }
 
     #[test]
@@ -665,8 +673,18 @@ mod tests {
             let graph = logical::build_join_graph(&db, &q, &bound);
             assert!(graph.relations.len() > 1, "graph degenerate for {sql}");
             let estimator = cost::Estimator::new(&db);
-            let (dp, _) = cost::choose_join_order_hinted(&graph, &estimator, true, &[]);
-            let (greedy, _) = cost::choose_join_order_greedy(&graph, &estimator, true);
+            let (dp, _) = cost::choose_join_order(&graph, &estimator, &[]);
+            let filtered: Vec<f64> = graph
+                .relations
+                .iter()
+                .map(|r| estimator.relation_rows(r))
+                .collect();
+            let greedy = cost::simulate_order(
+                &graph,
+                &estimator,
+                &filtered,
+                &cost::greedy_join_order(&graph, &estimator, &filtered),
+            );
             assert!(
                 dp.cost() <= greedy.cost(),
                 "DP lost to greedy for {sql}: {} > {}",

@@ -345,27 +345,23 @@ fn descend(
             left_keys,
             right_keys,
             vectorized,
-            build_min,
         } => PlanNode::HashJoin {
             left: Box::new(transform(*left, options, decisions, prefix_bounded)),
             right: Box::new(transform(*right, options, decisions, false)),
             left_keys,
             right_keys,
             vectorized,
-            build_min,
         },
         PlanNode::HashSemiJoin {
             left,
             right,
             left_keys,
             right_keys,
-            build_min,
         } => PlanNode::HashSemiJoin {
             left: Box::new(transform(*left, options, decisions, prefix_bounded)),
             right: Box::new(transform(*right, options, decisions, false)),
             left_keys,
             right_keys,
-            build_min,
         },
         PlanNode::HashAntiJoin {
             left,
@@ -373,14 +369,12 @@ fn descend(
             left_keys,
             right_keys,
             null_aware,
-            build_min,
         } => PlanNode::HashAntiJoin {
             left: Box::new(transform(*left, options, decisions, prefix_bounded)),
             right: Box::new(transform(*right, options, decisions, false)),
             left_keys,
             right_keys,
             null_aware,
-            build_min,
         },
         PlanNode::ScalarSubquery {
             input,
@@ -399,7 +393,6 @@ fn descend(
             params,
             mode,
             workers: _,
-            cache_cap,
         } => {
             // The per-binding evaluations are embarrassingly parallel; fan
             // them out when enough bindings are expected to arrive. The
@@ -432,7 +425,6 @@ fn descend(
                 params,
                 mode,
                 workers,
-                cache_cap,
             }
         }
         already @ PlanNode::Exchange { .. } => already,

@@ -65,7 +65,6 @@ pub(super) fn lower_select(
     project: bool,
 ) -> Result<(Plan, Vec<ColumnInfo>), TalkbackError> {
     let use_indexes = scopes.ctx().options.use_indexes;
-    let index_scan_ratio = scopes.ctx().options.index_scan_ratio;
     // Access paths chosen per relation, for the ORDER BY elision peephole:
     // (alias, index, sort column the scan's key order satisfies) — only
     // ordered-index scans with at most one unconstrained key column qualify.
@@ -122,7 +121,7 @@ pub(super) fn lower_select(
             (Vec::new(), Vec::new())
         };
         let path = if use_indexes {
-            access::choose_scan_path(db, estimator, rel, base_rows, &corr_sargs, index_scan_ratio)
+            access::choose_scan_path(db, estimator, rel, base_rows, &corr_sargs)
         } else {
             None
         };
@@ -135,12 +134,7 @@ pub(super) fn lower_select(
                         .as_ref()
                         .is_some_and(|refs| covers(refs, rel, &choice.key_columns));
                 scopes.ctx().record_decision(access::scan_decision(
-                    rel,
-                    &choice,
-                    base_rows,
-                    true,
-                    index_scan_ratio,
-                    index_only,
+                    rel, &choice, base_rows, true, index_only,
                 ));
                 // The scan satisfies an ORDER BY on its first unpinned key
                 // column: with the leading columns pinned by equalities,
@@ -181,14 +175,9 @@ pub(super) fn lower_select(
                 )
             }
             Some(ScanPath::FullScan(choice)) => {
-                scopes.ctx().record_decision(access::scan_decision(
-                    rel,
-                    &choice,
-                    base_rows,
-                    false,
-                    index_scan_ratio,
-                    false,
-                ));
+                scopes
+                    .ctx()
+                    .record_decision(access::scan_decision(rel, &choice, base_rows, false, false));
                 let plan =
                     Plan::scan(rel.table.clone(), rel.alias.clone()).with_estimate(base_rows);
                 (plan, columns, base_rows, Vec::new(), false)
@@ -248,8 +237,7 @@ pub(super) fn lower_select(
                 left_pos,
             ) {
                 let inner_rows = estimator.relation_rows(rel);
-                let inlj_ratio = scopes.ctx().options.inlj_ratio;
-                let chosen = access::prefer_index_join(rows, inner_rows, inlj_ratio);
+                let chosen = access::prefer_index_join(rows, inner_rows);
                 scopes.ctx().record_decision(PlanDecision::AccessPath {
                     alias: rel.alias.clone(),
                     table: rel.table.clone(),
@@ -259,7 +247,7 @@ pub(super) fn lower_select(
                     estimated_rows: rows,
                     table_rows: inner_rows,
                     chosen,
-                    ratio: inlj_ratio,
+                    ratio: access::INDEX_PROBE_ROW_COST,
                     parameterized: false,
                     index_only: false,
                 });

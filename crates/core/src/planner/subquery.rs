@@ -406,7 +406,7 @@ impl<'c> SubqueryContext<'c> {
             strategy,
             on,
             correlated_on,
-            cache_cap: self.options.apply_cache_cap.max(1),
+            cache_cap: datastore::exec::APPLY_CACHE_CAP,
         });
     }
 
@@ -432,12 +432,7 @@ impl<'c> SubqueryContext<'c> {
         let (stripped, where_subs, having_subs) = split_subqueries(&effective);
         let graph = build_join_graph(self.db, &stripped, &bound);
         let hints = semi_join_hints(self.db, estimator, &graph, &bound, &where_subs);
-        let (order, _) = super::cost::choose_join_order_hinted(
-            &graph,
-            estimator,
-            self.options.reorder_joins,
-            &hints,
-        );
+        let (order, _) = super::cost::choose_join_order(&graph, estimator, &hints);
         let (plan, columns) = lower_select(
             self.db,
             &stripped,

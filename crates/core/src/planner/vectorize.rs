@@ -1,6 +1,5 @@
-//! The vectorize pass: stamp executor knobs onto the lowered physical plan,
-//! and decide — on the record — which operators run on the typed column
-//! kernels.
+//! The vectorize pass: decide — on the record — which operators of the
+//! lowered physical plan run on the typed column kernels.
 //!
 //! Runs after physical lowering and before parallelization, walking the plan
 //! bottom-up:
@@ -19,22 +18,20 @@
 //! * Hash joins compute probe keys column-major (the key kernel has a
 //!   per-column fallback, so it is always applicable — no decision logged).
 //!
-//! Independent of the vectorized A/B knob, the pass threads two planner
-//! knobs down to the executor: [`PlannerOptions::parallel_build_min`] (the
-//! minimum build-side rows before a parallel plan hash-partitions a join
-//! build across workers, recorded as [`PlanDecision::PartitionedBuild`] when
-//! parallelism is on) and [`PlannerOptions::apply_cache_cap`] (the apply
-//! operator's memo-cache capacity).
+//! Whatever [`PlannerOptions::use_vectorized`] says, the pass also records,
+//! when parallelism is on, whether each hash-join build side clears
+//! [`PARALLEL_BUILD_MIN`] — the executor's floor for hash-partitioning a
+//! build across workers — as a [`PlanDecision::PartitionedBuild`].
 
 use super::cost::PlanDecision;
 use super::PlannerOptions;
 use datastore::exec::stream::render_expr;
-use datastore::exec::{ColumnInfo, Plan, PlanNode, VectorPredicate};
+use datastore::exec::{ColumnInfo, Plan, PlanNode, VectorPredicate, PARALLEL_BUILD_MIN};
 use datastore::expr::Expr;
 use datastore::{DataType, Database, Value};
 
 /// Apply the vectorize pass (always runs; the vector flags are only set when
-/// `options.use_vectorized`, but the build/cache knobs are stamped either
+/// `options.use_vectorized`, but partitioned builds are recorded either
 /// way).
 pub(super) fn vectorize_plan(
     db: &Database,
@@ -96,7 +93,6 @@ fn walk(
             left_keys,
             right_keys,
             vectorized: _,
-            build_min: _,
         } => {
             let left = walk(db, *left, options, decisions);
             let right = walk(db, *right, options, decisions);
@@ -107,7 +103,6 @@ fn walk(
                 left_keys,
                 right_keys,
                 vectorized: options.use_vectorized,
-                build_min: options.parallel_build_min.max(1),
             }
         }
         PlanNode::HashSemiJoin {
@@ -115,7 +110,6 @@ fn walk(
             right,
             left_keys,
             right_keys,
-            build_min: _,
         } => {
             let left = walk(db, *left, options, decisions);
             let right = walk(db, *right, options, decisions);
@@ -125,7 +119,6 @@ fn walk(
                 right: Box::new(right),
                 left_keys,
                 right_keys,
-                build_min: options.parallel_build_min.max(1),
             }
         }
         PlanNode::HashAntiJoin {
@@ -134,7 +127,6 @@ fn walk(
             left_keys,
             right_keys,
             null_aware,
-            build_min: _,
         } => {
             let left = walk(db, *left, options, decisions);
             let right = walk(db, *right, options, decisions);
@@ -145,7 +137,6 @@ fn walk(
                 left_keys,
                 right_keys,
                 null_aware,
-                build_min: options.parallel_build_min.max(1),
             }
         }
         PlanNode::IndexNestedLoopJoin {
@@ -225,14 +216,12 @@ fn walk(
             params,
             mode,
             workers,
-            cache_cap: _,
         } => PlanNode::Apply {
             input: Box::new(walk(db, *input, options, decisions)),
             subplan: Box::new(walk(db, *subplan, options, decisions)),
             params,
             mode,
             workers,
-            cache_cap: options.apply_cache_cap.max(1),
         },
         PlanNode::Exchange {
             input,
@@ -288,8 +277,8 @@ fn decide_filter(
     vectorized
 }
 
-/// Record whether a join's build side clears the partitioned-build knob.
-/// Only meaningful when the plan may go parallel, and only possible when the
+/// Record whether a join's build side clears [`PARALLEL_BUILD_MIN`]. Only
+/// meaningful when the plan may go parallel, and only possible when the
 /// build side has an estimate.
 fn record_build(build: &Plan, options: &PlannerOptions, decisions: &mut Vec<PlanDecision>) {
     if options.parallelism <= 1 {
@@ -298,12 +287,11 @@ fn record_build(build: &Plan, options: &PlannerOptions, decisions: &mut Vec<Plan
     let Some(est) = build.estimated_rows else {
         return;
     };
-    let build_min = options.parallel_build_min.max(1);
     decisions.push(PlanDecision::PartitionedBuild {
         target: base_desc(build),
         estimated_rows: est,
-        build_min,
-        partitioned: est >= build_min as f64,
+        build_min: PARALLEL_BUILD_MIN,
+        partitioned: est >= PARALLEL_BUILD_MIN as f64,
     });
 }
 

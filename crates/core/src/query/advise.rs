@@ -16,7 +16,7 @@
 //! likely culprit — a plan change, a cache-invalidation epoch, or plain
 //! data growth.
 
-use crate::planner::{self, PlannerOptions};
+use crate::planner::{self, PlannerOptions, INDEX_PROBE_ROW_COST};
 use crate::query::show::{table_of, ShowReport};
 use datastore::exec::{Plan, PlanNode};
 use datastore::index::{Index, IndexDef, IndexKind};
@@ -79,47 +79,45 @@ fn est_rows(plan: &Plan) -> f64 {
 }
 
 /// Estimated cost of a physical plan in "row touches" — the same currency
-/// the planner's access-path ratios are denominated in. Deliberately simple:
+/// [`INDEX_PROBE_ROW_COST`] is denominated in. Deliberately simple:
 /// it only needs to *rank* a hypothetical index against the baseline plan,
 /// and both sides go through the identical model, so systematic error
 /// cancels.
-pub(crate) fn plan_cost(plan: &Plan, options: &PlannerOptions) -> f64 {
+pub(crate) fn plan_cost(plan: &Plan) -> f64 {
     let out = est_rows(plan);
     match &plan.node {
         PlanNode::Scan { .. } | PlanNode::Values { .. } => out.max(1.0),
-        PlanNode::IndexScan { .. } => 1.0 + out * options.index_scan_ratio.max(0.01),
+        PlanNode::IndexScan { .. } => 1.0 + out * INDEX_PROBE_ROW_COST,
         PlanNode::IndexNestedLoopJoin { left, .. } => {
             let probes = est_rows(left).max(1.0);
-            plan_cost(left, options) + probes * options.inlj_ratio.max(0.01) + out
+            plan_cost(left) + probes * INDEX_PROBE_ROW_COST + out
         }
         PlanNode::Apply { input, subplan, .. } => {
             let bindings = est_rows(input).max(1.0);
-            plan_cost(input, options) + bindings * plan_cost(subplan, options) + out
+            plan_cost(input) + bindings * plan_cost(subplan) + out
         }
         PlanNode::ScalarSubquery { input, subplan, .. } => {
-            plan_cost(input, options) + plan_cost(subplan, options) + out
+            plan_cost(input) + plan_cost(subplan) + out
         }
         PlanNode::Sort { input, .. } => {
             let n = est_rows(input).max(1.0);
-            plan_cost(input, options) + n * (n + 2.0).log2()
+            plan_cost(input) + n * (n + 2.0).log2()
         }
         PlanNode::Filter { input, .. }
         | PlanNode::Project { input, .. }
         | PlanNode::Aggregate { input, .. }
         | PlanNode::Limit { input, .. }
         | PlanNode::Distinct { input }
-        | PlanNode::Exchange { input, .. } => plan_cost(input, options) + out,
+        | PlanNode::Exchange { input, .. } => plan_cost(input) + out,
         PlanNode::NestedLoopJoin { left, right, .. } => {
-            plan_cost(left, options)
-                + plan_cost(right, options)
+            plan_cost(left)
+                + plan_cost(right)
                 + est_rows(left).max(1.0) * est_rows(right).max(1.0) * 0.01
                 + out
         }
         PlanNode::HashJoin { left, right, .. }
         | PlanNode::HashSemiJoin { left, right, .. }
-        | PlanNode::HashAntiJoin { left, right, .. } => {
-            plan_cost(left, options) + plan_cost(right, options) + out
-        }
+        | PlanNode::HashAntiJoin { left, right, .. } => plan_cost(left) + plan_cost(right) + out,
     }
 }
 
@@ -431,7 +429,7 @@ fn best_candidate_for(
 ) -> Option<Recommendation> {
     let query = sqlparse::parse_query(&stat.last_sql).ok()?;
     let base = planner::plan_query_what_if(db, &query, *options, Vec::new()).ok()?;
-    let base_cost = plan_cost(&base.plan, options).max(1.0);
+    let base_cost = plan_cost(&base.plan).max(1.0);
     let mut best: Option<(f64, Candidate, String)> = None;
     for cand in synthesize_candidates(&query) {
         if already_covered(db, &cand) {
@@ -446,7 +444,7 @@ fn best_candidate_for(
         if !plan_uses_index(&what_if.plan, &name) {
             continue;
         }
-        let cost = plan_cost(&what_if.plan, options).max(0.01);
+        let cost = plan_cost(&what_if.plan).max(0.01);
         if cost >= base_cost * IMPROVEMENT_CEILING {
             continue;
         }

@@ -167,7 +167,7 @@ impl Uncacheable {
 }
 
 /// Words in [`OptionBits`].
-pub const OPTION_WORDS: usize = 8;
+pub const OPTION_WORDS: usize = 4;
 
 /// The planner knobs an entry was planned under, bit for bit and opaque to
 /// the cache: the same text planned under different options must not share

@@ -123,16 +123,10 @@ fn split_chunks(mut rows: Vec<Row>, workers: usize) -> Vec<Vec<Row>> {
 impl JoinIndex {
     /// Build from materialized build-side rows. NULL keys never participate
     /// in SQL equality and are dropped. With `workers > 1` and at least
-    /// `build_min` rows ([`PARALLEL_BUILD_MIN`] by default, a planner knob)
-    /// the build is partitioned by key hash and each partition's table is
-    /// built by its own thread.
-    pub fn build(
-        rows: Vec<Row>,
-        key_cols: &[usize],
-        workers: usize,
-        build_min: usize,
-    ) -> JoinIndex {
-        if workers <= 1 || rows.len() < build_min {
+    /// [`PARALLEL_BUILD_MIN`] rows the build is partitioned by key hash and
+    /// each partition's table is built by its own thread.
+    pub fn build(rows: Vec<Row>, key_cols: &[usize], workers: usize) -> JoinIndex {
+        if workers <= 1 || rows.len() < PARALLEL_BUILD_MIN {
             let mut map: HashMap<Vec<GroupKey>, Vec<Row>> = HashMap::new();
             for row in rows {
                 let key = row.group_key(key_cols);
@@ -232,17 +226,11 @@ pub struct SemiBuild {
 
 impl SemiBuild {
     /// Build the key set from materialized build-side rows. With
-    /// `workers > 1` and at least `build_min` rows ([`PARALLEL_BUILD_MIN`]
-    /// by default, a planner knob), keys are hash-partitioned and each
-    /// partition's set is built by its own thread.
-    pub fn build(
-        rows: Vec<Row>,
-        key_cols: &[usize],
-        workers: usize,
-        build_min: usize,
-    ) -> SemiBuild {
+    /// `workers > 1` and at least [`PARALLEL_BUILD_MIN`] rows, keys are
+    /// hash-partitioned and each partition's set is built by its own thread.
+    pub fn build(rows: Vec<Row>, key_cols: &[usize], workers: usize) -> SemiBuild {
         let any_rows = !rows.is_empty();
-        if workers <= 1 || rows.len() < build_min {
+        if workers <= 1 || rows.len() < PARALLEL_BUILD_MIN {
             let mut keys: HashSet<Vec<GroupKey>> = HashSet::new();
             let mut null_key = false;
             for row in rows {
@@ -1007,8 +995,8 @@ mod tests {
         let rows: Vec<Row> = (0..10_000)
             .map(|i| Row::new(vec![Value::int(i % 97), Value::int(i)]))
             .collect();
-        let sequential = JoinIndex::build(rows.clone(), &[0], 1, PARALLEL_BUILD_MIN);
-        let parallel = JoinIndex::build(rows, &[0], 4, PARALLEL_BUILD_MIN);
+        let sequential = JoinIndex::build(rows.clone(), &[0], 1);
+        let parallel = JoinIndex::build(rows, &[0], 4);
         assert_eq!(sequential.partitions(), 1);
         assert_eq!(parallel.partitions(), 4);
         assert_eq!(sequential.key_count(), parallel.key_count());
@@ -1029,8 +1017,8 @@ mod tests {
             .map(|i| Row::new(vec![Value::int(i % 211)]))
             .collect();
         rows.push(Row::new(vec![Value::Null]));
-        let sequential = SemiBuild::build(rows.clone(), &[0], 1, PARALLEL_BUILD_MIN);
-        let parallel = SemiBuild::build(rows, &[0], 4, PARALLEL_BUILD_MIN);
+        let sequential = SemiBuild::build(rows.clone(), &[0], 1);
+        let parallel = SemiBuild::build(rows, &[0], 4);
         assert_eq!(sequential.key_count(), 211);
         assert_eq!(parallel.key_count(), 211);
         assert!(sequential.any_rows && parallel.any_rows);
@@ -1048,7 +1036,7 @@ mod tests {
             Row::new(vec![Value::Null]),
             Row::new(vec![Value::int(1)]),
         ];
-        let index = JoinIndex::build(rows, &[0], 1, PARALLEL_BUILD_MIN);
+        let index = JoinIndex::build(rows, &[0], 1);
         assert_eq!(index.key_count(), 1);
         assert_eq!(
             index.lookup(&[Value::int(1).group_key()]).map(<[Row]>::len),

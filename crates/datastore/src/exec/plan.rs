@@ -228,9 +228,6 @@ pub enum PlanNode {
         right_keys: Vec<usize>,
         /// Compute probe keys batch-at-a-time with the typed kernels.
         vectorized: bool,
-        /// Minimum build-side rows before a parallel plan partitions the
-        /// hash-table build across workers (planner knob).
-        build_min: usize,
     },
     /// Grouped aggregation. With an empty `group_by`, produces a single row.
     Aggregate {
@@ -260,8 +257,6 @@ pub enum PlanNode {
         right: Box<Plan>,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
-        /// Minimum build-side rows before a parallel build (planner knob).
-        build_min: usize,
     },
     /// Anti-join: emit each left row with *no* key match on the right side —
     /// a decorrelated `NOT EXISTS` (and, with `null_aware`, `NOT IN`).
@@ -277,8 +272,6 @@ pub enum PlanNode {
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
         null_aware: bool,
-        /// Minimum build-side rows before a parallel build (planner knob).
-        build_min: usize,
     },
     /// Uncorrelated scalar subquery used as a filter: evaluate `subplan`
     /// exactly once (it must yield at most one row; zero rows is SQL NULL),
@@ -306,9 +299,6 @@ pub enum PlanNode {
         /// distinct bindings of one input batch are embarrassingly
         /// parallel). 1 = evaluate sequentially.
         workers: usize,
-        /// Maximum distinct-binding results kept in the memo cache before
-        /// eviction (planner knob).
-        cache_cap: usize,
     },
     /// Morsel-driven parallel execution of a pipeline: the subtree's driver
     /// scan (its leftmost leaf) is split into row-range morsels, `workers`
@@ -512,7 +502,6 @@ impl Plan {
             left_keys,
             right_keys,
             vectorized: false,
-            build_min: crate::exec::parallel::PARALLEL_BUILD_MIN,
         }
         .into()
     }
@@ -529,7 +518,6 @@ impl Plan {
             right: Box::new(right),
             left_keys,
             right_keys,
-            build_min: crate::exec::parallel::PARALLEL_BUILD_MIN,
         }
         .into()
     }
@@ -549,7 +537,6 @@ impl Plan {
             left_keys,
             right_keys,
             null_aware,
-            build_min: crate::exec::parallel::PARALLEL_BUILD_MIN,
         }
         .into()
     }
@@ -575,18 +562,8 @@ impl Plan {
             params,
             mode,
             workers: 1,
-            cache_cap: crate::exec::stream::APPLY_CACHE_CAP,
         }
         .into()
-    }
-
-    /// Set the memo-cache capacity of an `Apply` root (no-op on other
-    /// operators).
-    pub fn with_cache_cap(mut self, cap: usize) -> Plan {
-        if let PlanNode::Apply { cache_cap, .. } = &mut self.node {
-            *cache_cap = cap.max(1);
-        }
-        self
     }
 
     /// Mark a `Filter`, `Aggregate`, or `HashJoin` root as vectorized
@@ -596,18 +573,6 @@ impl Plan {
             PlanNode::Filter { vectorized, .. }
             | PlanNode::Aggregate { vectorized, .. }
             | PlanNode::HashJoin { vectorized, .. } => *vectorized = true,
-            _ => {}
-        }
-        self
-    }
-
-    /// Set the parallel-build threshold of a hash/semi/anti join root
-    /// (no-op on other operators).
-    pub fn with_build_min(mut self, n: usize) -> Plan {
-        match &mut self.node {
-            PlanNode::HashJoin { build_min, .. }
-            | PlanNode::HashSemiJoin { build_min, .. }
-            | PlanNode::HashAntiJoin { build_min, .. } => *build_min = n.max(1),
             _ => {}
         }
         self
@@ -724,27 +689,23 @@ impl Plan {
                 left_keys,
                 right_keys,
                 vectorized,
-                build_min,
             } => PlanNode::HashJoin {
                 left: Box::new(left.bind_params(bindings)),
                 right: Box::new(right.bind_params(bindings)),
                 left_keys: left_keys.clone(),
                 right_keys: right_keys.clone(),
                 vectorized: *vectorized,
-                build_min: *build_min,
             },
             PlanNode::HashSemiJoin {
                 left,
                 right,
                 left_keys,
                 right_keys,
-                build_min,
             } => PlanNode::HashSemiJoin {
                 left: Box::new(left.bind_params(bindings)),
                 right: Box::new(right.bind_params(bindings)),
                 left_keys: left_keys.clone(),
                 right_keys: right_keys.clone(),
-                build_min: *build_min,
             },
             PlanNode::HashAntiJoin {
                 left,
@@ -752,14 +713,12 @@ impl Plan {
                 left_keys,
                 right_keys,
                 null_aware,
-                build_min,
             } => PlanNode::HashAntiJoin {
                 left: Box::new(left.bind_params(bindings)),
                 right: Box::new(right.bind_params(bindings)),
                 left_keys: left_keys.clone(),
                 right_keys: right_keys.clone(),
                 null_aware: *null_aware,
-                build_min: *build_min,
             },
             PlanNode::Aggregate {
                 input,
@@ -802,14 +761,12 @@ impl Plan {
                 params,
                 mode,
                 workers,
-                cache_cap,
             } => PlanNode::Apply {
                 input: Box::new(input.bind_params(bindings)),
                 subplan: Box::new(subplan.bind_params(bindings)),
                 params: params.clone(),
                 mode: mode.map_exprs(&|e| e.substitute_params(bindings)),
                 workers: *workers,
-                cache_cap: *cache_cap,
             },
             PlanNode::Exchange {
                 input,

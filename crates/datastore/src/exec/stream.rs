@@ -638,7 +638,6 @@ pub(crate) fn open_in(
             left_keys,
             right_keys,
             vectorized,
-            build_min,
         } => {
             let shared = env.alloc_cell();
             let left = open_in(ctx, left, env, driver_range)?;
@@ -670,7 +669,6 @@ pub(crate) fn open_in(
                 left_keys: left_keys.clone(),
                 right_keys: right_keys.clone(),
                 vectorized: *vectorized,
-                build_min: *build_min,
                 columns,
                 detail,
                 build: None,
@@ -771,7 +769,6 @@ pub(crate) fn open_in(
             right,
             left_keys,
             right_keys,
-            build_min,
         } => Box::new(SemiJoinSource::open(
             ctx,
             env,
@@ -782,7 +779,6 @@ pub(crate) fn open_in(
             right_keys,
             false,
             false,
-            *build_min,
             est,
         )?),
         PlanNode::HashAntiJoin {
@@ -791,7 +787,6 @@ pub(crate) fn open_in(
             left_keys,
             right_keys,
             null_aware,
-            build_min,
         } => Box::new(SemiJoinSource::open(
             ctx,
             env,
@@ -802,7 +797,6 @@ pub(crate) fn open_in(
             right_keys,
             true,
             *null_aware,
-            *build_min,
             est,
         )?),
         PlanNode::ScalarSubquery {
@@ -848,7 +842,6 @@ pub(crate) fn open_in(
             params,
             mode,
             workers,
-            cache_cap,
         } => {
             let input = open_in(ctx, input, env, driver_range)?;
             // Open the unbound template once: this validates the subplan and
@@ -879,7 +872,6 @@ pub(crate) fn open_in(
                 params: params.clone(),
                 mode: mode.clone(),
                 workers: (*workers).max(1),
-                cache_cap: (*cache_cap).max(1),
                 detail,
                 sub_profile: sub_template,
                 cache: HashMap::new(),
@@ -1734,9 +1726,6 @@ struct HashJoinSource {
     right_keys: Vec<usize>,
     /// Compute probe keys column-major over each batch.
     vectorized: bool,
-    /// Minimum build rows before the build is hash-partitioned across the
-    /// enclosing exchange's workers.
-    build_min: usize,
     columns: Vec<ColumnInfo>,
     detail: String,
     /// Hash index over the build (right) side, built on first pull: key →
@@ -1761,7 +1750,6 @@ impl HashJoinSource {
         let meter = &mut self.meter;
         let right_keys = &self.right_keys;
         let build_workers = self.shared.as_ref().map(|(s, _)| s.workers()).unwrap_or(1);
-        let build_min = self.build_min;
         let obs = Arc::clone(&self.obs);
         let construct = || -> Result<SharedBuild, StoreError> {
             let mut rows = Vec::new();
@@ -1776,7 +1764,6 @@ impl HashJoinSource {
                 rows,
                 right_keys,
                 build_workers,
-                build_min,
             ))))
         };
         let (built, waited) = build_or_share(&self.shared, construct)?;
@@ -2410,9 +2397,6 @@ struct SemiJoinSource {
     right_keys: Vec<usize>,
     anti: bool,
     null_aware: bool,
-    /// Minimum build rows before the key set is hash-partitioned across the
-    /// enclosing exchange's workers.
-    build_min: usize,
     columns: Vec<ColumnInfo>,
     detail: String,
     /// Key set plus NULL-semantics flags, shared across the workers of an
@@ -2436,7 +2420,6 @@ impl SemiJoinSource {
         right_keys: &[usize],
         anti: bool,
         null_aware: bool,
-        build_min: usize,
         est: Option<f64>,
     ) -> Result<SemiJoinSource, StoreError> {
         let shared = env.alloc_cell();
@@ -2472,7 +2455,6 @@ impl SemiJoinSource {
             right_keys: right_keys.to_vec(),
             anti,
             null_aware,
-            build_min,
             columns,
             detail,
             build: None,
@@ -2491,7 +2473,6 @@ impl SemiJoinSource {
         let right_keys = &self.right_keys;
         let meter = &mut self.meter;
         let build_workers = self.shared.as_ref().map(|(s, _)| s.workers()).unwrap_or(1);
-        let build_min = self.build_min;
         let obs = Arc::clone(&self.obs);
         let construct = || -> Result<SharedBuild, StoreError> {
             let mut rows = Vec::new();
@@ -2504,7 +2485,6 @@ impl SemiJoinSource {
                 rows,
                 right_keys,
                 build_workers,
-                build_min,
             ))))
         };
         let (built, waited) = build_or_share(&self.shared, construct)?;
@@ -2724,8 +2704,8 @@ enum SubResult {
 /// The correlated-subquery fallback: for each input row, substitute the
 /// row's correlation values into the subplan, execute it, and keep the row
 /// when `mode` says so. Results are cached per distinct parameter binding,
-/// bounded at `cache_cap` entries ([`APPLY_CACHE_CAP`] by default;
-/// oldest-first eviction, surfaced in the cache tally). The distinct uncached bindings of one input batch
+/// bounded at [`APPLY_CACHE_CAP`] entries (oldest-first eviction, surfaced
+/// in the cache tally). The distinct uncached bindings of one input batch
 /// are independent of each other — with `workers > 1` they are evaluated in
 /// parallel on worker threads.
 struct ApplySource {
@@ -2739,8 +2719,6 @@ struct ApplySource {
     mode: ApplyMode,
     /// Threads for per-binding subquery evaluations (1 = sequential).
     workers: usize,
-    /// Memoization-cache bound (entries), from the planner's knob.
-    cache_cap: usize,
     detail: String,
     /// Template profile of the subplan, accumulating every execution's
     /// counters (same tree shape as each bound execution).
@@ -2892,12 +2870,12 @@ impl ApplySource {
         Ok(row_keys)
     }
 
-    /// Evict oldest cache entries down to the configured cache cap. Called after
+    /// Evict oldest cache entries down to [`APPLY_CACHE_CAP`]. Called after
     /// a batch's verdicts, so entries the current batch needs are never
     /// evicted out from under it.
     fn enforce_cache_cap(&mut self) {
         let before = self.evictions;
-        while self.cache.len() > self.cache_cap {
+        while self.cache.len() > APPLY_CACHE_CAP {
             let Some(oldest) = self.cache_order.pop_front() else {
                 break;
             };

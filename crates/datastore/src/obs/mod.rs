@@ -138,6 +138,55 @@ impl Counter {
     }
 }
 
+/// The kinds of decision the planner records, one atomic slot each: how
+/// often the optimizer reordered, decorrelated, parallelized, ….
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum DecisionKind {
+    Start,
+    Join,
+    OrderComparison,
+    Subquery,
+    AccessPath,
+    SortElided,
+    Parallel,
+    Vectorize,
+    Feedback,
+    PartitionedBuild,
+}
+
+impl DecisionKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [DecisionKind; 10] = [
+        DecisionKind::Start,
+        DecisionKind::Join,
+        DecisionKind::OrderComparison,
+        DecisionKind::Subquery,
+        DecisionKind::AccessPath,
+        DecisionKind::SortElided,
+        DecisionKind::Parallel,
+        DecisionKind::Vectorize,
+        DecisionKind::Feedback,
+        DecisionKind::PartitionedBuild,
+    ];
+
+    /// Stable snake_case name, used as the key in `SHOW METRICS`.
+    pub fn name(self) -> &'static str {
+        match self {
+            DecisionKind::Start => "start",
+            DecisionKind::Join => "join",
+            DecisionKind::OrderComparison => "order_comparison",
+            DecisionKind::Subquery => "subquery",
+            DecisionKind::AccessPath => "access_path",
+            DecisionKind::SortElided => "sort_elided",
+            DecisionKind::Parallel => "parallel",
+            DecisionKind::Vectorize => "vectorize",
+            DecisionKind::Feedback => "feedback",
+            DecisionKind::PartitionedBuild => "partitioned_build",
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Latency histograms
 // ---------------------------------------------------------------------------
@@ -604,7 +653,7 @@ pub struct ObsRegistry {
     enabled: AtomicBool,
     counters: [AtomicU64; Counter::ALL.len()],
     latency: [LatencyHistogram; Phase::ALL.len()],
-    decisions: Mutex<BTreeMap<String, u64>>,
+    decisions: [AtomicU64; DecisionKind::ALL.len()],
     /// [`Counter::PlanCacheUncacheable`] by reason, in [`Uncacheable::ALL`]
     /// order.
     uncacheable: [AtomicU64; Uncacheable::ALL.len()],
@@ -626,7 +675,7 @@ impl ObsRegistry {
             enabled: AtomicBool::new(true),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: std::array::from_fn(|_| LatencyHistogram::default()),
-            decisions: Mutex::new(BTreeMap::new()),
+            decisions: std::array::from_fn(|_| AtomicU64::new(0)),
             uncacheable: std::array::from_fn(|_| AtomicU64::new(0)),
             journal: Journal::new(journal_cap),
             misestimates: Mutex::new(BTreeMap::new()),
@@ -640,8 +689,7 @@ impl ObsRegistry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turn collection on or off (the A/B knob the `observability` bench
-    /// measures overhead with).
+    /// Turn collection on or off.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -666,18 +714,24 @@ impl ObsRegistry {
         self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
-    /// Record one planner decision by kind ("join order", "access path", …).
-    pub fn record_decision(&self, kind: &str) {
+    /// Record one planner decision by kind.
+    pub fn record_decision(&self, kind: DecisionKind) {
         if !self.enabled() {
             return;
         }
-        let mut decisions = self.decisions.lock().expect("decisions lock");
-        *decisions.entry(kind.to_string()).or_insert(0) += 1;
+        self.decisions[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Planner decision counts by kind.
+    /// Planner decision counts by kind name (kinds never recorded are left
+    /// out).
     pub fn decisions(&self) -> BTreeMap<String, u64> {
-        self.decisions.lock().expect("decisions lock").clone()
+        DecisionKind::ALL
+            .into_iter()
+            .filter_map(|kind| {
+                let n = self.decisions[kind as usize].load(Ordering::Relaxed);
+                (n > 0).then(|| (kind.name().to_string(), n))
+            })
+            .collect()
     }
 
     /// Count one statement a negative plan-cache entry sent straight to the
@@ -922,7 +976,7 @@ mod tests {
         assert_eq!(reg.counter(Counter::RowsScanned), 5);
         reg.set_enabled(false);
         reg.add(Counter::RowsScanned, 5);
-        reg.record_decision("join order");
+        reg.record_decision(DecisionKind::Join);
         reg.record_latency(Phase::Total, Duration::from_micros(10));
         assert_eq!(reg.counter(Counter::RowsScanned), 5);
         assert!(reg.decisions().is_empty());

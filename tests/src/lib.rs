@@ -3,6 +3,10 @@
 //! The actual tests live in `tests/tests/*.rs`; this library only exposes a
 //! couple of tiny helpers shared between those test files.
 
+use datastore::exec::ResultSet;
+use datastore::obs::Counter;
+use talkback::{PlannerOptions, Talkback};
+
 /// Normalize whitespace so narrative comparisons are robust to incidental
 /// spacing differences (double spaces, trailing spaces before punctuation).
 pub fn squash_ws(s: &str) -> String {
@@ -12,6 +16,24 @@ pub fn squash_ws(s: &str) -> String {
 /// Case-insensitive "does the narrative mention this phrase" helper.
 pub fn mentions(haystack: &str, needle: &str) -> bool {
     haystack.to_lowercase().contains(&needle.to_lowercase())
+}
+
+/// Run `sql` once and say what the executor read for it, from the registry's
+/// counters either side of the run: the answer, rows scanned, index probes.
+/// Counted work reads the same in a debug build on a loaded machine, which a
+/// wall-clock ratio does not.
+pub fn counted_run(system: &Talkback, sql: &str, options: PlannerOptions) -> (ResultSet, u64, u64) {
+    let obs = system.database().obs();
+    let read = || {
+        (
+            obs.counter(Counter::RowsScanned),
+            obs.counter(Counter::IndexProbes),
+        )
+    };
+    let before = read();
+    let answer = system.run_query_with(sql, options).unwrap();
+    let after = read();
+    (answer, after.0 - before.0, after.1 - before.1)
 }
 
 /// Replace every duration token (`412 µs`, `3.8 ms`, `1.20 s`) with `<t>`

@@ -10,12 +10,16 @@
 
 use datastore::obs::Counter;
 use datastore::sample::movie_database;
-use datastore::{CacheStatus, ColumnDef, DataType, Database, TableSchema, Uncacheable, Value};
+use datastore::{
+    CacheStatus, ColumnDef, DataType, Database, IndexDef, IndexKind, TableSchema, Uncacheable,
+    Value,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use talkback::{PlanDecision, PlannerOptions, Talkback};
+use talkback_tests::counted_run;
 
-/// The paper's nine example queries (same SQL as the bench fixtures).
+/// The paper's nine example queries (same SQL as the indexes suite).
 const PAPER_QUERIES: &[&str] = &[
     "select m.title from MOVIES m, CAST c, ACTOR a \
      where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
@@ -173,6 +177,77 @@ fn misestimated_join_replans_on_second_run() {
     );
 }
 
+/// The other direction: an *over*estimate. `category` holds two values, so
+/// uniform NDV expects `category = 'rare'` to keep half of FACTS — far too
+/// many for the index on it to look worthwhile — when it keeps 1 row in 100.
+/// After one run the planner knows, probes the index, and the executor reads
+/// the matching rows instead of the table; the answer does not change.
+#[test]
+fn overestimated_filter_switches_to_the_index_and_reads_fewer_rows() {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "FACTS",
+            vec![
+                ColumnDef::new("id", DataType::Integer),
+                ColumnDef::new("category", DataType::Text),
+            ],
+        )
+        .with_primary_key(&["id"]),
+    )
+    .unwrap();
+    for i in 0..2000i64 {
+        let category = if i % 100 == 0 { "rare" } else { "common" };
+        db.insert("FACTS", vec![Value::int(i), Value::text(category)])
+            .unwrap();
+    }
+    db.create_index(IndexDef::single(
+        "facts_by_category",
+        "FACTS",
+        "category",
+        IndexKind::Ordered,
+    ))
+    .unwrap();
+    let system = Talkback::new(db);
+    let sql = "select f.id from FACTS f where f.category = 'rare'";
+    // The plan cache would replay the first plan's template; this test is
+    // about what the planner does with what it learned.
+    let options = PlannerOptions {
+        use_plan_cache: false,
+        ..sequential()
+    };
+    // The two plans may hand the rows on in different orders.
+    let run = || {
+        let (answer, scanned, probes) = counted_run(&system, sql, options);
+        let mut rows = answer.rows;
+        rows.sort_by_key(|r| format!("{r:?}"));
+        (rows, scanned, probes)
+    };
+
+    let before = system.explain_plan_with(sql, options).unwrap();
+    assert!(
+        !before.tree.contains("index scan"),
+        "first plan should trust the statistics and scan:\n{}",
+        before.tree
+    );
+    let (first_rows, first_scanned, first_probes) = run();
+    assert_eq!(first_rows.len(), 20);
+    assert_eq!((first_scanned, first_probes), (2000, 0));
+
+    let after = system.explain_plan_with(sql, options).unwrap();
+    assert!(
+        after.tree.contains("index scan"),
+        "corrected plan should probe the category index:\n{}",
+        after.tree
+    );
+    let (corrected_rows, corrected_scanned, corrected_probes) = run();
+    assert_eq!(
+        corrected_rows, first_rows,
+        "replanning never changes the answer"
+    );
+    assert_eq!((corrected_scanned, corrected_probes), (20, 1));
+}
+
 /// The corrected shape shows up in `SHOW MISESTIMATES` once the planner has
 /// actually applied the override.
 #[test]
@@ -221,12 +296,17 @@ fn repeated_point_lookups_hit_the_plan_cache() {
     assert_eq!(obs.counter(Counter::PlanCacheMisses), 1);
     assert_eq!(obs.counter(Counter::PlanCacheHits), 0);
 
-    // Different literal, same normalized statement: served from the cache.
+    // Different literal, same normalized statement: served from the cache,
+    // and nothing was planned — the miss recorded its decisions, the hit
+    // records none.
+    let planned = obs.decisions();
+    assert!(!planned.is_empty());
     let second = system
         .run_query_with("select m.title from MOVIES m where m.id = 3", sequential())
         .unwrap();
     assert_eq!(obs.counter(Counter::PlanCacheHits), 1);
     assert_eq!(obs.counter(Counter::PlanCacheMisses), 1);
+    assert_eq!(obs.decisions(), planned);
 
     // The literals were really re-bound — these are different movies.
     assert_ne!(first.rows, second.rows);

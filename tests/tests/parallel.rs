@@ -10,7 +10,7 @@ use sqlparse::parse_query;
 use talkback::{plan_query_with, PlannerOptions};
 use templates::Lexicon;
 
-/// The paper's nine example queries (same SQL as the bench fixtures).
+/// The paper's nine example queries (same SQL as the indexes suite).
 const PAPER_QUERIES: &[&str] = &[
     "select m.title from MOVIES m, CAST c, ACTOR a \
      where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
@@ -106,8 +106,12 @@ fn per_worker_counters_aggregate_to_single_threaded_totals() {
     let q = parse_query(sql).unwrap();
     let sequential = plan_query_with(&db, &q, PlannerOptions::sequential()).unwrap();
     let parallel = plan_query_with(&db, &q, forced(4)).unwrap();
-    let (_, seq_profile) = execute_with_stats(&db, &sequential.plan).unwrap();
-    let (_, par_profile) = execute_with_stats(&db, &parallel.plan).unwrap();
+    let (seq_rows, seq_profile) = execute_with_stats(&db, &sequential.plan).unwrap();
+    let (par_rows, par_profile) = execute_with_stats(&db, &parallel.plan).unwrap();
+    // CAST's 15,000 rows clear the partitioned-build floor, so this is also
+    // the hash-partitioned build against the one-piece build: same rows,
+    // same order.
+    assert_eq!(seq_rows.rows, par_rows.rows);
     // The parallel plan really did parallelize — the profile reports the
     // workers actually spawned (the 3000-row ACTOR driver yields 3
     // ≥1024-row morsels, so 3 of the 4 requested threads ran).
