@@ -20,8 +20,8 @@ use crate::error::TalkbackError;
 use datastore::stats::{histogram, summarize_column, top_values};
 use datastore::{Database, ForeignKey, NamedRow, Value};
 use nlg::{
-    finish_sentence, join_sentences, merge_same_subject, split_pattern_sentence, Clause,
-    ContentComplexity, PronounPlanner, Referent, Style, StylePolicy,
+    finish_sentence, join_sentences, split_pattern_sentence, Clause, ContentComplexity,
+    PronounPlanner, Referent, Style, StylePolicy,
 };
 use schemagraph::{dfs_traversal, SchemaGraph, TraversalConfig};
 use templates::{
@@ -648,12 +648,6 @@ pub fn rank_tuples(db: &Database, relation: &str, k: usize) -> Vec<usize> {
         .collect();
     scored.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     scored.into_iter().take(k).map(|(i, _)| i).collect()
-}
-
-/// Clauses merged per same subject from attribute descriptions of several
-/// tuples — exposed for the benches that measure aggregation cost.
-pub fn merge_tuple_clauses(clauses: Vec<Clause>) -> Vec<Clause> {
-    merge_same_subject(&clauses)
 }
 
 #[cfg(test)]

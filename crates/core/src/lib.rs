@@ -19,7 +19,7 @@
 //!   ASCII tree plus a natural-language narration of what the executor did;
 //! * [`pipeline`] — §2.1: the simulated speech-in / speech-out accessibility
 //!   loop;
-//! * [`narrative_metrics`] — expressiveness/effectiveness proxies used by
+//! * [`mod@narrative_metrics`] — expressiveness/effectiveness proxies used by
 //!   the benchmark harness (narrative quality, not engine counters — those
 //!   live in [`datastore::obs`] and answer to `SHOW METRICS`);
 //! * [`Talkback`] — a facade bundling all of the above for one database.
@@ -180,8 +180,8 @@ impl Talkback {
     }
 
     /// [`Talkback::explain_plan`] with explicit planner options (pin a
-    /// parallelism degree for reproducible plan trees, disable reordering,
-    /// …).
+    /// parallelism degree for reproducible plan trees, switch to the
+    /// full-scan or row-at-a-time reference engine, …).
     pub fn explain_plan_with(
         &self,
         sql: &str,

@@ -260,7 +260,7 @@ fn plan_query_impl(
     let (order, mut decisions) = cost::choose_join_order(&graph, &estimator, &hints);
     let subctx = subquery::SubqueryContext::new(db, options);
     let scopes = subquery::ScopeChain::root(&subctx);
-    let (plan, _columns) = physical::lower_select(
+    let (mut plan, _columns) = physical::lower_select(
         db,
         &stripped,
         &bound,
@@ -275,12 +275,12 @@ fn plan_query_impl(
     decisions.extend(subctx.take_decisions());
     // The vectorize pass always runs: with the vector kernels switched off
     // it still records which builds a parallel run would partition.
-    let plan = vectorize::vectorize_plan(db, plan, &options, &mut decisions);
+    vectorize::vectorize_plan(db, &mut plan, &options, &mut decisions);
     // Parallelization runs last, over the final physical plan: wrap
     // qualifying pipelines in exchanges (pushing aggregation, sorting, and
     // top-k below them when profitable) and fan out qualifying applies,
     // recording each choice (including the choice not to).
-    let plan = parallel::parallelize_plan(plan, &options, &mut decisions);
+    parallel::parallelize_plan(&mut plan, &options, &mut decisions);
     // Feedback overrides precede every other choice temporally — they
     // changed the estimates the enumeration ran on — so they lead the
     // decision list; each is also counted and marked on the misestimate
@@ -342,72 +342,21 @@ mod tests {
     /// The operator names of every node in the plan tree (pre-order,
     /// subplans included).
     fn operator_names(plan: &Plan) -> Vec<&'static str> {
-        fn walk(plan: &Plan, out: &mut Vec<&'static str>) {
-            out.push(plan.operator_name());
-            match &plan.node {
-                PlanNode::Scan { .. } | PlanNode::Values { .. } | PlanNode::IndexScan { .. } => {}
-                PlanNode::IndexNestedLoopJoin { left, .. } => walk(left, out),
-                PlanNode::Filter { input, .. }
-                | PlanNode::Project { input, .. }
-                | PlanNode::Sort { input, .. }
-                | PlanNode::Limit { input, .. }
-                | PlanNode::Distinct { input }
-                | PlanNode::Exchange { input, .. }
-                | PlanNode::Aggregate { input, .. } => walk(input, out),
-                PlanNode::HashJoin { left, right, .. }
-                | PlanNode::NestedLoopJoin { left, right, .. }
-                | PlanNode::HashSemiJoin { left, right, .. }
-                | PlanNode::HashAntiJoin { left, right, .. } => {
-                    walk(left, out);
-                    walk(right, out);
-                }
-                PlanNode::ScalarSubquery { input, subplan, .. }
-                | PlanNode::Apply { input, subplan, .. } => {
-                    walk(input, out);
-                    walk(subplan, out);
-                }
-            }
-        }
         let mut out = Vec::new();
-        walk(plan, &mut out);
+        plan.walk(&mut |p| out.push(p.operator_name()));
         out
     }
 
-    /// The table names of the plan's scans, left-deep order.
+    /// The table names of the plan's scans, left-deep order (an index
+    /// nested-loop join's probed table after its outer side).
     fn scan_order(plan: &Plan) -> Vec<String> {
-        fn walk(plan: &Plan, out: &mut Vec<String>) {
-            match &plan.node {
-                PlanNode::Scan { table, .. } | PlanNode::IndexScan { table, .. } => {
-                    out.push(table.clone())
-                }
-                PlanNode::IndexNestedLoopJoin { left, table, .. } => {
-                    walk(left, out);
-                    out.push(table.clone());
-                }
-                PlanNode::HashJoin { left, right, .. }
-                | PlanNode::NestedLoopJoin { left, right, .. }
-                | PlanNode::HashSemiJoin { left, right, .. }
-                | PlanNode::HashAntiJoin { left, right, .. } => {
-                    walk(left, out);
-                    walk(right, out);
-                }
-                PlanNode::Filter { input, .. }
-                | PlanNode::Project { input, .. }
-                | PlanNode::Sort { input, .. }
-                | PlanNode::Limit { input, .. }
-                | PlanNode::Distinct { input }
-                | PlanNode::Exchange { input, .. }
-                | PlanNode::Aggregate { input, .. } => walk(input, out),
-                PlanNode::ScalarSubquery { input, subplan, .. }
-                | PlanNode::Apply { input, subplan, .. } => {
-                    walk(input, out);
-                    walk(subplan, out);
-                }
-                PlanNode::Values { .. } => {}
-            }
+        let mut out: Vec<String> = plan.children().flat_map(|(_, c)| scan_order(c)).collect();
+        if let PlanNode::Scan { table, .. }
+        | PlanNode::IndexScan { table, .. }
+        | PlanNode::IndexNestedLoopJoin { table, .. } = &plan.node
+        {
+            out.push(table.clone());
         }
-        let mut out = Vec::new();
-        walk(plan, &mut out);
         out
     }
 
@@ -572,37 +521,13 @@ mod tests {
         )
         .unwrap();
         let planned = plan_query(&db, &q).unwrap();
-        fn assert_estimated(plan: &Plan) {
+        planned.plan.walk(&mut |p| {
             assert!(
-                plan.estimated_rows.is_some(),
+                p.estimated_rows.is_some(),
                 "operator {} missing an estimate",
-                plan.operator_name()
-            );
-            match &plan.node {
-                PlanNode::IndexNestedLoopJoin { left, .. } => assert_estimated(left),
-                PlanNode::HashJoin { left, right, .. }
-                | PlanNode::NestedLoopJoin { left, right, .. }
-                | PlanNode::HashSemiJoin { left, right, .. }
-                | PlanNode::HashAntiJoin { left, right, .. } => {
-                    assert_estimated(left);
-                    assert_estimated(right);
-                }
-                PlanNode::Filter { input, .. }
-                | PlanNode::Project { input, .. }
-                | PlanNode::Sort { input, .. }
-                | PlanNode::Limit { input, .. }
-                | PlanNode::Distinct { input }
-                | PlanNode::Exchange { input, .. }
-                | PlanNode::Aggregate { input, .. } => assert_estimated(input),
-                PlanNode::ScalarSubquery { input, subplan, .. }
-                | PlanNode::Apply { input, subplan, .. } => {
-                    assert_estimated(input);
-                    assert_estimated(subplan);
-                }
-                PlanNode::Scan { .. } | PlanNode::Values { .. } | PlanNode::IndexScan { .. } => {}
-            }
-        }
-        assert_estimated(&planned.plan);
+                p.operator_name()
+            )
+        });
     }
 
     #[test]
@@ -896,16 +821,13 @@ mod tests {
         )
         .unwrap();
         let planned = plan_query(&db, &q).unwrap();
-        fn find_hash_keys(plan: &Plan) -> Option<usize> {
-            match &plan.node {
-                PlanNode::HashJoin { left_keys, .. } => Some(left_keys.len()),
-                PlanNode::Project { input, .. } | PlanNode::Filter { input, .. } => {
-                    find_hash_keys(input)
-                }
-                _ => None,
+        let mut hash_keys = Vec::new();
+        planned.plan.walk(&mut |p| {
+            if let PlanNode::HashJoin { left_keys, .. } = &p.node {
+                hash_keys.push(left_keys.len());
             }
-        }
-        assert_eq!(find_hash_keys(&planned.plan), Some(2));
+        });
+        assert_eq!(hash_keys, [2]);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The parallelization pass: decide — cost-aware, and on the record — which
 //! parts of a lowered physical plan go morsel-parallel.
 //!
-//! Runs after physical lowering (and the subquery pass), walking the final
-//! plan top-down:
+//! Runs after physical lowering (and the subquery pass), rewriting the final
+//! plan in place, top-down, over [`Plan::children_mut`] (the traversal
+//! contract — edge roles, visit order — is documented on [`Plan`]; which
+//! operators are pipeline material is [`Plan::is_pipeline_op`]):
 //!
 //! * The largest subtree made only of *pipeline* operators (scan, filter,
 //!   project, hash/nested-loop join, semi-/anti-join, scalar subquery) whose
@@ -31,7 +33,8 @@
 
 use super::cost::{ParallelKind, PlanDecision};
 use super::PlannerOptions;
-use datastore::exec::{GatherMode, Plan, PlanNode};
+use datastore::exec::{Edge, GatherMode, Plan, PlanNode};
+use std::mem;
 
 /// Default minimum estimated driver rows before a pipeline (or apply) is
 /// parallelized: below this, thread startup costs more than it saves.
@@ -39,61 +42,77 @@ pub const PARALLEL_ROW_THRESHOLD: f64 = 1024.0;
 
 /// Apply the parallelization pass (no-op when `options.parallelism <= 1`).
 pub(super) fn parallelize_plan(
-    plan: Plan,
+    plan: &mut Plan,
     options: &PlannerOptions,
     decisions: &mut Vec<PlanDecision>,
-) -> Plan {
-    if options.parallelism <= 1 {
-        return plan;
+) {
+    if options.parallelism > 1 {
+        transform(plan, options, decisions, false);
     }
-    transform(plan, options, decisions, false)
 }
 
 fn transform(
-    plan: Plan,
+    plan: &mut Plan,
     options: &PlannerOptions,
     decisions: &mut Vec<PlanDecision>,
     prefix_bounded: bool,
-) -> Plan {
+) {
     // A `LIMIT` with no blocking operator below it only needs a prefix of
     // its input; an exchange would eagerly run the whole pipeline before the
     // limit takes its first row, destroying the streaming executor's
     // early-termination guarantee. Keep such regions sequential (silently —
     // there is no cost decision to narrate, the shape forbids it).
-    if prefix_bounded && is_pipeline_subtree(&plan) {
-        return plan;
+    if prefix_bounded && is_pipeline_subtree(plan) {
+        return;
     }
     // A blocking operator sitting directly on a pipeline? Push it below the
     // exchange as a gather mode instead of leaving it to consume a gathered
     // stream single-threaded.
-    let plan = match try_pushdown(plan, options, decisions) {
-        Ok(done) => return done,
-        Err(plan) => *plan,
-    };
+    if try_pushdown(plan, options, decisions) {
+        return;
+    }
     // A pipeline region rooted here? Decide for the whole region at once —
     // wrapping the largest qualifying subtree keeps every operator of the
     // pipeline (filters, probes, projections) inside the morsel loop.
-    if is_pipeline_subtree(&plan) {
-        if let Some((driver_desc, driver_rows)) = driver_scan(&plan) {
-            let parallelized = driver_rows >= options.parallel_row_threshold;
-            decisions.push(PlanDecision::Parallel {
-                kind: ParallelKind::Pipeline,
-                target: format!("the scan of {driver_desc}"),
-                workers: options.parallelism,
-                estimated_rows: driver_rows,
-                threshold: options.parallel_row_threshold,
-                parallelized,
-            });
-            if parallelized {
-                return plan.exchange(options.parallelism);
-            }
-            return plan;
-        }
+    if is_pipeline_subtree(plan) {
         // No stats or no stored-table driver: nothing to weigh, stay
         // sequential without narrating a non-decision.
-        return plan;
+        if let Some((desc, rows)) = driver_scan(plan) {
+            let target = format!("the scan of {desc}");
+            if decide(ParallelKind::Pipeline, target, rows, options, decisions) {
+                *plan = take(plan).exchange(options.parallelism);
+            }
+        }
+        return;
     }
     descend(plan, options, decisions, prefix_bounded)
+}
+
+/// Record one [`PlanDecision::Parallel`] — taken or not — and return whether
+/// `rows` clears the threshold.
+fn decide(
+    kind: ParallelKind,
+    target: String,
+    rows: f64,
+    options: &PlannerOptions,
+    decisions: &mut Vec<PlanDecision>,
+) -> bool {
+    let parallelized = rows >= options.parallel_row_threshold;
+    decisions.push(PlanDecision::Parallel {
+        kind,
+        target,
+        workers: options.parallelism,
+        estimated_rows: rows,
+        threshold: options.parallel_row_threshold,
+        parallelized,
+    });
+    parallelized
+}
+
+/// Move a plan out of its slot to wrap it, leaving an empty row set for the
+/// caller to overwrite.
+fn take(plan: &mut Plan) -> Plan {
+    mem::replace(plan, Plan::values(Vec::new(), Vec::new()))
 }
 
 /// Push a blocking operator below an exchange over its pipeline input, as a
@@ -101,90 +120,51 @@ fn transform(
 /// bare sort becomes a merge of per-worker sorted runs, and an aggregate
 /// becomes per-worker partial aggregation with a merging gather.
 ///
-/// `Ok` means the decision was made here — one recorded
+/// `true` means the decision was made here — one recorded
 /// [`PlanDecision::Parallel`] whether or not an exchange was produced (the
 /// pushdown decision subsumes the pipeline decision at the same site).
-/// `Err` hands the plan back untouched for the normal walk.
+/// `false` leaves the plan untouched for the normal walk.
 fn try_pushdown(
-    plan: Plan,
+    plan: &mut Plan,
     options: &PlannerOptions,
     decisions: &mut Vec<PlanDecision>,
-) -> Result<Plan, Box<Plan>> {
-    let est = plan.estimated_rows;
-    match plan.node {
+) -> bool {
+    let workers = options.parallelism;
+    let mut exchange = match &mut plan.node {
         // `LIMIT k` directly over a sort: each worker only ever needs its
         // morsels' best k rows, so the sort collapses into a bounded top-k
         // gather and the limit above trims the merged runs.
-        PlanNode::Limit { input, n } if matches!(input.node, PlanNode::Sort { .. }) => {
-            let sort_est = input.estimated_rows;
-            let PlanNode::Sort { input: pipe, keys } = input.node else {
-                unreachable!("guard matched a sort");
+        PlanNode::Limit { input: sort, n } => {
+            let PlanNode::Sort { input: pipe, keys } = &mut sort.node else {
+                return false;
             };
-            let rebuild = |pipe: Box<Plan>, keys| {
-                let sort = Plan {
-                    node: PlanNode::Sort { input: pipe, keys },
-                    estimated_rows: sort_est,
+            let Some((desc, rows)) = pushdown_driver(pipe) else {
+                return false;
+            };
+            let target = format!("the top-{n} sort over {desc}");
+            if decide(ParallelKind::TopK, target, rows, options, decisions) {
+                let gather = GatherMode::TopK {
+                    keys: mem::take(keys),
+                    limit: *n,
                 };
-                Plan {
-                    node: PlanNode::Limit {
-                        input: Box::new(sort),
-                        n,
-                    },
-                    estimated_rows: est,
-                }
-            };
-            let Some((desc, rows)) = pushdown_driver(&pipe) else {
-                return Err(Box::new(rebuild(pipe, keys)));
-            };
-            let parallelized = rows >= options.parallel_row_threshold;
-            decisions.push(PlanDecision::Parallel {
-                kind: ParallelKind::TopK,
-                target: format!("the top-{n} sort over {desc}"),
-                workers: options.parallelism,
-                estimated_rows: rows,
-                threshold: options.parallel_row_threshold,
-                parallelized,
-            });
-            if !parallelized {
-                return Ok(rebuild(pipe, keys));
+                let mut exchange = take(pipe).exchange_gather(workers, gather);
+                exchange.estimated_rows = sort.estimated_rows;
+                **sort = exchange;
             }
-            let mut exch =
-                (*pipe).exchange_gather(options.parallelism, GatherMode::TopK { keys, limit: n });
-            exch.estimated_rows = sort_est;
-            Ok(Plan {
-                node: PlanNode::Limit {
-                    input: Box::new(exch),
-                    n,
-                },
-                estimated_rows: est,
-            })
+            return true;
         }
         // A bare sort over a pipeline: workers sort their own runs, the
         // gather merges them — the exchange subsumes the sort node.
         PlanNode::Sort { input: pipe, keys } => {
-            let rebuild = |pipe: Box<Plan>, keys| Plan {
-                node: PlanNode::Sort { input: pipe, keys },
-                estimated_rows: est,
+            let Some((desc, rows)) = pushdown_driver(pipe) else {
+                return false;
             };
-            let Some((desc, rows)) = pushdown_driver(&pipe) else {
-                return Err(Box::new(rebuild(pipe, keys)));
-            };
-            let parallelized = rows >= options.parallel_row_threshold;
-            decisions.push(PlanDecision::Parallel {
-                kind: ParallelKind::MergeSort,
-                target: format!("the sort over {desc}"),
-                workers: options.parallelism,
-                estimated_rows: rows,
-                threshold: options.parallel_row_threshold,
-                parallelized,
-            });
-            if !parallelized {
-                return Ok(rebuild(pipe, keys));
+            let target = format!("the sort over {desc}");
+            if !decide(ParallelKind::MergeSort, target, rows, options, decisions) {
+                return true;
             }
-            let mut exch =
-                (*pipe).exchange_gather(options.parallelism, GatherMode::MergeSort { keys });
-            exch.estimated_rows = est;
-            Ok(exch)
+            let keys = mem::take(keys);
+            take(pipe).exchange_gather(workers, GatherMode::MergeSort { keys })
         }
         // An aggregate over a pipeline: workers build partial aggregates per
         // morsel, the gather merges them in morsel order and applies the
@@ -196,56 +176,32 @@ fn try_pushdown(
             having,
             vectorized,
         } => {
-            let Some((desc, rows)) = pushdown_driver(&pipe) else {
-                return Err(Box::new(Plan {
-                    node: PlanNode::Aggregate {
-                        input: pipe,
-                        group_by,
-                        aggregates,
-                        having,
-                        vectorized,
-                    },
-                    estimated_rows: est,
-                }));
+            let Some((desc, rows)) = pushdown_driver(pipe) else {
+                return false;
             };
-            let parallelized = rows >= options.parallel_row_threshold;
-            decisions.push(PlanDecision::Parallel {
-                kind: ParallelKind::PartialAggregate,
-                target: format!("the aggregation over {desc}"),
-                workers: options.parallelism,
-                estimated_rows: rows,
-                threshold: options.parallel_row_threshold,
-                parallelized,
-            });
-            if !parallelized {
-                return Ok(Plan {
-                    node: PlanNode::Aggregate {
-                        input: pipe,
-                        group_by,
-                        aggregates,
-                        having,
-                        vectorized,
-                    },
-                    estimated_rows: est,
-                });
+            let target = format!("the aggregation over {desc}");
+            if !decide(
+                ParallelKind::PartialAggregate,
+                target,
+                rows,
+                options,
+                decisions,
+            ) {
+                return true;
             }
-            let mut exch = (*pipe).exchange_gather(
-                options.parallelism,
-                GatherMode::MergeAggregate {
-                    group_by,
-                    aggregates,
-                    having,
-                    vectorized,
-                },
-            );
-            exch.estimated_rows = est;
-            Ok(exch)
+            let gather = GatherMode::MergeAggregate {
+                group_by: mem::take(group_by),
+                aggregates: mem::take(aggregates),
+                having: having.take(),
+                vectorized: *vectorized,
+            };
+            take(pipe).exchange_gather(workers, gather)
         }
-        node => Err(Box::new(Plan {
-            node,
-            estimated_rows: est,
-        })),
-    }
+        _ => return false,
+    };
+    exchange.estimated_rows = plan.estimated_rows;
+    *plan = exchange;
+    true
 }
 
 /// The pushdown qualification: the blocking operator's input must be a pure
@@ -257,244 +213,63 @@ fn pushdown_driver(pipe: &Plan) -> Option<(String, f64)> {
     driver_scan(pipe)
 }
 
-/// Rebuild `plan` with its children transformed (used when the node itself
-/// is not part of a pipeline region). `prefix_bounded` flows down streaming
-/// edges (unary inputs, join probe sides) and resets below blocking
-/// operators, which consume their whole input regardless of any limit
-/// above.
+/// Transform the children of a node that is not itself part of a pipeline
+/// region. `prefix_bounded` flows down the driver edge and resets below
+/// blocking operators, which consume their whole input regardless of any
+/// limit above, and on build sides and subplans, which are consumed whole.
 fn descend(
-    plan: Plan,
+    plan: &mut Plan,
     options: &PlannerOptions,
     decisions: &mut Vec<PlanDecision>,
     prefix_bounded: bool,
-) -> Plan {
-    let est = plan.estimated_rows;
-    let node = match plan.node {
-        leaf @ (PlanNode::Scan { .. } | PlanNode::Values { .. } | PlanNode::IndexScan { .. }) => {
-            leaf
-        }
-        PlanNode::IndexNestedLoopJoin {
-            left,
-            table,
-            alias,
-            index,
-            left_key,
-        } => PlanNode::IndexNestedLoopJoin {
-            left: Box::new(transform(*left, options, decisions, prefix_bounded)),
-            table,
-            alias,
-            index,
-            left_key,
-        },
-        PlanNode::Filter {
-            input,
-            predicate,
-            vectorized,
-        } => PlanNode::Filter {
-            input: Box::new(transform(*input, options, decisions, prefix_bounded)),
-            predicate,
-            vectorized,
-        },
-        PlanNode::Project {
-            input,
-            exprs,
-            columns,
-        } => PlanNode::Project {
-            input: Box::new(transform(*input, options, decisions, prefix_bounded)),
-            exprs,
-            columns,
-        },
-        PlanNode::Aggregate {
-            input,
-            group_by,
-            aggregates,
-            having,
-            vectorized,
-        } => PlanNode::Aggregate {
-            input: Box::new(transform(*input, options, decisions, false)),
-            group_by,
-            aggregates,
-            having,
-            vectorized,
-        },
-        PlanNode::Sort { input, keys } => PlanNode::Sort {
-            input: Box::new(transform(*input, options, decisions, false)),
-            keys,
-        },
-        PlanNode::Limit { input, n } => PlanNode::Limit {
-            input: Box::new(transform(*input, options, decisions, true)),
-            n,
-        },
-        PlanNode::Distinct { input } => PlanNode::Distinct {
-            // DISTINCT streams, but it may also need its whole input to
-            // satisfy a prefix; conservatively keep the bound.
-            input: Box::new(transform(*input, options, decisions, prefix_bounded)),
-        },
-        PlanNode::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => PlanNode::NestedLoopJoin {
-            left: Box::new(transform(*left, options, decisions, prefix_bounded)),
-            right: Box::new(transform(*right, options, decisions, false)),
-            predicate,
-        },
-        PlanNode::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            vectorized,
-        } => PlanNode::HashJoin {
-            left: Box::new(transform(*left, options, decisions, prefix_bounded)),
-            right: Box::new(transform(*right, options, decisions, false)),
-            left_keys,
-            right_keys,
-            vectorized,
-        },
-        PlanNode::HashSemiJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-        } => PlanNode::HashSemiJoin {
-            left: Box::new(transform(*left, options, decisions, prefix_bounded)),
-            right: Box::new(transform(*right, options, decisions, false)),
-            left_keys,
-            right_keys,
-        },
-        PlanNode::HashAntiJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            null_aware,
-        } => PlanNode::HashAntiJoin {
-            left: Box::new(transform(*left, options, decisions, prefix_bounded)),
-            right: Box::new(transform(*right, options, decisions, false)),
-            left_keys,
-            right_keys,
-            null_aware,
-        },
-        PlanNode::ScalarSubquery {
-            input,
-            subplan,
-            expr,
-            op,
-        } => PlanNode::ScalarSubquery {
-            input: Box::new(transform(*input, options, decisions, prefix_bounded)),
-            subplan: Box::new(transform(*subplan, options, decisions, false)),
-            expr,
-            op,
-        },
-        PlanNode::Apply {
-            input,
-            subplan,
-            params,
-            mode,
-            workers: _,
-        } => {
-            // The per-binding evaluations are embarrassingly parallel; fan
-            // them out when enough bindings are expected to arrive. The
-            // subplan itself runs per binding and stays sequential inside
-            // each worker.
-            let binding_rows = input.estimated_rows;
-            let input = Box::new(transform(*input, options, decisions, prefix_bounded));
-            let workers = match binding_rows {
-                Some(rows) => {
-                    let parallelized = rows >= options.parallel_row_threshold;
-                    decisions.push(PlanDecision::Parallel {
-                        kind: ParallelKind::Apply,
-                        target: "the per-row subquery evaluations of the apply".to_string(),
-                        workers: options.parallelism,
-                        estimated_rows: rows,
-                        threshold: options.parallel_row_threshold,
-                        parallelized,
-                    });
-                    if parallelized {
-                        options.parallelism
-                    } else {
-                        1
-                    }
-                }
-                None => 1,
-            };
-            PlanNode::Apply {
-                input,
-                subplan,
-                params,
-                mode,
-                workers,
+) {
+    if let PlanNode::Apply { input, workers, .. } = &mut plan.node {
+        // The per-binding evaluations are embarrassingly parallel; fan
+        // them out when enough bindings are expected to arrive. The
+        // subplan itself runs per binding and stays sequential inside
+        // each worker.
+        let binding_rows = input.estimated_rows;
+        transform(input, options, decisions, prefix_bounded);
+        let target = "the per-row subquery evaluations of the apply".to_string();
+        *workers = match binding_rows {
+            Some(rows) if decide(ParallelKind::Apply, target, rows, options, decisions) => {
+                options.parallelism
             }
-        }
-        already @ PlanNode::Exchange { .. } => already,
+            _ => 1,
+        };
+        return;
+    }
+    let driver_bounded = match &plan.node {
+        PlanNode::Exchange { .. } => return,
+        PlanNode::Aggregate { .. } | PlanNode::Sort { .. } => false,
+        PlanNode::Limit { .. } => true,
+        // Everything else streams — DISTINCT too, though it may also need
+        // its whole input to satisfy a prefix; conservatively keep the bound.
+        _ => prefix_bounded,
     };
-    Plan {
-        node,
-        estimated_rows: est,
+    for (edge, child) in plan.children_mut() {
+        let bounded = edge == Edge::Driver && driver_bounded;
+        transform(child, options, decisions, bounded);
     }
 }
 
 /// True when every operator of the subtree belongs to the morsel-parallel
-/// pipeline set. Blocking operators (sort/aggregate/limit/distinct) carry
-/// cross-morsel state; `Apply` parallelizes internally instead.
+/// pipeline set ([`Plan::is_pipeline_op`]).
 fn is_pipeline_subtree(plan: &Plan) -> bool {
-    match &plan.node {
-        PlanNode::Scan { .. } | PlanNode::Values { .. } => true,
-        // A key-ordered index scan exists to *preserve* an order a sort was
-        // elided for; morsel gathering would destroy it, so it is not
-        // pipeline material. Position-ordered index scans partition fine.
-        PlanNode::IndexScan { order, .. } => *order == datastore::index::ProbeOrder::Position,
-        PlanNode::IndexNestedLoopJoin { left, .. } => is_pipeline_subtree(left),
-        PlanNode::Filter { input, .. } | PlanNode::Project { input, .. } => {
-            is_pipeline_subtree(input)
-        }
-        PlanNode::NestedLoopJoin { left, right, .. }
-        | PlanNode::HashJoin { left, right, .. }
-        | PlanNode::HashSemiJoin { left, right, .. }
-        | PlanNode::HashAntiJoin { left, right, .. } => {
-            is_pipeline_subtree(left) && is_pipeline_subtree(right)
-        }
-        PlanNode::ScalarSubquery { input, subplan, .. } => {
-            is_pipeline_subtree(input) && is_pipeline_subtree(subplan)
-        }
-        PlanNode::Sort { .. }
-        | PlanNode::Limit { .. }
-        | PlanNode::Distinct { .. }
-        | PlanNode::Aggregate { .. }
-        | PlanNode::Apply { .. }
-        | PlanNode::Exchange { .. } => false,
-    }
+    plan.is_pipeline_op() && plan.children().all(|(_, child)| is_pipeline_subtree(child))
 }
 
-/// The driver scan (leftmost leaf) of a pipeline subtree, as a description
-/// and its estimated base rows. `None` when the leftmost leaf is not a
-/// stored-table scan or carries no estimate.
+/// The driver scan of a pipeline subtree ([`Plan::driver_scan`]), as a
+/// description and its estimated base rows. `None` when the leftmost leaf is
+/// not a stored-table scan or carries no estimate.
 fn driver_scan(plan: &Plan) -> Option<(String, f64)> {
-    match &plan.node {
-        PlanNode::Scan { table, alias }
-        | PlanNode::IndexScan {
-            table,
-            alias,
-            order: datastore::index::ProbeOrder::Position,
-            ..
-        } => {
-            let desc = if alias.eq_ignore_ascii_case(table) {
-                table.clone()
-            } else {
-                format!("{table} as {alias}")
-            };
-            plan.estimated_rows.map(|rows| (desc, rows))
-        }
-        PlanNode::Filter { input, .. } | PlanNode::Project { input, .. } => driver_scan(input),
-        PlanNode::NestedLoopJoin { left, .. }
-        | PlanNode::HashJoin { left, .. }
-        | PlanNode::HashSemiJoin { left, .. }
-        | PlanNode::HashAntiJoin { left, .. }
-        | PlanNode::IndexNestedLoopJoin { left, .. } => driver_scan(left),
-        PlanNode::ScalarSubquery { input, .. } => driver_scan(input),
-        _ => None,
-    }
+    let (table, alias, rows) = plan.driver_scan()?;
+    let desc = if alias.eq_ignore_ascii_case(table) {
+        table.to_string()
+    } else {
+        format!("{table} as {alias}")
+    };
+    rows.map(|rows| (desc, rows))
 }
 
 #[cfg(test)]
@@ -511,36 +286,18 @@ mod tests {
 
     fn count_exchanges(plan: &Plan) -> usize {
         let mut n = 0;
-        fn walk(plan: &Plan, n: &mut usize) {
-            if matches!(plan.node, PlanNode::Exchange { .. }) {
-                *n += 1;
-            }
-            match &plan.node {
-                PlanNode::Scan { .. } | PlanNode::Values { .. } | PlanNode::IndexScan { .. } => {}
-                PlanNode::IndexNestedLoopJoin { left, .. } => walk(left, n),
-                PlanNode::Filter { input, .. }
-                | PlanNode::Project { input, .. }
-                | PlanNode::Sort { input, .. }
-                | PlanNode::Limit { input, .. }
-                | PlanNode::Distinct { input }
-                | PlanNode::Exchange { input, .. }
-                | PlanNode::Aggregate { input, .. } => walk(input, n),
-                PlanNode::NestedLoopJoin { left, right, .. }
-                | PlanNode::HashJoin { left, right, .. }
-                | PlanNode::HashSemiJoin { left, right, .. }
-                | PlanNode::HashAntiJoin { left, right, .. } => {
-                    walk(left, n);
-                    walk(right, n);
-                }
-                PlanNode::ScalarSubquery { input, subplan, .. }
-                | PlanNode::Apply { input, subplan, .. } => {
-                    walk(input, n);
-                    walk(subplan, n);
-                }
-            }
-        }
-        walk(plan, &mut n);
+        plan.walk(&mut |p| n += usize::from(matches!(p.node, PlanNode::Exchange { .. })));
         n
+    }
+
+    /// The pass as the tests drive it: plan in, rewritten plan out.
+    fn parallelize_plan(
+        mut plan: Plan,
+        options: &PlannerOptions,
+        decisions: &mut Vec<PlanDecision>,
+    ) -> Plan {
+        super::parallelize_plan(&mut plan, options, decisions);
+        plan
     }
 
     #[test]

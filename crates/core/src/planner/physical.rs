@@ -6,7 +6,7 @@
 //! built) are attached here, between the residual filters and the
 //! aggregation for WHERE and above the aggregate for HAVING, by delegating
 //! to the [`super::subquery`] pass. Column references that do not resolve
-//! locally are resolved against the enclosing [`ScopeChain`] as correlation
+//! locally are resolved against the enclosing `ScopeChain` as correlation
 //! parameters.
 
 use super::access::{self, ScanPath};
@@ -16,7 +16,7 @@ use super::subquery::ScopeChain;
 use crate::error::TalkbackError;
 use datastore::exec::{AggExpr, AggFunc, ColumnInfo, Plan, PlanNode};
 use datastore::expr::{ArithOp, CmpOp, Expr as PExpr};
-use datastore::index::BoundTerm;
+use datastore::index::{BoundTerm, ProbeOrder};
 use datastore::stats::DEFAULT_SELECTIVITY;
 use datastore::{Database, Value};
 use sqlparse::ast::{
@@ -450,7 +450,7 @@ pub(super) fn lower_select(
             })
             .flatten();
         if let Some((alias, index, column)) = ordered_source {
-            plan = set_key_order(plan, keys[0].ascending);
+            set_key_order(&mut plan, keys[0].ascending);
             scopes.ctx().record_decision(PlanDecision::SortElided {
                 alias: alias.clone(),
                 table: graph.relations[0].table.clone(),
@@ -479,49 +479,23 @@ pub(super) fn lower_select(
 
 /// Switch the index scan at the bottom of a single-table operator chain to
 /// key-ordered output in the requested direction (the ORDER BY elision
-/// peephole). Only called on plans whose spine is filter/project/distinct
-/// over the scan.
-fn set_key_order(plan: Plan, ascending: bool) -> Plan {
-    let est = plan.estimated_rows;
-    let node = match plan.node {
-        scan @ PlanNode::IndexScan { .. } => {
-            let plan: Plan = scan.into();
-            let plan = if ascending {
-                plan.with_key_order()
+/// peephole; descending is a reverse key walk). Only called on plans whose
+/// spine is filter/project/distinct over the scan.
+fn set_key_order(plan: &mut Plan, ascending: bool) {
+    match &mut plan.node {
+        PlanNode::IndexScan { order, .. } => {
+            *order = if ascending {
+                ProbeOrder::KeyAsc
             } else {
-                plan.with_key_order_desc()
-            };
-            return match est {
-                Some(e) => plan.with_estimate(e),
-                None => plan,
-            };
+                ProbeOrder::KeyDesc
+            }
         }
-        PlanNode::Filter {
-            input,
-            predicate,
-            vectorized,
-        } => PlanNode::Filter {
-            input: Box::new(set_key_order(*input, ascending)),
-            predicate,
-            vectorized,
-        },
-        PlanNode::Project {
-            input,
-            exprs,
-            columns,
-        } => PlanNode::Project {
-            input: Box::new(set_key_order(*input, ascending)),
-            exprs,
-            columns,
-        },
-        PlanNode::Distinct { input } => PlanNode::Distinct {
-            input: Box::new(set_key_order(*input, ascending)),
-        },
-        other => other, // Unreachable given the peephole's preconditions.
-    };
-    Plan {
-        node,
-        estimated_rows: est,
+        PlanNode::Filter { .. } | PlanNode::Project { .. } | PlanNode::Distinct { .. } => {
+            for (_, input) in plan.children_mut() {
+                set_key_order(input, ascending);
+            }
+        }
+        _ => {} // Unreachable given the peephole's preconditions.
     }
 }
 

@@ -21,11 +21,11 @@
 //! 4. **Apply** ([`SubqueryStrategy::Apply`]) — everything genuinely
 //!    correlated (Q6's nested division, Q7's correlated `HAVING` count,
 //!    quantified comparisons). The subquery is planned with
-//!    [`datastore::Expr::Param`] placeholders for the enclosing row's
+//!    [`datastore::expr::Expr::Param`] placeholders for the enclosing row's
 //!    columns; at run time the operator binds each row's values, executes
 //!    the subplan, and memoizes the result per distinct binding.
 //!
-//! Scoping is explicit: a [`ScopeChain`] carries, innermost-last, the output
+//! Scoping is explicit: a `ScopeChain` carries, innermost-last, the output
 //! columns of every enclosing operator a subquery may reference. Planning a
 //! column reference that does not resolve locally walks the chain and
 //! allocates a correlation parameter against the scope that owns it, so a

@@ -1,8 +1,10 @@
 //! The vectorize pass: decide — on the record — which operators of the
 //! lowered physical plan run on the typed column kernels.
 //!
-//! Runs after physical lowering and before parallelization, walking the plan
-//! bottom-up:
+//! Runs after physical lowering and before parallelization, rewriting the
+//! plan in place, bottom-up, over [`Plan::children_mut`] (the traversal
+//! contract is documented on [`Plan`]); only the operators it decides about
+//! are named here:
 //!
 //! * Filters whose predicate is a flat conjunction of simple comparisons
 //!   (column vs. literal or column vs. column) are marked `vectorized`, so
@@ -32,138 +34,40 @@ use datastore::{DataType, Database, Value};
 
 /// Apply the vectorize pass (always runs; the vector flags are only set when
 /// `options.use_vectorized`, but partitioned builds are recorded either
-/// way).
+/// way): children first, then the node's own verdict.
 pub(super) fn vectorize_plan(
     db: &Database,
-    plan: Plan,
+    plan: &mut Plan,
     options: &PlannerOptions,
     decisions: &mut Vec<PlanDecision>,
-) -> Plan {
-    walk(db, plan, options, decisions)
-}
-
-fn walk(
-    db: &Database,
-    plan: Plan,
-    options: &PlannerOptions,
-    decisions: &mut Vec<PlanDecision>,
-) -> Plan {
-    let Plan {
-        node,
-        estimated_rows,
-    } = plan;
-    let node = match node {
-        leaf @ (PlanNode::Scan { .. } | PlanNode::IndexScan { .. } | PlanNode::Values { .. }) => {
-            leaf
-        }
+) {
+    for (_, child) in plan.children_mut() {
+        vectorize_plan(db, child, options, decisions);
+    }
+    match &mut plan.node {
         PlanNode::Filter {
             input,
             predicate,
-            vectorized: _,
-        } => {
-            let input = walk(db, *input, options, decisions);
-            let vectorized = decide_filter(db, &input, &predicate, options, decisions);
-            PlanNode::Filter {
-                input: Box::new(input),
-                predicate,
-                vectorized,
-            }
-        }
-        PlanNode::Project {
-            input,
-            exprs,
-            columns,
-        } => PlanNode::Project {
-            input: Box::new(walk(db, *input, options, decisions)),
-            exprs,
-            columns,
-        },
-        PlanNode::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => PlanNode::NestedLoopJoin {
-            left: Box::new(walk(db, *left, options, decisions)),
-            right: Box::new(walk(db, *right, options, decisions)),
-            predicate,
-        },
+            vectorized,
+        } => *vectorized = decide_filter(db, input, predicate, options, decisions),
         PlanNode::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            vectorized: _,
+            right, vectorized, ..
         } => {
-            let left = walk(db, *left, options, decisions);
-            let right = walk(db, *right, options, decisions);
-            record_build(&right, options, decisions);
-            PlanNode::HashJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                left_keys,
-                right_keys,
-                vectorized: options.use_vectorized,
-            }
+            record_build(right, options, decisions);
+            *vectorized = options.use_vectorized;
         }
-        PlanNode::HashSemiJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-        } => {
-            let left = walk(db, *left, options, decisions);
-            let right = walk(db, *right, options, decisions);
-            record_build(&right, options, decisions);
-            PlanNode::HashSemiJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                left_keys,
-                right_keys,
-            }
+        PlanNode::HashSemiJoin { right, .. } | PlanNode::HashAntiJoin { right, .. } => {
+            record_build(right, options, decisions)
         }
-        PlanNode::HashAntiJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            null_aware,
-        } => {
-            let left = walk(db, *left, options, decisions);
-            let right = walk(db, *right, options, decisions);
-            record_build(&right, options, decisions);
-            PlanNode::HashAntiJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                left_keys,
-                right_keys,
-                null_aware,
-            }
-        }
-        PlanNode::IndexNestedLoopJoin {
-            left,
-            table,
-            alias,
-            index,
-            left_key,
-        } => PlanNode::IndexNestedLoopJoin {
-            left: Box::new(walk(db, *left, options, decisions)),
-            table,
-            alias,
-            index,
-            left_key,
-        },
         PlanNode::Aggregate {
-            input,
-            group_by,
             aggregates,
-            having,
-            vectorized: _,
+            vectorized,
+            ..
         } => {
-            let input = walk(db, *input, options, decisions);
             let eligible = aggregates
                 .iter()
                 .all(|a| matches!(&a.arg, None | Some(Expr::Column(_))));
-            let vectorized = eligible && options.use_vectorized;
+            *vectorized = eligible && options.use_vectorized;
             if options.use_vectorized {
                 decisions.push(PlanDecision::Vectorize {
                     operator: "aggregate".to_string(),
@@ -172,7 +76,7 @@ fn walk(
                         .map(|a| a.output_name.clone())
                         .collect::<Vec<_>>()
                         .join(", "),
-                    vectorized,
+                    vectorized: *vectorized,
                     reason: if eligible {
                         "every aggregate reads a plain column".to_string()
                     } else {
@@ -180,62 +84,8 @@ fn walk(
                     },
                 });
             }
-            PlanNode::Aggregate {
-                input: Box::new(input),
-                group_by,
-                aggregates,
-                having,
-                vectorized,
-            }
         }
-        PlanNode::Sort { input, keys } => PlanNode::Sort {
-            input: Box::new(walk(db, *input, options, decisions)),
-            keys,
-        },
-        PlanNode::Limit { input, n } => PlanNode::Limit {
-            input: Box::new(walk(db, *input, options, decisions)),
-            n,
-        },
-        PlanNode::Distinct { input } => PlanNode::Distinct {
-            input: Box::new(walk(db, *input, options, decisions)),
-        },
-        PlanNode::ScalarSubquery {
-            input,
-            subplan,
-            expr,
-            op,
-        } => PlanNode::ScalarSubquery {
-            input: Box::new(walk(db, *input, options, decisions)),
-            subplan: Box::new(walk(db, *subplan, options, decisions)),
-            expr,
-            op,
-        },
-        PlanNode::Apply {
-            input,
-            subplan,
-            params,
-            mode,
-            workers,
-        } => PlanNode::Apply {
-            input: Box::new(walk(db, *input, options, decisions)),
-            subplan: Box::new(walk(db, *subplan, options, decisions)),
-            params,
-            mode,
-            workers,
-        },
-        PlanNode::Exchange {
-            input,
-            workers,
-            gather,
-        } => PlanNode::Exchange {
-            input: Box::new(walk(db, *input, options, decisions)),
-            workers,
-            gather,
-        },
-    };
-    Plan {
-        node,
-        estimated_rows,
+        _ => {}
     }
 }
 
@@ -297,7 +147,14 @@ fn record_build(build: &Plan, options: &PlannerOptions, decisions: &mut Vec<Plan
 
 /// Base-table description of a build side ("CAST as c"), looking through
 /// filters and projections.
-fn base_desc(plan: &Plan) -> String {
+fn base_desc(mut plan: &Plan) -> String {
+    while let (
+        PlanNode::Filter { .. } | PlanNode::Project { .. } | PlanNode::Distinct { .. },
+        Some((_, input)),
+    ) = (&plan.node, plan.children().next())
+    {
+        plan = input;
+    }
     match &plan.node {
         PlanNode::Scan { table, alias } | PlanNode::IndexScan { table, alias, .. } => {
             if alias == table {
@@ -306,9 +163,6 @@ fn base_desc(plan: &Plan) -> String {
                 format!("{table} as {alias}")
             }
         }
-        PlanNode::Filter { input, .. }
-        | PlanNode::Project { input, .. }
-        | PlanNode::Distinct { input } => base_desc(input),
         _ => "the build side".to_string(),
     }
 }

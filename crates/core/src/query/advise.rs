@@ -124,30 +124,15 @@ pub(crate) fn plan_cost(plan: &Plan) -> f64 {
 /// Does the plan actually touch the named index anywhere? A hypothetical
 /// index only counts if the what-if plan chose it.
 fn plan_uses_index(plan: &Plan, name: &str) -> bool {
-    match &plan.node {
-        PlanNode::IndexScan { index, .. } => index.eq_ignore_ascii_case(name),
-        PlanNode::IndexNestedLoopJoin { left, index, .. } => {
-            index.eq_ignore_ascii_case(name) || plan_uses_index(left, name)
+    let mut used = false;
+    plan.walk(&mut |p| {
+        if let PlanNode::IndexScan { index, .. } | PlanNode::IndexNestedLoopJoin { index, .. } =
+            &p.node
+        {
+            used |= index.eq_ignore_ascii_case(name);
         }
-        PlanNode::Scan { .. } | PlanNode::Values { .. } => false,
-        PlanNode::Filter { input, .. }
-        | PlanNode::Project { input, .. }
-        | PlanNode::Aggregate { input, .. }
-        | PlanNode::Sort { input, .. }
-        | PlanNode::Limit { input, .. }
-        | PlanNode::Distinct { input }
-        | PlanNode::Exchange { input, .. } => plan_uses_index(input, name),
-        PlanNode::NestedLoopJoin { left, right, .. }
-        | PlanNode::HashJoin { left, right, .. }
-        | PlanNode::HashSemiJoin { left, right, .. }
-        | PlanNode::HashAntiJoin { left, right, .. } => {
-            plan_uses_index(left, name) || plan_uses_index(right, name)
-        }
-        PlanNode::ScalarSubquery { input, subplan, .. }
-        | PlanNode::Apply { input, subplan, .. } => {
-            plan_uses_index(input, name) || plan_uses_index(subplan, name)
-        }
-    }
+    });
+    used
 }
 
 // ---------------------------------------------------------------------------

@@ -30,20 +30,12 @@ use templates::Lexicon;
 /// where a narration can name the relation instead of saying "them". Shared
 /// by the plan narrator and the §3.1 empty-result detective.
 pub(crate) fn sole_scan_table(node: &PlanProfile) -> Option<String> {
+    // Index scans and the probe side of an index-nested-loop join read a
+    // base table just like a full scan.
     let mut tables = Vec::new();
-    node.walk(&mut |p| {
-        // Index scans and the probe side of an index-nested-loop join read a
-        // base table just like a full scan; they carry the table name as
-        // structured access metadata.
-        if let Some(access) = &p.access {
-            tables.push(access.table.clone());
-        } else if p.operator == "scan" {
-            let table = p.detail.split(" as ").next().unwrap_or(&p.detail);
-            tables.push(table.to_string());
-        }
-    });
+    node.walk(&mut |p| tables.extend(p.table()));
     match tables.as_slice() {
-        [one] => Some(one.clone()),
+        [one] => Some(one.to_string()),
         _ => None,
     }
 }

@@ -24,8 +24,8 @@ pub fn literal_phrase(literal: &Literal) -> String {
 /// The phrase a projected class contributes to the "Find …" head of a
 /// sentence: when the projected attribute is the relation's heading
 /// attribute the phrase is just the plural concept (the paper's
-/// `'title' -> 'movies'` replacement), otherwise "the <attr>s of the
-/// <concept plural>".
+/// `'title' -> 'movies'` replacement), otherwise "the `<attr>`s of the
+/// `<concept plural>`".
 pub fn projection_phrase(catalog: &Catalog, lexicon: &Lexicon, class: &RelationClass) -> String {
     let plural = concept_plural(lexicon, &class.relation);
     let heading = catalog

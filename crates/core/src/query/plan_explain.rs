@@ -698,11 +698,7 @@ fn fold_scan_filters(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool) -> O
     if current.operator != "scan" || conditions.is_empty() {
         return None;
     }
-    let table = current
-        .detail
-        .split(" as ")
-        .next()
-        .unwrap_or(&current.detail);
+    let table = current.table()?;
     let noun = pluralize(&lexicon.concept(table));
     // The innermost filter runs first; conditions were collected top-down.
     conditions.reverse();
@@ -769,8 +765,7 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
     let m = &node.metrics;
     let clause = match node.operator.as_str() {
         "scan" => {
-            // detail is "TABLE" or "TABLE as alias".
-            let table = node.detail.split(" as ").next().unwrap_or(&node.detail);
+            let table = node.table().unwrap_or_default();
             let noun = pluralize(&lexicon.concept(table));
             if analyzed {
                 format!("scanned {} {}", count_phrase(m.rows_out as usize), noun)

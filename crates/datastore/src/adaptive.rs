@@ -4,9 +4,10 @@
 //! The paper's thesis is a DBMS that talks back; the misestimate ledger
 //! ([`crate::obs`]) already *records* where the optimizer was wrong. This
 //! module is the part that *learns*: after each execution the est-vs-actual
-//! deltas of flagged filters are folded into a per-database
-//! [`FeedbackStore`] keyed by the same `(table, literal-normalized predicate
-//! shape)` scheme the ledger uses, and the planner consults those observed
+//! deltas of flagged filters are folded into a per-database feedback store
+//! (a [`FeedbackEntry`] map inside [`AdaptiveState`]) keyed by the same
+//! `(table, literal-normalized predicate shape)` scheme the ledger uses, and
+//! the planner consults those observed
 //! selectivities before trusting its histograms — so a badly misestimated
 //! query plans differently (and explains why) on its next run.
 //!

@@ -99,11 +99,6 @@ impl Catalog {
         self.tables.values()
     }
 
-    /// Names of all tables, in order.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.values().map(|t| t.name.clone()).collect()
-    }
-
     /// Number of relations.
     pub fn len(&self) -> usize {
         self.tables.len()

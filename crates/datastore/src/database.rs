@@ -385,18 +385,6 @@ impl Database {
         result
     }
 
-    /// Named-row views of every tuple in a relation, in insertion order.
-    pub fn named_rows<'a>(&'a self, table: &str) -> Vec<NamedRow<'a>> {
-        match self.table(table) {
-            Some(t) => t
-                .rows()
-                .iter()
-                .map(|r| NamedRow::new(t.schema(), r))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// Follow a foreign key from one tuple of `fk.table` to the matching
     /// tuple of `fk.ref_table` (if any). This is the tuple-level counterpart
     /// of walking a join edge during content translation.

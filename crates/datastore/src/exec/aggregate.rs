@@ -456,11 +456,6 @@ impl GroupedAggregator {
         self.row_batches
     }
 
-    /// Number of groups seen so far.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Fold one batch of input rows into the group table.
     pub fn push_batch(&mut self, rows: &[Row]) -> Result<(), StoreError> {
         if rows.is_empty() {

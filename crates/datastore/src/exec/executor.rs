@@ -1,16 +1,16 @@
-//! Materializing shims over the streaming executor.
+//! Materializing entry points over the streaming executor.
 //!
 //! Execution itself is streaming and instrumented (see [`crate::exec::stream`]);
-//! this module keeps the historical entry points: [`execute`] collects a
-//! plan's output into a [`ResultSet`] so existing callers don't change, and
+//! [`execute`] collects a plan's output into a [`ResultSet`],
 //! [`execute_with_stats`] additionally returns the per-operator
 //! [`PlanProfile`] that the EXPLAIN narrator and the empty-result detective
-//! read.
+//! read, and [`describe_plan`] returns the same profile, all counters zero,
+//! without pulling a row.
 
 use crate::database::Database;
 use crate::error::StoreError;
 use crate::exec::plan::{ColumnInfo, Plan};
-use crate::exec::stream::{open, PlanProfile};
+use crate::exec::stream::{open, PlanProfile, RowSource};
 use crate::obs::Counter;
 use crate::tuple::Row;
 use crate::value::Value;
@@ -81,8 +81,9 @@ impl ResultSet {
     }
 }
 
-/// Execute a plan against a database, materializing the full result.
-pub fn execute(db: &Database, plan: &Plan) -> Result<ResultSet, StoreError> {
+/// Open a plan, pull it dry, and count the statement; the drained source
+/// still holds every operator's counters.
+fn drain(db: &Database, plan: &Plan) -> Result<(ResultSet, Box<dyn RowSource>), StoreError> {
     let mut source = open(db, plan)?;
     let columns = source.columns().to_vec();
     let mut rows = Vec::new();
@@ -91,7 +92,12 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<ResultSet, StoreError> {
     }
     db.obs().incr(Counter::QueriesExecuted);
     db.obs().add(Counter::RowsEmitted, rows.len() as u64);
-    Ok(ResultSet { columns, rows })
+    Ok((ResultSet { columns, rows }, source))
+}
+
+/// Execute a plan against a database, materializing the full result.
+pub fn execute(db: &Database, plan: &Plan) -> Result<ResultSet, StoreError> {
+    Ok(drain(db, plan)?.0)
 }
 
 /// Execute a plan and return both the materialized result and the
@@ -100,16 +106,8 @@ pub fn execute_with_stats(
     db: &Database,
     plan: &Plan,
 ) -> Result<(ResultSet, PlanProfile), StoreError> {
-    let mut source = open(db, plan)?;
-    let columns = source.columns().to_vec();
-    let mut rows = Vec::new();
-    while let Some(batch) = source.next_batch()? {
-        rows.extend(batch);
-    }
-    db.obs().incr(Counter::QueriesExecuted);
-    db.obs().add(Counter::RowsEmitted, rows.len() as u64);
-    let profile = source.profile();
-    Ok((ResultSet { columns, rows }, profile))
+    let (result, source) = drain(db, plan)?;
+    Ok((result, source.profile()))
 }
 
 /// Describe a plan — operator tree, details, output columns — without

@@ -46,7 +46,7 @@ pub use aggregate::{Accumulator, AggExpr, AggFunc, GroupedAggregator};
 pub use executor::{describe_plan, execute, execute_with_stats, ResultSet};
 pub use parallel::{morsel_size, JoinIndex, MORSEL_MIN, PARALLEL_BUILD_MIN};
 pub use plan::{
-    aggregate_output_columns, ApplyMode, ColumnInfo, GatherMode, Plan, PlanNode, SortKey,
+    aggregate_output_columns, ApplyMode, ColumnInfo, Edge, GatherMode, Plan, PlanNode, SortKey,
 };
 pub use stream::{
     open, open_owned, ExecContext, IndexAccess, OpMetrics, PlanProfile, RowSource, APPLY_CACHE_CAP,

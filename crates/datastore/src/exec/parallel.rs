@@ -5,12 +5,13 @@
 //! A pipeline — scan, filters, projections, and the probe sides of hash
 //! (semi-/anti-)joins — is *embarrassingly parallel over its driver scan*:
 //! every input row flows through the same operators independently. The
-//! [`ExchangeSource`] exploits that by splitting the driver scan (the
-//! pipeline's leftmost leaf) into **morsels** — contiguous row ranges of at
-//! least [`MORSEL_MIN`] rows — and letting `workers` threads *claim* morsels
-//! from a shared atomic counter. Claiming (rather than pre-assigning) is what
-//! makes the schedule morsel-driven: a worker that drew cheap morsels simply
-//! claims more, so skew self-balances without a coordinator.
+//! exchange operator (`ExchangeSource`) exploits that by splitting the driver
+//! scan (the pipeline's leftmost leaf, [`Plan::driver_scan`]) into
+//! **morsels** — contiguous row ranges of at least [`MORSEL_MIN`] rows — and
+//! letting `workers` threads *claim* morsels from a shared atomic counter.
+//! Claiming (rather than pre-assigning) is what makes the schedule
+//! morsel-driven: a worker that drew cheap morsels simply claims more, so
+//! skew self-balances without a coordinator.
 //!
 //! Each claimed morsel is executed by opening a fresh copy of the pipeline's
 //! operator tree over just that row range. Opening is cheap — it reads no
@@ -24,9 +25,10 @@
 //! The stateful inputs inside a pipeline — a hash join's build side, a
 //! semi-/anti-join's key set, a nested-loop join's materialized inner, a
 //! scalar subquery's cached value — must be built **once**, not once per
-//! morsel. [`ExchangeShared`] holds one mutex-guarded cell per such node
-//! (indexed by the node's pre-order position, which every worker's open walk
-//! reproduces): the first worker to need a build performs it and publishes
+//! morsel. `ExchangeShared` holds one mutex-guarded cell per such node
+//! (indexed in the order the open walk reaches the nodes, which every
+//! worker's open reproduces; the exchange's own first open says how many
+//! there are): the first worker to need a build performs it and publishes
 //! the result behind an `Arc`; everyone else clones the handle. Because
 //! exactly one worker executes each build side, the per-operator counters
 //! still sum to the single-threaded totals after the exchange merges worker
@@ -49,7 +51,7 @@
 
 use crate::error::StoreError;
 use crate::exec::aggregate::{Accumulator, GroupedAggregator};
-use crate::exec::plan::{aggregate_output_columns, ColumnInfo, GatherMode, Plan, PlanNode};
+use crate::exec::plan::{aggregate_output_columns, ColumnInfo, GatherMode, Plan};
 use crate::exec::stream::{
     open_in, sort_rows, ExecContext, OpMetrics, OpenEnv, PlanProfile, RowSource,
 };
@@ -61,7 +63,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Instant;
 
@@ -334,24 +336,31 @@ pub(crate) enum SharedBuild {
 
 /// Build-once state shared by every worker (and every morsel) of one
 /// exchange: one cell per stateful node of the pipeline, indexed by the
-/// node's pre-order position in the plan subtree. The first worker to need a
+/// order in which [`open_in`] reaches the node. The first worker to need a
 /// build performs it while holding the cell's lock; later arrivals clone the
 /// published `Arc`.
 #[derive(Debug)]
 pub(crate) struct ExchangeShared {
     workers: usize,
-    cells: Vec<Mutex<Option<SharedBuild>>>,
+    /// Sized by [`ExchangeShared::size_cells`] from the counter the
+    /// exchange's first open of its pipeline leaves behind, so there are
+    /// exactly as many cells as any later open of the same plan indexes.
+    cells: OnceLock<Vec<Mutex<Option<SharedBuild>>>>,
 }
 
 impl ExchangeShared {
-    /// Allocate cells for every stateful node in `plan`'s subtree.
-    pub(crate) fn for_plan(plan: &Plan, workers: usize) -> ExchangeShared {
-        let mut count = 0;
-        count_stateful(plan, &mut count);
+    fn new(workers: usize) -> ExchangeShared {
         ExchangeShared {
             workers,
-            cells: (0..count).map(|_| Mutex::new(None)).collect(),
+            cells: OnceLock::new(),
         }
+    }
+
+    /// Allocate `count` empty cells (the first call wins; opening reads no
+    /// rows, so no build can have asked for a cell before it).
+    fn size_cells(&self, count: usize) {
+        self.cells
+            .get_or_init(|| (0..count).map(|_| Mutex::new(None)).collect());
     }
 
     /// Worker threads of the owning exchange — stateful builds use this as
@@ -368,7 +377,11 @@ impl ExchangeShared {
         idx: usize,
         build: impl FnOnce() -> Result<SharedBuild, StoreError>,
     ) -> Result<SharedBuild, StoreError> {
-        let mut cell = self.cells[idx].lock().expect("shared build cell poisoned");
+        let cells = self
+            .cells
+            .get()
+            .expect("cells are sized when the exchange opens");
+        let mut cell = cells[idx].lock().expect("shared build cell poisoned");
         if let Some(existing) = cell.as_ref() {
             return Ok(existing.clone());
         }
@@ -378,93 +391,9 @@ impl ExchangeShared {
     }
 }
 
-/// Count the stateful (build-carrying) nodes of a plan subtree in pre-order —
-/// the same walk [`open_in`] performs when assigning cell indices.
-fn count_stateful(plan: &Plan, count: &mut usize) {
-    match &plan.node {
-        PlanNode::Scan { .. } | PlanNode::Values { .. } | PlanNode::IndexScan { .. } => {}
-        // An index nested-loop join has no build side — it probes the shared
-        // table snapshot directly, so there is nothing to share.
-        PlanNode::IndexNestedLoopJoin { left, .. } => count_stateful(left, count),
-        PlanNode::Filter { input, .. }
-        | PlanNode::Project { input, .. }
-        | PlanNode::Sort { input, .. }
-        | PlanNode::Limit { input, .. }
-        | PlanNode::Distinct { input }
-        | PlanNode::Exchange { input, .. }
-        | PlanNode::Aggregate { input, .. } => count_stateful(input, count),
-        PlanNode::NestedLoopJoin { left, right, .. }
-        | PlanNode::HashJoin { left, right, .. }
-        | PlanNode::HashSemiJoin { left, right, .. }
-        | PlanNode::HashAntiJoin { left, right, .. } => {
-            *count += 1;
-            count_stateful(left, count);
-            count_stateful(right, count);
-        }
-        PlanNode::ScalarSubquery { input, subplan, .. } => {
-            *count += 1;
-            count_stateful(input, count);
-            count_stateful(subplan, count);
-        }
-        PlanNode::Apply { input, subplan, .. } => {
-            // Apply memoizes per binding and is parallelized internally, not
-            // via shared cells — but its subtree may still contain stateful
-            // nodes that do get cells.
-            count_stateful(input, count);
-            count_stateful(subplan, count);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Exchange operator
 // ---------------------------------------------------------------------------
-
-/// The driver scan of a pipeline: the leftmost leaf, reached by walking
-/// only *pipeline* operators (filters, projections, join probe sides,
-/// scalar-subquery inputs). `None` — degrading the exchange to a sequential
-/// pass-through — when the leftmost leaf is not a stored table, or when a
-/// blocking/stateful operator (limit, sort, aggregate, distinct, apply)
-/// sits on the spine: running those once per morsel would change their
-/// semantics (a per-morsel LIMIT emits up to limit×morsels rows), so the
-/// executor refuses to partition through them no matter what plan a caller
-/// hands it.
-fn find_driver(plan: &Plan) -> Option<(String, String)> {
-    match &plan.node {
-        PlanNode::Scan { table, alias } => Some((table.clone(), alias.clone())),
-        // A position-ordered index scan partitions by table row range like a
-        // full scan (matches are filtered per morsel); a key-ordered one
-        // must not be partitioned — gathering by morsel would destroy the
-        // key order the planner elided a sort for.
-        PlanNode::IndexScan {
-            table,
-            alias,
-            order,
-            ..
-        } => {
-            if *order == crate::index::ProbeOrder::Position {
-                Some((table.clone(), alias.clone()))
-            } else {
-                None
-            }
-        }
-        PlanNode::Filter { input, .. }
-        | PlanNode::Project { input, .. }
-        | PlanNode::ScalarSubquery { input, .. } => find_driver(input),
-        PlanNode::NestedLoopJoin { left, .. }
-        | PlanNode::HashJoin { left, .. }
-        | PlanNode::HashSemiJoin { left, .. }
-        | PlanNode::HashAntiJoin { left, .. }
-        | PlanNode::IndexNestedLoopJoin { left, .. } => find_driver(left),
-        PlanNode::Values { .. }
-        | PlanNode::Sort { .. }
-        | PlanNode::Limit { .. }
-        | PlanNode::Distinct { .. }
-        | PlanNode::Aggregate { .. }
-        | PlanNode::Apply { .. }
-        | PlanNode::Exchange { .. } => None,
-    }
-}
 
 /// What one worker ships back for one morsel, shaped by the exchange's
 /// gather mode: plain rows (possibly a sorted and/or truncated run), or
@@ -515,8 +444,13 @@ impl ExchangeSource {
         gather: GatherMode,
         est: Option<f64>,
     ) -> Result<ExchangeSource, StoreError> {
-        let driver = find_driver(input);
-        let shared = Arc::new(ExchangeShared::for_plan(input, workers));
+        // The executor partitions only what `Plan::driver_scan` finds: a
+        // hand-built exchange over a limit or an aggregate degrades to a
+        // sequential pass-through instead of running it once per morsel.
+        let driver = input
+            .driver_scan()
+            .map(|(table, alias, _)| (table.to_string(), alias.to_string()));
+        let shared = Arc::new(ExchangeShared::new(workers));
         let cell = Cell::new(0);
         let env = OpenEnv {
             shared: Some(&shared),
@@ -530,6 +464,7 @@ impl ExchangeSource {
         // aggregate even when it cannot partition), treating the whole
         // pass-through output as a single run.
         let template_src = open_in(ctx, input, &env, None)?;
+        shared.size_cells(cell.get());
         let columns = match &gather {
             // A merging-aggregate exchange emits aggregate output rows, not
             // the pipeline's input rows.
@@ -1073,7 +1008,7 @@ mod tests {
         let db = big_db(6000);
         let join = Plan::hash_join(Plan::scan("T", "t"), Plan::scan("U", "u"), vec![0], vec![0]);
         let sequential = join.clone();
-        let parallel = join.exchange(4);
+        let parallel = join.clone().exchange(4);
         let (seq_rs, seq_profile) = execute_with_stats(&db, &sequential).unwrap();
         let (par_rs, par_profile) = execute_with_stats(&db, &parallel).unwrap();
         assert_eq!(seq_rs.rows, par_rs.rows);
@@ -1084,6 +1019,27 @@ mod tests {
         assert_eq!(join_profile.metrics.rows_in, seq_profile.metrics.rows_in);
         // The build-side scan ran exactly once across all workers.
         assert_eq!(join_profile.children[1].metrics.rows_out, 6000);
+
+        // The exchange holds exactly the cells a worker's open of its
+        // pipeline indexes: one for the outer join, none for the joins under
+        // the build side's nested exchange and apply subplan, which open
+        // with counters of their own.
+        let build = join.clone().exchange(2).apply(
+            join.clone(),
+            Vec::new(),
+            crate::exec::ApplyMode::Exists { negated: false },
+        );
+        let pipeline = Plan::hash_join(Plan::scan("T", "t"), build, vec![0], vec![0]);
+        let ctx = Arc::new(ExecContext::new(&db));
+        let exchange = ExchangeSource::open(&ctx, &pipeline, 4, GatherMode::Rows, None).unwrap();
+        let indexed = Cell::new(0);
+        let env = OpenEnv {
+            shared: Some(&exchange.shared),
+            next_cell: &indexed,
+        };
+        open_in(&ctx, &pipeline, &env, Some((0, 1024))).unwrap();
+        assert_eq!(indexed.get(), 1);
+        assert_eq!(exchange.shared.cells.get().unwrap().len(), indexed.get());
     }
 
     #[test]

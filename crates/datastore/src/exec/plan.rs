@@ -68,7 +68,7 @@ impl fmt::Display for ColumnInfo {
     }
 }
 
-/// Output columns of a [`Plan::Aggregate`] node over the given input
+/// Output columns of a [`PlanNode::Aggregate`] node over the given input
 /// columns: the group-by columns first (falling back to a synthetic
 /// `group_{i}` name for unresolvable positions), then one unqualified column
 /// per aggregate. The executor and the planner's ORDER BY resolution both
@@ -148,6 +148,37 @@ impl GatherMode {
 /// The operator lives in [`PlanNode`]; the wrapper carries the estimated
 /// output cardinality the optimizer planned with, so `EXPLAIN ANALYZE` can
 /// put estimated and actual rows side by side for every operator.
+///
+/// # Traversal contract
+///
+/// Which children an operator has, and what each is to it, is stated once —
+/// in [`Plan::children`] / [`Plan::children_mut`] — and every pass over a
+/// plan (parameter binding, the vectorize and parallelize passes, the
+/// advisor's index check, the exchange's driver lookup) is written against
+/// that statement instead of matching on [`PlanNode`] for itself:
+///
+/// * **Edge roles.** Each child comes with its [`Edge`]: the `Driver` (a
+///   unary operator's `input`, a join's `left`) is the streaming spine a
+///   morsel's row range is forwarded along; a join's `right` is a `Build`
+///   side, consumed whole before the first probe; the `subplan` of a
+///   `ScalarSubquery` or `Apply` is a `Subplan`, a separate pipeline run
+///   once, or once per binding.
+/// * **Visit order.** Children are yielded driver first, so [`Plan::walk`]
+///   is pre-order — node, left before right, input before subplan — the
+///   order the executor opens operators in and `EXPLAIN` prints them in. A
+///   pass that decides bottom-up recurses over `children_mut` before looking
+///   at the node, and records its `PlanDecision`s in that same child order.
+/// * **Expressions.** [`Plan::exprs_mut`] visits a node's *own* expressions
+///   and no child's: a filter's predicate, a projection's expressions, a
+///   nested-loop join's predicate, aggregate arguments and `HAVING` (of an
+///   `Aggregate`, and of an exchange gathering with
+///   [`GatherMode::MergeAggregate`]), a scalar subquery's operand, an
+///   [`ApplyMode`]'s operand. Join keys, sort keys and group-by columns are
+///   positions, not expressions; an `IndexScan`'s parameterized
+///   [`IndexBounds`] bind themselves.
+///
+/// A new operator is declared here, opened in `stream.rs::open_in`, named in
+/// [`Plan::operator_name`] and costed in the advisor's `plan_cost`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// The physical operator.
@@ -319,7 +350,8 @@ pub enum PlanNode {
 /// What an [`PlanNode::Apply`] operator checks against each subquery result.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ApplyMode {
-    /// Keep the row iff the subquery produced [no] rows (`[NOT] EXISTS`).
+    /// Keep the row iff the subquery produced rows — or, negated, none
+    /// (`[NOT] EXISTS`).
     Exists { negated: bool },
     /// Keep the row by `expr [NOT] IN (first column of the result)`, with
     /// SQL's three-valued NULL semantics.
@@ -354,38 +386,52 @@ impl ApplyMode {
             ),
         }
     }
-
-    /// The mode's expressions, for parameter substitution.
-    fn map_exprs(&self, f: &dyn Fn(&Expr) -> Expr) -> ApplyMode {
-        match self {
-            ApplyMode::Exists { negated } => ApplyMode::Exists { negated: *negated },
-            ApplyMode::In { expr, negated } => ApplyMode::In {
-                expr: f(expr),
-                negated: *negated,
-            },
-            ApplyMode::Compare { expr, op } => ApplyMode::Compare {
-                expr: f(expr),
-                op: *op,
-            },
-            ApplyMode::Quantified { expr, op, all } => ApplyMode::Quantified {
-                expr: f(expr),
-                op: *op,
-                all: *all,
-            },
-        }
-    }
 }
 
-/// Clone a list of aggregate expressions with parameters substituted.
-fn bind_aggregates(aggregates: &[AggExpr], bindings: ParamLookup<'_>) -> Vec<AggExpr> {
-    aggregates
-        .iter()
-        .map(|a| AggExpr {
-            func: a.func,
-            arg: a.arg.as_ref().map(|e| e.substitute_params(bindings)),
-            output_name: a.output_name.clone(),
-        })
-        .collect()
+/// What a child plan is to its parent operator (see the traversal contract
+/// on [`Plan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Edge {
+    /// The streaming spine: rows flow from this child through the parent one
+    /// batch at a time, and a morsel's row range is forwarded along it.
+    Driver,
+    /// A join's build side, consumed whole before the first probe.
+    Build,
+    /// A subquery's plan: a separate pipeline, run once (`ScalarSubquery`)
+    /// or once per binding (`Apply`).
+    Subplan,
+}
+
+/// The children of every operator, with their roles — written once for
+/// shared and mutable access (`$r` is `&` or `&mut`).
+macro_rules! child_edges {
+    ($node:expr, $($r:tt)+) => {
+        match $node {
+            PlanNode::Scan { .. } | PlanNode::IndexScan { .. } | PlanNode::Values { .. } => {
+                [None, None]
+            }
+            PlanNode::IndexNestedLoopJoin { left: input, .. }
+            | PlanNode::Filter { input, .. }
+            | PlanNode::Project { input, .. }
+            | PlanNode::Aggregate { input, .. }
+            | PlanNode::Sort { input, .. }
+            | PlanNode::Limit { input, .. }
+            | PlanNode::Distinct { input }
+            | PlanNode::Exchange { input, .. } => [Some((Edge::Driver, $($r)+ **input)), None],
+            PlanNode::NestedLoopJoin { left, right, .. }
+            | PlanNode::HashJoin { left, right, .. }
+            | PlanNode::HashSemiJoin { left, right, .. }
+            | PlanNode::HashAntiJoin { left, right, .. } => [
+                Some((Edge::Driver, $($r)+ **left)),
+                Some((Edge::Build, $($r)+ **right)),
+            ],
+            PlanNode::ScalarSubquery { input, subplan, .. }
+            | PlanNode::Apply { input, subplan, .. } => [
+                Some((Edge::Driver, $($r)+ **input)),
+                Some((Edge::Subplan, $($r)+ **subplan)),
+            ],
+        }
+    };
 }
 
 impl From<PlanNode> for Plan {
@@ -432,20 +478,11 @@ impl Plan {
     }
 
     /// Switch an `IndexScan` root to key-ordered output (no-op on other
-    /// operators): the planner's way of marking a scan whose order already
-    /// satisfies the query's `ORDER BY`. Descending covers
-    /// `ORDER BY … DESC` via a reverse key walk.
+    /// operators): a scan whose ascending key order already satisfies an
+    /// `ORDER BY`.
     pub fn with_key_order(mut self) -> Plan {
         if let PlanNode::IndexScan { order, .. } = &mut self.node {
             *order = ProbeOrder::KeyAsc;
-        }
-        self
-    }
-
-    /// Like [`Plan::with_key_order`], but descending.
-    pub fn with_key_order_desc(mut self) -> Plan {
-        if let PlanNode::IndexScan { order, .. } = &mut self.node {
-            *order = ProbeOrder::KeyDesc;
         }
         self
     }
@@ -566,18 +603,6 @@ impl Plan {
         .into()
     }
 
-    /// Mark a `Filter`, `Aggregate`, or `HashJoin` root as vectorized
-    /// (no-op on other operators).
-    pub fn with_vectorized(mut self) -> Plan {
-        match &mut self.node {
-            PlanNode::Filter { vectorized, .. }
-            | PlanNode::Aggregate { vectorized, .. }
-            | PlanNode::HashJoin { vectorized, .. } => *vectorized = true,
-            _ => {}
-        }
-        self
-    }
-
     /// Set the worker count of an `Apply` root (no-op on other operators):
     /// the planner's way of marking the per-binding subquery evaluations as
     /// parallel.
@@ -614,191 +639,20 @@ impl Plan {
     /// every expression (including nested subplans). Parameters `bindings`
     /// has no value for — owned by a deeper `Apply` — are left in place.
     pub fn bind_params(&self, bindings: ParamLookup<'_>) -> Plan {
-        let node = match &self.node {
-            PlanNode::Scan { table, alias } => PlanNode::Scan {
-                table: table.clone(),
-                alias: alias.clone(),
-            },
-            PlanNode::IndexScan {
-                table,
-                alias,
-                index,
-                bounds,
-                order,
-                index_only,
-            } => PlanNode::IndexScan {
-                table: table.clone(),
-                alias: alias.clone(),
-                index: index.clone(),
-                // The probe itself may be parameterized: an Apply binding
-                // turns `mid = $0` into a concrete point probe here.
-                bounds: bounds.bind(bindings),
-                order: *order,
-                index_only: *index_only,
-            },
-            PlanNode::IndexNestedLoopJoin {
-                left,
-                table,
-                alias,
-                index,
-                left_key,
-            } => PlanNode::IndexNestedLoopJoin {
-                left: Box::new(left.bind_params(bindings)),
-                table: table.clone(),
-                alias: alias.clone(),
-                index: index.clone(),
-                left_key: *left_key,
-            },
-            PlanNode::Values { columns, rows } => PlanNode::Values {
-                columns: columns.clone(),
-                rows: rows.clone(),
-            },
-            PlanNode::Filter {
-                input,
-                predicate,
-                vectorized,
-            } => PlanNode::Filter {
-                input: Box::new(input.bind_params(bindings)),
-                predicate: predicate.substitute_params(bindings),
-                vectorized: *vectorized,
-            },
-            PlanNode::Project {
-                input,
-                exprs,
-                columns,
-            } => PlanNode::Project {
-                input: Box::new(input.bind_params(bindings)),
-                exprs: exprs
-                    .iter()
-                    .map(|e| e.substitute_params(bindings))
-                    .collect(),
-                columns: columns.clone(),
-            },
-            PlanNode::NestedLoopJoin {
-                left,
-                right,
-                predicate,
-            } => PlanNode::NestedLoopJoin {
-                left: Box::new(left.bind_params(bindings)),
-                right: Box::new(right.bind_params(bindings)),
-                predicate: predicate.as_ref().map(|p| p.substitute_params(bindings)),
-            },
-            PlanNode::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                vectorized,
-            } => PlanNode::HashJoin {
-                left: Box::new(left.bind_params(bindings)),
-                right: Box::new(right.bind_params(bindings)),
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-                vectorized: *vectorized,
-            },
-            PlanNode::HashSemiJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-            } => PlanNode::HashSemiJoin {
-                left: Box::new(left.bind_params(bindings)),
-                right: Box::new(right.bind_params(bindings)),
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-            },
-            PlanNode::HashAntiJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                null_aware,
-            } => PlanNode::HashAntiJoin {
-                left: Box::new(left.bind_params(bindings)),
-                right: Box::new(right.bind_params(bindings)),
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-                null_aware: *null_aware,
-            },
-            PlanNode::Aggregate {
-                input,
-                group_by,
-                aggregates,
-                having,
-                vectorized,
-            } => PlanNode::Aggregate {
-                input: Box::new(input.bind_params(bindings)),
-                group_by: group_by.clone(),
-                aggregates: bind_aggregates(aggregates, bindings),
-                having: having.as_ref().map(|h| h.substitute_params(bindings)),
-                vectorized: *vectorized,
-            },
-            PlanNode::Sort { input, keys } => PlanNode::Sort {
-                input: Box::new(input.bind_params(bindings)),
-                keys: keys.clone(),
-            },
-            PlanNode::Limit { input, n } => PlanNode::Limit {
-                input: Box::new(input.bind_params(bindings)),
-                n: *n,
-            },
-            PlanNode::Distinct { input } => PlanNode::Distinct {
-                input: Box::new(input.bind_params(bindings)),
-            },
-            PlanNode::ScalarSubquery {
-                input,
-                subplan,
-                expr,
-                op,
-            } => PlanNode::ScalarSubquery {
-                input: Box::new(input.bind_params(bindings)),
-                subplan: Box::new(subplan.bind_params(bindings)),
-                expr: expr.substitute_params(bindings),
-                op: *op,
-            },
-            PlanNode::Apply {
-                input,
-                subplan,
-                params,
-                mode,
-                workers,
-            } => PlanNode::Apply {
-                input: Box::new(input.bind_params(bindings)),
-                subplan: Box::new(subplan.bind_params(bindings)),
-                params: params.clone(),
-                mode: mode.map_exprs(&|e| e.substitute_params(bindings)),
-                workers: *workers,
-            },
-            PlanNode::Exchange {
-                input,
-                workers,
-                gather,
-            } => PlanNode::Exchange {
-                input: Box::new(input.bind_params(bindings)),
-                workers: *workers,
-                gather: match gather {
-                    GatherMode::Rows => GatherMode::Rows,
-                    GatherMode::MergeAggregate {
-                        group_by,
-                        aggregates,
-                        having,
-                        vectorized,
-                    } => GatherMode::MergeAggregate {
-                        group_by: group_by.clone(),
-                        aggregates: bind_aggregates(aggregates, bindings),
-                        having: having.as_ref().map(|h| h.substitute_params(bindings)),
-                        vectorized: *vectorized,
-                    },
-                    GatherMode::MergeSort { keys } => GatherMode::MergeSort { keys: keys.clone() },
-                    GatherMode::TopK { keys, limit } => GatherMode::TopK {
-                        keys: keys.clone(),
-                        limit: *limit,
-                    },
-                },
-            },
-        };
-        Plan {
-            node,
-            estimated_rows: self.estimated_rows,
+        let mut plan = self.clone();
+        plan.bind_in_place(bindings);
+        plan
+    }
+
+    fn bind_in_place(&mut self, bindings: ParamLookup<'_>) {
+        // The probe itself may be parameterized: an Apply binding turns
+        // `mid = $0` into a concrete point probe here.
+        if let PlanNode::IndexScan { bounds, .. } = &mut self.node {
+            bounds.bind(bindings);
+        }
+        self.exprs_mut(&mut |e| e.substitute_params(bindings));
+        for (_, child) in self.children_mut() {
+            child.bind_in_place(bindings);
         }
     }
 
@@ -871,29 +725,113 @@ impl Plan {
         self
     }
 
-    /// Number of operators in the plan tree (used by benches and the
-    /// procedural narrator to describe plan shape).
-    pub fn operator_count(&self) -> usize {
-        1 + match &self.node {
-            PlanNode::Scan { .. } | PlanNode::Values { .. } | PlanNode::IndexScan { .. } => 0,
-            PlanNode::IndexNestedLoopJoin { left, .. } => left.operator_count(),
-            PlanNode::Filter { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::Sort { input, .. }
-            | PlanNode::Limit { input, .. }
-            | PlanNode::Distinct { input }
-            | PlanNode::Exchange { input, .. }
-            | PlanNode::Aggregate { input, .. } => input.operator_count(),
-            PlanNode::NestedLoopJoin { left, right, .. }
-            | PlanNode::HashJoin { left, right, .. }
-            | PlanNode::HashSemiJoin { left, right, .. }
-            | PlanNode::HashAntiJoin { left, right, .. } => {
-                left.operator_count() + right.operator_count()
+    /// This operator's children with their roles, driver first.
+    pub fn children(&self) -> impl Iterator<Item = (Edge, &Plan)> {
+        child_edges!(&self.node, &).into_iter().flatten()
+    }
+
+    /// [`Plan::children`], mutably — how a pass rewrites a plan in place.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = (Edge, &mut Plan)> {
+        child_edges!(&mut self.node, &mut).into_iter().flatten()
+    }
+
+    /// Pre-order walk over every operator of the tree, subplans included.
+    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Plan)) {
+        f(self);
+        for (_, child) in self.children() {
+            child.walk(f);
+        }
+    }
+
+    /// Visit this node's own expressions (not its children's).
+    pub fn exprs_mut(&mut self, f: &mut dyn FnMut(&mut Expr)) {
+        match &mut self.node {
+            PlanNode::Filter { predicate, .. } => f(predicate),
+            PlanNode::Project { exprs, .. } => exprs.iter_mut().for_each(f),
+            PlanNode::NestedLoopJoin { predicate, .. } => predicate.iter_mut().for_each(f),
+            PlanNode::Aggregate {
+                aggregates, having, ..
             }
-            PlanNode::ScalarSubquery { input, subplan, .. }
-            | PlanNode::Apply { input, subplan, .. } => {
-                input.operator_count() + subplan.operator_count()
-            }
+            | PlanNode::Exchange {
+                gather:
+                    GatherMode::MergeAggregate {
+                        aggregates, having, ..
+                    },
+                ..
+            } => aggregates
+                .iter_mut()
+                .filter_map(|a| a.arg.as_mut())
+                .chain(having)
+                .for_each(f),
+            PlanNode::ScalarSubquery { expr, .. } => f(expr),
+            PlanNode::Apply { mode, .. } => match mode {
+                ApplyMode::Exists { .. } => {}
+                ApplyMode::In { expr, .. }
+                | ApplyMode::Compare { expr, .. }
+                | ApplyMode::Quantified { expr, .. } => f(expr),
+            },
+            PlanNode::Scan { .. }
+            | PlanNode::IndexScan { .. }
+            | PlanNode::IndexNestedLoopJoin { .. }
+            | PlanNode::Values { .. }
+            | PlanNode::HashJoin { .. }
+            | PlanNode::HashSemiJoin { .. }
+            | PlanNode::HashAntiJoin { .. }
+            | PlanNode::Sort { .. }
+            | PlanNode::Limit { .. }
+            | PlanNode::Distinct { .. }
+            | PlanNode::Exchange { .. } => {}
+        }
+    }
+
+    /// True for the operators that treat every driver row independently —
+    /// scans, filters, projections, join probes, scalar-subquery filters —
+    /// and so may run as one copy per morsel under an exchange. Blocking
+    /// operators (sort, aggregate, limit, distinct) carry cross-morsel state
+    /// and `Apply` parallelizes internally; a key-ordered index scan exists
+    /// to *preserve* an order a sort was elided for, which gathering by
+    /// morsel would destroy.
+    pub fn is_pipeline_op(&self) -> bool {
+        match &self.node {
+            PlanNode::Scan { .. }
+            | PlanNode::Values { .. }
+            | PlanNode::IndexNestedLoopJoin { .. }
+            | PlanNode::Filter { .. }
+            | PlanNode::Project { .. }
+            | PlanNode::NestedLoopJoin { .. }
+            | PlanNode::HashJoin { .. }
+            | PlanNode::HashSemiJoin { .. }
+            | PlanNode::HashAntiJoin { .. }
+            | PlanNode::ScalarSubquery { .. } => true,
+            PlanNode::IndexScan { order, .. } => *order == ProbeOrder::Position,
+            PlanNode::Sort { .. }
+            | PlanNode::Limit { .. }
+            | PlanNode::Distinct { .. }
+            | PlanNode::Aggregate { .. }
+            | PlanNode::Apply { .. }
+            | PlanNode::Exchange { .. } => false,
+        }
+    }
+
+    /// The driver scan of a pipeline — the stored-table leaf at the end of
+    /// the [`Edge::Driver`] spine, the scan an exchange splits into morsels
+    /// — as `(table, alias, estimated rows)`. `None` when anything but a
+    /// pipeline operator sits on the spine (running a limit or an aggregate
+    /// once per morsel would change its meaning, so neither the planner nor
+    /// the executor partitions through one) or the leaf is not a stored
+    /// table.
+    pub fn driver_scan(&self) -> Option<(&str, &str, Option<f64>)> {
+        if !self.is_pipeline_op() {
+            return None;
+        }
+        match self.children().find(|(edge, _)| *edge == Edge::Driver) {
+            Some((_, spine)) => spine.driver_scan(),
+            None => match &self.node {
+                PlanNode::Scan { table, alias } | PlanNode::IndexScan { table, alias, .. } => {
+                    Some((table, alias, self.estimated_rows))
+                }
+                _ => None,
+            },
         }
     }
 
@@ -945,19 +883,26 @@ mod tests {
         assert_eq!(ColumnInfo::unqualified("cnt").to_string(), "cnt");
     }
 
+    fn operator_names(plan: &Plan) -> Vec<&'static str> {
+        let mut names = Vec::new();
+        plan.walk(&mut |p| names.push(p.operator_name()));
+        names
+    }
+
     #[test]
     fn operator_count_walks_tree() {
         let plan = Plan::scan("MOVIES", "m")
             .filter(Expr::col_cmp_value(0, CmpOp::Gt, Value::int(0)))
             .limit(10);
-        assert_eq!(plan.operator_count(), 3);
-        assert_eq!(plan.operator_name(), "limit");
+        assert_eq!(operator_names(&plan), ["limit", "filter", "scan"]);
     }
 
     #[test]
     fn join_operator_count_sums_both_sides() {
         let join = Plan::nested_loop_join(Plan::scan("A", "a"), Plan::scan("B", "b"), None);
-        assert_eq!(join.operator_count(), 3);
+        assert_eq!(operator_names(&join), ["nested-loop join", "scan", "scan"]);
+        let edges: Vec<Edge> = join.children().map(|(edge, _)| edge).collect();
+        assert_eq!(edges, [Edge::Driver, Edge::Build]);
     }
 
     #[test]

@@ -201,13 +201,6 @@ pub struct IndexAccess {
     pub index_only: bool,
 }
 
-impl IndexAccess {
-    /// True when the scan emits rows sorted by key (an elided sort).
-    pub fn key_order(&self) -> bool {
-        self.order != ProbeOrder::Position
-    }
-}
-
 /// A snapshot of one operator (and its subtree) after — or before —
 /// execution: the operator name, a human-readable detail string with column
 /// names resolved, and the instrumentation counters.
@@ -242,6 +235,19 @@ pub struct PlanProfile {
 pub const MISESTIMATE_FACTOR: f64 = 10.0;
 
 impl PlanProfile {
+    /// The stored table this operator itself reads — an index access's
+    /// table, or a `scan`'s — and `None` for every operator that reads only
+    /// its children. The one place a scan's rendered detail (`TABLE` or
+    /// `TABLE as alias`) is taken apart again; ledgers and narrators that
+    /// attribute an operator to a relation all ask here.
+    pub fn table(&self) -> Option<&str> {
+        match &self.access {
+            Some(access) => Some(&access.table),
+            None if self.operator == "scan" => self.detail.split(' ').next(),
+            None => None,
+        }
+    }
+
     /// Depth-first pre-order walk over the profile tree.
     pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a PlanProfile)) {
         f(self);

@@ -103,6 +103,22 @@ pub enum Expr {
 /// literal slice and an `Apply` straight from the outer row.
 pub type ParamLookup<'a> = &'a dyn Fn(u32) -> Option<&'a Value>;
 
+/// The operands of every expression node — written once for shared and
+/// mutable access (`$r` is `&` or `&mut`).
+macro_rules! operands {
+    ($expr:expr, $($r:tt)+) => {
+        match $expr {
+            Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) => [None, None],
+            Expr::Compare { left, right, .. } | Expr::Arith { left, right, .. } => {
+                [Some($($r)+ **left), Some($($r)+ **right)]
+            }
+            Expr::And(a, b) | Expr::Or(a, b) => [Some($($r)+ **a), Some($($r)+ **b)],
+            Expr::Not(e) | Expr::IsNull(e) => [Some($($r)+ **e), None],
+            Expr::Like { expr, .. } | Expr::InList { expr, .. } => [Some($($r)+ **expr), None],
+        }
+    };
+}
+
 impl Expr {
     /// Convenience constructor for an equality comparison of two columns.
     pub fn col_eq(left: usize, right: usize) -> Expr {
@@ -221,126 +237,75 @@ impl Expr {
         Ok(matches!(self.eval(row)?, Value::Boolean(true)))
     }
 
+    /// This node's operand expressions, left to right.
+    fn children(&self) -> impl Iterator<Item = &Expr> {
+        operands!(self, &).into_iter().flatten()
+    }
+
+    /// [`Expr::children`], mutably.
+    fn children_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
+        operands!(self, &mut).into_iter().flatten()
+    }
+
+    /// Pre-order walk over every node of the expression.
+    fn walk(&self, f: &mut dyn FnMut(&Expr)) {
+        f(self);
+        for child in self.children() {
+            child.walk(f);
+        }
+    }
+
+    /// [`Expr::walk`], rewriting nodes in place.
+    fn walk_mut(&mut self, f: &mut dyn FnMut(&mut Expr)) {
+        f(self);
+        for child in self.children_mut() {
+            child.walk_mut(f);
+        }
+    }
+
     /// Shift every column reference by `offset`. Used when an expression
     /// formulated against the right input of a join must be evaluated
     /// against the concatenated join row.
     pub fn shift_columns(&self, offset: usize) -> Expr {
-        match self {
-            Expr::Literal(v) => Expr::Literal(v.clone()),
-            Expr::Column(i) => Expr::Column(i + offset),
-            Expr::Compare { op, left, right } => Expr::Compare {
-                op: *op,
-                left: Box::new(left.shift_columns(offset)),
-                right: Box::new(right.shift_columns(offset)),
-            },
-            Expr::And(a, b) => Expr::And(
-                Box::new(a.shift_columns(offset)),
-                Box::new(b.shift_columns(offset)),
-            ),
-            Expr::Or(a, b) => Expr::Or(
-                Box::new(a.shift_columns(offset)),
-                Box::new(b.shift_columns(offset)),
-            ),
-            Expr::Not(e) => Expr::Not(Box::new(e.shift_columns(offset))),
-            Expr::Arith { op, left, right } => Expr::Arith {
-                op: *op,
-                left: Box::new(left.shift_columns(offset)),
-                right: Box::new(right.shift_columns(offset)),
-            },
-            Expr::IsNull(e) => Expr::IsNull(Box::new(e.shift_columns(offset))),
-            Expr::Like { expr, pattern } => Expr::Like {
-                expr: Box::new(expr.shift_columns(offset)),
-                pattern: pattern.clone(),
-            },
-            Expr::InList { expr, list } => Expr::InList {
-                expr: Box::new(expr.shift_columns(offset)),
-                list: list.clone(),
-            },
-            Expr::Param(id) => Expr::Param(*id),
-        }
+        let mut shifted = self.clone();
+        shifted.walk_mut(&mut |e| {
+            if let Expr::Column(i) = e {
+                *i += offset;
+            }
+        });
+        shifted
     }
 
-    /// Replace every bound [`Expr::Param`] with the literal value supplied
-    /// for it, leaving parameters owned by deeper `Apply` operators (which
-    /// `bindings` has no value for) untouched.
-    pub fn substitute_params(&self, bindings: ParamLookup<'_>) -> Expr {
-        match self {
-            Expr::Param(id) => match bindings(*id) {
-                Some(v) => Expr::Literal(v.clone()),
-                None => Expr::Param(*id),
-            },
-            Expr::Literal(v) => Expr::Literal(v.clone()),
-            Expr::Column(i) => Expr::Column(*i),
-            Expr::Compare { op, left, right } => Expr::Compare {
-                op: *op,
-                left: Box::new(left.substitute_params(bindings)),
-                right: Box::new(right.substitute_params(bindings)),
-            },
-            Expr::And(a, b) => Expr::And(
-                Box::new(a.substitute_params(bindings)),
-                Box::new(b.substitute_params(bindings)),
-            ),
-            Expr::Or(a, b) => Expr::Or(
-                Box::new(a.substitute_params(bindings)),
-                Box::new(b.substitute_params(bindings)),
-            ),
-            Expr::Not(e) => Expr::Not(Box::new(e.substitute_params(bindings))),
-            Expr::Arith { op, left, right } => Expr::Arith {
-                op: *op,
-                left: Box::new(left.substitute_params(bindings)),
-                right: Box::new(right.substitute_params(bindings)),
-            },
-            Expr::IsNull(e) => Expr::IsNull(Box::new(e.substitute_params(bindings))),
-            Expr::Like { expr, pattern } => Expr::Like {
-                expr: Box::new(expr.substitute_params(bindings)),
-                pattern: pattern.clone(),
-            },
-            Expr::InList { expr, list } => Expr::InList {
-                expr: Box::new(expr.substitute_params(bindings)),
-                list: list.clone(),
-            },
-        }
+    /// Replace, in place, every bound [`Expr::Param`] with the literal value
+    /// supplied for it, leaving parameters owned by deeper `Apply` operators
+    /// (which `bindings` has no value for) untouched.
+    pub fn substitute_params(&mut self, bindings: ParamLookup<'_>) {
+        self.walk_mut(&mut |e| {
+            if let Expr::Param(id) = e {
+                if let Some(v) = bindings(*id) {
+                    *e = Expr::Literal(v.clone());
+                }
+            }
+        });
     }
 
     /// True if this expression (transitively) contains an unbound parameter.
     pub fn has_params(&self) -> bool {
-        match self {
-            Expr::Param(_) => true,
-            Expr::Literal(_) | Expr::Column(_) => false,
-            Expr::Compare { left, right, .. } | Expr::Arith { left, right, .. } => {
-                left.has_params() || right.has_params()
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => a.has_params() || b.has_params(),
-            Expr::Not(e) | Expr::IsNull(e) => e.has_params(),
-            Expr::Like { expr, .. } | Expr::InList { expr, .. } => expr.has_params(),
-        }
+        matches!(self, Expr::Param(_)) || self.children().any(Expr::has_params)
     }
 
     /// Column indices referenced by this expression (used by the empty-result
     /// explainer to attribute failures to predicates).
     pub fn referenced_columns(&self) -> Vec<usize> {
         let mut out = Vec::new();
-        self.collect_columns(&mut out);
+        self.walk(&mut |e| {
+            if let Expr::Column(i) = e {
+                out.push(*i);
+            }
+        });
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    fn collect_columns(&self, out: &mut Vec<usize>) {
-        match self {
-            Expr::Literal(_) | Expr::Param(_) => {}
-            Expr::Column(i) => out.push(*i),
-            Expr::Compare { left, right, .. } | Expr::Arith { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
-            }
-            Expr::Not(e) | Expr::IsNull(e) => e.collect_columns(out),
-            Expr::Like { expr, .. } | Expr::InList { expr, .. } => expr.collect_columns(out),
-        }
     }
 }
 
@@ -563,12 +528,45 @@ mod tests {
         assert!(e.eval(&r).is_err(), "unbound parameters must not evaluate");
         let ten = Value::int(10);
         let bindings = |id: u32| (id == 7).then_some(&ten);
-        let bound = e.substitute_params(&bindings);
+        let mut bound = e.clone();
+        bound.substitute_params(&bindings);
         assert!(!bound.has_params());
         assert_eq!(bound.eval(&r).unwrap(), Value::Boolean(true));
         // Parameters owned by a deeper Apply stay untouched.
-        let other = Expr::Param(9).substitute_params(&bindings);
+        let mut other = Expr::Param(9);
+        other.substitute_params(&bindings);
         assert_eq!(other, Expr::Param(9));
+
+        // The same through a plan: binding the outer Apply's $7 reaches the
+        // filter, the index probe and the inner Apply's operand, and leaves
+        // the inner Apply's own $9 in place wherever it sits.
+        use crate::exec::{ApplyMode, Plan};
+        use crate::index::{BoundTerm, IndexBounds};
+        let param_eq = |id: u32| Expr::Compare {
+            op: CmpOp::Eq,
+            left: Box::new(Expr::Column(0)),
+            right: Box::new(Expr::Param(id)),
+        };
+        let subplan = |outer: Expr, probe: BoundTerm, operand: Expr| {
+            Plan::index_scan("T", "t", "idx", IndexBounds::prefix(vec![probe]))
+                .filter(outer)
+                .apply(
+                    Plan::scan("U", "u").filter(param_eq(9)),
+                    vec![(9, 0)],
+                    ApplyMode::In {
+                        expr: operand,
+                        negated: false,
+                    },
+                )
+        };
+        let template = subplan(param_eq(7), BoundTerm::Param(7), Expr::Param(7));
+        let expected = subplan(
+            Expr::col_cmp_value(0, CmpOp::Eq, ten.clone()),
+            BoundTerm::Value(ten.clone()),
+            Expr::Literal(ten.clone()),
+        );
+        assert_eq!(template.bind_params(&bindings), expected);
+        assert_eq!(template.bind_params(&|_| None), template);
     }
 
     #[test]

@@ -106,20 +106,10 @@ pub fn feedback_shape(detail: &str) -> String {
 /// ledger and the feedback store so both attribute an error to the same
 /// relation.
 pub fn profile_table(node: &PlanProfile) -> Option<String> {
-    if let Some(access) = &node.access {
-        return Some(access.table.clone());
+    match node.table() {
+        Some(table) => Some(table.to_string()),
+        None => node.children.iter().find_map(profile_table),
     }
-    if node.operator == "scan" {
-        // Detail is "TABLE" or "TABLE as alias".
-        return Some(
-            node.detail
-                .split_whitespace()
-                .next()
-                .unwrap_or(&node.detail)
-                .to_string(),
-        );
-    }
-    node.children.iter().find_map(profile_table)
 }
 
 #[cfg(test)]

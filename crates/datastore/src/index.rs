@@ -203,13 +203,11 @@ impl BoundTerm {
         }
     }
 
-    fn bind(&self, params: ParamLookup<'_>) -> BoundTerm {
-        match self {
-            BoundTerm::Param(id) => match params(*id) {
-                Some(v) => BoundTerm::Value(v.clone()),
-                None => self.clone(),
-            },
-            BoundTerm::Value(_) => self.clone(),
+    fn bind(&mut self, params: ParamLookup<'_>) {
+        if let BoundTerm::Param(id) = self {
+            if let Some(v) = params(*id) {
+                *self = BoundTerm::Value(v.clone());
+            }
         }
     }
 }
@@ -277,12 +275,6 @@ impl IndexBounds {
         self.lo.is_none() && self.hi.is_none() && self.eq.len() == width
     }
 
-    /// True when the probe needs an ordered structure: any range side, or a
-    /// prefix equality that leaves trailing key columns free.
-    pub fn needs_range(&self, width: usize) -> bool {
-        !self.is_exact(width)
-    }
-
     /// True when any term is an unresolved parameter.
     pub fn has_params(&self) -> bool {
         self.eq.iter().any(|t| matches!(t, BoundTerm::Param(_)))
@@ -290,14 +282,11 @@ impl IndexBounds {
             || matches!(self.hi, Some((BoundTerm::Param(_), _)))
     }
 
-    /// The bounds with every parameter that `params` carries substituted by
-    /// its value (the `bind_params` step of an `Apply` binding).
-    pub fn bind(&self, params: ParamLookup<'_>) -> IndexBounds {
-        IndexBounds {
-            eq: self.eq.iter().map(|t| t.bind(params)).collect(),
-            lo: self.lo.as_ref().map(|(t, inc)| (t.bind(params), *inc)),
-            hi: self.hi.as_ref().map(|(t, inc)| (t.bind(params), *inc)),
-        }
+    /// Substitute, in place, every parameter that `params` carries by its
+    /// value (the `bind_params` step of an `Apply` binding).
+    pub fn bind(&mut self, params: ParamLookup<'_>) {
+        let range = self.lo.iter_mut().chain(&mut self.hi).map(|(t, _)| t);
+        self.eq.iter_mut().chain(range).for_each(|t| t.bind(params));
     }
 
     /// Compact SQL-flavoured rendering against the (qualified) names of the
@@ -1027,11 +1016,13 @@ mod tests {
             idx.probe(&bounds, ProbeOrder::Position).unwrap_err(),
             StoreError::Eval { .. }
         ));
-        let bound = bounds.bind(&|_| Some(&Value::Integer(2)));
+        let mut bound = bounds.clone();
+        bound.bind(&|_| Some(&Value::Integer(2)));
         assert!(!bound.has_params());
         assert_eq!(idx.probe(&bound, ProbeOrder::Position).unwrap(), vec![0, 2]);
         // A NULL binding matches nothing, like any NULL equality.
-        let null_bound = bounds.bind(&|_| Some(&Value::Null));
+        let mut null_bound = bounds;
+        null_bound.bind(&|_| Some(&Value::Null));
         assert!(idx
             .probe(&null_bound, ProbeOrder::Position)
             .unwrap()

@@ -114,12 +114,7 @@ impl WorkloadSample {
         };
         profile.walk(&mut |node| match node.operator.as_str() {
             "scan" => {
-                let table = node
-                    .detail
-                    .split_whitespace()
-                    .next()
-                    .unwrap_or(&node.detail)
-                    .to_string();
+                let table = node.table().unwrap_or_default().to_string();
                 sample.rows_scanned += node.metrics.rows_out;
                 sample.full_scans.push((table, node.metrics.rows_out));
             }

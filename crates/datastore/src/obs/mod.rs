@@ -779,11 +779,6 @@ impl ObsRegistry {
         summarize(&self.latency[phase as usize].snapshot())
     }
 
-    /// Raw bucket counts of one phase's histogram.
-    pub fn latency_buckets(&self, phase: Phase) -> [u64; HIST_BUCKETS] {
-        self.latency[phase as usize].snapshot()
-    }
-
     /// The query journal.
     pub fn journal(&self) -> &Journal {
         &self.journal

@@ -13,7 +13,7 @@
 //! when it explains *why* it chose a join order.
 //!
 //! Nothing here reads a table's rows. Every [`Table`] keeps one
-//! [`LiveColumn`] per column current as rows come and go, and statistics,
+//! `LiveColumn` per column current as rows come and go, and statistics,
 //! histograms and frequency tables are all views of those: exact at all
 //! times, at the price of one counter update per value written.
 
@@ -305,7 +305,7 @@ pub struct TableStats {
 impl TableStats {
     /// The statistics of every column of a table as of now. No row is read:
     /// the table has kept them current with every write (see
-    /// [`LiveColumn`]).
+    /// `LiveColumn`).
     pub fn collect(table: &Table) -> TableStats {
         TableStats::snapshot(table).0
     }

@@ -193,14 +193,6 @@ impl Value {
         }
     }
 
-    /// Date view of the value.
-    pub fn as_date(&self) -> Option<Date> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// SQL three-valued equality: NULL = anything is unknown (`None`).
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
         if self.is_null() || other.is_null() {

@@ -42,7 +42,7 @@ pub fn merge_same_subject(clauses: &[Clause]) -> Vec<Clause> {
 /// and the actor A1"); `descriptions` maps an entity mention to the clause
 /// describing it ("The director D1" -> "was born in Italy"). Every mention
 /// found in the main clause is expanded in place to
-/// "<mention> <pronoun> <description>". Mentions not present are ignored.
+/// `<mention> <pronoun> <description>`. Mentions not present are ignored.
 pub fn embed_relative_clauses(main: &str, descriptions: &[(String, Clause, &str)]) -> String {
     let mut out = main.to_string();
     for (mention, description, pronoun) in descriptions {

@@ -14,7 +14,7 @@
 //! graph traversal with weights and budgets ([`traversal`]), structural
 //! pattern detection — unary / join / split / bridge elision
 //! ([`patterns`]) — block shape analysis ([`analysis`]), the §3.3 query
-//! categorization ([`classify`]) and DOT export regenerating the paper's
+//! categorization ([`mod@classify`]) and DOT export regenerating the paper's
 //! figures ([`dot`]).
 
 pub mod analysis;

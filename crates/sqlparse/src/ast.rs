@@ -42,14 +42,6 @@ pub enum Statement {
 }
 
 impl Statement {
-    /// The SELECT body if this statement is a query.
-    pub fn as_select(&self) -> Option<&SelectStatement> {
-        match self {
-            Statement::Select(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// The EXPLAIN body if this statement is an EXPLAIN.
     pub fn as_explain(&self) -> Option<&ExplainStatement> {
         match self {

@@ -9,7 +9,7 @@
 //! Modules:
 //! * [`template`] — the template and loop-template data structures;
 //! * [`parse`] — parser for the paper's template notation;
-//! * [`instantiate`] — bindings and instantiation;
+//! * [`mod@instantiate`] — bindings and instantiation;
 //! * [`merge`] — common-expression identification and merging;
 //! * [`lexicon`] — domain vocabulary (concepts, verb phrases, genders);
 //! * [`annotation`] — the registry of labels with schema-derived defaults.

@@ -4,7 +4,7 @@
 //! totals, `EXPLAIN` must render `[workers=N]`, and the narration must say
 //! both how the plan was parallelized and why it sometimes was not.
 
-use datastore::exec::{execute_with_stats, PlanProfile};
+use datastore::exec::{describe_plan, execute_with_stats, PlanProfile};
 use datastore::sample::{movie_database, scaled_movie_database, ScaleConfig};
 use sqlparse::parse_query;
 use talkback::{plan_query_with, PlannerOptions};
@@ -83,6 +83,88 @@ fn q1_to_q9_rows_and_order_identical_at_any_parallelism() {
             assert_eq!(base_rs.columns, rs.columns);
         }
     }
+}
+
+/// Shapes the paper's queries leave out: sort/limit/distinct, an
+/// uncorrelated scalar subquery, a correlated EXISTS.
+const SHAPE_QUERIES: &[&str] = &[
+    "select distinct m.year from MOVIES m order by m.year desc limit 3",
+    "select m.title from MOVIES m where m.year = (select max(m2.year) from MOVIES m2)",
+    "select m.title from MOVIES m where exists (select * from CAST c where c.mid = m.id)",
+];
+
+/// The §3.1 EMP/DEPT queries the other suites run.
+const EMP_QUERIES: &[&str] = &[
+    "select e1.name from EMP e1, EMP e2, DEPT d \
+     where e1.did = d.did and d.mgr = e2.eid and e1.sal > e2.sal",
+    "select e.name from EMP e where e.eid not in (select d.mgr from DEPT d)",
+    "select e.name from EMP e where e.eid not in \
+     (select d.mgr from DEPT d where d.mgr is not null)",
+];
+
+#[test]
+fn plan_walk_visits_exactly_the_operators_the_executor_opens() {
+    // `open_in` states every operator's children independently of
+    // `Plan::children`: the profile it builds must list the operators
+    // `Plan::walk` visits, in the same pre-order, under every planner corner
+    // — so a child `children()` forgot, or yielded out of order, fails here.
+    let movies = movie_database();
+    let employees = datastore::sample::employee_database();
+    let queries = PAPER_QUERIES
+        .iter()
+        .chain(SHAPE_QUERIES)
+        .map(|sql| (&movies, *sql))
+        .chain(EMP_QUERIES.iter().map(|sql| (&employees, *sql)));
+    let mut seen = std::collections::BTreeSet::new();
+    for (db, sql) in queries {
+        let q = parse_query(sql).unwrap();
+        for corner in 0..16u32 {
+            let options = PlannerOptions {
+                use_indexes: corner & 1 != 0,
+                use_vectorized: corner & 2 != 0,
+                decorrelate_subqueries: corner & 4 != 0,
+                parallelism: if corner & 8 != 0 { 4 } else { 1 },
+                parallel_row_threshold: 0.0,
+                ..PlannerOptions::default()
+            };
+            let plan = plan_query_with(db, &q, options).unwrap().plan;
+            let mut walked = Vec::new();
+            plan.walk(&mut |p| walked.push(p.operator_name()));
+            let described = describe_plan(db, &plan).unwrap();
+            let mut opened = Vec::new();
+            described.walk(&mut |p| {
+                // The probe side of an index nested-loop join is a profile
+                // leaf with no plan node of its own.
+                if p.operator != "index probe" {
+                    opened.push(p.operator.as_str());
+                }
+            });
+            assert_eq!(walked, opened, "{sql} under {options:?}");
+            seen.extend(walked);
+            // Binding nothing changes nothing, whatever the operators.
+            assert_eq!(plan.bind_params(&|_| None), plan, "{sql}");
+        }
+    }
+    // Every operator the planner can emit took part.
+    let all = [
+        "aggregate",
+        "anti join",
+        "apply",
+        "distinct",
+        "exchange",
+        "filter",
+        "hash join",
+        "index nested-loop join",
+        "index scan",
+        "limit",
+        "nested-loop join",
+        "project",
+        "scalar subquery",
+        "scan",
+        "semi join",
+        "sort",
+    ];
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
 }
 
 /// Flatten a profile into (operator, rows_in, rows_out) triples, skipping
