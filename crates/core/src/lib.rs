@@ -46,8 +46,11 @@
 //!    row count and every ordering or decorrelation choice is recorded as a
 //!    [`PlanDecision`].
 //! 3. **datastore/exec** opens the plan into a tree of streaming, pull-based
-//!    `RowSource` operators exchanging row batches; every operator counts
-//!    rows in/out, batches and elapsed time ([`datastore::exec::OpMetrics`]).
+//!    `RowSource` operators exchanging row batches; one metering wrapper
+//!    counts every operator's rows in/out, batches and elapsed time
+//!    ([`datastore::exec::OpMetrics`]) and assembles its
+//!    [`datastore::exec::PlanProfile`]; filter details are rendered by
+//!    [`datastore::exec::profile::render_expr`].
 //!    Operator trees are owned (`Arc` table handles), so a *parallel* phase
 //!    in the planner can wrap pipelines whose driver scan clears
 //!    [`PlannerOptions::parallel_row_threshold`] in a morsel-driven

@@ -686,7 +686,8 @@ fn literal_as_f64(l: &Literal) -> Option<f64> {
 /// to: `feedback_shape(render_expr(lowered))`. Columns render in the
 /// executor's qualified `alias.name` form (schema spelling), literals and
 /// plan parameters as `?`, operators and structure exactly as
-/// `datastore::exec::stream::render_expr` prints the lowered expression.
+/// `datastore::exec::profile::render_expr` prints the lowered expression
+/// (held to it by `tests::conjunct_shape_is_the_executors_shape_or_none`).
 /// `None` for shapes the builder does not cover — the lookup then simply
 /// misses, which is always safe.
 fn conjunct_shape(db: &Database, rel: &Relation, conjunct: &Expr) -> Option<String> {
@@ -1133,4 +1134,73 @@ fn decisions_for_written_order(
         method,
     });
     decisions
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::planner::lower_expr;
+    use datastore::exec::profile::render_expr;
+    use datastore::exec::{describe_plan, Plan};
+    use datastore::fingerprint::feedback_shape;
+    use datastore::sample::movie_database;
+
+    /// `conjunct_shape` is the planner's half of the feedback key and
+    /// `feedback_shape(render_expr(lowered))` the executor's: whenever the
+    /// planner builds a shape at all it must be the executor's, or feedback
+    /// on that filter is recorded and never found again.
+    #[test]
+    fn conjunct_shape_is_the_executors_shape_or_none() {
+        let db = movie_database();
+        let rel = Relation {
+            alias: "m".to_string(),
+            table: "MOVIES".to_string(),
+            pushed: Vec::new(),
+        };
+        // The row a filter over `MOVIES as m` sees, as the executor names it.
+        let scan = describe_plan(&db, &Plan::scan("MOVIES", "m")).unwrap();
+        let columns = scan.columns;
+        let check = |query: &sqlparse::SelectStatement| {
+            let bound = sqlparse::bind_query(db.catalog(), query).unwrap();
+            let conjunct = query.selection.as_ref().unwrap();
+            let lowered = lower_expr(conjunct, &columns, &bound).unwrap();
+            let executor = feedback_shape(&render_expr(&lowered, &columns));
+            let planner = conjunct_shape(&db, &rel, conjunct);
+            if let Some(planner) = &planner {
+                assert_eq!(planner, &executor, "for {conjunct}");
+            }
+            planner
+        };
+        let conjuncts = [
+            "m.year > 2000",
+            "2000 < m.year",
+            "m.title = 'Troy'",
+            "m.year between 1990 and 2005",
+            "m.year not between 1990 and 2005",
+            "m.id in (1, 2, 3)",
+            "m.title not in ('Troy', 'Seven')",
+            "m.title like 'O''%'",
+            "m.title not like '%''s %'",
+            "m.title is null",
+            "m.year is not null",
+            "not (m.year = 2000)",
+            "m.year > 1990 and (m.year < 2000 or m.title = 'Troy')",
+            "m.year + 1 > 2000",
+        ];
+        for conjunct in conjuncts {
+            let sql = format!("select m.title from MOVIES m where {conjunct}");
+            let covered = check(&sqlparse::parse_query(&sql).unwrap());
+            assert!(covered.is_some(), "no shape for {conjunct}");
+        }
+        // NULL and booleans render as words the normalizer keeps: no shape,
+        // so the lookup misses instead of guessing.
+        let null = "select m.title from MOVIES m where m.title = null";
+        assert_eq!(check(&sqlparse::parse_query(null).unwrap()), None);
+        // A plan-cache template carries `$i` where the statement had a
+        // literal; both sides collapse it to the same `?`.
+        let literal = sqlparse::parse_query("select m.title from MOVIES m where m.year = 2000");
+        let (template, lifted) = sqlparse::parameterize_select(&literal.unwrap()).unwrap();
+        assert_eq!(lifted.len(), 1);
+        assert_eq!(check(&template).as_deref(), Some("m.year = ?"));
+    }
 }

@@ -9,7 +9,7 @@
 //! locally are resolved against the enclosing `ScopeChain` as correlation
 //! parameters.
 
-use super::access::{self, ScanPath};
+use super::access::{self, literal_value, ScanPath};
 use super::cost::{AccessPathKind, Estimator, JoinOrder, PlanDecision};
 use super::logical::{ref_alias, JoinGraph, Relation};
 use super::subquery::ScopeChain;
@@ -907,7 +907,7 @@ fn lower_having(
             let l = lower_having_operand(left, group_by, aggregates, columns, bound)?;
             let r = lower_having_operand(right, group_by, aggregates, columns, bound)?;
             Ok(PExpr::Compare {
-                op: comparison_op(*op),
+                op: comparison_op(*op).ok_or_else(|| not_a_comparison(*op))?,
                 left: Box::new(l),
                 right: Box::new(r),
             })
@@ -961,26 +961,23 @@ pub(super) fn lower_having_operand(
     }
 }
 
-fn comparison_op(op: BinaryOperator) -> CmpOp {
+/// Map a SQL comparison operator to the runtime one; `None` for the logical
+/// and arithmetic operators, which callers report with
+/// [`not_a_comparison`] rather than comparing for equality or panicking.
+pub(super) fn comparison_op(op: BinaryOperator) -> Option<CmpOp> {
     match op {
-        BinaryOperator::Eq => CmpOp::Eq,
-        BinaryOperator::NotEq => CmpOp::NotEq,
-        BinaryOperator::Lt => CmpOp::Lt,
-        BinaryOperator::LtEq => CmpOp::LtEq,
-        BinaryOperator::Gt => CmpOp::Gt,
-        BinaryOperator::GtEq => CmpOp::GtEq,
-        _ => CmpOp::Eq,
+        BinaryOperator::Eq => Some(CmpOp::Eq),
+        BinaryOperator::NotEq => Some(CmpOp::NotEq),
+        BinaryOperator::Lt => Some(CmpOp::Lt),
+        BinaryOperator::LtEq => Some(CmpOp::LtEq),
+        BinaryOperator::Gt => Some(CmpOp::Gt),
+        BinaryOperator::GtEq => Some(CmpOp::GtEq),
+        _ => None,
     }
 }
 
-fn literal_value(l: &Literal) -> Value {
-    match l {
-        Literal::Integer(i) => Value::Integer(*i),
-        Literal::Float(f) => Value::Float(*f),
-        Literal::String(s) => Value::Text(s.clone()),
-        Literal::Boolean(b) => Value::Boolean(*b),
-        Literal::Null => Value::Null,
-    }
+pub(super) fn not_a_comparison(op: BinaryOperator) -> TalkbackError {
+    TalkbackError::Unsupported(format!("`{}` where a comparison is expected", op.sql()))
 }
 
 /// Lower a scalar/boolean expression over the joined FROM row, with no
@@ -1053,7 +1050,7 @@ pub(super) fn lower_expr_scoped(
                     right: Box::new(r),
                 },
                 cmp => PExpr::Compare {
-                    op: comparison_op(*cmp),
+                    op: comparison_op(*cmp).ok_or_else(|| not_a_comparison(*cmp))?,
                     left: Box::new(l),
                     right: Box::new(r),
                 },

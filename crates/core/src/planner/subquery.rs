@@ -41,11 +41,13 @@
 
 use super::cost::{Estimator, PlanDecision, SubqueryStrategy};
 use super::logical::{build_join_graph, column_type};
-use super::physical::{lower_expr_scoped, lower_having_operand, lower_select};
+use super::physical::{
+    comparison_op, lower_expr_scoped, lower_having_operand, lower_select, not_a_comparison,
+};
 use super::PlannerOptions;
 use crate::error::TalkbackError;
 use datastore::exec::{AggExpr, ApplyMode, ColumnInfo, Plan};
-use datastore::expr::{CmpOp, Expr as PExpr};
+use datastore::expr::Expr as PExpr;
 use datastore::stats::{anti_join_cardinality, semi_join_selectivity, DEFAULT_SELECTIVITY};
 use datastore::{DataType, Database};
 use sqlparse::ast::{
@@ -629,7 +631,7 @@ impl<'c> SubqueryContext<'c> {
                     scopes,
                     ApplyMode::Quantified {
                         expr: probe,
-                        op: comparison_cmp(*op),
+                        op: comparison_op(*op).ok_or_else(|| not_a_comparison(*op))?,
                         all: *quantifier == Quantifier::All,
                     },
                     rows,
@@ -876,8 +878,12 @@ impl<'c> SubqueryContext<'c> {
             let est = (rows * DEFAULT_SELECTIVITY).max(0.0);
             self.record(conjunct, SubqueryStrategy::ScalarOnce, None, Vec::new());
             return Ok((
-                plan.scalar_subquery(sub_plan, probe, comparison_cmp(op))
-                    .with_estimate(est),
+                plan.scalar_subquery(
+                    sub_plan,
+                    probe,
+                    comparison_op(op).ok_or_else(|| not_a_comparison(op))?,
+                )
+                .with_estimate(est),
                 est,
             ));
         }
@@ -891,7 +897,7 @@ impl<'c> SubqueryContext<'c> {
             scopes,
             ApplyMode::Compare {
                 expr: probe,
-                op: comparison_cmp(op),
+                op: comparison_op(op).ok_or_else(|| not_a_comparison(op))?,
             },
             rows,
         )
@@ -927,7 +933,7 @@ impl<'c> SubqueryContext<'c> {
             scopes,
             ApplyMode::Quantified {
                 expr: probe,
-                op: comparison_cmp(op),
+                op: comparison_op(op).ok_or_else(|| not_a_comparison(op))?,
                 all: quantifier == Quantifier::All,
             },
             rows,
@@ -1279,22 +1285,6 @@ fn single_column_subquery(sub: &SelectStatement, what: &str) -> Result<(), Talkb
             "{what} subquery that does not select exactly one column ({})",
             shorten(&sub.to_string())
         )))
-    }
-}
-
-/// Map a SQL comparison operator to the runtime one. Callers guard with
-/// `is_comparison()` (or take the operator from a parsed quantified
-/// comparison), so a logical operator here is a planner bug — fail loudly
-/// instead of silently comparing for equality.
-fn comparison_cmp(op: BinaryOperator) -> CmpOp {
-    match op {
-        BinaryOperator::Eq => CmpOp::Eq,
-        BinaryOperator::NotEq => CmpOp::NotEq,
-        BinaryOperator::Lt => CmpOp::Lt,
-        BinaryOperator::LtEq => CmpOp::LtEq,
-        BinaryOperator::Gt => CmpOp::Gt,
-        BinaryOperator::GtEq => CmpOp::GtEq,
-        other => unreachable!("non-comparison operator {other:?} in a subquery comparison"),
     }
 }
 

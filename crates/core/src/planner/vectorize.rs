@@ -27,7 +27,7 @@
 
 use super::cost::PlanDecision;
 use super::PlannerOptions;
-use datastore::exec::stream::render_expr;
+use datastore::exec::profile::render_expr;
 use datastore::exec::{ColumnInfo, Plan, PlanNode, VectorPredicate, PARALLEL_BUILD_MIN};
 use datastore::expr::Expr;
 use datastore::{DataType, Database, Value};

@@ -8,9 +8,50 @@
 //!
 //! Execution is organized as a tree of [`stream::RowSource`] operators that
 //! pull batches of rows on demand, each carrying instrumentation counters
-//! ([`stream::OpMetrics`]) — the raw material for `EXPLAIN ANALYZE` and the
+//! ([`profile::OpMetrics`]) — the raw material for `EXPLAIN ANALYZE` and the
 //! empty-result explanations of §3.1. [`executor::execute`] is the
 //! materializing shim for callers that just want a [`executor::ResultSet`].
+//!
+//! # The metering protocol
+//!
+//! How an operator is measured is stated once, as types. An operator in
+//! [`stream`] (and the exchange in [`parallel`]) implements the crate-private
+//! `Operator` trait — output columns, `pull(&mut self, meter)` that does only
+//! the operator's work, `describe()` (name, detail, tags, workers,
+//! [`profile::IndexAccess`], a synthetic child) and `inputs()` — and one
+//! generic wrapper, `Metered`, boxes it as a [`stream::RowSource`]. The
+//! rules, and who keeps them:
+//!
+//! 1. `elapsed` is the wall time inside `next_batch`, children included —
+//!    the wrapper starts and stops the clock.
+//! 2. Time spent waiting on someone else's work lands in `blocked`
+//!    (`elapsed - blocked` is the operator's own work) — an operator takes
+//!    its inputs through `meter.pull(child)`, and any other wait (a shared
+//!    build another worker is finishing, a fan-out to threads) through
+//!    `meter.wait(..)`.
+//! 3. `rows_in` counts what was pulled — the same `meter.pull(child)`; a
+//!    leaf adds the rows it read from storage.
+//! 4. `rows_out` and `batches` move exactly when a batch is returned — the
+//!    wrapper counts them.
+//! 5. An empty batch is never handed to a parent (`batches = 0` exactly
+//!    when `rows_out = 0`) — the wrapper pulls again when an operator
+//!    filtered a whole input batch away.
+//! 6. One [`profile::PlanProfile`] node per operator, assembled in one
+//!    function (`Description::assemble` in [`profile`]) from `describe()`,
+//!    the inputs' own profiles, and what the wrapper owns: the planner's
+//!    estimate and the [`profile::OpMetrics`]. No operator holds either.
+//!
+//! Four operators show more than themselves, through
+//! `Description::synthetic` and the same assembly: the index nested-loop
+//! join's `index probe` leaf (no build-side operator exists, but narrations
+//! want both sides), the fused aggregate's scan/filter chain (the unfused
+//! tree it replaced, each node with its own counters), `Apply`'s accumulated
+//! subplan profile (estimates scaled by the number of evaluations), and the
+//! exchange's merged per-worker pipeline profile. None writes its own
+//! `profile()`. A subplan evaluated on the side (`Apply`, the
+//! scalar-subquery filter) is not an input: its rows are not counted into
+//! `rows_in`. `tests/tests/parallel.rs` checks rules 1–5 on every node of
+//! every executed plan corner.
 //!
 //! Subqueries run through four dedicated operators (see [`plan::PlanNode`]):
 //! hash semi- and anti-joins for decorrelated `EXISTS` / `[NOT] IN` (the
@@ -39,6 +80,7 @@ pub mod aggregate;
 pub mod executor;
 pub mod parallel;
 pub mod plan;
+pub mod profile;
 pub mod stream;
 pub mod vector;
 
@@ -48,8 +90,6 @@ pub use parallel::{morsel_size, JoinIndex, MORSEL_MIN, PARALLEL_BUILD_MIN};
 pub use plan::{
     aggregate_output_columns, ApplyMode, ColumnInfo, Edge, GatherMode, Plan, PlanNode, SortKey,
 };
-pub use stream::{
-    open, open_owned, ExecContext, IndexAccess, OpMetrics, PlanProfile, RowSource, APPLY_CACHE_CAP,
-    BATCH_SIZE, MISESTIMATE_FACTOR,
-};
+pub use profile::{IndexAccess, OpMetrics, PlanProfile, MISESTIMATE_FACTOR};
+pub use stream::{open, open_owned, ExecContext, RowSource, APPLY_CACHE_CAP, BATCH_SIZE};
 pub use vector::{ValueVector, VectorPredicate};

@@ -52,10 +52,10 @@
 use crate::error::StoreError;
 use crate::exec::aggregate::{Accumulator, GroupedAggregator};
 use crate::exec::plan::{aggregate_output_columns, ColumnInfo, GatherMode, Plan};
+use crate::exec::profile::{plural, relation_label, Description, OpMetrics, PlanProfile};
 use crate::exec::stream::{
-    open_in, sort_rows, ExecContext, OpMetrics, OpenEnv, PlanProfile, RowSource,
+    drain_pending, open_in, sort_rows, ExecContext, OpenEnv, Operator, RowSource,
 };
-use crate::exec::BATCH_SIZE;
 use crate::obs::Counter;
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
@@ -65,7 +65,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
-use std::time::Instant;
 
 /// Minimum rows per morsel: below this, per-morsel open/teardown overhead
 /// dominates and the scan stays effectively sequential.
@@ -432,8 +431,6 @@ pub(crate) struct ExchangeSource {
     /// Threads actually spawned by the run (≤ `workers` when there were
     /// fewer morsels than workers) — what the executed profile reports.
     spawned: Option<usize>,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
 impl ExchangeSource {
@@ -442,7 +439,6 @@ impl ExchangeSource {
         input: &Plan,
         workers: usize,
         gather: GatherMode,
-        est: Option<f64>,
     ) -> Result<ExchangeSource, StoreError> {
         // The executor partitions only what `Plan::driver_scan` finds: a
         // hand-built exchange over a limit or an aggregate degrades to a
@@ -495,25 +491,14 @@ impl ExchangeSource {
             absorbed: None,
             morsels_run: 0,
             spawned: None,
-            est,
-            meter: OpMetrics::default(),
         })
     }
 
     /// Run the parallel section: claim-and-run morsels on `workers` threads,
     /// gather `(morsel, rows)` over a channel, reassemble in morsel order.
-    fn run(&mut self) -> Result<(), StoreError> {
-        if self.gathered.is_some() {
-            return Ok(());
-        }
+    fn run(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
         let (table_name, _) = self.driver.as_ref().expect("run requires a driver scan");
-        let len = self
-            .ctx
-            .table(table_name)
-            .ok_or_else(|| StoreError::UnknownTable {
-                table: table_name.clone(),
-            })?
-            .len();
+        let len = self.ctx.require_table(table_name)?.len();
         let morsel = morsel_size(len, self.workers);
         let total_morsels = len.div_ceil(morsel);
         let claim = Arc::new(AtomicUsize::new(0));
@@ -561,7 +546,7 @@ impl ExchangeSource {
         if let Some(e) = first_err {
             return Err(e);
         }
-        let rows = self.assemble(outputs.into_iter().flatten().collect())?;
+        let rows = self.assemble(outputs.into_iter().flatten().collect(), meter)?;
         self.morsels_run = total_morsels;
         self.spawned = Some(spawned);
         self.absorbed = Some(profile);
@@ -571,7 +556,11 @@ impl ExchangeSource {
 
     /// Combine per-morsel worker outputs (already in morsel order) into the
     /// exchange's final output, per the gather mode.
-    fn assemble(&mut self, outputs: Vec<WorkerOutput>) -> Result<VecDeque<Row>, StoreError> {
+    fn assemble(
+        &self,
+        outputs: Vec<WorkerOutput>,
+        meter: &mut OpMetrics,
+    ) -> Result<VecDeque<Row>, StoreError> {
         let mut rows = VecDeque::new();
         match self.gather.clone() {
             GatherMode::Rows => {
@@ -579,7 +568,7 @@ impl ExchangeSource {
                     let WorkerOutput::Rows(morsel_rows) = output else {
                         unreachable!("row gather always receives rows");
                     };
-                    self.meter.rows_in += morsel_rows.len() as u64;
+                    meter.rows_in += morsel_rows.len() as u64;
                     rows.extend(morsel_rows);
                 }
             }
@@ -600,8 +589,8 @@ impl ExchangeSource {
                     else {
                         unreachable!("aggregate gather always receives partials");
                     };
-                    self.meter.rows_in += groups.len() as u64;
-                    self.meter.vector_batches += vector_batches;
+                    meter.rows_in += groups.len() as u64;
+                    meter.vector_batches += vector_batches;
                     agg.merge_partial(groups);
                 }
                 rows.extend(agg.finish(having.as_ref())?);
@@ -615,7 +604,7 @@ impl ExchangeSource {
                     let WorkerOutput::Rows(run) = output else {
                         unreachable!("sort gather always receives runs");
                     };
-                    self.meter.rows_in += run.len() as u64;
+                    meter.rows_in += run.len() as u64;
                     all.extend(run);
                 }
                 sort_rows(&mut all, &keys);
@@ -629,7 +618,7 @@ impl ExchangeSource {
                     let WorkerOutput::Rows(run) = output else {
                         unreachable!("top-k gather always receives runs");
                     };
-                    self.meter.rows_in += run.len() as u64;
+                    meter.rows_in += run.len() as u64;
                     all.extend(run);
                 }
                 sort_rows(&mut all, &keys);
@@ -643,10 +632,7 @@ impl ExchangeSource {
     /// Pass-through path for a non-row gather: the pipeline could not be
     /// partitioned, but the gather still owns the aggregation/sort — run it
     /// over the whole output as a single morsel.
-    fn run_fallback_gathered(&mut self) -> Result<(), StoreError> {
-        if self.gathered.is_some() {
-            return Ok(());
-        }
+    fn run_fallback_gathered(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
         let inner = self.fallback.as_mut().expect("fallback path");
         let mut all = Vec::new();
         while let Some(batch) = inner.next_batch()? {
@@ -674,17 +660,9 @@ impl ExchangeSource {
                 WorkerOutput::Rows(all.into_iter().flatten().collect())
             }
         };
-        let rows = self.assemble(vec![output])?;
+        let rows = self.assemble(vec![output], meter)?;
         self.gathered = Some(rows);
         Ok(())
-    }
-
-    fn driver_desc(&self) -> String {
-        match &self.driver {
-            Some((table, alias)) if alias != table => format!("{table} as {alias}"),
-            Some((table, _)) => table.clone(),
-            None => "input".to_string(),
-        }
     }
 }
 
@@ -786,95 +764,68 @@ fn worker_loop(
     profile
 }
 
-impl RowSource for ExchangeSource {
+impl Operator for ExchangeSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        if matches!(self.gather, GatherMode::Rows) {
-            if let Some(inner) = self.fallback.as_mut() {
-                // No partitionable driver: pass through, still accounting
-                // the pull as time spent waiting on the child.
-                let result = inner.next_batch();
-                let spent = start.elapsed();
-                self.meter.blocked += spent;
-                self.meter.elapsed += spent;
-                if let Ok(Some(batch)) = &result {
-                    self.meter.rows_in += batch.len() as u64;
-                    self.meter.rows_out += batch.len() as u64;
-                    self.meter.batches += 1;
-                }
-                return result;
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        if let Some(inner) = self.fallback.as_mut() {
+            if matches!(self.gather, GatherMode::Rows) {
+                // No partitionable driver: pass through, an ordinary input.
+                return meter.pull(inner);
             }
         }
-        if self.fallback.is_some() {
-            // Non-row gather over a pass-through pipeline: the gather still
-            // aggregates/sorts, treating the whole output as one run.
-            if self.gathered.is_none() {
-                let run = self.run_fallback_gathered();
-                self.meter.blocked += start.elapsed();
-                run?;
-            }
-        } else if self.gathered.is_none() {
-            let run = self.run();
+        if self.gathered.is_none() {
             // The whole parallel section is time this operator spent waiting
-            // on its (threaded) children, not doing its own work.
-            self.meter.blocked += start.elapsed();
-            run?;
+            // on its (threaded) children, not doing its own work. Over a
+            // pass-through pipeline a non-row gather still aggregates/sorts,
+            // treating the whole output as one run.
+            meter.wait(|meter| match self.fallback {
+                Some(_) => self.run_fallback_gathered(meter),
+                None => self.run(meter),
+            })?;
         }
-        let pending = self.gathered.as_mut().expect("gathered above");
-        let result = if pending.is_empty() {
-            None
-        } else {
-            let take = pending.len().min(BATCH_SIZE);
-            let batch: Vec<Row> = pending.drain(..take).collect();
-            self.meter.rows_out += batch.len() as u64;
-            self.meter.batches += 1;
-            Some(batch)
-        };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        Ok(drain_pending(
+            self.gathered.as_mut().expect("gathered above"),
+        ))
     }
 
-    fn profile(&self) -> PlanProfile {
-        let child = match (&self.absorbed, &self.fallback) {
-            (Some(p), _) => p.clone(),
-            (None, Some(inner)) => inner.profile(),
-            (None, None) => self.template.clone(),
+    fn describe(&self) -> Description {
+        let morsels = match self.morsels_run {
+            0 => "morsels".to_string(),
+            n => format!("{n} morsel{}", plural(n as u64, "s")),
         };
-        let detail = if self.morsels_run > 0 {
-            format!(
-                "{} morsel{} over {}",
-                self.morsels_run,
-                if self.morsels_run == 1 { "" } else { "s" },
-                self.driver_desc()
-            )
-        } else {
-            format!("morsels over {}", self.driver_desc())
+        let driver = match &self.driver {
+            Some((table, alias)) => relation_label(table, alias),
+            None => "input".to_string(),
         };
-        PlanProfile {
-            operator: "exchange".to_string(),
-            detail,
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
+        let detail = format!("{morsels} over {driver}");
+        Description {
+            tags: self.gather.tags(),
             // A pass-through exchange (no partitionable driver) ran on one
             // thread; advertising the requested degree would make the
             // narration claim a parallel speedup that never happened. After
             // a run, report the threads actually spawned (fewer than
             // requested when the driver yielded fewer morsels) — before one,
             // the plan's requested degree.
-            workers: if self.fallback.is_some() {
-                None
-            } else {
-                Some(self.spawned.unwrap_or(self.workers))
+            workers: match self.fallback {
+                Some(_) => None,
+                None => Some(self.spawned.unwrap_or(self.workers)),
             },
-            tags: self.gather.tags(),
-            access: None,
-            children: vec![child],
+            // The workers' pipelines are not operators of this tree: their
+            // merged profile (the zero-counter template before a run) stands
+            // in for them.
+            synthetic: match self.fallback {
+                Some(_) => None,
+                None => Some(self.absorbed.as_ref().unwrap_or(&self.template).clone()),
+            },
+            ..Description::new("exchange", detail)
         }
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        self.fallback.as_deref().into_iter()
     }
 }
 
@@ -1031,7 +982,7 @@ mod tests {
         );
         let pipeline = Plan::hash_join(Plan::scan("T", "t"), build, vec![0], vec![0]);
         let ctx = Arc::new(ExecContext::new(&db));
-        let exchange = ExchangeSource::open(&ctx, &pipeline, 4, GatherMode::Rows, None).unwrap();
+        let exchange = ExchangeSource::open(&ctx, &pipeline, 4, GatherMode::Rows).unwrap();
         let indexed = Cell::new(0);
         let env = OpenEnv {
             shared: Some(&exchange.shared),

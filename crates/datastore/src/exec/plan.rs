@@ -178,7 +178,10 @@ impl GatherMode {
 ///   [`IndexBounds`] bind themselves.
 ///
 /// A new operator is declared here, opened in `stream.rs::open_in`, named in
-/// [`Plan::operator_name`] and costed in the advisor's `plan_cost`.
+/// [`Plan::operator_name`] and costed in the advisor's `plan_cost`, and
+/// implements the executor's operator trait (columns, `pull`, `describe`,
+/// `inputs`) — nothing about metering or `PlanProfile`, which the one
+/// wrapper owns (the protocol in the [`crate::exec`] module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// The physical operator.

@@ -2,11 +2,13 @@
 //!
 //! Every plan node opens into a [`RowSource`]: a batched iterator that pulls
 //! rows from its children on demand instead of materializing whole
-//! intermediate results. Each operator carries its own instrumentation
-//! ([`OpMetrics`]: rows in/out, batches, elapsed wall time), which is what
-//! lets the system *talk back* about what it actually did — the §3.1
-//! empty-result detective and the `EXPLAIN ANALYZE` narrator both read these
-//! counters rather than re-executing the query.
+//! intermediate results. Each operator is boxed with its instrumentation
+//! ([`OpMetrics`]: rows in/out, batches, elapsed wall time — one wrapper
+//! keeps them for all operators, by the protocol in the [`crate::exec`]
+//! module docs), which is what lets the system *talk back* about what it
+//! actually did — the §3.1 empty-result detective and the `EXPLAIN ANALYZE`
+//! narrator both read these counters rather than re-executing the query.
+//! What the counters and snapshots *are* lives in [`crate::exec::profile`].
 //!
 //! Blocking operators (sort, aggregation, the hash-join build side, the
 //! nested-loop inner side) still buffer what they fundamentally must, but
@@ -28,6 +30,10 @@ use crate::error::StoreError;
 use crate::exec::aggregate::{AggExpr, GroupedAggregator};
 use crate::exec::parallel::{ExchangeShared, ExchangeSource, JoinIndex, SemiBuild, SharedBuild};
 use crate::exec::plan::{aggregate_output_columns, ApplyMode, ColumnInfo, Plan, PlanNode, SortKey};
+use crate::exec::profile::{column_label, plural, relation_label, vectorized_tag, Description};
+pub use crate::exec::profile::{
+    render_expr, IndexAccess, OpMetrics, PlanProfile, MISESTIMATE_FACTOR,
+};
 use crate::exec::vector::{batch_group_keys, gather_selected, VectorPredicate};
 use crate::expr::{CmpOp, Expr};
 use crate::index::{IndexBounds, ProbeOrder};
@@ -36,10 +42,9 @@ use crate::table::Table;
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
 use std::cell::Cell;
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Rows per batch pulled through the operator pipeline.
 pub const BATCH_SIZE: usize = 1024;
@@ -77,6 +82,14 @@ impl ExecContext {
         self.tables.get(&name.to_ascii_uppercase())
     }
 
+    /// [`ExecContext::table`], or the error every operator that names a
+    /// table reports when the snapshot does not hold it.
+    pub fn require_table(&self, name: &str) -> Result<&Arc<Table>, StoreError> {
+        self.table(name).ok_or_else(|| StoreError::UnknownTable {
+            table: name.to_string(),
+        })
+    }
+
     /// The engine-wide observability registry this snapshot reports into.
     pub fn obs(&self) -> &Arc<ObsRegistry> {
         &self.obs
@@ -102,364 +115,6 @@ impl OpenEnv<'_> {
     }
 }
 
-/// Per-operator instrumentation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpMetrics {
-    /// Rows consumed from child operators (for a scan: rows read from
-    /// storage).
-    pub rows_in: u64,
-    /// Rows produced to the parent.
-    pub rows_out: u64,
-    /// Output batches produced.
-    pub batches: u64,
-    /// Wall-clock time spent inside this operator's `next_batch`, inclusive
-    /// of children (like `EXPLAIN ANALYZE`'s actual time).
-    pub elapsed: Duration,
-    /// The part of `elapsed` spent waiting inside child `next_batch` calls.
-    /// `elapsed - blocked` is the operator's *own* work — for a parallel
-    /// child the whole fan-out/gather wall time lands in the parent's
-    /// `blocked`, so time attribution blames the operator that actually
-    /// burned the cycles.
-    pub blocked: Duration,
-    /// Input batches this operator evaluated through the typed vector
-    /// kernels (zero for row-at-a-time operators); the remainder of its
-    /// input batches fell back to per-row evaluation.
-    pub vector_batches: u64,
-}
-
-impl OpMetrics {
-    /// Time this operator spent on its own work, excluding time blocked
-    /// waiting on children (parallel or otherwise).
-    pub fn self_elapsed(&self) -> Duration {
-        self.elapsed.saturating_sub(self.blocked)
-    }
-}
-
-/// Pull one batch from a child while charging the wait to the parent's
-/// `blocked` tally.
-fn timed_pull(
-    child: &mut Box<dyn RowSource>,
-    blocked: &mut Duration,
-) -> Result<Option<Vec<Row>>, StoreError> {
-    let start = Instant::now();
-    let result = child.next_batch();
-    *blocked += start.elapsed();
-    result
-}
-
-/// Fetch-or-build one piece of stateful operator input. Under an exchange
-/// (`shared` is `Some`), the build goes through the shared cell so it
-/// happens exactly once across workers; a worker that finds the cell
-/// already claimed waits on the builder, and that wait is returned so the
-/// caller can charge it to its `blocked` tally (it is not the operator's
-/// own work). Outside an exchange the build simply runs.
-fn build_or_share(
-    shared: &Option<(Arc<ExchangeShared>, usize)>,
-    build: impl FnOnce() -> Result<SharedBuild, StoreError>,
-) -> Result<(SharedBuild, Duration), StoreError> {
-    match shared {
-        Some((cells, idx)) => {
-            let wait_start = Instant::now();
-            let built_here = Cell::new(false);
-            let built = cells.get_or_build(*idx, || {
-                built_here.set(true);
-                build()
-            })?;
-            let waited = if built_here.get() {
-                Duration::ZERO
-            } else {
-                wait_start.elapsed()
-            };
-            Ok((built, waited))
-        }
-        None => Ok((build()?, Duration::ZERO)),
-    }
-}
-
-/// Structured metadata of an index-backed operator ("index scan", and the
-/// probe side of an index nested-loop join), carried on the profile so
-/// narrations and the §3.1 empty-result detective read fields instead of
-/// parsing the rendered detail string back apart.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexAccess {
-    /// Probed table and its tuple-variable alias.
-    pub table: String,
-    pub alias: String,
-    /// Index name.
-    pub index: String,
-    /// True for an exact (point) probe that pins every key column, false
-    /// for a prefix or range probe.
-    pub point: bool,
-    /// Rendered probe predicate ("m.id = 5", "c.mid = $0") for index
-    /// scans; `None` for the per-row probe side of an index nested-loop
-    /// join.
-    pub predicate: Option<String>,
-    /// The order rows come back in; `KeyAsc`/`KeyDesc` mean an elided sort.
-    pub order: ProbeOrder,
-    /// True when the scan answered from the index keys alone, never
-    /// touching heap rows.
-    pub index_only: bool,
-}
-
-/// A snapshot of one operator (and its subtree) after — or before —
-/// execution: the operator name, a human-readable detail string with column
-/// names resolved, and the instrumentation counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanProfile {
-    /// Short operator name ("scan", "hash join", …).
-    pub operator: String,
-    /// Operator-specific detail ("MOVIES as m", "m.year > 2000", …).
-    pub detail: String,
-    /// Output columns of this operator.
-    pub columns: Vec<ColumnInfo>,
-    /// The planner's estimated output rows for this operator, when the plan
-    /// carried one.
-    pub estimated_rows: Option<f64>,
-    /// Instrumentation counters (all zero when the plan was only described,
-    /// not executed).
-    pub metrics: OpMetrics,
-    /// Worker threads this operator fans work out across (`None` for plain
-    /// sequential operators); rendered as `[workers=N]` in plan trees.
-    pub workers: Option<usize>,
-    /// Extra bracketed annotations rendered after the detail —
-    /// `[vectorized]`, `[partial-agg]`, `[top-k k=10]` and friends.
-    pub tags: Vec<String>,
-    /// Index access-path metadata, when this operator probes one.
-    pub access: Option<IndexAccess>,
-    /// Child profiles (inputs of this operator).
-    pub children: Vec<PlanProfile>,
-}
-
-/// Factor by which an estimate must be off (in either direction) before the
-/// tree rendering and the narration flag it.
-pub const MISESTIMATE_FACTOR: f64 = 10.0;
-
-impl PlanProfile {
-    /// The stored table this operator itself reads — an index access's
-    /// table, or a `scan`'s — and `None` for every operator that reads only
-    /// its children. The one place a scan's rendered detail (`TABLE` or
-    /// `TABLE as alias`) is taken apart again; ledgers and narrators that
-    /// attribute an operator to a relation all ask here.
-    pub fn table(&self) -> Option<&str> {
-        match &self.access {
-            Some(access) => Some(&access.table),
-            None if self.operator == "scan" => self.detail.split(' ').next(),
-            None => None,
-        }
-    }
-
-    /// Depth-first pre-order walk over the profile tree.
-    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a PlanProfile)) {
-        f(self);
-        for c in &self.children {
-            c.walk(f);
-        }
-    }
-
-    /// Add another profile's counters into this one, recursively. The two
-    /// profiles must have the same tree shape; the `Apply` operator uses
-    /// this to accumulate the metrics of its per-binding subplan executions
-    /// into one template profile.
-    pub fn absorb(&mut self, other: &PlanProfile) {
-        self.metrics.rows_in += other.metrics.rows_in;
-        self.metrics.rows_out += other.metrics.rows_out;
-        self.metrics.batches += other.metrics.batches;
-        self.metrics.elapsed += other.metrics.elapsed;
-        self.metrics.blocked += other.metrics.blocked;
-        self.metrics.vector_batches += other.metrics.vector_batches;
-        for (mine, theirs) in self.children.iter_mut().zip(&other.children) {
-            mine.absorb(theirs);
-        }
-    }
-
-    /// Parallel speedup of an executed exchange: total operator time of its
-    /// subtree (each worker's wall time, summed) divided by the wall-clock
-    /// time the fan-out took — the conventional "work over span" ratio. On
-    /// an oversubscribed machine a preempted worker still accumulates wall
-    /// time, so the ratio reflects scheduling pressure, not pure CPU
-    /// speedup. `None` for anything but a multi-worker exchange (an apply's
-    /// `blocked` mixes input waits with its fan-out, so the ratio would be
-    /// meaningless there) and for un-executed profiles.
-    pub fn parallel_speedup(&self) -> Option<f64> {
-        if self.workers? <= 1 || self.operator != "exchange" {
-            return None;
-        }
-        let wall = self.metrics.blocked.as_secs_f64();
-        let work: f64 = self
-            .children
-            .iter()
-            .map(|c| c.metrics.elapsed.as_secs_f64())
-            .sum();
-        (wall > 0.0 && work > 0.0).then(|| work / wall)
-    }
-
-    /// Multiply every estimate in the subtree by `factor`. The `Apply`
-    /// operator scales its subplan's per-evaluation estimates by the number
-    /// of evaluations, so `EXPLAIN ANALYZE` compares like with like (total
-    /// estimated rows vs. total actual rows across all bindings).
-    pub fn scale_estimates(&mut self, factor: f64) {
-        if let Some(est) = self.estimated_rows.as_mut() {
-            *est *= factor;
-        }
-        for c in &mut self.children {
-            c.scale_estimates(factor);
-        }
-    }
-
-    /// Total number of operators in the subtree.
-    pub fn operator_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(PlanProfile::operator_count)
-            .sum::<usize>()
-    }
-
-    /// How far the planner's estimate is off from the actual output, as a
-    /// ≥ 1.0 factor — `Some` only when the plan carried an estimate and the
-    /// factor reaches [`MISESTIMATE_FACTOR`]. Cardinalities are clamped to 1
-    /// so "estimated 0, saw 3" compares as 3×, not ∞.
-    pub fn misestimate(&self) -> Option<f64> {
-        self.misestimate_with(MISESTIMATE_FACTOR)
-    }
-
-    /// [`PlanProfile::misestimate`] against an explicit flagging threshold —
-    /// how `PlannerOptions::misestimate_factor` reaches the renderer.
-    pub fn misestimate_with(&self, flag_factor: f64) -> Option<f64> {
-        let est = self.estimated_rows?.round().max(1.0);
-        let actual = (self.metrics.rows_out as f64).max(1.0);
-        let factor = if est > actual {
-            est / actual
-        } else {
-            actual / est
-        };
-        (factor >= flag_factor).then_some(factor)
-    }
-
-    /// Render the profile as a stable ASCII tree. Every line shows the
-    /// planner's estimated rows when available; with `analyze` it also shows
-    /// the actual row counts (flagging estimates off by more than
-    /// [`MISESTIMATE_FACTOR`]). Timings are deliberately left out of the
-    /// tree (they are not stable across runs) and live only in
-    /// [`OpMetrics`].
-    pub fn render_tree(&self, analyze: bool) -> String {
-        self.render_tree_with(analyze, MISESTIMATE_FACTOR)
-    }
-
-    /// [`PlanProfile::render_tree`] with an explicit misestimate-flagging
-    /// threshold.
-    pub fn render_tree_with(&self, analyze: bool, flag_factor: f64) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, "", "", analyze, flag_factor);
-        out
-    }
-
-    fn render_into(
-        &self,
-        out: &mut String,
-        prefix: &str,
-        child_prefix: &str,
-        analyze: bool,
-        flag_factor: f64,
-    ) {
-        out.push_str(prefix);
-        out.push_str(&self.operator);
-        if !self.detail.is_empty() {
-            out.push_str(": ");
-            out.push_str(&self.detail);
-        }
-        for tag in &self.tags {
-            out.push_str(&format!("  [{tag}]"));
-        }
-        if let Some(workers) = self.workers.filter(|&w| w > 1) {
-            out.push_str(&format!("  [workers={workers}]"));
-        }
-        let est = self.estimated_rows.map(|e| format!("{:.0}", e.round()));
-        if analyze {
-            match est {
-                Some(est) => out.push_str(&format!(
-                    "  [est={} actual={} in={} batches={}]",
-                    est, self.metrics.rows_out, self.metrics.rows_in, self.metrics.batches
-                )),
-                None => out.push_str(&format!(
-                    "  [actual={} in={} batches={}]",
-                    self.metrics.rows_out, self.metrics.rows_in, self.metrics.batches
-                )),
-            }
-            if let Some(factor) = self.misestimate_with(flag_factor) {
-                out.push_str(&format!("  <-- est off by {factor:.0}x"));
-            }
-        } else if let Some(est) = est {
-            out.push_str(&format!("  [est={est}]"));
-        }
-        out.push('\n');
-        let n = self.children.len();
-        for (i, child) in self.children.iter().enumerate() {
-            let last = i + 1 == n;
-            let branch = if last { "└─ " } else { "├─ " };
-            let cont = if last { "   " } else { "│  " };
-            child.render_into(
-                out,
-                &format!("{child_prefix}{branch}"),
-                &format!("{child_prefix}{cont}"),
-                analyze,
-                flag_factor,
-            );
-        }
-    }
-}
-
-/// Render a runtime expression with column positions resolved to names.
-pub fn render_expr(expr: &Expr, columns: &[ColumnInfo]) -> String {
-    match expr {
-        Expr::Literal(v) => v.sql_literal(),
-        Expr::Column(i) => columns
-            .get(*i)
-            .map(ColumnInfo::to_string)
-            .unwrap_or_else(|| format!("#{i}")),
-        Expr::Compare { op, left, right } => format!(
-            "{} {} {}",
-            render_expr(left, columns),
-            op.sql(),
-            render_expr(right, columns)
-        ),
-        Expr::And(l, r) => format!(
-            "{} AND {}",
-            render_expr(l, columns),
-            render_expr(r, columns)
-        ),
-        Expr::Or(l, r) => format!(
-            "({} OR {})",
-            render_expr(l, columns),
-            render_expr(r, columns)
-        ),
-        Expr::Not(e) => format!("NOT ({})", render_expr(e, columns)),
-        Expr::Arith { op, left, right } => {
-            let sym = match op {
-                crate::expr::ArithOp::Add => "+",
-                crate::expr::ArithOp::Sub => "-",
-                crate::expr::ArithOp::Mul => "*",
-                crate::expr::ArithOp::Div => "/",
-            };
-            format!(
-                "{} {} {}",
-                render_expr(left, columns),
-                sym,
-                render_expr(right, columns)
-            )
-        }
-        Expr::IsNull(e) => format!("{} IS NULL", render_expr(e, columns)),
-        Expr::Like { expr, pattern } => {
-            format!("{} LIKE '{}'", render_expr(expr, columns), pattern)
-        }
-        Expr::InList { expr, list } => {
-            let items: Vec<String> = list.iter().map(Value::sql_literal).collect();
-            format!("{} IN ({})", render_expr(expr, columns), items.join(", "))
-        }
-        Expr::Param(id) => format!("${id}"),
-    }
-}
-
 /// A pull-based operator: a batched row iterator with instrumentation.
 /// Sources are `Send` — they own their state (table handles are `Arc`s), so
 /// a subtree can execute on a worker thread.
@@ -470,6 +125,186 @@ pub trait RowSource: Send {
     fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError>;
     /// Snapshot this operator subtree (name, detail, metrics, children).
     fn profile(&self) -> PlanProfile;
+}
+
+// ---------------------------------------------------------------------------
+// The metering protocol (see the `exec` module docs)
+// ---------------------------------------------------------------------------
+
+/// What an operator *does*: its output columns, its work, how it presents
+/// itself, and which operators feed it. Nothing about timing, `rows_out`,
+/// `batches`, estimates or [`PlanProfile`] — [`Metered`] owns those, so an
+/// operator cannot forget a rule.
+pub(crate) trait Operator: Send {
+    /// Output column descriptors.
+    fn columns(&self) -> &[ColumnInfo];
+    /// Produce the next output batch (`None` when exhausted). Inputs are
+    /// taken through [`OpMetrics::pull`]; any other wait on someone else's
+    /// work goes through [`OpMetrics::wait`].
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError>;
+    /// Name, detail and annotations for the profile.
+    fn describe(&self) -> Description;
+    /// The operators this one pulls from, in profile order (none for a leaf).
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        std::iter::empty()
+    }
+    /// Box the operator with its metering.
+    fn metered(self, est: Option<f64>) -> Box<dyn RowSource>
+    where
+        Self: Sized + 'static,
+    {
+        Box::new(Metered {
+            op: self,
+            est,
+            meter: OpMetrics::default(),
+        })
+    }
+}
+
+/// The metering half of every operator: owns the planner's estimate and the
+/// counters, times each `next_batch`, counts what is returned, and assembles
+/// the profile. Statically dispatched over the operator it wraps.
+struct Metered<O> {
+    op: O,
+    est: Option<f64>,
+    meter: OpMetrics,
+}
+
+impl<O: Operator> RowSource for Metered<O> {
+    fn columns(&self) -> &[ColumnInfo] {
+        self.op.columns()
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
+        let start = Instant::now();
+        let result = loop {
+            match self.op.pull(&mut self.meter) {
+                // An operator that filtered a whole input batch away pulls
+                // again: an empty batch is never handed to a parent.
+                Ok(Some(batch)) if batch.is_empty() => continue,
+                other => break other,
+            }
+        };
+        if let Ok(Some(batch)) = &result {
+            self.meter.rows_out += batch.len() as u64;
+            self.meter.batches += 1;
+        }
+        self.meter.elapsed += start.elapsed();
+        result
+    }
+
+    fn profile(&self) -> PlanProfile {
+        let inputs = self.op.inputs().map(|input| input.profile());
+        self.op
+            .describe()
+            .assemble(self.op.columns(), self.est, self.meter, inputs)
+    }
+}
+
+impl OpMetrics {
+    /// Run `f` — a wait on someone else's work: a child's `next_batch`, a
+    /// fan-out to worker threads — and charge its wall time to `blocked`.
+    pub(crate) fn wait<T>(&mut self, f: impl FnOnce(&mut OpMetrics) -> T) -> T {
+        let start = Instant::now();
+        let out = f(self);
+        self.blocked += start.elapsed();
+        out
+    }
+
+    /// Pull one batch from an input: the wait lands in `blocked`, the rows
+    /// in `rows_in`.
+    pub(crate) fn pull(
+        &mut self,
+        child: &mut Box<dyn RowSource>,
+    ) -> Result<Option<Vec<Row>>, StoreError> {
+        let batch = self.wait(|_| child.next_batch())?;
+        if let Some(batch) = &batch {
+            self.rows_in += batch.len() as u64;
+        }
+        Ok(batch)
+    }
+
+    /// [`OpMetrics::pull`] an input to exhaustion (a build side, a sort's
+    /// input).
+    fn drain(&mut self, child: &mut Box<dyn RowSource>) -> Result<Vec<Row>, StoreError> {
+        let mut rows = Vec::new();
+        while let Some(batch) = self.pull(child)? {
+            rows.extend(batch);
+        }
+        Ok(rows)
+    }
+}
+
+/// Fetch-or-build one piece of stateful operator input. Under an exchange
+/// (`shared` is `Some`), the build goes through the shared cell so it
+/// happens exactly once across workers; a worker that finds the cell
+/// already claimed waits on the builder, and that wait is charged to its
+/// `blocked` tally (it is not the operator's own work). Outside an exchange
+/// the build simply runs.
+fn build_or_share(
+    shared: &Option<(Arc<ExchangeShared>, usize)>,
+    meter: &mut OpMetrics,
+    build: impl FnOnce(&mut OpMetrics) -> Result<SharedBuild, StoreError>,
+) -> Result<SharedBuild, StoreError> {
+    let Some((cells, idx)) = shared else {
+        return build(meter);
+    };
+    let wait_start = Instant::now();
+    let mut built_here = false;
+    let built = cells.get_or_build(*idx, || {
+        built_here = true;
+        build(meter)
+    })?;
+    if !built_here {
+        meter.blocked += wait_start.elapsed();
+    }
+    Ok(built)
+}
+
+/// The row positions a scan of `len` rows reads: all of them, or the part of
+/// a morsel's range that exists.
+fn morsel_bounds(range: Option<(usize, usize)>, len: usize) -> (usize, usize) {
+    match range {
+        Some((start, end)) => (start.min(len), end.min(len)),
+        None => (0, len),
+    }
+}
+
+/// A stored table's columns, qualified by the tuple variable reading them.
+fn table_columns(table: &Table, alias: &str) -> Vec<ColumnInfo> {
+    table
+        .schema()
+        .columns
+        .iter()
+        .map(|c| ColumnInfo::qualified(alias, c.name.clone()))
+        .collect()
+}
+
+/// `l.a = r.b AND …` for the key pairs of a hash (semi-/anti-)join.
+fn equi_detail(
+    left: &[ColumnInfo],
+    left_keys: &[usize],
+    right: &[ColumnInfo],
+    right_keys: &[usize],
+) -> String {
+    left_keys
+        .iter()
+        .zip(right_keys)
+        .map(|(&lk, &rk)| format!("{} = {}", column_label(left, lk), column_label(right, rk)))
+        .collect::<Vec<_>>()
+        .join(" AND ")
+}
+
+/// Position of the named index in the table's index list (stable for the
+/// lifetime of a snapshot).
+fn index_position(table: &Table, index: &str) -> Result<usize, StoreError> {
+    table
+        .indexes()
+        .iter()
+        .position(|i| i.def().name.eq_ignore_ascii_case(index))
+        .ok_or_else(|| StoreError::UnknownIndex {
+            index: index.to_string(),
+        })
 }
 
 /// Open a plan into its operator tree without pulling any rows. Opening
@@ -504,20 +339,7 @@ pub(crate) fn open_in(
     let off_spine = |p: &Plan| open_in(ctx, p, env, None);
     Ok(match &plan.node {
         PlanNode::Scan { table, alias } => {
-            let t = ctx
-                .table(table)
-                .ok_or_else(|| StoreError::UnknownTable {
-                    table: table.clone(),
-                })?
-                .clone();
-            Box::new(ScanSource::new(
-                t,
-                table.clone(),
-                alias.clone(),
-                est,
-                driver_range,
-                Arc::clone(ctx.obs()),
-            ))
+            ScanSource::new(ctx, table, alias, driver_range)?.metered(est)
         }
         PlanNode::IndexScan {
             table,
@@ -526,26 +348,17 @@ pub(crate) fn open_in(
             bounds,
             order,
             index_only,
-        } => {
-            let t = ctx
-                .table(table)
-                .ok_or_else(|| StoreError::UnknownTable {
-                    table: table.clone(),
-                })?
-                .clone();
-            Box::new(IndexScanSource::open(
-                t,
-                table.clone(),
-                alias.clone(),
-                index,
-                bounds.clone(),
-                *order,
-                *index_only,
-                est,
-                driver_range,
-                Arc::clone(ctx.obs()),
-            )?)
-        }
+        } => IndexScanSource::open(
+            ctx,
+            table,
+            alias,
+            index,
+            bounds.clone(),
+            *order,
+            *index_only,
+            driver_range,
+        )?
+        .metered(est),
         PlanNode::IndexNestedLoopJoin {
             left,
             table,
@@ -554,30 +367,14 @@ pub(crate) fn open_in(
             left_key,
         } => {
             let left = open_in(ctx, left, env, driver_range)?;
-            let t = ctx
-                .table(table)
-                .ok_or_else(|| StoreError::UnknownTable {
-                    table: table.clone(),
-                })?
-                .clone();
-            Box::new(IndexNljSource::open(
-                left,
-                t,
-                table.clone(),
-                alias.clone(),
-                index,
-                *left_key,
-                est,
-                Arc::clone(ctx.obs()),
-            )?)
+            IndexNljSource::open(ctx, left, table, alias, index, *left_key)?.metered(est)
         }
-        PlanNode::Values { columns, rows } => Box::new(ValuesSource {
+        PlanNode::Values { columns, rows } => ValuesSource {
             columns: columns.clone(),
             rows: rows.clone(),
             cursor: 0,
-            est,
-            meter: OpMetrics::default(),
-        }),
+        }
+        .metered(est),
         PlanNode::Filter {
             input,
             predicate,
@@ -587,14 +384,13 @@ pub(crate) fn open_in(
             let kernel = vectorized
                 .then(|| VectorPredicate::compile(predicate))
                 .flatten();
-            Box::new(FilterSource {
+            FilterSource {
                 detail: render_expr(predicate, input.columns()),
                 input,
                 predicate: predicate.clone(),
                 kernel,
-                est,
-                meter: OpMetrics::default(),
-            })
+            }
+            .metered(est)
         }
         PlanNode::Project {
             input,
@@ -602,13 +398,12 @@ pub(crate) fn open_in(
             columns,
         } => {
             let input = open_in(ctx, input, env, driver_range)?;
-            Box::new(ProjectSource {
+            ProjectSource {
                 input,
                 exprs: exprs.clone(),
                 columns: columns.clone(),
-                est,
-                meter: OpMetrics::default(),
-            })
+            }
+            .metered(est)
         }
         PlanNode::NestedLoopJoin {
             left,
@@ -624,7 +419,7 @@ pub(crate) fn open_in(
                 Some(p) => render_expr(p, &columns),
                 None => "cross product".to_string(),
             };
-            Box::new(NestedLoopJoinSource {
+            NestedLoopJoinSource {
                 left,
                 right,
                 predicate: predicate.clone(),
@@ -634,9 +429,8 @@ pub(crate) fn open_in(
                 shared,
                 pending: VecDeque::new(),
                 done: false,
-                est,
-                meter: OpMetrics::default(),
-            })
+            }
+            .metered(est)
         }
         PlanNode::HashJoin {
             left,
@@ -648,28 +442,10 @@ pub(crate) fn open_in(
             let shared = env.alloc_cell();
             let left = open_in(ctx, left, env, driver_range)?;
             let right = off_spine(right)?;
+            let detail = equi_detail(left.columns(), left_keys, right.columns(), right_keys);
             let mut columns = left.columns().to_vec();
             columns.extend(right.columns().iter().cloned());
-            let detail = left_keys
-                .iter()
-                .zip(right_keys)
-                .map(|(&lk, &rk)| {
-                    format!(
-                        "{} = {}",
-                        left.columns()
-                            .get(lk)
-                            .map(ColumnInfo::to_string)
-                            .unwrap_or_else(|| format!("#{lk}")),
-                        right
-                            .columns()
-                            .get(rk)
-                            .map(ColumnInfo::to_string)
-                            .unwrap_or_else(|| format!("#{rk}")),
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(" AND ");
-            Box::new(HashJoinSource {
+            HashJoinSource {
                 left,
                 right,
                 left_keys: left_keys.clone(),
@@ -681,10 +457,9 @@ pub(crate) fn open_in(
                 shared,
                 pending: VecDeque::new(),
                 done: false,
-                est,
-                meter: OpMetrics::default(),
                 obs: Arc::clone(ctx.obs()),
-            })
+            }
+            .metered(est)
         }
         PlanNode::Aggregate {
             input,
@@ -703,16 +478,15 @@ pub(crate) fn open_in(
                     group_by,
                     aggregates,
                     having,
-                    est,
                     driver_range,
                 )? {
-                    return Ok(fused);
+                    return Ok(fused.metered(est));
                 }
             }
             let input = open_in(ctx, input, env, driver_range)?;
             let columns = aggregate_output_columns(input.columns(), group_by, aggregates);
             let detail = aggregate_detail(input.columns(), group_by, aggregates, having);
-            Box::new(AggregateSource {
+            AggregateSource {
                 input,
                 group_by: group_by.clone(),
                 aggregates: aggregates.clone(),
@@ -721,9 +495,8 @@ pub(crate) fn open_in(
                 columns,
                 detail,
                 pending: None,
-                est,
-                meter: OpMetrics::default(),
-            })
+            }
+            .metered(est)
         }
         PlanNode::Sort { input, keys } => {
             let input = open_in(ctx, input, env, driver_range)?;
@@ -732,50 +505,43 @@ pub(crate) fn open_in(
                 .map(|k| {
                     format!(
                         "{}{}",
-                        input
-                            .columns()
-                            .get(k.column)
-                            .map(ColumnInfo::to_string)
-                            .unwrap_or_else(|| format!("#{}", k.column)),
+                        column_label(input.columns(), k.column),
                         if k.ascending { "" } else { " DESC" }
                     )
                 })
                 .collect::<Vec<_>>()
                 .join(", ");
-            Box::new(SortSource {
+            SortSource {
                 input,
                 keys: keys.clone(),
                 detail,
                 pending: None,
-                est,
-                meter: OpMetrics::default(),
-            })
+            }
+            .metered(est)
         }
         PlanNode::Limit { input, n } => {
             let input = open_in(ctx, input, env, driver_range)?;
-            Box::new(LimitSource {
+            LimitSource {
                 input,
                 remaining: *n,
                 n: *n,
-                est,
-                meter: OpMetrics::default(),
-            })
+            }
+            .metered(est)
         }
         PlanNode::Distinct { input } => {
             let input = open_in(ctx, input, env, driver_range)?;
-            Box::new(DistinctSource {
+            DistinctSource {
                 input,
                 seen: HashSet::new(),
-                est,
-                meter: OpMetrics::default(),
-            })
+            }
+            .metered(est)
         }
         PlanNode::HashSemiJoin {
             left,
             right,
             left_keys,
             right_keys,
-        } => Box::new(SemiJoinSource::open(
+        } => SemiJoinSource::open(
             ctx,
             env,
             driver_range,
@@ -785,15 +551,15 @@ pub(crate) fn open_in(
             right_keys,
             false,
             false,
-            est,
-        )?),
+        )?
+        .metered(est),
         PlanNode::HashAntiJoin {
             left,
             right,
             left_keys,
             right_keys,
             null_aware,
-        } => Box::new(SemiJoinSource::open(
+        } => SemiJoinSource::open(
             ctx,
             env,
             driver_range,
@@ -803,8 +569,8 @@ pub(crate) fn open_in(
             right_keys,
             true,
             *null_aware,
-            est,
-        )?),
+        )?
+        .metered(est),
         PlanNode::ScalarSubquery {
             input,
             subplan,
@@ -819,7 +585,7 @@ pub(crate) fn open_in(
                 render_expr(expr, input.columns()),
                 op.sql()
             );
-            Box::new(ScalarSubquerySource {
+            ScalarSubquerySource {
                 input,
                 sub,
                 expr: expr.clone(),
@@ -827,21 +593,14 @@ pub(crate) fn open_in(
                 scalar: None,
                 shared,
                 detail,
-                est,
-                meter: OpMetrics::default(),
-            })
+            }
+            .metered(est)
         }
         PlanNode::Exchange {
             input,
             workers,
             gather,
-        } => Box::new(ExchangeSource::open(
-            ctx,
-            input,
-            *workers,
-            gather.clone(),
-            est,
-        )?),
+        } => ExchangeSource::open(ctx, input, *workers, gather.clone())?.metered(est),
         PlanNode::Apply {
             input,
             subplan,
@@ -854,23 +613,18 @@ pub(crate) fn open_in(
             // yields the profile skeleton the per-binding executions will
             // accumulate their counters into.
             let sub_template = open_owned(ctx, subplan)?.profile();
-            let in_cols = input.columns().to_vec();
-            let mode_text = mode.describe(&|e| render_expr(e, &in_cols));
+            let in_cols = input.columns();
+            let mode_text = mode.describe(&|e| render_expr(e, in_cols));
             let correlation: Vec<String> = params
                 .iter()
-                .map(|(_, idx)| {
-                    in_cols
-                        .get(*idx)
-                        .map(ColumnInfo::to_string)
-                        .unwrap_or_else(|| format!("#{idx}"))
-                })
+                .map(|&(_, idx)| column_label(in_cols, idx))
                 .collect();
             let detail = if correlation.is_empty() {
                 mode_text
             } else {
                 format!("{mode_text} correlated on {}", correlation.join(", "))
             };
-            Box::new(ApplySource {
+            ApplySource {
                 ctx: Arc::clone(ctx),
                 input,
                 subplan: (**subplan).clone(),
@@ -885,9 +639,8 @@ pub(crate) fn open_in(
                 evictions: 0,
                 evaluations: 0,
                 cache_hits: 0,
-                est,
-                meter: OpMetrics::default(),
-            })
+            }
+            .metered(est)
         }
     })
 }
@@ -898,92 +651,54 @@ pub(crate) fn open_in(
 
 struct ScanSource {
     table: Arc<Table>,
-    table_name: String,
-    alias: String,
+    detail: String,
     columns: Vec<ColumnInfo>,
     cursor: usize,
     /// One past the last row this scan reads — the table length for a full
     /// scan, the morsel's upper bound for a partitioned one.
     end: usize,
-    est: Option<f64>,
-    meter: OpMetrics,
     obs: Arc<ObsRegistry>,
 }
 
 impl ScanSource {
     fn new(
-        table: Arc<Table>,
-        table_name: String,
-        alias: String,
-        est: Option<f64>,
+        ctx: &ExecContext,
+        table_name: &str,
+        alias: &str,
         range: Option<(usize, usize)>,
-        obs: Arc<ObsRegistry>,
-    ) -> ScanSource {
-        let columns = table
-            .schema()
-            .columns
-            .iter()
-            .map(|c| ColumnInfo::qualified(alias.clone(), c.name.clone()))
-            .collect();
-        let len = table.len();
-        let (cursor, end) = match range {
-            Some((start, end)) => (start.min(len), end.min(len)),
-            None => (0, len),
-        };
-        ScanSource {
+    ) -> Result<ScanSource, StoreError> {
+        let table = Arc::clone(ctx.require_table(table_name)?);
+        let (cursor, end) = morsel_bounds(range, table.len());
+        Ok(ScanSource {
+            detail: relation_label(table_name, alias),
+            columns: table_columns(&table, alias),
             table,
-            table_name,
-            alias,
-            columns,
             cursor,
             end,
-            est,
-            meter: OpMetrics::default(),
-            obs,
-        }
+            obs: Arc::clone(ctx.obs()),
+        })
     }
 }
 
-impl RowSource for ScanSource {
+impl Operator for ScanSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        let rows = self.table.rows();
-        let result = if self.cursor >= self.end {
-            None
-        } else {
-            let end = (self.cursor + BATCH_SIZE).min(self.end);
-            let batch = rows[self.cursor..end].to_vec();
-            self.cursor = end;
-            self.meter.rows_in += batch.len() as u64;
-            self.meter.rows_out += batch.len() as u64;
-            self.meter.batches += 1;
-            self.obs.add(Counter::RowsScanned, batch.len() as u64);
-            Some(batch)
-        };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        if self.cursor >= self.end {
+            return Ok(None);
+        }
+        let end = (self.cursor + BATCH_SIZE).min(self.end);
+        let batch = self.table.rows()[self.cursor..end].to_vec();
+        self.cursor = end;
+        meter.rows_in += batch.len() as u64;
+        self.obs.add(Counter::RowsScanned, batch.len() as u64);
+        Ok(Some(batch))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "scan".to_string(),
-            detail: if self.alias == self.table_name {
-                self.table_name.clone()
-            } else {
-                format!("{} as {}", self.table_name, self.alias)
-            },
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: Vec::new(),
-        }
+    fn describe(&self) -> Description {
+        Description::new("scan", self.detail.clone())
     }
 }
 
@@ -1018,32 +733,23 @@ struct IndexScanSource {
     /// Morsel restriction over table row positions, when this scan drives an
     /// exchange pipeline.
     driver_range: Option<(usize, usize)>,
-    est: Option<f64>,
-    meter: OpMetrics,
     obs: Arc<ObsRegistry>,
 }
 
 impl IndexScanSource {
     #[allow(clippy::too_many_arguments)]
     fn open(
-        table: Arc<Table>,
-        table_name: String,
-        alias: String,
+        ctx: &ExecContext,
+        table_name: &str,
+        alias: &str,
         index: &str,
         bounds: IndexBounds,
         order: ProbeOrder,
         index_only: bool,
-        est: Option<f64>,
         driver_range: Option<(usize, usize)>,
-        obs: Arc<ObsRegistry>,
     ) -> Result<IndexScanSource, StoreError> {
-        let index_pos = table
-            .indexes()
-            .iter()
-            .position(|i| i.def().name.eq_ignore_ascii_case(index))
-            .ok_or_else(|| StoreError::UnknownIndex {
-                index: index.to_string(),
-            })?;
+        let table = Arc::clone(ctx.require_table(table_name)?);
+        let index_pos = index_position(&table, index)?;
         let idx = &table.indexes()[index_pos];
         let exact = bounds.is_exact(idx.width());
         if !exact && !idx.supports_range() {
@@ -1066,21 +772,12 @@ impl IndexScanSource {
             idx.def()
                 .columns
                 .iter()
-                .map(|c| ColumnInfo::qualified(alias.clone(), c.clone()))
+                .map(|c| ColumnInfo::qualified(alias, c.clone()))
                 .collect()
         } else {
-            table
-                .schema()
-                .columns
-                .iter()
-                .map(|c| ColumnInfo::qualified(alias.clone(), c.name.clone()))
-                .collect()
+            table_columns(&table, alias)
         };
-        let base = if alias == table_name {
-            table_name.clone()
-        } else {
-            format!("{table_name} as {alias}")
-        };
+        let base = relation_label(table_name, alias);
         let qualified: Vec<String> = idx
             .def()
             .columns
@@ -1106,8 +803,8 @@ impl IndexScanSource {
             if index_only { " [index-only]" } else { "" },
         );
         let access = IndexAccess {
-            table: table_name,
-            alias,
+            table: table_name.to_string(),
+            alias: alias.to_string(),
             index: idx.def().name.clone(),
             point: exact,
             predicate: Some(predicate),
@@ -1127,9 +824,7 @@ impl IndexScanSource {
             index_rows: None,
             cursor: 0,
             driver_range,
-            est,
-            meter: OpMetrics::default(),
-            obs,
+            obs: Arc::clone(ctx.obs()),
         })
     }
 
@@ -1159,12 +854,7 @@ impl IndexScanSource {
             self.positions = Some(positions);
         }
         self.obs.incr(Counter::IndexProbes);
-        let matched = match (&self.positions, &self.index_rows) {
-            (Some(p), _) => p.len(),
-            (_, Some(r)) => r.len(),
-            _ => 0,
-        };
-        if matched == 0 {
+        if self.remaining() == 0 {
             self.obs.incr(Counter::EmptyIndexProbes);
         }
         Ok(())
@@ -1180,51 +870,37 @@ impl IndexScanSource {
     }
 }
 
-impl RowSource for IndexScanSource {
+impl Operator for IndexScanSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
         self.resolve()?;
-        let result = if self.remaining() == 0 {
-            None
+        if self.remaining() == 0 {
+            return Ok(None);
+        }
+        let end = self.cursor + self.remaining().min(BATCH_SIZE);
+        let batch: Vec<Row> = if let Some(positions) = &self.positions {
+            let rows = self.table.rows();
+            positions[self.cursor..end]
+                .iter()
+                .map(|&p| rows[p].clone())
+                .collect()
         } else {
-            let take = self.remaining().min(BATCH_SIZE);
-            let end = self.cursor + take;
-            let batch: Vec<Row> = if let Some(positions) = &self.positions {
-                let rows = self.table.rows();
-                positions[self.cursor..end]
-                    .iter()
-                    .map(|&p| rows[p].clone())
-                    .collect()
-            } else {
-                let rows = self.index_rows.as_ref().expect("resolved above");
-                rows[self.cursor..end].to_vec()
-            };
-            self.cursor = end;
-            self.meter.rows_in += batch.len() as u64;
-            self.meter.rows_out += batch.len() as u64;
-            self.meter.batches += 1;
-            self.obs.add(Counter::RowsScanned, batch.len() as u64);
-            Some(batch)
+            let rows = self.index_rows.as_ref().expect("resolved above");
+            rows[self.cursor..end].to_vec()
         };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        self.cursor = end;
+        meter.rows_in += batch.len() as u64;
+        self.obs.add(Counter::RowsScanned, batch.len() as u64);
+        Ok(Some(batch))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "index scan".to_string(),
-            detail: self.detail.clone(),
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
+    fn describe(&self) -> Description {
+        Description {
             access: Some(self.access.clone()),
-            children: Vec::new(),
+            ..Description::new("index scan", self.detail.clone())
         }
     }
 }
@@ -1256,30 +932,20 @@ struct IndexNljSource {
     probes: u64,
     /// Inner rows fetched across all probes.
     matches: u64,
-    est: Option<f64>,
-    meter: OpMetrics,
     obs: Arc<ObsRegistry>,
 }
 
 impl IndexNljSource {
-    #[allow(clippy::too_many_arguments)]
     fn open(
+        ctx: &ExecContext,
         left: Box<dyn RowSource>,
-        table: Arc<Table>,
-        table_name: String,
-        alias: String,
+        table_name: &str,
+        alias: &str,
         index: &str,
         left_key: usize,
-        est: Option<f64>,
-        obs: Arc<ObsRegistry>,
     ) -> Result<IndexNljSource, StoreError> {
-        let index_pos = table
-            .indexes()
-            .iter()
-            .position(|i| i.def().name.eq_ignore_ascii_case(index))
-            .ok_or_else(|| StoreError::UnknownIndex {
-                index: index.to_string(),
-            })?;
+        let table = Arc::clone(ctx.require_table(table_name)?);
+        let index_pos = index_position(&table, index)?;
         let idx = &table.indexes()[index_pos];
         if idx.width() != 1 {
             return Err(StoreError::Eval {
@@ -1289,33 +955,19 @@ impl IndexNljSource {
                 ),
             });
         }
-        let inner_columns: Vec<ColumnInfo> = table
-            .schema()
-            .columns
-            .iter()
-            .map(|c| ColumnInfo::qualified(alias.clone(), c.name.clone()))
-            .collect();
+        let inner_columns = table_columns(&table, alias);
         let mut columns = left.columns().to_vec();
         columns.extend(inner_columns.iter().cloned());
-        let left_col = left
-            .columns()
-            .get(left_key)
-            .map(ColumnInfo::to_string)
-            .unwrap_or_else(|| format!("#{left_key}"));
         let detail = format!(
-            "{left_col} = {}.{} [index={}]",
+            "{} = {}.{} [index={}]",
+            column_label(left.columns(), left_key),
             alias,
             idx.def().columns[0],
             idx.def().name
         );
-        let inner_desc = if alias == table_name {
-            table_name.clone()
-        } else {
-            format!("{table_name} as {alias}")
-        };
         let access = IndexAccess {
-            table: table_name,
-            alias,
+            table: table_name.to_string(),
+            alias: alias.to_string(),
             index: idx.def().name.clone(),
             point: true,
             predicate: None,
@@ -1324,8 +976,7 @@ impl IndexNljSource {
         };
         Ok(IndexNljSource {
             left,
-            table,
-            inner_desc,
+            inner_desc: relation_label(table_name, alias),
             access,
             index_pos,
             left_key,
@@ -1336,25 +987,22 @@ impl IndexNljSource {
             done: false,
             probes: 0,
             matches: 0,
-            est,
-            meter: OpMetrics::default(),
-            obs,
+            obs: Arc::clone(ctx.obs()),
+            table,
         })
     }
 }
 
-impl RowSource for IndexNljSource {
+impl Operator for IndexNljSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
         while self.pending.len() < BATCH_SIZE && !self.done {
-            match timed_pull(&mut self.left, &mut self.meter.blocked)? {
+            match meter.pull(&mut self.left)? {
                 None => self.done = true,
                 Some(batch) => {
-                    self.meter.rows_in += batch.len() as u64;
                     let index = &self.table.indexes()[self.index_pos];
                     let rows = self.table.rows();
                     let mut probes = 0u64;
@@ -1380,12 +1028,10 @@ impl RowSource for IndexNljSource {
                 }
             }
         }
-        let result = drain_pending(&mut self.pending, &mut self.meter);
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        Ok(drain_pending(&mut self.pending))
     }
 
-    fn profile(&self) -> PlanProfile {
+    fn describe(&self) -> Description {
         let index = &self.table.indexes()[self.index_pos];
         // The probe side is not an operator of its own (there is no build),
         // but the profile still shows it as a child so narrations and the
@@ -1394,39 +1040,34 @@ impl RowSource for IndexNljSource {
             format!(
                 " ({} probe{}, {} match{})",
                 self.probes,
-                if self.probes == 1 { "" } else { "s" },
+                plural(self.probes, "s"),
                 self.matches,
-                if self.matches == 1 { "" } else { "es" },
+                plural(self.matches, "es"),
             )
         } else {
             String::new()
         };
-        let probe_side = PlanProfile {
-            operator: "index probe".to_string(),
-            detail: format!("{} [index={}]{}", self.inner_desc, index.def().name, tally),
-            columns: self.inner_columns.clone(),
-            estimated_rows: None,
-            metrics: OpMetrics {
-                rows_in: self.probes,
-                rows_out: self.matches,
-                ..OpMetrics::default()
-            },
-            workers: None,
-            tags: Vec::new(),
-            access: Some(self.access.clone()),
-            children: Vec::new(),
+        let probed = OpMetrics {
+            rows_in: self.probes,
+            rows_out: self.matches,
+            ..OpMetrics::default()
         };
-        PlanProfile {
-            operator: "index nested-loop join".to_string(),
-            detail: self.detail.clone(),
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: vec![self.left.profile(), probe_side],
+        let probe_side = Description {
+            access: Some(self.access.clone()),
+            ..Description::new(
+                "index probe",
+                format!("{} [index={}]{}", self.inner_desc, index.def().name, tally),
+            )
         }
+        .assemble(&self.inner_columns, None, probed, []);
+        Description {
+            synthetic: Some(probe_side),
+            ..Description::new("index nested-loop join", self.detail.clone())
+        }
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.left].into_iter()
     }
 }
 
@@ -1438,43 +1079,25 @@ struct ValuesSource {
     columns: Vec<ColumnInfo>,
     rows: Vec<Row>,
     cursor: usize,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
-impl RowSource for ValuesSource {
+impl Operator for ValuesSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        let result = if self.cursor >= self.rows.len() {
-            None
-        } else {
-            let end = (self.cursor + BATCH_SIZE).min(self.rows.len());
-            let batch = self.rows[self.cursor..end].to_vec();
-            self.cursor = end;
-            self.meter.rows_out += batch.len() as u64;
-            self.meter.batches += 1;
-            Some(batch)
-        };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+    fn pull(&mut self, _meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        if self.cursor >= self.rows.len() {
+            return Ok(None);
+        }
+        let end = (self.cursor + BATCH_SIZE).min(self.rows.len());
+        let batch = self.rows[self.cursor..end].to_vec();
+        self.cursor = end;
+        Ok(Some(batch))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "values".to_string(),
-            detail: format!("{} literal rows", self.rows.len()),
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: Vec::new(),
-        }
+    fn describe(&self) -> Description {
+        Description::new("values", format!("{} literal rows", self.rows.len()))
     }
 }
 
@@ -1491,67 +1114,39 @@ struct FilterSource {
     /// evaluation individually.
     kernel: Option<VectorPredicate>,
     detail: String,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
-impl RowSource for FilterSource {
+impl Operator for FilterSource {
     fn columns(&self) -> &[ColumnInfo] {
         self.input.columns()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        let result = loop {
-            match timed_pull(&mut self.input, &mut self.meter.blocked)? {
-                None => break None,
-                Some(batch) => {
-                    self.meter.rows_in += batch.len() as u64;
-                    let mask = self.kernel.as_ref().and_then(|k| k.evaluate(&batch));
-                    let kept = match mask {
-                        Some(mask) => {
-                            self.meter.vector_batches += 1;
-                            gather_selected(batch, &mask)
-                        }
-                        None => {
-                            let mut kept = Vec::new();
-                            for row in batch {
-                                if self.predicate.eval_predicate(&row)? {
-                                    kept.push(row);
-                                }
-                            }
-                            kept
-                        }
-                    };
-                    if !kept.is_empty() {
-                        self.meter.rows_out += kept.len() as u64;
-                        self.meter.batches += 1;
-                        break Some(kept);
-                    }
-                    // Keep pulling until a non-empty output batch or EOF.
-                }
-            }
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        let Some(batch) = meter.pull(&mut self.input)? else {
+            return Ok(None);
         };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        if let Some(mask) = self.kernel.as_ref().and_then(|k| k.evaluate(&batch)) {
+            meter.vector_batches += 1;
+            return Ok(Some(gather_selected(batch, &mask)));
+        }
+        let mut kept = Vec::new();
+        for row in batch {
+            if self.predicate.eval_predicate(&row)? {
+                kept.push(row);
+            }
+        }
+        Ok(Some(kept))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "filter".to_string(),
-            detail: self.detail.clone(),
-            columns: self.input.columns().to_vec(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: if self.kernel.is_some() {
-                vec!["vectorized".to_string()]
-            } else {
-                Vec::new()
-            },
-            access: None,
-            children: vec![self.input.profile()],
+    fn describe(&self) -> Description {
+        Description {
+            tags: vectorized_tag(self.kernel.is_some()),
+            ..Description::new("filter", self.detail.clone())
         }
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.input].into_iter()
     }
 }
 
@@ -1563,55 +1158,40 @@ struct ProjectSource {
     input: Box<dyn RowSource>,
     exprs: Vec<Expr>,
     columns: Vec<ColumnInfo>,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
-impl RowSource for ProjectSource {
+impl Operator for ProjectSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        let result = match timed_pull(&mut self.input, &mut self.meter.blocked)? {
-            None => None,
-            Some(batch) => {
-                self.meter.rows_in += batch.len() as u64;
-                let mut rows = Vec::with_capacity(batch.len());
-                for row in &batch {
-                    let mut values = Vec::with_capacity(self.exprs.len());
-                    for e in &self.exprs {
-                        values.push(e.eval(row)?);
-                    }
-                    rows.push(Row::new(values));
-                }
-                self.meter.rows_out += rows.len() as u64;
-                self.meter.batches += 1;
-                Some(rows)
-            }
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        let Some(batch) = meter.pull(&mut self.input)? else {
+            return Ok(None);
         };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        let mut rows = Vec::with_capacity(batch.len());
+        for row in &batch {
+            let mut values = Vec::with_capacity(self.exprs.len());
+            for e in &self.exprs {
+                values.push(e.eval(row)?);
+            }
+            rows.push(Row::new(values));
+        }
+        Ok(Some(rows))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "project".to_string(),
-            detail: self
-                .columns
-                .iter()
-                .map(ColumnInfo::to_string)
-                .collect::<Vec<_>>()
-                .join(", "),
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: vec![self.input.profile()],
-        }
+    fn describe(&self) -> Description {
+        let detail = self
+            .columns
+            .iter()
+            .map(ColumnInfo::to_string)
+            .collect::<Vec<_>>()
+            .join(", ");
+        Description::new("project", detail)
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.input].into_iter()
     }
 }
 
@@ -1631,27 +1211,17 @@ struct NestedLoopJoinSource {
     shared: Option<(Arc<ExchangeShared>, usize)>,
     pending: VecDeque<Row>,
     done: bool,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
 impl NestedLoopJoinSource {
-    fn build(&mut self) -> Result<(), StoreError> {
+    fn build(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
         if self.right_rows.is_some() {
             return Ok(());
         }
         let right = &mut self.right;
-        let meter = &mut self.meter;
-        let materialize = || -> Result<SharedBuild, StoreError> {
-            let mut rows = Vec::new();
-            while let Some(batch) = timed_pull(right, &mut meter.blocked)? {
-                meter.rows_in += batch.len() as u64;
-                rows.extend(batch);
-            }
-            Ok(SharedBuild::Rows(Arc::new(rows)))
-        };
-        let (built, waited) = build_or_share(&self.shared, materialize)?;
-        self.meter.blocked += waited;
+        let built = build_or_share(&self.shared, meter, |meter| {
+            Ok(SharedBuild::Rows(Arc::new(meter.drain(right)?)))
+        })?;
         let SharedBuild::Rows(rows) = built else {
             unreachable!("nested-loop cell always holds rows");
         };
@@ -1660,19 +1230,17 @@ impl NestedLoopJoinSource {
     }
 }
 
-impl RowSource for NestedLoopJoinSource {
+impl Operator for NestedLoopJoinSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        self.build()?;
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        self.build(meter)?;
         while self.pending.len() < BATCH_SIZE && !self.done {
-            match timed_pull(&mut self.left, &mut self.meter.blocked)? {
+            match meter.pull(&mut self.left)? {
                 None => self.done = true,
                 Some(batch) => {
-                    self.meter.rows_in += batch.len() as u64;
                     let right = self.right_rows.as_ref().expect("built above");
                     for lr in &batch {
                         for rr in right.iter() {
@@ -1689,36 +1257,25 @@ impl RowSource for NestedLoopJoinSource {
                 }
             }
         }
-        let result = drain_pending(&mut self.pending, &mut self.meter);
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        Ok(drain_pending(&mut self.pending))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "nested-loop join".to_string(),
-            detail: self.detail.clone(),
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: vec![self.left.profile(), self.right.profile()],
-        }
+    fn describe(&self) -> Description {
+        Description::new("nested-loop join", self.detail.clone())
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.left, &*self.right].into_iter()
     }
 }
 
 /// Emit up to one batch from an operator's output buffer.
-fn drain_pending(pending: &mut VecDeque<Row>, meter: &mut OpMetrics) -> Option<Vec<Row>> {
+pub(crate) fn drain_pending(pending: &mut VecDeque<Row>) -> Option<Vec<Row>> {
     if pending.is_empty() {
         return None;
     }
     let take = pending.len().min(BATCH_SIZE);
-    let batch: Vec<Row> = pending.drain(..take).collect();
-    meter.rows_out += batch.len() as u64;
-    meter.batches += 1;
-    Some(batch)
+    Some(pending.drain(..take).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -1742,27 +1299,20 @@ struct HashJoinSource {
     shared: Option<(Arc<ExchangeShared>, usize)>,
     pending: VecDeque<Row>,
     done: bool,
-    est: Option<f64>,
-    meter: OpMetrics,
     obs: Arc<ObsRegistry>,
 }
 
 impl HashJoinSource {
-    fn build(&mut self) -> Result<(), StoreError> {
+    fn build(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
         if self.build.is_some() {
             return Ok(());
         }
         let right = &mut self.right;
-        let meter = &mut self.meter;
         let right_keys = &self.right_keys;
         let build_workers = self.shared.as_ref().map(|(s, _)| s.workers()).unwrap_or(1);
-        let obs = Arc::clone(&self.obs);
-        let construct = || -> Result<SharedBuild, StoreError> {
-            let mut rows = Vec::new();
-            while let Some(batch) = timed_pull(right, &mut meter.blocked)? {
-                meter.rows_in += batch.len() as u64;
-                rows.extend(batch);
-            }
+        let obs = &self.obs;
+        let built = build_or_share(&self.shared, meter, |meter| {
+            let rows = meter.drain(right)?;
             // Counted inside the build closure: under an exchange the build
             // runs once across workers, and so must the counter.
             obs.add(Counter::HashBuildRows, rows.len() as u64);
@@ -1771,9 +1321,7 @@ impl HashJoinSource {
                 right_keys,
                 build_workers,
             ))))
-        };
-        let (built, waited) = build_or_share(&self.shared, construct)?;
-        self.meter.blocked += waited;
+        })?;
         let SharedBuild::Join(index) = built else {
             unreachable!("hash-join cell always holds a join index");
         };
@@ -1782,71 +1330,49 @@ impl HashJoinSource {
     }
 }
 
-impl RowSource for HashJoinSource {
+impl Operator for HashJoinSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        self.build()?;
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        self.build(meter)?;
         while self.pending.len() < BATCH_SIZE && !self.done {
-            match timed_pull(&mut self.left, &mut self.meter.blocked)? {
+            match meter.pull(&mut self.left)? {
                 None => self.done = true,
                 Some(batch) => {
-                    self.meter.rows_in += batch.len() as u64;
                     let index = self.build.as_ref().expect("built above");
-                    if self.vectorized {
+                    let keys = if self.vectorized {
                         // Probe keys computed column-major over the batch.
-                        let keys = batch_group_keys(&batch, &self.left_keys);
-                        self.meter.vector_batches += 1;
-                        for (lr, key) in batch.iter().zip(&keys) {
-                            if key.contains(&GroupKey::Null) {
-                                continue;
-                            }
-                            if let Some(matches) = index.lookup(key) {
-                                for rr in matches {
-                                    self.pending.push_back(lr.concat(rr));
-                                }
-                            }
-                        }
+                        meter.vector_batches += 1;
+                        batch_group_keys(&batch, &self.left_keys)
                     } else {
-                        for lr in &batch {
-                            let key = lr.group_key(&self.left_keys);
-                            if key.contains(&GroupKey::Null) {
-                                continue;
-                            }
-                            if let Some(matches) = index.lookup(&key) {
-                                for rr in matches {
-                                    self.pending.push_back(lr.concat(rr));
-                                }
-                            }
+                        let row_key = |lr: &Row| lr.group_key(&self.left_keys);
+                        batch.iter().map(row_key).collect()
+                    };
+                    for (lr, key) in batch.iter().zip(&keys) {
+                        if key.contains(&GroupKey::Null) {
+                            continue;
+                        }
+                        for rr in index.lookup(key).into_iter().flatten() {
+                            self.pending.push_back(lr.concat(rr));
                         }
                     }
                 }
             }
         }
-        let result = drain_pending(&mut self.pending, &mut self.meter);
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        Ok(drain_pending(&mut self.pending))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "hash join".to_string(),
-            detail: self.detail.clone(),
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: if self.vectorized {
-                vec!["vectorized".to_string()]
-            } else {
-                Vec::new()
-            },
-            access: None,
-            children: vec![self.left.profile(), self.right.profile()],
+    fn describe(&self) -> Description {
+        Description {
+            tags: vectorized_tag(self.vectorized),
+            ..Description::new("hash join", self.detail.clone())
         }
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.left, &*self.right].into_iter()
     }
 }
 
@@ -1865,63 +1391,40 @@ struct AggregateSource {
     detail: String,
     /// Result rows, computed on first pull.
     pending: Option<VecDeque<Row>>,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
-impl AggregateSource {
-    fn compute(&mut self) -> Result<(), StoreError> {
-        if self.pending.is_some() {
-            return Ok(());
-        }
-        let mut agg = GroupedAggregator::new(
-            self.group_by.clone(),
-            self.aggregates.clone(),
-            self.vectorized,
-        );
-        while let Some(batch) = timed_pull(&mut self.input, &mut self.meter.blocked)? {
-            self.meter.rows_in += batch.len() as u64;
-            agg.push_batch(&batch)?;
-        }
-        self.meter.vector_batches = agg.vector_batches();
-        let rows = agg.finish(self.having.as_ref())?;
-        self.pending = Some(rows.into());
-        Ok(())
-    }
-}
-
-impl RowSource for AggregateSource {
+impl Operator for AggregateSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        self.compute()?;
-        let result = drain_pending(
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        if self.pending.is_none() {
+            let mut agg = GroupedAggregator::new(
+                self.group_by.clone(),
+                self.aggregates.clone(),
+                self.vectorized,
+            );
+            while let Some(batch) = meter.pull(&mut self.input)? {
+                agg.push_batch(&batch)?;
+            }
+            meter.vector_batches = agg.vector_batches();
+            self.pending = Some(agg.finish(self.having.as_ref())?.into());
+        }
+        Ok(drain_pending(
             self.pending.as_mut().expect("computed above"),
-            &mut self.meter,
-        );
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        ))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "aggregate".to_string(),
-            detail: self.detail.clone(),
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: if self.vectorized {
-                vec!["vectorized".to_string()]
-            } else {
-                Vec::new()
-            },
-            access: None,
-            children: vec![self.input.profile()],
+    fn describe(&self) -> Description {
+        Description {
+            tags: vectorized_tag(self.vectorized),
+            ..Description::new("aggregate", self.detail.clone())
         }
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.input].into_iter()
     }
 }
 
@@ -1936,12 +1439,7 @@ fn aggregate_detail(
     if !group_by.is_empty() {
         let keys: Vec<String> = group_by
             .iter()
-            .map(|&i| {
-                input_columns
-                    .get(i)
-                    .map(ColumnInfo::to_string)
-                    .unwrap_or_else(|| format!("#{i}"))
-            })
+            .map(|&i| column_label(input_columns, i))
             .collect();
         parts.push(format!("group by {}", keys.join(", ")));
     }
@@ -1987,8 +1485,6 @@ struct FusedAggregateScanSource {
     /// Output columns of the aggregate (group keys then aggregate values).
     columns: Vec<ColumnInfo>,
     detail: String,
-    est: Option<f64>,
-    meter: OpMetrics,
     /// Reporting state for the fused scan leaf.
     scan_columns: Vec<ColumnInfo>,
     scan_detail: String,
@@ -2004,16 +1500,14 @@ impl FusedAggregateScanSource {
     /// argument is a plain column (or `*`) — the shapes where the typed
     /// kernels can actually engage. Anything else returns `None` and the
     /// caller builds the generic operator chain.
-    #[allow(clippy::too_many_arguments)]
     fn try_open(
-        ctx: &Arc<ExecContext>,
+        ctx: &ExecContext,
         input: &Plan,
         group_by: &[usize],
         aggregates: &[AggExpr],
         having: &Option<Expr>,
-        est: Option<f64>,
         driver_range: Option<(usize, usize)>,
-    ) -> Result<Option<Box<dyn RowSource>>, StoreError> {
+    ) -> Result<Option<FusedAggregateScanSource>, StoreError> {
         if aggregates
             .iter()
             .any(|a| matches!(&a.arg, Some(e) if !matches!(e, Expr::Column(_))))
@@ -2040,23 +1534,9 @@ impl FusedAggregateScanSource {
         let PlanNode::Scan { table, alias } = &scan_plan.node else {
             return Ok(None);
         };
-        let t = ctx
-            .table(table)
-            .ok_or_else(|| StoreError::UnknownTable {
-                table: table.clone(),
-            })?
-            .clone();
-        let scan_columns: Vec<ColumnInfo> = t
-            .schema()
-            .columns
-            .iter()
-            .map(|c| ColumnInfo::qualified(alias.clone(), c.name.clone()))
-            .collect();
-        let len = t.len();
-        let (cursor, end) = match driver_range {
-            Some((start, stop)) => (start.min(len), stop.min(len)),
-            None => (0, len),
-        };
+        let t = Arc::clone(ctx.require_table(table)?);
+        let scan_columns = table_columns(&t, alias);
+        let (cursor, end) = morsel_bounds(driver_range, t.len());
         let filter = filter_parts.map(|(predicate, kernel, fest)| FusedFilter {
             detail: render_expr(predicate, &scan_columns),
             predicate: predicate.clone(),
@@ -2064,12 +1544,8 @@ impl FusedAggregateScanSource {
             est: fest,
             meter: OpMetrics::default(),
         });
-        Ok(Some(Box::new(FusedAggregateScanSource {
-            scan_detail: if alias == table {
-                table.clone()
-            } else {
-                format!("{table} as {alias}")
-            },
+        Ok(Some(FusedAggregateScanSource {
+            scan_detail: relation_label(table, alias),
             scan_est: scan_plan.estimated_rows,
             scan_meter: OpMetrics::default(),
             table: t,
@@ -2082,17 +1558,13 @@ impl FusedAggregateScanSource {
             aggregates: aggregates.to_vec(),
             having: having.clone(),
             filter,
-            est,
-            meter: OpMetrics::default(),
             pending: None,
             obs: Arc::clone(ctx.obs()),
-        })))
+        }))
     }
 
-    fn compute(&mut self) -> Result<(), StoreError> {
-        if self.pending.is_some() {
-            return Ok(());
-        }
+    /// One pass over the table's rows in place, on the first pull.
+    fn compute(&mut self, meter: &mut OpMetrics) -> Result<VecDeque<Row>, StoreError> {
         let mut agg = GroupedAggregator::new(self.group_by.clone(), self.aggregates.clone(), true);
         let table = Arc::clone(&self.table);
         let rows = table.rows();
@@ -2107,7 +1579,7 @@ impl FusedAggregateScanSource {
             self.obs.add(Counter::RowsScanned, chunk.len() as u64);
             match &mut self.filter {
                 None => {
-                    self.meter.rows_in += chunk.len() as u64;
+                    meter.rows_in += chunk.len() as u64;
                     agg.push_batch(chunk)?;
                 }
                 Some(f) => {
@@ -2136,71 +1608,50 @@ impl FusedAggregateScanSource {
                     if !sel.is_empty() {
                         f.meter.batches += 1;
                     }
-                    self.meter.rows_in += sel.len() as u64;
+                    meter.rows_in += sel.len() as u64;
                     agg.push_selected(chunk, &sel)?;
                 }
             }
         }
-        self.meter.vector_batches = agg.vector_batches();
-        let out = agg.finish(self.having.as_ref())?;
-        self.pending = Some(out.into());
-        Ok(())
+        meter.vector_batches = agg.vector_batches();
+        Ok(agg.finish(self.having.as_ref())?.into())
     }
 }
 
-impl RowSource for FusedAggregateScanSource {
+impl Operator for FusedAggregateScanSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        self.compute()?;
-        let result = drain_pending(
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        if self.pending.is_none() {
+            self.pending = Some(self.compute(meter)?);
+        }
+        Ok(drain_pending(
             self.pending.as_mut().expect("computed above"),
-            &mut self.meter,
-        );
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        ))
     }
 
-    fn profile(&self) -> PlanProfile {
+    fn describe(&self) -> Description {
         // Report the fused pipeline exactly as its unfused tree would:
         // aggregate over (filter over) scan, each with its own counters.
-        let mut child = PlanProfile {
-            operator: "scan".to_string(),
-            detail: self.scan_detail.clone(),
-            columns: self.scan_columns.clone(),
-            estimated_rows: self.scan_est,
-            metrics: self.scan_meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: Vec::new(),
-        };
+        let mut child = Description::new("scan", self.scan_detail.clone()).assemble(
+            &self.scan_columns,
+            self.scan_est,
+            self.scan_meter,
+            [],
+        );
         if let Some(f) = &self.filter {
-            child = PlanProfile {
-                operator: "filter".to_string(),
-                detail: f.detail.clone(),
-                columns: self.scan_columns.clone(),
-                estimated_rows: f.est,
-                metrics: f.meter,
-                workers: None,
-                tags: vec!["vectorized".to_string()],
-                access: None,
-                children: vec![child],
-            };
+            child = Description {
+                tags: vectorized_tag(true),
+                ..Description::new("filter", f.detail.clone())
+            }
+            .assemble(&self.scan_columns, f.est, f.meter, [child]);
         }
-        PlanProfile {
-            operator: "aggregate".to_string(),
-            detail: self.detail.clone(),
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: vec!["vectorized".to_string()],
-            access: None,
-            children: vec![child],
+        Description {
+            tags: vectorized_tag(true),
+            synthetic: Some(child),
+            ..Description::new("aggregate", self.detail.clone())
         }
     }
 }
@@ -2214,46 +1665,28 @@ struct SortSource {
     keys: Vec<SortKey>,
     detail: String,
     pending: Option<VecDeque<Row>>,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
-impl RowSource for SortSource {
+impl Operator for SortSource {
     fn columns(&self) -> &[ColumnInfo] {
         self.input.columns()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
         if self.pending.is_none() {
-            let mut rows = Vec::new();
-            while let Some(batch) = timed_pull(&mut self.input, &mut self.meter.blocked)? {
-                self.meter.rows_in += batch.len() as u64;
-                rows.extend(batch);
-            }
+            let mut rows = meter.drain(&mut self.input)?;
             sort_rows(&mut rows, &self.keys);
             self.pending = Some(rows.into());
         }
-        let result = drain_pending(
-            self.pending.as_mut().expect("sorted above"),
-            &mut self.meter,
-        );
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        Ok(drain_pending(self.pending.as_mut().expect("sorted above")))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "sort".to_string(),
-            detail: self.detail.clone(),
-            columns: self.input.columns().to_vec(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: vec![self.input.profile()],
-        }
+    fn describe(&self) -> Description {
+        Description::new("sort", self.detail.clone())
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.input].into_iter()
     }
 }
 
@@ -2281,51 +1714,32 @@ struct LimitSource {
     input: Box<dyn RowSource>,
     remaining: usize,
     n: usize,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
-impl RowSource for LimitSource {
+impl Operator for LimitSource {
     fn columns(&self) -> &[ColumnInfo] {
         self.input.columns()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        let result = if self.remaining == 0 {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        if self.remaining == 0 {
             // Early termination: stop pulling from the input entirely.
-            None
-        } else {
-            match timed_pull(&mut self.input, &mut self.meter.blocked)? {
-                None => None,
-                Some(mut batch) => {
-                    self.meter.rows_in += batch.len() as u64;
-                    if batch.len() > self.remaining {
-                        batch.truncate(self.remaining);
-                    }
-                    self.remaining -= batch.len();
-                    self.meter.rows_out += batch.len() as u64;
-                    self.meter.batches += 1;
-                    Some(batch)
-                }
-            }
+            return Ok(None);
+        }
+        let Some(mut batch) = meter.pull(&mut self.input)? else {
+            return Ok(None);
         };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        batch.truncate(self.remaining);
+        self.remaining -= batch.len();
+        Ok(Some(batch))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "limit".to_string(),
-            detail: self.n.to_string(),
-            columns: self.input.columns().to_vec(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: vec![self.input.profile()],
-        }
+    fn describe(&self) -> Description {
+        Description::new("limit", self.n.to_string())
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.input].into_iter()
     }
 }
 
@@ -2336,54 +1750,28 @@ impl RowSource for LimitSource {
 struct DistinctSource {
     input: Box<dyn RowSource>,
     seen: HashSet<Vec<GroupKey>>,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
-impl RowSource for DistinctSource {
+impl Operator for DistinctSource {
     fn columns(&self) -> &[ColumnInfo] {
         self.input.columns()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        let arity = self.input.columns().len();
-        let all: Vec<usize> = (0..arity).collect();
-        let result = loop {
-            match timed_pull(&mut self.input, &mut self.meter.blocked)? {
-                None => break None,
-                Some(batch) => {
-                    self.meter.rows_in += batch.len() as u64;
-                    let mut kept = Vec::new();
-                    for row in batch {
-                        if self.seen.insert(row.group_key(&all)) {
-                            kept.push(row);
-                        }
-                    }
-                    if !kept.is_empty() {
-                        self.meter.rows_out += kept.len() as u64;
-                        self.meter.batches += 1;
-                        break Some(kept);
-                    }
-                }
-            }
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        let Some(mut batch) = meter.pull(&mut self.input)? else {
+            return Ok(None);
         };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        let all: Vec<usize> = (0..self.input.columns().len()).collect();
+        batch.retain(|row| self.seen.insert(row.group_key(&all)));
+        Ok(Some(batch))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "distinct".to_string(),
-            detail: String::new(),
-            columns: self.input.columns().to_vec(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: vec![self.input.profile()],
-        }
+    fn describe(&self) -> Description {
+        Description::new("distinct", String::new())
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.input].into_iter()
     }
 }
 
@@ -2409,8 +1797,6 @@ struct SemiJoinSource {
     /// enclosing exchange.
     build: Option<Arc<SemiBuild>>,
     shared: Option<(Arc<ExchangeShared>, usize)>,
-    est: Option<f64>,
-    meter: OpMetrics,
     obs: Arc<ObsRegistry>,
 }
 
@@ -2426,30 +1812,11 @@ impl SemiJoinSource {
         right_keys: &[usize],
         anti: bool,
         null_aware: bool,
-        est: Option<f64>,
     ) -> Result<SemiJoinSource, StoreError> {
         let shared = env.alloc_cell();
         let left = open_in(ctx, left, env, driver_range)?;
         let right = open_in(ctx, right, env, None)?;
-        let mut detail = left_keys
-            .iter()
-            .zip(right_keys)
-            .map(|(&lk, &rk)| {
-                format!(
-                    "{} = {}",
-                    left.columns()
-                        .get(lk)
-                        .map(ColumnInfo::to_string)
-                        .unwrap_or_else(|| format!("#{lk}")),
-                    right
-                        .columns()
-                        .get(rk)
-                        .map(ColumnInfo::to_string)
-                        .unwrap_or_else(|| format!("#{rk}")),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" AND ");
+        let mut detail = equi_detail(left.columns(), left_keys, right.columns(), right_keys);
         if null_aware {
             detail.push_str(" (NULL-aware)");
         }
@@ -2465,36 +1832,27 @@ impl SemiJoinSource {
             detail,
             build: None,
             shared,
-            est,
-            meter: OpMetrics::default(),
             obs: Arc::clone(ctx.obs()),
         })
     }
 
-    fn build(&mut self) -> Result<(), StoreError> {
+    fn build(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
         if self.build.is_some() {
             return Ok(());
         }
         let right = &mut self.right;
         let right_keys = &self.right_keys;
-        let meter = &mut self.meter;
         let build_workers = self.shared.as_ref().map(|(s, _)| s.workers()).unwrap_or(1);
-        let obs = Arc::clone(&self.obs);
-        let construct = || -> Result<SharedBuild, StoreError> {
-            let mut rows = Vec::new();
-            while let Some(batch) = timed_pull(right, &mut meter.blocked)? {
-                meter.rows_in += batch.len() as u64;
-                rows.extend(batch);
-            }
+        let obs = &self.obs;
+        let built = build_or_share(&self.shared, meter, |meter| {
+            let rows = meter.drain(right)?;
             obs.add(Counter::HashBuildRows, rows.len() as u64);
             Ok(SharedBuild::Keys(Arc::new(SemiBuild::build(
                 rows,
                 right_keys,
                 build_workers,
             ))))
-        };
-        let (built, waited) = build_or_share(&self.shared, construct)?;
-        self.meter.blocked += waited;
+        })?;
         let SharedBuild::Keys(build) = built else {
             unreachable!("semi-join cell always holds a key set");
         };
@@ -2528,50 +1886,30 @@ impl SemiJoinSource {
     }
 }
 
-impl RowSource for SemiJoinSource {
+impl Operator for SemiJoinSource {
     fn columns(&self) -> &[ColumnInfo] {
         &self.columns
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        self.build()?;
-        let result = loop {
-            match timed_pull(&mut self.left, &mut self.meter.blocked)? {
-                None => break None,
-                Some(batch) => {
-                    self.meter.rows_in += batch.len() as u64;
-                    let build = Arc::clone(self.build.as_ref().expect("built above"));
-                    let mut kept = Vec::new();
-                    for row in batch {
-                        if self.keep(&build, &row.group_key(&self.left_keys)) {
-                            kept.push(row);
-                        }
-                    }
-                    if !kept.is_empty() {
-                        self.meter.rows_out += kept.len() as u64;
-                        self.meter.batches += 1;
-                        break Some(kept);
-                    }
-                }
-            }
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        self.build(meter)?;
+        let Some(mut batch) = meter.pull(&mut self.left)? else {
+            return Ok(None);
         };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        let build = self.build.as_ref().expect("built above");
+        batch.retain(|row| self.keep(build, &row.group_key(&self.left_keys)));
+        Ok(Some(batch))
     }
 
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: if self.anti { "anti join" } else { "semi join" }.to_string(),
-            detail: self.detail.clone(),
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: vec![self.left.profile(), self.right.profile()],
-        }
+    fn describe(&self) -> Description {
+        Description::new(
+            if self.anti { "anti join" } else { "semi join" },
+            self.detail.clone(),
+        )
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.left, &*self.right].into_iter()
     }
 }
 
@@ -2592,21 +1930,20 @@ struct ScalarSubquerySource {
     scalar: Option<Value>,
     shared: Option<(Arc<ExchangeShared>, usize)>,
     detail: String,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
 impl ScalarSubquerySource {
-    fn compute_scalar(&mut self) -> Result<(), StoreError> {
-        if self.scalar.is_some() {
-            return Ok(());
+    fn compute_scalar(&mut self, meter: &mut OpMetrics) -> Result<Value, StoreError> {
+        if let Some(value) = &self.scalar {
+            return Ok(value.clone());
         }
         let sub = &mut self.sub;
-        let meter = &mut self.meter;
-        let compute = || -> Result<SharedBuild, StoreError> {
+        let built = build_or_share(&self.shared, meter, |meter| {
             let mut rows = 0usize;
             let mut value = Value::Null;
-            while let Some(batch) = timed_pull(sub, &mut meter.blocked)? {
+            // The subquery's rows are not this filter's input: waited for,
+            // not counted into `rows_in`.
+            while let Some(batch) = meter.wait(|_| sub.next_batch())? {
                 for row in &batch {
                     rows += 1;
                     if rows > 1 {
@@ -2618,78 +1955,42 @@ impl ScalarSubquerySource {
                 }
             }
             Ok(SharedBuild::Scalar(value))
-        };
-        let (built, waited) = build_or_share(&self.shared, compute)?;
-        self.meter.blocked += waited;
+        })?;
         let SharedBuild::Scalar(value) = built else {
             unreachable!("scalar cell always holds a value");
         };
-        self.scalar = Some(value);
-        Ok(())
+        self.scalar = Some(value.clone());
+        Ok(value)
     }
 }
 
-impl RowSource for ScalarSubquerySource {
+impl Operator for ScalarSubquerySource {
     fn columns(&self) -> &[ColumnInfo] {
         self.input.columns()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        self.compute_scalar()?;
-        let scalar = self.scalar.clone().expect("computed above");
-        let result = loop {
-            match timed_pull(&mut self.input, &mut self.meter.blocked)? {
-                None => break None,
-                Some(batch) => {
-                    self.meter.rows_in += batch.len() as u64;
-                    let mut kept = Vec::new();
-                    for row in batch {
-                        let v = self.expr.eval(&row)?;
-                        // Three-valued: NULL on either side is UNKNOWN.
-                        if let Some(ord) = v.sql_cmp(&scalar) {
-                            if cmp_holds(self.op, ord) {
-                                kept.push(row);
-                            }
-                        }
-                    }
-                    if !kept.is_empty() {
-                        self.meter.rows_out += kept.len() as u64;
-                        self.meter.batches += 1;
-                        break Some(kept);
-                    }
-                }
-            }
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        let scalar = self.compute_scalar(meter)?;
+        let Some(batch) = meter.pull(&mut self.input)? else {
+            return Ok(None);
         };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
-    }
-
-    fn profile(&self) -> PlanProfile {
-        PlanProfile {
-            operator: "scalar subquery".to_string(),
-            detail: self.detail.clone(),
-            columns: self.input.columns().to_vec(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: vec![self.input.profile(), self.sub.profile()],
+        let mut kept = Vec::new();
+        for row in batch {
+            let v = self.expr.eval(&row)?;
+            // Three-valued: NULL on either side is UNKNOWN.
+            if v.sql_cmp(&scalar).is_some_and(|ord| self.op.holds(ord)) {
+                kept.push(row);
+            }
         }
+        Ok(Some(kept))
     }
-}
 
-/// Evaluate a comparison operator on an ordering (shared by the subquery
-/// operators, which compare `Value`s rather than build `Expr`s).
-fn cmp_holds(op: CmpOp, ord: Ordering) -> bool {
-    match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::NotEq => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::LtEq => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::GtEq => ord != Ordering::Less,
+    fn describe(&self) -> Description {
+        Description::new("scalar subquery", self.detail.clone())
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.input, &*self.sub].into_iter()
     }
 }
 
@@ -2735,8 +2036,6 @@ struct ApplySource {
     evictions: u64,
     evaluations: u64,
     cache_hits: u64,
-    est: Option<f64>,
-    meter: OpMetrics,
 }
 
 /// Execute an apply's subplan for one parameter binding, producing the
@@ -2802,7 +2101,11 @@ impl ApplySource {
     /// cached (or already scheduled within this batch) count as cache hits,
     /// exactly as they would evaluating row by row. Returns each row's
     /// correlation key so the verdict pass doesn't recompute them.
-    fn evaluate_batch(&mut self, batch: &[Row]) -> Result<Vec<Vec<GroupKey>>, StoreError> {
+    fn evaluate_batch(
+        &mut self,
+        batch: &[Row],
+        meter: &mut OpMetrics,
+    ) -> Result<Vec<Vec<GroupKey>>, StoreError> {
         let mut row_keys: Vec<Vec<GroupKey>> = Vec::with_capacity(batch.len());
         let mut fresh: Vec<(Vec<GroupKey>, Row)> = Vec::new();
         let mut scheduled: HashSet<Vec<GroupKey>> = HashSet::new();
@@ -2833,28 +2136,28 @@ impl ApplySource {
                 // execution is independent; split them across workers. The
                 // fan-out's wall time is charged to `blocked` (this operator
                 // is waiting on its worker threads), mirroring the exchange.
-                let fanout_start = Instant::now();
                 let chunk = fresh.len().div_ceil(self.workers);
-                let evaluated: Vec<Result<Vec<_>, StoreError>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = fresh
-                        .chunks(chunk)
-                        .map(|part| {
-                            s.spawn(move || {
-                                part.iter()
-                                    .map(|(key, row)| {
-                                        evaluate_binding(ctx, subplan, params, mode, row)
-                                            .map(|(r, p)| (key.clone(), r, p))
-                                    })
-                                    .collect()
+                let evaluated: Vec<Result<Vec<_>, StoreError>> = meter.wait(|_| {
+                    std::thread::scope(|s| {
+                        let handles: Vec<_> = fresh
+                            .chunks(chunk)
+                            .map(|part| {
+                                s.spawn(move || {
+                                    part.iter()
+                                        .map(|(key, row)| {
+                                            evaluate_binding(ctx, subplan, params, mode, row)
+                                                .map(|(r, p)| (key.clone(), r, p))
+                                        })
+                                        .collect()
+                                })
                             })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("apply worker panicked"))
-                        .collect()
+                            .collect();
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().expect("apply worker panicked"))
+                            .collect()
+                    })
                 });
-                self.meter.blocked += fanout_start.elapsed();
                 let mut flat = Vec::with_capacity(fresh.len());
                 for worker_results in evaluated {
                     flat.extend(worker_results?);
@@ -2905,7 +2208,7 @@ impl ApplySource {
             }
             (ApplyMode::Compare { expr, op }, SubResult::Scalar(scalar)) => {
                 let probe = expr.eval(row)?;
-                probe.sql_cmp(scalar).map(|ord| cmp_holds(*op, ord))
+                probe.sql_cmp(scalar).map(|ord| op.holds(ord))
             }
             (ApplyMode::Quantified { expr, op, all }, SubResult::Column(values)) => {
                 let probe = expr.eval(row)?;
@@ -2952,7 +2255,7 @@ fn quantified_verdict(probe: &Value, op: CmpOp, all: bool, values: &[Value]) -> 
         match probe.sql_cmp(v) {
             None => unknown = true,
             Some(ord) => {
-                let holds = cmp_holds(op, ord);
+                let holds = op.holds(ord);
                 if all && !holds {
                     return Some(false);
                 }
@@ -2969,54 +2272,39 @@ fn quantified_verdict(probe: &Value, op: CmpOp, all: bool, values: &[Value]) -> 
     }
 }
 
-impl RowSource for ApplySource {
+impl Operator for ApplySource {
     fn columns(&self) -> &[ColumnInfo] {
         self.input.columns()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        let result = loop {
-            match timed_pull(&mut self.input, &mut self.meter.blocked)? {
-                None => break None,
-                Some(batch) => {
-                    self.meter.rows_in += batch.len() as u64;
-                    let row_keys = self.evaluate_batch(&batch)?;
-                    let mut kept = Vec::new();
-                    for (row, key) in batch.into_iter().zip(&row_keys) {
-                        if self.verdict(key, &row)? == Some(true) {
-                            kept.push(row);
-                        }
-                    }
-                    self.enforce_cache_cap();
-                    if !kept.is_empty() {
-                        self.meter.rows_out += kept.len() as u64;
-                        self.meter.batches += 1;
-                        break Some(kept);
-                    }
-                }
-            }
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+        let Some(batch) = meter.pull(&mut self.input)? else {
+            return Ok(None);
         };
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
+        let row_keys = self.evaluate_batch(&batch, meter)?;
+        let mut kept = Vec::new();
+        for (row, key) in batch.into_iter().zip(&row_keys) {
+            if self.verdict(key, &row)? == Some(true) {
+                kept.push(row);
+            }
+        }
+        self.enforce_cache_cap();
+        Ok(Some(kept))
     }
 
-    fn profile(&self) -> PlanProfile {
+    fn describe(&self) -> Description {
         let detail = if self.evaluations > 0 {
             let mut tally = format!(
                 "{}; {} evaluation{}, {} cache hit{}",
                 self.detail,
                 self.evaluations,
-                if self.evaluations == 1 { "" } else { "s" },
+                plural(self.evaluations, "s"),
                 self.cache_hits,
-                if self.cache_hits == 1 { "" } else { "s" }
+                plural(self.cache_hits, "s"),
             );
             if self.evictions > 0 {
-                tally.push_str(&format!(
-                    ", {} eviction{}",
-                    self.evictions,
-                    if self.evictions == 1 { "" } else { "s" }
-                ));
+                let s = plural(self.evictions, "s");
+                tally.push_str(&format!(", {} eviction{s}", self.evictions));
             }
             tally
         } else {
@@ -3029,562 +2317,17 @@ impl RowSource for ApplySource {
             // totals with totals.
             sub_profile.scale_estimates(self.evaluations as f64);
         }
-        PlanProfile {
-            operator: "apply".to_string(),
-            detail,
-            columns: self.input.columns().to_vec(),
-            estimated_rows: self.est,
-            metrics: self.meter,
+        Description {
             workers: (self.workers > 1).then_some(self.workers),
-            tags: Vec::new(),
-            access: None,
-            children: vec![self.input.profile(), sub_profile],
+            synthetic: Some(sub_profile),
+            ..Description::new("apply", detail)
         }
+    }
+
+    fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
+        [&*self.input].into_iter()
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exec::aggregate::AggExpr;
-    use crate::expr::CmpOp;
-    use crate::schema::{ColumnDef, TableSchema};
-    use crate::value::DataType;
-
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.create_table(TableSchema::new(
-            "T",
-            vec![
-                ColumnDef::new("id", DataType::Integer),
-                ColumnDef::new("v", DataType::Integer),
-            ],
-        ))
-        .unwrap();
-        for i in 0..2500i64 {
-            db.insert("T", vec![Value::int(i), Value::int(i % 10)])
-                .unwrap();
-        }
-        db
-    }
-
-    fn scan(table: &str, alias: &str) -> Plan {
-        Plan::scan(table, alias)
-    }
-
-    /// The `T` fixture with an ordered index on `v` and a hash index on `id`.
-    fn indexed_db() -> Database {
-        use crate::index::{IndexDef, IndexKind};
-        let mut db = db();
-        db.create_index(IndexDef::single("idx_v", "T", "v", IndexKind::Ordered))
-            .unwrap();
-        db.create_index(IndexDef::single("h_id", "T", "id", IndexKind::Hash))
-            .unwrap();
-        db
-    }
-
-    #[test]
-    fn index_scan_matches_filtered_scan_byte_for_byte() {
-        let db = indexed_db();
-        let filtered = scan("T", "t").filter(Expr::col_cmp_value(1, CmpOp::Eq, Value::int(3)));
-        let point = Plan::index_scan("T", "t", "idx_v", IndexBounds::point(Value::int(3)));
-        assert_eq!(run_plan(&db, &filtered), run_plan(&db, &point));
-
-        let range_filter = scan("T", "t").filter(Expr::And(
-            Box::new(Expr::col_cmp_value(1, CmpOp::GtEq, Value::int(2))),
-            Box::new(Expr::col_cmp_value(1, CmpOp::Lt, Value::int(5))),
-        ));
-        let range = Plan::index_scan(
-            "T",
-            "t",
-            "idx_v",
-            IndexBounds::range(Some((Value::int(2), true)), Some((Value::int(5), false))),
-        );
-        assert_eq!(run_plan(&db, &range_filter), run_plan(&db, &range));
-
-        // The hash index answers points (and counts only matching reads)…
-        let hash_point = Plan::index_scan("T", "t", "h_id", IndexBounds::point(Value::int(42)));
-        let mut src = open(&db, &hash_point).unwrap();
-        let rows = {
-            let mut out = Vec::new();
-            while let Some(batch) = src.next_batch().unwrap() {
-                out.extend(batch);
-            }
-            out
-        };
-        assert_eq!(rows.len(), 1);
-        let profile = src.profile();
-        assert_eq!(profile.operator, "index scan");
-        assert_eq!(profile.metrics.rows_in, 1, "only the match is read");
-        assert!(
-            profile.detail.contains("[index=h_id point t.id = 42]"),
-            "detail names the probe: {}",
-            profile.detail
-        );
-        // …but refuses ranges at open time.
-        let hash_range = Plan::index_scan(
-            "T",
-            "t",
-            "h_id",
-            IndexBounds::range(Some((Value::int(0), true)), None),
-        );
-        assert!(open(&db, &hash_range).is_err());
-        // Unknown index names fail at open time too.
-        let missing = Plan::index_scan("T", "t", "nope", IndexBounds::point(Value::int(1)));
-        let err = match open(&db, &missing) {
-            Err(e) => e,
-            Ok(_) => panic!("opening a scan over a missing index must fail"),
-        };
-        assert!(matches!(err, StoreError::UnknownIndex { .. }));
-    }
-
-    #[test]
-    fn key_ordered_index_scan_matches_sorted_filtered_scan() {
-        let db = indexed_db();
-        // Sorting the filtered scan by v (stable) must equal the key-ordered
-        // index range scan, ties and all.
-        let sorted = scan("T", "t")
-            .filter(Expr::col_cmp_value(1, CmpOp::GtEq, Value::int(7)))
-            .sort(vec![SortKey {
-                column: 1,
-                ascending: true,
-            }]);
-        let keyed = Plan::index_scan(
-            "T",
-            "t",
-            "idx_v",
-            IndexBounds::range(Some((Value::int(7), true)), None),
-        )
-        .with_key_order();
-        assert_eq!(run_plan(&db, &sorted), run_plan(&db, &keyed));
-    }
-
-    #[test]
-    fn index_nested_loop_join_matches_hash_join() {
-        let db = indexed_db();
-        // Outer: the 10 rows with id < 10; inner: T probed on v via idx_v.
-        let outer = || scan("T", "o").filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(10)));
-        let hash = Plan::hash_join(outer(), scan("T", "t"), vec![1], vec![1]);
-        let inlj = Plan::index_nested_loop_join(outer(), "T", "t", "idx_v", 1);
-        let mut h = run_plan(&db, &hash);
-        let mut i = run_plan(&db, &inlj);
-        // Both emit outer-order × inner-insertion-order: identical already.
-        assert_eq!(h.len(), 10 * 250);
-        assert_eq!(h, i);
-        // And with sorting as a belt-and-braces check.
-        let keys: Vec<usize> = (0..4).collect();
-        h.sort_by_key(|r| r.group_key(&keys));
-        i.sort_by_key(|r| r.group_key(&keys));
-        assert_eq!(h, i);
-
-        let mut src = open(&db, &inlj).unwrap();
-        while src.next_batch().unwrap().is_some() {}
-        let profile = src.profile();
-        assert_eq!(profile.operator, "index nested-loop join");
-        assert!(
-            profile.detail.contains("o.v = t.v [index=idx_v]"),
-            "detail: {}",
-            profile.detail
-        );
-        let probe = &profile.children[1];
-        assert_eq!(probe.operator, "index probe");
-        assert_eq!(probe.metrics.rows_in, 10, "one probe per outer row");
-        assert_eq!(probe.metrics.rows_out, 2500, "matches fetched");
-    }
-
-    #[test]
-    fn index_nested_loop_join_skips_null_probe_keys() {
-        use crate::index::{IndexDef, IndexKind};
-        use crate::schema::{ColumnDef, TableSchema};
-        let mut db = Database::new();
-        db.create_table(TableSchema::new(
-            "K",
-            vec![ColumnDef::nullable("k", DataType::Integer)],
-        ))
-        .unwrap();
-        db.create_index(IndexDef::single("idx_k", "K", "k", IndexKind::Ordered))
-            .unwrap();
-        db.insert("K", vec![Value::int(1)]).unwrap();
-        db.insert("K", vec![Value::Null]).unwrap();
-        let outer = Plan::values(
-            vec![ColumnInfo::unqualified("x")],
-            vec![
-                Row::new(vec![Value::int(1)]),
-                Row::new(vec![Value::Null]),
-                Row::new(vec![Value::int(2)]),
-            ],
-        );
-        let plan = Plan::index_nested_loop_join(outer, "K", "k", "idx_k", 0);
-        let rows = run_plan(&db, &plan);
-        // Only 1=1 matches; NULL probes and NULL index entries never join.
-        assert_eq!(rows, vec![Row::new(vec![Value::int(1), Value::int(1)])]);
-    }
-
-    #[test]
-    fn scan_streams_in_batches() {
-        let db = db();
-        let mut src = open(&db, &scan("T", "t")).unwrap();
-        let first = src.next_batch().unwrap().unwrap();
-        assert_eq!(first.len(), BATCH_SIZE);
-        let mut total = first.len();
-        while let Some(batch) = src.next_batch().unwrap() {
-            total += batch.len();
-        }
-        assert_eq!(total, 2500);
-        let profile = src.profile();
-        assert_eq!(profile.metrics.rows_out, 2500);
-        assert_eq!(profile.metrics.batches, 3);
-    }
-
-    #[test]
-    fn limit_stops_pulling_early() {
-        let db = db();
-        let plan = scan("T", "t").limit(5);
-        let mut src = open(&db, &plan).unwrap();
-        let mut total = 0;
-        while let Some(batch) = src.next_batch().unwrap() {
-            total += batch.len();
-        }
-        assert_eq!(total, 5);
-        let profile = src.profile();
-        // The limit consumed only the first batch of its input, not all 2500
-        // rows: streaming means the scan never read past the first batch.
-        let scan_profile = &profile.children[0];
-        assert_eq!(scan_profile.metrics.rows_out as usize, BATCH_SIZE);
-    }
-
-    #[test]
-    fn filter_counts_rows_in_and_out() {
-        let db = db();
-        let plan = scan("T", "t").filter(Expr::col_cmp_value(1, CmpOp::Eq, Value::int(3)));
-        let mut src = open(&db, &plan).unwrap();
-        let mut total = 0;
-        while let Some(batch) = src.next_batch().unwrap() {
-            total += batch.len();
-        }
-        assert_eq!(total, 250);
-        let profile = src.profile();
-        assert_eq!(profile.operator, "filter");
-        assert_eq!(profile.metrics.rows_in, 2500);
-        assert_eq!(profile.metrics.rows_out, 250);
-    }
-
-    #[test]
-    fn open_does_not_read_rows() {
-        let db = db();
-        let plan = scan("T", "t").filter(Expr::col_cmp_value(1, CmpOp::Eq, Value::int(3)));
-        let src = open(&db, &plan).unwrap();
-        let profile = src.profile();
-        // Describing a freshly opened plan shows zero activity everywhere.
-        profile.walk(&mut |p| {
-            assert_eq!(p.metrics.rows_in, 0);
-            assert_eq!(p.metrics.rows_out, 0);
-            assert_eq!(p.metrics.batches, 0);
-        });
-    }
-
-    #[test]
-    fn apply_cache_is_bounded_and_tallies_evictions() {
-        // Correlate on t.id: 2500 distinct bindings against a cap of
-        // APPLY_CACHE_CAP entries, so the cache must evict (and say so).
-        let db = db();
-        let sub = values_plan("s", &[Value::int(1)]).filter(Expr::Compare {
-            op: CmpOp::Lt,
-            left: Box::new(Expr::Param(0)),
-            right: Box::new(Expr::Literal(Value::int(0))),
-        });
-        let plan = scan("T", "t").apply(sub, vec![(0, 0)], ApplyMode::Exists { negated: true });
-        let mut src = open(&db, &plan).unwrap();
-        let mut total = 0;
-        while let Some(batch) = src.next_batch().unwrap() {
-            total += batch.len();
-        }
-        assert_eq!(total, 2500, "NOT EXISTS over an always-empty subquery");
-        let profile = src.profile();
-        assert!(
-            profile.detail.contains("2500 evaluations"),
-            "distinct bindings each evaluate once: {}",
-            profile.detail
-        );
-        let expected_evictions = 2500 - APPLY_CACHE_CAP;
-        assert!(
-            profile
-                .detail
-                .contains(&format!("{expected_evictions} evictions")),
-            "evictions must surface in the cache tally: {}",
-            profile.detail
-        );
-    }
-
-    #[test]
-    fn apply_parallel_workers_agree_with_sequential() {
-        let db = db();
-        let sub = Plan::scan("T", "u")
-            .filter(Expr::Compare {
-                op: CmpOp::Eq,
-                left: Box::new(Expr::Column(1)),
-                right: Box::new(Expr::Param(0)),
-            })
-            .filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(5)));
-        let mode = ApplyMode::Exists { negated: false };
-        let sequential = scan("T", "t").apply(sub.clone(), vec![(0, 1)], mode.clone());
-        let parallel = scan("T", "t")
-            .apply(sub, vec![(0, 1)], mode)
-            .with_apply_workers(4);
-        let run = |plan: &Plan| {
-            let mut src = open(&db, plan).unwrap();
-            let mut rows = Vec::new();
-            while let Some(batch) = src.next_batch().unwrap() {
-                rows.extend(batch);
-            }
-            (rows, src.profile())
-        };
-        let (seq_rows, seq_profile) = run(&sequential);
-        let (par_rows, par_profile) = run(&parallel);
-        assert_eq!(seq_rows, par_rows, "parallel apply must keep row order");
-        // Same evaluation and cache-hit tallies, and the parallel profile
-        // advertises its workers.
-        assert!(par_profile.detail.contains("10 evaluations"));
-        assert!(par_profile.detail.contains("2490 cache hits"));
-        assert_eq!(
-            seq_profile.children[1].metrics.rows_out, par_profile.children[1].metrics.rows_out,
-            "subplan counters must aggregate identically"
-        );
-        assert_eq!(par_profile.workers, Some(4));
-        assert!(par_profile.render_tree(false).contains("[workers=4]"));
-    }
-
-    #[test]
-    fn blocked_time_never_exceeds_elapsed() {
-        let db = db();
-        let plan = scan("T", "t")
-            .filter(Expr::col_cmp_value(1, CmpOp::Lt, Value::int(9)))
-            .sort(vec![SortKey {
-                column: 0,
-                ascending: false,
-            }]);
-        let mut src = open(&db, &plan).unwrap();
-        while let Some(_batch) = src.next_batch().unwrap() {}
-        let profile = src.profile();
-        profile.walk(&mut |p| {
-            assert!(
-                p.metrics.blocked <= p.metrics.elapsed,
-                "{}: blocked {:?} > elapsed {:?}",
-                p.operator,
-                p.metrics.blocked,
-                p.metrics.elapsed
-            );
-            assert_eq!(
-                p.metrics.self_elapsed(),
-                p.metrics.elapsed - p.metrics.blocked
-            );
-        });
-        // The sort waited on its child for at least the child's own time.
-        assert!(profile.metrics.blocked >= profile.children[0].metrics.self_elapsed());
-    }
-
-    #[test]
-    fn render_tree_shape_is_stable() {
-        let db = db();
-        let plan = scan("T", "t")
-            .filter(Expr::col_cmp_value(1, CmpOp::Eq, Value::int(3)))
-            .limit(7);
-        let src = open(&db, &plan).unwrap();
-        let tree = src.profile().render_tree(false);
-        assert_eq!(tree, "limit: 7\n└─ filter: t.v = 3\n   └─ scan: T as t\n");
-    }
-
-    #[test]
-    fn aggregate_over_empty_input_still_produces_one_group() {
-        let db = db();
-        let empty = scan("T", "t").filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(0)));
-        let plan = empty.aggregate(vec![], vec![AggExpr::count_star("cnt")], None);
-        let mut src = open(&db, &plan).unwrap();
-        let batch = src.next_batch().unwrap().unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].get(0), Some(&Value::int(0)));
-        assert!(src.next_batch().unwrap().is_none());
-    }
-
-    #[test]
-    fn render_expr_resolves_column_names() {
-        let cols = vec![
-            ColumnInfo::qualified("m", "id"),
-            ColumnInfo::qualified("m", "year"),
-        ];
-        let e = Expr::And(
-            Box::new(Expr::col_cmp_value(1, CmpOp::Gt, Value::int(2000))),
-            Box::new(Expr::col_eq(0, 1)),
-        );
-        assert_eq!(render_expr(&e, &cols), "m.year > 2000 AND m.id = m.year");
-        assert_eq!(render_expr(&Expr::Param(3), &cols), "$3");
-    }
-
-    /// A one-column literal relation for subquery-operator tests.
-    fn values_plan(name: &str, values: &[Value]) -> Plan {
-        Plan::values(
-            vec![ColumnInfo::unqualified(name)],
-            values.iter().map(|v| Row::new(vec![v.clone()])).collect(),
-        )
-    }
-
-    fn run_plan(db: &Database, plan: &Plan) -> Vec<Row> {
-        let mut src = open(db, plan).unwrap();
-        let mut out = Vec::new();
-        while let Some(batch) = src.next_batch().unwrap() {
-            out.extend(batch);
-        }
-        out
-    }
-
-    #[test]
-    fn semi_join_keeps_only_matching_probe_rows() {
-        let db = Database::new();
-        let probe = values_plan("x", &[Value::int(1), Value::int(2), Value::Null]);
-        let build = values_plan("y", &[Value::int(2), Value::int(3), Value::Null]);
-        let plan = Plan::semi_join(probe, build, vec![0], vec![0]);
-        let rows = run_plan(&db, &plan);
-        // Only 2 matches; NULL never equals anything, on either side.
-        assert_eq!(rows, vec![Row::new(vec![Value::int(2)])]);
-    }
-
-    #[test]
-    fn anti_join_not_exists_semantics_pass_null_probes() {
-        let db = Database::new();
-        let probe = values_plan("x", &[Value::int(1), Value::int(2), Value::Null]);
-        let build = values_plan("y", &[Value::int(2), Value::Null]);
-        let plan = Plan::anti_join(probe, build, vec![0], vec![0], false);
-        let rows = run_plan(&db, &plan);
-        // NOT EXISTS: the NULL probe has no match by definition, so it stays.
-        assert_eq!(
-            rows,
-            vec![Row::new(vec![Value::int(1)]), Row::new(vec![Value::Null])]
-        );
-    }
-
-    #[test]
-    fn null_aware_anti_join_implements_not_in() {
-        let db = Database::new();
-        // A NULL on the build side makes every NOT IN verdict UNKNOWN or
-        // FALSE: nothing survives.
-        let probe = values_plan("x", &[Value::int(1), Value::int(2), Value::Null]);
-        let with_null = values_plan("y", &[Value::int(2), Value::Null]);
-        let plan = Plan::anti_join(probe.clone(), with_null, vec![0], vec![0], true);
-        assert!(run_plan(&db, &plan).is_empty());
-
-        // Without build-side NULLs, a NULL probe is UNKNOWN (dropped) and
-        // non-matches pass.
-        let no_null = values_plan("y", &[Value::int(2), Value::int(3)]);
-        let plan = Plan::anti_join(probe.clone(), no_null, vec![0], vec![0], true);
-        assert_eq!(run_plan(&db, &plan), vec![Row::new(vec![Value::int(1)])]);
-
-        // NOT IN over an empty set is TRUE for everything, even NULL.
-        let empty = values_plan("y", &[]);
-        let plan = Plan::anti_join(probe, empty, vec![0], vec![0], true);
-        assert_eq!(run_plan(&db, &plan).len(), 3);
-    }
-
-    #[test]
-    fn scalar_subquery_filters_against_the_cached_value() {
-        let db = db();
-        // T.v = (scalar 3): 250 of the 2500 rows qualify; the subquery's
-        // profile shows it was pulled exactly once.
-        let sub = values_plan("s", &[Value::int(3)]);
-        let plan = Plan::scan("T", "t").scalar_subquery(sub, Expr::Column(1), CmpOp::Eq);
-        let mut src = open(&db, &plan).unwrap();
-        let mut total = 0;
-        while let Some(batch) = src.next_batch().unwrap() {
-            total += batch.len();
-        }
-        assert_eq!(total, 250);
-        let profile = src.profile();
-        assert_eq!(profile.operator, "scalar subquery");
-        assert_eq!(profile.children[1].metrics.rows_out, 1);
-    }
-
-    #[test]
-    fn scalar_subquery_with_two_rows_is_an_error() {
-        let db = db();
-        let sub = values_plan("s", &[Value::int(1), Value::int(2)]);
-        let plan = Plan::scan("T", "t").scalar_subquery(sub, Expr::Column(1), CmpOp::Eq);
-        let mut src = open(&db, &plan).unwrap();
-        assert!(src.next_batch().is_err());
-    }
-
-    #[test]
-    fn scalar_subquery_over_empty_input_is_sql_null() {
-        let db = db();
-        let sub = values_plan("s", &[]);
-        let plan = Plan::scan("T", "t").scalar_subquery(sub, Expr::Column(1), CmpOp::Eq);
-        let mut src = open(&db, &plan).unwrap();
-        // v = NULL is UNKNOWN for every row: nothing comes out.
-        assert!(src.next_batch().unwrap().is_none());
-    }
-
-    #[test]
-    fn apply_exists_binds_params_and_caches_per_binding() {
-        let db = db();
-        // For each T row, check EXISTS(select * from T u where u.v = $0 and
-        // u.id < 10): v in 0..=9 and ids 0..9 cover v values 0..9, so every
-        // v has a witness — but only 10 distinct v values mean 10 real
-        // evaluations for 2500 input rows.
-        let sub = Plan::scan("T", "u")
-            .filter(Expr::Compare {
-                op: CmpOp::Eq,
-                left: Box::new(Expr::Column(1)),
-                right: Box::new(Expr::Param(0)),
-            })
-            .filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(10)));
-        let plan =
-            Plan::scan("T", "t").apply(sub, vec![(0, 1)], ApplyMode::Exists { negated: false });
-        let mut src = open(&db, &plan).unwrap();
-        let mut total = 0;
-        while let Some(batch) = src.next_batch().unwrap() {
-            total += batch.len();
-        }
-        assert_eq!(total, 2500);
-        let profile = src.profile();
-        assert_eq!(profile.operator, "apply");
-        assert!(
-            profile.detail.contains("10 evaluations"),
-            "memoization missing from: {}",
-            profile.detail
-        );
-        assert!(profile.detail.contains("2490 cache hits"));
-    }
-
-    #[test]
-    fn apply_quantified_all_and_any_verdicts() {
-        let five = Value::int(5);
-        let vals = vec![Value::int(5), Value::int(7)];
-        assert_eq!(
-            quantified_verdict(&five, CmpOp::LtEq, true, &vals),
-            Some(true)
-        );
-        assert_eq!(
-            quantified_verdict(&five, CmpOp::Lt, true, &vals),
-            Some(false)
-        );
-        assert_eq!(
-            quantified_verdict(&five, CmpOp::Eq, false, &vals),
-            Some(true)
-        );
-        // Empty sets: ALL is vacuously true, ANY is false.
-        assert_eq!(quantified_verdict(&five, CmpOp::Eq, true, &[]), Some(true));
-        assert_eq!(
-            quantified_verdict(&five, CmpOp::Eq, false, &[]),
-            Some(false)
-        );
-        // A NULL in the set leaves an undecided verdict UNKNOWN.
-        let with_null = vec![Value::int(4), Value::Null];
-        assert_eq!(
-            quantified_verdict(&five, CmpOp::GtEq, true, &with_null),
-            None
-        );
-        // …but a decided one stays decided.
-        assert_eq!(
-            quantified_verdict(&five, CmpOp::Lt, true, &with_null),
-            Some(false)
-        );
-    }
-}
+mod tests;

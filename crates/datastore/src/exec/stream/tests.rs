@@ -1,0 +1,489 @@
+//! Unit tests of the operators and the metering wrapper in `exec/stream.rs`.
+
+use super::*;
+use crate::exec::aggregate::AggExpr;
+use crate::expr::CmpOp;
+use crate::schema::{ColumnDef, TableSchema};
+use crate::value::DataType;
+
+fn db() -> Database {
+    let mut db = Database::new();
+    db.create_table(TableSchema::new(
+        "T",
+        vec![
+            ColumnDef::new("id", DataType::Integer),
+            ColumnDef::new("v", DataType::Integer),
+        ],
+    ))
+    .unwrap();
+    for i in 0..2500i64 {
+        db.insert("T", vec![Value::int(i), Value::int(i % 10)])
+            .unwrap();
+    }
+    db
+}
+
+fn scan(table: &str, alias: &str) -> Plan {
+    Plan::scan(table, alias)
+}
+
+/// The `T` fixture with an ordered index on `v` and a hash index on `id`.
+fn indexed_db() -> Database {
+    use crate::index::{IndexDef, IndexKind};
+    let mut db = db();
+    db.create_index(IndexDef::single("idx_v", "T", "v", IndexKind::Ordered))
+        .unwrap();
+    db.create_index(IndexDef::single("h_id", "T", "id", IndexKind::Hash))
+        .unwrap();
+    db
+}
+
+#[test]
+fn index_scan_matches_filtered_scan_byte_for_byte() {
+    let db = indexed_db();
+    let filtered = scan("T", "t").filter(Expr::col_cmp_value(1, CmpOp::Eq, Value::int(3)));
+    let point = Plan::index_scan("T", "t", "idx_v", IndexBounds::point(Value::int(3)));
+    assert_eq!(run_plan(&db, &filtered), run_plan(&db, &point));
+
+    let range_filter = scan("T", "t").filter(Expr::And(
+        Box::new(Expr::col_cmp_value(1, CmpOp::GtEq, Value::int(2))),
+        Box::new(Expr::col_cmp_value(1, CmpOp::Lt, Value::int(5))),
+    ));
+    let range = Plan::index_scan(
+        "T",
+        "t",
+        "idx_v",
+        IndexBounds::range(Some((Value::int(2), true)), Some((Value::int(5), false))),
+    );
+    assert_eq!(run_plan(&db, &range_filter), run_plan(&db, &range));
+
+    // The hash index answers points (and counts only matching reads)…
+    let hash_point = Plan::index_scan("T", "t", "h_id", IndexBounds::point(Value::int(42)));
+    let (rows, profile) = run_profiled(&db, &hash_point);
+    assert_eq!(rows.len(), 1);
+    assert_eq!(profile.operator, "index scan");
+    assert_eq!(profile.metrics.rows_in, 1, "only the match is read");
+    assert!(
+        profile.detail.contains("[index=h_id point t.id = 42]"),
+        "detail names the probe: {}",
+        profile.detail
+    );
+    // …but refuses ranges at open time.
+    let hash_range = Plan::index_scan(
+        "T",
+        "t",
+        "h_id",
+        IndexBounds::range(Some((Value::int(0), true)), None),
+    );
+    assert!(open(&db, &hash_range).is_err());
+    // Unknown index names fail at open time too.
+    let missing = Plan::index_scan("T", "t", "nope", IndexBounds::point(Value::int(1)));
+    let err = match open(&db, &missing) {
+        Err(e) => e,
+        Ok(_) => panic!("opening a scan over a missing index must fail"),
+    };
+    assert!(matches!(err, StoreError::UnknownIndex { .. }));
+}
+
+#[test]
+fn key_ordered_index_scan_matches_sorted_filtered_scan() {
+    let db = indexed_db();
+    // Sorting the filtered scan by v (stable) must equal the key-ordered
+    // index range scan, ties and all.
+    let sorted = scan("T", "t")
+        .filter(Expr::col_cmp_value(1, CmpOp::GtEq, Value::int(7)))
+        .sort(vec![SortKey {
+            column: 1,
+            ascending: true,
+        }]);
+    let keyed = Plan::index_scan(
+        "T",
+        "t",
+        "idx_v",
+        IndexBounds::range(Some((Value::int(7), true)), None),
+    )
+    .with_key_order();
+    assert_eq!(run_plan(&db, &sorted), run_plan(&db, &keyed));
+}
+
+#[test]
+fn index_nested_loop_join_matches_hash_join() {
+    let db = indexed_db();
+    // Outer: the 10 rows with id < 10; inner: T probed on v via idx_v.
+    let outer = || scan("T", "o").filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(10)));
+    let hash = Plan::hash_join(outer(), scan("T", "t"), vec![1], vec![1]);
+    let inlj = Plan::index_nested_loop_join(outer(), "T", "t", "idx_v", 1);
+    let mut h = run_plan(&db, &hash);
+    let mut i = run_plan(&db, &inlj);
+    // Both emit outer-order × inner-insertion-order: identical already.
+    assert_eq!(h.len(), 10 * 250);
+    assert_eq!(h, i);
+    // And with sorting as a belt-and-braces check.
+    let keys: Vec<usize> = (0..4).collect();
+    h.sort_by_key(|r| r.group_key(&keys));
+    i.sort_by_key(|r| r.group_key(&keys));
+    assert_eq!(h, i);
+
+    let (_, profile) = run_profiled(&db, &inlj);
+    assert_eq!(profile.operator, "index nested-loop join");
+    assert!(
+        profile.detail.contains("o.v = t.v [index=idx_v]"),
+        "detail: {}",
+        profile.detail
+    );
+    let probe = &profile.children[1];
+    assert_eq!(probe.operator, "index probe");
+    assert_eq!(probe.metrics.rows_in, 10, "one probe per outer row");
+    assert_eq!(probe.metrics.rows_out, 2500, "matches fetched");
+}
+
+#[test]
+fn index_nested_loop_join_skips_null_probe_keys() {
+    use crate::index::{IndexDef, IndexKind};
+    use crate::schema::{ColumnDef, TableSchema};
+    let mut db = Database::new();
+    db.create_table(TableSchema::new(
+        "K",
+        vec![ColumnDef::nullable("k", DataType::Integer)],
+    ))
+    .unwrap();
+    db.create_index(IndexDef::single("idx_k", "K", "k", IndexKind::Ordered))
+        .unwrap();
+    db.insert("K", vec![Value::int(1)]).unwrap();
+    db.insert("K", vec![Value::Null]).unwrap();
+    let outer = Plan::values(
+        vec![ColumnInfo::unqualified("x")],
+        vec![
+            Row::new(vec![Value::int(1)]),
+            Row::new(vec![Value::Null]),
+            Row::new(vec![Value::int(2)]),
+        ],
+    );
+    let plan = Plan::index_nested_loop_join(outer, "K", "k", "idx_k", 0);
+    let rows = run_plan(&db, &plan);
+    // Only 1=1 matches; NULL probes and NULL index entries never join.
+    assert_eq!(rows, vec![Row::new(vec![Value::int(1), Value::int(1)])]);
+}
+
+#[test]
+fn scan_streams_in_batches() {
+    let db = db();
+    let mut src = open(&db, &scan("T", "t")).unwrap();
+    let first = src.next_batch().unwrap().unwrap();
+    assert_eq!(first.len(), BATCH_SIZE);
+    let mut total = first.len();
+    while let Some(batch) = src.next_batch().unwrap() {
+        total += batch.len();
+    }
+    assert_eq!(total, 2500);
+    let profile = src.profile();
+    assert_eq!(profile.metrics.rows_out, 2500);
+    assert_eq!(profile.metrics.batches, 3);
+}
+
+#[test]
+fn limit_stops_pulling_early() {
+    let db = db();
+    let plan = scan("T", "t").limit(5);
+    let (rows, profile) = run_profiled(&db, &plan);
+    assert_eq!(rows.len(), 5);
+    // The limit consumed only the first batch of its input, not all 2500
+    // rows: streaming means the scan never read past the first batch.
+    let scan_profile = &profile.children[0];
+    assert_eq!(scan_profile.metrics.rows_out as usize, BATCH_SIZE);
+}
+
+#[test]
+fn filter_counts_rows_in_and_out() {
+    let db = db();
+    let plan = scan("T", "t").filter(Expr::col_cmp_value(1, CmpOp::Eq, Value::int(3)));
+    let (rows, profile) = run_profiled(&db, &plan);
+    assert_eq!(rows.len(), 250);
+    assert_eq!(profile.operator, "filter");
+    assert_eq!(profile.metrics.rows_in, 2500);
+    assert_eq!(profile.metrics.rows_out, 250);
+}
+
+#[test]
+fn open_does_not_read_rows() {
+    let db = db();
+    let plan = scan("T", "t").filter(Expr::col_cmp_value(1, CmpOp::Eq, Value::int(3)));
+    let src = open(&db, &plan).unwrap();
+    let profile = src.profile();
+    // Describing a freshly opened plan shows zero activity everywhere.
+    profile.walk(&mut |p| {
+        assert_eq!(p.metrics.rows_in, 0);
+        assert_eq!(p.metrics.rows_out, 0);
+        assert_eq!(p.metrics.batches, 0);
+    });
+}
+
+#[test]
+fn apply_cache_is_bounded_and_tallies_evictions() {
+    // Correlate on t.id: 2500 distinct bindings against a cap of
+    // APPLY_CACHE_CAP entries, so the cache must evict (and say so).
+    let db = db();
+    let sub = values_plan("s", &[Value::int(1)]).filter(Expr::Compare {
+        op: CmpOp::Lt,
+        left: Box::new(Expr::Param(0)),
+        right: Box::new(Expr::Literal(Value::int(0))),
+    });
+    let plan = scan("T", "t").apply(sub, vec![(0, 0)], ApplyMode::Exists { negated: true });
+    let (rows, profile) = run_profiled(&db, &plan);
+    assert_eq!(rows.len(), 2500, "NOT EXISTS over an always-empty subquery");
+    assert!(
+        profile.detail.contains("2500 evaluations"),
+        "distinct bindings each evaluate once: {}",
+        profile.detail
+    );
+    let expected_evictions = 2500 - APPLY_CACHE_CAP;
+    assert!(
+        profile
+            .detail
+            .contains(&format!("{expected_evictions} evictions")),
+        "evictions must surface in the cache tally: {}",
+        profile.detail
+    );
+}
+
+#[test]
+fn apply_parallel_workers_agree_with_sequential() {
+    let db = db();
+    let sub = Plan::scan("T", "u")
+        .filter(Expr::Compare {
+            op: CmpOp::Eq,
+            left: Box::new(Expr::Column(1)),
+            right: Box::new(Expr::Param(0)),
+        })
+        .filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(5)));
+    let mode = ApplyMode::Exists { negated: false };
+    let sequential = scan("T", "t").apply(sub.clone(), vec![(0, 1)], mode.clone());
+    let parallel = scan("T", "t")
+        .apply(sub, vec![(0, 1)], mode)
+        .with_apply_workers(4);
+    let (seq_rows, seq_profile) = run_profiled(&db, &sequential);
+    let (par_rows, par_profile) = run_profiled(&db, &parallel);
+    assert_eq!(seq_rows, par_rows, "parallel apply must keep row order");
+    // Same evaluation and cache-hit tallies, and the parallel profile
+    // advertises its workers.
+    assert!(par_profile.detail.contains("10 evaluations"));
+    assert!(par_profile.detail.contains("2490 cache hits"));
+    assert_eq!(
+        seq_profile.children[1].metrics.rows_out, par_profile.children[1].metrics.rows_out,
+        "subplan counters must aggregate identically"
+    );
+    assert_eq!(par_profile.workers, Some(4));
+    assert!(par_profile.render_tree(false).contains("[workers=4]"));
+}
+
+#[test]
+fn blocked_time_never_exceeds_elapsed() {
+    let db = db();
+    let plan = scan("T", "t")
+        .filter(Expr::col_cmp_value(1, CmpOp::Lt, Value::int(9)))
+        .sort(vec![SortKey {
+            column: 0,
+            ascending: false,
+        }]);
+    let (_, profile) = run_profiled(&db, &plan);
+    profile.walk(&mut |p| {
+        assert!(
+            p.metrics.blocked <= p.metrics.elapsed,
+            "{}: blocked {:?} > elapsed {:?}",
+            p.operator,
+            p.metrics.blocked,
+            p.metrics.elapsed
+        );
+        assert_eq!(
+            p.metrics.self_elapsed(),
+            p.metrics.elapsed - p.metrics.blocked
+        );
+    });
+    // The sort waited on its child for at least the child's own time.
+    assert!(profile.metrics.blocked >= profile.children[0].metrics.self_elapsed());
+}
+
+#[test]
+fn render_tree_shape_is_stable() {
+    let db = db();
+    let plan = scan("T", "t")
+        .filter(Expr::col_cmp_value(1, CmpOp::Eq, Value::int(3)))
+        .limit(7);
+    let src = open(&db, &plan).unwrap();
+    let tree = src.profile().render_tree(false);
+    assert_eq!(tree, "limit: 7\n└─ filter: t.v = 3\n   └─ scan: T as t\n");
+}
+
+#[test]
+fn aggregate_over_empty_input_still_produces_one_group() {
+    let db = db();
+    let empty = scan("T", "t").filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(0)));
+    let plan = empty.aggregate(vec![], vec![AggExpr::count_star("cnt")], None);
+    let mut src = open(&db, &plan).unwrap();
+    let batch = src.next_batch().unwrap().unwrap();
+    assert_eq!(batch.len(), 1);
+    assert_eq!(batch[0].get(0), Some(&Value::int(0)));
+    assert!(src.next_batch().unwrap().is_none());
+}
+
+/// A one-column literal relation for subquery-operator tests.
+fn values_plan(name: &str, values: &[Value]) -> Plan {
+    Plan::values(
+        vec![ColumnInfo::unqualified(name)],
+        values.iter().map(|v| Row::new(vec![v.clone()])).collect(),
+    )
+}
+
+/// Run a plan to exhaustion: its rows and its executed profile.
+fn run_profiled(db: &Database, plan: &Plan) -> (Vec<Row>, PlanProfile) {
+    let mut src = open(db, plan).unwrap();
+    let mut out = Vec::new();
+    while let Some(batch) = src.next_batch().unwrap() {
+        out.extend(batch);
+    }
+    (out, src.profile())
+}
+
+fn run_plan(db: &Database, plan: &Plan) -> Vec<Row> {
+    run_profiled(db, plan).0
+}
+
+#[test]
+fn semi_join_keeps_only_matching_probe_rows() {
+    let db = Database::new();
+    let probe = values_plan("x", &[Value::int(1), Value::int(2), Value::Null]);
+    let build = values_plan("y", &[Value::int(2), Value::int(3), Value::Null]);
+    let plan = Plan::semi_join(probe, build, vec![0], vec![0]);
+    let rows = run_plan(&db, &plan);
+    // Only 2 matches; NULL never equals anything, on either side.
+    assert_eq!(rows, vec![Row::new(vec![Value::int(2)])]);
+}
+
+#[test]
+fn anti_join_not_exists_semantics_pass_null_probes() {
+    let db = Database::new();
+    let probe = values_plan("x", &[Value::int(1), Value::int(2), Value::Null]);
+    let build = values_plan("y", &[Value::int(2), Value::Null]);
+    let plan = Plan::anti_join(probe, build, vec![0], vec![0], false);
+    let rows = run_plan(&db, &plan);
+    // NOT EXISTS: the NULL probe has no match by definition, so it stays.
+    assert_eq!(
+        rows,
+        vec![Row::new(vec![Value::int(1)]), Row::new(vec![Value::Null])]
+    );
+}
+
+#[test]
+fn null_aware_anti_join_implements_not_in() {
+    let db = Database::new();
+    // A NULL on the build side makes every NOT IN verdict UNKNOWN or
+    // FALSE: nothing survives.
+    let probe = values_plan("x", &[Value::int(1), Value::int(2), Value::Null]);
+    let with_null = values_plan("y", &[Value::int(2), Value::Null]);
+    let plan = Plan::anti_join(probe.clone(), with_null, vec![0], vec![0], true);
+    assert!(run_plan(&db, &plan).is_empty());
+
+    // Without build-side NULLs, a NULL probe is UNKNOWN (dropped) and
+    // non-matches pass.
+    let no_null = values_plan("y", &[Value::int(2), Value::int(3)]);
+    let plan = Plan::anti_join(probe.clone(), no_null, vec![0], vec![0], true);
+    assert_eq!(run_plan(&db, &plan), vec![Row::new(vec![Value::int(1)])]);
+
+    // NOT IN over an empty set is TRUE for everything, even NULL.
+    let empty = values_plan("y", &[]);
+    let plan = Plan::anti_join(probe, empty, vec![0], vec![0], true);
+    assert_eq!(run_plan(&db, &plan).len(), 3);
+}
+
+#[test]
+fn scalar_subquery_filters_against_the_cached_value() {
+    let db = db();
+    // T.v = (scalar 3): 250 of the 2500 rows qualify; the subquery's
+    // profile shows it was pulled exactly once.
+    let sub = values_plan("s", &[Value::int(3)]);
+    let plan = Plan::scan("T", "t").scalar_subquery(sub, Expr::Column(1), CmpOp::Eq);
+    let (rows, profile) = run_profiled(&db, &plan);
+    assert_eq!(rows.len(), 250);
+    assert_eq!(profile.operator, "scalar subquery");
+    assert_eq!(profile.children[1].metrics.rows_out, 1);
+}
+
+#[test]
+fn scalar_subquery_with_two_rows_is_an_error() {
+    let db = db();
+    let sub = values_plan("s", &[Value::int(1), Value::int(2)]);
+    let plan = Plan::scan("T", "t").scalar_subquery(sub, Expr::Column(1), CmpOp::Eq);
+    let mut src = open(&db, &plan).unwrap();
+    assert!(src.next_batch().is_err());
+}
+
+#[test]
+fn scalar_subquery_over_empty_input_is_sql_null() {
+    let db = db();
+    let sub = values_plan("s", &[]);
+    let plan = Plan::scan("T", "t").scalar_subquery(sub, Expr::Column(1), CmpOp::Eq);
+    let mut src = open(&db, &plan).unwrap();
+    // v = NULL is UNKNOWN for every row: nothing comes out.
+    assert!(src.next_batch().unwrap().is_none());
+}
+
+#[test]
+fn apply_exists_binds_params_and_caches_per_binding() {
+    let db = db();
+    // For each T row, check EXISTS(select * from T u where u.v = $0 and
+    // u.id < 10): v in 0..=9 and ids 0..9 cover v values 0..9, so every
+    // v has a witness — but only 10 distinct v values mean 10 real
+    // evaluations for 2500 input rows.
+    let sub = Plan::scan("T", "u")
+        .filter(Expr::Compare {
+            op: CmpOp::Eq,
+            left: Box::new(Expr::Column(1)),
+            right: Box::new(Expr::Param(0)),
+        })
+        .filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(10)));
+    let plan = Plan::scan("T", "t").apply(sub, vec![(0, 1)], ApplyMode::Exists { negated: false });
+    let (rows, profile) = run_profiled(&db, &plan);
+    assert_eq!(rows.len(), 2500);
+    assert_eq!(profile.operator, "apply");
+    assert!(
+        profile.detail.contains("10 evaluations"),
+        "memoization missing from: {}",
+        profile.detail
+    );
+    assert!(profile.detail.contains("2490 cache hits"));
+}
+
+#[test]
+fn apply_quantified_all_and_any_verdicts() {
+    let five = Value::int(5);
+    let vals = vec![Value::int(5), Value::int(7)];
+    assert_eq!(
+        quantified_verdict(&five, CmpOp::LtEq, true, &vals),
+        Some(true)
+    );
+    assert_eq!(
+        quantified_verdict(&five, CmpOp::Lt, true, &vals),
+        Some(false)
+    );
+    assert_eq!(
+        quantified_verdict(&five, CmpOp::Eq, false, &vals),
+        Some(true)
+    );
+    // Empty sets: ALL is vacuously true, ANY is false.
+    assert_eq!(quantified_verdict(&five, CmpOp::Eq, true, &[]), Some(true));
+    assert_eq!(
+        quantified_verdict(&five, CmpOp::Eq, false, &[]),
+        Some(false)
+    );
+    // A NULL in the set leaves an undecided verdict UNKNOWN.
+    let with_null = vec![Value::int(4), Value::Null];
+    assert_eq!(
+        quantified_verdict(&five, CmpOp::GtEq, true, &with_null),
+        None
+    );
+    // …but a decided one stays decided.
+    assert_eq!(
+        quantified_verdict(&five, CmpOp::Lt, true, &with_null),
+        Some(false)
+    );
+}

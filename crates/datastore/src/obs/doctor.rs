@@ -21,7 +21,9 @@
 //! (`SHOW WORKLOAD`, `ADVISE`, `CHECKUP`) and the what-if coster live in the
 //! `talkback` crate; this module only aggregates and detects.
 
-use super::{bucket_quantile, CacheStatus, StatementMeta, StatementPhases, HIST_BUCKETS};
+use super::{
+    bucket_quantile, latency_bucket, CacheStatus, StatementMeta, StatementPhases, HIST_BUCKETS,
+};
 use crate::exec::stream::PlanProfile;
 use crate::fingerprint::{fnv_hash, normalize_predicate};
 use std::collections::{BTreeMap, VecDeque};
@@ -239,9 +241,7 @@ impl WorkloadStat {
         self.last_sql = sample.sql.clone();
         self.total_time += sample.total;
         self.execute_time += sample.execute;
-        let micros = sample.total.as_micros() as u64;
-        let bucket = (64 - micros.leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.hist[bucket] += 1;
+        self.hist[latency_bucket(sample.total)] += 1;
         self.rows_scanned += sample.rows_scanned;
         self.rows_emitted += sample.rows_emitted;
         for (table, rows) in &sample.full_scans {

@@ -221,6 +221,13 @@ impl Phase {
 /// cover everything up to ~6 days per statement.
 pub const HIST_BUCKETS: usize = 40;
 
+/// The bucket a sample falls in — the bits needed to write its microseconds:
+/// 0 µs → bucket 0, 1 µs → 1, 2–3 µs → 2, 4–7 µs → 3, …
+fn latency_bucket(d: Duration) -> usize {
+    let micros = d.as_micros() as u64;
+    (64 - micros.leading_zeros() as usize).min(HIST_BUCKETS - 1)
+}
+
 /// A log2-bucketed latency histogram over microseconds.
 #[derive(Debug)]
 pub struct LatencyHistogram {
@@ -237,11 +244,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     fn record(&self, d: Duration) {
-        let micros = d.as_micros() as u64;
-        // Bits needed to write the sample: 0 µs → bucket 0, 1 µs → 1,
-        // 2–3 µs → 2, 4–7 µs → 3, …
-        let bucket = (64 - micros.leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[latency_bucket(d)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current bucket counts.

@@ -178,6 +178,17 @@ fn explain_golden_plan_tree_is_stable() {
          \u{20}\u{20}\u{20}│  └─ scan: CAST as c  [est=12]\n\
          \u{20}\u{20}\u{20}└─ index probe: MOVIES as m [index=pk_movies]\n"
     );
+    // A quote inside a LIKE pattern is rendered doubled, as SQL writes it
+    // (and as the planner's predicate shapes expect to find it).
+    let e = system
+        .explain_plan("explain select m.title from MOVIES m where m.title like 'O''%'")
+        .unwrap();
+    assert_eq!(
+        e.tree,
+        "project: m.title  [est=3]\n\
+         └─ filter: m.title LIKE 'O''%'  [est=3]\n\
+         \u{20}\u{20}\u{20}└─ scan: MOVIES as m  [est=10]\n"
+    );
 }
 
 #[test]

@@ -4,9 +4,10 @@
 //! totals, `EXPLAIN` must render `[workers=N]`, and the narration must say
 //! both how the plan was parallelized and why it sometimes was not.
 
-use datastore::exec::{describe_plan, execute_with_stats, PlanProfile};
+use datastore::exec::{describe_plan, execute_with_stats, OpMetrics, Plan, PlanProfile};
 use datastore::sample::{movie_database, scaled_movie_database, ScaleConfig};
 use sqlparse::parse_query;
+use std::time::Duration;
 use talkback::{plan_query_with, PlannerOptions};
 use templates::Lexicon;
 
@@ -102,12 +103,10 @@ const EMP_QUERIES: &[&str] = &[
      (select d.mgr from DEPT d where d.mgr is not null)",
 ];
 
-#[test]
-fn plan_walk_visits_exactly_the_operators_the_executor_opens() {
-    // `open_in` states every operator's children independently of
-    // `Plan::children`: the profile it builds must list the operators
-    // `Plan::walk` visits, in the same pre-order, under every planner corner
-    // — so a child `children()` forgot, or yielded out of order, fails here.
+/// Plan every paper, shape and EMP/DEPT query under the 16 planner corners
+/// (indexes × vectorized × decorrelation × forced parallelism) and hand each
+/// plan to `f`.
+fn for_each_planned_corner(mut f: impl FnMut(&datastore::Database, &str, &Plan, PlannerOptions)) {
     let movies = movie_database();
     let employees = datastore::sample::employee_database();
     let queries = PAPER_QUERIES
@@ -115,7 +114,6 @@ fn plan_walk_visits_exactly_the_operators_the_executor_opens() {
         .chain(SHAPE_QUERIES)
         .map(|sql| (&movies, *sql))
         .chain(EMP_QUERIES.iter().map(|sql| (&employees, *sql)));
-    let mut seen = std::collections::BTreeSet::new();
     for (db, sql) in queries {
         let q = parse_query(sql).unwrap();
         for corner in 0..16u32 {
@@ -128,23 +126,37 @@ fn plan_walk_visits_exactly_the_operators_the_executor_opens() {
                 ..PlannerOptions::default()
             };
             let plan = plan_query_with(db, &q, options).unwrap().plan;
-            let mut walked = Vec::new();
-            plan.walk(&mut |p| walked.push(p.operator_name()));
-            let described = describe_plan(db, &plan).unwrap();
-            let mut opened = Vec::new();
-            described.walk(&mut |p| {
-                // The probe side of an index nested-loop join is a profile
-                // leaf with no plan node of its own.
-                if p.operator != "index probe" {
-                    opened.push(p.operator.as_str());
-                }
-            });
-            assert_eq!(walked, opened, "{sql} under {options:?}");
-            seen.extend(walked);
-            // Binding nothing changes nothing, whatever the operators.
-            assert_eq!(plan.bind_params(&|_| None), plan, "{sql}");
+            f(db, sql, &plan, options);
         }
     }
+}
+
+#[test]
+fn plan_walk_visits_exactly_the_operators_the_executor_opens() {
+    // `open_in` states every operator's children independently of
+    // `Plan::children`: the profile it builds must list the operators
+    // `Plan::walk` visits, in the same pre-order, under every planner corner
+    // — so a child `children()` forgot, or yielded out of order, fails here.
+    let mut seen = std::collections::BTreeSet::new();
+    for_each_planned_corner(|db, sql, plan, options| {
+        let mut walked = Vec::new();
+        plan.walk(&mut |p| walked.push(p.operator_name()));
+        let described = describe_plan(db, plan).unwrap();
+        let mut opened = Vec::new();
+        described.walk(&mut |p| {
+            // The probe side of an index nested-loop join is a profile
+            // leaf with no plan node of its own.
+            if p.operator != "index probe" {
+                opened.push(p.operator.as_str());
+            }
+            // Describing executes nothing: every meter is still at zero.
+            assert_eq!(p.metrics, OpMetrics::default(), "{sql}: {}", p.operator);
+        });
+        assert_eq!(walked, opened, "{sql} under {options:?}");
+        seen.extend(walked);
+        // Binding nothing changes nothing, whatever the operators.
+        assert_eq!(plan.bind_params(&|_| None), *plan, "{sql}");
+    });
     // Every operator the planner can emit took part.
     let all = [
         "aggregate",
@@ -165,6 +177,45 @@ fn plan_walk_visits_exactly_the_operators_the_executor_opens() {
         "sort",
     ];
     assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
+}
+
+#[test]
+fn every_executed_profile_node_obeys_the_metering_protocol() {
+    // The protocol `exec/mod.rs` states, checked on every node of every
+    // executed corner rather than trusted per operator.
+    for_each_planned_corner(|db, sql, plan, options| {
+        let (_, profile) = execute_with_stats(db, plan).unwrap();
+        profile.walk(&mut |p| {
+            let at = format!("{sql} under {options:?}: {}: {}", p.operator, p.detail);
+            let m = &p.metrics;
+            assert!(m.elapsed >= m.blocked, "blocked is part of elapsed: {at}");
+            // The probe leaf of an index join tallies probes and matches and
+            // never returns a batch of its own.
+            if p.operator != "index probe" {
+                assert_eq!(m.batches == 0, m.rows_out == 0, "no empty batches: {at}");
+            }
+            // An operator pulls from its children, minus the subplan of an
+            // apply or scalar-subquery filter and the probe leaf.
+            let pulled = match p.operator.as_str() {
+                "apply" | "scalar subquery" | "index nested-loop join" => &p.children[..1],
+                _ => &p.children[..],
+            };
+            // A parallel operator waits wall time while its workers' times
+            // add up; anyone else waits as long as what it pulls from ran.
+            if p.workers.is_none() {
+                let waited_for: Duration = pulled.iter().map(|c| c.metrics.elapsed).sum();
+                assert!(m.blocked >= waited_for, "a pull is a wait: {at}");
+            }
+            // A non-row gather receives partial states or truncated runs,
+            // not its pipeline's rows; every other operator counts in
+            // exactly what its inputs handed out.
+            let partial_gather = p.operator == "exchange" && !p.tags.is_empty();
+            if !pulled.is_empty() && !partial_gather {
+                let handed_out: u64 = pulled.iter().map(|c| c.metrics.rows_out).sum();
+                assert_eq!(m.rows_in, handed_out, "rows in = rows pulled: {at}");
+            }
+        });
+    });
 }
 
 /// Flatten a profile into (operator, rows_in, rows_out) triples, skipping
