@@ -32,7 +32,9 @@
 //! 1. **sqlparse** parses SQL, including `EXPLAIN [ANALYZE] <select>`.
 //! 2. **[`planner`]** lowers a query to a `datastore` [`datastore::exec::Plan`]:
 //!    the *logical* phase decomposes WHERE into a join graph (equi-join
-//!    edges, pushed single-table conjuncts, residual predicates), the *cost*
+//!    edges, selections pushed onto their relation — a subquery block's
+//!    comparisons with the enclosing row among them — residual predicates),
+//!    the *cost*
 //!    phase picks the left-deep join order with the smallest estimated
 //!    intermediate results from table statistics (per-column NDV, min/max
 //!    and histograms kept current by each table) — by dynamic programming

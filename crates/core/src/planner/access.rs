@@ -16,9 +16,15 @@
 //! with equalities and optionally add one range on the next key column —
 //! `(mid, genre)` answers `mid = 7`, `mid = 7 AND genre = 'noir'`, and
 //! `mid = 7 AND genre >= 'm'`. Each consumed conjunct leaves the filter
-//! chain. Bounds may also be *correlation parameters* (`col = $k` under an
-//! `Apply`): the probe is planned once and re-bound per outer row, turning
-//! a rescan-per-binding into a point lookup per binding.
+//! chain.
+//!
+//! There is one source of sargs: the relation's pushed selections
+//! ([`Relation::pushed`]). What a column is compared with is a literal, a
+//! plan-cache parameter, or — in a correlated selection, `g2.mid = m.id`
+//! inside a subquery over `m` — an enclosing block's column, which becomes a
+//! *correlation parameter* (`col = $k` under an `Apply`): the probe is
+//! planned once and re-bound per outer row, turning a rescan-per-binding
+//! into a point lookup per binding.
 //!
 //! Semantics guard: an access path must return *exactly* the rows the
 //! filter (or hash join) it replaces would have kept. Ordered indexes
@@ -36,8 +42,8 @@
 
 use super::cost::{AccessPathKind, Estimator, PlanDecision};
 use super::logical::Relation;
+use super::subquery::ScopeChain;
 use datastore::index::{BoundTerm, Index, IndexBounds, TermBound};
-use datastore::stats::DEFAULT_SELECTIVITY;
 use datastore::{DataType, Database, Value};
 use sqlparse::ast::{BinaryOperator, Expr, Literal};
 
@@ -62,9 +68,6 @@ pub(super) struct ScanChoice {
     pub ordered: bool,
     /// Positions (in `rel.pushed`) of the conjuncts the bounds consume.
     pub consumed_pushed: Vec<usize>,
-    /// Positions (in the caller's correlated-sarg list, which indexes
-    /// `graph.residual`) of the consumed correlated conjuncts.
-    pub consumed_correlated: Vec<usize>,
     /// True when any bound is a correlation parameter.
     pub parameterized: bool,
     /// Estimated rows the probe returns (per binding, when parameterized).
@@ -81,20 +84,19 @@ pub(super) enum ScanPath {
 }
 
 /// A sargable conjunct against one column of the relation: an equality term
-/// or a range, with the term either a plan-time literal or a correlation
-/// parameter.
-pub(super) struct Sarg {
-    pub column: String,
-    pub shape: SargShape,
+/// or a range, with the term either a plan-time literal or a parameter.
+struct Sarg {
+    column: String,
+    shape: SargShape,
     /// The type of the term an equality compares against, for hash-index
     /// exactness: a literal's own, or a plan-cache parameter's declared kind
     /// (`None` for ranges and correlation parameters).
-    pub term_type: Option<DataType>,
+    term_type: Option<DataType>,
     /// Estimated fraction of rows the conjunct keeps.
-    pub selectivity: f64,
+    selectivity: f64,
 }
 
-pub(super) enum SargShape {
+enum SargShape {
     Eq(BoundTerm),
     Range {
         lo: Option<TermBound>,
@@ -113,7 +115,7 @@ pub(super) fn literal_value(l: &Literal) -> Value {
 }
 
 /// Build the range shape for `column <op> term` (column on the left).
-pub(super) fn range_shape(op: BinaryOperator, term: BoundTerm) -> Option<SargShape> {
+fn range_shape(op: BinaryOperator, term: BoundTerm) -> Option<SargShape> {
     Some(match op {
         BinaryOperator::Eq => SargShape::Eq(term),
         BinaryOperator::Lt => SargShape::Range {
@@ -136,17 +138,34 @@ pub(super) fn range_shape(op: BinaryOperator, term: BoundTerm) -> Option<SargSha
     })
 }
 
-/// Recognize `column <cmp> literal` (either side) and
+/// Recognize `column <cmp> constant` (either side) and
 /// `column BETWEEN literal AND literal` as index-probe shapes, with the
-/// conjunct's estimated selectivity attached. Selectivity goes through the
-/// feedback override, so a shape the engine has already caught misestimated
-/// can flip the scan-vs-probe verdict on its next plan.
+/// conjunct's estimated selectivity attached. The constant is a literal, a
+/// plan-cache parameter, or — in a correlated selection — an enclosing
+/// block's column, which probes as the correlation parameter `scopes`
+/// resolves it to (re-bound per outer row, so `g2.mid = m.id` under an
+/// `Apply` is an index lookup per binding instead of a rescan per binding).
+/// Selectivity goes through the feedback override, so a shape the engine has
+/// already caught misestimated can flip the scan-vs-probe verdict on its
+/// next plan.
 fn as_sarg(
     estimator: &Estimator,
     rel: &Relation,
     stats: &datastore::stats::TableStats,
     conjunct: &Expr,
+    scopes: &ScopeChain,
 ) -> Option<Sarg> {
+    if let Some((own, op, outer)) = rel.as_correlated_comparison(conjunct) {
+        // A conjunct no probe consumes lowers to a filter on the same
+        // (memoized) parameter, so none is ever bound for nothing.
+        let param = scopes.resolve_param(outer.qualifier.as_deref(), &outer.column)?;
+        return Some(Sarg {
+            column: own.column.clone(),
+            shape: range_shape(op, BoundTerm::Param(param))?,
+            term_type: None,
+            selectivity: estimator.effective_conjunct_selectivity(rel, stats, conjunct),
+        });
+    }
     if let Some((col, op, lit)) = conjunct.as_selection_predicate() {
         let value = literal_value(lit);
         let term_type = (op == BinaryOperator::Eq)
@@ -217,28 +236,21 @@ fn probe_is_exact(
     }
 }
 
-/// Where a sarg came from: a pushed single-table conjunct or a correlated
-/// residual the caller extracted.
-#[derive(Clone, Copy)]
-enum SargSource {
-    Pushed(usize),
-    Correlated(usize),
-}
-
 /// Match one index against the available sargs: pin leading key columns
 /// with equalities, optionally add one range on the next key column, and
 /// estimate the probe's output. `None` when no conjunct constrains the key.
 fn match_index(
     index: &Index,
     table: &datastore::Table,
-    sargs: &[(SargSource, &Sarg)],
+    sargs: &[(usize, Sarg)],
     base_rows: f64,
 ) -> Option<ScanChoice> {
     let key = &index.def().columns;
     let mut used = vec![false; sargs.len()];
     let mut eq: Vec<BoundTerm> = Vec::new();
     let mut columns: Vec<String> = Vec::new();
-    let mut consumed: Vec<SargSource> = Vec::new();
+    // Positions in `rel.pushed` of the conjuncts the bounds take over.
+    let mut consumed: Vec<usize> = Vec::new();
     let mut selectivity = 1.0;
     for key_col in key {
         let declared = table.schema().column(key_col).map(|c| c.data_type)?;
@@ -248,7 +260,7 @@ fn match_index(
                 && matches!(s.shape, SargShape::Eq(_))
                 && probe_is_exact(index.def().kind, declared, s.term_type)
         });
-        let Some((i, (source, sarg))) = found else {
+        let Some((i, (pos, sarg))) = found else {
             break;
         };
         used[i] = true;
@@ -257,7 +269,7 @@ fn match_index(
         };
         eq.push(term.clone());
         columns.push(key_col.clone());
-        consumed.push(*source);
+        consumed.push(*pos);
         selectivity *= sarg.selectivity;
     }
     // One range on the first unpinned key column, ordered indexes only.
@@ -270,7 +282,7 @@ fn match_index(
                     && s.column.eq_ignore_ascii_case(next_col)
                     && matches!(s.shape, SargShape::Range { .. })
             });
-            if let Some((i, (source, sarg))) = found {
+            if let Some((i, (pos, sarg))) = found {
                 used[i] = true;
                 let SargShape::Range { lo: l, hi: h } = &sarg.shape else {
                     unreachable!("found is filtered to ranges");
@@ -278,7 +290,7 @@ fn match_index(
                 lo = l.clone();
                 hi = h.clone();
                 columns.push(next_col.clone());
-                consumed.push(*source);
+                consumed.push(*pos);
                 selectivity *= sarg.selectivity;
             }
         }
@@ -299,14 +311,6 @@ fn match_index(
         AccessPathKind::Prefix
     };
     let parameterized = bounds.has_params();
-    let mut consumed_pushed = Vec::new();
-    let mut consumed_correlated = Vec::new();
-    for source in consumed {
-        match source {
-            SargSource::Pushed(i) => consumed_pushed.push(i),
-            SargSource::Correlated(i) => consumed_correlated.push(i),
-        }
-    }
     Some(ScanChoice {
         index: index.def().name.clone(),
         columns,
@@ -314,55 +318,35 @@ fn match_index(
         kind,
         bounds,
         ordered: index.supports_range(),
-        consumed_pushed,
-        consumed_correlated,
+        consumed_pushed: consumed,
         parameterized,
         estimated_rows: base_rows * selectivity,
     })
 }
 
 /// Pick the access path for one base-relation scan: every index of the
-/// table is matched against the sargable pushed conjuncts plus the caller's
-/// correlated sargs (equality/range against an enclosing scope's column,
-/// probed as a parameter); the most selective match is costed against the
-/// full scan at [`INDEX_PROBE_ROW_COST`]. `None` when no conjunct can use any
-/// index (nothing to decide, nothing to narrate).
+/// table is matched against the relation's sargable selections — correlated
+/// ones included, probed as parameters — and the most selective match is
+/// costed against the full scan at [`INDEX_PROBE_ROW_COST`]. `None` when no
+/// conjunct can use any index (nothing to decide, nothing to narrate).
 pub(super) fn choose_scan_path(
     db: &Database,
     estimator: &Estimator,
     rel: &Relation,
     base_rows: f64,
-    correlated: &[Sarg],
+    scopes: &ScopeChain,
 ) -> Option<ScanPath> {
     let table = db.table(&rel.table)?;
     let stats = db.table_stats(&rel.table)?;
-    let mut sargs: Vec<(SargSource, Sarg)> = Vec::new();
-    for (i, conjunct) in rel.pushed.iter().enumerate() {
-        if let Some(sarg) = as_sarg(estimator, rel, &stats, conjunct) {
-            sargs.push((SargSource::Pushed(i), sarg));
-        }
-    }
-    for (i, sarg) in correlated.iter().enumerate() {
-        sargs.push((
-            SargSource::Correlated(i),
-            Sarg {
-                column: sarg.column.clone(),
-                shape: match &sarg.shape {
-                    SargShape::Eq(t) => SargShape::Eq(t.clone()),
-                    SargShape::Range { lo, hi } => SargShape::Range {
-                        lo: lo.clone(),
-                        hi: hi.clone(),
-                    },
-                },
-                term_type: sarg.term_type,
-                selectivity: sarg.selectivity,
-            },
-        ));
-    }
+    let sargs: Vec<(usize, Sarg)> = rel
+        .pushed
+        .iter()
+        .enumerate()
+        .filter_map(|(i, conjunct)| Some((i, as_sarg(estimator, rel, &stats, conjunct, scopes)?)))
+        .collect();
     if sargs.is_empty() {
         return None;
     }
-    let borrowed: Vec<(SargSource, &Sarg)> = sargs.iter().map(|(src, s)| (*src, s)).collect();
     let mut best: Option<ScanChoice> = None;
     // What-if indexes (the advisor's hypotheticals) compete on equal terms:
     // match_index reads only the index's definition, never its entries.
@@ -371,7 +355,7 @@ pub(super) fn choose_scan_path(
         .iter()
         .chain(estimator.hypothetical_for(&rel.table))
     {
-        let Some(candidate) = match_index(index, table, &borrowed, base_rows) else {
+        let Some(candidate) = match_index(index, table, &sargs, base_rows) else {
             continue;
         };
         let better = best.as_ref().is_none_or(|b| {
@@ -389,17 +373,6 @@ pub(super) fn choose_scan_path(
     } else {
         Some(ScanPath::FullScan(choice))
     }
-}
-
-/// Estimated selectivity of a correlated sarg: an equality against an
-/// outer value keeps ~1/NDV of the rows; a range falls back to the default.
-pub(super) fn correlated_selectivity(db: &Database, table: &str, column: &str, is_eq: bool) -> f64 {
-    if !is_eq {
-        return DEFAULT_SELECTIVITY;
-    }
-    db.table_stats(table)
-        .and_then(|s| s.column(column).map(|c| c.eq_selectivity()))
-        .unwrap_or(DEFAULT_SELECTIVITY)
 }
 
 /// The decision record for a scan-path choice (chosen or rejected).

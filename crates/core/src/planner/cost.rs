@@ -1,8 +1,10 @@
 //! Cost estimation and join-order enumeration.
 //!
 //! The [`Estimator`] bridges the planner to `datastore`'s statistics layer:
-//! per-relation cardinalities after pushed predicates (equality via 1/NDV,
-//! ranges via histograms) and per-step join cardinalities via the classic
+//! per-relation cardinalities after pushed predicates (equality via 1/NDV —
+//! against a literal, a plan parameter or, in a correlated selection, an
+//! enclosing block's column — ranges via histograms) and per-step join
+//! cardinalities via the classic
 //! |L|·|R| / max(ndv_l, ndv_r) formula. [`choose_join_order`] enumerates
 //! left-deep join orders by dynamic programming over connected subsets
 //! (Selinger-style, cross products deferred until nothing connects): every
@@ -29,7 +31,7 @@ use datastore::index::Index;
 use datastore::obs::DecisionKind;
 use datastore::stats::{join_cardinality, TableStats, DEFAULT_SELECTIVITY};
 use datastore::{DataType, Database};
-use sqlparse::ast::{BinaryOperator, Expr, Literal, UnaryOperator};
+use sqlparse::ast::{BinaryOperator, ColumnRef, Expr, Literal, UnaryOperator};
 use std::sync::Arc;
 
 /// Selectivity assumed for LIKE predicates (a pattern is usually more
@@ -116,6 +118,10 @@ pub enum PlanDecision {
         /// ([`datastore::exec::APPLY_CACHE_CAP`]), narrated when the strategy
         /// is an `Apply`.
         cache_cap: usize,
+        /// True when each evaluation of an `Apply` stops at the subquery's
+        /// first row (`[NOT] EXISTS`: the executor opens the subplan with a
+        /// row goal of one).
+        first_row: bool,
     },
     /// How a base relation is read — the access-path choice, recorded
     /// whether or not the index won so the narration can own up to
@@ -230,6 +236,17 @@ pub enum PlanDecision {
         /// True when the estimate cleared it.
         partitioned: bool,
     },
+    /// A conjunct of a subquery block that compares one of the block's
+    /// relations with the enclosing row, applied while that relation is read
+    /// — once per evaluation of the block — instead of above the block's
+    /// joins. Recorded when the block has joins for it to go below and no
+    /// index probe took it (that choice is an [`PlanDecision::AccessPath`]).
+    CorrelatedSelection {
+        /// Tuple variable of the relation the conjunct selects on.
+        alias: String,
+        /// The conjunct as written ("m1.title = m.title").
+        predicate: String,
+    },
 }
 
 impl PlanDecision {
@@ -247,6 +264,7 @@ impl PlanDecision {
             PlanDecision::Vectorize { .. } => DecisionKind::Vectorize,
             PlanDecision::Feedback { .. } => DecisionKind::Feedback,
             PlanDecision::PartitionedBuild { .. } => DecisionKind::PartitionedBuild,
+            PlanDecision::CorrelatedSelection { .. } => DecisionKind::CorrelatedSelection,
         }
     }
 }
@@ -446,7 +464,7 @@ impl<'a> Estimator<'a> {
         conjunct: &Expr,
     ) -> f64 {
         self.feedback_selectivity(rel, conjunct)
-            .unwrap_or_else(|| self.conjunct_selectivity(stats, conjunct))
+            .unwrap_or_else(|| selectivity(rel, stats, conjunct).clamp(0.0, 1.0))
     }
 
     /// Memoized per-table statistics lookup.
@@ -485,12 +503,6 @@ impl<'a> Estimator<'a> {
     pub fn relation_rows(&self, rel: &Relation) -> f64 {
         let (base, trace) = self.relation_row_trace(rel);
         trace.last().copied().unwrap_or(base)
-    }
-
-    /// Estimated selectivity of a single-table conjunct over a relation with
-    /// the given statistics.
-    pub fn conjunct_selectivity(&self, stats: &TableStats, expr: &Expr) -> f64 {
-        selectivity(stats, expr).clamp(0.0, 1.0)
     }
 
     /// NDV of a relation's join column, capped at the estimated cardinality
@@ -542,26 +554,35 @@ impl<'a> Estimator<'a> {
     }
 }
 
-/// Selectivity of a single-table predicate from column statistics.
-fn selectivity(stats: &TableStats, expr: &Expr) -> f64 {
+/// Statistics of one of `rel`'s own columns; `None` for an enclosing block's
+/// column (whose name may well exist in this table too).
+fn own_column<'s>(
+    rel: &Relation,
+    stats: &'s TableStats,
+    c: &ColumnRef,
+) -> Option<&'s datastore::stats::ColumnStats> {
+    stats.column(&c.column).filter(|_| !rel.is_outer(c))
+}
+
+/// Selectivity of a selection on `rel` from its column statistics.
+fn selectivity(rel: &Relation, stats: &TableStats, expr: &Expr) -> f64 {
     match expr {
         Expr::BinaryOp { left, op, right } => match op {
-            BinaryOperator::And => selectivity(stats, left) * selectivity(stats, right),
+            BinaryOperator::And => selectivity(rel, stats, left) * selectivity(rel, stats, right),
             BinaryOperator::Or => {
-                let a = selectivity(stats, left);
-                let b = selectivity(stats, right);
+                let a = selectivity(rel, stats, left);
+                let b = selectivity(rel, stats, right);
                 (a + b - a * b).min(1.0)
             }
-            _ => comparison_selectivity(stats, expr),
+            _ => comparison_selectivity(rel, stats, expr),
         },
         Expr::UnaryOp {
             op: UnaryOperator::Not,
             expr,
-        } => 1.0 - selectivity(stats, expr),
+        } => 1.0 - selectivity(rel, stats, expr),
         Expr::IsNull { expr, negated } => {
             let s = match expr.as_ref() {
-                Expr::Column(c) => stats
-                    .column(&c.column)
+                Expr::Column(c) => own_column(rel, stats, c)
                     .map(|cs| cs.null_selectivity())
                     .unwrap_or(DEFAULT_SELECTIVITY),
                 _ => DEFAULT_SELECTIVITY,
@@ -578,8 +599,7 @@ fn selectivity(stats: &TableStats, expr: &Expr) -> f64 {
             negated,
         } => {
             let s = match expr.as_ref() {
-                Expr::Column(c) => stats
-                    .column(&c.column)
+                Expr::Column(c) => own_column(rel, stats, c)
                     .map(|cs| (list.len() as f64 * cs.eq_selectivity()).min(1.0))
                     .unwrap_or(DEFAULT_SELECTIVITY),
                 _ => DEFAULT_SELECTIVITY,
@@ -597,8 +617,7 @@ fn selectivity(stats: &TableStats, expr: &Expr) -> f64 {
             negated,
         } => {
             let s = match (expr.as_ref(), literal_f64(low), literal_f64(high)) {
-                (Expr::Column(c), Some(lo), Some(hi)) => stats
-                    .column(&c.column)
+                (Expr::Column(c), Some(lo), Some(hi)) => own_column(rel, stats, c)
                     .map(|cs| cs.between_selectivity(lo, hi))
                     .unwrap_or(DEFAULT_SELECTIVITY),
                 _ => DEFAULT_SELECTIVITY,
@@ -620,9 +639,10 @@ fn selectivity(stats: &TableStats, expr: &Expr) -> f64 {
     }
 }
 
-/// Selectivity of a `column <op> literal` comparison (either operand
-/// order), from the column's NDV and histogram.
-fn comparison_selectivity(stats: &TableStats, expr: &Expr) -> f64 {
+/// Selectivity of a comparison of one of `rel`'s columns with a literal
+/// (either operand order), a plan-cache parameter or an enclosing block's
+/// column, from the column's NDV and histogram.
+fn comparison_selectivity(rel: &Relation, stats: &TableStats, expr: &Expr) -> f64 {
     // A plan-cache parameter stands for an equality literal whose value the
     // estimate never consults — the same 1/NDV the literal would get, so a
     // parameterized template plans identically to its fresh counterpart.
@@ -641,27 +661,26 @@ fn comparison_selectivity(stats: &TableStats, expr: &Expr) -> f64 {
                 .unwrap_or(DEFAULT_SELECTIVITY);
         }
     }
-    let Some((col, op, lit)) = expr.as_selection_predicate() else {
+    // An enclosing block's column is one value per evaluation of this block,
+    // unknown until then: a literal whose value the histogram cannot be asked
+    // about.
+    let (col, op, value) = match rel.as_correlated_comparison(expr) {
+        Some((own, op, _)) => (own, op, None),
+        None => match expr.as_selection_predicate() {
+            Some((col, op, lit)) => (col, op, literal_as_f64(lit)),
+            None => return DEFAULT_SELECTIVITY,
+        },
+    };
+    let Some(cs) = own_column(rel, stats, col) else {
         return DEFAULT_SELECTIVITY;
     };
-    let Some(cs) = stats.column(&col.column) else {
-        return DEFAULT_SELECTIVITY;
-    };
-    match op {
-        BinaryOperator::Eq => cs.eq_selectivity(),
-        BinaryOperator::NotEq => (cs.non_null_fraction() - cs.eq_selectivity()).max(0.0),
-        BinaryOperator::Lt | BinaryOperator::LtEq | BinaryOperator::Gt | BinaryOperator::GtEq => {
-            match literal_as_f64(lit) {
-                None => DEFAULT_SELECTIVITY,
-                Some(x) => match op {
-                    BinaryOperator::Lt => cs.lt_selectivity(x, false),
-                    BinaryOperator::LtEq => cs.lt_selectivity(x, true),
-                    BinaryOperator::Gt => cs.gt_selectivity(x, false),
-                    BinaryOperator::GtEq => cs.gt_selectivity(x, true),
-                    _ => unreachable!(),
-                },
-            }
-        }
+    match (op, value) {
+        (BinaryOperator::Eq, _) => cs.eq_selectivity(),
+        (BinaryOperator::NotEq, _) => (cs.non_null_fraction() - cs.eq_selectivity()).max(0.0),
+        (BinaryOperator::Lt, Some(x)) => cs.lt_selectivity(x, false),
+        (BinaryOperator::LtEq, Some(x)) => cs.lt_selectivity(x, true),
+        (BinaryOperator::Gt, Some(x)) => cs.gt_selectivity(x, false),
+        (BinaryOperator::GtEq, Some(x)) => cs.gt_selectivity(x, true),
         _ => DEFAULT_SELECTIVITY,
     }
 }
@@ -684,8 +703,9 @@ fn literal_as_f64(l: &Literal) -> Option<f64> {
 /// The feedback-store key shape of a pushed conjunct, built at plan time to
 /// match byte-for-byte what the executor's rendered filter detail normalizes
 /// to: `feedback_shape(render_expr(lowered))`. Columns render in the
-/// executor's qualified `alias.name` form (schema spelling), literals and
-/// plan parameters as `?`, operators and structure exactly as
+/// executor's qualified `alias.name` form (schema spelling), literals, plan
+/// parameters and an enclosing block's columns (correlation parameters by
+/// then) as `?`, operators and structure exactly as
 /// `datastore::exec::profile::render_expr` prints the lowered expression
 /// (held to it by `tests::conjunct_shape_is_the_executors_shape_or_none`).
 /// `None` for shapes the builder does not cover — the lookup then simply
@@ -693,26 +713,29 @@ fn literal_as_f64(l: &Literal) -> Option<f64> {
 fn conjunct_shape(db: &Database, rel: &Relation, conjunct: &Expr) -> Option<String> {
     let table = db.table(&rel.table)?;
     let mut out = String::new();
-    shape_into(&rel.alias, table.schema(), conjunct, &mut out)?;
+    shape_into(rel, table.schema(), conjunct, &mut out)?;
     Some(out)
 }
 
 fn shape_into(
-    alias: &str,
+    rel: &Relation,
     schema: &datastore::TableSchema,
     expr: &Expr,
     out: &mut String,
 ) -> Option<()> {
     match expr {
+        // An enclosing block's column lowers to a correlation parameter,
+        // which the executor renders `$k` and the normalizer turns into `?`.
+        Expr::Column(c) if rel.is_outer(c) => out.push('?'),
         Expr::Column(c) => {
-            // Pushed conjuncts are single-table, so the reference resolves
-            // by name against this relation's schema; the executor renders
-            // it with the schema's spelling under the scan's alias.
+            // The relation's own reference resolves by name against its
+            // schema; the executor renders it with the schema's spelling
+            // under the scan's alias.
             let col = schema
                 .columns
                 .iter()
                 .find(|col| col.name.eq_ignore_ascii_case(&c.column))?;
-            out.push_str(alias);
+            out.push_str(&rel.alias);
             out.push('.');
             out.push_str(&col.name);
         }
@@ -723,23 +746,23 @@ fn shape_into(
         Expr::Literal(_) => return None,
         Expr::BinaryOp { left, op, right } => match op {
             BinaryOperator::And => {
-                shape_into(alias, schema, left, out)?;
+                shape_into(rel, schema, left, out)?;
                 out.push_str(" AND ");
-                shape_into(alias, schema, right, out)?;
+                shape_into(rel, schema, right, out)?;
             }
             BinaryOperator::Or => {
                 out.push('(');
-                shape_into(alias, schema, left, out)?;
+                shape_into(rel, schema, left, out)?;
                 out.push_str(" OR ");
-                shape_into(alias, schema, right, out)?;
+                shape_into(rel, schema, right, out)?;
                 out.push(')');
             }
             other => {
-                shape_into(alias, schema, left, out)?;
+                shape_into(rel, schema, left, out)?;
                 out.push(' ');
                 out.push_str(other.sql());
                 out.push(' ');
-                shape_into(alias, schema, right, out)?;
+                shape_into(rel, schema, right, out)?;
             }
         },
         Expr::UnaryOp {
@@ -747,16 +770,16 @@ fn shape_into(
             expr,
         } => {
             out.push_str("NOT (");
-            shape_into(alias, schema, expr, out)?;
+            shape_into(rel, schema, expr, out)?;
             out.push(')');
         }
         Expr::IsNull { expr, negated } => {
             if *negated {
                 out.push_str("NOT (");
-                shape_into(alias, schema, expr, out)?;
+                shape_into(rel, schema, expr, out)?;
                 out.push_str(" IS NULL)");
             } else {
-                shape_into(alias, schema, expr, out)?;
+                shape_into(rel, schema, expr, out)?;
                 out.push_str(" IS NULL");
             }
         }
@@ -768,7 +791,7 @@ fn shape_into(
             if *negated {
                 out.push_str("NOT (");
             }
-            shape_into(alias, schema, expr, out)?;
+            shape_into(rel, schema, expr, out)?;
             out.push_str(" IN (");
             for (i, item) in list.iter().enumerate() {
                 if !matches!(
@@ -797,13 +820,13 @@ fn shape_into(
             if *negated {
                 out.push_str("NOT (");
             }
-            shape_into(alias, schema, expr, out)?;
+            shape_into(rel, schema, expr, out)?;
             out.push_str(" >= ");
-            shape_into(alias, schema, low, out)?;
+            shape_into(rel, schema, low, out)?;
             out.push_str(" AND ");
-            shape_into(alias, schema, expr, out)?;
+            shape_into(rel, schema, expr, out)?;
             out.push_str(" <= ");
-            shape_into(alias, schema, high, out)?;
+            shape_into(rel, schema, high, out)?;
             if *negated {
                 out.push(')');
             }
@@ -819,7 +842,7 @@ fn shape_into(
             if *negated {
                 out.push_str("NOT (");
             }
-            shape_into(alias, schema, expr, out)?;
+            shape_into(rel, schema, expr, out)?;
             out.push_str(" LIKE ?");
             if *negated {
                 out.push(')');

@@ -1,14 +1,30 @@
 //! Logical query representation: the join graph.
 //!
 //! Before any physical operator is chosen, the WHERE clause is decomposed
-//! into a graph over the FROM relations: hash-joinable equi-join conjuncts
-//! become *edges*, single-table conjuncts are *pushed* onto their relation,
-//! and everything else stays *residual* (applied above all joins). The
-//! cost-based enumerator walks this graph to pick a join order; the physical
-//! layer lowers the chosen order to operators.
+//! into a graph over the FROM relations, each conjunct filed one of three
+//! ways:
+//!
+//! * an **edge** — a hash-joinable equi-join `a.x = b.y` between two of this
+//!   block's relations;
+//! * a **selection** — every column reference that is one of this block's
+//!   belongs to a single relation R, and every other one resolves to an
+//!   enclosing block (a *correlated* selection: `m1.title = m.title`,
+//!   `c.mid + 0 = m.id`, `a.id < m.id` inside a subquery over `m`). It is
+//!   *pushed* onto R: estimated with R ([`super::cost::Estimator`] prices an
+//!   equality at 1/NDV), lowered directly above R's scan with the outer
+//!   column as a correlation parameter, and offered to access-path selection
+//!   as a parameterized sarg. Under an `Apply` the outer column is a constant
+//!   for the length of one evaluation, which is all a selection needs;
+//! * a **residual** — anything else (cross-relation non-equi predicates,
+//!   OR-connected multi-relation predicates, mixed-type equalities,
+//!   predicates over enclosing blocks only, unresolvable names …), applied
+//!   above all joins.
+//!
+//! The cost-based enumerator walks this graph to pick a join order; the
+//! physical layer lowers the chosen order to operators.
 
 use datastore::Database;
-use sqlparse::ast::{ColumnRef, Expr, SelectStatement};
+use sqlparse::ast::{flip, BinaryOperator, ColumnRef, Expr, SelectStatement};
 use sqlparse::bind::BoundQuery;
 
 /// One FROM relation with the predicates pushed down onto its scan.
@@ -18,10 +34,41 @@ pub struct Relation {
     pub alias: String,
     /// Stored table name.
     pub table: String,
-    /// Single-table conjuncts evaluated directly above this relation's scan
-    /// (one filter operator per conjunct, so instrumentation can blame an
-    /// individual condition).
+    /// Selections evaluated directly above this relation's scan (one filter
+    /// operator per conjunct, so instrumentation can blame an individual
+    /// condition). In a correlated selection every column reference carries
+    /// its resolved qualifier — see [`Relation::is_outer`].
     pub pushed: Vec<Expr>,
+}
+
+impl Relation {
+    /// Whether `c`, a reference inside one of [`Relation::pushed`], is an
+    /// enclosing block's column rather than this relation's own.
+    pub fn is_outer(&self, c: &ColumnRef) -> bool {
+        c.qualifier
+            .as_deref()
+            .is_some_and(|q| !q.eq_ignore_ascii_case(&self.alias))
+    }
+
+    /// `own <op> outer`: a pushed conjunct that compares one of this
+    /// relation's columns with an enclosing block's, as (own column, operator
+    /// with the own column on the left, outer column).
+    pub(super) fn as_correlated_comparison<'e>(
+        &self,
+        conjunct: &'e Expr,
+    ) -> Option<(&'e ColumnRef, BinaryOperator, &'e ColumnRef)> {
+        let Expr::BinaryOp { left, op, right } = conjunct else {
+            return None;
+        };
+        let (Expr::Column(l), Expr::Column(r)) = (left.as_ref(), right.as_ref()) else {
+            return None;
+        };
+        match (op.is_comparison(), self.is_outer(l), self.is_outer(r)) {
+            (true, false, true) => Some((l, *op, r)),
+            (true, true, false) => Some((r, flip(*op), l)),
+            _ => None,
+        }
+    }
 }
 
 /// A hash-joinable equi-join conjunct `left.column = right.column` between
@@ -60,7 +107,7 @@ pub struct JoinGraph {
     pub relations: Vec<Relation>,
     /// Equi-join edges between relations.
     pub edges: Vec<JoinEdge>,
-    /// Conjuncts that are neither pushable nor hash-joinable
+    /// Conjuncts that are neither selections nor hash-joinable
     /// (cross-variable non-equi predicates, OR-connected multi-table
     /// predicates, mixed-type equalities, unresolvable names …).
     pub residual: Vec<Expr>,
@@ -115,12 +162,6 @@ pub fn build_join_graph(db: &Database, query: &SelectStatement, bound: &BoundQue
     let mut edges = Vec::new();
     let mut residual = Vec::new();
 
-    let rel_index = |relations: &[Relation], alias: &str| {
-        relations
-            .iter()
-            .position(|r| r.alias.eq_ignore_ascii_case(alias))
-    };
-
     for conjunct in query.where_conjuncts() {
         if let Some((l, r)) = conjunct.as_join_predicate() {
             // `as_join_predicate` guarantees both sides carry explicit,
@@ -131,52 +172,80 @@ pub fn build_join_graph(db: &Database, query: &SelectStatement, bound: &BoundQue
             let li = l
                 .qualifier
                 .as_deref()
-                .and_then(|q| rel_index(&relations, q));
+                .and_then(|q| relation_index(&relations, q));
             let ri = r
                 .qualifier
                 .as_deref()
-                .and_then(|q| rel_index(&relations, q));
+                .and_then(|q| relation_index(&relations, q));
             if let (Some(li), Some(ri)) = (li, ri) {
                 let lt = column_type(db, &relations[li].table, &l.column);
                 let rt = column_type(db, &relations[ri].table, &r.column);
-                if let (Some(lt), Some(rt)) = (lt, rt) {
-                    if li != ri && lt == rt {
-                        edges.push(JoinEdge {
-                            left_rel: li,
-                            right_rel: ri,
-                            left_column: l.column.clone(),
-                            right_column: r.column.clone(),
-                        });
-                        continue;
-                    }
+                if li != ri && lt.is_some() && lt == rt {
+                    edges.push(JoinEdge {
+                        left_rel: li,
+                        right_rel: ri,
+                        left_column: l.column.clone(),
+                        right_column: r.column.clone(),
+                    });
+                } else {
+                    // Same-relation or mixed-type equality: keep as a
+                    // residual filter so no predicate is lost.
+                    residual.push(conjunct.clone());
                 }
-            }
-            // Same-relation, unresolvable or mixed-type equality: keep as a
-            // residual filter so no predicate is lost.
-            residual.push(conjunct.clone());
-            continue;
-        }
-        // A conjunct whose column references all live in one tuple variable
-        // is a pure selection: push it down to that variable's scan.
-        let refs = conjunct.column_refs();
-        let resolved: Vec<Option<String>> = refs.iter().map(|c| ref_alias(c, bound)).collect();
-        let mut aliases: Vec<String> = resolved.iter().flatten().cloned().collect();
-        aliases.sort();
-        aliases.dedup();
-        let all_resolved = resolved.iter().all(Option::is_some);
-        if aliases.len() == 1 && all_resolved && !refs.is_empty() {
-            if let Some(i) = rel_index(&relations, &aliases[0]) {
-                relations[i].pushed.push(conjunct.clone());
                 continue;
             }
+            // One side is an enclosing block's column: not a join of this
+            // block but a selection on the other side's relation.
         }
-        residual.push(conjunct.clone());
+        match selection_target(&relations, conjunct, bound) {
+            Some((i, correlated)) => {
+                let mut pushed = conjunct.clone();
+                if correlated {
+                    // What tells an enclosing block's column from the
+                    // relation's own, everywhere below, is its qualifier.
+                    pushed.column_refs_mut(&mut |c| c.qualifier = ref_alias(c, bound));
+                }
+                relations[i].pushed.push(pushed);
+            }
+            None => residual.push(conjunct.clone()),
+        }
     }
     JoinGraph {
         relations,
         edges,
         residual,
     }
+}
+
+/// Position of the block's relation with this tuple variable.
+fn relation_index(relations: &[Relation], alias: &str) -> Option<usize> {
+    relations
+        .iter()
+        .position(|r| r.alias.eq_ignore_ascii_case(alias))
+}
+
+/// The relation a conjunct is a selection on — every column reference is
+/// either that relation's or resolves to an enclosing block, and at least
+/// one is the relation's — and whether any is the enclosing kind. `None` for
+/// predicates over several of this block's relations, over none of them, or
+/// with a name the binder could not place (which keeps its error by staying
+/// residual).
+fn selection_target(
+    relations: &[Relation],
+    conjunct: &Expr,
+    bound: &BoundQuery,
+) -> Option<(usize, bool)> {
+    let mut target = None;
+    let mut correlated = false;
+    for c in conjunct.column_refs() {
+        let alias = ref_alias(c, bound)?;
+        match relation_index(relations, &alias) {
+            Some(i) if target.is_none_or(|t| t == i) => target = Some(i),
+            Some(_) => return None,
+            None => correlated = true,
+        }
+    }
+    Some((target?, correlated))
 }
 
 #[cfg(test)]

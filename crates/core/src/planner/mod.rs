@@ -13,7 +13,8 @@
 //!
 //! 1. **[`logical`]** decomposes the (subquery-free part of the) WHERE
 //!    clause into a join graph over the FROM relations: equi-join edges,
-//!    pushed single-table predicates, and residual predicates.
+//!    selections pushed onto one relation (a subquery block's comparisons
+//!    with the enclosing row included), and residual predicates.
 //! 2. **[`cost`]** bridges to `datastore`'s statistics (NDV, histograms,
 //!    min/max cached per table) and enumerates a left-deep join order by
 //!    dynamic programming over connected subsets (greedy fallback for very

@@ -16,7 +16,7 @@ use super::subquery::ScopeChain;
 use crate::error::TalkbackError;
 use datastore::exec::{AggExpr, AggFunc, ColumnInfo, Plan, PlanNode};
 use datastore::expr::{ArithOp, CmpOp, Expr as PExpr};
-use datastore::index::{BoundTerm, ProbeOrder};
+use datastore::index::ProbeOrder;
 use datastore::stats::DEFAULT_SELECTIVITY;
 use datastore::{Database, Value};
 use sqlparse::ast::{
@@ -69,10 +69,6 @@ pub(super) fn lower_select(
     // (alias, index, sort column the scan's key order satisfies) — only
     // ordered-index scans with at most one unconstrained key column qualify.
     let mut ordered_scans: Vec<(String, String, String)> = Vec::new();
-    // Indices into `graph.residual` of correlated conjuncts an index probe
-    // consumed as parameterized bounds — the probe enforces them exactly, so
-    // the residual filter (and its selectivity charge) must not re-apply.
-    let mut consumed_residuals: Vec<usize> = Vec::new();
     // Column references per alias for the index-only covering check. `None`
     // means some reference cannot be attributed (a top-level `*`, an
     // unresolvable name), so no scan may drop heap columns.
@@ -102,29 +98,16 @@ pub(super) fn lower_select(
             .collect())
     };
     let scan_with_pushdown = |rel_idx: usize,
-                              ordered_scans: &mut Vec<(String, String, String)>,
-                              consumed_residuals: &mut Vec<usize>|
+                              ordered_scans: &mut Vec<(String, String, String)>|
      -> Result<(Plan, Vec<ColumnInfo>), TalkbackError> {
         let rel = &graph.relations[rel_idx];
         let columns = relation_columns(rel_idx)?;
         // The same trace the enumerator costed with annotates the
         // operators.
         let (base_rows, trace) = estimator.relation_row_trace(rel);
-        // Correlated residuals (`g.mid = m.id` under an Apply) become
-        // parameterized sargs: the probe is planned once with `$k` bounds
-        // and re-bound per enclosing row.
-        let (corr_idx, corr_sargs): (Vec<usize>, Vec<access::Sarg>) = if use_indexes {
-            correlated_sargs(db, graph, rel, bound, scopes)
-                .into_iter()
-                .unzip()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let path = if use_indexes {
-            access::choose_scan_path(db, estimator, rel, base_rows, &corr_sargs)
-        } else {
-            None
-        };
+        let path = use_indexes
+            .then(|| access::choose_scan_path(db, estimator, rel, base_rows, scopes))
+            .flatten();
         let (mut plan, columns, mut rows, consumed, probed) = match path {
             Some(ScanPath::Index(choice)) => {
                 // Index-only: every reference to this relation above the
@@ -145,9 +128,6 @@ pub(super) fn lower_select(
                         [choice.bounds.eq.len().min(choice.key_columns.len() - 1)]
                     .clone();
                     ordered_scans.push((rel.alias.clone(), choice.index.clone(), sort_col));
-                }
-                for &c in &choice.consumed_correlated {
-                    consumed_residuals.push(corr_idx[c]);
                 }
                 let mut plan = Plan::index_scan(
                     rel.table.clone(),
@@ -206,6 +186,16 @@ pub(super) fn lower_select(
             plan = plan
                 .filter(lower_expr_scoped(conjunct, &columns, bound, Some(scopes))?)
                 .with_estimate(rows);
+            // A correlated selection that stayed a filter, in a block with
+            // joins it could have waited above: say where it went.
+            if graph.relations.len() > 1 && conjunct.column_refs().iter().any(|c| rel.is_outer(c)) {
+                scopes
+                    .ctx()
+                    .record_decision(PlanDecision::CorrelatedSelection {
+                        alias: rel.alias.clone(),
+                        predicate: conjunct.to_string(),
+                    });
+            }
         }
         Ok((plan, columns))
     };
@@ -215,11 +205,7 @@ pub(super) fn lower_select(
     //    back to a cross product and lets the residual filters sort it out.
     //    A single-edge step whose inner side has a point index may become an
     //    index-nested-loop join instead, when the outer side is tiny.
-    let (mut plan, mut columns) = scan_with_pushdown(
-        order.steps[0].rel,
-        &mut ordered_scans,
-        &mut consumed_residuals,
-    )?;
+    let (mut plan, mut columns) = scan_with_pushdown(order.steps[0].rel, &mut ordered_scans)?;
     let mut rows = order.steps[0].estimated_rows;
     let mut unresolved_edges: Vec<Expr> = Vec::new();
     for step in &order.steps[1..] {
@@ -267,8 +253,7 @@ pub(super) fn lower_select(
                 }
             }
         }
-        let (right_plan, right_columns) =
-            scan_with_pushdown(step.rel, &mut ordered_scans, &mut consumed_residuals)?;
+        let (right_plan, right_columns) = scan_with_pushdown(step.rel, &mut ordered_scans)?;
         let mut left_keys = Vec::new();
         let mut right_keys = Vec::new();
         for &ei in &step.edges {
@@ -311,14 +296,9 @@ pub(super) fn lower_select(
     }
 
     // 3. Residual predicates (cross-variable non-equi conjuncts, mixed-type
-    //    equalities, correlated filters that lower to parameters, …) above
-    //    the joins.
-    for (i, conjunct) in graph.residual.iter().enumerate() {
-        if consumed_residuals.contains(&i) {
-            // A parameterized index probe enforces this conjunct exactly;
-            // neither the filter nor its selectivity charge re-applies.
-            continue;
-        }
+    //    equalities, predicates over enclosing blocks only, …) above the
+    //    joins.
+    for conjunct in &graph.residual {
         rows *= DEFAULT_SELECTIVITY;
         plan = plan
             .filter(lower_expr_scoped(conjunct, &columns, bound, Some(scopes))?)
@@ -497,76 +477,6 @@ fn set_key_order(plan: &mut Plan, ascending: bool) {
         }
         _ => {} // Unreachable given the peephole's preconditions.
     }
-}
-
-/// Sargable correlated residuals for one relation: comparison conjuncts
-/// `local.col <op> outer.col` between a column local to `rel` and a column
-/// of an enclosing scope (Q6's `g2.mid = m.id` under an Apply). The outer
-/// side becomes a correlation parameter — the probe is planned once with a
-/// `$k` bound and re-bound per enclosing row — turning a rescan per binding
-/// into an index lookup per binding. Returns `(residual index, sarg)`
-/// pairs; a consumed sarg's residual filter is dropped, because the probe
-/// enforces the predicate exactly (NULL bindings match nothing, like SQL
-/// `=`).
-fn correlated_sargs(
-    db: &Database,
-    graph: &JoinGraph,
-    rel: &Relation,
-    bound: &BoundQuery,
-    scopes: &ScopeChain,
-) -> Vec<(usize, access::Sarg)> {
-    let mut out = Vec::new();
-    for (i, conjunct) in graph.residual.iter().enumerate() {
-        let Expr::BinaryOp { left, op, right } = conjunct else {
-            continue;
-        };
-        let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
-            continue;
-        };
-        let alias_of = |c: &ColumnRef| {
-            c.qualifier
-                .clone()
-                .or_else(|| bound.qualifier_of(c).map(str::to_string))
-        };
-        let (Some(a_alias), Some(b_alias)) = (alias_of(a), alias_of(b)) else {
-            continue;
-        };
-        let local_side = |alias: &str| alias.eq_ignore_ascii_case(&rel.alias);
-        let in_block = |alias: &str| {
-            graph
-                .relations
-                .iter()
-                .any(|r| r.alias.eq_ignore_ascii_case(alias))
-        };
-        // Exactly one side local to `rel`, the other outside this block
-        // entirely (a same-block residual is not a correlation).
-        let (local, outer, outer_alias, op) = if local_side(&a_alias) && !in_block(&b_alias) {
-            (a, b, b_alias, *op)
-        } else if local_side(&b_alias) && !in_block(&a_alias) {
-            (b, a, a_alias, sqlparse::ast::flip(*op))
-        } else {
-            continue;
-        };
-        // An unconsumed sarg's filter lowers to the same memoized parameter,
-        // so resolving here never binds a value nothing reads.
-        let Some(param) = scopes.resolve_param(Some(&outer_alias), &outer.column) else {
-            continue;
-        };
-        let Some(shape) = access::range_shape(op, BoundTerm::Param(param)) else {
-            continue;
-        };
-        let is_eq = matches!(shape, access::SargShape::Eq(_));
-        out.push((
-            i,
-            access::Sarg {
-                column: local.column.clone(),
-                shape,
-                term_type: None,
-                selectivity: access::correlated_selectivity(db, &rel.table, &local.column, is_eq),
-            },
-        ));
-    }
-    out
 }
 
 /// Column references attributed per relation alias (lower-cased), for the

@@ -23,7 +23,12 @@
 //!    quantified comparisons). The subquery is planned with
 //!    [`datastore::expr::Expr::Param`] placeholders for the enclosing row's
 //!    columns; at run time the operator binds each row's values, executes
-//!    the subplan, and memoizes the result per distinct binding.
+//!    the subplan, and memoizes the result per distinct binding. What an
+//!    evaluation costs is the block's own business: its comparisons with the
+//!    enclosing row are selections on its relations like any other
+//!    ([`super::logical`]), and an `[NOT] EXISTS` evaluation is planned
+//!    ([`datastore::exec::Plan::scale_to_row_goal`]) and opened toward its
+//!    first row.
 //!
 //! Scoping is explicit: a `ScopeChain` carries, innermost-last, the output
 //! columns of every enclosing operator a subquery may reference. Planning a
@@ -402,6 +407,7 @@ impl<'c> SubqueryContext<'c> {
         strategy: SubqueryStrategy,
         on: Option<String>,
         correlated_on: Vec<String>,
+        first_row: bool,
     ) {
         self.decisions.borrow_mut().push(PlanDecision::Subquery {
             construct: shorten(&construct.to_string()),
@@ -409,6 +415,7 @@ impl<'c> SubqueryContext<'c> {
             on,
             correlated_on,
             cache_cap: datastore::exec::APPLY_CACHE_CAP,
+            first_row,
         });
     }
 
@@ -703,7 +710,7 @@ impl<'c> SubqueryContext<'c> {
                 } else {
                     (SubqueryStrategy::SemiJoin, rows * selectivity)
                 };
-                self.record(conjunct, strategy, Some(on), Vec::new());
+                self.record(conjunct, strategy, Some(on), Vec::new(), false);
                 let joined = if negated {
                     Plan::anti_join(plan, sub_plan, left_keys, right_keys, false)
                 } else {
@@ -779,7 +786,7 @@ impl<'c> SubqueryContext<'c> {
                     } else {
                         (SubqueryStrategy::SemiJoin, rows * sel)
                     };
-                    self.record(conjunct, strategy, Some(on), Vec::new());
+                    self.record(conjunct, strategy, Some(on), Vec::new(), false);
                     let joined = if negated {
                         Plan::anti_join(plan, sub_plan, vec![probe_pos], vec![0], true)
                     } else {
@@ -876,7 +883,13 @@ impl<'c> SubqueryContext<'c> {
         {
             let (sub_plan, _, _) = self.plan_block(estimator, sub, scopes, true)?;
             let est = (rows * DEFAULT_SELECTIVITY).max(0.0);
-            self.record(conjunct, SubqueryStrategy::ScalarOnce, None, Vec::new());
+            self.record(
+                conjunct,
+                SubqueryStrategy::ScalarOnce,
+                None,
+                Vec::new(),
+                false,
+            );
             return Ok((
                 plan.scalar_subquery(
                     sub_plan,
@@ -959,7 +972,11 @@ impl<'c> SubqueryContext<'c> {
         let scope = OuterScope::new(columns.to_vec(), bound.clone());
         let sub_plan = {
             let chain = scopes.child(&scope);
-            let (sub_plan, _, _) = self.plan_block(estimator, sub, &chain, true)?;
+            let (mut sub_plan, _, _) = self.plan_block(estimator, sub, &chain, true)?;
+            if let Some(goal) = mode.row_goal() {
+                // The executor stops each evaluation there; estimate it so.
+                sub_plan.scale_to_row_goal(goal as f64);
+            }
             sub_plan
         };
         let params = scope.params();
@@ -972,7 +989,13 @@ impl<'c> SubqueryContext<'c> {
                     .unwrap_or_else(|| format!("#{idx}"))
             })
             .collect();
-        self.record(conjunct, SubqueryStrategy::Apply, None, correlated_on);
+        self.record(
+            conjunct,
+            SubqueryStrategy::Apply,
+            None,
+            correlated_on,
+            mode.row_goal().is_some(),
+        );
         let est = (rows * DEFAULT_SELECTIVITY).max(0.0);
         Ok((plan.apply(sub_plan, params, mode).with_estimate(est), est))
     }

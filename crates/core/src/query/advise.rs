@@ -24,7 +24,7 @@ use datastore::obs::doctor::{mine, regressions, DriftCause, Issue, IssueKind, Wo
 use datastore::obs::Counter;
 use datastore::{format_duration, Database, EpochCause, Value};
 use nlg::{capitalize_first, count_phrase, finish_sentence, join_sentences, quote_sql};
-use sqlparse::ast::{BinaryOperator, SelectItem, SelectStatement};
+use sqlparse::ast::{BinaryOperator, ColumnRef, SelectItem, SelectStatement};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -194,10 +194,27 @@ fn collect_roles(
                 }
             }
         } else if let Some((l, r_col)) = conjunct.as_join_predicate() {
-            for col in [l, r_col] {
+            let local = |c: &ColumnRef| {
+                c.qualifier.as_deref().is_some_and(|q| {
+                    query
+                        .from
+                        .iter()
+                        .any(|t| t.variable().eq_ignore_ascii_case(q))
+                })
+            };
+            for (col, other) in [(l, r_col), (r_col, l)] {
+                // Against an enclosing block's column this is no join of the
+                // block: the planner pushes it onto the local side as a
+                // selection — one value per outer row, an equality key (so
+                // composites lead with it) — and asks nothing of the outer.
+                let correlated = local(col) != local(other);
+                if correlated && !local(col) {
+                    continue;
+                }
                 if let Some(var) = resolve(col.qualifier.as_deref()) {
                     if let Some((_, r)) = roles.get_mut(&var) {
-                        push_unique(&mut r.join, &col.column);
+                        let list = if correlated { &mut r.eq } else { &mut r.join };
+                        push_unique(list, &col.column);
                     }
                 }
             }

@@ -164,6 +164,7 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                 on,
                 correlated_on,
                 cache_cap,
+                first_row,
             } => {
                 sentences.push(narrate_subquery_decision(
                     construct,
@@ -172,6 +173,16 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                     correlated_on,
                     *cache_cap,
                 ));
+                if *first_row {
+                    sentences.push("I stop each check at its first surviving row.".to_string());
+                }
+            }
+            PlanDecision::CorrelatedSelection { alias, predicate } => {
+                sentences.push(finish_sentence(&format!(
+                    "I apply {} while reading {alias}, once per outer row, rather than \
+                     after the join",
+                    quote_sql(predicate)
+                )));
             }
             PlanDecision::AccessPath {
                 table,
@@ -364,7 +375,15 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
             _ => {}
         }
     }
-    sentences
+    // Two decisions that read the same (the outer block's `count(*)` and its
+    // subquery's, both compiled into kernels) are said once.
+    let mut said: Vec<String> = Vec::with_capacity(sentences.len());
+    for sentence in sentences {
+        if !said.contains(&sentence) {
+            said.push(sentence);
+        }
+    }
+    said
 }
 
 /// One sentence for a recorded subquery-lowering decision.
@@ -436,7 +455,8 @@ fn narrate_join_order(decisions: &[PlanDecision]) -> Vec<String> {
             | PlanDecision::SortElided { .. }
             | PlanDecision::Vectorize { .. }
             | PlanDecision::Feedback { .. }
-            | PlanDecision::PartitionedBuild { .. } => {}
+            | PlanDecision::PartitionedBuild { .. }
+            | PlanDecision::CorrelatedSelection { .. } => {}
         }
     }
     let (

@@ -61,6 +61,25 @@
 //! memoized (bounded, with eviction tallies) per distinct
 //! correlation-parameter binding.
 //!
+//! # The row goal
+//!
+//! An `[NOT] EXISTS` apply needs one row of each evaluation
+//! ([`plan::ApplyMode::row_goal`]), and opens the subplan saying so. The goal
+//! is a parameter of the recursive open, forwarded the way a morsel's row
+//! range is — down the driver spine, never to a build side or a subplan —
+//! with one more rule: it passes only through operators that hand a row on
+//! as soon as they have found it ([`plan::Plan::emits_rows_as_found`]:
+//! filter, project, limit, distinct, the probe side of hash, semi-, anti-,
+//! nested-loop and index nested-loop joins, the input of an apply or
+//! scalar-subquery filter) and is dropped at an aggregate, a sort or an
+//! exchange, whose first output row needs their whole input. The scan that
+//! receives it reads that many rows on its first pull and four times as many
+//! on each further one, up to [`BATCH_SIZE`]; the joins it passed buffer by
+//! the same ramp. Nothing outside this module can set it, no scan ramps
+//! without it, and the planner prices it with
+//! [`plan::Plan::scale_to_row_goal`]; `EXPLAIN` tags the subplan root
+//! `[first-row]`.
+//!
 //! Operator trees are owned (`Arc` table handles, no borrowed lifetimes), so
 //! subtrees are `Send` and the [`parallel`] layer can execute pipelines
 //! morsel-by-morsel across worker threads via [`plan::PlanNode::Exchange`] —

@@ -459,7 +459,7 @@ impl ExchangeSource {
         // gather still applies on that path (an aggregating exchange must
         // aggregate even when it cannot partition), treating the whole
         // pass-through output as a single run.
-        let template_src = open_in(ctx, input, &env, None)?;
+        let template_src = open_in(ctx, input, &env, None, None)?;
         shared.size_cells(cell.get());
         let columns = match &gather {
             // A merging-aggregate exchange emits aggregate output rows, not
@@ -702,7 +702,7 @@ fn worker_loop(
             next_cell: &cell,
         };
         let result = (|| {
-            let mut src = open_in(ctx, plan, &env, Some((start, end)))?;
+            let mut src = open_in(ctx, plan, &env, Some((start, end)), None)?;
             let output = match gather {
                 GatherMode::Rows => {
                     let mut rows = Vec::new();
@@ -988,7 +988,7 @@ mod tests {
             shared: Some(&exchange.shared),
             next_cell: &indexed,
         };
-        open_in(&ctx, &pipeline, &env, Some((0, 1024))).unwrap();
+        open_in(&ctx, &pipeline, &env, Some((0, 1024)), None).unwrap();
         assert_eq!(indexed.get(), 1);
         assert_eq!(exchange.shared.cells.get().unwrap().len(), indexed.get());
     }

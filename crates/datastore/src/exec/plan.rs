@@ -367,6 +367,16 @@ pub enum ApplyMode {
 }
 
 impl ApplyMode {
+    /// How many subquery rows one evaluation needs before its verdict is
+    /// known, when that is fewer than all of them: `[NOT] EXISTS` needs one.
+    /// The executor opens the subplan with this as its row goal.
+    pub fn row_goal(&self) -> Option<usize> {
+        match self {
+            ApplyMode::Exists { .. } => Some(1),
+            ApplyMode::In { .. } | ApplyMode::Compare { .. } | ApplyMode::Quantified { .. } => None,
+        }
+    }
+
     /// Compact SQL-flavoured rendering used in plan trees ("NOT EXISTS(…)").
     pub fn describe(&self, render_expr: &dyn Fn(&Expr) -> String) -> String {
         match self {
@@ -813,6 +823,43 @@ impl Plan {
             | PlanNode::Aggregate { .. }
             | PlanNode::Apply { .. }
             | PlanNode::Exchange { .. } => false,
+        }
+    }
+
+    /// True for the operators that hand a row on as soon as they have found
+    /// it — everything except the ones whose first output row needs their
+    /// whole input (aggregate, sort) or that run their input as pipelines of
+    /// their own (exchange). A consumer's *row goal* ("one row will do", an
+    /// `EXISTS` check) travels down the [`Edge::Driver`] spine through these
+    /// and stops at the others: the executor opens the spine toward it, and
+    /// [`Plan::scale_to_row_goal`] prices it.
+    pub fn emits_rows_as_found(&self) -> bool {
+        !matches!(
+            self.node,
+            PlanNode::Aggregate { .. } | PlanNode::Sort { .. } | PlanNode::Exchange { .. }
+        )
+    }
+
+    /// Re-estimate this plan for a consumer that stops after `goal` rows: when
+    /// more than that are expected, the root and every operator the goal
+    /// reaches (see [`Plan::emits_rows_as_found`]) are expected to produce
+    /// only their share, rows being assumed evenly spread. Build sides,
+    /// subplans and whatever feeds a breaker still run whole.
+    pub fn scale_to_row_goal(&mut self, goal: f64) {
+        fn scale(plan: &mut Plan, share: f64) {
+            if let Some(est) = plan.estimated_rows.as_mut() {
+                *est *= share;
+            }
+            if plan.emits_rows_as_found() {
+                for (edge, child) in plan.children_mut() {
+                    if edge == Edge::Driver {
+                        scale(child, share);
+                    }
+                }
+            }
+        }
+        if let Some(est) = self.estimated_rows.filter(|est| *est > goal) {
+            scale(self, goal / est);
         }
     }
 

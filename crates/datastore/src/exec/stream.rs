@@ -318,28 +318,54 @@ pub fn open(db: &Database, plan: &Plan) -> Result<Box<dyn RowSource>, StoreError
 /// that already hold an [`ExecContext`], e.g. per-binding `Apply`
 /// executions on worker threads).
 pub fn open_owned(ctx: &Arc<ExecContext>, plan: &Plan) -> Result<Box<dyn RowSource>, StoreError> {
+    open_toward(ctx, plan, None)
+}
+
+/// Open a plan whose consumer will stop after `row_goal` rows (an `EXISTS`
+/// check after one), outside any exchange.
+fn open_toward(
+    ctx: &Arc<ExecContext>,
+    plan: &Plan,
+    row_goal: Option<usize>,
+) -> Result<Box<dyn RowSource>, StoreError> {
     let cell = Cell::new(0);
     let env = OpenEnv {
         shared: None,
         next_cell: &cell,
     };
-    open_in(ctx, plan, &env, None)
+    open_in(ctx, plan, &env, None, row_goal)
 }
 
-/// Recursive open. `driver_range` restricts the pipeline's driver scan (the
-/// leftmost leaf) to a morsel's row range; it is forwarded only along the
-/// driver spine (inputs and join left sides) and consumed by the scan.
+/// Recursive open. Two things travel down the driver spine (inputs and join
+/// left sides) to the scan at its end, which consumes them:
+///
+/// * `driver_range` restricts the pipeline's driver scan to a morsel's row
+///   range; every operator on the spine hands it on.
+/// * `row_goal` says the consumer wants only that many rows — an `EXISTS`
+///   apply wants one. It is handed on by the operators that emit rows as
+///   they find them ([`Plan::emits_rows_as_found`]: filter, project, limit,
+///   distinct, the probe side of every join, the input of an apply or
+///   scalar-subquery filter) and dropped where the first output row needs
+///   the whole input (aggregate, sort, exchange) — and, like the range,
+///   never given to a build side or a subplan. A scan that receives it reads
+///   that many rows first and four times as many on each further pull, up to
+///   [`BATCH_SIZE`] ([`BatchRamp`]); the joins on the way buffer by the same
+///   ramp before they hand a batch on. Without a goal everything moves in
+///   full batches, as it always did.
 pub(crate) fn open_in(
     ctx: &Arc<ExecContext>,
     plan: &Plan,
     env: &OpenEnv,
     driver_range: Option<(usize, usize)>,
+    row_goal: Option<usize>,
 ) -> Result<Box<dyn RowSource>, StoreError> {
     let est = plan.estimated_rows;
-    let off_spine = |p: &Plan| open_in(ctx, p, env, None);
+    let row_goal = row_goal.filter(|_| plan.emits_rows_as_found());
+    let on_spine = |p: &Plan| open_in(ctx, p, env, driver_range, row_goal);
+    let off_spine = |p: &Plan| open_in(ctx, p, env, None, None);
     Ok(match &plan.node {
         PlanNode::Scan { table, alias } => {
-            ScanSource::new(ctx, table, alias, driver_range)?.metered(est)
+            ScanSource::new(ctx, table, alias, driver_range, row_goal)?.metered(est)
         }
         PlanNode::IndexScan {
             table,
@@ -357,6 +383,7 @@ pub(crate) fn open_in(
             *order,
             *index_only,
             driver_range,
+            row_goal,
         )?
         .metered(est),
         PlanNode::IndexNestedLoopJoin {
@@ -366,8 +393,8 @@ pub(crate) fn open_in(
             index,
             left_key,
         } => {
-            let left = open_in(ctx, left, env, driver_range)?;
-            IndexNljSource::open(ctx, left, table, alias, index, *left_key)?.metered(est)
+            let left = on_spine(left)?;
+            IndexNljSource::open(ctx, left, table, alias, index, *left_key, row_goal)?.metered(est)
         }
         PlanNode::Values { columns, rows } => ValuesSource {
             columns: columns.clone(),
@@ -380,7 +407,7 @@ pub(crate) fn open_in(
             predicate,
             vectorized,
         } => {
-            let input = open_in(ctx, input, env, driver_range)?;
+            let input = on_spine(input)?;
             let kernel = vectorized
                 .then(|| VectorPredicate::compile(predicate))
                 .flatten();
@@ -397,7 +424,7 @@ pub(crate) fn open_in(
             exprs,
             columns,
         } => {
-            let input = open_in(ctx, input, env, driver_range)?;
+            let input = on_spine(input)?;
             ProjectSource {
                 input,
                 exprs: exprs.clone(),
@@ -411,7 +438,7 @@ pub(crate) fn open_in(
             predicate,
         } => {
             let shared = env.alloc_cell();
-            let left = open_in(ctx, left, env, driver_range)?;
+            let left = on_spine(left)?;
             let right = off_spine(right)?;
             let mut columns = left.columns().to_vec();
             columns.extend(right.columns().iter().cloned());
@@ -428,6 +455,7 @@ pub(crate) fn open_in(
                 right_rows: None,
                 shared,
                 pending: VecDeque::new(),
+                fill: BatchRamp::new(row_goal),
                 done: false,
             }
             .metered(est)
@@ -440,7 +468,7 @@ pub(crate) fn open_in(
             vectorized,
         } => {
             let shared = env.alloc_cell();
-            let left = open_in(ctx, left, env, driver_range)?;
+            let left = on_spine(left)?;
             let right = off_spine(right)?;
             let detail = equi_detail(left.columns(), left_keys, right.columns(), right_keys);
             let mut columns = left.columns().to_vec();
@@ -456,6 +484,7 @@ pub(crate) fn open_in(
                 build: None,
                 shared,
                 pending: VecDeque::new(),
+                fill: BatchRamp::new(row_goal),
                 done: false,
                 obs: Arc::clone(ctx.obs()),
             }
@@ -483,7 +512,7 @@ pub(crate) fn open_in(
                     return Ok(fused.metered(est));
                 }
             }
-            let input = open_in(ctx, input, env, driver_range)?;
+            let input = on_spine(input)?;
             let columns = aggregate_output_columns(input.columns(), group_by, aggregates);
             let detail = aggregate_detail(input.columns(), group_by, aggregates, having);
             AggregateSource {
@@ -499,7 +528,7 @@ pub(crate) fn open_in(
             .metered(est)
         }
         PlanNode::Sort { input, keys } => {
-            let input = open_in(ctx, input, env, driver_range)?;
+            let input = on_spine(input)?;
             let detail = keys
                 .iter()
                 .map(|k| {
@@ -520,7 +549,7 @@ pub(crate) fn open_in(
             .metered(est)
         }
         PlanNode::Limit { input, n } => {
-            let input = open_in(ctx, input, env, driver_range)?;
+            let input = on_spine(input)?;
             LimitSource {
                 input,
                 remaining: *n,
@@ -529,7 +558,7 @@ pub(crate) fn open_in(
             .metered(est)
         }
         PlanNode::Distinct { input } => {
-            let input = open_in(ctx, input, env, driver_range)?;
+            let input = on_spine(input)?;
             DistinctSource {
                 input,
                 seen: HashSet::new(),
@@ -541,36 +570,35 @@ pub(crate) fn open_in(
             right,
             left_keys,
             right_keys,
-        } => SemiJoinSource::open(
-            ctx,
-            env,
-            driver_range,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            false,
-            false,
-        )?
-        .metered(est),
+        } => {
+            let shared = env.alloc_cell();
+            let (left, right) = (on_spine(left)?, off_spine(right)?);
+            SemiJoinSource::new(
+                ctx, shared, left, right, left_keys, right_keys, false, false,
+            )
+            .metered(est)
+        }
         PlanNode::HashAntiJoin {
             left,
             right,
             left_keys,
             right_keys,
             null_aware,
-        } => SemiJoinSource::open(
-            ctx,
-            env,
-            driver_range,
-            left,
-            right,
-            left_keys,
-            right_keys,
-            true,
-            *null_aware,
-        )?
-        .metered(est),
+        } => {
+            let shared = env.alloc_cell();
+            let (left, right) = (on_spine(left)?, off_spine(right)?);
+            SemiJoinSource::new(
+                ctx,
+                shared,
+                left,
+                right,
+                left_keys,
+                right_keys,
+                true,
+                *null_aware,
+            )
+            .metered(est)
+        }
         PlanNode::ScalarSubquery {
             input,
             subplan,
@@ -578,7 +606,7 @@ pub(crate) fn open_in(
             op,
         } => {
             let shared = env.alloc_cell();
-            let input = open_in(ctx, input, env, driver_range)?;
+            let input = on_spine(input)?;
             let sub = off_spine(subplan)?;
             let detail = format!(
                 "{} {} (subquery)",
@@ -608,11 +636,16 @@ pub(crate) fn open_in(
             mode,
             workers,
         } => {
-            let input = open_in(ctx, input, env, driver_range)?;
+            let input = on_spine(input)?;
             // Open the unbound template once: this validates the subplan and
             // yields the profile skeleton the per-binding executions will
             // accumulate their counters into.
-            let sub_template = open_owned(ctx, subplan)?.profile();
+            let mut sub_template = open_owned(ctx, subplan)?.profile();
+            if mode.row_goal().is_some() {
+                // Each evaluation is opened toward its first row and stops
+                // there (`evaluate_binding`).
+                sub_template.tags.push("first-row".to_string());
+            }
             let in_cols = input.columns();
             let mode_text = mode.describe(&|e| render_expr(e, in_cols));
             let correlation: Vec<String> = params
@@ -649,6 +682,30 @@ pub(crate) fn open_in(
 // Scan
 // ---------------------------------------------------------------------------
 
+/// How many rows a scan reads, or a join buffers, before it hands a batch
+/// on: [`BATCH_SIZE`], unless a row goal came down the driver spine — then
+/// the goal on the first pull and four times as many on each further one. A
+/// consumer that wanted one row has usually stopped by then; one that keeps
+/// pulling is back at full batches within six pulls.
+struct BatchRamp {
+    next: usize,
+}
+
+impl BatchRamp {
+    fn new(row_goal: Option<usize>) -> BatchRamp {
+        BatchRamp {
+            next: row_goal.map_or(BATCH_SIZE, |goal| goal.clamp(1, BATCH_SIZE)),
+        }
+    }
+
+    /// The size of this pull; the next one is larger.
+    fn take(&mut self) -> usize {
+        let size = self.next;
+        self.next = (size * 4).min(BATCH_SIZE);
+        size
+    }
+}
+
 struct ScanSource {
     table: Arc<Table>,
     detail: String,
@@ -657,6 +714,7 @@ struct ScanSource {
     /// One past the last row this scan reads — the table length for a full
     /// scan, the morsel's upper bound for a partitioned one.
     end: usize,
+    pull_size: BatchRamp,
     obs: Arc<ObsRegistry>,
 }
 
@@ -666,6 +724,7 @@ impl ScanSource {
         table_name: &str,
         alias: &str,
         range: Option<(usize, usize)>,
+        row_goal: Option<usize>,
     ) -> Result<ScanSource, StoreError> {
         let table = Arc::clone(ctx.require_table(table_name)?);
         let (cursor, end) = morsel_bounds(range, table.len());
@@ -675,6 +734,7 @@ impl ScanSource {
             table,
             cursor,
             end,
+            pull_size: BatchRamp::new(row_goal),
             obs: Arc::clone(ctx.obs()),
         })
     }
@@ -689,7 +749,7 @@ impl Operator for ScanSource {
         if self.cursor >= self.end {
             return Ok(None);
         }
-        let end = (self.cursor + BATCH_SIZE).min(self.end);
+        let end = (self.cursor + self.pull_size.take()).min(self.end);
         let batch = self.table.rows()[self.cursor..end].to_vec();
         self.cursor = end;
         meter.rows_in += batch.len() as u64;
@@ -733,6 +793,7 @@ struct IndexScanSource {
     /// Morsel restriction over table row positions, when this scan drives an
     /// exchange pipeline.
     driver_range: Option<(usize, usize)>,
+    pull_size: BatchRamp,
     obs: Arc<ObsRegistry>,
 }
 
@@ -747,6 +808,7 @@ impl IndexScanSource {
         order: ProbeOrder,
         index_only: bool,
         driver_range: Option<(usize, usize)>,
+        row_goal: Option<usize>,
     ) -> Result<IndexScanSource, StoreError> {
         let table = Arc::clone(ctx.require_table(table_name)?);
         let index_pos = index_position(&table, index)?;
@@ -824,6 +886,7 @@ impl IndexScanSource {
             index_rows: None,
             cursor: 0,
             driver_range,
+            pull_size: BatchRamp::new(row_goal),
             obs: Arc::clone(ctx.obs()),
         })
     }
@@ -880,7 +943,7 @@ impl Operator for IndexScanSource {
         if self.remaining() == 0 {
             return Ok(None);
         }
-        let end = self.cursor + self.remaining().min(BATCH_SIZE);
+        let end = self.cursor + self.remaining().min(self.pull_size.take());
         let batch: Vec<Row> = if let Some(positions) = &self.positions {
             let rows = self.table.rows();
             positions[self.cursor..end]
@@ -927,6 +990,7 @@ struct IndexNljSource {
     inner_columns: Vec<ColumnInfo>,
     detail: String,
     pending: VecDeque<Row>,
+    fill: BatchRamp,
     done: bool,
     /// Probes issued (non-NULL left keys).
     probes: u64,
@@ -943,6 +1007,7 @@ impl IndexNljSource {
         alias: &str,
         index: &str,
         left_key: usize,
+        row_goal: Option<usize>,
     ) -> Result<IndexNljSource, StoreError> {
         let table = Arc::clone(ctx.require_table(table_name)?);
         let index_pos = index_position(&table, index)?;
@@ -984,6 +1049,7 @@ impl IndexNljSource {
             inner_columns,
             detail,
             pending: VecDeque::new(),
+            fill: BatchRamp::new(row_goal),
             done: false,
             probes: 0,
             matches: 0,
@@ -999,7 +1065,8 @@ impl Operator for IndexNljSource {
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        while self.pending.len() < BATCH_SIZE && !self.done {
+        let fill = self.fill.take();
+        while self.pending.len() < fill && !self.done {
             match meter.pull(&mut self.left)? {
                 None => self.done = true,
                 Some(batch) => {
@@ -1210,6 +1277,7 @@ struct NestedLoopJoinSource {
     right_rows: Option<Arc<Vec<Row>>>,
     shared: Option<(Arc<ExchangeShared>, usize)>,
     pending: VecDeque<Row>,
+    fill: BatchRamp,
     done: bool,
 }
 
@@ -1237,7 +1305,8 @@ impl Operator for NestedLoopJoinSource {
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
         self.build(meter)?;
-        while self.pending.len() < BATCH_SIZE && !self.done {
+        let fill = self.fill.take();
+        while self.pending.len() < fill && !self.done {
             match meter.pull(&mut self.left)? {
                 None => self.done = true,
                 Some(batch) => {
@@ -1298,6 +1367,7 @@ struct HashJoinSource {
     build: Option<Arc<JoinIndex>>,
     shared: Option<(Arc<ExchangeShared>, usize)>,
     pending: VecDeque<Row>,
+    fill: BatchRamp,
     done: bool,
     obs: Arc<ObsRegistry>,
 }
@@ -1337,7 +1407,8 @@ impl Operator for HashJoinSource {
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
         self.build(meter)?;
-        while self.pending.len() < BATCH_SIZE && !self.done {
+        let fill = self.fill.take();
+        while self.pending.len() < fill && !self.done {
             match meter.pull(&mut self.left)? {
                 None => self.done = true,
                 Some(batch) => {
@@ -1802,26 +1873,22 @@ struct SemiJoinSource {
 
 impl SemiJoinSource {
     #[allow(clippy::too_many_arguments)]
-    fn open(
-        ctx: &Arc<ExecContext>,
-        env: &OpenEnv,
-        driver_range: Option<(usize, usize)>,
-        left: &Plan,
-        right: &Plan,
+    fn new(
+        ctx: &ExecContext,
+        shared: Option<(Arc<ExchangeShared>, usize)>,
+        left: Box<dyn RowSource>,
+        right: Box<dyn RowSource>,
         left_keys: &[usize],
         right_keys: &[usize],
         anti: bool,
         null_aware: bool,
-    ) -> Result<SemiJoinSource, StoreError> {
-        let shared = env.alloc_cell();
-        let left = open_in(ctx, left, env, driver_range)?;
-        let right = open_in(ctx, right, env, None)?;
+    ) -> SemiJoinSource {
         let mut detail = equi_detail(left.columns(), left_keys, right.columns(), right_keys);
         if null_aware {
             detail.push_str(" (NULL-aware)");
         }
         let columns = left.columns().to_vec();
-        Ok(SemiJoinSource {
+        SemiJoinSource {
             left,
             right,
             left_keys: left_keys.to_vec(),
@@ -1833,7 +1900,7 @@ impl SemiJoinSource {
             build: None,
             shared,
             obs: Arc::clone(ctx.obs()),
-        })
+        }
     }
 
     fn build(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
@@ -2040,7 +2107,9 @@ struct ApplySource {
 
 /// Execute an apply's subplan for one parameter binding, producing the
 /// summary `mode` needs and the execution's profile. `EXISTS` stops at the
-/// first row. A free function over `Sync` inputs, so apply worker threads
+/// first row, and says so when it opens the subplan, so the scan under it
+/// does not read a batch to deliver one row. A free function over `Sync`
+/// inputs, so apply worker threads
 /// can run bindings concurrently without sharing the operator itself.
 fn evaluate_binding(
     ctx: &Arc<ExecContext>,
@@ -2053,7 +2122,7 @@ fn evaluate_binding(
         let &(_, idx) = params.iter().find(|&&(param, _)| param == id)?;
         Some(row.get(idx).unwrap_or(&Value::Null))
     });
-    let mut src = open_owned(ctx, &bound)?;
+    let mut src = open_toward(ctx, &bound, mode.row_goal())?;
     let result = match mode {
         ApplyMode::Exists { .. } => {
             let mut exists = false;

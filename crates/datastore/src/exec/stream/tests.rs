@@ -181,6 +181,42 @@ fn scan_streams_in_batches() {
     assert_eq!(profile.metrics.batches, 3);
 }
 
+/// The sizes of the batches a plan yields when it is opened toward `goal`.
+fn batch_sizes(db: &Database, plan: &Plan, goal: Option<usize>) -> Vec<usize> {
+    let mut src = open_toward(&Arc::new(ExecContext::new(db)), plan, goal).unwrap();
+    let mut sizes = Vec::new();
+    while let Some(batch) = src.next_batch().unwrap() {
+        sizes.push(batch.len());
+    }
+    sizes
+}
+
+#[test]
+fn a_row_goal_ramps_the_scan_it_reaches_and_no_other() {
+    let db = db();
+    let ramp = [1, 4, 16, 64, 256, 1024, 1024, 111];
+    assert_eq!(batch_sizes(&db, &scan("T", "t"), Some(1)), ramp);
+    assert_eq!(batch_sizes(&db, &scan("T", "t"), None), [1024, 1024, 452]);
+    // Streaming operators hand the goal on: the join's probe side ramps
+    // (every row of `a` finds its one partner), its build side is read whole.
+    let join = Plan::hash_join(scan("T", "a"), scan("T", "b"), vec![0], vec![0]);
+    let streaming = join.project(vec![Expr::Column(0)], vec![ColumnInfo::unqualified("id")]);
+    assert_eq!(batch_sizes(&db, &streaming, Some(1)), ramp);
+    let mut src = open_toward(&Arc::new(ExecContext::new(&db)), &streaming, Some(1)).unwrap();
+    src.next_batch().unwrap();
+    let join = &src.profile().children[0];
+    assert_eq!(join.children[0].metrics.rows_out, 1);
+    assert_eq!(join.children[1].metrics.rows_out, 2500);
+    // A breaker needs its whole input for its first row: the goal stops.
+    let sorted = scan("T", "t").sort(vec![SortKey {
+        column: 0,
+        ascending: true,
+    }]);
+    let mut src = open_toward(&Arc::new(ExecContext::new(&db)), &sorted, Some(1)).unwrap();
+    src.next_batch().unwrap();
+    assert_eq!(src.profile().children[0].metrics.batches, 3);
+}
+
 #[test]
 fn limit_stops_pulling_early() {
     let db = db();

@@ -615,6 +615,45 @@ impl Expr {
         out
     }
 
+    /// Visit every column reference of this expression mutably, in the order
+    /// and to the depth of [`Expr::walk`] (subquery bodies are not entered).
+    pub fn column_refs_mut(&mut self, f: &mut dyn FnMut(&mut ColumnRef)) {
+        match self {
+            Expr::Column(c) => f(c),
+            Expr::Literal(_) | Expr::Param(_) | Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
+            Expr::BinaryOp { left, right, .. } => {
+                left.column_refs_mut(f);
+                right.column_refs_mut(f);
+            }
+            Expr::UnaryOp { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. }
+            | Expr::QuantifiedComparison { left: expr, .. } => expr.column_refs_mut(f),
+            Expr::Aggregate { arg, .. } => {
+                if let Some(a) = arg {
+                    a.column_refs_mut(f);
+                }
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.column_refs_mut(f);
+                for e in list {
+                    e.column_refs_mut(f);
+                }
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                expr.column_refs_mut(f);
+                low.column_refs_mut(f);
+                high.column_refs_mut(f);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                expr.column_refs_mut(f);
+                pattern.column_refs_mut(f);
+            }
+        }
+    }
+
     /// If this expression is an equi-join predicate between two different
     /// tuple variables (`a.x = b.y`), return the two column references.
     pub fn as_join_predicate(&self) -> Option<(&ColumnRef, &ColumnRef)> {

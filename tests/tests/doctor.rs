@@ -565,6 +565,63 @@ fn advise_what_if_estimate_matches_measured_speedup_at_scale() {
     }
 }
 
+/// A correlated equality is visible to the doctor. Five runs of Q9 scan
+/// MOVIES twice per outer title for `title = <outer value>`; before the
+/// planner priced a correlated selection where it is applied, the what-if
+/// plan did probe `idx_movies_title` — `collect_roles` proposed it,
+/// `plan_cost` charged the subplan per binding — but the join above the two
+/// probes was still estimated at 100 × 100 rows per evaluation, so the
+/// what-if cost never fell under the 80 % bar and `ADVISE` answered "nothing
+/// an index would cure".
+#[test]
+fn advise_sees_the_correlated_equality_in_q9() {
+    let mut system = Talkback::new(scaled_movie_database(ScaleConfig::default()));
+    let q9 = "select a.name from MOVIES m, CAST c, ACTOR a \
+              where m.id = c.mid and c.aid = a.id \
+              and m.year <= all (select m1.year from MOVIES m1, MOVIES m2 \
+              where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)";
+    for _ in 0..5 {
+        system.run_query_with(q9, sequential()).unwrap();
+    }
+    let recs = talkback::recommendations(system.database(), sequential());
+    let top = recs.first().expect("Q9 must yield advice");
+    assert_eq!(
+        (top.table.as_str(), &top.columns[..]),
+        ("MOVIES", &["title".to_string()][..])
+    );
+    assert!(top.what_if_cost < top.base_cost * 0.8);
+    let report = system.execute_show("advise").unwrap();
+    assert!(
+        report.narration.contains(
+            "My strongest prescription is `CREATE INDEX idx_movies_title ON MOVIES (title)`."
+        ),
+        "{}",
+        report.narration
+    );
+
+    // Take the advice: the evidence statement then reads MOVIES through the
+    // index, once per binding, with the same answer.
+    let (before, scanned_before, _) = counted_run(&system, &top.evidence_sql, sequential());
+    system.execute_ddl(&top.create_sql).unwrap();
+    let (after, scanned_after, probes_after) =
+        counted_run(&system, &top.evidence_sql, sequential());
+    assert_eq!(before.rows, after.rows);
+    assert_eq!(probes_after, 200, "two probes for each of 100 titles");
+    assert!(
+        scanned_before >= 10 * scanned_after,
+        "{scanned_before} -> {scanned_after} rows"
+    );
+    let e = system
+        .explain_plan_with(&format!("explain {}", top.evidence_sql), sequential())
+        .unwrap();
+    for alias in ["m1", "m2"] {
+        let probe = format!(
+            "index scan: MOVIES as {alias} [index=idx_movies_title point {alias}.title = $0]"
+        );
+        assert!(e.tree.contains(&probe), "{}", e.tree);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property: ADVISE under a concurrent random workload (satellite)
 // ---------------------------------------------------------------------------
