@@ -24,9 +24,17 @@
 //! scale the relation's filtered estimate consistently through both the DP
 //! ranking and the recorded per-step numbers, so the chosen-vs-written
 //! comparison stays an apples-to-apples one.
+//!
+//! Cardinality feedback: a pushed conjunct's shape is *named* here and
+//! nowhere else ([`Estimator::shape_key`]: the conjunct as written, own
+//! columns spelled `alias.column`, every constant a `?`). The physical layer
+//! stamps the key on the filter it lowers the conjunct into, the executor's
+//! profile carries it back, `datastore::adaptive` learns under it, and the
+//! next plan makes the same key from the same conjunct: recorded ⇒ found.
 
 use super::logical::{JoinGraph, Relation};
-use datastore::adaptive::{AdaptiveState, ParamKind};
+use datastore::adaptive::{FeedbackStore, ParamKind};
+use datastore::fingerprint::{feedback_shape, ShapeKey};
 use datastore::index::Index;
 use datastore::obs::DecisionKind;
 use datastore::stats::{join_cardinality, TableStats, DEFAULT_SELECTIVITY};
@@ -358,9 +366,9 @@ impl JoinOrder {
 pub struct Estimator<'a> {
     db: &'a Database,
     stats: std::cell::RefCell<std::collections::HashMap<String, Option<Arc<TableStats>>>>,
-    /// Cardinality-feedback store consulted *before* histogram estimation
-    /// (`None` when the feedback loop is disabled).
-    feedback: Option<Arc<AdaptiveState>>,
+    /// What the engine had learned when this pass began, consulted *before*
+    /// histogram estimation (`None` when the feedback loop is disabled).
+    feedback: Option<Arc<FeedbackStore>>,
     /// Overrides actually applied, deduplicated by `(table, shape)` — the
     /// enumerator, the decision replay, and the physical layer all walk the
     /// same relations, and one correction should narrate once.
@@ -393,7 +401,7 @@ impl<'a> Estimator<'a> {
     /// was flagged as misestimated is costed at its *observed* selectivity.
     pub fn with_feedback(db: &'a Database) -> Estimator<'a> {
         Estimator {
-            feedback: Some(Arc::clone(db.adaptive())),
+            feedback: Some(db.adaptive().feedback()),
             ..Estimator::new(db)
         }
     }
@@ -428,13 +436,25 @@ impl<'a> Estimator<'a> {
         std::mem::take(&mut *self.overrides.borrow_mut())
     }
 
+    /// The name of one of `rel`'s pushed conjuncts: what the filter it is
+    /// lowered into carries, what is learned from that filter is filed under,
+    /// and what [`Estimator::effective_conjunct_selectivity`] looks up.
+    pub fn shape_key(&self, rel: &Relation, conjunct: &Expr) -> Arc<ShapeKey> {
+        Arc::new(ShapeKey {
+            table: rel.table.clone(),
+            shape: conjunct_shape(self.db, rel, conjunct),
+        })
+    }
+
     /// The observed selectivity for one pushed conjunct, when the feedback
-    /// store has an entry for its `(table, shape)` key; records the
-    /// correction (once per key) for narration.
+    /// store has an entry under its key; records the correction (once per
+    /// key) for narration.
     fn feedback_selectivity(&self, rel: &Relation, conjunct: &Expr) -> Option<f64> {
-        let adaptive = self.feedback.as_ref()?;
-        let shape = conjunct_shape(self.db, rel, conjunct)?;
-        let entry = adaptive.feedback_for(&rel.table, &shape)?;
+        // Nothing learned about this table — nearly every plan: no shape is
+        // rendered and nothing is probed.
+        let learned = self.feedback.as_ref()?.get(&rel.table)?;
+        let shape = conjunct_shape(self.db, rel, conjunct);
+        let entry = learned.get(&shape)?;
         let mut overrides = self.overrides.borrow_mut();
         let seen = overrides.iter().any(|d| {
             matches!(d, PlanDecision::Feedback { table, shape: s, .. }
@@ -700,157 +720,26 @@ fn literal_as_f64(l: &Literal) -> Option<f64> {
     }
 }
 
-/// The feedback-store key shape of a pushed conjunct, built at plan time to
-/// match byte-for-byte what the executor's rendered filter detail normalizes
-/// to: `feedback_shape(render_expr(lowered))`. Columns render in the
-/// executor's qualified `alias.name` form (schema spelling), literals, plan
-/// parameters and an enclosing block's columns (correlation parameters by
-/// then) as `?`, operators and structure exactly as
-/// `datastore::exec::profile::render_expr` prints the lowered expression
-/// (held to it by `tests::conjunct_shape_is_the_executors_shape_or_none`).
-/// `None` for shapes the builder does not cover — the lookup then simply
-/// misses, which is always safe.
-fn conjunct_shape(db: &Database, rel: &Relation, conjunct: &Expr) -> Option<String> {
-    let table = db.table(&rel.table)?;
-    let mut out = String::new();
-    shape_into(rel, table.schema(), conjunct, &mut out)?;
-    Some(out)
-}
-
-fn shape_into(
-    rel: &Relation,
-    schema: &datastore::TableSchema,
-    expr: &Expr,
-    out: &mut String,
-) -> Option<()> {
-    match expr {
-        // An enclosing block's column lowers to a correlation parameter,
-        // which the executor renders `$k` and the normalizer turns into `?`.
-        Expr::Column(c) if rel.is_outer(c) => out.push('?'),
-        Expr::Column(c) => {
-            // The relation's own reference resolves by name against its
-            // schema; the executor renders it with the schema's spelling
-            // under the scan's alias.
-            let col = schema
-                .columns
-                .iter()
-                .find(|col| col.name.eq_ignore_ascii_case(&c.column))?;
-            out.push_str(&rel.alias);
-            out.push('.');
-            out.push_str(&col.name);
-        }
-        // Number and string literals normalize to `?`; booleans and NULL
-        // render as words the normalizer keeps, so bail rather than guess.
-        Expr::Literal(Literal::Integer(_) | Literal::Float(_) | Literal::String(_))
-        | Expr::Param(_) => out.push('?'),
-        Expr::Literal(_) => return None,
-        Expr::BinaryOp { left, op, right } => match op {
-            BinaryOperator::And => {
-                shape_into(rel, schema, left, out)?;
-                out.push_str(" AND ");
-                shape_into(rel, schema, right, out)?;
-            }
-            BinaryOperator::Or => {
-                out.push('(');
-                shape_into(rel, schema, left, out)?;
-                out.push_str(" OR ");
-                shape_into(rel, schema, right, out)?;
-                out.push(')');
-            }
-            other => {
-                shape_into(rel, schema, left, out)?;
-                out.push(' ');
-                out.push_str(other.sql());
-                out.push(' ');
-                shape_into(rel, schema, right, out)?;
-            }
-        },
-        Expr::UnaryOp {
-            op: UnaryOperator::Not,
-            expr,
-        } => {
-            out.push_str("NOT (");
-            shape_into(rel, schema, expr, out)?;
-            out.push(')');
-        }
-        Expr::IsNull { expr, negated } => {
-            if *negated {
-                out.push_str("NOT (");
-                shape_into(rel, schema, expr, out)?;
-                out.push_str(" IS NULL)");
-            } else {
-                shape_into(rel, schema, expr, out)?;
-                out.push_str(" IS NULL");
-            }
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            if *negated {
-                out.push_str("NOT (");
-            }
-            shape_into(rel, schema, expr, out)?;
-            out.push_str(" IN (");
-            for (i, item) in list.iter().enumerate() {
-                if !matches!(
-                    item,
-                    Expr::Literal(Literal::Integer(_) | Literal::Float(_) | Literal::String(_))
-                ) {
-                    return None;
-                }
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push('?');
-            }
-            out.push(')');
-            if *negated {
-                out.push(')');
-            }
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            // Lowered as two comparisons ANDed together; rendered the same.
-            if *negated {
-                out.push_str("NOT (");
-            }
-            shape_into(rel, schema, expr, out)?;
-            out.push_str(" >= ");
-            shape_into(rel, schema, low, out)?;
-            out.push_str(" AND ");
-            shape_into(rel, schema, expr, out)?;
-            out.push_str(" <= ");
-            shape_into(rel, schema, high, out)?;
-            if *negated {
-                out.push(')');
-            }
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            if !matches!(pattern.as_ref(), Expr::Literal(Literal::String(_))) {
-                return None;
-            }
-            if *negated {
-                out.push_str("NOT (");
-            }
-            shape_into(rel, schema, expr, out)?;
-            out.push_str(" LIKE ?");
-            if *negated {
-                out.push(')');
-            }
-        }
-        _ => return None,
-    }
-    Some(())
+/// The shape of one of `rel`'s pushed conjuncts: the conjunct as written,
+/// with the relation's own columns spelled `alias.column` the way the schema
+/// spells them (so `YEAR > 2000` and `m.year > 1990` are one shape) and every
+/// constant — a literal, a plan parameter, an enclosing block's column, which
+/// is one value per evaluation of this block — a `?`.
+fn conjunct_shape(db: &Database, rel: &Relation, conjunct: &Expr) -> String {
+    let schema = db.table(&rel.table).map(|t| t.schema());
+    let mut named = conjunct.clone();
+    named.column_refs_mut(&mut |c| {
+        *c = if rel.is_outer(c) {
+            // Printed through `Display`, a reference named `?` is a `?`.
+            ColumnRef::bare("?")
+        } else {
+            let spelled = schema
+                .and_then(|s| s.column(&c.column))
+                .map_or(c.column.as_str(), |col| col.name.as_str());
+            ColumnRef::qualified(rel.alias.as_str(), spelled)
+        };
+    });
+    feedback_shape(&named.to_string())
 }
 
 /// Simulate a fixed left-deep order, producing its per-step estimates.
@@ -1157,73 +1046,4 @@ fn decisions_for_written_order(
         method,
     });
     decisions
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::planner::lower_expr;
-    use datastore::exec::profile::render_expr;
-    use datastore::exec::{describe_plan, Plan};
-    use datastore::fingerprint::feedback_shape;
-    use datastore::sample::movie_database;
-
-    /// `conjunct_shape` is the planner's half of the feedback key and
-    /// `feedback_shape(render_expr(lowered))` the executor's: whenever the
-    /// planner builds a shape at all it must be the executor's, or feedback
-    /// on that filter is recorded and never found again.
-    #[test]
-    fn conjunct_shape_is_the_executors_shape_or_none() {
-        let db = movie_database();
-        let rel = Relation {
-            alias: "m".to_string(),
-            table: "MOVIES".to_string(),
-            pushed: Vec::new(),
-        };
-        // The row a filter over `MOVIES as m` sees, as the executor names it.
-        let scan = describe_plan(&db, &Plan::scan("MOVIES", "m")).unwrap();
-        let columns = scan.columns;
-        let check = |query: &sqlparse::SelectStatement| {
-            let bound = sqlparse::bind_query(db.catalog(), query).unwrap();
-            let conjunct = query.selection.as_ref().unwrap();
-            let lowered = lower_expr(conjunct, &columns, &bound).unwrap();
-            let executor = feedback_shape(&render_expr(&lowered, &columns));
-            let planner = conjunct_shape(&db, &rel, conjunct);
-            if let Some(planner) = &planner {
-                assert_eq!(planner, &executor, "for {conjunct}");
-            }
-            planner
-        };
-        let conjuncts = [
-            "m.year > 2000",
-            "2000 < m.year",
-            "m.title = 'Troy'",
-            "m.year between 1990 and 2005",
-            "m.year not between 1990 and 2005",
-            "m.id in (1, 2, 3)",
-            "m.title not in ('Troy', 'Seven')",
-            "m.title like 'O''%'",
-            "m.title not like '%''s %'",
-            "m.title is null",
-            "m.year is not null",
-            "not (m.year = 2000)",
-            "m.year > 1990 and (m.year < 2000 or m.title = 'Troy')",
-            "m.year + 1 > 2000",
-        ];
-        for conjunct in conjuncts {
-            let sql = format!("select m.title from MOVIES m where {conjunct}");
-            let covered = check(&sqlparse::parse_query(&sql).unwrap());
-            assert!(covered.is_some(), "no shape for {conjunct}");
-        }
-        // NULL and booleans render as words the normalizer keeps: no shape,
-        // so the lookup misses instead of guessing.
-        let null = "select m.title from MOVIES m where m.title = null";
-        assert_eq!(check(&sqlparse::parse_query(null).unwrap()), None);
-        // A plan-cache template carries `$i` where the statement had a
-        // literal; both sides collapse it to the same `?`.
-        let literal = sqlparse::parse_query("select m.title from MOVIES m where m.year = 2000");
-        let (template, lifted) = sqlparse::parameterize_select(&literal.unwrap()).unwrap();
-        assert_eq!(lifted.len(), 1);
-        assert_eq!(check(&template).as_deref(), Some("m.year = ?"));
-    }
 }

@@ -183,9 +183,12 @@ pub(super) fn lower_select(
                 }
                 (true, None) => rows,
             };
+            // The one place a pushed conjunct becomes an operator: the filter
+            // carries the name the estimator looks the conjunct up by.
             plan = plan
                 .filter(lower_expr_scoped(conjunct, &columns, bound, Some(scopes))?)
-                .with_estimate(rows);
+                .with_estimate(rows)
+                .with_shape_key(estimator.shape_key(rel, conjunct));
             // A correlated selection that stayed a filter, in a block with
             // joins it could have waited above: say where it went.
             if graph.relations.len() > 1 && conjunct.column_refs().iter().any(|c| rel.is_outer(c)) {

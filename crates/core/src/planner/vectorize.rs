@@ -49,6 +49,7 @@ pub(super) fn vectorize_plan(
             input,
             predicate,
             vectorized,
+            ..
         } => *vectorized = decide_filter(db, input, predicate, options, decisions),
         PlanNode::HashJoin {
             right, vectorized, ..

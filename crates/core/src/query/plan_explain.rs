@@ -651,29 +651,14 @@ fn parallel_speedup_sentences(profile: &PlanProfile) -> Vec<String> {
 /// than the flagging threshold in either direction), if any operator has
 /// one.
 fn worst_misestimate_sentence(profile: &PlanProfile, flag_factor: f64) -> Option<String> {
-    let mut worst: Option<(String, String, f64, u64, f64)> = None;
-    profile.walk(&mut |p| {
-        if let Some(factor) = p.misestimate_with(flag_factor) {
-            let replace = worst.as_ref().map(|w| factor > w.4).unwrap_or(true);
-            if replace {
-                worst = Some((
-                    p.operator.clone(),
-                    p.detail.clone(),
-                    p.estimated_rows.unwrap_or(0.0),
-                    p.metrics.rows_out,
-                    factor,
-                ));
-            }
-        }
-    });
-    let (operator, detail, est, actual, factor) = worst?;
+    let (node, factor) = profile.worst_misestimate(flag_factor)?;
     Some(finish_sentence(&format!(
         "My estimate for the {} on {} was off by about {:.0}× — I expected {} and saw {}",
-        operator,
-        detail,
+        node.operator,
+        node.detail,
         factor,
-        rows_phrase(est),
-        rows_phrase(actual as f64)
+        rows_phrase(node.estimated_rows.unwrap_or(0.0)),
+        rows_phrase(node.metrics.rows_out as f64)
     )))
 }
 

@@ -5,11 +5,14 @@
 //! ([`crate::obs`]) already *records* where the optimizer was wrong. This
 //! module is the part that *learns*: after each execution the est-vs-actual
 //! deltas of flagged filters are folded into a per-database feedback store
-//! (a [`FeedbackEntry`] map inside [`AdaptiveState`]) keyed by the same
-//! `(table, literal-normalized predicate shape)` scheme the ledger uses, and
-//! the planner consults those observed
-//! selectivities before trusting its histograms — so a badly misestimated
-//! query plans differently (and explains why) on its next run.
+//! (a [`FeedbackEntry`] map inside [`AdaptiveState`]) under the key the
+//! planner stamped on the filter ([`crate::fingerprint::ShapeKey`]: the
+//! table, and the pushed conjunct's literal-normalized shape), and the
+//! planner consults those observed selectivities — by making the same key
+//! from the same conjunct — before trusting its histograms, so a badly
+//! misestimated query plans differently (and explains why) on its next run.
+//! A filter without a key is one no plan will ever look up: nothing is
+//! learned from it and it moves no epoch.
 //!
 //! The [`PlanCache`] makes the second run cheaper as well as better: a
 //! bounded map from a statement's identity — literal-normalized text,
@@ -22,7 +25,7 @@
 
 use crate::exec::plan::Plan;
 use crate::exec::stream::PlanProfile;
-use crate::fingerprint::{feedback_shape, fnv_hash, profile_table};
+use crate::fingerprint::fnv_hash;
 use crate::obs::CacheStatus;
 use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
@@ -43,18 +46,11 @@ pub enum EpochCause {
     Write,
     /// Absorbed cardinality feedback changed what the planner would decide.
     Feedback,
-    /// An unattributed bump (tests, legacy call sites).
-    Other,
 }
 
 impl EpochCause {
     /// Every cause, in display order.
-    pub const ALL: [EpochCause; 4] = [
-        EpochCause::Schema,
-        EpochCause::Write,
-        EpochCause::Feedback,
-        EpochCause::Other,
-    ];
+    pub const ALL: [EpochCause; 3] = [EpochCause::Schema, EpochCause::Write, EpochCause::Feedback];
 
     /// Stable lowercase label.
     pub fn label(self) -> &'static str {
@@ -62,7 +58,6 @@ impl EpochCause {
             EpochCause::Schema => "schema change",
             EpochCause::Write => "write",
             EpochCause::Feedback => "feedback",
-            EpochCause::Other => "other",
         }
     }
 }
@@ -70,7 +65,7 @@ impl EpochCause {
 /// What the engine learned about one `(table, predicate shape)` key: the
 /// filter's observed selectivity, and the last est-vs-actual pair for
 /// narration ("last time I expected 10 rows here and saw 4,200").
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FeedbackEntry {
     /// Observed rows-out / rows-in of the flagged filter, clamped to [0, 1].
     pub selectivity: f64,
@@ -368,18 +363,9 @@ impl PlanCache {
     }
 }
 
-/// A feedback note: one override the planner applied, kept for narration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeedbackNote {
-    /// Table the corrected filter reads.
-    pub table: String,
-    /// Literal-normalized predicate shape (feedback-store key form).
-    pub shape: String,
-    /// What the optimizer expected last time.
-    pub expected: u64,
-    /// What the executor actually saw.
-    pub actual: u64,
-}
+/// What the engine has learned, by table and then by conjunct shape — the
+/// two halves of a [`crate::fingerprint::ShapeKey`].
+pub type FeedbackStore = BTreeMap<String, BTreeMap<String, FeedbackEntry>>;
 
 /// Last epoch movement (`(epoch reached, cause)`) and per-cause counts, for
 /// the doctor's narration.
@@ -391,7 +377,9 @@ type EpochLog = (Option<(u64, EpochCause)>, [u64; EpochCause::ALL.len()]);
 #[derive(Debug)]
 pub struct AdaptiveState {
     epoch: AtomicU64,
-    feedback: Mutex<BTreeMap<(String, String), FeedbackEntry>>,
+    /// Replaced, not edited, when something is learned: a planning pass
+    /// holds the store it started with and takes no lock per lookup.
+    feedback: Mutex<Arc<FeedbackStore>>,
     cache: PlanCache,
     epoch_log: Mutex<EpochLog>,
 }
@@ -407,7 +395,7 @@ impl AdaptiveState {
     pub fn new(cache_cap: usize) -> AdaptiveState {
         AdaptiveState {
             epoch: AtomicU64::new(0),
-            feedback: Mutex::new(BTreeMap::new()),
+            feedback: Mutex::new(Arc::default()),
             cache: PlanCache::new(cache_cap),
             epoch_log: Mutex::new((None, [0; EpochCause::ALL.len()])),
         }
@@ -421,12 +409,7 @@ impl AdaptiveState {
 
     /// Bump the epoch: something (DDL, a write, absorbed feedback) changed
     /// what the planner would decide, so cached templates are now suspect.
-    pub fn bump_epoch(&self) {
-        self.bump_epoch_for(EpochCause::Other);
-    }
-
-    /// [`AdaptiveState::bump_epoch`] with provenance: the cause is recorded
-    /// so `CHECKUP` can say *why* cached plans died.
+    /// The cause is recorded so `CHECKUP` can say *why* cached plans died.
     pub fn bump_epoch_for(&self, cause: EpochCause) {
         let reached = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         let mut log = self.epoch_log.lock().expect("epoch log lock");
@@ -449,67 +432,51 @@ impl AdaptiveState {
         &self.cache
     }
 
-    /// What the engine learned about one `(table, shape)` key, if anything.
-    pub fn feedback_for(&self, table: &str, shape: &str) -> Option<FeedbackEntry> {
-        self.feedback
-            .lock()
-            .expect("feedback lock")
-            .get(&(table.to_string(), shape.to_string()))
-            .copied()
-    }
-
-    /// Snapshot of the whole feedback store (tests, introspection).
-    pub fn feedback(&self) -> BTreeMap<(String, String), FeedbackEntry> {
-        self.feedback.lock().expect("feedback lock").clone()
+    /// Everything the engine has learned so far. A planning pass takes this
+    /// once and looks its conjuncts up in it; a table that is absent has
+    /// nothing to look up.
+    pub fn feedback(&self) -> Arc<FeedbackStore> {
+        Arc::clone(&self.feedback.lock().expect("feedback lock"))
     }
 
     /// Fold an executed profile's flagged filter misestimates into the
-    /// feedback store, keyed like the obs misestimate ledger (table +
-    /// literal-normalized predicate shape, with plan parameters collapsed).
+    /// feedback store, each under the key the planner stamped on the filter
+    /// ([`PlanProfile::shape_key`]); a node that carries none is skipped.
     /// Returns the number of entries absorbed; when any were, the epoch is
     /// bumped so stale cached plans (planned without this knowledge) die.
     pub fn absorb(&self, profile: &PlanProfile, flag_factor: f64) -> usize {
-        let mut absorbed = 0;
-        let mut store = self.feedback.lock().expect("feedback lock");
+        // The planner's override point is the selectivity of one pushed
+        // conjunct, and the in/out rows of its filter measure exactly that.
+        let mut flagged = Vec::new();
         profile.walk(&mut |node| {
-            // Only filters: the planner's override point is per-pushed-conjunct
-            // selectivity, and a filter's in/out rows measure exactly that.
-            if node.operator != "filter" || node.detail.is_empty() {
-                return;
+            if let (Some(key), Some(child)) = (&node.shape_key, node.children.first()) {
+                if node.misestimate_with(flag_factor).is_some() {
+                    flagged.push((key, child.metrics.rows_out, node));
+                }
             }
-            if node.misestimate_with(flag_factor).is_none() {
-                return;
-            }
-            let Some(child) = node.children.first() else {
-                return;
-            };
-            let rows_in = child.metrics.rows_out;
+        });
+        // Nothing to learn (the common statement): no lock, no epoch.
+        if flagged.is_empty() {
+            return 0;
+        }
+        let mut store = self.feedback.lock().expect("feedback lock");
+        let learned = Arc::make_mut(&mut store);
+        for &(key, rows_in, node) in &flagged {
             let rows_out = node.metrics.rows_out;
-            let selectivity = if rows_in == 0 {
+            let shapes = learned.entry(key.table.clone()).or_default();
+            let entry = shapes.entry(key.shape.clone()).or_default();
+            entry.selectivity = if rows_in == 0 {
                 0.0
             } else {
                 (rows_out as f64 / rows_in as f64).clamp(0.0, 1.0)
             };
-            let table = profile_table(node).unwrap_or_else(|| "(none)".to_string());
-            let shape = feedback_shape(&node.detail);
-            let est = node.estimated_rows.unwrap_or(0.0).round().max(0.0) as u64;
-            let entry = store.entry((table, shape)).or_insert(FeedbackEntry {
-                selectivity: 0.0,
-                last_estimated: 0,
-                last_actual: 0,
-                observations: 0,
-            });
-            entry.selectivity = selectivity;
-            entry.last_estimated = est;
+            entry.last_estimated = node.estimated_rows.unwrap_or(0.0).round().max(0.0) as u64;
             entry.last_actual = rows_out;
             entry.observations += 1;
-            absorbed += 1;
-        });
-        drop(store);
-        if absorbed > 0 {
-            self.bump_epoch_for(EpochCause::Feedback);
         }
-        absorbed
+        drop(store);
+        self.bump_epoch_for(EpochCause::Feedback);
+        flagged.len()
     }
 }
 
@@ -550,7 +517,7 @@ mod tests {
         let other = PlanKey::new("select ?", [1; OPTION_WORDS], &five);
         assert_eq!(cache.lookup(&other, epoch), CacheLookup::Miss);
         // Epoch bump turns an entry stale; the probe removes it.
-        state.bump_epoch();
+        state.bump_epoch_for(EpochCause::Schema);
         assert_eq!(cache.lookup(&by_int, state.epoch()), CacheLookup::Stale);
         assert_eq!(cache.lookup(&by_int, state.epoch()), CacheLookup::Miss);
         assert_eq!(cache.len(), 1);
@@ -640,7 +607,7 @@ mod tests {
                         };
                         let epoch = state.epoch();
                         match (rng >> 16) % 8 {
-                            0 => state.bump_epoch(),
+                            0 => state.bump_epoch_for(EpochCause::Write),
                             1 | 2 => {
                                 cache.insert(&key, epoch, template(&own));
                             }

@@ -39,7 +39,11 @@
 //! 6. One [`profile::PlanProfile`] node per operator, assembled in one
 //!    function (`Description::assemble` in [`profile`]) from `describe()`,
 //!    the inputs' own profiles, and what the wrapper owns: the planner's
-//!    estimate and the [`profile::OpMetrics`]. No operator holds either.
+//!    estimate and the [`profile::OpMetrics`]. No operator holds either. The
+//!    planner's other annotation, a filter's
+//!    [`ShapeKey`](crate::fingerprint::ShapeKey), travels the same road —
+//!    plan node, operator (`describe()`), profile node — and nothing between
+//!    the planner that made it and the stores that file under it reads it.
 //!
 //! Four operators show more than themselves, through
 //! `Description::synthetic` and the same assembly: the index nested-loop

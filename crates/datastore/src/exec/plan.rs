@@ -15,9 +15,11 @@
 
 use crate::exec::aggregate::AggExpr;
 use crate::expr::{CmpOp, Expr, ParamLookup};
+use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
 use crate::tuple::Row;
 use std::fmt;
+use std::sync::Arc;
 
 /// A named output column of a plan node, carrying the relation alias it came
 /// from so projections can be resolved by qualified name.
@@ -236,10 +238,18 @@ pub enum PlanNode {
     /// `vectorized`, the predicate is compiled into typed column kernels
     /// evaluated batch-at-a-time (falling back per batch when a column
     /// resists transposition); results are identical either way.
+    ///
+    /// `shape_key` is the planner's name for the pushed conjunct this filter
+    /// was lowered from — the key the planner will look the conjunct up by
+    /// next time. It travels like the estimate (plan node → operator →
+    /// [`crate::exec::PlanProfile`] node) and is shared, so binding a cached
+    /// template clones a pointer; `None` on every filter the planner never
+    /// looks up (residuals, `HAVING`, hand-built plans).
     Filter {
         input: Box<Plan>,
         predicate: Expr,
         vectorized: bool,
+        shape_key: Option<Arc<ShapeKey>>,
     },
     /// Project/compute output columns.
     Project {
@@ -692,8 +702,18 @@ impl Plan {
             input: Box::new(self),
             predicate,
             vectorized: false,
+            shape_key: None,
         }
         .into()
+    }
+
+    /// Name the pushed conjunct a `Filter` root was lowered from (no-op on
+    /// other operators).
+    pub fn with_shape_key(mut self, key: Arc<ShapeKey>) -> Plan {
+        if let PlanNode::Filter { shape_key, .. } = &mut self.node {
+            *shape_key = Some(key);
+        }
+        self
     }
 
     /// Wrap in a projection.

@@ -10,8 +10,10 @@
 
 use crate::exec::plan::ColumnInfo;
 use crate::expr::Expr;
+use crate::fingerprint::ShapeKey;
 use crate::index::ProbeOrder;
 use crate::value::Value;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-operator instrumentation counters.
@@ -97,6 +99,10 @@ pub struct PlanProfile {
     pub tags: Vec<String>,
     /// Index access-path metadata, when this operator probes one.
     pub access: Option<IndexAccess>,
+    /// The planner's name for the pushed conjunct a filter was lowered from
+    /// ([`crate::exec::PlanNode::Filter`]); what is learned from this node is
+    /// filed under it.
+    pub shape_key: Option<Arc<ShapeKey>>,
     /// Child profiles (inputs of this operator).
     pub children: Vec<PlanProfile>,
 }
@@ -207,6 +213,22 @@ impl PlanProfile {
         (factor >= flag_factor).then_some(factor)
     }
 
+    /// The operator of this subtree whose estimate is furthest off, with its
+    /// factor ([`PlanProfile::misestimate_with`]); the first one in pre-order
+    /// when several tie. What the journal records and `EXPLAIN ANALYZE` owns
+    /// up to.
+    pub fn worst_misestimate(&self, flag_factor: f64) -> Option<(&PlanProfile, f64)> {
+        let mut worst: Option<(&PlanProfile, f64)> = None;
+        self.walk(&mut |node| {
+            if let Some(factor) = node.misestimate_with(flag_factor) {
+                if worst.is_none_or(|(_, f)| factor > f) {
+                    worst = Some((node, factor));
+                }
+            }
+        });
+        worst
+    }
+
     /// Render the profile as a stable ASCII tree. Every line shows the
     /// planner's estimated rows when available; with `analyze` it also shows
     /// the actual row counts (flagging estimates off by more than
@@ -289,6 +311,7 @@ pub(crate) struct Description {
     pub(crate) tags: Vec<String>,
     pub(crate) workers: Option<usize>,
     pub(crate) access: Option<IndexAccess>,
+    pub(crate) shape_key: Option<Arc<ShapeKey>>,
     /// A child that is not an operator of this tree, listed after the
     /// inputs: an index join's probe leaf, the scan/filter chain a fused
     /// aggregate absorbed, an apply's accumulated subplan, an exchange's
@@ -304,6 +327,7 @@ impl Description {
             tags: Vec::new(),
             workers: None,
             access: None,
+            shape_key: None,
             synthetic: None,
         }
     }
@@ -327,6 +351,7 @@ impl Description {
             workers: self.workers,
             tags: self.tags,
             access: self.access,
+            shape_key: self.shape_key,
             // One exact allocation: both halves know their length.
             children: inputs.into_iter().chain(self.synthetic).collect(),
         }
@@ -388,20 +413,12 @@ pub fn render_expr(expr: &Expr, columns: &[ColumnInfo]) -> String {
             render_expr(r, columns)
         ),
         Expr::Not(e) => format!("NOT ({})", render_expr(e, columns)),
-        Expr::Arith { op, left, right } => {
-            let sym = match op {
-                crate::expr::ArithOp::Add => "+",
-                crate::expr::ArithOp::Sub => "-",
-                crate::expr::ArithOp::Mul => "*",
-                crate::expr::ArithOp::Div => "/",
-            };
-            format!(
-                "{} {} {}",
-                render_expr(left, columns),
-                sym,
-                render_expr(right, columns)
-            )
-        }
+        Expr::Arith { op, left, right } => format!(
+            "{} {} {}",
+            render_expr(left, columns),
+            op.sql(),
+            render_expr(right, columns)
+        ),
         Expr::IsNull(e) => format!("{} IS NULL", render_expr(e, columns)),
         Expr::Like { expr, pattern } => format!(
             "{} LIKE {}",

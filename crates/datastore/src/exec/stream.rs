@@ -36,6 +36,7 @@ pub use crate::exec::profile::{
 };
 use crate::exec::vector::{batch_group_keys, gather_selected, VectorPredicate};
 use crate::expr::{CmpOp, Expr};
+use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
 use crate::obs::{Counter, ObsRegistry};
 use crate::table::Table;
@@ -406,6 +407,7 @@ pub(crate) fn open_in(
             input,
             predicate,
             vectorized,
+            shape_key,
         } => {
             let input = on_spine(input)?;
             let kernel = vectorized
@@ -416,6 +418,7 @@ pub(crate) fn open_in(
                 input,
                 predicate: predicate.clone(),
                 kernel,
+                shape_key: shape_key.clone(),
             }
             .metered(est)
         }
@@ -1181,6 +1184,7 @@ struct FilterSource {
     /// evaluation individually.
     kernel: Option<VectorPredicate>,
     detail: String,
+    shape_key: Option<Arc<ShapeKey>>,
 }
 
 impl Operator for FilterSource {
@@ -1208,6 +1212,7 @@ impl Operator for FilterSource {
     fn describe(&self) -> Description {
         Description {
             tags: vectorized_tag(self.kernel.is_some()),
+            shape_key: self.shape_key.clone(),
             ..Description::new("filter", self.detail.clone())
         }
     }
@@ -1532,6 +1537,7 @@ struct FusedFilter {
     predicate: Expr,
     kernel: VectorPredicate,
     detail: String,
+    shape_key: Option<Arc<ShapeKey>>,
     est: Option<f64>,
     meter: OpMetrics,
 }
@@ -1591,10 +1597,11 @@ impl FusedAggregateScanSource {
                 input: scan,
                 predicate,
                 vectorized: true,
+                shape_key,
             } if matches!(scan.node, PlanNode::Scan { .. }) => {
                 match VectorPredicate::compile(predicate) {
                     Some(kernel) => (
-                        Some((predicate, kernel, input.estimated_rows)),
+                        Some((predicate, kernel, shape_key, input.estimated_rows)),
                         scan.as_ref(),
                     ),
                     None => return Ok(None),
@@ -1608,10 +1615,11 @@ impl FusedAggregateScanSource {
         let t = Arc::clone(ctx.require_table(table)?);
         let scan_columns = table_columns(&t, alias);
         let (cursor, end) = morsel_bounds(driver_range, t.len());
-        let filter = filter_parts.map(|(predicate, kernel, fest)| FusedFilter {
+        let filter = filter_parts.map(|(predicate, kernel, shape_key, fest)| FusedFilter {
             detail: render_expr(predicate, &scan_columns),
             predicate: predicate.clone(),
             kernel,
+            shape_key: shape_key.clone(),
             est: fest,
             meter: OpMetrics::default(),
         });
@@ -1715,6 +1723,7 @@ impl Operator for FusedAggregateScanSource {
         if let Some(f) = &self.filter {
             child = Description {
                 tags: vectorized_tag(true),
+                shape_key: f.shape_key.clone(),
                 ..Description::new("filter", f.detail.clone())
             }
             .assemble(&self.scan_columns, f.est, f.meter, [child]);

@@ -58,6 +58,18 @@ pub enum ArithOp {
     Div,
 }
 
+impl ArithOp {
+    /// SQL spelling of the operator.
+    pub fn sql(self) -> &'static str {
+        match self {
+            ArithOp::Add => "+",
+            ArithOp::Sub => "-",
+            ArithOp::Mul => "*",
+            ArithOp::Div => "/",
+        }
+    }
+}
+
 /// A runtime expression over a single (possibly join-composed) row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -326,21 +338,23 @@ fn three_valued_or(a: &Value, b: &Value) -> Value {
 }
 
 fn eval_arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value, StoreError> {
-    // Integer arithmetic stays integral when both sides are integers
-    // (except division by zero, which is an error).
-    if let (Value::Integer(a), Value::Integer(b)) = (l, r) {
-        return Ok(match op {
-            ArithOp::Add => Value::Integer(a + b),
-            ArithOp::Sub => Value::Integer(a - b),
-            ArithOp::Mul => Value::Integer(a * b),
-            ArithOp::Div => {
-                if *b == 0 {
-                    return Err(StoreError::Eval {
-                        message: "division by zero".into(),
-                    });
-                }
-                Value::Integer(a / b)
-            }
+    // Integer arithmetic stays integral when both sides are integers;
+    // division by zero and a result outside `i64` are errors, never a panic
+    // or a wrapped value.
+    if let (&Value::Integer(a), &Value::Integer(b)) = (l, r) {
+        if op == ArithOp::Div && b == 0 {
+            return Err(StoreError::Eval {
+                message: "division by zero".into(),
+            });
+        }
+        let result = match op {
+            ArithOp::Add => a.checked_add(b),
+            ArithOp::Sub => a.checked_sub(b),
+            ArithOp::Mul => a.checked_mul(b),
+            ArithOp::Div => a.checked_div(b),
+        };
+        return result.map(Value::Integer).ok_or_else(|| StoreError::Eval {
+            message: format!("integer overflow in {a} {} {b}", op.sql()),
         });
     }
     let (a, b) = match (l.as_f64(), r.as_f64()) {

@@ -1,14 +1,36 @@
-//! Shape fingerprinting shared by the observability ledger, the cardinality
-//! feedback store, and the plan cache.
+//! Shape fingerprinting: the names the engine files what it learns under.
 //!
-//! All three subsystems key state by *shape* rather than by exact text: two
-//! statements (or two operators) that differ only in their literals should
-//! land on the same key, so that what the engine learned from `a.name =
-//! 'Brad Pitt'` also applies to `a.name = 'G. Loucas'`. This module owns the
-//! FNV-1a hashing and the literal-normalization rules, so every consumer
-//! agrees byte-for-byte on what a shape is.
+//! State is keyed by *shape* rather than by exact text: what the engine
+//! learned from `a.name = 'Brad Pitt'` also applies to `a.name = 'G. Loucas'`.
+//!
+//! **Who makes a key, and who only carries it.** A pushed selection's
+//! [`ShapeKey`] is made once, by the planner, from the conjunct the user wrote
+//! (`talkback::planner::cost`, the only caller of [`feedback_shape`]), when
+//! the conjunct becomes a filter operator. The rest only carry it: the plan
+//! node ([`crate::exec::plan::PlanNode::Filter`]), the filter operator, its
+//! [`PlanProfile`] node, the feedback store ([`crate::adaptive`]) and the
+//! misestimate ledger ([`crate::obs`], as `"filter "` + the same shape); the
+//! next plan finds what was learned by making the same key from the same
+//! conjunct. A filter without a key — a residual above the joins, a `HAVING`,
+//! a hand-built plan — is one no plan looks up, and nothing is learned from it.
+//!
+//! [`normalize_predicate`] remains for what the planner never looks up: the
+//! ledger's display shape of an unkeyed operator, the doctor's statement
+//! shapes, and [`plan_shape_hash`].
 
 use crate::exec::stream::PlanProfile;
+
+/// The name of one pushed selection's shape: the stored table it selects on
+/// and the conjunct as written, with the relation's own columns spelled
+/// `alias.column` and every literal, plan parameter and enclosing block's
+/// column a `?` — `("MOVIES", "m.year > ?")`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShapeKey {
+    /// The stored table the selection reads.
+    pub table: String,
+    /// The literal-normalized conjunct.
+    pub shape: String,
+}
 
 /// FNV-1a offset basis (64-bit).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -86,25 +108,17 @@ pub fn normalize_predicate(detail: &str) -> String {
     out
 }
 
-/// Collapse plan parameters (`$0`, rendered `$?` after normalization) to
-/// plain `?` placeholders. The feedback store uses this on top of
-/// [`normalize_predicate`] so a parameterized plan template (`m.year > $0`)
-/// and its literal instantiation (`m.year > 2000`) share one feedback key;
-/// the obs ledger deliberately keeps `$?` distinct for display.
-pub fn collapse_params(shape: &str) -> String {
-    shape.replace("$?", "?")
-}
-
-/// The feedback-store key shape of a rendered operator detail: literals and
-/// plan parameters both become `?`.
-pub fn feedback_shape(detail: &str) -> String {
-    collapse_params(&normalize_predicate(detail))
+/// The shape half of a [`ShapeKey`], from the rendered conjunct: literals and
+/// plan parameters (`$0`) both become `?`, so a parameterized plan template
+/// (`m.year > $0`) and its literal instantiation (`m.year > 2000`) share one
+/// key.
+pub fn feedback_shape(conjunct: &str) -> String {
+    normalize_predicate(conjunct).replace("$?", "?")
 }
 
 /// The table a profiled operator is best attributed to: its own index
-/// access, or the leftmost scan underneath it. Shared by the misestimate
-/// ledger and the feedback store so both attribute an error to the same
-/// relation.
+/// access, or the leftmost scan underneath it. How the misestimate ledger
+/// files an operator that carries no [`ShapeKey`].
 pub fn profile_table(node: &PlanProfile) -> Option<String> {
     match node.table() {
         Some(table) => Some(table.to_string()),
@@ -132,7 +146,7 @@ mod tests {
             feedback_shape("a.name = 'Brad Pitt'"),
             feedback_shape("a.name = $3")
         );
-        // The obs-facing normalization still keeps the marker.
+        // An unkeyed operator's display shape keeps the marker.
         assert_eq!(normalize_predicate("g2.mid = $0"), "g2.mid = $?");
     }
 }

@@ -42,8 +42,8 @@ pub mod tuple;
 pub mod value;
 
 pub use adaptive::{
-    AdaptiveState, CacheLookup, CachedVerdict, EpochCause, FeedbackEntry, FeedbackNote, ParamKind,
-    PlanCache, PlanKey, Uncacheable,
+    AdaptiveState, CacheLookup, CachedVerdict, EpochCause, FeedbackEntry, ParamKind, PlanCache,
+    PlanKey, Uncacheable,
 };
 pub use catalog::Catalog;
 pub use database::Database;

@@ -16,8 +16,12 @@
 //!   execute, with per-operator child spans from the executed profile),
 //!   and est-vs-actual row counts.
 //! * the **misestimate ledger** — worst-offender cardinality errors keyed
-//!   by `(table, predicate shape)`, the exact feedback the ROADMAP's
-//!   adaptive-optimizer item wants to mine.
+//!   by `(table, operator + shape)`. A filter the planner named (a pushed
+//!   conjunct, [`crate::fingerprint::ShapeKey`]) is filed under that name —
+//!   the same table and shape the cardinality-feedback store learns under
+//!   and the planner looks up, so marking a shape corrected is one exact-key
+//!   update; every other operator is filed for display only, under its
+//!   leftmost table and its literal-normalized detail.
 //!
 //! The [`doctor`] submodule builds on all three: a cumulative workload
 //! ledger keyed by literal-normalized statement shape, the pattern miner
@@ -31,6 +35,7 @@ pub mod doctor;
 
 use crate::adaptive::Uncacheable;
 use crate::exec::stream::PlanProfile;
+use crate::fingerprint::{normalize_predicate, plan_shape_hash, profile_table};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -395,16 +400,6 @@ impl Span {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-shape hashing and predicate normalization
-// ---------------------------------------------------------------------------
-
-// The hashing and normalization rules moved to [`crate::fingerprint`] so the
-// feedback store and plan cache key state the same way the ledger does;
-// re-exported here because this module is where callers historically found
-// them.
-pub use crate::fingerprint::{normalize_predicate, plan_shape_hash};
-
-// ---------------------------------------------------------------------------
 // Query journal
 // ---------------------------------------------------------------------------
 
@@ -600,7 +595,7 @@ impl Journal {
 // ---------------------------------------------------------------------------
 
 /// Accumulated est-vs-actual error for one `(table, predicate shape)` key.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MisestimateStat {
     /// Flagged occurrences.
     pub count: u64,
@@ -809,20 +804,6 @@ impl ObsRegistry {
         self.misestimates.lock().expect("misestimates lock").clone()
     }
 
-    /// The ledger entry with the highest average error factor.
-    pub fn worst_misestimate(&self) -> Option<((String, String), MisestimateStat)> {
-        self.misestimates
-            .lock()
-            .expect("misestimates lock")
-            .iter()
-            .max_by(|a, b| {
-                a.1.avg_factor()
-                    .partial_cmp(&b.1.avg_factor())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(k, v)| (k.clone(), *v))
-    }
-
     /// Record one executed statement: phase latencies into the histograms, a
     /// journal entry with the full span tree, every flagged est-vs-actual
     /// error into the misestimate ledger, and the statement's workload facts
@@ -892,64 +873,56 @@ impl ObsRegistry {
         profile: &PlanProfile,
         flag_factor: f64,
     ) -> Option<(String, f64)> {
-        let mut worst: Option<(String, f64)> = None;
+        // Nothing flagged (the common statement): nothing to file, no lock.
+        let (worst, worst_factor) = profile.worst_misestimate(flag_factor)?;
         let mut ledger = self.misestimates.lock().expect("misestimates lock");
         profile.walk(&mut |node| {
             let Some(factor) = node.misestimate_with(flag_factor) else {
                 return;
             };
-            let detail = if node.detail.is_empty() {
-                node.operator.clone()
-            } else {
-                format!("{}: {}", node.operator, node.detail)
+            let key = match &node.shape_key {
+                Some(key) => ledger_key(&key.table, &key.shape),
+                None => (
+                    profile_table(node).unwrap_or_else(|| "(none)".to_string()),
+                    if node.detail.is_empty() {
+                        node.operator.clone()
+                    } else {
+                        format!("{} {}", node.operator, normalize_predicate(&node.detail))
+                    },
+                ),
             };
-            if worst.as_ref().is_none_or(|(_, f)| factor > *f) {
-                worst = Some((detail, factor));
-            }
-            let table =
-                crate::fingerprint::profile_table(node).unwrap_or_else(|| "(none)".to_string());
-            let shape = if node.detail.is_empty() {
-                node.operator.clone()
-            } else {
-                format!("{} {}", node.operator, normalize_predicate(&node.detail))
-            };
-            let est = node.estimated_rows.unwrap_or(0.0).round().max(0.0) as u64;
-            let stat = ledger.entry((table, shape)).or_insert(MisestimateStat {
-                count: 0,
-                sum_factor: 0.0,
-                max_factor: 0.0,
-                last_estimated: 0,
-                last_actual: 0,
-                corrected: false,
-            });
+            let stat = ledger.entry(key).or_default();
             stat.count += 1;
             stat.sum_factor += factor;
             stat.max_factor = stat.max_factor.max(factor);
-            stat.last_estimated = est;
+            stat.last_estimated = node.estimated_rows.unwrap_or(0.0).round().max(0.0) as u64;
             stat.last_actual = node.metrics.rows_out;
         });
-        worst
+        let detail = if worst.detail.is_empty() {
+            worst.operator.clone()
+        } else {
+            format!("{}: {}", worst.operator, worst.detail)
+        };
+        Some((detail, worst_factor))
     }
 
-    /// Mark every ledger entry for `table` whose shape matches the given
-    /// feedback-store key as corrected: the planner has applied a
-    /// cardinality-feedback override learned from it. Ledger keys prefix the
-    /// operator name (`filter a.x = ?`) and keep plan parameters (`$?`)
-    /// distinct, while the feedback store stores the bare collapsed
-    /// predicate, so matching strips the `filter ` prefix and goes through
-    /// [`crate::fingerprint::collapse_params`].
-    pub fn mark_corrected(&self, table: &str, feedback_shape: &str) {
+    /// Mark the ledger entry of a filter the planner named (the two halves of
+    /// its [`crate::fingerprint::ShapeKey`]) as corrected: the planner has
+    /// applied a cardinality-feedback override learned from it.
+    pub fn mark_corrected(&self, table: &str, shape: &str) {
         if !self.enabled() {
             return;
         }
         let mut ledger = self.misestimates.lock().expect("misestimates lock");
-        for ((t, shape), stat) in ledger.iter_mut() {
-            let predicate = shape.strip_prefix("filter ").unwrap_or(shape);
-            if t == table && crate::fingerprint::collapse_params(predicate) == feedback_shape {
-                stat.corrected = true;
-            }
+        if let Some(stat) = ledger.get_mut(&ledger_key(table, shape)) {
+            stat.corrected = true;
         }
     }
+}
+
+/// Where the ledger files a filter the planner named.
+fn ledger_key(table: &str, shape: &str) -> (String, String) {
+    (table.to_string(), format!("filter {shape}"))
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 
 use datastore::exec::ResultSet;
 use datastore::obs::Counter;
-use talkback::{PlannerOptions, Talkback};
+use talkback::{PlanDecision, PlannerOptions, Talkback};
 
 /// Normalize whitespace so narrative comparisons are robust to incidental
 /// spacing differences (double spaces, trailing spaces before punctuation).
@@ -34,6 +34,51 @@ pub fn counted_run(system: &Talkback, sql: &str, options: PlannerOptions) -> (Re
     let answer = system.run_query_with(sql, options).unwrap();
     let after = read();
     (answer, after.0 - before.0, after.1 - before.1)
+}
+
+/// Recorded ⇒ found. Run `sql` once with a flagging threshold so low that
+/// nearly every filter is a misestimate, then plan it again: every key the
+/// feedback store filed something under in that run must come back as a
+/// [`PlanDecision::Feedback`] naming that table and shape — what the executor
+/// recorded is what the planner looks up. Returns the keys the run touched.
+pub fn assert_recorded_feedback_is_found(
+    system: &Talkback,
+    sql: &str,
+    options: PlannerOptions,
+) -> Vec<(String, String)> {
+    let options = PlannerOptions {
+        misestimate_factor: 1.01,
+        ..options
+    };
+    let adaptive = system.database().adaptive();
+    let before = adaptive.feedback();
+    system
+        .run_query_with(sql, options)
+        .unwrap_or_else(|e| panic!("{sql}\nfailed under {options:?}: {e}"));
+    let after = adaptive.feedback();
+    let mut touched = Vec::new();
+    for (table, shapes) in after.iter() {
+        for (shape, entry) in shapes {
+            let known = before.get(table).and_then(|shapes| shapes.get(shape));
+            if known.map(|e| e.observations) != Some(entry.observations) {
+                touched.push((table.clone(), shape.clone()));
+            }
+        }
+    }
+    let replanned = system
+        .explain_plan_with(sql, options)
+        .unwrap_or_else(|e| panic!("{sql}\nfailed to plan again: {e}"));
+    for (table, shape) in &touched {
+        let found = replanned.decisions.iter().any(|d| {
+            matches!(d, PlanDecision::Feedback { table: t, shape: s, .. } if t == table && s == shape)
+        });
+        assert!(
+            found,
+            "{sql}\nrecorded ({table}, {shape}) and the next plan did not look it up:\n{}",
+            replanned.tree
+        );
+    }
+    touched
 }
 
 /// Replace every duration token (`412 µs`, `3.8 ms`, `1.20 s`) with `<t>`

@@ -9,15 +9,15 @@
 //! every feedback × cache × parallelism combination.
 
 use datastore::obs::Counter;
-use datastore::sample::movie_database;
+use datastore::sample::{movie_database, scaled_movie_database, ScaleConfig};
 use datastore::{
-    CacheStatus, ColumnDef, DataType, Database, IndexDef, IndexKind, TableSchema, Uncacheable,
-    Value,
+    CacheStatus, ColumnDef, DataType, Database, EpochCause, IndexDef, IndexKind, TableSchema,
+    Uncacheable, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use talkback::{PlanDecision, PlannerOptions, Talkback};
-use talkback_tests::counted_run;
+use talkback_tests::{assert_recorded_feedback_is_found, counted_run};
 
 /// The paper's nine example queries (same SQL as the indexes suite).
 const PAPER_QUERIES: &[&str] = &[
@@ -281,6 +281,196 @@ fn show_misestimates_reports_corrected_shapes() {
         "{}",
         report.narration
     );
+}
+
+/// Regression: feedback used to be learned from *every* flagged filter, under
+/// a key guessed from the executed tree — also from filters no plan ever looks
+/// up (a residual over two tables, charged to the leftmost scan). Each run
+/// then bumped the epoch for nothing and took every cached plan with it. A
+/// filter the planner did not name teaches nothing now: no entry, no bump,
+/// and the lookups interleaved with it keep hitting. The ledger still shows
+/// the misestimate.
+#[test]
+fn an_unfindable_misestimate_no_longer_flushes_the_plan_cache() {
+    let residual = "select m.title from MOVIES m, CAST c \
+                    where m.id = c.mid and m.year + c.aid > 100000";
+    for (statement, runs, ledger_shape) in [
+        (residual, 4, "filter m.year + c.aid > ?"),
+        (PAPER_QUERIES[8], 1, "filter m1.id <> m2.id"),
+    ] {
+        let system = Talkback::new(scaled_movie_database(ScaleConfig::default()));
+        let (obs, adaptive) = (system.database().obs(), system.database().adaptive());
+        let mut lookups = 0;
+        let mut lookup = |id: i64| {
+            let sql = format!("select m.title from MOVIES m where m.id = {id}");
+            system.run_query_with(&sql, sequential()).unwrap();
+            lookups += 1;
+        };
+        lookup(1);
+        for round in 0..runs {
+            system.run_query_with(statement, sequential()).unwrap();
+            lookup(2 + 2 * round);
+            lookup(3 + 2 * round);
+        }
+        assert_eq!(
+            adaptive.epoch_cause_counts()[EpochCause::Feedback as usize],
+            0,
+            "{statement}"
+        );
+        assert!(adaptive.feedback().is_empty(), "{:?}", adaptive.feedback());
+        assert_eq!(
+            obs.counter(Counter::PlanCacheHits),
+            lookups - 1,
+            "{statement}"
+        );
+        let ledger = obs.misestimates();
+        assert!(
+            ledger.keys().any(|(_, shape)| shape == ledger_shape),
+            "the ledger should still show {ledger_shape}: {:?}",
+            ledger.keys()
+        );
+    }
+}
+
+/// Recorded ⇒ found, for every way a pushed conjunct can be written: the
+/// planner names the conjunct once and the executor only carries the name, so
+/// whatever one run learns the next plan looks up. (A plan-cache template
+/// carries the same names as the statement it was made from, or it would not
+/// have been cached: `lookup_shapes_still_bind_to_their_fresh_plan`.)
+#[test]
+fn what_a_run_records_the_next_plan_finds() {
+    // NOTES.note is NULL exactly where id <= 20: the statistics know how many
+    // NULLs there are, not where, so a NULL test beside an id range misses.
+    let mut db = scaled_movie_database(ScaleConfig::default());
+    db.create_table(
+        TableSchema::new(
+            "NOTES",
+            vec![
+                ColumnDef::new("id", DataType::Integer),
+                ColumnDef::nullable("note", DataType::Text),
+            ],
+        )
+        .with_primary_key(&["id"]),
+    )
+    .unwrap();
+    for id in 1..=200i64 {
+        let note = if id <= 20 {
+            Value::Null
+        } else {
+            Value::text("seen")
+        };
+        db.insert("NOTES", vec![Value::int(id), note]).unwrap();
+    }
+    let system = Talkback::new(db);
+    let uncached = PlannerOptions {
+        use_plan_cache: false,
+        ..sequential()
+    };
+    let movies = "select m.title from MOVIES m where";
+    let notes = "select n.id from NOTES n where n.id <= 20 and";
+    let conjuncts = [
+        (movies, "m.year > 1990", "m.year > ?"),
+        (movies, "1990 < m.year", "? < m.year"),
+        (
+            movies,
+            "m.year between 1980 and 1995",
+            "m.year BETWEEN ? AND ?",
+        ),
+        (
+            movies,
+            "m.year not between 1980 and 1995",
+            "m.year NOT BETWEEN ? AND ?",
+        ),
+        (movies, "m.id in (1, 2, 300)", "m.id IN (?, ?, ?)"),
+        (
+            movies,
+            "m.title not in ('Troy', 'Seven')",
+            "m.title NOT IN (?, ?)",
+        ),
+        (movies, "m.title like 'The%'", "m.title LIKE ?"),
+        (movies, "m.title not like '%''s %'", "m.title NOT LIKE ?"),
+        (notes, "n.note is null", "n.note IS NULL"),
+        (notes, "n.note is not null", "n.note IS NOT NULL"),
+        (movies, "not (m.year = 1990)", "NOT (m.year = ?)"),
+        (movies, "m.year + 1 > 1990", "m.year + ? > ?"),
+        (
+            movies,
+            "m.year > 1990 or m.title = 'Troy'",
+            "m.year > ? OR m.title = ?",
+        ),
+        // Unqualified and oddly-cased references are the same column — and
+        // the same shape as the first statement's, whose observed selectivity
+        // these two are planned with (and, at another bound, correct again).
+        (movies, "year > 1960", "m.year > ?"),
+        (movies, "M.YEAR > 2005", "m.year > ?"),
+    ];
+    for (select, conjunct, shape) in conjuncts {
+        let sql = format!("{select} {conjunct}");
+        let touched = assert_recorded_feedback_is_found(&system, &sql, uncached);
+        assert!(
+            touched.iter().any(|(_, s)| s == shape),
+            "{conjunct} should have been recorded as {shape}: {touched:?}"
+        );
+    }
+    // A correlated selection: the enclosing block's column is a constant too.
+    let nested = "select m.title from MOVIES m where exists \
+                  (select * from CAST c, ACTOR a where c.aid > m.id and a.id = c.aid)";
+    let touched = assert_recorded_feedback_is_found(&system, nested, uncached);
+    assert!(
+        touched.contains(&("CAST".to_string(), "c.aid > ?".to_string())),
+        "{touched:?}"
+    );
+}
+
+/// `lookup`'s cacheable shapes still template: a bound template equals the
+/// fresh plan node for node — the shape keys included, a `$0` and a literal
+/// being the same `?` — so the second literal of each shape is a hit.
+#[test]
+fn lookup_shapes_still_bind_to_their_fresh_plan() {
+    let mut system = Talkback::new(scaled_movie_database(ScaleConfig::default()));
+    for ddl in [
+        "create index idx_cast_mid_aid on CAST (mid, aid)",
+        "create index idx_actor_name on ACTOR (name) using hash",
+    ] {
+        system.execute_ddl(ddl).unwrap();
+    }
+    let names = system
+        .database()
+        .table("ACTOR")
+        .unwrap()
+        .column_values("name");
+    let name = |i: usize| names[i].as_str().unwrap().replace('\'', "''");
+    let shapes: [&dyn Fn(usize) -> String; 5] = [
+        &|i| format!("select m.title from MOVIES m where m.id = {}", i + 1),
+        &|i| format!("select c.role from CAST c where c.mid = {}", i + 1),
+        &|i| {
+            format!(
+                "select m.title from ACTOR a, CAST c, MOVIES m \
+                 where a.name = '{}' and c.aid = a.id and m.id = c.mid",
+                name(i)
+            )
+        },
+        &|i| format!("select c.mid, c.aid from CAST c where c.mid = {}", i + 1),
+        // A pushed filter above the probe: its key is part of the template.
+        &|i| {
+            format!(
+                "select m.title from MOVIES m where m.id = {} and m.year = 1990",
+                i + 1
+            )
+        },
+    ];
+    let obs = system.database().obs();
+    for (n, shape) in shapes.iter().enumerate() {
+        for i in 0..3 {
+            system.run_query_with(&shape(i), sequential()).unwrap();
+        }
+        assert_eq!(
+            obs.counter(Counter::PlanCacheHits),
+            2 * (n as u64 + 1),
+            "{}",
+            shape(0)
+        );
+    }
 }
 
 /// Repeated point lookups — different literals, same shape — hit the plan

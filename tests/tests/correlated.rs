@@ -19,6 +19,7 @@ use datastore::{Database, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use talkback::{PlannerOptions, Talkback};
+use talkback_tests::assert_recorded_feedback_is_found;
 
 fn seeds() -> Vec<u64> {
     let mut seeds = vec![0x0019_0001, 0x0019_0002];
@@ -422,6 +423,7 @@ fn differential(seed: u64, schema: &Schema, db: Database) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut drawn = Vec::new();
     let mut non_empty = 0;
+    let mut learned = 0;
     for kind in KINDS {
         for correlation in CORRELATIONS {
             for shape in BODIES {
@@ -436,6 +438,13 @@ fn differential(seed: u64, schema: &Schema, db: Database) -> usize {
                         expected.len()
                     );
                 }
+                // Recorded ⇒ found: whatever this run teaches the feedback
+                // store, the statement's next plan looks up.
+                let uncached = PlannerOptions {
+                    use_plan_cache: false,
+                    ..PlannerOptions::sequential()
+                };
+                learned += assert_recorded_feedback_is_found(&system, &sql, uncached).len();
                 non_empty += usize::from(!expected.is_empty());
                 drawn.push(what);
             }
@@ -453,6 +462,10 @@ fn differential(seed: u64, schema: &Schema, db: Database) -> usize {
         non_empty >= drawn.len() / 4,
         "seed {seed}: only {non_empty} of {} answers have rows",
         drawn.len()
+    );
+    assert!(
+        learned >= drawn.len() / 4,
+        "seed {seed}: only {learned} filters taught the planner anything"
     );
     drawn.len()
 }

@@ -356,3 +356,55 @@ fn empty_result_detective_reads_counters_from_one_run() {
     assert!(pred.contains("Nobody Nowhere"));
     assert_eq!(*reached, 6);
 }
+
+/// Regression: integer `+ - * /` ran unchecked, so `i64::MIN / -1` panicked
+/// in every build and a sum past `i64::MAX` panicked in a debug build and
+/// wrapped — silently losing every row of a `WHERE` — in a release one. Each
+/// is a typed evaluation error naming the operation and its operands, in a
+/// `WHERE` and in a projection, on the row-at-a-time and the vectorized path.
+#[test]
+fn integer_overflow_is_a_typed_error_not_a_panic_or_a_wrong_answer() {
+    use talkback::{PlannerOptions, TalkbackError};
+    let system = Talkback::new(movie_database());
+    let cases = [
+        (
+            "select (0 - 9223372036854775807 - 1) / (m.id - m.id - 1) from MOVIES m",
+            "integer overflow in -9223372036854775808 / -1",
+        ),
+        (
+            "select m.title from MOVIES m where m.id = 1 and m.year + 9223372036854775807 > 0",
+            "integer overflow in 2005 + 9223372036854775807",
+        ),
+        (
+            "select m.id - 9223372036854775807 - 9223372036854775807 from MOVIES m where m.id = 1",
+            "integer overflow in -9223372036854775806 - 9223372036854775807",
+        ),
+        (
+            "select m.title from MOVIES m where m.id = 2 and m.id * 9223372036854775807 > 0",
+            "integer overflow in 2 * 9223372036854775807",
+        ),
+    ];
+    for (sql, message) in cases {
+        for use_vectorized in [false, true] {
+            let options = PlannerOptions {
+                use_vectorized,
+                ..PlannerOptions::sequential()
+            };
+            match system.run_query_with(sql, options) {
+                Err(TalkbackError::Store(datastore::StoreError::Eval { message: got })) => {
+                    assert_eq!(got, message, "{sql}")
+                }
+                other => panic!("{sql}\nshould fail to evaluate, got {other:?}"),
+            }
+        }
+    }
+    // Arithmetic that fits still answers, and division by zero keeps its own
+    // message.
+    let fits = "select m.id * 2 - 1 from MOVIES m where m.id + 9223372036854775797 > 0";
+    assert_eq!(system.run_query(fits).unwrap().len(), 10);
+    let by_zero = system.run_query("select m.id / (m.id - m.id) from MOVIES m");
+    assert_eq!(
+        by_zero.unwrap_err().to_string(),
+        "evaluation error: division by zero"
+    );
+}

@@ -134,9 +134,18 @@ fn random_query(rng: &mut StdRng) -> String {
 #[test]
 fn random_queries_agree_across_the_full_ab_matrix() {
     let db = scaled_db();
+    // Its own database: what this one learns must not steer the plans below.
+    let learner = Talkback::new(scaled_db());
     let mut rng = StdRng::seed_from_u64(0xDB06);
     for _ in 0..48 {
         let sql = random_query(&mut rng);
+        // Recorded ⇒ found: whatever a run of this statement teaches the
+        // feedback store, its next plan looks up.
+        let uncached = PlannerOptions {
+            use_plan_cache: false,
+            ..PlannerOptions::sequential()
+        };
+        talkback_tests::assert_recorded_feedback_is_found(&learner, &sql, uncached);
         let q = parse_query(&sql).unwrap_or_else(|e| panic!("generated bad SQL {sql:?}: {e}"));
         let mut baseline: Option<Vec<datastore::Row>> = None;
         for vectorized in [false, true] {
