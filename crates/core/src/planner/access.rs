@@ -108,7 +108,7 @@ pub(super) fn literal_value(l: &Literal) -> Value {
     match l {
         Literal::Integer(i) => Value::Integer(*i),
         Literal::Float(f) => Value::Float(*f),
-        Literal::String(s) => Value::Text(s.clone()),
+        Literal::String(s) => Value::Text(s.as_str().into()),
         Literal::Boolean(b) => Value::Boolean(*b),
         Literal::Null => Value::Null,
     }

@@ -17,8 +17,9 @@
 //! * Aggregates whose every argument is `*` or a plain column accumulate
 //!   through the typed kernels; a computed argument keeps the whole
 //!   aggregation row-at-a-time.
-//! * Hash joins compute probe keys column-major (the key kernel has a
-//!   per-column fallback, so it is always applicable — no decision logged).
+//! * Hash joins carry the mark (`[vectorized]`, one vector counted per probe
+//!   batch) whenever the option is on: the probe has one form — a reused key
+//!   per row — so there is nothing to reject and no decision is logged.
 //!
 //! Whatever [`PlannerOptions::use_vectorized`] says, the pass also records,
 //! when parallelism is on, whether each hash-join build side clears

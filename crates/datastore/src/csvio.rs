@@ -125,7 +125,7 @@ fn parse_cell(cell: &str, dt: DataType) -> Value {
         DataType::Date => Date::parse_iso(cell)
             .map(Value::Date)
             .unwrap_or(Value::Null),
-        DataType::Text => Value::Text(cell.to_string()),
+        DataType::Text => Value::Text(cell.into()),
     }
 }
 

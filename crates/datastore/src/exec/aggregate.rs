@@ -197,14 +197,14 @@ impl Accumulator {
         match self.func {
             AggFunc::Count => self.count += 1,
             AggFunc::CountDistinct => {
-                self.distinct.insert(GroupKey::Text(v.to_string()));
+                self.distinct.insert(GroupKey::Text(v.into()));
             }
             // Text has no numeric value: SUM/AVG ignore it, per `update`.
             AggFunc::Sum | AggFunc::Avg => {}
             AggFunc::Min => {
                 let better = match &self.min {
                     None => true,
-                    Some(Value::Text(cur)) => v < cur.as_str(),
+                    Some(Value::Text(cur)) => v < &**cur,
                     Some(cur) => Value::text(v).total_cmp(cur).is_lt(),
                 };
                 if better {
@@ -214,7 +214,7 @@ impl Accumulator {
             AggFunc::Max => {
                 let better = match &self.max {
                     None => true,
-                    Some(Value::Text(cur)) => v > cur.as_str(),
+                    Some(Value::Text(cur)) => v > &**cur,
                     Some(cur) => Value::text(v).total_cmp(cur).is_gt(),
                 };
                 if better {
@@ -708,9 +708,8 @@ impl GroupedAggregator {
     pub fn finish(self, having: Option<&Expr>) -> Result<Vec<Row>, StoreError> {
         let mut out = Vec::with_capacity(self.groups.len());
         for (group_values, accs) in &self.groups {
-            let mut values = group_values.clone();
-            values.extend(accs.iter().map(Accumulator::finish));
-            let row = Row::new(values);
+            let results = accs.iter().map(Accumulator::finish);
+            let row: Row = group_values.iter().cloned().chain(results).collect();
             let keep = match having {
                 None => true,
                 Some(h) => h.eval_predicate(&row)?,

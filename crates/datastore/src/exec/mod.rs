@@ -84,6 +84,34 @@
 //! [`plan::Plan::scale_to_row_goal`]; `EXPLAIN` tags the subplan root
 //! `[first-row]`.
 //!
+//! # The sort goal
+//!
+//! The other thing a consumer can say about how much it wants: a limit opens
+//! its input with its `k`, and a sort that finds itself directly under one
+//! keeps the first `k` rows of its order instead of all of them
+//! ([`stream::top_k`]: the stable sort's first `k`, ties to the earlier input
+//! row, found by selection, never holding more than `2·max(k, BATCH_SIZE)`
+//! rows) and emits `k` — what the planner already estimates for it. The goal
+//! travels that one step and no further; a sort anywhere else sorts
+//! everything. An `ORDER BY … LIMIT k` the planner pushed below an exchange
+//! ([`plan::GatherMode::TopK`]) keeps its runs with the same function, in
+//! each worker and in the gather.
+//!
+//! # Rows are shared, not copied
+//!
+//! A [`Row`](crate::tuple::Row) is a handle on one shared allocation and a
+//! text value a handle on one shared string, so **handing a stored row on
+//! costs a reference count; only an operator that creates a row allocates
+//! one** — scan, filter, limit, distinct, sort and both join builds create
+//! none. A projection of plain columns, a join output and an aggregate
+//! result are new rows: one allocation each, the values in them counted
+//! references to the strings they came from. A projection that keeps every
+//! input column in place is no new row either. A hash join's build places
+//! the rows it was handed side by side, one run per key in build order, and
+//! allocates per *distinct* key; its probe, and the semi-join's, refill one
+//! key per row. Writers never see any of this: `Row::get_mut` copies a row
+//! that anyone else still holds before it changes it.
+//!
 //! Operator trees are owned (`Arc` table handles, no borrowed lifetimes), so
 //! subtrees are `Send` and the [`parallel`] layer can execute pipelines
 //! morsel-by-morsel across worker threads via [`plan::PlanNode::Exchange`] —
@@ -94,10 +122,10 @@
 //! `ORDER BY … LIMIT k`.
 //!
 //! The [`vector`] module holds the columnar side of the executor: typed
-//! [`vector::ValueVector`] batches with null bitmaps, and the comparison /
-//! hash-key kernels that the filter, hash join, and aggregate operators use
-//! when the planner marks them `[vectorized]` — with a per-row fallback that
-//! keeps results byte-identical when a batch defies the typed layout.
+//! [`vector::ValueVector`] batches with null bitmaps, and the comparison
+//! kernels that the filter and aggregate operators use when the planner
+//! marks them `[vectorized]` — with a per-row fallback that keeps results
+//! byte-identical when a batch defies the typed layout.
 
 pub mod aggregate;
 pub mod executor;

@@ -54,14 +54,14 @@ use crate::exec::aggregate::{Accumulator, GroupedAggregator};
 use crate::exec::plan::{aggregate_output_columns, ColumnInfo, GatherMode, Plan};
 use crate::exec::profile::{plural, relation_label, Description, OpMetrics, PlanProfile};
 use crate::exec::stream::{
-    drain_pending, open_in, sort_rows, ExecContext, OpenEnv, Operator, RowSource,
+    drain_pending, open_in, top_k, ExecContext, OpenEnv, Operator, RowSource,
 };
 use crate::obs::Counter;
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
@@ -80,34 +80,53 @@ pub fn morsel_size(len: usize, workers: usize) -> usize {
     (len / (workers.max(1) * 4)).max(MORSEL_MIN)
 }
 
-/// Which partition of `parts` a join key hashes to. Uses a dedicated hasher
-/// (not the map's) so partitioning is stable regardless of map internals.
+/// The hasher of the join and semi-join key maps: multiply and rotate, one
+/// step per 8 bytes. The keys are values this process read out of its own
+/// tables, hashed for the length of one statement — nobody gets to choose
+/// them against a hash they cannot observe — so SipHash's per-key set-up,
+/// most of what hashing a one-integer key cost, buys nothing here.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits on top; the map indexes with the
+        // low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type KeyMap<V> = HashMap<Vec<GroupKey>, V, BuildHasherDefault<KeyHasher>>;
+type KeySet = HashSet<Vec<GroupKey>, BuildHasherDefault<KeyHasher>>;
+
+/// Which partition of `parts` a join key hashes to (the only one, after a
+/// sequential build) — by the high half of the hash, so the keys that meet in
+/// one partition still differ in the low bits that partition's map indexes
+/// with.
 fn part_of(key: &[GroupKey], parts: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    if parts == 1 {
+        return 0;
+    }
+    let mut h = KeyHasher::default();
     key.hash(&mut h);
-    (h.finish() as usize) % parts
+    ((h.finish() >> 32) as usize) % parts
 }
-
-// ---------------------------------------------------------------------------
-// Join index (hash-join build side)
-// ---------------------------------------------------------------------------
-
-/// The build side of a hash join: key → build rows, hash-partitioned when
-/// built in parallel. Lookups hit exactly one partition; rows within a key
-/// keep their original build order in either mode, so probe output is
-/// identical to a single-threaded, single-map build.
-#[derive(Debug)]
-pub struct JoinIndex {
-    parts: Vec<HashMap<Vec<GroupKey>, Vec<Row>>>,
-}
-
-/// One scatter worker's output: a `(key, row)` list per hash partition.
-type ScatterBuckets = Vec<Vec<(Vec<GroupKey>, Row)>>;
 
 /// Split rows into up to `workers` contiguous *owned* chunks, preserving
 /// order, so scatter threads move rows into their buckets instead of
-/// cloning them. Both partitioned builders ([`JoinIndex::build`],
-/// [`SemiBuild::build`]) rely on chunk contiguity for their
+/// cloning them. The partitioned builds rely on chunk contiguity for their
 /// order-preservation invariant: concatenating per-chunk buckets in chunk
 /// order reproduces the original row order within every partition.
 fn split_chunks(mut rows: Vec<Row>, workers: usize) -> Vec<Vec<Row>> {
@@ -121,6 +140,136 @@ fn split_chunks(mut rows: Vec<Row>, workers: usize) -> Vec<Vec<Row>> {
     chunks
 }
 
+/// One thread per share, the results in share order: both phases of a
+/// partitioned build.
+fn on_threads<T: Send, P: Send>(shares: Vec<T>, work: impl Fn(T) -> P + Sync) -> Vec<P> {
+    let work = &work;
+    thread::scope(|s| {
+        let handles: Vec<_> = shares
+            .into_iter()
+            .map(|share| s.spawn(move || work(share)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("build worker panicked"))
+            .collect()
+    })
+}
+
+/// Phase 1 of both partitioned builds: `workers` threads each take a
+/// contiguous chunk of the rows and deal what `place` returns for a row with
+/// a NULL-free key into that key's partition; the second result says whether
+/// any key held a NULL. Per partition, the chunks' shares are concatenated in
+/// chunk order — the original row order. Phase 2 is [`on_threads`] over the
+/// partitions.
+fn scatter_by_key<T: Send>(
+    rows: Vec<Row>,
+    key_cols: &[usize],
+    workers: usize,
+    place: impl Fn(Row, &[GroupKey]) -> T + Sync,
+) -> (Vec<Vec<T>>, bool) {
+    let scattered = on_threads(split_chunks(rows, workers), |chunk_rows| {
+        let mut buckets: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut null_key = false;
+        let mut key = Vec::with_capacity(key_cols.len());
+        for row in chunk_rows {
+            row.group_key_into(key_cols, &mut key);
+            if key.contains(&GroupKey::Null) {
+                null_key = true;
+                continue;
+            }
+            buckets[part_of(&key, workers)].push(place(row, &key));
+        }
+        (buckets, null_key)
+    });
+    let mut null_key = false;
+    let mut per_part: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+    for (buckets, saw_null) in scattered {
+        null_key |= saw_null;
+        for (part, bucket) in per_part.iter_mut().zip(buckets) {
+            part.extend(bucket);
+        }
+    }
+    (per_part, null_key)
+}
+
+// ---------------------------------------------------------------------------
+// Join index (hash-join build side)
+// ---------------------------------------------------------------------------
+
+/// The build side of a hash join: key → build rows, hash-partitioned when
+/// built in parallel. Lookups hit exactly one partition; rows within a key
+/// keep their original build order in either mode, so probe output is
+/// identical to a single-threaded, single-map build.
+#[derive(Debug)]
+pub struct JoinIndex {
+    parts: Vec<JoinPart>,
+}
+
+/// One partition: its rows, grouped — every key's rows side by side, in build
+/// order — and where each key's run lies.
+#[derive(Debug)]
+struct JoinPart {
+    /// Key → its group, numbered in order of first appearance.
+    groups: KeyMap<usize>,
+    /// Group `g`'s rows are `rows[bounds[g]..bounds[g + 1]]`.
+    bounds: Vec<usize>,
+    rows: Vec<Row>,
+}
+
+impl JoinPart {
+    /// Group `rows` by key. A key is allocated once, when it is first seen;
+    /// every other row resolves to its group through the one scratch key,
+    /// and is then moved — not copied — to its place in its group's run.
+    /// Rows whose key holds a NULL join nothing and are dropped.
+    fn build(rows: Vec<Row>, key_cols: &[usize]) -> JoinPart {
+        let mut groups = KeyMap::default();
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut group_of: Vec<Option<usize>> = Vec::with_capacity(rows.len());
+        let mut key = Vec::with_capacity(key_cols.len());
+        for row in &rows {
+            row.group_key_into(key_cols, &mut key);
+            if key.contains(&GroupKey::Null) {
+                group_of.push(None);
+                continue;
+            }
+            let group = match groups.get(key.as_slice()) {
+                Some(&group) => group,
+                None => {
+                    groups.insert(key.clone(), sizes.len());
+                    sizes.push(0);
+                    sizes.len() - 1
+                }
+            };
+            sizes[group] += 1;
+            group_of.push(Some(group));
+        }
+        let mut bounds = Vec::with_capacity(sizes.len() + 1);
+        bounds.push(0);
+        for size in &sizes {
+            bounds.push(bounds[bounds.len() - 1] + size);
+        }
+        let mut next = bounds.clone();
+        let mut placed: Vec<Option<Row>> = vec![None; bounds[sizes.len()]];
+        for (row, group) in rows.into_iter().zip(group_of) {
+            if let Some(group) = group {
+                placed[next[group]] = Some(row);
+                next[group] += 1;
+            }
+        }
+        JoinPart {
+            groups,
+            bounds,
+            rows: placed.into_iter().flatten().collect(),
+        }
+    }
+
+    fn lookup(&self, key: &[GroupKey]) -> Option<&[Row]> {
+        let &group = self.groups.get(key)?;
+        Some(&self.rows[self.bounds[group]..self.bounds[group + 1]])
+    }
+}
+
 impl JoinIndex {
     /// Build from materialized build-side rows. NULL keys never participate
     /// in SQL equality and are dropped. With `workers > 1` and at least
@@ -128,78 +277,19 @@ impl JoinIndex {
     /// each partition's table is built by its own thread.
     pub fn build(rows: Vec<Row>, key_cols: &[usize], workers: usize) -> JoinIndex {
         if workers <= 1 || rows.len() < PARALLEL_BUILD_MIN {
-            let mut map: HashMap<Vec<GroupKey>, Vec<Row>> = HashMap::new();
-            for row in rows {
-                let key = row.group_key(key_cols);
-                if key.contains(&GroupKey::Null) {
-                    continue;
-                }
-                map.entry(key).or_default().push(row);
-            }
-            return JoinIndex { parts: vec![map] };
+            return JoinIndex {
+                parts: vec![JoinPart::build(rows, key_cols)],
+            };
         }
-        let parts = workers;
-        // Phase 1: each worker scatters its chunk of rows into per-partition
-        // buckets. Chunks are contiguous, so concatenating bucket lists in
-        // chunk order preserves the original build order within a partition.
-        let scattered: Vec<ScatterBuckets> = thread::scope(|s| {
-            let handles: Vec<_> = split_chunks(rows, workers)
-                .into_iter()
-                .map(|chunk_rows| {
-                    s.spawn(move || {
-                        let mut buckets: ScatterBuckets = vec![Vec::new(); parts];
-                        for row in chunk_rows {
-                            let key = row.group_key(key_cols);
-                            if key.contains(&GroupKey::Null) {
-                                continue;
-                            }
-                            buckets[part_of(&key, parts)].push((key, row));
-                        }
-                        buckets
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("build scatter worker panicked"))
-                .collect()
-        });
-        let mut per_part: Vec<Vec<(Vec<GroupKey>, Row)>> = vec![Vec::new(); parts];
-        for worker_buckets in scattered {
-            for (p, bucket) in worker_buckets.into_iter().enumerate() {
-                per_part[p].extend(bucket);
-            }
+        let (per_part, _) = scatter_by_key(rows, key_cols, workers, |row, _| row);
+        JoinIndex {
+            parts: on_threads(per_part, |rows| JoinPart::build(rows, key_cols)),
         }
-        // Phase 2: one thread per partition builds that partition's table.
-        let maps: Vec<HashMap<Vec<GroupKey>, Vec<Row>>> = thread::scope(|s| {
-            let handles: Vec<_> = per_part
-                .into_iter()
-                .map(|pairs| {
-                    s.spawn(move || {
-                        let mut map: HashMap<Vec<GroupKey>, Vec<Row>> = HashMap::new();
-                        for (key, row) in pairs {
-                            map.entry(key).or_default().push(row);
-                        }
-                        map
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("build merge worker panicked"))
-                .collect()
-        });
-        JoinIndex { parts: maps }
     }
 
     /// Build rows matching a probe key, in build order.
     pub fn lookup(&self, key: &[GroupKey]) -> Option<&[Row]> {
-        let part = if self.parts.len() == 1 {
-            0
-        } else {
-            part_of(key, self.parts.len())
-        };
-        self.parts[part].get(key).map(Vec::as_slice)
+        self.parts[part_of(key, self.parts.len())].lookup(key)
     }
 
     /// Number of hash partitions (1 for a sequential build).
@@ -209,7 +299,7 @@ impl JoinIndex {
 
     /// Total distinct keys across partitions.
     pub fn key_count(&self) -> usize {
-        self.parts.iter().map(HashMap::len).sum()
+        self.parts.iter().map(|part| part.groups.len()).sum()
     }
 }
 
@@ -218,7 +308,7 @@ impl JoinIndex {
 /// two flags `NOT IN`'s three-valued NULL semantics need.
 #[derive(Debug)]
 pub struct SemiBuild {
-    parts: Vec<HashSet<Vec<GroupKey>>>,
+    parts: Vec<KeySet>,
     /// Whether the build side produced any rows at all.
     pub any_rows: bool,
     /// Whether any build key contained a NULL.
@@ -232,15 +322,16 @@ impl SemiBuild {
     pub fn build(rows: Vec<Row>, key_cols: &[usize], workers: usize) -> SemiBuild {
         let any_rows = !rows.is_empty();
         if workers <= 1 || rows.len() < PARALLEL_BUILD_MIN {
-            let mut keys: HashSet<Vec<GroupKey>> = HashSet::new();
+            let mut keys = KeySet::default();
             let mut null_key = false;
+            let mut key = Vec::with_capacity(key_cols.len());
             for row in rows {
-                let key = row.group_key(key_cols);
+                row.group_key_into(key_cols, &mut key);
                 if key.contains(&GroupKey::Null) {
                     null_key = true;
-                    continue;
+                } else if !keys.contains(key.as_slice()) {
+                    keys.insert(key.clone());
                 }
-                keys.insert(key);
             }
             return SemiBuild {
                 parts: vec![keys],
@@ -248,53 +339,9 @@ impl SemiBuild {
                 null_key,
             };
         }
-        let parts = workers;
-        // Phase 1: scatter keys into per-partition lists (and spot NULLs).
-        let scattered: Vec<(Vec<Vec<Vec<GroupKey>>>, bool)> = thread::scope(|s| {
-            let handles: Vec<_> = split_chunks(rows, workers)
-                .into_iter()
-                .map(|chunk_rows| {
-                    s.spawn(move || {
-                        let mut buckets: Vec<Vec<Vec<GroupKey>>> = vec![Vec::new(); parts];
-                        let mut null_key = false;
-                        for row in chunk_rows {
-                            let key = row.group_key(key_cols);
-                            if key.contains(&GroupKey::Null) {
-                                null_key = true;
-                                continue;
-                            }
-                            buckets[part_of(&key, parts)].push(key);
-                        }
-                        (buckets, null_key)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("semi-build scatter worker panicked"))
-                .collect()
-        });
-        let mut null_key = false;
-        let mut per_part: Vec<Vec<Vec<GroupKey>>> = vec![Vec::new(); parts];
-        for (buckets, saw_null) in scattered {
-            null_key |= saw_null;
-            for (p, bucket) in buckets.into_iter().enumerate() {
-                per_part[p].extend(bucket);
-            }
-        }
-        // Phase 2: one thread per partition builds that partition's set.
-        let sets: Vec<HashSet<Vec<GroupKey>>> = thread::scope(|s| {
-            let handles: Vec<_> = per_part
-                .into_iter()
-                .map(|keys| s.spawn(move || keys.into_iter().collect()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("semi-build merge worker panicked"))
-                .collect()
-        });
+        let (per_part, null_key) = scatter_by_key(rows, key_cols, workers, |_, key| key.to_vec());
         SemiBuild {
-            parts: sets,
+            parts: on_threads(per_part, |keys| keys.into_iter().collect()),
             any_rows,
             null_key,
         }
@@ -302,12 +349,7 @@ impl SemiBuild {
 
     /// Whether the build-side key set contains `key`.
     pub fn contains(&self, key: &[GroupKey]) -> bool {
-        let part = if self.parts.len() == 1 {
-            0
-        } else {
-            part_of(key, self.parts.len())
-        };
-        self.parts[part].contains(key)
+        self.parts[part_of(key, self.parts.len())].contains(key)
     }
 
     /// Total distinct keys across partitions.
@@ -459,7 +501,7 @@ impl ExchangeSource {
         // gather still applies on that path (an aggregating exchange must
         // aggregate even when it cannot partition), treating the whole
         // pass-through output as a single run.
-        let template_src = open_in(ctx, input, &env, None, None)?;
+        let template_src = open_in(ctx, input, &env, None, None, None)?;
         shared.size_cells(cell.get());
         let columns = match &gather {
             // A merging-aggregate exchange emits aggregate output rows, not
@@ -563,15 +605,6 @@ impl ExchangeSource {
     ) -> Result<VecDeque<Row>, StoreError> {
         let mut rows = VecDeque::new();
         match self.gather.clone() {
-            GatherMode::Rows => {
-                for output in outputs {
-                    let WorkerOutput::Rows(morsel_rows) = output else {
-                        unreachable!("row gather always receives rows");
-                    };
-                    meter.rows_in += morsel_rows.len() as u64;
-                    rows.extend(morsel_rows);
-                }
-            }
             GatherMode::MergeAggregate {
                 group_by,
                 aggregates,
@@ -595,35 +628,27 @@ impl ExchangeSource {
                 }
                 rows.extend(agg.finish(having.as_ref())?);
             }
-            GatherMode::MergeSort { keys } => {
-                // Each run is already sorted; a stable sort of their
-                // morsel-order concatenation is exactly the sequential
-                // stable sort (and cheap — it mostly merges runs).
+            // Plain rows, sorted runs and bounded runs alike arrive as rows.
+            gather => {
                 let mut all = Vec::new();
                 for output in outputs {
                     let WorkerOutput::Rows(run) = output else {
-                        unreachable!("sort gather always receives runs");
+                        unreachable!("a row gather always receives rows");
                     };
                     meter.rows_in += run.len() as u64;
                     all.extend(run);
                 }
-                sort_rows(&mut all, &keys);
-                rows.extend(all);
-            }
-            GatherMode::TopK { keys, limit } => {
-                // Every row of the global top k is within its own morsel's
-                // top k, so merging the bounded runs loses nothing.
-                let mut all = Vec::new();
-                for output in outputs {
-                    let WorkerOutput::Rows(run) = output else {
-                        unreachable!("top-k gather always receives runs");
-                    };
-                    meter.rows_in += run.len() as u64;
-                    all.extend(run);
-                }
-                sort_rows(&mut all, &keys);
-                all.truncate(limit);
-                rows.extend(all);
+                rows.extend(match gather {
+                    // Each run is already sorted; a stable sort of their
+                    // morsel-order concatenation is exactly the sequential
+                    // stable sort (and cheap — it mostly merges runs).
+                    GatherMode::MergeSort { keys } => top_k(all, &keys, usize::MAX),
+                    // Every row of the global top k is within its own
+                    // morsel's top k, so merging the bounded runs loses
+                    // nothing.
+                    GatherMode::TopK { keys, limit } => top_k(all, &keys, limit),
+                    _ => all,
+                });
             }
         }
         Ok(rows)
@@ -702,15 +727,8 @@ fn worker_loop(
             next_cell: &cell,
         };
         let result = (|| {
-            let mut src = open_in(ctx, plan, &env, Some((start, end)), None)?;
+            let mut src = open_in(ctx, plan, &env, Some((start, end)), None, None)?;
             let output = match gather {
-                GatherMode::Rows => {
-                    let mut rows = Vec::new();
-                    while let Some(batch) = src.next_batch()? {
-                        rows.extend(batch);
-                    }
-                    WorkerOutput::Rows(rows)
-                }
                 GatherMode::MergeAggregate {
                     group_by,
                     aggregates,
@@ -729,22 +747,16 @@ fn worker_loop(
                         groups: agg.into_partial(),
                     }
                 }
-                GatherMode::MergeSort { keys } => {
+                rows_gather => {
                     let mut rows = Vec::new();
                     while let Some(batch) = src.next_batch()? {
                         rows.extend(batch);
                     }
-                    sort_rows(&mut rows, keys);
-                    WorkerOutput::Rows(rows)
-                }
-                GatherMode::TopK { keys, limit } => {
-                    let mut rows = Vec::new();
-                    while let Some(batch) = src.next_batch()? {
-                        rows.extend(batch);
-                    }
-                    sort_rows(&mut rows, keys);
-                    rows.truncate(*limit);
-                    WorkerOutput::Rows(rows)
+                    WorkerOutput::Rows(match rows_gather {
+                        GatherMode::MergeSort { keys } => top_k(rows, keys, usize::MAX),
+                        GatherMode::TopK { keys, limit } => top_k(rows, keys, *limit),
+                        _ => rows,
+                    })
                 }
             };
             match &mut profile {
@@ -988,7 +1000,7 @@ mod tests {
             shared: Some(&exchange.shared),
             next_cell: &indexed,
         };
-        open_in(&ctx, &pipeline, &env, Some((0, 1024)), None).unwrap();
+        open_in(&ctx, &pipeline, &env, Some((0, 1024)), None, None).unwrap();
         assert_eq!(indexed.get(), 1);
         assert_eq!(exchange.shared.cells.get().unwrap().len(), indexed.get());
     }

@@ -270,7 +270,9 @@ pub enum PlanNode {
         right: Box<Plan>,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
-        /// Compute probe keys batch-at-a-time with the typed kernels.
+        /// The vectorize pass's mark: rendered as `[vectorized]` and counted
+        /// per probe batch. The probe has one form either way — one reused
+        /// key per row against the grouped build.
         vectorized: bool,
     },
     /// Grouped aggregation. With an empty `group_by`, produces a single row.

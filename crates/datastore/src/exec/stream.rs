@@ -34,7 +34,7 @@ use crate::exec::profile::{column_label, plural, relation_label, vectorized_tag,
 pub use crate::exec::profile::{
     render_expr, IndexAccess, OpMetrics, PlanProfile, MISESTIMATE_FACTOR,
 };
-use crate::exec::vector::{batch_group_keys, gather_selected, VectorPredicate};
+use crate::exec::vector::{gather_selected, VectorPredicate};
 use crate::expr::{CmpOp, Expr};
 use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
@@ -334,7 +334,7 @@ fn open_toward(
         shared: None,
         next_cell: &cell,
     };
-    open_in(ctx, plan, &env, None, row_goal)
+    open_in(ctx, plan, &env, None, row_goal, None)
 }
 
 /// Recursive open. Two things travel down the driver spine (inputs and join
@@ -353,17 +353,22 @@ fn open_toward(
 ///   [`BATCH_SIZE`] ([`BatchRamp`]); the joins on the way buffer by the same
 ///   ramp before they hand a batch on. Without a goal everything moves in
 ///   full batches, as it always did.
+///
+/// `sort_goal` travels one step only: a limit opens its input with its `k`,
+/// and a sort that finds it keeps the first `k` rows of its order ([`top_k`])
+/// instead of all of them. Every other operator ignores it.
 pub(crate) fn open_in(
     ctx: &Arc<ExecContext>,
     plan: &Plan,
     env: &OpenEnv,
     driver_range: Option<(usize, usize)>,
     row_goal: Option<usize>,
+    sort_goal: Option<usize>,
 ) -> Result<Box<dyn RowSource>, StoreError> {
     let est = plan.estimated_rows;
     let row_goal = row_goal.filter(|_| plan.emits_rows_as_found());
-    let on_spine = |p: &Plan| open_in(ctx, p, env, driver_range, row_goal);
-    let off_spine = |p: &Plan| open_in(ctx, p, env, None, None);
+    let on_spine = |p: &Plan| open_in(ctx, p, env, driver_range, row_goal, None);
+    let off_spine = |p: &Plan| open_in(ctx, p, env, None, None, None);
     Ok(match &plan.node {
         PlanNode::Scan { table, alias } => {
             ScanSource::new(ctx, table, alias, driver_range, row_goal)?.metered(est)
@@ -428,9 +433,21 @@ pub(crate) fn open_in(
             columns,
         } => {
             let input = on_spine(input)?;
+            let picks = exprs
+                .iter()
+                .map(|e| match e {
+                    Expr::Column(i) => Some(*i),
+                    _ => None,
+                })
+                .collect::<Option<Vec<usize>>>();
+            let identity = picks
+                .as_ref()
+                .is_some_and(|picks| picks.iter().copied().eq(0..input.columns().len()));
             ProjectSource {
                 input,
                 exprs: exprs.clone(),
+                picks,
+                identity,
                 columns: columns.clone(),
             }
             .metered(est)
@@ -503,7 +520,7 @@ pub(crate) fn open_in(
             if *vectorized {
                 // A vectorized aggregate directly over a (possibly
                 // kernel-filtered) base-table scan fuses into one columnar
-                // operator that reads the table in place — no row clones.
+                // operator that reads the table in place.
                 if let Some(fused) = FusedAggregateScanSource::try_open(
                     ctx,
                     input,
@@ -546,13 +563,14 @@ pub(crate) fn open_in(
             SortSource {
                 input,
                 keys: keys.clone(),
+                keep: sort_goal.unwrap_or(usize::MAX),
                 detail,
                 pending: None,
             }
             .metered(est)
         }
         PlanNode::Limit { input, n } => {
-            let input = on_spine(input)?;
+            let input = open_in(ctx, input, env, driver_range, row_goal, Some(*n))?;
             LimitSource {
                 input,
                 remaining: *n,
@@ -1229,6 +1247,11 @@ impl Operator for FilterSource {
 struct ProjectSource {
     input: Box<dyn RowSource>,
     exprs: Vec<Expr>,
+    /// The input positions, when every expression is a plain column: the
+    /// projection is then [`Row::project`], no expression is evaluated.
+    picks: Option<Vec<usize>>,
+    /// Every input column in its own place: the input row is the output row.
+    identity: bool,
     columns: Vec<ColumnInfo>,
 }
 
@@ -1241,13 +1264,22 @@ impl Operator for ProjectSource {
         let Some(batch) = meter.pull(&mut self.input)? else {
             return Ok(None);
         };
+        if self.identity {
+            return Ok(Some(batch));
+        }
         let mut rows = Vec::with_capacity(batch.len());
+        let mut values = Vec::with_capacity(self.exprs.len());
         for row in &batch {
-            let mut values = Vec::with_capacity(self.exprs.len());
-            for e in &self.exprs {
-                values.push(e.eval(row)?);
-            }
-            rows.push(Row::new(values));
+            rows.push(match &self.picks {
+                Some(picks) => row.project(picks),
+                None => {
+                    for e in &self.exprs {
+                        values.push(e.eval(row)?);
+                    }
+                    // Straight into the row's one allocation.
+                    values.drain(..).collect()
+                }
+            });
         }
         Ok(Some(rows))
     }
@@ -1361,7 +1393,8 @@ struct HashJoinSource {
     right: Box<dyn RowSource>,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
-    /// Compute probe keys column-major over each batch.
+    /// The planner's `[vectorized]` mark: shown, and counted per probe
+    /// batch; the probe itself has one form.
     vectorized: bool,
     columns: Vec<ColumnInfo>,
     detail: String,
@@ -1418,19 +1451,16 @@ impl Operator for HashJoinSource {
                 None => self.done = true,
                 Some(batch) => {
                     let index = self.build.as_ref().expect("built above");
-                    let keys = if self.vectorized {
-                        // Probe keys computed column-major over the batch.
-                        meter.vector_batches += 1;
-                        batch_group_keys(&batch, &self.left_keys)
-                    } else {
-                        let row_key = |lr: &Row| lr.group_key(&self.left_keys);
-                        batch.iter().map(row_key).collect()
-                    };
-                    for (lr, key) in batch.iter().zip(&keys) {
+                    meter.vector_batches += u64::from(self.vectorized);
+                    // One key, refilled per probe row: only a row that is
+                    // emitted is allocated.
+                    let mut key = Vec::with_capacity(self.left_keys.len());
+                    for lr in &batch {
+                        lr.group_key_into(&self.left_keys, &mut key);
                         if key.contains(&GroupKey::Null) {
                             continue;
                         }
-                        for rr in index.lookup(key).into_iter().flatten() {
+                        for rr in index.lookup(&key).into_iter().flatten() {
                             self.pending.push_back(lr.concat(rr));
                         }
                     }
@@ -1543,14 +1573,14 @@ struct FusedFilter {
 }
 
 /// A vectorized `aggregate ← [filter ←] scan` pipeline collapsed into one
-/// columnar operator. The generic sources move `Row`s between operators,
-/// which for a base-table scan means cloning every tuple — title strings
-/// and all — only for the aggregate to read two integer columns. This
-/// source instead walks the table's row slice in place, evaluates the
+/// columnar operator. The generic sources hand `Row`s from operator to
+/// operator — a reference taken and dropped per row and batch vectors
+/// filled and freed — only for the aggregate to read two integer columns.
+/// This source instead walks the table's row slice in place, evaluates the
 /// filter kernel over borrowed batches, and gathers just the referenced
 /// columns through the selection vector into the accumulation kernels.
 /// Results, the profile tree, and all per-operator counters are identical
-/// to the unfused pipeline; only the row copies are gone.
+/// to the unfused pipeline; only the hand-offs are gone.
 struct FusedAggregateScanSource {
     table: Arc<Table>,
     cursor: usize,
@@ -1743,6 +1773,9 @@ impl Operator for FusedAggregateScanSource {
 struct SortSource {
     input: Box<dyn RowSource>,
     keys: Vec<SortKey>,
+    /// How many rows of the order the consumer will take: the `k` of a limit
+    /// directly above, otherwise all of them.
+    keep: usize,
     detail: String,
     pending: Option<VecDeque<Row>>,
 }
@@ -1754,9 +1787,18 @@ impl Operator for SortSource {
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
         if self.pending.is_none() {
-            let mut rows = meter.drain(&mut self.input)?;
-            sort_rows(&mut rows, &self.keys);
-            self.pending = Some(rows.into());
+            // Never hold more than the rows that can still win plus two
+            // batches of candidates: the top k of (the top k so far, then
+            // what arrived since) is the top k of everything.
+            let bound = self.keep.max(BATCH_SIZE).saturating_mul(2);
+            let mut rows = Vec::new();
+            while let Some(batch) = meter.pull(&mut self.input)? {
+                rows.extend(batch);
+                if rows.len() >= bound {
+                    rows = top_k(rows, &self.keys, self.keep);
+                }
+            }
+            self.pending = Some(top_k(rows, &self.keys, self.keep).into());
         }
         Ok(drain_pending(self.pending.as_mut().expect("sorted above")))
     }
@@ -1770,20 +1812,46 @@ impl Operator for SortSource {
     }
 }
 
+/// The order `keys` put two rows in; the values are compared where they are.
+fn cmp_rows(a: &Row, b: &Row, keys: &[SortKey]) -> std::cmp::Ordering {
+    for key in keys {
+        let av = a.get(key.column).unwrap_or(&Value::Null);
+        let bv = b.get(key.column).unwrap_or(&Value::Null);
+        let ord = av.total_cmp(bv);
+        let ord = if key.ascending { ord } else { ord.reverse() };
+        if !ord.is_eq() {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
 /// Stable multi-key sort used by the sort operator.
 pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) {
-    rows.sort_by(|a, b| {
-        for key in keys {
-            let av = a.get(key.column).cloned().unwrap_or(Value::Null);
-            let bv = b.get(key.column).cloned().unwrap_or(Value::Null);
-            let ord = av.total_cmp(&bv);
-            let ord = if key.ascending { ord } else { ord.reverse() };
-            if !ord.is_eq() {
-                return ord;
-            }
+    rows.sort_by(|a, b| cmp_rows(a, b, keys));
+}
+
+/// The first `k` rows of the stable sort of `rows` — exactly
+/// `sort_rows` + `truncate(k)`, ties included — without sorting the rows
+/// that cannot be among them. What a sort under a limit, a top-k exchange's
+/// workers and its gather all keep.
+pub fn top_k(mut rows: Vec<Row>, keys: &[SortKey], k: usize) -> Vec<Row> {
+    if k < rows.len() {
+        // With position as the last key the order is strict, so an unstable
+        // selection finds precisely the rows the stable sort would put
+        // first; back in input order, the stable sort below finishes.
+        let mut winners: Vec<usize> = (0..rows.len()).collect();
+        if k > 0 {
+            winners.select_nth_unstable_by(k - 1, |&a, &b| {
+                cmp_rows(&rows[a], &rows[b], keys).then(a.cmp(&b))
+            });
         }
-        std::cmp::Ordering::Equal
-    });
+        winners.truncate(k);
+        winners.sort_unstable();
+        rows = winners.into_iter().map(|i| rows[i].clone()).collect();
+    }
+    sort_rows(&mut rows, keys);
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -1973,7 +2041,11 @@ impl Operator for SemiJoinSource {
             return Ok(None);
         };
         let build = self.build.as_ref().expect("built above");
-        batch.retain(|row| self.keep(build, &row.group_key(&self.left_keys)));
+        let mut key = Vec::with_capacity(self.left_keys.len());
+        batch.retain(|row| {
+            row.group_key_into(&self.left_keys, &mut key);
+            self.keep(build, &key)
+        });
         Ok(Some(batch))
     }
 

@@ -523,3 +523,70 @@ fn apply_quantified_all_and_any_verdicts() {
         Some(false)
     );
 }
+
+/// Rows of (few distinct integers or NULL, few distinct texts, position):
+/// every key column is full of ties, the last column tells rows apart.
+fn tied_rows(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<Row> {
+    use rand::Rng;
+    (0..n)
+        .map(|i| {
+            let a = match rng.gen_range(0..6) {
+                0 => Value::Null,
+                v => Value::int(v),
+            };
+            let b = Value::text(["x", "y", "z"][rng.gen_range(0..3usize)]);
+            Row::new(vec![a, b, Value::int(i as i64)])
+        })
+        .collect()
+}
+
+#[test]
+fn top_k_is_the_stable_sort_truncated() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0022_0001);
+    for round in 0..200 {
+        let n = rng.gen_range(0..60usize);
+        let rows = tied_rows(&mut rng, n);
+        let keys: Vec<SortKey> = (0..rng.gen_range(1..=2usize))
+            .map(|_| SortKey {
+                column: rng.gen_range(0..2usize),
+                ascending: rng.gen_bool(0.5),
+            })
+            .collect();
+        for k in [0, 1, 2, n / 2, n.saturating_sub(1), n, n + 1] {
+            let mut expected = rows.clone();
+            sort_rows(&mut expected, &keys);
+            expected.truncate(k);
+            assert_eq!(
+                top_k(rows.clone(), &keys, k),
+                expected,
+                "round {round}: n={n} k={k} keys={keys:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_sort_under_a_limit_keeps_and_emits_only_the_limit() {
+    let db = db();
+    // `v` is ten values over 2500 rows: the first five of the order are the
+    // five lowest ids of v = 0, whichever batch they arrived in.
+    let keys = vec![SortKey {
+        column: 1,
+        ascending: true,
+    }];
+    let sorted = scan("T", "t").sort(keys);
+    let (rows, profile) = run_profiled(&db, &sorted.clone().limit(5));
+    let (mut all, _) = run_profiled(&db, &sorted);
+    all.truncate(5);
+    assert_eq!(rows, all);
+    let sort = &profile.children[0];
+    assert_eq!(sort.operator, "sort");
+    assert_eq!((sort.metrics.rows_in, sort.metrics.rows_out), (2500, 5));
+    assert_eq!(profile.metrics.rows_in, 5);
+    // A limit that is not directly above the sort says nothing to it: the
+    // sort hands on a full first batch.
+    let (_, profile) = run_profiled(&db, &sorted.filter(Expr::col_eq(0, 0)).limit(5));
+    let sort = &profile.children[0].children[0];
+    assert_eq!(sort.metrics.rows_out as usize, BATCH_SIZE);
+}

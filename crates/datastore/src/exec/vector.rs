@@ -3,9 +3,9 @@
 //! The row engine evaluates expressions one `Value` at a time, paying an
 //! enum match (and often an allocation) per row on the hottest loops. This
 //! module transposes a batch of rows into per-column [`ValueVector`]s —
-//! typed `i64`/`f64`/`String` arrays with a word-packed [`NullBitmap`] — and
-//! evaluates comparison predicates, conjunctions, and hash keys with tight
-//! typed loops over those arrays instead.
+//! typed `i64`/`f64`/shared-string arrays with a word-packed [`NullBitmap`] —
+//! and evaluates comparison predicates and conjunctions with tight typed
+//! loops over those arrays instead.
 //!
 //! Vectorization is best-effort by design: a batch whose column mixes types
 //! (or uses a type outside the three vectorized ones) simply refuses to
@@ -16,8 +16,8 @@
 
 use crate::expr::{CmpOp, Expr};
 use crate::tuple::Row;
-use crate::value::{GroupKey, Value};
-use std::cmp::Ordering;
+use crate::value::{cmp_f64, GroupKey, Value};
+use std::sync::Arc;
 
 /// Word-packed validity companion to a [`ValueVector`]: bit `i` is set when
 /// slot `i` holds SQL NULL.
@@ -82,7 +82,7 @@ pub enum ValueVector {
         nulls: NullBitmap,
     },
     Text {
-        values: Vec<String>,
+        values: Vec<Arc<str>>,
         nulls: NullBitmap,
     },
 }
@@ -161,7 +161,7 @@ impl ValueVector {
                         Value::Text(v) => values.push(v.clone()),
                         Value::Null => {
                             nulls.set(i);
-                            values.push(String::new());
+                            values.push(Arc::from(""));
                         }
                         _ => return None,
                     }
@@ -289,7 +289,7 @@ pub fn and_compare_literal(
         }
         (ValueVector::Text { values, nulls }, Value::Text(b)) => {
             for (i, v) in values.iter().enumerate() {
-                mask[i] &= !nulls.get(i) && op.holds(v.as_str().cmp(b.as_str()));
+                mask[i] &= !nulls.get(i) && op.holds(v.cmp(b));
             }
             true
         }
@@ -332,7 +332,7 @@ pub fn and_compare_columns(
             },
         ) => {
             for i in 0..a.len() {
-                mask[i] &= !an.get(i) && !bn.get(i) && op.holds(a[i].as_str().cmp(b[i].as_str()));
+                mask[i] &= !an.get(i) && !bn.get(i) && op.holds(a[i].cmp(&b[i]));
             }
             true
         }
@@ -359,11 +359,6 @@ fn numeric_at(vec: &ValueVector, i: usize) -> f64 {
         ValueVector::Float { values, .. } => values[i],
         ValueVector::Text { .. } => f64::NAN,
     }
-}
-
-/// Float comparison matching `Value::total_cmp`: NaN collapses to `Equal`.
-fn cmp_f64(a: f64, b: f64) -> Ordering {
-    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
 }
 
 /// One compiled conjunct of a vectorizable predicate.
@@ -537,35 +532,6 @@ pub fn gather_selected(rows: Vec<Row>, mask: &[bool]) -> Vec<Row> {
         .collect()
 }
 
-/// Column-wise hash-key computation for a batch: the grouping key of every
-/// row over `cols`, built in column-major order so each column's `Value`
-/// dispatch happens once per column run instead of per row.
-pub fn batch_group_keys(rows: &[Row], cols: &[usize]) -> Vec<Vec<GroupKey>> {
-    let mut keys: Vec<Vec<GroupKey>> = (0..rows.len())
-        .map(|_| Vec::with_capacity(cols.len()))
-        .collect();
-    for &c in cols {
-        match ValueVector::from_rows(rows, c) {
-            Some(vec) => {
-                for (i, key) in keys.iter_mut().enumerate() {
-                    key.push(vec.group_key(i));
-                }
-            }
-            None => {
-                for (i, key) in keys.iter_mut().enumerate() {
-                    key.push(
-                        rows[i]
-                            .get(c)
-                            .map(|v| v.group_key())
-                            .unwrap_or(GroupKey::Null),
-                    );
-                }
-            }
-        }
-    }
-    keys
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,14 +662,9 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_batch_keys() {
-        let rs = rows();
-        let kept = gather_selected(rs.clone(), &[true, false, false, true]);
+    fn gather_keeps_the_selected_rows_in_order() {
+        let kept = gather_selected(rows(), &[true, false, false, true]);
         assert_eq!(kept.len(), 2);
         assert_eq!(kept[1].get(0), Some(&Value::int(4)));
-        let keys = batch_group_keys(&rs, &[0, 1]);
-        for (i, r) in rs.iter().enumerate() {
-            assert_eq!(keys[i], r.group_key(&[0, 1]));
-        }
     }
 }

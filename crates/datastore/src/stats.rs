@@ -23,7 +23,7 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Buckets used for the histograms collected into [`TableStats`].
 pub const STATS_HISTOGRAM_BUCKETS: usize = 10;
@@ -368,7 +368,8 @@ fn extreme_cmp(a: &Value, b: &Value) -> Ordering {
 #[derive(Debug, Clone)]
 enum ValueCounts {
     Integer(HashMap<i64, u32>),
-    Text(HashMap<Box<str>, u32>),
+    /// Keyed by the rows' own shared strings: counting a value copies none.
+    Text(HashMap<Arc<str>, u32>),
     Other(HashMap<GroupKey, u32>),
 }
 
@@ -384,10 +385,10 @@ impl ValueCounts {
     fn add(&mut self, v: &Value) {
         match (&mut *self, v) {
             (ValueCounts::Integer(m), Value::Integer(i)) => *m.entry(*i).or_insert(0) += 1,
-            (ValueCounts::Text(m), Value::Text(s)) => match m.get_mut(s.as_str()) {
+            (ValueCounts::Text(m), Value::Text(s)) => match m.get_mut(&**s) {
                 Some(count) => *count += 1,
                 None => {
-                    m.insert(s.as_str().into(), 1);
+                    m.insert(Arc::clone(s), 1);
                 }
             },
             (ValueCounts::Other(m), _) => *m.entry(v.group_key()).or_insert(0) += 1,
@@ -406,7 +407,7 @@ impl ValueCounts {
                 .collect(),
             ValueCounts::Text(m) => m
                 .into_iter()
-                .map(|(s, count)| (GroupKey::Text(s.into()), count))
+                .map(|(s, count)| (GroupKey::Text(s), count))
                 .collect(),
             ValueCounts::Other(m) => m,
         };
@@ -434,7 +435,7 @@ impl ValueCounts {
         }
         match (self, v) {
             (ValueCounts::Integer(m), Value::Integer(i)) => take(m, i),
-            (ValueCounts::Text(m), Value::Text(s)) => take(m, s.as_str()),
+            (ValueCounts::Text(m), Value::Text(s)) => take::<_, str>(m, s),
             (ValueCounts::Other(m), _) => take(m, &v.group_key()),
             // A typed map that met another type is no longer typed.
             _ => false,

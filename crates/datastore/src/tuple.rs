@@ -4,22 +4,32 @@
 use crate::schema::TableSchema;
 use crate::value::{GroupKey, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// A single tuple: an ordered list of values matching a relation's columns.
+///
+/// The values sit behind one shared allocation, so a clone is a reference
+/// count: a scan, a join build, a result set and the table itself can all
+/// hold "the same row" without copying a value. Only an operation that
+/// makes a *new* tuple ([`Row::new`], [`Row::concat`], [`Row::project`],
+/// collecting an iterator) allocates, once; writing through
+/// [`Row::get_mut`] copies first when anyone else still holds the row.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Row {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Row {
     /// Build a row from values.
     pub fn new(values: Vec<Value>) -> Row {
-        Row { values }
+        Row {
+            values: values.into(),
+        }
     }
 
     /// Empty row (used as the seed for joins).
     pub fn empty() -> Row {
-        Row { values: Vec::new() }
+        Row::default()
     }
 
     /// The values in order.
@@ -37,50 +47,66 @@ impl Row {
         self.values.get(i)
     }
 
-    /// Mutable value at position `i`.
+    /// Mutable value at position `i`. Copy-on-write: a row that is shared
+    /// (a result set taken earlier, a running scan's batch) is copied before
+    /// the write, so only this handle sees it.
     pub fn get_mut(&mut self, i: usize) -> Option<&mut Value> {
-        self.values.get_mut(i)
+        Arc::make_mut(&mut self.values).get_mut(i)
     }
 
     /// Append a value (used when composing join outputs).
     pub fn push(&mut self, v: Value) {
-        self.values.push(v);
+        self.values = self.values.iter().cloned().chain([v]).collect();
     }
 
     /// Concatenate two rows into a new one (join output).
     pub fn concat(&self, other: &Row) -> Row {
-        let mut values = Vec::with_capacity(self.arity() + other.arity());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Row { values }
+        self.values
+            .iter()
+            .chain(other.values.iter())
+            .cloned()
+            .collect()
     }
 
     /// Project the row onto the given positions.
     pub fn project(&self, indices: &[usize]) -> Row {
-        Row {
-            values: indices
-                .iter()
-                .map(|&i| self.values.get(i).cloned().unwrap_or(Value::Null))
-                .collect(),
-        }
+        indices
+            .iter()
+            .map(|&i| self.values.get(i).cloned().unwrap_or(Value::Null))
+            .collect()
     }
 
     /// Hashable grouping key over the given positions.
     pub fn group_key(&self, indices: &[usize]) -> Vec<GroupKey> {
-        indices
-            .iter()
-            .map(|&i| {
-                self.values
-                    .get(i)
-                    .map(|v| v.group_key())
-                    .unwrap_or(GroupKey::Null)
-            })
-            .collect()
+        let mut key = Vec::with_capacity(indices.len());
+        self.group_key_into(indices, &mut key);
+        key
+    }
+
+    /// [`Row::group_key`] into a key the caller reuses: a probe loop fills
+    /// one scratch key per row instead of allocating one.
+    pub fn group_key_into(&self, indices: &[usize], key: &mut Vec<GroupKey>) {
+        key.clear();
+        key.extend(indices.iter().map(|&i| {
+            self.values
+                .get(i)
+                .map(|v| v.group_key())
+                .unwrap_or(GroupKey::Null)
+        }));
     }
 
     /// Consume the row and return its values.
     pub fn into_values(self) -> Vec<Value> {
-        self.values
+        self.values.to_vec()
+    }
+}
+
+/// A row made of the values an operator computed, allocated once.
+impl FromIterator<Value> for Row {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Row {
+        Row {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -165,6 +191,34 @@ mod tests {
         assert_eq!(p.values(), &[Value::int(2005), Value::int(1)]);
         let padded = r.project(&[5]);
         assert_eq!(padded.values(), &[Value::Null]);
+    }
+
+    #[test]
+    fn a_clone_shares_and_a_write_through_get_mut_copies_first() {
+        let mut r = row();
+        let earlier = r.clone();
+        assert!(std::ptr::eq(r.values(), earlier.values()), "one allocation");
+        *r.get_mut(2).unwrap() = Value::int(1999);
+        assert_eq!(r.get(2), Some(&Value::int(1999)));
+        assert_eq!(earlier, row(), "the other handle keeps what it read");
+        assert!(r.get_mut(3).is_none());
+        // Unshared, the write happens in place.
+        let at = r.values().as_ptr();
+        *r.get_mut(0).unwrap() = Value::int(2);
+        assert_eq!(r.values().as_ptr(), at);
+    }
+
+    #[test]
+    fn push_appends_without_touching_a_shared_copy() {
+        let mut r = row();
+        let earlier = r.clone();
+        r.push(Value::Null);
+        assert_eq!(r.arity(), 4);
+        assert_eq!(r.get(3), Some(&Value::Null));
+        assert_eq!(earlier.arity(), 3);
+        assert_eq!(Row::empty().arity(), 0);
+        assert_eq!(Row::default(), Row::empty());
+        assert_eq!(r.clone().into_values(), r.values());
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub fn normalize_statement(sql: &str) -> Option<NormalizedStatement> {
                 value.push('\'');
                 at += 1;
             }
-            literals.push(Value::Text(value));
+            literals.push(Value::Text(value.into()));
             text.push('?');
             after_limit = false;
         } else if c.is_ascii_digit() {
@@ -137,7 +137,7 @@ fn extracted(lit: &Literal) -> Option<Value> {
     match lit {
         Literal::Integer(i) => Some(Value::Integer(*i)),
         Literal::Float(f) => Some(Value::Float(*f)),
-        Literal::String(s) => Some(Value::Text(s.clone())),
+        Literal::String(s) => Some(Value::Text(s.as_str().into())),
         Literal::Boolean(_) | Literal::Null => None,
     }
 }

@@ -408,3 +408,171 @@ fn integer_overflow_is_a_typed_error_not_a_panic_or_a_wrong_answer() {
         "evaluation error: division by zero"
     );
 }
+
+/// A `Float` table of 30 rows, every third `x` a NaN, the others `id / 2`.
+fn nan_database() -> datastore::Database {
+    use datastore::{ColumnDef, DataType, TableSchema, Value};
+    let mut db = datastore::Database::new();
+    let schema = TableSchema::new(
+        "T",
+        vec![
+            ColumnDef::new("id", DataType::Integer),
+            ColumnDef::new("x", DataType::Float),
+        ],
+    )
+    .with_primary_key(&["id"]);
+    db.create_table(schema).unwrap();
+    for id in 0..30i64 {
+        let x = if id % 3 == 0 {
+            f64::NAN
+        } else {
+            id as f64 / 2.0
+        };
+        db.insert("T", vec![Value::int(id), Value::Float(x)])
+            .unwrap();
+    }
+    db
+}
+
+/// Regression: every float comparison ended in
+/// `partial_cmp(..).unwrap_or(Equal)`, so a NaN *equalled* every number —
+/// `t.x = 1.5` returned every NaN row — and `ORDER BY t.x` sorted with a
+/// comparator that was not an order. A NaN now equals only itself and sorts
+/// after every number, on the row-at-a-time and the vectorized path alike.
+#[test]
+fn a_nan_equals_nothing_but_itself_and_sorts_last() {
+    use datastore::Value;
+    use talkback::PlannerOptions;
+    let system = Talkback::new(nan_database());
+    let run = |sql: &str, use_vectorized: bool| {
+        let options = PlannerOptions {
+            use_vectorized,
+            ..PlannerOptions::sequential()
+        };
+        system.run_query_with(sql, options).unwrap().rows
+    };
+    for use_vectorized in [false, true] {
+        // id 3 is a NaN row, id 4 holds 2.0, and 1.5 = 3 / 2 is nobody's x
+        // but a NaN's neighbour.
+        let equal = run("select t.id from T t where t.x = 2.0", use_vectorized);
+        assert_eq!(equal, [Row::new(vec![Value::int(4)])], "{use_vectorized}");
+        let none = run("select t.id from T t where t.x = 0.75", use_vectorized);
+        assert!(none.is_empty(), "{use_vectorized}: {none:?}");
+        // Nothing is below, or at most, a NaN except a NaN.
+        let below = run("select t.id from T t where t.x < 1.0", use_vectorized);
+        assert_eq!(below, [Row::new(vec![Value::int(1)])], "{use_vectorized}");
+        let above = run("select t.id from T t where t.x > 14.0", use_vectorized);
+        assert_eq!(above.len(), 1 + 10, "29 / 2 and the ten NaNs sort above");
+    }
+    for sql in [
+        "select t.id from T t where t.x = 2.0",
+        "select t.id from T t where t.x <> 2.0",
+        "select t.id from T t where t.x <= 7.0",
+        "select t.id, t.x from T t order by t.x, t.id",
+        "select t.id, t.x from T t order by t.x desc, t.id limit 12",
+    ] {
+        assert_eq!(run(sql, false), run(sql, true), "{sql}");
+    }
+    let sorted = run("select t.id, t.x from T t order by t.x, t.id", true);
+    assert_eq!(
+        sorted,
+        run("select t.id, t.x from T t order by t.x, t.id", true)
+    );
+    let xs: Vec<f64> = sorted
+        .iter()
+        .map(|r| match r.get(1) {
+            Some(Value::Float(x)) => *x,
+            other => panic!("{other:?}"),
+        })
+        .collect();
+    let (numbers, nans) = xs.split_at(20);
+    assert!(numbers.windows(2).all(|w| w[0] < w[1]), "{numbers:?}");
+    assert!(nans.iter().all(|x| x.is_nan()), "{nans:?}");
+    let nan_ids: Vec<&Value> = sorted[20..].iter().map(|r| r.get(0).unwrap()).collect();
+    assert_eq!(
+        nan_ids[..3],
+        [&Value::int(0), &Value::int(3), &Value::int(6)]
+    );
+
+    // Through CSV and back: "NaN" parses as a float, and is still no number's
+    // equal on the other side.
+    let table = system.database().table("T").unwrap();
+    let csv = datastore::csvio::table_to_csv(table);
+    let reloaded = datastore::csvio::csv_to_table(table.schema().clone(), &csv).unwrap();
+    let mut db = datastore::Database::new();
+    db.create_table(table.schema().clone()).unwrap();
+    for row in reloaded.rows() {
+        db.insert("T", row.values().to_vec()).unwrap();
+    }
+    let reloaded = Talkback::new(db);
+    let equal = reloaded.run_query("select t.id from T t where t.x = 2.0");
+    assert_eq!(equal.unwrap().rows, [Row::new(vec![Value::int(4)])]);
+    let nans = reloaded.run_query("select t.id from T t where t.x > 14.5");
+    assert_eq!(nans.unwrap().len(), 10);
+}
+
+/// Regression: `LIMIT k` over a sort was planned as a top-k (the sort priced
+/// at `k` rows) and executed as a full sort handing on a 1 024-row batch, so
+/// the system confessed a 68× misestimate it had not made — in the tree, in
+/// the narration, in the ledger and in the query log.
+#[test]
+fn explain_analyze_golden_a_sort_under_a_limit_emits_the_limit() {
+    use talkback::PlannerOptions;
+    let system = Talkback::new(scaled_movie_database(ScaleConfig {
+        movies: 3000,
+        actors: 1800,
+        directors: 600,
+        ..ScaleConfig::default()
+    }));
+    let sql = "select m.id, m.title, m.year from MOVIES m order by m.year, m.id limit 15";
+    let e = system
+        .explain_plan_with(
+            &format!("explain analyze {sql}"),
+            PlannerOptions::sequential(),
+        )
+        .unwrap();
+    assert_eq!(
+        e.tree,
+        "limit: 15  [est=15 actual=15 in=15 batches=1]\n\
+         └─ sort: m.year, m.id  [est=15 actual=15 in=3000 batches=1]\n\
+         \u{20}  └─ project: m.id, m.title, m.year  [est=3000 actual=3000 in=3000 batches=3]\n\
+         \u{20}     └─ scan: MOVIES as m  [est=3000 actual=3000 in=3000 batches=3]\n"
+    );
+    assert!(
+        !e.narration.contains("My estimate for the sort"),
+        "{}",
+        e.narration
+    );
+    e.profile
+        .walk(&mut |p| assert!(p.misestimate().is_none(), "{}: {}", p.operator, e.tree));
+
+    // The same rows as the whole sort's first fifteen, ties on `year` broken
+    // by `id` as written.
+    let limited = system
+        .run_query_with(sql, PlannerOptions::sequential())
+        .unwrap();
+    let whole = system
+        .run_query_with(
+            sql.trim_end_matches(" limit 15"),
+            PlannerOptions::sequential(),
+        )
+        .unwrap();
+    assert_eq!(whole.len(), 3000);
+    assert_eq!(limited.rows, whole.rows[..15]);
+
+    // A sort without a limit whose estimate really is off is still flagged.
+    let plan = datastore::exec::Plan::scan("MOVIES", "m")
+        .sort(vec![datastore::exec::SortKey {
+            column: 2,
+            ascending: true,
+        }])
+        .with_estimate(15.0);
+    let (_, profile) = execute_with_stats(system.database(), &plan).unwrap();
+    assert_eq!(profile.operator, "sort");
+    assert_eq!(profile.metrics.rows_out, 3000);
+    assert!(
+        profile.misestimate().is_some(),
+        "{}",
+        profile.render_tree(true)
+    );
+}

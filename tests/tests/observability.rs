@@ -396,3 +396,27 @@ fn show_misestimates_ledger_and_narration() {
     let log = system.execute_show("show query log").unwrap();
     assert!(log.table.contains("50× on"), "{}", log.table);
 }
+
+/// Regression: `ORDER BY … LIMIT k` is planned as a top-k — the sort priced at
+/// `k` rows — and is now executed as one, so the ledger and the query log no
+/// longer carry the 68× "misestimate" of a sort that handed on a full batch.
+#[test]
+fn a_top_k_statement_confesses_no_misestimate() {
+    use datastore::sample::{scaled_movie_database, ScaleConfig};
+    let system = Talkback::new(scaled_movie_database(ScaleConfig {
+        movies: 3000,
+        actors: 1800,
+        directors: 600,
+        ..ScaleConfig::default()
+    }));
+    let sql = "select m.id, m.title, m.year from MOVIES m order by m.year, m.id limit 15";
+    let answer = system
+        .run_query_with(sql, talkback::PlannerOptions::sequential())
+        .unwrap();
+    assert_eq!(answer.len(), 15);
+    let ledger = system.execute_show("show misestimates").unwrap();
+    assert!(!ledger.table.contains("sort"), "{}", ledger.table);
+    let entry = system.database().obs().journal().last().expect("journaled");
+    assert_eq!(entry.sql, sql);
+    assert_eq!(entry.worst_misestimate, None);
+}

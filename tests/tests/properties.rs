@@ -44,7 +44,7 @@ fn value(rng: &mut StdRng) -> Value {
         0 => Value::Null,
         1 => Value::Integer(rng.gen_range(i64::MIN..i64::MAX)),
         2 => Value::Boolean(rng.gen_bool(0.5)),
-        3 => Value::Text(printable_text(rng, 0, 20)),
+        3 => Value::text(printable_text(rng, 0, 20)),
         _ => Value::Float(rng.gen_range(-2_000_000..2_000_000i64) as f64 / 1000.0),
     }
 }

@@ -483,6 +483,68 @@ fn a_held_table_keeps_its_rows_indexes_and_statistics_while_the_writer_mutates()
     assert_table_matches_rows(&db, "MOVIES", &mut rng, "the writer's table");
 }
 
+/// Rows are shared, not copied: an answer holds the table's own rows. A
+/// write after the answer was taken must not show through it — an update
+/// copies the row it changes first — and the table must show the write.
+#[test]
+fn an_answer_taken_before_a_write_keeps_what_it_read() {
+    let mut system = Talkback::new(movie_database());
+    let all = "select m.id, m.title, m.year from MOVIES m";
+    let before = system.run_query(all).unwrap();
+    let joined = "select m.title, c.role from MOVIES m, CAST c where m.id = c.mid";
+    let joined_before = system.run_query(joined).unwrap();
+    let snapshot: Vec<Vec<Value>> = before.rows.iter().map(|r| r.values().to_vec()).collect();
+    let joined_snapshot: Vec<String> = joined_before.rows.iter().map(Row::to_string).collect();
+    // The identity projection handed on the stored rows themselves.
+    let stored = system.database().table("MOVIES").unwrap().rows();
+    assert!(std::ptr::eq(before.rows[0].values(), stored[0].values()));
+
+    let db = system.database_mut();
+    db.table_mut("MOVIES")
+        .unwrap()
+        .update_where(|_| true, |r| *r.get_mut(2).unwrap() = Value::int(1900));
+    db.table_mut("MOVIES").unwrap().update_where(
+        |r| r.get(0) == Some(&Value::int(2)),
+        |r| *r.get_mut(1).unwrap() = Value::text("Renamed"),
+    );
+    for table in ["CAST", "GENRE", "DIRECTED", "MOVIES"] {
+        db.table_mut(table)
+            .unwrap()
+            .delete_where(|r| r.get(0) == Some(&Value::int(1)));
+    }
+    db.insert(
+        "MOVIES",
+        vec![Value::int(900), Value::text("Late Entry"), Value::int(2005)],
+    )
+    .unwrap();
+
+    for (row, values) in before.rows.iter().zip(&snapshot) {
+        assert_eq!(row.values(), &values[..], "the earlier answer changed");
+    }
+    let joined_now: Vec<String> = joined_before.rows.iter().map(Row::to_string).collect();
+    assert_eq!(joined_now, joined_snapshot);
+    let after = system.run_query(all).unwrap();
+    assert_eq!(after.len(), before.len());
+    assert!(after.rows.iter().all(|r| r.get(0) != Some(&Value::int(1))));
+    for row in &after.rows {
+        let year = if row.get(0) == Some(&Value::int(900)) {
+            2005
+        } else {
+            1900
+        };
+        assert_eq!(row.get(2), Some(&Value::int(year)), "{row}");
+    }
+    let renamed = system.run_query("select m.title from MOVIES m where m.id = 2");
+    assert_eq!(
+        renamed.unwrap().rows,
+        [Row::new(vec![Value::text("Renamed")])]
+    );
+    let mut rng = StdRng::seed_from_u64(0x0022_00E0);
+    for table in ["MOVIES", "CAST", "GENRE"] {
+        assert_table_matches_rows(system.database(), table, &mut rng, "after the writes");
+    }
+}
+
 /// A database grown write by write, its statistics read along the way,
 /// explains a query exactly as one loaded in one go with the rows it ended
 /// up with: same estimates, same plan.
