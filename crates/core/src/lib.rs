@@ -111,11 +111,12 @@ pub use query::plan_explain::{explain_plan, explain_plan_with, PlanExplanation};
 pub use query::show::{execute_show, ShowReport};
 pub use query::{QueryTranslation, QueryTranslator};
 
+use datastore::adaptive::PLAN_CACHE_CAP;
 use datastore::exec::{execute_with_stats, Plan, ResultSet};
 use datastore::obs::{Counter, StatementPhases};
 use datastore::{
-    CacheLookup, CacheStatus, CachedVerdict, Database, ParamKind, PlanKey, StatementMeta,
-    Uncacheable, Value,
+    CacheKey, CacheLookup, CacheStatus, CachedVerdict, Database, ParamKind, ShapeCache,
+    StatementMeta, Uncacheable, Value, OPTION_WORDS,
 };
 use sqlparse::SelectStatement;
 use std::sync::Arc;
@@ -128,6 +129,9 @@ pub struct Talkback {
     db: Database,
     content: ContentTranslator,
     queries: QueryTranslator,
+    /// SELECT translations by shape and catalog version (shared by clones:
+    /// a version names one catalog state in the process).
+    translations: Arc<ShapeCache<QueryTranslation>>,
 }
 
 impl Talkback {
@@ -138,6 +142,7 @@ impl Talkback {
             db,
             content: ContentTranslator::movie_domain(),
             queries: QueryTranslator::movie_domain(),
+            translations: Arc::new(ShapeCache::new(PLAN_CACHE_CAP)),
         }
     }
 
@@ -161,9 +166,42 @@ impl Talkback {
         &self.queries
     }
 
-    /// §3: translate a SQL statement into natural language.
+    /// §3: translate a SQL statement into natural language. A SELECT is
+    /// translated once per shape and then has its strings filled into the
+    /// shape's template ([`mod@query`] says when it is translated afresh).
     pub fn explain_query(&self, sql: &str) -> Result<QueryTranslation, TalkbackError> {
-        self.queries.translate_sql(self.db.catalog(), sql)
+        let catalog = self.db.catalog();
+        let Some(shape) = sqlparse::normalize_strings(sql) else {
+            return self.queries.translate_sql(catalog, sql);
+        };
+        let key = CacheKey::new(&shape.text, [0; OPTION_WORDS], &shape.literals);
+        let (version, obs) = (catalog.version(), self.db.obs());
+        let fits = (shape.literals.iter()).all(|s| s.as_str().is_some_and(nlg::realizes_verbatim));
+        let refused = || CachedVerdict::Uncacheable(Uncacheable::ValueDependent);
+        // A string that fits no slot is answered as a negative entry would be.
+        let found = if fits {
+            self.translations.lookup(&key, version)
+        } else {
+            CacheLookup::Found(refused())
+        };
+        match &found {
+            CacheLookup::Found(CachedVerdict::Template(template)) => {
+                if let Some(bound) = template.bind_strings(sql, &shape.literals) {
+                    obs.incr(Counter::TranslationHits);
+                    return Ok(bound);
+                }
+            }
+            CacheLookup::Found(_) => obs.incr(Counter::TranslationUncacheable),
+            CacheLookup::Stale | CacheLookup::Miss => {}
+        }
+        obs.incr(Counter::TranslationMisses);
+        let fresh = self.queries.translate_sql(catalog, sql)?;
+        if let CacheLookup::Stale | CacheLookup::Miss = found {
+            let template = self.queries.template(catalog, &shape, &fresh);
+            let verdict = template.map_or_else(refused, |t| CachedVerdict::Template(Arc::new(t)));
+            self.translations.insert(&key, version, verdict);
+        }
+        Ok(fresh)
     }
 
     /// §3.1: run the query and explain its result size (empty / small /
@@ -238,7 +276,7 @@ impl Talkback {
         };
         let key = normalized
             .as_ref()
-            .map(|n| PlanKey::new(&n.text, options.cache_bits(), &n.literals));
+            .map(|n| CacheKey::new(&n.text, options.cache_bits(), &n.literals));
         let mut meta = StatementMeta {
             cache: CacheStatus::Off,
             epoch,
@@ -320,10 +358,10 @@ impl Talkback {
     fn examine_for_caching(
         &self,
         query: &SelectStatement,
-        key: &PlanKey,
+        key: &CacheKey,
         fresh: &Plan,
         options: PlannerOptions,
-    ) -> CachedVerdict {
+    ) -> CachedVerdict<Plan> {
         let (template_stmt, lifted) = match sqlparse::parameterize_select(query) {
             Ok(parameterized) => parameterized,
             Err(why) => return CachedVerdict::Uncacheable(why),

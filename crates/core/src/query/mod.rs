@@ -5,6 +5,20 @@
 //! strategy → realize. Every query also gets a *procedural* narration (the
 //! guaranteed-coverage fallback §3.3.5 discusses), so callers can always
 //! show something faithful even when the fluent strategy declines.
+//!
+//! ## One translation per shape
+//!
+//! `Talkback::explain_query` translates a SELECT once per *shape*
+//! ([`sqlparse::normalize_strings`]: strings lifted out, numbers kept, for
+//! the words depend on them — `1 < (select count(*) …)` is "more than one
+//! genre", `count(distinct …) = 1` is Q8's idiom and `= 2` is not). No
+//! strategy reads a string, it only shows it: raw in prose, quoted where SQL
+//! is shown. So a miss is translated once more with each string a slot marker
+//! ([`QueryTranslator::template`]), kept only if filling in its own strings
+//! gives back the fresh translation in full (else a negative entry), and a
+//! hit fills in strings that realization leaves alone
+//! ([`nlg::realizes_verbatim`]). Entries carry the
+//! [`datastore::Catalog::version`]: no translation reads the data.
 
 pub mod advise;
 pub mod dml;
@@ -18,12 +32,45 @@ pub mod spj;
 
 use crate::error::TalkbackError;
 use datastore::exec::PlanProfile;
-use datastore::Catalog;
+use datastore::{Catalog, Value};
 use schemagraph::{classify, Classification, QueryCategory, QueryGraph};
 use sqlparse::ast::{SelectStatement, Statement};
 use sqlparse::bind::bind_query;
-use sqlparse::parse_statement;
+use sqlparse::{parse_statement, NormalizedStatement};
 use templates::Lexicon;
+
+/// String `i` of a template is the marker `{SLOT_OPEN}'Ab{i}{SLOT_CLOSE}`:
+/// the quote tells its SQL spelling from its raw one, the mixed case shows
+/// if it went through a case change.
+const SLOT_OPEN: char = '\u{E000}';
+const SLOT_CLOSE: char = '\u{E001}';
+
+/// `text` with each marker replaced by its string, raw or as a SQL literal
+/// as the marker is spelled (`None` if a marker was changed). What is filled
+/// in is never scanned again, so a string may hold anything.
+fn fill_slots(text: &str, strings: &[Value]) -> Option<String> {
+    let mut filled = String::with_capacity(text.len() + 32);
+    let mut rest = text;
+    while let Some((before, marker)) = rest.split_once(SLOT_OPEN) {
+        let (index, after) = marker.split_once(SLOT_CLOSE)?;
+        let (sql, index) = match index.strip_prefix("''Ab") {
+            Some(index) => (true, index),
+            None => (false, index.strip_prefix("'Ab")?),
+        };
+        let value = strings.get(index.parse::<usize>().ok()?)?;
+        if sql {
+            filled.push_str(before.strip_suffix('\'')?);
+            filled.push_str(&value.sql_literal());
+            rest = after.strip_prefix('\'')?;
+        } else {
+            filled.push_str(before);
+            filled.push_str(value.as_str()?);
+            rest = after;
+        }
+    }
+    filled.push_str(rest);
+    Some(filled)
+}
 
 /// Table name scanned by a profile subtree, when the subtree contains
 /// exactly one scan (a base relation, possibly behind filters) — the case
@@ -60,6 +107,33 @@ pub struct QueryTranslation {
     pub notes: Vec<String>,
     /// The query graph the translation was derived from.
     pub graph: QueryGraph,
+}
+
+impl QueryTranslation {
+    /// This template filled with a statement's strings (in textual order)
+    /// and carrying its text; `None` if a slot marker was changed. The texts
+    /// filled are those that show a WHERE or HAVING constant: the narrations,
+    /// the notes and the graph's constraints (a marker anywhere else fails
+    /// the template's verification).
+    pub fn bind_strings(&self, sql: &str, strings: &[Value]) -> Option<QueryTranslation> {
+        let mut bound = self.clone();
+        bound.sql = sql.to_string();
+        let constraints = (bound.graph.blocks.iter_mut())
+            .flat_map(|block| &mut block.classes)
+            .flat_map(|c| {
+                c.where_constraints
+                    .iter_mut()
+                    .chain(&mut c.having_constraints)
+            });
+        let texts = (bound.narrative.iter_mut())
+            .chain([&mut bound.procedural, &mut bound.best])
+            .chain(&mut bound.notes)
+            .chain(constraints);
+        for text in texts.filter(|text| text.contains(SLOT_OPEN)) {
+            *text = fill_slots(text, strings)?;
+        }
+        Some(bound)
+    }
 }
 
 /// The query translator.
@@ -173,6 +247,26 @@ impl QueryTranslator {
             notes,
             graph,
         })
+    }
+
+    /// The template of a SELECT's shape ([`sqlparse::normalize_strings`]):
+    /// its translation with each string a slot marker, if filling the slots
+    /// with its own strings gives back `fresh`, its translation, in full.
+    pub fn template(
+        &self,
+        catalog: &Catalog,
+        shape: &NormalizedStatement,
+        fresh: &QueryTranslation,
+    ) -> Option<QueryTranslation> {
+        let mut pieces = shape.text.split('?');
+        let mut marked = pieces.next()?.to_string();
+        for (i, piece) in pieces.enumerate() {
+            let marker = format!("{SLOT_OPEN}'Ab{i}{SLOT_CLOSE}");
+            marked.push_str(&Value::text(marker).sql_literal());
+            marked.push_str(piece);
+        }
+        let template = self.translate_sql(catalog, &marked).ok()?;
+        (template.bind_strings(&fresh.sql, &shape.literals)? == *fresh).then_some(template)
     }
 
     fn translate_dml(

@@ -2,7 +2,7 @@
 
 use datastore::Catalog;
 use schemagraph::{QueryBlock, RelationClass};
-use sqlparse::ast::{BinaryOperator, Expr, Literal};
+use sqlparse::ast::{flip, BinaryOperator, ColumnRef, Expr, Literal, UnaryOperator};
 use templates::Lexicon;
 
 /// The plural conceptual noun of a relation ("movies", "actors").
@@ -10,9 +10,11 @@ pub fn concept_plural(lexicon: &Lexicon, relation: &str) -> String {
     nlg::pluralize(&lexicon.concept(relation))
 }
 
-/// A literal rendered for a narrative (strings unquoted, numbers plain).
+/// A literal rendered for a narrative (strings unquoted, numbers plain, the
+/// empty string as SQL writes it, so that it still shows).
 pub fn literal_phrase(literal: &Literal) -> String {
     match literal {
+        Literal::String(s) if s.is_empty() => "''".to_string(),
         Literal::String(s) => s.clone(),
         Literal::Integer(i) => i.to_string(),
         Literal::Float(f) => f.to_string(),
@@ -65,17 +67,8 @@ pub fn entity_mention(
     constraints: &[&Expr],
 ) -> String {
     let concept = lexicon.concept(&class.relation);
-    let heading = catalog
-        .table(&class.relation)
-        .map(|t| t.effective_heading().to_string())
-        .unwrap_or_default();
-    // Heading equality constant?
-    for constraint in constraints {
-        if let Some((col, op, literal)) = constraint.as_selection_predicate() {
-            if op == BinaryOperator::Eq && col.column.eq_ignore_ascii_case(&heading) {
-                return format!("the {concept} {}", literal_phrase(literal));
-            }
-        }
+    if let Some(name) = heading_constant(catalog, class, constraints) {
+        return format!("the {concept} {name}");
     }
     // Otherwise: concept plus verbalized constraints.
     let described: Vec<String> = constraints
@@ -89,17 +82,94 @@ pub fn entity_mention(
     }
 }
 
+/// The constant a class's heading attribute is equated with, as a narrative
+/// shows it ("action" for `g.genre = 'action'`).
+pub fn heading_constant(
+    catalog: &Catalog,
+    class: &RelationClass,
+    constraints: &[&Expr],
+) -> Option<String> {
+    let heading = catalog.table(&class.relation)?.effective_heading();
+    constraints.iter().find_map(|c| match selection(c)? {
+        (col, BinaryOperator::Eq, constant) if col.column.eq_ignore_ascii_case(heading) => {
+            Some(constant)
+        }
+        _ => None,
+    })
+}
+
+/// A constant as a narrative shows it: a literal, or a number behind a minus
+/// sign (which the parser reads as a minus applied to the number).
+fn constant_phrase(expr: &Expr) -> Option<String> {
+    match expr {
+        Expr::Literal(literal) => Some(literal_phrase(literal)),
+        Expr::UnaryOp {
+            op: UnaryOperator::Minus,
+            expr,
+        } if matches!(
+            **expr,
+            Expr::Literal(Literal::Integer(_) | Literal::Float(_))
+        ) =>
+        {
+            Some(format!("-{}", constant_phrase(expr)?))
+        }
+        _ => None,
+    }
+}
+
+/// A comparison of a column with a constant, either way round, as the
+/// column, the operator seen from the column and the constant's phrase.
+fn selection(constraint: &Expr) -> Option<(&ColumnRef, BinaryOperator, String)> {
+    let Expr::BinaryOp { left, op, right } = constraint else {
+        return None;
+    };
+    match (left.as_ref(), right.as_ref()) {
+        _ if !op.is_comparison() => None,
+        (Expr::Column(c), constant) => Some((c, *op, constant_phrase(constant)?)),
+        (constant, Expr::Column(c)) => Some((c, flip(*op), constant_phrase(constant)?)),
+        _ => None,
+    }
+}
+
+/// The members of an `IN` list as one alternative ("1999 or 2004"), or of a
+/// `NOT IN` list as what the value is not ("neither 1999 nor 2004").
+fn alternatives(items: &[String], negated: bool) -> Option<String> {
+    let (last, init) = items.split_last()?;
+    Some(match (init, negated) {
+        ([], false) => last.clone(),
+        ([], true) => format!("not {last}"),
+        ([one], true) => format!("neither {one} nor {last}"),
+        (_, true) => format!("none of {}", nlg::join_with_and(items)),
+        ([one], false) => format!("{one} or {last}"),
+        (_, false) => format!("{}, or {last}", init.join(", ")),
+    })
+}
+
 /// Verbalize a single selection constraint ("year is greater than 2000").
 pub fn constraint_phrase(constraint: &Expr) -> Option<String> {
-    if let Some((col, op, literal)) = constraint.as_selection_predicate() {
+    if let Some((col, op, constant)) = selection(constraint) {
         return Some(format!(
-            "{} {} {}",
+            "{} {} {constant}",
             col.column.to_lowercase(),
             op.narrative_phrase(),
-            literal_phrase(literal)
         ));
     }
     match constraint {
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let Expr::Column(c) = expr.as_ref() else {
+                return None;
+            };
+            let items: Option<Vec<String>> = list.iter().map(constant_phrase).collect();
+            Some(format!(
+                "{} is {}",
+                c.column.to_lowercase(),
+                alternatives(&items?, *negated)?
+            ))
+        }
         Expr::Like {
             expr,
             pattern,
@@ -124,19 +194,16 @@ pub fn constraint_phrase(constraint: &Expr) -> Option<String> {
             high,
             negated,
         } => {
-            if let (Expr::Column(c), Expr::Literal(lo), Expr::Literal(hi)) =
-                (expr.as_ref(), low.as_ref(), high.as_ref())
-            {
-                Some(format!(
-                    "{} is {}between {} and {}",
-                    c.column.to_lowercase(),
-                    if *negated { "not " } else { "" },
-                    literal_phrase(lo),
-                    literal_phrase(hi)
-                ))
-            } else {
-                None
-            }
+            let Expr::Column(c) = expr.as_ref() else {
+                return None;
+            };
+            Some(format!(
+                "{} is {}between {} and {}",
+                c.column.to_lowercase(),
+                if *negated { "not " } else { "" },
+                constant_phrase(low)?,
+                constant_phrase(high)?
+            ))
         }
         Expr::IsNull { expr, negated } => {
             if let Expr::Column(c) = expr.as_ref() {

@@ -131,14 +131,15 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
     let table = table_of(&["kind", "metric", "value"], rows);
 
     let queries = obs.counter(Counter::QueriesExecuted);
+    let translated = translation_sentence(obs);
     let mut sentences = Vec::new();
-    if queries == 0 {
+    if queries == 0 && translated.is_none() {
         sentences.push(
             "I have not executed any queries since startup, so my counters are all at zero; \
              ask me something and I will start keeping score."
                 .to_string(),
         );
-    } else {
+    } else if queries > 0 {
         let total = obs.latency_summary(Phase::Total);
         let mut first = format!(
             "Since startup I have executed {} quer{}, scanning {} row{} to return {}",
@@ -254,10 +255,36 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
             )));
         }
     }
+    sentences.extend(translated);
     ShowReport {
         table,
         narration: join_sentences(&sentences),
     }
+}
+
+/// How many of the queries `explain_query` was asked about were put into
+/// words from a template, and how many had to be translated afresh.
+fn translation_sentence(obs: &ObsRegistry) -> Option<String> {
+    let hits = obs.counter(Counter::TranslationHits);
+    let asked = hits + obs.counter(Counter::TranslationMisses);
+    if asked == 0 {
+        return None;
+    }
+    let mut sentence = format!(
+        "I translated {} of the {} quer{} you asked me to explain from a template",
+        count_phrase(hits as usize),
+        count_phrase(asked as usize),
+        if asked == 1 { "y" } else { "ies" },
+    );
+    let afresh = obs.counter(Counter::TranslationUncacheable);
+    if afresh > 0 {
+        let them = if afresh == 1 { "it" } else { "them" };
+        sentence.push_str(&format!(
+            "; for {} of them the strings change the wording, so I translated {them} afresh",
+            count_phrase(afresh as usize)
+        ));
+    }
+    Some(finish_sentence(&sentence))
 }
 
 // ---------------------------------------------------------------------------

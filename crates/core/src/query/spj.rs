@@ -10,7 +10,7 @@
 
 use crate::query::phrases::{
     collapsed_adjacency, concept_plural, connector_classes, constraint_phrase, entity_mention,
-    literal_phrase, projection_phrase,
+    heading_constant, projection_phrase,
 };
 use datastore::Catalog;
 use nlg::finish_sentence;
@@ -286,7 +286,7 @@ fn general_spj(
         // names the entity's concept, mention only the constraining value.
         let concept = lexicon.concept(&class.relation);
         let object = if verb.ends_with(&concept) {
-            bare_constraint_value(catalog, class, &constraints).unwrap_or(mention)
+            heading_constant(catalog, class, &constraints).unwrap_or(mention)
         } else {
             mention
         };
@@ -336,26 +336,6 @@ fn cross_constraint_phrase(constraint: &Expr) -> Option<String> {
         r.column.to_lowercase(),
         rq
     ))
-}
-
-/// The bare constant constraining a class's heading attribute, if any
-/// ("action" for `g.genre = 'action'`).
-fn bare_constraint_value(
-    catalog: &Catalog,
-    class: &schemagraph::RelationClass,
-    constraints: &[&Expr],
-) -> Option<String> {
-    let heading = catalog
-        .table(&class.relation)
-        .map(|t| t.effective_heading().to_string())?;
-    for constraint in constraints {
-        if let Some((col, op, literal)) = constraint.as_selection_predicate() {
-            if op == BinaryOperator::Eq && col.column.eq_ignore_ascii_case(&heading) {
-                return Some(literal_phrase(literal));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -22,13 +22,18 @@
 //! ([`Uncacheable`]). Both structures are invalidated by one epoch counter,
 //! bumped on DDL, statistics invalidation, and feedback absorption —
 //! anything that could make a cached decision stale.
+//!
+//! The plan cache is one [`ShapeCache`]; `talkback`'s translation cache is
+//! the other — sentence templates stamped with the catalog version instead
+//! of the epoch, under the same key comparison, LRU and stale-entry rule.
 
+use crate::exec::parallel::KeyHasher;
 use crate::exec::plan::Plan;
 use crate::exec::stream::PlanProfile;
-use crate::fingerprint::fnv_hash;
 use crate::obs::CacheStatus;
 use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -132,8 +137,8 @@ pub enum Uncacheable {
     /// The statement contains a subquery, whose correlation parameters own
     /// the `$n` numbering.
     Subquery,
-    /// The template did not reproduce the fresh plan: the plan depends on
-    /// the value compared, not only on its kind.
+    /// The template did not reproduce the fresh plan (or translation): it
+    /// depends on the value compared, not only on its kind.
     ValueDependent,
 }
 
@@ -170,14 +175,15 @@ pub const OPTION_WORDS: usize = 4;
 /// an entry.
 pub type OptionBits = [u64; OPTION_WORDS];
 
-/// What a statement presents to the plan cache. An entry's identity is the
-/// normalized text, the option bits and the *kinds* of the literals — all
-/// compared in full on every probe, so two texts whose hashes collide can
-/// never run each other's plan. The literal values themselves are only
+/// What a statement presents to a [`ShapeCache`]. An entry's identity is
+/// the normalized text, the option bits and the *kinds* of the literals —
+/// all compared in full on every probe, so two texts whose hashes collide
+/// can never run each other's plan. The literal values themselves are only
 /// carried along: a hit binds them into the template.
 #[derive(Debug, Clone, Copy)]
-pub struct PlanKey<'a> {
-    /// FNV-1a of `text`: narrows the probe, decides nothing.
+pub struct CacheKey<'a> {
+    /// A hash of `text`, eight bytes a step: narrows the probe, decides
+    /// nothing.
     pub hash: u64,
     /// The literal-normalized statement text.
     pub text: &'a str,
@@ -187,11 +193,13 @@ pub struct PlanKey<'a> {
     pub params: &'a [Value],
 }
 
-impl<'a> PlanKey<'a> {
+impl<'a> CacheKey<'a> {
     /// The key of a normalized statement under the given options.
-    pub fn new(text: &'a str, options: OptionBits, params: &'a [Value]) -> PlanKey<'a> {
-        PlanKey {
-            hash: fnv_hash(text.as_bytes()),
+    pub fn new(text: &'a str, options: OptionBits, params: &'a [Value]) -> CacheKey<'a> {
+        let mut hash = KeyHasher::default();
+        hash.write(text.as_bytes());
+        CacheKey {
+            hash: hash.finish(),
             text,
             options,
             params,
@@ -204,29 +212,30 @@ impl<'a> PlanKey<'a> {
     }
 }
 
-/// What the cache holds for one key: a plan template with `Expr::Param`
-/// placeholders, or the verdict that the shape cannot have one.
+/// What a cache holds for one key: a verified template (for the plan cache,
+/// a plan with `Expr::Param` placeholders), or the verdict that the shape
+/// cannot have one.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CachedVerdict {
+pub enum CachedVerdict<T> {
     /// A verified template, shared with whoever is binding it.
-    Template(Arc<Plan>),
+    Template(Arc<T>),
     /// A negative entry.
     Uncacheable(Uncacheable),
 }
 
-/// What one probe of the cache found.
+/// What one probe of a cache found.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CacheLookup {
+pub enum CacheLookup<T> {
     /// An entry of the current epoch: a template to bind, or the verdict
-    /// that says plan fresh and examine nothing.
-    Found(CachedVerdict),
-    /// An entry from an older epoch (evicted by this probe).
+    /// that says start afresh and examine nothing.
+    Found(CachedVerdict<T>),
+    /// An entry from another epoch (evicted by this probe).
     Stale,
     /// Nothing under this text, options and kinds.
     Miss,
 }
 
-impl CacheLookup {
+impl CacheLookup<Plan> {
     /// The journal's word for this outcome.
     pub fn status(&self) -> CacheStatus {
         match self {
@@ -239,19 +248,19 @@ impl CacheLookup {
 }
 
 #[derive(Debug)]
-struct CacheEntry {
+struct CacheEntry<T> {
     hash: u64,
     text: Box<str>,
     options: OptionBits,
     kinds: Box<[ParamKind]>,
     epoch: u64,
-    /// [`PlanCacheInner::clock`] at the last hit or insert.
+    /// [`CacheInner::clock`] at the last hit or insert.
     used: u64,
-    verdict: CachedVerdict,
+    verdict: CachedVerdict<T>,
 }
 
-impl CacheEntry {
-    fn is(&self, key: &PlanKey) -> bool {
+impl<T> CacheEntry<T> {
+    fn is(&self, key: &CacheKey) -> bool {
         self.hash == key.hash
             && self.options == key.options
             && *self.text == *key.text
@@ -264,28 +273,37 @@ impl CacheEntry {
     }
 }
 
-#[derive(Debug, Default)]
-struct PlanCacheInner {
+#[derive(Debug)]
+struct CacheInner<T> {
     /// A few dozen entries at most ([`PLAN_CACHE_CAP`]): probed linearly.
-    entries: Vec<CacheEntry>,
+    entries: Vec<CacheEntry<T>>,
     /// Counts probes and inserts; recency is the stamp an entry carries.
     clock: u64,
 }
 
-/// Bounded LRU map from statement identity ([`PlanKey`]) to a plan template
-/// or a negative verdict. Entries of both kinds share the capacity, and
-/// entries from an older epoch are dropped when probed.
+/// Bounded LRU map from statement identity ([`CacheKey`]) to a verified
+/// template of type `T` or a negative verdict. Entries of both kinds share
+/// the capacity, and an entry made in another epoch is dropped when probed.
+/// What an epoch is belongs to the owner: the plan cache passes the
+/// adaptive epoch, the translation cache the catalog version.
 #[derive(Debug)]
-pub struct PlanCache {
+pub struct ShapeCache<T> {
     cap: usize,
-    inner: Mutex<PlanCacheInner>,
+    inner: Mutex<CacheInner<T>>,
 }
 
-impl PlanCache {
-    fn new(cap: usize) -> PlanCache {
-        PlanCache {
+/// The plan cache: physical plan templates.
+pub type PlanCache = ShapeCache<Plan>;
+
+impl<T: Clone> ShapeCache<T> {
+    /// An empty cache retaining at most `cap` entries.
+    pub fn new(cap: usize) -> ShapeCache<T> {
+        ShapeCache {
             cap: cap.max(1),
-            inner: Mutex::new(PlanCacheInner::default()),
+            inner: Mutex::new(CacheInner {
+                entries: Vec::new(),
+                clock: 0,
+            }),
         }
     }
 
@@ -296,7 +314,7 @@ impl PlanCache {
 
     /// Entries currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache lock").entries.len()
+        self.inner.lock().expect("shape cache lock").entries.len()
     }
 
     /// True when nothing is cached.
@@ -308,8 +326,8 @@ impl PlanCache {
     /// equal the key's and it was made in `epoch`; an entry from another
     /// epoch is removed on the spot. A template comes back as a shared
     /// handle — the lock is released before anyone binds it.
-    pub fn lookup(&self, key: &PlanKey, epoch: u64) -> CacheLookup {
-        let mut inner = self.inner.lock().expect("plan cache lock");
+    pub fn lookup(&self, key: &CacheKey, epoch: u64) -> CacheLookup<T> {
+        let mut inner = self.inner.lock().expect("shape cache lock");
         let Some(at) = inner.entries.iter().position(|e| e.is(key)) else {
             return CacheLookup::Miss;
         };
@@ -326,11 +344,11 @@ impl PlanCache {
     /// key held and evicting the least recently used entry when full.
     /// Returns the number of evictions (0 or 1). A key whose literals have
     /// no kind is not stored.
-    pub fn insert(&self, key: &PlanKey, epoch: u64, verdict: CachedVerdict) -> u64 {
+    pub fn insert(&self, key: &CacheKey, epoch: u64, verdict: CachedVerdict<T>) -> u64 {
         let Some(kinds) = key.kinds() else {
             return 0;
         };
-        let mut inner = self.inner.lock().expect("plan cache lock");
+        let mut inner = self.inner.lock().expect("shape cache lock");
         inner.clock += 1;
         let used = inner.clock;
         if let Some(entry) = inner.entries.iter_mut().find(|e| e.is(key)) {
@@ -359,7 +377,7 @@ impl PlanCache {
 
     /// Drop every entry.
     pub fn clear(&self) {
-        self.inner.lock().expect("plan cache lock").entries.clear();
+        self.inner.lock().expect("shape cache lock").entries.clear();
     }
 }
 
@@ -486,11 +504,11 @@ mod tests {
 
     const OPTIONS: OptionBits = [0; OPTION_WORDS];
 
-    fn template(table: &str) -> CachedVerdict {
+    fn template(table: &str) -> CachedVerdict<Plan> {
         CachedVerdict::Template(Arc::new(Plan::scan(table, "t")))
     }
 
-    fn is_hit(found: &CacheLookup, table: &str) -> bool {
+    fn is_hit(found: &CacheLookup<Plan>, table: &str) -> bool {
         *found == CacheLookup::Found(template(table))
     }
 
@@ -500,12 +518,12 @@ mod tests {
         let cache = state.plan_cache();
         let epoch = state.epoch();
         let (five, text) = ([Value::int(5)], [Value::text("five")]);
-        let by_int = PlanKey::new("select ?", OPTIONS, &five);
-        let by_text = PlanKey::new("select ?", OPTIONS, &text);
+        let by_int = CacheKey::new("select ?", OPTIONS, &five);
+        let by_text = CacheKey::new("select ?", OPTIONS, &text);
         cache.insert(&by_int, epoch, template("INT"));
         // Another value of the same kind hits; another kind is another key.
         let seven = [Value::int(7)];
-        let found = cache.lookup(&PlanKey::new("select ?", OPTIONS, &seven), epoch);
+        let found = cache.lookup(&CacheKey::new("select ?", OPTIONS, &seven), epoch);
         assert!(is_hit(&found, "INT"));
         assert_eq!(cache.lookup(&by_text, epoch), CacheLookup::Miss);
         // The two kinds hold two templates instead of overwriting one another.
@@ -514,7 +532,7 @@ mod tests {
         assert!(is_hit(&cache.lookup(&by_int, epoch), "INT"));
         assert!(is_hit(&cache.lookup(&by_text, epoch), "TEXT"));
         // So do two sets of planner options.
-        let other = PlanKey::new("select ?", [1; OPTION_WORDS], &five);
+        let other = CacheKey::new("select ?", [1; OPTION_WORDS], &five);
         assert_eq!(cache.lookup(&other, epoch), CacheLookup::Miss);
         // Epoch bump turns an entry stale; the probe removes it.
         state.bump_epoch_for(EpochCause::Schema);
@@ -528,7 +546,7 @@ mod tests {
     #[test]
     fn colliding_hashes_never_share_an_entry() {
         let cache = PlanCache::new(4);
-        let key = |text| PlanKey {
+        let key = |text| CacheKey {
             hash: 42,
             text,
             options: OPTIONS,
@@ -544,7 +562,7 @@ mod tests {
     #[test]
     fn cache_evicts_least_recently_used() {
         let cache = PlanCache::new(2);
-        let key = |text| PlanKey::new(text, OPTIONS, &[]);
+        let key = |text| CacheKey::new(text, OPTIONS, &[]);
         let range = CachedVerdict::Uncacheable(Uncacheable::RangeBound);
         assert_eq!(cache.insert(&key("one"), 0, template("ONE")), 0);
         assert_eq!(cache.insert(&key("two"), 0, range.clone()), 0);
@@ -599,7 +617,7 @@ mod tests {
                         };
                         let own = format!("{text}/{:?}", params.first().and_then(ParamKind::of));
                         // Every text shares one hash: equality alone decides.
-                        let key = PlanKey {
+                        let key = CacheKey {
                             hash: 7,
                             text,
                             options: OPTIONS,

@@ -5,6 +5,13 @@
 use crate::error::StoreError;
 use crate::schema::{ForeignKey, TableSchema};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A fresh [`Catalog::version`]: the next number of one process-wide counter.
+fn next_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The schema-level view of a database: table schemas and foreign keys.
 #[derive(Debug, Clone, Default)]
@@ -13,9 +20,18 @@ pub struct Catalog {
     /// case-insensitive in this substrate).
     tables: BTreeMap<String, TableSchema>,
     foreign_keys: Vec<ForeignKey>,
+    version: u64,
 }
 
 impl Catalog {
+    /// Which state of which catalog this is: 0 while empty, then the next
+    /// number of one process-wide counter on every mutation (a table added,
+    /// a foreign key declared, a schema handed out for editing). A clone
+    /// keeps it with the content; two catalogs that differ never share one.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// Empty catalog.
     pub fn new() -> Catalog {
         Catalog::default()
@@ -35,6 +51,7 @@ impl Catalog {
             });
         }
         self.tables.insert(key, schema);
+        self.version = next_version();
         Ok(())
     }
 
@@ -74,6 +91,7 @@ impl Catalog {
             });
         }
         self.foreign_keys.push(fk);
+        self.version = next_version();
         Ok(())
     }
 
@@ -85,7 +103,9 @@ impl Catalog {
     /// Mutable access to a table schema (used to adjust narrative metadata
     /// such as the heading attribute for personalization).
     pub fn table_mut(&mut self, name: &str) -> Option<&mut TableSchema> {
-        self.tables.get_mut(&Self::key(name))
+        let schema = self.tables.get_mut(&Self::key(name))?;
+        self.version = next_version();
+        Some(schema)
     }
 
     /// True if the table exists.
@@ -252,6 +272,31 @@ mod tests {
         assert!(c.join_between("MOVIES", "CAST").is_some());
         assert!(c.join_between("CAST", "MOVIES").is_some());
         assert!(c.join_between("MOVIES", "ACTOR").is_none());
+    }
+
+    #[test]
+    fn every_mutation_moves_the_version_and_a_clone_keeps_it() {
+        let mut c = mini_catalog();
+        assert_ne!(c.version(), Catalog::new().version());
+        let copy = c.clone();
+        assert_eq!(copy.version(), c.version());
+        let before = c.version();
+        assert!(c.table_mut("NOPE").is_none());
+        assert_eq!(c.version(), before, "nothing handed out, nothing changed");
+        c.table_mut("movies").unwrap();
+        assert!(c.version() > before);
+        let before = c.version();
+        c.add_table(TableSchema::new(
+            "X",
+            vec![ColumnDef::new("x", DataType::Integer)],
+        ))
+        .unwrap();
+        assert!(c.version() > before);
+        let before = c.version();
+        c.add_foreign_key(ForeignKey::simple("CAST", "mid", "X", "x"))
+            .unwrap();
+        assert!(c.version() > before);
+        assert_ne!(copy.version(), c.version());
     }
 
     #[test]

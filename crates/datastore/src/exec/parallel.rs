@@ -84,9 +84,10 @@ pub fn morsel_size(len: usize, workers: usize) -> usize {
 /// step per 8 bytes. The keys are values this process read out of its own
 /// tables, hashed for the length of one statement — nobody gets to choose
 /// them against a hash they cannot observe — so SipHash's per-key set-up,
-/// most of what hashing a one-integer key cost, buys nothing here.
+/// most of what hashing a one-integer key cost, buys nothing here. (The
+/// shape caches' probe hash is the same, for the same reason.)
 #[derive(Default)]
-struct KeyHasher(u64);
+pub(crate) struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {

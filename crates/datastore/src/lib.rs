@@ -42,8 +42,8 @@ pub mod tuple;
 pub mod value;
 
 pub use adaptive::{
-    AdaptiveState, CacheLookup, CachedVerdict, EpochCause, FeedbackEntry, ParamKind, PlanCache,
-    PlanKey, Uncacheable,
+    AdaptiveState, CacheKey, CacheLookup, CachedVerdict, EpochCause, FeedbackEntry, ParamKind,
+    PlanCache, ShapeCache, Uncacheable, OPTION_WORDS,
 };
 pub use catalog::Catalog;
 pub use database::Database;

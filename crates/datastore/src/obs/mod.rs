@@ -93,11 +93,17 @@ pub enum Counter {
     /// Of the columns in those snapshots, the ones whose bounds and
     /// histogram had to be re-derived from the column's value counts.
     StatsColumnsRederived,
+    /// SELECTs `explain_query` answered by filling a sentence template.
+    TranslationHits,
+    /// SELECTs `explain_query` translated from the parse up.
+    TranslationMisses,
+    /// Of those, the ones a negative entry or an unslottable string sent.
+    TranslationUncacheable,
 }
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 21] = [
         Counter::QueriesExecuted,
         Counter::RowsScanned,
         Counter::RowsEmitted,
@@ -116,6 +122,9 @@ impl Counter {
         Counter::PlanCacheUncacheable,
         Counter::StatsSnapshots,
         Counter::StatsColumnsRederived,
+        Counter::TranslationHits,
+        Counter::TranslationMisses,
+        Counter::TranslationUncacheable,
     ];
 
     /// Stable snake_case name, used as the metric key in `SHOW METRICS`.
@@ -139,6 +148,9 @@ impl Counter {
             Counter::PlanCacheUncacheable => "plan_cache_uncacheable",
             Counter::StatsSnapshots => "stats_snapshots",
             Counter::StatsColumnsRederived => "stats_columns_rederived",
+            Counter::TranslationHits => "translation_hits",
+            Counter::TranslationMisses => "translation_misses",
+            Counter::TranslationUncacheable => "translation_uncacheable",
         }
     }
 }

@@ -28,4 +28,4 @@ pub use morph::{
     be_verb, capitalize_first, count_phrase, have_verb, indefinite_article, pluralize, possessive,
 };
 pub use pronoun::{PronounPlanner, Referent};
-pub use realize::{finish_sentence, join_sentences, quote_sql, realize_clauses};
+pub use realize::{finish_sentence, join_sentences, quote_sql, realize_clauses, realizes_verbatim};

@@ -26,6 +26,19 @@ pub fn finish_sentence(fragment: &str) -> String {
     }
 }
 
+/// Whether [`finish_sentence`] leaves `fragment` as it is anywhere in a
+/// sentence but first (single spaces, no word a space would glue to its
+/// neighbour, no terminal punctuation): it can be put into a finished one.
+pub fn realizes_verbatim(fragment: &str) -> bool {
+    !fragment.ends_with(['.', '!', '?'])
+        && fragment.split(' ').all(|word| {
+            !word.is_empty()
+                && !word.contains(char::is_whitespace)
+                && !word.starts_with([',', '.', ';', ')'])
+                && !word.ends_with('(')
+        })
+}
+
 /// Realize a list of clauses as a paragraph: each clause becomes a sentence.
 pub fn realize_clauses(clauses: &[Clause]) -> String {
     let sentences: Vec<String> = clauses
@@ -72,6 +85,44 @@ mod tests {
             finish_sentence("Match Point (2005) , and Anything Else ( 2003 )."),
             "Match Point (2005), and Anything Else (2003)."
         );
+    }
+
+    #[test]
+    fn realizes_verbatim_is_exactly_what_finish_sentence_leaves_alone() {
+        let fragments = [
+            "Brad Pitt",
+            "O'Brien",
+            "Amélie",
+            "a.b",
+            "x,y",
+            "(2005)",
+            "Troy.",
+            "Why?",
+            "",
+            " x",
+            "x ",
+            "a  b",
+            "a\tb",
+            "a\nb",
+            ", x",
+            "x (",
+            "a ( b",
+            "a ) b",
+            "a ; b",
+            ".x",
+            "x.y.",
+            "Mr. Smith",
+            "a - b",
+            "¿qué",
+            ")",
+            "(",
+            "'",
+            "''",
+        ];
+        for f in fragments {
+            let left_alone = finish_sentence(&format!("a {f} a {f}")) == format!("A {f} a {f}.");
+            assert_eq!(realizes_verbatim(f), left_alone, "{f:?}");
+        }
     }
 
     #[test]

@@ -45,11 +45,22 @@ fn is_ident_part(c: char) -> bool {
 /// with `?`, collect them in order, and collapse whitespace runs.
 ///
 /// Returns `None` when the statement is not a plain `SELECT` (DML, DDL,
-/// `EXPLAIN` and `SHOW` are never cached), when a string is unterminated, or
-/// when a numeric token is malformed — any doubt means "plan it fresh".
-/// The row count after `LIMIT` is kept verbatim: it is part of the plan, not
-/// a bindable value.
+/// `EXPLAIN` and `SHOW` are never cached), when a string is unterminated,
+/// when a numeric token is malformed, or at a comment or a quoted
+/// identifier (whose whitespace means something to the lexer) — any doubt
+/// means "plan it fresh". The row count after `LIMIT` is kept verbatim: it
+/// is part of the plan, not a bindable value.
 pub fn normalize_statement(sql: &str) -> Option<NormalizedStatement> {
+    normalize(sql, false)
+}
+
+/// [`normalize_statement`] with every number kept verbatim in the text:
+/// only the strings become `?` and are collected.
+pub fn normalize_strings(sql: &str) -> Option<NormalizedStatement> {
+    normalize(sql, true)
+}
+
+fn normalize(sql: &str, keep_numbers: bool) -> Option<NormalizedStatement> {
     let trimmed = sql.trim();
     let bytes = trimmed.as_bytes();
     // Where the run of bytes that satisfy `keep`, starting at `from`, ends.
@@ -63,15 +74,23 @@ pub fn normalize_statement(sql: &str) -> Option<NormalizedStatement> {
 
     let mut text = String::with_capacity(trimmed.len());
     let mut literals = Vec::new();
+    // `trimmed[copied..]` has not reached `text` yet: what passes unchanged
+    // (words, punctuation, one space) is copied a span at a time.
+    let mut copied = 0;
     // Whether the last word scanned was `LIMIT`: a number directly after it
     // is kept verbatim instead of extracted.
     let mut after_limit = false;
     // A byte offset, always on a character boundary.
     let mut at = 0;
-    while let Some(c) = trimmed[at..].chars().next() {
+    while let Some(&b) = bytes.get(at) {
         let start = at;
+        let c = if b.is_ascii() {
+            b as char
+        } else {
+            trimmed[at..].chars().next()?
+        };
         at += c.len_utf8();
-        if c == '\'' {
+        let literal = if c == '\'' {
             // String literal with '' as the escape for a single quote.
             let mut value = String::new();
             loop {
@@ -84,9 +103,7 @@ pub fn normalize_statement(sql: &str) -> Option<NormalizedStatement> {
                 value.push('\'');
                 at += 1;
             }
-            literals.push(Value::Text(value.into()));
-            text.push('?');
-            after_limit = false;
+            Value::Text(value.into())
         } else if c.is_ascii_digit() {
             // A word that contains digits (`g2`) was consumed whole by the
             // word branch, so a digit seen here starts a number.
@@ -100,32 +117,42 @@ pub fn normalize_statement(sql: &str) -> Option<NormalizedStatement> {
                 return None;
             }
             let number = &trimmed[start..at];
-            if after_limit {
-                text.push_str(number);
+            if std::mem::take(&mut after_limit) || keep_numbers {
+                continue;
             } else if is_float {
-                literals.push(Value::Float(number.parse().ok()?));
-                text.push('?');
+                Value::Float(number.parse().ok()?)
             } else {
-                literals.push(Value::Integer(number.parse().ok()?));
-                text.push('?');
-            }
-            after_limit = false;
-        } else if c.is_whitespace() {
-            // Whitespace does not reset `after_limit`: `LIMIT   10` still
-            // protects the 10.
-            if !text.ends_with(' ') {
-                text.push(' ');
+                Value::Integer(number.parse().ok()?)
             }
         } else if is_ident_part(c) {
             at = run(at, is_ident_part);
-            let word = &trimmed[start..at];
-            text.push_str(word);
-            after_limit = word.eq_ignore_ascii_case("LIMIT");
+            after_limit = bytes[start..at].eq_ignore_ascii_case(b"LIMIT");
+            continue;
+        } else if c.is_whitespace() {
+            // A run of whitespace but a lone space becomes one space (a byte
+            // that is not ASCII may begin a space). Whitespace does not reset
+            // `after_limit`: `LIMIT   10` still protects the 10.
+            let space = |&n: &u8| !n.is_ascii() || (n as char).is_whitespace();
+            if c != ' ' || bytes.get(at).is_some_and(space) {
+                at = trimmed.len() - trimmed[start..].trim_start().len();
+                text.push_str(&trimmed[copied..start]);
+                text.push(' ');
+                copied = at;
+            }
+            continue;
+        } else if c == '"' || (c == '-' && bytes.get(at) == Some(&b'-')) {
+            return None;
         } else {
-            text.push(c);
             after_limit = false;
-        }
+            continue;
+        };
+        text.push_str(&trimmed[copied..start]);
+        text.push('?');
+        copied = at;
+        literals.push(literal);
+        after_limit = false;
     }
+    text.push_str(&trimmed[copied..]);
     // (`trimmed` neither starts nor ends with whitespace, so neither does
     // `text`.)
     Some(NormalizedStatement { text, literals })
@@ -282,6 +309,33 @@ mod tests {
             "SELECT g2.mid FROM gen g2 WHERE g2.year = ? LIMIT 10"
         );
         assert_eq!(n.literals, vec![Value::Integer(1968)]);
+    }
+
+    #[test]
+    fn the_string_shape_keeps_numbers_and_refuses_comments() {
+        let sql = "select m.title from M m where m.year = -5 and m.title = 'it''s' limit 3";
+        let n = normalize_strings(sql).unwrap();
+        assert_eq!(
+            n.text,
+            "select m.title from M m where m.year = -5 and m.title = ? limit 3"
+        );
+        assert_eq!(n.literals, vec![Value::text("it's")]);
+        // Whitespace inside a comment or a quoted identifier is not layout.
+        assert!(normalize_strings("select m.a -- x\n from M m").is_none());
+        assert!(normalize_statement("select m.\"a  b\" from M m").is_none());
+    }
+
+    #[test]
+    fn any_run_of_whitespace_is_one_space_and_other_characters_pass() {
+        let sql =
+            "select\u{A0}\u{2003}a.b ,c\x0b\r\n FROM t\t  where  x = 'é ' and y=7 limit\u{3000}2";
+        let n = normalize_statement(sql).unwrap();
+        assert_eq!(n.text, "select a.b ,c FROM t where x = ? and y=? limit 2");
+        assert_eq!(n.literals, vec![Value::text("é "), Value::Integer(7)]);
+        let n = normalize_statement("select ü.ñ from Ω ü where ü.x = 'a''b''' ").unwrap();
+        assert_eq!(n.text, "select ü.ñ from Ω ü where ü.x = ?");
+        assert_eq!(n.literals, vec![Value::text("a'b'")]);
+        assert!(normalize_statement("select t.a from t where t.a = 'open").is_none());
     }
 
     #[test]

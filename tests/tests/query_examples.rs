@@ -239,3 +239,46 @@ fn dml_and_views_are_narrated() {
     );
     assert!(t.best.starts_with("Define a view named ACTION"));
 }
+
+/// The verify step names every condition it is shown: an `IN` list, a signed
+/// number and the empty string used to vanish from the sentence ("Find the
+/// movies." for all three), telling the user the query returns every movie.
+#[test]
+fn the_verify_step_keeps_in_lists_signed_numbers_and_the_empty_string() {
+    let system = Talkback::new(movie_database());
+    for (sql, said) in [
+        (
+            "select m.title from MOVIES m where m.year in (1999, 2004)",
+            "Find the movies whose year is 1999 or 2004.",
+        ),
+        (
+            "select m.title from MOVIES m where m.year not in (1999, 2004, 2010)",
+            "Find the movies whose year is none of 1999, 2004, and 2010.",
+        ),
+        (
+            "select m.title from MOVIES m where m.title in ('Troy', 'Se7en', 'Heat')",
+            "Find the movies whose title is Troy, Se7en, or Heat.",
+        ),
+        (
+            "select m.title from MOVIES m where m.year = -5",
+            "Find the movies whose year is -5.",
+        ),
+        (
+            "select m.title from MOVIES m where -5 < m.year",
+            "Find the movies whose year is greater than -5.",
+        ),
+        (
+            "select m.title from MOVIES m where m.title = ''",
+            "Find the movies whose title is ''.",
+        ),
+        (
+            "select m.title from MOVIES m, GENRE g where m.id = g.mid and g.genre = ''",
+            "Find the movies that belong to the genre ''.",
+        ),
+    ] {
+        // Twice: the second answer comes from the shape's template.
+        for _ in 0..2 {
+            assert_eq!(system.explain_query(sql).unwrap().best, said, "{sql}");
+        }
+    }
+}
