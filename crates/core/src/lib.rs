@@ -41,7 +41,9 @@
 //!    over connected subsets, falling back to a greedy walk past
 //!    [`planner::DP_MAX_RELATIONS`] relations — and the *subquery*
 //!    phase decorrelates `WHERE`/`HAVING` subqueries into semi-/anti-joins
-//!    (NULL-aware for `NOT IN`) or evaluate-once scalars, falling back to a
+//!    (NULL-aware for `NOT IN`), evaluate-once scalars or, where it costs
+//!    less, correlated aggregates grouped once and looked up per row (Q7's
+//!    `HAVING` count), falling back to a
 //!    memoized per-row `Apply` for genuinely correlated shapes, so every
 //!    paper query (Q1–Q9, including Q6's relational division and Q7's
 //!    correlated HAVING count) executes. Every operator gets an estimated

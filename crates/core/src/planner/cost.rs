@@ -32,8 +32,10 @@
 //! profile carries it back, `datastore::adaptive` learns under it, and the
 //! next plan makes the same key from the same conjunct: recorded ⇒ found.
 
+use super::access::INDEX_PROBE_ROW_COST;
 use super::logical::{JoinGraph, Relation};
 use datastore::adaptive::{FeedbackStore, ParamKind};
+use datastore::exec::{Plan, PlanNode};
 use datastore::fingerprint::{feedback_shape, ShapeKey};
 use datastore::index::Index;
 use datastore::obs::DecisionKind;
@@ -66,9 +68,31 @@ pub enum SubqueryStrategy {
     NullAwareAntiJoin,
     /// An uncorrelated scalar subquery, evaluated once and cached.
     ScalarOnce,
+    /// A correlated scalar aggregate grouped by its correlation keys once,
+    /// each row looking its group up ([`GroupedLookup`]).
+    KeyedScalar,
     /// The correlated fallback: re-evaluated per row, memoized per distinct
     /// correlation-parameter binding.
     Apply,
+}
+
+/// A correlated scalar aggregate as a grouped lookup, and what the cost gate
+/// weighed it against; [`SubqueryStrategy::KeyedScalar`] when it won. For
+/// Q7: `item` "count(*)" `over` "GENRE", grouped `by` "g.mid" and looked up
+/// by the `probe` "m.id"; an `outer` "movie", an `inner` "genre"; `absent`,
+/// what a row with no group compares against, "0". The costs are
+/// [`plan_cost`]s: grouping once, and distinct bindings × one evaluation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupedLookup {
+    pub item: String,
+    pub over: String,
+    pub by: String,
+    pub probe: String,
+    pub outer: String,
+    pub inner: String,
+    pub absent: String,
+    pub build_cost: f64,
+    pub apply_cost: f64,
 }
 
 /// One recorded optimizer choice. The planner returns these alongside the
@@ -130,6 +154,9 @@ pub enum PlanDecision {
         /// first row (`[NOT] EXISTS`: the executor opens the subplan with a
         /// row goal of one).
         first_row: bool,
+        /// The grouped lookup the cost gate weighed, for a correlated scalar
+        /// aggregate that could be one.
+        grouped: Option<Box<GroupedLookup>>,
     },
     /// How a base relation is read — the access-path choice, recorded
     /// whether or not the index won so the narration can own up to
@@ -740,6 +767,54 @@ fn conjunct_shape(db: &Database, rel: &Relation, conjunct: &Expr) -> String {
         };
     });
     feedback_shape(&named.to_string())
+}
+
+fn est_rows(plan: &Plan) -> f64 {
+    plan.estimated_rows.unwrap_or(1.0).max(0.0)
+}
+
+/// Estimated cost of a physical plan in "row touches" — the same currency
+/// [`INDEX_PROBE_ROW_COST`] is denominated in. Deliberately simple: it only
+/// needs to *rank* two plans of one query — the advisor's what-if index
+/// against the baseline, a grouped lookup against the applies it replaces —
+/// and both sides go through the identical model, so systematic error
+/// cancels.
+pub fn plan_cost(plan: &Plan) -> f64 {
+    let out = est_rows(plan);
+    match &plan.node {
+        PlanNode::Scan { .. } | PlanNode::Values { .. } => out.max(1.0),
+        PlanNode::IndexScan { .. } => 1.0 + out * INDEX_PROBE_ROW_COST,
+        PlanNode::IndexNestedLoopJoin { left, .. } => {
+            let probes = est_rows(left).max(1.0);
+            plan_cost(left) + probes * INDEX_PROBE_ROW_COST + out
+        }
+        PlanNode::Apply { input, subplan, .. } => {
+            let bindings = est_rows(input).max(1.0);
+            plan_cost(input) + bindings * plan_cost(subplan) + out
+        }
+        PlanNode::ScalarSubquery { input, subplan, .. } => {
+            plan_cost(input) + plan_cost(subplan) + out
+        }
+        PlanNode::Sort { input, .. } => {
+            let n = est_rows(input).max(1.0);
+            plan_cost(input) + n * (n + 2.0).log2()
+        }
+        PlanNode::Filter { input, .. }
+        | PlanNode::Project { input, .. }
+        | PlanNode::Aggregate { input, .. }
+        | PlanNode::Limit { input, .. }
+        | PlanNode::Distinct { input }
+        | PlanNode::Exchange { input, .. } => plan_cost(input) + out,
+        PlanNode::NestedLoopJoin { left, right, .. } => {
+            plan_cost(left)
+                + plan_cost(right)
+                + est_rows(left).max(1.0) * est_rows(right).max(1.0) * 0.01
+                + out
+        }
+        PlanNode::HashJoin { left, right, .. }
+        | PlanNode::HashSemiJoin { left, right, .. }
+        | PlanNode::HashAntiJoin { left, right, .. } => plan_cost(left) + plan_cost(right) + out,
+    }
 }
 
 /// Simulate a fixed left-deep order, producing its per-step estimates.

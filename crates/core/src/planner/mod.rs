@@ -25,8 +25,8 @@
 //!    subquery (uncorrelated scalar, `[NOT] IN`, `[NOT] EXISTS`, correlated
 //!    comparison, quantified comparison) and picks its execution strategy —
 //!    semi-join, anti-join (NULL-aware for `NOT IN`), evaluate-once scalar,
-//!    or the `Apply` fallback — recording a [`PlanDecision::Subquery`] for
-//!    each rewrite.
+//!    a costed grouped lookup for a correlated aggregate, or the `Apply`
+//!    fallback — recording a [`PlanDecision::Subquery`] for each rewrite.
 //! 4. **[`physical`]** lowers the chosen order to scan/filter/hash-join
 //!    operators and attaches the subquery operators, with the estimated row
 //!    count on every plan node so `EXPLAIN ANALYZE` can show estimates next
@@ -42,8 +42,8 @@ pub mod vectorize;
 
 pub use access::INDEX_PROBE_ROW_COST;
 pub use cost::{
-    AccessPathKind, Alternative, JoinEnumeration, ParallelKind, PlanDecision, SubqueryStrategy,
-    DP_MAX_RELATIONS,
+    plan_cost, AccessPathKind, Alternative, GroupedLookup, JoinEnumeration, ParallelKind,
+    PlanDecision, SubqueryStrategy, DP_MAX_RELATIONS,
 };
 pub use parallel::PARALLEL_ROW_THRESHOLD;
 pub use physical::lower_expr;
@@ -63,8 +63,8 @@ use std::sync::OnceLock;
 /// every answer against.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerOptions {
-    /// Decorrelate subqueries into semi-/anti-joins and evaluate-once
-    /// scalars (on by default). With it off, every subquery runs through the
+    /// Decorrelate subqueries into semi-/anti-joins, evaluate-once scalars
+    /// and grouped lookups (on by default). With it off, every subquery runs through the
     /// naive per-row `Apply` — the reference the decorrelated plans are
     /// tested against.
     pub decorrelate_subqueries: bool,
@@ -977,6 +977,21 @@ mod tests {
     }
 
     #[test]
+    fn an_item_computed_over_a_group_is_evaluated_above_it() {
+        // It used to come out as the bare aggregate: `count(*) + 1` was
+        // `count(*)`, and `-1` could not be a HAVING operand.
+        let db = movie_database();
+        let rs = run(
+            &db,
+            "select m.year, count(*) + 1, -count(*) from MOVIES m \
+             group by m.year having count(*) > -1 and m.year = 2004",
+        );
+        assert_eq!(rs.columns[1].to_string(), "count(*) + 1");
+        let row: Vec<String> = rs.rows[0].values().iter().map(|v| v.to_string()).collect();
+        assert_eq!(row, ["2004", "3", "-2"]);
+    }
+
+    #[test]
     fn order_by_limit_distinct_work() {
         let db = movie_database();
         let rs = run(
@@ -1119,10 +1134,10 @@ mod tests {
     }
 
     #[test]
-    fn correlated_scalar_comparison_runs_through_apply() {
+    fn correlated_scalar_comparison_is_a_keyed_lookup() {
         // Employees paid above their own department's average — correlated
-        // on e1.did, so the scalar must be re-evaluated per department.
-        // Frank (did NULL) gets an empty subquery → NULL average → UNKNOWN.
+        // on e1.did, so the average is computed once per department and
+        // looked up. Frank (did NULL) has no group → NULL average → UNKNOWN.
         let db = employee_database();
         let q = parse_query(
             "select e1.name from EMP e1 where e1.sal > \
@@ -1130,7 +1145,7 @@ mod tests {
         )
         .unwrap();
         let planned = plan_query(&db, &q).unwrap();
-        assert!(operator_names(&planned.plan).contains(&"apply"));
+        assert!(operator_names(&planned.plan).contains(&"scalar subquery"));
         let rs = execute(&db, &planned.plan).unwrap();
         let mut names: Vec<String> = rs
             .rows
@@ -1193,7 +1208,7 @@ mod tests {
         )
         .unwrap();
         let planned = plan_query(&db, &q).unwrap();
-        assert!(operator_names(&planned.plan).contains(&"apply"));
+        assert!(operator_names(&planned.plan).contains(&"scalar subquery"));
         let rs = execute(&db, &planned.plan).unwrap();
         // Movies with casting credits *and* more than one genre: Match
         // Point (1), Star Quest (4), Troy (6), The Return 2006 (10).

@@ -332,7 +332,7 @@ pub(super) fn lower_select(
 
     // 4. Aggregation or plain projection. Either way, track the output
     //    column descriptors so ORDER BY can be resolved against them.
-    let output_columns: Vec<ColumnInfo>;
+    let mut output_columns: Vec<ColumnInfo>;
     if query.is_aggregate() || !having_subs.is_empty() {
         if !query.is_aggregate() {
             return Err(TalkbackError::Unsupported(
@@ -378,8 +378,19 @@ pub(super) fn lower_select(
             plan = attached;
             rows = new_rows;
         }
+        // 4c. An item computed over a group (`count(*) + 1`) is evaluated
+        //     above the aggregate, whose own output is columns and aggregates.
+        let computed = |e: &Expr| !matches!(e, Expr::Column(_) | Expr::Aggregate { .. });
+        let item = |i: &SelectItem| matches!(i, SelectItem::Expr { expr, .. } if computed(expr));
+        if query.projection.iter().any(item) {
+            let lower = |e: &Expr| lower_having(e, &group_by, &aggregates, &columns, bound);
+            let (exprs, named) = lower_projection(query, &output_columns, bound, &lower)?;
+            plan = plan.project(exprs, named.clone()).with_estimate(rows);
+            output_columns = named;
+        }
     } else {
-        let (exprs, out_columns) = lower_projection(query, &columns, bound, scopes)?;
+        let lower = |e: &Expr| lower_expr_scoped(e, &columns, bound, Some(scopes));
+        let (exprs, out_columns) = lower_projection(query, &columns, bound, &lower)?;
         output_columns = out_columns.clone();
         plan = plan.project(exprs, out_columns).with_estimate(rows);
     }
@@ -663,11 +674,12 @@ fn from_order_positions(bound: &BoundQuery, columns: &[ColumnInfo]) -> Vec<usize
     out
 }
 
+/// The SELECT list over `columns`, each item lowered by `lower`.
 fn lower_projection(
     query: &SelectStatement,
     columns: &[ColumnInfo],
     bound: &BoundQuery,
-    scopes: &ScopeChain,
+    lower: &dyn Fn(&Expr) -> Result<PExpr, TalkbackError>,
 ) -> Result<(Vec<PExpr>, Vec<ColumnInfo>), TalkbackError> {
     let mut exprs = Vec::new();
     let mut out_columns = Vec::new();
@@ -688,7 +700,7 @@ fn lower_projection(
                 }
             }
             SelectItem::Expr { expr, alias } => {
-                let lowered = lower_expr_scoped(expr, columns, bound, Some(scopes))?;
+                let lowered = lower(expr)?;
                 let name = match (alias, expr) {
                     (Some(a), _) => ColumnInfo::unqualified(a.clone()),
                     (None, Expr::Column(c)) => ColumnInfo {
@@ -803,39 +815,11 @@ fn render_aggregate_name(func: AggregateFunction, arg: &Option<Expr>, distinct: 
     }
 }
 
-/// Lower a HAVING predicate over the aggregate output row.
-fn lower_having(
-    having: &Expr,
-    group_by: &[usize],
-    aggregates: &[AggExpr],
-    columns: &[ColumnInfo],
-    bound: &BoundQuery,
-) -> Result<PExpr, TalkbackError> {
-    match having {
-        Expr::BinaryOp { left, op, right } if *op == BinaryOperator::And => Ok(PExpr::And(
-            Box::new(lower_having(left, group_by, aggregates, columns, bound)?),
-            Box::new(lower_having(right, group_by, aggregates, columns, bound)?),
-        )),
-        Expr::BinaryOp { left, op, right } if op.is_comparison() => {
-            let l = lower_having_operand(left, group_by, aggregates, columns, bound)?;
-            let r = lower_having_operand(right, group_by, aggregates, columns, bound)?;
-            Ok(PExpr::Compare {
-                op: comparison_op(*op).ok_or_else(|| not_a_comparison(*op))?,
-                left: Box::new(l),
-                right: Box::new(r),
-            })
-        }
-        other => Err(TalkbackError::Unsupported(format!(
-            "HAVING predicate {other}"
-        ))),
-    }
-}
-
-/// Lower one HAVING operand to a position in the aggregate *output* row
+/// Lower a HAVING predicate or operand over the aggregate *output* row
 /// (group-by columns first, then aggregate results). Shared with the
 /// subquery pass, whose HAVING attachments compare aggregate outputs
 /// against subquery results.
-pub(super) fn lower_having_operand(
+pub(super) fn lower_having(
     expr: &Expr,
     group_by: &[usize],
     aggregates: &[AggExpr],
@@ -868,9 +852,55 @@ pub(super) fn lower_having_operand(
             })?;
             Ok(PExpr::Column(pos))
         }
+        Expr::BinaryOp { left, op, right } => binary(
+            *op,
+            lower_having(left, group_by, aggregates, columns, bound)?,
+            lower_having(right, group_by, aggregates, columns, bound)?,
+        ),
+        Expr::UnaryOp { op, expr } => Ok(unary(
+            *op,
+            lower_having(expr, group_by, aggregates, columns, bound)?,
+        )),
         other => Err(TalkbackError::Unsupported(format!(
             "HAVING operand {other}"
         ))),
+    }
+}
+
+/// `l <op> r` over lowered operands: a connective, arithmetic or a
+/// comparison.
+fn binary(op: BinaryOperator, l: PExpr, r: PExpr) -> Result<PExpr, TalkbackError> {
+    let (l, r) = (Box::new(l), Box::new(r));
+    let arith = |op| PExpr::Arith {
+        op,
+        left: l.clone(),
+        right: r.clone(),
+    };
+    Ok(match op {
+        BinaryOperator::And => PExpr::And(l, r),
+        BinaryOperator::Or => PExpr::Or(l, r),
+        BinaryOperator::Plus => arith(ArithOp::Add),
+        BinaryOperator::Minus => arith(ArithOp::Sub),
+        BinaryOperator::Multiply => arith(ArithOp::Mul),
+        BinaryOperator::Divide => arith(ArithOp::Div),
+        cmp => PExpr::Compare {
+            op: comparison_op(cmp).ok_or_else(|| not_a_comparison(cmp))?,
+            left: l,
+            right: r,
+        },
+    })
+}
+
+/// `<op> inner` over a lowered operand.
+fn unary(op: UnaryOperator, inner: PExpr) -> PExpr {
+    match op {
+        UnaryOperator::Not => PExpr::Not(Box::new(inner)),
+        UnaryOperator::Minus => PExpr::Arith {
+            op: ArithOp::Sub,
+            left: Box::new(PExpr::Literal(Value::Integer(0))),
+            right: Box::new(inner),
+        },
+        UnaryOperator::Plus => inner,
     }
 }
 
@@ -936,51 +966,12 @@ pub(super) fn lower_expr_scoped(
         // Apply machinery uses; `bind_params` substitutes the statement's
         // literals before execution.
         Expr::Param(n) => Ok(PExpr::Param(*n)),
-        Expr::BinaryOp { left, op, right } => {
-            let l = lower_expr(left, columns, bound)?;
-            let r = lower_expr(right, columns, bound)?;
-            Ok(match op {
-                BinaryOperator::And => PExpr::And(Box::new(l), Box::new(r)),
-                BinaryOperator::Or => PExpr::Or(Box::new(l), Box::new(r)),
-                BinaryOperator::Plus => PExpr::Arith {
-                    op: ArithOp::Add,
-                    left: Box::new(l),
-                    right: Box::new(r),
-                },
-                BinaryOperator::Minus => PExpr::Arith {
-                    op: ArithOp::Sub,
-                    left: Box::new(l),
-                    right: Box::new(r),
-                },
-                BinaryOperator::Multiply => PExpr::Arith {
-                    op: ArithOp::Mul,
-                    left: Box::new(l),
-                    right: Box::new(r),
-                },
-                BinaryOperator::Divide => PExpr::Arith {
-                    op: ArithOp::Div,
-                    left: Box::new(l),
-                    right: Box::new(r),
-                },
-                cmp => PExpr::Compare {
-                    op: comparison_op(*cmp).ok_or_else(|| not_a_comparison(*cmp))?,
-                    left: Box::new(l),
-                    right: Box::new(r),
-                },
-            })
-        }
-        Expr::UnaryOp { op, expr } => {
-            let inner = lower_expr(expr, columns, bound)?;
-            match op {
-                UnaryOperator::Not => Ok(PExpr::Not(Box::new(inner))),
-                UnaryOperator::Minus => Ok(PExpr::Arith {
-                    op: ArithOp::Sub,
-                    left: Box::new(PExpr::Literal(Value::Integer(0))),
-                    right: Box::new(inner),
-                }),
-                UnaryOperator::Plus => Ok(inner),
-            }
-        }
+        Expr::BinaryOp { left, op, right } => binary(
+            *op,
+            lower_expr(left, columns, bound)?,
+            lower_expr(right, columns, bound)?,
+        ),
+        Expr::UnaryOp { op, expr } => Ok(unary(*op, lower_expr(expr, columns, bound)?)),
         Expr::IsNull { expr, negated } => {
             let inner = PExpr::IsNull(Box::new(lower_expr(expr, columns, bound)?));
             Ok(if *negated {

@@ -18,9 +18,18 @@
 //! 3. **Scalar-once** ([`SubqueryStrategy::ScalarOnce`]) — an uncorrelated
 //!    scalar comparison `expr <op> (SELECT …)`: the subquery is evaluated a
 //!    single time and its cached value filters the outer rows.
-//! 4. **Apply** ([`SubqueryStrategy::Apply`]) — everything genuinely
-//!    correlated (Q6's nested division, Q7's correlated `HAVING` count,
-//!    quantified comparisons). The subquery is planned with
+//! 4. **Keyed scalar** ([`SubqueryStrategy::KeyedScalar`]) — a scalar
+//!    aggregate correlated only by top-level key equalities (Q7's `1 <
+//!    (SELECT count(*) FROM GENRE g WHERE g.mid = m.id)`): the body, grouped
+//!    by its key columns, runs once, and each outer row looks its group up.
+//!    A row with no group gets the aggregate over no rows, so a movie with
+//!    no genre counts as 0 (the count bug, Ganski & Wong 1987). Chosen only
+//!    when [`plan_cost`] prices the grouping below the applies it replaces
+//!    (distinct bindings × one evaluation); two relations keyed on one row
+//!    would group their cross product, and stay an apply.
+//! 5. **Apply** ([`SubqueryStrategy::Apply`]) — everything genuinely
+//!    correlated (Q6's nested division, quantified comparisons, a
+//!    correlated scalar the cost gate kept). The subquery is planned with
 //!    [`datastore::expr::Expr::Param`] placeholders for the enclosing row's
 //!    columns; at run time the operator binds each row's values, executes
 //!    the subplan, and memoizes the result per distinct binding. What an
@@ -44,24 +53,25 @@
 //! c.mid" — the optimizer talking back about its own rewrites, in the
 //! spirit of the paper.
 
-use super::cost::{Estimator, PlanDecision, SubqueryStrategy};
+use super::cost::{plan_cost, Estimator, GroupedLookup, PlanDecision, SubqueryStrategy};
 use super::logical::{build_join_graph, column_type};
 use super::physical::{
-    comparison_op, lower_expr_scoped, lower_having_operand, lower_select, not_a_comparison,
+    comparison_op, lower_expr_scoped, lower_having, lower_select, not_a_comparison,
 };
 use super::PlannerOptions;
 use crate::error::TalkbackError;
-use datastore::exec::{AggExpr, ApplyMode, ColumnInfo, Plan};
+use datastore::exec::{AggExpr, ApplyMode, ColumnInfo, Plan, PlanNode};
 use datastore::expr::Expr as PExpr;
 use datastore::stats::{anti_join_cardinality, semi_join_selectivity, DEFAULT_SELECTIVITY};
-use datastore::{DataType, Database};
+use datastore::{DataType, Database, Row, Value};
 use sqlparse::ast::{
-    AggregateFunction, BinaryOperator, ColumnRef, Expr, Quantifier, SelectItem, SelectStatement,
+    AggregateFunction, BinaryOperator, ColumnRef, Expr, Literal, Quantifier, SelectItem,
+    SelectStatement,
 };
 use sqlparse::bind::{bind_subquery, BoundQuery};
 use sqlparse::rewrite::flatten_in_subqueries;
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Shared state of one planning pass: the database, the planner knobs, the
 /// correlation-parameter counter, and the subquery decisions recorded for
@@ -416,6 +426,7 @@ impl<'c> SubqueryContext<'c> {
             correlated_on,
             cache_cap: datastore::exec::APPLY_CACHE_CAP,
             first_row,
+            grouped: None,
         });
     }
 
@@ -517,26 +528,20 @@ impl<'c> SubqueryContext<'c> {
                     &lower_outer,
                 )
             }
-            Expr::BinaryOp { left, op, right } if op.is_comparison() => {
+            Expr::BinaryOp { op, .. } if op.is_comparison() => {
                 let lower_outer = |e: &Expr| lower_expr_scoped(e, columns, bound, Some(scopes));
-                self.lower_scalar_comparison(
+                self.lower_scalar_against(
                     estimator,
                     plan,
                     columns,
                     bound,
                     conjunct,
-                    left,
-                    *op,
-                    right,
                     scopes,
                     rows,
                     &lower_outer,
                 )
             }
-            other => Err(TalkbackError::Unsupported(format!(
-                "a subquery inside a complex predicate ({})",
-                shorten(&other.to_string())
-            ))),
+            other => Err(complex_predicate(other)),
         }
     }
 
@@ -559,34 +564,18 @@ impl<'c> SubqueryContext<'c> {
         scopes: &ScopeChain,
         rows: f64,
     ) -> Result<(Plan, f64), TalkbackError> {
-        let lower_outer =
-            |e: &Expr| lower_having_operand(e, group_by, aggregates, input_columns, bound);
+        let lower_outer = |e: &Expr| lower_having(e, group_by, aggregates, input_columns, bound);
         match conjunct {
-            Expr::BinaryOp { left, op, right } if op.is_comparison() => {
-                let (outer_expr, op, sub) = match (left.as_ref(), right.as_ref()) {
-                    (Expr::ScalarSubquery(sub), e) => (e, sqlparse::ast::flip(*op), sub),
-                    (e, Expr::ScalarSubquery(sub)) => (e, *op, sub),
-                    _ => {
-                        return Err(TalkbackError::Unsupported(format!(
-                            "a HAVING comparison without a scalar subquery side ({})",
-                            shorten(&conjunct.to_string())
-                        )))
-                    }
-                };
-                self.lower_scalar_against(
-                    estimator,
-                    plan,
-                    output_columns,
-                    bound,
-                    conjunct,
-                    outer_expr,
-                    op,
-                    sub,
-                    scopes,
-                    rows,
-                    &lower_outer,
-                )
-            }
+            Expr::BinaryOp { op, .. } if op.is_comparison() => self.lower_scalar_against(
+                estimator,
+                plan,
+                output_columns,
+                bound,
+                conjunct,
+                scopes,
+                rows,
+                &lower_outer,
+            ),
             Expr::Exists { subquery, negated } => self.lower_apply(
                 estimator,
                 plan,
@@ -813,51 +802,10 @@ impl<'c> SubqueryContext<'c> {
         )
     }
 
-    /// A comparison conjunct with a scalar subquery on one side.
-    #[allow(clippy::too_many_arguments)]
-    fn lower_scalar_comparison(
-        &self,
-        estimator: &Estimator,
-        plan: Plan,
-        columns: &[ColumnInfo],
-        bound: &BoundQuery,
-        conjunct: &Expr,
-        left: &Expr,
-        op: BinaryOperator,
-        right: &Expr,
-        scopes: &ScopeChain,
-        rows: f64,
-        lower_outer: &dyn Fn(&Expr) -> Result<PExpr, TalkbackError>,
-    ) -> Result<(Plan, f64), TalkbackError> {
-        let (outer_expr, op, sub) = match (left, right) {
-            (Expr::ScalarSubquery(sub), e) if !e.contains_subquery() => {
-                (e, sqlparse::ast::flip(op), sub)
-            }
-            (e, Expr::ScalarSubquery(sub)) if !e.contains_subquery() => (e, op, sub),
-            _ => {
-                return Err(TalkbackError::Unsupported(format!(
-                    "a subquery inside a complex predicate ({})",
-                    shorten(&conjunct.to_string())
-                )))
-            }
-        };
-        self.lower_scalar_against(
-            estimator,
-            plan,
-            columns,
-            bound,
-            conjunct,
-            outer_expr,
-            op,
-            sub,
-            scopes,
-            rows,
-            lower_outer,
-        )
-    }
-
-    /// Shared scalar-comparison lowering for WHERE and HAVING: evaluate-once
-    /// when uncorrelated, `Apply` otherwise.
+    /// A WHERE or HAVING comparison with a scalar subquery on one side:
+    /// evaluate-once when uncorrelated; `Apply` otherwise, unless the
+    /// subquery is an aggregate correlated only by key equalities and
+    /// grouping it once costs less than the applies.
     #[allow(clippy::too_many_arguments)]
     fn lower_scalar_against(
         &self,
@@ -866,15 +814,23 @@ impl<'c> SubqueryContext<'c> {
         columns: &[ColumnInfo],
         bound: &BoundQuery,
         conjunct: &Expr,
-        outer_expr: &Expr,
-        op: BinaryOperator,
-        sub: &SelectStatement,
         scopes: &ScopeChain,
         rows: f64,
         lower_outer: &dyn Fn(&Expr) -> Result<PExpr, TalkbackError>,
     ) -> Result<(Plan, f64), TalkbackError> {
+        let (outer_expr, op, sub) = match conjunct {
+            Expr::BinaryOp { left, op, right } => match (left.as_ref(), right.as_ref()) {
+                (Expr::ScalarSubquery(sub), e) if !e.contains_subquery() => {
+                    (e, sqlparse::ast::flip(*op), sub)
+                }
+                (e, Expr::ScalarSubquery(sub)) if !e.contains_subquery() => (e, *op, sub),
+                _ => return Err(complex_predicate(conjunct)),
+            },
+            _ => return Err(complex_predicate(conjunct)),
+        };
         single_column_subquery(sub, "a scalar")?;
         let probe = lower_outer(outer_expr)?;
+        let op = comparison_op(op).ok_or_else(|| not_a_comparison(op))?;
         let chain_with_self = scopes_with(scopes, columns, bound);
         let bound_sub = bind_subquery(self.db.catalog(), sub, &chain_with_self.bound_chain())?;
         let targets = block_aliases(bound);
@@ -891,29 +847,136 @@ impl<'c> SubqueryContext<'c> {
                 false,
             );
             return Ok((
-                plan.scalar_subquery(
-                    sub_plan,
-                    probe,
-                    comparison_op(op).ok_or_else(|| not_a_comparison(op))?,
-                )
-                .with_estimate(est),
+                plan.scalar_subquery(sub_plan, probe, op, Vec::new(), Value::Null)
+                    .with_estimate(est),
                 est,
             ));
         }
-        self.lower_apply(
-            estimator,
-            plan,
-            columns,
-            bound,
-            conjunct,
-            sub,
-            scopes,
-            ApplyMode::Compare {
-                expr: probe,
-                op: comparison_op(op).ok_or_else(|| not_a_comparison(op))?,
-            },
-            rows,
-        )
+        let before = self.decisions.borrow().len();
+        let mode = ApplyMode::Compare {
+            expr: probe.clone(),
+            op,
+        };
+        let (applied, est) = self.lower_apply(
+            estimator, plan, columns, bound, conjunct, sub, scopes, mode, rows,
+        )?;
+        let (after, PlanNode::Apply { subplan, .. }) =
+            (self.decisions.borrow().len(), &applied.node)
+        else {
+            unreachable!("lower_apply returns an apply");
+        };
+        let grouped = self.grouped_scalar(estimator, sub, columns, bound, scopes, rows, subplan)?;
+        let Some((lookup, keys, absent, grouped)) = grouped else {
+            return Ok((applied, est));
+        };
+        let keyed = grouped.build_cost < grouped.apply_cost;
+        let mut decisions = self.decisions.borrow_mut();
+        if let Some(PlanDecision::Subquery {
+            strategy,
+            grouped: g,
+            ..
+        }) = decisions.get_mut(after - 1)
+        {
+            *g = Some(Box::new(grouped));
+            if keyed {
+                *strategy = SubqueryStrategy::KeyedScalar;
+            }
+        }
+        // The plan not taken leaves only the apply's decision, weighed.
+        let end = decisions.len();
+        decisions.drain(if keyed { before..after - 1 } else { after..end });
+        match applied.node {
+            PlanNode::Apply { input, .. } if keyed => {
+                let keyed = input.scalar_subquery(lookup, probe, op, keys, absent);
+                Ok((keyed.with_estimate(est), est))
+            }
+            _ => Ok((applied, est)),
+        }
+    }
+
+    /// A correlated scalar aggregate as a grouped lookup: the body minus its
+    /// key equalities ([`Self::exists_keys`]), grouped by its key columns,
+    /// projecting `keys…, item`: the plan, the key pairs, the value of a row
+    /// with no group, and the costs against `applied`, one evaluation.
+    /// `None` unless decorrelating, and the body is an aggregate item and
+    /// nothing more.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    fn grouped_scalar(
+        &self,
+        estimator: &Estimator,
+        sub: &SelectStatement,
+        columns: &[ColumnInfo],
+        bound: &BoundQuery,
+        scopes: &ScopeChain,
+        rows: f64,
+        applied: &Plan,
+    ) -> Result<Option<(Plan, Vec<(usize, usize)>, Value, GroupedLookup)>, TalkbackError> {
+        let [SelectItem::Expr { expr: item, .. }] = sub.projection.as_slice() else {
+            return Ok(None);
+        };
+        let plain = sub.group_by.is_empty() && sub.having.is_none() && !sub.distinct;
+        let plain = plain && sub.order_by.is_empty() && sub.limit.is_none();
+        if !self.options.decorrelate_subqueries || !plain {
+            return Ok(None);
+        }
+        // The aggregate over no rows: what `g.mid = m.id` makes of a movie
+        // with no genre (the count bug, Ganski & Wong 1987).
+        let absent = (item
+            .contains_aggregate()
+            .then(|| over_no_rows(item))
+            .flatten())
+        .and_then(|e| lower_expr_scoped(&e, &[], bound, None).ok())
+        .and_then(|e| e.eval(&Row::empty()).ok());
+        let Some((keys, mut grouped)) = self.exists_keys(sub, columns, bound, scopes)? else {
+            return Ok(None);
+        };
+        let probe: Option<Vec<usize>> = keys
+            .iter()
+            .map(|k| position_of(columns, &k.outer))
+            .collect();
+        let (Some(absent), Some(probe)) = (absent, probe) else {
+            return Ok(None);
+        };
+        grouped.group_by = keys.iter().map(|k| Expr::Column(k.inner.clone())).collect();
+        grouped.projection = (grouped.group_by.iter().chain([item]))
+            .map(|expr| SelectItem::Expr {
+                expr: expr.clone(),
+                alias: None,
+            })
+            .collect();
+        let (lookup, _, bound_build) = self.plan_block(estimator, &grouped, scopes, true)?;
+        let bindings = keys
+            .iter()
+            .map(|k| self.ref_ndv(estimator, bound, &k.outer, rows) as f64)
+            .product::<f64>()
+            .min(rows.max(1.0));
+        let concept = |bound: &BoundQuery, c: &ColumnRef| {
+            let table = c.qualifier.as_deref().and_then(|q| bound.table_of_alias(q));
+            let table = table.and_then(|t| self.db.catalog().table(t));
+            table.map_or_else(|| "row".to_string(), |t| t.effective_concept())
+        };
+        let over: BTreeSet<&str> = bound_build
+            .tables
+            .iter()
+            .map(|t| t.table.as_str())
+            .collect();
+        let list = |side: fn(&KeyPair) -> &ColumnRef| {
+            let names: Vec<String> = keys.iter().map(|k| side(k).to_string()).collect();
+            names.join(", ")
+        };
+        let weighed = GroupedLookup {
+            item: item.to_string(),
+            over: Vec::from_iter(over).join(" and "),
+            by: list(|k| &k.inner),
+            probe: list(|k| &k.outer),
+            outer: concept(bound, &keys[0].outer),
+            inner: concept(&bound_build, &keys[0].inner),
+            absent: absent.to_string(),
+            build_cost: plan_cost(&lookup),
+            apply_cost: bindings * plan_cost(applied),
+        };
+        let pairs = probe.into_iter().zip(0..).collect();
+        Ok(Some((lookup, pairs, absent, weighed)))
     }
 
     /// `expr <op> ALL|ANY (subquery)` — always the `Apply` fallback (an
@@ -1309,6 +1372,32 @@ fn single_column_subquery(sub: &SelectStatement, what: &str) -> Result<(), Talkb
             shorten(&sub.to_string())
         )))
     }
+}
+
+/// `item` with each aggregate replaced by its value over no rows — 0 for a
+/// count, NULL for the rest — or `None` unless literals and binary operators
+/// are all that surround them.
+fn over_no_rows(item: &Expr) -> Option<Expr> {
+    Some(match item {
+        Expr::Aggregate { func, .. } => Expr::Literal(match func {
+            AggregateFunction::Count => Literal::Integer(0),
+            _ => Literal::Null,
+        }),
+        Expr::Literal(_) => item.clone(),
+        Expr::BinaryOp { left, op, right } => Expr::BinaryOp {
+            left: Box::new(over_no_rows(left)?),
+            op: *op,
+            right: Box::new(over_no_rows(right)?),
+        },
+        _ => return None,
+    })
+}
+
+fn complex_predicate(conjunct: &Expr) -> TalkbackError {
+    TalkbackError::Unsupported(format!(
+        "a subquery inside a complex predicate ({})",
+        shorten(&conjunct.to_string())
+    ))
 }
 
 /// Shorten a construct for narration (decisions quote the predicate, but a

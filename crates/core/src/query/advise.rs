@@ -16,7 +16,7 @@
 //! likely culprit — a plan change, a cache-invalidation epoch, or plain
 //! data growth.
 
-use crate::planner::{self, PlannerOptions, INDEX_PROBE_ROW_COST};
+use crate::planner::{self, plan_cost, PlannerOptions};
 use crate::query::show::{table_of, ShowReport};
 use datastore::exec::{Plan, PlanNode};
 use datastore::index::{Index, IndexDef, IndexKind};
@@ -73,53 +73,6 @@ pub struct Recommendation {
 // ---------------------------------------------------------------------------
 // What-if cost model
 // ---------------------------------------------------------------------------
-
-fn est_rows(plan: &Plan) -> f64 {
-    plan.estimated_rows.unwrap_or(1.0).max(0.0)
-}
-
-/// Estimated cost of a physical plan in "row touches" — the same currency
-/// [`INDEX_PROBE_ROW_COST`] is denominated in. Deliberately simple:
-/// it only needs to *rank* a hypothetical index against the baseline plan,
-/// and both sides go through the identical model, so systematic error
-/// cancels.
-pub(crate) fn plan_cost(plan: &Plan) -> f64 {
-    let out = est_rows(plan);
-    match &plan.node {
-        PlanNode::Scan { .. } | PlanNode::Values { .. } => out.max(1.0),
-        PlanNode::IndexScan { .. } => 1.0 + out * INDEX_PROBE_ROW_COST,
-        PlanNode::IndexNestedLoopJoin { left, .. } => {
-            let probes = est_rows(left).max(1.0);
-            plan_cost(left) + probes * INDEX_PROBE_ROW_COST + out
-        }
-        PlanNode::Apply { input, subplan, .. } => {
-            let bindings = est_rows(input).max(1.0);
-            plan_cost(input) + bindings * plan_cost(subplan) + out
-        }
-        PlanNode::ScalarSubquery { input, subplan, .. } => {
-            plan_cost(input) + plan_cost(subplan) + out
-        }
-        PlanNode::Sort { input, .. } => {
-            let n = est_rows(input).max(1.0);
-            plan_cost(input) + n * (n + 2.0).log2()
-        }
-        PlanNode::Filter { input, .. }
-        | PlanNode::Project { input, .. }
-        | PlanNode::Aggregate { input, .. }
-        | PlanNode::Limit { input, .. }
-        | PlanNode::Distinct { input }
-        | PlanNode::Exchange { input, .. } => plan_cost(input) + out,
-        PlanNode::NestedLoopJoin { left, right, .. } => {
-            plan_cost(left)
-                + plan_cost(right)
-                + est_rows(left).max(1.0) * est_rows(right).max(1.0) * 0.01
-                + out
-        }
-        PlanNode::HashJoin { left, right, .. }
-        | PlanNode::HashSemiJoin { left, right, .. }
-        | PlanNode::HashAntiJoin { left, right, .. } => plan_cost(left) + plan_cost(right) + out,
-    }
-}
 
 /// Does the plan actually touch the named index anywhere? A hypothetical
 /// index only counts if the what-if plan chose it.

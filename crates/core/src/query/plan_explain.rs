@@ -24,11 +24,13 @@
 //! what actually happened.
 
 use crate::error::TalkbackError;
-use crate::planner::PlanDecision;
+use crate::planner::{GroupedLookup, PlanDecision};
 use crate::query::sole_scan_table;
 use datastore::exec::{describe_plan, execute_with_stats, PlanProfile};
 use datastore::Database;
-use nlg::{count_phrase, finish_sentence, join_sentences, pluralize, quote_sql};
+use nlg::{
+    count_phrase, finish_sentence, indefinite_article, join_sentences, pluralize, quote_sql,
+};
 use sqlparse::ast::Statement;
 use sqlparse::parse_statement;
 use templates::Lexicon;
@@ -133,7 +135,8 @@ fn rows_phrase(rows: f64) -> String {
 /// Narrate the optimizer's decisions as finished sentences: why the join
 /// tree starts where it starts, how much cheaper the chosen order was
 /// expected to be than the written one, and how each subquery predicate was
-/// lowered (semi-/anti-join, evaluate-once scalar, or per-row apply). Empty
+/// lowered (semi-/anti-join, evaluate-once scalar, grouped lookup, or
+/// per-row apply). Empty
 /// when there was nothing to decide.
 pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
     let mut sentences = narrate_join_order(decisions);
@@ -165,6 +168,7 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                 correlated_on,
                 cache_cap,
                 first_row,
+                grouped,
             } => {
                 sentences.push(narrate_subquery_decision(
                     construct,
@@ -172,6 +176,7 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                     on.as_deref(),
                     correlated_on,
                     *cache_cap,
+                    grouped.as_deref(),
                 ));
                 if *first_row {
                     sentences.push("I stop each check at its first surviving row.".to_string());
@@ -393,43 +398,73 @@ fn narrate_subquery_decision(
     on: Option<&str>,
     correlated_on: &[String],
     cache_cap: usize,
+    grouped: Option<&GroupedLookup>,
 ) -> String {
     use crate::planner::SubqueryStrategy as S;
     let quoted = quote_sql(construct);
-    let text = match strategy {
-        S::SemiJoin => format!(
+    let text = match (strategy, grouped) {
+        (S::SemiJoin, _) => format!(
             "I turned {} into a semi-join on {}",
             quoted,
             on.unwrap_or("its key")
         ),
-        S::AntiJoin => format!(
+        (S::AntiJoin, _) => format!(
             "I turned {} into an anti-join on {}",
             quoted,
             on.unwrap_or("its key")
         ),
-        S::NullAwareAntiJoin => format!(
+        (S::NullAwareAntiJoin, _) => format!(
             "I turned {} into a NULL-aware anti-join on {}, preserving NOT IN's \
              three-valued NULL semantics",
             quoted,
             on.unwrap_or("its key")
         ),
-        S::ScalarOnce => format!(
+        (S::ScalarOnce, _) => format!(
             "I evaluated the scalar subquery in {} once up front and reused its cached value",
             quoted
         ),
-        S::Apply => {
+        (S::KeyedScalar, Some(g)) => {
+            let (item, o, over) = (quote_sql(&g.item), &g.outer, &g.over);
+            let ratio = ratio_text(g.apply_cost / g.build_cost.max(1.0));
+            let absent = match g.absent.as_str() {
+                "NULL" => "gets NULL, which no comparison keeps".to_string(),
+                value => format!("counts as {value}"),
+            };
+            format!(
+                "I computed {item} over {over} once per {} and looked each group up by {}, \
+                 expected to touch ~{ratio}× fewer rows than checking each {o} in turn; {} \
+                 {o} with no matching {} {absent}",
+                g.by,
+                g.probe,
+                indefinite_article(o),
+                g.inner
+            )
+        }
+        (S::Apply | S::KeyedScalar, _) => {
+            let (reason, it) = match grouped {
+                Some(g) => (
+                    format!(
+                        "Grouping {} over {} by {} was expected to touch ~{}× more rows than \
+                         checking each {} in turn",
+                        quote_sql(&g.item),
+                        g.over,
+                        g.by,
+                        ratio_text(g.build_cost / g.apply_cost.max(1.0)),
+                        g.outer
+                    ),
+                    quoted.as_str(),
+                ),
+                None => (format!("I could not flatten {quoted}"), "it"),
+            };
             if correlated_on.is_empty() {
                 format!(
-                    "I could not flatten {}, so I run it as an apply (it is evaluated once \
-                     and cached, since it carries no correlation)",
-                    quoted
+                    "{reason}, so I run {it} as an apply (it is evaluated once and cached, \
+                     since it carries no correlation)"
                 )
             } else {
                 format!(
-                    "I could not flatten {}, so I re-check it for each row as an apply, \
-                     caching results per distinct value of {} (keeping at most {} cached \
-                     results)",
-                    quoted,
+                    "{reason}, so I re-check {it} for each row as an apply, caching results \
+                     per distinct value of {} (keeping at most {} cached results)",
                     correlated_on.join(", "),
                     cache_cap
                 )
@@ -437,6 +472,63 @@ fn narrate_subquery_decision(
         }
     };
     finish_sentence(&text)
+}
+
+/// A cost ratio as the narration says it: "40" from ten up, "2.5" below.
+fn ratio_text(ratio: f64) -> String {
+    if ratio >= 10.0 {
+        format!("{ratio:.0}")
+    } else {
+        format!("{ratio:.1}")
+    }
+}
+
+/// What a subquery operator did, in words, from the profile's
+/// [`datastore::exec::SubqueryTally`] rather than the tree's detail.
+fn narrate_subquery_operator(node: &PlanProfile, analyzed: bool) -> String {
+    let tally = node.subquery.clone().unwrap_or_default();
+    let keys = tally.keys.join(" and ");
+    let many = |n: u64, noun: &str| match n {
+        1 => format!("one {noun}"),
+        n => format!("{} {}", count_phrase(n as usize), pluralize(noun)),
+    };
+    let value = format!("distinct {keys} value");
+    let text = match (node.operator == "apply", keys.is_empty(), analyzed) {
+        (true, true, false) => "will check the subquery once and reuse its answer".into(),
+        (true, true, true) => "checked the subquery once".into(),
+        (true, false, false) => {
+            format!("will re-check the subquery for each {value}, caching the answers")
+        }
+        (true, false, true) => {
+            let each = if tally.evaluations == 1 {
+                "the"
+            } else {
+                "each of the"
+            };
+            let checked = many(tally.evaluations, &value);
+            let mut text = format!("re-checked the subquery for {each} {checked}");
+            if tally.cache_hits > 0 {
+                let reused = many(tally.cache_hits, "more row");
+                text += &format!(" and reused those answers for {reused}");
+            }
+            text
+        }
+        (false, true, false) => "will compute the subquery's value once".into(),
+        (false, true, true) => "computed the subquery's value once".into(),
+        (false, false, false) => format!(
+            "will compute the subquery once per group and look each row's {keys} up among them"
+        ),
+        (false, false, true) => format!(
+            "computed the subquery once per group ({}) and looked each row's {keys} up among them",
+            many(tally.groups, "group")
+        ),
+    };
+    let kept = count_phrase(node.metrics.rows_out as usize);
+    if analyzed {
+        format!("{text}, keeping {kept}")
+    } else {
+        text
+    }
 }
 
 /// The join-order justification sentence, when there were joins to order.
@@ -533,11 +625,7 @@ fn narrate_join_order(decisions: &[PlanDecision]) -> Vec<String> {
                 text.push_str(&format!(
                     ", because {searched}, that one was expected to produce ~{}× fewer \
                      intermediate rows than the order the query was written in",
-                    if ratio >= 10.0 {
-                        format!("{ratio:.0}")
-                    } else {
-                        format!("{ratio:.1}")
-                    }
+                    ratio_text(ratio)
                 ));
             } else {
                 text.push_str(&format!(
@@ -948,36 +1036,7 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
                 )
             }
         }
-        "scalar subquery" => {
-            if analyzed {
-                format!(
-                    "computed the subquery's value once and kept the {} row{} where {}",
-                    count_phrase(m.rows_out as usize),
-                    if m.rows_out == 1 { "" } else { "s" },
-                    node.detail
-                )
-            } else {
-                format!(
-                    "will compute the subquery's value once and keep rows where {}",
-                    node.detail
-                )
-            }
-        }
-        "apply" => {
-            if analyzed {
-                format!(
-                    "re-checked the subquery ({}) per row, keeping {}",
-                    node.detail,
-                    count_phrase(m.rows_out as usize)
-                )
-            } else {
-                format!(
-                    "will re-check the subquery ({}) for each row, caching repeated \
-                     parameter values",
-                    node.detail
-                )
-            }
-        }
+        "scalar subquery" | "apply" => narrate_subquery_operator(node, analyzed),
         "aggregate" => {
             if analyzed {
                 let mut text = format!(

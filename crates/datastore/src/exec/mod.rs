@@ -141,6 +141,6 @@ pub use parallel::{morsel_size, JoinIndex, MORSEL_MIN, PARALLEL_BUILD_MIN};
 pub use plan::{
     aggregate_output_columns, ApplyMode, ColumnInfo, Edge, GatherMode, Plan, PlanNode, SortKey,
 };
-pub use profile::{IndexAccess, OpMetrics, PlanProfile, MISESTIMATE_FACTOR};
+pub use profile::{IndexAccess, OpMetrics, PlanProfile, SubqueryTally, MISESTIMATE_FACTOR};
 pub use stream::{open, open_owned, ExecContext, RowSource, APPLY_CACHE_CAP, BATCH_SIZE};
 pub use vector::{ValueVector, VectorPredicate};

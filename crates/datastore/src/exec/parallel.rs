@@ -372,9 +372,12 @@ pub(crate) enum SharedBuild {
     Keys(Arc<SemiBuild>),
     /// A nested-loop join's materialized inner side.
     Rows(Arc<Vec<Row>>),
-    /// An uncorrelated scalar subquery's single value.
-    Scalar(Value),
+    /// A scalar subquery's values by key (the empty key when uncorrelated).
+    Scalar(Arc<ScalarLookup>),
 }
+
+/// A scalar subquery's values by key.
+pub(crate) type ScalarLookup = HashMap<Vec<GroupKey>, Value>;
 
 /// Build-once state shared by every worker (and every morsel) of one
 /// exchange: one cell per stateful node of the pipeline, indexed by the

@@ -7,17 +7,18 @@
 //! Subqueries execute through four dedicated operators, from cheapest to
 //! most general: [`PlanNode::HashSemiJoin`] (decorrelated `EXISTS` / `IN`),
 //! [`PlanNode::HashAntiJoin`] (decorrelated `NOT EXISTS`, and `NOT IN` in
-//! its NULL-aware variant), [`PlanNode::ScalarSubquery`] (an uncorrelated
-//! scalar evaluated once and cached), and [`PlanNode::Apply`] (the fallback
-//! that re-runs a correlated subplan per row, substituting
-//! [`Expr::Param`] correlation parameters and caching per distinct
-//! binding).
+//! its NULL-aware variant), [`PlanNode::ScalarSubquery`] (a scalar, or a
+//! correlated aggregate grouped by its keys, evaluated once and cached), and
+//! [`PlanNode::Apply`] (the fallback that re-runs a correlated subplan per
+//! row, substituting [`Expr::Param`] correlation parameters and caching per
+//! distinct binding).
 
 use crate::exec::aggregate::AggExpr;
 use crate::expr::{CmpOp, Expr, ParamLookup};
 use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
 use crate::tuple::Row;
+use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
@@ -180,7 +181,7 @@ impl GatherMode {
 ///   [`IndexBounds`] bind themselves.
 ///
 /// A new operator is declared here, opened in `stream.rs::open_in`, named in
-/// [`Plan::operator_name`] and costed in the advisor's `plan_cost`, and
+/// [`Plan::operator_name`] and costed in the planner's `plan_cost`, and
 /// implements the executor's operator trait (columns, `pull`, `describe`,
 /// `inputs`) — nothing about metering or `PlanProfile`, which the one
 /// wrapper owns (the protocol in the [`crate::exec`] module docs).
@@ -319,15 +320,20 @@ pub enum PlanNode {
         right_keys: Vec<usize>,
         null_aware: bool,
     },
-    /// Uncorrelated scalar subquery used as a filter: evaluate `subplan`
-    /// exactly once (it must yield at most one row; zero rows is SQL NULL),
-    /// cache the scalar, and keep input rows where `expr <op> scalar` holds.
+    /// Scalar subquery used as a filter: evaluate `subplan` exactly once and
+    /// keep input rows where `expr <op> value` holds, the value being the
+    /// subplan's last column looked up by `keys` ((input position, subplan
+    /// column) pairs; none when uncorrelated, and at most one row). A row
+    /// with no group or a NULL key gets `absent`; a key seen twice is the
+    /// "more than one row" error.
     ScalarSubquery {
         input: Box<Plan>,
         subplan: Box<Plan>,
         /// Probe expression over the input row.
         expr: Expr,
         op: CmpOp,
+        keys: Vec<(usize, usize)>,
+        absent: Value,
     },
     /// The fallback for genuinely correlated subqueries: for each input row,
     /// bind the row's correlation values into `subplan` (substituting the
@@ -603,14 +609,23 @@ impl Plan {
         .into()
     }
 
-    /// Filter this plan by comparing `expr` with an uncorrelated scalar
-    /// subquery's single (cached) value.
-    pub fn scalar_subquery(self, subplan: Plan, expr: Expr, op: CmpOp) -> Plan {
+    /// Filter this plan by comparing `expr` with a scalar subquery's value,
+    /// looked up by `keys` when it is keyed (see [`PlanNode::ScalarSubquery`]).
+    pub fn scalar_subquery(
+        self,
+        subplan: Plan,
+        expr: Expr,
+        op: CmpOp,
+        keys: Vec<(usize, usize)>,
+        absent: Value,
+    ) -> Plan {
         PlanNode::ScalarSubquery {
             input: Box::new(self),
             subplan: Box::new(subplan),
             expr,
             op,
+            keys,
+            absent,
         }
         .into()
     }
@@ -935,7 +950,6 @@ impl Plan {
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Expr};
-    use crate::value::Value;
 
     #[test]
     fn column_info_matching() {

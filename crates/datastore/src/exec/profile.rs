@@ -103,8 +103,21 @@ pub struct PlanProfile {
     /// ([`crate::exec::PlanNode::Filter`]); what is learned from this node is
     /// filed under it.
     pub shape_key: Option<Arc<ShapeKey>>,
+    /// What a subquery operator (`apply`, `scalar subquery`) did.
+    pub subquery: Option<SubqueryTally>,
     /// Child profiles (inputs of this operator).
     pub children: Vec<PlanProfile>,
+}
+
+/// What a subquery operator did, so narrations need not parse the detail.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SubqueryTally {
+    /// The input columns an answer depends on (none when uncorrelated).
+    pub keys: Vec<String>,
+    /// Subplan runs, an apply's cache hits, a keyed lookup's groups.
+    pub evaluations: u64,
+    pub cache_hits: u64,
+    pub groups: u64,
 }
 
 /// Factor by which an estimate must be off (in either direction) before the
@@ -312,6 +325,7 @@ pub(crate) struct Description {
     pub(crate) workers: Option<usize>,
     pub(crate) access: Option<IndexAccess>,
     pub(crate) shape_key: Option<Arc<ShapeKey>>,
+    pub(crate) subquery: Option<SubqueryTally>,
     /// A child that is not an operator of this tree, listed after the
     /// inputs: an index join's probe leaf, the scan/filter chain a fused
     /// aggregate absorbed, an apply's accumulated subplan, an exchange's
@@ -328,6 +342,7 @@ impl Description {
             workers: None,
             access: None,
             shape_key: None,
+            subquery: None,
             synthetic: None,
         }
     }
@@ -352,6 +367,7 @@ impl Description {
             tags: self.tags,
             access: self.access,
             shape_key: self.shape_key,
+            subquery: self.subquery,
             // One exact allocation: both halves know their length.
             children: inputs.into_iter().chain(self.synthetic).collect(),
         }

@@ -28,11 +28,13 @@
 use crate::database::Database;
 use crate::error::StoreError;
 use crate::exec::aggregate::{AggExpr, GroupedAggregator};
-use crate::exec::parallel::{ExchangeShared, ExchangeSource, JoinIndex, SemiBuild, SharedBuild};
+use crate::exec::parallel::{
+    ExchangeShared, ExchangeSource, JoinIndex, ScalarLookup, SemiBuild, SharedBuild,
+};
 use crate::exec::plan::{aggregate_output_columns, ApplyMode, ColumnInfo, Plan, PlanNode, SortKey};
 use crate::exec::profile::{column_label, plural, relation_label, vectorized_tag, Description};
 pub use crate::exec::profile::{
-    render_expr, IndexAccess, OpMetrics, PlanProfile, MISESTIMATE_FACTOR,
+    render_expr, IndexAccess, OpMetrics, PlanProfile, SubqueryTally, MISESTIMATE_FACTOR,
 };
 use crate::exec::vector::{gather_selected, VectorPredicate};
 use crate::expr::{CmpOp, Expr};
@@ -278,6 +280,14 @@ fn table_columns(table: &Table, alias: &str) -> Vec<ColumnInfo> {
         .columns
         .iter()
         .map(|c| ColumnInfo::qualified(alias, c.name.clone()))
+        .collect()
+}
+
+/// The labels of the columns at `positions`.
+fn labels(columns: &[ColumnInfo], positions: &[usize]) -> Vec<String> {
+    positions
+        .iter()
+        .map(|&i| column_label(columns, i))
         .collect()
 }
 
@@ -625,21 +635,31 @@ pub(crate) fn open_in(
             subplan,
             expr,
             op,
+            keys,
+            absent,
         } => {
             let shared = env.alloc_cell();
             let input = on_spine(input)?;
             let sub = off_spine(subplan)?;
-            let detail = format!(
+            let (probe, build): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
+            let mut detail = format!(
                 "{} {} (subquery)",
                 render_expr(expr, input.columns()),
                 op.sql()
             );
+            if !keys.is_empty() {
+                detail += " on ";
+                detail += &equi_detail(input.columns(), &probe, sub.columns(), &build);
+            }
             ScalarSubquerySource {
                 input,
                 sub,
                 expr: expr.clone(),
                 op: *op,
-                scalar: None,
+                probe,
+                build,
+                absent: absent.clone(),
+                lookup: None,
                 shared,
                 detail,
             }
@@ -669,20 +689,16 @@ pub(crate) fn open_in(
             }
             let in_cols = input.columns();
             let mode_text = mode.describe(&|e| render_expr(e, in_cols));
-            let correlation: Vec<String> = params
-                .iter()
-                .map(|&(_, idx)| column_label(in_cols, idx))
-                .collect();
-            let detail = if correlation.is_empty() {
-                mode_text
-            } else {
-                format!("{mode_text} correlated on {}", correlation.join(", "))
+            let param_cols: Vec<usize> = params.iter().map(|&(_, i)| i).collect();
+            let detail = match labels(in_cols, &param_cols).join(", ") {
+                correlation if correlation.is_empty() => mode_text,
+                correlation => format!("{mode_text} correlated on {correlation}"),
             };
             ApplySource {
                 ctx: Arc::clone(ctx),
                 input,
                 subplan: (**subplan).clone(),
-                param_cols: params.iter().map(|&(_, i)| i).collect(),
+                param_cols,
                 params: params.clone(),
                 mode: mode.clone(),
                 workers: (*workers).max(1),
@@ -2065,50 +2081,55 @@ impl Operator for SemiJoinSource {
 // Scalar subquery
 // ---------------------------------------------------------------------------
 
-/// Evaluate an uncorrelated scalar subquery exactly once, cache its single
-/// value, and filter the input by comparing against it.
+/// Evaluate a scalar subquery exactly once, keep its values by key, and
+/// filter the input by comparing each row against its own.
 struct ScalarSubquerySource {
     input: Box<dyn RowSource>,
     sub: Box<dyn RowSource>,
     expr: Expr,
     op: CmpOp,
-    /// The cached scalar (SQL NULL when the subquery produced no rows),
-    /// computed once — and shared across the workers of an enclosing
-    /// exchange, so the subquery runs once per query, not once per morsel.
-    scalar: Option<Value>,
+    /// Input positions of the probe key, and the subplan columns of the
+    /// build key it is looked up by (both empty when uncorrelated).
+    probe: Vec<usize>,
+    build: Vec<usize>,
+    /// The value of a row with no group.
+    absent: Value,
+    /// Values by key, computed once — and shared across the workers of an
+    /// enclosing exchange, so the subquery runs once per query, not once
+    /// per morsel.
+    lookup: Option<Arc<ScalarLookup>>,
     shared: Option<(Arc<ExchangeShared>, usize)>,
     detail: String,
 }
 
 impl ScalarSubquerySource {
-    fn compute_scalar(&mut self, meter: &mut OpMetrics) -> Result<Value, StoreError> {
-        if let Some(value) = &self.scalar {
-            return Ok(value.clone());
+    fn build_lookup(&mut self, meter: &mut OpMetrics) -> Result<Arc<ScalarLookup>, StoreError> {
+        if let Some(lookup) = &self.lookup {
+            return Ok(Arc::clone(lookup));
         }
-        let sub = &mut self.sub;
+        let (sub, build) = (&mut self.sub, &self.build);
         let built = build_or_share(&self.shared, meter, |meter| {
-            let mut rows = 0usize;
-            let mut value = Value::Null;
+            let mut lookup = HashMap::new();
+            let value_col = sub.columns().len().saturating_sub(1);
             // The subquery's rows are not this filter's input: waited for,
             // not counted into `rows_in`.
             while let Some(batch) = meter.wait(|_| sub.next_batch())? {
                 for row in &batch {
-                    rows += 1;
-                    if rows > 1 {
+                    let value = row.get(value_col).cloned().unwrap_or(Value::Null);
+                    if lookup.insert(row.group_key(build), value).is_some() {
                         return Err(StoreError::Eval {
                             message: "scalar subquery produced more than one row".into(),
                         });
                     }
-                    value = row.get(0).cloned().unwrap_or(Value::Null);
                 }
             }
-            Ok(SharedBuild::Scalar(value))
+            Ok(SharedBuild::Scalar(Arc::new(lookup)))
         })?;
-        let SharedBuild::Scalar(value) = built else {
-            unreachable!("scalar cell always holds a value");
+        let SharedBuild::Scalar(lookup) = built else {
+            unreachable!("scalar cell always holds a lookup");
         };
-        self.scalar = Some(value.clone());
-        Ok(value)
+        self.lookup = Some(Arc::clone(&lookup));
+        Ok(lookup)
     }
 }
 
@@ -2118,15 +2139,20 @@ impl Operator for ScalarSubquerySource {
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        let scalar = self.compute_scalar(meter)?;
+        let lookup = self.build_lookup(meter)?;
         let Some(batch) = meter.pull(&mut self.input)? else {
             return Ok(None);
         };
         let mut kept = Vec::new();
+        let mut key = Vec::with_capacity(self.probe.len());
         for row in batch {
+            row.group_key_into(&self.probe, &mut key);
+            // `g.mid = NULL` matches nothing: a NULL key has no group.
+            let found = (!key.contains(&GroupKey::Null)).then(|| lookup.get(&key));
+            let value = found.flatten().unwrap_or(&self.absent);
             let v = self.expr.eval(&row)?;
             // Three-valued: NULL on either side is UNKNOWN.
-            if v.sql_cmp(&scalar).is_some_and(|ord| self.op.holds(ord)) {
+            if v.sql_cmp(value).is_some_and(|ord| self.op.holds(ord)) {
                 kept.push(row);
             }
         }
@@ -2134,7 +2160,20 @@ impl Operator for ScalarSubquerySource {
     }
 
     fn describe(&self) -> Description {
-        Description::new("scalar subquery", self.detail.clone())
+        let groups = self.lookup.as_ref().map_or(0, |l| l.len() as u64);
+        let detail = match (&self.lookup, self.probe.is_empty()) {
+            (Some(_), false) => format!("{}; {groups} group{}", self.detail, plural(groups, "s")),
+            _ => self.detail.clone(),
+        };
+        Description {
+            subquery: Some(SubqueryTally {
+                keys: labels(self.input.columns(), &self.probe),
+                evaluations: u64::from(self.lookup.is_some()),
+                cache_hits: 0,
+                groups,
+            }),
+            ..Description::new("scalar subquery", detail)
+        }
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
@@ -2469,6 +2508,12 @@ impl Operator for ApplySource {
         }
         Description {
             workers: (self.workers > 1).then_some(self.workers),
+            subquery: Some(SubqueryTally {
+                keys: labels(self.input.columns(), &self.param_cols),
+                evaluations: self.evaluations,
+                cache_hits: self.cache_hits,
+                groups: 0,
+            }),
             synthetic: Some(sub_profile),
             ..Description::new("apply", detail)
         }

@@ -437,7 +437,13 @@ fn scalar_subquery_filters_against_the_cached_value() {
     // T.v = (scalar 3): 250 of the 2500 rows qualify; the subquery's
     // profile shows it was pulled exactly once.
     let sub = values_plan("s", &[Value::int(3)]);
-    let plan = Plan::scan("T", "t").scalar_subquery(sub, Expr::Column(1), CmpOp::Eq);
+    let plan = Plan::scan("T", "t").scalar_subquery(
+        sub,
+        Expr::Column(1),
+        CmpOp::Eq,
+        Vec::new(),
+        Value::Null,
+    );
     let (rows, profile) = run_profiled(&db, &plan);
     assert_eq!(rows.len(), 250);
     assert_eq!(profile.operator, "scalar subquery");
@@ -448,7 +454,13 @@ fn scalar_subquery_filters_against_the_cached_value() {
 fn scalar_subquery_with_two_rows_is_an_error() {
     let db = db();
     let sub = values_plan("s", &[Value::int(1), Value::int(2)]);
-    let plan = Plan::scan("T", "t").scalar_subquery(sub, Expr::Column(1), CmpOp::Eq);
+    let plan = Plan::scan("T", "t").scalar_subquery(
+        sub,
+        Expr::Column(1),
+        CmpOp::Eq,
+        Vec::new(),
+        Value::Null,
+    );
     let mut src = open(&db, &plan).unwrap();
     assert!(src.next_batch().is_err());
 }
@@ -457,7 +469,13 @@ fn scalar_subquery_with_two_rows_is_an_error() {
 fn scalar_subquery_over_empty_input_is_sql_null() {
     let db = db();
     let sub = values_plan("s", &[]);
-    let plan = Plan::scan("T", "t").scalar_subquery(sub, Expr::Column(1), CmpOp::Eq);
+    let plan = Plan::scan("T", "t").scalar_subquery(
+        sub,
+        Expr::Column(1),
+        CmpOp::Eq,
+        Vec::new(),
+        Value::Null,
+    );
     let mut src = open(&db, &plan).unwrap();
     // v = NULL is UNKNOWN for every row: nothing comes out.
     assert!(src.next_batch().unwrap().is_none());

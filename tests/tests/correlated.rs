@@ -6,7 +6,12 @@
 //! Seeded statements over the movie schema and a NULL-heavy EMP/DEPT, every
 //! combination of subquery kind × correlation operator × body shape, with the
 //! local column (indexed, unindexed, composite-key prefix), the nesting depth
-//! (1 or 2) and the literals drawn from the seed. Each runs under the default
+//! (1 or 2) and the literals drawn from the seed; a scalar subquery projects
+//! one of seven aggregates, and a scalar or `HAVING` probe is sometimes a
+//! constant an empty group passes (`0 = count`, `-1 < count`). Sixty more
+//! equality-correlated scalar and `HAVING` statements follow the grid, and
+//! each seed must reach both the grouped lookup and an apply the cost gate
+//! kept at least five times. Each runs under the default
 //! options on one thread and on four (threshold 0, so exchanges and parallel
 //! applies really happen) and must return the multiset the naive reference
 //! engine returns: every subquery a per-row apply, no index, no vector
@@ -18,7 +23,8 @@ use datastore::sample::{employee_database, scaled_movie_database, ScaleConfig};
 use datastore::{Database, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use talkback::{PlannerOptions, Talkback};
+use talkback::planner::SubqueryStrategy;
+use talkback::{PlanDecision, PlannerOptions, Talkback};
 use talkback_tests::assert_recorded_feedback_is_found;
 
 fn seeds() -> Vec<u64> {
@@ -68,6 +74,24 @@ const KINDS: [&str; 8] = [
 const CORRELATIONS: [&str; 5] = ["=", "<", "<=", "<>", "+0"];
 const BODIES: [&str; 3] = ["one", "joined", "unjoined"];
 const COMPARISONS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+/// What a scalar subquery projects over its local column `#`.
+const AGGREGATES: [&str; 7] = [
+    "max(#)",
+    "min(#)",
+    "count(#)",
+    "sum(#)",
+    "avg(#)",
+    "count(distinct #)",
+    "count(*) + 1",
+];
+/// Constant probes, some of which a movie with no matching row passes
+/// (`0 = count`, `-1 < count`, `count < 2`).
+const CONSTANTS: [&str; 4] = ["-1", "0", "1", "2"];
+/// Statements drawn beyond the grid: scalar and `HAVING` subqueries
+/// correlated by equality, the shape a grouped lookup can take — half of
+/// them over two unjoined relations, whose grouped build is a cross product
+/// the cost gate should turn down.
+const KEYED_DRAWS: usize = 60;
 
 /// How an index could serve a predicate on the column, if at all.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -245,6 +269,28 @@ struct Drawn {
     depth: usize,
 }
 
+/// `probe <comparison> (subquery)`, or the subquery first with the
+/// comparison flipped, the probe an outer operand or, a third of the time,
+/// a constant.
+fn compare(rng: &mut StdRng, operand: &str, comparison: &str, subquery: &str) -> String {
+    let probe = if rng.gen_bool(0.33) {
+        pick(rng, &CONSTANTS).to_string()
+    } else {
+        operand.to_string()
+    };
+    if rng.gen_bool(0.5) {
+        return format!("{probe} {comparison} ({subquery})");
+    }
+    let flipped = match comparison {
+        "<" => ">",
+        "<=" => ">=",
+        ">" => "<",
+        ">=" => "<=",
+        same => same,
+    };
+    format!("({subquery}) {flipped} {probe}")
+}
+
 /// The FROM list and WHERE conjuncts of one subquery body over `schema`,
 /// correlated with the outer columns `outer` (already qualified), and the
 /// local column it projects. `level` keeps the aliases of nested bodies
@@ -312,7 +358,10 @@ fn body(
             // edge between them, sometimes a residual.
             let (a, b) = (pick(rng, schema.columns), pick(rng, schema.columns));
             let (first, second) = (pick(rng, outer), pick(rng, outer));
-            let other = pick(rng, &CORRELATIONS);
+            let other = match rng.gen_bool(0.5) {
+                true => correlation,
+                false => pick(rng, &CORRELATIONS),
+            };
             let mut conjuncts = vec![
                 correlate(rng, correlation, &format!("{l}.{}", a.name), &first),
                 correlate(rng, other, &format!("{k}.{}", b.name), &second),
@@ -377,11 +426,15 @@ fn statement(
         "all" | "any" => format!(
             "{operand} {comparison} {kind} (select {projected} from {from} where {condition})"
         ),
-        "scalar" => format!(
-            "{operand} {comparison} (select {}({projected}) from {from} where {condition})",
-            pick(rng, &["max", "min", "count"])
-        ),
-        _ => format!("count(*) {comparison} (select count(*) from {from} where {condition})"),
+        "scalar" => {
+            let item = pick(rng, &AGGREGATES).replace('#', &projected);
+            let sub = format!("select {item} from {from} where {condition}");
+            compare(rng, &operand, comparison, &sub)
+        }
+        _ => {
+            let sub = format!("select count(*) from {from} where {condition}");
+            compare(rng, "count(*)", comparison, &sub)
+        }
     };
     let sql = if kind == "having" {
         format!(
@@ -406,6 +459,30 @@ fn statement(
     (sql, Drawn { access, depth })
 }
 
+/// How the planner lowered a statement's subqueries: (grouped lookups,
+/// applies the cost gate kept).
+fn strategies(system: &Talkback, sql: &str) -> (usize, usize) {
+    let explained = system
+        .explain_plan_with(&format!("explain {sql}"), PlannerOptions::sequential())
+        .unwrap_or_else(|e| panic!("{sql}\nfailed to explain: {e}"));
+    let mut counts = (0, 0);
+    for d in &explained.decisions {
+        match d {
+            PlanDecision::Subquery {
+                strategy: SubqueryStrategy::KeyedScalar,
+                ..
+            } => counts.0 += 1,
+            PlanDecision::Subquery {
+                strategy: SubqueryStrategy::Apply,
+                grouped: Some(_),
+                ..
+            } => counts.1 += 1,
+            _ => {}
+        }
+    }
+    counts
+}
+
 /// The rows of an answer in an order of their own.
 fn multiset(system: &Talkback, sql: &str, options: PlannerOptions, seed: u64) -> Vec<String> {
     let answer = system
@@ -416,39 +493,51 @@ fn multiset(system: &Talkback, sql: &str, options: PlannerOptions, seed: u64) ->
     rows
 }
 
-/// Every kind × correlation × body shape once, the rest drawn from the seed.
-/// Returns how many statements ran.
+/// Every kind × correlation × body shape once, then [`KEYED_DRAWS`] scalar
+/// and `HAVING` subqueries correlated by equality. Returns how many
+/// statements ran.
 fn differential(seed: u64, schema: &Schema, db: Database) -> usize {
     let system = Talkback::new(db);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut drawn = Vec::new();
-    let mut non_empty = 0;
-    let mut learned = 0;
+    let mut grid = Vec::new();
     for kind in KINDS {
         for correlation in CORRELATIONS {
             for shape in BODIES {
-                let (sql, what) = statement(&mut rng, schema, kind, correlation, shape);
-                let expected = multiset(&system, &sql, reference(), seed);
-                for options in subjects() {
-                    let got = multiset(&system, &sql, options, seed);
-                    assert!(
-                        got == expected,
-                        "seed {seed}: {sql}\n{} rows under {options:?}, {} under the reference",
-                        got.len(),
-                        expected.len()
-                    );
-                }
-                // Recorded ⇒ found: whatever this run teaches the feedback
-                // store, the statement's next plan looks up.
-                let uncached = PlannerOptions {
-                    use_plan_cache: false,
-                    ..PlannerOptions::sequential()
-                };
-                learned += assert_recorded_feedback_is_found(&system, &sql, uncached).len();
-                non_empty += usize::from(!expected.is_empty());
-                drawn.push(what);
+                grid.push((kind, correlation, shape));
             }
         }
+    }
+    for _ in 0..KEYED_DRAWS {
+        let shape = pick(&mut rng, &["one", "joined", "unjoined", "unjoined"]);
+        grid.push((pick(&mut rng, &["scalar", "having"]), "=", shape));
+    }
+    let mut drawn = Vec::new();
+    let mut non_empty = 0;
+    let mut learned = 0;
+    let (mut keyed, mut gated) = (0, 0);
+    for (kind, correlation, shape) in grid {
+        let (sql, what) = statement(&mut rng, schema, kind, correlation, shape);
+        let expected = multiset(&system, &sql, reference(), seed);
+        for options in subjects() {
+            let got = multiset(&system, &sql, options, seed);
+            assert!(
+                got == expected,
+                "seed {seed}: {sql}\n{} rows under {options:?}, {} under the reference",
+                got.len(),
+                expected.len()
+            );
+        }
+        // Recorded ⇒ found: whatever this run teaches the feedback store,
+        // the statement's next plan looks up.
+        let uncached = PlannerOptions {
+            use_plan_cache: false,
+            ..PlannerOptions::sequential()
+        };
+        learned += assert_recorded_feedback_is_found(&system, &sql, uncached).len();
+        let (k, g) = strategies(&system, &sql);
+        (keyed, gated) = (keyed + k, gated + g);
+        non_empty += usize::from(!expected.is_empty());
+        drawn.push(what);
     }
     // The seed reached every corner it draws, and the answers say something.
     for access in [Access::Indexed, Access::Unindexed, Access::CompositePrefix] {
@@ -456,6 +545,11 @@ fn differential(seed: u64, schema: &Schema, db: Database) -> usize {
         let wanted = usize::from(schema.columns.iter().any(|c| c.access == access));
         assert!(seen >= 5 * wanted, "seed {seed}: {access:?} drawn {seen}×");
     }
+    assert!(keyed >= 5, "seed {seed}: {keyed} grouped lookups");
+    assert!(
+        gated >= 5,
+        "seed {seed}: {gated} applies kept by the cost gate"
+    );
     let deep = drawn.iter().filter(|d| d.depth == 2).count();
     assert!(deep >= 20, "seed {seed}: depth 2 drawn {deep}×");
     assert!(

@@ -5,6 +5,7 @@
 
 use datastore::exec::PlanProfile;
 use datastore::sample::{employee_database, movie_database, scaled_movie_database, ScaleConfig};
+use datastore::{Row, StoreError, Value};
 use sqlparse::parse_query;
 use talkback::{plan_query, plan_query_with, PlannerOptions, Talkback};
 use talkback_tests::mentions;
@@ -69,6 +70,14 @@ fn explain_golden_apply_and_anti_join_tree_for_q6() {
         "parameterized-probe decision missing from: {}",
         e.narration
     );
+    assert!(
+        e.narration.ends_with(
+            "then will re-check the subquery for each distinct m.id value, caching the \
+             answers."
+        ),
+        "{}",
+        e.narration
+    );
 }
 
 #[test]
@@ -101,24 +110,35 @@ fn explain_analyze_q6_shows_estimates_actuals_and_the_decision() {
 }
 
 #[test]
-fn explain_analyze_q7_shows_the_having_apply() {
+fn explain_analyze_golden_q7_is_a_keyed_lookup() {
+    // GENRE is counted once per g.mid and each movie looks its count up: no
+    // apply, no probe per movie.
     let system = Talkback::new(movie_database());
     let e = system
-        .explain_plan(&format!("explain analyze {Q7}"))
+        .explain_plan_with(
+            &format!("explain analyze {Q7}"),
+            PlannerOptions::sequential(),
+        )
         .unwrap();
     assert_eq!(e.result_rows, Some(4));
-    assert!(
-        e.tree
-            .contains("apply: 1 < (…) correlated on m.id; 8 evaluations, 0 cache hits"),
-        "HAVING apply missing from tree:\n{}",
-        e.tree
+    assert_eq!(
+        e.tree,
+        "scalar subquery: 1 < (subquery) on m.id = g.mid; 10 groups  [est=4 actual=4 in=8 batches=1]\n\
+         ├─ aggregate: group by m.id, m.title; count(*)  [vectorized]  [est=12 actual=8 in=12 batches=1]\n\
+         │  └─ hash join: m.id = c.mid  [vectorized]  [est=12 actual=12 in=22 batches=1]\n\
+         │     ├─ scan: MOVIES as m  [est=10 actual=10 in=10 batches=1]\n\
+         │     └─ scan: CAST as c  [est=12 actual=12 in=12 batches=1]\n\
+         └─ aggregate: group by g.mid; count(*)  [vectorized]  [est=10 actual=10 in=14 batches=1]\n\
+         \u{20}  └─ scan: GENRE as g  [est=14 actual=14 in=14 batches=1]\n"
     );
-    assert!(e
-        .tree
-        .contains("aggregate: group by m.id, m.title; count(*)"));
     assert!(
-        mentions(&e.narration, "re-check it for each row as an apply"),
-        "apply decision missing from: {}",
+        e.narration.ends_with(
+            "then summarized them into eight groups, accumulated through the typed kernels \
+             over one vector, then computed the subquery once per group (ten groups) and \
+             looked each row's m.id up among them, keeping four. In the end the query \
+             produced four rows."
+        ),
+        "{}",
         e.narration
     );
 }
@@ -144,6 +164,12 @@ fn explain_golden_scalar_subquery_tree() {
         &e.narration,
         "once up front and reused its cached value"
     ));
+    assert!(
+        e.narration
+            .ends_with("then will compute the subquery's value once."),
+        "{}",
+        e.narration
+    );
 }
 
 #[test]
@@ -376,6 +402,14 @@ fn explain_analyze_golden_q9_filters_reach_their_scans() {
     );
     assert_block_estimates_are_believable(&e);
     assert!(!e.narration.contains("37037"), "{}", e.narration);
+    assert!(
+        e.narration.contains(
+            "then re-checked the subquery for each of the 100 distinct m.title values and \
+             reused those answers for 200 more rows, keeping 300."
+        ),
+        "{}",
+        e.narration
+    );
     for alias in ["m1", "m2"] {
         let said = format!(
             "I apply `{alias}.title = m.title` while reading {alias}, once per outer row, \
@@ -428,6 +462,14 @@ fn explain_analyze_golden_q6_stops_each_check_at_its_first_row() {
         "{}",
         e.narration
     );
+    assert!(
+        e.narration.contains(
+            "then re-checked the subquery for each of the 100 distinct m.id values, keeping \
+             zero."
+        ),
+        "{}",
+        e.narration
+    );
     // Counted: each of the 100 checks used to read all 200 rows of GENRE to
     // learn that one survives (20 000 in, 20 300 scanned in all).
     let g1 = find(apply_subplan(&e.profile), "scan", "GENRE as g1");
@@ -450,6 +492,16 @@ fn explain_analyze_golden_two_correlated_relations_are_priced_per_binding() {
          \u{20}           └─ index scan: GENRE as h [index=pk_genre prefix h.mid = $0] [index-only]  [est=200 actual=200 in=200 batches=100]\n"
     );
     assert_block_estimates_are_believable(&e);
+    // Grouping would build the 200 × 200 cross product; the gate says so.
+    assert!(
+        e.narration.contains(
+            "Grouping `count(*)` over GENRE by g.mid, h.mid was expected to touch ~26× more \
+             rows than checking each movie in turn, so I re-check `2 = (SELECT count(*) FROM \
+             GENRE g, GENRE h WHERE g.mid = m.id AND h.mid…` for each row as an apply"
+        ),
+        "{}",
+        e.narration
+    );
     // The join is fed two rows a side per evaluation.
     let join = find(apply_subplan(&e.profile), "nested-loop join", "");
     assert!(join
@@ -496,7 +548,8 @@ fn a_row_goal_stops_at_breakers_and_is_never_given_to_other_applies() {
 #[test]
 fn explain_golden_q7_narration_says_each_decision_once() {
     // The outer aggregate and the subquery's both run through the kernels
-    // on `count(*)`; the sentence used to be said twice in a row.
+    // on `count(*)`; the sentence used to be said twice in a row. The
+    // grouped lookup says what a movie without a genre counts as.
     let system = Talkback::new(movie_database());
     let e = system
         .explain_plan_with(&format!("explain {Q7}"), PlannerOptions::sequential())
@@ -505,17 +558,138 @@ fn explain_golden_q7_narration_says_each_decision_once() {
         e.narration,
         "I started from MOVIES (an estimated ten rows) and joined CAST next (expecting twelve \
          rows), keeping the order the query was written in — after weighing every join order \
-         over the connected relations, it was already the cheapest I could find. I pinned the \
-         leading mid of GENRE's composite index pk_genre and read just that slice — an \
-         estimated one row of its 14 rows, re-binding the probe to each enclosing row's value \
-         instead of rescanning per row, answering from the index keys alone without touching a \
-         stored row. I could not flatten `1 < (SELECT count(*) FROM GENRE g WHERE g.mid = \
-         m.id)`, so I re-check it for each row as an apply, caching results per distinct value \
-         of m.id (keeping at most 1024 cached results). I compiled the aggregate on `count(*)` \
-         into typed column kernels — every aggregate reads a plain column — so it runs a \
-         1,024-value vector at a time. I will scan the movies, then will scan the casting \
-         credits, then will match the movies to their casting credits on m.id = c.mid, then \
-         will summarize them (group by m.id, m.title; count(*)), then will re-check the \
-         subquery (1 < (…) correlated on m.id) for each row, caching repeated parameter values."
+         over the connected relations, it was already the cheapest I could find. I computed \
+         `count(*)` over GENRE once per g.mid and looked each group up by m.id, expected to \
+         touch ~3.2× fewer rows than checking each movie in turn; a movie with no matching \
+         genre counts as 0. I compiled the aggregate on `count(*)` into typed column kernels — \
+         every aggregate reads a plain column — so it runs a 1,024-value vector at a time. I \
+         will scan the movies, then will scan the casting credits, then will match the movies \
+         to their casting credits on m.id = c.mid, then will summarize them (group by m.id, \
+         m.title; count(*)), then will compute the subquery once per group and look each \
+         row's m.id up among them."
+    );
+}
+
+// ---------------------------------------------------------------------------
+// A correlated aggregate as a grouped lookup: the count bug and NULL keys
+// ---------------------------------------------------------------------------
+
+/// The answer's first column, sorted, after checking the plan looked the
+/// subquery up by key rather than re-running it per row.
+fn keyed_answer(system: &Talkback, sql: &str) -> Vec<String> {
+    let e = system
+        .explain_plan_with(&format!("explain {sql}"), PlannerOptions::sequential())
+        .unwrap();
+    let keyed = find(&e.profile, "scalar subquery", "");
+    assert!(
+        !keyed.subquery.as_ref().unwrap().keys.is_empty(),
+        "{}",
+        e.tree
+    );
+    let mut rows: Vec<String> = system
+        .run_query(sql)
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r.get(0).unwrap().to_string())
+        .collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn a_movie_without_a_genre_counts_as_zero() {
+    let mut db = movie_database();
+    db.insert(
+        "MOVIES",
+        vec![Value::int(11), Value::text("Untitled"), Value::int(2009)],
+    )
+    .unwrap();
+    let system = Talkback::new(db);
+    let sql = "select m.title from MOVIES m \
+               where 0 = (select count(*) from GENRE g where g.mid = m.id)";
+    assert_eq!(keyed_answer(&system, sql), ["Untitled"]);
+    // The same movie passes `-1 <` and `< 2`, which an inner join would lose.
+    let sql = "select m.title from MOVIES m \
+               where -1 < (select count(*) from GENRE g where g.mid = m.id) \
+               and (select count(*) from GENRE g where g.mid = m.id) < 2";
+    assert!(keyed_answer(&system, sql).contains(&"Untitled".to_string()));
+}
+
+#[test]
+fn an_empty_department_counts_as_zero() {
+    let system = Talkback::new(employee_database());
+    let sql = "select d.dname from DEPT d \
+               where 0 = (select count(*) from EMP e where e.did = d.did)";
+    assert_eq!(keyed_answer(&system, sql), ["Empty Shell"]);
+}
+
+#[test]
+fn a_null_key_has_no_group() {
+    // Frank's did is NULL: `e2.did = NULL` matches nobody, so his average
+    // is NULL (compared with nothing) and his count is 0 — never the
+    // NULL-did employees' own group.
+    let system = Talkback::new(employee_database());
+    let above = "select e.name from EMP e where e.sal > \
+                 (select avg(e2.sal) from EMP e2 where e2.did = e.did)";
+    assert_eq!(keyed_answer(&system, above), ["Alice", "Carol", "Erin"]);
+    let at_least = "select e.name from EMP e where e.sal >= \
+                    (select avg(e2.sal) from EMP e2 where e2.did = e.did)";
+    assert!(!keyed_answer(&system, at_least).contains(&"Frank".to_string()));
+    let alone = "select e.name from EMP e \
+                 where 0 = (select count(*) from EMP e2 where e2.did = e.did)";
+    assert_eq!(keyed_answer(&system, alone), ["Frank"]);
+}
+
+#[test]
+fn a_keyed_subquery_with_two_rows_for_one_key_is_the_typed_error() {
+    use datastore::exec::{ColumnInfo, Plan};
+    use datastore::expr::{CmpOp, Expr};
+    let db = movie_database();
+    let groups = Plan::values(
+        vec![
+            ColumnInfo::qualified("g", "mid"),
+            ColumnInfo::unqualified("count(*)"),
+        ],
+        vec![
+            Row::new(vec![Value::int(1), Value::int(2)]),
+            Row::new(vec![Value::int(1), Value::int(3)]),
+        ],
+    );
+    let plan = Plan::scan("MOVIES", "m").scalar_subquery(
+        groups,
+        Expr::Literal(Value::int(1)),
+        CmpOp::Lt,
+        vec![(0, 0)],
+        Value::int(0),
+    );
+    match datastore::exec::execute(&db, &plan) {
+        Err(StoreError::Eval { message }) => assert!(message.contains("more than one row")),
+        other => panic!("expected the more-than-one-row error, got {other:?}"),
+    }
+    // Through SQL, a correlated scalar that is not an aggregate stays an
+    // apply and fails the same way for a movie with two genres.
+    let err = Talkback::new(movie_database())
+        .run_query(
+            "select m.title from MOVIES m \
+             where 'drama' = (select g.genre from GENRE g where g.mid = m.id)",
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("more than one row"), "{err}");
+}
+
+#[test]
+fn an_empty_answer_from_a_keyed_lookup_blames_the_subquery_check() {
+    // §3.1: no fixture movie has more than five genres.
+    let system = Talkback::new(movie_database());
+    let sql = Q7.replace("having 1 <", "having 5 <");
+    let explained = system.explain_result(&sql).unwrap();
+    assert_eq!(explained.rows, 0);
+    assert!(
+        explained.narrative.contains(
+            "None of the 8 rows passed the subquery check `5 < (subquery) on m.id = g.mid"
+        ),
+        "{}",
+        explained.narrative
     );
 }
