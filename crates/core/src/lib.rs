@@ -115,10 +115,10 @@ pub use query::{QueryTranslation, QueryTranslator};
 
 use datastore::adaptive::PLAN_CACHE_CAP;
 use datastore::exec::{execute_with_stats, Plan, ResultSet};
-use datastore::obs::{Counter, StatementPhases};
+use datastore::obs::{Counter, Statement, StatementPhases};
 use datastore::{
-    CacheKey, CacheLookup, CacheStatus, CachedVerdict, Database, ParamKind, ShapeCache,
-    StatementMeta, Uncacheable, Value, OPTION_WORDS,
+    CacheKey, CacheLookup, CacheStatus, CachedVerdict, Database, ParamKind, PlanTemplate,
+    ShapeCache, StatementMeta, Uncacheable, Value, OPTION_WORDS,
 };
 use sqlparse::SelectStatement;
 use std::sync::Arc;
@@ -269,15 +269,13 @@ impl Talkback {
         let t0 = Instant::now();
         let epoch = self.db.adaptive().epoch();
         let cache = self.db.adaptive().plan_cache();
-        // The key is computed from the raw text alone; the parser and the
-        // planner only run when the cache has no template for it.
-        let normalized = if options.use_plan_cache {
-            sqlparse::normalize_statement(sql)
-        } else {
-            None
-        };
-        let key = normalized
-            .as_ref()
+        // The shape comes from the raw text alone: the plan cache is probed
+        // under it (the parser and the planner only run on a miss) and the
+        // workload ledger files the statement under it, cache or not.
+        let normalized = sqlparse::normalize_statement(sql);
+        let shape = normalized.as_ref().map(|n| n.text.as_str());
+        let key = (normalized.as_ref())
+            .filter(|_| options.use_plan_cache)
             .map(|n| CacheKey::new(&n.text, options.cache_bits(), &n.literals));
         let mut meta = StatementMeta {
             cache: CacheStatus::Off,
@@ -289,12 +287,13 @@ impl Talkback {
             match found {
                 CacheLookup::Found(CachedVerdict::Template(template)) => {
                     self.db.obs().incr(Counter::PlanCacheHits);
-                    let plan = template.bind_params(&|i| key.params.get(i as usize));
+                    let plan = template.plan.bind_params(&|i| key.params.get(i as usize));
                     let phases = StatementPhases {
                         plan: t0.elapsed(),
                         ..StatementPhases::default()
                     };
-                    return self.execute_planned(sql, &plan, options, phases, meta);
+                    let planned = (&plan, Some(&*template));
+                    return self.execute_planned(sql, shape, planned, options, phases, meta);
                 }
                 CacheLookup::Found(CachedVerdict::Uncacheable(why)) => {
                     self.db.obs().note_uncacheable(why)
@@ -316,15 +315,18 @@ impl Talkback {
             plan: t1.elapsed(),
             ..StatementPhases::default()
         };
-        self.execute_planned(sql, &planned.plan, options, phases, meta)
+        let planned = (&planned.plan, None);
+        self.execute_planned(sql, shape, planned, options, phases, meta)
     }
 
-    /// Execute a planned statement, absorb its feedback and record it;
-    /// `phases` says how long parsing and planning took.
+    /// Execute a planned statement (and the cached template it binds, on a
+    /// hit), absorb its feedback and record it under `shape`; `phases` says
+    /// how long parsing and planning took.
     fn execute_planned(
         &self,
         sql: &str,
-        plan: &Plan,
+        shape: Option<&str>,
+        (plan, template): (&Plan, Option<&PlanTemplate>),
         options: PlannerOptions,
         mut phases: StatementPhases,
         meta: StatementMeta,
@@ -337,9 +339,14 @@ impl Talkback {
                 .adaptive()
                 .absorb(&profile, options.misestimate_factor);
         }
-        self.db.obs().record_statement(
+        let statement = Statement {
             sql,
-            &profile,
+            shape,
+            plan_hash: template.map(|t| t.shape_hash(&profile)),
+        };
+        self.db.obs().record_statement(
+            statement,
+            profile,
             phases,
             result.len() as u64,
             options.misestimate_factor,
@@ -363,7 +370,7 @@ impl Talkback {
         key: &CacheKey,
         fresh: &Plan,
         options: PlannerOptions,
-    ) -> CachedVerdict<Plan> {
+    ) -> CachedVerdict<PlanTemplate> {
         let (template_stmt, lifted) = match sqlparse::parameterize_select(query) {
             Ok(parameterized) => parameterized,
             Err(why) => return CachedVerdict::Uncacheable(why),
@@ -384,7 +391,7 @@ impl Talkback {
             Ok(template)
                 if template.plan.bind_params(&|i| key.params.get(i as usize)) == *fresh =>
             {
-                CachedVerdict::Template(Arc::new(template.plan))
+                CachedVerdict::Template(Arc::new(PlanTemplate::new(template.plan)))
             }
             _ => CachedVerdict::Uncacheable(Uncacheable::ValueDependent),
         }

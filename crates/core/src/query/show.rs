@@ -403,7 +403,7 @@ fn show_profile(obs: &ObsRegistry) -> ShowReport {
         .into_iter()
         .map(|(depth, span)| {
             let label = if span.detail.is_empty() {
-                span.name.clone()
+                span.name.to_string()
             } else {
                 format!("{}: {}", span.name, span.detail)
             };
@@ -489,7 +489,7 @@ fn profile_narration(entry: &JournalEntry) -> String {
         sentences.push(finish_sentence(&format!(
             "Inside the plan, the {} did the heaviest lifting at {}",
             if op.detail.is_empty() {
-                op.name.clone()
+                op.name.to_string()
             } else {
                 format!("{} on {}", op.name, op.detail)
             },

@@ -17,11 +17,11 @@
 //! The [`PlanCache`] makes the second run cheaper as well as better: a
 //! bounded map from a statement's identity — literal-normalized text,
 //! planner options, literal kinds — to a physical [`Plan`] template with
-//! `Expr::Param` placeholders, re-bound with the statement's literals on a
-//! hit, or to the verdict that the shape cannot be templated and why
-//! ([`Uncacheable`]). Both structures are invalidated by one epoch counter,
-//! bumped on DDL, statistics invalidation, and feedback absorption —
-//! anything that could make a cached decision stale.
+//! `Expr::Param` placeholders ([`PlanTemplate`]), re-bound with the
+//! statement's literals on a hit, or to the verdict that the shape cannot be
+//! templated and why ([`Uncacheable`]). Both structures are invalidated by
+//! one epoch counter, bumped on DDL, statistics invalidation, and feedback
+//! absorption — anything that could make a cached decision stale.
 //!
 //! The plan cache is one [`ShapeCache`]; `talkback`'s translation cache is
 //! the other — sentence templates stamped with the catalog version instead
@@ -30,12 +30,13 @@
 use crate::exec::parallel::KeyHasher;
 use crate::exec::plan::Plan;
 use crate::exec::stream::PlanProfile;
+use crate::fingerprint::plan_shape_hash;
 use crate::obs::CacheStatus;
 use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default plan-cache capacity (templates and negative verdicts retained).
 pub const PLAN_CACHE_CAP: usize = 64;
@@ -235,7 +236,7 @@ pub enum CacheLookup<T> {
     Miss,
 }
 
-impl CacheLookup<Plan> {
+impl CacheLookup<PlanTemplate> {
     /// The journal's word for this outcome.
     pub fn status(&self) -> CacheStatus {
         match self {
@@ -293,7 +294,44 @@ pub struct ShapeCache<T> {
 }
 
 /// The plan cache: physical plan templates.
-pub type PlanCache = ShapeCache<Plan>;
+pub type PlanCache = ShapeCache<PlanTemplate>;
+
+/// A verified plan template, and the shape hash its executions share.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanTemplate {
+    /// The plan, `Expr::Param` placeholders where the literals go.
+    pub plan: Plan,
+    /// [`plan_shape_hash`] of the first execution; `None` when an operator's
+    /// detail tallies its probes, morsels, evaluations or groups, whose
+    /// plurals the hash reads.
+    shape_hash: Option<OnceLock<u64>>,
+}
+
+impl PlanTemplate {
+    /// A template of `plan`.
+    pub fn new(plan: Plan) -> PlanTemplate {
+        let mut tallies = false;
+        plan.walk(&mut |p| {
+            tallies |= matches!(
+                p.operator_name(),
+                "index nested-loop join" | "exchange" | "apply" | "scalar subquery"
+            )
+        });
+        PlanTemplate {
+            shape_hash: (!tallies).then(OnceLock::new),
+            plan,
+        }
+    }
+
+    /// The shape hash of an execution of this template whose profile is
+    /// `profile`: the first execution's, where they all share it.
+    pub fn shape_hash(&self, profile: &PlanProfile) -> u64 {
+        match &self.shape_hash {
+            Some(hash) => *hash.get_or_init(|| plan_shape_hash(profile)),
+            None => plan_shape_hash(profile),
+        }
+    }
+}
 
 impl<T: Clone> ShapeCache<T> {
     /// An empty cache retaining at most `cap` entries.
@@ -504,11 +542,11 @@ mod tests {
 
     const OPTIONS: OptionBits = [0; OPTION_WORDS];
 
-    fn template(table: &str) -> CachedVerdict<Plan> {
-        CachedVerdict::Template(Arc::new(Plan::scan(table, "t")))
+    fn template(table: &str) -> CachedVerdict<PlanTemplate> {
+        CachedVerdict::Template(Arc::new(PlanTemplate::new(Plan::scan(table, "t"))))
     }
 
-    fn is_hit(found: &CacheLookup<Plan>, table: &str) -> bool {
+    fn is_hit(found: &CacheLookup<PlanTemplate>, table: &str) -> bool {
         *found == CacheLookup::Found(template(table))
     }
 

@@ -18,15 +18,17 @@ use std::sync::{Arc, RwLock};
 /// populated per-table statistics cache the optimizer plans with.
 ///
 /// Tables are held behind `Arc` so the executor can take *owned* handles to
-/// them ([`Database::table_arcs`]) and ship operator subtrees to worker
-/// threads without tying the operator tree to the database's lifetime.
-/// Mutation goes through [`Arc::make_mut`], which copies the table only when
-/// a concurrently running query still holds the old handle — writers get
-/// copy-on-write snapshot isolation from in-flight reads for free.
+/// them ([`Database::table_arc`]) and ship operator subtrees to worker
+/// threads without tying the operator tree to the database's lifetime. The
+/// map of them is shared too: a statement's snapshot is one reference count.
+/// Mutation goes through [`Arc::make_mut`], which copies the map, and then
+/// the table, only when a concurrently running query still holds the old
+/// handle — writers get copy-on-write snapshot isolation from in-flight
+/// reads for free.
 #[derive(Debug, Default)]
 pub struct Database {
     catalog: Catalog,
-    tables: BTreeMap<String, Arc<Table>>,
+    tables: Arc<BTreeMap<String, Arc<Table>>>,
     /// Optimizer statistics keyed like `tables`, computed on first use and
     /// invalidated whenever the table is written. Interior mutability so
     /// planning (`&Database`) can fill the cache.
@@ -47,7 +49,7 @@ impl Clone for Database {
     fn clone(&self) -> Database {
         Database {
             catalog: self.catalog.clone(),
-            tables: self.tables.clone(),
+            tables: Arc::clone(&self.tables),
             // Statistics describe the data, which is cloned unchanged; the
             // Arc entries are shared rather than recollected.
             stats: RwLock::new(self.stats.read().expect("stats lock").clone()),
@@ -125,7 +127,8 @@ impl Database {
                 })
                 .expect("auto PK index on a fresh table cannot clash");
         }
-        self.tables.insert(Self::key(&schema.name), Arc::new(table));
+        self.tables_mut()
+            .insert(Self::key(&schema.name), Arc::new(table));
         self.adaptive.bump_epoch_for(EpochCause::Schema);
         Ok(())
     }
@@ -150,7 +153,7 @@ impl Database {
                 table: owner.name().to_string(),
             });
         }
-        let arc = self.tables.get_mut(&key).expect("checked above");
+        let arc = self.tables_mut().get_mut(&key).expect("checked above");
         let table = Arc::make_mut(arc);
         let entries = table.create_index(def)?.len();
         // DDL changes the access paths available to the planner.
@@ -168,8 +171,8 @@ impl Database {
             .ok_or_else(|| StoreError::UnknownIndex {
                 index: name.to_string(),
             })?;
-        let def =
-            Arc::make_mut(self.tables.get_mut(&owner).expect("owner exists")).drop_index(name)?;
+        let table = self.tables_mut().get_mut(&owner).expect("owner exists");
+        let def = Arc::make_mut(table).drop_index(name)?;
         // DDL changes the access paths available to the planner.
         self.adaptive.bump_epoch_for(EpochCause::Schema);
         Ok(def)
@@ -239,10 +242,14 @@ impl Database {
         self.tables.get(&Self::key(name)).cloned()
     }
 
-    /// Owned handles to every table (the executor's snapshot of the data;
-    /// cloning shares rows via `Arc`, it does not copy them).
-    pub fn table_arcs(&self) -> BTreeMap<String, Arc<Table>> {
-        self.tables.clone()
+    /// The map of tables, shared: the executor's snapshot of the data.
+    pub(crate) fn table_map(&self) -> &Arc<BTreeMap<String, Arc<Table>>> {
+        &self.tables
+    }
+
+    /// The map of tables, copied first if a snapshot still holds it.
+    fn tables_mut(&mut self) -> &mut BTreeMap<String, Arc<Table>> {
+        Arc::make_mut(&mut self.tables)
     }
 
     /// Mutable access to a table. Conservatively drops the table's cached
@@ -257,7 +264,7 @@ impl Database {
             return None;
         }
         self.invalidate_stats(name);
-        self.tables.get_mut(&key).map(Arc::make_mut)
+        self.tables_mut().get_mut(&key).map(Arc::make_mut)
     }
 
     /// Statistics of a table: a snapshot of the summaries the table keeps
@@ -353,7 +360,7 @@ impl Database {
                 });
             }
         }
-        let result = Arc::make_mut(self.tables.get_mut(&key).unwrap()).insert(row);
+        let result = Arc::make_mut(self.tables_mut().get_mut(&key).unwrap()).insert(row);
         // Only a successful insert changes the data the stats describe.
         if result.is_ok() {
             self.invalidate_stats(table);
@@ -370,15 +377,12 @@ impl Database {
         values: Vec<Value>,
     ) -> Result<usize, StoreError> {
         let key = Self::key(table);
-        let result =
-            Arc::make_mut(
-                self.tables
-                    .get_mut(&key)
-                    .ok_or_else(|| StoreError::UnknownTable {
-                        table: table.to_string(),
-                    })?,
-            )
-            .insert_values(values);
+        let result = Arc::make_mut(self.tables_mut().get_mut(&key).ok_or_else(|| {
+            StoreError::UnknownTable {
+                table: table.to_string(),
+            }
+        })?)
+        .insert_values(values);
         if result.is_ok() {
             self.invalidate_stats(table);
         }

@@ -9,7 +9,7 @@
 
 use crate::database::Database;
 use crate::error::StoreError;
-use crate::exec::plan::{ColumnInfo, Plan};
+use crate::exec::plan::{Columns, Plan};
 use crate::exec::stream::{open, PlanProfile, RowSource};
 use crate::obs::Counter;
 use crate::tuple::Row;
@@ -18,8 +18,8 @@ use crate::value::Value;
 /// The materialized result of executing a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultSet {
-    /// Output column descriptors.
-    pub columns: Vec<ColumnInfo>,
+    /// Output column descriptors, shared with the plan's top operator.
+    pub columns: Columns,
     /// Result rows.
     pub rows: Vec<Row>,
 }
@@ -85,7 +85,7 @@ impl ResultSet {
 /// still holds every operator's counters.
 fn drain(db: &Database, plan: &Plan) -> Result<(ResultSet, Box<dyn RowSource>), StoreError> {
     let mut source = open(db, plan)?;
-    let columns = source.columns().to_vec();
+    let columns = source.columns().clone();
     let mut rows = Vec::new();
     while let Some(batch) = source.next_batch()? {
         rows.extend(batch);
@@ -121,7 +121,7 @@ pub fn describe_plan(db: &Database, plan: &Plan) -> Result<PlanProfile, StoreErr
 mod tests {
     use super::*;
     use crate::exec::aggregate::{AggExpr, AggFunc};
-    use crate::exec::plan::SortKey;
+    use crate::exec::plan::{ColumnInfo, SortKey};
     use crate::expr::{CmpOp, Expr};
     use crate::schema::{ColumnDef, TableSchema};
     use crate::value::DataType;

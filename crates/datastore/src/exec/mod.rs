@@ -26,9 +26,9 @@
 //!    the wrapper starts and stops the clock.
 //! 2. Time spent waiting on someone else's work lands in `blocked`
 //!    (`elapsed - blocked` is the operator's own work) — an operator takes
-//!    its inputs through `meter.pull(child)`, and any other wait (a shared
-//!    build another worker is finishing, a fan-out to threads) through
-//!    `meter.wait(..)`.
+//!    its inputs through `meter.pull(child)`, which charges the time the
+//!    child measured for itself, and any other wait (a shared build another
+//!    worker is finishing, a fan-out to threads) through `meter.wait(..)`.
 //! 3. `rows_in` counts what was pulled — the same `meter.pull(child)`; a
 //!    leaf adds the rows it read from storage.
 //! 4. `rows_out` and `batches` move exactly when a batch is returned — the
@@ -112,6 +112,12 @@
 //! key per row. Writers never see any of this: `Row::get_mut` copies a row
 //! that anyone else still holds before it changes it.
 //!
+//! Likewise **opening an operator allocates nothing for its description, and
+//! `describe()` renders it once**, when a profile is asked for. Column lists
+//! are shared ([`plan::Columns`]; a scan's from its table), and an apply adds
+//! each binding's counters to its subplan profile in place
+//! ([`stream::RowSource::absorb_into`]).
+//!
 //! Operator trees are owned (`Arc` table handles, no borrowed lifetimes), so
 //! subtrees are `Send` and the [`parallel`] layer can execute pipelines
 //! morsel-by-morsel across worker threads via [`plan::PlanNode::Exchange`] —
@@ -139,7 +145,8 @@ pub use aggregate::{Accumulator, AggExpr, AggFunc, GroupedAggregator};
 pub use executor::{describe_plan, execute, execute_with_stats, ResultSet};
 pub use parallel::{morsel_size, JoinIndex, MORSEL_MIN, PARALLEL_BUILD_MIN};
 pub use plan::{
-    aggregate_output_columns, ApplyMode, ColumnInfo, Edge, GatherMode, Plan, PlanNode, SortKey,
+    aggregate_output_columns, ApplyMode, ColumnInfo, Columns, Edge, GatherMode, Plan, PlanNode,
+    SortKey,
 };
 pub use profile::{IndexAccess, OpMetrics, PlanProfile, SubqueryTally, MISESTIMATE_FACTOR};
 pub use stream::{open, open_owned, ExecContext, RowSource, APPLY_CACHE_CAP, BATCH_SIZE};

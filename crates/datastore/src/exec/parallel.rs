@@ -51,8 +51,8 @@
 
 use crate::error::StoreError;
 use crate::exec::aggregate::{Accumulator, GroupedAggregator};
-use crate::exec::plan::{aggregate_output_columns, ColumnInfo, GatherMode, Plan};
-use crate::exec::profile::{plural, relation_label, Description, OpMetrics, PlanProfile};
+use crate::exec::plan::{aggregate_output_columns, Columns, GatherMode, Plan, Relation};
+use crate::exec::profile::{plural, Description, OpMetrics, PlanProfile};
 use crate::exec::stream::{
     drain_pending, open_in, top_k, ExecContext, OpenEnv, Operator, RowSource,
 };
@@ -462,14 +462,16 @@ pub(crate) struct ExchangeSource {
     workers: usize,
     /// How per-morsel outputs are combined above the workers.
     gather: GatherMode,
-    columns: Vec<ColumnInfo>,
-    /// Zero-counter profile of the pipeline subtree; worker profiles are
-    /// absorbed into a clone of it after the run.
-    template: PlanProfile,
+    columns: Columns,
+    /// The pipeline subtree, opened once. On the parallel path it is never
+    /// pulled: its profile is the template the workers' profiles are
+    /// absorbed into after the run. On the pass-through path (no
+    /// partitionable driver scan, or one worker) it is this operator's input.
+    pipeline: Box<dyn RowSource>,
+    passthrough: bool,
     shared: Arc<ExchangeShared>,
-    driver: Option<(String, String)>,
-    /// Pass-through source when there is no partitionable driver scan.
-    fallback: Option<Box<dyn RowSource>>,
+    /// The driver scan's table, read as the plan reads it.
+    driver: Option<Arc<Relation>>,
     /// Gathered output in morsel order, filled by the first pull.
     gathered: Option<VecDeque<Row>>,
     absorbed: Option<PlanProfile>,
@@ -489,23 +491,24 @@ impl ExchangeSource {
         // The executor partitions only what `Plan::driver_scan` finds: a
         // hand-built exchange over a limit or an aggregate degrades to a
         // sequential pass-through instead of running it once per morsel.
-        let driver = input
-            .driver_scan()
-            .map(|(table, alias, _)| (table.to_string(), alias.to_string()));
+        let driver = match input.driver_scan() {
+            Some((table, alias, _)) => Some(ctx.require_table(table)?.relation(table, alias)),
+            None => None,
+        };
         let shared = Arc::new(ExchangeShared::new(workers));
         let cell = Cell::new(0);
         let env = OpenEnv {
             shared: Some(&shared),
             next_cell: &cell,
         };
-        // Opening the template validates the subtree and fixes the profile
+        // Opening the pipeline validates the subtree and fixes the profile
         // shape every worker's profile will share; it reads no rows. On the
         // pass-through path (no partitionable driver, or one worker) the
-        // same source simply becomes the fallback — no second open. The
+        // same source is the input — no second open. The
         // gather still applies on that path (an aggregating exchange must
         // aggregate even when it cannot partition), treating the whole
         // pass-through output as a single run.
-        let template_src = open_in(ctx, input, &env, None, None, None)?;
+        let pipeline = open_in(ctx, input, &env, None, None, None)?;
         shared.size_cells(cell.get());
         let columns = match &gather {
             // A merging-aggregate exchange emits aggregate output rows, not
@@ -514,14 +517,8 @@ impl ExchangeSource {
                 group_by,
                 aggregates,
                 ..
-            } => aggregate_output_columns(template_src.columns(), group_by, aggregates),
-            _ => template_src.columns().to_vec(),
-        };
-        let template = template_src.profile();
-        let fallback = if driver.is_none() || workers <= 1 {
-            Some(template_src)
-        } else {
-            None
+            } => aggregate_output_columns(pipeline.columns(), group_by, aggregates).into(),
+            _ => Arc::clone(pipeline.columns()),
         };
         Ok(ExchangeSource {
             ctx: Arc::clone(ctx),
@@ -529,10 +526,10 @@ impl ExchangeSource {
             workers,
             gather,
             columns,
-            template,
+            pipeline,
+            passthrough: driver.is_none() || workers <= 1,
             shared,
             driver,
-            fallback,
             gathered: None,
             absorbed: None,
             morsels_run: 0,
@@ -543,8 +540,8 @@ impl ExchangeSource {
     /// Run the parallel section: claim-and-run morsels on `workers` threads,
     /// gather `(morsel, rows)` over a channel, reassemble in morsel order.
     fn run(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
-        let (table_name, _) = self.driver.as_ref().expect("run requires a driver scan");
-        let len = self.ctx.require_table(table_name)?.len();
+        let driver = self.driver.as_ref().expect("run requires a driver scan");
+        let len = self.ctx.require_table(&driver.table)?.len();
         let morsel = morsel_size(len, self.workers);
         let total_morsels = len.div_ceil(morsel);
         let claim = Arc::new(AtomicUsize::new(0));
@@ -583,7 +580,7 @@ impl ExchangeSource {
                 }
             }
         }
-        let mut profile = self.template.clone();
+        let mut profile = self.pipeline.profile();
         for handle in handles {
             if let Some(worker_profile) = handle.join().expect("exchange worker panicked") {
                 profile.absorb(&worker_profile);
@@ -662,7 +659,7 @@ impl ExchangeSource {
     /// partitioned, but the gather still owns the aggregation/sort — run it
     /// over the whole output as a single morsel.
     fn run_fallback_gathered(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
-        let inner = self.fallback.as_mut().expect("fallback path");
+        let inner = &mut self.pipeline;
         let mut all = Vec::new();
         while let Some(batch) = inner.next_batch()? {
             all.push(batch);
@@ -781,25 +778,26 @@ fn worker_loop(
 }
 
 impl Operator for ExchangeSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         &self.columns
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        if let Some(inner) = self.fallback.as_mut() {
-            if matches!(self.gather, GatherMode::Rows) {
-                // No partitionable driver: pass through, an ordinary input.
-                return meter.pull(inner);
-            }
+        if self.passthrough && matches!(self.gather, GatherMode::Rows) {
+            // No partitionable driver: pass through, an ordinary input.
+            return meter.pull(&mut self.pipeline);
         }
         if self.gathered.is_none() {
             // The whole parallel section is time this operator spent waiting
             // on its (threaded) children, not doing its own work. Over a
             // pass-through pipeline a non-row gather still aggregates/sorts,
             // treating the whole output as one run.
-            meter.wait(|meter| match self.fallback {
-                Some(_) => self.run_fallback_gathered(meter),
-                None => self.run(meter),
+            meter.wait(|meter| {
+                if self.passthrough {
+                    self.run_fallback_gathered(meter)
+                } else {
+                    self.run(meter)
+                }
             })?;
         }
         Ok(drain_pending(
@@ -812,11 +810,10 @@ impl Operator for ExchangeSource {
             0 => "morsels".to_string(),
             n => format!("{n} morsel{}", plural(n as u64, "s")),
         };
-        let driver = match &self.driver {
-            Some((table, alias)) => relation_label(table, alias),
-            None => "input".to_string(),
+        let detail = match &self.driver {
+            Some(driver) => format!("{morsels} over {driver}"),
+            None => format!("{morsels} over input"),
         };
-        let detail = format!("{morsels} over {driver}");
         Description {
             tags: self.gather.tags(),
             // A pass-through exchange (no partitionable driver) ran on one
@@ -825,23 +822,28 @@ impl Operator for ExchangeSource {
             // a run, report the threads actually spawned (fewer than
             // requested when the driver yielded fewer morsels) — before one,
             // the plan's requested degree.
-            workers: match self.fallback {
-                Some(_) => None,
-                None => Some(self.spawned.unwrap_or(self.workers)),
-            },
+            workers: (!self.passthrough).then(|| self.spawned.unwrap_or(self.workers)),
             // The workers' pipelines are not operators of this tree: their
             // merged profile (the zero-counter template before a run) stands
             // in for them.
-            synthetic: match self.fallback {
-                Some(_) => None,
-                None => Some(self.absorbed.as_ref().unwrap_or(&self.template).clone()),
-            },
+            synthetic: (!self.passthrough).then(|| match &self.absorbed {
+                Some(absorbed) => absorbed.clone(),
+                None => self.pipeline.profile(),
+            }),
             ..Description::new("exchange", detail)
         }
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
-        self.fallback.as_deref().into_iter()
+        self.passthrough
+            .then_some(&*self.pipeline as &dyn RowSource)
+            .into_iter()
+    }
+
+    fn absorb_synthetic(&self, synthetic: &mut PlanProfile) {
+        if let Some(absorbed) = &self.absorbed {
+            synthetic.absorb(absorbed);
+        }
     }
 }
 
@@ -849,6 +851,7 @@ impl Operator for ExchangeSource {
 mod tests {
     use super::*;
     use crate::database::Database;
+    use crate::exec::plan::ColumnInfo;
     use crate::exec::stream::open;
     use crate::exec::{execute, execute_with_stats};
     use crate::expr::{CmpOp, Expr};

@@ -19,8 +19,9 @@ use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
 use crate::tuple::Row;
 use crate::value::Value;
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A named output column of a plan node, carrying the relation alias it came
 /// from so projections can be resolved by qualified name.
@@ -68,6 +69,69 @@ impl fmt::Display for ColumnInfo {
             Some(q) => write!(f, "{}.{}", q, self.name),
             None => f.write_str(&self.name),
         }
+    }
+}
+
+/// An operator's output columns, shared: the operators that hand their
+/// input's rows on, the profile and the result set all point at one list.
+pub type Columns = Arc<[ColumnInfo]>;
+
+/// A stored table, or an index's key, as one tuple variable reads it: the
+/// table as the plan spells it, the alias, and the columns qualified by it.
+#[derive(Debug)]
+pub(crate) struct Relation {
+    pub(crate) table: Box<str>,
+    pub(crate) alias: Box<str>,
+    pub(crate) columns: Columns,
+}
+
+impl fmt::Display for Relation {
+    /// `TABLE`, or `TABLE as alias` when the tuple variable has its own name.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.table)?;
+        if self.alias != self.table {
+            write!(f, " as {}", self.alias)?;
+        }
+        Ok(())
+    }
+}
+
+/// The [`Relation`]s a table or an index has been read as, made on first use
+/// and shared by every scan opened under the same spelling and alias after
+/// it — and by the copies a write makes of the table — so opening a scan
+/// copies no column name. The newest sixteen are kept.
+#[derive(Debug, Default)]
+pub(crate) struct RelationMemo(Mutex<VecDeque<Arc<Relation>>>);
+
+impl RelationMemo {
+    /// `table as alias`, whose columns are `names`.
+    pub(crate) fn get<'n>(
+        &self,
+        table: &str,
+        alias: &str,
+        names: impl Iterator<Item = &'n str>,
+    ) -> Arc<Relation> {
+        let mut memo = self.0.lock().expect("relation memo lock");
+        let known = memo
+            .iter()
+            .find(|r| *r.table == *table && *r.alias == *alias);
+        if let Some(known) = known {
+            return Arc::clone(known);
+        }
+        let columns = names
+            .map(|name| ColumnInfo::qualified(alias, name))
+            .collect();
+        let (table, alias) = (table.into(), alias.into());
+        let relation = Arc::new(Relation {
+            table,
+            alias,
+            columns,
+        });
+        if memo.len() == 16 {
+            memo.pop_front();
+        }
+        memo.push_back(Arc::clone(&relation));
+        relation
     }
 }
 
@@ -231,10 +295,7 @@ pub enum PlanNode {
         left_key: usize,
     },
     /// Literal row set (used for uncorrelated subquery results and tests).
-    Values {
-        columns: Vec<ColumnInfo>,
-        rows: Vec<Row>,
-    },
+    Values { columns: Columns, rows: Vec<Row> },
     /// Filter rows by a predicate over the input's output columns. With
     /// `vectorized`, the predicate is compiled into typed column kernels
     /// evaluated batch-at-a-time (falling back per batch when a column
@@ -256,7 +317,7 @@ pub enum PlanNode {
     Project {
         input: Box<Plan>,
         exprs: Vec<Expr>,
-        columns: Vec<ColumnInfo>,
+        columns: Columns,
     },
     /// Nested-loop join with an optional predicate over the concatenated row.
     NestedLoopJoin {
@@ -485,7 +546,8 @@ impl Plan {
     }
 
     /// Literal row set.
-    pub fn values(columns: Vec<ColumnInfo>, rows: Vec<Row>) -> Plan {
+    pub fn values(columns: impl Into<Columns>, rows: Vec<Row>) -> Plan {
+        let columns = columns.into();
         PlanNode::Values { columns, rows }.into()
     }
 
@@ -734,11 +796,11 @@ impl Plan {
     }
 
     /// Wrap in a projection.
-    pub fn project(self, exprs: Vec<Expr>, columns: Vec<ColumnInfo>) -> Plan {
+    pub fn project(self, exprs: Vec<Expr>, columns: impl Into<Columns>) -> Plan {
         PlanNode::Project {
             input: Box::new(self),
             exprs,
-            columns,
+            columns: columns.into(),
         }
         .into()
     }

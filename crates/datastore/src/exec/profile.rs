@@ -8,11 +8,13 @@
 //! the snapshots; `EXPLAIN [ANALYZE]`, the §3.1 narrations, the misestimate
 //! ledger, cardinality feedback and the doctor read them.
 
-use crate::exec::plan::ColumnInfo;
+use crate::exec::plan::{ColumnInfo, Columns};
 use crate::expr::Expr;
 use crate::fingerprint::ShapeKey;
 use crate::index::ProbeOrder;
 use crate::value::Value;
+use std::fmt;
+use std::ops::AddAssign;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,6 +48,18 @@ impl OpMetrics {
     /// waiting on children (parallel or otherwise).
     pub fn self_elapsed(&self) -> Duration {
         self.elapsed.saturating_sub(self.blocked)
+    }
+}
+
+impl AddAssign for OpMetrics {
+    /// Add another run's counters to these.
+    fn add_assign(&mut self, other: OpMetrics) {
+        self.rows_in += other.rows_in;
+        self.rows_out += other.rows_out;
+        self.batches += other.batches;
+        self.elapsed += other.elapsed;
+        self.blocked += other.blocked;
+        self.vector_batches += other.vector_batches;
     }
 }
 
@@ -83,8 +97,9 @@ pub struct PlanProfile {
     pub operator: String,
     /// Operator-specific detail ("MOVIES as m", "m.year > 2000", …).
     pub detail: String,
-    /// Output columns of this operator.
-    pub columns: Vec<ColumnInfo>,
+    /// Output columns of this operator, shared with the operator that
+    /// produced them.
+    pub columns: Columns,
     /// The planner's estimated output rows for this operator, when the plan
     /// carried one.
     pub estimated_rows: Option<f64>,
@@ -151,12 +166,7 @@ impl PlanProfile {
     /// this to accumulate the metrics of its per-binding subplan executions
     /// into one template profile.
     pub fn absorb(&mut self, other: &PlanProfile) {
-        self.metrics.rows_in += other.metrics.rows_in;
-        self.metrics.rows_out += other.metrics.rows_out;
-        self.metrics.batches += other.metrics.batches;
-        self.metrics.elapsed += other.metrics.elapsed;
-        self.metrics.blocked += other.metrics.blocked;
-        self.metrics.vector_batches += other.metrics.vector_batches;
+        self.metrics += other.metrics;
         for (mine, theirs) in self.children.iter_mut().zip(&other.children) {
             mine.absorb(theirs);
         }
@@ -352,7 +362,7 @@ impl Description {
     /// the operators this one pulls from.
     pub(crate) fn assemble(
         self,
-        columns: &[ColumnInfo],
+        columns: &Columns,
         est: Option<f64>,
         metrics: OpMetrics,
         inputs: impl IntoIterator<Item = PlanProfile>,
@@ -360,7 +370,7 @@ impl Description {
         PlanProfile {
             operator: self.operator.to_string(),
             detail: self.detail,
-            columns: columns.to_vec(),
+            columns: Arc::clone(columns),
             estimated_rows: est,
             metrics,
             workers: self.workers,
@@ -389,63 +399,61 @@ pub(crate) fn plural(n: u64, suffix: &'static str) -> &'static str {
     }
 }
 
-/// `TABLE`, or `TABLE as alias` when the tuple variable has its own name.
-pub(crate) fn relation_label(table: &str, alias: &str) -> String {
-    if alias == table {
-        table.to_string()
-    } else {
-        format!("{table} as {alias}")
-    }
-}
-
 /// The display name of column `i` of an operator's input (`alias.name`), or
 /// `#i` when a hand-built plan points past the row.
-pub(crate) fn column_label(columns: &[ColumnInfo], i: usize) -> String {
-    columns
-        .get(i)
-        .map(ColumnInfo::to_string)
-        .unwrap_or_else(|| format!("#{i}"))
+pub(crate) fn column_label(columns: &[ColumnInfo], i: usize) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| match columns.get(i) {
+        Some(column) => write!(f, "{column}"),
+        None => write!(f, "#{i}"),
+    })
+}
+
+/// `items`, with `sep` between each two.
+pub(crate) fn separated<I>(sep: &'static str, items: I) -> impl fmt::Display
+where
+    I: IntoIterator<Item: fmt::Display> + Clone,
+{
+    fmt::from_fn(move |f| {
+        for (i, item) in items.clone().into_iter().enumerate() {
+            f.write_str(if i > 0 { sep } else { "" })?;
+            write!(f, "{item}")?;
+        }
+        Ok(())
+    })
 }
 
 /// Render a runtime expression with column positions resolved to names.
 pub fn render_expr(expr: &Expr, columns: &[ColumnInfo]) -> String {
+    expr_label(expr, columns).to_string()
+}
+
+/// [`render_expr`], written wherever it is formatted.
+pub(crate) fn expr_label<'a>(expr: &'a Expr, columns: &'a [ColumnInfo]) -> impl fmt::Display + 'a {
+    fmt::from_fn(move |f| write_expr(f, expr, columns))
+}
+
+fn write_expr(f: &mut fmt::Formatter<'_>, expr: &Expr, columns: &[ColumnInfo]) -> fmt::Result {
+    let e = |expr| expr_label(expr, columns);
     match expr {
-        Expr::Literal(v) => v.sql_literal(),
-        Expr::Column(i) => column_label(columns, *i),
-        Expr::Compare { op, left, right } => format!(
-            "{} {} {}",
-            render_expr(left, columns),
-            op.sql(),
-            render_expr(right, columns)
-        ),
-        Expr::And(l, r) => format!(
-            "{} AND {}",
-            render_expr(l, columns),
-            render_expr(r, columns)
-        ),
-        Expr::Or(l, r) => format!(
-            "({} OR {})",
-            render_expr(l, columns),
-            render_expr(r, columns)
-        ),
-        Expr::Not(e) => format!("NOT ({})", render_expr(e, columns)),
-        Expr::Arith { op, left, right } => format!(
-            "{} {} {}",
-            render_expr(left, columns),
-            op.sql(),
-            render_expr(right, columns)
-        ),
-        Expr::IsNull(e) => format!("{} IS NULL", render_expr(e, columns)),
-        Expr::Like { expr, pattern } => format!(
-            "{} LIKE {}",
-            render_expr(expr, columns),
-            Value::text(pattern.as_str()).sql_literal()
-        ),
-        Expr::InList { expr, list } => {
-            let items: Vec<String> = list.iter().map(Value::sql_literal).collect();
-            format!("{} IN ({})", render_expr(expr, columns), items.join(", "))
+        Expr::Literal(v) => v.write_sql_literal(f),
+        Expr::Column(i) => write!(f, "{}", column_label(columns, *i)),
+        Expr::Compare { op, left, right } => write!(f, "{} {} {}", e(left), op.sql(), e(right)),
+        Expr::And(l, r) => write!(f, "{} AND {}", e(l), e(r)),
+        Expr::Or(l, r) => write!(f, "({} OR {})", e(l), e(r)),
+        Expr::Not(inner) => write!(f, "NOT ({})", e(inner)),
+        Expr::Arith { op, left, right } => write!(f, "{} {} {}", e(left), op.sql(), e(right)),
+        Expr::IsNull(inner) => write!(f, "{} IS NULL", e(inner)),
+        Expr::Like { expr, pattern } => {
+            write!(f, "{} LIKE ", e(expr))?;
+            Value::text(pattern.as_str()).write_sql_literal(f)
         }
-        Expr::Param(id) => format!("${id}"),
+        Expr::InList { expr, list } => {
+            let items = list
+                .iter()
+                .map(|v| fmt::from_fn(|f| v.write_sql_literal(f)));
+            write!(f, "{} IN ({})", e(expr), separated(", ", items))
+        }
+        Expr::Param(id) => write!(f, "${id}"),
     }
 }
 

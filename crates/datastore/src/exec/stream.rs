@@ -31,8 +31,12 @@ use crate::exec::aggregate::{AggExpr, GroupedAggregator};
 use crate::exec::parallel::{
     ExchangeShared, ExchangeSource, JoinIndex, ScalarLookup, SemiBuild, SharedBuild,
 };
-use crate::exec::plan::{aggregate_output_columns, ApplyMode, ColumnInfo, Plan, PlanNode, SortKey};
-use crate::exec::profile::{column_label, plural, relation_label, vectorized_tag, Description};
+use crate::exec::plan::{
+    aggregate_output_columns, ApplyMode, ColumnInfo, Columns, Plan, PlanNode, Relation, SortKey,
+};
+use crate::exec::profile::{
+    column_label, expr_label, plural, separated, vectorized_tag, Description,
+};
 pub use crate::exec::profile::{
     render_expr, IndexAccess, OpMetrics, PlanProfile, SubqueryTally, MISESTIMATE_FACTOR,
 };
@@ -46,8 +50,9 @@ use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Rows per batch pulled through the operator pipeline.
 pub const BATCH_SIZE: usize = 1024;
@@ -63,7 +68,8 @@ pub const APPLY_CACHE_CAP: usize = 1024;
 /// under a running query instead of blocking it).
 #[derive(Debug, Clone)]
 pub struct ExecContext {
-    tables: BTreeMap<String, Arc<Table>>,
+    /// The database's own map of tables, shared.
+    tables: Arc<BTreeMap<String, Arc<Table>>>,
     /// The owning database's observability registry — carried alongside the
     /// table snapshot so operators (including ones shipped to worker
     /// threads) report into the same engine-wide counters.
@@ -71,18 +77,20 @@ pub struct ExecContext {
 }
 
 impl ExecContext {
-    /// Snapshot every table handle of a database (shares rows, copies
+    /// Snapshot every table handle of a database (shares the map, copies
     /// nothing).
     pub fn new(db: &Database) -> ExecContext {
         ExecContext {
-            tables: db.table_arcs(),
+            tables: Arc::clone(db.table_map()),
             obs: Arc::clone(db.obs()),
         }
     }
 
-    /// Table handle by (case-insensitive) name.
+    /// Table handle by (case-insensitive) name. The map is keyed by the
+    /// upper-cased name, which is how plans usually spell it: only another
+    /// spelling is upper-cased for a second look.
     pub fn table(&self, name: &str) -> Option<&Arc<Table>> {
-        self.tables.get(&name.to_ascii_uppercase())
+        (self.tables.get(name)).or_else(|| self.tables.get(&name.to_ascii_uppercase()))
     }
 
     /// [`ExecContext::table`], or the error every operator that names a
@@ -123,11 +131,20 @@ impl OpenEnv<'_> {
 /// a subtree can execute on a worker thread.
 pub trait RowSource: Send {
     /// Output column descriptors.
-    fn columns(&self) -> &[ColumnInfo];
+    fn columns(&self) -> &Columns;
     /// Pull the next batch of rows; `None` when exhausted.
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError>;
+    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
+        self.timed_batch().0
+    }
+    /// [`RowSource::next_batch`], and the wall time it took as this operator
+    /// measured it — what a consumer spent waiting for it.
+    fn timed_batch(&mut self) -> (Result<Option<Vec<Row>>, StoreError>, Duration);
     /// Snapshot this operator subtree (name, detail, metrics, children).
     fn profile(&self) -> PlanProfile;
+    /// Add this subtree's counters into `profile`, node by node in pre-order:
+    /// `profile` has the subtree's shape (another open of the same plan
+    /// described it). Nothing is described.
+    fn absorb_into(&self, profile: &mut PlanProfile);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,17 +157,21 @@ pub trait RowSource: Send {
 /// operator cannot forget a rule.
 pub(crate) trait Operator: Send {
     /// Output column descriptors.
-    fn columns(&self) -> &[ColumnInfo];
+    fn columns(&self) -> &Columns;
     /// Produce the next output batch (`None` when exhausted). Inputs are
     /// taken through [`OpMetrics::pull`]; any other wait on someone else's
     /// work goes through [`OpMetrics::wait`].
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError>;
-    /// Name, detail and annotations for the profile.
+    /// Name, detail and annotations for the profile, rendered from what the
+    /// operator holds anyway: opening renders nothing.
     fn describe(&self) -> Description;
     /// The operators this one pulls from, in profile order (none for a leaf).
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
         std::iter::empty()
     }
+    /// Add the counters behind `describe()`'s synthetic child into
+    /// `synthetic`, a node of the same shape ([`RowSource::absorb_into`]).
+    fn absorb_synthetic(&self, _synthetic: &mut PlanProfile) {}
     /// Box the operator with its metering.
     fn metered(self, est: Option<f64>) -> Box<dyn RowSource>
     where
@@ -174,11 +195,11 @@ struct Metered<O> {
 }
 
 impl<O: Operator> RowSource for Metered<O> {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         self.op.columns()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
+    fn timed_batch(&mut self) -> (Result<Option<Vec<Row>>, StoreError>, Duration) {
         let start = Instant::now();
         let result = loop {
             match self.op.pull(&mut self.meter) {
@@ -192,8 +213,9 @@ impl<O: Operator> RowSource for Metered<O> {
             self.meter.rows_out += batch.len() as u64;
             self.meter.batches += 1;
         }
-        self.meter.elapsed += start.elapsed();
-        result
+        let took = start.elapsed();
+        self.meter.elapsed += took;
+        (result, took)
     }
 
     fn profile(&self) -> PlanProfile {
@@ -201,6 +223,18 @@ impl<O: Operator> RowSource for Metered<O> {
         self.op
             .describe()
             .assemble(self.op.columns(), self.est, self.meter, inputs)
+    }
+
+    fn absorb_into(&self, profile: &mut PlanProfile) {
+        profile.metrics += self.meter;
+        let mut children = profile.children.iter_mut();
+        for (input, child) in self.op.inputs().zip(children.by_ref()) {
+            input.absorb_into(child);
+        }
+        // What is left is the synthetic child, listed after the inputs.
+        if let Some(synthetic) = children.next() {
+            self.op.absorb_synthetic(synthetic);
+        }
     }
 }
 
@@ -214,17 +248,29 @@ impl OpMetrics {
         out
     }
 
-    /// Pull one batch from an input: the wait lands in `blocked`, the rows
-    /// in `rows_in`.
+    /// Pull one batch from an input: the time the input took lands in
+    /// `blocked` (it timed itself; no second clock is read), the rows in
+    /// `rows_in`.
     pub(crate) fn pull(
         &mut self,
         child: &mut Box<dyn RowSource>,
     ) -> Result<Option<Vec<Row>>, StoreError> {
-        let batch = self.wait(|_| child.next_batch())?;
+        let batch = self.wait_for(child)?;
         if let Some(batch) = &batch {
             self.rows_in += batch.len() as u64;
         }
         Ok(batch)
+    }
+
+    /// Pull one batch from a source that is not an input (a subplan run on
+    /// the side): only the time it took is charged, to `blocked`.
+    fn wait_for(
+        &mut self,
+        source: &mut Box<dyn RowSource>,
+    ) -> Result<Option<Vec<Row>>, StoreError> {
+        let (batch, took) = source.timed_batch();
+        self.blocked += took;
+        batch
     }
 
     /// [`OpMetrics::pull`] an input to exhaustion (a build side, a sort's
@@ -273,37 +319,30 @@ fn morsel_bounds(range: Option<(usize, usize)>, len: usize) -> (usize, usize) {
     }
 }
 
-/// A stored table's columns, qualified by the tuple variable reading them.
-fn table_columns(table: &Table, alias: &str) -> Vec<ColumnInfo> {
-    table
-        .schema()
-        .columns
-        .iter()
-        .map(|c| ColumnInfo::qualified(alias, c.name.clone()))
-        .collect()
+/// The output columns of a join: the left input's, then the right's.
+fn joined(left: &[ColumnInfo], right: &[ColumnInfo]) -> Columns {
+    left.iter().chain(right).cloned().collect()
 }
 
 /// The labels of the columns at `positions`.
 fn labels(columns: &[ColumnInfo], positions: &[usize]) -> Vec<String> {
     positions
         .iter()
-        .map(|&i| column_label(columns, i))
+        .map(|&i| column_label(columns, i).to_string())
         .collect()
 }
 
 /// `l.a = r.b AND …` for the key pairs of a hash (semi-/anti-)join.
-fn equi_detail(
-    left: &[ColumnInfo],
-    left_keys: &[usize],
-    right: &[ColumnInfo],
-    right_keys: &[usize],
-) -> String {
-    left_keys
-        .iter()
-        .zip(right_keys)
-        .map(|(&lk, &rk)| format!("{} = {}", column_label(left, lk), column_label(right, rk)))
-        .collect::<Vec<_>>()
-        .join(" AND ")
+fn equi_detail<'a>(
+    left: &'a [ColumnInfo],
+    left_keys: &'a [usize],
+    right: &'a [ColumnInfo],
+    right_keys: &'a [usize],
+) -> impl fmt::Display + 'a {
+    let pairs = left_keys.iter().zip(right_keys).map(move |(&l, &r)| {
+        fmt::from_fn(move |f| write!(f, "{} = {}", column_label(left, l), column_label(right, r)))
+    });
+    separated(" AND ", pairs)
 }
 
 /// Position of the named index in the table's index list (stable for the
@@ -381,7 +420,17 @@ pub(crate) fn open_in(
     let off_spine = |p: &Plan| open_in(ctx, p, env, None, None, None);
     Ok(match &plan.node {
         PlanNode::Scan { table, alias } => {
-            ScanSource::new(ctx, table, alias, driver_range, row_goal)?.metered(est)
+            let stored = Arc::clone(ctx.require_table(table)?);
+            let (cursor, end) = morsel_bounds(driver_range, stored.len());
+            ScanSource {
+                relation: stored.relation(table, alias),
+                table: stored,
+                cursor,
+                end,
+                pull_size: BatchRamp::new(row_goal),
+                obs: Arc::clone(ctx.obs()),
+            }
+            .metered(est)
         }
         PlanNode::IndexScan {
             table,
@@ -410,10 +459,36 @@ pub(crate) fn open_in(
             left_key,
         } => {
             let left = on_spine(left)?;
-            IndexNljSource::open(ctx, left, table, alias, index, *left_key, row_goal)?.metered(est)
+            let stored = Arc::clone(ctx.require_table(table)?);
+            let index_pos = index_position(&stored, index)?;
+            let idx = &stored.indexes()[index_pos];
+            if idx.width() != 1 {
+                return Err(StoreError::Eval {
+                    message: format!(
+                        "index {} is a composite index and cannot drive a single-key nested-loop probe",
+                        idx.def().name
+                    ),
+                });
+            }
+            let inner = stored.relation(table, alias);
+            IndexNljSource {
+                columns: joined(left.columns(), &inner.columns),
+                left,
+                inner,
+                index_pos,
+                left_key: *left_key,
+                pending: VecDeque::new(),
+                fill: BatchRamp::new(row_goal),
+                done: false,
+                probes: 0,
+                matches: 0,
+                obs: Arc::clone(ctx.obs()),
+                table: stored,
+            }
+            .metered(est)
         }
         PlanNode::Values { columns, rows } => ValuesSource {
-            columns: columns.clone(),
+            columns: Arc::clone(columns),
             rows: rows.clone(),
             cursor: 0,
         }
@@ -423,20 +498,15 @@ pub(crate) fn open_in(
             predicate,
             vectorized,
             shape_key,
-        } => {
-            let input = on_spine(input)?;
-            let kernel = vectorized
+        } => FilterSource {
+            input: on_spine(input)?,
+            predicate: predicate.clone(),
+            kernel: vectorized
                 .then(|| VectorPredicate::compile(predicate))
-                .flatten();
-            FilterSource {
-                detail: render_expr(predicate, input.columns()),
-                input,
-                predicate: predicate.clone(),
-                kernel,
-                shape_key: shape_key.clone(),
-            }
-            .metered(est)
+                .flatten(),
+            shape_key: shape_key.clone(),
         }
+        .metered(est),
         PlanNode::Project {
             input,
             exprs,
@@ -450,15 +520,17 @@ pub(crate) fn open_in(
                     _ => None,
                 })
                 .collect::<Option<Vec<usize>>>();
-            let identity = picks
-                .as_ref()
-                .is_some_and(|picks| picks.iter().copied().eq(0..input.columns().len()));
+            let projection = match picks {
+                Some(picks) if picks.iter().copied().eq(0..input.columns().len()) => {
+                    Projection::Identity
+                }
+                Some(picks) => Projection::Picks(picks),
+                None => Projection::Exprs(exprs.clone()),
+            };
             ProjectSource {
                 input,
-                exprs: exprs.clone(),
-                picks,
-                identity,
-                columns: columns.clone(),
+                projection,
+                columns: Arc::clone(columns),
             }
             .metered(est)
         }
@@ -470,18 +542,11 @@ pub(crate) fn open_in(
             let shared = env.alloc_cell();
             let left = on_spine(left)?;
             let right = off_spine(right)?;
-            let mut columns = left.columns().to_vec();
-            columns.extend(right.columns().iter().cloned());
-            let detail = match predicate {
-                Some(p) => render_expr(p, &columns),
-                None => "cross product".to_string(),
-            };
             NestedLoopJoinSource {
+                columns: joined(left.columns(), right.columns()),
                 left,
                 right,
                 predicate: predicate.clone(),
-                columns,
-                detail,
                 right_rows: None,
                 shared,
                 pending: VecDeque::new(),
@@ -500,17 +565,13 @@ pub(crate) fn open_in(
             let shared = env.alloc_cell();
             let left = on_spine(left)?;
             let right = off_spine(right)?;
-            let detail = equi_detail(left.columns(), left_keys, right.columns(), right_keys);
-            let mut columns = left.columns().to_vec();
-            columns.extend(right.columns().iter().cloned());
             HashJoinSource {
+                columns: joined(left.columns(), right.columns()),
                 left,
                 right,
                 left_keys: left_keys.clone(),
                 right_keys: right_keys.clone(),
                 vectorized: *vectorized,
-                columns,
-                detail,
                 build: None,
                 shared,
                 pending: VecDeque::new(),
@@ -543,42 +604,24 @@ pub(crate) fn open_in(
                 }
             }
             let input = on_spine(input)?;
-            let columns = aggregate_output_columns(input.columns(), group_by, aggregates);
-            let detail = aggregate_detail(input.columns(), group_by, aggregates, having);
             AggregateSource {
+                columns: aggregate_output_columns(input.columns(), group_by, aggregates).into(),
                 input,
                 group_by: group_by.clone(),
                 aggregates: aggregates.clone(),
                 having: having.clone(),
                 vectorized: *vectorized,
-                columns,
-                detail,
                 pending: None,
             }
             .metered(est)
         }
-        PlanNode::Sort { input, keys } => {
-            let input = on_spine(input)?;
-            let detail = keys
-                .iter()
-                .map(|k| {
-                    format!(
-                        "{}{}",
-                        column_label(input.columns(), k.column),
-                        if k.ascending { "" } else { " DESC" }
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            SortSource {
-                input,
-                keys: keys.clone(),
-                keep: sort_goal.unwrap_or(usize::MAX),
-                detail,
-                pending: None,
-            }
-            .metered(est)
+        PlanNode::Sort { input, keys } => SortSource {
+            input: on_spine(input)?,
+            keys: keys.clone(),
+            keep: sort_goal.unwrap_or(usize::MAX),
+            pending: None,
         }
+        .metered(est),
         PlanNode::Limit { input, n } => {
             let input = open_in(ctx, input, env, driver_range, row_goal, Some(*n))?;
             LimitSource {
@@ -601,35 +644,31 @@ pub(crate) fn open_in(
             right,
             left_keys,
             right_keys,
-        } => {
-            let shared = env.alloc_cell();
-            let (left, right) = (on_spine(left)?, off_spine(right)?);
-            SemiJoinSource::new(
-                ctx, shared, left, right, left_keys, right_keys, false, false,
-            )
-            .metered(est)
         }
-        PlanNode::HashAntiJoin {
+        | PlanNode::HashAntiJoin {
             left,
             right,
             left_keys,
             right_keys,
-            null_aware,
-        } => {
-            let shared = env.alloc_cell();
-            let (left, right) = (on_spine(left)?, off_spine(right)?);
-            SemiJoinSource::new(
-                ctx,
-                shared,
-                left,
-                right,
-                left_keys,
-                right_keys,
-                true,
-                *null_aware,
-            )
-            .metered(est)
+            ..
+        } => SemiJoinSource {
+            shared: env.alloc_cell(),
+            left: on_spine(left)?,
+            right: off_spine(right)?,
+            left_keys: left_keys.clone(),
+            right_keys: right_keys.clone(),
+            anti: matches!(plan.node, PlanNode::HashAntiJoin { .. }),
+            null_aware: matches!(
+                plan.node,
+                PlanNode::HashAntiJoin {
+                    null_aware: true,
+                    ..
+                }
+            ),
+            build: None,
+            obs: Arc::clone(ctx.obs()),
         }
+        .metered(est),
         PlanNode::ScalarSubquery {
             input,
             subplan,
@@ -642,15 +681,6 @@ pub(crate) fn open_in(
             let input = on_spine(input)?;
             let sub = off_spine(subplan)?;
             let (probe, build): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
-            let mut detail = format!(
-                "{} {} (subquery)",
-                render_expr(expr, input.columns()),
-                op.sql()
-            );
-            if !keys.is_empty() {
-                detail += " on ";
-                detail += &equi_detail(input.columns(), &probe, sub.columns(), &build);
-            }
             ScalarSubquerySource {
                 input,
                 sub,
@@ -661,7 +691,6 @@ pub(crate) fn open_in(
                 absent: absent.clone(),
                 lookup: None,
                 shared,
-                detail,
             }
             .metered(est)
         }
@@ -687,22 +716,14 @@ pub(crate) fn open_in(
                 // there (`evaluate_binding`).
                 sub_template.tags.push("first-row".to_string());
             }
-            let in_cols = input.columns();
-            let mode_text = mode.describe(&|e| render_expr(e, in_cols));
-            let param_cols: Vec<usize> = params.iter().map(|&(_, i)| i).collect();
-            let detail = match labels(in_cols, &param_cols).join(", ") {
-                correlation if correlation.is_empty() => mode_text,
-                correlation => format!("{mode_text} correlated on {correlation}"),
-            };
             ApplySource {
                 ctx: Arc::clone(ctx),
                 input,
                 subplan: (**subplan).clone(),
-                param_cols,
+                param_cols: params.iter().map(|&(_, i)| i).collect(),
                 params: params.clone(),
                 mode: mode.clone(),
                 workers: (*workers).max(1),
-                detail,
                 sub_profile: sub_template,
                 cache: HashMap::new(),
                 cache_order: VecDeque::new(),
@@ -745,8 +766,7 @@ impl BatchRamp {
 
 struct ScanSource {
     table: Arc<Table>,
-    detail: String,
-    columns: Vec<ColumnInfo>,
+    relation: Arc<Relation>,
     cursor: usize,
     /// One past the last row this scan reads — the table length for a full
     /// scan, the morsel's upper bound for a partitioned one.
@@ -755,31 +775,9 @@ struct ScanSource {
     obs: Arc<ObsRegistry>,
 }
 
-impl ScanSource {
-    fn new(
-        ctx: &ExecContext,
-        table_name: &str,
-        alias: &str,
-        range: Option<(usize, usize)>,
-        row_goal: Option<usize>,
-    ) -> Result<ScanSource, StoreError> {
-        let table = Arc::clone(ctx.require_table(table_name)?);
-        let (cursor, end) = morsel_bounds(range, table.len());
-        Ok(ScanSource {
-            detail: relation_label(table_name, alias),
-            columns: table_columns(&table, alias),
-            table,
-            cursor,
-            end,
-            pull_size: BatchRamp::new(row_goal),
-            obs: Arc::clone(ctx.obs()),
-        })
-    }
-}
-
 impl Operator for ScanSource {
-    fn columns(&self) -> &[ColumnInfo] {
-        &self.columns
+    fn columns(&self) -> &Columns {
+        &self.relation.columns
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
@@ -795,7 +793,7 @@ impl Operator for ScanSource {
     }
 
     fn describe(&self) -> Description {
-        Description::new("scan", self.detail.clone())
+        Description::new("scan", self.relation.to_string())
     }
 }
 
@@ -812,15 +810,18 @@ impl Operator for ScanSource {
 /// heap is never read.
 struct IndexScanSource {
     table: Arc<Table>,
+    /// The table as the plan reads it, and the index key as the plan reads
+    /// it (an index-only scan's output; the probe predicate's names).
+    relation: Arc<Relation>,
+    key: Arc<Relation>,
     /// Position of the probed index within the table's index list (stable
     /// for the lifetime of this snapshot).
     index_pos: usize,
     bounds: IndexBounds,
+    /// The bounds pin every key column.
+    exact: bool,
     order: ProbeOrder,
     index_only: bool,
-    columns: Vec<ColumnInfo>,
-    detail: String,
-    access: IndexAccess,
     /// Matching heap row positions, resolved on first pull (heap mode).
     positions: Option<Vec<usize>>,
     /// Rows synthesized from index keys, resolved on first pull
@@ -851,74 +852,28 @@ impl IndexScanSource {
         let index_pos = index_position(&table, index)?;
         let idx = &table.indexes()[index_pos];
         let exact = bounds.is_exact(idx.width());
-        if !exact && !idx.supports_range() {
+        if (!exact || index_only) && !idx.supports_range() {
+            let probe = if exact {
+                "an index-only scan"
+            } else {
+                "a range or prefix probe"
+            };
             return Err(StoreError::Eval {
                 message: format!(
-                    "index {} is a hash index and cannot answer a range or prefix probe",
+                    "index {} is a hash index and cannot answer {probe}",
                     idx.def().name
                 ),
             });
         }
-        if index_only && !idx.supports_range() {
-            return Err(StoreError::Eval {
-                message: format!(
-                    "index {} is a hash index and cannot answer an index-only scan",
-                    idx.def().name
-                ),
-            });
-        }
-        let columns: Vec<ColumnInfo> = if index_only {
-            idx.def()
-                .columns
-                .iter()
-                .map(|c| ColumnInfo::qualified(alias, c.clone()))
-                .collect()
-        } else {
-            table_columns(&table, alias)
-        };
-        let base = relation_label(table_name, alias);
-        let qualified: Vec<String> = idx
-            .def()
-            .columns
-            .iter()
-            .map(|c| format!("{alias}.{c}"))
-            .collect();
-        let predicate = bounds.describe(&qualified);
-        let mode = if exact {
-            "point"
-        } else if bounds.lo.is_none() && bounds.hi.is_none() && !bounds.eq.is_empty() {
-            "prefix"
-        } else {
-            "range"
-        };
-        let order_tag = match order {
-            ProbeOrder::Position => "",
-            ProbeOrder::KeyAsc => ", key order",
-            ProbeOrder::KeyDesc => ", key order desc",
-        };
-        let detail = format!(
-            "{base} [index={} {mode} {predicate}{order_tag}]{}",
-            idx.def().name,
-            if index_only { " [index-only]" } else { "" },
-        );
-        let access = IndexAccess {
-            table: table_name.to_string(),
-            alias: alias.to_string(),
-            index: idx.def().name.clone(),
-            point: exact,
-            predicate: Some(predicate),
-            order,
-            index_only,
-        };
         Ok(IndexScanSource {
+            relation: table.relation(table_name, alias),
+            key: idx.relation(table_name, alias),
             table,
             index_pos,
             bounds,
+            exact,
             order,
             index_only,
-            columns,
-            detail,
-            access,
             positions: None,
             index_rows: None,
             cursor: 0,
@@ -971,8 +926,12 @@ impl IndexScanSource {
 }
 
 impl Operator for IndexScanSource {
-    fn columns(&self) -> &[ColumnInfo] {
-        &self.columns
+    fn columns(&self) -> &Columns {
+        if self.index_only {
+            &self.key.columns
+        } else {
+            &self.relation.columns
+        }
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
@@ -998,9 +957,37 @@ impl Operator for IndexScanSource {
     }
 
     fn describe(&self) -> Description {
+        let name = &self.table.indexes()[self.index_pos].def().name;
+        let bounds = &self.bounds;
+        let predicate = bounds.describe(&self.key.columns);
+        let mode = if self.exact {
+            "point"
+        } else if bounds.lo.is_none() && bounds.hi.is_none() && !bounds.eq.is_empty() {
+            "prefix"
+        } else {
+            "range"
+        };
+        let order_tag = match self.order {
+            ProbeOrder::Position => "",
+            ProbeOrder::KeyAsc => ", key order",
+            ProbeOrder::KeyDesc => ", key order desc",
+        };
+        let only = if self.index_only { " [index-only]" } else { "" };
+        let detail = format!(
+            "{} [index={name} {mode} {predicate}{order_tag}]{only}",
+            self.relation
+        );
         Description {
-            access: Some(self.access.clone()),
-            ..Description::new("index scan", self.detail.clone())
+            access: Some(IndexAccess {
+                table: self.relation.table.to_string(),
+                alias: self.relation.alias.to_string(),
+                index: name.clone(),
+                point: self.exact,
+                predicate: Some(predicate),
+                order: self.order,
+                index_only: self.index_only,
+            }),
+            ..Description::new("index scan", detail)
         }
     }
 }
@@ -1017,15 +1004,11 @@ impl Operator for IndexScanSource {
 struct IndexNljSource {
     left: Box<dyn RowSource>,
     table: Arc<Table>,
-    /// `"TABLE"` or `"TABLE as alias"`, for the probe-side pseudo-profile.
-    inner_desc: String,
-    /// Structured probe metadata for the pseudo-profile.
-    access: IndexAccess,
+    /// The probed table as the plan reads it (the probe-side pseudo-profile).
+    inner: Arc<Relation>,
     index_pos: usize,
     left_key: usize,
-    columns: Vec<ColumnInfo>,
-    inner_columns: Vec<ColumnInfo>,
-    detail: String,
+    columns: Columns,
     pending: VecDeque<Row>,
     fill: BatchRamp,
     done: bool,
@@ -1036,68 +1019,8 @@ struct IndexNljSource {
     obs: Arc<ObsRegistry>,
 }
 
-impl IndexNljSource {
-    fn open(
-        ctx: &ExecContext,
-        left: Box<dyn RowSource>,
-        table_name: &str,
-        alias: &str,
-        index: &str,
-        left_key: usize,
-        row_goal: Option<usize>,
-    ) -> Result<IndexNljSource, StoreError> {
-        let table = Arc::clone(ctx.require_table(table_name)?);
-        let index_pos = index_position(&table, index)?;
-        let idx = &table.indexes()[index_pos];
-        if idx.width() != 1 {
-            return Err(StoreError::Eval {
-                message: format!(
-                    "index {} is a composite index and cannot drive a single-key nested-loop probe",
-                    idx.def().name
-                ),
-            });
-        }
-        let inner_columns = table_columns(&table, alias);
-        let mut columns = left.columns().to_vec();
-        columns.extend(inner_columns.iter().cloned());
-        let detail = format!(
-            "{} = {}.{} [index={}]",
-            column_label(left.columns(), left_key),
-            alias,
-            idx.def().columns[0],
-            idx.def().name
-        );
-        let access = IndexAccess {
-            table: table_name.to_string(),
-            alias: alias.to_string(),
-            index: idx.def().name.clone(),
-            point: true,
-            predicate: None,
-            order: ProbeOrder::Position,
-            index_only: false,
-        };
-        Ok(IndexNljSource {
-            left,
-            inner_desc: relation_label(table_name, alias),
-            access,
-            index_pos,
-            left_key,
-            columns,
-            inner_columns,
-            detail,
-            pending: VecDeque::new(),
-            fill: BatchRamp::new(row_goal),
-            done: false,
-            probes: 0,
-            matches: 0,
-            obs: Arc::clone(ctx.obs()),
-            table,
-        })
-    }
-}
-
 impl Operator for IndexNljSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         &self.columns
     }
 
@@ -1136,42 +1059,64 @@ impl Operator for IndexNljSource {
     }
 
     fn describe(&self) -> Description {
-        let index = &self.table.indexes()[self.index_pos];
+        let def = self.table.indexes()[self.index_pos].def();
+        let inner = &self.inner;
         // The probe side is not an operator of its own (there is no build),
         // but the profile still shows it as a child so narrations and the
         // empty-result detective can see both sides of the join.
-        let tally = if self.probes > 0 {
-            format!(
-                " ({} probe{}, {} match{})",
-                self.probes,
-                plural(self.probes, "s"),
-                self.matches,
-                plural(self.matches, "es"),
-            )
-        } else {
-            String::new()
-        };
-        let probed = OpMetrics {
-            rows_in: self.probes,
-            rows_out: self.matches,
-            ..OpMetrics::default()
-        };
-        let probe_side = Description {
-            access: Some(self.access.clone()),
-            ..Description::new(
-                "index probe",
-                format!("{} [index={}]{}", self.inner_desc, index.def().name, tally),
-            )
+        let mut probe_detail = format!("{inner} [index={}]", def.name);
+        if self.probes > 0 {
+            let (probes, matches) = (self.probes, self.matches);
+            let _ = write!(
+                probe_detail,
+                " ({probes} probe{}, {matches} match{})",
+                plural(probes, "s"),
+                plural(matches, "es"),
+            );
         }
-        .assemble(&self.inner_columns, None, probed, []);
+        let probe_side = Description {
+            access: Some(IndexAccess {
+                table: inner.table.to_string(),
+                alias: inner.alias.to_string(),
+                index: def.name.clone(),
+                point: true,
+                predicate: None,
+                order: ProbeOrder::Position,
+                index_only: false,
+            }),
+            ..Description::new("index probe", probe_detail)
+        }
+        .assemble(&inner.columns, None, self.probed(), []);
+        let detail = format!(
+            "{} = {}.{} [index={}]",
+            column_label(self.left.columns(), self.left_key),
+            inner.alias,
+            def.columns[0],
+            def.name
+        );
         Description {
             synthetic: Some(probe_side),
-            ..Description::new("index nested-loop join", self.detail.clone())
+            ..Description::new("index nested-loop join", detail)
         }
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
         [&*self.left].into_iter()
+    }
+
+    fn absorb_synthetic(&self, probe_side: &mut PlanProfile) {
+        probe_side.metrics += self.probed();
+    }
+}
+
+impl IndexNljSource {
+    /// The probe side's counters: probes issued in, matches out.
+    fn probed(&self) -> OpMetrics {
+        OpMetrics {
+            rows_in: self.probes,
+            rows_out: self.matches,
+            ..OpMetrics::default()
+        }
     }
 }
 
@@ -1180,13 +1125,13 @@ impl Operator for IndexNljSource {
 // ---------------------------------------------------------------------------
 
 struct ValuesSource {
-    columns: Vec<ColumnInfo>,
+    columns: Columns,
     rows: Vec<Row>,
     cursor: usize,
 }
 
 impl Operator for ValuesSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         &self.columns
     }
 
@@ -1217,12 +1162,11 @@ struct FilterSource {
     /// whose columns resist transposition still fall back to row-at-a-time
     /// evaluation individually.
     kernel: Option<VectorPredicate>,
-    detail: String,
     shape_key: Option<Arc<ShapeKey>>,
 }
 
 impl Operator for FilterSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         self.input.columns()
     }
 
@@ -1247,7 +1191,7 @@ impl Operator for FilterSource {
         Description {
             tags: vectorized_tag(self.kernel.is_some()),
             shape_key: self.shape_key.clone(),
-            ..Description::new("filter", self.detail.clone())
+            ..Description::new("filter", render_expr(&self.predicate, self.input.columns()))
         }
     }
 
@@ -1262,17 +1206,23 @@ impl Operator for FilterSource {
 
 struct ProjectSource {
     input: Box<dyn RowSource>,
-    exprs: Vec<Expr>,
-    /// The input positions, when every expression is a plain column: the
-    /// projection is then [`Row::project`], no expression is evaluated.
-    picks: Option<Vec<usize>>,
+    projection: Projection,
+    columns: Columns,
+}
+
+/// How a projection makes its output row from an input row.
+enum Projection {
     /// Every input column in its own place: the input row is the output row.
-    identity: bool,
-    columns: Vec<ColumnInfo>,
+    Identity,
+    /// Plain columns at these input positions: [`Row::project`], no
+    /// expression is evaluated.
+    Picks(Vec<usize>),
+    /// Anything else: each expression evaluated.
+    Exprs(Vec<Expr>),
 }
 
 impl Operator for ProjectSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         &self.columns
     }
 
@@ -1280,34 +1230,26 @@ impl Operator for ProjectSource {
         let Some(batch) = meter.pull(&mut self.input)? else {
             return Ok(None);
         };
-        if self.identity {
-            return Ok(Some(batch));
-        }
-        let mut rows = Vec::with_capacity(batch.len());
-        let mut values = Vec::with_capacity(self.exprs.len());
-        for row in &batch {
-            rows.push(match &self.picks {
-                Some(picks) => row.project(picks),
-                None => {
-                    for e in &self.exprs {
+        Ok(Some(match &self.projection {
+            Projection::Identity => batch,
+            Projection::Picks(picks) => batch.iter().map(|row| row.project(picks)).collect(),
+            Projection::Exprs(exprs) => {
+                let mut rows = Vec::with_capacity(batch.len());
+                let mut values = Vec::with_capacity(exprs.len());
+                for row in &batch {
+                    for e in exprs {
                         values.push(e.eval(row)?);
                     }
                     // Straight into the row's one allocation.
-                    values.drain(..).collect()
+                    rows.push(values.drain(..).collect());
                 }
-            });
-        }
-        Ok(Some(rows))
+                rows
+            }
+        }))
     }
 
     fn describe(&self) -> Description {
-        let detail = self
-            .columns
-            .iter()
-            .map(ColumnInfo::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        Description::new("project", detail)
+        Description::new("project", separated(", ", self.columns.iter()).to_string())
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
@@ -1323,8 +1265,7 @@ struct NestedLoopJoinSource {
     left: Box<dyn RowSource>,
     right: Box<dyn RowSource>,
     predicate: Option<Expr>,
-    columns: Vec<ColumnInfo>,
-    detail: String,
+    columns: Columns,
     /// Materialized inner side (built on first pull, shared across the
     /// workers of an enclosing exchange).
     right_rows: Option<Arc<Vec<Row>>>,
@@ -1352,7 +1293,7 @@ impl NestedLoopJoinSource {
 }
 
 impl Operator for NestedLoopJoinSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         &self.columns
     }
 
@@ -1383,7 +1324,11 @@ impl Operator for NestedLoopJoinSource {
     }
 
     fn describe(&self) -> Description {
-        Description::new("nested-loop join", self.detail.clone())
+        let detail = match &self.predicate {
+            Some(p) => render_expr(p, &self.columns),
+            None => "cross product".to_string(),
+        };
+        Description::new("nested-loop join", detail)
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
@@ -1412,8 +1357,7 @@ struct HashJoinSource {
     /// The planner's `[vectorized]` mark: shown, and counted per probe
     /// batch; the probe itself has one form.
     vectorized: bool,
-    columns: Vec<ColumnInfo>,
-    detail: String,
+    columns: Columns,
     /// Hash index over the build (right) side, built on first pull: key →
     /// build rows with that key. Shared across the workers of an enclosing
     /// exchange (built once, by whichever worker gets there first) and
@@ -1455,7 +1399,7 @@ impl HashJoinSource {
 }
 
 impl Operator for HashJoinSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         &self.columns
     }
 
@@ -1487,9 +1431,11 @@ impl Operator for HashJoinSource {
     }
 
     fn describe(&self) -> Description {
+        let (left, right) = (self.left.columns(), self.right.columns());
+        let keys = equi_detail(left, &self.left_keys, right, &self.right_keys);
         Description {
             tags: vectorized_tag(self.vectorized),
-            ..Description::new("hash join", self.detail.clone())
+            ..Description::new("hash join", keys.to_string())
         }
     }
 
@@ -1509,14 +1455,13 @@ struct AggregateSource {
     having: Option<Expr>,
     /// Accumulate column-major when every aggregate argument is a column.
     vectorized: bool,
-    columns: Vec<ColumnInfo>,
-    detail: String,
+    columns: Columns,
     /// Result rows, computed on first pull.
     pending: Option<VecDeque<Row>>,
 }
 
 impl Operator for AggregateSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         &self.columns
     }
 
@@ -1541,7 +1486,15 @@ impl Operator for AggregateSource {
     fn describe(&self) -> Description {
         Description {
             tags: vectorized_tag(self.vectorized),
-            ..Description::new("aggregate", self.detail.clone())
+            ..Description::new(
+                "aggregate",
+                aggregate_detail(
+                    self.input.columns(),
+                    &self.group_by,
+                    &self.aggregates,
+                    &self.having,
+                ),
+            )
         }
     }
 
@@ -1557,20 +1510,17 @@ fn aggregate_detail(
     aggregates: &[AggExpr],
     having: &Option<Expr>,
 ) -> String {
-    let mut parts = Vec::new();
+    let mut detail = String::new();
     if !group_by.is_empty() {
-        let keys: Vec<String> = group_by
-            .iter()
-            .map(|&i| column_label(input_columns, i))
-            .collect();
-        parts.push(format!("group by {}", keys.join(", ")));
+        let keys = group_by.iter().map(|&key| column_label(input_columns, key));
+        let _ = write!(detail, "group by {}; ", separated(", ", keys));
     }
-    let aggs: Vec<String> = aggregates.iter().map(|a| a.output_name.clone()).collect();
-    parts.push(aggs.join(", "));
+    let names = aggregates.iter().map(|a| &a.output_name);
+    let _ = write!(detail, "{}", separated(", ", names));
     if having.is_some() {
-        parts.push("having …".to_string());
+        detail.push_str("; having …");
     }
-    parts.join("; ")
+    detail
 }
 
 // ---------------------------------------------------------------------------
@@ -1582,7 +1532,6 @@ fn aggregate_detail(
 struct FusedFilter {
     predicate: Expr,
     kernel: VectorPredicate,
-    detail: String,
     shape_key: Option<Arc<ShapeKey>>,
     est: Option<f64>,
     meter: OpMetrics,
@@ -1606,11 +1555,9 @@ struct FusedAggregateScanSource {
     having: Option<Expr>,
     filter: Option<FusedFilter>,
     /// Output columns of the aggregate (group keys then aggregate values).
-    columns: Vec<ColumnInfo>,
-    detail: String,
+    columns: Columns,
     /// Reporting state for the fused scan leaf.
-    scan_columns: Vec<ColumnInfo>,
-    scan_detail: String,
+    relation: Arc<Relation>,
     scan_est: Option<f64>,
     scan_meter: OpMetrics,
     pending: Option<VecDeque<Row>>,
@@ -1659,10 +1606,9 @@ impl FusedAggregateScanSource {
             return Ok(None);
         };
         let t = Arc::clone(ctx.require_table(table)?);
-        let scan_columns = table_columns(&t, alias);
+        let relation = t.relation(table, alias);
         let (cursor, end) = morsel_bounds(driver_range, t.len());
         let filter = filter_parts.map(|(predicate, kernel, shape_key, fest)| FusedFilter {
-            detail: render_expr(predicate, &scan_columns),
             predicate: predicate.clone(),
             kernel,
             shape_key: shape_key.clone(),
@@ -1670,15 +1616,13 @@ impl FusedAggregateScanSource {
             meter: OpMetrics::default(),
         });
         Ok(Some(FusedAggregateScanSource {
-            scan_detail: relation_label(table, alias),
             scan_est: scan_plan.estimated_rows,
             scan_meter: OpMetrics::default(),
             table: t,
             cursor,
             end,
-            columns: aggregate_output_columns(&scan_columns, group_by, aggregates),
-            detail: aggregate_detail(&scan_columns, group_by, aggregates, having),
-            scan_columns,
+            columns: aggregate_output_columns(&relation.columns, group_by, aggregates).into(),
+            relation,
             group_by: group_by.to_vec(),
             aggregates: aggregates.to_vec(),
             having: having.clone(),
@@ -1744,7 +1688,7 @@ impl FusedAggregateScanSource {
 }
 
 impl Operator for FusedAggregateScanSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         &self.columns
     }
 
@@ -1760,8 +1704,10 @@ impl Operator for FusedAggregateScanSource {
     fn describe(&self) -> Description {
         // Report the fused pipeline exactly as its unfused tree would:
         // aggregate over (filter over) scan, each with its own counters.
-        let mut child = Description::new("scan", self.scan_detail.clone()).assemble(
-            &self.scan_columns,
+        let scan_columns = &self.relation.columns;
+        let scan = self.relation.to_string();
+        let mut child = Description::new("scan", scan).assemble(
+            scan_columns,
             self.scan_est,
             self.scan_meter,
             [],
@@ -1770,15 +1716,29 @@ impl Operator for FusedAggregateScanSource {
             child = Description {
                 tags: vectorized_tag(true),
                 shape_key: f.shape_key.clone(),
-                ..Description::new("filter", f.detail.clone())
+                ..Description::new("filter", render_expr(&f.predicate, scan_columns))
             }
-            .assemble(&self.scan_columns, f.est, f.meter, [child]);
+            .assemble(scan_columns, f.est, f.meter, [child]);
         }
         Description {
             tags: vectorized_tag(true),
             synthetic: Some(child),
-            ..Description::new("aggregate", self.detail.clone())
+            ..Description::new(
+                "aggregate",
+                aggregate_detail(scan_columns, &self.group_by, &self.aggregates, &self.having),
+            )
         }
+    }
+
+    fn absorb_synthetic(&self, synthetic: &mut PlanProfile) {
+        let scan = match &self.filter {
+            Some(f) => {
+                synthetic.metrics += f.meter;
+                &mut synthetic.children[0]
+            }
+            None => synthetic,
+        };
+        scan.metrics += self.scan_meter;
     }
 }
 
@@ -1792,12 +1752,11 @@ struct SortSource {
     /// How many rows of the order the consumer will take: the `k` of a limit
     /// directly above, otherwise all of them.
     keep: usize,
-    detail: String,
     pending: Option<VecDeque<Row>>,
 }
 
 impl Operator for SortSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         self.input.columns()
     }
 
@@ -1820,7 +1779,12 @@ impl Operator for SortSource {
     }
 
     fn describe(&self) -> Description {
-        Description::new("sort", self.detail.clone())
+        let columns = self.input.columns();
+        let keys = self.keys.iter().map(move |key| {
+            let desc = if key.ascending { "" } else { " DESC" };
+            fmt::from_fn(move |f| write!(f, "{}{desc}", column_label(columns, key.column)))
+        });
+        Description::new("sort", separated(", ", keys).to_string())
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
@@ -1881,7 +1845,7 @@ struct LimitSource {
 }
 
 impl Operator for LimitSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         self.input.columns()
     }
 
@@ -1917,7 +1881,7 @@ struct DistinctSource {
 }
 
 impl Operator for DistinctSource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         self.input.columns()
     }
 
@@ -1955,8 +1919,6 @@ struct SemiJoinSource {
     right_keys: Vec<usize>,
     anti: bool,
     null_aware: bool,
-    columns: Vec<ColumnInfo>,
-    detail: String,
     /// Key set plus NULL-semantics flags, shared across the workers of an
     /// enclosing exchange.
     build: Option<Arc<SemiBuild>>,
@@ -1965,37 +1927,6 @@ struct SemiJoinSource {
 }
 
 impl SemiJoinSource {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        ctx: &ExecContext,
-        shared: Option<(Arc<ExchangeShared>, usize)>,
-        left: Box<dyn RowSource>,
-        right: Box<dyn RowSource>,
-        left_keys: &[usize],
-        right_keys: &[usize],
-        anti: bool,
-        null_aware: bool,
-    ) -> SemiJoinSource {
-        let mut detail = equi_detail(left.columns(), left_keys, right.columns(), right_keys);
-        if null_aware {
-            detail.push_str(" (NULL-aware)");
-        }
-        let columns = left.columns().to_vec();
-        SemiJoinSource {
-            left,
-            right,
-            left_keys: left_keys.to_vec(),
-            right_keys: right_keys.to_vec(),
-            anti,
-            null_aware,
-            columns,
-            detail,
-            build: None,
-            shared,
-            obs: Arc::clone(ctx.obs()),
-        }
-    }
-
     fn build(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
         if self.build.is_some() {
             return Ok(());
@@ -2047,8 +1978,8 @@ impl SemiJoinSource {
 }
 
 impl Operator for SemiJoinSource {
-    fn columns(&self) -> &[ColumnInfo] {
-        &self.columns
+    fn columns(&self) -> &Columns {
+        self.left.columns()
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
@@ -2066,9 +1997,16 @@ impl Operator for SemiJoinSource {
     }
 
     fn describe(&self) -> Description {
+        let keys = equi_detail(
+            self.left.columns(),
+            &self.left_keys,
+            self.right.columns(),
+            &self.right_keys,
+        );
+        let null_aware = if self.null_aware { " (NULL-aware)" } else { "" };
         Description::new(
             if self.anti { "anti join" } else { "semi join" },
-            self.detail.clone(),
+            format!("{keys}{null_aware}"),
         )
     }
 
@@ -2099,7 +2037,6 @@ struct ScalarSubquerySource {
     /// per morsel.
     lookup: Option<Arc<ScalarLookup>>,
     shared: Option<(Arc<ExchangeShared>, usize)>,
-    detail: String,
 }
 
 impl ScalarSubquerySource {
@@ -2113,7 +2050,7 @@ impl ScalarSubquerySource {
             let value_col = sub.columns().len().saturating_sub(1);
             // The subquery's rows are not this filter's input: waited for,
             // not counted into `rows_in`.
-            while let Some(batch) = meter.wait(|_| sub.next_batch())? {
+            while let Some(batch) = meter.wait_for(sub)? {
                 for row in &batch {
                     let value = row.get(value_col).cloned().unwrap_or(Value::Null);
                     if lookup.insert(row.group_key(build), value).is_some() {
@@ -2134,7 +2071,7 @@ impl ScalarSubquerySource {
 }
 
 impl Operator for ScalarSubquerySource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         self.input.columns()
     }
 
@@ -2161,10 +2098,19 @@ impl Operator for ScalarSubquerySource {
 
     fn describe(&self) -> Description {
         let groups = self.lookup.as_ref().map_or(0, |l| l.len() as u64);
-        let detail = match (&self.lookup, self.probe.is_empty()) {
-            (Some(_), false) => format!("{}; {groups} group{}", self.detail, plural(groups, "s")),
-            _ => self.detail.clone(),
-        };
+        let input = self.input.columns();
+        let mut detail = format!(
+            "{} {} (subquery)",
+            expr_label(&self.expr, input),
+            self.op.sql()
+        );
+        if !self.probe.is_empty() {
+            let keys = equi_detail(input, &self.probe, self.sub.columns(), &self.build);
+            let _ = write!(detail, " on {keys}");
+            if self.lookup.is_some() {
+                let _ = write!(detail, "; {groups} group{}", plural(groups, "s"));
+            }
+        }
         Description {
             subquery: Some(SubqueryTally {
                 keys: labels(self.input.columns(), &self.probe),
@@ -2213,9 +2159,8 @@ struct ApplySource {
     mode: ApplyMode,
     /// Threads for per-binding subquery evaluations (1 = sequential).
     workers: usize,
-    detail: String,
     /// Template profile of the subplan, accumulating every execution's
-    /// counters (same tree shape as each bound execution).
+    /// counters in place (same tree shape as each bound execution).
     sub_profile: PlanProfile,
     cache: HashMap<Vec<GroupKey>, SubResult>,
     /// Insertion order of `cache` keys, for oldest-first eviction.
@@ -2226,18 +2171,19 @@ struct ApplySource {
 }
 
 /// Execute an apply's subplan for one parameter binding, producing the
-/// summary `mode` needs and the execution's profile. `EXISTS` stops at the
-/// first row, and says so when it opens the subplan, so the scan under it
-/// does not read a batch to deliver one row. A free function over `Sync`
-/// inputs, so apply worker threads
-/// can run bindings concurrently without sharing the operator itself.
+/// summary `mode` needs and the drained operator tree, whose counters the
+/// apply adds to its own. `EXISTS` stops at the first row, and says so when
+/// it opens the subplan, so the scan under it does not read a batch to
+/// deliver one row. A free function over `Sync` inputs, so apply worker
+/// threads can run bindings concurrently without sharing the operator
+/// itself.
 fn evaluate_binding(
     ctx: &Arc<ExecContext>,
     subplan: &Plan,
     params: &[(u32, usize)],
     mode: &ApplyMode,
     row: &Row,
-) -> Result<(SubResult, PlanProfile), StoreError> {
+) -> Result<(SubResult, Box<dyn RowSource>), StoreError> {
     let bound = subplan.bind_params(&|id| {
         let &(_, idx) = params.iter().find(|&&(param, _)| param == id)?;
         Some(row.get(idx).unwrap_or(&Value::Null))
@@ -2280,7 +2226,7 @@ fn evaluate_binding(
             SubResult::Scalar(value)
         }
     };
-    Ok((result, src.profile()))
+    Ok((result, src))
 }
 
 impl ApplySource {
@@ -2319,7 +2265,7 @@ impl ApplySource {
             .obs()
             .add(Counter::ApplyEvaluations, fresh.len() as u64);
         let (ctx, subplan, params, mode) = (&self.ctx, &self.subplan, &self.params, &self.mode);
-        let results: Vec<(Vec<GroupKey>, SubResult, PlanProfile)> =
+        let results: Vec<(Vec<GroupKey>, SubResult, Box<dyn RowSource>)> =
             if self.workers > 1 && fresh.len() > 1 {
                 // The embarrassingly parallel case: each binding's subquery
                 // execution is independent; split them across workers. The
@@ -2335,7 +2281,7 @@ impl ApplySource {
                                     part.iter()
                                         .map(|(key, row)| {
                                             evaluate_binding(ctx, subplan, params, mode, row)
-                                                .map(|(r, p)| (key.clone(), r, p))
+                                                .map(|(r, src)| (key.clone(), r, src))
                                         })
                                         .collect()
                                 })
@@ -2355,13 +2301,13 @@ impl ApplySource {
             } else {
                 let mut flat = Vec::with_capacity(fresh.len());
                 for (key, row) in &fresh {
-                    let (result, profile) = evaluate_binding(ctx, subplan, params, mode, row)?;
-                    flat.push((key.clone(), result, profile));
+                    let (result, src) = evaluate_binding(ctx, subplan, params, mode, row)?;
+                    flat.push((key.clone(), result, src));
                 }
                 flat
             };
-        for (key, result, profile) in results {
-            self.sub_profile.absorb(&profile);
+        for (key, result, src) in results {
+            src.absorb_into(&mut self.sub_profile);
             self.cache.insert(key.clone(), result);
             self.cache_order.push_back(key);
         }
@@ -2462,7 +2408,7 @@ fn quantified_verdict(probe: &Value, op: CmpOp, all: bool, values: &[Value]) -> 
 }
 
 impl Operator for ApplySource {
-    fn columns(&self) -> &[ColumnInfo] {
+    fn columns(&self) -> &Columns {
         self.input.columns()
     }
 
@@ -2482,23 +2428,25 @@ impl Operator for ApplySource {
     }
 
     fn describe(&self) -> Description {
-        let detail = if self.evaluations > 0 {
-            let mut tally = format!(
-                "{}; {} evaluation{}, {} cache hit{}",
-                self.detail,
-                self.evaluations,
-                plural(self.evaluations, "s"),
-                self.cache_hits,
-                plural(self.cache_hits, "s"),
+        let in_cols = self.input.columns();
+        let mut detail = self.mode.describe(&|e| render_expr(e, in_cols));
+        if !self.param_cols.is_empty() {
+            let keys = self.param_cols.iter().map(|&c| column_label(in_cols, c));
+            let _ = write!(detail, " correlated on {}", separated(", ", keys));
+        }
+        if self.evaluations > 0 {
+            let (evaluations, hits) = (self.evaluations, self.cache_hits);
+            let _ = write!(
+                detail,
+                "; {evaluations} evaluation{}, {hits} cache hit{}",
+                plural(evaluations, "s"),
+                plural(hits, "s"),
             );
             if self.evictions > 0 {
                 let s = plural(self.evictions, "s");
-                tally.push_str(&format!(", {} eviction{s}", self.evictions));
+                let _ = write!(detail, ", {} eviction{s}", self.evictions);
             }
-            tally
-        } else {
-            self.detail.clone()
-        };
+        }
         let mut sub_profile = self.sub_profile.clone();
         if self.evaluations > 1 {
             // The subplan's estimates are per evaluation; its accumulated
@@ -2521,6 +2469,10 @@ impl Operator for ApplySource {
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
         [&*self.input].into_iter()
+    }
+
+    fn absorb_synthetic(&self, sub_profile: &mut PlanProfile) {
+        sub_profile.absorb(&self.sub_profile);
     }
 }
 

@@ -54,7 +54,7 @@ pub fn fnv_hash(bytes: &[u8]) -> u64 {
 
 /// A stable hash over a plan's *shape* — operator names, normalized details,
 /// and tree structure, but not literals or row counts — so two runs of the
-/// same query template land on the same hash.
+/// same query template land on the same hash. Nothing is copied to hash it.
 pub fn plan_shape_hash(profile: &PlanProfile) -> u64 {
     let mut hash = FNV_OFFSET;
     hash_shape(profile, &mut hash);
@@ -63,7 +63,10 @@ pub fn plan_shape_hash(profile: &PlanProfile) -> u64 {
 
 fn hash_shape(p: &PlanProfile, hash: &mut u64) {
     fnv(hash, p.operator.as_bytes());
-    fnv(hash, normalize_predicate(&p.detail).as_bytes());
+    let mut utf8 = [0; 4];
+    for_each_shape_char(&p.detail, |c| {
+        fnv(hash, c.encode_utf8(&mut utf8).as_bytes())
+    });
     fnv(hash, b"(");
     for c in &p.children {
         hash_shape(c, hash);
@@ -76,6 +79,12 @@ fn hash_shape(p: &PlanProfile, hash: &mut u64) {
 /// share one ledger key. Identifiers (which may contain digits) survive.
 pub fn normalize_predicate(detail: &str) -> String {
     let mut out = String::with_capacity(detail.len());
+    for_each_shape_char(detail, |c| out.push(c));
+    out
+}
+
+/// [`normalize_predicate`], one character at a time into `out`.
+fn for_each_shape_char(detail: &str, mut out: impl FnMut(char)) {
     let mut chars = detail.chars().peekable();
     let mut prev_ident = false;
     while let Some(c) = chars.next() {
@@ -90,7 +99,7 @@ pub fn normalize_predicate(detail: &str) -> String {
                     }
                 }
             }
-            out.push('?');
+            out('?');
             prev_ident = false;
         } else if c.is_ascii_digit() && !prev_ident {
             while chars
@@ -99,13 +108,12 @@ pub fn normalize_predicate(detail: &str) -> String {
             {
                 chars.next();
             }
-            out.push('?');
+            out('?');
         } else {
             prev_ident = c.is_alphanumeric() || c == '_' || c == '.';
-            out.push(c);
+            out(c);
         }
     }
-    out
 }
 
 /// The shape half of a [`ShapeKey`], from the rendered conjunct: literals and

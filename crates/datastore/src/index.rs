@@ -44,12 +44,14 @@
 //! their rows.
 
 use crate::error::StoreError;
+use crate::exec::plan::{Relation, RelationMemo};
 use crate::expr::ParamLookup;
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
 use std::cmp::Ordering;
 use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// The physical shape of a secondary index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,19 +197,21 @@ impl BoundTerm {
         }
     }
 
-    /// SQL-flavoured rendering: the literal, or `$k` for a parameter.
-    pub fn render(&self) -> String {
-        match self {
-            BoundTerm::Value(v) => v.sql_literal(),
-            BoundTerm::Param(id) => format!("${id}"),
-        }
-    }
-
     fn bind(&mut self, params: ParamLookup<'_>) {
         if let BoundTerm::Param(id) = self {
             if let Some(v) = params(*id) {
                 *self = BoundTerm::Value(v.clone());
             }
+        }
+    }
+}
+
+impl fmt::Display for BoundTerm {
+    /// SQL-flavoured rendering: the literal, or `$k` for a parameter.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BoundTerm::Value(v) => v.write_sql_literal(f),
+            BoundTerm::Param(id) => write!(f, "${id}"),
         }
     }
 }
@@ -291,39 +295,31 @@ impl IndexBounds {
 
     /// Compact SQL-flavoured rendering against the (qualified) names of the
     /// constrained key columns: `"m.id = 6"`, `"c.mid = $0 AND c.aid >= 3"`.
-    pub fn describe(&self, columns: &[String]) -> String {
-        let name = |i: usize| {
-            columns
-                .get(i)
-                .cloned()
-                .unwrap_or_else(|| format!("key#{i}"))
+    pub fn describe(&self, columns: &[impl fmt::Display]) -> String {
+        let mut out = String::new();
+        let name = |out: &mut String, i: usize| match columns.get(i) {
+            Some(column) => write!(out, "{column}"),
+            None => write!(out, "key#{i}"),
         };
-        let mut parts = Vec::new();
-        for (i, term) in self.eq.iter().enumerate() {
-            parts.push(format!("{} = {}", name(i), term.render()));
+        let range = [(&self.lo, ">=", ">"), (&self.hi, "<=", "<")];
+        let eq = self.eq.iter().enumerate().map(|(i, t)| (i, "=", t));
+        let range = range
+            .into_iter()
+            .filter_map(|(bound, inclusive, exclusive)| {
+                let (t, inc) = bound.as_ref()?;
+                Some((self.eq.len(), if *inc { inclusive } else { exclusive }, t))
+            });
+        for (column, op, term) in eq.chain(range) {
+            if !out.is_empty() {
+                out.push_str(" AND ");
+            }
+            let _ = name(&mut out, column).and_then(|()| write!(out, " {op} {term}"));
         }
-        let range_col = name(self.eq.len());
-        if let Some((t, inclusive)) = &self.lo {
-            parts.push(format!(
-                "{} {} {}",
-                range_col,
-                if *inclusive { ">=" } else { ">" },
-                t.render()
-            ));
+        if out.is_empty() {
+            let _ = name(&mut out, 0);
+            out.push_str(" unbounded");
         }
-        if let Some((t, inclusive)) = &self.hi {
-            parts.push(format!(
-                "{} {} {}",
-                range_col,
-                if *inclusive { "<=" } else { "<" },
-                t.render()
-            ));
-        }
-        if parts.is_empty() {
-            format!("{} unbounded", name(0))
-        } else {
-            parts.join(" AND ")
-        }
+        out
     }
 }
 
@@ -365,6 +361,8 @@ pub struct Index {
     column_pos: Vec<usize>,
     /// Number of indexed rows.
     entries: usize,
+    /// The key columns as each alias reads them (an index-only scan's output).
+    relations: Arc<RelationMemo>,
 }
 
 impl Index {
@@ -379,6 +377,7 @@ impl Index {
             def,
             column_pos,
             entries: 0,
+            relations: Arc::default(),
         };
         for (pos, row) in rows.iter().enumerate() {
             index.insert(row, pos);
@@ -389,6 +388,13 @@ impl Index {
     /// The index declaration.
     pub fn def(&self) -> &IndexDef {
         &self.def
+    }
+
+    /// The key columns as `alias` reads them from `table` (as a plan spells
+    /// it).
+    pub(crate) fn relation(&self, table: &str, alias: &str) -> Arc<Relation> {
+        let names = self.def.columns.iter().map(String::as_str);
+        self.relations.get(table, alias, names)
     }
 
     /// Positions of the key columns in the table's rows, leading first.
@@ -888,7 +894,7 @@ mod tests {
     #[test]
     fn bounds_describe_reads_like_sql() {
         assert_eq!(
-            IndexBounds::point(Value::int(5)).describe(&["m.id".into()]),
+            IndexBounds::point(Value::int(5)).describe(&["m.id"]),
             "m.id = 5"
         );
         assert_eq!(
@@ -896,7 +902,7 @@ mod tests {
                 Some((Value::int(2000), true)),
                 Some((Value::int(2005), false)),
             )
-            .describe(&["m.year".into()]),
+            .describe(&["m.year"]),
             "m.year >= 2000 AND m.year < 2005"
         );
         assert_eq!(
@@ -905,7 +911,7 @@ mod tests {
                 lo: None,
                 hi: None,
             }
-            .describe(&["g.mid".into(), "g.genre".into()]),
+            .describe(&["g.mid", "g.genre"]),
             "g.mid = $0 AND g.genre = 'x'"
         );
     }

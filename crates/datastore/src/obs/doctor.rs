@@ -5,7 +5,8 @@
 //!
 //! The journal ([`super::Journal`]) remembers *statements*; this module
 //! remembers *shapes*. Every executed statement is folded into one
-//! [`WorkloadStat`] keyed by the FNV hash of its literal-normalized text, so
+//! [`WorkloadStat`] keyed by the FNV hash of its literal-normalized text —
+//! the text the plan cache keys it by, whitespace runs collapsed — so
 //! `… where c.mid = 7` and `… where c.mid = 9` accumulate into one row:
 //! executions, total/execute time (plus a log₂ histogram for p95), rows
 //! scanned vs. emitted, the access paths used, apply and sort activity, and
@@ -26,6 +27,7 @@ use super::{
 };
 use crate::exec::stream::PlanProfile;
 use crate::fingerprint::{fnv_hash, normalize_predicate};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -46,15 +48,15 @@ pub const DRIFT_FLOOR: Duration = Duration::from_micros(100);
 pub const SCAN_ROWS_FLOOR: u64 = 32;
 
 /// The per-statement facts [`super::ObsRegistry::record_statement`] folds
-/// into the ledger, extracted from one executed profile.
+/// into the ledger, read from one executed statement and its profile.
 #[derive(Debug, Clone)]
-pub struct WorkloadSample {
+pub struct WorkloadSample<'a> {
     /// FNV hash of the literal-normalized statement text.
     pub statement_key: u64,
     /// The literal-normalized text itself (ledger display form).
-    pub normalized_sql: String,
+    pub normalized_sql: Cow<'a, str>,
     /// The statement as the user wrote it (evidence for the advisor).
-    pub sql: String,
+    pub sql: &'a str,
     /// Shape hash of the executed plan.
     pub plan_hash: u64,
     /// End-to-end statement time.
@@ -66,15 +68,15 @@ pub struct WorkloadSample {
     /// Rows the statement returned.
     pub rows_emitted: u64,
     /// Tables full-scanned, with the rows each scan read.
-    pub full_scans: Vec<(String, u64)>,
+    pub full_scans: Vec<(&'a str, u64)>,
     /// Index names probed (index scans, INLJ probes).
-    pub index_scans: Vec<String>,
+    pub index_scans: Vec<&'a str>,
     /// Rows fed through `Apply` operators (per-row subquery evaluation).
     pub apply_rows: u64,
     /// Sort operators executed, with the first sort's key rendering.
     pub sorts: u64,
     /// Rendering of the first sort's keys, for sort-without-index advice.
-    pub sort_keys: Option<String>,
+    pub sort_keys: Option<&'a str>,
     /// Worst flagged est-vs-actual factor, when one crossed the threshold.
     pub misestimate: Option<f64>,
     /// How the plan cache treated the statement.
@@ -83,23 +85,29 @@ pub struct WorkloadSample {
     pub epoch: u64,
 }
 
-impl WorkloadSample {
-    /// Extract the ledger-relevant facts from one executed statement.
+impl<'a> WorkloadSample<'a> {
+    /// Extract the ledger-relevant facts from one executed statement, filed
+    /// under `shape` (the plan cache's key) or else its literals normalized.
+    #[allow(clippy::too_many_arguments)]
     pub fn collect(
-        sql: &str,
-        profile: &PlanProfile,
+        sql: &'a str,
+        shape: Option<&'a str>,
+        profile: &'a PlanProfile,
         phases: StatementPhases,
         result_rows: u64,
         plan_hash: u64,
         worst_misestimate: Option<f64>,
         meta: StatementMeta,
-    ) -> WorkloadSample {
-        let trimmed = sql.trim();
-        let normalized_sql = normalize_predicate(trimmed);
+    ) -> WorkloadSample<'a> {
+        let sql = sql.trim();
+        let normalized_sql = match shape {
+            Some(shape) => Cow::Borrowed(shape),
+            None => Cow::Owned(normalize_predicate(sql)),
+        };
         let mut sample = WorkloadSample {
             statement_key: fnv_hash(normalized_sql.as_bytes()),
             normalized_sql,
-            sql: trimmed.to_string(),
+            sql,
             plan_hash,
             total: phases.total(),
             execute: phases.execute,
@@ -116,19 +124,19 @@ impl WorkloadSample {
         };
         profile.walk(&mut |node| match node.operator.as_str() {
             "scan" => {
-                let table = node.table().unwrap_or_default().to_string();
                 sample.rows_scanned += node.metrics.rows_out;
+                let table = node.table().unwrap_or_default();
                 sample.full_scans.push((table, node.metrics.rows_out));
             }
             "index scan" | "index probe" => {
                 sample.rows_scanned += node.metrics.rows_out;
                 if let Some(access) = &node.access {
-                    sample.index_scans.push(access.index.clone());
+                    sample.index_scans.push(&access.index);
                 }
             }
             "index nested-loop join" => {
                 if let Some(access) = &node.access {
-                    sample.index_scans.push(access.index.clone());
+                    sample.index_scans.push(&access.index);
                 }
             }
             "apply" => {
@@ -137,7 +145,7 @@ impl WorkloadSample {
             "sort" => {
                 sample.sorts += 1;
                 if sample.sort_keys.is_none() && !node.detail.is_empty() {
-                    sample.sort_keys = Some(node.detail.clone());
+                    sample.sort_keys = Some(&node.detail);
                 }
             }
             _ => {}
@@ -209,8 +217,8 @@ impl WorkloadStat {
     fn new(sample: &WorkloadSample) -> WorkloadStat {
         WorkloadStat {
             statement_key: sample.statement_key,
-            normalized_sql: sample.normalized_sql.clone(),
-            last_sql: sample.sql.clone(),
+            normalized_sql: sample.normalized_sql.to_string(),
+            last_sql: String::new(),
             executions: 0,
             total_time: Duration::ZERO,
             execute_time: Duration::ZERO,
@@ -238,24 +246,31 @@ impl WorkloadStat {
 
     fn fold(&mut self, sample: &WorkloadSample) {
         self.executions += 1;
-        self.last_sql = sample.sql.clone();
+        self.last_sql.clear();
+        self.last_sql.push_str(sample.sql);
         self.total_time += sample.total;
         self.execute_time += sample.execute;
         self.hist[latency_bucket(sample.total)] += 1;
         self.rows_scanned += sample.rows_scanned;
         self.rows_emitted += sample.rows_emitted;
-        for (table, rows) in &sample.full_scans {
-            let entry = self.full_scans.entry(table.clone()).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += rows;
+        // A table or index already on file is counted without copying its
+        // name again.
+        for &(table, rows) in &sample.full_scans {
+            match self.full_scans.get_mut(table) {
+                Some((scans, read)) => (*scans, *read) = (*scans + 1, *read + rows),
+                None => _ = self.full_scans.insert(table.to_string(), (1, rows)),
+            }
         }
-        for index in &sample.index_scans {
-            *self.index_scans.entry(index.clone()).or_insert(0) += 1;
+        for &index in &sample.index_scans {
+            match self.index_scans.get_mut(index) {
+                Some(probes) => *probes += 1,
+                None => _ = self.index_scans.insert(index.to_string(), 1),
+            }
         }
         self.apply_rows += sample.apply_rows;
         self.sorts += sample.sorts;
         if self.sort_keys.is_none() {
-            self.sort_keys = sample.sort_keys.clone();
+            self.sort_keys = sample.sort_keys.map(str::to_string);
         }
         if let Some(factor) = sample.misestimate {
             self.flagged += 1;
@@ -601,18 +616,18 @@ pub fn regressions(stats: &[WorkloadStat]) -> Vec<Regression> {
 mod tests {
     use super::*;
 
-    fn sample(sql: &str, micros: u64) -> WorkloadSample {
+    fn sample(sql: &str, micros: u64) -> WorkloadSample<'_> {
         let normalized = normalize_predicate(sql);
         WorkloadSample {
             statement_key: fnv_hash(normalized.as_bytes()),
-            normalized_sql: normalized,
-            sql: sql.to_string(),
+            normalized_sql: Cow::Owned(normalized),
+            sql,
             plan_hash: 11,
             total: Duration::from_micros(micros),
             execute: Duration::from_micros(micros),
             rows_scanned: 100,
             rows_emitted: 2,
-            full_scans: vec![("CAST".to_string(), 100)],
+            full_scans: vec![("CAST", 100)],
             index_scans: Vec::new(),
             apply_rows: 0,
             sorts: 0,

@@ -36,6 +36,7 @@ pub mod doctor;
 use crate::adaptive::Uncacheable;
 use crate::exec::stream::PlanProfile;
 use crate::fingerprint::{normalize_predicate, plan_shape_hash, profile_table};
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -362,7 +363,7 @@ fn summarize(buckets: &[u64; HIST_BUCKETS]) -> HistogramSummary {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Phase or operator name ("execute", "hash join", …).
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Operator detail, empty for phases.
     pub detail: String,
     /// Wall-clock time, inclusive of children.
@@ -375,24 +376,13 @@ pub struct Span {
 
 impl Span {
     /// A leaf phase span.
-    pub fn phase(name: &str, elapsed: Duration) -> Span {
+    pub fn phase(name: &'static str, elapsed: Duration) -> Span {
         Span {
-            name: name.to_string(),
+            name: name.into(),
             detail: String::new(),
             elapsed,
             rows: None,
             children: Vec::new(),
-        }
-    }
-
-    /// Convert an executed operator profile into a span subtree.
-    pub fn from_profile(profile: &PlanProfile) -> Span {
-        Span {
-            name: profile.operator.clone(),
-            detail: profile.detail.clone(),
-            elapsed: profile.metrics.elapsed,
-            rows: Some(profile.metrics.rows_out),
-            children: profile.children.iter().map(Span::from_profile).collect(),
         }
     }
 
@@ -407,6 +397,39 @@ impl Span {
         out.push((depth, self));
         for c in &self.children {
             c.flatten_into(depth + 1, out);
+        }
+    }
+}
+
+impl From<&PlanProfile> for Span {
+    /// An executed operator profile's span subtree, copied.
+    fn from(profile: &PlanProfile) -> Span {
+        Span {
+            name: profile.operator.clone().into(),
+            detail: profile.detail.clone(),
+            elapsed: profile.metrics.elapsed,
+            rows: Some(profile.metrics.rows_out),
+            children: profile.children.iter().map(Span::from).collect(),
+        }
+    }
+}
+
+impl From<PlanProfile> for Span {
+    /// An executed operator profile's span subtree, its names and details
+    /// moved.
+    fn from(profile: PlanProfile) -> Span {
+        Span {
+            name: profile.operator.into(),
+            detail: profile.detail,
+            elapsed: profile.metrics.elapsed,
+            rows: Some(profile.metrics.rows_out),
+            // Not collected in place: shrinking the profile's vector in two
+            // slows the allocator down for what runs next.
+            children: {
+                let mut children = Vec::with_capacity(profile.children.len());
+                children.extend(profile.children.into_iter().map(Span::from));
+                children
+            },
         }
     }
 }
@@ -657,6 +680,31 @@ impl StatementPhases {
     }
 }
 
+/// A statement [`ObsRegistry::record_statement`] records: its text, and what
+/// the caller already knows of it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Statement<'a> {
+    /// The SQL as the user wrote it.
+    pub sql: &'a str,
+    /// The plan cache's key for it, which the workload ledger files it under
+    /// (else its literals normalized).
+    pub shape: Option<&'a str>,
+    /// Its plan's shape hash, when the caller kept it
+    /// ([`crate::adaptive::PlanTemplate::shape_hash`]).
+    pub plan_hash: Option<u64>,
+}
+
+impl<'a, S: AsRef<str> + ?Sized> From<&'a S> for Statement<'a> {
+    fn from(sql: &'a S) -> Statement<'a> {
+        let (shape, plan_hash) = (None, None);
+        Statement {
+            sql: sql.as_ref(),
+            shape,
+            plan_hash,
+        }
+    }
+}
+
 /// The engine-wide observability registry: one per [`Database`]
 /// (shared — not reset — by clones, like the table snapshots themselves).
 ///
@@ -821,12 +869,13 @@ impl ObsRegistry {
     /// error into the misestimate ledger, and the statement's workload facts
     /// into the doctor's ledger. `flag_factor` is the caller's misestimate
     /// threshold (`PlannerOptions::misestimate_factor`); `meta` carries the
-    /// plan-cache outcome and adaptive epoch. No-op when the registry is
-    /// disabled.
-    pub fn record_statement(
+    /// plan-cache outcome and adaptive epoch. A profile handed over by value
+    /// becomes the span tree as it is; a borrowed one is copied. No-op when
+    /// the registry is disabled.
+    pub fn record_statement<'s>(
         &self,
-        sql: &str,
-        profile: &PlanProfile,
+        statement: impl Into<Statement<'s>>,
+        profile: impl Borrow<PlanProfile> + Into<Span>,
         phases: StatementPhases,
         result_rows: u64,
         flag_factor: f64,
@@ -835,16 +884,30 @@ impl ObsRegistry {
         if !self.enabled() {
             return;
         }
+        let statement: Statement = statement.into();
         let total = phases.total();
         self.record_latency(Phase::Parse, phases.parse);
         self.record_latency(Phase::Plan, phases.plan);
         self.record_latency(Phase::Execute, phases.execute);
         self.record_latency(Phase::Total, total);
 
+        let worst = self.absorb_misestimates(profile.borrow(), flag_factor);
+        let plan_hash = (statement.plan_hash).unwrap_or_else(|| plan_shape_hash(profile.borrow()));
+        self.workload.observe(&doctor::WorkloadSample::collect(
+            statement.sql,
+            statement.shape,
+            profile.borrow(),
+            phases,
+            result_rows,
+            plan_hash,
+            worst.as_ref().map(|(_, f)| *f),
+            meta,
+        ));
+
         let mut execute_span = Span::phase("execute", phases.execute);
-        execute_span.children.push(Span::from_profile(profile));
+        execute_span.children.push(profile.into());
         let span = Span {
-            name: "statement".to_string(),
+            name: "statement".into(),
             detail: String::new(),
             elapsed: total,
             rows: Some(result_rows),
@@ -854,21 +917,9 @@ impl ObsRegistry {
                 execute_span,
             ],
         };
-
-        let worst = self.absorb_misestimates(profile, flag_factor);
-        let plan_hash = plan_shape_hash(profile);
-        self.workload.observe(&doctor::WorkloadSample::collect(
-            sql,
-            profile,
-            phases,
-            result_rows,
-            plan_hash,
-            worst.as_ref().map(|(_, f)| *f),
-            meta,
-        ));
         self.journal.push(JournalEntry {
             seq: 0, // assigned by the journal
-            sql: sql.trim().to_string(),
+            sql: statement.sql.trim().to_string(),
             plan_hash,
             result_rows,
             total,

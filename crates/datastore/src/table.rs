@@ -3,6 +3,7 @@
 //! column summaries — which the table keeps current itself.
 
 use crate::error::StoreError;
+use crate::exec::plan::{Relation, RelationMemo};
 use crate::index::{Index, IndexDef};
 use crate::schema::TableSchema;
 use crate::stats::LiveColumn;
@@ -10,6 +11,7 @@ use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An in-memory table. Rows are stored in insertion order (which the
 /// deterministic data generators rely on for reproducible narratives) with a
@@ -32,6 +34,8 @@ pub struct Table {
     /// What the statistics are read from, one per schema column; cloned
     /// with the table like the indexes.
     summaries: Vec<LiveColumn>,
+    /// The columns as each alias reads them (see [`Table::relation`]).
+    relations: Arc<RelationMemo>,
 }
 
 impl Table {
@@ -48,7 +52,14 @@ impl Table {
             pk_index: HashMap::new(),
             indexes: Vec::new(),
             summaries,
+            relations: Arc::default(),
         }
+    }
+
+    /// The table as `alias` reads it, spelled `table` as a plan names it.
+    pub(crate) fn relation(&self, table: &str, alias: &str) -> Arc<Relation> {
+        let names = self.schema.columns.iter().map(|c| c.name.as_str());
+        self.relations.get(table, alias, names)
     }
 
     /// The table's schema.

@@ -259,13 +259,19 @@ impl Value {
 
     /// Render the value as a SQL literal (quoted text, ISO dates).
     pub fn sql_literal(&self) -> String {
+        fmt::from_fn(|f| self.write_sql_literal(f)).to_string()
+    }
+
+    /// [`Value::sql_literal`], written into `out` instead of a string of its
+    /// own.
+    pub fn write_sql_literal(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Value::Null => "NULL".to_string(),
-            Value::Integer(i) => i.to_string(),
-            Value::Float(f) => f.to_string(),
-            Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
-            Value::Boolean(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-            Value::Date(d) => format!("DATE '{}'", d.iso_format()),
+            Value::Null => out.write_str("NULL"),
+            Value::Integer(i) => write!(out, "{i}"),
+            Value::Float(f) => write!(out, "{f}"),
+            Value::Text(s) => write!(out, "'{}'", s.replace('\'', "''")),
+            Value::Boolean(b) => out.write_str(if *b { "TRUE" } else { "FALSE" }),
+            Value::Date(d) => write!(out, "DATE '{d}'"),
         }
     }
 

@@ -1,0 +1,201 @@
+//! Allocation budgets of a repeated statement. A counting global allocator
+//! (its counter is per thread, so tests running in parallel do not see each
+//! other's allocations) counts the heap allocations of one
+//! `Talkback::run_query_with`, after warm-up, for each of `lookup`'s five read
+//! shapes on the ×300 database with its four indexes, and for Q6 and Q9 on
+//! the 100-movie database. The counts are exact and repeatable, so the
+//! ceilings are asserted as counts; the table is printed for the log
+//! (`cargo test -q -p talkback-tests --test alloc_budget -- --nocapture`).
+
+use datastore::exec::execute_with_stats;
+use datastore::sample::{scaled_movie_database, ScaleConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use talkback::{plan_query_with, PlannerOptions, Talkback};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every allocation and reallocation on the
+/// calling thread.
+struct Counting;
+
+fn count_one() {
+    // `try_with`: a thread being torn down still allocates.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `work` makes on this thread.
+fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+const INDEXES: [&str; 4] = [
+    "create index idx_movies_year on MOVIES (year)",
+    "create index idx_cast_aid on CAST (aid)",
+    "create index idx_cast_mid_aid on CAST (mid, aid)",
+    "create index idx_actor_name on ACTOR (name) using hash",
+];
+
+/// `lookup`'s five read shapes, by name, with the literals of the `i`-th
+/// draw; `actors` are the names in ACTOR.
+fn lookup_shapes(actors: &[String], i: i64) -> [(&'static str, String); 5] {
+    let id = 1 + (i * 37) % 3000;
+    [
+        (
+            "point read m.id = ?",
+            format!("select m.title from MOVIES m where m.id = {id}"),
+        ),
+        (
+            "CAST(mid, aid) prefix",
+            format!("select c.role from CAST c where c.mid = {id}"),
+        ),
+        (
+            "index NL join by hashed name",
+            format!(
+                "select m.title from ACTOR a, CAST c, MOVIES m \
+                 where a.name = '{}' and c.aid = a.id and m.id = c.mid",
+                actors[(i * 7) as usize % actors.len()]
+            ),
+        ),
+        (
+            "year + id range (uncached)",
+            format!(
+                "select m.title from MOVIES m where m.year = {} and m.id <= {}",
+                1960 + i % 65,
+                1500 + id / 2
+            ),
+        ),
+        (
+            "index-only CAST(mid, aid)",
+            format!("select c.mid, c.aid from CAST c where c.mid = {id}"),
+        ),
+    ]
+}
+
+const Q6: &str = "select m.title from MOVIES m where not exists ( \
+     select * from GENRE g1 where not exists ( \
+     select * from GENRE g2 where g2.mid = m.id and g2.genre = g1.genre))";
+
+const Q9: &str = "select a.name from MOVIES m, CAST c, ACTOR a \
+     where m.id = c.mid and c.aid = a.id \
+     and m.year <= all (select m1.year from MOVIES m1, MOVIES m2 \
+     where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)";
+
+/// One row of the printed table: what was counted, and its ceiling if any.
+struct Row {
+    what: String,
+    allocations: u64,
+    ceiling: Option<u64>,
+}
+
+fn print(rows: &[Row]) {
+    println!(
+        "\n{:<46} {:>12} {:>9}",
+        "statement", "allocations", "ceiling"
+    );
+    for row in rows {
+        let ceiling = row.ceiling.map_or("-".to_string(), |c| c.to_string());
+        println!("{:<46} {:>12} {:>9}", row.what, row.allocations, ceiling);
+    }
+}
+
+#[test]
+fn a_repeated_statement_stays_within_its_allocation_budget() {
+    let options = PlannerOptions::sequential();
+    let mut rows = Vec::new();
+
+    let mut system = Talkback::new(scaled_movie_database(ScaleConfig {
+        movies: 3000,
+        actors: 1800,
+        directors: 600,
+        ..ScaleConfig::default()
+    }));
+    for ddl in INDEXES {
+        system.execute_ddl(ddl).unwrap();
+    }
+    let actors: Vec<String> = (system.database().table("ACTOR").unwrap())
+        .column_values("name")
+        .iter()
+        .filter_map(|v| v.as_str().map(str::to_string))
+        .collect();
+    // Warm-up: every template cached, the journal full, every ledger row
+    // there; what is left is what any further statement costs.
+    for i in 0..80 {
+        for (_, sql) in lookup_shapes(&actors, i) {
+            system.run_query_with(&sql, options).unwrap();
+        }
+    }
+    let ceilings = [Some(50), None, Some(150), None, None];
+    for ((what, sql), ceiling) in lookup_shapes(&actors, 1000).into_iter().zip(ceilings) {
+        let (n, answer) = allocations(|| system.run_query_with(&sql, options).unwrap());
+        assert!(!answer.is_empty() || what.contains("range"), "{sql}");
+        rows.push(Row {
+            what: format!("lookup: {what}"),
+            allocations: n,
+            ceiling,
+        });
+    }
+
+    let system = Talkback::new(scaled_movie_database(ScaleConfig::default()));
+    for _ in 0..3 {
+        system.run_query_with(Q6, options).unwrap();
+        system.run_query_with(Q9, options).unwrap();
+    }
+    for (name, sql, ceiling) in [("Q6", Q6, Some(7_000)), ("Q9", Q9, None)] {
+        let (whole, _) = allocations(|| system.run_query_with(sql, options).unwrap());
+        let query = sqlparse::parse_query(sql).unwrap();
+        let planned = plan_query_with(system.database(), &query, options).unwrap();
+        let (executed, _) =
+            allocations(|| execute_with_stats(system.database(), &planned.plan).unwrap());
+        rows.push(Row {
+            what: format!("nested: {name}, run_query_with"),
+            allocations: whole,
+            ceiling: None,
+        });
+        rows.push(Row {
+            what: format!("nested: {name}, execution"),
+            allocations: executed,
+            ceiling,
+        });
+    }
+
+    print(&rows);
+    for row in &rows {
+        if let Some(ceiling) = row.ceiling {
+            assert!(
+                row.allocations <= ceiling,
+                "{}: {} allocations, budget {ceiling}",
+                row.what,
+                row.allocations
+            );
+        }
+    }
+}

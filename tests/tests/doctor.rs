@@ -112,6 +112,74 @@ fn show_workload_golden_table_and_narration() {
     assert!(narration.contains("(<t> mean, <t> p95)"), "{narration}");
 }
 
+/// Regression: the ledger keyed statements by their literals alone, keeping
+/// whitespace runs, so three spellings of one shape — which the plan cache
+/// already served as one entry — were three rows, and a newline broke the
+/// table. The ledger now files a statement under the plan cache's key.
+#[test]
+fn show_workload_files_spellings_of_one_shape_as_the_plan_cache_does() {
+    let system = Talkback::new(movie_database());
+    for sql in [
+        "select m.title from MOVIES m where m.id = 1",
+        "select  m.title from MOVIES m where m.id = 2",
+        "select m.title\nfrom MOVIES m where m.id = 3",
+    ] {
+        system.run_query_with(sql, sequential()).unwrap();
+    }
+    let hits = system
+        .database()
+        .obs()
+        .counter(datastore::obs::Counter::PlanCacheHits);
+    assert_eq!(hits, 2, "one plan-cache entry, hit twice");
+
+    let report = system.execute_show("show workload").unwrap();
+    let table = normalize_durations(&report.table);
+    let rows: Vec<Vec<&str>> = table
+        .lines()
+        .map(|l| {
+            l.split("  ")
+                .map(str::trim)
+                .filter(|c| !c.is_empty())
+                .collect()
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            vec![
+                "statement",
+                "runs",
+                "mean",
+                "p95",
+                "total",
+                "scanned",
+                "emitted",
+                "access",
+                "cache_hits"
+            ],
+            vec![
+                "select m.title from MOVIES m where m.id = ?",
+                "3",
+                "<t>",
+                "<t>",
+                "<t>",
+                "3",
+                "3",
+                "idx pk_movies ×3",
+                "2"
+            ],
+        ],
+        "{table}"
+    );
+    let narration = normalize_durations(&report.narration);
+    assert!(
+        narration.starts_with(
+            "I have been watching one distinct statement shape across three executions."
+        ),
+        "{narration}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // ADVISE
 // ---------------------------------------------------------------------------

@@ -420,3 +420,161 @@ fn a_top_k_statement_confesses_no_misestimate() {
     assert_eq!(entry.sql, sql);
     assert_eq!(entry.worst_misestimate, None);
 }
+
+/// `lookup`'s five read shapes, the `i`-th draw of their literals; `actors`
+/// are the names in ACTOR.
+fn lookup_shapes(actors: &[String], i: usize) -> [String; 5] {
+    let id = 1 + (i * 37) % 3000;
+    [
+        format!("select m.title from MOVIES m where m.id = {id}"),
+        format!("select c.role from CAST c where c.mid = {id}"),
+        format!(
+            "select m.title from ACTOR a, CAST c, MOVIES m \
+             where a.name = '{}' and c.aid = a.id and m.id = c.mid",
+            actors[i * 7 % actors.len()]
+        ),
+        format!(
+            "select m.title from MOVIES m where m.year = {} and m.id <= {}",
+            1960 + i % 65,
+            1500 + id / 2
+        ),
+        format!("select c.mid, c.aid from CAST c where c.mid = {id}"),
+    ]
+}
+
+const PAPER_QUERIES: [&str; 9] = [
+    Q1,
+    "select a.name, m.title from MOVIES m, CAST c, ACTOR a, DIRECTED r, DIRECTOR d, GENRE g \
+     where m.id = c.mid and c.aid = a.id and m.id = r.mid and r.did = d.id \
+       and m.id = g.mid and d.name = 'G. Loucas' and g.genre = 'action'",
+    "select a1.name, a2.name from MOVIES m, CAST c1, ACTOR a1, CAST c2, ACTOR a2 \
+     where m.id = c1.mid and c1.aid = a1.id and m.id = c2.mid and c2.aid = a2.id \
+       and a1.id > a2.id",
+    "select m.title from MOVIES m, CAST c where m.id = c.mid and c.role = m.title",
+    "select m.title from MOVIES m where m.id in ( \
+        select c.mid from CAST c where c.aid in ( \
+            select a.id from ACTOR a where a.name = 'Brad Pitt'))",
+    "select m.title from MOVIES m where not exists ( \
+        select * from GENRE g1 where not exists ( \
+            select * from GENRE g2 where g2.mid = m.id and g2.genre = g1.genre))",
+    "select m.id, m.title, count(*) from MOVIES m, CAST c where m.id = c.mid \
+     group by m.id, m.title having 1 < (select count(*) from GENRE g where g.mid = m.id)",
+    "select a.id, a.name from MOVIES m, CAST c, ACTOR a \
+     where m.id = c.mid and c.aid = a.id \
+     group by a.id, a.name having count(distinct m.year) = 1",
+    "select a.name from MOVIES m, CAST c, ACTOR a where m.id = c.mid and c.aid = a.id \
+     and m.year <= all (select m1.year from MOVIES m1, MOVIES m2 \
+     where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)",
+];
+
+/// A journal entry with its timings and its cache outcome left out: the
+/// statement, the span tree as (depth, name, detail, rows), the plan hash,
+/// the answer's size and the worst misestimate.
+type Remembered = (
+    String,
+    Vec<(usize, String, String, Option<u64>)>,
+    u64,
+    u64,
+    Option<(String, f64)>,
+);
+
+fn remembered(system: &Talkback) -> Remembered {
+    let entry = system.database().obs().journal().last().expect("journaled");
+    let spans = (entry.span.flatten().into_iter())
+        .map(|(depth, s)| (depth, s.name.to_string(), s.detail.clone(), s.rows))
+        .collect();
+    let worst = entry.worst_misestimate;
+    (entry.sql, spans, entry.plan_hash, entry.result_rows, worst)
+}
+
+/// A `SHOW` table's rows as cells, durations normalized, `skip` columns
+/// dropped, sorted: the order of `SHOW WORKLOAD` follows time spent.
+fn cells(system: &Talkback, show: &str, skip: &[&str]) -> Vec<Vec<String>> {
+    let table = normalize_durations(&system.execute_show(show).unwrap().table);
+    let split = |line: &str| -> Vec<String> {
+        line.split("  ")
+            .map(str::trim)
+            .filter(|c| !c.is_empty())
+            .map(str::to_string)
+            .collect()
+    };
+    let header = split(table.lines().next().expect("a header"));
+    let keep: Vec<bool> = header.iter().map(|h| !skip.contains(&h.as_str())).collect();
+    let mut rows: Vec<Vec<String>> = (table.lines().map(split))
+        .map(|row| {
+            row.into_iter()
+                .zip(&keep)
+                .filter(|(_, k)| **k)
+                .map(|(c, _)| c)
+                .collect()
+        })
+        .collect();
+    rows[1..].sort();
+    rows
+}
+
+/// A statement served from a cached template — its profile moved into the
+/// journal, its plan hash remembered from the template's first execution —
+/// is remembered exactly as the same statement planned afresh: the same
+/// spans, plan hash, answer size and worst misestimate, the same workload
+/// ledger and misestimate ledger.
+#[test]
+fn a_cached_statement_is_journaled_exactly_as_a_fresh_one() {
+    use datastore::sample::{scaled_movie_database, ScaleConfig};
+    use talkback::PlannerOptions;
+    let cached_options = PlannerOptions::sequential();
+    let fresh_options = PlannerOptions {
+        use_plan_cache: false,
+        ..cached_options
+    };
+    let lookup = || {
+        let mut system = Talkback::new(scaled_movie_database(ScaleConfig {
+            movies: 3000,
+            actors: 1800,
+            directors: 600,
+            ..ScaleConfig::default()
+        }));
+        for ddl in [
+            "create index idx_movies_year on MOVIES (year)",
+            "create index idx_cast_aid on CAST (aid)",
+            "create index idx_cast_mid_aid on CAST (mid, aid)",
+            "create index idx_actor_name on ACTOR (name) using hash",
+        ] {
+            system.execute_ddl(ddl).unwrap();
+        }
+        system
+    };
+    let nested = || Talkback::new(scaled_movie_database(ScaleConfig::default()));
+    let (lookup_cached, lookup_fresh) = (lookup(), lookup());
+    let actors: Vec<String> = (lookup_cached.database().table("ACTOR").unwrap())
+        .column_values("name")
+        .iter()
+        .filter_map(|v| v.as_str().map(str::to_string))
+        .collect();
+    let lookup_statements = (0..12).flat_map(|i| lookup_shapes(&actors, i));
+    let paper_statements = PAPER_QUERIES
+        .iter()
+        .chain(&PAPER_QUERIES)
+        .map(|q| q.to_string());
+    let compare = |cached: &Talkback, fresh: &Talkback, statements: Vec<String>| {
+        for sql in &statements {
+            let answer = cached.run_query_with(sql, cached_options).unwrap();
+            assert_eq!(answer, fresh.run_query_with(sql, fresh_options).unwrap());
+            assert_eq!(remembered(cached), remembered(fresh), "{sql}");
+        }
+        for show in ["show workload", "show misestimates"] {
+            let skip = ["cache_hits"];
+            assert_eq!(
+                cells(cached, show, &skip),
+                cells(fresh, show, &skip),
+                "{show}"
+            );
+        }
+        cached.database().obs().counter(Counter::PlanCacheHits)
+    };
+    // Twelve draws of the four cacheable shapes: all but the first of each
+    // are served from a template.
+    let hits = compare(&lookup_cached, &lookup_fresh, lookup_statements.collect());
+    assert_eq!(hits, 4 * 11);
+    compare(&nested(), &nested(), paper_statements.collect());
+}
