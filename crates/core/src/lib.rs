@@ -287,7 +287,7 @@ impl Talkback {
             match found {
                 CacheLookup::Found(CachedVerdict::Template(template)) => {
                     self.db.obs().incr(Counter::PlanCacheHits);
-                    let plan = template.plan.bind_params(&|i| key.params.get(i as usize));
+                    let plan = template.plan.bind_params(key.params);
                     let phases = StatementPhases {
                         plan: t0.elapsed(),
                         ..StatementPhases::default()
@@ -360,7 +360,7 @@ impl Talkback {
     /// only when (a) the AST lifts exactly the literals the text scanner
     /// extracted, in the same order — so future text-extracted literals bind
     /// positionally — and (b) planning the parameterized statement, each
-    /// `$i` typed by its literal's kind, and re-binding the original
+    /// `?i` typed by its literal's kind, and re-binding the original
     /// literals reproduces the fresh plan node for node, estimates and all.
     /// Anything else is a negative verdict with its reason: the next
     /// execution of the shape is planned fresh without coming back here.
@@ -388,9 +388,7 @@ impl Talkback {
             _ => return CachedVerdict::Uncacheable(Uncacheable::Constant),
         };
         match planner::plan_template(&self.db, &template_stmt, options, &kinds) {
-            Ok(template)
-                if template.plan.bind_params(&|i| key.params.get(i as usize)) == *fresh =>
-            {
+            Ok(template) if template.plan.bind_params(key.params) == *fresh => {
                 CachedVerdict::Template(Arc::new(PlanTemplate::new(template.plan)))
             }
             _ => CachedVerdict::Uncacheable(Uncacheable::ValueDependent),

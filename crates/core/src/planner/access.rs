@@ -34,7 +34,7 @@
 //! they are only used when the literal's type equals the column's declared
 //! type and the column cannot hold mixed numerics (a Float column may store
 //! Integers via type coercion; such columns never use hash probes). A
-//! plan-cache parameter (`col = $i` in a template) carries the kind of the
+//! plan-cache parameter (`col = ?i` in a template) carries the kind of the
 //! literal it stands for — the kinds are part of the template's identity, so
 //! only literals of that kind are ever bound into it — and gets exactly the
 //! test a literal of that kind would. A *correlation* parameter's type is
@@ -43,6 +43,7 @@
 use super::cost::{AccessPathKind, Estimator, PlanDecision};
 use super::logical::Relation;
 use super::subquery::ScopeChain;
+use datastore::expr::Param;
 use datastore::index::{BoundTerm, Index, IndexBounds, TermBound};
 use datastore::{DataType, Database, Value};
 use sqlparse::ast::{BinaryOperator, Expr, Literal};
@@ -68,7 +69,7 @@ pub(super) struct ScanChoice {
     pub ordered: bool,
     /// Positions (in `rel.pushed`) of the conjuncts the bounds consume.
     pub consumed_pushed: Vec<usize>,
-    /// True when any bound is a correlation parameter.
+    /// True when any bound is a correlation value.
     pub parameterized: bool,
     /// Estimated rows the probe returns (per binding, when parameterized).
     pub estimated_rows: f64,
@@ -191,7 +192,7 @@ fn as_sarg(
         {
             return Some(Sarg {
                 column: c.column.clone(),
-                shape: SargShape::Eq(BoundTerm::Param(*n)),
+                shape: SargShape::Eq(BoundTerm::Param(Param::Stmt(*n))),
                 term_type: estimator.param_type(*n),
                 selectivity: estimator.effective_conjunct_selectivity(rel, stats, conjunct),
             });
@@ -310,7 +311,7 @@ fn match_index(
     } else {
         AccessPathKind::Prefix
     };
-    let parameterized = bounds.has_params();
+    let parameterized = bounds.is_correlated();
     Some(ScanChoice {
         index: index.def().name.clone(),
         columns,

@@ -405,9 +405,9 @@ pub struct Estimator<'a> {
     /// each table's real indexes. Plans chosen under them must never be
     /// executed or cached — the index has no entries.
     hypothetical: Vec<Index>,
-    /// The literal kind each plan-cache parameter `$i` stands for, when a
-    /// template is being planned (empty otherwise). Correlation parameters
-    /// are numbered in a statement of their own and never listed here.
+    /// The literal kind each plan-cache parameter `?i` stands for, when a
+    /// template is being planned (empty otherwise). Correlation values are
+    /// parameters of another kind (`Param::Outer`) and never listed here.
     param_kinds: &'a [ParamKind],
 }
 
@@ -451,7 +451,7 @@ impl<'a> Estimator<'a> {
         self.param_kinds = kinds;
     }
 
-    /// The column type a literal of parameter `$id`'s kind has, when the
+    /// The column type a literal of parameter `?id`'s kind has, when the
     /// statement is a template whose kinds were declared.
     pub fn param_type(&self, id: u32) -> Option<DataType> {
         self.param_kinds.get(id as usize).map(|k| k.data_type())

@@ -106,10 +106,12 @@ pub struct PlannerOptions {
     /// statistical estimates.
     pub use_feedback: bool,
     /// Cache literal-normalized physical plans per database (on by default):
-    /// repeated statements that differ only in equality literals skip
-    /// lexing, parsing, and planning entirely, re-binding the new literals
-    /// into the cached template. Invalidated by DDL, stats refresh, and
-    /// feedback absorption through the database's adaptive epoch.
+    /// repeated statements that differ only in the literals a template can
+    /// hold — equalities, and constants compared with an aggregate or a
+    /// subquery, subqueries included — skip lexing, parsing, and planning
+    /// entirely, re-binding the new literals into the cached template.
+    /// Invalidated by DDL, stats refresh, and feedback absorption through
+    /// the database's adaptive epoch.
     pub use_plan_cache: bool,
 }
 
@@ -202,8 +204,8 @@ pub fn plan_query_with(
     plan_query_impl(db, query, options, true, Vec::new(), &[])
 }
 
-/// Plan a plan-cache template: a statement whose equality literals are
-/// `$i` placeholders, `$i` standing for a literal of kind `param_kinds[i]`.
+/// Plan a plan-cache template: a statement whose liftable literals are
+/// `?i` placeholders, `?i` standing for a literal of kind `param_kinds[i]`.
 /// Nothing is recorded into the observability registry — this is the
 /// engine's own second look at a statement the user ran once.
 pub(crate) fn plan_template(

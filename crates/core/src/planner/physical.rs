@@ -15,7 +15,7 @@ use super::logical::{ref_alias, JoinGraph, Relation};
 use super::subquery::ScopeChain;
 use crate::error::TalkbackError;
 use datastore::exec::{AggExpr, AggFunc, ColumnInfo, Plan, PlanNode};
-use datastore::expr::{ArithOp, CmpOp, Expr as PExpr};
+use datastore::expr::{ArithOp, CmpOp, Expr as PExpr, Param};
 use datastore::index::ProbeOrder;
 use datastore::stats::DEFAULT_SELECTIVITY;
 use datastore::{Database, Value};
@@ -828,7 +828,7 @@ pub(super) fn lower_having(
 ) -> Result<PExpr, TalkbackError> {
     match expr {
         Expr::Literal(l) => Ok(PExpr::Literal(literal_value(l))),
-        Expr::Param(n) => Ok(PExpr::Param(*n)),
+        Expr::Param(k) => Ok(PExpr::Param(Param::Stmt(*k))),
         Expr::Aggregate {
             func,
             arg,
@@ -935,8 +935,8 @@ pub fn lower_expr(
 
 /// Lower a scalar/boolean expression over the joined FROM row. A column
 /// reference that does not resolve locally is resolved against the
-/// enclosing scopes (innermost first) as a correlation parameter —
-/// [`PExpr::Param`] — which the owning `Apply` operator binds per row.
+/// enclosing scopes (innermost first) as a correlation value —
+/// [`Param::Outer`] — which the owning `Apply` operator binds per row.
 pub(super) fn lower_expr_scoped(
     expr: &Expr,
     columns: &[ColumnInfo],
@@ -962,10 +962,10 @@ pub(super) fn lower_expr_scoped(
             }
         },
         Expr::Literal(l) => Ok(PExpr::Literal(literal_value(l))),
-        // A plan-cache placeholder lowers to the same parameter space the
-        // Apply machinery uses; `bind_params` substitutes the statement's
-        // literals before execution.
-        Expr::Param(n) => Ok(PExpr::Param(*n)),
+        // A plan-cache placeholder is a statement parameter: `bind_params`
+        // substitutes the statement's literal before execution, and no
+        // Apply's per-row binding can reach it.
+        Expr::Param(k) => Ok(PExpr::Param(Param::Stmt(*k))),
         Expr::BinaryOp { left, op, right } => binary(
             *op,
             lower_expr(left, columns, bound)?,

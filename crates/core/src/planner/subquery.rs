@@ -30,7 +30,7 @@
 //! 5. **Apply** ([`SubqueryStrategy::Apply`]) — everything genuinely
 //!    correlated (Q6's nested division, quantified comparisons, a
 //!    correlated scalar the cost gate kept). The subquery is planned with
-//!    [`datastore::expr::Expr::Param`] placeholders for the enclosing row's
+//!    [`datastore::expr::Param::Outer`] placeholders for the enclosing row's
 //!    columns; at run time the operator binds each row's values, executes
 //!    the subplan, and memoizes the result per distinct binding. What an
 //!    evaluation costs is the block's own business: its comparisons with the
@@ -61,7 +61,7 @@ use super::physical::{
 use super::PlannerOptions;
 use crate::error::TalkbackError;
 use datastore::exec::{AggExpr, ApplyMode, ColumnInfo, Plan, PlanNode};
-use datastore::expr::Expr as PExpr;
+use datastore::expr::{Expr as PExpr, Param};
 use datastore::stats::{anti_join_cardinality, semi_join_selectivity, DEFAULT_SELECTIVITY};
 use datastore::{DataType, Database, Row, Value};
 use sqlparse::ast::{
@@ -157,9 +157,9 @@ impl<'a> ScopeChain<'a> {
     }
 
     /// Resolve a qualified column reference against the enclosing scopes,
-    /// innermost first, allocating a correlation parameter in the owning
-    /// scope. `None` when no scope has the column.
-    pub fn resolve_param(&self, qualifier: Option<&str>, name: &str) -> Option<u32> {
+    /// innermost first, allocating a correlation value in the owning scope.
+    /// `None` when no scope has the column.
+    pub fn resolve_param(&self, qualifier: Option<&str>, name: &str) -> Option<Param> {
         let qualifier = qualifier?;
         for scope in self.scopes.iter().rev() {
             if let Some(idx) = scope
@@ -167,7 +167,7 @@ impl<'a> ScopeChain<'a> {
                 .iter()
                 .position(|c| c.matches(Some(qualifier), name))
             {
-                return Some(scope.param_for(idx, &self.ctx.next_param));
+                return Some(Param::Outer(scope.param_for(idx, &self.ctx.next_param)));
             }
         }
         None

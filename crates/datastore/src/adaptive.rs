@@ -16,12 +16,23 @@
 //!
 //! The [`PlanCache`] makes the second run cheaper as well as better: a
 //! bounded map from a statement's identity — literal-normalized text,
-//! planner options, literal kinds — to a physical [`Plan`] template with
-//! `Expr::Param` placeholders ([`PlanTemplate`]), re-bound with the
-//! statement's literals on a hit, or to the verdict that the shape cannot be
-//! templated and why ([`Uncacheable`]). Both structures are invalidated by
-//! one epoch counter, bumped on DDL, statistics invalidation, and feedback
-//! absorption — anything that could make a cached decision stale.
+//! planner options, literal kinds — to a physical [`Plan`] template
+//! ([`PlanTemplate`]), re-bound with the statement's literals on a hit, or
+//! to the verdict that the shape cannot be templated and why
+//! ([`Uncacheable`]). Both structures are invalidated by one epoch counter,
+//! bumped on DDL, statistics invalidation, and feedback absorption —
+//! anything that could make a cached decision stale.
+//!
+//! A template holds two kinds of parameter ([`crate::expr::Param`]). Its
+//! *statement* parameters `?k` stand for the `k`-th literal of the
+//! normalized text, wherever the parameterizer lifted it — a column
+//! equality, or a constant compared with an aggregate or a subquery, in the
+//! outer block or inside any subquery — and a hit binds them once
+//! ([`Plan::bind_params`]). Its *outer-row* parameters `$k` are the
+//! correlation values of its `Apply` operators and parameterized index
+//! probes, left in place by that binding and bound per outer row by the
+//! `Apply` that owns them ([`Plan::bind_outer`]). So a nested statement is
+//! templated like a flat one: probe, bind, execute.
 //!
 //! The plan cache is one [`ShapeCache`]; `talkback`'s translation cache is
 //! the other — sentence templates stamped with the catalog version instead
@@ -87,7 +98,7 @@ pub struct FeedbackEntry {
 /// literals are part of its plan-cache identity: a plan may be
 /// type-dependent even when it is value-independent (a hash index answers
 /// `name = 'x'` but not `name = 5`), so `= 5` and `= 'five'` hold two
-/// templates, each planned knowing what its `$i` will be bound to.
+/// templates, each planned knowing what its `?i` will be bound to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParamKind {
     /// Integer literal.
@@ -133,11 +144,9 @@ pub enum Uncacheable {
     /// A literal is a member of an `IN (…)` list.
     InList,
     /// A literal sits anywhere else the template pass cannot lift it from:
-    /// the projection, arithmetic, `<>`.
+    /// the projection, arithmetic, `<>` — or where the text scanner and the
+    /// parser do not find the same literals in the same order.
     Constant,
-    /// The statement contains a subquery, whose correlation parameters own
-    /// the `$n` numbering.
-    Subquery,
     /// The template did not reproduce the fresh plan (or translation): it
     /// depends on the value compared, not only on its kind.
     ValueDependent,
@@ -145,12 +154,11 @@ pub enum Uncacheable {
 
 impl Uncacheable {
     /// Every reason, in display order.
-    pub const ALL: [Uncacheable; 6] = [
+    pub const ALL: [Uncacheable; 5] = [
         Uncacheable::RangeBound,
         Uncacheable::LikePattern,
         Uncacheable::InList,
         Uncacheable::Constant,
-        Uncacheable::Subquery,
         Uncacheable::ValueDependent,
     ];
 
@@ -162,7 +170,6 @@ impl Uncacheable {
             Uncacheable::LikePattern => "whose plan depends on a LIKE pattern",
             Uncacheable::InList => "whose plan depends on an IN list",
             Uncacheable::Constant => "with a constant outside a column equality",
-            Uncacheable::Subquery => "with a subquery inside",
             Uncacheable::ValueDependent => "whose plan changes with the value compared",
         }
     }
@@ -214,8 +221,8 @@ impl<'a> CacheKey<'a> {
 }
 
 /// What a cache holds for one key: a verified template (for the plan cache,
-/// a plan with `Expr::Param` placeholders), or the verdict that the shape
-/// cannot have one.
+/// a plan with statement-parameter placeholders), or the verdict that the
+/// shape cannot have one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CachedVerdict<T> {
     /// A verified template, shared with whoever is binding it.
@@ -299,7 +306,7 @@ pub type PlanCache = ShapeCache<PlanTemplate>;
 /// A verified plan template, and the shape hash its executions share.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanTemplate {
-    /// The plan, `Expr::Param` placeholders where the literals go.
+    /// The plan, statement parameters where the literals go.
     pub plan: Plan,
     /// [`plan_shape_hash`] of the first execution; `None` when an operator's
     /// detail tallies its probes, morsels, evaluations or groups, whose
@@ -617,11 +624,11 @@ mod tests {
         cache.insert(
             &key("four"),
             0,
-            CachedVerdict::Uncacheable(Uncacheable::Subquery),
+            CachedVerdict::Uncacheable(Uncacheable::LikePattern),
         );
         assert_eq!(
             cache.lookup(&key("four"), 0),
-            CacheLookup::Found(CachedVerdict::Uncacheable(Uncacheable::Subquery))
+            CacheLookup::Found(CachedVerdict::Uncacheable(Uncacheable::LikePattern))
         );
         assert_eq!(cache.lookup(&key("four"), 1), CacheLookup::Stale);
     }

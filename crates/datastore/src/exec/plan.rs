@@ -10,11 +10,11 @@
 //! its NULL-aware variant), [`PlanNode::ScalarSubquery`] (a scalar, or a
 //! correlated aggregate grouped by its keys, evaluated once and cached), and
 //! [`PlanNode::Apply`] (the fallback that re-runs a correlated subplan per
-//! row, substituting [`Expr::Param`] correlation parameters and caching per
+//! row, substituting its [`Param::Outer`] correlation values and caching per
 //! distinct binding).
 
 use crate::exec::aggregate::AggExpr;
-use crate::expr::{CmpOp, Expr, ParamLookup};
+use crate::expr::{CmpOp, Expr, Param, ParamLookup};
 use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
 use crate::tuple::Row;
@@ -265,9 +265,10 @@ pub enum PlanNode {
     /// qualified with `alias`.
     Scan { table: String, alias: String },
     /// Index-backed access path: probe `index` with `bounds` and read only
-    /// the matching rows. The bounds may carry correlation parameters that
-    /// [`Plan::bind_params`] resolves per `Apply` binding — the probe stays
-    /// symbolic until the outer row arrives. With `order` other than
+    /// the matching rows. The bounds may carry parameters: statement literals
+    /// [`Plan::bind_params`] resolves on a plan-cache hit, and correlation
+    /// values [`Plan::bind_outer`] resolves per `Apply` binding — the probe
+    /// stays symbolic until the outer row arrives. With `order` other than
     /// [`ProbeOrder::Position`] rows come back sorted by the indexed key
     /// (ascending or descending) — what an `ORDER BY`-eliding plan wants;
     /// in position order they are byte-identical to the equivalent filtered
@@ -398,14 +399,15 @@ pub enum PlanNode {
     },
     /// The fallback for genuinely correlated subqueries: for each input row,
     /// bind the row's correlation values into `subplan` (substituting the
-    /// [`Expr::Param`]s listed in `params`), run it, and keep the row when
+    /// [`Param::Outer`]s listed in `params`), run it, and keep the row when
     /// `mode` says so. Results are cached per distinct parameter binding, so
     /// an uncorrelated subquery is evaluated exactly once and a subquery
     /// correlated on a low-cardinality key is evaluated once per key.
     Apply {
         input: Box<Plan>,
         subplan: Box<Plan>,
-        /// (parameter id, input-column position) pairs this operator binds.
+        /// (correlation value `$id`, input-column position) pairs this
+        /// operator binds.
         params: Vec<(u32, usize)>,
         mode: ApplyMode,
         /// Worker threads for the per-binding subquery evaluations (the
@@ -737,12 +739,30 @@ impl Plan {
         }
     }
 
-    /// Clone this plan with the given parameter bindings substituted into
-    /// every expression (including nested subplans). Parameters `bindings`
-    /// has no value for — owned by a deeper `Apply` — are left in place.
-    pub fn bind_params(&self, bindings: ParamLookup<'_>) -> Plan {
+    /// Clone this plan with statement parameter `?k` bound to `values[k]`
+    /// in every expression and index probe, subplans included: what a cached
+    /// template becomes for one statement. Correlation values stay in place
+    /// for their `Apply` operators to bind.
+    pub fn bind_params(&self, values: &[Value]) -> Plan {
         let mut plan = self.clone();
-        plan.bind_in_place(bindings);
+        plan.bind_in_place(&|param| match param {
+            Param::Stmt(k) => values.get(k as usize),
+            Param::Outer(_) => None,
+        });
+        plan
+    }
+
+    /// Clone this plan with each correlation value `$id` of `params`
+    /// ((id, position) pairs) bound to `row[position]`: one evaluation of an
+    /// `Apply`'s subplan. Statement parameters and other correlation values
+    /// stay in place.
+    pub fn bind_outer(&self, params: &[(u32, usize)], row: &Row) -> Plan {
+        let mut plan = self.clone();
+        plan.bind_in_place(&|param| {
+            let Param::Outer(id) = param else { return None };
+            let &(_, idx) = params.iter().find(|&&(owned, _)| owned == id)?;
+            Some(row.get(idx).unwrap_or(&Value::Null))
+        });
         plan
     }
 

@@ -453,14 +453,14 @@ fn write_expr(f: &mut fmt::Formatter<'_>, expr: &Expr, columns: &[ColumnInfo]) -
                 .map(|v| fmt::from_fn(|f| v.write_sql_literal(f)));
             write!(f, "{} IN ({})", e(expr), separated(", ", items))
         }
-        Expr::Param(id) => write!(f, "${id}"),
+        Expr::Param(param) => write!(f, "{param}"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::CmpOp;
+    use crate::expr::{CmpOp, Param};
 
     #[test]
     fn render_expr_resolves_column_names() {
@@ -473,7 +473,7 @@ mod tests {
             Box::new(Expr::col_eq(0, 1)),
         );
         assert_eq!(render_expr(&e, &cols), "m.year > 2000 AND m.id = m.year");
-        assert_eq!(render_expr(&Expr::Param(3), &cols), "$3");
+        assert_eq!(render_expr(&Expr::Param(Param::Outer(3)), &cols), "$3");
         // A pattern is quoted the way a text literal is.
         let like = Expr::Like {
             expr: Box::new(Expr::Column(0)),

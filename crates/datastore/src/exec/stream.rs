@@ -2184,10 +2184,7 @@ fn evaluate_binding(
     mode: &ApplyMode,
     row: &Row,
 ) -> Result<(SubResult, Box<dyn RowSource>), StoreError> {
-    let bound = subplan.bind_params(&|id| {
-        let &(_, idx) = params.iter().find(|&&(param, _)| param == id)?;
-        Some(row.get(idx).unwrap_or(&Value::Null))
-    });
+    let bound = subplan.bind_outer(params, row);
     let mut src = open_toward(ctx, &bound, mode.row_goal())?;
     let result = match mode {
         ApplyMode::Exists { .. } => {

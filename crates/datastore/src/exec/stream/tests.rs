@@ -2,7 +2,7 @@
 
 use super::*;
 use crate::exec::aggregate::AggExpr;
-use crate::expr::CmpOp;
+use crate::expr::{CmpOp, Param};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::value::DataType;
 
@@ -261,7 +261,7 @@ fn apply_cache_is_bounded_and_tallies_evictions() {
     let db = db();
     let sub = values_plan("s", &[Value::int(1)]).filter(Expr::Compare {
         op: CmpOp::Lt,
-        left: Box::new(Expr::Param(0)),
+        left: Box::new(Expr::Param(Param::Outer(0))),
         right: Box::new(Expr::Literal(Value::int(0))),
     });
     let plan = scan("T", "t").apply(sub, vec![(0, 0)], ApplyMode::Exists { negated: true });
@@ -289,7 +289,7 @@ fn apply_parallel_workers_agree_with_sequential() {
         .filter(Expr::Compare {
             op: CmpOp::Eq,
             left: Box::new(Expr::Column(1)),
-            right: Box::new(Expr::Param(0)),
+            right: Box::new(Expr::Param(Param::Outer(0))),
         })
         .filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(5)));
     let mode = ApplyMode::Exists { negated: false };
@@ -492,7 +492,7 @@ fn apply_exists_binds_params_and_caches_per_binding() {
         .filter(Expr::Compare {
             op: CmpOp::Eq,
             left: Box::new(Expr::Column(1)),
-            right: Box::new(Expr::Param(0)),
+            right: Box::new(Expr::Param(Param::Outer(0))),
         })
         .filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(10)));
     let plan = Plan::scan("T", "t").apply(sub, vec![(0, 1)], ApplyMode::Exists { negated: false });

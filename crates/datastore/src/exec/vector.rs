@@ -379,7 +379,7 @@ enum KernelTerm {
         op: CmpOp,
         right: usize,
     },
-    /// `column <op> $n` — a plan-cache template term. The shape is
+    /// `column <op> ?n` — a plan-cache template term. The shape is
     /// kernel-eligible (the parameter binds to a literal before execution),
     /// but an unbound template can never evaluate, so this term always
     /// falls back.

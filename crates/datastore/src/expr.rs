@@ -102,18 +102,45 @@ pub enum Expr {
     /// Membership in a fixed list of constants (`IN (…)` after the planner
     /// has evaluated any uncorrelated subquery).
     InList { expr: Box<Expr>, list: Vec<Value> },
-    /// A correlation parameter: a value supplied by an enclosing `Apply`
-    /// operator, which substitutes it (via [`Expr::substitute_params`])
-    /// before the subplan runs. Evaluating an unbound parameter is an error —
-    /// it means a correlated subplan escaped its binding operator.
-    Param(u32),
+    /// A value bound after planning (see [`Param`]): binding the plan
+    /// replaces it by a literal before the expression runs. Evaluating an
+    /// unbound parameter is an error — it means a plan escaped whoever owns
+    /// the binding.
+    Param(Param),
+}
+
+/// A run-time parameter. The two kinds are bound at different times by
+/// different owners, so each has its own numbering and neither binding can
+/// reach the other's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Param {
+    /// The `k`-th literal lifted out of a statement (the `k`-th `?` of its
+    /// normalized text): bound once, when a cached plan template is bound to
+    /// a statement's literals ([`crate::exec::Plan::bind_params`]).
+    Stmt(u32),
+    /// Correlation value `k`: a column of an enclosing row, bound for each
+    /// outer row by the `Apply` that owns it
+    /// ([`crate::exec::Plan::bind_outer`]).
+    Outer(u32),
+}
+
+impl std::fmt::Display for Param {
+    /// `$k` for a correlation value, as plan trees name them; `?k` for a
+    /// statement literal, which a bound plan never shows.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Param::Stmt(k) => write!(f, "?{k}"),
+            Param::Outer(k) => write!(f, "${k}"),
+        }
+    }
 }
 
 /// The values a parameter substitution binds: `Some` for a parameter the
-/// caller owns, `None` for one a deeper `Apply` will bind. A lookup rather
-/// than a map, so a cached plan template binds straight from its statement's
-/// literal slice and an `Apply` straight from the outer row.
-pub type ParamLookup<'a> = &'a dyn Fn(u32) -> Option<&'a Value>;
+/// caller owns, `None` for one it leaves in place. Made only by
+/// [`crate::exec::Plan::bind_params`], which answers statement parameters,
+/// and [`crate::exec::Plan::bind_outer`], which answers the correlation
+/// values of one `Apply`.
+pub(crate) type ParamLookup<'a> = &'a dyn Fn(Param) -> Option<&'a Value>;
 
 /// The operands of every expression node — written once for shared and
 /// mutable access (`$r` is `&` or `&mut`).
@@ -237,8 +264,8 @@ impl Expr {
                     Value::Boolean(false)
                 })
             }
-            Expr::Param(id) => Err(StoreError::Eval {
-                message: format!("unbound subquery parameter ${id}"),
+            Expr::Param(param) => Err(StoreError::Eval {
+                message: format!("unbound parameter {param}"),
             }),
         }
     }
@@ -289,12 +316,12 @@ impl Expr {
     }
 
     /// Replace, in place, every bound [`Expr::Param`] with the literal value
-    /// supplied for it, leaving parameters owned by deeper `Apply` operators
-    /// (which `bindings` has no value for) untouched.
-    pub fn substitute_params(&mut self, bindings: ParamLookup<'_>) {
+    /// supplied for it, leaving the parameters `bindings` has no value for
+    /// untouched.
+    pub(crate) fn substitute_params(&mut self, bindings: ParamLookup<'_>) {
         self.walk_mut(&mut |e| {
-            if let Expr::Param(id) = e {
-                if let Some(v) = bindings(*id) {
+            if let Expr::Param(param) = e {
+                if let Some(v) = bindings(*param) {
                     *e = Expr::Literal(v.clone());
                 }
             }
@@ -536,51 +563,78 @@ mod tests {
         let e = Expr::Compare {
             op: CmpOp::Eq,
             left: Box::new(Expr::Column(0)),
-            right: Box::new(Expr::Param(7)),
+            right: Box::new(Expr::Param(Param::Outer(7))),
         };
         assert!(e.has_params());
-        assert!(e.eval(&r).is_err(), "unbound parameters must not evaluate");
+        let unbound = e.eval(&r).unwrap_err();
+        assert_eq!(
+            unbound.to_string(),
+            "evaluation error: unbound parameter $7"
+        );
         let ten = Value::int(10);
-        let bindings = |id: u32| (id == 7).then_some(&ten);
+        let bindings = |p: Param| (p == Param::Outer(7)).then_some(&ten);
         let mut bound = e.clone();
         bound.substitute_params(&bindings);
         assert!(!bound.has_params());
         assert_eq!(bound.eval(&r).unwrap(), Value::Boolean(true));
-        // Parameters owned by a deeper Apply stay untouched.
-        let mut other = Expr::Param(9);
+        // A parameter the lookup has no value for stays untouched.
+        let mut other = Expr::Param(Param::Outer(9));
         other.substitute_params(&bindings);
-        assert_eq!(other, Expr::Param(9));
+        assert_eq!(other, Expr::Param(Param::Outer(9)));
+    }
 
-        // The same through a plan: binding the outer Apply's $7 reaches the
-        // filter, the index probe and the inner Apply's operand, and leaves
-        // the inner Apply's own $9 in place wherever it sits.
+    /// The two namespaces through a plan. Statement parameter `?0` and
+    /// correlation value `$0` share a number and nothing else: binding the
+    /// statement reaches every `?0` — in the subplans too — and no `$0`;
+    /// binding the outer Apply's `$0` reaches the filter, the index probe and
+    /// the inner Apply's operand, and leaves `?0` and the inner Apply's `$1`
+    /// wherever they sit.
+    #[test]
+    fn statement_and_outer_parameters_bind_apart() {
         use crate::exec::{ApplyMode, Plan};
         use crate::index::{BoundTerm, IndexBounds};
-        let param_eq = |id: u32| Expr::Compare {
+        let (ten, seven) = (Value::int(10), Value::int(7));
+        let eq = |value: Expr| Expr::Compare {
             op: CmpOp::Eq,
             left: Box::new(Expr::Column(0)),
-            right: Box::new(Expr::Param(id)),
+            right: Box::new(value),
         };
-        let subplan = |outer: Expr, probe: BoundTerm, operand: Expr| {
+        let (stmt, outer) = (Param::Stmt(0), Param::Outer(0));
+        let plan = |stmt: Expr, probe: BoundTerm, outer: Expr| {
             Plan::index_scan("T", "t", "idx", IndexBounds::prefix(vec![probe]))
-                .filter(outer)
+                .filter(eq(outer.clone()))
+                .filter(eq(stmt.clone()))
                 .apply(
-                    Plan::scan("U", "u").filter(param_eq(9)),
-                    vec![(9, 0)],
+                    Plan::scan("U", "u")
+                        .filter(eq(Expr::Param(Param::Outer(1))))
+                        .filter(eq(stmt)),
+                    vec![(1, 0)],
                     ApplyMode::In {
-                        expr: operand,
+                        expr: outer,
                         negated: false,
                     },
                 )
         };
-        let template = subplan(param_eq(7), BoundTerm::Param(7), Expr::Param(7));
-        let expected = subplan(
-            Expr::col_cmp_value(0, CmpOp::Eq, ten.clone()),
-            BoundTerm::Value(ten.clone()),
-            Expr::Literal(ten.clone()),
+        let template = plan(
+            Expr::Param(stmt),
+            BoundTerm::Param(outer),
+            Expr::Param(outer),
         );
-        assert_eq!(template.bind_params(&bindings), expected);
-        assert_eq!(template.bind_params(&|_| None), template);
+        let bound = template.bind_params(std::slice::from_ref(&seven));
+        let literal = |v: &Value| Expr::Literal(v.clone());
+        let expected = plan(literal(&seven), BoundTerm::Param(outer), Expr::Param(outer));
+        assert_eq!(bound, expected);
+        assert_eq!(template.bind_params(&[]), template);
+
+        let row = Row::new(vec![ten.clone()]);
+        let expected = plan(
+            Expr::Param(stmt),
+            BoundTerm::Value(ten.clone()),
+            literal(&ten),
+        );
+        assert_eq!(template.bind_outer(&[(0, 0)], &row), expected);
+        // An outer binding only binds what it lists.
+        assert_eq!(template.bind_outer(&[(2, 0)], &row), template);
     }
 
     #[test]

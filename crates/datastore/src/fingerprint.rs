@@ -117,11 +117,11 @@ fn for_each_shape_char(detail: &str, mut out: impl FnMut(char)) {
 }
 
 /// The shape half of a [`ShapeKey`], from the rendered conjunct: literals and
-/// plan parameters (`$0`) both become `?`, so a parameterized plan template
-/// (`m.year > $0`) and its literal instantiation (`m.year > 2000`) share one
-/// key.
+/// statement parameters (`?0`) both become `?`, so a parameterized plan
+/// template (`m.year > ?0`) and its literal instantiation (`m.year > 2000`)
+/// share one key.
 pub fn feedback_shape(conjunct: &str) -> String {
-    normalize_predicate(conjunct).replace("$?", "?")
+    normalize_predicate(conjunct).replace("??", "?")
 }
 
 /// The table a profiled operator is best attributed to: its own index
@@ -149,10 +149,10 @@ mod tests {
     #[test]
     fn feedback_shape_unifies_params_and_literals() {
         assert_eq!(feedback_shape("m.year > 2000"), "m.year > ?");
-        assert_eq!(feedback_shape("m.year > $0"), "m.year > ?");
+        assert_eq!(feedback_shape("m.year > ?0"), "m.year > ?");
         assert_eq!(
             feedback_shape("a.name = 'Brad Pitt'"),
-            feedback_shape("a.name = $3")
+            feedback_shape("a.name = ?3")
         );
         // An unkeyed operator's display shape keeps the marker.
         assert_eq!(normalize_predicate("g2.mid = $0"), "g2.mid = $?");

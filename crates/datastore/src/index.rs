@@ -21,8 +21,9 @@
 //! Probe bounds ([`IndexBounds`]) carry either literal values or
 //! **parameter placeholders** ([`BoundTerm::Param`]): a correlated subplan
 //! under `Apply` keeps its probe symbolic at plan time and resolves it per
-//! outer-row binding through [`IndexBounds::bind`] — turning "re-scan the
-//! table per binding" into "one point probe per binding".
+//! outer-row binding — turning "re-scan the table per binding" into "one
+//! point probe per binding" — and a cached plan template keeps a statement
+//! literal's probe symbolic until a statement binds it.
 //!
 //! Indexes live on the [`crate::table::Table`] (next to the primary-key
 //! index) and are edited, never rebuilt, by its writes: an insert adds the
@@ -45,7 +46,7 @@
 
 use crate::error::StoreError;
 use crate::exec::plan::{Relation, RelationMemo};
-use crate::expr::ParamLookup;
+use crate::expr::{Param, ParamLookup};
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
 use std::cmp::Ordering;
@@ -178,14 +179,14 @@ fn key_values(column_pos: &[usize], row: &Row) -> Option<Vec<Value>> {
 }
 
 /// One term of an index probe: a literal value known at plan time, or a
-/// correlation parameter resolved per outer-row binding by
-/// [`IndexBounds::bind`].
+/// parameter bound later — a statement literal of a cached template, or a
+/// correlation value resolved per outer-row binding.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoundTerm {
     /// A concrete key value.
     Value(Value),
-    /// A correlation parameter (`$k`), bound before execution.
-    Param(u32),
+    /// A parameter, bound before execution.
+    Param(Param),
 }
 
 impl BoundTerm {
@@ -198,8 +199,8 @@ impl BoundTerm {
     }
 
     fn bind(&mut self, params: ParamLookup<'_>) {
-        if let BoundTerm::Param(id) = self {
-            if let Some(v) = params(*id) {
+        if let BoundTerm::Param(param) = self {
+            if let Some(v) = params(*param) {
                 *self = BoundTerm::Value(v.clone());
             }
         }
@@ -211,7 +212,7 @@ impl fmt::Display for BoundTerm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BoundTerm::Value(v) => v.write_sql_literal(f),
-            BoundTerm::Param(id) => write!(f, "${id}"),
+            BoundTerm::Param(param) => write!(f, "{param}"),
         }
     }
 }
@@ -279,16 +280,16 @@ impl IndexBounds {
         self.lo.is_none() && self.hi.is_none() && self.eq.len() == width
     }
 
-    /// True when any term is an unresolved parameter.
-    pub fn has_params(&self) -> bool {
-        self.eq.iter().any(|t| matches!(t, BoundTerm::Param(_)))
-            || matches!(self.lo, Some((BoundTerm::Param(_), _)))
-            || matches!(self.hi, Some((BoundTerm::Param(_), _)))
+    /// True when a term is a correlation value ([`Param::Outer`]): the probe
+    /// is resolved per outer-row binding, not once per statement.
+    pub fn is_correlated(&self) -> bool {
+        let range = self.lo.iter().chain(&self.hi).map(|(t, _)| t);
+        (self.eq.iter().chain(range)).any(|t| matches!(t, BoundTerm::Param(Param::Outer(_))))
     }
 
     /// Substitute, in place, every parameter that `params` carries by its
-    /// value (the `bind_params` step of an `Apply` binding).
-    pub fn bind(&mut self, params: ParamLookup<'_>) {
+    /// value (the probe's part of binding a plan).
+    pub(crate) fn bind(&mut self, params: ParamLookup<'_>) {
         let range = self.lo.iter_mut().chain(&mut self.hi).map(|(t, _)| t);
         self.eq.iter_mut().chain(range).for_each(|t| t.bind(params));
     }
@@ -560,10 +561,10 @@ impl Index {
         let value = |t: &BoundTerm| -> Result<Value, StoreError> {
             match t {
                 BoundTerm::Value(v) => Ok(v.clone()),
-                BoundTerm::Param(id) => Err(StoreError::Eval {
+                BoundTerm::Param(param) => Err(StoreError::Eval {
                     message: format!(
-                        "unbound parameter ${id} in probe of index {} (the plan was \
-                         executed without binding its correlation parameters)",
+                        "unbound parameter {param} in probe of index {} (the plan was \
+                         executed without binding its parameters)",
                         self.def.name
                     ),
                 }),
@@ -907,7 +908,10 @@ mod tests {
         );
         assert_eq!(
             IndexBounds {
-                eq: vec![BoundTerm::Param(0), BoundTerm::Value(Value::text("x"))],
+                eq: vec![
+                    BoundTerm::Param(Param::Outer(0)),
+                    BoundTerm::Value(Value::text("x"))
+                ],
                 lo: None,
                 hi: None,
             }
@@ -1015,8 +1019,10 @@ mod tests {
     #[test]
     fn parameterized_probe_binds_then_probes() {
         let idx = composite();
-        let bounds = IndexBounds::prefix(vec![BoundTerm::Param(0)]);
-        assert!(bounds.has_params());
+        let bounds = IndexBounds::prefix(vec![BoundTerm::Param(Param::Outer(0))]);
+        assert!(bounds.is_correlated());
+        let literal = IndexBounds::prefix(vec![BoundTerm::Param(Param::Stmt(0))]);
+        assert!(!literal.is_correlated());
         // Probing before binding is an execution error, not a wrong answer.
         assert!(matches!(
             idx.probe(&bounds, ProbeOrder::Position).unwrap_err(),
@@ -1024,7 +1030,7 @@ mod tests {
         ));
         let mut bound = bounds.clone();
         bound.bind(&|_| Some(&Value::Integer(2)));
-        assert!(!bound.has_params());
+        assert!(!bound.is_correlated());
         assert_eq!(idx.probe(&bound, ProbeOrder::Position).unwrap(), vec![0, 2]);
         // A NULL binding matches nothing, like any NULL equality.
         let mut null_bound = bounds;

@@ -945,7 +945,8 @@ mod tests {
                                     *r.get_mut(col).unwrap() = value.clone();
                                 }
                             },
-                        );
+                        )
+                        .unwrap();
                     }
                     _ => {
                         // Key columns move to ids not used yet.
@@ -957,7 +958,8 @@ mod tests {
                                 let id = r.get(0).and_then(Value::as_i64).unwrap();
                                 *r.get_mut(0).unwrap() = Value::int(id + base);
                             },
-                        );
+                        )
+                        .unwrap();
                     }
                 }
                 assert_live_matches_rows(&t, &context);
@@ -1037,12 +1039,14 @@ mod tests {
         t.update_where(
             |r| r.get(0) == Some(&Value::int(2)),
             |r| *r.get_mut(2).unwrap() = Value::text("unknown"),
-        );
+        )
+        .unwrap();
         assert_live_matches_rows(&t, "text in an integer column");
         t.update_where(
             |r| r.get(0) == Some(&Value::int(2)),
             |r| *r.get_mut(1).unwrap() = Value::int(7),
-        );
+        )
+        .unwrap();
         assert_live_matches_rows(&t, "an integer in a text column");
         t.delete_where(|r| r.get(0) == Some(&Value::int(2)));
         assert_live_matches_rows(&t, "and gone again");

@@ -251,32 +251,51 @@ impl Table {
         doomed.len()
     }
 
-    /// Update rows in place via a closure; returns how many rows were
-    /// visited and potentially modified. Each of them is withdrawn from the
-    /// primary-key map, the indexes and the column summaries as it was and
-    /// entered again as it has become. What the closure wrote is not
-    /// validated, key uniqueness included (it never was): should two rows
-    /// come to share a primary key, [`Table::find_by_pk`] answers with the
-    /// one updated last.
-    pub fn update_where<P, U>(&mut self, pred: P, update: U) -> usize
+    /// Update rows via a closure; returns how many rows were visited and
+    /// potentially modified. Every updated row is computed first; if two of
+    /// them come to share a primary key, or one takes the key of a row the
+    /// update leaves alone, nothing changes and the answer is
+    /// [`StoreError::DuplicateKey`]. Otherwise each touched row is withdrawn
+    /// from the primary-key map, the indexes and the column summaries as it
+    /// was and entered again as it has become. What the closure wrote is not
+    /// otherwise validated.
+    pub fn update_where<P, U>(&mut self, pred: P, update: U) -> Result<usize, StoreError>
     where
         P: Fn(&Row) -> bool,
         U: Fn(&mut Row),
     {
-        let mut touched = 0;
-        for pos in 0..self.rows.len() {
-            if !pred(&self.rows[pos]) {
-                continue;
+        let updated: Vec<(usize, Row)> = (self.rows.iter().enumerate())
+            .filter(|(_, row)| pred(row))
+            .map(|(pos, row)| {
+                let mut row = row.clone();
+                update(&mut row);
+                (pos, row)
+            })
+            .collect();
+        let mut claimed = HashMap::new();
+        for (pos, row) in &updated {
+            let Some(key) = self.pk_key(row) else { break };
+            // A key's holder keeps it unless the update rewrites that row too.
+            let held = self.pk_index.get(&key).filter(|&&holder| {
+                holder != *pos && updated.binary_search_by_key(&holder, |u| u.0).is_err()
+            });
+            if held.is_some() || claimed.insert(key.clone(), *pos).is_some() {
+                return Err(StoreError::DuplicateKey {
+                    table: self.schema.name.clone(),
+                    key: format!("{key:?}"),
+                });
             }
-            self.leave(pos);
-            update(&mut self.rows[pos]);
-            if let Some(key) = self.pk_key(&self.rows[pos]) {
-                self.pk_index.insert(key, pos);
-            }
-            self.enter(pos);
-            touched += 1;
         }
-        touched
+        for &(pos, _) in &updated {
+            self.leave(pos);
+        }
+        self.pk_index.extend(claimed);
+        let touched = updated.len();
+        for (pos, row) in updated {
+            self.rows[pos] = row;
+            self.enter(pos);
+        }
+        Ok(touched)
     }
 
     // -- secondary indexes --------------------------------------------------
@@ -481,9 +500,68 @@ mod tests {
             |r| r.get(0) == Some(&Value::int(3)),
             |r| *r.get_mut(1).unwrap() = Value::text("renamed"),
         );
-        assert_eq!(touched, 1);
+        assert_eq!(touched.unwrap(), 1);
         let r = t.find_by_pk(&[Value::int(3)]).unwrap();
         assert_eq!(r.get(1), Some(&Value::text("renamed")));
+    }
+
+    #[test]
+    fn an_update_that_would_duplicate_a_key_changes_nothing() {
+        use crate::index::{IndexDef, IndexKind};
+        let mut t = movies();
+        t.create_index(IndexDef::single(
+            "o_year",
+            "MOVIES",
+            "year",
+            IndexKind::Ordered,
+        ))
+        .unwrap();
+        for (id, title) in [(1, "A"), (2, "B"), (3, "C")] {
+            t.insert_values(vec![
+                Value::int(id),
+                Value::text(title),
+                Value::int(2000 + id),
+            ])
+            .unwrap();
+        }
+        let id = |r: &Row| r.get(0).and_then(Value::as_i64).unwrap();
+        let set_id = |to: fn(i64) -> i64| {
+            move |r: &mut Row| {
+                let new = to(r.get(0).and_then(Value::as_i64).unwrap());
+                *r.get_mut(0).unwrap() = Value::int(new);
+                *r.get_mut(2).unwrap() = Value::int(1990);
+            }
+        };
+        let before = (t.rows().to_vec(), crate::stats::TableStats::collect(&t));
+        // Onto a row the update leaves alone, and two rows onto one key.
+        for outcome in [
+            t.update_where(|r| id(r) == 2, set_id(|_| 1)),
+            t.update_where(|r| id(r) >= 2, set_id(|_| 7)),
+        ] {
+            assert!(matches!(outcome, Err(StoreError::DuplicateKey { .. })));
+            assert_eq!(
+                (t.rows().to_vec(), crate::stats::TableStats::collect(&t)),
+                before
+            );
+            assert_eq!(t.find_by_pk(&[Value::int(1)]), t.row(0));
+            assert_eq!(t.find_by_pk(&[Value::int(2)]), t.row(1));
+            let idx = t.index("o_year").unwrap();
+            assert_eq!(idx.probe_point(&Value::int(2002)), &[1]);
+            assert!(idx.probe_point(&Value::int(1990)).is_empty());
+        }
+        // Keys that only trade places among the updated rows are no collision.
+        assert_eq!(t.update_where(|r| id(r) >= 2, set_id(|i| 5 - i)), Ok(2));
+        assert_eq!(t.find_by_pk(&[Value::int(3)]), t.row(1));
+        assert_eq!(t.find_by_pk(&[Value::int(2)]), t.row(2));
+        assert_eq!(
+            t.index("o_year").unwrap().probe_point(&Value::int(1990)),
+            &[1, 2]
+        );
+        // After the first row goes, its key is free to take.
+        assert_eq!(t.delete_where(|r| id(r) == 1), 1);
+        assert_eq!(t.update_where(|r| id(r) == 3, set_id(|_| 1)), Ok(1));
+        assert_eq!(t.find_by_pk(&[Value::int(1)]), t.row(0));
+        assert!(!t.contains_pk(&[Value::int(3)]));
     }
 
     #[test]
@@ -529,7 +607,8 @@ mod tests {
         t.update_where(
             |r| r.get(0) == Some(&Value::int(1)),
             |r| *r.get_mut(2).unwrap() = Value::int(1999),
-        );
+        )
+        .unwrap();
         let idx = t.index("idx_year").unwrap();
         assert_eq!(idx.probe_point(&Value::int(2001)), &[3]);
         assert_eq!(

@@ -409,10 +409,13 @@ pub enum Expr {
     Column(ColumnRef),
     /// Literal.
     Literal(Literal),
-    /// A plan parameter `$n`: the placeholder a literal becomes when a
-    /// statement is parameterized for the plan cache. Never produced by the
-    /// parser — only by [`crate::param::parameterize_select`] — and rendered
-    /// `$n` so parameterized templates stay printable.
+    /// A statement parameter `?n`: the placeholder the statement's `n`-th
+    /// literal becomes when it is parameterized for the plan cache, in any
+    /// block, subqueries included. Never produced by the parser — only by
+    /// [`crate::param::parameterize_select`] — and rendered `?n`, as plan
+    /// trees render it, so parameterized templates stay printable. (The
+    /// enclosing-row values a correlated subquery reads are the planner's own
+    /// parameters, rendered `$k` and numbered apart from these.)
     Param(u32),
     /// Binary operation.
     BinaryOp {

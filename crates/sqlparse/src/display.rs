@@ -171,7 +171,7 @@ impl fmt::Display for Expr {
         match self {
             Expr::Column(c) => write!(f, "{c}"),
             Expr::Literal(l) => write!(f, "{l}"),
-            Expr::Param(n) => write!(f, "${n}"),
+            Expr::Param(n) => write!(f, "?{n}"),
             Expr::BinaryOp { left, op, right } => {
                 // Parenthesize nested OR under AND to preserve precedence.
                 let needs_parens = |e: &Expr, parent: BinaryOperator| -> bool {

@@ -7,22 +7,33 @@
 //!   and its value is collected in order. The normalized text is what the
 //!   plan cache keys on, so `WHERE id = 4` and `WHERE id = 7` share an entry
 //!   — and on a cache hit the engine never lexes, parses, or plans at all.
-//! * [`parameterize_select`] works on the parsed *AST*: literals compared to
-//!   a column with `=` become [`Expr::Param`] placeholders, numbered in the
-//!   same clause order the text scanner sees them, and the extracted values
-//!   are returned for re-binding.
+//! * [`parameterize_select`] works on the parsed *AST*: liftable literals
+//!   become [`Expr::Param`] placeholders, numbered in the order the text
+//!   scanner sees them, and the extracted values are returned for
+//!   re-binding.
 //!
 //! A statement is only cacheable when the two value sequences agree
-//! element-for-element: then `$i` in the template corresponds exactly to the
+//! element-for-element: then `?i` in the template corresponds exactly to the
 //! `i`-th `?` of the normalized text, and future literals extracted from the
-//! text can be bound positionally. Any literal the AST pass cannot lift into
-//! a parameter (a range bound, a LIKE pattern, an IN-list member, a
-//! projected constant) would make the sequences diverge, so the pass stops
-//! there and says which it was ([`Uncacheable`]): the verdict is cached, and
-//! the statement is planned fresh every time — equality is the one
-//! comparison whose selectivity estimate does not depend on the literal's
-//! value, so it is the one position where re-binding a different value of
-//! the same kind provably yields the same plan.
+//! text can be bound positionally.
+//!
+//! **Two namespaces.** An `Expr::Param` here is a *statement* parameter: the
+//! planner lowers it to `datastore::expr::Param::Stmt`, which a plan-cache
+//! hit binds once, before execution. The enclosing-row values a correlated
+//! subquery reads are a different kind of parameter (`Param::Outer`), made
+//! by the planner and bound by an `Apply` per outer row; the two never share
+//! a number, so the lift reaches into subqueries like anywhere else.
+//!
+//! **What is lifted**, in the block and in every `IN`, `EXISTS`, scalar and
+//! quantified subquery inside it: a literal compared with a column by `=`
+//! (whose 1/NDV estimate does not read the value), and a literal compared
+//! with an aggregate or a subquery by any comparison (Q7's `1 < (select
+//! count(*) …)`, Q8's `count(distinct m.year) = 2`), which no estimate reads
+//! either. Any other literal (a range bound, a LIKE pattern, an IN-list
+//! member, a projected constant) would make the sequences diverge, so the
+//! pass stops there and says which it was ([`Uncacheable`]): the verdict is
+//! cached, and the statement is planned fresh every time. The caller still
+//! plans the template and keeps it only if it reproduces the fresh plan.
 
 use crate::ast::{BinaryOperator, Expr, Literal, SelectItem, SelectStatement};
 use datastore::{Uncacheable, Value};
@@ -169,9 +180,35 @@ fn extracted(lit: &Literal) -> Option<Value> {
     }
 }
 
-/// Lift the `column = literal` comparisons of `expr` into `out`. An
-/// extracted literal anywhere else is what makes the statement
-/// untemplatable; `blame` says what a literal found *here* would be.
+/// Replace `expr`, an extracted literal, with the next parameter and push
+/// its value; `false` (and nothing changed) if it is not one.
+fn lift(expr: &mut Expr, out: &mut Vec<Value>) -> bool {
+    let Expr::Literal(lit) = expr else {
+        return false;
+    };
+    let Some(value) = extracted(lit) else {
+        return false;
+    };
+    *expr = Expr::Param(out.len() as u32);
+    out.push(value);
+    true
+}
+
+/// Whether a literal compared with `other` may be lifted: a column under
+/// `=`, or an aggregate or a scalar subquery under any comparison — places
+/// where no estimate reads the value (the caller's plan check decides).
+fn liftable_against(other: &Expr, op: BinaryOperator) -> bool {
+    match other {
+        Expr::Column(_) => op == BinaryOperator::Eq,
+        Expr::Aggregate { .. } | Expr::ScalarSubquery(_) => op.is_comparison(),
+        _ => false,
+    }
+}
+
+/// Lift the liftable literals of `expr` into `out`, left to right as the
+/// text has them, descending into subqueries. An extracted literal anywhere
+/// else is what makes the statement untemplatable; `blame` says what a
+/// literal found *here* would be.
 fn param_expr(
     expr: &mut Expr,
     out: &mut Vec<Value>,
@@ -184,23 +221,6 @@ fn param_expr(
             None => Ok(()),
         },
         Expr::BinaryOp { left, op, right } => {
-            if *op == BinaryOperator::Eq {
-                let value = match (&**left, &**right) {
-                    (Expr::Column(_), Expr::Literal(lit))
-                    | (Expr::Literal(lit), Expr::Column(_)) => extracted(lit),
-                    _ => None,
-                };
-                if let Some(value) = value {
-                    let side = if matches!(**left, Expr::Column(_)) {
-                        right
-                    } else {
-                        left
-                    };
-                    **side = Expr::Param(out.len() as u32);
-                    out.push(value);
-                    return Ok(());
-                }
-            }
             let blame = match op {
                 BinaryOperator::Lt
                 | BinaryOperator::LtEq
@@ -208,7 +228,13 @@ fn param_expr(
                 | BinaryOperator::GtEq => Uncacheable::RangeBound,
                 _ => blame,
             };
-            param_expr(left, out, blame)?;
+            let op = *op;
+            if !(liftable_against(right, op) && lift(left, out)) {
+                param_expr(left, out, blame)?;
+            }
+            if liftable_against(left, op) && lift(right, out) {
+                return Ok(());
+            }
             param_expr(right, out, blame)
         }
         Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } => param_expr(expr, out, blame),
@@ -232,48 +258,57 @@ fn param_expr(
             param_expr(expr, out, blame)?;
             param_expr(pattern, out, Uncacheable::LikePattern)
         }
-        // Subqueries carry their own parameter numbering (the decorrelation
-        // pass starts at $0 per statement); mixing the two spaces would
-        // collide, so a statement with any subquery is not parameterizable.
-        Expr::InSubquery { .. }
-        | Expr::Exists { .. }
-        | Expr::QuantifiedComparison { .. }
-        | Expr::ScalarSubquery(_) => Err(Uncacheable::Subquery),
+        Expr::InSubquery { expr, subquery, .. } => {
+            param_expr(expr, out, blame)?;
+            param_select(subquery, out)
+        }
+        Expr::Exists { subquery, .. } | Expr::ScalarSubquery(subquery) => {
+            param_select(subquery, out)
+        }
+        Expr::QuantifiedComparison { left, subquery, .. } => {
+            if !lift(left, out) {
+                param_expr(left, out, blame)?;
+            }
+            param_select(subquery, out)
+        }
     }
 }
 
-/// Replace every `column = literal` (or `literal = column`) comparison with
-/// a numbered [`Expr::Param`], returning the rewritten statement and the
-/// lifted values in clause order (projection, WHERE, GROUP BY, HAVING,
-/// ORDER BY — the order the clauses appear in the text).
+/// Lift the literals of one block, subqueries included, clause by clause in
+/// the order the text has them: projection, WHERE, GROUP BY, HAVING, ORDER
+/// BY.
+fn param_select(stmt: &mut SelectStatement, out: &mut Vec<Value>) -> Result<(), Uncacheable> {
+    let blame = Uncacheable::Constant;
+    for item in &mut stmt.projection {
+        if let SelectItem::Expr { expr, .. } = item {
+            param_expr(expr, out, blame)?;
+        }
+    }
+    let order_by = stmt.order_by.iter_mut().map(|o| &mut o.expr);
+    let clauses = stmt.selection.iter_mut().chain(&mut stmt.group_by);
+    for expr in clauses.chain(&mut stmt.having).chain(order_by) {
+        param_expr(expr, out, blame)?;
+    }
+    Ok(())
+}
+
+/// Lift a statement's literals into numbered [`Expr::Param`]s — statement
+/// parameters, which a plan binds from the literals of the statement it
+/// serves — returning the rewritten statement and the lifted values in the
+/// order of the text. A literal is lifted where it is compared with a column
+/// by `=`, or with an aggregate or a scalar or quantified subquery by any
+/// comparison; subquery bodies are lifted the same way, in place.
 ///
-/// Fails, saying why, at the first thing no template can hold: a literal
-/// this pass cannot lift (the text scanner extracts *every* literal, so the
-/// two sequences could no longer agree), or a subquery (the decorrelation
-/// pass owns the `$n` parameter space there).
+/// Fails, saying why, at the first literal this pass cannot lift — a range
+/// bound, a `LIKE` pattern, an `IN` list member, any other constant — since
+/// the text scanner extracts *every* literal and the two sequences could no
+/// longer agree.
 pub fn parameterize_select(
     stmt: &SelectStatement,
 ) -> Result<(SelectStatement, Vec<Value>), Uncacheable> {
     let mut rewritten = stmt.clone();
     let mut lifted = Vec::new();
-    let blame = Uncacheable::Constant;
-    for item in &mut rewritten.projection {
-        if let SelectItem::Expr { expr, .. } = item {
-            param_expr(expr, &mut lifted, blame)?;
-        }
-    }
-    if let Some(w) = &mut rewritten.selection {
-        param_expr(w, &mut lifted, blame)?;
-    }
-    for g in &mut rewritten.group_by {
-        param_expr(g, &mut lifted, blame)?;
-    }
-    if let Some(h) = &mut rewritten.having {
-        param_expr(h, &mut lifted, blame)?;
-    }
-    for o in &mut rewritten.order_by {
-        param_expr(&mut o.expr, &mut lifted, blame)?;
-    }
+    param_select(&mut rewritten, &mut lifted)?;
     Ok((rewritten, lifted))
 }
 
@@ -356,8 +391,8 @@ mod tests {
             "text and AST must lift the same literals in the same order"
         );
         let printed = template.to_string();
-        assert!(printed.contains("m.year = $0"), "got: {printed}");
-        assert!(printed.contains("m.genre = $1"), "got: {printed}");
+        assert!(printed.contains("m.year = ?0"), "got: {printed}");
+        assert!(printed.contains("m.genre = ?1"), "got: {printed}");
     }
 
     #[test]
@@ -396,12 +431,73 @@ mod tests {
     }
 
     #[test]
-    fn subqueries_are_never_parameterized() {
-        let sql = "SELECT * FROM movies m WHERE m.mid IN (SELECT g.mid FROM genres g)";
-        let stmt = parse_query(sql).unwrap();
+    fn subqueries_are_lifted_in_text_order() {
+        let lift = |sql: &str| {
+            let (template, lifted) = parameterize_select(&parse_query(sql).unwrap()).unwrap();
+            assert_eq!(lifted, normalize_statement(sql).unwrap().literals, "{sql}");
+            template.to_string()
+        };
+        // Inside an IN chain, around an EXISTS, and on both sides of one.
+        let q5 = lift(
+            "select m.title from M m where m.id in (select c.mid from C c \
+             where c.aid in (select a.id from A a where a.name = 'Brad Pitt'))",
+        );
+        assert!(q5.contains("a.name = ?0"), "{q5}");
+        let around = lift(
+            "select m.title from M m where m.year = 1999 and exists \
+             (select * from C c where c.mid = m.id and c.aid = 7) and m.id = 3",
+        );
+        for lifted in ["m.year = ?0", "c.aid = ?1", "m.id = ?2"] {
+            assert!(around.contains(lifted), "{lifted} in {around}");
+        }
+        // A constant compared with a subquery or an aggregate, any operator.
+        let q7 = lift(
+            "select m.id, count(*) from M m, C c where m.id = c.mid group by m.id \
+             having 1 < (select count(*) from G g where g.mid = m.id and g.genre = 'noir')",
+        );
+        assert!(
+            q7.contains("?0 < (SELECT") && q7.contains("g.genre = ?1"),
+            "{q7}"
+        );
+        let q8 = lift("select a.id from A a group by a.id having count(distinct a.year) = 2");
+        assert!(q8.contains("= ?0"), "{q8}");
+        let all = lift("select m.id from M m where 1990 <= all (select n.year from M n)");
+        assert!(all.contains("?0 <= ALL"), "{all}");
+        // No literal, nothing lifted: a template all the same.
         assert_eq!(
-            parameterize_select(&stmt).unwrap_err(),
-            Uncacheable::Subquery
+            parameterize_select(
+                &parse_query("select m.id from M m where exists (select * from C c)").unwrap()
+            )
+            .unwrap()
+            .1,
+            Vec::<Value>::new()
+        );
+    }
+
+    #[test]
+    fn what_a_subquery_cannot_lift_is_refused_as_at_the_top() {
+        let blame = |sql: &str| parameterize_select(&parse_query(sql).unwrap()).unwrap_err();
+        let exists = |body: &str| {
+            format!("select m.title from M m where m.id = 4 and exists (select * from C c where {body})")
+        };
+        assert_eq!(
+            blame(&exists("c.mid = m.id and c.aid <= 7")),
+            Uncacheable::RangeBound
+        );
+        assert_eq!(blame(&exists("c.role like 'R%'")), Uncacheable::LikePattern);
+        assert_eq!(blame(&exists("c.aid in (1, 2)")), Uncacheable::InList);
+        assert_eq!(blame(&exists("c.aid <> 2")), Uncacheable::Constant);
+        assert_eq!(
+            blame("select m.title from M m where exists (select 1 from C c)"),
+            Uncacheable::Constant
+        );
+        assert_eq!(
+            blame("select a.name from A a where a.id not in (select c.aid from C c where c.mid <= 50)"),
+            Uncacheable::RangeBound
+        );
+        assert_eq!(
+            blame("select m.title from M m where 4 in (select c.mid from C c)"),
+            Uncacheable::Constant
         );
     }
 }

@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# The house rule's measurement as one command: alternate the e2e benchmark of
+# a parent revision and of this checkout's working tree, pair by pair, and
+# say who won.
+#
+#   scripts/ab.sh <parent-rev> <workload> [pairs] [seeds…]
+#
+# Builds BENCHMARK.json's command (the standalone e2e manifest, release,
+# offline) twice: for <parent-rev>, exported with `git archive` under
+# target/ab/<rev>/, and for the working tree as it is, uncommitted edits
+# included. Each is built into its own target directory under target/ab/.
+# Then, for each seed (default 20090104 20090105), it runs [pairs] (default
+# 10) pairs of runs of e2e's default length, the parent first in odd pairs
+# and the change first in even ones, prints every pair's stmt_per_s and how
+# many pairs the change won, and hands the seed's result files, kept in
+# target/ab/runs/<workload>/<seed>/{parent,change}/, to `e2e compare` for
+# each side's medians and quartiles against BENCHMARK.json's bounds.
+#
+# Exits non-zero if any run fails (e2e exits non-zero when `failed` > 0) or
+# `e2e compare` finds a metric worse than its bound.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+  sed -n 's/^#   \(scripts\/ab.sh .*\)/usage: \1/p' "$0" >&2
+  exit 2
+fi
+parent_rev=$1
+workload=$2
+pairs=${3:-10}
+shift $(($# < 3 ? $# : 3))
+seeds=("${@:-}")
+[ -n "${seeds[0]}" ] || seeds=(20090104 20090105)
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+cd "$root"
+manifest=crates/bench/src/bin/e2e/Cargo.toml
+ab=target/ab
+commit=$(git rev-parse --verify "$parent_rev^{commit}")
+parent_tree=$ab/${commit:0:12}
+
+# The parent, exported once per commit; the change is this checkout.
+if [ ! -f "$parent_tree/$manifest" ]; then
+  rm -rf "$parent_tree"
+  mkdir -p "$parent_tree"
+  git archive "$commit" | tar -x -C "$parent_tree"
+fi
+build() { # <tree> <target-dir>
+  CARGO_TARGET_DIR=$root/$2 cargo build --release --quiet --offline \
+    --manifest-path "$1/$manifest"
+}
+build "$parent_tree" "$ab/target-parent"
+build "$root" "$ab/target-change"
+declare -A bin=([parent]=$ab/target-parent/release/e2e [change]=$ab/target-change/release/e2e)
+
+# `stmt_per_s <file>`: the throughput an e2e result file reports.
+stmt_per_s() { sed -n 's/.*"stmt_per_s": *{"value": *\([-0-9.e+]*\).*/\1/p' "$1"; }
+
+failed=0
+echo "workload $workload, ${commit:0:12} against the working tree, $pairs pairs, nproc $(nproc)"
+for seed in "${seeds[@]}"; do
+  runs=$ab/runs/$workload/$seed
+  rm -rf "$runs"
+  mkdir -p "$runs/parent" "$runs/change"
+  printf '\nseed %s\n%4s %12s %12s %8s\n' "$seed" pair parent change ratio
+  wins=0
+  for i in $(seq 1 "$pairs"); do
+    # Which side runs first alternates from pair to pair.
+    order="parent change"
+    [ $((i % 2)) = 0 ] && order="change parent"
+    for side in $order; do
+      out=$runs/$side/$i.json
+      if ! "${bin[$side]}" --workload "$workload" --seed "$seed" \
+        --json "$out" >"${out%.json}.log" 2>&1; then
+        echo "the $side run $i of seed $seed failed: see ${out%.json}.log" >&2
+        failed=1
+      fi
+    done
+    p=$(stmt_per_s "$runs/parent/$i.json")
+    c=$(stmt_per_s "$runs/change/$i.json")
+    wins=$((wins + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c > p) }')))
+    awk -v i="$i" -v p="$p" -v c="$c" 'BEGIN { printf "%4d %12.1f %12.1f %8.3f\n", i, p, c, c / p }'
+  done
+  echo "change won $wins of $pairs pairs"
+  "${bin[change]}" compare "$runs/parent" "$runs/change" || failed=1
+done
+exit "$failed"

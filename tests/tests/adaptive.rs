@@ -423,7 +423,7 @@ fn what_a_run_records_the_next_plan_finds() {
 }
 
 /// `lookup`'s cacheable shapes still template: a bound template equals the
-/// fresh plan node for node — the shape keys included, a `$0` and a literal
+/// fresh plan node for node — the shape keys included, a `?0` and a literal
 /// being the same `?` — so the second literal of each shape is a hit.
 #[test]
 fn lookup_shapes_still_bind_to_their_fresh_plan() {
@@ -584,10 +584,11 @@ fn ddl_and_writes_invalidate_cached_plans() {
 /// Seeded pseudo-random property test (the workspace has no proptest): two
 /// engines over identical data — one with the plan cache, one without —
 /// stay byte-identical in rows, row order, columns, and executed plan shape
-/// while the test interleaves lookups with literals of varying value *and
-/// kind*, inserts, and CREATE/DROP INDEX of ordered and hash indexes. The
-/// cached engine must actually hit its cache for the comparison to mean
-/// anything — in particular on the shapes whose plan probes a hash index,
+/// while the test interleaves lookups and the paper's nested shapes
+/// (Q5–Q9, a correlated EXISTS) with literals of varying value *and kind*,
+/// inserts, and CREATE/DROP INDEX of ordered and hash indexes. The cached
+/// engine must actually hit its cache for the comparison to mean anything —
+/// on every nested shape, and on the shapes whose plan probes a hash index,
 /// which a template can only do when it knows its parameter's kind. The
 /// seed is fixed; `ADAPTIVE_SEED=<u64>` adds one more (CI passes the clock),
 /// and every failure names its seed.
@@ -623,6 +624,8 @@ fn cached_and_uncached_agree(seed: u64) {
     let mut next_id = 1000i64;
     // Cache hits whose executed plan probed one of the two hash indexes.
     let mut hash_probe_hits = [0u32; 2];
+    // Cache hits of each nested shape.
+    let mut nested_hits = [0u32; 6];
     for step in 0..600 {
         match rng.gen_range(0..10u8) {
             // Insert the same row into both engines (invalidates stats and
@@ -653,7 +656,8 @@ fn cached_and_uncached_agree(seed: u64) {
             // Run the same statement on both and demand identical bytes.
             _ => {
                 let actor = ACTORS[rng.gen_range(0..ACTORS.len())];
-                let sql = match rng.gen_range(0..8u8) {
+                let shape = rng.gen_range(0..14u8);
+                let sql = match shape {
                     0 => format!(
                         "select m.title from MOVIES m where m.id = {}",
                         rng.gen_range(0..20i64)
@@ -691,9 +695,35 @@ fn cached_and_uncached_agree(seed: u64) {
                     ),
                     // The index-nested-loop join driven by one actor found
                     // by (hashed) name.
-                    _ => format!(
+                    7 => format!(
                         "select m.title from ACTOR a, CAST c, MOVIES m \
                          where a.name = '{actor}' and c.aid = a.id and m.id = c.mid"
+                    ),
+                    // The nested shapes: Q5 by actor, Q6, Q7 and Q8 with a
+                    // drawn constant, Q9, and an EXISTS with a literal inside.
+                    8 => format!(
+                        "select m.title from MOVIES m where m.id in ( \
+                         select c.mid from CAST c where c.aid in ( \
+                         select a.id from ACTOR a where a.name = '{actor}'))"
+                    ),
+                    9 => PAPER_QUERIES[5].to_string(),
+                    10 => format!(
+                        "select m.id, m.title, count(*) from MOVIES m, CAST c \
+                         where m.id = c.mid group by m.id, m.title \
+                         having {} < (select count(*) from GENRE g where g.mid = m.id)",
+                        rng.gen_range(0..=3i64)
+                    ),
+                    11 => format!(
+                        "select a.id, a.name from MOVIES m, CAST c, ACTOR a \
+                         where m.id = c.mid and c.aid = a.id \
+                         group by a.id, a.name having count(distinct m.year) = {}",
+                        rng.gen_range(1..=3i64)
+                    ),
+                    12 => PAPER_QUERIES[8].to_string(),
+                    _ => format!(
+                        "select m.title from MOVIES m where exists \
+                         (select * from CAST c where c.mid = m.id and c.aid = {})",
+                        rng.gen_range(1..16i64)
                     ),
                 };
                 // Twice: an epoch lasts a few steps, so the second run is
@@ -720,6 +750,9 @@ fn cached_and_uncached_agree(seed: u64) {
                     let watched = ["from ACTOR a where a.name", "from CAST c where c.aid"]
                         .iter()
                         .position(|shape| sql.contains(shape));
+                    if let (Some(nested), CacheStatus::Hit) = (shape.checked_sub(8), ja.cache) {
+                        nested_hits[usize::from(nested)] += 1;
+                    }
                     if let (Some(shape), CacheStatus::Hit) = (watched, ja.cache) {
                         let index = INDEXES[1 + shape].0;
                         let probed = ja
@@ -746,6 +779,10 @@ fn cached_and_uncached_agree(seed: u64) {
         "seed {seed}: templates should probe the hash indexes on name and aid: \
          {hash_probe_hits:?}"
     );
+    assert!(
+        nested_hits.iter().all(|&hits| hits > 0),
+        "seed {seed}: every nested shape should be served from a template: {nested_hits:?}"
+    );
     assert_eq!(uncached.database().obs().counter(Counter::PlanCacheHits), 0);
 }
 
@@ -760,8 +797,9 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
     let range = |year: i64, id: i64| {
         format!("select m.title from MOVIES m where m.year = {year} and m.id <= {id}")
     };
+    // The lift reaches into the subquery and stops at its pattern.
     let nested = "select m.title from MOVIES m where exists \
-                  (select * from CAST c where c.mid = m.id)";
+                  (select * from CAST c where c.mid = m.id and c.role like 'The%')";
 
     // First execution: a plain miss, examined. From the second on the
     // negative entry answers — whatever the literals.
@@ -782,7 +820,7 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
     system.run_query_with(nested, sequential()).unwrap();
     assert_eq!(
         status(&system),
-        CacheStatus::Uncacheable(Uncacheable::Subquery)
+        CacheStatus::Uncacheable(Uncacheable::LikePattern)
     );
     assert_eq!(counter(&system, Counter::PlanCacheUncacheable), 2);
     // Every one of the four was planned fresh, and is counted as such.
@@ -810,7 +848,8 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
         metrics.narration.contains(
             "My plan cache answered none of the four statements it was asked about without \
              parsing or planning, and one statement whose plan depends on a range bound and \
-             one statement with a subquery inside, which I plan afresh every time."
+             one statement whose plan depends on a LIKE pattern, which I plan afresh every \
+             time."
         ),
         "{}",
         metrics.narration
@@ -855,6 +894,81 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
     }
     assert_eq!(cache_len(&system), capacity);
     assert!(counter(&system, Counter::PlanCacheEvictions) >= capacity as u64);
+}
+
+/// Regression: statement literals and correlation values used to share one
+/// `$n` numbering — here `m.year` and the apply's `m.id` would both be `$0`
+/// — so no statement with a subquery could be a template. Now a template
+/// serves this shape, both as a semi-join and, with decorrelation off, as an
+/// apply binding its `$0` beside the statement's own `?0` and `?1`, and every
+/// answer is the fresh plan's.
+#[test]
+fn statement_literals_and_correlation_values_do_not_collide() {
+    let db = movie_database();
+    let (cast, movies) = (db.table("CAST").unwrap(), db.table("MOVIES").unwrap());
+    let pairs: Vec<(Value, Value)> = (cast.rows().iter())
+        .map(|c| {
+            let movie = movies.find_by_pk(&[c.get(0).unwrap().clone()]).unwrap();
+            (movie.get(2).unwrap().clone(), c.get(1).unwrap().clone())
+        })
+        .collect();
+    for decorrelate_subqueries in [true, false] {
+        let cached = PlannerOptions {
+            decorrelate_subqueries,
+            ..sequential()
+        };
+        let fresh = PlannerOptions {
+            use_plan_cache: false,
+            ..cached
+        };
+        let system = Talkback::new(movie_database());
+        for (year, aid) in &pairs {
+            let sql = format!(
+                "select m.title from MOVIES m where m.year = {year} and exists \
+                 (select * from CAST c where c.mid = m.id and c.aid = {aid})"
+            );
+            let expected = system.run_query_with(&sql, fresh).unwrap();
+            assert!(!expected.is_empty(), "{sql}");
+            assert_eq!(
+                system.run_query_with(&sql, cached).unwrap().rows,
+                expected.rows
+            );
+        }
+        let hits = system.database().obs().counter(Counter::PlanCacheHits);
+        let context = format!("decorrelate {decorrelate_subqueries}");
+        assert_eq!(hits as usize, pairs.len() - 1, "{context}");
+    }
+}
+
+/// Verdict goldens: what the plan cache makes of each shape, read off the
+/// journal's second execution. Q1–Q9 are templates — the nested five
+/// included, their literals lifted from inside the subqueries — while a
+/// range bound, at the top or inside a subquery, stays a negative verdict.
+#[test]
+fn plan_cache_verdicts_of_the_paper_queries_and_the_workload_shapes() {
+    let verdict = |system: &Talkback, sql: &str| {
+        for _ in 0..2 {
+            system.run_query_with(sql, sequential()).unwrap();
+        }
+        system.database().obs().journal().last().unwrap().cache
+    };
+    let paper = Talkback::new(movie_database());
+    for (i, sql) in PAPER_QUERIES.iter().enumerate() {
+        assert_eq!(verdict(&paper, sql), CacheStatus::Hit, "Q{}", i + 1);
+    }
+    let scaled = Talkback::new(scaled_movie_database(ScaleConfig::default()));
+    let range = CacheStatus::Uncacheable(Uncacheable::RangeBound);
+    for sql in [
+        // `nested`'s correlated EXISTS and NOT IN.
+        "select m.title from MOVIES m where m.year >= 1970 and exists \
+         (select * from CAST c where c.mid = m.id and c.aid <= 52)",
+        "select a.name from ACTOR a where a.id not in \
+         (select c.aid from CAST c where c.mid <= 55)",
+        // `lookup`'s year + id shape.
+        "select m.title from MOVIES m where m.year = 1990 and m.id <= 60",
+    ] {
+        assert_eq!(verdict(&scaled, sql), range, "{sql}");
+    }
 }
 
 /// The default worker count is the machine's core count, asked for once.

@@ -2,10 +2,12 @@
 //! (its counter is per thread, so tests running in parallel do not see each
 //! other's allocations) counts the heap allocations of one
 //! `Talkback::run_query_with`, after warm-up, for each of `lookup`'s five read
-//! shapes on the ×300 database with its four indexes, and for Q6 and Q9 on
-//! the 100-movie database. The counts are exact and repeatable, so the
-//! ceilings are asserted as counts; the table is printed for the log
-//! (`cargo test -q -p talkback-tests --test alloc_budget -- --nocapture`).
+//! shapes on the ×300 database with its four indexes, and for Q6, Q7 and Q9
+//! on the 100-movie database — each of the three served from its plan-cache
+//! template, binding included, and executed alone. The counts are exact and
+//! repeatable, so the ceilings are asserted as counts; the table is printed
+//! for the log (`cargo test -q -p talkback-tests --test alloc_budget --
+//! --nocapture`).
 
 use datastore::exec::execute_with_stats;
 use datastore::sample::{scaled_movie_database, ScaleConfig};
@@ -104,6 +106,9 @@ const Q6: &str = "select m.title from MOVIES m where not exists ( \
      select * from GENRE g1 where not exists ( \
      select * from GENRE g2 where g2.mid = m.id and g2.genre = g1.genre))";
 
+const Q7: &str = "select m.id, m.title, count(*) from MOVIES m, CAST c where m.id = c.mid \
+     group by m.id, m.title having 1 < (select count(*) from GENRE g where g.mid = m.id)";
+
 const Q9: &str = "select a.name from MOVIES m, CAST c, ACTOR a \
      where m.id = c.mid and c.aid = a.id \
      and m.year <= all (select m1.year from MOVIES m1, MOVIES m2 \
@@ -165,25 +170,35 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     }
 
     let system = Talkback::new(scaled_movie_database(ScaleConfig::default()));
-    for _ in 0..3 {
-        system.run_query_with(Q6, options).unwrap();
-        system.run_query_with(Q9, options).unwrap();
+    let q7 = |n: i64| Q7.replace("having 1 <", &format!("having {n} <"));
+    for n in 0..3 {
+        for sql in [Q6, Q9, &q7(n)] {
+            system.run_query_with(sql, options).unwrap();
+        }
     }
-    for (name, sql, ceiling) in [("Q6", Q6, Some(7_000)), ("Q9", Q9, None)] {
+    let q7 = q7(2);
+    for (name, sql, ceilings) in [
+        ("Q6", Q6, [Some(4_400), Some(7_000)]),
+        ("Q7", &q7, [Some(1_600), None]),
+        ("Q9", Q9, [None, None]),
+    ] {
+        // A cache hit, binding included: what the statement costs whole.
         let (whole, _) = allocations(|| system.run_query_with(sql, options).unwrap());
+        let cache = system.database().obs().journal().last().unwrap().cache;
+        assert_eq!(cache, datastore::CacheStatus::Hit, "{name}");
         let query = sqlparse::parse_query(sql).unwrap();
         let planned = plan_query_with(system.database(), &query, options).unwrap();
         let (executed, _) =
             allocations(|| execute_with_stats(system.database(), &planned.plan).unwrap());
         rows.push(Row {
-            what: format!("nested: {name}, run_query_with"),
+            what: format!("nested: {name} from a template"),
             allocations: whole,
-            ceiling: None,
+            ceiling: ceilings[0],
         });
         rows.push(Row {
             what: format!("nested: {name}, execution"),
             allocations: executed,
-            ceiling,
+            ceiling: ceilings[1],
         });
     }
 

@@ -11,16 +11,17 @@
 //! constant an empty group passes (`0 = count`, `-1 < count`). Sixty more
 //! equality-correlated scalar and `HAVING` statements follow the grid, and
 //! each seed must reach both the grouped lookup and an apply the cost gate
-//! kept at least five times. Each runs under the default
-//! options on one thread and on four (threshold 0, so exchanges and parallel
-//! applies really happen) and must return the multiset the naive reference
+//! kept at least five times. Each runs under the default options on one
+//! thread and on four (threshold 0, so exchanges and parallel applies really
+//! happen), twice each so that the second run meets the plan-cache template
+//! the first left behind, and must return the multiset the naive reference
 //! engine returns: every subquery a per-row apply, no index, no vector
 //! kernel, no feedback, no plan cache. The seeds are fixed;
 //! `CORRELATED_SEED=<u64>` adds one more (CI passes the clock), and every
 //! failure names its seed and statement.
 
 use datastore::sample::{employee_database, scaled_movie_database, ScaleConfig};
-use datastore::{Database, Value};
+use datastore::{CacheStatus, Database, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use talkback::planner::SubqueryStrategy;
@@ -515,17 +516,24 @@ fn differential(seed: u64, schema: &Schema, db: Database) -> usize {
     let mut non_empty = 0;
     let mut learned = 0;
     let (mut keyed, mut gated) = (0, 0);
+    let mut templated = 0;
     for (kind, correlation, shape) in grid {
         let (sql, what) = statement(&mut rng, schema, kind, correlation, shape);
         let expected = multiset(&system, &sql, reference(), seed);
         for options in subjects() {
-            let got = multiset(&system, &sql, options, seed);
-            assert!(
-                got == expected,
-                "seed {seed}: {sql}\n{} rows under {options:?}, {} under the reference",
-                got.len(),
-                expected.len()
-            );
+            // Twice: the second run meets the template the first one left.
+            for run in 1..=2 {
+                let got = multiset(&system, &sql, options, seed);
+                assert!(
+                    got == expected,
+                    "seed {seed}: {sql}\n{} rows under {options:?} (run {run}), {} under the \
+                     reference",
+                    got.len(),
+                    expected.len()
+                );
+            }
+            let journal = system.database().obs().journal();
+            templated += usize::from(journal.last().unwrap().cache == CacheStatus::Hit);
         }
         // Recorded ⇒ found: whatever this run teaches the feedback store,
         // the statement's next plan looks up.
@@ -546,6 +554,13 @@ fn differential(seed: u64, schema: &Schema, db: Database) -> usize {
         assert!(seen >= 5 * wanted, "seed {seed}: {access:?} drawn {seen}×");
     }
     assert!(keyed >= 5, "seed {seed}: {keyed} grouped lookups");
+    // Many shapes bound a range or are planned around a value; the rest meet
+    // their template, so the comparison above is about templates too.
+    assert!(
+        templated >= drawn.len() / 2,
+        "seed {seed}: {templated} of {} second runs served from a template",
+        2 * drawn.len()
+    );
     assert!(
         gated >= 5,
         "seed {seed}: {gated} applies kept by the cost gate"

@@ -13,7 +13,8 @@ use datastore::sample::{employee_database, movie_database};
 use datastore::stats::{ColumnStats, Histogram, TableStats, STATS_HISTOGRAM_BUCKETS};
 use datastore::value::GroupKey;
 use datastore::{
-    ColumnDef, DataType, Database, Date, Index, IndexDef, IndexKind, Row, Table, TableSchema, Value,
+    ColumnDef, DataType, Database, Date, Index, IndexDef, IndexKind, Row, StoreError, Table,
+    TableSchema, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -329,19 +330,42 @@ fn random_write(db: &mut Database, name: &str, rng: &mut StdRng) -> String {
                     }
                 },
             );
-            format!("update {touched} rows")
+            format!("update {} rows", touched.unwrap())
         }
         _ => {
-            // A key column moves, for a third of the rows.
+            // A key column moves, for a third of the rows: to values no row
+            // has, or now and then onto the whole key of one row, which is
+            // refused (and changes nothing) unless that row is the one moving.
             let Some(&key) = pk.first() else {
                 return "no key to update".into();
             };
-            let offset = largest(db.table(name).unwrap(), key) + 1;
-            let touched = db.table_mut(name).unwrap().update_where(
-                |r| int_of(r, key) % 3 == 0,
-                |r| *r.get_mut(key).unwrap() = Value::int(int_of(r, key) + offset),
-            );
-            format!("update the key of {touched} rows")
+            let moving = |r: &Row| int_of(r, key) % 3 == 0;
+            let table = db.table(name).unwrap();
+            if !table.is_empty() && rng.gen_bool(0.3) {
+                let target = table.rows()[rng.gen_range(0..table.len())].project(&pk);
+                let movers: Vec<Row> = table.rows().iter().filter(|r| moving(r)).cloned().collect();
+                let refused = movers.len() > 1 || movers.iter().any(|r| r.project(&pk) != target);
+                let before = table.rows().to_vec();
+                let outcome = db.table_mut(name).unwrap().update_where(moving, |r| {
+                    for (&i, value) in pk.iter().zip(target.values()) {
+                        *r.get_mut(i).unwrap() = value.clone();
+                    }
+                });
+                let write = format!("move the key of {} rows onto {target:?}", movers.len());
+                match outcome {
+                    Err(StoreError::DuplicateKey { .. }) if refused => {
+                        assert_eq!(db.table(name).unwrap().rows(), &before[..], "{write}");
+                    }
+                    Ok(touched) if !refused => assert_eq!(touched, movers.len(), "{write}"),
+                    other => panic!("{write}: refused is {refused}, got {other:?}"),
+                }
+                return write;
+            }
+            let offset = largest(table, key) + 1;
+            let touched = db.table_mut(name).unwrap().update_where(moving, |r| {
+                *r.get_mut(key).unwrap() = Value::int(int_of(r, key) + offset)
+            });
+            format!("update the key of {} rows", touched.unwrap())
         }
     }
 }
@@ -467,7 +491,8 @@ fn a_held_table_keeps_its_rows_indexes_and_statistics_while_the_writer_mutates()
     assert!(!Arc::ptr_eq(&cached, &db.table_stats("MOVIES").unwrap()));
     db.table_mut("MOVIES")
         .unwrap()
-        .update_where(|_| true, |r| *r.get_mut(2).unwrap() = Value::int(1900));
+        .update_where(|_| true, |r| *r.get_mut(2).unwrap() = Value::int(1900))
+        .unwrap();
     db.table_mut("MOVIES")
         .unwrap()
         .delete_where(|r| r.get(0) == Some(&Value::int(1)));
@@ -502,11 +527,15 @@ fn an_answer_taken_before_a_write_keeps_what_it_read() {
     let db = system.database_mut();
     db.table_mut("MOVIES")
         .unwrap()
-        .update_where(|_| true, |r| *r.get_mut(2).unwrap() = Value::int(1900));
-    db.table_mut("MOVIES").unwrap().update_where(
-        |r| r.get(0) == Some(&Value::int(2)),
-        |r| *r.get_mut(1).unwrap() = Value::text("Renamed"),
-    );
+        .update_where(|_| true, |r| *r.get_mut(2).unwrap() = Value::int(1900))
+        .unwrap();
+    db.table_mut("MOVIES")
+        .unwrap()
+        .update_where(
+            |r| r.get(0) == Some(&Value::int(2)),
+            |r| *r.get_mut(1).unwrap() = Value::text("Renamed"),
+        )
+        .unwrap();
     for table in ["CAST", "GENRE", "DIRECTED", "MOVIES"] {
         db.table_mut(table)
             .unwrap()
