@@ -79,6 +79,17 @@
 //! plan without reading a single row; `EXPLAIN ANALYZE` executes it and
 //! reports what actually happened.
 //!
+//! ## One execution path
+//!
+//! [`Talkback::run_query`], `EXPLAIN ANALYZE`, [`Talkback::explain_result`]
+//! and [`Talkback::voice_answer`] take one crate-private path: *prepare*
+//! (normalize, probe the plan cache, on a miss parse, plan and examine)
+//! then *run*, the one place that executes a plan, absorbs its cardinality
+//! feedback and journals it. So every `SHOW` counts the same statements,
+//! and an `EXPLAIN` narrating a feedback correction finds its misestimate in
+//! the ledger. A plain `EXPLAIN` prepares and stops: it reads, absorbs and
+//! records nothing.
+//!
 //! ```
 //! use talkback::Talkback;
 //! use datastore::sample::movie_database;
@@ -99,6 +110,7 @@ pub mod narrative_metrics;
 pub mod pipeline;
 pub mod planner;
 pub mod query;
+mod statement;
 
 pub use content::{ContentConfig, ContentTranslator, UserProfile};
 pub use error::TalkbackError;
@@ -114,13 +126,11 @@ pub use query::show::{execute_show, ShowReport};
 pub use query::{QueryTranslation, QueryTranslator};
 
 use datastore::adaptive::PLAN_CACHE_CAP;
-use datastore::exec::{execute_with_stats, Plan, ResultSet};
-use datastore::obs::{Counter, Statement, StatementPhases};
+use datastore::exec::ResultSet;
+use datastore::obs::Counter;
 use datastore::{
-    CacheKey, CacheLookup, CacheStatus, CachedVerdict, Database, ParamKind, PlanTemplate,
-    ShapeCache, StatementMeta, Uncacheable, Value, OPTION_WORDS,
+    CacheKey, CacheLookup, CachedVerdict, Database, ShapeCache, Uncacheable, OPTION_WORDS,
 };
-use sqlparse::SelectStatement;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -208,10 +218,13 @@ impl Talkback {
 
     /// §3.1: run the query and explain its result size (empty / small /
     /// very large), reading the executor's instrumentation counters to blame
-    /// the responsible predicates.
+    /// the responsible predicates. The query runs as [`Talkback::run_query`]
+    /// runs it, under the default options: served from the plan cache when
+    /// its shape has a template, its feedback absorbed, and journaled.
     pub fn explain_result(&self, sql: &str) -> Result<ResultExplanation, TalkbackError> {
-        let query = sqlparse::parse_query(sql)?;
-        query::explain::explain_result(&self.db, self.queries.lexicon(), &query)
+        let options = PlannerOptions::default();
+        let prepared = statement::prepare(&self.db, sql, None, options, Instant::now())?;
+        query::explain::explain_prepared(self.queries.lexicon(), &prepared)
     }
 
     /// `EXPLAIN [ANALYZE]`: describe the query's physical plan as a stable
@@ -220,6 +233,12 @@ impl Talkback {
     /// row counts ("I scanned 5 movies, kept the 2 from after 2000, …");
     /// without it, nothing is executed and the plan is narrated in the
     /// future tense. A bare SELECT is treated as plain `EXPLAIN`.
+    ///
+    /// Either way the query is planned afresh, so the narration can give
+    /// the optimizer's reasons. `EXPLAIN ANALYZE` then runs as any query
+    /// runs: its feedback is absorbed and the SELECT it ran is journaled and
+    /// filed in the workload ledger beside executions of that SELECT. Plain
+    /// `EXPLAIN` reads no row and absorbs and records nothing.
     pub fn explain_plan(&self, sql: &str) -> Result<PlanExplanation, TalkbackError> {
         query::plan_explain::explain_plan(&self.db, self.queries.lexicon(), sql)
     }
@@ -236,9 +255,10 @@ impl Talkback {
     }
 
     /// Execute a query and return its answer. The statement is timed phase
-    /// by phase (parse → plan → execute) and recorded into the database's
-    /// observability registry, so `SHOW QUERY LOG` / `SHOW PROFILE` can talk
-    /// about it afterwards.
+    /// by phase (parse → plan → execute), its feedback absorbed, and
+    /// journaled into the database's observability registry, so `SHOW QUERY
+    /// LOG` / `SHOW PROFILE` can talk about it afterwards — the same path
+    /// `EXPLAIN ANALYZE` and [`Talkback::explain_result`] take.
     ///
     /// Two adaptive layers run by default (each has a [`PlannerOptions`]
     /// switch):
@@ -266,133 +286,9 @@ impl Talkback {
         sql: &str,
         options: PlannerOptions,
     ) -> Result<ResultSet, TalkbackError> {
-        let t0 = Instant::now();
-        let epoch = self.db.adaptive().epoch();
-        let cache = self.db.adaptive().plan_cache();
-        // The shape comes from the raw text alone: the plan cache is probed
-        // under it (the parser and the planner only run on a miss) and the
-        // workload ledger files the statement under it, cache or not.
-        let normalized = sqlparse::normalize_statement(sql);
-        let shape = normalized.as_ref().map(|n| n.text.as_str());
-        let key = (normalized.as_ref())
-            .filter(|_| options.use_plan_cache)
-            .map(|n| CacheKey::new(&n.text, options.cache_bits(), &n.literals));
-        let mut meta = StatementMeta {
-            cache: CacheStatus::Off,
-            epoch,
-        };
-        if let Some(key) = &key {
-            let found = cache.lookup(key, epoch);
-            meta.cache = found.status();
-            match found {
-                CacheLookup::Found(CachedVerdict::Template(template)) => {
-                    self.db.obs().incr(Counter::PlanCacheHits);
-                    let plan = template.plan.bind_params(key.params);
-                    let phases = StatementPhases {
-                        plan: t0.elapsed(),
-                        ..StatementPhases::default()
-                    };
-                    let planned = (&plan, Some(&*template));
-                    return self.execute_planned(sql, shape, planned, options, phases, meta);
-                }
-                CacheLookup::Found(CachedVerdict::Uncacheable(why)) => {
-                    self.db.obs().note_uncacheable(why)
-                }
-                CacheLookup::Stale | CacheLookup::Miss => {}
-            }
-            self.db.obs().incr(Counter::PlanCacheMisses);
-        }
-        let query = sqlparse::parse_query(sql)?;
-        let t1 = Instant::now();
-        let planned = plan_query_with(&self.db, &query, options)?;
-        if let (Some(key), CacheStatus::Miss | CacheStatus::Stale) = (&key, meta.cache) {
-            let verdict = self.examine_for_caching(&query, key, &planned.plan, options);
-            let evicted = cache.insert(key, epoch, verdict);
-            self.db.obs().add(Counter::PlanCacheEvictions, evicted);
-        }
-        let phases = StatementPhases {
-            parse: t1 - t0,
-            plan: t1.elapsed(),
-            ..StatementPhases::default()
-        };
-        let planned = (&planned.plan, None);
-        self.execute_planned(sql, shape, planned, options, phases, meta)
-    }
-
-    /// Execute a planned statement (and the cached template it binds, on a
-    /// hit), absorb its feedback and record it under `shape`; `phases` says
-    /// how long parsing and planning took.
-    fn execute_planned(
-        &self,
-        sql: &str,
-        shape: Option<&str>,
-        (plan, template): (&Plan, Option<&PlanTemplate>),
-        options: PlannerOptions,
-        mut phases: StatementPhases,
-        meta: StatementMeta,
-    ) -> Result<ResultSet, TalkbackError> {
-        let start = Instant::now();
-        let (result, profile) = execute_with_stats(&self.db, plan)?;
-        phases.execute = start.elapsed();
-        if options.use_feedback {
-            self.db
-                .adaptive()
-                .absorb(&profile, options.misestimate_factor);
-        }
-        let statement = Statement {
-            sql,
-            shape,
-            plan_hash: template.map(|t| t.shape_hash(&profile)),
-        };
-        self.db.obs().record_statement(
-            statement,
-            profile,
-            phases,
-            result.len() as u64,
-            options.misestimate_factor,
-            meta,
-        );
+        let prepared = statement::prepare(&self.db, sql, None, options, Instant::now())?;
+        let (result, ()) = prepared.run(|_| ())?;
         Ok(result)
-    }
-
-    /// Decide, once per epoch, what the plan cache should hold for a
-    /// just-planned statement the cache did not know. A template is trusted
-    /// only when (a) the AST lifts exactly the literals the text scanner
-    /// extracted, in the same order — so future text-extracted literals bind
-    /// positionally — and (b) planning the parameterized statement, each
-    /// `?i` typed by its literal's kind, and re-binding the original
-    /// literals reproduces the fresh plan node for node, estimates and all.
-    /// Anything else is a negative verdict with its reason: the next
-    /// execution of the shape is planned fresh without coming back here.
-    fn examine_for_caching(
-        &self,
-        query: &SelectStatement,
-        key: &CacheKey,
-        fresh: &Plan,
-        options: PlannerOptions,
-    ) -> CachedVerdict<PlanTemplate> {
-        let (template_stmt, lifted) = match sqlparse::parameterize_select(query) {
-            Ok(parameterized) => parameterized,
-            Err(why) => return CachedVerdict::Uncacheable(why),
-        };
-        // `Value` equality is SQL's (3 = 3.0); a template's is also by kind.
-        let same = |(a, b): (&Value, &Value)| a == b && ParamKind::of(a) == ParamKind::of(b);
-        let kinds = match key.kinds() {
-            Some(kinds)
-                if lifted.len() == key.params.len() && lifted.iter().zip(key.params).all(same) =>
-            {
-                kinds
-            }
-            // What the text scanner and the parser disagree on is a constant
-            // neither can be trusted to lift.
-            _ => return CachedVerdict::Uncacheable(Uncacheable::Constant),
-        };
-        match planner::plan_template(&self.db, &template_stmt, options, &kinds) {
-            Ok(template) if template.plan.bind_params(key.params) == *fresh => {
-                CachedVerdict::Template(Arc::new(PlanTemplate::new(template.plan)))
-            }
-            _ => CachedVerdict::Uncacheable(Uncacheable::ValueDependent),
-        }
     }
 
     /// Execute an introspection or doctor statement — `SHOW …`, `ADVISE`,
@@ -440,36 +336,24 @@ impl Talkback {
                     .unwrap_or(0);
                 let concept = self.queries.lexicon().concept(&ci.table);
                 let noun = nlg::pluralize(&concept);
-                let key_desc = ci
-                    .columns
-                    .iter()
-                    .map(|c| c.to_lowercase())
-                    .collect::<Vec<_>>()
-                    .join(" then ");
                 Ok(nlg::finish_sentence(&format!(
-                    "I built the {} index {} over {}({}): {} {} indexed under {} distinct \
-                     key{}, so I can now look {} up by {} instead of scanning",
+                    "I built the {} index {} over {}({}): {} {} indexed under {}, so I can \
+                     now look {} up by {} instead of scanning",
                     kind.sql(),
                     ci.name,
                     ci.table,
                     ci.columns.join(", "),
                     nlg::count_phrase(entries),
                     if entries == 1 { &concept } else { &noun },
-                    nlg::count_phrase(keys),
-                    if keys == 1 { "" } else { "s" },
+                    query::counted(keys, "distinct key"),
                     noun,
-                    key_desc
+                    key_words(&ci.columns)
                 )))
             }
             sqlparse::ast::Statement::DropIndex(di) => {
                 let def = self.db.drop_index(&di.name)?;
                 let noun = nlg::pluralize(&self.queries.lexicon().concept(&def.table));
-                let keys = def
-                    .columns
-                    .iter()
-                    .map(|c| c.to_lowercase())
-                    .collect::<Vec<_>>()
-                    .join(" then ");
+                let keys = key_words(&def.columns);
                 Ok(nlg::finish_sentence(&format!(
                     "I dropped the index {} from {}({}); lookups by {} go back to scanning \
                      the {}",
@@ -547,6 +431,12 @@ impl Talkback {
         let chunks = tts.synthesize(&narrative);
         Ok((recognition, narrative, chunks))
     }
+}
+
+/// An index's columns as its narration says them: "year then id".
+fn key_words(columns: &[String]) -> String {
+    let words: Vec<String> = columns.iter().map(|c| c.to_lowercase()).collect();
+    words.join(" then ")
 }
 
 #[cfg(test)]

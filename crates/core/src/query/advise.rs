@@ -17,6 +17,7 @@
 //! data growth.
 
 use crate::planner::{self, plan_cost, PlannerOptions};
+use crate::query::counted;
 use crate::query::show::{table_of, ShowReport};
 use datastore::exec::{Plan, PlanNode};
 use datastore::index::{Index, IndexDef, IndexKind};
@@ -486,9 +487,8 @@ pub fn execute_advise(db: &Database, limit: Option<u64>) -> ShowReport {
             .to_string()
     } else if shown.is_empty() {
         let mut sentences = vec![finish_sentence(&format!(
-            "I examined {} statement shape{} and found nothing an index would cure",
-            count_phrase(stats.len()),
-            if stats.len() == 1 { "" } else { "s" },
+            "I examined {} and found nothing an index would cure",
+            counted(stats.len(), "statement shape"),
         ))];
         if !issues.is_empty() {
             sentences.push(observation_sentence(&issues));
@@ -502,12 +502,11 @@ pub fn execute_advise(db: &Database, limit: Option<u64>) -> ShowReport {
             quote_sql(&top.create_sql)
         )));
         sentences.push(finish_sentence(&format!(
-            "Queries like {} have run {} time{} at {} each; with that index I estimate \
-             {} per run — plan cost {} instead of {}, roughly {:.0}× faster on the \
-             execution itself — which would have saved me {} so far",
+            "Queries like {} have run {} at {} each; with that index I estimate {} per \
+             run — plan cost {} instead of {}, roughly {:.0}× faster on the execution \
+             itself — which would have saved me {} so far",
             quote_sql(&top.evidence_sql),
-            count_phrase(top.executions as usize),
-            if top.executions == 1 { "" } else { "s" },
+            counted(top.executions as usize, "time"),
             format_duration(top.mean_before),
             format_duration(top.predicted_after),
             format_cost(top.what_if_cost),
@@ -686,20 +685,16 @@ pub fn execute_checkup(db: &Database) -> ShowReport {
         );
     } else {
         sentences.push(finish_sentence(&format!(
-            "I have been watching {} statement shape{} over {} execution{}",
-            count_phrase(stats.len()),
-            if stats.len() == 1 { "" } else { "s" },
-            count_phrase(executions as usize),
-            if executions == 1 { "" } else { "s" },
+            "I have been watching {} over {}",
+            counted(stats.len(), "statement shape"),
+            counted(executions as usize, "execution"),
         )));
         if issues.is_empty() {
             sentences.push("My miner found no pathological access patterns.".to_string());
         } else {
             sentences.push(finish_sentence(&format!(
-                "My miner flags {} pattern{} worth fixing — ask me to ADVISE for the \
-                 costed remedies",
-                count_phrase(issues.len()),
-                if issues.len() == 1 { "" } else { "s" },
+                "My miner flags {} worth fixing — ask me to ADVISE for the costed remedies",
+                counted(issues.len(), "pattern"),
             )));
         }
         for drift in drifts.iter().take(2) {

@@ -4,13 +4,14 @@
 //! answers, it is useful to know the reasons."
 
 use crate::error::TalkbackError;
-use crate::planner::{lower_expr, plan_query};
+use crate::planner::PlannerOptions;
 use crate::query::sole_scan_table;
-use datastore::exec::{execute, execute_with_stats, Plan, PlanProfile};
+use crate::statement::{prepare, Prepared};
+use datastore::exec::PlanProfile;
 use datastore::Database;
 use nlg::{finish_sentence, join_sentences, quote_sql};
 use sqlparse::ast::SelectStatement;
-use sqlparse::bind::bind_query;
+use std::time::Instant;
 use templates::Lexicon;
 
 /// The outcome of running and analysing a query's answer size.
@@ -39,17 +40,34 @@ pub const LARGE_RESULT_THRESHOLD: usize = 100;
 /// the culprit. No predicate-subset re-execution is needed — the planner
 /// pushes each WHERE conjunct into its own filter operator, so the profile
 /// pinpoints individual conditions.
+///
+/// With no text to key the plan cache, the query is planned afresh under the
+/// default options, then runs and is journaled (as its `Display` text).
 pub fn explain_result(
     db: &Database,
     lexicon: &Lexicon,
     query: &SelectStatement,
 ) -> Result<ResultExplanation, TalkbackError> {
-    let planned = plan_query(db, query)?;
-    let (result, profile) = execute_with_stats(db, &planned.plan)?;
-    let rows = result.len();
-    let effective = planned.effective_query;
+    let start = Instant::now();
+    let sql = query.to_string();
+    let options = PlannerOptions {
+        use_plan_cache: false,
+        ..PlannerOptions::default()
+    };
+    let prepared = prepare(db, &sql, Some(query), options, start)?;
+    explain_prepared(lexicon, &prepared)
+}
 
-    if rows == 0 {
+/// Run a prepared query and explain its result cardinality from the
+/// profile of that one execution.
+pub(crate) fn explain_prepared(
+    lexicon: &Lexicon,
+    prepared: &Prepared,
+) -> Result<ResultExplanation, TalkbackError> {
+    let (result, profile) = prepared.run(PlanProfile::clone)?;
+    let rows = result.len();
+    let mut predicate_notes = Vec::new();
+    let narrative = if rows == 0 {
         let blame = blame_from_profile(&profile);
         let mut sentences = vec![finish_sentence("The query returns no results")];
         if !blame.killed.is_empty() {
@@ -123,16 +141,9 @@ pub fn explain_result(
                  is responsible",
             ));
         }
-        let notes = blame.killed.clone();
-        return Ok(ResultExplanation {
-            rows,
-            narrative: join_sentences(&sentences),
-            predicate_notes: notes,
-            profile,
-        });
-    }
-
-    if rows > LARGE_RESULT_THRESHOLD {
+        predicate_notes = blame.killed;
+        join_sentences(&sentences)
+    } else if rows > LARGE_RESULT_THRESHOLD {
         let mut sentences = vec![finish_sentence(&format!(
             "The query returns {rows} results, which is a very large answer"
         ))];
@@ -159,28 +170,22 @@ pub fn explain_result(
                  heading attribute) would reduce the answer",
             ));
         } else {
-            let conditions = effective.where_conjuncts().len();
+            let conditions = prepared.where_conditions()?;
             sentences.push(finish_sentence(&format!(
                 "it only applies {conditions} condition{}; adding more selective conditions \
                  (for example on a heading attribute) would reduce the answer",
                 if conditions == 1 { "" } else { "s" }
             )));
         }
-        return Ok(ResultExplanation {
-            rows,
-            narrative: join_sentences(&sentences),
-            predicate_notes: Vec::new(),
-            profile,
-        });
-    }
-
+        join_sentences(&sentences)
+    } else {
+        let s = if rows == 1 { "" } else { "s" };
+        finish_sentence(&format!("The query returns {rows} result{s}"))
+    };
     Ok(ResultExplanation {
         rows,
-        narrative: finish_sentence(&format!(
-            "The query returns {rows} result{}",
-            if rows == 1 { "" } else { "s" }
-        )),
-        predicate_notes: Vec::new(),
+        narrative,
+        predicate_notes,
         profile,
     })
 }
@@ -208,8 +213,7 @@ fn widest_join(profile: &PlanProfile) -> Option<JoinBlame> {
         }
         if widest
             .as_ref()
-            .map(|w| p.metrics.rows_out > w.rows_out)
-            .unwrap_or(true)
+            .is_none_or(|w| p.metrics.rows_out > w.rows_out)
         {
             widest = Some(JoinBlame {
                 detail: p.detail.clone(),
@@ -253,6 +257,7 @@ struct IndexBlame {
 }
 
 /// What the instrumentation counters say about an empty result.
+#[derive(Default)]
 struct ProfileBlame {
     /// Filters that saw rows and eliminated every one: (predicate, rows in).
     killed: Vec<(String, usize)>,
@@ -272,14 +277,7 @@ struct ProfileBlame {
 /// Walk an instrumented profile of an empty-result execution and identify
 /// the operators responsible.
 fn blame_from_profile(profile: &PlanProfile) -> ProfileBlame {
-    let mut blame = ProfileBlame {
-        killed: Vec::new(),
-        starved: Vec::new(),
-        subquery: None,
-        join: None,
-        empty_index: None,
-        empty_scan: None,
-    };
+    let mut blame = ProfileBlame::default();
     profile.walk(&mut |p| {
         let m = &p.metrics;
         match p.operator.as_str() {
@@ -345,36 +343,6 @@ fn blame_from_profile(profile: &PlanProfile) -> ProfileBlame {
         }
     });
     blame
-}
-
-/// Count the rows of a relation matching a single predicate — a helper used
-/// by examples to show per-condition selectivities alongside explanations.
-pub fn predicate_selectivity(
-    db: &Database,
-    table: &str,
-    alias: &str,
-    predicate: &sqlparse::ast::Expr,
-) -> Result<usize, TalkbackError> {
-    let query = SelectStatement {
-        projection: vec![sqlparse::ast::SelectItem::Wildcard],
-        from: vec![sqlparse::ast::TableRef::aliased(table, alias)],
-        selection: Some(predicate.clone()),
-        ..SelectStatement::default()
-    };
-    let bound = bind_query(db.catalog(), &query)?;
-    let columns: Vec<_> = db
-        .table(table)
-        .map(|t| {
-            t.schema()
-                .columns
-                .iter()
-                .map(|c| datastore::exec::ColumnInfo::qualified(alias, c.name.clone()))
-                .collect()
-        })
-        .unwrap_or_default();
-    let lowered = lower_expr(predicate, &columns, &bound)?;
-    let plan = Plan::scan(table, alias).filter(lowered);
-    Ok(execute(db, &plan)?.len())
 }
 
 #[cfg(test)]
@@ -603,14 +571,5 @@ mod tests {
             "probe blame missing from: {}",
             explanation.narrative
         );
-    }
-
-    #[test]
-    fn predicate_selectivity_counts_matching_rows() {
-        let db = movie_database();
-        let q = parse_query("select * from MOVIES m where m.year = 2004").unwrap();
-        let predicate = q.selection.unwrap();
-        let n = predicate_selectivity(&db, "MOVIES", "m", &predicate).unwrap();
-        assert_eq!(n, 2);
     }
 }

@@ -87,6 +87,13 @@ pub(crate) fn sole_scan_table(node: &PlanProfile) -> Option<String> {
     }
 }
 
+/// `n` of a noun in words, the noun pluralized with an `s` unless `n` is one:
+/// "one row", "twelve rows", "13 vectors".
+pub(crate) fn counted(n: usize, noun: &str) -> String {
+    let s = if n == 1 { "" } else { "s" };
+    format!("{} {noun}{s}", nlg::count_phrase(n))
+}
+
 /// The result of translating one query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryTranslation {

@@ -24,15 +24,17 @@
 //! what actually happened.
 
 use crate::error::TalkbackError;
-use crate::planner::{GroupedLookup, PlanDecision};
-use crate::query::sole_scan_table;
-use datastore::exec::{describe_plan, execute_with_stats, PlanProfile};
+use crate::planner::{GroupedLookup, PlanDecision, PlannerOptions};
+use crate::query::{counted, sole_scan_table};
+use crate::statement::prepare;
+use datastore::exec::{describe_plan, PlanProfile};
 use datastore::Database;
 use nlg::{
     count_phrase, finish_sentence, indefinite_article, join_sentences, pluralize, quote_sql,
 };
 use sqlparse::ast::Statement;
 use sqlparse::parse_statement;
+use std::time::Instant;
 use templates::Lexicon;
 
 /// The result of explaining a query's plan.
@@ -63,17 +65,20 @@ pub fn explain_plan(
     lexicon: &Lexicon,
     sql: &str,
 ) -> Result<PlanExplanation, TalkbackError> {
-    explain_plan_with(db, lexicon, sql, crate::planner::PlannerOptions::default())
+    explain_plan_with(db, lexicon, sql, PlannerOptions::default())
 }
 
 /// [`explain_plan`] with explicit planner options — how callers pin a
-/// parallelism degree (or disable parallelism) for reproducible plans.
+/// parallelism degree (or disable parallelism) for reproducible plans. The
+/// plan is fresh, past the cache; [`crate::Talkback::explain_plan`] says
+/// what each form executes and records.
 pub fn explain_plan_with(
     db: &Database,
     lexicon: &Lexicon,
     sql: &str,
-    options: crate::planner::PlannerOptions,
+    options: PlannerOptions,
 ) -> Result<PlanExplanation, TalkbackError> {
+    let start = Instant::now();
     let (analyze, query) = match parse_statement(sql)? {
         Statement::Explain(e) => (e.analyze, e.query),
         Statement::Select(s) => (false, s),
@@ -83,53 +88,48 @@ pub fn explain_plan_with(
             ))
         }
     };
-    let planned = crate::planner::plan_query_with(db, &query, options)?;
-    let decision_sentences = narrate_decisions(&planned.decisions);
+    let ran = if analyze { analyzed_select(sql) } else { sql };
+    let options = PlannerOptions {
+        use_plan_cache: false,
+        ..options
+    };
+    let prepared = prepare(db, ran, Some(&query), options, start)?;
     let flag = options.misestimate_factor;
-    if analyze {
-        let (result, profile) = execute_with_stats(db, &planned.plan)?;
-        // ANALYZE runs carry real row counts, so they feed the cardinality
-        // loop just like ordinary executions: the next plan of a flagged
-        // shape starts from the observed selectivity.
-        if options.use_feedback {
-            db.adaptive().absorb(&profile, flag);
-        }
-        let mut sentences = decision_sentences;
-        sentences.push(narrate_profile_with(
-            &profile,
-            lexicon,
-            true,
-            Some(result.len()),
-            flag,
-        ));
-        Ok(PlanExplanation {
-            analyzed: true,
-            tree: profile.render_tree_with(true, flag),
-            narration: join_sentences(&sentences),
-            decisions: planned.decisions,
-            profile,
-            result_rows: Some(result.len()),
-        })
+    let (profile, result_rows) = if analyze {
+        let (result, profile) = prepared.run(PlanProfile::clone)?;
+        (profile, Some(result.len()))
     } else {
         // Opening the plan validates it but reads no rows.
-        let profile = describe_plan(db, &planned.plan)?;
-        let mut sentences = decision_sentences;
-        sentences.push(narrate_profile_with(&profile, lexicon, false, None, flag));
-        Ok(PlanExplanation {
-            analyzed: false,
-            tree: profile.render_tree_with(false, flag),
-            narration: join_sentences(&sentences),
-            decisions: planned.decisions,
-            profile,
-            result_rows: None,
+        (describe_plan(db, prepared.plan_ref())?, None)
+    };
+    let decisions = prepared.into_decisions();
+    let narrated = narrate_profile_with(&profile, lexicon, analyze, result_rows, flag);
+    let mut sentences = narrate_decisions(&decisions);
+    sentences.push(narrated);
+    Ok(PlanExplanation {
+        analyzed: analyze,
+        tree: profile.render_tree_with(analyze, flag),
+        narration: join_sentences(&sentences),
+        decisions,
+        profile,
+        result_rows,
+    })
+}
+
+/// The SELECT an `EXPLAIN ANALYZE` statement runs, as it was written: the
+/// text after the two keywords.
+fn analyzed_select(sql: &str) -> &str {
+    ["explain", "analyze"]
+        .iter()
+        .fold(sql.trim(), |rest, word| match rest.get(..word.len()) {
+            Some(head) if head.eq_ignore_ascii_case(word) => rest[word.len()..].trim_start(),
+            _ => rest,
         })
-    }
 }
 
 /// Render an estimated cardinality as a row-count phrase.
 fn rows_phrase(rows: f64) -> String {
-    let n = rows.round().max(0.0) as usize;
-    format!("{} row{}", count_phrase(n), if n == 1 { "" } else { "s" })
+    counted(rows.round().max(0.0) as usize, "row")
 }
 
 /// Narrate the optimizer's decisions as finished sentences: why the join
@@ -280,22 +280,20 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                 let is_apply = *kind == PK::Apply;
                 let text = if *parallelized && is_apply {
                     format!(
-                        "I fanned {} (an estimated {}) out across {} worker{}, since the \
+                        "I fanned {} (an estimated {}) out across {}, since the \
                          binding count cleared my {}-row bar for going parallel",
                         target,
                         rows_phrase(*estimated_rows),
-                        count_phrase(*workers),
-                        if *workers == 1 { "" } else { "s" },
+                        counted(*workers, "worker"),
                         threshold.round() as usize
                     )
                 } else if *parallelized {
                     let mut text = format!(
-                        "I split {} (an estimated {}) into morsels across {} worker{}, since \
+                        "I split {} (an estimated {}) into morsels across {}, since \
                          it cleared my {}-row bar for going parallel",
                         target,
                         rows_phrase(*estimated_rows),
-                        count_phrase(*workers),
-                        if *workers == 1 { "" } else { "s" },
+                        counted(*workers, "worker"),
                         threshold.round() as usize
                     );
                     match kind {
@@ -488,10 +486,6 @@ fn ratio_text(ratio: f64) -> String {
 fn narrate_subquery_operator(node: &PlanProfile, analyzed: bool) -> String {
     let tally = node.subquery.clone().unwrap_or_default();
     let keys = tally.keys.join(" and ");
-    let many = |n: u64, noun: &str| match n {
-        1 => format!("one {noun}"),
-        n => format!("{} {}", count_phrase(n as usize), pluralize(noun)),
-    };
     let value = format!("distinct {keys} value");
     let text = match (node.operator == "apply", keys.is_empty(), analyzed) {
         (true, true, false) => "will check the subquery once and reuse its answer".into(),
@@ -505,10 +499,10 @@ fn narrate_subquery_operator(node: &PlanProfile, analyzed: bool) -> String {
             } else {
                 "each of the"
             };
-            let checked = many(tally.evaluations, &value);
+            let checked = counted(tally.evaluations as usize, &value);
             let mut text = format!("re-checked the subquery for {each} {checked}");
             if tally.cache_hits > 0 {
-                let reused = many(tally.cache_hits, "more row");
+                let reused = counted(tally.cache_hits as usize, "more row");
                 text += &format!(" and reused those answers for {reused}");
             }
             text
@@ -520,7 +514,7 @@ fn narrate_subquery_operator(node: &PlanProfile, analyzed: bool) -> String {
         ),
         (false, false, true) => format!(
             "computed the subquery once per group ({}) and looked each row's {keys} up among them",
-            many(tally.groups, "group")
+            counted(tally.groups as usize, "group")
         ),
     };
     let kept = count_phrase(node.metrics.rows_out as usize);
@@ -638,23 +632,8 @@ fn narrate_join_order(decisions: &[PlanDecision]) -> Vec<String> {
     vec![finish_sentence(&text)]
 }
 
-/// Narrate a (possibly instrumented) plan profile in execution order.
-pub fn narrate_profile(
-    profile: &PlanProfile,
-    lexicon: &Lexicon,
-    analyzed: bool,
-    result_rows: Option<usize>,
-) -> String {
-    narrate_profile_with(
-        profile,
-        lexicon,
-        analyzed,
-        result_rows,
-        datastore::exec::MISESTIMATE_FACTOR,
-    )
-}
-
-/// [`narrate_profile`] with an explicit misestimate-flagging threshold
+/// Narrate a (possibly instrumented) plan profile in execution order,
+/// flagging estimates off by more than `misestimate_factor`
 /// (`PlannerOptions::misestimate_factor`).
 pub fn narrate_profile_with(
     profile: &PlanProfile,
@@ -673,9 +652,8 @@ pub fn narrate_profile_with(
     }
     if let Some(rows) = result_rows {
         sentences.push(finish_sentence(&format!(
-            "In the end the query produced {} row{}",
-            count_phrase(rows),
-            if rows == 1 { "" } else { "s" }
+            "In the end the query produced {}",
+            counted(rows, "row")
         )));
     }
     if analyzed {
@@ -711,18 +689,17 @@ fn parallel_speedup_sentences(profile: &PlanProfile) -> Vec<String> {
         for child in &p.children {
             child.walk(&mut |inner| {
                 let own = inner.metrics.self_elapsed();
-                if hungriest.as_ref().map(|(_, t)| own > *t).unwrap_or(true) {
+                if hungriest.as_ref().is_none_or(|(_, t)| own > *t) {
                     hungriest = Some((inner.operator.clone(), own));
                 }
             });
         }
         let mut text = format!(
             "The parallel section did {} of operator work in {} \
-             of wall time across {} worker{} (a {speedup:.1}× speedup)",
+             of wall time across {} (a {speedup:.1}× speedup)",
             datastore::format_duration(work),
             datastore::format_duration(wall),
-            count_phrase(workers),
-            if workers == 1 { "" } else { "s" },
+            counted(workers, "worker"),
         );
         if let Some((op, own)) = hungriest.filter(|(_, t)| !t.is_zero()) {
             text.push_str(&format!(
@@ -818,9 +795,8 @@ fn fold_scan_filters(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool) -> O
             );
             if vector_batches > 0 {
                 text.push_str(&format!(
-                    ", evaluated over {} vector{} of up to 1,024 values",
-                    count_phrase(vector_batches as usize),
-                    if vector_batches == 1 { "" } else { "s" }
+                    ", evaluated over {} of up to 1,024 values",
+                    counted(vector_batches as usize, "vector")
                 ));
             }
             text
@@ -914,11 +890,8 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
                 .unwrap_or_else(|| "matching rows".to_string());
             if analyzed {
                 format!(
-                    "fetched the matching {} through their index for each row, into {} \
-                     combination{}",
-                    partner,
-                    count_phrase(m.rows_out as usize),
-                    if m.rows_out == 1 { "" } else { "s" }
+                    "fetched the matching {partner} through their index for each row, into {}",
+                    counted(m.rows_out as usize, "combination")
                 )
             } else {
                 format!(
@@ -947,9 +920,8 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
                     );
                     if m.vector_batches > 0 {
                         text.push_str(&format!(
-                            ", evaluated over {} vector{} of up to 1,024 values",
-                            count_phrase(m.vector_batches as usize),
-                            if m.vector_batches == 1 { "" } else { "s" }
+                            ", evaluated over {} of up to 1,024 values",
+                            counted(m.vector_batches as usize, "vector")
                         ));
                     }
                     text
@@ -972,19 +944,10 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
                     .and_then(sole_scan_table)
                     .map(|t| format!("them to the {}", pluralize(&lexicon.concept(&t))))
             });
+            let combinations = counted(m.rows_out as usize, "combination");
             match (analyzed, phrase) {
-                (true, Some(phrase)) => format!(
-                    "matched {} into {} combination{}",
-                    phrase,
-                    count_phrase(m.rows_out as usize),
-                    if m.rows_out == 1 { "" } else { "s" }
-                ),
-                (true, None) => format!(
-                    "matched them on {} into {} combination{}",
-                    node.detail,
-                    count_phrase(m.rows_out as usize),
-                    if m.rows_out == 1 { "" } else { "s" }
-                ),
+                (true, Some(phrase)) => format!("matched {phrase} into {}", combinations),
+                (true, None) => format!("matched them on {} into {}", node.detail, combinations),
                 (false, Some(phrase)) => format!("will match {} on {}", phrase, node.detail),
                 (false, None) => format!("will match them on {}", node.detail),
             }
@@ -992,9 +955,8 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
         "nested-loop join" => {
             if analyzed {
                 format!(
-                    "combined them pairwise into {} row{}",
-                    count_phrase(m.rows_out as usize),
-                    if m.rows_out == 1 { "" } else { "s" }
+                    "combined them pairwise into {}",
+                    counted(m.rows_out as usize, "row")
                 )
             } else {
                 "will combine them pairwise".to_string()
@@ -1040,15 +1002,13 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
         "aggregate" => {
             if analyzed {
                 let mut text = format!(
-                    "summarized them into {} group{}",
-                    count_phrase(m.rows_out as usize),
-                    if m.rows_out == 1 { "" } else { "s" }
+                    "summarized them into {}",
+                    counted(m.rows_out as usize, "group")
                 );
                 if m.vector_batches > 0 {
                     text.push_str(&format!(
-                        ", accumulated through the typed kernels over {} vector{}",
-                        count_phrase(m.vector_batches as usize),
-                        if m.vector_batches == 1 { "" } else { "s" }
+                        ", accumulated through the typed kernels over {}",
+                        counted(m.vector_batches as usize, "vector")
                     ));
                 }
                 text
@@ -1091,52 +1051,40 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
                 .map(str::to_string);
             if analyzed {
                 let base = format!(
-                    "ran that pipeline across {} worker{} ({})",
-                    count_phrase(workers),
-                    if workers == 1 { "" } else { "s" },
+                    "ran that pipeline across {} ({})",
+                    counted(workers, "worker"),
                     node.detail,
                 );
+                let out = |noun| counted(m.rows_out as usize, noun);
                 if partial_agg {
                     let mut text = format!(
-                        "{base}, merging the per-morsel partial aggregates into {} \
-                         group{}",
-                        count_phrase(m.rows_out as usize),
-                        if m.rows_out == 1 { "" } else { "s" }
+                        "{base}, merging the per-morsel partial aggregates into {}",
+                        out("group")
                     );
                     if m.vector_batches > 0 {
                         text.push_str(&format!(
-                            " after accumulating {} vector{} through the typed kernels",
-                            count_phrase(m.vector_batches as usize),
-                            if m.vector_batches == 1 { "" } else { "s" }
+                            " after accumulating {} through the typed kernels",
+                            counted(m.vector_batches as usize, "vector")
                         ));
                     }
                     text
                 } else if merge_sort {
                     format!(
-                        "{base}, merging their sorted runs into {} ordered row{}",
-                        count_phrase(m.rows_out as usize),
-                        if m.rows_out == 1 { "" } else { "s" }
+                        "{base}, merging their sorted runs into {}",
+                        out("ordered row")
                     )
                 } else if let Some(k) = top_k {
                     format!(
-                        "{base}, each worker keeping only its best {k} rows, merged into \
-                         {} row{}",
-                        count_phrase(m.rows_out as usize),
-                        if m.rows_out == 1 { "" } else { "s" }
+                        "{base}, each worker keeping only its best {k} rows, merged into {}",
+                        out("row")
                     )
                 } else {
-                    format!(
-                        "{base}, gathering {} row{} back in order",
-                        count_phrase(m.rows_out as usize),
-                        if m.rows_out == 1 { "" } else { "s" }
-                    )
+                    format!("{base}, gathering {} back in order", out("row"))
                 }
             } else {
                 let base = format!(
-                    "will run that pipeline across {} worker{}, splitting its scan into \
-                     morsels",
-                    count_phrase(workers),
-                    if workers == 1 { "" } else { "s" }
+                    "will run that pipeline across {}, splitting its scan into morsels",
+                    counted(workers, "worker")
                 );
                 if partial_agg {
                     format!("{base} and merging each worker's partial aggregates")
@@ -1303,7 +1251,8 @@ mod tests {
             tree.contains("est off by 10x"),
             "tree missing misestimate flag: {tree}"
         );
-        let narration = narrate_profile(&profile, &Lexicon::movie_domain(), true, None);
+        let flag = datastore::exec::MISESTIMATE_FACTOR;
+        let narration = narrate_profile_with(&profile, &Lexicon::movie_domain(), true, None, flag);
         assert!(
             narration.contains("off by about 10×"),
             "narration missing misestimate: {narration}"

@@ -8,6 +8,7 @@
 //! scanned CAST twice."
 
 use crate::error::TalkbackError;
+use crate::query::counted;
 use datastore::exec::{ColumnInfo, ResultSet};
 use datastore::obs::doctor::mine;
 use datastore::obs::{Counter, JournalEntry, MisestimateStat, ObsRegistry, Phase, Span};
@@ -54,11 +55,10 @@ pub fn execute_set(db: &Database, set: &SetStatement) -> Result<ShowReport, Talk
                 ]],
             );
             let narration = finish_sentence(&format!(
-                "I will keep my last {} statement{} in the journal from now on (it held {} \
-                 before); entries beyond that age out, but my workload ledger keeps the \
-                 aggregates either way",
-                count_phrase(after),
-                if after == 1 { "" } else { "s" },
+                "I will keep my last {} in the journal from now on (it held {} before); \
+                 entries beyond that age out, but my workload ledger keeps the aggregates \
+                 either way",
+                counted(after, "statement"),
                 count_phrase(before),
             ));
             Ok(ShowReport { table, narration })
@@ -142,15 +142,10 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
     } else if queries > 0 {
         let total = obs.latency_summary(Phase::Total);
         let mut first = format!(
-            "Since startup I have executed {} quer{}, scanning {} row{} to return {}",
+            "Since startup I have executed {} quer{}, scanning {} to return {}",
             count_phrase(queries as usize),
             if queries == 1 { "y" } else { "ies" },
-            count_phrase(obs.counter(Counter::RowsScanned) as usize),
-            if obs.counter(Counter::RowsScanned) == 1 {
-                ""
-            } else {
-                "s"
-            },
+            counted(obs.counter(Counter::RowsScanned) as usize, "row"),
             count_phrase(obs.counter(Counter::RowsEmitted) as usize),
         );
         if total.count > 0 {
@@ -166,9 +161,8 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
         if probes > 0 {
             let empty = obs.counter(Counter::EmptyIndexProbes);
             sentences.push(finish_sentence(&format!(
-                "My indexes answered {} probe{}{}",
-                count_phrase(probes as usize),
-                if probes == 1 { "" } else { "s" },
+                "My indexes answered {}{}",
+                counted(probes as usize, "probe"),
                 if empty > 0 {
                     format!(", {} of which found nothing", count_phrase(empty as usize))
                 } else {
@@ -180,27 +174,19 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
         let asked = hits + obs.counter(Counter::PlanCacheMisses);
         if asked > 0 {
             let mut sentence = format!(
-                "My plan cache answered {} of the {} statement{} it was asked about without \
-                 parsing or planning",
+                "My plan cache answered {} of the {} it was asked about without parsing or \
+                 planning",
                 if hits == 0 {
                     "none".to_string()
                 } else {
                     count_phrase(hits as usize)
                 },
-                count_phrase(asked as usize),
-                if asked == 1 { "" } else { "s" },
+                counted(asked as usize, "statement"),
             );
             let uncacheable: Vec<String> = obs
                 .uncacheable_by_reason()
                 .into_iter()
-                .map(|(why, n)| {
-                    format!(
-                        "{} statement{} {}",
-                        count_phrase(n as usize),
-                        if n == 1 { "" } else { "s" },
-                        why.clause()
-                    )
-                })
+                .map(|(why, n)| format!("{} {}", counted(n as usize, "statement"), why.clause()))
                 .collect();
             if !uncacheable.is_empty() {
                 sentence.push_str(&format!(
@@ -214,10 +200,9 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
         if snapshots > 0 {
             let rederived = obs.counter(Counter::StatsColumnsRederived);
             sentences.push(finish_sentence(&format!(
-                "I refreshed table statistics {} time{} and had to re-derive {} column \
+                "I refreshed table statistics {} and had to re-derive {} column \
                  histogram{} from their value counts; no table was re-read",
-                count_phrase(snapshots as usize),
-                if snapshots == 1 { "" } else { "s" },
+                counted(snapshots as usize, "time"),
                 if rederived == 0 {
                     "no".to_string()
                 } else {
@@ -229,15 +214,9 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
         let workers = obs.counter(Counter::WorkersSpawned);
         if workers > 0 {
             sentences.push(finish_sentence(&format!(
-                "I spread work across {} worker thread{} claiming {} morsel{}",
-                count_phrase(workers as usize),
-                if workers == 1 { "" } else { "s" },
-                count_phrase(obs.counter(Counter::MorselsClaimed) as usize),
-                if obs.counter(Counter::MorselsClaimed) == 1 {
-                    ""
-                } else {
-                    "s"
-                },
+                "I spread work across {} claiming {}",
+                counted(workers as usize, "worker thread"),
+                counted(obs.counter(Counter::MorselsClaimed) as usize, "morsel"),
             )));
         }
         let decisions = obs.decisions();
@@ -249,9 +228,8 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
                 .map(|(k, _)| k.replace('_', " "))
                 .unwrap_or_default();
             sentences.push(finish_sentence(&format!(
-                "My planner recorded {} decision{}, most often about {busiest}",
-                count_phrase(decision_total as usize),
-                if decision_total == 1 { "" } else { "s" },
+                "My planner recorded {}, most often about {busiest}",
+                counted(decision_total as usize, "decision"),
             )));
         }
     }
@@ -328,9 +306,8 @@ fn show_query_log(obs: &ObsRegistry, limit: Option<usize>) -> ShowReport {
     } else {
         let recorded = obs.journal().recorded();
         let mut sentences = vec![finish_sentence(&format!(
-            "I remember the last {} statement{}{}",
-            count_phrase(entries.len()),
-            if entries.len() == 1 { "" } else { "s" },
+            "I remember the last {}{}",
+            counted(entries.len(), "statement"),
             if recorded > entries.len() as u64 {
                 format!(
                     " of the {} I have executed; my journal keeps {} and the rest have aged out",
@@ -358,12 +335,8 @@ fn show_query_log(obs: &ObsRegistry, limit: Option<usize>) -> ShowReport {
                 "The slowest of them, {}, was {} — it returned {}",
                 format_duration(slowest.total),
                 quote_sql(&slowest.sql),
-                count_phrase(slowest.result_rows as usize),
+                counted(slowest.result_rows as usize, "row"),
             );
-            sentence.push_str(&format!(
-                " row{}",
-                if slowest.result_rows == 1 { "" } else { "s" }
-            ));
             if let Some((detail, factor)) = &slowest.worst_misestimate {
                 sentence.push_str(&format!(", and I misjudged its {detail} by {factor:.0}×"));
             }
@@ -434,11 +407,9 @@ fn show_profile(obs: &ObsRegistry) -> ShowReport {
         narration = join_sentences(&[
             narration,
             finish_sentence(&format!(
-                "For perspective, across the {} statement{} I have run, the typical one \
-                 finishes in about {}, one in twenty needs more than {}, and one in a \
-                 hundred more than {}",
-                count_phrase(total.count as usize),
-                if total.count == 1 { "" } else { "s" },
+                "For perspective, across the {} I have run, the typical one finishes in \
+                 about {}, one in twenty needs more than {}, and one in a hundred more than {}",
+                counted(total.count as usize, "statement"),
                 format_duration(total.p50),
                 format_duration(total.p95),
                 format_duration(total.p99),
@@ -460,14 +431,13 @@ fn profile_narration(entry: &JournalEntry) -> String {
     };
     let mut sentences = vec![finish_sentence(&format!(
         "My last statement was {}; it took {} end to end — {} parsing, {} planning, \
-         and {} executing — and returned {} row{}",
+         and {} executing — and returned {}",
         quote_sql(&entry.sql),
         format_duration(entry.total),
         format_duration(phase("parse")),
         format_duration(phase("plan")),
         format_duration(phase("execute")),
-        count_phrase(entry.result_rows as usize),
-        if entry.result_rows == 1 { "" } else { "s" },
+        counted(entry.result_rows as usize, "row"),
     ))];
     // Blame the operator that burned the most inclusive time under execute.
     let hungriest = entry
@@ -556,11 +526,9 @@ fn show_misestimates(obs: &ObsRegistry) -> ShowReport {
             .expect("non-empty ledger");
         let mut sentences = vec![
             finish_sentence(&format!(
-                "I have caught my own estimates out {} time{} across {} predicate shape{}",
-                count_phrase(flagged as usize),
-                if flagged == 1 { "" } else { "s" },
-                count_phrase(ledger.len()),
-                if ledger.len() == 1 { "" } else { "s" },
+                "I have caught my own estimates out {} across {}",
+                counted(flagged as usize, "time"),
+                counted(ledger.len(), "predicate shape"),
             )),
             misestimate_sentence(&worst_table, &worst_shape, &worst),
         ];
@@ -619,33 +587,28 @@ fn show_workload(obs: &ObsRegistry) -> ShowReport {
         let heaviest = &stats[0];
         let mut sentences = vec![
             finish_sentence(&format!(
-                "I have been watching {} distinct statement shape{} across {} execution{}",
-                count_phrase(stats.len()),
-                if stats.len() == 1 { "" } else { "s" },
-                count_phrase(executions as usize),
-                if executions == 1 { "" } else { "s" },
+                "I have been watching {} across {}",
+                counted(stats.len(), "distinct statement shape"),
+                counted(executions as usize, "execution"),
             )),
             finish_sentence(&format!(
-                "The one costing me the most is {} — {} run{} totalling {} ({} mean, \
-                 {} p95), scanning {} row{} to emit {}",
+                "The one costing me the most is {} — {} totalling {} ({} mean, {} p95), \
+                 scanning {} to emit {}",
                 quote_sql(&heaviest.normalized_sql),
-                count_phrase(heaviest.executions as usize),
-                if heaviest.executions == 1 { "" } else { "s" },
+                counted(heaviest.executions as usize, "run"),
                 format_duration(heaviest.total_time),
                 format_duration(heaviest.mean_total()),
                 format_duration(heaviest.p95()),
-                count_phrase(heaviest.rows_scanned as usize),
-                if heaviest.rows_scanned == 1 { "" } else { "s" },
+                counted(heaviest.rows_scanned as usize, "row"),
                 count_phrase(heaviest.rows_emitted as usize),
             )),
         ];
         let issues = mine(&stats);
         if !issues.is_empty() {
             sentences.push(finish_sentence(&format!(
-                "My miner sees {} pattern{} worth fixing in there — say ADVISE and I will \
-                 lay out the remedies",
-                count_phrase(issues.len()),
-                if issues.len() == 1 { "" } else { "s" },
+                "My miner sees {} worth fixing in there — say ADVISE and I will lay out the \
+                 remedies",
+                counted(issues.len(), "pattern"),
             )));
         }
         join_sentences(&sentences)
@@ -656,12 +619,11 @@ fn show_workload(obs: &ObsRegistry) -> ShowReport {
 fn misestimate_sentence(table: &str, shape: &str, stat: &MisestimateStat) -> String {
     finish_sentence(&format!(
         "Queries like {} have misestimated {table} by {:.0}× on average (worst {:.0}×); \
-         last time I expected {} row{} and saw {}",
+         last time I expected {} and saw {}",
         quote_sql(shape),
         stat.avg_factor(),
         stat.max_factor,
-        count_phrase(stat.last_estimated as usize),
-        if stat.last_estimated == 1 { "" } else { "s" },
+        counted(stat.last_estimated as usize, "row"),
         count_phrase(stat.last_actual as usize),
     ))
 }

@@ -1,0 +1,226 @@
+//! One path for every statement that runs a query: [`prepare`] turns SQL
+//! into a plan — a cached template bound to the statement's literals, or a
+//! fresh plan that is then examined for the cache — and [`Prepared::run`]
+//! executes it, folds its cardinality feedback into the adaptive state and
+//! journals it. `run_query`, `explain_result` and `EXPLAIN ANALYZE` all go
+//! through both halves; plain `EXPLAIN` prepares and stops, so it reads,
+//! absorbs and records nothing.
+
+use crate::error::TalkbackError;
+use crate::planner::{self, plan_query_with, PlanDecision, PlannedQuery, PlannerOptions};
+use datastore::exec::{execute_with_stats, Plan, PlanProfile, ResultSet};
+use datastore::obs::{Counter, Statement, StatementPhases};
+use datastore::{
+    CacheKey, CacheLookup, CacheStatus, CachedVerdict, Database, ParamKind, PlanTemplate,
+    StatementMeta, Uncacheable, Value,
+};
+use sqlparse::{NormalizedStatement, SelectStatement};
+use std::borrow::Cow;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// A statement ready to run: its plan, where the plan came from, and what
+/// the journal will say about how it was prepared.
+pub(crate) struct Prepared<'s> {
+    db: &'s Database,
+    /// The SQL the journal records.
+    sql: &'s str,
+    /// The text with its literals lifted, which the plan cache keys and the
+    /// workload ledger files the statement under.
+    normalized: Option<NormalizedStatement>,
+    source: Source,
+    options: PlannerOptions,
+    phases: StatementPhases,
+    meta: StatementMeta,
+}
+
+enum Source {
+    /// A cached template and its plan bound to this statement's literals.
+    Template(Arc<PlanTemplate>, Plan),
+    /// A plan made for this statement, with the decisions that shaped it.
+    Fresh(Box<PlannedQuery>),
+}
+
+/// Prepare `sql` under `options`; `parsed` is the statement when the caller
+/// has parsed it already, since `start`. The text is literal-normalized and,
+/// with the plan cache on, the cache is probed once: a template there is
+/// bound to the new literals (no parsing or planning), and a negative entry
+/// sends the statement to the planner without examining it again. On a miss
+/// the fresh plan is examined and its verdict cached. With the cache off the
+/// plan is fresh and carries the decisions `EXPLAIN` narrates.
+pub(crate) fn prepare<'s>(
+    db: &'s Database,
+    sql: &'s str,
+    parsed: Option<&SelectStatement>,
+    options: PlannerOptions,
+    start: Instant,
+) -> Result<Prepared<'s>, TalkbackError> {
+    let epoch = db.adaptive().epoch();
+    let cache = db.adaptive().plan_cache();
+    let normalized = sqlparse::normalize_statement(sql);
+    let key = (normalized.as_ref())
+        .filter(|_| options.use_plan_cache)
+        .map(|n| CacheKey::new(&n.text, options.cache_bits(), &n.literals));
+    let mut meta = StatementMeta {
+        cache: CacheStatus::Off,
+        epoch,
+    };
+    let mut phases = StatementPhases::default();
+    let mut template = None;
+    if let Some(key) = &key {
+        let found = cache.lookup(key, epoch);
+        meta.cache = found.status();
+        match found {
+            CacheLookup::Found(CachedVerdict::Template(hit)) => template = Some(hit),
+            CacheLookup::Found(CachedVerdict::Uncacheable(why)) => db.obs().note_uncacheable(why),
+            CacheLookup::Stale | CacheLookup::Miss => {}
+        }
+        let counter = match template {
+            Some(_) => Counter::PlanCacheHits,
+            None => Counter::PlanCacheMisses,
+        };
+        db.obs().incr(counter);
+    }
+    let source = match (template, &key) {
+        (Some(template), Some(key)) => {
+            let plan = template.plan.bind_params(key.params);
+            phases.plan = start.elapsed();
+            Source::Template(template, plan)
+        }
+        _ => {
+            let query = match parsed {
+                Some(query) => Cow::Borrowed(query),
+                None => Cow::Owned(sqlparse::parse_query(sql)?),
+            };
+            let planning = Instant::now();
+            let planned = plan_query_with(db, &query, options)?;
+            if let (Some(key), CacheStatus::Miss | CacheStatus::Stale) = (&key, meta.cache) {
+                let verdict = examine_for_caching(db, &query, key, &planned.plan, options);
+                let evicted = cache.insert(key, epoch, verdict);
+                db.obs().add(Counter::PlanCacheEvictions, evicted);
+            }
+            phases.parse = planning - start;
+            phases.plan = planning.elapsed();
+            Source::Fresh(Box::new(planned))
+        }
+    };
+    Ok(Prepared {
+        db,
+        sql,
+        normalized,
+        source,
+        options,
+        phases,
+        meta,
+    })
+}
+
+impl Prepared<'_> {
+    /// The plan the statement executes.
+    pub(crate) fn plan_ref(&self) -> &Plan {
+        match &self.source {
+            Source::Template(_, plan) => plan,
+            Source::Fresh(planned) => &planned.plan,
+        }
+    }
+
+    /// The optimizer's decisions: those of a fresh plan, none for a template.
+    pub(crate) fn into_decisions(self) -> Vec<PlanDecision> {
+        match self.source {
+            Source::Template(..) => Vec::new(),
+            Source::Fresh(planned) => planned.decisions,
+        }
+    }
+
+    /// How many conditions the statement's flattened `WHERE` clause applies.
+    /// A template keeps no statement, so it is parsed again here.
+    pub(crate) fn where_conditions(&self) -> Result<usize, TalkbackError> {
+        let conditions = |query: &SelectStatement| query.where_conjuncts().len();
+        match &self.source {
+            Source::Fresh(planned) => Ok(conditions(&planned.effective_query)),
+            Source::Template(..) => {
+                let query = sqlparse::parse_query(self.sql)?;
+                let flat = sqlparse::flatten_in_subqueries(&query).unwrap_or(query);
+                Ok(conditions(&flat))
+            }
+        }
+    }
+
+    /// Execute the plan, absorb its cardinality feedback and journal it —
+    /// the one place a prepared statement does any of the three. `keep`
+    /// takes what the caller needs of the profile before the journal is
+    /// handed the profile itself.
+    pub(crate) fn run<K>(
+        &self,
+        keep: impl FnOnce(&PlanProfile) -> K,
+    ) -> Result<(ResultSet, K), TalkbackError> {
+        let (db, options) = (self.db, self.options);
+        let start = Instant::now();
+        let (result, profile) = execute_with_stats(db, self.plan_ref())?;
+        let phases = StatementPhases {
+            execute: start.elapsed(),
+            ..self.phases
+        };
+        if options.use_feedback {
+            db.adaptive().absorb(&profile, options.misestimate_factor);
+        }
+        let kept = keep(&profile);
+        let statement = Statement {
+            sql: self.sql,
+            shape: self.normalized.as_ref().map(|n| n.text.as_str()),
+            plan_hash: match &self.source {
+                Source::Template(template, _) => Some(template.shape_hash(&profile)),
+                Source::Fresh(_) => None,
+            },
+        };
+        db.obs().record_statement(
+            statement,
+            profile,
+            phases,
+            result.len() as u64,
+            options.misestimate_factor,
+            self.meta,
+        );
+        Ok((result, kept))
+    }
+}
+
+/// Decide, once per epoch, what the plan cache should hold for a
+/// just-planned statement the cache did not know. A template is trusted
+/// only when (a) the AST lifts exactly the literals the text scanner
+/// extracted, in the same order — so future text-extracted literals bind
+/// positionally — and (b) planning the parameterized statement, each
+/// `?i` typed by its literal's kind, and re-binding the original
+/// literals reproduces the fresh plan node for node, estimates and all.
+/// Anything else is a negative verdict with its reason: the next
+/// execution of the shape is planned fresh without coming back here.
+fn examine_for_caching(
+    db: &Database,
+    query: &SelectStatement,
+    key: &CacheKey,
+    fresh: &Plan,
+    options: PlannerOptions,
+) -> CachedVerdict<PlanTemplate> {
+    let (template_stmt, lifted) = match sqlparse::parameterize_select(query) {
+        Ok(parameterized) => parameterized,
+        Err(why) => return CachedVerdict::Uncacheable(why),
+    };
+    // `Value` equality is SQL's (3 = 3.0); a template's is also by kind.
+    let same = |(a, b): (&Value, &Value)| a == b && ParamKind::of(a) == ParamKind::of(b);
+    let kinds = match key.kinds() {
+        Some(kinds)
+            if lifted.len() == key.params.len() && lifted.iter().zip(key.params).all(same) =>
+        {
+            kinds
+        }
+        // What the text scanner and the parser disagree on is a constant
+        // neither can be trusted to lift.
+        _ => return CachedVerdict::Uncacheable(Uncacheable::Constant),
+    };
+    match planner::plan_template(db, &template_stmt, options, &kinds) {
+        Ok(template) if template.plan.bind_params(key.params) == *fresh => {
+            CachedVerdict::Template(Arc::new(PlanTemplate::new(template.plan)))
+        }
+        _ => CachedVerdict::Uncacheable(Uncacheable::ValueDependent),
+    }
+}

@@ -626,6 +626,8 @@ fn cached_and_uncached_agree(seed: u64) {
     let mut hash_probe_hits = [0u32; 2];
     // Cache hits of each nested shape.
     let mut nested_hits = [0u32; 6];
+    // `explain_result` calls served from a template.
+    let mut explained_hits = 0u32;
     for step in 0..600 {
         match rng.gen_range(0..10u8) {
             // Insert the same row into both engines (invalidates stats and
@@ -726,6 +728,26 @@ fn cached_and_uncached_agree(seed: u64) {
                         rng.gen_range(1..16i64)
                     ),
                 };
+                // One statement in five is explained instead of run: the
+                // facade's `explain_result` (default options, plan cache
+                // on) against the free function, which plans afresh.
+                if rng.gen_bool(0.2) {
+                    let query = sqlparse::parse_query(&sql).unwrap();
+                    for _ in 0..2 {
+                        let a = cached.explain_result(&sql).unwrap();
+                        let lexicon = uncached.queries().lexicon();
+                        let b =
+                            talkback::explain_result(uncached.database(), lexicon, &query).unwrap();
+                        assert_eq!(
+                            (a.rows, &a.narrative, &a.predicate_notes),
+                            (b.rows, &b.narrative, &b.predicate_notes),
+                            "seed {seed} step {step}: explain_result diverged for {sql}"
+                        );
+                        let ja = cached.database().obs().journal().last().unwrap();
+                        explained_hits += u32::from(ja.cache == CacheStatus::Hit);
+                    }
+                    continue;
+                }
                 // Twice: an epoch lasts a few steps, so the second run is
                 // what meets the template the first one left behind.
                 for _ in 0..2 {
@@ -782,6 +804,10 @@ fn cached_and_uncached_agree(seed: u64) {
     assert!(
         nested_hits.iter().all(|&hits| hits > 0),
         "seed {seed}: every nested shape should be served from a template: {nested_hits:?}"
+    );
+    assert!(
+        explained_hits >= 10,
+        "seed {seed}: explain_result should be served from templates, got {explained_hits}"
     );
     assert_eq!(uncached.database().obs().counter(Counter::PlanCacheHits), 0);
 }

@@ -4,7 +4,8 @@
 //! `Talkback::run_query_with`, after warm-up, for each of `lookup`'s five read
 //! shapes on the ×300 database with its four indexes, and for Q6, Q7 and Q9
 //! on the 100-movie database — each of the three served from its plan-cache
-//! template, binding included, and executed alone. The counts are exact and
+//! template, binding included, and executed alone — and for Q1's
+//! `Talkback::explain_result` there, served from its template. The counts are exact and
 //! repeatable, so the ceilings are asserted as counts; the table is printed
 //! for the log (`cargo test -q -p talkback-tests --test alloc_budget --
 //! --nocapture`).
@@ -101,6 +102,9 @@ fn lookup_shapes(actors: &[String], i: i64) -> [(&'static str, String); 5] {
         ),
     ]
 }
+
+const Q1: &str = "select m.title from MOVIES m, CAST c, ACTOR a \
+     where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'";
 
 const Q6: &str = "select m.title from MOVIES m where not exists ( \
      select * from GENRE g1 where not exists ( \
@@ -201,6 +205,20 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
             ceiling: ceilings[1],
         });
     }
+
+    // `explain_result` runs as `run_query` does, under the default options,
+    // and hands the journal a copy of the profile it blames.
+    for _ in 0..3 {
+        system.explain_result(Q1).unwrap();
+    }
+    let (n, _) = allocations(|| system.explain_result(Q1).unwrap());
+    let cache = system.database().obs().journal().last().unwrap().cache;
+    assert_eq!(cache, datastore::CacheStatus::Hit, "explain_result of Q1");
+    rows.push(Row {
+        what: "explain_result of Q1 from a template".to_string(),
+        allocations: n,
+        ceiling: Some(280),
+    });
 
     print(&rows);
     for row in &rows {

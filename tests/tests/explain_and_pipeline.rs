@@ -63,3 +63,35 @@ fn a_speech_noisy_channel_reports_reduced_confidence() {
     assert!(recognition.confidence < 1.0);
     assert!(recognition.corrupted_words > 0);
 }
+
+/// A large answer with no join to blame counts the conditions of the
+/// flattened statement; served from a plan-cache template, which keeps no
+/// statement, `explain_result` must count the same ones a fresh plan does.
+#[test]
+fn a_explain_large_result_from_a_template_counts_its_conditions() {
+    use datastore::sample::{scaled_movie_database, ScaleConfig};
+    use datastore::CacheStatus;
+    let db = || {
+        scaled_movie_database(ScaleConfig {
+            movies: 1000,
+            ..ScaleConfig::default()
+        })
+    };
+    let system = Talkback::new(db());
+    let sql = |genre: &str| format!("select g.mid from GENRE g where g.genre = '{genre}'");
+    system.explain_result(&sql("drama")).unwrap();
+    let cached = system.explain_result(&sql("action")).unwrap();
+    let entry = system.database().obs().journal().last().unwrap();
+    assert_eq!(entry.cache, CacheStatus::Hit);
+    let query = sqlparse::parse_query(&sql("action")).unwrap();
+    let fresh = talkback::explain_result(&db(), system.queries().lexicon(), &query).unwrap();
+    let said =
+        |e: &talkback::ResultExplanation| (e.rows, e.narrative.clone(), e.predicate_notes.clone());
+    assert_eq!(said(&cached), said(&fresh));
+    assert!(cached.rows > 100, "{}", cached.narrative);
+    assert!(
+        cached.narrative.contains("It only applies 1 condition;"),
+        "{}",
+        cached.narrative
+    );
+}

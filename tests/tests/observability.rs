@@ -591,3 +591,92 @@ fn a_cached_statement_is_journaled_exactly_as_a_fresh_one() {
     let hits = compare(&nested(), &nested(), paper_statements.collect());
     assert_eq!(hits, 9 + 3 * 3);
 }
+
+/// Every statement that runs a query is counted, timed and journaled once,
+/// whichever entry point ran it — `run_query`, `EXPLAIN ANALYZE`,
+/// `explain_result` or `voice_answer` — and filed under the one workload row
+/// of its SELECT. A plain `EXPLAIN` reads, counts and records nothing.
+#[test]
+fn every_executed_statement_is_counted_timed_and_journaled_once() {
+    use datastore::obs::Phase;
+    use talkback::{SpeechRecognizer, TextToSpeech};
+    let system = Talkback::new(movie_database());
+    let obs = system.database().obs();
+    let read = [
+        Counter::RowsScanned,
+        Counter::IndexProbes,
+        Counter::QueriesExecuted,
+    ];
+    let traces = || {
+        let counters = read.map(|c| obs.counter(c));
+        let total = obs.latency_summary(Phase::Total).count;
+        (
+            counters,
+            total,
+            obs.journal().recorded(),
+            obs.workload().len(),
+        )
+    };
+    let (ear, voice) = (SpeechRecognizer::perfect(), TextToSpeech::default());
+    for sql in PAPER_QUERIES {
+        system.run_query(sql).unwrap();
+        let before = traces();
+        system.explain_plan(&format!("explain {sql}")).unwrap();
+        assert_eq!(traces(), before, "plain EXPLAIN of {sql}");
+        system
+            .explain_plan(&format!("explain analyze {sql}"))
+            .unwrap();
+        system.explain_result(sql).unwrap();
+        system
+            .voice_answer("which ones", sql, &ear, &voice)
+            .unwrap();
+        let executed = obs.counter(Counter::QueriesExecuted);
+        assert_eq!(obs.latency_summary(Phase::Total).count, executed, "{sql}");
+        assert_eq!(obs.journal().recorded(), executed, "{sql}");
+    }
+    assert_eq!(obs.counter(Counter::QueriesExecuted), 4 * 9);
+    assert_eq!(obs.workload().len(), 9);
+}
+
+/// Regression: `EXPLAIN ANALYZE` absorbed its feedback but journaled
+/// nothing, so the next plan narrated the correction of a misestimate that
+/// `SHOW MISESTIMATES` had never heard of, and `SHOW WORKLOAD` did not know
+/// the SELECT had run.
+#[test]
+fn explain_analyze_is_journaled_as_the_select_it_runs() {
+    let system = Talkback::new(skewed_database());
+    let select = "select f.id from FILMS f where f.genre = 'noir'";
+    let filed = |system: &Talkback| -> String {
+        let ledger = system.execute_show("show misestimates").unwrap();
+        let row = ledger.table.lines().find(|l| l.contains("f.genre = ?"));
+        row.unwrap_or_else(|| panic!("no f.genre row in:\n{}", ledger.table))
+            .trim_end()
+            .to_string()
+    };
+
+    system
+        .explain_plan(&format!("explain analyze {select}"))
+        .unwrap();
+    let row = filed(&system);
+    assert!(row.contains("50×"), "{row}");
+    assert!(row.ends_with('-'), "not corrected yet: {row}");
+
+    let plan = system.explain_plan(&format!("explain {select}")).unwrap();
+    assert!(
+        plan.narration.starts_with(
+            "Last time I expected 50 rows from FILMS's filter on `f.genre = ?` and saw one row"
+        ),
+        "{}",
+        plan.narration
+    );
+    let row = filed(&system);
+    assert!(row.ends_with("yes"), "corrected: {row}");
+
+    system.run_query(select).unwrap();
+    let workload = cells(&system, "show workload", &[]);
+    assert_eq!(workload.len(), 2, "{workload:?}");
+    let (header, row) = (&workload[0], &workload[1]);
+    assert_eq!(row[0], "select f.id from FILMS f where f.genre = ?");
+    let runs = header.iter().position(|h| h == "runs").unwrap();
+    assert_eq!(row[runs], "2", "{workload:?}");
+}
