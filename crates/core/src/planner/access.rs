@@ -29,9 +29,10 @@
 //! Semantics guard: an access path must return *exactly* the rows the
 //! filter (or hash join) it replaces would have kept. Ordered indexes
 //! compare with `Value::total_cmp` — the same comparison filter predicates
-//! evaluate with — so they are always safe. Hash indexes compare by exact
+//! evaluate with — so they are always safe. A hash index (unlike the
+//! executor's hash operators, which compare by SQL `=`) keys by exact
 //! [`datastore::value::GroupKey`], which distinguishes `3` from `3.0`, so
-//! they are only used when the literal's type equals the column's declared
+//! it is only used when the literal's type equals the column's declared
 //! type and the column cannot hold mixed numerics (a Float column may store
 //! Integers via type coercion; such columns never use hash probes). A
 //! plan-cache parameter (`col = ?i` in a template) carries the kind of the
@@ -231,8 +232,8 @@ fn probe_is_exact(
 ) -> bool {
     match index_kind {
         datastore::IndexKind::Ordered => true,
-        // Float columns can hold coerced Integers, whose GroupKey differs
-        // from the equal Float — never hash-probe them.
+        // Float columns can hold coerced Integers, whose index key differs
+        // from the equal Float's — never hash-probe them.
         datastore::IndexKind::Hash => declared != DataType::Float && term_type == Some(declared),
     }
 }

@@ -73,9 +73,10 @@ impl Relation {
 
 /// A hash-joinable equi-join conjunct `left.column = right.column` between
 /// two different relations. Only conjuncts whose two columns have the same
-/// declared type become edges: hash keys compare by exact `GroupKey`, which
-/// distinguishes `Integer(3)` from `Float(3.0)`, while SQL `=` does not —
-/// mixed-type equalities stay residual and keep SQL comparison semantics.
+/// declared type become edges; mixed-type equalities stay residual. The hash
+/// operators compare keys by SQL `=` (`Integer(3)` meets `Float(3.0)`), so
+/// the answer is the same either way: the guard pins the plan, and the trees
+/// and narrations made from it.
 #[derive(Debug, Clone)]
 pub struct JoinEdge {
     /// Index into [`JoinGraph::relations`] of the left column's relation.

@@ -867,9 +867,9 @@ mod tests {
     #[test]
     fn mixed_type_join_keys_fall_back_to_sql_equality() {
         use datastore::{ColumnDef, DataType, TableSchema};
-        // Hash keys compare GroupKeys exactly, which would treat 3 <> 3.0;
-        // the planner must keep mixed-type equi-joins out of hash joins so
-        // SQL `=` semantics (3 = 3.0) are preserved.
+        // A mixed-type equi-join stays a residual comparison: the declared-
+        // type guard pins the plan. The answer is 3 = 3.0 either way, as the
+        // hash operators compare keys by SQL `=` too.
         let mut db = Database::new();
         db.create_table(TableSchema::new(
             "A",

@@ -1151,8 +1151,9 @@ impl<'c> SubqueryContext<'c> {
         } else {
             return None;
         };
-        // Hash keys compare GroupKeys exactly; require identical declared
-        // types, like the join graph does for ordinary equi-joins.
+        // Require identical declared types, like the join graph does for
+        // ordinary equi-joins. Hash keys compare by SQL `=`, so this pins the
+        // plan; the answer is the same either way.
         let inner_type = column_type(
             self.db,
             bound_sub.table_of_alias(&inner_alias)?,

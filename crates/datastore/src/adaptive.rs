@@ -38,7 +38,7 @@
 //! the other — sentence templates stamped with the catalog version instead
 //! of the epoch, under the same key comparison, LRU and stale-entry rule.
 
-use crate::exec::parallel::KeyHasher;
+use crate::exec::keys::KeyHasher;
 use crate::exec::plan::Plan;
 use crate::exec::stream::PlanProfile;
 use crate::fingerprint::plan_shape_hash;

@@ -3,11 +3,12 @@
 //! partial-aggregation workers.
 
 use crate::error::StoreError;
+use crate::exec::keys::{Key, KeyTable, RowKey};
 use crate::exec::vector::ValueVector;
 use crate::expr::Expr;
 use crate::tuple::Row;
-use crate::value::{GroupKey, Value};
-use std::collections::{HashMap, HashSet};
+use crate::value::Value;
+use std::sync::Arc;
 
 /// The aggregate functions the paper's queries use (COUNT, COUNT DISTINCT)
 /// plus the rest of the usual SQL set so generated workloads can vary.
@@ -77,42 +78,39 @@ impl AggExpr {
     }
 }
 
-/// Running state for one aggregate within one group.
+/// Running state for one aggregate within one group. `COUNT(DISTINCT)`
+/// counts like `COUNT`: the aggregator's (group, value) table hands it only
+/// the values its group has not seen.
 #[derive(Debug, Clone)]
-pub struct Accumulator {
+pub(crate) struct Accumulator {
     func: AggFunc,
     count: u64,
     sum: f64,
     min: Option<Value>,
     max: Option<Value>,
-    distinct: HashSet<GroupKey>,
 }
 
 impl Accumulator {
     /// Fresh accumulator for the given function.
-    pub fn new(func: AggFunc) -> Accumulator {
+    pub(crate) fn new(func: AggFunc) -> Accumulator {
         Accumulator {
             func,
             count: 0,
             sum: 0.0,
             min: None,
             max: None,
-            distinct: HashSet::new(),
         }
     }
 
     /// Fold one value into the accumulator. For `COUNT(*)` the caller passes
     /// a non-NULL placeholder; for every other function SQL semantics ignore
     /// NULL inputs.
-    pub fn update(&mut self, value: &Value) {
+    pub(crate) fn update(&mut self, value: &Value) {
         if value.is_null() {
             return;
         }
         match self.func {
-            AggFunc::Count => self.count += 1,
-            AggFunc::CountDistinct => {
-                self.distinct.insert(value.group_key());
-            }
+            AggFunc::Count | AggFunc::CountDistinct => self.count += 1,
             AggFunc::Sum | AggFunc::Avg => {
                 if let Some(x) = value.as_f64() {
                     self.sum += x;
@@ -143,12 +141,9 @@ impl Accumulator {
     /// Fold a non-NULL `i64` without materializing a `Value` — the
     /// vectorized hot path over an integer column. Semantics match
     /// `update(&Value::Integer(v))` exactly.
-    pub fn update_i64(&mut self, v: i64) {
+    pub(crate) fn update_i64(&mut self, v: i64) {
         match self.func {
-            AggFunc::Count => self.count += 1,
-            AggFunc::CountDistinct => {
-                self.distinct.insert(GroupKey::Integer(v));
-            }
+            AggFunc::Count | AggFunc::CountDistinct => self.count += 1,
             AggFunc::Sum | AggFunc::Avg => {
                 self.sum += v as f64;
                 self.count += 1;
@@ -177,12 +172,9 @@ impl Accumulator {
     }
 
     /// Fold a non-NULL `f64`; semantics match `update(&Value::Float(v))`.
-    pub fn update_f64(&mut self, v: f64) {
+    pub(crate) fn update_f64(&mut self, v: f64) {
         match self.func {
-            AggFunc::Count => self.count += 1,
-            AggFunc::CountDistinct => {
-                self.distinct.insert(GroupKey::FloatBits(v.to_bits()));
-            }
+            AggFunc::Count | AggFunc::CountDistinct => self.count += 1,
             AggFunc::Sum | AggFunc::Avg => {
                 self.sum += v;
                 self.count += 1;
@@ -191,34 +183,31 @@ impl Accumulator {
         }
     }
 
-    /// Fold a non-NULL string; semantics match `update(&Value::Text(..))`
-    /// but only clone the string when the accumulator actually keeps it.
-    pub fn update_str(&mut self, v: &str) {
+    /// Fold a non-NULL string; semantics match `update(&Value::Text(..))`,
+    /// and a kept string is the same shared one.
+    pub(crate) fn update_str(&mut self, v: &Arc<str>) {
         match self.func {
-            AggFunc::Count => self.count += 1,
-            AggFunc::CountDistinct => {
-                self.distinct.insert(GroupKey::Text(v.into()));
-            }
+            AggFunc::Count | AggFunc::CountDistinct => self.count += 1,
             // Text has no numeric value: SUM/AVG ignore it, per `update`.
             AggFunc::Sum | AggFunc::Avg => {}
             AggFunc::Min => {
                 let better = match &self.min {
                     None => true,
-                    Some(Value::Text(cur)) => v < &**cur,
-                    Some(cur) => Value::text(v).total_cmp(cur).is_lt(),
+                    Some(Value::Text(cur)) => **v < **cur,
+                    Some(cur) => Value::Text(Arc::clone(v)).total_cmp(cur).is_lt(),
                 };
                 if better {
-                    self.min = Some(Value::text(v));
+                    self.min = Some(Value::Text(Arc::clone(v)));
                 }
             }
             AggFunc::Max => {
                 let better = match &self.max {
                     None => true,
-                    Some(Value::Text(cur)) => v > &**cur,
-                    Some(cur) => Value::text(v).total_cmp(cur).is_gt(),
+                    Some(Value::Text(cur)) => **v > **cur,
+                    Some(cur) => Value::Text(Arc::clone(v)).total_cmp(cur).is_gt(),
                 };
                 if better {
-                    self.max = Some(Value::text(v));
+                    self.max = Some(Value::Text(Arc::clone(v)));
                 }
             }
         }
@@ -226,17 +215,16 @@ impl Accumulator {
 
     /// Absorb another accumulator's state, as when merging per-worker
     /// partial aggregates. Folding rows into two accumulators and merging
-    /// them equals folding all rows into one: counts and sums add,
-    /// distinct sets union, and MIN/MAX replace only on a strict
-    /// improvement so the earlier (sequential-order) value wins ties —
-    /// keeping merged results byte-identical to the single-threaded run.
-    pub fn merge(&mut self, other: &Accumulator) {
+    /// them equals folding all rows into one: counts and sums add, and
+    /// MIN/MAX replace only on a strict improvement so the earlier
+    /// (sequential-order) value wins ties — keeping merged results
+    /// byte-identical to the single-threaded run. A `COUNT(DISTINCT)` is
+    /// recounted from the merged pairs instead.
+    pub(crate) fn merge(&mut self, other: &Accumulator) {
         debug_assert_eq!(self.func, other.func, "merging mismatched accumulators");
         match self.func {
             AggFunc::Count => self.count += other.count,
-            AggFunc::CountDistinct => {
-                self.distinct.extend(other.distinct.iter().cloned());
-            }
+            AggFunc::CountDistinct => {}
             AggFunc::Sum | AggFunc::Avg => {
                 self.sum += other.sum;
                 self.count += other.count;
@@ -267,10 +255,9 @@ impl Accumulator {
     }
 
     /// Final value of the aggregate for its group.
-    pub fn finish(&self) -> Value {
+    pub(crate) fn finish(&self) -> Value {
         match self.func {
-            AggFunc::Count => Value::Integer(self.count as i64),
-            AggFunc::CountDistinct => Value::Integer(self.distinct.len() as i64),
+            AggFunc::Count | AggFunc::CountDistinct => Value::Integer(self.count as i64),
             AggFunc::Sum => {
                 if self.count == 0 {
                     Value::Null
@@ -313,97 +300,59 @@ enum ArgKind {
     General,
 }
 
-/// Open-addressed `i64 → group id` cache for the hottest grouping shape: a
-/// single integer GROUP BY column. SipHashing a one-element `GroupKey`
-/// slice per row costs more than the accumulation itself; this map resolves
-/// repeat keys with one multiply and a probe. It is only ever a cache over
-/// the authoritative `GroupedAggregator::index` — a miss here falls through
-/// to the general map (groups may arrive via row-path batches or merged
-/// partials), and the answer is cached for the next row.
-#[derive(Debug, Default)]
-struct IntIdCache {
-    /// `(key, id)` slots; an empty slot holds `id == usize::MAX`.
-    slots: Vec<(i64, usize)>,
-    len: usize,
+/// Whether `value` is new to group `g` of a `COUNT(DISTINCT)` with these
+/// (group, value) `pairs` — always, for an aggregate without any.
+fn first_in_group(pairs: Option<&mut KeyTable>, g: usize, value: &Value) -> bool {
+    let Some(pairs) = pairs else {
+        return true;
+    };
+    let group = Value::Integer(g as i64);
+    let key: [&Value; 2] = [&group, value];
+    pairs.insert(key.hash(), &key[..]).1
 }
 
-impl IntIdCache {
-    const EMPTY: usize = usize::MAX;
-
-    fn slot_of(&self, key: i64) -> usize {
-        // Fibonacci hashing: sequential keys (years, ids) spread well.
-        let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) ^ h) as usize & (self.slots.len() - 1)
+/// The id of the group `key` names, whose [`Key::hash`] is `hash`; a new
+/// group gets fresh accumulators.
+fn group_of(
+    groups: &mut KeyTable,
+    accs: &mut Vec<Accumulator>,
+    aggregates: &[AggExpr],
+    hash: u64,
+    key: &(impl Key + ?Sized),
+) -> usize {
+    let (id, fresh) = groups.insert(hash, key);
+    if fresh {
+        accs.extend(aggregates.iter().map(|a| Accumulator::new(a.func)));
     }
-
-    fn get(&self, key: i64) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mut i = self.slot_of(key);
-        loop {
-            let (k, id) = self.slots[i];
-            if id == Self::EMPTY {
-                return None;
-            }
-            if k == key {
-                return Some(id);
-            }
-            i = (i + 1) & (self.slots.len() - 1);
-        }
-    }
-
-    fn insert(&mut self, key: i64, id: usize) {
-        if self.slots.len() < 2 * (self.len + 1) {
-            self.grow();
-        }
-        let mut i = self.slot_of(key);
-        while self.slots[i].1 != Self::EMPTY {
-            if self.slots[i].0 == key {
-                self.slots[i].1 = id;
-                return;
-            }
-            i = (i + 1) & (self.slots.len() - 1);
-        }
-        self.slots[i] = (key, id);
-        self.len += 1;
-    }
-
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(64);
-        let old = std::mem::replace(&mut self.slots, vec![(0, Self::EMPTY); cap]);
-        let len = std::mem::take(&mut self.len);
-        for (k, id) in old {
-            if id != Self::EMPTY {
-                self.insert(k, id);
-            }
-        }
-        debug_assert_eq!(self.len, len);
-    }
+    id as usize
 }
 
 /// Hash-grouping engine shared by the sequential `aggregate` operator and
 /// the per-morsel partial aggregates that run below an exchange. Groups are
-/// kept in first-encounter order so output order is deterministic, and
-/// [`GroupedAggregator::merge_partial`] folds another aggregator's groups
-/// in (in morsel order) without disturbing that order — the key to parallel
-/// GROUP BY staying byte-identical to the single-threaded run.
+/// a key table's ids, in first-encounter order, so output order is
+/// deterministic, and [`GroupedAggregator::merge_partial`] folds another
+/// aggregator's groups in (in morsel order) without disturbing that order —
+/// the key to parallel GROUP BY staying byte-identical to the single-threaded
+/// run.
 ///
 /// When built with `vectorized = true` and every aggregate argument is a
-/// plain column (or `*`), each batch is transposed into [`ValueVector`]s and
-/// accumulated with the typed `update_{i64,f64,str}` kernels; batches whose
-/// columns resist transposition fall back to the row path, batch by batch,
-/// with identical results.
+/// plain column (or `*`), each batch's argument columns are transposed into
+/// [`ValueVector`]s and accumulated with the typed `update_{i64,f64,str}`
+/// kernels; batches whose columns resist transposition fall back to the row
+/// path, batch by batch, with identical results. Either way a group's key is
+/// read from its row.
 #[derive(Debug)]
 pub struct GroupedAggregator {
     group_by: Vec<usize>,
     aggregates: Vec<AggExpr>,
     args: Vec<ArgKind>,
     vectorized: bool,
-    groups: Vec<(Vec<Value>, Vec<Accumulator>)>,
-    index: HashMap<Vec<GroupKey>, usize>,
-    /// Fast-path id cache for a single non-NULL integer grouping key.
-    int_ids: IntIdCache,
+    /// The groups' keys; a group is its id.
+    groups: KeyTable,
+    /// `aggregates.len()` accumulators per group, in group order.
+    accs: Vec<Accumulator>,
+    /// Per aggregate, the (group, value) pairs a `COUNT(DISTINCT)` has seen.
+    distinct: Vec<Option<KeyTable>>,
     vector_batches: u64,
     row_batches: u64,
 }
@@ -421,29 +370,32 @@ impl GroupedAggregator {
             })
             .collect();
         let vectorized = vectorized && !args.contains(&ArgKind::General);
-        let mut groups = Vec::new();
-        let mut index = HashMap::new();
-        if group_by.is_empty() {
-            groups.push((
-                Vec::new(),
-                aggregates
-                    .iter()
-                    .map(|a| Accumulator::new(a.func))
-                    .collect::<Vec<_>>(),
-            ));
-            index.insert(Vec::new(), 0);
-        }
-        GroupedAggregator {
+        let distinct = aggregates
+            .iter()
+            .map(|a| (a.func == AggFunc::CountDistinct).then(|| KeyTable::new(2)))
+            .collect();
+        let mut agg = GroupedAggregator {
+            groups: KeyTable::new(group_by.len()),
             group_by,
             aggregates,
             args,
             vectorized,
-            groups,
-            index,
-            int_ids: IntIdCache::default(),
+            accs: Vec::new(),
+            distinct,
             vector_batches: 0,
             row_batches: 0,
+        };
+        if agg.group_by.is_empty() {
+            let all: &[Value] = &[];
+            group_of(
+                &mut agg.groups,
+                &mut agg.accs,
+                &agg.aggregates,
+                all.hash(),
+                all,
+            );
         }
+        agg
     }
 
     /// Number of batches accumulated through the typed vector kernels.
@@ -454,6 +406,11 @@ impl GroupedAggregator {
     /// Number of batches that fell back to row-at-a-time accumulation.
     pub fn row_batches(&self) -> u64 {
         self.row_batches
+    }
+
+    /// Number of groups so far.
+    pub fn group_count(&self) -> usize {
+        self.groups.len()
     }
 
     /// Fold one batch of input rows into the group table.
@@ -467,10 +424,7 @@ impl GroupedAggregator {
         }
         self.row_batches += 1;
         for row in rows {
-            let idx = self.group_id_for_row(row);
-            for (agg, acc) in self.aggregates.iter().zip(self.groups[idx].1.iter_mut()) {
-                acc.update(&agg_input(agg, row));
-            }
+            self.push_row(row);
         }
         Ok(())
     }
@@ -488,13 +442,27 @@ impl GroupedAggregator {
         }
         self.row_batches += 1;
         for &i in sel {
-            let row = &rows[i];
-            let idx = self.group_id_for_row(row);
-            for (agg, acc) in self.aggregates.iter().zip(self.groups[idx].1.iter_mut()) {
-                acc.update(&agg_input(agg, row));
-            }
+            self.push_row(&rows[i]);
         }
         Ok(())
+    }
+
+    fn push_row(&mut self, row: &Row) {
+        let key = RowKey(row, &self.group_by);
+        let g = group_of(
+            &mut self.groups,
+            &mut self.accs,
+            &self.aggregates,
+            key.hash(),
+            &key,
+        );
+        let n = self.aggregates.len();
+        for j in 0..n {
+            let value = agg_input(&self.aggregates[j], row);
+            if !value.is_null() && first_in_group(self.distinct[j].as_mut(), g, &value) {
+                self.accs[g * n + j].update(&value);
+            }
+        }
     }
 
     /// Typed-kernel accumulation; `false` when this batch resists
@@ -506,73 +474,78 @@ impl GroupedAggregator {
             None => ValueVector::from_rows(rows, col),
             Some(sel) => ValueVector::from_rows_selected(rows, col, sel),
         };
-        // Transpose each referenced column once, even when several
-        // aggregates read it (`sum(x), min(x), max(x)` is one gather).
+        // Transpose each argument column once, even when several aggregates
+        // read it (`sum(x), min(x), max(x)` is one gather). A `COUNT(DISTINCT)`
+        // reads its values from the rows, as the groups' keys are read.
         let mut pool: Vec<(usize, ValueVector)> = Vec::new();
-        let pooled = |pool: &mut Vec<(usize, ValueVector)>, col: usize| -> Option<usize> {
-            if let Some(p) = pool.iter().position(|(c, _)| *c == col) {
-                return Some(p);
-            }
-            pool.push((col, transpose(col)?));
-            Some(pool.len() - 1)
-        };
-        let mut key_slots = Vec::with_capacity(self.group_by.len());
-        for &c in &self.group_by {
-            match pooled(&mut pool, c) {
-                Some(p) => key_slots.push(p),
-                None => return false,
-            }
-        }
         let mut arg_slots: Vec<Option<usize>> = Vec::with_capacity(self.args.len());
-        for arg in &self.args {
+        for (arg, pairs) in self.args.iter().zip(&self.distinct) {
             match arg {
-                ArgKind::Star => arg_slots.push(None),
-                ArgKind::Column(c) => match pooled(&mut pool, *c) {
-                    Some(p) => arg_slots.push(Some(p)),
-                    None => return false,
-                },
+                ArgKind::Column(c) if pairs.is_none() => {
+                    let p = match pool.iter().position(|(pc, _)| pc == c) {
+                        Some(p) => p,
+                        None => match transpose(*c) {
+                            Some(v) => {
+                                pool.push((*c, v));
+                                pool.len() - 1
+                            }
+                            None => return false,
+                        },
+                    };
+                    arg_slots.push(Some(p));
+                }
                 ArgKind::General => return false,
+                _ => arg_slots.push(None),
             }
         }
-        let len = match sel {
-            None => rows.len(),
-            Some(sel) => sel.len(),
+        let row = |i: usize| match sel {
+            None => &rows[i],
+            Some(sel) => &rows[sel[i]],
         };
         // Resolve every row's group id first, then accumulate column-major:
         // one tight, monomorphic loop per aggregate over the whole batch.
-        let mut ids: Vec<usize> = Vec::with_capacity(len);
-        self.resolve_group_ids(&pool, &key_slots, len, &mut ids);
+        let (groups, accs, aggregates) = (&mut self.groups, &mut self.accs, &self.aggregates);
+        let ids: Vec<usize> = (0..sel.map_or(rows.len(), <[usize]>::len))
+            .map(|i| {
+                let key = RowKey(row(i), &self.group_by);
+                group_of(groups, accs, aggregates, key.hash(), &key)
+            })
+            .collect();
+        let n = self.aggregates.len();
         for (j, slot) in arg_slots.iter().enumerate() {
-            match slot.map(|p| &pool[p].1) {
-                None => {
+            let accs = &mut self.accs;
+            match (slot.map(|p| &pool[p].1), self.distinct[j].as_mut()) {
+                (None, None) => {
                     for &g in &ids {
-                        self.groups[g].1[j].update_i64(1);
+                        accs[g * n + j].update_i64(1);
                     }
                 }
-                Some(ValueVector::Int { values, nulls }) => {
-                    if nulls.any() {
-                        for (i, &g) in ids.iter().enumerate() {
-                            if !nulls.get(i) {
-                                self.groups[g].1[j].update_i64(values[i]);
-                            }
-                        }
-                    } else {
-                        for (i, &g) in ids.iter().enumerate() {
-                            self.groups[g].1[j].update_i64(values[i]);
+                (_, Some(pairs)) => {
+                    for (i, &g) in ids.iter().enumerate() {
+                        let value = agg_input(&self.aggregates[j], row(i));
+                        if !value.is_null() && first_in_group(Some(&mut *pairs), g, &value) {
+                            accs[g * n + j].update(&value);
                         }
                     }
                 }
-                Some(ValueVector::Float { values, nulls }) => {
+                (Some(ValueVector::Int { values, nulls }), None) => {
                     for (i, &g) in ids.iter().enumerate() {
                         if !nulls.get(i) {
-                            self.groups[g].1[j].update_f64(values[i]);
+                            accs[g * n + j].update_i64(values[i]);
                         }
                     }
                 }
-                Some(ValueVector::Text { values, nulls }) => {
+                (Some(ValueVector::Float { values, nulls }), None) => {
                     for (i, &g) in ids.iter().enumerate() {
                         if !nulls.get(i) {
-                            self.groups[g].1[j].update_str(&values[i]);
+                            accs[g * n + j].update_f64(values[i]);
+                        }
+                    }
+                }
+                (Some(ValueVector::Text { values, nulls }), None) => {
+                    for (i, &g) in ids.iter().enumerate() {
+                        if !nulls.get(i) {
+                            accs[g * n + j].update_str(&values[i]);
                         }
                     }
                 }
@@ -581,123 +554,38 @@ impl GroupedAggregator {
         true
     }
 
-    /// Group id of every row of a transposed batch, in batch order.
-    fn resolve_group_ids(
-        &mut self,
-        pool: &[(usize, ValueVector)],
-        key_slots: &[usize],
-        len: usize,
-        ids: &mut Vec<usize>,
-    ) {
-        if self.group_by.is_empty() {
-            ids.extend(std::iter::repeat_n(0, len));
-            return;
-        }
-        // The hottest grouping shape — one integer key column with no NULLs
-        // in this batch — resolves through the open-addressed id cache
-        // instead of SipHashing a `GroupKey` slice per row.
-        if let [p] = key_slots {
-            if let ValueVector::Int { values, nulls } = &pool[*p].1 {
-                if !nulls.any() {
-                    for &v in values {
-                        let id = match self.int_ids.get(v) {
-                            Some(id) => id,
-                            None => {
-                                // The group may already exist via a row-path
-                                // batch or a merged partial: consult the
-                                // authoritative index before creating it.
-                                let key = [GroupKey::Integer(v)];
-                                let id = match self.index.get(&key[..]) {
-                                    Some(&g) => g,
-                                    None => self.new_group(key.to_vec(), vec![Value::Integer(v)]),
-                                };
-                                self.int_ids.insert(v, id);
-                                id
-                            }
-                        };
-                        ids.push(id);
-                    }
-                    return;
-                }
-            }
-        }
-        // General case: a reused scratch key avoids the per-row allocation;
-        // the map is queried through the slice view of its owned keys.
-        let mut scratch: Vec<GroupKey> = Vec::with_capacity(key_slots.len());
-        for i in 0..len {
-            scratch.clear();
-            scratch.extend(key_slots.iter().map(|&p| pool[p].1.group_key(i)));
-            let id = match self.index.get(scratch.as_slice()) {
-                Some(&g) => g,
-                None => {
-                    let values: Vec<Value> =
-                        key_slots.iter().map(|&p| pool[p].1.value(i)).collect();
-                    self.new_group(scratch.clone(), values)
-                }
-            };
-            ids.push(id);
-        }
-    }
-
-    /// Append a new group and index it; returns its id.
-    fn new_group(&mut self, key: Vec<GroupKey>, values: Vec<Value>) -> usize {
-        self.groups.push((
-            values,
-            self.aggregates
-                .iter()
-                .map(|a| Accumulator::new(a.func))
-                .collect(),
-        ));
-        self.index.insert(key, self.groups.len() - 1);
-        self.groups.len() - 1
-    }
-
-    fn group_id_for_row(&mut self, row: &Row) -> usize {
-        let key = row.group_key(&self.group_by);
-        match self.index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let values = self
-                    .group_by
-                    .iter()
-                    .map(|&i| row.get(i).cloned().unwrap_or(Value::Null))
-                    .collect();
-                self.groups.push((
-                    values,
-                    self.aggregates
-                        .iter()
-                        .map(|a| Accumulator::new(a.func))
-                        .collect(),
-                ));
-                self.index.insert(key, self.groups.len() - 1);
-                self.groups.len() - 1
-            }
-        }
-    }
-
-    /// Hand the raw partial state off to a gather step. The pre-seeded
-    /// all-rows group (empty GROUP BY) is included even when no input
-    /// arrived, so merging partials preserves scalar-aggregate semantics.
-    pub fn into_partial(self) -> Vec<(Vec<Value>, Vec<Accumulator>)> {
-        self.groups
-    }
-
-    /// Merge another aggregator's partial state into this one. New groups
-    /// are appended in the order the partial discovered them; calling this
-    /// in morsel order therefore reproduces the sequential first-encounter
+    /// Merge another aggregator's groups into this one — a partial over one
+    /// morsel, built with the same grouping and aggregates. New groups are
+    /// appended in the order the partial discovered them; calling this in
+    /// morsel order therefore reproduces the sequential first-encounter
     /// group order exactly.
-    pub fn merge_partial(&mut self, partial: Vec<(Vec<Value>, Vec<Accumulator>)>) {
-        for (values, accs) in partial {
-            let key: Vec<GroupKey> = values.iter().map(Value::group_key).collect();
-            match self.index.get(&key) {
-                Some(&g) => {
-                    for (mine, theirs) in self.groups[g].1.iter_mut().zip(&accs) {
-                        mine.merge(theirs);
-                    }
-                }
-                None => {
-                    self.groups.push((values, accs));
-                    self.index.insert(key, self.groups.len() - 1);
+    pub fn merge_partial(&mut self, partial: GroupedAggregator) {
+        let n = self.aggregates.len();
+        let mut mine = Vec::with_capacity(partial.groups.len());
+        for p in 0..partial.groups.len() as u32 {
+            let (hash, key) = (partial.groups.hash_of(p), partial.groups.key(p));
+            let g = group_of(
+                &mut self.groups,
+                &mut self.accs,
+                &self.aggregates,
+                hash,
+                key,
+            );
+            let theirs = &partial.accs[p as usize * n..(p as usize + 1) * n];
+            for (acc, other) in self.accs[g * n..(g + 1) * n].iter_mut().zip(theirs) {
+                acc.merge(other);
+            }
+            mine.push(g);
+        }
+        for (j, theirs) in partial.distinct.iter().enumerate() {
+            for q in 0..theirs.as_ref().map_or(0, KeyTable::len) as u32 {
+                let [Value::Integer(p), value] = theirs.as_ref().expect("counted above").key(q)
+                else {
+                    unreachable!("a distinct pair is a group id and a value");
+                };
+                let g = mine[*p as usize];
+                if first_in_group(self.distinct[j].as_mut(), g, value) {
+                    self.accs[g * n + j].update(value);
                 }
             }
         }
@@ -706,10 +594,15 @@ impl GroupedAggregator {
     /// Finalize: one output row per group (group values then aggregate
     /// results), filtered by HAVING.
     pub fn finish(self, having: Option<&Expr>) -> Result<Vec<Row>, StoreError> {
+        let n = self.aggregates.len();
         let mut out = Vec::with_capacity(self.groups.len());
-        for (group_values, accs) in &self.groups {
-            let results = accs.iter().map(Accumulator::finish);
-            let row: Row = group_values.iter().cloned().chain(results).collect();
+        for g in 0..self.groups.len() {
+            let results = self.accs[g * n..(g + 1) * n]
+                .iter()
+                .map(Accumulator::finish);
+            let row: Row = (self.groups.key(g as u32).iter().cloned())
+                .chain(results)
+                .collect();
             let keep = match having {
                 None => true,
                 Some(h) => h.eval_predicate(&row)?,
@@ -743,14 +636,60 @@ mod tests {
         assert_eq!(acc.finish(), Value::Integer(5));
     }
 
+    /// `func` of column 0 over `values`, one group, through the aggregator.
+    fn fold(func: AggFunc, values: &[Value], vectorized: bool) -> Value {
+        let mut agg = GroupedAggregator::new(
+            Vec::new(),
+            vec![AggExpr::new(func, Expr::Column(0), "x")],
+            vectorized,
+        );
+        let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
+        agg.push_batch(&rows).unwrap();
+        agg.finish(None).unwrap()[0].get(0).unwrap().clone()
+    }
+
     #[test]
     fn count_distinct_deduplicates() {
-        let mut acc = Accumulator::new(AggFunc::CountDistinct);
-        for v in [1, 2, 2, 3, 3, 3] {
-            acc.update(&Value::int(v));
+        let mut values: Vec<Value> = [1, 2, 2, 3, 3, 3].map(Value::int).to_vec();
+        values.push(Value::Null);
+        for vectorized in [false, true] {
+            assert_eq!(
+                fold(AggFunc::CountDistinct, &values, vectorized),
+                Value::Integer(3)
+            );
         }
-        acc.update(&Value::Null);
-        assert_eq!(acc.finish(), Value::Integer(3));
+        // By SQL `=`: 1 and 1.0 are one value, and so are -0.0 and 0.0.
+        let mixed = [
+            Value::int(1),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+        ];
+        assert_eq!(
+            fold(AggFunc::CountDistinct, &mixed, false),
+            Value::Integer(2)
+        );
+        assert_eq!(
+            fold(AggFunc::CountDistinct, &mixed[2..], true),
+            Value::Integer(1)
+        );
+        // `count(distinct *)` counts the one marker every row gives: 1 per
+        // group, on either path.
+        let rows: Vec<Row> = [1, 2, 1].map(|v| Row::new(vec![Value::int(v)])).to_vec();
+        for vectorized in [false, true] {
+            let star = AggExpr {
+                func: AggFunc::CountDistinct,
+                arg: None,
+                output_name: "x".into(),
+            };
+            let mut agg = GroupedAggregator::new(vec![0], vec![star], vectorized);
+            agg.push_batch(&rows).unwrap();
+            assert_eq!(agg.vector_batches(), u64::from(vectorized));
+            let counts: Vec<Value> = (agg.finish(None).unwrap().iter())
+                .map(|r| r.get(1).unwrap().clone())
+                .collect();
+            assert_eq!(counts, [Value::Integer(1), Value::Integer(1)]);
+        }
     }
 
     #[test]
@@ -816,7 +755,7 @@ mod tests {
             let mut typed = Accumulator::new(func);
             let mut plain = Accumulator::new(func);
             for v in ["pear", "apple", "pear"] {
-                typed.update_str(v);
+                typed.update_str(&Arc::from(v));
                 plain.update(&Value::text(v));
             }
             assert_eq!(typed.finish(), plain.finish(), "str path for {func:?}");
@@ -825,6 +764,9 @@ mod tests {
 
     #[test]
     fn merge_equals_single_accumulation() {
+        let all: Vec<Row> = [2i64, 9, 2, 5, 9, 1]
+            .map(|v| Row::new(vec![Value::int(v % 2), Value::int(v)]))
+            .to_vec();
         for func in [
             AggFunc::Count,
             AggFunc::CountDistinct,
@@ -833,21 +775,17 @@ mod tests {
             AggFunc::Min,
             AggFunc::Max,
         ] {
-            let all = [2i64, 9, 2, 5, 9, 1];
-            let mut whole = Accumulator::new(func);
-            for v in all {
-                whole.update(&Value::int(v));
+            let aggs = || vec![AggExpr::new(func, Expr::Column(1), "x")];
+            let mut whole = GroupedAggregator::new(vec![0], aggs(), false);
+            whole.push_batch(&all).unwrap();
+            let mut gather = GroupedAggregator::new(vec![0], aggs(), false);
+            for part in all.chunks(3) {
+                let mut partial = GroupedAggregator::new(vec![0], aggs(), true);
+                partial.push_batch(part).unwrap();
+                gather.merge_partial(partial);
             }
-            let mut left = Accumulator::new(func);
-            let mut right = Accumulator::new(func);
-            for v in &all[..3] {
-                left.update(&Value::int(*v));
-            }
-            for v in &all[3..] {
-                right.update(&Value::int(*v));
-            }
-            left.merge(&right);
-            assert_eq!(left.finish(), whole.finish(), "merge for {func:?}");
+            let expected = whole.finish(None).unwrap();
+            assert_eq!(gather.finish(None).unwrap(), expected, "merge for {func:?}");
         }
         // Merging an empty partial changes nothing.
         let mut acc = Accumulator::new(AggFunc::Min);
@@ -919,8 +857,8 @@ mod tests {
         first.push_batch(&rows[..3]).unwrap();
         second.push_batch(&rows[3..]).unwrap();
         let mut gather = GroupedAggregator::new(vec![0], sample_aggs(), false);
-        gather.merge_partial(first.into_partial());
-        gather.merge_partial(second.into_partial());
+        gather.merge_partial(first);
+        gather.merge_partial(second);
         assert_eq!(gather.finish(None).unwrap(), expected);
     }
 

@@ -107,10 +107,23 @@
 //! result are new rows: one allocation each, the values in them counted
 //! references to the strings they came from. A projection that keeps every
 //! input column in place is no new row either. A hash join's build places
-//! the rows it was handed side by side, one run per key in build order, and
-//! allocates per *distinct* key; its probe, and the semi-join's, refill one
-//! key per row. Writers never see any of this: `Row::get_mut` copies a row
-//! that anyone else still holds before it changes it.
+//! the rows it was handed side by side, one run per key in build order.
+//! Writers never see any of this: `Row::get_mut` copies a row that anyone
+//! else still holds before it changes it.
+//!
+//! # Keys are read where they lie
+//!
+//! Every hash operator — the join's build and probe, the semi-/anti-join's
+//! key set, the keyed scalar subquery, the aggregator's groups and its
+//! `COUNT(DISTINCT)` pairs, `DISTINCT` — keys through one table
+//! (`keys::KeyTable`), so **a key is hashed where it lies; only a new
+//! distinct key is stored**: a probe, a repeated group or a `DISTINCT` row
+//! already seen allocates nothing, and a new key is a few values appended to
+//! one flat vector under a dense id that the operator's own state is indexed
+//! by. Keys compare by SQL `=`, as `WHERE` does (`1 = 1.0`, `-0.0 = 0.0`, a
+//! NaN equal only to itself). Only the `Apply` memo keeps exact identity
+//! (`GroupKey`): a binding of `-0.0` can answer differently from `0.0`
+//! (`1 / $0`).
 //!
 //! Likewise **opening an operator allocates nothing for its description, and
 //! `describe()` renders it once**, when a profile is asked for. Column lists
@@ -135,13 +148,14 @@
 
 pub mod aggregate;
 pub mod executor;
+pub(crate) mod keys;
 pub mod parallel;
 pub mod plan;
 pub mod profile;
 pub mod stream;
 pub mod vector;
 
-pub use aggregate::{Accumulator, AggExpr, AggFunc, GroupedAggregator};
+pub use aggregate::{AggExpr, AggFunc, GroupedAggregator};
 pub use executor::{describe_plan, execute, execute_with_stats, ResultSet};
 pub use parallel::{morsel_size, JoinIndex, MORSEL_MIN, PARALLEL_BUILD_MIN};
 pub use plan::{

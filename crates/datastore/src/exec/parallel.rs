@@ -50,7 +50,8 @@
 //! identically at any parallelism degree.
 
 use crate::error::StoreError;
-use crate::exec::aggregate::{Accumulator, GroupedAggregator};
+use crate::exec::aggregate::GroupedAggregator;
+use crate::exec::keys::{Key, KeyTable, RowKey};
 use crate::exec::plan::{aggregate_output_columns, Columns, GatherMode, Plan, Relation};
 use crate::exec::profile::{plural, Description, OpMetrics, PlanProfile};
 use crate::exec::stream::{
@@ -58,10 +59,9 @@ use crate::exec::stream::{
 };
 use crate::obs::Counter;
 use crate::tuple::Row;
-use crate::value::{GroupKey, Value};
+use crate::value::Value;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
@@ -80,49 +80,15 @@ pub fn morsel_size(len: usize, workers: usize) -> usize {
     (len / (workers.max(1) * 4)).max(MORSEL_MIN)
 }
 
-/// The hasher of the join and semi-join key maps: multiply and rotate, one
-/// step per 8 bytes. The keys are values this process read out of its own
-/// tables, hashed for the length of one statement — nobody gets to choose
-/// them against a hash they cannot observe — so SipHash's per-key set-up,
-/// most of what hashing a one-integer key cost, buys nothing here. (The
-/// shape caches' probe hash is the same, for the same reason.)
-#[derive(Default)]
-pub(crate) struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves its best bits on top; the map indexes with the
-        // low ones.
-        self.0.rotate_left(26)
-    }
-}
-
-type KeyMap<V> = HashMap<Vec<GroupKey>, V, BuildHasherDefault<KeyHasher>>;
-type KeySet = HashSet<Vec<GroupKey>, BuildHasherDefault<KeyHasher>>;
-
-/// Which partition of `parts` a join key hashes to (the only one, after a
-/// sequential build) — by the high half of the hash, so the keys that meet in
-/// one partition still differ in the low bits that partition's map indexes
-/// with.
-fn part_of(key: &[GroupKey], parts: usize) -> usize {
+/// Which partition of `parts` a key with this [`Key::hash`] belongs to (the
+/// only one, after a sequential build) — by the high half of the hash, so the
+/// keys that meet in one partition still differ in the low bits that
+/// partition's table indexes with.
+fn part_of(hash: u64, parts: usize) -> usize {
     if parts == 1 {
         return 0;
     }
-    let mut h = KeyHasher::default();
-    key.hash(&mut h);
-    ((h.finish() >> 32) as usize) % parts
+    ((hash >> 32) as usize) % parts
 }
 
 /// Split rows into up to `workers` contiguous *owned* chunks, preserving
@@ -158,33 +124,27 @@ fn on_threads<T: Send, P: Send>(shares: Vec<T>, work: impl Fn(T) -> P + Sync) ->
 }
 
 /// Phase 1 of both partitioned builds: `workers` threads each take a
-/// contiguous chunk of the rows and deal what `place` returns for a row with
-/// a NULL-free key into that key's partition; the second result says whether
-/// any key held a NULL. Per partition, the chunks' shares are concatenated in
-/// chunk order — the original row order. Phase 2 is [`on_threads`] over the
-/// partitions.
-fn scatter_by_key<T: Send>(
-    rows: Vec<Row>,
-    key_cols: &[usize],
-    workers: usize,
-    place: impl Fn(Row, &[GroupKey]) -> T + Sync,
-) -> (Vec<Vec<T>>, bool) {
+/// contiguous chunk of the rows and deal every row with a NULL-free key into
+/// that key's partition; the second result says whether any key held a NULL.
+/// Per partition, the chunks' shares are concatenated in chunk order — the
+/// original row order. Phase 2 is [`on_threads`] over the partitions.
+fn scatter_by_key(rows: Vec<Row>, key_cols: &[usize], workers: usize) -> (Vec<Vec<Row>>, bool) {
     let scattered = on_threads(split_chunks(rows, workers), |chunk_rows| {
-        let mut buckets: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut buckets: Vec<Vec<Row>> = (0..workers).map(|_| Vec::new()).collect();
         let mut null_key = false;
-        let mut key = Vec::with_capacity(key_cols.len());
         for row in chunk_rows {
-            row.group_key_into(key_cols, &mut key);
-            if key.contains(&GroupKey::Null) {
+            let key = RowKey(&row, key_cols);
+            if key.has_null() {
                 null_key = true;
                 continue;
             }
-            buckets[part_of(&key, workers)].push(place(row, &key));
+            let part = part_of(key.hash(), workers);
+            buckets[part].push(row);
         }
         (buckets, null_key)
     });
     let mut null_key = false;
-    let mut per_part: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut per_part: Vec<Vec<Row>> = (0..workers).map(|_| Vec::new()).collect();
     for (buckets, saw_null) in scattered {
         null_key |= saw_null;
         for (part, bucket) in per_part.iter_mut().zip(buckets) {
@@ -201,7 +161,7 @@ fn scatter_by_key<T: Send>(
 /// The build side of a hash join: key → build rows, hash-partitioned when
 /// built in parallel. Lookups hit exactly one partition; rows within a key
 /// keep their original build order in either mode, so probe output is
-/// identical to a single-threaded, single-map build.
+/// identical to a single-threaded, single-table build.
 #[derive(Debug)]
 pub struct JoinIndex {
     parts: Vec<JoinPart>,
@@ -211,39 +171,35 @@ pub struct JoinIndex {
 /// order — and where each key's run lies.
 #[derive(Debug)]
 struct JoinPart {
-    /// Key → its group, numbered in order of first appearance.
-    groups: KeyMap<usize>,
-    /// Group `g`'s rows are `rows[bounds[g]..bounds[g + 1]]`.
+    /// The distinct keys; a key's id numbers its run.
+    keys: KeyTable,
+    /// Key `k`'s rows are `rows[bounds[k]..bounds[k + 1]]`.
     bounds: Vec<usize>,
     rows: Vec<Row>,
 }
 
 impl JoinPart {
-    /// Group `rows` by key. A key is allocated once, when it is first seen;
-    /// every other row resolves to its group through the one scratch key,
-    /// and is then moved — not copied — to its place in its group's run.
-    /// Rows whose key holds a NULL join nothing and are dropped.
+    /// Group `rows` by key. Each row's key is hashed where it lies and only
+    /// a new key is stored; the row is then moved — not copied — to its place
+    /// in its key's run. Rows whose key holds a NULL join nothing and are
+    /// dropped.
     fn build(rows: Vec<Row>, key_cols: &[usize]) -> JoinPart {
-        let mut groups = KeyMap::default();
+        const DROPPED: u32 = u32::MAX;
+        let mut keys = KeyTable::new(key_cols.len());
         let mut sizes: Vec<usize> = Vec::new();
-        let mut group_of: Vec<Option<usize>> = Vec::with_capacity(rows.len());
-        let mut key = Vec::with_capacity(key_cols.len());
+        let mut key_of: Vec<u32> = Vec::with_capacity(rows.len());
         for row in &rows {
-            row.group_key_into(key_cols, &mut key);
-            if key.contains(&GroupKey::Null) {
-                group_of.push(None);
+            let key = RowKey(row, key_cols);
+            if key.has_null() {
+                key_of.push(DROPPED);
                 continue;
             }
-            let group = match groups.get(key.as_slice()) {
-                Some(&group) => group,
-                None => {
-                    groups.insert(key.clone(), sizes.len());
-                    sizes.push(0);
-                    sizes.len() - 1
-                }
-            };
-            sizes[group] += 1;
-            group_of.push(Some(group));
+            let (id, fresh) = keys.insert(key.hash(), &key);
+            if fresh {
+                sizes.push(0);
+            }
+            sizes[id as usize] += 1;
+            key_of.push(id);
         }
         let mut bounds = Vec::with_capacity(sizes.len() + 1);
         bounds.push(0);
@@ -252,22 +208,17 @@ impl JoinPart {
         }
         let mut next = bounds.clone();
         let mut placed: Vec<Option<Row>> = vec![None; bounds[sizes.len()]];
-        for (row, group) in rows.into_iter().zip(group_of) {
-            if let Some(group) = group {
-                placed[next[group]] = Some(row);
-                next[group] += 1;
+        for (row, id) in rows.into_iter().zip(key_of) {
+            if id != DROPPED {
+                placed[next[id as usize]] = Some(row);
+                next[id as usize] += 1;
             }
         }
         JoinPart {
-            groups,
+            keys,
             bounds,
             rows: placed.into_iter().flatten().collect(),
         }
-    }
-
-    fn lookup(&self, key: &[GroupKey]) -> Option<&[Row]> {
-        let &group = self.groups.get(key)?;
-        Some(&self.rows[self.bounds[group]..self.bounds[group + 1]])
     }
 }
 
@@ -282,15 +233,18 @@ impl JoinIndex {
                 parts: vec![JoinPart::build(rows, key_cols)],
             };
         }
-        let (per_part, _) = scatter_by_key(rows, key_cols, workers, |row, _| row);
+        let (per_part, _) = scatter_by_key(rows, key_cols, workers);
         JoinIndex {
             parts: on_threads(per_part, |rows| JoinPart::build(rows, key_cols)),
         }
     }
 
-    /// Build rows matching a probe key, in build order.
-    pub fn lookup(&self, key: &[GroupKey]) -> Option<&[Row]> {
-        self.parts[part_of(key, self.parts.len())].lookup(key)
+    /// Build rows whose key is `=` to a NULL-free probe key, in build order.
+    pub(crate) fn lookup(&self, key: &(impl Key + ?Sized)) -> Option<&[Row]> {
+        let hash = key.hash();
+        let part = &self.parts[part_of(hash, self.parts.len())];
+        let id = part.keys.find(hash, key)? as usize;
+        Some(&part.rows[part.bounds[id]..part.bounds[id + 1]])
     }
 
     /// Number of hash partitions (1 for a sequential build).
@@ -300,7 +254,7 @@ impl JoinIndex {
 
     /// Total distinct keys across partitions.
     pub fn key_count(&self) -> usize {
-        self.parts.iter().map(|part| part.groups.len()).sum()
+        self.parts.iter().map(|part| part.keys.len()).sum()
     }
 }
 
@@ -309,7 +263,7 @@ impl JoinIndex {
 /// two flags `NOT IN`'s three-valued NULL semantics need.
 #[derive(Debug)]
 pub struct SemiBuild {
-    parts: Vec<KeySet>,
+    parts: Vec<KeyTable>,
     /// Whether the build side produced any rows at all.
     pub any_rows: bool,
     /// Whether any build key contained a NULL.
@@ -322,41 +276,55 @@ impl SemiBuild {
     /// hash-partitioned and each partition's set is built by its own thread.
     pub fn build(rows: Vec<Row>, key_cols: &[usize], workers: usize) -> SemiBuild {
         let any_rows = !rows.is_empty();
-        if workers <= 1 || rows.len() < PARALLEL_BUILD_MIN {
-            let mut keys = KeySet::default();
+        let key_set = |rows: Vec<Row>| {
+            let mut keys = KeyTable::new(key_cols.len());
             let mut null_key = false;
-            let mut key = Vec::with_capacity(key_cols.len());
-            for row in rows {
-                row.group_key_into(key_cols, &mut key);
-                if key.contains(&GroupKey::Null) {
+            for row in &rows {
+                let key = RowKey(row, key_cols);
+                if key.has_null() {
                     null_key = true;
-                } else if !keys.contains(key.as_slice()) {
-                    keys.insert(key.clone());
+                } else {
+                    keys.insert(key.hash(), &key);
                 }
             }
+            (keys, null_key)
+        };
+        if workers <= 1 || rows.len() < PARALLEL_BUILD_MIN {
+            let (keys, null_key) = key_set(rows);
             return SemiBuild {
                 parts: vec![keys],
                 any_rows,
                 null_key,
             };
         }
-        let (per_part, null_key) = scatter_by_key(rows, key_cols, workers, |_, key| key.to_vec());
+        let (per_part, null_key) = scatter_by_key(rows, key_cols, workers);
         SemiBuild {
-            parts: on_threads(per_part, |keys| keys.into_iter().collect()),
+            parts: on_threads(per_part, |rows| key_set(rows).0),
             any_rows,
             null_key,
         }
     }
 
-    /// Whether the build-side key set contains `key`.
-    pub fn contains(&self, key: &[GroupKey]) -> bool {
-        self.parts[part_of(key, self.parts.len())].contains(key)
+    /// Whether the build-side key set holds a key `=` to `key`.
+    pub(crate) fn contains(&self, key: &(impl Key + ?Sized)) -> bool {
+        let hash = key.hash();
+        self.parts[part_of(hash, self.parts.len())]
+            .find(hash, key)
+            .is_some()
     }
 
     /// Total distinct keys across partitions.
     pub fn key_count(&self) -> usize {
-        self.parts.iter().map(HashSet::len).sum()
+        self.parts.iter().map(KeyTable::len).sum()
     }
+}
+
+/// A scalar subquery's values by key (the empty key when uncorrelated): key
+/// `k`'s value is `values[k]`.
+#[derive(Debug)]
+pub(crate) struct ScalarLookup {
+    pub(crate) keys: KeyTable,
+    pub(crate) values: Vec<Value>,
 }
 
 // ---------------------------------------------------------------------------
@@ -375,9 +343,6 @@ pub(crate) enum SharedBuild {
     /// A scalar subquery's values by key (the empty key when uncorrelated).
     Scalar(Arc<ScalarLookup>),
 }
-
-/// A scalar subquery's values by key.
-pub(crate) type ScalarLookup = HashMap<Vec<GroupKey>, Value>;
 
 /// Build-once state shared by every worker (and every morsel) of one
 /// exchange: one cell per stateful node of the pipeline, indexed by the
@@ -446,10 +411,7 @@ impl ExchangeShared {
 /// through the vector kernels.
 enum WorkerOutput {
     Rows(Vec<Row>),
-    Partial {
-        groups: Vec<(Vec<Value>, Vec<Accumulator>)>,
-        vector_batches: u64,
-    },
+    Partial(GroupedAggregator),
 }
 
 /// Morsel-driven parallel execution of a pipeline subtree (see the module
@@ -616,16 +578,12 @@ impl ExchangeSource {
                 // first-encounter group order exactly.
                 let mut agg = GroupedAggregator::new(group_by, aggregates, vectorized);
                 for output in outputs {
-                    let WorkerOutput::Partial {
-                        groups,
-                        vector_batches,
-                    } = output
-                    else {
+                    let WorkerOutput::Partial(partial) = output else {
                         unreachable!("aggregate gather always receives partials");
                     };
-                    meter.rows_in += groups.len() as u64;
-                    meter.vector_batches += vector_batches;
-                    agg.merge_partial(groups);
+                    meter.rows_in += partial.group_count() as u64;
+                    meter.vector_batches += partial.vector_batches();
+                    agg.merge_partial(partial);
                 }
                 rows.extend(agg.finish(having.as_ref())?);
             }
@@ -677,10 +635,7 @@ impl ExchangeSource {
                 for batch in &all {
                     agg.push_batch(batch)?;
                 }
-                WorkerOutput::Partial {
-                    vector_batches: agg.vector_batches(),
-                    groups: agg.into_partial(),
-                }
+                WorkerOutput::Partial(agg)
             }
             GatherMode::MergeSort { .. } | GatherMode::TopK { .. } => {
                 WorkerOutput::Rows(all.into_iter().flatten().collect())
@@ -743,10 +698,7 @@ fn worker_loop(
                     while let Some(batch) = src.next_batch()? {
                         agg.push_batch(&batch)?;
                     }
-                    WorkerOutput::Partial {
-                        vector_batches: agg.vector_batches(),
-                        groups: agg.into_partial(),
-                    }
+                    WorkerOutput::Partial(agg)
                 }
                 rows_gather => {
                     let mut rows = Vec::new();
@@ -906,14 +858,14 @@ mod tests {
         assert_eq!(parallel.partitions(), 4);
         assert_eq!(sequential.key_count(), parallel.key_count());
         for k in 0..97i64 {
-            let key = vec![Value::int(k).group_key()];
+            let key = [Value::int(k)];
             assert_eq!(
-                sequential.lookup(&key),
-                parallel.lookup(&key),
+                sequential.lookup(&key[..]),
+                parallel.lookup(&key[..]),
                 "partitioned lookup diverged for key {k}"
             );
         }
-        assert!(sequential.lookup(&[Value::int(997).group_key()]).is_none());
+        assert!(sequential.lookup(&[Value::int(997)][..]).is_none());
     }
 
     #[test]
@@ -929,8 +881,8 @@ mod tests {
         assert!(sequential.any_rows && parallel.any_rows);
         assert!(sequential.null_key && parallel.null_key);
         for k in 0..250i64 {
-            let key = vec![Value::int(k).group_key()];
-            assert_eq!(sequential.contains(&key), parallel.contains(&key));
+            let key = [Value::int(k)];
+            assert_eq!(sequential.contains(&key[..]), parallel.contains(&key[..]));
         }
     }
 
@@ -944,7 +896,7 @@ mod tests {
         let index = JoinIndex::build(rows, &[0], 1);
         assert_eq!(index.key_count(), 1);
         assert_eq!(
-            index.lookup(&[Value::int(1).group_key()]).map(<[Row]>::len),
+            index.lookup(&[Value::int(1)][..]).map(<[Row]>::len),
             Some(2)
         );
     }

@@ -28,6 +28,7 @@
 use crate::database::Database;
 use crate::error::StoreError;
 use crate::exec::aggregate::{AggExpr, GroupedAggregator};
+use crate::exec::keys::{Key, KeyTable, RowKey};
 use crate::exec::parallel::{
     ExchangeShared, ExchangeSource, JoinIndex, ScalarLookup, SemiBuild, SharedBuild,
 };
@@ -634,8 +635,8 @@ pub(crate) fn open_in(
         PlanNode::Distinct { input } => {
             let input = on_spine(input)?;
             DistinctSource {
+                seen: KeyTable::new(input.columns().len()),
                 input,
-                seen: HashSet::new(),
             }
             .metered(est)
         }
@@ -1412,12 +1413,11 @@ impl Operator for HashJoinSource {
                 Some(batch) => {
                     let index = self.build.as_ref().expect("built above");
                     meter.vector_batches += u64::from(self.vectorized);
-                    // One key, refilled per probe row: only a row that is
+                    // The key is read where it lies: only a row that is
                     // emitted is allocated.
-                    let mut key = Vec::with_capacity(self.left_keys.len());
                     for lr in &batch {
-                        lr.group_key_into(&self.left_keys, &mut key);
-                        if key.contains(&GroupKey::Null) {
+                        let key = RowKey(lr, &self.left_keys);
+                        if key.has_null() {
                             continue;
                         }
                         for rr in index.lookup(&key).into_iter().flatten() {
@@ -1877,7 +1877,8 @@ impl Operator for LimitSource {
 
 struct DistinctSource {
     input: Box<dyn RowSource>,
-    seen: HashSet<Vec<GroupKey>>,
+    /// Every distinct row so far, NULL the same as NULL.
+    seen: KeyTable,
 }
 
 impl Operator for DistinctSource {
@@ -1889,8 +1890,8 @@ impl Operator for DistinctSource {
         let Some(mut batch) = meter.pull(&mut self.input)? else {
             return Ok(None);
         };
-        let all: Vec<usize> = (0..self.input.columns().len()).collect();
-        batch.retain(|row| self.seen.insert(row.group_key(&all)));
+        let seen = &mut self.seen;
+        batch.retain(|row| seen.insert(row.values().hash(), row.values()).1);
         Ok(Some(batch))
     }
 
@@ -1909,7 +1910,7 @@ impl Operator for DistinctSource {
 
 /// Hash semi- and anti-join: filter the probe (left) side by key membership
 /// in the build (right) side. Unlike a hash join, only the key *set* is
-/// retained — no build rows are ever emitted — so the build is a `HashSet`
+/// retained — no build rows are ever emitted — so the build is a key set
 /// plus two flags capturing what `NOT IN` NULL semantics need to know: did
 /// the build side have any rows, and did any build key contain NULL.
 struct SemiJoinSource {
@@ -1952,8 +1953,8 @@ impl SemiJoinSource {
     }
 
     /// Whether a probe row with this key survives the (anti-)semi-join.
-    fn keep(&self, build: &SemiBuild, key: &[GroupKey]) -> bool {
-        let probe_null = key.contains(&GroupKey::Null);
+    fn keep(&self, build: &SemiBuild, key: &RowKey) -> bool {
+        let probe_null = key.has_null();
         if !self.anti {
             // Semi: a NULL probe key can never equal anything.
             return !probe_null && build.contains(key);
@@ -1988,9 +1989,8 @@ impl Operator for SemiJoinSource {
             return Ok(None);
         };
         let build = self.build.as_ref().expect("built above");
-        let mut key = Vec::with_capacity(self.left_keys.len());
         batch.retain(|row| {
-            row.group_key_into(&self.left_keys, &mut key);
+            let key = RowKey(row, &self.left_keys);
             self.keep(build, &key)
         });
         Ok(Some(batch))
@@ -2046,14 +2046,20 @@ impl ScalarSubquerySource {
         }
         let (sub, build) = (&mut self.sub, &self.build);
         let built = build_or_share(&self.shared, meter, |meter| {
-            let mut lookup = HashMap::new();
+            let mut lookup = ScalarLookup {
+                keys: KeyTable::new(build.len()),
+                values: Vec::new(),
+            };
             let value_col = sub.columns().len().saturating_sub(1);
             // The subquery's rows are not this filter's input: waited for,
             // not counted into `rows_in`.
             while let Some(batch) = meter.wait_for(sub)? {
                 for row in &batch {
-                    let value = row.get(value_col).cloned().unwrap_or(Value::Null);
-                    if lookup.insert(row.group_key(build), value).is_some() {
+                    let key = RowKey(row, build);
+                    lookup
+                        .values
+                        .push(row.get(value_col).cloned().unwrap_or(Value::Null));
+                    if !lookup.keys.insert(key.hash(), &key).1 {
                         return Err(StoreError::Eval {
                             message: "scalar subquery produced more than one row".into(),
                         });
@@ -2081,12 +2087,13 @@ impl Operator for ScalarSubquerySource {
             return Ok(None);
         };
         let mut kept = Vec::new();
-        let mut key = Vec::with_capacity(self.probe.len());
         for row in batch {
-            row.group_key_into(&self.probe, &mut key);
+            let key = RowKey(&row, &self.probe);
             // `g.mid = NULL` matches nothing: a NULL key has no group.
-            let found = (!key.contains(&GroupKey::Null)).then(|| lookup.get(&key));
-            let value = found.flatten().unwrap_or(&self.absent);
+            let found = (!key.has_null()).then(|| lookup.keys.find(key.hash(), &key));
+            let value = found
+                .flatten()
+                .map_or(&self.absent, |k| &lookup.values[k as usize]);
             let v = self.expr.eval(&row)?;
             // Three-valued: NULL on either side is UNKNOWN.
             if v.sql_cmp(value).is_some_and(|ord| self.op.holds(ord)) {
@@ -2097,7 +2104,7 @@ impl Operator for ScalarSubquerySource {
     }
 
     fn describe(&self) -> Description {
-        let groups = self.lookup.as_ref().map_or(0, |l| l.len() as u64);
+        let groups = self.lookup.as_ref().map_or(0, |l| l.keys.len() as u64);
         let input = self.input.columns();
         let mut detail = format!(
             "{} {} (subquery)",
@@ -2162,6 +2169,9 @@ struct ApplySource {
     /// Template profile of the subplan, accumulating every execution's
     /// counters in place (same tree shape as each bound execution).
     sub_profile: PlanProfile,
+    /// Results by binding, keyed by exact identity rather than by `=` like
+    /// the hash operators' keys: a binding of `-0.0` can answer differently
+    /// from `0.0` (`1 / $0`), and `3` from `3.0`.
     cache: HashMap<Vec<GroupKey>, SubResult>,
     /// Insertion order of `cache` keys, for oldest-first eviction.
     cache_order: VecDeque<Vec<GroupKey>>,

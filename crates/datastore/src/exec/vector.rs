@@ -16,7 +16,7 @@
 
 use crate::expr::{CmpOp, Expr};
 use crate::tuple::Row;
-use crate::value::{cmp_f64, GroupKey, Value};
+use crate::value::{cmp_f64, Value};
 use std::sync::Arc;
 
 /// Word-packed validity companion to a [`ValueVector`]: bit `i` is set when
@@ -192,61 +192,6 @@ impl ValueVector {
             ValueVector::Int { nulls, .. }
             | ValueVector::Float { nulls, .. }
             | ValueVector::Text { nulls, .. } => nulls.get(i),
-        }
-    }
-
-    /// Grouping key of slot `i`, identical to `Value::group_key` of the
-    /// original value.
-    pub fn group_key(&self, i: usize) -> GroupKey {
-        match self {
-            ValueVector::Int { values, nulls } => {
-                if nulls.get(i) {
-                    GroupKey::Null
-                } else {
-                    GroupKey::Integer(values[i])
-                }
-            }
-            ValueVector::Float { values, nulls } => {
-                if nulls.get(i) {
-                    GroupKey::Null
-                } else {
-                    GroupKey::FloatBits(values[i].to_bits())
-                }
-            }
-            ValueVector::Text { values, nulls } => {
-                if nulls.get(i) {
-                    GroupKey::Null
-                } else {
-                    GroupKey::Text(values[i].clone())
-                }
-            }
-        }
-    }
-
-    /// Value of slot `i`, reconstructed (used by slow paths and tests).
-    pub fn value(&self, i: usize) -> Value {
-        match self {
-            ValueVector::Int { values, nulls } => {
-                if nulls.get(i) {
-                    Value::Null
-                } else {
-                    Value::Integer(values[i])
-                }
-            }
-            ValueVector::Float { values, nulls } => {
-                if nulls.get(i) {
-                    Value::Null
-                } else {
-                    Value::Float(values[i])
-                }
-            }
-            ValueVector::Text { values, nulls } => {
-                if nulls.get(i) {
-                    Value::Null
-                } else {
-                    Value::Text(values[i].clone())
-                }
-            }
         }
     }
 }
@@ -553,11 +498,10 @@ mod tests {
         assert_eq!(ints.len(), 4);
         assert!(ints.is_null(2));
         assert!(!ints.is_null(0));
-        assert_eq!(ints.value(3), Value::int(4));
+        assert!(matches!(&ints, ValueVector::Int { values, .. } if values[3] == 4));
         let texts = ValueVector::from_rows(&rs, 1).unwrap();
         assert!(texts.is_null(1));
-        assert_eq!(texts.group_key(0), Value::text("a").group_key());
-        assert_eq!(texts.group_key(1), GroupKey::Null);
+        assert!(matches!(&texts, ValueVector::Text { values, .. } if &*values[0] == "a"));
     }
 
     #[test]
@@ -575,7 +519,6 @@ mod tests {
         let rs = vec![Row::new(vec![Value::Null]), Row::new(vec![Value::Null])];
         let vec = ValueVector::from_rows(&rs, 0).unwrap();
         assert!(vec.is_null(0) && vec.is_null(1));
-        assert_eq!(vec.value(0), Value::Null);
     }
 
     #[test]

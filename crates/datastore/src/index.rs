@@ -9,8 +9,9 @@
 //!   order — ascending or descending — which lets the planner skip an
 //!   `ORDER BY` sort;
 //! * a **hash index** ([`IndexKind::Hash`]): key → row positions, exact
-//!   point probes only, with the same `GroupKey` equality the hash join
-//!   uses.
+//!   point probes only, keyed by exact `GroupKey` (so `3` and `3.0` are two
+//!   keys, where the hash join's SQL `=` makes them one; the planner never
+//!   hash-probes a column that can hold both).
 //!
 //! Indexes may span **multiple columns** (`CREATE INDEX … ON t (a, b)`).
 //! An ordered composite index is keyed lexicographically, so it answers an

@@ -76,23 +76,13 @@ impl Row {
             .collect()
     }
 
-    /// Hashable grouping key over the given positions.
+    /// Hashable key over the given positions, telling apart what `=` does
+    /// not (`3` and `3.0`, `-0.0` and `0.0`): the apply memo's and the
+    /// primary key's identity. The hash operators compare by `=` instead.
     pub fn group_key(&self, indices: &[usize]) -> Vec<GroupKey> {
-        let mut key = Vec::with_capacity(indices.len());
-        self.group_key_into(indices, &mut key);
-        key
-    }
-
-    /// [`Row::group_key`] into a key the caller reuses: a probe loop fills
-    /// one scratch key per row instead of allocating one.
-    pub fn group_key_into(&self, indices: &[usize], key: &mut Vec<GroupKey>) {
-        key.clear();
-        key.extend(indices.iter().map(|&i| {
-            self.values
-                .get(i)
-                .map(|v| v.group_key())
-                .unwrap_or(GroupKey::Null)
-        }));
+        (indices.iter())
+            .map(|&i| self.values.get(i).map_or(GroupKey::Null, Value::group_key))
+            .collect()
     }
 
     /// Consume the row and return its values.

@@ -275,8 +275,10 @@ impl Value {
         }
     }
 
-    /// A grouping key representation that is hashable and equality-stable
-    /// (floats are compared by bit pattern), used by GROUP BY and DISTINCT.
+    /// A hashable key of this exact value (floats by bit pattern, so `3` and
+    /// `3.0`, `-0.0` and `0.0` are four keys): the identity of indexes,
+    /// primary keys, statistics' value counts and the apply memo. The hash
+    /// operators (joins, `GROUP BY`, `DISTINCT`) compare by SQL `=` instead.
     pub fn group_key(&self) -> GroupKey {
         match self {
             Value::Null => GroupKey::Null,
@@ -319,8 +321,8 @@ impl fmt::Display for Value {
     }
 }
 
-/// Hashable, `Eq` representation of a [`Value`] used as a grouping /
-/// distinct key.
+/// Hashable, `Eq` representation of a [`Value`]'s exact identity
+/// ([`Value::group_key`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GroupKey {
     Null,

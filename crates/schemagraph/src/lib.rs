@@ -11,16 +11,14 @@
 //!   generic join edges and nesting edges between query blocks.
 //!
 //! On top of those it provides the analyses the translation strategies need:
-//! graph traversal with weights and budgets ([`traversal`]), structural
-//! pattern detection — unary / join / split / bridge elision
-//! ([`patterns`]) — block shape analysis ([`analysis`]), the §3.3 query
+//! graph traversal with weights and budgets ([`traversal`]), block shape
+//! analysis ([`analysis`]), the §3.3 query
 //! categorization ([`mod@classify`]) and DOT export regenerating the paper's
 //! figures ([`dot`]).
 
 pub mod analysis;
 pub mod classify;
 pub mod dot;
-pub mod patterns;
 pub mod query_graph;
 pub mod schema_graph;
 pub mod traversal;
@@ -28,9 +26,8 @@ pub mod traversal;
 pub use analysis::{block_shape, BlockShape};
 pub use classify::{classify, detect_idiom, Classification, HigherOrderIdiom, QueryCategory};
 pub use dot::{query_graph_to_dot, schema_graph_to_dot};
-pub use patterns::{collapse_bridges, detect_patterns, is_bridge_relation, StructuralPattern};
 pub use query_graph::{
     NestingConnector, NestingEdge, QueryBlock, QueryGraph, QueryJoinEdge, RelationClass, SelectAttr,
 };
 pub use schema_graph::{AttributeNode, JoinEdge, ProjectionEdge, RelationNode, SchemaGraph};
-pub use traversal::{bfs_traversal, dfs_traversal, TraversalConfig, TraversalPlan, TraversalStep};
+pub use traversal::{dfs_traversal, TraversalConfig, TraversalPlan, TraversalStep};

@@ -139,64 +139,6 @@ pub fn dfs_traversal(
     plan
 }
 
-/// Breadth-first traversal with the same bounds; used when the narrative
-/// should describe everything one step away before going deeper.
-pub fn bfs_traversal(
-    graph: &SchemaGraph,
-    start: Option<usize>,
-    config: TraversalConfig,
-) -> TraversalPlan {
-    let mut plan = TraversalPlan::default();
-    let Some(start) = start.or_else(|| graph.central_relation()) else {
-        return plan;
-    };
-    if graph.relations.is_empty() || config.max_relations == 0 {
-        return plan;
-    }
-    let mut visited = vec![false; graph.relations.len()];
-    let mut queue: std::collections::VecDeque<(usize, Option<usize>, Option<usize>, usize)> =
-        std::collections::VecDeque::new();
-    queue.push_back((start, None, None, 0));
-    visited[start] = true;
-    while let Some((relation, reached_from, via_edge, depth)) = queue.pop_front() {
-        if plan.steps.len() >= config.max_relations {
-            break;
-        }
-        plan.steps.push(TraversalStep {
-            relation,
-            reached_from,
-            via_edge,
-            depth,
-        });
-        if depth >= config.max_depth {
-            continue;
-        }
-        let mut neighbours: Vec<(usize, usize, f64)> = Vec::new();
-        for (edge_index, edge) in graph.join_edges.iter().enumerate() {
-            let other = if edge.from == relation {
-                Some(edge.to)
-            } else if edge.to == relation {
-                Some(edge.from)
-            } else {
-                None
-            };
-            if let Some(other) = other {
-                if !visited[other] {
-                    neighbours.push((other, edge_index, graph.relations[other].weight));
-                }
-            }
-        }
-        if config.weighted {
-            neighbours.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-        }
-        for (other, edge_index, _) in neighbours {
-            visited[other] = true;
-            queue.push_back((other, Some(relation), Some(edge_index), depth + 1));
-        }
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,17 +213,6 @@ mod tests {
         assert!(plan.visits(g.relation_index("ACTOR").unwrap()));
         let children = plan.children_of(director);
         assert_eq!(children.len(), 1); // only DIRECTED is adjacent
-    }
-
-    #[test]
-    fn bfs_layers_by_depth() {
-        let g = graph();
-        let movies = g.relation_index("MOVIES").unwrap();
-        let plan = bfs_traversal(&g, Some(movies), TraversalConfig::default());
-        assert_eq!(plan.steps.len(), g.relation_count());
-        // Depths must be non-decreasing in a BFS order.
-        let depths: Vec<usize> = plan.steps.iter().map(|s| s.depth).collect();
-        assert!(depths.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

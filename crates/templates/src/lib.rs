@@ -24,6 +24,6 @@ pub mod template;
 pub use annotation::{AnnotationRegistry, AnnotationTarget};
 pub use instantiate::{instantiate, instantiate_loop, Bindings, InstantiateError};
 pub use lexicon::{Gender, Lexicon, RelationshipVerb};
-pub use merge::{common_prefix_len, merge_clauses, merge_pair, merge_with_conjunction};
+pub use merge::{common_prefix_len, merge_clauses, merge_pair};
 pub use parse::{parse_loop_definition, parse_template, TemplateParseError};
 pub use template::{LoopTemplate, Segment, Template};

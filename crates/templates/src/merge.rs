@@ -63,30 +63,6 @@ pub fn merge_clauses(clauses: &[String], min_prefix_words: usize) -> Vec<String>
     out
 }
 
-/// Merge clauses that share the same subject (first word or given subject
-/// string) into a single clause joined by a conjunction: used for the split
-/// pattern, where repeating the subject would produce a "vapid narrative".
-pub fn merge_with_conjunction(clauses: &[String], conjunction: &str) -> Option<String> {
-    if clauses.is_empty() {
-        return None;
-    }
-    if clauses.len() == 1 {
-        return Some(clauses[0].clone());
-    }
-    let mut out = String::new();
-    for (i, clause) in clauses.iter().enumerate() {
-        if i == 0 {
-            out.push_str(clause.trim_end_matches('.'));
-        } else {
-            out.push(' ');
-            out.push_str(conjunction);
-            out.push(' ');
-            out.push_str(clause.trim_end_matches('.'));
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,23 +123,5 @@ mod tests {
         ];
         let merged = merge_clauses(&clauses, 2);
         assert_eq!(merged, vec!["Carol works in Research since 2019 remotely"]);
-    }
-
-    #[test]
-    fn conjunction_merge_builds_split_pattern_sentences() {
-        let clauses = vec![
-            "The movie M1 involves the director D1 who was born in Italy".to_string(),
-            "the actor A1 who is Greek.".to_string(),
-        ];
-        let merged = merge_with_conjunction(&clauses, "and").unwrap();
-        assert_eq!(
-            merged,
-            "The movie M1 involves the director D1 who was born in Italy and the actor A1 who is Greek"
-        );
-        assert!(merge_with_conjunction(&[], "and").is_none());
-        assert_eq!(
-            merge_with_conjunction(&["Only one.".to_string()], "and").unwrap(),
-            "Only one."
-        );
     }
 }
