@@ -31,8 +31,13 @@
 //!    operators and attaches the subquery operators, with the estimated row
 //!    count on every plan node so `EXPLAIN ANALYZE` can show estimates next
 //!    to actuals.
+//! 5. **[`vectorize`]** and **[`parallel`]** mark the operators that run on
+//!    the column kernels and the pipelines that run across workers, and the
+//!    columns pass (`columns.rs`) runs last: each join emits only the columns
+//!    read above it.
 
 pub mod access;
+mod columns;
 pub mod cost;
 pub mod logical;
 pub mod parallel;
@@ -238,6 +243,7 @@ fn plan_query_impl(
     hypothetical: Vec<datastore::Index>,
     param_kinds: &[ParamKind],
 ) -> Result<PlannedQuery, TalkbackError> {
+    let what_if = !hypothetical.is_empty();
     let effective = flatten_in_subqueries(query).unwrap_or_else(|| query.clone());
     let bound = bind_query(db.catalog(), &effective)?;
     if bound.tables.is_empty() {
@@ -284,6 +290,11 @@ fn plan_query_impl(
     // top-k below them when profitable) and fan out qualifying applies,
     // recording each choice (including the choice not to).
     parallel::parallelize_plan(&mut plan, &options, &mut decisions);
+    // Last, over the plan as it will run: each join emits only the columns
+    // read above it. A what-if plan is only costed.
+    if !what_if {
+        columns::narrow_joins(db, &mut plan);
+    }
     // Feedback overrides precede every other choice temporally — they
     // changed the estimates the enumeration ran on — so they lead the
     // decision list; each is also counted and marked on the misestimate

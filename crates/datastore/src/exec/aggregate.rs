@@ -354,7 +354,6 @@ pub struct GroupedAggregator {
     /// Per aggregate, the (group, value) pairs a `COUNT(DISTINCT)` has seen.
     distinct: Vec<Option<KeyTable>>,
     vector_batches: u64,
-    row_batches: u64,
 }
 
 impl GroupedAggregator {
@@ -383,7 +382,6 @@ impl GroupedAggregator {
             accs: Vec::new(),
             distinct,
             vector_batches: 0,
-            row_batches: 0,
         };
         if agg.group_by.is_empty() {
             let all: &[Value] = &[];
@@ -403,11 +401,6 @@ impl GroupedAggregator {
         self.vector_batches
     }
 
-    /// Number of batches that fell back to row-at-a-time accumulation.
-    pub fn row_batches(&self) -> u64 {
-        self.row_batches
-    }
-
     /// Number of groups so far.
     pub fn group_count(&self) -> usize {
         self.groups.len()
@@ -422,7 +415,6 @@ impl GroupedAggregator {
             self.vector_batches += 1;
             return Ok(());
         }
-        self.row_batches += 1;
         for row in rows {
             self.push_row(row);
         }
@@ -440,7 +432,6 @@ impl GroupedAggregator {
             self.vector_batches += 1;
             return Ok(());
         }
-        self.row_batches += 1;
         for &i in sel {
             self.push_row(&rows[i]);
         }
@@ -838,7 +829,6 @@ mod tests {
         agg.push_batch(&clean).unwrap();
         agg.push_batch(&mixed).unwrap();
         assert_eq!(agg.vector_batches(), 1);
-        assert_eq!(agg.row_batches(), 1);
         let mut plain = GroupedAggregator::new(vec![0], sample_aggs(), false);
         plain.push_batch(&clean).unwrap();
         plain.push_batch(&mixed).unwrap();

@@ -106,8 +106,12 @@
 //! none. A projection of plain columns, a join output and an aggregate
 //! result are new rows: one allocation each, the values in them counted
 //! references to the strings they came from. A projection that keeps every
-//! input column in place is no new row either. A hash join's build places
-//! the rows it was handed side by side, one run per key in build order.
+//! input column in place is no new row either. **A join's output row holds
+//! only the columns its consumers read** ([`plan::JoinOutput`], set by the
+//! planner's last pass): `select m.title` over a three-way join emits
+//! one-value rows from both joins, and the projection on top hands them on
+//! as they are. A hash join's build places the rows it was handed side by
+//! side, one run per key in build order.
 //! Writers never see any of this: `Row::get_mut` copies a row that anyone
 //! else still holds before it changes it.
 //!
@@ -159,8 +163,8 @@ pub use aggregate::{AggExpr, AggFunc, GroupedAggregator};
 pub use executor::{describe_plan, execute, execute_with_stats, ResultSet};
 pub use parallel::{morsel_size, JoinIndex, MORSEL_MIN, PARALLEL_BUILD_MIN};
 pub use plan::{
-    aggregate_output_columns, ApplyMode, ColumnInfo, Columns, Edge, GatherMode, Plan, PlanNode,
-    SortKey,
+    aggregate_output_columns, ApplyMode, ColumnInfo, Columns, Edge, GatherMode, JoinOutput, Plan,
+    PlanNode, SortKey,
 };
 pub use profile::{IndexAccess, OpMetrics, PlanProfile, SubqueryTally, MISESTIMATE_FACTOR};
 pub use stream::{open, open_owned, ExecContext, RowSource, APPLY_CACHE_CAP, BATCH_SIZE};

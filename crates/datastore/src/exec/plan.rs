@@ -244,11 +244,20 @@ impl GatherMode {
 ///   positions, not expressions; an `IndexScan`'s parameterized
 ///   [`IndexBounds`] bind themselves.
 ///
+/// * **Columns read.** Every position an operator holds — a key, a sort
+///   key, a group-by column, a column inside one of its expressions, an
+///   `Apply` parameter — indexes its input's output. The planner's last
+///   pass (`planner/columns.rs`) walks the finished plan once, tells each
+///   operator's input which of its columns are read above it, and remaps
+///   those positions where a join below now emits fewer
+///   ([`JoinOutput`]).
+///
 /// A new operator is declared here, opened in `stream.rs::open_in`, named in
-/// [`Plan::operator_name`] and costed in the planner's `plan_cost`, and
-/// implements the executor's operator trait (columns, `pull`, `describe`,
-/// `inputs`) — nothing about metering or `PlanProfile`, which the one
-/// wrapper owns (the protocol in the [`crate::exec`] module docs).
+/// [`Plan::operator_name`], costed in the planner's `plan_cost`, and states
+/// in the columns pass which of its input columns it reads; it implements
+/// the executor's operator trait (columns, `pull`, `describe`, `inputs`) —
+/// nothing about metering or `PlanProfile`, which the one wrapper owns (the
+/// protocol in the [`crate::exec`] module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// The physical operator.
@@ -284,16 +293,18 @@ pub enum PlanNode {
         index_only: bool,
     },
     /// Index-nested-loop join: for each left row, probe `index` on the
-    /// stored table with the value at `left_key` and emit the concatenated
-    /// matches (in index insertion order). The planner picks this over a
-    /// hash join when the outer side is tiny and the inner join column is
-    /// indexed — no build side at all.
+    /// stored table with the value at `left_key` and emit the matches (in
+    /// index insertion order), each joined row made of the `output`
+    /// positions of `left ++ table`. The planner picks this over a hash join
+    /// when the outer side is tiny and the inner join column is indexed — no
+    /// build side at all.
     IndexNestedLoopJoin {
         left: Box<Plan>,
         table: String,
         alias: String,
         index: String,
         left_key: usize,
+        output: JoinOutput,
     },
     /// Literal row set (used for uncorrelated subquery results and tests).
     Values { columns: Columns, rows: Vec<Row> },
@@ -327,7 +338,8 @@ pub enum PlanNode {
         predicate: Option<Expr>,
     },
     /// Equi-join on key positions (left positions index the left output,
-    /// right positions index the right output).
+    /// right positions index the right output), emitting the `output`
+    /// positions of `left ++ right`.
     HashJoin {
         left: Box<Plan>,
         right: Box<Plan>,
@@ -337,6 +349,7 @@ pub enum PlanNode {
         /// per probe batch. The probe has one form either way — one reused
         /// key per row against the grouped build.
         vectorized: bool,
+        output: JoinOutput,
     },
     /// Grouped aggregation. With an empty `group_by`, produces a single row.
     Aggregate {
@@ -430,6 +443,14 @@ pub enum PlanNode {
         gather: GatherMode,
     },
 }
+
+/// The columns a join emits: positions of its left input's columns followed
+/// by its right input's (or the probed table's), in output order. `None`
+/// emits every column of both sides; the planner's last pass sets a list
+/// where the operators above the join read fewer, and leaves `None` where
+/// the list would be every column in place. Shared, so binding a cached
+/// template copies no list.
+pub type JoinOutput = Option<Arc<[usize]>>;
 
 /// What an [`PlanNode::Apply`] operator checks against each subquery result.
 #[derive(Debug, Clone, PartialEq)]
@@ -607,6 +628,7 @@ impl Plan {
             alias: alias.into(),
             index: index.into(),
             left_key,
+            output: None,
         }
         .into()
     }
@@ -634,6 +656,7 @@ impl Plan {
             left_keys,
             right_keys,
             vectorized: false,
+            output: None,
         }
         .into()
     }

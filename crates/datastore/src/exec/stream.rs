@@ -33,7 +33,8 @@ use crate::exec::parallel::{
     ExchangeShared, ExchangeSource, JoinIndex, ScalarLookup, SemiBuild, SharedBuild,
 };
 use crate::exec::plan::{
-    aggregate_output_columns, ApplyMode, ColumnInfo, Columns, Plan, PlanNode, Relation, SortKey,
+    aggregate_output_columns, ApplyMode, ColumnInfo, Columns, JoinOutput, Plan, PlanNode, Relation,
+    SortKey,
 };
 use crate::exec::profile::{
     column_label, expr_label, plural, separated, vectorized_tag, Description,
@@ -325,6 +326,27 @@ fn joined(left: &[ColumnInfo], right: &[ColumnInfo]) -> Columns {
     left.iter().chain(right).cloned().collect()
 }
 
+/// A join's output list, with every column resolved when the plan names
+/// none, and the columns it emits.
+fn join_output(
+    left: &[ColumnInfo],
+    right: &[ColumnInfo],
+    output: &JoinOutput,
+) -> (Arc<[usize]>, Columns) {
+    let output = match output {
+        Some(list) => Arc::clone(list),
+        None => (0..left.len() + right.len()).collect(),
+    };
+    let columns = (output.iter())
+        .map(|&i| {
+            left.get(i)
+                .unwrap_or_else(|| &right[i - left.len()])
+                .clone()
+        })
+        .collect();
+    (output, columns)
+}
+
 /// The labels of the columns at `positions`.
 fn labels(columns: &[ColumnInfo], positions: &[usize]) -> Vec<String> {
     positions
@@ -458,6 +480,7 @@ pub(crate) fn open_in(
             alias,
             index,
             left_key,
+            output,
         } => {
             let left = on_spine(left)?;
             let stored = Arc::clone(ctx.require_table(table)?);
@@ -472,8 +495,10 @@ pub(crate) fn open_in(
                 });
             }
             let inner = stored.relation(table, alias);
+            let (output, columns) = join_output(left.columns(), &inner.columns, output);
             IndexNljSource {
-                columns: joined(left.columns(), &inner.columns),
+                columns,
+                output,
                 left,
                 inner,
                 index_pos,
@@ -562,12 +587,15 @@ pub(crate) fn open_in(
             left_keys,
             right_keys,
             vectorized,
+            output,
         } => {
             let shared = env.alloc_cell();
             let left = on_spine(left)?;
             let right = off_spine(right)?;
+            let (output, columns) = join_output(left.columns(), right.columns(), output);
             HashJoinSource {
-                columns: joined(left.columns(), right.columns()),
+                columns,
+                output,
                 left,
                 right,
                 left_keys: left_keys.clone(),
@@ -998,7 +1026,7 @@ impl Operator for IndexScanSource {
 // ---------------------------------------------------------------------------
 
 /// For each left row, probe the inner table's index with the value at
-/// `left_key` and emit the concatenated matches (index insertion order, so
+/// `left_key` and emit the joined matches (index insertion order, so
 /// output order is deterministic). There is no build side at all — the
 /// planner's choice when the outer is tiny and building a hash table over
 /// the whole inner would dominate.
@@ -1009,6 +1037,8 @@ struct IndexNljSource {
     inner: Arc<Relation>,
     index_pos: usize,
     left_key: usize,
+    /// The positions of `left ++ inner` each joined row is made of.
+    output: Arc<[usize]>,
     columns: Columns,
     pending: VecDeque<Row>,
     fill: BatchRamp,
@@ -1047,7 +1077,7 @@ impl Operator for IndexNljSource {
                         }
                         for &pos in positions {
                             self.matches += 1;
-                            self.pending.push_back(lr.concat(&rows[pos]));
+                            self.pending.push_back(lr.join(&rows[pos], &self.output));
                         }
                     }
                     self.probes += probes;
@@ -1358,6 +1388,8 @@ struct HashJoinSource {
     /// The planner's `[vectorized]` mark: shown, and counted per probe
     /// batch; the probe itself has one form.
     vectorized: bool,
+    /// The positions of `left ++ right` each joined row is made of.
+    output: Arc<[usize]>,
     columns: Columns,
     /// Hash index over the build (right) side, built on first pull: key →
     /// build rows with that key. Shared across the workers of an enclosing
@@ -1421,7 +1453,7 @@ impl Operator for HashJoinSource {
                             continue;
                         }
                         for rr in index.lookup(&key).into_iter().flatten() {
-                            self.pending.push_back(lr.concat(rr));
+                            self.pending.push_back(lr.join(rr, &self.output));
                         }
                     }
                 }

@@ -302,17 +302,19 @@ impl Expr {
         }
     }
 
-    /// Shift every column reference by `offset`. Used when an expression
-    /// formulated against the right input of a join must be evaluated
-    /// against the concatenated join row.
-    pub fn shift_columns(&self, offset: usize) -> Expr {
-        let mut shifted = self.clone();
-        shifted.walk_mut(&mut |e| {
+    /// Rewrite, in place, every column reference `i` to `to(i)`: how an
+    /// expression follows its input when the columns under it move.
+    pub fn map_columns(&mut self, to: &dyn Fn(usize) -> usize) {
+        self.walk_mut(&mut |e| {
             if let Expr::Column(i) = e {
-                *i += offset;
+                *i = to(*i);
             }
         });
-        shifted
+    }
+
+    /// True if the expression reads column `i` of its input row.
+    pub fn reads_column(&self, i: usize) -> bool {
+        matches!(self, Expr::Column(c) if *c == i) || self.children().any(|e| e.reads_column(i))
     }
 
     /// Replace, in place, every bound [`Expr::Param`] with the literal value
@@ -543,9 +545,11 @@ mod tests {
     }
 
     #[test]
-    fn shift_columns_offsets_references() {
-        let e = Expr::col_eq(0, 1).shift_columns(3);
+    fn map_columns_moves_references() {
+        let mut e = Expr::col_eq(0, 1);
+        e.map_columns(&|i| i + 3);
         assert_eq!(e.referenced_columns(), vec![3, 4]);
+        assert!(e.reads_column(4) && !e.reads_column(1));
     }
 
     #[test]

@@ -68,6 +68,23 @@ impl Row {
             .collect()
     }
 
+    /// The row a join emits for `self` beside `right`: the values at the
+    /// `output` positions of `self ++ right`, allocated once — or the empty
+    /// row, which allocates nothing, when the consumers read no column (a
+    /// `count(*)` above the join).
+    pub(crate) fn join(&self, right: &Row, output: &[usize]) -> Row {
+        if output.is_empty() {
+            return Row::empty();
+        }
+        let split = self.values.len();
+        (output.iter())
+            .map(|&i| match self.values.get(i) {
+                Some(v) => v.clone(),
+                None => right.values[i - split].clone(),
+            })
+            .collect()
+    }
+
     /// Project the row onto the given positions.
     pub fn project(&self, indices: &[usize]) -> Row {
         indices

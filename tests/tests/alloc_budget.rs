@@ -1,9 +1,11 @@
 //! Allocation budgets of a repeated statement. A counting global allocator
-//! (its counter is per thread, so tests running in parallel do not see each
+//! (its counters are per thread, so tests running in parallel do not see each
 //! other's allocations) counts the heap allocations of one
-//! `Talkback::run_query_with`, after warm-up, for each of `lookup`'s five read
-//! shapes on the ×300 database with its four indexes, and for the execution
-//! of the many-groups aggregate over CAST there; for Q6, Q7, Q8 and Q9 on the
+//! `Talkback::run_query_with`, and the bytes they asked for, after warm-up,
+//! for each of `lookup`'s five read shapes on the ×300 database with its four
+//! indexes, and for the execution of `analytic`'s many-groups aggregate over
+//! CAST, its unfiltered three-way join and its two-way join + aggregate
+//! there; for Q6, Q7, Q8 and Q9 on the
 //! 100-movie database — each served from its plan-cache template, binding
 //! included, and executed alone — and for Q1's
 //! `Talkback::explain_result` there, served from its template. The counts are exact and
@@ -19,30 +21,32 @@ use talkback::{plan_query_with, PlannerOptions, Talkback};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting every allocation and reallocation on the
-/// calling thread.
+/// calling thread, and the bytes each asked for.
 struct Counting;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: a thread being torn down still allocates.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -54,11 +58,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations `work` makes on this thread.
-fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
+/// Allocations `work` makes on this thread, and the bytes they asked for.
+fn allocations<T>(work: impl FnOnce() -> T) -> ((u64, u64), T) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let out = work();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    ((after.0 - before.0, after.1 - before.1), out)
 }
 
 const INDEXES: [&str; 4] = [
@@ -121,26 +126,51 @@ const Q8: &str = "select a.id, a.name from MOVIES m, CAST c, ACTOR a \
 /// `analytic`'s many-groups aggregate: one group per actor.
 const CAST_GROUPS: &str = "select c.aid, count(*) from CAST c group by c.aid";
 
+/// `analytic`'s unfiltered three-way join: each join emits one column.
+const THREE_WAY: &str =
+    "select m.title from MOVIES m, CAST c, ACTOR a where m.id = c.mid and c.aid = a.id";
+
+/// `analytic`'s two-way join + aggregate.
+const JOIN_GROUPS: &str =
+    "select m.year, count(*) from MOVIES m, CAST c where m.id = c.mid group by m.year";
+
 const Q9: &str = "select a.name from MOVIES m, CAST c, ACTOR a \
      where m.id = c.mid and c.aid = a.id \
      and m.year <= all (select m1.year from MOVIES m1, MOVIES m2 \
      where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)";
 
-/// One row of the printed table: what was counted, and its ceiling if any.
+/// One row of the printed table: what was counted, and its ceiling on
+/// allocations if any.
 struct Row {
     what: String,
     allocations: u64,
+    bytes: u64,
     ceiling: Option<u64>,
+}
+
+impl Row {
+    fn new(what: impl Into<String>, (allocations, bytes): (u64, u64), ceiling: Option<u64>) -> Row {
+        let what = what.into();
+        Row {
+            what,
+            allocations,
+            bytes,
+            ceiling,
+        }
+    }
 }
 
 fn print(rows: &[Row]) {
     println!(
-        "\n{:<46} {:>12} {:>9}",
-        "statement", "allocations", "ceiling"
+        "\n{:<46} {:>12} {:>12} {:>9}",
+        "statement", "allocations", "bytes", "ceiling"
     );
     for row in rows {
         let ceiling = row.ceiling.map_or("-".to_string(), |c| c.to_string());
-        println!("{:<46} {:>12} {:>9}", row.what, row.allocations, ceiling);
+        println!(
+            "{:<46} {:>12} {:>12} {:>9}",
+            row.what, row.allocations, row.bytes, ceiling
+        );
     }
 }
 
@@ -174,20 +204,20 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     for ((what, sql), ceiling) in lookup_shapes(&actors, 1000).into_iter().zip(ceilings) {
         let (n, answer) = allocations(|| system.run_query_with(&sql, options).unwrap());
         assert!(!answer.is_empty() || what.contains("range"), "{sql}");
-        rows.push(Row {
-            what: format!("lookup: {what}"),
-            allocations: n,
-            ceiling,
-        });
+        rows.push(Row::new(format!("lookup: {what}"), n, ceiling));
     }
-    let query = sqlparse::parse_query(CAST_GROUPS).unwrap();
-    let planned = plan_query_with(system.database(), &query, options).unwrap();
-    let (n, _) = allocations(|| execute_with_stats(system.database(), &planned.plan).unwrap());
-    rows.push(Row {
-        what: "analytic: CAST groups by aid, execution".to_string(),
-        allocations: n,
-        ceiling: None,
-    });
+    for (what, sql, ceiling) in [
+        ("CAST groups by aid", CAST_GROUPS, None),
+        // Neither join's output row nor the projection's is more than the
+        // one column read above it.
+        ("three-way join", THREE_WAY, Some(20_954)),
+        ("two-way join + aggregate", JOIN_GROUPS, None),
+    ] {
+        let query = sqlparse::parse_query(sql).unwrap();
+        let planned = plan_query_with(system.database(), &query, options).unwrap();
+        let (n, _) = allocations(|| execute_with_stats(system.database(), &planned.plan).unwrap());
+        rows.push(Row::new(format!("analytic: {what}, execution"), n, ceiling));
+    }
 
     let system = Talkback::new(scaled_movie_database(ScaleConfig::default()));
     let q7 = |n: i64| Q7.replace("having 1 <", &format!("having {n} <"));
@@ -211,16 +241,16 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
         let planned = plan_query_with(system.database(), &query, options).unwrap();
         let (executed, _) =
             allocations(|| execute_with_stats(system.database(), &planned.plan).unwrap());
-        rows.push(Row {
-            what: format!("nested: {name} from a template"),
-            allocations: whole,
-            ceiling: ceilings[0],
-        });
-        rows.push(Row {
-            what: format!("nested: {name}, execution"),
-            allocations: executed,
-            ceiling: ceilings[1],
-        });
+        rows.push(Row::new(
+            format!("nested: {name} from a template"),
+            whole,
+            ceilings[0],
+        ));
+        rows.push(Row::new(
+            format!("nested: {name}, execution"),
+            executed,
+            ceilings[1],
+        ));
     }
 
     // `explain_result` runs as `run_query` does, under the default options,
@@ -231,11 +261,11 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     let (n, _) = allocations(|| system.explain_result(Q1).unwrap());
     let cache = system.database().obs().journal().last().unwrap().cache;
     assert_eq!(cache, datastore::CacheStatus::Hit, "explain_result of Q1");
-    rows.push(Row {
-        what: "explain_result of Q1 from a template".to_string(),
-        allocations: n,
-        ceiling: Some(280),
-    });
+    rows.push(Row::new(
+        "explain_result of Q1 from a template",
+        n,
+        Some(280),
+    ));
 
     print(&rows);
     for row in &rows {
