@@ -56,13 +56,13 @@ pub const INDEX_PROBE_ROW_COST: f64 = 4.0;
 
 /// An index access path chosen (or considered) for a base-relation scan.
 #[derive(Debug, Clone)]
-pub(super) struct ScanChoice {
-    pub index: String,
+pub(super) struct ScanChoice<'a> {
+    pub index: &'a str,
     /// The key columns the bounds constrain, in key order (for narration).
-    pub columns: Vec<String>,
+    pub columns: Vec<&'a str>,
     /// Every key column of the index, in key order (for the sort-elision
     /// peephole and the index-only covering check).
-    pub key_columns: Vec<String>,
+    pub key_columns: &'a [String],
     pub kind: AccessPathKind,
     pub bounds: IndexBounds,
     /// True when the index is ordered — the prerequisite for the ORDER BY
@@ -77,12 +77,12 @@ pub(super) struct ScanChoice {
 }
 
 /// What access-path selection concluded for one relation scan.
-pub(super) enum ScanPath {
+pub(super) enum ScanPath<'a> {
     /// Probe the index; the consumed conjuncts leave the filter chain.
-    Index(ScanChoice),
+    Index(ScanChoice<'a>),
     /// Keep the full scan, but remember the rejected candidate so the
     /// decision (and its narration) can own up to it.
-    FullScan(ScanChoice),
+    FullScan(ScanChoice<'a>),
 }
 
 /// A sargable conjunct against one column of the relation: an equality term
@@ -241,36 +241,35 @@ fn probe_is_exact(
 /// Match one index against the available sargs: pin leading key columns
 /// with equalities, optionally add one range on the next key column, and
 /// estimate the probe's output. `None` when no conjunct constrains the key.
-fn match_index(
-    index: &Index,
+fn match_index<'a>(
+    index: &'a Index,
     table: &datastore::Table,
     sargs: &[(usize, Sarg)],
     base_rows: f64,
-) -> Option<ScanChoice> {
+) -> Option<ScanChoice<'a>> {
     let key = &index.def().columns;
-    let mut used = vec![false; sargs.len()];
     let mut eq: Vec<BoundTerm> = Vec::new();
-    let mut columns: Vec<String> = Vec::new();
-    // Positions in `rel.pushed` of the conjuncts the bounds take over.
+    let mut columns: Vec<&str> = Vec::new();
+    // Positions in `rel.pushed` of the conjuncts the bounds take over (one
+    // sarg per conjunct, so also which sargs are used).
     let mut consumed: Vec<usize> = Vec::new();
     let mut selectivity = 1.0;
     for key_col in key {
         let declared = table.schema().column(key_col).map(|c| c.data_type)?;
-        let found = sargs.iter().enumerate().find(|(i, (_, s))| {
-            !used[*i]
+        let found = sargs.iter().find(|(pos, s)| {
+            !consumed.contains(pos)
                 && s.column.eq_ignore_ascii_case(key_col)
                 && matches!(s.shape, SargShape::Eq(_))
                 && probe_is_exact(index.def().kind, declared, s.term_type)
         });
-        let Some((i, (pos, sarg))) = found else {
+        let Some((pos, sarg)) = found else {
             break;
         };
-        used[i] = true;
         let SargShape::Eq(term) = &sarg.shape else {
             unreachable!("found is filtered to equalities");
         };
         eq.push(term.clone());
-        columns.push(key_col.clone());
+        columns.push(key_col);
         consumed.push(*pos);
         selectivity *= sarg.selectivity;
     }
@@ -279,19 +278,18 @@ fn match_index(
     let mut hi: Option<TermBound> = None;
     if index.supports_range() {
         if let Some(next_col) = key.get(eq.len()) {
-            let found = sargs.iter().enumerate().find(|(i, (_, s))| {
-                !used[*i]
+            let found = sargs.iter().find(|(pos, s)| {
+                !consumed.contains(pos)
                     && s.column.eq_ignore_ascii_case(next_col)
                     && matches!(s.shape, SargShape::Range { .. })
             });
-            if let Some((i, (pos, sarg))) = found {
-                used[i] = true;
+            if let Some((pos, sarg)) = found {
                 let SargShape::Range { lo: l, hi: h } = &sarg.shape else {
                     unreachable!("found is filtered to ranges");
                 };
                 lo = l.clone();
                 hi = h.clone();
-                columns.push(next_col.clone());
+                columns.push(next_col);
                 consumed.push(*pos);
                 selectivity *= sarg.selectivity;
             }
@@ -314,9 +312,9 @@ fn match_index(
     };
     let parameterized = bounds.is_correlated();
     Some(ScanChoice {
-        index: index.def().name.clone(),
+        index: &index.def().name,
         columns,
-        key_columns: key.clone(),
+        key_columns: key,
         kind,
         bounds,
         ordered: index.supports_range(),
@@ -331,13 +329,13 @@ fn match_index(
 /// ones included, probed as parameters — and the most selective match is
 /// costed against the full scan at [`INDEX_PROBE_ROW_COST`]. `None` when no
 /// conjunct can use any index (nothing to decide, nothing to narrate).
-pub(super) fn choose_scan_path(
-    db: &Database,
-    estimator: &Estimator,
-    rel: &Relation,
+pub(super) fn choose_scan_path<'a>(
+    db: &'a Database,
+    estimator: &'a Estimator,
+    rel: &'a Relation,
     base_rows: f64,
     scopes: &ScopeChain,
-) -> Option<ScanPath> {
+) -> Option<ScanPath<'a>> {
     let table = db.table(&rel.table)?;
     let stats = db.table_stats(&rel.table)?;
     let sargs: Vec<(usize, Sarg)> = rel
@@ -388,7 +386,7 @@ pub(super) fn scan_decision(
     PlanDecision::AccessPath {
         alias: rel.alias.clone(),
         table: rel.table.clone(),
-        index: choice.index.clone(),
+        index: choice.index.to_string(),
         column: choice.columns.join(", "),
         kind: choice.kind,
         estimated_rows: choice.estimated_rows,

@@ -392,7 +392,8 @@ impl JoinOrder {
 /// rather than once per NDV lookup.
 pub struct Estimator<'a> {
     db: &'a Database,
-    stats: std::cell::RefCell<std::collections::HashMap<String, Option<Arc<TableStats>>>>,
+    /// The statistics read so far, each found again by its own table name.
+    stats: std::cell::RefCell<Vec<Arc<TableStats>>>,
     /// What the engine had learned when this pass began, consulted *before*
     /// histogram estimation (`None` when the feedback loop is disabled).
     feedback: Option<Arc<FeedbackStore>>,
@@ -415,7 +416,7 @@ impl<'a> Estimator<'a> {
     pub fn new(db: &'a Database) -> Estimator<'a> {
         Estimator {
             db,
-            stats: std::cell::RefCell::new(std::collections::HashMap::new()),
+            stats: std::cell::RefCell::new(Vec::new()),
             feedback: None,
             overrides: std::cell::RefCell::new(Vec::new()),
             hypothetical: Vec::new(),
@@ -514,13 +515,15 @@ impl<'a> Estimator<'a> {
             .unwrap_or_else(|| selectivity(rel, stats, conjunct).clamp(0.0, 1.0))
     }
 
-    /// Memoized per-table statistics lookup.
+    /// Memoized per-table statistics lookup; names fold as the catalog's do.
     fn table_stats(&self, table: &str) -> Option<Arc<TableStats>> {
-        self.stats
-            .borrow_mut()
-            .entry(table.to_uppercase())
-            .or_insert_with(|| self.db.table_stats(table))
-            .clone()
+        let mut memo = self.stats.borrow_mut();
+        if let Some(stats) = memo.iter().find(|s| s.table.eq_ignore_ascii_case(table)) {
+            return Some(Arc::clone(stats));
+        }
+        let stats = self.db.table_stats(table)?;
+        memo.push(Arc::clone(&stats));
+        Some(stats)
     }
 
     /// Base row count of a relation and the running estimate after each of
@@ -528,28 +531,28 @@ impl<'a> Estimator<'a> {
     /// both the enumerator (via [`Estimator::relation_rows`]) and the
     /// physical layer's scan/filter annotations use.
     pub fn relation_row_trace(&self, rel: &Relation) -> (f64, Vec<f64>) {
-        match self.table_stats(&rel.table) {
-            None => (0.0, vec![0.0; rel.pushed.len()]),
-            Some(stats) => {
-                let base = stats.row_count as f64;
-                let mut rows = base;
-                let trace = rel
-                    .pushed
-                    .iter()
-                    .map(|conjunct| {
-                        rows *= self.effective_conjunct_selectivity(rel, &stats, conjunct);
-                        rows
-                    })
-                    .collect();
-                (base, trace)
-            }
-        }
+        let (base, steps) = self.row_steps(rel);
+        (base, steps.collect())
     }
 
     /// Estimated rows of a relation after its pushed predicates.
     pub fn relation_rows(&self, rel: &Relation) -> f64 {
-        let (base, trace) = self.relation_row_trace(rel);
-        trace.last().copied().unwrap_or(base)
+        let (base, steps) = self.row_steps(rel);
+        steps.last().unwrap_or(base)
+    }
+
+    /// [`Estimator::relation_row_trace`], its steps computed as they are
+    /// read. Without statistics every step is 0.
+    fn row_steps<'s>(&'s self, rel: &'s Relation) -> (f64, impl Iterator<Item = f64> + 's) {
+        let stats = self.table_stats(&rel.table);
+        let base = stats.as_ref().map_or(0.0, |stats| stats.row_count as f64);
+        let steps = rel.pushed.iter().scan(base, move |rows, conjunct| {
+            if let Some(stats) = &stats {
+                *rows *= self.effective_conjunct_selectivity(rel, stats, conjunct);
+            }
+            Some(*rows)
+        });
+        (base, steps)
     }
 
     /// NDV of a relation's join column, capped at the estimated cardinality

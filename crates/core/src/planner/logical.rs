@@ -132,10 +132,8 @@ impl JoinGraph {
 
 /// The alias (tuple variable) a column reference belongs to, using the
 /// explicit qualifier or the binder's resolution for unqualified names.
-pub fn ref_alias(c: &ColumnRef, bound: &BoundQuery) -> Option<String> {
-    c.qualifier
-        .clone()
-        .or_else(|| bound.qualifier_of(c).map(str::to_string))
+pub fn ref_alias<'a>(c: &'a ColumnRef, bound: &'a BoundQuery) -> Option<&'a str> {
+    c.qualifier.as_deref().or_else(|| bound.qualifier_of(c))
 }
 
 /// Declared type of a column, if the table and column exist. The subquery
@@ -204,7 +202,9 @@ pub fn build_join_graph(db: &Database, query: &SelectStatement, bound: &BoundQue
                 if correlated {
                     // What tells an enclosing block's column from the
                     // relation's own, everywhere below, is its qualifier.
-                    pushed.column_refs_mut(&mut |c| c.qualifier = ref_alias(c, bound));
+                    pushed.column_refs_mut(&mut |c| {
+                        c.qualifier = ref_alias(c, bound).map(str::to_string)
+                    });
                 }
                 relations[i].pushed.push(pushed);
             }
@@ -240,7 +240,7 @@ fn selection_target(
     let mut correlated = false;
     for c in conjunct.column_refs() {
         let alias = ref_alias(c, bound)?;
-        match relation_index(relations, &alias) {
+        match relation_index(relations, alias) {
             Some(i) if target.is_none_or(|t| t == i) => target = Some(i),
             Some(_) => return None,
             None => correlated = true,

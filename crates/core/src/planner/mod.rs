@@ -60,6 +60,7 @@ use datastore::Database;
 use sqlparse::ast::SelectStatement;
 use sqlparse::bind::bind_query;
 use sqlparse::rewrite::flatten_in_subqueries;
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Planner options: how many threads and from how many rows, how far off an
@@ -179,17 +180,17 @@ impl PlannerOptions {
     }
 }
 
-/// A lowered query: the physical plan, the flattened AST it was built from,
-/// and the optimizer decisions that shaped it.
+/// A lowered query: the physical plan, the optimizer decisions that shaped
+/// it, and how many conditions its flattened `WHERE` clause applies.
 #[derive(Debug, Clone)]
 pub struct PlannedQuery {
     pub plan: Plan,
-    /// The flattened AST the plan was built from (differs from the input
-    /// when the rewriter removed nesting).
-    pub effective_query: SelectStatement,
     /// The decisions the optimizer took (empty when there was nothing to
     /// decide).
     pub decisions: Vec<PlanDecision>,
+    /// The conjuncts of the `WHERE` clause the plan was built from, after
+    /// the rewriter removed what nesting it could.
+    pub where_conditions: usize,
 }
 
 /// Plan a query against a database with default options. Nested queries are
@@ -244,7 +245,7 @@ fn plan_query_impl(
     param_kinds: &[ParamKind],
 ) -> Result<PlannedQuery, TalkbackError> {
     let what_if = !hypothetical.is_empty();
-    let effective = flatten_in_subqueries(query).unwrap_or_else(|| query.clone());
+    let effective = flatten_in_subqueries(query).map_or(Cow::Borrowed(query), Cow::Owned);
     let bound = bind_query(db.catalog(), &effective)?;
     if bound.tables.is_empty() {
         return Err(TalkbackError::Unsupported(
@@ -319,8 +320,8 @@ fn plan_query_impl(
     }
     Ok(PlannedQuery {
         plan,
-        effective_query: effective,
         decisions,
+        where_conditions: effective.where_conjuncts().len(),
     })
 }
 
@@ -372,6 +373,26 @@ mod tests {
             out.push(table.clone());
         }
         out
+    }
+
+    #[test]
+    fn a_parenthesized_and_plans_as_the_flat_chain() {
+        let db = movie_database();
+        let plan = |sql: &str| plan_query(&db, &parse_query(sql).unwrap()).unwrap().plan;
+        for (grouped, flat) in [
+            (
+                "select m.title from MOVIES m where m.year > 1990 and (m.id < 50 and m.title <> 'x')",
+                "select m.title from MOVIES m where m.year > 1990 and m.id < 50 and m.title <> 'x'",
+            ),
+            (
+                "select m.year, count(*) from MOVIES m group by m.year \
+                 having count(*) > 0 and (min(m.id) > 0 and max(m.id) < 99)",
+                "select m.year, count(*) from MOVIES m group by m.year \
+                 having count(*) > 0 and min(m.id) > 0 and max(m.id) < 99",
+            ),
+        ] {
+            assert_eq!(plan(grouped), plan(flat), "{grouped}");
+        }
     }
 
     #[test]

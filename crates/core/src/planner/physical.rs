@@ -24,20 +24,16 @@ use sqlparse::ast::{
     UnaryOperator,
 };
 use sqlparse::bind::BoundQuery;
-use std::collections::{HashMap, HashSet};
 
 fn resolve_column(
     columns: &[ColumnInfo],
     bound: &BoundQuery,
     col: &ColumnRef,
 ) -> Result<usize, TalkbackError> {
-    let qualifier = col
-        .qualifier
-        .clone()
-        .or_else(|| bound.qualifier_of(col).map(str::to_string));
+    let qualifier = ref_alias(col, bound);
     columns
         .iter()
-        .position(|c| c.matches(qualifier.as_deref(), &col.column))
+        .position(|c| c.matches(qualifier, &col.column))
         .ok_or_else(|| TalkbackError::Unsupported(format!("cannot resolve column reference {col}")))
 }
 
@@ -60,8 +56,8 @@ pub(super) fn lower_select(
     order: &JoinOrder,
     estimator: &Estimator,
     scopes: &ScopeChain,
-    where_subs: &[Expr],
-    having_subs: &[Expr],
+    where_subs: &[&Expr],
+    having_subs: &[&Expr],
     project: bool,
 ) -> Result<(Plan, Vec<ColumnInfo>), TalkbackError> {
     let use_indexes = scopes.ctx().options.use_indexes;
@@ -101,7 +97,6 @@ pub(super) fn lower_select(
                               ordered_scans: &mut Vec<(String, String, String)>|
      -> Result<(Plan, Vec<ColumnInfo>), TalkbackError> {
         let rel = &graph.relations[rel_idx];
-        let columns = relation_columns(rel_idx)?;
         // The same trace the enumerator costed with annotates the
         // operators.
         let (base_rows, trace) = estimator.relation_row_trace(rel);
@@ -115,7 +110,7 @@ pub(super) fn lower_select(
                 let index_only = choice.ordered
                     && referenced
                         .as_ref()
-                        .is_some_and(|refs| covers(refs, rel, &choice.key_columns));
+                        .is_some_and(|refs| covers(refs, rel, choice.key_columns));
                 scopes.ctx().record_decision(access::scan_decision(
                     rel, &choice, base_rows, true, index_only,
                 ));
@@ -127,7 +122,7 @@ pub(super) fn lower_select(
                     let sort_col = choice.key_columns
                         [choice.bounds.eq.len().min(choice.key_columns.len() - 1)]
                     .clone();
-                    ordered_scans.push((rel.alias.clone(), choice.index.clone(), sort_col));
+                    ordered_scans.push((rel.alias.clone(), choice.index.to_string(), sort_col));
                 }
                 let mut plan = Plan::index_scan(
                     rel.table.clone(),
@@ -144,7 +139,7 @@ pub(super) fn lower_select(
                         .map(|k| ColumnInfo::qualified(rel.alias.clone(), k.clone()))
                         .collect()
                 } else {
-                    columns
+                    relation_columns(rel_idx)?
                 };
                 (
                     plan,
@@ -160,12 +155,24 @@ pub(super) fn lower_select(
                     .record_decision(access::scan_decision(rel, &choice, base_rows, false, false));
                 let plan =
                     Plan::scan(rel.table.clone(), rel.alias.clone()).with_estimate(base_rows);
-                (plan, columns, base_rows, Vec::new(), false)
+                (
+                    plan,
+                    relation_columns(rel_idx)?,
+                    base_rows,
+                    Vec::new(),
+                    false,
+                )
             }
             None => {
                 let plan =
                     Plan::scan(rel.table.clone(), rel.alias.clone()).with_estimate(base_rows);
-                (plan, columns, base_rows, Vec::new(), false)
+                (
+                    plan,
+                    relation_columns(rel_idx)?,
+                    base_rows,
+                    Vec::new(),
+                    false,
+                )
             }
         };
         let stats = db.table_stats(&rel.table);
@@ -493,7 +500,7 @@ fn set_key_order(plan: &mut Plan, ascending: bool) {
     }
 }
 
-/// Column references attributed per relation alias (lower-cased), for the
+/// Column references attributed per relation alias (both lower-cased), for the
 /// index-only covering check: everything the plan touches *above* a scan —
 /// projection, ORDER/GROUP BY, HAVING, every filter conjunct, join edges,
 /// and subquery bodies (whose correlated references resolve against this
@@ -505,12 +512,12 @@ fn referenced_columns(
     query: &SelectStatement,
     graph: &JoinGraph,
     bound: &BoundQuery,
-    where_subs: &[Expr],
-    having_subs: &[Expr],
-) -> Option<HashMap<String, HashSet<String>>> {
+    where_subs: &[&Expr],
+    having_subs: &[&Expr],
+) -> Option<Vec<(String, Vec<String>)>> {
     let mut refs = RefCollector {
         bound,
-        map: HashMap::new(),
+        map: Vec::new(),
         fatal: false,
     };
     for item in &query.projection {
@@ -553,11 +560,14 @@ fn referenced_columns(
 
 /// True when every collected reference to `rel` is one of the index's key
 /// columns — the covering condition for an index-only scan.
-fn covers(refs: &HashMap<String, HashSet<String>>, rel: &Relation, key_columns: &[String]) -> bool {
-    match refs.get(&rel.alias.to_lowercase()) {
+fn covers(refs: &[(String, Vec<String>)], rel: &Relation, key_columns: &[String]) -> bool {
+    match refs
+        .iter()
+        .find(|(alias, _)| is_lower_case_of(alias, &rel.alias))
+    {
         None => true, // Nothing above the scan touches this relation.
-        Some(cols) => {
-            !cols.contains("*")
+        Some((_, cols)) => {
+            !cols.iter().any(|c| c == "*")
                 && cols
                     .iter()
                     .all(|c| key_columns.iter().any(|k| k.eq_ignore_ascii_case(c)))
@@ -565,9 +575,20 @@ fn covers(refs: &HashMap<String, HashSet<String>>, rel: &Relation, key_columns: 
     }
 }
 
+/// `lower == name.to_lowercase()`, compared in place for an ASCII name
+/// (`lower` holds no ASCII upper case, so ASCII folding is exact there).
+fn is_lower_case_of(lower: &str, name: &str) -> bool {
+    if name.is_ascii() {
+        lower.eq_ignore_ascii_case(name)
+    } else {
+        lower == name.to_lowercase()
+    }
+}
+
 struct RefCollector<'a> {
     bound: &'a BoundQuery,
-    map: HashMap<String, HashSet<String>>,
+    /// Lower-cased aliases, each with the lower-cased columns read of it.
+    map: Vec<(String, Vec<String>)>,
     fatal: bool,
 }
 
@@ -577,35 +598,48 @@ impl RefCollector<'_> {
         // no block relation matches — harmless. A sub-local unqualified name
         // that happens to resolve against this block is attributed here:
         // over-collection, still sound.
-        match c
-            .qualifier
-            .clone()
-            .or_else(|| self.bound.qualifier_of(c).map(str::to_string))
-        {
-            Some(q) => self.edge(&q, &c.column),
+        match ref_alias(c, self.bound) {
+            Some(q) => self.edge(q, &c.column),
             None => self.fatal = true,
         }
     }
 
     fn edge(&mut self, alias: &str, column: &str) {
-        self.map
-            .entry(alias.to_lowercase())
-            .or_default()
-            .insert(column.to_lowercase());
+        let columns = self.columns_of(alias);
+        if !columns.iter().any(|c| is_lower_case_of(c, column)) {
+            columns.push(column.to_lowercase());
+        }
     }
 
     /// `alias.*` needs every column of that relation.
     fn wildcard(&mut self, alias: &str) {
-        self.map
-            .entry(alias.to_lowercase())
-            .or_default()
-            .insert("*".into());
+        let columns = self.columns_of(alias);
+        if !columns.iter().any(|c| c == "*") {
+            columns.push("*".into());
+        }
+    }
+
+    fn columns_of(&mut self, alias: &str) -> &mut Vec<String> {
+        let at = match self
+            .map
+            .iter()
+            .position(|(a, _)| is_lower_case_of(a, alias))
+        {
+            Some(at) => at,
+            None => {
+                self.map.push((alias.to_lowercase(), Vec::new()));
+                self.map.len() - 1
+            }
+        };
+        &mut self.map[at].1
     }
 
     fn expr(&mut self, e: &Expr) {
-        for c in e.column_refs() {
-            self.add(c);
-        }
+        e.walk(&mut |e| {
+            if let Expr::Column(c) = e {
+                self.add(c);
+            }
+        });
         // `walk` stops at subquery boundaries; descend into the bodies by
         // hand — their correlated references read this block's columns.
         for s in e.subqueries() {
@@ -704,7 +738,7 @@ fn lower_projection(
                 let name = match (alias, expr) {
                     (Some(a), _) => ColumnInfo::unqualified(a.clone()),
                     (None, Expr::Column(c)) => ColumnInfo {
-                        qualifier: ref_alias(c, bound),
+                        qualifier: ref_alias(c, bound).map(str::to_string),
                         name: c.column.clone(),
                     },
                     (None, other) => ColumnInfo::unqualified(other.to_string()),
@@ -722,7 +756,7 @@ fn lower_aggregate(
     bound: &BoundQuery,
     input: Plan,
     columns: &[ColumnInfo],
-    having_subs: &[Expr],
+    having_subs: &[&Expr],
     scopes: &ScopeChain,
 ) -> Result<Plan, TalkbackError> {
     // Group-by keys must be plain column references for this substrate.
@@ -950,16 +984,10 @@ pub(super) fn lower_expr_scoped(
     match expr {
         Expr::Column(c) => match resolve_column(columns, bound, c) {
             Ok(i) => Ok(PExpr::Column(i)),
-            Err(unresolved) => {
-                let qualifier = c
-                    .qualifier
-                    .clone()
-                    .or_else(|| bound.qualifier_of(c).map(str::to_string));
-                scopes
-                    .and_then(|s| s.resolve_param(qualifier.as_deref(), &c.column))
-                    .map(PExpr::Param)
-                    .ok_or(unresolved)
-            }
+            Err(unresolved) => scopes
+                .and_then(|s| s.resolve_param(ref_alias(c, bound), &c.column))
+                .map(PExpr::Param)
+                .ok_or(unresolved),
         },
         Expr::Literal(l) => Ok(PExpr::Literal(literal_value(l))),
         // A plan-cache placeholder is a statement parameter: `bind_params`

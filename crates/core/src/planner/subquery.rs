@@ -54,7 +54,7 @@
 //! spirit of the paper.
 
 use super::cost::{plan_cost, Estimator, GroupedLookup, PlanDecision, SubqueryStrategy};
-use super::logical::{build_join_graph, column_type};
+use super::logical::{build_join_graph, column_type, ref_alias};
 use super::physical::{
     comparison_op, lower_expr_scoped, lower_having, lower_select, not_a_comparison,
 };
@@ -70,6 +70,7 @@ use sqlparse::ast::{
 };
 use sqlparse::bind::{bind_subquery, BoundQuery};
 use sqlparse::rewrite::flatten_in_subqueries;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashSet};
 
@@ -86,14 +87,14 @@ pub(super) struct SubqueryContext<'a> {
 /// One enclosing row scope a subquery can reference: the columns of the
 /// operator output the enclosing `Apply` will iterate, plus the parameters
 /// allocated against it so far.
-pub(super) struct OuterScope {
-    columns: Vec<ColumnInfo>,
-    bound: BoundQuery,
+pub(super) struct OuterScope<'a> {
+    columns: &'a [ColumnInfo],
+    bound: &'a BoundQuery,
     params: RefCell<Vec<(u32, usize)>>,
 }
 
-impl OuterScope {
-    pub fn new(columns: Vec<ColumnInfo>, bound: BoundQuery) -> OuterScope {
+impl<'a> OuterScope<'a> {
+    pub fn new(columns: &'a [ColumnInfo], bound: &'a BoundQuery) -> OuterScope<'a> {
         OuterScope {
             columns,
             bound,
@@ -125,7 +126,7 @@ impl OuterScope {
 /// parameter against the scope that owns it.
 pub(super) struct ScopeChain<'a> {
     ctx: &'a SubqueryContext<'a>,
-    scopes: Vec<&'a OuterScope>,
+    scopes: Vec<&'a OuterScope<'a>>,
 }
 
 impl<'a> ScopeChain<'a> {
@@ -143,11 +144,11 @@ impl<'a> ScopeChain<'a> {
     }
 
     /// Extend the chain with one more (innermost) scope.
-    pub fn child<'b>(&'b self, scope: &'b OuterScope) -> ScopeChain<'b>
+    pub fn child<'b>(&'b self, scope: &'b OuterScope<'b>) -> ScopeChain<'b>
     where
         'a: 'b,
     {
-        let mut scopes: Vec<&'b OuterScope> = Vec::with_capacity(self.scopes.len() + 1);
+        let mut scopes: Vec<&'b OuterScope<'b>> = Vec::with_capacity(self.scopes.len() + 1);
         scopes.extend(self.scopes.iter().copied());
         scopes.push(scope);
         ScopeChain {
@@ -176,7 +177,18 @@ impl<'a> ScopeChain<'a> {
     /// The enclosing blocks' binder results, outermost first — the scope
     /// stack [`bind_subquery`] resolves correlated references against.
     pub fn bound_chain(&self) -> Vec<&BoundQuery> {
-        self.scopes.iter().map(|s| &s.bound).collect()
+        self.scopes.iter().map(|s| s.bound).collect()
+    }
+
+    /// [`ScopeChain::bound_chain`] extended with the attachment block itself
+    /// — what subquery *binding* sees (the subquery may legitimately
+    /// reference the attachment block; whether lowering supports that
+    /// reference is decided by the chosen strategy).
+    fn bound_chain_with<'s>(&'s self, own: &'s BoundQuery) -> Vec<&'s BoundQuery> {
+        let mut chain = Vec::with_capacity(self.scopes.len() + 1);
+        chain.extend(self.scopes.iter().map(|s| s.bound));
+        chain.push(own);
+        chain
     }
 }
 
@@ -197,7 +209,7 @@ pub(super) fn semi_join_hints(
     estimator: &Estimator,
     graph: &super::logical::JoinGraph,
     bound: &BoundQuery,
-    where_subs: &[Expr],
+    where_subs: &[&Expr],
 ) -> Vec<f64> {
     let mut hints = vec![1.0_f64; graph.relations.len()];
     if graph.relations.len() <= 1 {
@@ -318,14 +330,11 @@ fn in_hint_term(
     let Expr::Column(c) = probe else {
         return None;
     };
-    let alias = c
-        .qualifier
-        .clone()
-        .or_else(|| bound.qualifier_of(c).map(str::to_string))?;
+    let alias = ref_alias(c, bound)?;
     let rel_idx = graph
         .relations
         .iter()
-        .position(|r| r.alias.eq_ignore_ascii_case(&alias))?;
+        .position(|r| r.alias.eq_ignore_ascii_case(alias))?;
     let [SelectItem::Expr {
         expr: Expr::Column(inner),
         ..
@@ -363,24 +372,70 @@ fn in_hint_term(
 /// Split a statement's WHERE and HAVING into the subquery-free remainder
 /// (what the join graph and plain lowering see) and the conjuncts containing
 /// subqueries, which the subquery pass attaches as dedicated operators.
-pub(super) fn split_subqueries(stmt: &SelectStatement) -> (SelectStatement, Vec<Expr>, Vec<Expr>) {
-    fn split(pred: &Option<Expr>) -> (Option<Expr>, Vec<Expr>) {
+pub(super) fn split_subqueries(
+    stmt: &SelectStatement,
+) -> (Cow<'_, SelectStatement>, Vec<&Expr>, Vec<&Expr>) {
+    // Without a subquery the remainder is the statement itself, unless a
+    // parenthesized AND has to be re-associated the way `and_all` joins.
+    let predicates = [&stmt.selection, &stmt.having];
+    if !stmt.has_subquery() && predicates.into_iter().flatten().all(is_left_deep) {
+        return (Cow::Borrowed(stmt), Vec::new(), Vec::new());
+    }
+    fn split(pred: &Option<Expr>) -> (Option<Expr>, Vec<&Expr>) {
         let Some(p) = pred else {
             return (None, Vec::new());
         };
-        let (subs, plain): (Vec<Expr>, Vec<Expr>) = p
+        let (subs, plain): (Vec<&Expr>, Vec<&Expr>) = p
             .conjuncts()
             .into_iter()
-            .cloned()
-            .partition(Expr::contains_subquery);
-        (Expr::and_all(plain), subs)
+            .partition(|c| c.contains_subquery());
+        (Expr::and_all(plain.into_iter().cloned().collect()), subs)
     }
-    let mut stripped = stmt.clone();
-    let (where_plain, where_subs) = split(&stmt.selection);
-    let (having_plain, having_subs) = split(&stmt.having);
-    stripped.selection = where_plain;
-    stripped.having = having_plain;
-    (stripped, where_subs, having_subs)
+    let (selection, where_subs) = split(&stmt.selection);
+    let (having, having_subs) = split(&stmt.having);
+    let stripped = with_predicates(stmt, selection, having);
+    (Cow::Owned(stripped), where_subs, having_subs)
+}
+
+/// `stmt` with `selection` and `having` in place of its own, which are not
+/// copied.
+fn with_predicates(
+    stmt: &SelectStatement,
+    selection: Option<Expr>,
+    having: Option<Expr>,
+) -> SelectStatement {
+    SelectStatement {
+        distinct: stmt.distinct,
+        projection: stmt.projection.clone(),
+        from: stmt.from.clone(),
+        selection,
+        group_by: stmt.group_by.clone(),
+        having,
+        order_by: stmt.order_by.clone(),
+        limit: stmt.limit,
+    }
+}
+
+/// True when `and_all(pred.conjuncts())` rebuilds `pred` as it is: no AND
+/// is the right operand of an AND.
+fn is_left_deep(pred: &Expr) -> bool {
+    let is_and = |e: &Expr| {
+        matches!(
+            e,
+            Expr::BinaryOp {
+                op: BinaryOperator::And,
+                ..
+            }
+        )
+    };
+    match pred {
+        Expr::BinaryOp {
+            left,
+            op: BinaryOperator::And,
+            right,
+        } => !is_and(right) && is_left_deep(left),
+        _ => true,
+    }
 }
 
 /// A decorrelated equi-join key: the outer-scope column and the subquery's
@@ -442,7 +497,7 @@ impl<'c> SubqueryContext<'c> {
         scopes: &ScopeChain,
         project: bool,
     ) -> Result<(Plan, Vec<ColumnInfo>, BoundQuery), TalkbackError> {
-        let effective = flatten_in_subqueries(stmt).unwrap_or_else(|| stmt.clone());
+        let effective = flatten_in_subqueries(stmt).map_or(Cow::Borrowed(stmt), Cow::Owned);
         let bound = bind_subquery(self.db.catalog(), &effective, &scopes.bound_chain())?;
         if bound.tables.is_empty() {
             return Err(TalkbackError::Unsupported(
@@ -657,7 +712,7 @@ impl<'c> SubqueryContext<'c> {
         rows: f64,
     ) -> Result<(Plan, f64), TalkbackError> {
         if self.options.decorrelate_subqueries && !sub.is_aggregate() && sub.limit.is_none() {
-            if let Some((keys, stripped_sub)) = self.exists_keys(sub, columns, bound, scopes)? {
+            if let Some((keys, stripped_sub)) = self.exists_keys(sub, bound, scopes)? {
                 // Build side: the subquery minus its correlation equalities,
                 // planned against the *enclosing* scopes only (the stripped
                 // sub provably no longer references the attachment block).
@@ -742,8 +797,7 @@ impl<'c> SubqueryContext<'c> {
         single_column_subquery(sub, "an IN")?;
         if self.options.decorrelate_subqueries {
             if let Some((probe_pos, probe_ref)) = self.hashable_probe(outer_expr, columns, bound) {
-                let chain_with_self = scopes_with(scopes, columns, bound);
-                let full_chain = chain_with_self.bound_chain();
+                let full_chain = scopes.bound_chain_with(bound);
                 let bound_sub = bind_subquery(self.db.catalog(), sub, &full_chain)?;
                 let targets = block_aliases(bound);
                 let uncorrelated = !correlates_with(sub, &bound_sub, &targets, &HashSet::new());
@@ -831,8 +885,8 @@ impl<'c> SubqueryContext<'c> {
         single_column_subquery(sub, "a scalar")?;
         let probe = lower_outer(outer_expr)?;
         let op = comparison_op(op).ok_or_else(|| not_a_comparison(op))?;
-        let chain_with_self = scopes_with(scopes, columns, bound);
-        let bound_sub = bind_subquery(self.db.catalog(), sub, &chain_with_self.bound_chain())?;
+        let chain_with_self = scopes.bound_chain_with(bound);
+        let bound_sub = bind_subquery(self.db.catalog(), sub, &chain_with_self)?;
         let targets = block_aliases(bound);
         if self.options.decorrelate_subqueries
             && !correlates_with(sub, &bound_sub, &targets, &HashSet::new())
@@ -927,7 +981,7 @@ impl<'c> SubqueryContext<'c> {
             .flatten())
         .and_then(|e| lower_expr_scoped(&e, &[], bound, None).ok())
         .and_then(|e| e.eval(&Row::empty()).ok());
-        let Some((keys, mut grouped)) = self.exists_keys(sub, columns, bound, scopes)? else {
+        let Some((keys, mut grouped)) = self.exists_keys(sub, bound, scopes)? else {
             return Ok(None);
         };
         let probe: Option<Vec<usize>> = keys
@@ -1032,7 +1086,7 @@ impl<'c> SubqueryContext<'c> {
         mode: ApplyMode,
         rows: f64,
     ) -> Result<(Plan, f64), TalkbackError> {
-        let scope = OuterScope::new(columns.to_vec(), bound.clone());
+        let scope = OuterScope::new(columns, bound);
         let sub_plan = {
             let chain = scopes.child(&scope);
             let (mut sub_plan, _, _) = self.plan_block(estimator, sub, &chain, true)?;
@@ -1072,12 +1126,11 @@ impl<'c> SubqueryContext<'c> {
     fn exists_keys(
         &self,
         sub: &SelectStatement,
-        columns: &[ColumnInfo],
         bound: &BoundQuery,
         scopes: &ScopeChain,
     ) -> Result<Option<(Vec<KeyPair>, SelectStatement)>, TalkbackError> {
-        let chain_with_self = scopes_with(scopes, columns, bound);
-        let bound_sub = bind_subquery(self.db.catalog(), sub, &chain_with_self.bound_chain())?;
+        let chain_with_self = scopes.bound_chain_with(bound);
+        let bound_sub = bind_subquery(self.db.catalog(), sub, &chain_with_self)?;
         let targets = block_aliases(bound);
         let locals: HashSet<String> = sub
             .tuple_variables()
@@ -1097,14 +1150,12 @@ impl<'c> SubqueryContext<'c> {
         if keys.is_empty() {
             return Ok(None);
         }
-        let mut stripped = sub.clone();
-        stripped.selection = Expr::and_all(remaining);
+        let stripped = with_predicates(sub, Expr::and_all(remaining), sub.having.clone());
         // Re-bind the stripped subquery: if any reference to the attachment
         // block survives (in the projection, a nested block, a non-equality
         // predicate…), the build side would depend on the probe row and a
         // one-shot semi-join would be wrong — fall back to Apply.
-        let bound_stripped =
-            bind_subquery(self.db.catalog(), &stripped, &chain_with_self.bound_chain())?;
+        let bound_stripped = bind_subquery(self.db.catalog(), &stripped, &chain_with_self)?;
         if correlates_with(&stripped, &bound_stripped, &targets, &HashSet::new()) {
             return Ok(None);
         }
@@ -1131,12 +1182,7 @@ impl<'c> SubqueryContext<'c> {
         let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
             return None;
         };
-        let alias_of = |c: &ColumnRef| {
-            c.qualifier
-                .clone()
-                .or_else(|| bound_sub.qualifier_of(c).map(str::to_string))
-                .map(|q| q.to_lowercase())
-        };
+        let alias_of = |c: &ColumnRef| ref_alias(c, bound_sub).map(str::to_lowercase);
         let (a_alias, b_alias) = (alias_of(a)?, alias_of(b)?);
         let (inner, inner_alias, outer, outer_alias) = if locals.contains(&a_alias)
             && !locals.contains(&b_alias)
@@ -1200,14 +1246,11 @@ impl<'c> SubqueryContext<'c> {
         let Expr::Column(c) = outer_expr else {
             return None;
         };
-        let alias = c
-            .qualifier
-            .clone()
-            .or_else(|| bound.qualifier_of(c).map(str::to_string))?;
+        let alias = ref_alias(c, bound)?;
         let pos = columns
             .iter()
-            .position(|col| col.matches(Some(&alias), &c.column))?;
-        Some((pos, qualified(c, &alias)))
+            .position(|col| col.matches(Some(alias), &c.column))?;
+        Some((pos, qualified(c, alias)))
     }
 
     /// The single projected column of an `IN` subquery, if it is a column.
@@ -1253,42 +1296,8 @@ impl<'c> SubqueryContext<'c> {
     }
 
     fn column_ref_type(&self, bound: &BoundQuery, c: &ColumnRef) -> Option<DataType> {
-        let alias = c
-            .qualifier
-            .clone()
-            .or_else(|| bound.qualifier_of(c).map(str::to_string))?;
-        let table = bound.table_of_alias(&alias)?;
+        let table = bound.table_of_alias(ref_alias(c, bound)?)?;
         column_type(self.db, table, &c.column)
-    }
-}
-
-/// A new scope chain extended with the attachment block itself — what
-/// subquery *binding* sees (the subquery may legitimately reference the
-/// attachment block; whether lowering supports that reference is decided by
-/// the chosen strategy).
-fn scopes_with<'b>(
-    scopes: &'b ScopeChain<'b>,
-    _columns: &[ColumnInfo],
-    bound: &BoundQuery,
-) -> BindChain<'b> {
-    BindChain {
-        outer: scopes.bound_chain(),
-        own: bound.clone(),
-    }
-}
-
-/// The bind-scope stack for checking a subquery against its attachment
-/// block: the enclosing blocks plus the attachment block itself.
-struct BindChain<'a> {
-    outer: Vec<&'a BoundQuery>,
-    own: BoundQuery,
-}
-
-impl BindChain<'_> {
-    fn bound_chain(&self) -> Vec<&BoundQuery> {
-        let mut chain = self.outer.clone();
-        chain.push(&self.own);
-        chain
     }
 }
 

@@ -170,7 +170,7 @@ pub(crate) fn explain_prepared(
                  heading attribute) would reduce the answer",
             ));
         } else {
-            let conditions = prepared.where_conditions()?;
+            let conditions = prepared.where_conditions();
             sentences.push(finish_sentence(&format!(
                 "it only applies {conditions} condition{}; adding more selective conditions \
                  (for example on a heading attribute) would reduce the answer",

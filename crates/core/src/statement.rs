@@ -95,7 +95,8 @@ pub(crate) fn prepare<'s>(
             let planning = Instant::now();
             let planned = plan_query_with(db, &query, options)?;
             if let (Some(key), CacheStatus::Miss | CacheStatus::Stale) = (&key, meta.cache) {
-                let verdict = examine_for_caching(db, &query, key, &planned.plan, options);
+                let verdict =
+                    examine_for_caching(db, query.into_owned(), key, &planned.plan, options);
                 let evicted = cache.insert(key, epoch, verdict);
                 db.obs().add(Counter::PlanCacheEvictions, evicted);
             }
@@ -132,17 +133,12 @@ impl Prepared<'_> {
         }
     }
 
-    /// How many conditions the statement's flattened `WHERE` clause applies.
-    /// A template keeps no statement, so it is parsed again here.
-    pub(crate) fn where_conditions(&self) -> Result<usize, TalkbackError> {
-        let conditions = |query: &SelectStatement| query.where_conjuncts().len();
+    /// How many conditions the statement's flattened `WHERE` clause applies,
+    /// as counted when it (or its template) was planned.
+    pub(crate) fn where_conditions(&self) -> usize {
         match &self.source {
-            Source::Fresh(planned) => Ok(conditions(&planned.effective_query)),
-            Source::Template(..) => {
-                let query = sqlparse::parse_query(self.sql)?;
-                let flat = sqlparse::flatten_in_subqueries(&query).unwrap_or(query);
-                Ok(conditions(&flat))
-            }
+            Source::Template(template, _) => template.where_conditions,
+            Source::Fresh(planned) => planned.where_conditions,
         }
     }
 
@@ -196,7 +192,7 @@ impl Prepared<'_> {
 /// execution of the shape is planned fresh without coming back here.
 fn examine_for_caching(
     db: &Database,
-    query: &SelectStatement,
+    query: SelectStatement,
     key: &CacheKey,
     fresh: &Plan,
     options: PlannerOptions,
@@ -218,9 +214,9 @@ fn examine_for_caching(
         _ => return CachedVerdict::Uncacheable(Uncacheable::Constant),
     };
     match planner::plan_template(db, &template_stmt, options, &kinds) {
-        Ok(template) if template.plan.bind_params(key.params) == *fresh => {
-            CachedVerdict::Template(Arc::new(PlanTemplate::new(template.plan)))
-        }
+        Ok(template) if template.plan.bind_params(key.params) == *fresh => CachedVerdict::Template(
+            Arc::new(PlanTemplate::new(template.plan, template.where_conditions)),
+        ),
         _ => CachedVerdict::Uncacheable(Uncacheable::ValueDependent),
     }
 }

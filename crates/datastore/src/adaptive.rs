@@ -308,6 +308,10 @@ pub type PlanCache = ShapeCache<PlanTemplate>;
 pub struct PlanTemplate {
     /// The plan, statement parameters where the literals go.
     pub plan: Plan,
+    /// How many conditions the statement's flattened `WHERE` clause applies
+    /// (what a result explanation counts), the same for every statement of
+    /// the shape.
+    pub where_conditions: usize,
     /// [`plan_shape_hash`] of the first execution; `None` when an operator's
     /// detail tallies its probes, morsels, evaluations or groups, whose
     /// plurals the hash reads.
@@ -315,8 +319,9 @@ pub struct PlanTemplate {
 }
 
 impl PlanTemplate {
-    /// A template of `plan`.
-    pub fn new(plan: Plan) -> PlanTemplate {
+    /// A template of `plan`, planned from a statement whose flattened
+    /// `WHERE` clause applies `where_conditions` conditions.
+    pub fn new(plan: Plan, where_conditions: usize) -> PlanTemplate {
         let mut tallies = false;
         plan.walk(&mut |p| {
             tallies |= matches!(
@@ -327,6 +332,7 @@ impl PlanTemplate {
         PlanTemplate {
             shape_hash: (!tallies).then(OnceLock::new),
             plan,
+            where_conditions,
         }
     }
 
@@ -550,7 +556,7 @@ mod tests {
     const OPTIONS: OptionBits = [0; OPTION_WORDS];
 
     fn template(table: &str) -> CachedVerdict<PlanTemplate> {
-        CachedVerdict::Template(Arc::new(PlanTemplate::new(Plan::scan(table, "t"))))
+        CachedVerdict::Template(Arc::new(PlanTemplate::new(Plan::scan(table, "t"), 0)))
     }
 
     fn is_hit(found: &CacheLookup<PlanTemplate>, table: &str) -> bool {

@@ -13,6 +13,55 @@ fn next_version() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+/// A name folded the way a map of names keys it: upper-cased for relations
+/// ([`FoldedName::upper`]), lower-cased for column statistics
+/// ([`FoldedName::lower`]). A name that fits is folded on the stack, so a
+/// lookup copies nothing to the heap; only a name that is stored is folded
+/// into a `String`, by the same `str` function.
+pub(crate) enum FoldedName {
+    Inline([u8; FoldedName::INLINE], usize),
+    Heap(String),
+}
+
+impl FoldedName {
+    /// Longest name folded on the stack, in bytes.
+    const INLINE: usize = 48;
+
+    /// `name.to_ascii_uppercase()`.
+    pub(crate) fn upper(name: &str) -> FoldedName {
+        FoldedName::inline(name, <[u8]>::make_ascii_uppercase)
+            .unwrap_or_else(|| FoldedName::Heap(name.to_ascii_uppercase()))
+    }
+
+    /// `name.to_lowercase()`: on the stack only for an ASCII name, where
+    /// ASCII folding is the whole of it.
+    pub(crate) fn lower(name: &str) -> FoldedName {
+        name.is_ascii()
+            .then(|| FoldedName::inline(name, <[u8]>::make_ascii_lowercase))
+            .flatten()
+            .unwrap_or_else(|| FoldedName::Heap(name.to_lowercase()))
+    }
+
+    fn inline(name: &str, fold: fn(&mut [u8])) -> Option<FoldedName> {
+        let mut bytes = [0; FoldedName::INLINE];
+        let folded = bytes.get_mut(..name.len())?;
+        folded.copy_from_slice(name.as_bytes());
+        fold(folded);
+        Some(FoldedName::Inline(bytes, name.len()))
+    }
+
+    /// The folded name.
+    pub(crate) fn as_str(&self) -> &str {
+        match self {
+            // ASCII case folding keeps UTF-8 valid, so this is never "".
+            FoldedName::Inline(bytes, len) => {
+                std::str::from_utf8(&bytes[..*len]).unwrap_or_default()
+            }
+            FoldedName::Heap(name) => name,
+        }
+    }
+}
+
 /// The schema-level view of a database: table schemas and foreign keys.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
@@ -37,14 +86,10 @@ impl Catalog {
         Catalog::default()
     }
 
-    fn key(name: &str) -> String {
-        name.to_ascii_uppercase()
-    }
-
     /// Register a table schema. Fails if a table with the same
     /// (case-insensitive) name exists.
     pub fn add_table(&mut self, schema: TableSchema) -> Result<(), StoreError> {
-        let key = Self::key(&schema.name);
+        let key = schema.name.to_ascii_uppercase();
         if self.tables.contains_key(&key) {
             return Err(StoreError::TableExists {
                 table: schema.name.clone(),
@@ -97,20 +142,20 @@ impl Catalog {
 
     /// Look up a table schema by case-insensitive name.
     pub fn table(&self, name: &str) -> Option<&TableSchema> {
-        self.tables.get(&Self::key(name))
+        self.tables.get(FoldedName::upper(name).as_str())
     }
 
     /// Mutable access to a table schema (used to adjust narrative metadata
     /// such as the heading attribute for personalization).
     pub fn table_mut(&mut self, name: &str) -> Option<&mut TableSchema> {
-        let schema = self.tables.get_mut(&Self::key(name))?;
+        let schema = self.tables.get_mut(FoldedName::upper(name).as_str())?;
         self.version = next_version();
         Some(schema)
     }
 
     /// True if the table exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&Self::key(name))
+        self.tables.contains_key(FoldedName::upper(name).as_str())
     }
 
     /// All table schemas, in name order (deterministic iteration keeps
@@ -180,6 +225,15 @@ mod tests {
     use super::*;
     use crate::schema::ColumnDef;
     use crate::value::DataType;
+
+    #[test]
+    fn names_fold_as_the_string_functions_do() {
+        let long = "a_Relation_Name_Longer_Than_Forty_Eight_Bytes_Of_Text";
+        for name in ["movies", "MOVIES", "Cast_2", "", long, "Été", "ΟΔΟΣ"] {
+            assert_eq!(FoldedName::upper(name).as_str(), name.to_ascii_uppercase());
+            assert_eq!(FoldedName::lower(name).as_str(), name.to_lowercase());
+        }
+    }
 
     fn mini_catalog() -> Catalog {
         let mut c = Catalog::new();

@@ -2,7 +2,7 @@
 //! enforcement on insert.
 
 use crate::adaptive::{AdaptiveState, EpochCause};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, FoldedName};
 use crate::error::StoreError;
 use crate::index::{Index, IndexDef, IndexKind};
 use crate::obs::{Counter, ObsRegistry};
@@ -67,10 +67,6 @@ impl Database {
         Database::default()
     }
 
-    fn key(name: &str) -> String {
-        name.to_ascii_uppercase()
-    }
-
     /// The engine-wide observability registry (counters, latency
     /// histograms, query journal, misestimate ledger).
     pub fn obs(&self) -> &Arc<ObsRegistry> {
@@ -128,7 +124,7 @@ impl Database {
                 .expect("auto PK index on a fresh table cannot clash");
         }
         self.tables_mut()
-            .insert(Self::key(&schema.name), Arc::new(table));
+            .insert(schema.name.to_ascii_uppercase(), Arc::new(table));
         self.adaptive.bump_epoch_for(EpochCause::Schema);
         Ok(())
     }
@@ -139,8 +135,8 @@ impl Database {
     /// version of its own snapshot. Returns the entry count for talk-back
     /// confirmations.
     pub fn create_index(&mut self, def: IndexDef) -> Result<usize, StoreError> {
-        let key = Self::key(&def.table);
-        if !self.tables.contains_key(&key) {
+        let key = FoldedName::upper(&def.table);
+        if !self.tables.contains_key(key.as_str()) {
             return Err(StoreError::UnknownTable {
                 table: def.table.clone(),
             });
@@ -153,7 +149,10 @@ impl Database {
                 table: owner.name().to_string(),
             });
         }
-        let arc = self.tables_mut().get_mut(&key).expect("checked above");
+        let arc = self
+            .tables_mut()
+            .get_mut(key.as_str())
+            .expect("checked above");
         let table = Arc::make_mut(arc);
         let entries = table.create_index(def)?.len();
         // DDL changes the access paths available to the planner.
@@ -167,11 +166,14 @@ impl Database {
             .tables
             .values()
             .find(|t| t.index(name).is_some())
-            .map(|t| Self::key(t.name()))
+            .map(|t| FoldedName::upper(t.name()))
             .ok_or_else(|| StoreError::UnknownIndex {
                 index: name.to_string(),
             })?;
-        let table = self.tables_mut().get_mut(&owner).expect("owner exists");
+        let table = self
+            .tables_mut()
+            .get_mut(owner.as_str())
+            .expect("owner exists");
         let def = Arc::make_mut(table).drop_index(name)?;
         // DDL changes the access paths available to the planner.
         self.adaptive.bump_epoch_for(EpochCause::Schema);
@@ -231,7 +233,9 @@ impl Database {
 
     /// Access a table by name.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(&Self::key(name)).map(Arc::as_ref)
+        self.tables
+            .get(FoldedName::upper(name).as_str())
+            .map(Arc::as_ref)
     }
 
     /// Owned handle to a table, shared with the database. Executors hold
@@ -239,7 +243,7 @@ impl Database {
     /// write copies the table ([`Arc::make_mut`]) rather than mutating the
     /// rows a running query is reading.
     pub fn table_arc(&self, name: &str) -> Option<Arc<Table>> {
-        self.tables.get(&Self::key(name)).cloned()
+        self.tables.get(FoldedName::upper(name).as_str()).cloned()
     }
 
     /// The map of tables, shared: the executor's snapshot of the data.
@@ -259,23 +263,23 @@ impl Database {
     /// name is `None` and nothing else: no statistics dropped, no epoch
     /// bumped.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        let key = Self::key(name);
-        if !self.tables.contains_key(&key) {
+        let key = FoldedName::upper(name);
+        if !self.tables.contains_key(key.as_str()) {
             return None;
         }
         self.invalidate_stats(name);
-        self.tables_mut().get_mut(&key).map(Arc::make_mut)
+        self.tables_mut().get_mut(key.as_str()).map(Arc::make_mut)
     }
 
     /// Statistics of a table: a snapshot of the summaries the table keeps
     /// current with every write (no row is read), taken on first access and
     /// cached until the table is next written. `None` for unknown tables.
     pub fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
-        let key = Self::key(name);
-        if let Some(s) = self.stats.read().expect("stats lock").get(&key) {
+        let key = FoldedName::upper(name);
+        if let Some(s) = self.stats.read().expect("stats lock").get(key.as_str()) {
             return Some(Arc::clone(s));
         }
-        let (stats, rederived) = TableStats::snapshot(self.tables.get(&key)?);
+        let (stats, rederived) = TableStats::snapshot(self.tables.get(key.as_str())?);
         self.obs.incr(Counter::StatsSnapshots);
         self.obs
             .add(Counter::StatsColumnsRederived, rederived as u64);
@@ -283,7 +287,7 @@ impl Database {
         self.stats
             .write()
             .expect("stats lock")
-            .insert(key, Arc::clone(&stats));
+            .insert(name.to_ascii_uppercase(), Arc::clone(&stats));
         Some(stats)
     }
 
@@ -304,7 +308,7 @@ impl Database {
         self.stats
             .write()
             .expect("stats lock")
-            .remove(&Self::key(table));
+            .remove(FoldedName::upper(table).as_str());
         self.adaptive.bump_epoch_for(EpochCause::Write);
     }
 
@@ -321,18 +325,19 @@ impl Database {
     /// Insert a row into a table, enforcing local constraints and all
     /// foreign keys whose referencing table is `table`.
     pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<usize, StoreError> {
-        let key = Self::key(table);
-        if !self.tables.contains_key(&key) {
+        let key = FoldedName::upper(table);
+        let key = key.as_str();
+        if !self.tables.contains_key(key) {
             return Err(StoreError::UnknownTable {
                 table: table.to_string(),
             });
         }
         let row = Row::new(values);
         // Validate the row shape first (against the target table).
-        self.tables[&key].validate_row(&row)?;
+        self.tables[key].validate_row(&row)?;
         // Enforce foreign keys before mutating.
         for fk in self.catalog.foreign_keys_from(table) {
-            let child_schema = self.tables[&key].schema();
+            let child_schema = self.tables[key].schema();
             let idx: Vec<usize> = fk
                 .columns
                 .iter()
@@ -360,7 +365,7 @@ impl Database {
                 });
             }
         }
-        let result = Arc::make_mut(self.tables_mut().get_mut(&key).unwrap()).insert(row);
+        let result = Arc::make_mut(self.tables_mut().get_mut(key).unwrap()).insert(row);
         // Only a successful insert changes the data the stats describe.
         if result.is_ok() {
             self.invalidate_stats(table);
@@ -376,8 +381,8 @@ impl Database {
         table: &str,
         values: Vec<Value>,
     ) -> Result<usize, StoreError> {
-        let key = Self::key(table);
-        let result = Arc::make_mut(self.tables_mut().get_mut(&key).ok_or_else(|| {
+        let key = FoldedName::upper(table);
+        let result = Arc::make_mut(self.tables_mut().get_mut(key.as_str()).ok_or_else(|| {
             StoreError::UnknownTable {
                 table: table.to_string(),
             }

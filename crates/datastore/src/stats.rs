@@ -17,6 +17,7 @@
 //! histograms and frequency tables are all views of those: exact at all
 //! times, at the price of one counter update per value written.
 
+use crate::catalog::FoldedName;
 use crate::table::Table;
 use crate::value::{DataType, GroupKey, Value};
 use std::borrow::Borrow;
@@ -330,7 +331,7 @@ impl TableStats {
 
     /// Statistics of one column by case-insensitive name.
     pub fn column(&self, name: &str) -> Option<&ColumnStats> {
-        self.columns.get(&name.to_lowercase())
+        self.columns.get(FoldedName::lower(name).as_str())
     }
 
     /// NDV of a column, defaulting to 1 when the column is unknown (the

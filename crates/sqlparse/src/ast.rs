@@ -504,17 +504,22 @@ impl Expr {
 
     /// Split the expression on top-level ANDs.
     pub fn conjuncts(&self) -> Vec<&Expr> {
+        let mut out = Vec::new();
+        self.push_conjuncts(&mut out);
+        out
+    }
+
+    fn push_conjuncts<'a>(&'a self, out: &mut Vec<&'a Expr>) {
         match self {
             Expr::BinaryOp {
                 left,
                 op: BinaryOperator::And,
                 right,
             } => {
-                let mut out = left.conjuncts();
-                out.extend(right.conjuncts());
-                out
+                left.push_conjuncts(out);
+                right.push_conjuncts(out);
             }
-            other => vec![other],
+            other => out.push(other),
         }
     }
 

@@ -9,7 +9,6 @@
 use crate::ast::{ColumnRef, Expr, SelectStatement};
 use crate::error::BindError;
 use datastore::Catalog;
-use std::collections::BTreeMap;
 
 /// A tuple variable bound to a base relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,11 +24,11 @@ pub struct BoundTable {
 pub struct BoundQuery {
     /// Tuple variables introduced by this block's FROM clause, in order.
     pub tables: Vec<BoundTable>,
-    /// Resolution of column references appearing directly in this block:
-    /// the key is the reference as written (lower-cased `qualifier.column`
-    /// or `column`), the value is the alias of the tuple variable it
-    /// resolves to.
-    pub resolutions: BTreeMap<String, String>,
+    /// Resolution of column references appearing directly in this block,
+    /// once per reference: the reference as written (lower-cased
+    /// `qualifier.column` or `column`), and the alias of the tuple variable
+    /// it resolves to.
+    pub resolutions: Vec<(String, String)>,
     /// References in this block that resolve to a tuple variable of an
     /// enclosing block (correlation), as written.
     pub correlated: Vec<ColumnRef>,
@@ -41,7 +40,10 @@ pub struct BoundQuery {
 impl BoundQuery {
     /// The alias a column reference resolved to, if it was bound locally.
     pub fn qualifier_of(&self, col: &ColumnRef) -> Option<&str> {
-        self.resolutions.get(&ref_key(col)).map(String::as_str)
+        self.resolutions
+            .iter()
+            .find(|(key, _)| files_under(key, col))
+            .map(|(_, alias)| alias.as_str())
     }
 
     /// The relation a tuple variable ranges over.
@@ -67,11 +69,55 @@ impl BoundQuery {
     }
 }
 
-fn ref_key(col: &ColumnRef) -> String {
-    match &col.qualifier {
-        Some(q) => format!("{}.{}", q.to_lowercase(), col.column.to_lowercase()),
-        None => col.column.to_lowercase(),
+/// File `col` in `resolutions` as resolved to `alias`, unless it is filed
+/// already.
+fn resolve(resolutions: &mut Vec<(String, String)>, col: &ColumnRef, alias: &str) {
+    if !resolutions.iter().any(|(key, _)| files_under(key, col)) {
+        resolutions.push((ref_key(col), alias.to_string()));
     }
+}
+
+/// How a reference is filed in [`BoundQuery::resolutions`]:
+/// `qualifier.column` or `column`, lower-cased.
+fn ref_key(col: &ColumnRef) -> String {
+    if !is_ascii(col) {
+        return match &col.qualifier {
+            Some(q) => format!("{}.{}", q.to_lowercase(), col.column.to_lowercase()),
+            None => col.column.to_lowercase(),
+        };
+    }
+    let qualifier_len = col.qualifier.as_ref().map_or(0, |q| q.len() + 1);
+    let mut key = String::with_capacity(qualifier_len + col.column.len());
+    if let Some(q) = &col.qualifier {
+        key.push_str(q);
+        key.push('.');
+    }
+    key.push_str(&col.column);
+    key.make_ascii_lowercase();
+    key
+}
+
+/// `key == ref_key(col)`, compared where the names lie when they are ASCII
+/// (a key holds no ASCII upper case, so ASCII folding is exact there).
+fn files_under(key: &str, col: &ColumnRef) -> bool {
+    if !is_ascii(col) {
+        return key == ref_key(col);
+    }
+    let column = match &col.qualifier {
+        None => key,
+        Some(q) => {
+            let rest = key.get(q.len()..).and_then(|rest| rest.strip_prefix('.'));
+            match (key.get(..q.len()), rest) {
+                (Some(head), Some(column)) if head.eq_ignore_ascii_case(q) => column,
+                _ => return false,
+            }
+        }
+    };
+    column.eq_ignore_ascii_case(&col.column)
+}
+
+fn is_ascii(col: &ColumnRef) -> bool {
+    col.column.is_ascii() && col.qualifier.as_deref().is_none_or(str::is_ascii)
 }
 
 /// Bind a query against a catalog.
@@ -101,27 +147,24 @@ fn bind_with_outer(
 
     // 1. FROM clause: every table must exist and aliases must be unique.
     for table_ref in &query.from {
-        if !catalog.has_table(&table_ref.table) {
+        let Some(schema) = catalog.table(&table_ref.table) else {
             return Err(BindError::UnknownTable {
                 table: table_ref.table.clone(),
             });
-        }
-        let alias = table_ref.variable().to_string();
+        };
+        let alias = table_ref.variable();
         if bound
             .tables
             .iter()
-            .any(|t| t.alias.eq_ignore_ascii_case(&alias))
+            .any(|t| t.alias.eq_ignore_ascii_case(alias))
         {
-            return Err(BindError::DuplicateAlias { alias });
+            return Err(BindError::DuplicateAlias {
+                alias: alias.to_string(),
+            });
         }
-        let canonical = catalog
-            .table(&table_ref.table)
-            .expect("checked above")
-            .name
-            .clone();
         bound.tables.push(BoundTable {
-            alias,
-            table: canonical,
+            alias: alias.to_string(),
+            table: schema.name.clone(),
         });
     }
 
@@ -131,23 +174,16 @@ fn bind_with_outer(
     }
 
     // 3. Subqueries in WHERE and HAVING, bound with this block in scope.
-    let mut scopes: Vec<&BoundQuery> = outer.to_vec();
-    // Note: we can't push `&bound` while also mutating it, so collect the
-    // subquery ASTs first and bind them against a snapshot.
-    let snapshot = bound.clone();
-    scopes.push(&snapshot);
-    let mut sub_asts: Vec<&SelectStatement> = Vec::new();
-    if let Some(w) = &query.selection {
-        sub_asts.extend(w.subqueries());
+    let mut scopes: Vec<&BoundQuery> = Vec::with_capacity(outer.len() + 1);
+    scopes.extend(outer);
+    scopes.push(&bound);
+    let mut subqueries = Vec::new();
+    for predicate in [&query.selection, &query.having].into_iter().flatten() {
+        for sub in predicate.subqueries() {
+            subqueries.push(bind_with_outer(catalog, sub, &scopes)?);
+        }
     }
-    if let Some(h) = &query.having {
-        sub_asts.extend(h.subqueries());
-    }
-    for sub in sub_asts {
-        bound
-            .subqueries
-            .push(bind_with_outer(catalog, sub, &scopes)?);
-    }
+    bound.subqueries = subqueries;
     Ok(bound)
 }
 
@@ -167,7 +203,7 @@ fn resolve_column(
                 .find(|t| t.alias.eq_ignore_ascii_case(q))
             {
                 check_column_exists(catalog, &local.table, col)?;
-                bound.resolutions.insert(ref_key(col), local.alias.clone());
+                resolve(&mut bound.resolutions, col, &local.alias);
                 return Ok(());
             }
             for scope in outer.iter().rev() {
@@ -178,7 +214,7 @@ fn resolve_column(
                 {
                     check_column_exists(catalog, &t.table, col)?;
                     bound.correlated.push(col.clone());
-                    bound.resolutions.insert(ref_key(col), t.alias.clone());
+                    resolve(&mut bound.resolutions, col, &t.alias);
                     return Ok(());
                 }
             }
@@ -199,8 +235,7 @@ fn resolve_column(
                 .collect();
             match local_matches.len() {
                 1 => {
-                    let alias = local_matches[0].alias.clone();
-                    bound.resolutions.insert(ref_key(col), alias);
+                    resolve(&mut bound.resolutions, col, &local_matches[0].alias);
                     Ok(())
                 }
                 0 => {
@@ -217,9 +252,7 @@ fn resolve_column(
                             .collect();
                         if outer_matches.len() == 1 {
                             bound.correlated.push(col.clone());
-                            bound
-                                .resolutions
-                                .insert(ref_key(col), outer_matches[0].alias.clone());
+                            resolve(&mut bound.resolutions, col, &outer_matches[0].alias);
                             return Ok(());
                         }
                         if outer_matches.len() > 1 {
@@ -325,6 +358,26 @@ mod tests {
         assert_eq!(joins.len(), 2);
         assert_eq!(joins[0].left_alias, "m");
         assert_eq!(joins[0].right_alias, "c");
+    }
+
+    #[test]
+    fn a_reference_is_found_exactly_when_its_lower_cased_key_matches() {
+        let refs = [
+            ColumnRef::qualified("m", "title"),
+            ColumnRef::qualified("M", "Title"),
+            ColumnRef::qualified("m", "titles"),
+            ColumnRef::qualified("m.t", "itle"),
+            ColumnRef::bare("m.title"),
+            ColumnRef::bare("TITLE"),
+            ColumnRef::qualified("Été", "Σ"),
+            ColumnRef::qualified("ÉTÉ", "σ"),
+        ];
+        for a in &refs {
+            for b in &refs {
+                let key = ref_key(a);
+                assert_eq!(files_under(&key, b), key == ref_key(b), "{a:?} {b:?}");
+            }
+        }
     }
 
     #[test]

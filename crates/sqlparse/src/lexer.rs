@@ -6,6 +6,7 @@
 //! layer prefers to echo the user's capitalization.
 
 use crate::error::ParseError;
+use std::borrow::Cow;
 
 /// SQL keywords the parser understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,87 +73,93 @@ pub enum Keyword {
 }
 
 impl Keyword {
-    /// Recognize a keyword from an identifier, case-insensitively.
+    /// Recognize a keyword from an identifier, case-insensitively. The word
+    /// is folded on the stack: the longest keyword is twelve letters, so a
+    /// longer word is no keyword.
     // Not the std `FromStr` trait: that returns `Result`, and every caller
     // here wants an `Option` without an error type.
     #[allow(clippy::should_implement_trait)]
     pub fn from_str(word: &str) -> Option<Keyword> {
-        let upper = word.to_ascii_uppercase();
-        Some(match upper.as_str() {
-            "SELECT" => Keyword::Select,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "GROUP" => Keyword::Group,
-            "BY" => Keyword::By,
-            "HAVING" => Keyword::Having,
-            "ORDER" => Keyword::Order,
-            "ASC" => Keyword::Asc,
-            "DESC" => Keyword::Desc,
-            "LIMIT" => Keyword::Limit,
-            "DISTINCT" => Keyword::Distinct,
-            "AND" => Keyword::And,
-            "OR" => Keyword::Or,
-            "NOT" => Keyword::Not,
-            "IN" => Keyword::In,
-            "EXISTS" => Keyword::Exists,
-            "BETWEEN" => Keyword::Between,
-            "LIKE" => Keyword::Like,
-            "IS" => Keyword::Is,
-            "NULL" => Keyword::Null,
-            "TRUE" => Keyword::True,
-            "FALSE" => Keyword::False,
-            "AS" => Keyword::As,
-            "ALL" => Keyword::All,
-            "ANY" => Keyword::Any,
-            "SOME" => Keyword::Some,
-            "INSERT" => Keyword::Insert,
-            "INTO" => Keyword::Into,
-            "VALUES" => Keyword::Values,
-            "UPDATE" => Keyword::Update,
-            "SET" => Keyword::Set,
-            "DELETE" => Keyword::Delete,
-            "CREATE" => Keyword::Create,
-            "VIEW" => Keyword::View,
-            "INDEX" => Keyword::Index,
-            "ON" => Keyword::On,
-            "USING" => Keyword::Using,
-            "HASH" => Keyword::Hash,
-            "DROP" => Keyword::Drop,
-            "UNION" => Keyword::Union,
-            "EXPLAIN" => Keyword::Explain,
-            "ANALYZE" => Keyword::Analyze,
-            "SHOW" => Keyword::Show,
-            "METRICS" => Keyword::Metrics,
-            "QUERY" => Keyword::Query,
-            "LOG" => Keyword::Log,
-            "PROFILE" => Keyword::Profile,
-            "MISESTIMATES" => Keyword::Misestimates,
-            "WORKLOAD" => Keyword::Workload,
-            "ADVISE" => Keyword::Advise,
-            "CHECKUP" => Keyword::Checkup,
-            "JOURNAL" => Keyword::Journal,
-            "CAPACITY" => Keyword::Capacity,
-            "COUNT" => Keyword::Count,
-            "SUM" => Keyword::Sum,
-            "AVG" => Keyword::Avg,
-            "MIN" => Keyword::Min,
-            "MAX" => Keyword::Max,
+        let mut folded = [0u8; 12];
+        let upper = folded.get_mut(..word.len())?;
+        upper.copy_from_slice(word.as_bytes());
+        upper.make_ascii_uppercase();
+        Some(match &*upper {
+            b"SELECT" => Keyword::Select,
+            b"FROM" => Keyword::From,
+            b"WHERE" => Keyword::Where,
+            b"GROUP" => Keyword::Group,
+            b"BY" => Keyword::By,
+            b"HAVING" => Keyword::Having,
+            b"ORDER" => Keyword::Order,
+            b"ASC" => Keyword::Asc,
+            b"DESC" => Keyword::Desc,
+            b"LIMIT" => Keyword::Limit,
+            b"DISTINCT" => Keyword::Distinct,
+            b"AND" => Keyword::And,
+            b"OR" => Keyword::Or,
+            b"NOT" => Keyword::Not,
+            b"IN" => Keyword::In,
+            b"EXISTS" => Keyword::Exists,
+            b"BETWEEN" => Keyword::Between,
+            b"LIKE" => Keyword::Like,
+            b"IS" => Keyword::Is,
+            b"NULL" => Keyword::Null,
+            b"TRUE" => Keyword::True,
+            b"FALSE" => Keyword::False,
+            b"AS" => Keyword::As,
+            b"ALL" => Keyword::All,
+            b"ANY" => Keyword::Any,
+            b"SOME" => Keyword::Some,
+            b"INSERT" => Keyword::Insert,
+            b"INTO" => Keyword::Into,
+            b"VALUES" => Keyword::Values,
+            b"UPDATE" => Keyword::Update,
+            b"SET" => Keyword::Set,
+            b"DELETE" => Keyword::Delete,
+            b"CREATE" => Keyword::Create,
+            b"VIEW" => Keyword::View,
+            b"INDEX" => Keyword::Index,
+            b"ON" => Keyword::On,
+            b"USING" => Keyword::Using,
+            b"HASH" => Keyword::Hash,
+            b"DROP" => Keyword::Drop,
+            b"UNION" => Keyword::Union,
+            b"EXPLAIN" => Keyword::Explain,
+            b"ANALYZE" => Keyword::Analyze,
+            b"SHOW" => Keyword::Show,
+            b"METRICS" => Keyword::Metrics,
+            b"QUERY" => Keyword::Query,
+            b"LOG" => Keyword::Log,
+            b"PROFILE" => Keyword::Profile,
+            b"MISESTIMATES" => Keyword::Misestimates,
+            b"WORKLOAD" => Keyword::Workload,
+            b"ADVISE" => Keyword::Advise,
+            b"CHECKUP" => Keyword::Checkup,
+            b"JOURNAL" => Keyword::Journal,
+            b"CAPACITY" => Keyword::Capacity,
+            b"COUNT" => Keyword::Count,
+            b"SUM" => Keyword::Sum,
+            b"AVG" => Keyword::Avg,
+            b"MIN" => Keyword::Min,
+            b"MAX" => Keyword::Max,
             _ => return None,
         })
     }
 }
 
-/// A lexed token.
+/// A lexed token. Words, numbers and quoted identifiers are slices of the
+/// input; a string literal is one too unless it had a `''` to resolve.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// Keyword with its original spelling.
-    Keyword(Keyword, String),
+    Keyword(Keyword, &'a str),
     /// Identifier (table, column, alias).
-    Identifier(String),
+    Identifier(&'a str),
     /// Numeric literal (kept as text; the parser decides int vs float).
-    Number(String),
+    Number(&'a str),
     /// String literal with quotes removed and escapes resolved.
-    String(String),
+    String(Cow<'a, str>),
     /// Punctuation and operators.
     Eq,
     NotEq,
@@ -171,243 +178,160 @@ pub enum Token {
     Semicolon,
 }
 
-impl Token {
+impl Token<'_> {
     /// True if the token is the given keyword.
     pub fn is_keyword(&self, kw: Keyword) -> bool {
         matches!(self, Token::Keyword(k, _) if *k == kw)
     }
 }
 
-/// A token plus its byte position in the input.
+/// A token plus its position in the input, counted in characters.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpannedToken {
-    pub token: Token,
+pub struct SpannedToken<'a> {
+    pub token: Token<'a>,
     pub position: usize,
 }
 
+/// Where the lexer is: a byte offset into the input for slicing, and the
+/// same place counted in characters for error positions.
+struct Cursor<'a> {
+    input: &'a str,
+    byte: usize,
+    char: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn peek(&self) -> Option<char> {
+        self.input[self.byte..].chars().next()
+    }
+
+    fn peek_second(&self) -> Option<char> {
+        self.input[self.byte..].chars().nth(1)
+    }
+
+    fn bump(&mut self) {
+        if let Some(c) = self.peek() {
+            self.byte += c.len_utf8();
+            self.char += 1;
+        }
+    }
+
+    /// Step over characters while `keep` holds; the input from `from` (a
+    /// byte offset) to where it stopped.
+    fn take_while(&mut self, from: usize, mut keep: impl FnMut(char) -> bool) -> &'a str {
+        while self.peek().is_some_and(&mut keep) {
+            self.bump();
+        }
+        &self.input[from..self.byte]
+    }
+}
+
 /// Tokenize SQL text.
-pub fn tokenize(input: &str) -> Result<Vec<SpannedToken>, ParseError> {
-    let bytes: Vec<char> = input.chars().collect();
+pub fn tokenize(input: &str) -> Result<Vec<SpannedToken<'_>>, ParseError> {
     let mut tokens = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i];
-        let start = i;
-        match c {
+    let mut at = Cursor {
+        input,
+        byte: 0,
+        char: 0,
+    };
+    while let Some(c) = at.peek() {
+        let (start, from) = (at.char, at.byte);
+        let token = match c {
             c if c.is_whitespace() => {
-                i += 1;
+                at.bump();
+                continue;
             }
-            '-' if bytes.get(i + 1) == Some(&'-') => {
+            '-' if at.peek_second() == Some('-') => {
                 // Line comment.
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                }
+                at.take_while(from, |c| c != '\n');
+                continue;
             }
             '\'' => {
-                // String literal with '' escaping.
-                let mut s = String::new();
-                i += 1;
+                // String literal with '' escaping: a slice of the input
+                // unless an escape has to be resolved.
+                at.bump();
+                let body = at.byte;
                 loop {
-                    match bytes.get(i) {
-                        None => return Err(ParseError::new("unterminated string literal", start)),
-                        Some('\'') => {
-                            if bytes.get(i + 1) == Some(&'\'') {
-                                s.push('\'');
-                                i += 2;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(ch) => {
-                            s.push(*ch);
-                            i += 1;
-                        }
+                    at.take_while(at.byte, |c| c != '\'');
+                    if at.peek().is_none() {
+                        return Err(ParseError::new("unterminated string literal", start));
                     }
+                    at.bump();
+                    if at.peek() != Some('\'') {
+                        break;
+                    }
+                    at.bump();
                 }
-                tokens.push(SpannedToken {
-                    token: Token::String(s),
-                    position: start,
-                });
+                let text = &input[body..at.byte - 1];
+                Token::String(if text.contains("''") {
+                    Cow::Owned(text.replace("''", "'"))
+                } else {
+                    Cow::Borrowed(text)
+                })
             }
             '"' => {
                 // Quoted identifier.
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(ParseError::new("unterminated quoted identifier", start))
-                        }
-                        Some('"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(ch) => {
-                            s.push(*ch);
-                            i += 1;
-                        }
-                    }
+                at.bump();
+                let name = at.take_while(at.byte, |c| c != '"');
+                if at.peek().is_none() {
+                    return Err(ParseError::new("unterminated quoted identifier", start));
                 }
-                tokens.push(SpannedToken {
-                    token: Token::Identifier(s),
-                    position: start,
-                });
+                at.bump();
+                Token::Identifier(name)
             }
             c if c.is_ascii_digit() => {
-                let mut s = String::new();
+                // A dot not followed by a digit still belongs to the number
+                // (e.g. `1.` is unusual; treat as float anyway).
                 let mut seen_dot = false;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_digit() || (bytes[i] == '.' && !seen_dot))
-                {
-                    if bytes[i] == '.' {
-                        // A dot not followed by a digit terminates the number
-                        // (e.g. `1.` is unusual; treat as float anyway).
-                        seen_dot = true;
-                    }
-                    s.push(bytes[i]);
-                    i += 1;
-                }
-                tokens.push(SpannedToken {
-                    token: Token::Number(s),
-                    position: start,
-                });
+                Token::Number(at.take_while(from, |c| {
+                    let dot = c == '.' && !seen_dot;
+                    seen_dot |= dot;
+                    c.is_ascii_digit() || dot
+                }))
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while i < bytes.len() && (bytes[i].is_alphanumeric() || bytes[i] == '_') {
-                    s.push(bytes[i]);
-                    i += 1;
+                let word = at.take_while(from, |c| c.is_alphanumeric() || c == '_');
+                match Keyword::from_str(word) {
+                    Some(kw) => Token::Keyword(kw, word),
+                    None => Token::Identifier(word),
                 }
-                let token = match Keyword::from_str(&s) {
-                    Some(kw) => Token::Keyword(kw, s),
-                    None => Token::Identifier(s),
+            }
+            _ => {
+                at.bump();
+                let next = at.peek();
+                let (token, two) = match (c, next) {
+                    ('=', _) => (Token::Eq, false),
+                    ('!', Some('=')) | ('<', Some('>')) => (Token::NotEq, true),
+                    ('<', Some('=')) => (Token::LtEq, true),
+                    ('<', _) => (Token::Lt, false),
+                    ('>', Some('=')) => (Token::GtEq, true),
+                    ('>', _) => (Token::Gt, false),
+                    ('+', _) => (Token::Plus, false),
+                    ('-', _) => (Token::Minus, false),
+                    ('*', _) => (Token::Star, false),
+                    ('/', _) => (Token::Slash, false),
+                    ('(', _) => (Token::LParen, false),
+                    (')', _) => (Token::RParen, false),
+                    (',', _) => (Token::Comma, false),
+                    ('.', _) => (Token::Dot, false),
+                    (';', _) => (Token::Semicolon, false),
+                    (other, _) => {
+                        return Err(ParseError::new(
+                            format!("unexpected character '{other}'"),
+                            start,
+                        ))
+                    }
                 };
-                tokens.push(SpannedToken {
-                    token,
-                    position: start,
-                });
-            }
-            '=' => {
-                tokens.push(SpannedToken {
-                    token: Token::Eq,
-                    position: start,
-                });
-                i += 1;
-            }
-            '!' if bytes.get(i + 1) == Some(&'=') => {
-                tokens.push(SpannedToken {
-                    token: Token::NotEq,
-                    position: start,
-                });
-                i += 2;
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&'=') {
-                    tokens.push(SpannedToken {
-                        token: Token::LtEq,
-                        position: start,
-                    });
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&'>') {
-                    tokens.push(SpannedToken {
-                        token: Token::NotEq,
-                        position: start,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(SpannedToken {
-                        token: Token::Lt,
-                        position: start,
-                    });
-                    i += 1;
+                if two {
+                    at.bump();
                 }
+                token
             }
-            '>' => {
-                if bytes.get(i + 1) == Some(&'=') {
-                    tokens.push(SpannedToken {
-                        token: Token::GtEq,
-                        position: start,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(SpannedToken {
-                        token: Token::Gt,
-                        position: start,
-                    });
-                    i += 1;
-                }
-            }
-            '+' => {
-                tokens.push(SpannedToken {
-                    token: Token::Plus,
-                    position: start,
-                });
-                i += 1;
-            }
-            '-' => {
-                tokens.push(SpannedToken {
-                    token: Token::Minus,
-                    position: start,
-                });
-                i += 1;
-            }
-            '*' => {
-                tokens.push(SpannedToken {
-                    token: Token::Star,
-                    position: start,
-                });
-                i += 1;
-            }
-            '/' => {
-                tokens.push(SpannedToken {
-                    token: Token::Slash,
-                    position: start,
-                });
-                i += 1;
-            }
-            '(' => {
-                tokens.push(SpannedToken {
-                    token: Token::LParen,
-                    position: start,
-                });
-                i += 1;
-            }
-            ')' => {
-                tokens.push(SpannedToken {
-                    token: Token::RParen,
-                    position: start,
-                });
-                i += 1;
-            }
-            ',' => {
-                tokens.push(SpannedToken {
-                    token: Token::Comma,
-                    position: start,
-                });
-                i += 1;
-            }
-            '.' => {
-                tokens.push(SpannedToken {
-                    token: Token::Dot,
-                    position: start,
-                });
-                i += 1;
-            }
-            ';' => {
-                tokens.push(SpannedToken {
-                    token: Token::Semicolon,
-                    position: start,
-                });
-                i += 1;
-            }
-            other => {
-                return Err(ParseError::new(
-                    format!("unexpected character '{other}'"),
-                    start,
-                ))
-            }
-        }
+        };
+        tokens.push(SpannedToken {
+            token,
+            position: start,
+        });
     }
     Ok(tokens)
 }
@@ -420,10 +344,10 @@ mod tests {
     fn tokenizes_simple_select() {
         let toks = tokenize("select m.title from MOVIES m where m.year >= 2000").unwrap();
         assert!(toks[0].token.is_keyword(Keyword::Select));
-        assert_eq!(toks[1].token, Token::Identifier("m".into()));
+        assert_eq!(toks[1].token, Token::Identifier("m"));
         assert_eq!(toks[2].token, Token::Dot);
         assert!(toks.iter().any(|t| t.token == Token::GtEq));
-        assert!(toks.iter().any(|t| t.token == Token::Number("2000".into())));
+        assert!(toks.iter().any(|t| t.token == Token::Number("2000")));
     }
 
     #[test]
@@ -455,7 +379,7 @@ mod tests {
     fn keywords_are_case_insensitive_and_preserve_spelling() {
         let toks = tokenize("SeLeCt").unwrap();
         match &toks[0].token {
-            Token::Keyword(Keyword::Select, spelling) => assert_eq!(spelling, "SeLeCt"),
+            Token::Keyword(Keyword::Select, spelling) => assert_eq!(*spelling, "SeLeCt"),
             other => panic!("unexpected token {other:?}"),
         }
     }
@@ -463,19 +387,39 @@ mod tests {
     #[test]
     fn numbers_with_decimals() {
         let toks = tokenize("12 3.5").unwrap();
-        assert_eq!(toks[0].token, Token::Number("12".into()));
-        assert_eq!(toks[1].token, Token::Number("3.5".into()));
+        assert_eq!(toks[0].token, Token::Number("12"));
+        assert_eq!(toks[1].token, Token::Number("3.5"));
     }
 
     #[test]
     fn quoted_identifiers() {
         let toks = tokenize("\"Weird Table\"").unwrap();
-        assert_eq!(toks[0].token, Token::Identifier("Weird Table".into()));
+        assert_eq!(toks[0].token, Token::Identifier("Weird Table"));
     }
 
     #[test]
     fn unexpected_character_reports_position() {
         let err = tokenize("select #").unwrap_err();
         assert_eq!(err.position, 7);
+        // Positions count characters, not bytes.
+        let err = tokenize("select 'é' #").unwrap_err();
+        assert_eq!(err.position, 11);
+    }
+
+    #[test]
+    fn words_and_unescaped_strings_are_slices_of_the_input() {
+        let toks = tokenize("select x from Été where y = 'Brad Pitt' or y = 'O''Brien'").unwrap();
+        assert_eq!(toks[3].token, Token::Identifier("Été"));
+        assert!(matches!(
+            &toks[7].token,
+            Token::String(Cow::Borrowed("Brad Pitt"))
+        ));
+        assert!(matches!(&toks[11].token, Token::String(Cow::Owned(s)) if s == "O'Brien"));
+        // No keyword is longer than twelve letters.
+        assert_eq!(
+            Keyword::from_str("misestimates"),
+            Some(Keyword::Misestimates)
+        );
+        assert_eq!(Keyword::from_str("misestimatess"), None);
     }
 }

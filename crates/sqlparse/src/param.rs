@@ -304,12 +304,11 @@ fn param_select(stmt: &mut SelectStatement, out: &mut Vec<Value>) -> Result<(), 
 /// the text scanner extracts *every* literal and the two sequences could no
 /// longer agree.
 pub fn parameterize_select(
-    stmt: &SelectStatement,
+    mut stmt: SelectStatement,
 ) -> Result<(SelectStatement, Vec<Value>), Uncacheable> {
-    let mut rewritten = stmt.clone();
     let mut lifted = Vec::new();
-    param_select(&mut rewritten, &mut lifted)?;
-    Ok((rewritten, lifted))
+    param_select(&mut stmt, &mut lifted)?;
+    Ok((stmt, lifted))
 }
 
 #[cfg(test)]
@@ -384,7 +383,7 @@ mod tests {
     fn parameterization_matches_text_extraction_for_equalities() {
         let sql = "SELECT m.title FROM movies m WHERE m.year = 1968 AND m.genre = 'Drama'";
         let stmt = parse_query(sql).unwrap();
-        let (template, lits) = parameterize_select(&stmt).unwrap();
+        let (template, lits) = parameterize_select(stmt).unwrap();
         assert_eq!(
             lits,
             normalize_statement(sql).unwrap().literals,
@@ -399,7 +398,7 @@ mod tests {
     fn range_literals_stay_in_place_so_sequences_diverge() {
         // The AST pass could lift only the equality while the text scanner
         // sees both literals: it stops at the bound and names it.
-        let blame = |sql: &str| parameterize_select(&parse_query(sql).unwrap()).unwrap_err();
+        let blame = |sql: &str| parameterize_select(parse_query(sql).unwrap()).unwrap_err();
         assert_eq!(
             blame("SELECT * FROM movies m WHERE m.year > 1968 AND m.genre = 'Drama'"),
             Uncacheable::RangeBound
@@ -426,14 +425,14 @@ mod tests {
         );
         // Keywords are not literals to either pass.
         let sql = "SELECT * FROM movies m WHERE m.year IS NOT NULL AND m.id = 7";
-        let (_, lifted) = parameterize_select(&parse_query(sql).unwrap()).unwrap();
+        let (_, lifted) = parameterize_select(parse_query(sql).unwrap()).unwrap();
         assert_eq!(lifted, normalize_statement(sql).unwrap().literals);
     }
 
     #[test]
     fn subqueries_are_lifted_in_text_order() {
         let lift = |sql: &str| {
-            let (template, lifted) = parameterize_select(&parse_query(sql).unwrap()).unwrap();
+            let (template, lifted) = parameterize_select(parse_query(sql).unwrap()).unwrap();
             assert_eq!(lifted, normalize_statement(sql).unwrap().literals, "{sql}");
             template.to_string()
         };
@@ -466,7 +465,7 @@ mod tests {
         // No literal, nothing lifted: a template all the same.
         assert_eq!(
             parameterize_select(
-                &parse_query("select m.id from M m where exists (select * from C c)").unwrap()
+                parse_query("select m.id from M m where exists (select * from C c)").unwrap()
             )
             .unwrap()
             .1,
@@ -476,7 +475,7 @@ mod tests {
 
     #[test]
     fn what_a_subquery_cannot_lift_is_refused_as_at_the_top() {
-        let blame = |sql: &str| parameterize_select(&parse_query(sql).unwrap()).unwrap_err();
+        let blame = |sql: &str| parameterize_select(parse_query(sql).unwrap()).unwrap_err();
         let exists = |body: &str| {
             format!("select m.title from M m where m.id = 4 and exists (select * from C c where {body})")
         };

@@ -26,21 +26,21 @@ pub fn parse_query(sql: &str) -> Result<SelectStatement, ParseError> {
     }
 }
 
-struct Parser {
-    tokens: Vec<SpannedToken>,
+struct Parser<'a> {
+    tokens: Vec<SpannedToken<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<SpannedToken>) -> Parser {
+impl<'a> Parser<'a> {
+    fn new(tokens: Vec<SpannedToken<'a>>) -> Parser<'a> {
         Parser { tokens, pos: 0 }
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
 
-    fn peek_ahead(&self, n: usize) -> Option<&Token> {
+    fn peek_ahead(&self, n: usize) -> Option<&Token<'a>> {
         self.tokens.get(self.pos + n).map(|t| &t.token)
     }
 
@@ -51,7 +51,7 @@ impl Parser {
             .unwrap_or_else(|| self.tokens.last().map(|t| t.position + 1).unwrap_or(0))
     }
 
-    fn advance(&mut self) -> Option<Token> {
+    fn advance(&mut self) -> Option<Token<'a>> {
         let t = self.tokens.get(self.pos).map(|t| t.token.clone());
         if t.is_some() {
             self.pos += 1;
@@ -97,7 +97,7 @@ impl Parser {
         }
     }
 
-    fn eat_token(&mut self, t: &Token) -> bool {
+    fn eat_token(&mut self, t: &Token<'_>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -106,7 +106,7 @@ impl Parser {
         }
     }
 
-    fn expect_token(&mut self, t: &Token) -> Result<(), ParseError> {
+    fn expect_token(&mut self, t: &Token<'_>) -> Result<(), ParseError> {
         if self.eat_token(t) {
             Ok(())
         } else {
@@ -116,10 +116,10 @@ impl Parser {
 
     fn parse_identifier(&mut self) -> Result<String, ParseError> {
         match self.advance() {
-            Some(Token::Identifier(s)) => Ok(s),
+            Some(Token::Identifier(s)) => Ok(s.to_string()),
             // Non-reserved usage: allow aggregate names and a few keywords as
             // identifiers when they appear where a name is required.
-            Some(Token::Keyword(_, spelling)) => Ok(spelling),
+            Some(Token::Keyword(_, spelling)) => Ok(spelling.to_string()),
             other => Err(self.error(format!("expected identifier, found {other:?}"))),
         }
     }
@@ -339,7 +339,7 @@ impl Parser {
         if let (Some(Token::Identifier(name)), Some(Token::Dot), Some(Token::Star)) =
             (self.peek(), self.peek_ahead(1), self.peek_ahead(2))
         {
-            let name = name.clone();
+            let name = name.to_string();
             self.pos += 3;
             return Ok(SelectItem::QualifiedWildcard(name));
         }
@@ -775,7 +775,7 @@ impl Parser {
             }
             Some(Token::String(s)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Literal::String(s)))
+                Ok(Expr::Literal(Literal::String(s.into_owned())))
             }
             Some(Token::Keyword(Keyword::Null, _)) => {
                 self.pos += 1;

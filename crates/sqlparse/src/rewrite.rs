@@ -22,24 +22,19 @@ use crate::ast::*;
 /// Try to flatten every *uncorrelated*, aggregation-free `IN (SELECT …)`
 /// predicate into joins on the outer query. Returns `Some(flat)` if at least
 /// one level was flattened; `None` when the query has no flattenable nesting.
+/// Nothing is copied unless something flattens.
 pub fn flatten_in_subqueries(query: &SelectStatement) -> Option<SelectStatement> {
-    let mut current = query.clone();
-    let mut changed = false;
+    let mut current = flatten_once(query)?;
     // Repeat until fixpoint so chains like Q5 (three levels) fully flatten.
     while let Some(next) = flatten_once(&current) {
         current = next;
-        changed = true;
     }
-    if changed {
-        Some(current)
-    } else {
-        None
-    }
+    Some(current)
 }
 
 fn flatten_once(query: &SelectStatement) -> Option<SelectStatement> {
-    let selection = query.selection.as_ref()?;
-    let conjuncts: Vec<Expr> = selection.conjuncts().into_iter().cloned().collect();
+    let selection = query.selection.as_ref().filter(|w| w.contains_subquery())?;
+    let conjuncts = selection.conjuncts();
 
     for (i, conjunct) in conjuncts.iter().enumerate() {
         let Expr::InSubquery {
@@ -88,7 +83,7 @@ fn flatten_once(query: &SelectStatement) -> Option<SelectStatement> {
             .iter()
             .enumerate()
             .filter(|(j, _)| *j != i)
-            .map(|(_, e)| e.clone())
+            .map(|(_, e)| (*e).clone())
             .collect();
         new_conjuncts.push(Expr::col_eq(outer_col.clone(), inner_col));
         if let Some(inner_where) = &subquery.selection {

@@ -14,7 +14,12 @@
 # and the change first in even ones, prints every pair's stmt_per_s and how
 # many pairs the change won, and hands the seed's result files, kept in
 # target/ab/runs/<workload>/<seed>/{parent,change}/, to `e2e compare` for
-# each side's medians and quartiles against BENCHMARK.json's bounds.
+# each side's medians and quartiles against BENCHMARK.json's bounds. Each
+# seed ends with one line: the median of the pairs' change/parent ratios, the
+# two medians, the parent's interquartile range (the exclusive method, as
+# `e2e compare` computes it) and whether the house rule for a claim holds —
+# the change won at least nine pairs in ten, and its median is above the
+# parent's by more than the parent's IQR.
 #
 # Exits non-zero if any run fails (e2e exits non-zero when `failed` > 0) or
 # `e2e compare` finds a metric worse than its bound.
@@ -55,6 +60,33 @@ declare -A bin=([parent]=$ab/target-parent/release/e2e [change]=$ab/target-chang
 # `stmt_per_s <file>`: the throughput an e2e result file reports.
 stmt_per_s() { sed -n 's/.*"stmt_per_s": *{"value": *\([-0-9.e+]*\).*/\1/p' "$1"; }
 
+# `verdict <wins> <pairs>`, with one "parent change" line per pair on stdin:
+# the seed's summary line.
+verdict() {
+  awk -v wins="$1" -v pairs="$2" '
+    function sort(a, n, i, j, t) {
+      for (i = 2; i <= n; i++)
+        for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+    }
+    function median(a, n) { sort(a, n); return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
+    # Quartile i (1 or 3) by the exclusive method; a is sorted, n >= 2.
+    function quartile(a, n, i, j, delta) {
+      j = int(i * (n + 1) / 4)
+      if (j < 1) j = 1
+      if (j > n - 1) j = n - 1
+      delta = i * (n + 1) - j * 4
+      return (a[j] * (4 - delta) + a[j + 1] * delta) / 4
+    }
+    { n++; p[n] = $1; c[n] = $2; r[n] = $2 / $1 }
+    END {
+      ratio = median(r, n); pm = median(p, n); cm = median(c, n)
+      iqr = n > 1 ? quartile(p, n, 3) - quartile(p, n, 1) : 0
+      holds = wins * 10 >= pairs * 9 && cm - pm > iqr
+      printf "median pair ratio %.3f; medians %.1f -> %.1f, parent IQR %.1f; house rule %s (%d of %d wins)\n",
+        ratio, pm, cm, iqr, holds ? "holds" : "fails", wins, pairs
+    }'
+}
+
 failed=0
 echo "workload $workload, ${commit:0:12} against the working tree, $pairs pairs, nproc $(nproc)"
 for seed in "${seeds[@]}"; do
@@ -63,6 +95,7 @@ for seed in "${seeds[@]}"; do
   mkdir -p "$runs/parent" "$runs/change"
   printf '\nseed %s\n%4s %12s %12s %8s\n' "$seed" pair parent change ratio
   wins=0
+  results=""
   for i in $(seq 1 "$pairs"); do
     # Which side runs first alternates from pair to pair.
     order="parent change"
@@ -78,9 +111,12 @@ for seed in "${seeds[@]}"; do
     p=$(stmt_per_s "$runs/parent/$i.json")
     c=$(stmt_per_s "$runs/change/$i.json")
     wins=$((wins + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c > p) }')))
+    results+="$p $c"$'\n'
     awk -v i="$i" -v p="$p" -v c="$c" 'BEGIN { printf "%4d %12.1f %12.1f %8.3f\n", i, p, c, c / p }'
   done
   echo "change won $wins of $pairs pairs"
   "${bin[change]}" compare "$runs/parent" "$runs/change" || failed=1
+  printf 'seed %s: ' "$seed"
+  printf '%s' "$results" | verdict "$wins" "$pairs"
 done
 exit "$failed"

@@ -16,6 +16,7 @@ use datastore::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use talkback::{PlanDecision, PlannerOptions, Talkback};
 use talkback_tests::{assert_recorded_feedback_is_found, counted_run};
 
@@ -1049,4 +1050,57 @@ fn paper_queries_identical_under_all_adaptive_knobs() {
             }
         }
     }
+}
+
+/// Names fold case where they are looked up — catalog, tables, statistics,
+/// the binder's resolutions, keywords — exactly as they did when each lookup
+/// folded a copy: a statement spelled in mixed or upper case answers and
+/// reads back as its canonical spelling does, on the plan-cache miss and on
+/// the hit after it. A plan hash reads aliases and columns as written, so
+/// each spelling's is pinned: the value the copying lookups journaled.
+#[test]
+fn mixed_case_names_answer_and_plan_as_the_canonical_spelling() {
+    let upper_q1 = PAPER_QUERIES[0]
+        .to_uppercase()
+        .replace("'BRAD PITT'", "'Brad Pitt'");
+    let spellings: [(&str, &str, [u64; 2]); 3] = [
+        (
+            "select m.title from MOVIES m where m.id = 3",
+            "select M.Title from movies M where M.ID = 3",
+            [0x6bbe_a767_2c2a_afb0, 0xaabb_1f65_c4c0_2bb0],
+        ),
+        // Unqualified names go through the binder's resolutions.
+        (
+            "select title from MOVIES where id = 3",
+            "select TITLE from Movies where Id = 3",
+            [0xf520_02b2_d720_c499, 0xb081_9407_91cf_8e3e],
+        ),
+        (
+            PAPER_QUERIES[0],
+            &upper_q1,
+            [0xe505_1a22_2ea8_c6d3, 0x11ac_19f2_1f97_2993],
+        ),
+    ];
+    let system = Talkback::new(movie_database());
+    let read = |sql: &str, hash: u64| {
+        let mut answers = Vec::new();
+        for expected in [CacheStatus::Miss, CacheStatus::Hit] {
+            answers.push(system.run_query(sql).unwrap().rows);
+            let entry = system.database().obs().journal().last().unwrap();
+            assert_eq!((entry.cache, entry.plan_hash), (expected, hash), "{sql}");
+        }
+        assert_eq!(answers[0], answers[1], "{sql}: the hit answered otherwise");
+        (answers.remove(0), system.explain_query(sql).unwrap().best)
+    };
+    for (canonical, mixed, [canonical_hash, mixed_hash]) in spellings {
+        let expected = read(canonical, canonical_hash);
+        assert_eq!(read(mixed, mixed_hash), expected, "{mixed}");
+    }
+    let db = system.database();
+    let lower = db.table_stats("movies").unwrap();
+    assert!(Arc::ptr_eq(&lower, &db.table_stats("MOVIES").unwrap()));
+    assert!(std::ptr::eq(
+        lower.column("ID").unwrap(),
+        lower.column("id").unwrap()
+    ));
 }

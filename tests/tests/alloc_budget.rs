@@ -1,20 +1,33 @@
-//! Allocation budgets of a repeated statement. A counting global allocator
-//! (its counters are per thread, so tests running in parallel do not see each
-//! other's allocations) counts the heap allocations of one
-//! `Talkback::run_query_with`, and the bytes they asked for, after warm-up,
-//! for each of `lookup`'s five read shapes on the ×300 database with its four
-//! indexes, and for the execution of `analytic`'s many-groups aggregate over
-//! CAST, its unfiltered three-way join and its two-way join + aggregate
-//! there; for Q6, Q7, Q8 and Q9 on the
-//! 100-movie database — each served from its plan-cache template, binding
-//! included, and executed alone — and for Q1's
-//! `Talkback::explain_result` there, served from its template. The counts are exact and
-//! repeatable, so the ceilings are asserted as counts; the table is printed
-//! for the log (`cargo test -q -p talkback-tests --test alloc_budget --
-//! --nocapture`).
+//! Allocation budgets of a statement, on the plan cache's hit path and on its
+//! miss path. A counting global allocator (its counters are per thread, so
+//! tests running in parallel do not see each other's allocations) counts the
+//! heap allocations of one `Talkback::run_query_with`, and the bytes they
+//! asked for, after warm-up, for each of `lookup`'s five read shapes on the
+//! ×300 database with its four indexes, and for the execution of `analytic`'s
+//! many-groups aggregate over CAST, its unfiltered three-way join and its
+//! two-way join + aggregate there; for Q6, Q7, Q8 and Q9 on the 100-movie
+//! database — each served from its plan-cache template, binding included, and
+//! executed alone — and for Q1's `Talkback::explain_result` there, served
+//! from its template.
+//!
+//! The miss path: each `lookup` shape's plan-cache miss after an epoch bump
+//! (parse, plan, plan the template and compare, execute) and
+//! `plan_query_with` alone on the parsed shape, and a fresh correlated
+//! `EXISTS` and a fresh `NOT IN` on the 100-movie database. Their ceilings
+//! are 60 % of what the same rows counted when every name lookup folded a
+//! copy of the name and the lexer, flattener, binder and planner copied the
+//! statement (e3acde2): misses — point read 397, CAST slice 420, name join
+//! 1,214, year + id range 410, index-only 483; `plan_query_with` — point
+//! read 152, CAST slice 162, name join 497, year + id range 253, index-only
+//! 187; a fresh `EXISTS` 858 and a fresh `NOT IN` 791.
+//!
+//! The counts are exact and repeatable, so the ceilings are asserted as
+//! counts; the table is printed for the log (`cargo test -q -p talkback-tests
+//! --test alloc_budget -- --nocapture`).
 
 use datastore::exec::execute_with_stats;
 use datastore::sample::{scaled_movie_database, ScaleConfig};
+use datastore::EpochCause;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use talkback::{plan_query_with, PlannerOptions, Talkback};
@@ -139,6 +152,14 @@ const Q9: &str = "select a.name from MOVIES m, CAST c, ACTOR a \
      and m.year <= all (select m1.year from MOVIES m1, MOVIES m2 \
      where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)";
 
+/// `nested`'s correlated EXISTS.
+const EXISTS: &str = "select m.title from MOVIES m where m.year >= 1991 and exists \
+     (select * from CAST c where c.mid = m.id and c.aid <= 33)";
+
+/// `nested`'s NOT IN.
+const NOT_IN: &str =
+    "select a.name from ACTOR a where a.id not in (select c.aid from CAST c where c.mid <= 52)";
+
 /// One row of the printed table: what was counted, and its ceiling on
 /// allocations if any.
 struct Row {
@@ -162,13 +183,13 @@ impl Row {
 
 fn print(rows: &[Row]) {
     println!(
-        "\n{:<46} {:>12} {:>12} {:>9}",
+        "\n{:<52} {:>12} {:>12} {:>9}",
         "statement", "allocations", "bytes", "ceiling"
     );
     for row in rows {
         let ceiling = row.ceiling.map_or("-".to_string(), |c| c.to_string());
         println!(
-            "{:<46} {:>12} {:>12} {:>9}",
+            "{:<52} {:>12} {:>12} {:>9}",
             row.what, row.allocations, row.bytes, ceiling
         );
     }
@@ -205,6 +226,27 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
         let (n, answer) = allocations(|| system.run_query_with(&sql, options).unwrap());
         assert!(!answer.is_empty() || what.contains("range"), "{sql}");
         rows.push(Row::new(format!("lookup: {what}"), n, ceiling));
+    }
+    // A plan-cache miss: an epoch bump retires every template, so the
+    // statement is parsed, planned, planned again as its template and
+    // compared, then executed. Then the planner alone on the parsed shape.
+    let ceilings = [(238, 91), (252, 97), (728, 298), (246, 151), (289, 112)];
+    for ((what, sql), (miss, plan)) in lookup_shapes(&actors, 1001).into_iter().zip(ceilings) {
+        system
+            .database()
+            .adaptive()
+            .bump_epoch_for(EpochCause::Write);
+        let (n, _) = allocations(|| system.run_query_with(&sql, options).unwrap());
+        let cache = system.database().obs().journal().last().unwrap().cache;
+        assert_ne!(cache, datastore::CacheStatus::Hit, "{sql}");
+        rows.push(Row::new(format!("lookup miss: {what}"), n, Some(miss)));
+        let query = sqlparse::parse_query(&sql).unwrap();
+        let (n, _) = allocations(|| plan_query_with(system.database(), &query, options).unwrap());
+        rows.push(Row::new(
+            format!("lookup plan_query_with: {what}"),
+            n,
+            Some(plan),
+        ));
     }
     for (what, sql, ceiling) in [
         ("CAST groups by aid", CAST_GROUPS, None),
@@ -250,6 +292,21 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
             format!("nested: {name}, execution"),
             executed,
             ceilings[1],
+        ));
+    }
+
+    for (name, sql, ceiling) in [("EXISTS", EXISTS, 514), ("NOT IN", NOT_IN, 474)] {
+        system
+            .database()
+            .adaptive()
+            .bump_epoch_for(EpochCause::Write);
+        let (n, _) = allocations(|| system.run_query_with(sql, options).unwrap());
+        let cache = system.database().obs().journal().last().unwrap().cache;
+        assert_ne!(cache, datastore::CacheStatus::Hit, "{name}");
+        rows.push(Row::new(
+            format!("nested: a fresh {name}"),
+            n,
+            Some(ceiling),
         ));
     }
 
