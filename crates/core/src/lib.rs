@@ -88,7 +88,8 @@
 //! feedback and journals it. So every `SHOW` counts the same statements,
 //! and an `EXPLAIN` narrating a feedback correction finds its misestimate in
 //! the ledger. A plain `EXPLAIN` prepares and stops: it reads, absorbs and
-//! records nothing.
+//! records nothing. A plan-cache template keeps the decisions `EXPLAIN`
+//! narrates, so a repeated `EXPLAIN [ANALYZE]` neither parses nor plans.
 //!
 //! ```
 //! use talkback::Talkback;
@@ -223,7 +224,7 @@ impl Talkback {
     /// its shape has a template, its feedback absorbed, and journaled.
     pub fn explain_result(&self, sql: &str) -> Result<ResultExplanation, TalkbackError> {
         let options = PlannerOptions::default();
-        let prepared = statement::prepare(&self.db, sql, None, options, Instant::now())?;
+        let prepared = statement::prepare_select(&self.db, sql, options, Instant::now())?;
         query::explain::explain_prepared(self.queries.lexicon(), &prepared)
     }
 
@@ -234,11 +235,14 @@ impl Talkback {
     /// without it, nothing is executed and the plan is narrated in the
     /// future tense. A bare SELECT is treated as plain `EXPLAIN`.
     ///
-    /// Either way the query is planned afresh, so the narration can give
-    /// the optimizer's reasons. `EXPLAIN ANALYZE` then runs as any query
-    /// runs: its feedback is absorbed and the SELECT it ran is journaled and
-    /// filed in the workload ledger beside executions of that SELECT. Plain
-    /// `EXPLAIN` reads no row and absorbs and records nothing.
+    /// Either way the SELECT is prepared as [`Talkback::run_query`]
+    /// prepares it: a plan-cache template serves the plan and the
+    /// optimizer's decisions, bound to the statement's literals, without
+    /// parsing or planning; otherwise it is planned afresh. `EXPLAIN ANALYZE`
+    /// then runs as any query runs: its feedback is absorbed and the SELECT
+    /// it ran is journaled and filed in the workload ledger beside
+    /// executions of that SELECT. Plain `EXPLAIN` reads no row and absorbs
+    /// and records nothing.
     pub fn explain_plan(&self, sql: &str) -> Result<PlanExplanation, TalkbackError> {
         query::plan_explain::explain_plan(&self.db, self.queries.lexicon(), sql)
     }
@@ -286,7 +290,7 @@ impl Talkback {
         sql: &str,
         options: PlannerOptions,
     ) -> Result<ResultSet, TalkbackError> {
-        let prepared = statement::prepare(&self.db, sql, None, options, Instant::now())?;
+        let prepared = statement::prepare_select(&self.db, sql, options, Instant::now())?;
         let (result, ()) = prepared.run(|_| ())?;
         Ok(result)
     }

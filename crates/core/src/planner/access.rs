@@ -41,9 +41,10 @@
 //! test a literal of that kind would. A *correlation* parameter's type is
 //! only known per outer row, so those only ever probe ordered indexes.
 
-use super::cost::{AccessPathKind, Estimator, PlanDecision};
+use super::cost::Estimator;
 use super::logical::Relation;
 use super::subquery::ScopeChain;
+use super::{AccessPathKind, PlanDecision};
 use datastore::expr::Param;
 use datastore::index::{BoundTerm, Index, IndexBounds, TermBound};
 use datastore::{DataType, Database, Value};

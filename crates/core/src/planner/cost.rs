@@ -34,11 +34,11 @@
 
 use super::access::INDEX_PROBE_ROW_COST;
 use super::logical::{JoinGraph, Relation};
+use super::{Alternative, JoinEnumeration, PlanDecision};
 use datastore::adaptive::{FeedbackStore, ParamKind};
 use datastore::exec::{Plan, PlanNode};
 use datastore::fingerprint::{feedback_shape, ShapeKey};
 use datastore::index::Index;
-use datastore::obs::DecisionKind;
 use datastore::stats::{join_cardinality, TableStats, DEFAULT_SELECTIVITY};
 use datastore::{DataType, Database};
 use sqlparse::ast::{BinaryOperator, ColumnRef, Expr, Literal, UnaryOperator};
@@ -47,306 +47,6 @@ use std::sync::Arc;
 /// Selectivity assumed for LIKE predicates (a pattern is usually more
 /// selective than an open range, less than an equality).
 pub const LIKE_SELECTIVITY: f64 = 0.25;
-
-/// A candidate the enumerator considered and did not pick at some step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Alternative {
-    pub alias: String,
-    /// Estimated rows this candidate would have produced at that step.
-    pub estimated_rows: f64,
-}
-
-/// How the planner chose to execute one subquery predicate — the
-/// decorrelation taxonomy, from cheapest to most general.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubqueryStrategy {
-    /// `EXISTS` / `IN` flattened into a hash semi-join.
-    SemiJoin,
-    /// `NOT EXISTS` flattened into a hash anti-join.
-    AntiJoin,
-    /// `NOT IN` flattened into a NULL-aware hash anti-join.
-    NullAwareAntiJoin,
-    /// An uncorrelated scalar subquery, evaluated once and cached.
-    ScalarOnce,
-    /// A correlated scalar aggregate grouped by its correlation keys once,
-    /// each row looking its group up ([`GroupedLookup`]).
-    KeyedScalar,
-    /// The correlated fallback: re-evaluated per row, memoized per distinct
-    /// correlation-parameter binding.
-    Apply,
-}
-
-/// A correlated scalar aggregate as a grouped lookup, and what the cost gate
-/// weighed it against; [`SubqueryStrategy::KeyedScalar`] when it won. For
-/// Q7: `item` "count(*)" `over` "GENRE", grouped `by` "g.mid" and looked up
-/// by the `probe` "m.id"; an `outer` "movie", an `inner` "genre"; `absent`,
-/// what a row with no group compares against, "0". The costs are
-/// [`plan_cost`]s: grouping once, and distinct bindings × one evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupedLookup {
-    pub item: String,
-    pub over: String,
-    pub by: String,
-    pub probe: String,
-    pub outer: String,
-    pub inner: String,
-    pub absent: String,
-    pub build_cost: f64,
-    pub apply_cost: f64,
-}
-
-/// One recorded optimizer choice. The planner returns these alongside the
-/// plan; `EXPLAIN` narrates them ("I started from ACTOR … because that
-/// order was expected to produce ~40× fewer intermediate rows").
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanDecision {
-    /// Which base relation the left-deep join tree starts from.
-    Start {
-        alias: String,
-        table: String,
-        /// Estimated rows after the relation's pushed predicates.
-        estimated_rows: f64,
-        /// True when pushed predicates reduced the estimate.
-        filtered: bool,
-        /// The other start candidates, with their estimates.
-        rejected: Vec<Alternative>,
-    },
-    /// One greedy join step.
-    Join {
-        alias: String,
-        table: String,
-        /// Estimated output rows of the join step.
-        estimated_rows: f64,
-        /// True when no equi-join edge connected this relation to the tree
-        /// (the step is a cross product).
-        cross_product: bool,
-        /// The candidates rejected at this step, with the output each would
-        /// have produced.
-        rejected: Vec<Alternative>,
-    },
-    /// The chosen order compared against the order the query was written
-    /// in. Costs are total estimated intermediate join-output rows.
-    OrderComparison {
-        chosen: Vec<String>,
-        written: Vec<String>,
-        chosen_cost: f64,
-        written_cost: f64,
-        /// Which enumerator produced the chosen order.
-        method: JoinEnumeration,
-    },
-    /// How a subquery predicate was lowered, so EXPLAIN can say *why* ("I
-    /// turned `EXISTS (…)` into a semi-join on m.id = c.mid").
-    Subquery {
-        /// The predicate as written (possibly shortened).
-        construct: String,
-        /// The strategy chosen for it.
-        strategy: SubqueryStrategy,
-        /// The decorrelated join keys ("m.id = c.mid"), when the strategy is
-        /// a semi-/anti-join.
-        on: Option<String>,
-        /// The correlation columns an `Apply` binds per row, when any.
-        correlated_on: Vec<String>,
-        /// The apply memo-cache capacity
-        /// ([`datastore::exec::APPLY_CACHE_CAP`]), narrated when the strategy
-        /// is an `Apply`.
-        cache_cap: usize,
-        /// True when each evaluation of an `Apply` stops at the subquery's
-        /// first row (`[NOT] EXISTS`: the executor opens the subplan with a
-        /// row goal of one).
-        first_row: bool,
-        /// The grouped lookup the cost gate weighed, for a correlated scalar
-        /// aggregate that could be one.
-        grouped: Option<Box<GroupedLookup>>,
-    },
-    /// How a base relation is read — the access-path choice, recorded
-    /// whether or not the index won so the narration can own up to
-    /// rejections ("ACTOR has an index on id, but the filter keeps ~400 of
-    /// 600 rows, so I scanned").
-    AccessPath {
-        alias: String,
-        table: String,
-        /// The index considered.
-        index: String,
-        /// The constrained key column(s), comma-joined for composites
-        /// ("mid, genre").
-        column: String,
-        kind: AccessPathKind,
-        /// For point/range probes: estimated matching rows. For a
-        /// nested-loop probe: estimated *outer* rows (one probe each).
-        estimated_rows: f64,
-        /// For point/range probes: the relation's row count a full scan
-        /// would read. For a nested-loop probe: the inner rows a hash-join
-        /// build would consume.
-        table_rows: f64,
-        /// True when the index path was chosen over the scan / hash join.
-        chosen: bool,
-        /// The probe-cost ratio the estimate was weighed against
-        /// ([`super::INDEX_PROBE_ROW_COST`]): the index wins when
-        /// `estimated_rows × ratio ≤ table_rows`.
-        ratio: f64,
-        /// True when a probe bound is a correlation parameter — the bound
-        /// resolves per `Apply` binding rather than at plan time.
-        parameterized: bool,
-        /// True when the scan answers every referenced column from the index
-        /// key itself, never touching the heap rows.
-        index_only: bool,
-    },
-    /// An `ORDER BY` sort skipped because a key-ordered index scan already
-    /// delivers the rows in the requested order.
-    SortElided {
-        alias: String,
-        table: String,
-        index: String,
-        column: String,
-        /// The requested direction: `false` means the scan walks the index
-        /// backwards to serve `ORDER BY … DESC`.
-        ascending: bool,
-    },
-    /// Whether a pipeline (or an apply's per-binding evaluations) was split
-    /// across worker threads — and, when it was not, why: the cost-aware
-    /// knob only parallelizes work whose estimated driver rows clear a
-    /// threshold, and the rejected alternative is recorded either way so the
-    /// narration can honestly say "only ten rows expected, so I kept it on
-    /// one thread".
-    Parallel {
-        /// Which mechanism was (or would have been) used, so the narration
-        /// describes morsels vs. per-binding fan-out correctly.
-        kind: ParallelKind,
-        /// What would be (or was) parallelized: "the scan of CAST as c", or
-        /// "the per-row subquery evaluations of the apply".
-        target: String,
-        /// The worker threads available (the planner's parallelism degree).
-        workers: usize,
-        /// Estimated rows of the driver (morsel source).
-        estimated_rows: f64,
-        /// The row threshold the estimate was compared against.
-        threshold: f64,
-        /// True when the plan was actually parallelized.
-        parallelized: bool,
-    },
-    /// Whether an operator was handed to the vectorized (columnar-batch)
-    /// kernels or kept row-at-a-time — recorded either way, with the reason,
-    /// so the narration can own up to honest rejections ("`m.title = 5`
-    /// mixes text and numbers, so that filter stays row-at-a-time").
-    Vectorize {
-        /// The operator concerned ("filter", "aggregate").
-        operator: String,
-        /// The expression or aggregate list, rendered for narration.
-        expression: String,
-        /// True when the vectorized kernels were installed.
-        vectorized: bool,
-        /// Why — the eligibility verdict in plain words.
-        reason: String,
-    },
-    /// A histogram estimate overridden by observed cardinality feedback: a
-    /// previous run of this predicate shape was flagged as a misestimate, the
-    /// executor's actual row count was absorbed, and this plan was costed
-    /// with the observed selectivity instead — so the narration can say
-    /// "last time I expected 10 rows here and saw 4,200, so this time I
-    /// planned differently".
-    Feedback {
-        /// Tuple variable of the corrected relation.
-        alias: String,
-        /// The relation the corrected filter reads.
-        table: String,
-        /// The literal-normalized predicate shape ("m.year = ?").
-        shape: String,
-        /// Rows the optimizer expected the last time this shape was flagged.
-        expected: u64,
-        /// Rows the executor actually produced that time.
-        actual: u64,
-        /// The observed selectivity this plan was costed with.
-        selectivity: f64,
-    },
-    /// Whether a hash (semi-/anti-)join's build side qualifies for the
-    /// hash-partitioned parallel build
-    /// ([`datastore::exec::PARALLEL_BUILD_MIN`]).
-    PartitionedBuild {
-        /// The join's build-side description ("CAST as c").
-        target: String,
-        /// Estimated build-side rows.
-        estimated_rows: f64,
-        /// The executor's minimum build rows for partitioning.
-        build_min: usize,
-        /// True when the estimate cleared it.
-        partitioned: bool,
-    },
-    /// A conjunct of a subquery block that compares one of the block's
-    /// relations with the enclosing row, applied while that relation is read
-    /// — once per evaluation of the block — instead of above the block's
-    /// joins. Recorded when the block has joins for it to go below and no
-    /// index probe took it (that choice is an [`PlanDecision::AccessPath`]).
-    CorrelatedSelection {
-        /// Tuple variable of the relation the conjunct selects on.
-        alias: String,
-        /// The conjunct as written ("m1.title = m.title").
-        predicate: String,
-    },
-}
-
-impl PlanDecision {
-    /// The slot the observability registry counts this decision in
-    /// (`SHOW METRICS`).
-    pub fn kind(&self) -> DecisionKind {
-        match self {
-            PlanDecision::Start { .. } => DecisionKind::Start,
-            PlanDecision::Join { .. } => DecisionKind::Join,
-            PlanDecision::OrderComparison { .. } => DecisionKind::OrderComparison,
-            PlanDecision::Subquery { .. } => DecisionKind::Subquery,
-            PlanDecision::AccessPath { .. } => DecisionKind::AccessPath,
-            PlanDecision::SortElided { .. } => DecisionKind::SortElided,
-            PlanDecision::Parallel { .. } => DecisionKind::Parallel,
-            PlanDecision::Vectorize { .. } => DecisionKind::Vectorize,
-            PlanDecision::Feedback { .. } => DecisionKind::Feedback,
-            PlanDecision::PartitionedBuild { .. } => DecisionKind::PartitionedBuild,
-            PlanDecision::CorrelatedSelection { .. } => DecisionKind::CorrelatedSelection,
-        }
-    }
-}
-
-/// How an index access path probes its index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessPathKind {
-    /// A full-key lookup (`column = literal`, every key column pinned).
-    Point,
-    /// A key-range read (`column >= literal`, `BETWEEN`, …), possibly under
-    /// a pinned equality prefix of a composite key.
-    Range,
-    /// An equality on a leading prefix of a composite key, trailing key
-    /// columns left free.
-    Prefix,
-    /// Probed once per outer row by an index-nested-loop join.
-    NestedLoopProbe,
-}
-
-/// Which join-order enumerator produced a plan's order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinEnumeration {
-    /// Dynamic programming over connected subsets — optimal by C_out within
-    /// the left-deep, cross-products-deferred space.
-    Dynamic,
-    /// The greedy smallest-next-output walk (wide joins past
-    /// [`DP_MAX_RELATIONS`]).
-    Greedy,
-}
-
-/// The shapes of parallel work the planner can choose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelKind {
-    /// A pipeline run morsel-by-morsel over its driver scan (an exchange).
-    Pipeline,
-    /// An apply's per-binding subquery evaluations fanned across workers.
-    Apply,
-    /// A GROUP BY pushed below the exchange: per-morsel partial aggregates,
-    /// merged in morsel order above it.
-    PartialAggregate,
-    /// An ORDER BY pushed below the exchange: per-morsel sorted runs,
-    /// merged into one total order above it.
-    MergeSort,
-    /// An `ORDER BY … LIMIT k` pushed below the exchange: each morsel keeps
-    /// only its top k rows.
-    TopK,
-}
 
 /// One step of a left-deep join order.
 #[derive(Debug, Clone)]

@@ -46,9 +46,10 @@ pub mod subquery;
 pub mod vectorize;
 
 pub use access::INDEX_PROBE_ROW_COST;
-pub use cost::{
-    plan_cost, AccessPathKind, Alternative, GroupedLookup, JoinEnumeration, ParallelKind,
-    PlanDecision, SubqueryStrategy, DP_MAX_RELATIONS,
+pub use cost::{plan_cost, DP_MAX_RELATIONS};
+pub use datastore::obs::{
+    AccessPathKind, Alternative, GroupedLookup, JoinEnumeration, ParallelKind, PlanDecision,
+    SqlText, SubqueryStrategy,
 };
 pub use parallel::PARALLEL_ROW_THRESHOLD;
 pub use physical::lower_expr;
@@ -268,7 +269,10 @@ fn plan_query_impl(
     // the enumeration at their semi-join-reduced cardinality.
     let hints = subquery::semi_join_hints(db, &estimator, &graph, &bound, &where_subs);
     let (order, mut decisions) = cost::choose_join_order(&graph, &estimator, &hints);
-    let subctx = subquery::SubqueryContext::new(db, options);
+    // A template's statement has its literals as parameters; the decisions'
+    // quotes of SQL keep their slots.
+    let template = !param_kinds.is_empty();
+    let subctx = subquery::SubqueryContext::new(db, options, template);
     let scopes = subquery::ScopeChain::root(&subctx);
     let (mut plan, _columns) = physical::lower_select(
         db,
@@ -285,7 +289,7 @@ fn plan_query_impl(
     decisions.extend(subctx.take_decisions());
     // The vectorize pass always runs: with the vector kernels switched off
     // it still records which builds a parallel run would partition.
-    vectorize::vectorize_plan(db, &mut plan, &options, &mut decisions);
+    vectorize::vectorize_plan(db, &mut plan, &options, template, &mut decisions);
     // Parallelization runs last, over the final physical plan: wrap
     // qualifying pipelines in exchanges (pushing aggregation, sorting, and
     // top-k below them when profitable) and fan out qualifying applies,

@@ -31,8 +31,8 @@
 //! of the casting credits into morsels across 8 workers" or "only ten rows
 //! expected, so I kept it on one thread".
 
-use super::cost::{ParallelKind, PlanDecision};
 use super::PlannerOptions;
+use super::{ParallelKind, PlanDecision};
 use datastore::exec::{Edge, GatherMode, Plan, PlanNode};
 use std::mem;
 

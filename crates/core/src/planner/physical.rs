@@ -10,9 +10,10 @@
 //! parameters.
 
 use super::access::{self, literal_value, ScanPath};
-use super::cost::{AccessPathKind, Estimator, JoinOrder, PlanDecision};
+use super::cost::{Estimator, JoinOrder};
 use super::logical::{ref_alias, JoinGraph, Relation};
 use super::subquery::ScopeChain;
+use super::{AccessPathKind, PlanDecision};
 use crate::error::TalkbackError;
 use datastore::exec::{AggExpr, AggFunc, ColumnInfo, Plan, PlanNode};
 use datastore::expr::{ArithOp, CmpOp, Expr as PExpr, Param};

@@ -53,15 +53,16 @@
 //! c.mid" — the optimizer talking back about its own rewrites, in the
 //! spirit of the paper.
 
-use super::cost::{plan_cost, Estimator, GroupedLookup, PlanDecision, SubqueryStrategy};
+use super::cost::{plan_cost, Estimator};
 use super::logical::{build_join_graph, column_type, ref_alias};
 use super::physical::{
     comparison_op, lower_expr_scoped, lower_having, lower_select, not_a_comparison,
 };
-use super::PlannerOptions;
+use super::{GroupedLookup, PlanDecision, PlannerOptions, SqlText, SubqueryStrategy};
 use crate::error::TalkbackError;
 use datastore::exec::{AggExpr, ApplyMode, ColumnInfo, Plan, PlanNode};
 use datastore::expr::{Expr as PExpr, Param};
+use datastore::obs::CONSTRUCT_CHARS;
 use datastore::stats::{anti_join_cardinality, semi_join_selectivity, DEFAULT_SELECTIVITY};
 use datastore::{DataType, Database, Row, Value};
 use sqlparse::ast::{
@@ -80,6 +81,9 @@ use std::collections::{BTreeSet, HashSet};
 pub(super) struct SubqueryContext<'a> {
     pub db: &'a Database,
     pub options: PlannerOptions,
+    /// True when the statement is a plan-cache template's, its literals
+    /// statement parameters: a quoted construct keeps their slots.
+    template: bool,
     next_param: Cell<u32>,
     decisions: RefCell<Vec<PlanDecision>>,
 }
@@ -446,10 +450,11 @@ struct KeyPair {
 }
 
 impl<'c> SubqueryContext<'c> {
-    pub fn new(db: &'c Database, options: PlannerOptions) -> SubqueryContext<'c> {
+    pub fn new(db: &'c Database, options: PlannerOptions, template: bool) -> SubqueryContext<'c> {
         SubqueryContext {
             db,
             options,
+            template,
             next_param: Cell::new(0),
             decisions: RefCell::new(Vec::new()),
         }
@@ -475,7 +480,7 @@ impl<'c> SubqueryContext<'c> {
         first_row: bool,
     ) {
         self.decisions.borrow_mut().push(PlanDecision::Subquery {
-            construct: shorten(&construct.to_string()),
+            construct: SqlText::new(construct.to_string(), CONSTRUCT_CHARS, self.template),
             strategy,
             on,
             correlated_on,
@@ -1410,14 +1415,7 @@ fn complex_predicate(conjunct: &Expr) -> TalkbackError {
     ))
 }
 
-/// Shorten a construct for narration (decisions quote the predicate, but a
-/// three-level nested subquery should not flood a sentence).
-fn shorten(s: &str) -> String {
-    const MAX: usize = 72;
-    if s.chars().count() <= MAX {
-        s.to_string()
-    } else {
-        let prefix: String = s.chars().take(MAX - 1).collect();
-        format!("{prefix}…")
-    }
+/// A construct an error names, shortened as a decision quotes it.
+fn shorten(sql: &str) -> String {
+    SqlText::new(sql.to_string(), CONSTRUCT_CHARS, false).to_string()
 }

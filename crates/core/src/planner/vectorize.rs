@@ -26,8 +26,7 @@
 //! [`PARALLEL_BUILD_MIN`] — the executor's floor for hash-partitioning a
 //! build across workers — as a [`PlanDecision::PartitionedBuild`].
 
-use super::cost::PlanDecision;
-use super::PlannerOptions;
+use super::{PlanDecision, PlannerOptions, SqlText};
 use datastore::exec::profile::render_expr;
 use datastore::exec::{ColumnInfo, Plan, PlanNode, VectorPredicate, PARALLEL_BUILD_MIN};
 use datastore::expr::Expr;
@@ -35,15 +34,18 @@ use datastore::{DataType, Database, Value};
 
 /// Apply the vectorize pass (always runs; the vector flags are only set when
 /// `options.use_vectorized`, but partitioned builds are recorded either
-/// way): children first, then the node's own verdict.
+/// way): children first, then the node's own verdict. `template` says the
+/// plan is a plan-cache template's, so a quoted expression keeps the slots
+/// of its statement parameters.
 pub(super) fn vectorize_plan(
     db: &Database,
     plan: &mut Plan,
     options: &PlannerOptions,
+    template: bool,
     decisions: &mut Vec<PlanDecision>,
 ) {
     for (_, child) in plan.children_mut() {
-        vectorize_plan(db, child, options, decisions);
+        vectorize_plan(db, child, options, template, decisions);
     }
     match &mut plan.node {
         PlanNode::Filter {
@@ -51,7 +53,7 @@ pub(super) fn vectorize_plan(
             predicate,
             vectorized,
             ..
-        } => *vectorized = decide_filter(db, input, predicate, options, decisions),
+        } => *vectorized = decide_filter(db, input, predicate, options, template, decisions),
         PlanNode::HashJoin {
             right, vectorized, ..
         } => {
@@ -73,11 +75,15 @@ pub(super) fn vectorize_plan(
             if options.use_vectorized {
                 decisions.push(PlanDecision::Vectorize {
                     operator: "aggregate".to_string(),
-                    expression: aggregates
-                        .iter()
-                        .map(|a| a.output_name.clone())
-                        .collect::<Vec<_>>()
-                        .join(", "),
+                    expression: SqlText::new(
+                        aggregates
+                            .iter()
+                            .map(|a| a.output_name.clone())
+                            .collect::<Vec<_>>()
+                            .join(", "),
+                        usize::MAX,
+                        template,
+                    ),
                     vectorized: *vectorized,
                     reason: if eligible {
                         "every aggregate reads a plain column".to_string()
@@ -100,6 +106,7 @@ fn decide_filter(
     input: &Plan,
     predicate: &Expr,
     options: &PlannerOptions,
+    template: bool,
     decisions: &mut Vec<PlanDecision>,
 ) -> bool {
     let shape_ok = VectorPredicate::compile(predicate).is_some();
@@ -121,7 +128,7 @@ fn decide_filter(
     if options.use_vectorized {
         decisions.push(PlanDecision::Vectorize {
             operator: "filter".to_string(),
-            expression: render_expr(predicate, &columns),
+            expression: SqlText::new(render_expr(predicate, &columns), usize::MAX, template),
             vectorized,
             reason,
         });

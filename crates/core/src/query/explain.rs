@@ -11,6 +11,7 @@ use datastore::exec::PlanProfile;
 use datastore::Database;
 use nlg::{finish_sentence, join_sentences, quote_sql};
 use sqlparse::ast::SelectStatement;
+use std::borrow::Cow;
 use std::time::Instant;
 use templates::Lexicon;
 
@@ -54,7 +55,7 @@ pub fn explain_result(
         use_plan_cache: false,
         ..PlannerOptions::default()
     };
-    let prepared = prepare(db, &sql, Some(query), options, start)?;
+    let prepared = prepare(db, &sql, || Ok(Cow::Borrowed(query)), options, start)?;
     explain_prepared(lexicon, &prepared)
 }
 

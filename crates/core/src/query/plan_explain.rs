@@ -34,6 +34,7 @@ use nlg::{
 };
 use sqlparse::ast::Statement;
 use sqlparse::parse_statement;
+use std::borrow::Cow;
 use std::time::Instant;
 use templates::Lexicon;
 
@@ -69,9 +70,11 @@ pub fn explain_plan(
 }
 
 /// [`explain_plan`] with explicit planner options — how callers pin a
-/// parallelism degree (or disable parallelism) for reproducible plans. The
-/// plan is fresh, past the cache; [`crate::Talkback::explain_plan`] says
-/// what each form executes and records.
+/// parallelism degree (or disable parallelism) for reproducible plans. With
+/// the plan cache on, the SELECT is prepared through it like any other: a
+/// template serves the plan and its decisions without parsing or planning.
+/// [`crate::Talkback::explain_plan`] says what each form executes and
+/// records.
 pub fn explain_plan_with(
     db: &Database,
     lexicon: &Lexicon,
@@ -79,21 +82,20 @@ pub fn explain_plan_with(
     options: PlannerOptions,
 ) -> Result<PlanExplanation, TalkbackError> {
     let start = Instant::now();
-    let (analyze, query) = match parse_statement(sql)? {
-        Statement::Explain(e) => (e.analyze, e.query),
-        Statement::Select(s) => (false, s),
-        _ => {
-            return Err(TalkbackError::Unsupported(
-                "EXPLAIN of non-SELECT statements".into(),
-            ))
+    let (mut analyze, select) = explained_select(sql);
+    // On a miss the whole statement is parsed, and the parser has the last
+    // word on what it asks.
+    let parse = || match parse_statement(sql)? {
+        Statement::Explain(e) => {
+            analyze = e.analyze;
+            Ok(Cow::Owned(e.query))
         }
+        Statement::Select(s) => Ok(Cow::Owned(s)),
+        _ => Err(TalkbackError::Unsupported(
+            "EXPLAIN of non-SELECT statements".into(),
+        )),
     };
-    let ran = if analyze { analyzed_select(sql) } else { sql };
-    let options = PlannerOptions {
-        use_plan_cache: false,
-        ..options
-    };
-    let prepared = prepare(db, ran, Some(&query), options, start)?;
+    let prepared = prepare(db, select, parse, options, start)?;
     let flag = options.misestimate_factor;
     let (profile, result_rows) = if analyze {
         let (result, profile) = prepared.run(PlanProfile::clone)?;
@@ -116,15 +118,22 @@ pub fn explain_plan_with(
     })
 }
 
-/// The SELECT an `EXPLAIN ANALYZE` statement runs, as it was written: the
-/// text after the two keywords.
-fn analyzed_select(sql: &str) -> &str {
-    ["explain", "analyze"]
-        .iter()
-        .fold(sql.trim(), |rest, word| match rest.get(..word.len()) {
-            Some(head) if head.eq_ignore_ascii_case(word) => rest[word.len()..].trim_start(),
-            _ => rest,
-        })
+/// Whether `sql` asks for `EXPLAIN ANALYZE`, and the SELECT it explains as
+/// it was written: the text after the keywords, each a whole word.
+fn explained_select(sql: &str) -> (bool, &str) {
+    fn after<'a>(rest: &'a str, word: &str) -> Option<&'a str> {
+        let tail = rest.get(word.len()..)?;
+        let whole = !tail.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_');
+        (rest[..word.len()].eq_ignore_ascii_case(word) && whole).then(|| tail.trim_start())
+    }
+    let sql = sql.trim();
+    match after(sql, "explain") {
+        Some(rest) => match after(rest, "analyze") {
+            Some(select) => (true, select),
+            None => (false, rest),
+        },
+        None => (false, sql),
+    }
 }
 
 /// Render an estimated cardinality as a row-count phrase.
@@ -171,7 +180,7 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                 grouped,
             } => {
                 sentences.push(narrate_subquery_decision(
-                    construct,
+                    construct.as_str(),
                     *strategy,
                     on.as_deref(),
                     correlated_on,
@@ -336,14 +345,14 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                         "I compiled the {} on {} into typed column kernels — {} — so it \
                          runs a 1,024-value vector at a time",
                         operator,
-                        quote_sql(expression),
+                        quote_sql(expression.as_str()),
                         reason
                     )
                 } else {
                     format!(
                         "I kept the {} on {} row-at-a-time: {}",
                         operator,
-                        quote_sql(expression),
+                        quote_sql(expression.as_str()),
                         reason
                     )
                 };

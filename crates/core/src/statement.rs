@@ -1,10 +1,11 @@
 //! One path for every statement that runs a query: [`prepare`] turns SQL
-//! into a plan — a cached template bound to the statement's literals, or a
-//! fresh plan that is then examined for the cache — and [`Prepared::run`]
-//! executes it, folds its cardinality feedback into the adaptive state and
-//! journals it. `run_query`, `explain_result` and `EXPLAIN ANALYZE` all go
-//! through both halves; plain `EXPLAIN` prepares and stops, so it reads,
-//! absorbs and records nothing.
+//! into a plan and the decisions that shaped it — a cached template's, bound
+//! to the statement's literals, or fresh ones that are then examined for the
+//! cache — and [`Prepared::run`] executes the plan, folds its cardinality
+//! feedback into the adaptive state and journals it. `run_query`,
+//! `explain_result` and `EXPLAIN ANALYZE` all go through both halves; plain
+//! `EXPLAIN` prepares and stops, so it reads, absorbs and records nothing.
+//! A template-served `EXPLAIN [ANALYZE]` neither parses nor plans.
 
 use crate::error::TalkbackError;
 use crate::planner::{self, plan_query_with, PlanDecision, PlannedQuery, PlannerOptions};
@@ -41,17 +42,16 @@ enum Source {
     Fresh(Box<PlannedQuery>),
 }
 
-/// Prepare `sql` under `options`; `parsed` is the statement when the caller
-/// has parsed it already, since `start`. The text is literal-normalized and,
-/// with the plan cache on, the cache is probed once: a template there is
-/// bound to the new literals (no parsing or planning), and a negative entry
-/// sends the statement to the planner without examining it again. On a miss
-/// the fresh plan is examined and its verdict cached. With the cache off the
-/// plan is fresh and carries the decisions `EXPLAIN` narrates.
-pub(crate) fn prepare<'s>(
+/// Prepare `sql` under `options`, since `start`; `parse` gives the
+/// statement, called only when it is to be planned. The text is
+/// literal-normalized and, with the plan cache on, the cache is probed once:
+/// a template there is bound to the new literals (no parsing or planning),
+/// and a negative entry sends the statement to the planner without examining
+/// it again. On a miss the fresh plan is examined and its verdict cached.
+pub(crate) fn prepare<'s, 'q>(
     db: &'s Database,
     sql: &'s str,
-    parsed: Option<&SelectStatement>,
+    parse: impl FnOnce() -> Result<Cow<'q, SelectStatement>, TalkbackError>,
     options: PlannerOptions,
     start: Instant,
 ) -> Result<Prepared<'s>, TalkbackError> {
@@ -88,15 +88,11 @@ pub(crate) fn prepare<'s>(
             Source::Template(template, plan)
         }
         _ => {
-            let query = match parsed {
-                Some(query) => Cow::Borrowed(query),
-                None => Cow::Owned(sqlparse::parse_query(sql)?),
-            };
+            let query = parse()?;
             let planning = Instant::now();
             let planned = plan_query_with(db, &query, options)?;
             if let (Some(key), CacheStatus::Miss | CacheStatus::Stale) = (&key, meta.cache) {
-                let verdict =
-                    examine_for_caching(db, query.into_owned(), key, &planned.plan, options);
+                let verdict = examine_for_caching(db, query.into_owned(), key, &planned, options);
                 let evicted = cache.insert(key, epoch, verdict);
                 db.obs().add(Counter::PlanCacheEvictions, evicted);
             }
@@ -116,6 +112,17 @@ pub(crate) fn prepare<'s>(
     })
 }
 
+/// [`prepare`] for a SELECT given as its text alone.
+pub(crate) fn prepare_select<'s>(
+    db: &'s Database,
+    sql: &'s str,
+    options: PlannerOptions,
+    start: Instant,
+) -> Result<Prepared<'s>, TalkbackError> {
+    let parse = || Ok(Cow::Owned(sqlparse::parse_query(sql)?));
+    prepare(db, sql, parse, options, start)
+}
+
 impl Prepared<'_> {
     /// The plan the statement executes.
     pub(crate) fn plan_ref(&self) -> &Plan {
@@ -125,10 +132,15 @@ impl Prepared<'_> {
         }
     }
 
-    /// The optimizer's decisions: those of a fresh plan, none for a template.
+    /// The optimizer's decisions: those of a fresh plan, or a template's
+    /// bound to the statement's literals.
     pub(crate) fn into_decisions(self) -> Vec<PlanDecision> {
         match self.source {
-            Source::Template(..) => Vec::new(),
+            Source::Template(template, _) => {
+                let literals = self.normalized.map(|n| n.literals).unwrap_or_default();
+                let bind = |d: &PlanDecision| d.bind(&literals).into_owned();
+                template.decisions.iter().map(bind).collect()
+            }
             Source::Fresh(planned) => planned.decisions,
         }
     }
@@ -187,14 +199,15 @@ impl Prepared<'_> {
 /// extracted, in the same order — so future text-extracted literals bind
 /// positionally — and (b) planning the parameterized statement, each
 /// `?i` typed by its literal's kind, and re-binding the original
-/// literals reproduces the fresh plan node for node, estimates and all.
-/// Anything else is a negative verdict with its reason: the next
-/// execution of the shape is planned fresh without coming back here.
+/// literals reproduces the fresh plan node for node, estimates and all,
+/// and the fresh decisions, the SQL they quote included. Anything else is a
+/// negative verdict with its reason: the next execution of the shape is
+/// planned fresh without coming back here.
 fn examine_for_caching(
     db: &Database,
     query: SelectStatement,
     key: &CacheKey,
-    fresh: &Plan,
+    fresh: &PlannedQuery,
     options: PlannerOptions,
 ) -> CachedVerdict<PlanTemplate> {
     let (template_stmt, lifted) = match sqlparse::parameterize_select(query) {
@@ -213,10 +226,16 @@ fn examine_for_caching(
         // neither can be trusted to lift.
         _ => return CachedVerdict::Uncacheable(Uncacheable::Constant),
     };
+    let binds_to_fresh = |template: &PlannedQuery| {
+        template.plan.bind_params(key.params) == fresh.plan
+            && template.decisions.len() == fresh.decisions.len()
+            && (template.decisions.iter().zip(&fresh.decisions))
+                .all(|(t, f)| *t.bind(key.params) == *f)
+    };
     match planner::plan_template(db, &template_stmt, options, &kinds) {
-        Ok(template) if template.plan.bind_params(key.params) == *fresh => CachedVerdict::Template(
-            Arc::new(PlanTemplate::new(template.plan, template.where_conditions)),
-        ),
+        Ok(template) if binds_to_fresh(&template) => CachedVerdict::Template(Arc::new(
+            PlanTemplate::new(template.plan, template.decisions, template.where_conditions),
+        )),
         _ => CachedVerdict::Uncacheable(Uncacheable::ValueDependent),
     }
 }

@@ -42,7 +42,7 @@ use crate::exec::keys::KeyHasher;
 use crate::exec::plan::Plan;
 use crate::exec::stream::PlanProfile;
 use crate::fingerprint::plan_shape_hash;
-use crate::obs::CacheStatus;
+use crate::obs::{CacheStatus, PlanDecision};
 use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
 use std::hash::Hasher;
@@ -303,11 +303,16 @@ pub struct ShapeCache<T> {
 /// The plan cache: physical plan templates.
 pub type PlanCache = ShapeCache<PlanTemplate>;
 
-/// A verified plan template, and the shape hash its executions share.
+/// A verified plan template, the decisions that shaped it, and the shape
+/// hash its executions share.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanTemplate {
     /// The plan, statement parameters where the literals go.
     pub plan: Plan,
+    /// The planner's decisions, what `EXPLAIN` narrates: a quote of SQL
+    /// keeps a slot where each parameter stands
+    /// ([`PlanDecision::bind`] fills them).
+    pub decisions: Vec<PlanDecision>,
     /// How many conditions the statement's flattened `WHERE` clause applies
     /// (what a result explanation counts), the same for every statement of
     /// the shape.
@@ -319,9 +324,10 @@ pub struct PlanTemplate {
 }
 
 impl PlanTemplate {
-    /// A template of `plan`, planned from a statement whose flattened
-    /// `WHERE` clause applies `where_conditions` conditions.
-    pub fn new(plan: Plan, where_conditions: usize) -> PlanTemplate {
+    /// A template of `plan`, shaped by `decisions` and planned from a
+    /// statement whose flattened `WHERE` clause applies `where_conditions`
+    /// conditions.
+    pub fn new(plan: Plan, decisions: Vec<PlanDecision>, where_conditions: usize) -> PlanTemplate {
         let mut tallies = false;
         plan.walk(&mut |p| {
             tallies |= matches!(
@@ -332,6 +338,7 @@ impl PlanTemplate {
         PlanTemplate {
             shape_hash: (!tallies).then(OnceLock::new),
             plan,
+            decisions,
             where_conditions,
         }
     }
@@ -556,7 +563,11 @@ mod tests {
     const OPTIONS: OptionBits = [0; OPTION_WORDS];
 
     fn template(table: &str) -> CachedVerdict<PlanTemplate> {
-        CachedVerdict::Template(Arc::new(PlanTemplate::new(Plan::scan(table, "t"), 0)))
+        CachedVerdict::Template(Arc::new(PlanTemplate::new(
+            Plan::scan(table, "t"),
+            Vec::new(),
+            0,
+        )))
     }
 
     fn is_hit(found: &CacheLookup<PlanTemplate>, table: &str) -> bool {

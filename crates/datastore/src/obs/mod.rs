@@ -31,7 +31,13 @@
 //! `SHOW MISESTIMATES`, `SHOW WORKLOAD`, `ADVISE`, `CHECKUP`) lives in the
 //! `talkback` crate; this module only collects and snapshots.
 
+mod decision;
 pub mod doctor;
+
+pub use decision::{
+    AccessPathKind, Alternative, DecisionKind, GroupedLookup, JoinEnumeration, ParallelKind,
+    PlanDecision, SqlText, SubqueryStrategy, CONSTRUCT_CHARS,
+};
 
 use crate::adaptive::Uncacheable;
 use crate::exec::stream::PlanProfile;
@@ -152,58 +158,6 @@ impl Counter {
             Counter::TranslationHits => "translation_hits",
             Counter::TranslationMisses => "translation_misses",
             Counter::TranslationUncacheable => "translation_uncacheable",
-        }
-    }
-}
-
-/// The kinds of decision the planner records, one atomic slot each: how
-/// often the optimizer reordered, decorrelated, parallelized, ….
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum DecisionKind {
-    Start,
-    Join,
-    OrderComparison,
-    Subquery,
-    AccessPath,
-    SortElided,
-    Parallel,
-    Vectorize,
-    Feedback,
-    PartitionedBuild,
-    CorrelatedSelection,
-}
-
-impl DecisionKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [DecisionKind; 11] = [
-        DecisionKind::Start,
-        DecisionKind::Join,
-        DecisionKind::OrderComparison,
-        DecisionKind::Subquery,
-        DecisionKind::AccessPath,
-        DecisionKind::SortElided,
-        DecisionKind::Parallel,
-        DecisionKind::Vectorize,
-        DecisionKind::Feedback,
-        DecisionKind::PartitionedBuild,
-        DecisionKind::CorrelatedSelection,
-    ];
-
-    /// Stable snake_case name, used as the key in `SHOW METRICS`.
-    pub fn name(self) -> &'static str {
-        match self {
-            DecisionKind::Start => "start",
-            DecisionKind::Join => "join",
-            DecisionKind::OrderComparison => "order_comparison",
-            DecisionKind::Subquery => "subquery",
-            DecisionKind::AccessPath => "access_path",
-            DecisionKind::SortElided => "sort_elided",
-            DecisionKind::Parallel => "parallel",
-            DecisionKind::Vectorize => "vectorize",
-            DecisionKind::Feedback => "feedback",
-            DecisionKind::PartitionedBuild => "partitioned_build",
-            DecisionKind::CorrelatedSelection => "correlated_selection",
         }
     }
 }

@@ -3,13 +3,18 @@
 # a parent revision and of this checkout's working tree, pair by pair, and
 # say who won.
 #
-#   scripts/ab.sh <parent-rev> <workload> [pairs] [seeds…]
+#   scripts/ab.sh <parent-rev> <workload>[,<workload>…] [pairs] [seeds…]
+#
+# For example `scripts/ab.sh 3aa8c26 talkback,lookup,churn,analytic,nested 10`
+# measures the claimed workload and checks that no other got worse, in one
+# command.
 #
 # Builds BENCHMARK.json's command (the standalone e2e manifest, release,
 # offline) twice: for <parent-rev>, exported with `git archive` under
 # target/ab/<rev>/, and for the working tree as it is, uncommitted edits
 # included. Each is built into its own target directory under target/ab/.
-# Then, for each seed (default 20090104 20090105), it runs [pairs] (default
+# Then, for each workload in the comma-separated list, in order, and each
+# seed (default 20090104 20090105), it runs [pairs] (default
 # 10) pairs of runs of e2e's default length, the parent first in odd pairs
 # and the change first in even ones, prints every pair's stmt_per_s and how
 # many pairs the change won, and hands the seed's result files, kept in
@@ -19,7 +24,9 @@
 # two medians, the parent's interquartile range (the exclusive method, as
 # `e2e compare` computes it) and whether the house rule for a claim holds —
 # the change won at least nine pairs in ten, and its median is above the
-# parent's by more than the parent's IQR.
+# parent's by more than the parent's IQR. The output ends with a summary: one
+# line per workload and seed, that line and whether `e2e compare` found every
+# metric within its bound.
 #
 # Exits non-zero if any run fails (e2e exits non-zero when `failed` > 0) or
 # `e2e compare` finds a metric worse than its bound.
@@ -30,7 +37,7 @@ if [ $# -lt 2 ]; then
   exit 2
 fi
 parent_rev=$1
-workload=$2
+IFS=, read -r -a workloads <<<"$2"
 pairs=${3:-10}
 shift $(($# < 3 ? $# : 3))
 seeds=("${@:-}")
@@ -88,35 +95,47 @@ verdict() {
 }
 
 failed=0
-echo "workload $workload, ${commit:0:12} against the working tree, $pairs pairs, nproc $(nproc)"
-for seed in "${seeds[@]}"; do
-  runs=$ab/runs/$workload/$seed
-  rm -rf "$runs"
-  mkdir -p "$runs/parent" "$runs/change"
-  printf '\nseed %s\n%4s %12s %12s %8s\n' "$seed" pair parent change ratio
-  wins=0
-  results=""
-  for i in $(seq 1 "$pairs"); do
-    # Which side runs first alternates from pair to pair.
-    order="parent change"
-    [ $((i % 2)) = 0 ] && order="change parent"
-    for side in $order; do
-      out=$runs/$side/$i.json
-      if ! "${bin[$side]}" --workload "$workload" --seed "$seed" \
-        --json "$out" >"${out%.json}.log" 2>&1; then
-        echo "the $side run $i of seed $seed failed: see ${out%.json}.log" >&2
-        failed=1
-      fi
+summary=()
+for workload in "${workloads[@]}"; do
+  echo "workload $workload, ${commit:0:12} against the working tree, $pairs pairs, nproc $(nproc)"
+  for seed in "${seeds[@]}"; do
+    runs=$ab/runs/$workload/$seed
+    rm -rf "$runs"
+    mkdir -p "$runs/parent" "$runs/change"
+    printf '\nseed %s\n%4s %12s %12s %8s\n' "$seed" pair parent change ratio
+    wins=0
+    results=""
+    for i in $(seq 1 "$pairs"); do
+      # Which side runs first alternates from pair to pair.
+      order="parent change"
+      [ $((i % 2)) = 0 ] && order="change parent"
+      for side in $order; do
+        out=$runs/$side/$i.json
+        if ! "${bin[$side]}" --workload "$workload" --seed "$seed" \
+          --json "$out" >"${out%.json}.log" 2>&1; then
+          echo "the $side run $i of seed $seed failed: see ${out%.json}.log" >&2
+          failed=1
+        fi
+      done
+      p=$(stmt_per_s "$runs/parent/$i.json")
+      c=$(stmt_per_s "$runs/change/$i.json")
+      wins=$((wins + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c > p) }')))
+      results+="$p $c"$'\n'
+      awk -v i="$i" -v p="$p" -v c="$c" 'BEGIN { printf "%4d %12.1f %12.1f %8.3f\n", i, p, c, c / p }'
     done
-    p=$(stmt_per_s "$runs/parent/$i.json")
-    c=$(stmt_per_s "$runs/change/$i.json")
-    wins=$((wins + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c > p) }')))
-    results+="$p $c"$'\n'
-    awk -v i="$i" -v p="$p" -v c="$c" 'BEGIN { printf "%4d %12.1f %12.1f %8.3f\n", i, p, c, c / p }'
+    echo "change won $wins of $pairs pairs"
+    bounds="every metric within its bound"
+    "${bin[change]}" compare "$runs/parent" "$runs/change" || {
+      bounds="a metric worse than its bound"
+      failed=1
+    }
+    line=$(printf '%s' "$results" | verdict "$wins" "$pairs")
+    printf 'seed %s: %s\n' "$seed" "$line"
+    summary+=("$(printf '%-8s seed %s: %s; %s' "$workload" "$seed" "$line" "$bounds")")
   done
-  echo "change won $wins of $pairs pairs"
-  "${bin[change]}" compare "$runs/parent" "$runs/change" || failed=1
-  printf 'seed %s: ' "$seed"
-  printf '%s' "$results" | verdict "$wins" "$pairs"
+  echo
 done
+
+echo "summary, ${commit:0:12} against the working tree:"
+printf '%s\n' "${summary[@]}"
 exit "$failed"

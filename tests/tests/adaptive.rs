@@ -556,8 +556,10 @@ fn ddl_and_writes_invalidate_cached_plans() {
     system.run_query_with(q, sequential()).unwrap(); // stale → miss, re-cached
     assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 1);
     assert_eq!(system.database().obs().counter(Counter::PlanCacheMisses), 2);
+    // EXPLAIN is served from that template too: a hit.
     let e = system.explain_plan_with(q, sequential()).unwrap();
     assert!(e.tree.contains("index scan"), "{}", e.tree);
+    assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 2);
 
     // A write invalidates too (statistics may have shifted).
     system.run_query_with(q, sequential()).unwrap(); // hit again
@@ -569,7 +571,7 @@ fn ddl_and_writes_invalidate_cached_plans() {
         )
         .unwrap();
     system.run_query_with(q, sequential()).unwrap(); // stale → miss
-    assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 2);
+    assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 3);
     assert_eq!(system.database().obs().counter(Counter::PlanCacheMisses), 3);
 
     // Asking for a table that does not exist is not a write: the epoch
@@ -578,7 +580,7 @@ fn ddl_and_writes_invalidate_cached_plans() {
     assert!(system.database_mut().table_mut("NOPE").is_none());
     assert_eq!(system.database().adaptive().epoch(), epoch);
     system.run_query_with(q, sequential()).unwrap(); // hit
-    assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 3);
+    assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 4);
     assert_eq!(system.database().obs().counter(Counter::PlanCacheMisses), 3);
 }
 
@@ -587,12 +589,16 @@ fn ddl_and_writes_invalidate_cached_plans() {
 /// stay byte-identical in rows, row order, columns, and executed plan shape
 /// while the test interleaves lookups and the paper's nested shapes
 /// (Q5–Q9, a correlated EXISTS) with literals of varying value *and kind*,
-/// inserts, and CREATE/DROP INDEX of ordered and hash indexes. The cached
-/// engine must actually hit its cache for the comparison to mean anything —
-/// on every nested shape, and on the shapes whose plan probes a hash index,
-/// which a template can only do when it knows its parameter's kind. The
-/// seed is fixed; `ADAPTIVE_SEED=<u64>` adds one more (CI passes the clock),
-/// and every failure names its seed.
+/// inserts, and CREATE/DROP INDEX of ordered and hash indexes. Some
+/// statements are also explained, plain and with ANALYZE, and the two
+/// engines' trees, narrations and decisions must agree — the cached one's
+/// bound from a template when it has one — and so must they after feedback
+/// is absorbed between two EXPLAINs. The cached engine must actually hit its
+/// cache for the comparison to mean anything — on every nested shape, on
+/// the shapes whose plan probes a hash index, which a template can only do
+/// when it knows its parameter's kind, and on EXPLAIN. The seed is fixed;
+/// `ADAPTIVE_SEED=<u64>` adds one more (CI passes the clock), and every
+/// failure names its seed.
 #[test]
 fn cached_and_uncached_executions_are_byte_identical() {
     let mut seeds = vec![0xADA9_71CE];
@@ -613,6 +619,9 @@ fn cached_and_uncached_agree(seed: u64) {
         ("adaptive_by_aid", "CAST(aid) using hash"),
     ];
     let mut rng = StdRng::seed_from_u64(seed);
+    // Which statements are also explained: drawn apart, so the statements
+    // themselves are the ones the seed always drew.
+    let mut explain_rng = StdRng::seed_from_u64(seed ^ 0xE7B1_A1A5);
     let mut cached = Talkback::new(movie_database());
     let mut uncached = Talkback::new(movie_database());
     let cached_opts = sequential();
@@ -629,6 +638,21 @@ fn cached_and_uncached_agree(seed: u64) {
     let mut nested_hits = [0u32; 6];
     // `explain_result` calls served from a template.
     let mut explained_hits = 0u32;
+    // `EXPLAIN [ANALYZE]` calls served from a template.
+    let mut explain_plan_hits = 0u64;
+    let mut explain_agree = |cached: &Talkback, uncached: &Talkback, text: &str, step: &str| {
+        let hits = || cached.database().obs().counter(Counter::PlanCacheHits);
+        let before = hits();
+        let a = cached.explain_plan_with(text, cached_opts).unwrap();
+        let b = uncached.explain_plan_with(text, uncached_opts).unwrap();
+        assert_eq!(
+            (&a.tree, &a.narration, &a.decisions),
+            (&b.tree, &b.narration, &b.decisions),
+            "seed {seed} {step}: {text} diverged"
+        );
+        explain_plan_hits += hits() - before;
+        a
+    };
     for step in 0..600 {
         match rng.gen_range(0..10u8) {
             // Insert the same row into both engines (invalidates stats and
@@ -729,6 +753,14 @@ fn cached_and_uncached_agree(seed: u64) {
                         rng.gen_range(1..16i64)
                     ),
                 };
+                // One statement in four is also explained on both engines,
+                // plainly and with ANALYZE (which runs it on both).
+                if explain_rng.gen_bool(0.25) {
+                    for form in ["explain", "explain analyze"] {
+                        let step = format!("step {step}");
+                        explain_agree(&cached, &uncached, &format!("{form} {sql}"), &step);
+                    }
+                }
                 // One statement in five is explained instead of run: the
                 // facade's `explain_result` (default options, plan cache
                 // on) against the free function, which plans afresh.
@@ -789,6 +821,49 @@ fn cached_and_uncached_agree(seed: u64) {
             }
         }
     }
+    // A shape whose feedback is absorbed between two EXPLAINs: thirty
+    // movies share a title the statistics spread over every row, the
+    // ANALYZE flags the misestimate and both engines learn it, and the
+    // next EXPLAINs — the cached engine's second one from the template
+    // planned with what was learned — say so alike.
+    for engine in [&mut cached, &mut uncached] {
+        for id in 0..30 {
+            let row = vec![
+                Value::int(5000 + id),
+                Value::text("Remake"),
+                Value::int(2000),
+            ];
+            engine.database_mut().insert("MOVIES", row).unwrap();
+        }
+    }
+    let remake = "select m.id from MOVIES m where m.title = 'Remake'";
+    explain_agree(&cached, &uncached, &format!("explain {remake}"), "feedback");
+    explain_agree(
+        &cached,
+        &uncached,
+        &format!("explain analyze {remake}"),
+        "feedback",
+    );
+    for served in [false, true] {
+        let hits = cached.database().obs().counter(Counter::PlanCacheHits);
+        let e = explain_agree(&cached, &uncached, &format!("explain {remake}"), "feedback");
+        let hit = cached.database().obs().counter(Counter::PlanCacheHits) > hits;
+        assert_eq!(
+            hit, served,
+            "seed {seed}: EXPLAIN of {remake} after the ANALYZE"
+        );
+        assert!(
+            e.decisions
+                .iter()
+                .any(|d| matches!(d, PlanDecision::Feedback { .. })),
+            "seed {seed}: the EXPLAIN after the ANALYZE should narrate feedback: {}",
+            e.narration
+        );
+    }
+    assert!(
+        explain_plan_hits >= 20,
+        "seed {seed}: EXPLAIN should be served from templates, got {explain_plan_hits}"
+    );
     let hits = cached.database().obs().counter(Counter::PlanCacheHits);
     assert!(
         hits >= 100,
@@ -995,6 +1070,62 @@ fn plan_cache_verdicts_of_the_paper_queries_and_the_workload_shapes() {
         "select m.title from MOVIES m where m.year = 1990 and m.id <= 60",
     ] {
         assert_eq!(verdict(&scaled, sql), range, "{sql}");
+    }
+}
+
+/// A template's decisions quote SQL with a slot where each literal stands,
+/// filled before the quote is shortened: an `EXPLAIN` served from a
+/// template examined with one literal and bound to a much shorter or much
+/// longer one narrates what a fresh plan does, decision for decision — the
+/// actor name in Q1's filter, Q7's `1 <` in its subquery construct, and an
+/// `EXISTS` whose construct crosses the 72-character cut.
+#[test]
+fn literal_length_does_not_change_a_bound_decision() {
+    let q7 = PAPER_QUERIES[6];
+    let exists = "select m.title from MOVIES m where exists \
+                  (select * from CAST c where c.mid = m.id and c.aid = 1)";
+    let cases = [
+        (
+            PAPER_QUERIES[0],
+            "'Brad Pitt'",
+            ["'B'".to_string(), format!("'{}'", "x".repeat(60))],
+        ),
+        (q7, "1 <", ["0 <".to_string(), "12345678 <".to_string()]),
+        (
+            exists,
+            "c.aid = 1)",
+            [
+                "c.aid = 7)".to_string(),
+                "c.aid = 123456789012)".to_string(),
+            ],
+        ),
+    ];
+    let fresh = PlannerOptions {
+        use_plan_cache: false,
+        ..sequential()
+    };
+    for (sql, literal, others) in cases {
+        let system = Talkback::new(movie_database());
+        system.run_query_with(sql, sequential()).unwrap();
+        let mut constructs = Vec::new();
+        for other in others {
+            let explain = format!("explain {}", sql.replace(literal, &other));
+            let hits = system.database().obs().counter(Counter::PlanCacheHits);
+            let bound = system.explain_plan_with(&explain, sequential()).unwrap();
+            let served = system.database().obs().counter(Counter::PlanCacheHits) - hits;
+            assert_eq!(served, 1, "{explain} should be served from the template");
+            let planned = system.explain_plan_with(&explain, fresh).unwrap();
+            assert_eq!(bound.decisions, planned.decisions, "{explain}");
+            assert_eq!(bound.narration, planned.narration, "{explain}");
+            constructs.extend(bound.decisions.iter().filter_map(|d| match d {
+                PlanDecision::Subquery { construct, .. } => Some(construct.to_string()),
+                _ => None,
+            }));
+        }
+        if sql == exists {
+            let cut: Vec<bool> = constructs.iter().map(|c| c.ends_with('…')).collect();
+            assert_eq!(cut, [false, true], "{constructs:?}");
+        }
     }
 }
 

@@ -10,6 +10,12 @@
 //! executed alone — and for Q1's `Talkback::explain_result` there, served
 //! from its template.
 //!
+//! `EXPLAIN` of Q1 and `EXPLAIN ANALYZE` of Q6 there, served from their
+//! templates (the plan and its decisions bound, nothing parsed or planned),
+//! have exact ceilings: 310 and 4,200. The same calls planned afresh every
+//! time, as they were before a template kept its decisions (3aa8c26), made
+//! 542 and 4,578.
+//!
 //! The miss path: each `lookup` shape's plan-cache miss after an epoch bump
 //! (parse, plan, plan the template and compare, execute) and
 //! `plan_query_with` alone on the parsed shape, and a fresh correlated
@@ -26,6 +32,7 @@
 //! --test alloc_budget -- --nocapture`).
 
 use datastore::exec::execute_with_stats;
+use datastore::obs::Counter;
 use datastore::sample::{scaled_movie_database, ScaleConfig};
 use datastore::EpochCause;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -323,6 +330,28 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
         n,
         Some(280),
     ));
+
+    // `EXPLAIN [ANALYZE]` served from a template: the plan and its decisions
+    // bound, neither parsed nor planned.
+    for (what, form, sql, ceiling) in [
+        ("EXPLAIN of Q1 from a template", "explain", Q1, 310),
+        (
+            "EXPLAIN ANALYZE of Q6 from a template",
+            "explain analyze",
+            Q6,
+            4_200,
+        ),
+    ] {
+        let explain = format!("{form} {sql}");
+        for _ in 0..3 {
+            system.explain_plan_with(&explain, options).unwrap();
+        }
+        let hits = || system.database().obs().counter(Counter::PlanCacheHits);
+        let before = hits();
+        let (n, _) = allocations(|| system.explain_plan_with(&explain, options).unwrap());
+        assert_eq!(hits(), before + 1, "{what}");
+        rows.push(Row::new(what, n, Some(ceiling)));
+    }
 
     print(&rows);
     for row in &rows {

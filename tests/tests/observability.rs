@@ -7,7 +7,7 @@
 use datastore::obs::Counter;
 use datastore::sample::movie_database;
 use datastore::{ColumnDef, Database, TableSchema, Value};
-use talkback::Talkback;
+use talkback::{PlannerOptions, Talkback};
 
 const Q1: &str = "select m.title from MOVIES m, CAST c, ACTOR a \
      where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'";
@@ -595,7 +595,9 @@ fn a_cached_statement_is_journaled_exactly_as_a_fresh_one() {
 /// Every statement that runs a query is counted, timed and journaled once,
 /// whichever entry point ran it — `run_query`, `EXPLAIN ANALYZE`,
 /// `explain_result` or `voice_answer` — and filed under the one workload row
-/// of its SELECT. A plain `EXPLAIN` reads, counts and records nothing.
+/// of its SELECT. A plain `EXPLAIN` reads, counts and records nothing; served
+/// from a template it is one plan-cache hit and records no decision, and
+/// with the plan cache off it does not probe it.
 #[test]
 fn every_executed_statement_is_counted_timed_and_journaled_once() {
     use datastore::obs::Phase;
@@ -621,8 +623,20 @@ fn every_executed_statement_is_counted_timed_and_journaled_once() {
     for sql in PAPER_QUERIES {
         system.run_query(sql).unwrap();
         let before = traces();
-        system.explain_plan(&format!("explain {sql}")).unwrap();
+        let explain = format!("explain {sql}");
+        system.explain_plan(&explain).unwrap();
         assert_eq!(traces(), before, "plain EXPLAIN of {sql}");
+        let (hits, decisions) = (obs.counter(Counter::PlanCacheHits), obs.decisions());
+        system.explain_plan(&explain).unwrap();
+        assert_eq!(traces(), before, "second plain EXPLAIN of {sql}");
+        assert_eq!(obs.counter(Counter::PlanCacheHits), hits + 1, "{sql}");
+        assert_eq!(obs.decisions(), decisions, "{sql}");
+        let uncached = PlannerOptions {
+            use_plan_cache: false,
+            ..PlannerOptions::default()
+        };
+        system.explain_plan_with(&explain, uncached).unwrap();
+        assert_eq!(obs.counter(Counter::PlanCacheHits), hits + 1, "{sql}");
         system
             .explain_plan(&format!("explain analyze {sql}"))
             .unwrap();
