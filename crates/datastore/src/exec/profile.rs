@@ -266,61 +266,59 @@ impl PlanProfile {
     /// threshold.
     pub fn render_tree_with(&self, analyze: bool, flag_factor: f64) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, "", "", analyze, flag_factor);
+        self.render_into(&mut out, &mut String::new(), analyze, flag_factor);
         out
     }
 
-    fn render_into(
-        &self,
-        out: &mut String,
-        prefix: &str,
-        child_prefix: &str,
-        analyze: bool,
-        flag_factor: f64,
-    ) {
-        out.push_str(prefix);
+    /// Write this node's line (after the prefix its parent wrote) and then
+    /// its children's, each under `indent` and its branch; `indent` grows
+    /// by one level for the children and is given back as it came.
+    fn render_into(&self, out: &mut String, indent: &mut String, analyze: bool, flag_factor: f64) {
+        use fmt::Write;
         out.push_str(&self.operator);
         if !self.detail.is_empty() {
             out.push_str(": ");
             out.push_str(&self.detail);
         }
+        // Writing into a `String` cannot fail.
         for tag in &self.tags {
-            out.push_str(&format!("  [{tag}]"));
+            let _ = write!(out, "  [{tag}]");
         }
         if let Some(workers) = self.workers.filter(|&w| w > 1) {
-            out.push_str(&format!("  [workers={workers}]"));
+            let _ = write!(out, "  [workers={workers}]");
         }
-        let est = self.estimated_rows.map(|e| format!("{:.0}", e.round()));
+        let est = self.estimated_rows.map(f64::round);
+        let m = &self.metrics;
         if analyze {
-            match est {
-                Some(est) => out.push_str(&format!(
-                    "  [est={} actual={} in={} batches={}]",
-                    est, self.metrics.rows_out, self.metrics.rows_in, self.metrics.batches
-                )),
-                None => out.push_str(&format!(
-                    "  [actual={} in={} batches={}]",
-                    self.metrics.rows_out, self.metrics.rows_in, self.metrics.batches
-                )),
+            out.push_str("  [");
+            if let Some(est) = est {
+                let _ = write!(out, "est={est:.0} ");
             }
+            let _ = write!(
+                out,
+                "actual={} in={} batches={}]",
+                m.rows_out, m.rows_in, m.batches
+            );
             if let Some(factor) = self.misestimate_with(flag_factor) {
-                out.push_str(&format!("  <-- est off by {factor:.0}x"));
+                let _ = write!(out, "  <-- est off by {factor:.0}x");
             }
         } else if let Some(est) = est {
-            out.push_str(&format!("  [est={est}]"));
+            let _ = write!(out, "  [est={est:.0}]");
         }
         out.push('\n');
         let n = self.children.len();
         for (i, child) in self.children.iter().enumerate() {
-            let last = i + 1 == n;
-            let branch = if last { "└─ " } else { "├─ " };
-            let cont = if last { "   " } else { "│  " };
-            child.render_into(
-                out,
-                &format!("{child_prefix}{branch}"),
-                &format!("{child_prefix}{cont}"),
-                analyze,
-                flag_factor,
-            );
+            let (branch, cont) = if i + 1 == n {
+                ("└─ ", "   ")
+            } else {
+                ("├─ ", "│  ")
+            };
+            out.push_str(indent);
+            out.push_str(branch);
+            let len = indent.len();
+            indent.push_str(cont);
+            child.render_into(out, indent, analyze, flag_factor);
+            indent.truncate(len);
         }
     }
 }

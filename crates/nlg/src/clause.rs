@@ -1,27 +1,20 @@
 //! Clause model: the intermediate representation between template
 //! instantiation and surface realization.
 //!
-//! A clause has a subject, a predicate (verb phrase plus complement) and
-//! optional subordinate clauses ("who was born in Italy"). Clause-level
-//! operations — sharing subjects, embedding relative clauses, conjoining —
-//! are what let the translator move from the "vapid narrative" of §2.2 to
-//! the fluent one.
+//! A clause has a subject and a predicate (verb phrase plus complement).
+//! Turned into a relative clause ("who was born in Italy") it is what lets
+//! the split pattern move from the "vapid narrative" of §2.2 to the fluent
+//! one.
 
 use std::fmt;
 
-/// A clause: subject + predicate, plus optional relative clauses attached to
-/// the subject or to the predicate's object.
+/// A clause: subject + predicate.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Clause {
     /// The grammatical subject ("Woody Allen", "the movie M1").
     pub subject: String,
     /// The predicate: verb phrase and complement ("was born in Brooklyn").
     pub predicate: String,
-    /// Relative clauses modifying the subject ("who was born in Italy").
-    pub subject_relatives: Vec<String>,
-    /// Additional predicates sharing the same subject (used by aggregation
-    /// before realization joins them with "and").
-    pub extra_predicates: Vec<String>,
 }
 
 impl Clause {
@@ -30,40 +23,17 @@ impl Clause {
         Clause {
             subject: subject.into(),
             predicate: predicate.into(),
-            ..Clause::default()
         }
-    }
-
-    /// Attach a relative clause to the subject.
-    pub fn with_relative(mut self, relative: impl Into<String>) -> Clause {
-        self.subject_relatives.push(relative.into());
-        self
-    }
-
-    /// Add another predicate sharing this clause's subject.
-    pub fn add_predicate(&mut self, predicate: impl Into<String>) {
-        self.extra_predicates.push(predicate.into());
     }
 
     /// Render the clause as flat text (no final punctuation, no
-    /// capitalization): `subject [relatives] predicate [and predicate …]`.
+    /// capitalization): `subject predicate`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(self.subject.trim());
-        for rel in &self.subject_relatives {
-            out.push(' ');
-            out.push_str(rel.trim());
-        }
         if !self.predicate.trim().is_empty() {
             out.push(' ');
             out.push_str(self.predicate.trim());
-        }
-        for (i, extra) in self.extra_predicates.iter().enumerate() {
-            if self.extra_predicates.len() > 1 && i + 1 == self.extra_predicates.len() {
-                out.push(',');
-            }
-            out.push_str(" and ");
-            out.push_str(extra.trim());
         }
         out
     }
@@ -73,12 +43,7 @@ impl Clause {
     /// The relative pronoun is chosen by the caller ("who" for people,
     /// "that"/"which" for things).
     pub fn as_relative(&self, pronoun: &str) -> String {
-        let mut out = format!("{pronoun} {}", self.predicate.trim());
-        for extra in &self.extra_predicates {
-            out.push_str(" and ");
-            out.push_str(extra.trim());
-        }
-        out
+        format!("{pronoun} {}", self.predicate.trim())
     }
 
     /// True when the clause says nothing.
@@ -106,39 +71,10 @@ mod tests {
     }
 
     #[test]
-    fn relatives_attach_to_the_subject() {
-        let c =
-            Clause::new("the director D1", "directed M1").with_relative("who was born in Italy");
-        assert_eq!(
-            c.render(),
-            "the director D1 who was born in Italy directed M1"
-        );
-    }
-
-    #[test]
-    fn extra_predicates_join_with_and() {
-        let mut c = Clause::new("Woody Allen", "was born in Brooklyn");
-        c.add_predicate("directed Match Point");
-        assert_eq!(
-            c.render(),
-            "Woody Allen was born in Brooklyn and directed Match Point"
-        );
-        c.add_predicate("wrote Annie Hall");
-        assert_eq!(
-            c.render(),
-            "Woody Allen was born in Brooklyn and directed Match Point, and wrote Annie Hall"
-        );
-    }
-
-    #[test]
     fn as_relative_rewrites_with_a_pronoun() {
         let c = Clause::new("the actor A1", "is Greek");
         assert_eq!(c.as_relative("who"), "who is Greek");
-        let mut c = Clause::new("the movie", "was released in 2004");
-        c.add_predicate("won awards");
-        assert_eq!(
-            c.as_relative("that"),
-            "that was released in 2004 and won awards"
-        );
+        let c = Clause::new("the movie", " was released in 2004 ");
+        assert_eq!(c.as_relative("that"), "that was released in 2004");
     }
 }

@@ -1,5 +1,5 @@
-//! Discourse planning: ordering material and choosing between the compact
-//! (declarative) and procedural synthesis styles of §2.2.
+//! Discourse planning: choosing between the compact (declarative) and
+//! procedural synthesis styles of §2.2, and truncating what is said.
 //!
 //! The paper contrasts two renderings of the same content: a compact one —
 //! "more complex and in more complicated cases may even be infeasible" — and
@@ -63,19 +63,6 @@ impl StylePolicy {
     }
 }
 
-/// Order sentences so that the most important come first. Importance is
-/// supplied by the caller as a score per sentence (e.g. relation weights from
-/// the schema graph); ties keep the original order (stable sort).
-pub fn order_by_importance(sentences: &[(String, f64)]) -> Vec<String> {
-    let mut indexed: Vec<(usize, &(String, f64))> = sentences.iter().enumerate().collect();
-    indexed.sort_by(|(ia, (_, sa)), (ib, (_, sb))| {
-        sb.partial_cmp(sa)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(ia.cmp(ib))
-    });
-    indexed.into_iter().map(|(_, (s, _))| s.clone()).collect()
-}
-
 /// Truncate a narrative to at most `max_sentences` sentences, appending an
 /// ellipsis marker when material was dropped (the paper's "less significant
 /// tuples to be ignored according to appropriate constraints").
@@ -123,19 +110,6 @@ mod tests {
                 relations: 2
             }),
             Style::Procedural
-        );
-    }
-
-    #[test]
-    fn ordering_is_stable_for_ties() {
-        let sentences = vec![
-            ("first".to_string(), 1.0),
-            ("second".to_string(), 2.0),
-            ("third".to_string(), 1.0),
-        ];
-        assert_eq!(
-            order_by_importance(&sentences),
-            vec!["second", "first", "third"]
         );
     }
 

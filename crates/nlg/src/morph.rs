@@ -50,15 +50,6 @@ pub fn be_verb(plural: bool) -> &'static str {
     }
 }
 
-/// Subject–verb agreement for "to have" ("has"/"have").
-pub fn have_verb(plural: bool) -> &'static str {
-    if plural {
-        "have"
-    } else {
-        "has"
-    }
-}
-
 /// Capitalize the first letter of a sentence, leaving the rest untouched
 /// (acronyms and proper nouns keep their case).
 pub fn capitalize_first(s: &str) -> String {
@@ -114,7 +105,6 @@ mod tests {
     fn agreement_and_capitalization() {
         assert_eq!(be_verb(false), "is");
         assert_eq!(be_verb(true), "are");
-        assert_eq!(have_verb(true), "have");
         assert_eq!(capitalize_first("the movie"), "The movie");
         assert_eq!(capitalize_first(""), "");
     }

@@ -95,3 +95,28 @@ fn a_explain_large_result_from_a_template_counts_its_conditions() {
         cached.narrative
     );
 }
+
+/// A constant with irregular spacing is said as the user wrote it wherever
+/// the narration quotes SQL in backquotes: `'Brad  Pitt'` (two spaces)
+/// matches no actor, and the condition blamed for the empty answer must be
+/// the one in the query, not the one naming Brad Pitt.
+#[test]
+fn a_explain_quotes_constants_with_irregular_spacing_as_written() {
+    let system = Talkback::new(movie_database());
+    for constant in ["'Brad  Pitt'", "'x , y'", "'a ( b )'"] {
+        let condition = format!("a.name = {constant}");
+        let sql = format!(
+            "select m.title from MOVIES m, CAST c, ACTOR a \
+             where m.id = c.mid and c.aid = a.id and {condition}"
+        );
+        let quoted = format!("`{condition}`");
+        let result = system.explain_result(&sql).unwrap();
+        assert_eq!(result.rows, 0, "{sql}");
+        assert!(result.narrative.contains(&quoted), "{}", result.narrative);
+        for form in ["explain", "explain analyze"] {
+            let plan = system.explain_plan(&format!("{form} {sql}")).unwrap();
+            assert!(plan.tree.contains(&condition), "{}", plan.tree);
+            assert!(plan.narration.contains(&quoted), "{}", plan.narration);
+        }
+    }
+}
