@@ -60,8 +60,6 @@ use datastore::exec::Plan;
 use datastore::Database;
 use sqlparse::ast::SelectStatement;
 use sqlparse::bind::bind_query;
-use sqlparse::rewrite::flatten_in_subqueries;
-use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Planner options: how many threads and from how many rows, how far off an
@@ -189,15 +187,14 @@ pub struct PlannedQuery {
     /// The decisions the optimizer took (empty when there was nothing to
     /// decide).
     pub decisions: Vec<PlanDecision>,
-    /// The conjuncts of the `WHERE` clause the plan was built from, after
-    /// the rewriter removed what nesting it could.
+    /// The conjuncts of the `WHERE` clause the plan was built from.
     pub where_conditions: usize,
 }
 
 /// Plan a query against a database with default options. Nested queries are
-/// flattened first when possible (an optimization, not a requirement); what
-/// remains nested executes through the subquery subsystem — semi-/anti-join
-/// decorrelation with an `Apply` fallback.
+/// planned as written, through the subquery subsystem — semi-/anti-join
+/// decorrelation with an `Apply` fallback — so `x IN (select …)` keeps each
+/// outer row once, however many inner rows match it.
 pub fn plan_query(db: &Database, query: &SelectStatement) -> Result<PlannedQuery, TalkbackError> {
     plan_query_with(db, query, PlannerOptions::default())
 }
@@ -246,8 +243,7 @@ fn plan_query_impl(
     param_kinds: &[ParamKind],
 ) -> Result<PlannedQuery, TalkbackError> {
     let what_if = !hypothetical.is_empty();
-    let effective = flatten_in_subqueries(query).map_or(Cow::Borrowed(query), Cow::Owned);
-    let bound = bind_query(db.catalog(), &effective)?;
+    let bound = bind_query(db.catalog(), query)?;
     if bound.tables.is_empty() {
         return Err(TalkbackError::Unsupported(
             "queries without a FROM clause".into(),
@@ -255,7 +251,7 @@ fn plan_query_impl(
     }
     // Subquery conjuncts are stripped before the join graph is built; the
     // subquery pass attaches them as dedicated operators during lowering.
-    let (stripped, where_subs, having_subs) = subquery::split_subqueries(&effective);
+    let (stripped, where_subs, having_subs) = subquery::split_subqueries(query);
     let graph = logical::build_join_graph(db, &stripped, &bound);
     let mut estimator = if options.use_feedback {
         cost::Estimator::with_feedback(db)
@@ -325,7 +321,7 @@ fn plan_query_impl(
     Ok(PlannedQuery {
         plan,
         decisions,
-        where_conditions: effective.where_conjuncts().len(),
+        where_conditions: query.where_conjuncts().len(),
     })
 }
 

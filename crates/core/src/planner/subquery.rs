@@ -70,7 +70,6 @@ use sqlparse::ast::{
     SelectStatement,
 };
 use sqlparse::bind::{bind_subquery, BoundQuery};
-use sqlparse::rewrite::flatten_in_subqueries;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashSet};
@@ -502,14 +501,13 @@ impl<'c> SubqueryContext<'c> {
         scopes: &ScopeChain,
         project: bool,
     ) -> Result<(Plan, Vec<ColumnInfo>, BoundQuery), TalkbackError> {
-        let effective = flatten_in_subqueries(stmt).map_or(Cow::Borrowed(stmt), Cow::Owned);
-        let bound = bind_subquery(self.db.catalog(), &effective, &scopes.bound_chain())?;
+        let bound = bind_subquery(self.db.catalog(), stmt, &scopes.bound_chain())?;
         if bound.tables.is_empty() {
             return Err(TalkbackError::Unsupported(
                 "subqueries without a FROM clause".into(),
             ));
         }
-        let (stripped, where_subs, having_subs) = split_subqueries(&effective);
+        let (stripped, where_subs, having_subs) = split_subqueries(stmt);
         let graph = build_join_graph(self.db, &stripped, &bound);
         let hints = semi_join_hints(self.db, estimator, &graph, &bound, &where_subs);
         let (order, _) = super::cost::choose_join_order(&graph, estimator, &hints);

@@ -155,10 +155,15 @@ fn record_build(build: &Plan, options: &PlannerOptions, decisions: &mut Vec<Plan
 }
 
 /// Base-table description of a build side ("CAST as c"), looking through
-/// filters and projections.
+/// filters, projections, and a semi- or anti-join to its probe input (the
+/// rows it emits).
 fn base_desc(mut plan: &Plan) -> String {
     while let (
-        PlanNode::Filter { .. } | PlanNode::Project { .. } | PlanNode::Distinct { .. },
+        PlanNode::Filter { .. }
+        | PlanNode::Project { .. }
+        | PlanNode::Distinct { .. }
+        | PlanNode::HashSemiJoin { .. }
+        | PlanNode::HashAntiJoin { .. },
         Some((_, input)),
     ) = (&plan.node, plan.children().next())
     {

@@ -929,7 +929,7 @@ impl IndexScanSource {
                 entries
                     .into_iter()
                     .filter(|(p, _)| in_range(*p))
-                    .map(|(_, values)| Row::new(values))
+                    .map(|(_, row)| row)
                     .collect(),
             );
         } else {

@@ -44,15 +44,33 @@
 //! probe can want it); NULLs in trailing key columns *are* stored, because a
 //! prefix probe that leaves those columns unconstrained must still return
 //! their rows.
+//!
+//! **One entry form, one bulk build.** A key is one value held inline for
+//! a one-column index and a boxed slice only for a composite one; either
+//! compares, hashes and borrows as the slice of its values, so a one-column
+//! probe looks its key up through a slice of one value on the stack. A
+//! posting list holds a lone row position inline until a second row
+//! arrives. [`Index::build`] sorts `(key, position)` once, folds each run of
+//! equal keys into one posting list and loads the map from the sorted runs
+//! (a hash index fills a map sized up front). `3` and `3.0` (or `0.0` and
+//! `-0.0`) fall into one ordered run, spelled by its lowest position — the
+//! spelling an index-only scan reports and that maintenance keeps row by
+//! row (a row entering in front of a key's rows respells it; the first row
+//! leaving hands the spelling on), so a bulk-built index and one grown by
+//! `Index::insert` are the same index.
 
 use crate::error::StoreError;
 use crate::exec::plan::{Relation, RelationMemo};
 use crate::expr::{Param, ParamLookup};
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
 use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
+use std::ops::Bound as Seek;
+use std::slice;
 use std::sync::Arc;
 
 /// The physical shape of a secondary index.
@@ -145,38 +163,114 @@ impl Ord for OrdKey {
     }
 }
 
-/// A composite index key: the values of the key columns, compared
-/// lexicographically with SQL's total order per column. A shorter key
-/// that is a prefix of a longer one sorts first, which is what lets a
-/// prefix probe seek with a short key.
+/// A stored key: the one value of a one-column index inline, the values of
+/// a composite one boxed. Every key of an index takes the same form, so the
+/// derived order and equality are those of the value slices it borrows as
+/// (the hash is the slice's), and a probe looks a key up with a `&[T]`; a
+/// slice that is a prefix of a longer key sorts first, so a prefix probe
+/// seeks with it.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct CompositeKey(Vec<OrdKey>);
+enum Key<T> {
+    One(T),
+    Many(Box<[T]>),
+}
 
-impl CompositeKey {
-    fn of(values: Vec<Value>) -> CompositeKey {
-        CompositeKey(values.into_iter().map(OrdKey).collect())
+impl<T> Key<T> {
+    fn values(&self) -> &[T] {
+        match self {
+            Key::One(value) => slice::from_ref(value),
+            Key::Many(values) => values,
+        }
     }
 }
 
-/// The hash store's key for the same values.
-fn hash_key(values: &[Value]) -> Vec<GroupKey> {
-    values.iter().map(Value::group_key).collect()
+impl<T> Borrow<[T]> for Key<T> {
+    fn borrow(&self) -> &[T] {
+        self.values()
+    }
+}
+impl<T: Hash> Hash for Key<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
 }
 
-/// The values of `row` at the key columns; `None` when the row is not
-/// indexed.
-fn key_values(column_pos: &[usize], row: &Row) -> Option<Vec<Value>> {
-    let values: Vec<Value> = column_pos
-        .iter()
-        .map(|&i| row.get(i).cloned().unwrap_or(Value::Null))
-        .collect();
-    // No probe can match a NULL leading key (every probe constrains the
-    // leading column, and no SQL comparison is true against NULL), so the
-    // row is dead weight — skip it, like the single-column index always has.
-    if values.first().is_none_or(Value::is_null) {
-        return None;
+/// The key of `row` at the key columns, each value made a `T` by `of`;
+/// `None` when the row is not indexed. No probe can match a NULL leading
+/// key (every probe constrains the leading column, and no SQL comparison is
+/// true against NULL), so such a row is dead weight.
+fn row_key<T>(column_pos: &[usize], row: &Row, of: fn(&Value) -> T) -> Option<Key<T>> {
+    let value = |i: usize| row.get(i).unwrap_or(&Value::Null);
+    match column_pos {
+        [lead, ..] if value(*lead).is_null() => None,
+        [only] => Some(Key::One(of(value(*only)))),
+        _ => Some(Key::Many(
+            column_pos.iter().map(|&i| of(value(i))).collect(),
+        )),
     }
-    Some(values)
+}
+
+/// `f` of the key slice spelled by `values`, each made a `T` by `of`: a
+/// slice of one on the stack, a `Vec` only for two values or more.
+fn with_key<'v, T, R>(
+    values: impl Iterator<Item = &'v Value>,
+    of: fn(&Value) -> T,
+    f: impl FnOnce(&[T]) -> R,
+) -> R {
+    let mut values = values.map(of);
+    match (values.next(), values.next()) {
+        (None, _) => f(&[]),
+        (Some(one), None) => f(slice::from_ref(&one)),
+        (Some(a), Some(b)) => f(&[a, b].into_iter().chain(values).collect::<Vec<_>>()),
+    }
+}
+
+fn ord_key(value: &Value) -> OrdKey {
+    OrdKey(value.clone())
+}
+
+/// The row positions under one key, in position order: a lone row inline,
+/// a list from the second row on. A list never shrinks below two rows —
+/// its last but one leaving makes it a lone row again — so the one form
+/// of a set of positions is the form a fresh build gives it.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(usize),
+    Many(Vec<usize>),
+}
+
+impl Postings {
+    fn positions(&self) -> &[usize] {
+        match self {
+            Postings::One(pos) => slice::from_ref(pos),
+            Postings::Many(list) => list,
+        }
+    }
+
+    /// Add `pos` where it belongs in position order (an update re-enters a
+    /// row in the middle of the table).
+    fn insert(&mut self, pos: usize) {
+        match self {
+            Postings::One(only) => {
+                *self = Postings::Many(vec![pos.min(*only), pos.max(*only)]);
+            }
+            Postings::Many(list) => list.insert(list.partition_point(|&p| p < pos), pos),
+        }
+    }
+
+    /// Take `pos` out of a list that holds other rows too: where it stood,
+    /// or `None` when it is not here. A lone row is taken out with its key.
+    fn withdraw(&mut self, pos: usize) -> Option<usize> {
+        let Postings::Many(list) = self else {
+            return None;
+        };
+        let at = list.binary_search(&pos).ok()?;
+        list.remove(at);
+        if let [only] = list[..] {
+            *self = Postings::One(only);
+        }
+        Some(at)
+    }
 }
 
 /// One term of an index probe: a literal value known at plan time, or a
@@ -347,8 +441,8 @@ enum IndexStore {
     /// key here, spelled like the first row under it — which is what an
     /// index-only scan reports, and what building the index afresh over the
     /// same rows would store; edits keep it so.
-    Ordered(BTreeMap<CompositeKey, Vec<usize>>),
-    Hash(HashMap<Vec<GroupKey>, Vec<usize>>),
+    Ordered(BTreeMap<Key<OrdKey>, Postings>),
+    Hash(HashMap<Key<GroupKey>, Postings>),
 }
 
 /// A secondary index over one or more columns of a table: key → row
@@ -368,22 +462,50 @@ pub struct Index {
 }
 
 impl Index {
-    /// Build an index over the given key column positions of the rows.
+    /// Build an index over the given key column positions of the rows, in
+    /// bulk: an ordered index sorts `(key, position)` once and loads the map
+    /// from the sorted runs of equal keys, each spelled by its lowest
+    /// position; a hash index is filled in one pass into a map sized up
+    /// front.
     pub fn build(def: IndexDef, rows: &[Row], column_pos: Vec<usize>) -> Index {
         debug_assert_eq!(def.columns.len(), column_pos.len());
         let mut index = Index {
-            store: match def.kind {
-                IndexKind::Ordered => IndexStore::Ordered(BTreeMap::new()),
-                IndexKind::Hash => IndexStore::Hash(HashMap::new()),
-            },
             def,
+            store: IndexStore::Ordered(BTreeMap::new()),
             column_pos,
             entries: 0,
             relations: Arc::default(),
         };
-        for (pos, row) in rows.iter().enumerate() {
-            index.insert(row, pos);
+        if index.def.kind == IndexKind::Hash {
+            index.store = IndexStore::Hash(HashMap::with_capacity(rows.len()));
+            for (pos, row) in rows.iter().enumerate() {
+                index.insert(row, pos);
+            }
+            return index;
         }
+        let mut keyed = Vec::with_capacity(rows.len());
+        for (pos, row) in rows.iter().enumerate() {
+            keyed.extend(row_key(&index.column_pos, row, ord_key).map(|key| (key, pos)));
+        }
+        index.entries = keyed.len();
+        // Equal keys in position order, so a run's first row is its lowest
+        // position.
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut sorted = keyed.into_iter().peekable();
+        let mut run = Vec::new();
+        let runs = std::iter::from_fn(|| {
+            let (key, first) = sorted.next()?;
+            run.clear();
+            while let Some((_, pos)) = sorted.next_if(|(next, _)| *next == key) {
+                run.push(pos);
+            }
+            let postings = match run[..] {
+                [] => Postings::One(first),
+                _ => Postings::Many([&[first], &run[..]].concat()),
+            };
+            Some((key, postings))
+        });
+        index.store = IndexStore::Ordered(runs.collect());
         index
     }
 
@@ -437,29 +559,38 @@ impl Index {
     /// stay in position order wherever `pos` lies: an update re-enters a
     /// row in the middle of the table.
     pub(crate) fn insert(&mut self, row: &Row, pos: usize) {
-        let Some(values) = key_values(&self.column_pos, row) else {
-            return;
-        };
-        let place = |postings: &mut Vec<usize>| {
-            let at = postings.partition_point(|&p| p < pos);
-            postings.insert(at, pos);
-        };
+        let column_pos = &self.column_pos;
         match &mut self.store {
-            IndexStore::Ordered(map) => match map.entry(CompositeKey::of(values)) {
-                btree_map::Entry::Vacant(free) => {
-                    free.insert(vec![pos]);
+            IndexStore::Ordered(map) => {
+                let Some(key) = row_key(column_pos, row, ord_key) else {
+                    return;
+                };
+                match map.entry(key) {
+                    btree_map::Entry::Vacant(free) => {
+                        free.insert(Postings::One(pos));
+                    }
+                    // In front of every row under this key: the key takes this
+                    // row's spelling (see [`IndexStore::Ordered`]).
+                    btree_map::Entry::Occupied(under) if pos < under.get().positions()[0] => {
+                        let mut postings = under.remove();
+                        postings.insert(pos);
+                        let key = row_key(column_pos, row, ord_key).expect("it had a key above");
+                        map.insert(key, postings);
+                    }
+                    btree_map::Entry::Occupied(mut under) => under.get_mut().insert(pos),
                 }
-                // In front of every row under this key: the key takes this
-                // row's spelling (see [`IndexStore::Ordered`]).
-                btree_map::Entry::Occupied(under) if pos < under.get()[0] => {
-                    let mut postings = under.remove();
-                    postings.insert(0, pos);
-                    let values = key_values(&self.column_pos, row).expect("it had a key above");
-                    map.insert(CompositeKey::of(values), postings);
+            }
+            IndexStore::Hash(map) => {
+                let Some(key) = row_key(column_pos, row, Value::group_key) else {
+                    return;
+                };
+                match map.entry(key) {
+                    hash_map::Entry::Vacant(free) => {
+                        free.insert(Postings::One(pos));
+                    }
+                    hash_map::Entry::Occupied(mut under) => under.get_mut().insert(pos),
                 }
-                btree_map::Entry::Occupied(mut under) => place(under.get_mut()),
-            },
-            IndexStore::Hash(map) => place(map.entry(hash_key(&values)).or_default()),
+            }
         }
         self.entries += 1;
     }
@@ -468,44 +599,46 @@ impl Index {
     /// it still has — the inverse of [`Index::insert`] (maintenance on
     /// delete and update). A key whose last row goes, goes too.
     pub(crate) fn remove(&mut self, rows: &[Row], pos: usize) {
-        let Some(values) = key_values(&self.column_pos, &rows[pos]) else {
-            return;
-        };
-        let withdraw = |postings: &mut Vec<usize>| {
-            let at = postings.binary_search(&pos).ok();
-            if let Some(at) = at {
-                postings.remove(at);
-            }
-            at
-        };
+        let column_pos = &self.column_pos;
         let removed = match &mut self.store {
-            IndexStore::Ordered(map) => match map.entry(CompositeKey::of(values)) {
-                btree_map::Entry::Vacant(_) => None,
-                btree_map::Entry::Occupied(mut under) => {
-                    let at = withdraw(under.get_mut());
-                    if under.get().is_empty() {
+            IndexStore::Ordered(map) => {
+                let Some(key) = row_key(column_pos, &rows[pos], ord_key) else {
+                    return;
+                };
+                match map.entry(key) {
+                    btree_map::Entry::Vacant(_) => None,
+                    btree_map::Entry::Occupied(under) if under.get().positions() == [pos] => {
                         under.remove();
-                    } else if at == Some(0) {
-                        // The key's first row went: it takes the next one's
-                        // spelling.
-                        let postings = under.remove();
-                        let values = key_values(&self.column_pos, &rows[postings[0]])
-                            .expect("a row under a key has one");
-                        map.insert(CompositeKey::of(values), postings);
+                        Some(0)
                     }
-                    at
+                    btree_map::Entry::Occupied(mut under) => {
+                        let at = under.get_mut().withdraw(pos);
+                        if at == Some(0) {
+                            // The key's first row went: it takes the next
+                            // one's spelling.
+                            let postings = under.remove();
+                            let next = &rows[postings.positions()[0]];
+                            let key =
+                                row_key(column_pos, next, ord_key).expect("a row has its key");
+                            map.insert(key, postings);
+                        }
+                        at
+                    }
                 }
-            },
-            IndexStore::Hash(map) => match map.entry(hash_key(&values)) {
-                hash_map::Entry::Vacant(_) => None,
-                hash_map::Entry::Occupied(mut under) => {
-                    let at = withdraw(under.get_mut());
-                    if under.get().is_empty() {
+            }
+            IndexStore::Hash(map) => {
+                let Some(key) = row_key(column_pos, &rows[pos], Value::group_key) else {
+                    return;
+                };
+                match map.entry(key) {
+                    hash_map::Entry::Vacant(_) => None,
+                    hash_map::Entry::Occupied(under) if under.get().positions() == [pos] => {
                         under.remove();
+                        Some(0)
                     }
-                    at
+                    hash_map::Entry::Occupied(mut under) => under.get_mut().withdraw(pos),
                 }
-            },
+            }
         };
         self.entries -= usize::from(removed.is_some());
     }
@@ -514,10 +647,9 @@ impl Index {
     /// `moved` must be monotone, which keeps posting lists in position
     /// order.
     pub(crate) fn move_positions(&mut self, moved: impl Fn(usize) -> usize) {
-        let shift = |postings: &mut Vec<usize>| {
-            for pos in postings {
-                *pos = moved(*pos);
-            }
+        let shift = |postings: &mut Postings| match postings {
+            Postings::One(pos) => *pos = moved(*pos),
+            Postings::Many(list) => list.iter_mut().for_each(|pos| *pos = moved(*pos)),
         };
         match &mut self.store {
             IndexStore::Ordered(map) => map.values_mut().for_each(shift),
@@ -532,22 +664,20 @@ impl Index {
         if value.is_null() || self.width() != 1 {
             return &[];
         }
-        match &self.store {
-            IndexStore::Ordered(map) => map
-                .get(&CompositeKey(vec![OrdKey(value.clone())]))
-                .map(Vec::as_slice)
-                .unwrap_or(&[]),
-            IndexStore::Hash(map) => map
-                .get(&vec![value.group_key()])
-                .map(Vec::as_slice)
-                .unwrap_or(&[]),
-        }
+        let postings = match &self.store {
+            IndexStore::Ordered(map) => map.get(slice::from_ref(&ord_key(value))),
+            IndexStore::Hash(map) => map.get(slice::from_ref(&value.group_key())),
+        };
+        postings.map_or(&[], Postings::positions)
     }
 
     /// Resolve the probe terms to concrete values. `Ok(None)` means the
     /// probe provably matches nothing (a NULL term); an unresolved
     /// parameter is an execution error — the plan should have been bound.
-    fn resolve(&self, bounds: &IndexBounds) -> Result<Option<ResolvedBounds>, StoreError> {
+    fn resolve<'b>(
+        &self,
+        bounds: &'b IndexBounds,
+    ) -> Result<Option<ResolvedBounds<'b>>, StoreError> {
         if bounds.eq.len() > self.width()
             || (bounds.eq.len() == self.width() && (bounds.lo.is_some() || bounds.hi.is_some()))
         {
@@ -559,9 +689,9 @@ impl Index {
                 ),
             });
         }
-        let value = |t: &BoundTerm| -> Result<Value, StoreError> {
+        let value = |t: &'b BoundTerm| -> Result<&'b Value, StoreError> {
             match t {
-                BoundTerm::Value(v) => Ok(v.clone()),
+                BoundTerm::Value(v) => Ok(v),
                 BoundTerm::Param(param) => Err(StoreError::Eval {
                     message: format!(
                         "unbound parameter {param} in probe of index {} (the plan was \
@@ -571,84 +701,84 @@ impl Index {
                 }),
             }
         };
-        let mut eq = Vec::with_capacity(bounds.eq.len());
         for t in &bounds.eq {
-            let v = value(t)?;
-            if v.is_null() {
+            if value(t)?.is_null() {
                 return Ok(None);
             }
-            eq.push(v);
         }
-        let side = |b: &Option<TermBound>| -> Result<Option<(Value, bool)>, StoreError> {
-            match b {
-                None => Ok(None),
-                Some((t, inc)) => Ok(Some((value(t)?, *inc))),
-            }
+        let side = |b: &'b Option<TermBound>| {
+            (b.as_ref().map(|(t, inc)| value(t).map(|v| (v, *inc)))).transpose()
         };
-        let lo = side(&bounds.lo)?;
-        let hi = side(&bounds.hi)?;
-        if lo.as_ref().map(|(v, _)| v.is_null()) == Some(true)
-            || hi.as_ref().map(|(v, _)| v.is_null()) == Some(true)
-        {
+        let (lo, hi) = (side(&bounds.lo)?, side(&bounds.hi)?);
+        if lo.is_some_and(|(v, _)| v.is_null()) || hi.is_some_and(|(v, _)| v.is_null()) {
             return Ok(None);
         }
-        Ok(Some(ResolvedBounds { eq, lo, hi }))
+        Ok(Some(ResolvedBounds {
+            eq: &bounds.eq,
+            lo,
+            hi,
+        }))
     }
 
-    /// The ordered store's key groups matching the resolved bounds, in
-    /// ascending key order.
+    /// Hand `visit` the ordered store's key groups matching the resolved
+    /// bounds, in ascending key order — or descending for
+    /// [`ProbeOrder::KeyDesc`].
     fn ordered_groups<'a>(
-        map: &'a BTreeMap<CompositeKey, Vec<usize>>,
-        resolved: &ResolvedBounds,
+        map: &'a BTreeMap<Key<OrdKey>, Postings>,
+        resolved: &ResolvedBounds<'_>,
         width: usize,
-    ) -> Vec<(&'a CompositeKey, &'a Vec<usize>)> {
-        let prefix: Vec<OrdKey> = resolved.eq.iter().cloned().map(OrdKey).collect();
-        if resolved.eq.len() == width {
+        order: ProbeOrder,
+        mut visit: impl FnMut(&'a Key<OrdKey>, &'a [usize]),
+    ) {
+        let prefix = resolved.eq.len();
+        if prefix == width {
             // Exact point lookup.
-            let key = CompositeKey(prefix);
-            return map.get_key_value(&key).into_iter().collect();
+            let group = with_key(resolved.eq_values(), ord_key, |key| map.get_key_value(key));
+            if let Some((key, postings)) = group {
+                visit(key, postings.positions());
+            }
+            return;
         }
         // Seek to the first key that can match: the prefix extended with
         // the lower range value when there is one. An exclusive lower
         // bound still seeks inclusively (keys equal on the range column
         // but longer sort after it) and filters below.
-        let mut start = prefix.clone();
-        if let Some((v, _)) = &resolved.lo {
-            start.push(OrdKey(v.clone()));
+        let start = resolved.eq_values().chain(resolved.lo.map(|(v, _)| v));
+        let range = with_key(start, ord_key, |start| match start {
+            [] => map.range::<[OrdKey], _>(..),
+            start => map.range::<[OrdKey], _>((Seek::Included(start), Seek::Unbounded)),
+        });
+        // Stop once a key leaves the equality prefix or passes the upper
+        // bound; skip a key below the lower bound or NULL in the range
+        // column (the comparison is UNKNOWN, never a match; NULL sorts
+        // first, so it only leads an unbounded-lo walk).
+        let within = |side: Ordering, inclusive: bool| side.is_lt() || (side.is_eq() && inclusive);
+        let ranged = resolved.lo.is_some() || resolved.hi.is_some();
+        let groups = range
+            .take_while(|(key, _)| {
+                let values = key.values();
+                values.len() >= prefix
+                    && (values.iter().zip(resolved.eq_values()))
+                        .all(|(k, v)| k.0.total_cmp(v).is_eq())
+                    && (resolved.hi)
+                        .is_none_or(|(hi, inc)| within(values[prefix].0.total_cmp(hi), inc))
+            })
+            .filter(|(key, _)| {
+                let kv = &key.values()[prefix].0;
+                !ranged
+                    || (!kv.is_null()
+                        && (resolved.lo).is_none_or(|(lo, inc)| within(lo.total_cmp(kv), inc)))
+            })
+            .map(|(key, postings)| (key, postings.positions()));
+        if order == ProbeOrder::KeyDesc {
+            let groups: Vec<_> = groups.collect();
+            groups
+                .into_iter()
+                .rev()
+                .for_each(|(key, positions)| visit(key, positions));
+        } else {
+            groups.for_each(|(key, positions)| visit(key, positions));
         }
-        let start = CompositeKey(start);
-        let mut groups = Vec::new();
-        for (key, positions) in map.range(start..) {
-            // Stop once the key leaves the equality prefix.
-            if key.0.len() < prefix.len() || key.0[..prefix.len()] != prefix[..] {
-                break;
-            }
-            if resolved.lo.is_some() || resolved.hi.is_some() {
-                let kv = &key.0[prefix.len()].0;
-                // NULL in the range column: the comparison is UNKNOWN,
-                // never a match. NULL sorts first, so this only skips
-                // leading entries of an unbounded-lo walk.
-                if kv.is_null() {
-                    continue;
-                }
-                if let Some((lo, inclusive)) = &resolved.lo {
-                    match kv.total_cmp(lo) {
-                        Ordering::Less => continue,
-                        Ordering::Equal if !inclusive => continue,
-                        _ => {}
-                    }
-                }
-                if let Some((hi, inclusive)) = &resolved.hi {
-                    match kv.total_cmp(hi) {
-                        Ordering::Greater => break,
-                        Ordering::Equal if !inclusive => break,
-                        _ => {}
-                    }
-                }
-            }
-            groups.push((key, positions));
-        }
-        groups
     }
 
     /// Row positions matching the bounds, in the requested order:
@@ -675,24 +805,15 @@ impl Index {
                         ),
                     });
                 }
-                if let Some(positions) = map.get(&hash_key(&resolved.eq)) {
-                    out.extend_from_slice(positions);
+                let postings = with_key(resolved.eq_values(), Value::group_key, |key| map.get(key));
+                if let Some(postings) = postings {
+                    out.extend_from_slice(postings.positions());
                 }
             }
             IndexStore::Ordered(map) => {
-                let groups = Self::ordered_groups(map, &resolved, self.width());
-                match order {
-                    ProbeOrder::Position | ProbeOrder::KeyAsc => {
-                        for (_, positions) in &groups {
-                            out.extend_from_slice(positions);
-                        }
-                    }
-                    ProbeOrder::KeyDesc => {
-                        for (_, positions) in groups.iter().rev() {
-                            out.extend_from_slice(positions);
-                        }
-                    }
-                }
+                Self::ordered_groups(map, &resolved, self.width(), order, |_, positions| {
+                    out.extend_from_slice(positions)
+                });
             }
         }
         if order == ProbeOrder::Position {
@@ -701,16 +822,16 @@ impl Index {
         Ok(out)
     }
 
-    /// Matching `(row position, key values)` pairs, in the requested order —
+    /// Matching `(row position, key row)` pairs, in the requested order —
     /// the **index-only** access path: when a query touches nothing but the
-    /// key columns, these pairs answer it without ever reading a heap row.
-    /// Ordered indexes only (a hash key does not retain the original
-    /// values).
+    /// key columns, these rows answer it without ever reading a heap row.
+    /// The rows under one key share one key row. Ordered indexes only (a
+    /// hash key does not retain the original values).
     pub fn probe_entries(
         &self,
         bounds: &IndexBounds,
         order: ProbeOrder,
-    ) -> Result<Vec<(usize, Vec<Value>)>, StoreError> {
+    ) -> Result<Vec<(usize, Row)>, StoreError> {
         let IndexStore::Ordered(map) = &self.store else {
             return Err(StoreError::Eval {
                 message: format!(
@@ -723,40 +844,30 @@ impl Index {
         let Some(resolved) = self.resolve(bounds)? else {
             return Ok(Vec::new());
         };
-        let groups = Self::ordered_groups(map, &resolved, self.width());
         let mut out = Vec::new();
-        let emit = |out: &mut Vec<(usize, Vec<Value>)>, key: &CompositeKey, positions: &[usize]| {
-            for &pos in positions {
-                out.push((pos, key.0.iter().map(|k| k.0.clone()).collect()));
-            }
-        };
-        match order {
-            ProbeOrder::Position => {
-                for (key, positions) in &groups {
-                    emit(&mut out, key, positions);
-                }
-                out.sort_unstable_by_key(|(pos, _)| *pos);
-            }
-            ProbeOrder::KeyAsc => {
-                for (key, positions) in &groups {
-                    emit(&mut out, key, positions);
-                }
-            }
-            ProbeOrder::KeyDesc => {
-                for (key, positions) in groups.iter().rev() {
-                    emit(&mut out, key, positions);
-                }
-            }
+        Self::ordered_groups(map, &resolved, self.width(), order, |key, positions| {
+            let row: Row = key.values().iter().map(|k| k.0.clone()).collect();
+            out.extend(positions.iter().map(|&pos| (pos, row.clone())));
+        });
+        if order == ProbeOrder::Position {
+            out.sort_unstable_by_key(|(pos, _)| *pos);
         }
         Ok(out)
     }
 }
 
 /// Probe terms with every parameter resolved and no NULLs.
-struct ResolvedBounds {
-    eq: Vec<Value>,
-    lo: Option<(Value, bool)>,
-    hi: Option<(Value, bool)>,
+struct ResolvedBounds<'b> {
+    /// Every term a [`BoundTerm::Value`].
+    eq: &'b [BoundTerm],
+    lo: Option<(&'b Value, bool)>,
+    hi: Option<(&'b Value, bool)>,
+}
+
+impl<'b> ResolvedBounds<'b> {
+    fn eq_values(&self) -> impl Iterator<Item = &'b Value> + use<'b> {
+        self.eq.iter().filter_map(BoundTerm::value)
+    }
 }
 
 #[cfg(test)]
@@ -1015,6 +1126,13 @@ mod tests {
             hi: Some((BoundTerm::Value(Value::text("d")), false)),
         };
         assert_eq!(idx.probe(&bounds, ProbeOrder::Position).unwrap(), vec![2]);
+        // mid = 1 AND genre < 'd': NULL sorts below 'd', yet (1, NULL) is
+        // no match.
+        let bounds = IndexBounds {
+            eq: vec![BoundTerm::Value(Value::int(1))],
+            ..bounds
+        };
+        assert_eq!(idx.probe(&bounds, ProbeOrder::Position).unwrap(), vec![1]);
     }
 
     #[test]
@@ -1050,8 +1168,8 @@ mod tests {
         assert_eq!(
             entries,
             vec![
-                (0, vec![Value::int(2), Value::text("drama")]),
-                (2, vec![Value::int(2), Value::text("comedy")]),
+                (0, Row::new(vec![Value::int(2), Value::text("drama")])),
+                (2, Row::new(vec![Value::int(2), Value::text("comedy")])),
             ]
         );
         let entries = idx.probe_entries(&bounds, ProbeOrder::KeyAsc).unwrap();
@@ -1059,7 +1177,7 @@ mod tests {
         // A trailing NULL is reconstructible from the key.
         let one = IndexBounds::prefix(vec![BoundTerm::Value(Value::int(1))]);
         let entries = idx.probe_entries(&one, ProbeOrder::Position).unwrap();
-        assert_eq!(entries[1], (3, vec![Value::int(1), Value::Null]));
+        assert_eq!(entries[1], (3, Row::new(vec![Value::int(1), Value::Null])));
         // Hash indexes cannot answer index-only probes.
         let hash = Index::build(
             IndexDef::single("h", "T", "c", IndexKind::Hash),

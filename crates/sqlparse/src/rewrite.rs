@@ -7,10 +7,10 @@
 //! motivated by translatability principles". This module implements:
 //!
 //! * [`flatten_in_subqueries`] — rewrite uncorrelated `IN (SELECT …)`
-//!   nesting into joins (Q5 → Q1). This is an *optimization and narration*
-//!   rewrite, not a correctness requirement: shapes it declines (correlated,
-//!   aggregated, or `NOT IN` subqueries) still execute, through the
-//!   planner's semi-/anti-join decorrelation and `Apply` fallback,
+//!   nesting into joins (Q5 → Q1). This is a *narration* rewrite: the
+//!   translator takes the flat form's words, but the planner never executes
+//!   it, because a join keeps every matching inner row where `IN` keeps the
+//!   outer row once (it plans `IN` as a semi-join),
 //! * [`detect_division`] — recognize the double-`NOT EXISTS` relational
 //!   division idiom (Q6, "movies that have all genres"),
 //! * [`normalize`] / [`equivalent_modulo_commutativity`] — canonicalize

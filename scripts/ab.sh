@@ -28,6 +28,15 @@
 # line per workload and seed, that line and whether `e2e compare` found every
 # metric within its bound.
 #
+# A claim-sized run (ten pairs or more) in which nothing failed appends one
+# line for the first workload in the list, the claimed one, to
+# BENCH_TRAJECTORY.jsonl: the parent, `nproc`, and per seed the pairs, wins,
+# both medians, the median pair ratio and the parent's IQR (absolute and as
+# a percentage of its median). `commit` is null, since the change is the
+# working tree, and so is `pr`; fill them in when the change is committed.
+# `calib_us` is null because an untraced run does not report
+# `harness.calib_us`.
+#
 # Exits non-zero if any run fails (e2e exits non-zero when `failed` > 0) or
 # `e2e compare` finds a metric worse than its bound.
 set -euo pipefail
@@ -67,10 +76,10 @@ declare -A bin=([parent]=$ab/target-parent/release/e2e [change]=$ab/target-chang
 # `stmt_per_s <file>`: the throughput an e2e result file reports.
 stmt_per_s() { sed -n 's/.*"stmt_per_s": *{"value": *\([-0-9.e+]*\).*/\1/p' "$1"; }
 
-# `verdict <wins> <pairs>`, with one "parent change" line per pair on stdin:
-# the seed's summary line.
+# `verdict <wins> <pairs> <seed>`, with one "parent change" line per pair on
+# stdin: the seed's summary line, then the seed's trajectory entry (JSON).
 verdict() {
-  awk -v wins="$1" -v pairs="$2" '
+  awk -v wins="$1" -v pairs="$2" -v seed="$3" '
     function sort(a, n, i, j, t) {
       for (i = 2; i <= n; i++)
         for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
@@ -91,11 +100,14 @@ verdict() {
       holds = wins * 10 >= pairs * 9 && cm - pm > iqr
       printf "median pair ratio %.3f; medians %.1f -> %.1f, parent IQR %.1f; house rule %s (%d of %d wins)\n",
         ratio, pm, cm, iqr, holds ? "holds" : "fails", wins, pairs
+      printf "{\"seed\": %s, \"pairs\": %d, \"wins\": %d, \"parent_median\": %.1f, \"change_median\": %.1f, \"ratio\": %.3f, \"parent_iqr\": %.1f, \"parent_iqr_pct\": %.1f}\n",
+        seed, pairs, wins, pm, cm, ratio, iqr, 100 * iqr / pm
     }'
 }
 
 failed=0
 summary=()
+trajectory=()
 for workload in "${workloads[@]}"; do
   echo "workload $workload, ${commit:0:12} against the working tree, $pairs pairs, nproc $(nproc)"
   for seed in "${seeds[@]}"; do
@@ -129,7 +141,9 @@ for workload in "${workloads[@]}"; do
       bounds="a metric worse than its bound"
       failed=1
     }
-    line=$(printf '%s' "$results" | verdict "$wins" "$pairs")
+    verdicts=$(printf '%s' "$results" | verdict "$wins" "$pairs" "$seed")
+    line=${verdicts%%$'\n'*}
+    [ "$workload" = "${workloads[0]}" ] && trajectory+=("${verdicts#*$'\n'}")
     printf 'seed %s: %s\n' "$seed" "$line"
     summary+=("$(printf '%-8s seed %s: %s; %s' "$workload" "$seed" "$line" "$bounds")")
   done
@@ -138,4 +152,10 @@ done
 
 echo "summary, ${commit:0:12} against the working tree:"
 printf '%s\n' "${summary[@]}"
+if [ "$failed" = 0 ] && [ "$pairs" -ge 10 ]; then
+  printf '{"pr": null, "commit": null, "parent": "%s", "workload": "%s", "metric": "stmt_per_s", "nproc": %s, "calib_us": null, "seeds": [%s]}\n' \
+    "${commit:0:7}" "${workloads[0]}" "$(nproc)" "$(IFS=,; echo "${trajectory[*]}" | sed 's/},{/}, {/g')" \
+    >>BENCH_TRAJECTORY.jsonl
+  echo "appended the ${workloads[0]} line to BENCH_TRAJECTORY.jsonl"
+fi
 exit "$failed"

@@ -23,12 +23,26 @@
 //! (parse, plan, plan the template and compare, execute) and
 //! `plan_query_with` alone on the parsed shape, and a fresh correlated
 //! `EXISTS` and a fresh `NOT IN` on the 100-movie database. Their ceilings
-//! are 60 % of what the same rows counted when every name lookup folded a
-//! copy of the name and the lexer, flattener, binder and planner copied the
-//! statement (e3acde2): misses — point read 397, CAST slice 420, name join
-//! 1,214, year + id range 410, index-only 483; `plan_query_with` — point
-//! read 152, CAST slice 162, name join 497, year + id range 253, index-only
-//! 187; a fresh `EXISTS` 858 and a fresh `NOT IN` 791.
+//! were set at 60 % of what the same rows counted when every name lookup
+//! folded a copy of the name and the lexer, flattener, binder and planner
+//! copied the statement (e3acde2): misses — point read 397, CAST slice 420,
+//! name join 1,214, year + id range 410, index-only 483; `plan_query_with` —
+//! point read 152, CAST slice 162, name join 497, year + id range 253,
+//! index-only 187; a fresh `EXISTS` 858 and a fresh `NOT IN` 791. The five
+//! misses are now exact counts (191, 199, 561, 217, 207), and so are the
+//! point read's and the name join's hits (36 and 102): an index probe with a
+//! one-column key seeks through a slice of one value on the stack, the probe
+//! terms are read where they lie, and an index-only scan makes one key row
+//! per key. Before that (45d32bb) the hits counted 39 and 111 and the
+//! misses 194, 203, 567, 220 and 214.
+//!
+//! Index DDL, on the ×300 database: `create index idx_movies_title on MOVIES
+//! (title)` and `create index idx_cast_aid on CAST (aid)` through
+//! `Talkback::execute_ddl`, the build and its narrated confirmation, with
+//! exact ceilings (315 and 1,944). When every key was a one-value `Vec` with
+//! a posting `Vec` of its own, inserted row by row (45d32bb), they made 6,461
+//! and 13,940; now a key with one row allocates nothing of its own, and the
+//! map is loaded from one sorted run.
 //!
 //! The counts are exact and repeatable, so the ceilings are asserted as
 //! counts; the table is printed for the log (`cargo test -q -p talkback-tests
@@ -234,7 +248,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
             system.run_query_with(&sql, options).unwrap();
         }
     }
-    let ceilings = [Some(50), None, Some(150), None, None];
+    let ceilings = [Some(36), None, Some(102), None, None];
     for ((what, sql), ceiling) in lookup_shapes(&actors, 1000).into_iter().zip(ceilings) {
         let (n, answer) = allocations(|| system.run_query_with(&sql, options).unwrap());
         assert!(!answer.is_empty() || what.contains("range"), "{sql}");
@@ -243,7 +257,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     // A plan-cache miss: an epoch bump retires every template, so the
     // statement is parsed, planned, planned again as its template and
     // compared, then executed. Then the planner alone on the parsed shape.
-    let ceilings = [(238, 91), (252, 97), (728, 298), (246, 151), (289, 112)];
+    let ceilings = [(191, 91), (199, 97), (561, 298), (217, 151), (207, 112)];
     for ((what, sql), (miss, plan)) in lookup_shapes(&actors, 1001).into_iter().zip(ceilings) {
         system
             .database()
@@ -272,6 +286,17 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
         let planned = plan_query_with(system.database(), &query, options).unwrap();
         let (n, _) = allocations(|| execute_with_stats(system.database(), &planned.plan).unwrap());
         rows.push(Row::new(format!("analytic: {what}, execution"), n, ceiling));
+    }
+
+    // Index DDL: the build and its narrated confirmation (`idx_cast_aid` is
+    // one of the four above, so it is dropped first).
+    system.execute_ddl("drop index idx_cast_aid").unwrap();
+    for (ddl, ceiling) in [
+        ("create index idx_movies_title on MOVIES (title)", 315),
+        ("create index idx_cast_aid on CAST (aid)", 1_944),
+    ] {
+        let (n, _) = allocations(|| system.execute_ddl(ddl).unwrap());
+        rows.push(Row::new(format!("execute_ddl: {ddl}"), n, Some(ceiling)));
     }
 
     let system = Talkback::new(scaled_movie_database(ScaleConfig::default()));

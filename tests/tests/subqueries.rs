@@ -693,3 +693,85 @@ fn an_empty_answer_from_a_keyed_lookup_blames_the_subquery_check() {
         explained.narrative
     );
 }
+
+/// `x IN (select …)` keeps each outer row once, however many inner rows
+/// match it: the fixture's eight cast movies, not the twelve cast rows the
+/// old flattening into a join returned.
+#[test]
+fn in_subquery_keeps_each_outer_row_once() {
+    let system = Talkback::new(movie_database());
+    let count = |sql: &str| system.run_query(sql).unwrap().rows.len();
+    let in_form = "select m.title from MOVIES m where m.id in (select c.mid from CAST c)";
+    let exists_form = "select m.title from MOVIES m where exists \
+                       (select * from CAST c where c.mid = m.id)";
+    assert_eq!(count(in_form), 8);
+    assert_eq!(count(exists_form), 8);
+}
+
+/// `o.x IN (select i.y from U i where P)` and `EXISTS (select * from U i
+/// where P and i.y = o.x)` are one predicate: over seeded pairs of columns
+/// of the movie fixture, with and without an inner filter, both return the
+/// same multiset of outer rows.
+#[test]
+fn in_and_exists_return_the_same_rows() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    // (table, column, an inner filter on the table).
+    const INTEGER: &[(&str, &str, &str)] = &[
+        ("MOVIES", "id", "i.year > 2000"),
+        ("MOVIES", "year", "i.title < 'M'"),
+        ("CAST", "mid", "i.role is not null"),
+        ("CAST", "aid", "i.mid < 5"),
+        ("ACTOR", "id", "i.nationality = 'USA'"),
+        ("DIRECTED", "mid", "i.did > 1"),
+        ("DIRECTED", "did", "i.mid > 3"),
+        ("DIRECTOR", "id", "i.blocation is null"),
+        ("GENRE", "mid", "i.genre = 'Drama'"),
+    ];
+    const TEXT: &[(&str, &str, &str)] = &[
+        ("MOVIES", "title", "i.year < 2005"),
+        ("ACTOR", "name", "i.id > 11"),
+        ("ACTOR", "nationality", "i.id < 14"),
+        ("CAST", "role", "i.aid > 10"),
+        ("GENRE", "genre", "i.mid > 2"),
+        ("DIRECTOR", "name", "i.id > 1"),
+    ];
+    let system = Talkback::new(movie_database());
+    let answer = |sql: &str| {
+        let mut rows: Vec<String> = (system.run_query(sql))
+            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+            .rows
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        rows.sort();
+        rows
+    };
+    for seed in [0x0036_0001, 0x0036_0002] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..40 {
+            let columns = if rng.gen_bool(0.6) { INTEGER } else { TEXT };
+            let (outer, x, _) = columns[rng.gen_range(0..columns.len())];
+            let (inner, y, filter) = columns[rng.gen_range(0..columns.len())];
+            let filter = if rng.gen_bool(0.5) {
+                Some(filter)
+            } else {
+                None
+            };
+            let in_where = filter.map(|f| format!(" where {f}")).unwrap_or_default();
+            let exists_and = filter.map(|f| format!("{f} and ")).unwrap_or_default();
+            let in_form = format!(
+                "select * from {outer} o where o.{x} in (select i.{y} from {inner} i{in_where})"
+            );
+            let exists_form = format!(
+                "select * from {outer} o where exists \
+                 (select * from {inner} i where {exists_and}i.{y} = o.{x})"
+            );
+            assert_eq!(
+                answer(&in_form),
+                answer(&exists_form),
+                "seed {seed:#x}: {in_form}"
+            );
+        }
+    }
+}

@@ -7,6 +7,14 @@
 //! relation with a Float column that is fed integers, a date and a boolean)
 //! and the EMP/DEPT schema. The seeds are fixed; `WRITE_PATH_SEED=<u64>` adds
 //! one more (CI passes the clock), and every failure names its seed and step.
+//!
+//! The indexes' oracle is `Index::build`, which sorts the rows' keys once and
+//! loads the index from the sorted runs; the edits under test grow, shrink
+//! and re-key an index one row at a time. So this differential holds every
+//! maintained index to the bulk path. The other direction — a bulk-built
+//! index against one grown by `insert` from empty, on NULL, duplicate and
+//! two-spelling keys — is `a_bulk_built_index_is_the_index_grown_row_by_row`,
+//! over fixed seeds plus one from `INDEX_BUILD_SEED=<u64>`.
 
 use datastore::index::{BoundTerm, IndexBounds, ProbeOrder};
 use datastore::sample::{employee_database, movie_database};
@@ -457,6 +465,97 @@ fn movie_schema_statistics_and_indexes_equal_a_rebuild_after_every_write() {
 fn employee_schema_statistics_and_indexes_equal_a_rebuild_after_every_write() {
     for seed in seeds() {
         run_differential(employee_schema_database(), &["EMP", "DEPT"], seed);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The bulk build against the index grown row by row
+// ---------------------------------------------------------------------------
+
+/// A key value for [`a_bulk_built_index_is_the_index_grown_row_by_row`]:
+/// NULL, few distinct values (so keys repeat), `3` beside `3.0` and `0.0`
+/// beside `-0.0` in the Float column, text in the Text one.
+fn build_key_value(rng: &mut StdRng, column: usize) -> Value {
+    if rng.gen_bool(0.15) {
+        return Value::Null;
+    }
+    const X: [Value; 8] = [
+        Value::Integer(3),
+        Value::Float(3.0),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Integer(0),
+        Value::Float(1.5),
+        Value::Integer(-2),
+        Value::Integer(7),
+    ];
+    match column {
+        0 => X[rng.gen_range(0..X.len())].clone(),
+        1 => Value::text(["", "a", "b", "Troy", "troy", "zz"][rng.gen_range(0..6usize)]),
+        _ => Value::int(rng.gen_range(0..12)),
+    }
+}
+
+#[test]
+fn a_bulk_built_index_is_the_index_grown_row_by_row() {
+    let schema = TableSchema::new(
+        "KEYS",
+        vec![
+            ColumnDef::nullable("x", DataType::Float),
+            ColumnDef::nullable("t", DataType::Text),
+            ColumnDef::nullable("n", DataType::Integer),
+        ],
+    );
+    let mut seeds = vec![0x0036_0001, 0x0036_0002, 0x0036_0003];
+    if let Ok(extra) = std::env::var("INDEX_BUILD_SEED") {
+        seeds.push(extra.parse().expect("INDEX_BUILD_SEED is a u64"));
+    }
+    let columns: [&[&str]; 6] = [
+        &["x"],
+        &["t"],
+        &["n"],
+        &["x", "t"],
+        &["t", "x"],
+        &["n", "x"],
+    ];
+    // Both orders of each two-spelling pair, ahead of the random rows.
+    let pairs = [
+        [Value::Integer(3), Value::Float(3.0)],
+        [Value::Float(0.0), Value::Float(-0.0)],
+    ];
+    for seed in seeds {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for reversed in [false, true] {
+            let context = format!("seed {seed}, pairs reversed: {reversed}");
+            let mut grown = Table::new(schema.clone());
+            for (i, columns) in columns.iter().enumerate() {
+                for kind in [IndexKind::Ordered, IndexKind::Hash] {
+                    grown
+                        .create_index(IndexDef {
+                            name: format!("{}{i}", kind.sql()),
+                            table: "KEYS".into(),
+                            columns: columns.iter().map(|c| c.to_string()).collect(),
+                            kind,
+                        })
+                        .unwrap();
+                }
+            }
+            let mut spellings = pairs.clone();
+            if reversed {
+                spellings.iter_mut().for_each(|pair| pair.swap(0, 1));
+            }
+            for x in spellings.into_iter().flatten() {
+                let t = build_key_value(&mut rng, 1);
+                grown.insert(Row::new(vec![x, t, Value::Null])).unwrap();
+            }
+            for _ in 0..rng.gen_range(0..160) {
+                let row = (0..3).map(|c| build_key_value(&mut rng, c)).collect();
+                grown.insert(Row::new(row)).unwrap();
+            }
+            for index in grown.indexes() {
+                assert_index_matches_rows(index, grown.rows(), &mut rng, &context);
+            }
+        }
     }
 }
 
