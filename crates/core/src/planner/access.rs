@@ -48,7 +48,7 @@ use super::{AccessPathKind, PlanDecision};
 use datastore::expr::Param;
 use datastore::index::{BoundTerm, Index, IndexBounds, TermBound};
 use datastore::{DataType, Database, Value};
-use sqlparse::ast::{BinaryOperator, Expr, Literal};
+use sqlparse::ast::{flip, BinaryOperator, Expr, Literal};
 
 /// Scan-rows one index-probed row costs, for index scans and
 /// index-nested-loop probes alike. 4 means "use the index below 25%
@@ -142,9 +142,11 @@ fn range_shape(op: BinaryOperator, term: BoundTerm) -> Option<SargShape> {
 }
 
 /// Recognize `column <cmp> constant` (either side) and
-/// `column BETWEEN literal AND literal` as index-probe shapes, with the
+/// `column BETWEEN constant AND constant` as index-probe shapes, with the
 /// conjunct's estimated selectivity attached. The constant is a literal, a
-/// plan-cache parameter, or — in a correlated selection — an enclosing
+/// plan-cache parameter (which a hit binds before the scan opens, so a
+/// range of a template probes as its literal does), or — in a correlated
+/// selection — an enclosing
 /// block's column, which probes as the correlation parameter `scopes`
 /// resolves it to (re-bound per outer row, so `g2.mid = m.id` under an
 /// `Apply` is an index lookup per binding instead of a rescan per binding).
@@ -181,24 +183,22 @@ fn as_sarg(
             selectivity: estimator.effective_conjunct_selectivity(rel, stats, conjunct),
         });
     }
-    // A plan-cache parameter probes like the equality literal it stands for:
-    // same 1/NDV selectivity, and the type of the literal's kind.
-    if let Expr::BinaryOp {
-        left,
-        op: BinaryOperator::Eq,
-        right,
-    } = conjunct
-    {
-        if let (Expr::Column(c), Expr::Param(n)) | (Expr::Param(n), Expr::Column(c)) =
-            (left.as_ref(), right.as_ref())
-        {
-            return Some(Sarg {
-                column: c.column.clone(),
-                shape: SargShape::Eq(BoundTerm::Param(Param::Stmt(*n))),
-                term_type: estimator.param_type(*n),
-                selectivity: estimator.effective_conjunct_selectivity(rel, stats, conjunct),
-            });
-        }
+    // A plan-cache parameter probes like the literal it stands for: the
+    // same selectivity, and an equality has the type of the literal's kind.
+    if let Expr::BinaryOp { left, op, right } = conjunct {
+        let (c, op, n) = match (left.as_ref(), right.as_ref()) {
+            (Expr::Column(c), Expr::Param(n)) => (c, *op, *n),
+            (Expr::Param(n), Expr::Column(c)) => (c, flip(*op), *n),
+            _ => return None,
+        };
+        return Some(Sarg {
+            column: c.column.clone(),
+            shape: range_shape(op, BoundTerm::Param(Param::Stmt(n)))?,
+            term_type: (op == BinaryOperator::Eq)
+                .then(|| estimator.param_type(n))
+                .flatten(),
+            selectivity: estimator.effective_conjunct_selectivity(rel, stats, conjunct),
+        });
     }
     if let Expr::Between {
         expr,
@@ -207,14 +207,17 @@ fn as_sarg(
         negated: false,
     } = conjunct
     {
-        if let (Expr::Column(c), Expr::Literal(lo), Expr::Literal(hi)) =
-            (expr.as_ref(), low.as_ref(), high.as_ref())
-        {
+        let term = |bound: &Expr| match bound {
+            Expr::Literal(l) => Some(BoundTerm::Value(literal_value(l))),
+            Expr::Param(n) => Some(BoundTerm::Param(Param::Stmt(*n))),
+            _ => None,
+        };
+        if let (Expr::Column(c), Some(lo), Some(hi)) = (expr.as_ref(), term(low), term(high)) {
             return Some(Sarg {
                 column: c.column.clone(),
                 shape: SargShape::Range {
-                    lo: Some((BoundTerm::Value(literal_value(lo)), true)),
-                    hi: Some((BoundTerm::Value(literal_value(hi)), true)),
+                    lo: Some((lo, true)),
+                    hi: Some((hi, true)),
                 },
                 term_type: None,
                 selectivity: estimator.effective_conjunct_selectivity(rel, stats, conjunct),

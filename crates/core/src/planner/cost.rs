@@ -3,7 +3,8 @@
 //! The [`Estimator`] bridges the planner to `datastore`'s statistics layer:
 //! per-relation cardinalities after pushed predicates (equality via 1/NDV —
 //! against a literal, a plan parameter or, in a correlated selection, an
-//! enclosing block's column — ranges via histograms) and per-step join
+//! enclosing block's column — ranges via histograms, snapped to their class)
+//! and per-step join
 //! cardinalities via the classic
 //! |L|·|R| / max(ndv_l, ndv_r) formula. [`choose_join_order`] enumerates
 //! left-deep join orders by dynamic programming over connected subsets
@@ -35,13 +36,13 @@
 use super::access::INDEX_PROBE_ROW_COST;
 use super::logical::{JoinGraph, Relation};
 use super::{Alternative, JoinEnumeration, PlanDecision};
-use datastore::adaptive::{FeedbackStore, ParamKind};
+use datastore::adaptive::{FeedbackStore, ParamKind, RangeOp, RangeParam};
 use datastore::exec::{Plan, PlanNode};
 use datastore::fingerprint::{feedback_shape, ShapeKey};
 use datastore::index::Index;
-use datastore::stats::{join_cardinality, TableStats, DEFAULT_SELECTIVITY};
-use datastore::{DataType, Database};
-use sqlparse::ast::{BinaryOperator, ColumnRef, Expr, Literal, UnaryOperator};
+use datastore::stats::{join_cardinality, ColumnStats, TableStats, DEFAULT_SELECTIVITY};
+use datastore::{DataType, Database, Value};
+use sqlparse::ast::{flip, BinaryOperator, ColumnRef, Expr, Literal, UnaryOperator};
 use std::sync::Arc;
 
 /// Selectivity assumed for LIKE predicates (a pattern is usually more
@@ -106,10 +107,15 @@ pub struct Estimator<'a> {
     /// each table's real indexes. Plans chosen under them must never be
     /// executed or cached — the index has no entries.
     hypothetical: Vec<Index>,
-    /// The literal kind each plan-cache parameter `?i` stands for, when a
-    /// template is being planned (empty otherwise). Correlation values are
-    /// parameters of another kind (`Param::Outer`) and never listed here.
-    param_kinds: &'a [ParamKind],
+    /// The literal each plan-cache parameter `?i` stands for, when a
+    /// template is being planned (empty otherwise): its kind types the
+    /// parameter, and a range estimate reads its value through its class.
+    /// Correlation values are parameters of another kind (`Param::Outer`)
+    /// and never listed here.
+    params: &'a [Value],
+    /// The range conjuncts whose estimate read a parameter, once each: what
+    /// the plan cache classifies a later statement's literals by.
+    ranges: std::cell::RefCell<Vec<RangeParam>>,
 }
 
 impl<'a> Estimator<'a> {
@@ -120,7 +126,8 @@ impl<'a> Estimator<'a> {
             feedback: None,
             overrides: std::cell::RefCell::new(Vec::new()),
             hypothetical: Vec::new(),
-            param_kinds: &[],
+            params: &[],
+            ranges: std::cell::RefCell::new(Vec::new()),
         }
     }
 
@@ -147,15 +154,52 @@ impl<'a> Estimator<'a> {
             .filter(move |ix| ix.def().table.eq_ignore_ascii_case(table))
     }
 
-    /// Declare the literal kinds of the statement's plan-cache parameters.
-    pub fn set_param_kinds(&mut self, kinds: &'a [ParamKind]) {
-        self.param_kinds = kinds;
+    /// Declare the literals the statement's plan-cache parameters stand
+    /// for while its template is planned.
+    pub fn set_params(&mut self, params: &'a [Value]) {
+        self.params = params;
     }
 
     /// The column type a literal of parameter `?id`'s kind has, when the
-    /// statement is a template whose kinds were declared.
+    /// statement is a template whose literals were declared.
     pub fn param_type(&self, id: u32) -> Option<DataType> {
-        self.param_kinds.get(id as usize).map(|k| k.data_type())
+        let value = self.params.get(id as usize)?;
+        ParamKind::of(value).map(ParamKind::data_type)
+    }
+
+    /// The range conjuncts whose estimate read a parameter, in first-read
+    /// order. Draining resets the list.
+    pub fn take_ranges(&self) -> Vec<RangeParam> {
+        std::mem::take(&mut *self.ranges.borrow_mut())
+    }
+
+    /// A range bound as an estimate reads it: a numeric literal's value, or
+    /// a numeric parameter's with its number.
+    fn bound(&self, expr: &Expr) -> Option<(f64, Option<u32>)> {
+        match expr {
+            Expr::Literal(l) => literal_as_f64(l).map(|x| (x, None)),
+            Expr::Param(k) => {
+                let value = self.params.get(*k as usize)?.as_f64()?;
+                Some((value, Some(*k)))
+            }
+            _ => None,
+        }
+    }
+
+    /// Note that the estimate of a range on `column` of `rel` read the
+    /// parameters `op` names.
+    fn read_range(&self, rel: &Relation, column: &ColumnStats, op: RangeOp) {
+        let Some(stats) = self.table_stats(&rel.table) else {
+            return;
+        };
+        let mut ranges = self.ranges.borrow_mut();
+        let known = |r: &RangeParam| {
+            r.op == op && *r.column == *column.column && Arc::ptr_eq(&r.stats, &stats)
+        };
+        if !ranges.iter().any(known) {
+            let column = column.column.as_str().into();
+            ranges.push(RangeParam { stats, column, op });
+        }
     }
 
     /// The [`PlanDecision::Feedback`] records for every override this
@@ -212,7 +256,7 @@ impl<'a> Estimator<'a> {
         conjunct: &Expr,
     ) -> f64 {
         self.feedback_selectivity(rel, conjunct)
-            .unwrap_or_else(|| selectivity(rel, stats, conjunct).clamp(0.0, 1.0))
+            .unwrap_or_else(|| selectivity(self, rel, stats, conjunct).clamp(0.0, 1.0))
     }
 
     /// Memoized per-table statistics lookup; names fold as the catalog's do.
@@ -315,21 +359,23 @@ fn own_column<'s>(
 }
 
 /// Selectivity of a selection on `rel` from its column statistics.
-fn selectivity(rel: &Relation, stats: &TableStats, expr: &Expr) -> f64 {
+fn selectivity(est: &Estimator, rel: &Relation, stats: &TableStats, expr: &Expr) -> f64 {
     match expr {
         Expr::BinaryOp { left, op, right } => match op {
-            BinaryOperator::And => selectivity(rel, stats, left) * selectivity(rel, stats, right),
+            BinaryOperator::And => {
+                selectivity(est, rel, stats, left) * selectivity(est, rel, stats, right)
+            }
             BinaryOperator::Or => {
-                let a = selectivity(rel, stats, left);
-                let b = selectivity(rel, stats, right);
+                let a = selectivity(est, rel, stats, left);
+                let b = selectivity(est, rel, stats, right);
                 (a + b - a * b).min(1.0)
             }
-            _ => comparison_selectivity(rel, stats, expr),
+            _ => comparison_selectivity(est, rel, stats, expr),
         },
         Expr::UnaryOp {
             op: UnaryOperator::Not,
             expr,
-        } => 1.0 - selectivity(rel, stats, expr),
+        } => 1.0 - selectivity(est, rel, stats, expr),
         Expr::IsNull { expr, negated } => {
             let s = match expr.as_ref() {
                 Expr::Column(c) => own_column(rel, stats, c)
@@ -366,10 +412,20 @@ fn selectivity(rel: &Relation, stats: &TableStats, expr: &Expr) -> f64 {
             high,
             negated,
         } => {
-            let s = match (expr.as_ref(), literal_f64(low), literal_f64(high)) {
-                (Expr::Column(c), Some(lo), Some(hi)) => own_column(rel, stats, c)
-                    .map(|cs| cs.between_selectivity(lo, hi))
-                    .unwrap_or(DEFAULT_SELECTIVITY),
+            let s = match (expr.as_ref(), est.bound(low), est.bound(high)) {
+                // Both bounds literals, or both parameters: a value is
+                // never read unrecorded.
+                (Expr::Column(c), Some((lo, l)), Some((hi, h))) if l.is_some() == h.is_some() => {
+                    match own_column(rel, stats, c) {
+                        Some(cs) => {
+                            if let (Some(low), Some(high)) = (l, h) {
+                                est.read_range(rel, cs, RangeOp::Between { low, high });
+                            }
+                            cs.between_selectivity(lo, hi)
+                        }
+                        None => DEFAULT_SELECTIVITY,
+                    }
+                }
                 _ => DEFAULT_SELECTIVITY,
             };
             if *negated {
@@ -391,54 +447,67 @@ fn selectivity(rel: &Relation, stats: &TableStats, expr: &Expr) -> f64 {
 
 /// Selectivity of a comparison of one of `rel`'s columns with a literal
 /// (either operand order), a plan-cache parameter or an enclosing block's
-/// column, from the column's NDV and histogram.
-fn comparison_selectivity(rel: &Relation, stats: &TableStats, expr: &Expr) -> f64 {
-    // A plan-cache parameter stands for an equality literal whose value the
-    // estimate never consults — the same 1/NDV the literal would get, so a
-    // parameterized template plans identically to its fresh counterpart.
-    if let Expr::BinaryOp {
-        left,
-        op: BinaryOperator::Eq,
-        right,
-    } = expr
+/// column, from the column's NDV and histogram. A parameter stands for a
+/// literal: an equality's 1/NDV never consults it, and a range reads its
+/// value through its class — the histogram's estimate snapped to the grid
+/// `2^(k/4)` ([`datastore::stats::RangeClass`]) — so a template plans exactly
+/// as its fresh counterpart does for every literal of the class, and each
+/// read is recorded for the plan cache to classify by. The class is the grid
+/// point and not the histogram bucket because a bucket would be estimated at
+/// its midpoint: `m.id <= 5` at 150 rows of 3,000, a misestimate that sets
+/// off the feedback loop, where the grid moves no estimate by more than ±9 %.
+fn comparison_selectivity(est: &Estimator, rel: &Relation, stats: &TableStats, expr: &Expr) -> f64 {
+    let Expr::BinaryOp { left, op, right } = expr else {
+        return DEFAULT_SELECTIVITY;
+    };
+    if let (BinaryOperator::Eq, Expr::Column(c), Expr::Param(_))
+    | (BinaryOperator::Eq, Expr::Param(_), Expr::Column(c)) = (op, left.as_ref(), right.as_ref())
     {
-        if let (Expr::Column(c), Expr::Param(_)) | (Expr::Param(_), Expr::Column(c)) =
-            (left.as_ref(), right.as_ref())
-        {
-            return stats
-                .column(&c.column)
-                .map(|cs| cs.eq_selectivity())
-                .unwrap_or(DEFAULT_SELECTIVITY);
-        }
+        return stats
+            .column(&c.column)
+            .map(|cs| cs.eq_selectivity())
+            .unwrap_or(DEFAULT_SELECTIVITY);
     }
-    // An enclosing block's column is one value per evaluation of this block,
-    // unknown until then: a literal whose value the histogram cannot be asked
-    // about.
+    let constant = |e: &Expr| matches!(e, Expr::Literal(_) | Expr::Param(_));
+    // An enclosing block's column is one value per evaluation of this
+    // block, unknown until then: a literal whose value the histogram
+    // cannot be asked about.
     let (col, op, value) = match rel.as_correlated_comparison(expr) {
         Some((own, op, _)) => (own, op, None),
-        None => match expr.as_selection_predicate() {
-            Some((col, op, lit)) => (col, op, literal_as_f64(lit)),
-            None => return DEFAULT_SELECTIVITY,
+        None => match (left.as_ref(), right.as_ref()) {
+            _ if !op.is_comparison() => return DEFAULT_SELECTIVITY,
+            (Expr::Column(c), other) if constant(other) => (c, *op, est.bound(other)),
+            (other, Expr::Column(c)) if constant(other) => (c, flip(*op), est.bound(other)),
+            _ => return DEFAULT_SELECTIVITY,
         },
     };
     let Some(cs) = own_column(rel, stats, col) else {
         return DEFAULT_SELECTIVITY;
     };
-    match (op, value) {
-        (BinaryOperator::Eq, _) => cs.eq_selectivity(),
-        (BinaryOperator::NotEq, _) => (cs.non_null_fraction() - cs.eq_selectivity()).max(0.0),
-        (BinaryOperator::Lt, Some(x)) => cs.lt_selectivity(x, false),
-        (BinaryOperator::LtEq, Some(x)) => cs.lt_selectivity(x, true),
-        (BinaryOperator::Gt, Some(x)) => cs.gt_selectivity(x, false),
-        (BinaryOperator::GtEq, Some(x)) => cs.gt_selectivity(x, true),
-        _ => DEFAULT_SELECTIVITY,
+    let (below, inclusive) = match op {
+        BinaryOperator::Eq => return cs.eq_selectivity(),
+        BinaryOperator::NotEq => return (cs.non_null_fraction() - cs.eq_selectivity()).max(0.0),
+        BinaryOperator::Lt => (true, false),
+        BinaryOperator::LtEq => (true, true),
+        BinaryOperator::Gt => (false, false),
+        BinaryOperator::GtEq => (false, true),
+        _ => return DEFAULT_SELECTIVITY,
+    };
+    let Some((x, param)) = value else {
+        return DEFAULT_SELECTIVITY;
+    };
+    if let Some(param) = param {
+        let op = if below {
+            RangeOp::Below { param, inclusive }
+        } else {
+            RangeOp::Above { param, inclusive }
+        };
+        est.read_range(rel, cs, op);
     }
-}
-
-fn literal_f64(expr: &Expr) -> Option<f64> {
-    match expr {
-        Expr::Literal(l) => literal_as_f64(l),
-        _ => None,
+    if below {
+        cs.lt_selectivity(x, inclusive)
+    } else {
+        cs.gt_selectivity(x, inclusive)
     }
 }
 

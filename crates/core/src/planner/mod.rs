@@ -55,9 +55,9 @@ pub use parallel::PARALLEL_ROW_THRESHOLD;
 pub use physical::lower_expr;
 
 use crate::error::TalkbackError;
-use datastore::adaptive::{OptionBits, ParamKind};
+use datastore::adaptive::{OptionBits, RangeParam};
 use datastore::exec::Plan;
-use datastore::Database;
+use datastore::{Database, Value};
 use sqlparse::ast::SelectStatement;
 use sqlparse::bind::bind_query;
 use std::sync::OnceLock;
@@ -205,20 +205,23 @@ pub fn plan_query_with(
     query: &SelectStatement,
     options: PlannerOptions,
 ) -> Result<PlannedQuery, TalkbackError> {
-    plan_query_impl(db, query, options, true, Vec::new(), &[])
+    plan_query_impl(db, query, options, true, Vec::new(), &[]).map(|(planned, _)| planned)
 }
 
 /// Plan a plan-cache template: a statement whose liftable literals are
-/// `?i` placeholders, `?i` standing for a literal of kind `param_kinds[i]`.
-/// Nothing is recorded into the observability registry — this is the
-/// engine's own second look at a statement the user ran once.
+/// `?i` placeholders, `?i` standing for `params[i]` — typed by its kind, and
+/// read by a range estimate through its class. Returns the plan and the
+/// range conjuncts whose estimates read a parameter, the record a later
+/// statement of the shape is classified by. Nothing is recorded into the
+/// observability registry — this is the engine's own second look at a
+/// statement the user ran once.
 pub(crate) fn plan_template(
     db: &Database,
     query: &SelectStatement,
     options: PlannerOptions,
-    param_kinds: &[ParamKind],
-) -> Result<PlannedQuery, TalkbackError> {
-    plan_query_impl(db, query, options, false, Vec::new(), param_kinds)
+    params: &[Value],
+) -> Result<(PlannedQuery, Vec<RangeParam>), TalkbackError> {
+    plan_query_impl(db, query, options, false, Vec::new(), params)
 }
 
 /// What-if planning for the advisor: plan silently with metadata-only
@@ -231,7 +234,7 @@ pub(crate) fn plan_query_what_if(
     options: PlannerOptions,
     hypothetical: Vec<datastore::Index>,
 ) -> Result<PlannedQuery, TalkbackError> {
-    plan_query_impl(db, query, options, false, hypothetical, &[])
+    plan_query_impl(db, query, options, false, hypothetical, &[]).map(|(planned, _)| planned)
 }
 
 fn plan_query_impl(
@@ -240,8 +243,8 @@ fn plan_query_impl(
     options: PlannerOptions,
     record: bool,
     hypothetical: Vec<datastore::Index>,
-    param_kinds: &[ParamKind],
-) -> Result<PlannedQuery, TalkbackError> {
+    params: &[Value],
+) -> Result<(PlannedQuery, Vec<RangeParam>), TalkbackError> {
     let what_if = !hypothetical.is_empty();
     let bound = bind_query(db.catalog(), query)?;
     if bound.tables.is_empty() {
@@ -259,7 +262,7 @@ fn plan_query_impl(
         cost::Estimator::new(db)
     };
     estimator.add_hypothetical(hypothetical);
-    estimator.set_param_kinds(param_kinds);
+    estimator.set_params(params);
     let estimator = estimator;
     // Relations a decorrelatable EXISTS/IN will thin out downstream enter
     // the enumeration at their semi-join-reduced cardinality.
@@ -267,7 +270,7 @@ fn plan_query_impl(
     let (order, mut decisions) = cost::choose_join_order(&graph, &estimator, &hints);
     // A template's statement has its literals as parameters; the decisions'
     // quotes of SQL keep their slots.
-    let template = !param_kinds.is_empty();
+    let template = !params.is_empty();
     let subctx = subquery::SubqueryContext::new(db, options, template);
     let scopes = subquery::ScopeChain::root(&subctx);
     let (mut plan, _columns) = physical::lower_select(
@@ -318,11 +321,12 @@ fn plan_query_impl(
             db.obs().record_decision(decision.kind());
         }
     }
-    Ok(PlannedQuery {
+    let planned = PlannedQuery {
         plan,
         decisions,
         where_conditions: query.where_conjuncts().len(),
-    })
+    };
+    Ok((planned, estimator.take_ranges()))
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@ use crate::error::TalkbackError;
 use crate::planner::{self, plan_query_with, PlanDecision, PlannedQuery, PlannerOptions};
 use datastore::exec::{execute_with_stats, Plan, PlanProfile, ResultSet};
 use datastore::obs::{Counter, Statement, StatementPhases};
+use datastore::stats::RangeClass;
 use datastore::{
     CacheKey, CacheLookup, CacheStatus, CachedVerdict, Database, ParamKind, PlanTemplate,
-    StatementMeta, Uncacheable, Value,
+    RangeParam, StatementMeta, Uncacheable, Value,
 };
 use sqlparse::{NormalizedStatement, SelectStatement};
 use std::borrow::Cow;
@@ -44,10 +45,13 @@ enum Source {
 
 /// Prepare `sql` under `options`, since `start`; `parse` gives the
 /// statement, called only when it is to be planned. The text is
-/// literal-normalized and, with the plan cache on, the cache is probed once:
-/// a template there is bound to the new literals (no parsing or planning),
-/// and a negative entry sends the statement to the planner without examining
-/// it again. On a miss the fresh plan is examined and its verdict cached.
+/// literal-normalized and, with the plan cache on, the cache is probed for
+/// the shape: a template there is bound to the new literals (no parsing or
+/// planning), and a negative entry sends the statement to the planner
+/// without examining it again. A shape whose estimates read its range
+/// literals holds one entry per class of them, so its record classifies the
+/// literals and the cache is probed once more, with the classes. On a miss
+/// the fresh plan is examined and its verdict cached.
 pub(crate) fn prepare<'s, 'q>(
     db: &'s Database,
     sql: &'s str,
@@ -58,7 +62,8 @@ pub(crate) fn prepare<'s, 'q>(
     let epoch = db.adaptive().epoch();
     let cache = db.adaptive().plan_cache();
     let normalized = sqlparse::normalize_statement(sql);
-    let key = (normalized.as_ref())
+    let classes: Vec<RangeClass>;
+    let mut key = (normalized.as_ref())
         .filter(|_| options.use_plan_cache)
         .map(|n| CacheKey::new(&n.text, options.cache_bits(), &n.literals));
     let mut meta = StatementMeta {
@@ -67,13 +72,20 @@ pub(crate) fn prepare<'s, 'q>(
     };
     let mut phases = StatementPhases::default();
     let mut template = None;
-    if let Some(key) = &key {
-        let found = cache.lookup(key, epoch);
+    if let Some(key) = &mut key {
+        let mut found = cache.lookup(key, epoch);
+        if let CacheLookup::Found(CachedVerdict::Classified(ranges)) = &found {
+            classes = ranges.iter().map(|r| r.class(key.params)).collect();
+            key.classes = &classes;
+            found = cache.lookup(key, epoch);
+        }
         meta.cache = found.status();
         match found {
             CacheLookup::Found(CachedVerdict::Template(hit)) => template = Some(hit),
             CacheLookup::Found(CachedVerdict::Uncacheable(why)) => db.obs().note_uncacheable(why),
-            CacheLookup::Stale | CacheLookup::Miss => {}
+            CacheLookup::Found(CachedVerdict::Classified(_))
+            | CacheLookup::Stale
+            | CacheLookup::Miss => {}
         }
         let counter = match template {
             Some(_) => Counter::PlanCacheHits,
@@ -92,8 +104,19 @@ pub(crate) fn prepare<'s, 'q>(
             let planning = Instant::now();
             let planned = plan_query_with(db, &query, options)?;
             if let (Some(key), CacheStatus::Miss | CacheStatus::Stale) = (&key, meta.cache) {
-                let verdict = examine_for_caching(db, query.into_owned(), key, &planned, options);
-                let evicted = cache.insert(key, epoch, verdict);
+                let (verdict, ranges) =
+                    examine_for_caching(db, query.into_owned(), key, &planned, options);
+                let (mut key, mut evicted) = (*key, 0);
+                let classes: Vec<RangeClass>;
+                // A shape met for the first time this epoch whose estimates
+                // read its range literals: its record, then this class.
+                if key.classes.is_empty() && !ranges.is_empty() {
+                    let ranges: Arc<[RangeParam]> = ranges.into();
+                    classes = ranges.iter().map(|r| r.class(key.params)).collect();
+                    evicted += cache.insert(&key, epoch, CachedVerdict::Classified(ranges));
+                    key.classes = &classes;
+                }
+                evicted += cache.insert(&key, epoch, verdict);
                 db.obs().add(Counter::PlanCacheEvictions, evicted);
             }
             phases.parse = planning - start;
@@ -193,49 +216,54 @@ impl Prepared<'_> {
     }
 }
 
-/// Decide, once per epoch, what the plan cache should hold for a
+/// Decide, once per epoch and class, what the plan cache should hold for a
 /// just-planned statement the cache did not know. A template is trusted
 /// only when (a) the AST lifts exactly the literals the text scanner
 /// extracted, in the same order — so future text-extracted literals bind
-/// positionally — and (b) planning the parameterized statement, each
-/// `?i` typed by its literal's kind, and re-binding the original
-/// literals reproduces the fresh plan node for node, estimates and all,
-/// and the fresh decisions, the SQL they quote included. Anything else is a
-/// negative verdict with its reason: the next execution of the shape is
-/// planned fresh without coming back here.
+/// positionally — and (b) planning the parameterized statement, each `?i`
+/// typed by its literal's kind and a range estimate reading it through its
+/// class, and re-binding the original literals reproduces the fresh plan
+/// node for node, estimates and all, and the fresh decisions, the SQL they
+/// quote included. Anything else is a negative verdict with its reason: the
+/// next execution of the shape (of the class) is planned fresh without
+/// coming back here. Returned beside the verdict: the range conjuncts whose
+/// estimates read a parameter, by which the shape's later statements are
+/// classified.
 fn examine_for_caching(
     db: &Database,
     query: SelectStatement,
     key: &CacheKey,
     fresh: &PlannedQuery,
     options: PlannerOptions,
-) -> CachedVerdict<PlanTemplate> {
+) -> (CachedVerdict<PlanTemplate>, Vec<RangeParam>) {
+    let refuse = |why| (CachedVerdict::Uncacheable(why), Vec::new());
     let (template_stmt, lifted) = match sqlparse::parameterize_select(query) {
         Ok(parameterized) => parameterized,
-        Err(why) => return CachedVerdict::Uncacheable(why),
+        Err(why) => return refuse(why),
     };
     // `Value` equality is SQL's (3 = 3.0); a template's is also by kind.
     let same = |(a, b): (&Value, &Value)| a == b && ParamKind::of(a) == ParamKind::of(b);
-    let kinds = match key.kinds() {
-        Some(kinds)
-            if lifted.len() == key.params.len() && lifted.iter().zip(key.params).all(same) =>
-        {
-            kinds
-        }
+    if lifted.len() != key.params.len() || !lifted.iter().zip(key.params).all(same) {
         // What the text scanner and the parser disagree on is a constant
         // neither can be trusted to lift.
-        _ => return CachedVerdict::Uncacheable(Uncacheable::Constant),
-    };
+        return refuse(Uncacheable::Constant);
+    }
     let binds_to_fresh = |template: &PlannedQuery| {
         template.plan.bind_params(key.params) == fresh.plan
             && template.decisions.len() == fresh.decisions.len()
             && (template.decisions.iter().zip(&fresh.decisions))
                 .all(|(t, f)| *t.bind(key.params) == *f)
     };
-    match planner::plan_template(db, &template_stmt, options, &kinds) {
-        Ok(template) if binds_to_fresh(&template) => CachedVerdict::Template(Arc::new(
-            PlanTemplate::new(template.plan, template.decisions, template.where_conditions),
-        )),
-        _ => CachedVerdict::Uncacheable(Uncacheable::ValueDependent),
+    match planner::plan_template(db, &template_stmt, options, key.params) {
+        Ok((template, ranges)) if binds_to_fresh(&template) => {
+            let (plan, decisions) = (template.plan, template.decisions);
+            let template = PlanTemplate::new(plan, decisions, template.where_conditions);
+            (CachedVerdict::Template(Arc::new(template)), ranges)
+        }
+        Ok((_, ranges)) => (
+            CachedVerdict::Uncacheable(Uncacheable::ValueDependent),
+            ranges,
+        ),
+        Err(_) => refuse(Uncacheable::ValueDependent),
     }
 }

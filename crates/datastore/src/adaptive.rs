@@ -26,13 +26,23 @@
 //! A template holds two kinds of parameter ([`crate::expr::Param`]). Its
 //! *statement* parameters `?k` stand for the `k`-th literal of the
 //! normalized text, wherever the parameterizer lifted it — a column
-//! equality, or a constant compared with an aggregate or a subquery, in the
-//! outer block or inside any subquery — and a hit binds them once
+//! equality or range bound, or a constant compared with an aggregate or a
+//! subquery, in the outer block or inside any subquery — and a hit binds
+//! them once
 //! ([`Plan::bind_params`]). Its *outer-row* parameters `$k` are the
 //! correlation values of its `Apply` operators and parameterized index
 //! probes, left in place by that binding and bound per outer row by the
 //! `Apply` that owns them ([`Plan::bind_outer`]). So a nested statement is
 //! templated like a flat one: probe, bind, execute.
+//!
+//! A range bound's estimate reads its value, but only through its class
+//! ([`crate::stats::RangeClass`]: the estimate snapped to a geometric
+//! grid), so a plan is a function of the classes of a statement's range
+//! literals. Such a shape keeps, under its own key, the record of which
+//! column and comparison each range parameter bounds with that epoch's
+//! statistics ([`CachedVerdict::Classified`], [`RangeParam`]); a probe
+//! classifies its literals with it and probes again with the classes in the
+//! key ([`CacheKey::classes`]), for the template of that class.
 //!
 //! The plan cache is one [`ShapeCache`]; `talkback`'s translation cache is
 //! the other — sentence templates stamped with the catalog version instead
@@ -43,6 +53,7 @@ use crate::exec::plan::Plan;
 use crate::exec::stream::PlanProfile;
 use crate::fingerprint::plan_shape_hash;
 use crate::obs::{CacheStatus, PlanDecision};
+use crate::stats::{RangeClass, TableStats};
 use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
 use std::hash::Hasher;
@@ -136,9 +147,6 @@ impl ParamKind {
 /// engine examines a shape once per epoch instead of once per execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Uncacheable {
-    /// A literal bounds a range (`<`, `<=`, `>`, `>=`, `BETWEEN`): the plan
-    /// *and* its estimates depend on the value.
-    RangeBound,
     /// A literal is a `LIKE` pattern.
     LikePattern,
     /// A literal is a member of an `IN (…)` list.
@@ -154,8 +162,7 @@ pub enum Uncacheable {
 
 impl Uncacheable {
     /// Every reason, in display order.
-    pub const ALL: [Uncacheable; 5] = [
-        Uncacheable::RangeBound,
+    pub const ALL: [Uncacheable; 4] = [
         Uncacheable::LikePattern,
         Uncacheable::InList,
         Uncacheable::Constant,
@@ -166,7 +173,6 @@ impl Uncacheable {
     /// "… statements …, which I plan afresh every time".
     pub fn clause(self) -> &'static str {
         match self {
-            Uncacheable::RangeBound => "whose plan depends on a range bound",
             Uncacheable::LikePattern => "whose plan depends on a LIKE pattern",
             Uncacheable::InList => "whose plan depends on an IN list",
             Uncacheable::Constant => "with a constant outside a column equality",
@@ -184,9 +190,9 @@ pub const OPTION_WORDS: usize = 4;
 pub type OptionBits = [u64; OPTION_WORDS];
 
 /// What a statement presents to a [`ShapeCache`]. An entry's identity is
-/// the normalized text, the option bits and the *kinds* of the literals —
-/// all compared in full on every probe, so two texts whose hashes collide
-/// can never run each other's plan. The literal values themselves are only
+/// the normalized text, the option bits, the *kinds* of the literals and
+/// the classes of its range literals — all compared in full on every probe,
+/// so two texts whose hashes collide can never run each other's plan. The literal values themselves are only
 /// carried along: a hit binds them into the template.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheKey<'a> {
@@ -199,6 +205,10 @@ pub struct CacheKey<'a> {
     pub options: OptionBits,
     /// The statement's literals, in textual order.
     pub params: &'a [Value],
+    /// The class of each range conjunct whose estimate reads a literal, in
+    /// the order of the shape's [`CachedVerdict::Classified`] record; empty
+    /// when probing for the shape itself.
+    pub classes: &'a [RangeClass],
 }
 
 impl<'a> CacheKey<'a> {
@@ -211,6 +221,7 @@ impl<'a> CacheKey<'a> {
             text,
             options,
             params,
+            classes: &[],
         }
     }
 
@@ -221,14 +232,63 @@ impl<'a> CacheKey<'a> {
 }
 
 /// What a cache holds for one key: a verified template (for the plan cache,
-/// a plan with statement-parameter placeholders), or the verdict that the
-/// shape cannot have one.
+/// a plan with statement-parameter placeholders), the verdict that the
+/// shape cannot have one, or — for a shape whose estimates read its range
+/// literals — how to tell which class of the shape a statement is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CachedVerdict<T> {
     /// A verified template, shared with whoever is binding it.
     Template(Arc<T>),
     /// A negative entry.
     Uncacheable(Uncacheable),
+    /// The shape holds one entry per class of its range literals: classify
+    /// a statement's literals with these ([`RangeParam::class`]) and probe
+    /// again with the classes in the key.
+    Classified(Arc<[RangeParam]>),
+}
+
+/// How one range conjunct of a plan-cache template reads its statement
+/// parameters: which column it bounds and how, with the table's statistics
+/// of the epoch the template was planned in — so a later statement's
+/// literals are classified without reading the catalog.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RangeParam {
+    /// The statistics of the bounded column's table.
+    pub stats: Arc<TableStats>,
+    /// The bounded column, as the statistics name it.
+    pub column: Box<str>,
+    /// The comparison, and which parameters bound it.
+    pub op: RangeOp,
+}
+
+/// A range comparison of a column with statement parameters (`?k`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RangeOp {
+    /// `column < ?param`, or `<=` when inclusive.
+    Below { param: u32, inclusive: bool },
+    /// `column > ?param`, or `>=` when inclusive.
+    Above { param: u32, inclusive: bool },
+    /// `column [NOT] BETWEEN ?low AND ?high`.
+    Between { low: u32, high: u32 },
+}
+
+impl RangeParam {
+    /// The class of this conjunct for a statement whose literals are
+    /// `params`: what its estimate, and so its plan, is a function of.
+    pub fn class(&self, params: &[Value]) -> RangeClass {
+        let at = |k: u32| params.get(k as usize).and_then(Value::as_f64);
+        let Some(column) = self.stats.column(&self.column) else {
+            return RangeClass::UNKNOWN;
+        };
+        let class = match self.op {
+            RangeOp::Below { param, inclusive } => at(param).map(|x| column.lt_class(x, inclusive)),
+            RangeOp::Above { param, inclusive } => at(param).map(|x| column.gt_class(x, inclusive)),
+            RangeOp::Between { low, high } => {
+                (at(low).zip(at(high))).map(|(lo, hi)| column.between_class(lo, hi))
+            }
+        };
+        class.unwrap_or(RangeClass::UNKNOWN)
+    }
 }
 
 /// What one probe of a cache found.
@@ -249,6 +309,8 @@ impl CacheLookup<PlanTemplate> {
         match self {
             CacheLookup::Found(CachedVerdict::Template(_)) => CacheStatus::Hit,
             CacheLookup::Found(CachedVerdict::Uncacheable(why)) => CacheStatus::Uncacheable(*why),
+            // A class not seen yet is planned from scratch.
+            CacheLookup::Found(CachedVerdict::Classified(_)) => CacheStatus::Miss,
             CacheLookup::Stale => CacheStatus::Stale,
             CacheLookup::Miss => CacheStatus::Miss,
         }
@@ -261,6 +323,7 @@ struct CacheEntry<T> {
     text: Box<str>,
     options: OptionBits,
     kinds: Box<[ParamKind]>,
+    classes: Box<[RangeClass]>,
     epoch: u64,
     /// [`CacheInner::clock`] at the last hit or insert.
     used: u64,
@@ -272,6 +335,7 @@ impl<T> CacheEntry<T> {
         self.hash == key.hash
             && self.options == key.options
             && *self.text == *key.text
+            && *self.classes == *key.classes
             && self.kinds.len() == key.params.len()
             && self
                 .kinds
@@ -426,6 +490,7 @@ impl<T: Clone> ShapeCache<T> {
             text: key.text.into(),
             options: key.options,
             kinds,
+            classes: key.classes.into(),
             epoch,
             used,
             verdict,
@@ -603,6 +668,77 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    /// A shape whose estimates read a range literal holds its record under
+    /// the shape and one entry per class of the literal: a literal of a
+    /// class seen before hits that class's template, and one of another
+    /// class misses.
+    #[test]
+    fn a_classified_shape_holds_one_entry_per_class() {
+        use crate::schema::{ColumnDef, TableSchema};
+        use crate::table::Table;
+        let mut table = Table::new(TableSchema::new(
+            "T",
+            vec![ColumnDef::new("x", DataType::Integer)],
+        ));
+        for x in 1..=100 {
+            table.insert_values(vec![Value::int(x)]).unwrap();
+        }
+        let below = RangeParam {
+            stats: Arc::new(TableStats::collect(&table)),
+            column: "x".into(),
+            op: RangeOp::Below {
+                param: 0,
+                inclusive: true,
+            },
+        };
+        let cache = PlanCache::new(8);
+        let text = "select t.x from T t where t.x <= ?";
+        let (fifty, fifty_one, ten) = ([Value::int(50)], [Value::int(51)], [Value::int(10)]);
+        let class = |params: &[Value]| [below.class(params)];
+        assert_eq!(class(&fifty), class(&fifty_one));
+        assert_ne!(class(&fifty), class(&ten));
+        let shape = CacheKey::new(text, OPTIONS, &fifty);
+        let record = CachedVerdict::Classified(Arc::from(vec![below.clone()]));
+        cache.insert(&shape, 0, record.clone());
+        let classes = class(&fifty);
+        cache.insert(
+            &CacheKey {
+                classes: &classes,
+                ..shape
+            },
+            0,
+            template("HALF"),
+        );
+        assert_eq!(cache.len(), 2);
+        // The shape answers with its record, whatever the literal.
+        let probe = CacheKey::new(text, OPTIONS, &ten);
+        assert_eq!(cache.lookup(&probe, 0), CacheLookup::Found(record));
+        let same = class(&fifty_one);
+        let probe = CacheKey::new(text, OPTIONS, &fifty_one);
+        assert!(is_hit(
+            &cache.lookup(
+                &CacheKey {
+                    classes: &same,
+                    ..probe
+                },
+                0
+            ),
+            "HALF"
+        ));
+        let other = class(&ten);
+        let probe = CacheKey::new(text, OPTIONS, &ten);
+        assert_eq!(
+            cache.lookup(
+                &CacheKey {
+                    classes: &other,
+                    ..probe
+                },
+                0
+            ),
+            CacheLookup::Miss
+        );
+    }
+
     /// Regression: a hit used to be decided by the 64-bit hash alone, so two
     /// statements whose hashes collide ran each other's plan.
     #[test]
@@ -613,6 +749,7 @@ mod tests {
             text,
             options: OPTIONS,
             params: &[],
+            classes: &[],
         };
         cache.insert(&key("select a"), 0, template("A"));
         assert_eq!(cache.lookup(&key("select b"), 0), CacheLookup::Miss);
@@ -625,7 +762,7 @@ mod tests {
     fn cache_evicts_least_recently_used() {
         let cache = PlanCache::new(2);
         let key = |text| CacheKey::new(text, OPTIONS, &[]);
-        let range = CachedVerdict::Uncacheable(Uncacheable::RangeBound);
+        let range = CachedVerdict::Uncacheable(Uncacheable::Constant);
         assert_eq!(cache.insert(&key("one"), 0, template("ONE")), 0);
         assert_eq!(cache.insert(&key("two"), 0, range.clone()), 0);
         // Re-inserting a key replaces its verdict without evicting.
@@ -684,6 +821,7 @@ mod tests {
                             text,
                             options: OPTIONS,
                             params: &params,
+                            classes: &[],
                         };
                         let epoch = state.epoch();
                         match (rng >> 16) % 8 {

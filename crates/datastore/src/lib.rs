@@ -43,7 +43,7 @@ pub mod value;
 
 pub use adaptive::{
     AdaptiveState, CacheKey, CacheLookup, CachedVerdict, EpochCause, FeedbackEntry, ParamKind,
-    PlanCache, PlanTemplate, ShapeCache, Uncacheable, OPTION_WORDS,
+    PlanCache, PlanTemplate, RangeOp, RangeParam, ShapeCache, Uncacheable, OPTION_WORDS,
 };
 pub use catalog::Catalog;
 pub use database::Database;

@@ -26,14 +26,18 @@
 //!
 //! **What is lifted**, in the block and in every `IN`, `EXISTS`, scalar and
 //! quantified subquery inside it: a literal compared with a column by `=`
-//! (whose 1/NDV estimate does not read the value), and a literal compared
-//! with an aggregate or a subquery by any comparison (Q7's `1 < (select
-//! count(*) …)`, Q8's `count(distinct m.year) = 2`), which no estimate reads
-//! either. Any other literal (a range bound, a LIKE pattern, an IN-list
-//! member, a projected constant) would make the sequences diverge, so the
-//! pass stops there and says which it was ([`Uncacheable`]): the verdict is
-//! cached, and the statement is planned fresh every time. The caller still
-//! plans the template and keeps it only if it reproduces the fresh plan.
+//! (whose 1/NDV estimate does not read the value); a literal compared with a
+//! column by `<`, `<=`, `>` or `>=`, and both bounds of `column [NOT]
+//! BETWEEN`, whose estimate reads the value only through its class
+//! (`datastore::stats::RangeClass`), so the plan cache keeps one template
+//! per class; and a literal compared with an aggregate or a subquery by any
+//! comparison (Q7's `1 < (select count(*) …)`, Q8's `count(distinct m.year)
+//! = 2`), which no estimate reads. Any other literal (a LIKE pattern, an
+//! IN-list member, a projected constant, a bound of arithmetic) would make
+//! the sequences diverge, so the pass stops there and says which it was
+//! ([`Uncacheable`]): the verdict is cached, and the statement is planned
+//! fresh every time. The caller still plans the template and keeps it only
+//! if it reproduces the fresh plan.
 
 use crate::ast::{BinaryOperator, Expr, Literal, SelectItem, SelectStatement};
 use datastore::{Uncacheable, Value};
@@ -195,11 +199,12 @@ fn lift(expr: &mut Expr, out: &mut Vec<Value>) -> bool {
 }
 
 /// Whether a literal compared with `other` may be lifted: a column under
-/// `=`, or an aggregate or a scalar subquery under any comparison — places
-/// where no estimate reads the value (the caller's plan check decides).
+/// `=` or a range comparison, or an aggregate or a scalar subquery under any
+/// comparison — places where no estimate reads the value but through its
+/// class (the caller's plan check decides).
 fn liftable_against(other: &Expr, op: BinaryOperator) -> bool {
     match other {
-        Expr::Column(_) => op == BinaryOperator::Eq,
+        Expr::Column(_) => op.is_comparison() && op != BinaryOperator::NotEq,
         Expr::Aggregate { .. } | Expr::ScalarSubquery(_) => op.is_comparison(),
         _ => false,
     }
@@ -221,13 +226,6 @@ fn param_expr(
             None => Ok(()),
         },
         Expr::BinaryOp { left, op, right } => {
-            let blame = match op {
-                BinaryOperator::Lt
-                | BinaryOperator::LtEq
-                | BinaryOperator::Gt
-                | BinaryOperator::GtEq => Uncacheable::RangeBound,
-                _ => blame,
-            };
             let op = *op;
             if !(liftable_against(right, op) && lift(left, out)) {
                 param_expr(left, out, blame)?;
@@ -251,8 +249,13 @@ fn param_expr(
             expr, low, high, ..
         } => {
             param_expr(expr, out, blame)?;
-            param_expr(low, out, Uncacheable::RangeBound)?;
-            param_expr(high, out, Uncacheable::RangeBound)
+            let column = matches!(**expr, Expr::Column(_));
+            for bound in [low, high] {
+                if !(column && lift(bound, out)) {
+                    param_expr(bound, out, blame)?;
+                }
+            }
+            Ok(())
         }
         Expr::Like { expr, pattern, .. } => {
             param_expr(expr, out, blame)?;
@@ -296,13 +299,14 @@ fn param_select(stmt: &mut SelectStatement, out: &mut Vec<Value>) -> Result<(), 
 /// parameters, which a plan binds from the literals of the statement it
 /// serves — returning the rewritten statement and the lifted values in the
 /// order of the text. A literal is lifted where it is compared with a column
-/// by `=`, or with an aggregate or a scalar or quantified subquery by any
-/// comparison; subquery bodies are lifted the same way, in place.
+/// by `=` or a range comparison (`BETWEEN`'s bounds included), or with an
+/// aggregate or a scalar or quantified subquery by any comparison; subquery
+/// bodies are lifted the same way, in place.
 ///
-/// Fails, saying why, at the first literal this pass cannot lift — a range
-/// bound, a `LIKE` pattern, an `IN` list member, any other constant — since
-/// the text scanner extracts *every* literal and the two sequences could no
-/// longer agree.
+/// Fails, saying why, at the first literal this pass cannot lift — a `LIKE`
+/// pattern, an `IN` list member, any other constant — since the text
+/// scanner extracts *every* literal and the two sequences could no longer
+/// agree.
 pub fn parameterize_select(
     mut stmt: SelectStatement,
 ) -> Result<(SelectStatement, Vec<Value>), Uncacheable> {
@@ -395,17 +399,43 @@ mod tests {
     }
 
     #[test]
-    fn range_literals_stay_in_place_so_sequences_diverge() {
+    fn range_bounds_are_lifted_in_text_order() {
+        let lift = |sql: &str| {
+            let (template, lifted) = parameterize_select(parse_query(sql).unwrap()).unwrap();
+            assert_eq!(lifted, normalize_statement(sql).unwrap().literals, "{sql}");
+            template.to_string()
+        };
+        let both = lift("SELECT * FROM movies m WHERE m.year > 1968 AND m.genre = 'Drama'");
+        assert!(
+            both.contains("m.year > ?0") && both.contains("m.genre = ?1"),
+            "{both}"
+        );
+        let flipped = lift("SELECT * FROM movies m WHERE 1968 <= m.year AND m.id < 7.5");
+        assert!(
+            flipped.contains("?0 <= m.year") && flipped.contains("m.id < ?1"),
+            "{flipped}"
+        );
+        let between =
+            lift("SELECT * FROM movies m WHERE m.genre = 'Drama' AND m.year NOT BETWEEN 1 AND 2");
+        assert!(between.contains("NOT BETWEEN ?1 AND ?2"), "{between}");
+    }
+
+    #[test]
+    fn unliftable_literals_stay_in_place_so_sequences_diverge() {
         // The AST pass could lift only the equality while the text scanner
-        // sees both literals: it stops at the bound and names it.
+        // sees both literals: it stops at the constant and names it.
         let blame = |sql: &str| parameterize_select(parse_query(sql).unwrap()).unwrap_err();
         assert_eq!(
-            blame("SELECT * FROM movies m WHERE m.year > 1968 AND m.genre = 'Drama'"),
-            Uncacheable::RangeBound
+            blame("SELECT * FROM movies m WHERE m.year + 1 > 1968 AND m.genre = 'Drama'"),
+            Uncacheable::Constant
         );
         assert_eq!(
-            blame("SELECT * FROM movies m WHERE m.genre = 'Drama' AND m.year BETWEEN 1 AND 2"),
-            Uncacheable::RangeBound
+            blame("SELECT * FROM movies m WHERE m.id + 1 BETWEEN 1 AND 2"),
+            Uncacheable::Constant
+        );
+        assert_eq!(
+            blame("SELECT * FROM movies m WHERE m.year <> 1968"),
+            Uncacheable::Constant
         );
         assert_eq!(
             blame("SELECT * FROM movies m WHERE m.title LIKE 'The %'"),
@@ -442,6 +472,17 @@ mod tests {
              where c.aid in (select a.id from A a where a.name = 'Brad Pitt'))",
         );
         assert!(q5.contains("a.name = ?0"), "{q5}");
+        // `nested`'s correlated EXISTS and NOT IN, bounds inside and out.
+        let exists = lift(
+            "select m.title from M m where m.year >= 1970 and exists \
+             (select * from C c where c.mid = m.id and c.aid <= 52)",
+        );
+        assert!(exists.contains("m.year >= ?0"), "{exists}");
+        assert!(exists.contains("c.aid <= ?1"), "{exists}");
+        let not_in = lift(
+            "select a.name from A a where a.id not in (select c.aid from C c where c.mid <= 50)",
+        );
+        assert!(not_in.contains("c.mid <= ?0"), "{not_in}");
         let around = lift(
             "select m.title from M m where m.year = 1999 and exists \
              (select * from C c where c.mid = m.id and c.aid = 7) and m.id = 3",
@@ -479,20 +520,12 @@ mod tests {
         let exists = |body: &str| {
             format!("select m.title from M m where m.id = 4 and exists (select * from C c where {body})")
         };
-        assert_eq!(
-            blame(&exists("c.mid = m.id and c.aid <= 7")),
-            Uncacheable::RangeBound
-        );
         assert_eq!(blame(&exists("c.role like 'R%'")), Uncacheable::LikePattern);
         assert_eq!(blame(&exists("c.aid in (1, 2)")), Uncacheable::InList);
         assert_eq!(blame(&exists("c.aid <> 2")), Uncacheable::Constant);
         assert_eq!(
             blame("select m.title from M m where exists (select 1 from C c)"),
             Uncacheable::Constant
-        );
-        assert_eq!(
-            blame("select a.name from A a where a.id not in (select c.aid from C c where c.mid <= 50)"),
-            Uncacheable::RangeBound
         );
         assert_eq!(
             blame("select m.title from M m where 4 in (select c.mid from C c)"),

@@ -587,15 +587,19 @@ fn ddl_and_writes_invalidate_cached_plans() {
 /// Seeded pseudo-random property test (the workspace has no proptest): two
 /// engines over identical data — one with the plan cache, one without —
 /// stay byte-identical in rows, row order, columns, and executed plan shape
-/// while the test interleaves lookups and the paper's nested shapes
-/// (Q5–Q9, a correlated EXISTS) with literals of varying value *and kind*,
-/// inserts, and CREATE/DROP INDEX of ordered and hash indexes. Some
+/// while the test interleaves lookups, the paper's nested shapes (Q5–Q9, a
+/// correlated EXISTS) and range shapes (`<`, `<=`, `>`, `>=` and `[NOT]
+/// BETWEEN` on MOVIES.year and MOVIES.id, at the top and inside an EXISTS
+/// and a NOT IN, bounds below, at, inside and above the column's range)
+/// with literals of varying value *and kind*, inserts, and CREATE/DROP
+/// INDEX of ordered and hash indexes. Some
 /// statements are also explained, plain and with ANALYZE, and the two
 /// engines' trees, narrations and decisions must agree — the cached one's
 /// bound from a template when it has one — and so must they after feedback
 /// is absorbed between two EXPLAINs. The cached engine must actually hit its
-/// cache for the comparison to mean anything — on every nested shape, on
-/// the shapes whose plan probes a hash index, which a template can only do
+/// cache for the comparison to mean anything — on every nested shape and
+/// every range shape (one template per class of its bounds), on the shapes
+/// whose plan probes a hash index, which a template can only do
 /// when it knows its parameter's kind, and on EXPLAIN. The seed is fixed;
 /// `ADAPTIVE_SEED=<u64>` adds one more (CI passes the clock), and every
 /// failure names its seed.
@@ -622,6 +626,9 @@ fn cached_and_uncached_agree(seed: u64) {
     // Which statements are also explained: drawn apart, so the statements
     // themselves are the ones the seed always drew.
     let mut explain_rng = StdRng::seed_from_u64(seed ^ 0xE7B1_A1A5);
+    // Which steps also ask a range question, and the question: drawn apart
+    // for the same reason.
+    let mut range_rng = StdRng::seed_from_u64(seed ^ 0x5A9E_B0D5);
     let mut cached = Talkback::new(movie_database());
     let mut uncached = Talkback::new(movie_database());
     let cached_opts = sequential();
@@ -634,8 +641,77 @@ fn cached_and_uncached_agree(seed: u64) {
     let mut next_id = 1000i64;
     // Cache hits whose executed plan probed one of the two hash indexes.
     let mut hash_probe_hits = [0u32; 2];
-    // Cache hits of each nested shape.
+    // Cache hits of each nested shape, and of each range shape.
     let mut nested_hits = [0u32; 6];
+    let mut range_hits = [0u32; 6];
+    // A range bound on MOVIES.year or MOVIES.id, below the minimum, at it,
+    // inside, at the maximum (of the fixture, and of the inserted rows) or
+    // above it; an Integer or a Float literal.
+    let bound = |rng: &mut StdRng, column: &str| {
+        let points: [i64; 8] = match column {
+            "year" => [1900, 1980, 1995, 2001, 2004, 2006, 2019, 2100],
+            _ => [0, 1, 3, 6, 10, 1000, 1010, 9999],
+        };
+        let point = points[rng.gen_range(0..points.len())];
+        match rng.gen_range(0..3u8) {
+            0 => format!("{point}.5"),
+            1 => format!("{point}.0"),
+            _ => format!("{point}"),
+        }
+    };
+    let column = |rng: &mut StdRng| ["year", "id"][rng.gen_range(0..2usize)];
+    let range_op = |rng: &mut StdRng| ["<", "<=", ">", ">="][rng.gen_range(0..4usize)];
+    // The range shapes, 14 to 19: a bound on either side of its column,
+    // BETWEEN, `lookup`'s year + id shape, and bounds inside a correlated
+    // EXISTS and a NOT IN.
+    let range_statement = |rng: &mut StdRng, shape: u8| match shape {
+        14 => {
+            let (col, op) = (column(rng), range_op(rng));
+            let b = bound(rng, col);
+            if rng.gen_bool(0.5) {
+                format!("select m.title from MOVIES m where m.{col} {op} {b}")
+            } else {
+                format!("select m.title from MOVIES m where {b} {op} m.{col}")
+            }
+        }
+        15 => {
+            let col = column(rng);
+            let (lo, hi) = (bound(rng, col), bound(rng, col));
+            let not = ["", "not "][rng.gen_range(0..2usize)];
+            format!("select m.id from MOVIES m where m.{col} {not}between {lo} and {hi}")
+        }
+        16 => format!(
+            "select m.title from MOVIES m where m.year = {} and m.id <= {}",
+            rng.gen_range(1990..2020i64),
+            bound(rng, "id")
+        ),
+        17 => {
+            let (col, op) = (column(rng), range_op(rng));
+            let b = bound(rng, col);
+            format!(
+                "select m.title from MOVIES m where m.{col} {op} {b} and exists \
+                 (select * from CAST c where c.mid = m.id and c.aid <= {})",
+                rng.gen_range(1..16i64)
+            )
+        }
+        18 => {
+            let (col, op) = (column(rng), range_op(rng));
+            let b = bound(rng, col);
+            format!(
+                "select m.title from MOVIES m where m.id not in \
+                 (select m2.id from MOVIES m2 where m2.{col} {op} {b})"
+            )
+        }
+        _ => {
+            let col = column(rng);
+            let (lo, hi) = (bound(rng, col), bound(rng, col));
+            format!(
+                "select m.title from MOVIES m where exists \
+                 (select * from MOVIES m2 where m2.id = m.id \
+                 and m2.{col} between {lo} and {hi})"
+            )
+        }
+    };
     // `explain_result` calls served from a template.
     let mut explained_hits = 0u32;
     // `EXPLAIN [ANALYZE]` calls served from a template.
@@ -753,69 +829,89 @@ fn cached_and_uncached_agree(seed: u64) {
                         rng.gen_range(1..16i64)
                     ),
                 };
-                // One statement in four is also explained on both engines,
-                // plainly and with ANALYZE (which runs it on both).
-                if explain_rng.gen_bool(0.25) {
-                    for form in ["explain", "explain analyze"] {
-                        let step = format!("step {step}");
-                        explain_agree(&cached, &uncached, &format!("{form} {sql}"), &step);
-                    }
+                let mut statements = vec![(shape, sql)];
+                // One step in two also asks a range question.
+                if range_rng.gen_bool(0.5) {
+                    let shape = range_rng.gen_range(14..20u8);
+                    statements.push((shape, range_statement(&mut range_rng, shape)));
                 }
-                // One statement in five is explained instead of run: the
-                // facade's `explain_result` (default options, plan cache
-                // on) against the free function, which plans afresh.
-                if rng.gen_bool(0.2) {
-                    let query = sqlparse::parse_query(&sql).unwrap();
+                for (shape, sql) in statements {
+                    // One statement in four is also explained on both engines,
+                    // plainly and with ANALYZE (which runs it on both).
+                    let explain = match shape {
+                        ..14 => explain_rng.gen_bool(0.25),
+                        _ => range_rng.gen_bool(0.25),
+                    };
+                    if explain {
+                        for form in ["explain", "explain analyze"] {
+                            let step = format!("step {step}");
+                            explain_agree(&cached, &uncached, &format!("{form} {sql}"), &step);
+                        }
+                    }
+                    // One statement in five is explained instead of run: the
+                    // facade's `explain_result` (default options, plan cache
+                    // on) against the free function, which plans afresh.
+                    let result = match shape {
+                        ..14 => rng.gen_bool(0.2),
+                        _ => range_rng.gen_bool(0.2),
+                    };
+                    if result {
+                        let query = sqlparse::parse_query(&sql).unwrap();
+                        for _ in 0..2 {
+                            let a = cached.explain_result(&sql).unwrap();
+                            let lexicon = uncached.queries().lexicon();
+                            let b = talkback::explain_result(uncached.database(), lexicon, &query)
+                                .unwrap();
+                            assert_eq!(
+                                (a.rows, &a.narrative, &a.predicate_notes),
+                                (b.rows, &b.narrative, &b.predicate_notes),
+                                "seed {seed} step {step}: explain_result diverged for {sql}"
+                            );
+                            let ja = cached.database().obs().journal().last().unwrap();
+                            explained_hits += u32::from(ja.cache == CacheStatus::Hit);
+                        }
+                        continue;
+                    }
+                    // Twice: an epoch lasts a few steps, so the second run is
+                    // what meets the template the first one left behind.
                     for _ in 0..2 {
-                        let a = cached.explain_result(&sql).unwrap();
-                        let lexicon = uncached.queries().lexicon();
-                        let b =
-                            talkback::explain_result(uncached.database(), lexicon, &query).unwrap();
+                        let a = cached.run_query_with(&sql, cached_opts).unwrap();
+                        let b = uncached.run_query_with(&sql, uncached_opts).unwrap();
                         assert_eq!(
-                            (a.rows, &a.narrative, &a.predicate_notes),
-                            (b.rows, &b.narrative, &b.predicate_notes),
-                            "seed {seed} step {step}: explain_result diverged for {sql}"
+                            a.rows, b.rows,
+                            "seed {seed} step {step}: rows diverged for {sql}"
                         );
+                        assert_eq!(
+                            a.columns, b.columns,
+                            "seed {seed} step {step}: columns diverged"
+                        );
+                        // Same executed plan shape, as journaled by the engine.
                         let ja = cached.database().obs().journal().last().unwrap();
-                        explained_hits += u32::from(ja.cache == CacheStatus::Hit);
-                    }
-                    continue;
-                }
-                // Twice: an epoch lasts a few steps, so the second run is
-                // what meets the template the first one left behind.
-                for _ in 0..2 {
-                    let a = cached.run_query_with(&sql, cached_opts).unwrap();
-                    let b = uncached.run_query_with(&sql, uncached_opts).unwrap();
-                    assert_eq!(
-                        a.rows, b.rows,
-                        "seed {seed} step {step}: rows diverged for {sql}"
-                    );
-                    assert_eq!(
-                        a.columns, b.columns,
-                        "seed {seed} step {step}: columns diverged"
-                    );
-                    // Same executed plan shape, as journaled by the engine.
-                    let ja = cached.database().obs().journal().last().unwrap();
-                    let jb = uncached.database().obs().journal().last().unwrap();
-                    assert_eq!(
-                        ja.plan_hash, jb.plan_hash,
-                        "seed {seed} step {step}: plan shape diverged for {sql}"
-                    );
-                    // The two single-table shapes a hash index can answer.
-                    let watched = ["from ACTOR a where a.name", "from CAST c where c.aid"]
-                        .iter()
-                        .position(|shape| sql.contains(shape));
-                    if let (Some(nested), CacheStatus::Hit) = (shape.checked_sub(8), ja.cache) {
-                        nested_hits[usize::from(nested)] += 1;
-                    }
-                    if let (Some(shape), CacheStatus::Hit) = (watched, ja.cache) {
-                        let index = INDEXES[1 + shape].0;
-                        let probed = ja
-                            .span
-                            .flatten()
+                        let jb = uncached.database().obs().journal().last().unwrap();
+                        assert_eq!(
+                            ja.plan_hash, jb.plan_hash,
+                            "seed {seed} step {step}: plan shape diverged for {sql}"
+                        );
+                        // The two single-table shapes a hash index can answer.
+                        let watched = ["from ACTOR a where a.name", "from CAST c where c.aid"]
                             .iter()
-                            .any(|(_, s)| s.detail.contains(index));
-                        hash_probe_hits[shape] += u32::from(probed);
+                            .position(|shape| sql.contains(shape));
+                        if ja.cache == CacheStatus::Hit {
+                            match shape {
+                                8..=13 => nested_hits[usize::from(shape - 8)] += 1,
+                                14.. => range_hits[usize::from(shape - 14)] += 1,
+                                _ => {}
+                            }
+                        }
+                        if let (Some(shape), CacheStatus::Hit) = (watched, ja.cache) {
+                            let index = INDEXES[1 + shape].0;
+                            let probed = ja
+                                .span
+                                .flatten()
+                                .iter()
+                                .any(|(_, s)| s.detail.contains(index));
+                            hash_probe_hits[shape] += u32::from(probed);
+                        }
                     }
                 }
             }
@@ -882,6 +978,10 @@ fn cached_and_uncached_agree(seed: u64) {
         "seed {seed}: every nested shape should be served from a template: {nested_hits:?}"
     );
     assert!(
+        range_hits.iter().all(|&hits| hits > 0),
+        "seed {seed}: every range shape should be served from a template: {range_hits:?}"
+    );
+    assert!(
         explained_hits >= 10,
         "seed {seed}: explain_result should be served from templates, got {explained_hits}"
     );
@@ -896,8 +996,8 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
     let mut system = Talkback::new(movie_database());
     let status = |system: &Talkback| system.database().obs().journal().last().unwrap().cache;
     let counter = |system: &Talkback, c| system.database().obs().counter(c);
-    let range = |year: i64, id: i64| {
-        format!("select m.title from MOVIES m where m.year = {year} and m.id <= {id}")
+    let listed = |year: i64, id: i64| {
+        format!("select m.title from MOVIES m where m.year = {year} and m.id in (1, {id})")
     };
     // The lift reaches into the subquery and stops at its pattern.
     let nested = "select m.title from MOVIES m where exists \
@@ -906,18 +1006,18 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
     // First execution: a plain miss, examined. From the second on the
     // negative entry answers — whatever the literals.
     system
-        .run_query_with(&range(2004, 8), sequential())
+        .run_query_with(&listed(2004, 8), sequential())
         .unwrap();
     assert_eq!(status(&system), CacheStatus::Miss);
     system.run_query_with(nested, sequential()).unwrap();
     assert_eq!(status(&system), CacheStatus::Miss);
     assert_eq!(counter(&system, Counter::PlanCacheUncacheable), 0);
     let expected = system
-        .run_query_with(&range(2005, 9), sequential())
+        .run_query_with(&listed(2005, 9), sequential())
         .unwrap();
     assert_eq!(
         status(&system),
-        CacheStatus::Uncacheable(Uncacheable::RangeBound)
+        CacheStatus::Uncacheable(Uncacheable::InList)
     );
     system.run_query_with(nested, sequential()).unwrap();
     assert_eq!(
@@ -934,7 +1034,7 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
         use_plan_cache: false,
         ..sequential()
     };
-    let reference = system.run_query_with(&range(2005, 9), uncached).unwrap();
+    let reference = system.run_query_with(&listed(2005, 9), uncached).unwrap();
     assert_eq!(expected.rows, reference.rows);
     assert_eq!(expected.len(), 1, "Match Point is the one movie of 2005");
 
@@ -949,9 +1049,8 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
     assert!(
         metrics.narration.contains(
             "My plan cache answered none of the four statements it was asked about without \
-             parsing or planning, and one statement whose plan depends on a range bound and \
-             one statement whose plan depends on a LIKE pattern, which I plan afresh every \
-             time."
+             parsing or planning, and one statement whose plan depends on a LIKE pattern and \
+             one statement whose plan depends on an IN list, which I plan afresh every time."
         ),
         "{}",
         metrics.narration
@@ -969,15 +1068,15 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
                 .unwrap();
         }
         system
-            .run_query_with(&range(2005, 9), sequential())
+            .run_query_with(&listed(2005, 9), sequential())
             .unwrap();
         assert_eq!(status(&system), CacheStatus::Stale, "after the {bump}");
         system
-            .run_query_with(&range(2005, 9), sequential())
+            .run_query_with(&listed(2005, 9), sequential())
             .unwrap();
         assert_eq!(
             status(&system),
-            CacheStatus::Uncacheable(Uncacheable::RangeBound),
+            CacheStatus::Uncacheable(Uncacheable::InList),
             "after the {bump}"
         );
     }
@@ -989,7 +1088,7 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
         let sql = if i % 2 == 0 {
             format!("select x{i}.title from MOVIES x{i} where x{i}.id = 3")
         } else {
-            format!("select x{i}.title from MOVIES x{i} where x{i}.id <= 3")
+            format!("select x{i}.title from MOVIES x{i} where x{i}.title like 'M%'")
         };
         system.run_query_with(&sql, sequential()).unwrap();
         assert!(cache_len(&system) <= capacity, "statement {i}");
@@ -1042,10 +1141,68 @@ fn statement_literals_and_correlation_values_do_not_collide() {
     }
 }
 
+/// NULL semantics survive a template:
+/// `a.id not in (select c.aid from CREDIT c where c.mid <= ?)` over a table
+/// whose `aid` is NULL on every 25th row, served from the template of its
+/// bound's class, agrees with the uncached engine — empty once the bound
+/// lets a NULL in, the NULL-aware anti-join at work — and so do its `IN` and
+/// `EXISTS` forms. Each pair of bounds is one class: the second of each is
+/// served from the template the first one left.
+#[test]
+fn a_template_keeps_the_null_semantics_of_not_in() {
+    let mut db = movie_database();
+    db.create_table(TableSchema::new(
+        "CREDIT",
+        vec![
+            ColumnDef::new("mid", DataType::Integer),
+            ColumnDef::nullable("aid", DataType::Integer),
+        ],
+    ))
+    .unwrap();
+    for mid in 1..=100i64 {
+        let aid = if mid % 25 == 0 {
+            Value::Null
+        } else {
+            Value::int(1 + mid % 12)
+        };
+        db.insert("CREDIT", vec![Value::int(mid), aid]).unwrap();
+    }
+    let system = Talkback::new(db);
+    let fresh = PlannerOptions {
+        use_plan_cache: false,
+        ..sequential()
+    };
+    let forms = [
+        "select a.name from ACTOR a where a.id not in \
+         (select c.aid from CREDIT c where c.mid <= {})",
+        "select a.name from ACTOR a where a.id in \
+         (select c.aid from CREDIT c where c.mid <= {})",
+        "select a.name from ACTOR a where exists \
+         (select * from CREDIT c where c.aid = a.id and c.mid <= {})",
+    ];
+    // Two bounds below the first NULL, two past it.
+    for (form, (first, second)) in forms.iter().flat_map(|f| [(f, (10, 11)), (f, (60, 62))]) {
+        for bound in [first, second] {
+            let sql = form.replace("{}", &bound.to_string());
+            let cached = system.run_query_with(&sql, sequential()).unwrap();
+            let served = system.database().obs().journal().last().unwrap().cache;
+            let expected = system.run_query_with(&sql, fresh).unwrap();
+            assert_eq!(cached.rows, expected.rows, "{sql}");
+            if bound == second {
+                assert_eq!(served, CacheStatus::Hit, "{sql}");
+            }
+            if form.contains("not in") {
+                assert_eq!(expected.is_empty(), bound >= 25, "{sql}");
+            }
+        }
+    }
+}
+
 /// Verdict goldens: what the plan cache makes of each shape, read off the
 /// journal's second execution. Q1–Q9 are templates — the nested five
-/// included, their literals lifted from inside the subqueries — while a
-/// range bound, at the top or inside a subquery, stays a negative verdict.
+/// included, their literals lifted from inside the subqueries — and so are
+/// the workload shapes with range bounds, at the top or inside a subquery:
+/// one template per class of their bounds.
 #[test]
 fn plan_cache_verdicts_of_the_paper_queries_and_the_workload_shapes() {
     let verdict = |system: &Talkback, sql: &str| {
@@ -1059,7 +1216,6 @@ fn plan_cache_verdicts_of_the_paper_queries_and_the_workload_shapes() {
         assert_eq!(verdict(&paper, sql), CacheStatus::Hit, "Q{}", i + 1);
     }
     let scaled = Talkback::new(scaled_movie_database(ScaleConfig::default()));
-    let range = CacheStatus::Uncacheable(Uncacheable::RangeBound);
     for sql in [
         // `nested`'s correlated EXISTS and NOT IN.
         "select m.title from MOVIES m where m.year >= 1970 and exists \
@@ -1069,7 +1225,7 @@ fn plan_cache_verdicts_of_the_paper_queries_and_the_workload_shapes() {
         // `lookup`'s year + id shape.
         "select m.title from MOVIES m where m.year = 1990 and m.id <= 60",
     ] {
-        assert_eq!(verdict(&scaled, sql), range, "{sql}");
+        assert_eq!(verdict(&scaled, sql), CacheStatus::Hit, "{sql}");
     }
 }
 

@@ -339,9 +339,9 @@ fn explain_golden_index_only_scan_with_elided_sort() {
         .unwrap();
     assert_eq!(
         e.tree,
-        "project: m.year, m.id  [est=2]\n\
+        "project: m.year, m.id  [est=1]\n\
          └─ index scan: MOVIES as m [index=c_year_id range m.year >= 2005] \
-         [index-only]  [est=2]\n"
+         [index-only]  [est=1]\n"
     );
     assert!(
         mentions(
@@ -362,9 +362,9 @@ fn explain_golden_index_only_scan_with_elided_sort() {
         .unwrap();
     assert_eq!(
         e.tree,
-        "project: m.year  [est=2]\n\
+        "project: m.year  [est=1]\n\
          └─ index scan: MOVIES as m [index=idx_year range m.year >= 2005, key order desc] \
-         [index-only]  [est=2]\n"
+         [index-only]  [est=1]\n"
     );
     assert!(
         mentions(

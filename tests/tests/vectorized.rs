@@ -181,7 +181,7 @@ fn explain_golden_partial_aggregate_tree() {
     assert_eq!(
         e.tree,
         "exchange: morsels over MOVIES as m  [partial-agg]  [workers=2]  [est=53]\n\
-         └─ filter: m.year > 1980  [vectorized]  [est=63]\n\
+         └─ filter: m.year > 1980  [vectorized]  [est=59]\n\
          \u{20}\u{20}\u{20}└─ scan: MOVIES as m  [est=100]\n",
         "partial-aggregate tree changed:\n{}",
         e.tree
