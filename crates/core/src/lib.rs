@@ -225,7 +225,7 @@ impl Talkback {
     pub fn explain_result(&self, sql: &str) -> Result<ResultExplanation, TalkbackError> {
         let options = PlannerOptions::default();
         let prepared = statement::prepare_select(&self.db, sql, options, Instant::now())?;
-        query::explain::explain_prepared(self.queries.lexicon(), &prepared)
+        query::explain::explain_prepared(self.queries.lexicon(), prepared)
     }
 
     /// `EXPLAIN [ANALYZE]`: describe the query's physical plan as a stable

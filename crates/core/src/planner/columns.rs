@@ -294,7 +294,7 @@ fn table_arity(db: &Database, table: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::super::{plan_query_with, PlannerOptions};
-    use datastore::exec::{describe_plan, Plan, PlanNode, PlanProfile};
+    use datastore::exec::{describe_plan, Plan, PlanNode, ProfileNode};
     use datastore::sample::movie_database;
     use sqlparse::parse_query;
 
@@ -316,9 +316,9 @@ mod tests {
             }
         });
         let mut columns = Vec::new();
-        profile.walk(&mut |p: &PlanProfile| {
-            if p.operator == "hash join" {
-                columns.push(p.columns.iter().map(ToString::to_string).collect());
+        profile.walk(&mut |p: ProfileNode| {
+            if p.operator() == "hash join" {
+                columns.push(p.columns().iter().map(ToString::to_string).collect());
             }
         });
         let tree = profile.render_tree(false);

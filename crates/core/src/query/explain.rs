@@ -7,7 +7,7 @@ use crate::error::TalkbackError;
 use crate::planner::PlannerOptions;
 use crate::query::sole_scan_table;
 use crate::statement::{prepare, Prepared};
-use datastore::exec::PlanProfile;
+use datastore::exec::{OpKind, PlanProfile, ProfileNode};
 use datastore::Database;
 use nlg::{finish_sentence, join_sentences, quote_sql};
 use sqlparse::ast::SelectStatement;
@@ -56,15 +56,16 @@ pub fn explain_result(
         ..PlannerOptions::default()
     };
     let prepared = prepare(db, &sql, || Ok(Cow::Borrowed(query)), options, start)?;
-    explain_prepared(lexicon, &prepared)
+    explain_prepared(lexicon, prepared)
 }
 
 /// Run a prepared query and explain its result cardinality from the
 /// profile of that one execution.
 pub(crate) fn explain_prepared(
     lexicon: &Lexicon,
-    prepared: &Prepared,
+    prepared: Prepared,
 ) -> Result<ResultExplanation, TalkbackError> {
+    let conditions = prepared.where_conditions();
     let (result, profile) = prepared.run(PlanProfile::clone)?;
     let rows = result.len();
     let mut predicate_notes = Vec::new();
@@ -92,8 +93,8 @@ pub(crate) fn explain_prepared(
                 .as_deref()
                 .map(|t| nlg::pluralize(&lexicon.concept(t)))
                 .unwrap_or_else(|| "rows".to_string());
-            sentences.push(finish_sentence(&match check.kind.as_str() {
-                "anti join" => format!(
+            sentences.push(finish_sentence(&match check.kind {
+                OpKind::AntiJoin => format!(
                     "every one of the {} {} had a match in the subquery ({}), so the \
                      NOT EXISTS / NOT IN check eliminated them all",
                     check.probe_rows,
@@ -171,7 +172,6 @@ pub(crate) fn explain_prepared(
                  heading attribute) would reduce the answer",
             ));
         } else {
-            let conditions = prepared.where_conditions();
             sentences.push(finish_sentence(&format!(
                 "it only applies {conditions} condition{}; adding more selective conditions \
                  (for example on a heading attribute) would reduce the answer",
@@ -209,22 +209,21 @@ struct JoinBlame {
 fn widest_join(profile: &PlanProfile) -> Option<JoinBlame> {
     let mut widest: Option<JoinBlame> = None;
     profile.walk(&mut |p| {
-        if p.operator != "hash join" && p.operator != "nested-loop join" {
+        if !matches!(p.kind(), OpKind::HashJoin | OpKind::NestedLoopJoin) {
             return;
         }
-        if widest
-            .as_ref()
-            .is_none_or(|w| p.metrics.rows_out > w.rows_out)
-        {
+        let m = p.metrics();
+        if widest.as_ref().is_none_or(|w| m.rows_out > w.rows_out) {
+            let rows_out = |c: ProfileNode| c.metrics().rows_out;
             widest = Some(JoinBlame {
-                detail: p.detail.clone(),
-                left_in: p.children.first().map(|c| c.metrics.rows_out).unwrap_or(0),
-                right_in: p.children.get(1).map(|c| c.metrics.rows_out).unwrap_or(0),
-                rows_out: p.metrics.rows_out,
-                estimated: p.estimated_rows.unwrap_or(0.0),
+                detail: p.detail().into_owned(),
+                left_in: p.children().next().map(rows_out).unwrap_or(0),
+                right_in: p.children().nth(1).map(rows_out).unwrap_or(0),
+                rows_out: m.rows_out,
+                estimated: p.estimated_rows().unwrap_or(0.0),
                 misestimate: p
                     .misestimate()
-                    .filter(|_| p.estimated_rows.unwrap_or(f64::MAX) < p.metrics.rows_out as f64),
+                    .filter(|_| p.estimated_rows().unwrap_or(f64::MAX) < m.rows_out as f64),
             });
         }
     });
@@ -234,8 +233,8 @@ fn widest_join(profile: &PlanProfile) -> Option<JoinBlame> {
 /// A subquery check (semi-/anti-join, apply, scalar subquery) that
 /// eliminated every row that reached it.
 struct SubqueryBlame {
-    /// Operator kind ("semi join", "anti join", "apply", "scalar subquery").
-    kind: String,
+    /// Operator kind (semi join, anti join, apply, scalar subquery).
+    kind: OpKind,
     /// The operator's detail line (keys or subquery shape).
     detail: String,
     /// Rows that reached the check.
@@ -280,65 +279,67 @@ struct ProfileBlame {
 fn blame_from_profile(profile: &PlanProfile) -> ProfileBlame {
     let mut blame = ProfileBlame::default();
     profile.walk(&mut |p| {
-        let m = &p.metrics;
-        match p.operator.as_str() {
+        let m = p.metrics();
+        let detail = || p.detail().into_owned();
+        match p.kind() {
             // An index scan that matched nothing: the probe itself is the
             // predicate that eliminated everything ("no casting credit has
             // mid = 999 — the index lookup came back empty").
-            "index scan" if m.rows_out == 0 && blame.empty_index.is_none() => {
+            OpKind::IndexScan if m.rows_out == 0 && blame.empty_index.is_none() => {
                 blame.empty_index = Some(IndexBlame {
-                    table: p.access.as_ref().map(|a| a.table.clone()),
-                    predicate: p.access.as_ref().and_then(|a| a.predicate.clone()),
+                    table: p.access().map(|a| a.table.clone()),
+                    predicate: p.access_predicate().map(Cow::into_owned),
                     probes: 1,
-                    detail: p.detail.clone(),
+                    detail: detail(),
                 });
             }
             // An index nested-loop join whose probes all missed, although
             // the outer side had rows.
-            "index nested-loop join" if m.rows_out == 0 && blame.empty_index.is_none() => {
-                let probe_side = p.children.get(1);
-                let probes = probe_side.map(|c| c.metrics.rows_in).unwrap_or(0);
+            OpKind::IndexNestedLoopJoin if m.rows_out == 0 && blame.empty_index.is_none() => {
+                let probe_side = p.children().nth(1);
+                let probes = probe_side.map(|c| c.metrics().rows_in).unwrap_or(0);
                 if probes > 0 {
                     blame.empty_index = Some(IndexBlame {
-                        table: probe_side
-                            .and_then(|c| c.access.as_ref())
-                            .map(|a| a.table.clone()),
+                        table: probe_side.and_then(|c| c.access()).map(|a| a.table.clone()),
                         predicate: None,
                         probes,
-                        detail: p.detail.clone(),
+                        detail: detail(),
                     });
                 }
             }
-            "filter" => {
+            OpKind::Filter => {
                 if m.rows_in > 0 && m.rows_out == 0 {
-                    blame.killed.push((p.detail.clone(), m.rows_in as usize));
+                    blame.killed.push((detail(), m.rows_in as usize));
                 } else if m.rows_in == 0 {
-                    blame.starved.push(p.detail.clone());
+                    blame.starved.push(detail());
                 }
             }
-            "semi join" | "anti join" | "apply" | "scalar subquery"
+            OpKind::SemiJoin | OpKind::AntiJoin | OpKind::Apply | OpKind::ScalarSubquery
                 if m.rows_out == 0 && blame.subquery.is_none() =>
             {
-                let probe = p.children.first();
-                let probe_rows = probe.map(|c| c.metrics.rows_out).unwrap_or(0);
+                let probe = p.children().next();
+                let probe_rows = probe.map(|c| c.metrics().rows_out).unwrap_or(0);
                 if probe_rows > 0 {
                     blame.subquery = Some(SubqueryBlame {
-                        kind: p.operator.clone(),
-                        detail: p.detail.clone(),
+                        kind: p.kind(),
+                        detail: detail(),
                         probe_rows,
                         probe_table: probe.and_then(sole_scan_table),
                     });
                 }
             }
-            "hash join" | "nested-loop join" if m.rows_out == 0 && blame.join.is_none() => {
-                let left = p.children.first().map(|c| c.metrics.rows_out).unwrap_or(0);
-                let right = p.children.get(1).map(|c| c.metrics.rows_out).unwrap_or(0);
+            OpKind::HashJoin | OpKind::NestedLoopJoin
+                if m.rows_out == 0 && blame.join.is_none() =>
+            {
+                let left = p.children().next().map(|c| c.metrics().rows_out);
+                let right = p.children().nth(1).map(|c| c.metrics().rows_out);
+                let (left, right) = (left.unwrap_or(0), right.unwrap_or(0));
                 if left > 0 && right > 0 {
-                    blame.join = Some((p.detail.clone(), left, right));
+                    blame.join = Some((detail(), left, right));
                 }
             }
-            "scan" if m.rows_out == 0 && blame.empty_scan.is_none() => {
-                blame.empty_scan = Some(p.detail.clone());
+            OpKind::Scan if m.rows_out == 0 && blame.empty_scan.is_none() => {
+                blame.empty_scan = Some(detail());
             }
             _ => {}
         }
@@ -459,8 +460,8 @@ mod tests {
         // The profile carries real counters from the one execution.
         let mut scan_rows = 0;
         explanation.profile.walk(&mut |p| {
-            if p.operator == "scan" {
-                scan_rows += p.metrics.rows_out;
+            if p.operator() == "scan" {
+                scan_rows += p.metrics().rows_out;
             }
         });
         assert!(scan_rows > 0, "scans actually ran exactly once");

@@ -31,7 +31,7 @@ pub mod special;
 pub mod spj;
 
 use crate::error::TalkbackError;
-use datastore::exec::PlanProfile;
+use datastore::exec::ProfileNode;
 use datastore::{Catalog, Value};
 use schemagraph::{classify, Classification, QueryCategory, QueryGraph};
 use sqlparse::ast::{SelectStatement, Statement};
@@ -76,7 +76,7 @@ fn fill_slots(text: &str, strings: &[Value]) -> Option<String> {
 /// exactly one scan (a base relation, possibly behind filters) — the case
 /// where a narration can name the relation instead of saying "them". Shared
 /// by the plan narrator and the §3.1 empty-result detective.
-pub(crate) fn sole_scan_table(node: &PlanProfile) -> Option<String> {
+pub(crate) fn sole_scan_table(node: ProfileNode<'_>) -> Option<String> {
     // Index scans and the probe side of an index-nested-loop join read a
     // base table just like a full scan.
     let mut tables = Vec::new();

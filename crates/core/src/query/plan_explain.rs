@@ -27,7 +27,7 @@ use crate::error::TalkbackError;
 use crate::planner::{GroupedLookup, PlanDecision, PlannerOptions};
 use crate::query::{counted, sole_scan_table};
 use crate::statement::prepare;
-use datastore::exec::{describe_plan, PlanProfile};
+use datastore::exec::{OpKind, PlanProfile, ProfileNode};
 use datastore::Database;
 use nlg::{
     count_phrase, finish_sentence, indefinite_article, join_sentences, pluralize, quote_sql,
@@ -97,14 +97,13 @@ pub fn explain_plan_with(
     };
     let prepared = prepare(db, select, parse, options, start)?;
     let flag = options.misestimate_factor;
-    let (profile, result_rows) = if analyze {
+    let (profile, result_rows, decisions) = if analyze {
+        let decisions = prepared.decisions();
         let (result, profile) = prepared.run(PlanProfile::clone)?;
-        (profile, Some(result.len()))
+        (profile, Some(result.len()), decisions)
     } else {
-        // Opening the plan validates it but reads no rows.
-        (describe_plan(db, prepared.plan_ref())?, None)
+        (prepared.describe()?, None, prepared.into_decisions())
     };
-    let decisions = prepared.into_decisions();
     let narrated = narrate_profile_with(&profile, lexicon, analyze, result_rows, flag);
     let mut sentences = narrate_decisions(&decisions);
     sentences.push(narrated);
@@ -492,11 +491,11 @@ fn ratio_text(ratio: f64) -> String {
 
 /// What a subquery operator did, in words, from the profile's
 /// [`datastore::exec::SubqueryTally`] rather than the tree's detail.
-fn narrate_subquery_operator(node: &PlanProfile, analyzed: bool) -> String {
-    let tally = node.subquery.clone().unwrap_or_default();
+fn narrate_subquery_operator(node: ProfileNode, analyzed: bool) -> String {
+    let tally = node.subquery().unwrap_or_default();
     let keys = tally.keys.join(" and ");
     let value = format!("distinct {keys} value");
-    let text = match (node.operator == "apply", keys.is_empty(), analyzed) {
+    let text = match (node.kind() == OpKind::Apply, keys.is_empty(), analyzed) {
         (true, true, false) => "will check the subquery once and reuse its answer".into(),
         (true, true, true) => "checked the subquery once".into(),
         (true, false, false) => {
@@ -526,7 +525,7 @@ fn narrate_subquery_operator(node: &PlanProfile, analyzed: bool) -> String {
             counted(tally.groups as usize, "group")
         ),
     };
-    let kept = count_phrase(node.metrics.rows_out as usize);
+    let kept = count_phrase(node.metrics().rows_out as usize);
     if analyzed {
         format!("{text}, keeping {kept}")
     } else {
@@ -652,7 +651,7 @@ pub fn narrate_profile_with(
     misestimate_factor: f64,
 ) -> String {
     let mut clauses = Vec::new();
-    narrate_node(profile, lexicon, analyzed, &mut clauses);
+    narrate_node(profile.root(), lexicon, analyzed, &mut clauses);
     let mut sentences = Vec::new();
     if !clauses.is_empty() {
         let mut body = String::from("I ");
@@ -682,7 +681,7 @@ pub fn narrate_profile_with(
 fn parallel_speedup_sentences(profile: &PlanProfile) -> Vec<String> {
     let mut sentences = Vec::new();
     profile.walk(&mut |p| {
-        let Some(workers) = p.workers.filter(|&w| w > 1) else {
+        let Some(workers) = p.workers().filter(|&w| w > 1) else {
             return;
         };
         // parallel_speedup is None for everything but an executed exchange,
@@ -690,16 +689,16 @@ fn parallel_speedup_sentences(profile: &PlanProfile) -> Vec<String> {
         let Some(speedup) = p.parallel_speedup() else {
             return;
         };
-        let work: std::time::Duration = p.children.iter().map(|c| c.metrics.elapsed).sum();
-        let wall = p.metrics.blocked;
+        let work: std::time::Duration = p.children().map(|c| c.metrics().elapsed).sum();
+        let wall = p.metrics().blocked;
         // Name the hungriest operator inside the parallel section by its own
         // (non-blocked) time, so the blame lands on real work.
-        let mut hungriest: Option<(String, std::time::Duration)> = None;
-        for child in &p.children {
+        let mut hungriest: Option<(&str, std::time::Duration)> = None;
+        for child in p.children() {
             child.walk(&mut |inner| {
-                let own = inner.metrics.self_elapsed();
-                if hungriest.as_ref().is_none_or(|(_, t)| own > *t) {
-                    hungriest = Some((inner.operator.clone(), own));
+                let own = inner.metrics().self_elapsed();
+                if hungriest.is_none_or(|(_, t)| own > t) {
+                    hungriest = Some((inner.operator(), own));
                 }
             });
         }
@@ -728,11 +727,11 @@ fn worst_misestimate_sentence(profile: &PlanProfile, flag_factor: f64) -> Option
     let (node, factor) = profile.worst_misestimate(flag_factor)?;
     Some(finish_sentence(&format!(
         "My estimate for the {} on {} was off by about {:.0}× — I expected {} and saw {}",
-        node.operator,
-        node.detail,
+        node.operator(),
+        quote_sql(&node.detail()),
         factor,
-        rows_phrase(node.estimated_rows.unwrap_or(0.0)),
-        rows_phrase(node.metrics.rows_out as f64)
+        rows_phrase(node.estimated_rows().unwrap_or(0.0)),
+        rows_phrase(node.metrics().rows_out as f64)
     )))
 }
 
@@ -765,16 +764,16 @@ fn join_phrase(lexicon: &Lexicon, left: Option<&str>, right: Option<&str>) -> Op
 /// Fold a chain of filters over a scan into one clause ("scanned six actors
 /// and kept the one where a.name = 'Brad Pitt'"); `None` when the node is
 /// not such a chain.
-fn fold_scan_filters(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool) -> Option<String> {
+fn fold_scan_filters(node: ProfileNode, lexicon: &Lexicon, analyzed: bool) -> Option<String> {
     let mut conditions = Vec::new();
     let mut vector_batches = 0u64;
     let mut current = node;
-    while current.operator == "filter" {
-        conditions.push(current.detail.clone());
-        vector_batches += current.metrics.vector_batches;
-        current = current.children.first()?;
+    while current.kind() == OpKind::Filter {
+        conditions.push(quote_sql(&current.detail()));
+        vector_batches += current.metrics().vector_batches;
+        current = current.children().next()?;
     }
-    if current.operator != "scan" || conditions.is_empty() {
+    if current.kind() != OpKind::Scan || conditions.is_empty() {
         return None;
     }
     let table = current.table()?;
@@ -783,8 +782,8 @@ fn fold_scan_filters(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool) -> O
     conditions.reverse();
     let conditions = conditions.join(" and ");
     Some(if analyzed {
-        let scanned = current.metrics.rows_out as usize;
-        let kept = node.metrics.rows_out as usize;
+        let scanned = current.metrics().rows_out as usize;
+        let kept = node.metrics().rows_out as usize;
         if scanned == 0 {
             format!("scanned the {noun} but found none to check against {conditions}")
         } else if kept == 0 {
@@ -816,10 +815,10 @@ fn fold_scan_filters(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool) -> O
 }
 
 /// Post-order (execution-order) narration of one operator subtree.
-fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: &mut Vec<String>) {
+fn narrate_node(node: ProfileNode, lexicon: &Lexicon, analyzed: bool, clauses: &mut Vec<String>) {
     // A filter chain over a scan folds into a single clause ("scanned and
     // kept…") instead of one clause per operator.
-    if node.operator == "filter" {
+    if node.kind() == OpKind::Filter {
         if let Some(clause) = fold_scan_filters(node, lexicon, analyzed) {
             clauses.push(clause);
             return;
@@ -831,17 +830,21 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
     // clause itself names the subquery. The probe side of an index
     // nested-loop join is likewise not a pipeline step of its own.
     let skip_subquery_child = matches!(
-        node.operator.as_str(),
-        "apply" | "scalar subquery" | "index nested-loop join"
+        node.kind(),
+        OpKind::Apply | OpKind::ScalarSubquery | OpKind::IndexNestedLoopJoin
     );
-    for (i, child) in node.children.iter().enumerate() {
+    for (i, child) in node.children().enumerate() {
         if skip_subquery_child && i == 1 {
             continue;
         }
         narrate_node(child, lexicon, analyzed, clauses);
     }
-    let m = &node.metrics;
-    let clause = match node.operator.as_str() {
+    let m = node.metrics();
+    // Each clause says the detail at most once; a condition is quoted as
+    // written.
+    let detail = || node.detail();
+    let condition = || quote_sql(&node.detail());
+    let clause = match node.operator() {
         "scan" => {
             let table = node.table().unwrap_or_default();
             let noun = pluralize(&lexicon.concept(table));
@@ -852,12 +855,13 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
             }
         }
         "index scan" => {
-            let Some(access) = &node.access else {
+            let Some(access) = node.access() else {
                 return; // Unreachable: index scans always carry metadata.
             };
             let noun = pluralize(&lexicon.concept(&access.table));
             let index = &access.index;
-            let predicate = access.predicate.as_deref().unwrap_or("its bounds");
+            let predicate = node.access_predicate();
+            let predicate = predicate.map_or_else(|| "its bounds".to_string(), |p| quote_sql(&p));
             if analyzed {
                 let noun_counted = if m.rows_out == 1 {
                     lexicon.concept(&access.table)
@@ -892,8 +896,8 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
         }
         "index nested-loop join" => {
             let partner = node
-                .children
-                .get(1)
+                .children()
+                .nth(1)
                 .and_then(sole_scan_table)
                 .map(|t| pluralize(&lexicon.concept(&t)))
                 .unwrap_or_else(|| "matching rows".to_string());
@@ -906,7 +910,7 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
                 format!(
                     "will fetch the matching {partner} through their index for each row \
                      ({})",
-                    node.detail
+                    detail()
                 )
             }
         }
@@ -920,12 +924,12 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
         "filter" => {
             if analyzed {
                 if m.rows_in == 0 {
-                    format!("found nothing to check against {}", node.detail)
+                    format!("found nothing to check against {}", condition())
                 } else {
                     let mut text = format!(
                         "kept the {} of them where {}",
                         count_phrase(m.rows_out as usize),
-                        node.detail
+                        condition()
                     );
                     if m.vector_batches > 0 {
                         text.push_str(&format!(
@@ -936,29 +940,29 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
                     text
                 }
             } else {
-                format!("will keep only rows where {}", node.detail)
+                format!("will keep only rows where {}", condition())
             }
         }
         "hash join" => {
             let phrase = join_phrase(
                 lexicon,
-                node.children.first().and_then(sole_scan_table).as_deref(),
-                node.children.get(1).and_then(sole_scan_table).as_deref(),
+                node.children().next().and_then(sole_scan_table).as_deref(),
+                node.children().nth(1).and_then(sole_scan_table).as_deref(),
             )
             .or_else(|| {
                 // Left side is an accumulated join: name only the new
                 // relation.
-                node.children
-                    .get(1)
+                node.children()
+                    .nth(1)
                     .and_then(sole_scan_table)
                     .map(|t| format!("them to the {}", pluralize(&lexicon.concept(&t))))
             });
             let combinations = counted(m.rows_out as usize, "combination");
             match (analyzed, phrase) {
                 (true, Some(phrase)) => format!("matched {phrase} into {}", combinations),
-                (true, None) => format!("matched them on {} into {}", node.detail, combinations),
-                (false, Some(phrase)) => format!("will match {} on {}", phrase, node.detail),
-                (false, None) => format!("will match them on {}", node.detail),
+                (true, None) => format!("matched them on {} into {}", condition(), combinations),
+                (false, Some(phrase)) => format!("will match {} on {}", phrase, condition()),
+                (false, None) => format!("will match them on {}", condition()),
             }
         }
         "nested-loop join" => {
@@ -972,12 +976,12 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
             }
         }
         "semi join" | "anti join" => {
-            let anti = node.operator == "anti join";
+            let anti = node.kind() == OpKind::AntiJoin;
             // Name what the build side holds when it is a single relation
             // ("kept the movies that have at least one casting credit").
             let partner = node
-                .children
-                .get(1)
+                .children()
+                .nth(1)
                 .and_then(sole_scan_table)
                 .map(|t| lexicon.concept(&t))
                 .unwrap_or_else(|| "subquery row".to_string());
@@ -998,12 +1002,12 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
             } else if anti {
                 format!(
                     "will keep only rows with no matching {partner} ({})",
-                    node.detail
+                    condition()
                 )
             } else {
                 format!(
                     "will keep only rows with at least one matching {partner} ({})",
-                    node.detail
+                    condition()
                 )
             }
         }
@@ -1022,21 +1026,21 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
                 }
                 text
             } else {
-                format!("will summarize them ({})", node.detail)
+                format!("will summarize them ({})", detail())
             }
         }
         "sort" => {
             if analyzed {
-                format!("sorted them by {}", node.detail)
+                format!("sorted them by {}", detail())
             } else {
-                format!("will sort them by {}", node.detail)
+                format!("will sort them by {}", detail())
             }
         }
         "limit" => {
             if analyzed {
                 format!("kept the first {}", count_phrase(m.rows_out as usize))
             } else {
-                format!("will keep at most the first {}", node.detail)
+                format!("will keep at most the first {}", detail())
             }
         }
         "distinct" => {
@@ -1050,11 +1054,11 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
             }
         }
         "exchange" => {
-            let workers = node.workers.unwrap_or(1);
-            let partial_agg = node.tags.iter().any(|t| t == "partial-agg");
-            let merge_sort = node.tags.iter().any(|t| t == "merge-sort");
+            let workers = node.workers().unwrap_or(1);
+            let partial_agg = node.has_tag("partial-agg");
+            let merge_sort = node.has_tag("merge-sort");
             let top_k = node
-                .tags
+                .tags()
                 .iter()
                 .find_map(|t| t.strip_prefix("top-k k="))
                 .map(str::to_string);
@@ -1062,7 +1066,7 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
                 let base = format!(
                     "ran that pipeline across {} ({})",
                     counted(workers, "worker"),
-                    node.detail,
+                    detail(),
                 );
                 let out = |noun| counted(m.rows_out as usize, noun);
                 if partial_agg {
@@ -1111,9 +1115,9 @@ fn narrate_node(node: &PlanProfile, lexicon: &Lexicon, analyzed: bool, clauses: 
             // mention it when it is the sole operator.
             if clauses.is_empty() {
                 if analyzed {
-                    format!("returned {}", node.detail)
+                    format!("returned {}", detail())
                 } else {
-                    format!("will return {}", node.detail)
+                    format!("will return {}", detail())
                 }
             } else {
                 return;
@@ -1155,8 +1159,8 @@ mod tests {
         );
         // Every counter is zero: nothing was read.
         e.profile.walk(&mut |p| {
-            assert_eq!(p.metrics.rows_in, 0);
-            assert_eq!(p.metrics.rows_out, 0);
+            assert_eq!(p.metrics().rows_in, 0);
+            assert_eq!(p.metrics().rows_out, 0);
         });
         assert!(e.narration.contains("will scan"));
         // The join-order justification is part of the narration.
@@ -1179,7 +1183,33 @@ mod tests {
         assert!(e.tree.contains("actual=2"));
         assert!(e.narration.contains("produced two rows"));
         // The root operator's rows_out equals the result size.
-        assert_eq!(e.profile.metrics.rows_out, 2);
+        assert_eq!(e.profile.metrics().rows_out, 2);
+    }
+
+    /// Regression: a sentence squashed the constant's two spaces while the
+    /// tree kept them. Every condition a sentence says is quoted as written.
+    #[test]
+    fn a_condition_is_said_as_written() {
+        let db = movie_database();
+        let q1 = Q1.replace("Brad Pitt", "Brad  Pitt");
+        let lexicon = Lexicon::movie_domain();
+        let plain = explain_plan(&db, &lexicon, &format!("explain {q1}")).unwrap();
+        assert!(
+            plain
+                .narration
+                .contains("will scan the actors and keep only rows where `a.name = 'Brad  Pitt'`"),
+            "{}",
+            plain.narration
+        );
+        let analyzed = explain_plan(&db, &lexicon, &format!("explain analyze {q1}")).unwrap();
+        assert!(
+            analyzed
+                .narration
+                .contains("scanned six actors but none of them matched `a.name = 'Brad  Pitt'`"),
+            "{}",
+            analyzed.narration
+        );
+        assert!(analyzed.tree.contains("filter: a.name = 'Brad  Pitt'"));
     }
 
     #[test]
@@ -1254,7 +1284,7 @@ mod tests {
         let db = movie_database();
         let plan = Plan::scan("MOVIES", "m").with_estimate(1.0);
         let (_, profile) = execute_with_stats(&db, &plan).unwrap();
-        assert!(profile.misestimate().is_some());
+        assert!(profile.root().misestimate().is_some());
         let tree = profile.render_tree(true);
         assert!(
             tree.contains("est off by 10x"),
@@ -1294,7 +1324,7 @@ mod tests {
         );
         assert!(
             e.narration
-                .contains("will look the movies with m.id = 6 up through the index pk_movies"),
+                .contains("will look the movies with `m.id = 6` up through the index pk_movies"),
             "plan narration missing from: {}",
             e.narration
         );
@@ -1315,7 +1345,7 @@ mod tests {
         );
         assert!(
             e.narration
-                .contains("looked up the one movie with m.id = 6 through the index pk_movies"),
+                .contains("looked up the one movie with `m.id = 6` through the index pk_movies"),
             "executed narration missing from: {}",
             e.narration
         );

@@ -11,7 +11,7 @@ use crate::error::TalkbackError;
 use crate::query::counted;
 use datastore::exec::{ColumnInfo, ResultSet};
 use datastore::obs::doctor::mine;
-use datastore::obs::{Counter, JournalEntry, MisestimateStat, ObsRegistry, Phase, Span};
+use datastore::obs::{Counter, JournalEntry, MisestimateStat, ObsRegistry, Phase};
 use datastore::{format_duration, Database, Row, Value};
 use nlg::{count_phrase, finish_sentence, join_sentences, quote_sql};
 use sqlparse::ast::{SetStatement, ShowKind};
@@ -371,7 +371,7 @@ fn show_profile(obs: &ObsRegistry) -> ShowReport {
         _ => None,
     };
     let rows = entry
-        .span
+        .span()
         .flatten()
         .into_iter()
         .map(|(depth, span)| {
@@ -420,52 +420,35 @@ fn show_profile(obs: &ObsRegistry) -> ShowReport {
 }
 
 fn profile_narration(entry: &JournalEntry) -> String {
-    let phase = |name: &str| {
-        entry
-            .span
-            .children
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.elapsed)
-            .unwrap_or_default()
-    };
+    let phases = &entry.phases;
     let mut sentences = vec![finish_sentence(&format!(
         "My last statement was {}; it took {} end to end — {} parsing, {} planning, \
          and {} executing — and returned {}",
         quote_sql(&entry.sql),
         format_duration(entry.total),
-        format_duration(phase("parse")),
-        format_duration(phase("plan")),
-        format_duration(phase("execute")),
+        format_duration(phases.parse),
+        format_duration(phases.plan),
+        format_duration(phases.execute),
         counted(entry.result_rows as usize, "row"),
     ))];
-    // Blame the operator that burned the most inclusive time under execute.
-    let hungriest = entry
-        .span
-        .children
-        .iter()
-        .find(|s| s.name == "execute")
-        .and_then(|s| s.children.first())
-        .map(|root| {
-            let mut worst: (&Span, std::time::Duration) = (root, root.elapsed);
-            for (_, span) in root.flatten() {
-                if span.elapsed > worst.1 {
-                    worst = (span, span.elapsed);
-                }
-            }
-            worst.0
-        });
-    if let Some(op) = hungriest {
-        sentences.push(finish_sentence(&format!(
-            "Inside the plan, the {} did the heaviest lifting at {}",
-            if op.detail.is_empty() {
-                op.name.to_string()
-            } else {
-                format!("{} on {}", op.name, op.detail)
-            },
-            format_duration(op.elapsed)
-        )));
-    }
+    // Blame the operator that burned the most inclusive time under execute:
+    // the first in pre-order when several tie.
+    let root = entry.profile.root();
+    let mut op = root;
+    root.walk(&mut |node| {
+        if node.metrics().elapsed > op.metrics().elapsed {
+            op = node;
+        }
+    });
+    sentences.push(finish_sentence(&format!(
+        "Inside the plan, the {} did the heaviest lifting at {}",
+        if op.has_detail() {
+            format!("{} on {}", op.operator(), op.detail())
+        } else {
+            op.operator().to_string()
+        },
+        format_duration(op.metrics().elapsed)
+    )));
     if let Some((detail, factor)) = &entry.worst_misestimate {
         sentences.push(finish_sentence(&format!(
             "I should own up: I misestimated the {detail} by {factor:.0}×"

@@ -4,12 +4,16 @@
 //! cache — and [`Prepared::run`] executes the plan, folds its cardinality
 //! feedback into the adaptive state and journals it. `run_query`,
 //! `explain_result` and `EXPLAIN ANALYZE` all go through both halves; plain
-//! `EXPLAIN` prepares and stops, so it reads, absorbs and records nothing.
-//! A template-served `EXPLAIN [ANALYZE]` neither parses nor plans.
+//! `EXPLAIN` prepares and describes ([`Prepared::describe`]), so it reads,
+//! absorbs and records nothing. A template-served statement neither parses
+//! nor plans, and its profile is the template's shape — described once —
+//! with this run's counters and the statement's literals.
 
 use crate::error::TalkbackError;
 use crate::planner::{self, plan_query_with, PlanDecision, PlannedQuery, PlannerOptions};
-use datastore::exec::{execute_with_stats, Plan, PlanProfile, ResultSet};
+use datastore::exec::{
+    describe_plan, execute_as, execute_with_stats, OpMetrics, Plan, PlanProfile, ResultSet,
+};
 use datastore::obs::{Counter, Statement, StatementPhases};
 use datastore::stats::RangeClass;
 use datastore::{
@@ -159,13 +163,40 @@ impl Prepared<'_> {
     /// bound to the statement's literals.
     pub(crate) fn into_decisions(self) -> Vec<PlanDecision> {
         match self.source {
+            Source::Fresh(planned) => planned.decisions,
+            Source::Template(..) => self.decisions(),
+        }
+    }
+
+    /// [`Prepared::into_decisions`], copied out of a statement still to run.
+    pub(crate) fn decisions(&self) -> Vec<PlanDecision> {
+        match &self.source {
             Source::Template(template, _) => {
-                let literals = self.normalized.map(|n| n.literals).unwrap_or_default();
-                let bind = |d: &PlanDecision| d.bind(&literals).into_owned();
+                let literals = self.literals();
+                let bind = |d: &PlanDecision| d.bind(literals).into_owned();
                 template.decisions.iter().map(bind).collect()
             }
-            Source::Fresh(planned) => planned.decisions,
+            Source::Fresh(planned) => planned.decisions.clone(),
         }
+    }
+
+    /// The statement's literals, which a template's slots stand for.
+    fn literals(&self) -> &[Value] {
+        self.normalized.as_ref().map_or(&[], |n| &n.literals)
+    }
+
+    /// The profile of the plan, described but not executed (all counters
+    /// zero): a template's shape, else the plan's opened and described.
+    pub(crate) fn describe(&self) -> Result<PlanProfile, TalkbackError> {
+        if let Source::Template(template, _) = &self.source {
+            if let Some(shape) = template.shape(self.db) {
+                let counters = vec![OpMetrics::default(); shape.size()];
+                let literals = self.literals().to_vec();
+                return Ok(PlanProfile::new(Arc::clone(shape), counters, literals));
+            }
+        }
+        // Opening the plan validates it but reads no rows.
+        Ok(describe_plan(self.db, self.plan_ref())?)
     }
 
     /// How many conditions the statement's flattened `WHERE` clause applies,
@@ -180,14 +211,25 @@ impl Prepared<'_> {
     /// Execute the plan, absorb its cardinality feedback and journal it —
     /// the one place a prepared statement does any of the three. `keep`
     /// takes what the caller needs of the profile before the journal is
-    /// handed the profile itself.
+    /// handed the profile itself, the statement's literals with it.
     pub(crate) fn run<K>(
-        &self,
+        mut self,
         keep: impl FnOnce(&PlanProfile) -> K,
     ) -> Result<(ResultSet, K), TalkbackError> {
         let (db, options) = (self.db, self.options);
         let start = Instant::now();
-        let (result, profile) = execute_with_stats(db, self.plan_ref())?;
+        let shape = match &self.source {
+            Source::Template(template, _) => template.shape(db),
+            Source::Fresh(_) => None,
+        };
+        let (result, profile) = match shape {
+            Some(shape) => {
+                let literals = (self.normalized.as_mut()).map(|n| std::mem::take(&mut n.literals));
+                let shape = Arc::clone(shape);
+                execute_as(db, self.plan_ref(), shape, literals.unwrap_or_default())?
+            }
+            None => execute_with_stats(db, self.plan_ref())?,
+        };
         let phases = StatementPhases {
             execute: start.elapsed(),
             ..self.phases

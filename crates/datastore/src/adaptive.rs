@@ -48,9 +48,10 @@
 //! the other — sentence templates stamped with the catalog version instead
 //! of the epoch, under the same key comparison, LRU and stale-entry rule.
 
+use crate::database::Database;
 use crate::exec::keys::KeyHasher;
 use crate::exec::plan::Plan;
-use crate::exec::stream::PlanProfile;
+use crate::exec::{describe_shape, OpShape, PlanProfile};
 use crate::fingerprint::plan_shape_hash;
 use crate::obs::{CacheStatus, PlanDecision};
 use crate::stats::{RangeClass, TableStats};
@@ -367,8 +368,8 @@ pub struct ShapeCache<T> {
 /// The plan cache: physical plan templates.
 pub type PlanCache = ShapeCache<PlanTemplate>;
 
-/// A verified plan template, the decisions that shaped it, and the shape
-/// hash its executions share.
+/// A verified plan template, the decisions that shaped it, and what its
+/// executions share of their profiles: the described shape and its hash.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanTemplate {
     /// The plan, statement parameters where the literals go.
@@ -385,6 +386,11 @@ pub struct PlanTemplate {
     /// detail tallies its probes, morsels, evaluations or groups, whose
     /// plurals the hash reads.
     shape_hash: Option<OnceLock<u64>>,
+    /// The plan's profile shape, described at the first execution or
+    /// `EXPLAIN`: each literal a `?k` slot, filled from the statement's
+    /// literals when a profile is read. `None` when the plan could not be
+    /// opened to describe it.
+    shape: OnceLock<Option<Arc<OpShape>>>,
 }
 
 impl PlanTemplate {
@@ -401,6 +407,7 @@ impl PlanTemplate {
         });
         PlanTemplate {
             shape_hash: (!tallies).then(OnceLock::new),
+            shape: OnceLock::new(),
             plan,
             decisions,
             where_conditions,
@@ -414,6 +421,15 @@ impl PlanTemplate {
             Some(hash) => *hash.get_or_init(|| plan_shape_hash(profile)),
             None => plan_shape_hash(profile),
         }
+    }
+
+    /// The profile shape every execution of the template shares, described
+    /// against `db` the first time it is asked for.
+    pub fn shape(&self, db: &Database) -> Option<&Arc<OpShape>> {
+        let described = self
+            .shape
+            .get_or_init(|| describe_shape(db, &self.plan).ok().map(Arc::new));
+        described.as_ref()
     }
 }
 
@@ -582,7 +598,8 @@ impl AdaptiveState {
 
     /// Fold an executed profile's flagged filter misestimates into the
     /// feedback store, each under the key the planner stamped on the filter
-    /// ([`PlanProfile::shape_key`]); a node that carries none is skipped.
+    /// ([`crate::exec::ProfileNode::shape_key`]); a node that carries none
+    /// is skipped.
     /// Returns the number of entries absorbed; when any were, the epoch is
     /// bumped so stale cached plans (planned without this knowledge) die.
     pub fn absorb(&self, profile: &PlanProfile, flag_factor: f64) -> usize {
@@ -590,9 +607,9 @@ impl AdaptiveState {
         // conjunct, and the in/out rows of its filter measure exactly that.
         let mut flagged = Vec::new();
         profile.walk(&mut |node| {
-            if let (Some(key), Some(child)) = (&node.shape_key, node.children.first()) {
+            if let (Some(key), Some(child)) = (node.shape_key(), node.children().next()) {
                 if node.misestimate_with(flag_factor).is_some() {
-                    flagged.push((key, child.metrics.rows_out, node));
+                    flagged.push((key, child.metrics().rows_out, node));
                 }
             }
         });
@@ -603,7 +620,7 @@ impl AdaptiveState {
         let mut store = self.feedback.lock().expect("feedback lock");
         let learned = Arc::make_mut(&mut store);
         for &(key, rows_in, node) in &flagged {
-            let rows_out = node.metrics.rows_out;
+            let rows_out = node.metrics().rows_out;
             let shapes = learned.entry(key.table.clone()).or_default();
             let entry = shapes.entry(key.shape.clone()).or_default();
             entry.selectivity = if rows_in == 0 {
@@ -611,7 +628,7 @@ impl AdaptiveState {
             } else {
                 (rows_out as f64 / rows_in as f64).clamp(0.0, 1.0)
             };
-            entry.last_estimated = node.estimated_rows.unwrap_or(0.0).round().max(0.0) as u64;
+            entry.last_estimated = node.estimated_rows().unwrap_or(0.0).round().max(0.0) as u64;
             entry.last_actual = rows_out;
             entry.observations += 1;
         }

@@ -10,10 +10,11 @@
 use crate::database::Database;
 use crate::error::StoreError;
 use crate::exec::plan::{Columns, Plan};
-use crate::exec::stream::{open, PlanProfile, RowSource};
+use crate::exec::stream::{open, OpShape, PlanProfile, RowSource};
 use crate::obs::Counter;
 use crate::tuple::Row;
 use crate::value::Value;
+use std::sync::Arc;
 
 /// The materialized result of executing a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +102,8 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<ResultSet, StoreError> {
 }
 
 /// Execute a plan and return both the materialized result and the
-/// instrumented per-operator profile (rows in/out, batches, elapsed).
+/// instrumented per-operator profile (rows in/out, batches, elapsed), its
+/// shape described after the run.
 pub fn execute_with_stats(
     db: &Database,
     plan: &Plan,
@@ -110,11 +112,32 @@ pub fn execute_with_stats(
     Ok((result, source.profile()))
 }
 
+/// [`execute_with_stats`] for a plan whose shape was described before:
+/// `plan` is the plan `shape` describes with its statement parameters bound
+/// to `params`, which fill the shape's slots. The run writes only its
+/// counters.
+pub fn execute_as(
+    db: &Database,
+    plan: &Plan,
+    shape: Arc<OpShape>,
+    params: Vec<Value>,
+) -> Result<(ResultSet, PlanProfile), StoreError> {
+    let (result, source) = drain(db, plan)?;
+    Ok((result, source.profile_as(shape, params)))
+}
+
 /// Describe a plan — operator tree, details, output columns — without
 /// executing it. Opening validates table references but reads no rows; this
 /// is what plain `EXPLAIN` renders.
 pub fn describe_plan(db: &Database, plan: &Plan) -> Result<PlanProfile, StoreError> {
     Ok(open(db, plan)?.profile())
+}
+
+/// The shape of `plan` — a plan-cache template's, statement parameters
+/// where its literals go, whose details keep a slot for each — described
+/// without executing anything.
+pub fn describe_shape(db: &Database, plan: &Plan) -> Result<OpShape, StoreError> {
+    Ok(open(db, plan)?.shape())
 }
 
 #[cfg(test)]

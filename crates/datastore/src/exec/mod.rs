@@ -12,6 +12,14 @@
 //! empty-result explanations of §3.1. [`executor::execute`] is the
 //! materializing shim for callers that just want a [`executor::ResultSet`].
 //!
+//! What an execution says about itself comes in two halves (see
+//! [`profile`]): the plan's **shape** ([`profile::OpShape`] — operator kinds,
+//! details, tags, index access, columns, estimates), described once per
+//! plan, and the **counters** of each execution, one [`profile::OpMetrics`]
+//! per shape node in pre-order. A plan-cache template keeps its shape, its
+//! literals as slots; each execution of it writes only its counters. Text is
+//! written when a reader asks for it.
+//!
 //! # The metering protocol
 //!
 //! How an operator is measured is stated once, as types. An operator in
@@ -36,23 +44,34 @@
 //! 5. An empty batch is never handed to a parent (`batches = 0` exactly
 //!    when `rows_out = 0`) — the wrapper pulls again when an operator
 //!    filtered a whole input batch away.
-//! 6. One [`profile::PlanProfile`] node per operator, assembled in one
-//!    function (`Description::assemble` in [`profile`]) from `describe()`,
-//!    the inputs' own profiles, and what the wrapper owns: the planner's
-//!    estimate and the [`profile::OpMetrics`]. No operator holds either. The
-//!    planner's other annotation, a filter's
-//!    [`ShapeKey`](crate::fingerprint::ShapeKey), travels the same road —
-//!    plan node, operator (`describe()`), profile node — and nothing between
-//!    the planner that made it and the stores that file under it reads it.
+//! 6. One [`profile::OpShape`] node per operator, put together in one
+//!    function (`Description::shape` in [`profile`]) from `describe()`, the
+//!    inputs' own shapes and the planner's estimate the wrapper holds — once
+//!    per plan, never per execution — and one [`profile::OpMetrics`] per
+//!    operator, which only the wrapper writes out
+//!    ([`stream::RowSource::absorb_into`]: its own, then its inputs', then
+//!    its synthetic child's, in pre-order). What an operator tallies besides
+//!    rows — an apply's evaluations, cache hits and evictions, a scalar
+//!    subquery's groups, an exchange's morsels and workers, an index scan's
+//!    probes — it adds to its meter while it pulls; `describe()` holds
+//!    nothing counted, so a reader writes `(3 probes, 2 matches)` or
+//!    `4 morsels over …` from the counters. The planner's other annotation, a
+//!    filter's [`ShapeKey`](crate::fingerprint::ShapeKey), travels the same
+//!    road — plan node, operator (`describe()`), shape node — and nothing
+//!    between the planner that made it and the stores that file under it
+//!    reads it.
 //!
 //! Four operators show more than themselves, through
-//! `Description::synthetic` and the same assembly: the index nested-loop
+//! `Description::synthetic` and the same protocol: the index nested-loop
 //! join's `index probe` leaf (no build-side operator exists, but narrations
 //! want both sides), the fused aggregate's scan/filter chain (the unfused
-//! tree it replaced, each node with its own counters), `Apply`'s accumulated
-//! subplan profile (estimates scaled by the number of evaluations), and the
-//! exchange's merged per-worker pipeline profile. None writes its own
-//! `profile()`. A subplan evaluated on the side (`Apply`, the
+//! tree it replaced, each node with its own counters), `Apply`'s subplan
+//! (its shape described from the subplan opened unbound, its counters summed
+//! over every evaluation, its estimates scaled by the number of evaluations
+//! when read), and the exchange's pipeline (its shape, its counters summed
+//! over every worker's morsels). The last two *accumulate*: their nodes'
+//! details read as before any run. None writes its own `shape()` or
+//! `absorb_into()`. A subplan evaluated on the side (`Apply`, the
 //! scalar-subquery filter) is not an input: its rows are not counted into
 //! `rows_in`. `tests/tests/parallel.rs` checks rules 1–5 on every node of
 //! every executed plan corner.
@@ -130,9 +149,11 @@
 //! (`1 / $0`).
 //!
 //! Likewise **opening an operator allocates nothing for its description, and
-//! `describe()` renders it once**, when a profile is asked for. Column lists
-//! are shared ([`plan::Columns`]; a scan's from its table), and an apply adds
-//! each binding's counters to its subplan profile in place
+//! `describe()` renders it once per plan**, when a fresh plan's profile is
+//! asked for; a plan-cache template's shape is described once and every
+//! execution of it allocates only its counters. Column lists are shared
+//! ([`plan::Columns`]; a scan's from its table), and an apply adds each
+//! binding's counters to its subplan's in place
 //! ([`stream::RowSource::absorb_into`]).
 //!
 //! Operator trees are owned (`Arc` table handles, no borrowed lifetimes), so
@@ -160,12 +181,17 @@ pub mod stream;
 pub mod vector;
 
 pub use aggregate::{AggExpr, AggFunc, GroupedAggregator};
-pub use executor::{describe_plan, execute, execute_with_stats, ResultSet};
+pub use executor::{
+    describe_plan, describe_shape, execute, execute_as, execute_with_stats, ResultSet,
+};
 pub use parallel::{morsel_size, JoinIndex, MORSEL_MIN, PARALLEL_BUILD_MIN};
 pub use plan::{
     aggregate_output_columns, ApplyMode, ColumnInfo, Columns, Edge, GatherMode, JoinOutput, Plan,
     PlanNode, SortKey,
 };
-pub use profile::{IndexAccess, OpMetrics, PlanProfile, SubqueryTally, MISESTIMATE_FACTOR};
+pub use profile::{
+    Children, IndexAccess, OpKind, OpMetrics, OpShape, PlanProfile, ProfileNode, SubqueryTally,
+    MISESTIMATE_FACTOR,
+};
 pub use stream::{open, open_owned, ExecContext, RowSource, APPLY_CACHE_CAP, BATCH_SIZE};
 pub use vector::{ValueVector, VectorPredicate};

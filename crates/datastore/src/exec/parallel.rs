@@ -53,7 +53,7 @@ use crate::error::StoreError;
 use crate::exec::aggregate::GroupedAggregator;
 use crate::exec::keys::{Key, KeyTable, RowKey};
 use crate::exec::plan::{aggregate_output_columns, Columns, GatherMode, Plan, Relation};
-use crate::exec::profile::{plural, Description, OpMetrics, PlanProfile};
+use crate::exec::profile::{Description, OpKind, OpMetrics};
 use crate::exec::stream::{
     drain_pending, open_in, top_k, ExecContext, OpenEnv, Operator, RowSource,
 };
@@ -426,9 +426,9 @@ pub(crate) struct ExchangeSource {
     gather: GatherMode,
     columns: Columns,
     /// The pipeline subtree, opened once. On the parallel path it is never
-    /// pulled: its profile is the template the workers' profiles are
-    /// absorbed into after the run. On the pass-through path (no
-    /// partitionable driver scan, or one worker) it is this operator's input.
+    /// pulled: its shape is the one every worker's pipeline shares. On the
+    /// pass-through path (no partitionable driver scan, or one worker) it is
+    /// this operator's input.
     pipeline: Box<dyn RowSource>,
     passthrough: bool,
     shared: Arc<ExchangeShared>,
@@ -436,11 +436,9 @@ pub(crate) struct ExchangeSource {
     driver: Option<Arc<Relation>>,
     /// Gathered output in morsel order, filled by the first pull.
     gathered: Option<VecDeque<Row>>,
-    absorbed: Option<PlanProfile>,
-    morsels_run: usize,
-    /// Threads actually spawned by the run (≤ `workers` when there were
-    /// fewer morsels than workers) — what the executed profile reports.
-    spawned: Option<usize>,
+    /// The workers' pipeline counters, summed over every morsel, after the
+    /// run.
+    absorbed: Option<Vec<OpMetrics>>,
 }
 
 impl ExchangeSource {
@@ -494,8 +492,6 @@ impl ExchangeSource {
             driver,
             gathered: None,
             absorbed: None,
-            morsels_run: 0,
-            spawned: None,
         })
     }
 
@@ -542,19 +538,21 @@ impl ExchangeSource {
                 }
             }
         }
-        let mut profile = self.pipeline.profile();
+        let mut absorbed = vec![OpMetrics::default(); self.pipeline.node_count()];
         for handle in handles {
-            if let Some(worker_profile) = handle.join().expect("exchange worker panicked") {
-                profile.absorb(&worker_profile);
+            if let Some(worker) = handle.join().expect("exchange worker panicked") {
+                OpMetrics::add_all(&mut absorbed, &worker);
             }
         }
         if let Some(e) = first_err {
             return Err(e);
         }
         let rows = self.assemble(outputs.into_iter().flatten().collect(), meter)?;
-        self.morsels_run = total_morsels;
-        self.spawned = Some(spawned);
-        self.absorbed = Some(profile);
+        // Threads actually spawned (≤ `workers` when there were fewer
+        // morsels than workers): what the executed profile reports.
+        meter.morsels += total_morsels as u64;
+        meter.workers += spawned as u64;
+        self.absorbed = Some(absorbed);
         self.gathered = Some(rows);
         Ok(())
     }
@@ -651,7 +649,7 @@ impl ExchangeSource {
 /// running a fresh copy of the pipeline over each and shaping the morsel's
 /// output per the gather mode — plain rows, a per-morsel partial aggregate,
 /// or a sorted (and for top-k, truncated) run. Returns the worker's
-/// accumulated subtree profile.
+/// pipeline counters, summed over its morsels.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     ctx: &Arc<ExecContext>,
@@ -663,8 +661,8 @@ fn worker_loop(
     tx: &mpsc::Sender<(usize, Result<WorkerOutput, StoreError>)>,
     morsel: usize,
     len: usize,
-) -> Option<PlanProfile> {
-    let mut profile: Option<PlanProfile> = None;
+) -> Option<Vec<OpMetrics>> {
+    let mut counters: Option<Vec<OpMetrics>> = None;
     loop {
         // Fail fast: once any worker hit an error, the run's output is
         // discarded anyway — stop claiming work.
@@ -712,10 +710,9 @@ fn worker_loop(
                     })
                 }
             };
-            match &mut profile {
-                None => profile = Some(src.profile()),
-                Some(p) => p.absorb(&src.profile()),
-            }
+            let counters =
+                counters.get_or_insert_with(|| vec![OpMetrics::default(); src.node_count()]);
+            src.absorb_into(counters);
             Ok(output)
         })();
         let failed = result.is_err();
@@ -726,7 +723,7 @@ fn worker_loop(
             break;
         }
     }
-    profile
+    counters
 }
 
 impl Operator for ExchangeSource {
@@ -758,31 +755,26 @@ impl Operator for ExchangeSource {
     }
 
     fn describe(&self) -> Description {
-        let morsels = match self.morsels_run {
-            0 => "morsels".to_string(),
-            n => format!("{n} morsel{}", plural(n as u64, "s")),
-        };
+        // A reader puts how many morsels ran in front.
         let detail = match &self.driver {
-            Some(driver) => format!("{morsels} over {driver}"),
-            None => format!("{morsels} over input"),
+            Some(driver) => format!("over {driver}"),
+            None => "over input".to_string(),
         };
         Description {
             tags: self.gather.tags(),
             // A pass-through exchange (no partitionable driver) ran on one
             // thread; advertising the requested degree would make the
             // narration claim a parallel speedup that never happened. After
-            // a run, report the threads actually spawned (fewer than
-            // requested when the driver yielded fewer morsels) — before one,
-            // the plan's requested degree.
-            workers: (!self.passthrough).then(|| self.spawned.unwrap_or(self.workers)),
-            // The workers' pipelines are not operators of this tree: their
-            // merged profile (the zero-counter template before a run) stands
-            // in for them.
-            synthetic: (!self.passthrough).then(|| match &self.absorbed {
-                Some(absorbed) => absorbed.clone(),
-                None => self.pipeline.profile(),
-            }),
-            ..Description::new("exchange", detail)
+            // a run a reader reports the threads actually spawned (fewer
+            // than requested when the driver yielded fewer morsels) —
+            // before one, the plan's requested degree.
+            workers: (!self.passthrough).then_some(self.workers),
+            // The workers' pipelines are not operators of this tree: the
+            // pipeline's shape, with their counters summed, stands in for
+            // them.
+            synthetic: (!self.passthrough).then(|| self.pipeline.shape()),
+            accumulates: !self.passthrough,
+            ..Description::new(OpKind::Exchange, detail)
         }
     }
 
@@ -792,9 +784,23 @@ impl Operator for ExchangeSource {
             .into_iter()
     }
 
-    fn absorb_synthetic(&self, synthetic: &mut PlanProfile) {
-        if let Some(absorbed) = &self.absorbed {
-            synthetic.absorb(absorbed);
+    fn synthetic_nodes(&self) -> usize {
+        if self.passthrough {
+            0
+        } else {
+            self.pipeline.node_count()
+        }
+    }
+
+    fn absorb_synthetic(&self, synthetic: &mut [OpMetrics]) -> usize {
+        match (&self.absorbed, self.passthrough) {
+            (_, true) => 0,
+            (Some(absorbed), false) => {
+                OpMetrics::add_all(synthetic, absorbed);
+                absorbed.len()
+            }
+            // Never run: the pipeline's own counters are all zero.
+            (None, false) => self.pipeline.absorb_into(synthetic),
         }
     }
 }
@@ -911,16 +917,17 @@ mod tests {
         let (par_rs, profile) = execute_with_stats(&db, &parallel).unwrap();
         assert_eq!(seq_rs.rows, par_rs.rows, "row order must be identical");
         // The exchange node reports its workers and gathers every row.
-        assert_eq!(profile.operator, "exchange");
-        assert_eq!(profile.workers, Some(4));
-        assert!(profile.detail.contains("morsels over T as t"));
+        assert_eq!(profile.operator(), "exchange");
+        assert_eq!(profile.root().workers(), Some(4));
+        assert!(profile.detail().contains("morsels over T as t"));
         // Per-worker counters aggregate to the single-threaded totals.
-        let filter_profile = &profile.children[0];
-        assert_eq!(filter_profile.operator, "filter");
-        assert_eq!(filter_profile.metrics.rows_in, 6000);
-        assert_eq!(filter_profile.metrics.rows_out, seq_rs.rows.len() as u64);
+        let filter_profile = &profile.child(0);
+        assert_eq!(filter_profile.operator(), "filter");
+        assert_eq!(filter_profile.metrics().rows_in, 6000);
+        assert_eq!(filter_profile.metrics().rows_out, seq_rs.rows.len() as u64);
         assert_eq!(
-            filter_profile.children[0].metrics.rows_out, 6000,
+            filter_profile.child(0).metrics().rows_out,
+            6000,
             "scan counters must sum across morsels"
         );
     }
@@ -936,11 +943,14 @@ mod tests {
         assert_eq!(seq_rs.rows, par_rs.rows);
         // Exactly one build: the join's rows_in (probe + build) matches the
         // sequential run even though four workers probed.
-        let join_profile = &par_profile.children[0];
-        assert_eq!(join_profile.operator, "hash join");
-        assert_eq!(join_profile.metrics.rows_in, seq_profile.metrics.rows_in);
+        let join_profile = &par_profile.child(0);
+        assert_eq!(join_profile.operator(), "hash join");
+        assert_eq!(
+            join_profile.metrics().rows_in,
+            seq_profile.metrics().rows_in
+        );
         // The build-side scan ran exactly once across all workers.
-        assert_eq!(join_profile.children[1].metrics.rows_out, 6000);
+        assert_eq!(join_profile.child(1).metrics().rows_out, 6000);
 
         // The exchange holds exactly the cells a worker's open of its
         // pipeline indexes: one for the outer join, none for the joins under
@@ -974,7 +984,11 @@ mod tests {
         let plan = Plan::scan("T", "t").limit(10).exchange(4);
         let (rs, profile) = execute_with_stats(&db, &plan).unwrap();
         assert_eq!(rs.len(), 10);
-        assert_eq!(profile.workers, None, "pass-through must not claim workers");
+        assert_eq!(
+            profile.root().workers(),
+            None,
+            "pass-through must not claim workers"
+        );
         // Aggregate below an exchange: one global group, not one per morsel.
         let agg = Plan::scan("T", "t")
             .aggregate(
@@ -1005,12 +1019,9 @@ mod tests {
         let seq = execute(&db, &sequential).unwrap();
         let (par, profile) = execute_with_stats(&db, &parallel).unwrap();
         assert_eq!(seq.rows, par.rows, "morsel order must equal position order");
-        assert_eq!(profile.workers, Some(4));
+        assert_eq!(profile.root().workers(), Some(4));
         // Counters sum to the sequential totals across morsels.
-        assert_eq!(
-            profile.children[0].metrics.rows_out as usize,
-            seq.rows.len()
-        );
+        assert_eq!(profile.child(0).metrics().rows_out as usize, seq.rows.len());
 
         // A key-ordered index scan refuses to partition: pass-through.
         let keyed = Plan::index_scan(
@@ -1023,9 +1034,10 @@ mod tests {
         let (rows_keyed, profile) = execute_with_stats(&db, &keyed.clone()).unwrap();
         let (rows_exch, exch_profile) = execute_with_stats(&db, &keyed.exchange(4)).unwrap();
         assert_eq!(rows_keyed.rows, rows_exch.rows);
-        assert_eq!(profile.operator, "index scan");
+        assert_eq!(profile.operator(), "index scan");
         assert_eq!(
-            exch_profile.workers, None,
+            exch_profile.root().workers(),
+            None,
             "key-ordered scans must not claim workers"
         );
     }

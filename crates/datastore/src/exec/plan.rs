@@ -19,6 +19,7 @@ use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
 use crate::tuple::Row;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -200,12 +201,12 @@ pub enum GatherMode {
 
 impl GatherMode {
     /// Tags rendered after the exchange's detail in plan trees.
-    pub fn tags(&self) -> Vec<String> {
+    pub fn tags(&self) -> Vec<Cow<'static, str>> {
         match self {
             GatherMode::Rows => Vec::new(),
-            GatherMode::MergeAggregate { .. } => vec!["partial-agg".to_string()],
-            GatherMode::MergeSort { .. } => vec!["merge-sort".to_string()],
-            GatherMode::TopK { limit, .. } => vec![format!("top-k k={limit}")],
+            GatherMode::MergeAggregate { .. } => vec![Cow::Borrowed("partial-agg")],
+            GatherMode::MergeSort { .. } => vec![Cow::Borrowed("merge-sort")],
+            GatherMode::TopK { limit, .. } => vec![Cow::Owned(format!("top-k k={limit}"))],
         }
     }
 }

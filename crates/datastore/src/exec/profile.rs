@@ -1,24 +1,33 @@
-//! What an operator tree *says about itself*: the per-operator counters
-//! ([`OpMetrics`]), the snapshot of one operator and its subtree
-//! ([`PlanProfile`]) with its tree rendering, and the rendering of runtime
-//! expressions with column positions resolved to names ([`render_expr`]).
+//! What an operator tree *says about itself*, in two halves: the **shape**
+//! ([`OpShape`]: operator kinds, details, tags, index access, columns,
+//! estimates — described once per plan) and the **counters** of one
+//! execution ([`OpMetrics`], one per node in pre-order). A [`PlanProfile`]
+//! is the two together, plus the literals a plan-cache template's shape has
+//! slots for; [`ProfileNode`] reads one node of it, and text — a detail with
+//! its literals and tallies filled in, the tree rendering — is produced only
+//! when a reader asks. [`render_expr`] renders runtime expressions with
+//! column positions resolved to names.
 //!
-//! Nothing here executes anything. [`crate::exec::stream`] fills the counters
-//! (the metering protocol in the [`crate::exec`] module docs) and assembles
-//! the snapshots; `EXPLAIN [ANALYZE]`, the §3.1 narrations, the misestimate
-//! ledger, cardinality feedback and the doctor read them.
+//! Nothing here executes anything. [`crate::exec::stream`] describes the
+//! shapes and fills the counters (the metering protocol in the
+//! [`crate::exec`] module docs); `EXPLAIN [ANALYZE]`, the §3.1 narrations,
+//! the journal, the misestimate ledger, cardinality feedback and the doctor
+//! read them.
 
 use crate::exec::plan::{ColumnInfo, Columns};
 use crate::expr::Expr;
 use crate::fingerprint::ShapeKey;
 use crate::index::ProbeOrder;
+use crate::obs::SqlText;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::AddAssign;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Per-operator instrumentation counters.
+/// Per-operator instrumentation counters: what one execution of one
+/// operator did. Everything else a profile node says is its shape's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpMetrics {
     /// Rows consumed from child operators (for a scan: rows read from
@@ -41,6 +50,22 @@ pub struct OpMetrics {
     /// kernels (zero for row-at-a-time operators); the remainder of its
     /// input batches fell back to per-row evaluation.
     pub vector_batches: u64,
+    /// Index probes issued: one per run of an index scan, one per outer row
+    /// with a key for the probe side of an index nested-loop join.
+    pub probes: u64,
+    /// Subplan evaluations: an apply's per binding, 1 once a scalar
+    /// subquery has computed its values.
+    pub evaluations: u64,
+    /// Input rows an apply answered from its memo.
+    pub cache_hits: u64,
+    /// Memo entries an apply evicted.
+    pub evictions: u64,
+    /// The groups a keyed scalar subquery looks rows up among.
+    pub groups: u64,
+    /// Morsels an exchange ran.
+    pub morsels: u64,
+    /// Worker threads an exchange spawned (zero before it ran).
+    pub workers: u64,
 }
 
 impl OpMetrics {
@@ -48,6 +73,14 @@ impl OpMetrics {
     /// waiting on children (parallel or otherwise).
     pub fn self_elapsed(&self) -> Duration {
         self.elapsed.saturating_sub(self.blocked)
+    }
+
+    /// Add `other`'s counters, node by node, into `into` (two subtrees of
+    /// one shape, in pre-order).
+    pub(crate) fn add_all(into: &mut [OpMetrics], other: &[OpMetrics]) {
+        for (mine, theirs) in into.iter_mut().zip(other) {
+            *mine += *theirs;
+        }
     }
 }
 
@@ -60,11 +93,80 @@ impl AddAssign for OpMetrics {
         self.elapsed += other.elapsed;
         self.blocked += other.blocked;
         self.vector_batches += other.vector_batches;
+        self.probes += other.probes;
+        self.evaluations += other.evaluations;
+        self.cache_hits += other.cache_hits;
+        self.evictions += other.evictions;
+        self.groups += other.groups;
+        self.morsels += other.morsels;
+        self.workers += other.workers;
+    }
+}
+
+/// What kind of operator a profile node is: what narrations, ledgers and
+/// the doctor dispatch on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[allow(missing_docs)]
+pub enum OpKind {
+    Scan,
+    IndexScan,
+    /// The probe side of an index nested-loop join (not an operator of its
+    /// own; shown so narrations see both sides).
+    IndexProbe,
+    IndexNestedLoopJoin,
+    Values,
+    Filter,
+    Project,
+    NestedLoopJoin,
+    HashJoin,
+    Aggregate,
+    Sort,
+    Limit,
+    Distinct,
+    SemiJoin,
+    AntiJoin,
+    ScalarSubquery,
+    Apply,
+    Exchange,
+}
+
+impl OpKind {
+    /// The operator's name as plan trees print it ("scan", "hash join", …).
+    pub fn name(self) -> &'static str {
+        match self {
+            OpKind::Scan => "scan",
+            OpKind::IndexScan => "index scan",
+            OpKind::IndexProbe => "index probe",
+            OpKind::IndexNestedLoopJoin => "index nested-loop join",
+            OpKind::Values => "values",
+            OpKind::Filter => "filter",
+            OpKind::Project => "project",
+            OpKind::NestedLoopJoin => "nested-loop join",
+            OpKind::HashJoin => "hash join",
+            OpKind::Aggregate => "aggregate",
+            OpKind::Sort => "sort",
+            OpKind::Limit => "limit",
+            OpKind::Distinct => "distinct",
+            OpKind::SemiJoin => "semi join",
+            OpKind::AntiJoin => "anti join",
+            OpKind::ScalarSubquery => "scalar subquery",
+            OpKind::Apply => "apply",
+            OpKind::Exchange => "exchange",
+        }
+    }
+
+    /// True when the node's detail says what it counted (probes, morsels,
+    /// evaluations, groups), so it is written from the counters on read.
+    fn tallies(self) -> bool {
+        matches!(
+            self,
+            OpKind::IndexProbe | OpKind::ScalarSubquery | OpKind::Apply | OpKind::Exchange
+        )
     }
 }
 
 /// Structured metadata of an index-backed operator ("index scan", and the
-/// probe side of an index nested-loop join), carried on the profile so
+/// probe side of an index nested-loop join), carried on the shape so
 /// narrations and the §3.1 empty-result detective read fields instead of
 /// parsing the rendered detail string back apart.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,10 +179,11 @@ pub struct IndexAccess {
     /// True for an exact (point) probe that pins every key column, false
     /// for a prefix or range probe.
     pub point: bool,
-    /// Rendered probe predicate ("m.id = 5", "c.mid = $0") for index
-    /// scans; `None` for the per-row probe side of an index nested-loop
-    /// join.
-    pub predicate: Option<String>,
+    /// The probe predicate ("m.id = 5", "c.mid = $0") of an index scan, a
+    /// template's with its literal slots ([`ProfileNode::access_predicate`]
+    /// fills them); `None` for the per-row probe side of an index
+    /// nested-loop join.
+    pub predicate: Option<SqlText>,
     /// The order rows come back in; `KeyAsc`/`KeyDesc` mean an elided sort.
     pub order: ProbeOrder,
     /// True when the scan answered from the index keys alone, never
@@ -88,47 +191,47 @@ pub struct IndexAccess {
     pub index_only: bool,
 }
 
-/// A snapshot of one operator (and its subtree) after — or before —
-/// execution: the operator name, a human-readable detail string with column
-/// names resolved, and the instrumentation counters.
+/// The shape of one operator and its subtree: everything a profile node
+/// says that does not change from one execution of its plan to the next. A
+/// fresh plan's is described when it first runs or is explained; a
+/// plan-cache template's once, its literals `?k` slots. It holds no table,
+/// snapshot or index, so a journaled statement reads the same after DDL.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlanProfile {
-    /// Short operator name ("scan", "hash join", …).
-    pub operator: String,
-    /// Operator-specific detail ("MOVIES as m", "m.year > 2000", …).
-    pub detail: String,
-    /// Output columns of this operator, shared with the operator that
-    /// produced them.
-    pub columns: Columns,
-    /// The planner's estimated output rows for this operator, when the plan
-    /// carried one.
-    pub estimated_rows: Option<f64>,
-    /// Instrumentation counters (all zero when the plan was only described,
-    /// not executed).
-    pub metrics: OpMetrics,
-    /// Worker threads this operator fans work out across (`None` for plain
-    /// sequential operators); rendered as `[workers=N]` in plan trees.
-    pub workers: Option<usize>,
-    /// Extra bracketed annotations rendered after the detail —
-    /// `[vectorized]`, `[partial-agg]`, `[top-k k=10]` and friends.
-    pub tags: Vec<String>,
-    /// Index access-path metadata, when this operator probes one.
-    pub access: Option<IndexAccess>,
-    /// The planner's name for the pushed conjunct a filter was lowered from
-    /// ([`crate::exec::PlanNode::Filter`]); what is learned from this node is
-    /// filed under it.
-    pub shape_key: Option<Arc<ShapeKey>>,
-    /// What a subquery operator (`apply`, `scalar subquery`) did.
-    pub subquery: Option<SubqueryTally>,
-    /// Child profiles (inputs of this operator).
-    pub children: Vec<PlanProfile>,
+pub struct OpShape {
+    pub(crate) kind: OpKind,
+    /// The detail without what it counted (see [`OpKind::tallies`]).
+    pub(crate) detail: SqlText,
+    pub(crate) tags: Vec<Cow<'static, str>>,
+    /// The degree a parallel operator was planned with.
+    pub(crate) workers: Option<usize>,
+    pub(crate) access: Option<IndexAccess>,
+    pub(crate) columns: Columns,
+    pub(crate) estimated_rows: Option<f64>,
+    pub(crate) shape_key: Option<Arc<ShapeKey>>,
+    /// A subquery operator's correlation columns (none when uncorrelated).
+    pub(crate) keys: Option<Vec<String>>,
+    /// The last child is a subplan whose counters accumulate every run of
+    /// it (an apply's subplan, a running exchange's worker pipelines): its
+    /// nodes' details show no tallies, as before any run.
+    pub(crate) accumulates: bool,
+    /// Nodes in this subtree, this one included.
+    pub(crate) size: usize,
+    pub(crate) children: Vec<OpShape>,
+}
+
+impl OpShape {
+    /// Nodes in this subtree, this one included: the counters an execution
+    /// of it writes.
+    pub fn size(&self) -> usize {
+        self.size
+    }
 }
 
 /// What a subquery operator did, so narrations need not parse the detail.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SubqueryTally {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SubqueryTally<'a> {
     /// The input columns an answer depends on (none when uncorrelated).
-    pub keys: Vec<String>,
+    pub keys: &'a [String],
     /// Subplan runs, an apply's cache hits, a keyed lookup's groups.
     pub evaluations: u64,
     pub cache_hits: u64,
@@ -139,117 +242,85 @@ pub struct SubqueryTally {
 /// tree rendering and the narration flag it.
 pub const MISESTIMATE_FACTOR: f64 = 10.0;
 
+/// One execution of a plan, as it profiles itself: the plan's shape, shared
+/// with every other execution of it, this execution's counters (one per
+/// node, in pre-order), and the literals the shape's slots stand for. Read
+/// it through [`PlanProfile::root`] and [`ProfileNode`]; all counters are
+/// zero when the plan was only described, not executed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanProfile {
+    shape: Arc<OpShape>,
+    counters: Vec<OpMetrics>,
+    params: Vec<Value>,
+}
+
+impl From<&PlanProfile> for PlanProfile {
+    fn from(profile: &PlanProfile) -> PlanProfile {
+        profile.clone()
+    }
+}
+
 impl PlanProfile {
-    /// The stored table this operator itself reads — an index access's
-    /// table, or a `scan`'s — and `None` for every operator that reads only
-    /// its children. The one place a scan's rendered detail (`TABLE` or
-    /// `TABLE as alias`) is taken apart again; ledgers and narrators that
-    /// attribute an operator to a relation all ask here.
-    pub fn table(&self) -> Option<&str> {
-        match &self.access {
-            Some(access) => Some(&access.table),
-            None if self.operator == "scan" => self.detail.split(' ').next(),
-            None => None,
+    /// A profile of `shape` with `counters` (one per node, in pre-order);
+    /// `params` fill the shape's slots.
+    pub fn new(shape: Arc<OpShape>, counters: Vec<OpMetrics>, params: Vec<Value>) -> PlanProfile {
+        assert_eq!(counters.len(), shape.size, "one counter per shape node");
+        PlanProfile {
+            shape,
+            counters,
+            params,
         }
     }
 
-    /// Depth-first pre-order walk over the profile tree.
-    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a PlanProfile)) {
-        f(self);
-        for c in &self.children {
-            c.walk(f);
+    /// The root operator.
+    pub fn root(&self) -> ProfileNode<'_> {
+        ProfileNode {
+            shape: &self.shape,
+            counters: &self.counters,
+            params: &self.params,
+            live: true,
+            scale: 1.0,
         }
     }
 
-    /// Add another profile's counters into this one, recursively. The two
-    /// profiles must have the same tree shape; the `Apply` operator uses
-    /// this to accumulate the metrics of its per-binding subplan executions
-    /// into one template profile.
-    pub fn absorb(&mut self, other: &PlanProfile) {
-        self.metrics += other.metrics;
-        for (mine, theirs) in self.children.iter_mut().zip(&other.children) {
-            mine.absorb(theirs);
-        }
+    /// The root's operator name.
+    pub fn operator(&self) -> &'static str {
+        self.shape.kind.name()
     }
 
-    /// Parallel speedup of an executed exchange: total operator time of its
-    /// subtree (each worker's wall time, summed) divided by the wall-clock
-    /// time the fan-out took — the conventional "work over span" ratio. On
-    /// an oversubscribed machine a preempted worker still accumulates wall
-    /// time, so the ratio reflects scheduling pressure, not pure CPU
-    /// speedup. `None` for anything but a multi-worker exchange (an apply's
-    /// `blocked` mixes input waits with its fan-out, so the ratio would be
-    /// meaningless there) and for un-executed profiles.
-    pub fn parallel_speedup(&self) -> Option<f64> {
-        if self.workers? <= 1 || self.operator != "exchange" {
-            return None;
-        }
-        let wall = self.metrics.blocked.as_secs_f64();
-        let work: f64 = self
-            .children
-            .iter()
-            .map(|c| c.metrics.elapsed.as_secs_f64())
-            .sum();
-        (wall > 0.0 && work > 0.0).then(|| work / wall)
+    /// The root's detail ([`ProfileNode::detail`]).
+    pub fn detail(&self) -> Cow<'_, str> {
+        self.root().detail()
     }
 
-    /// Multiply every estimate in the subtree by `factor`. The `Apply`
-    /// operator scales its subplan's per-evaluation estimates by the number
-    /// of evaluations, so `EXPLAIN ANALYZE` compares like with like (total
-    /// estimated rows vs. total actual rows across all bindings).
-    pub fn scale_estimates(&mut self, factor: f64) {
-        if let Some(est) = self.estimated_rows.as_mut() {
-            *est *= factor;
-        }
-        for c in &mut self.children {
-            c.scale_estimates(factor);
-        }
+    /// The root's counters.
+    pub fn metrics(&self) -> &OpMetrics {
+        &self.counters[0]
     }
 
-    /// Total number of operators in the subtree.
+    /// The root's inputs ([`ProfileNode::children`]).
+    pub fn children(&self) -> Children<'_> {
+        self.root().children()
+    }
+
+    /// The root's `i`th child; panics past the last, like indexing.
+    pub fn child(&self, i: usize) -> ProfileNode<'_> {
+        self.root().child(i)
+    }
+
+    /// Depth-first pre-order walk over every node.
+    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(ProfileNode<'a>)) {
+        self.root().walk(f)
+    }
+
+    /// Total number of operators in the tree.
     pub fn operator_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(PlanProfile::operator_count)
-            .sum::<usize>()
+        self.shape.size
     }
 
-    /// How far the planner's estimate is off from the actual output, as a
-    /// ≥ 1.0 factor — `Some` only when the plan carried an estimate and the
-    /// factor reaches [`MISESTIMATE_FACTOR`]. Cardinalities are clamped to 1
-    /// so "estimated 0, saw 3" compares as 3×, not ∞.
-    pub fn misestimate(&self) -> Option<f64> {
-        self.misestimate_with(MISESTIMATE_FACTOR)
-    }
-
-    /// [`PlanProfile::misestimate`] against an explicit flagging threshold —
-    /// how `PlannerOptions::misestimate_factor` reaches the renderer.
-    pub fn misestimate_with(&self, flag_factor: f64) -> Option<f64> {
-        let est = self.estimated_rows?.round().max(1.0);
-        let actual = (self.metrics.rows_out as f64).max(1.0);
-        let factor = if est > actual {
-            est / actual
-        } else {
-            actual / est
-        };
-        (factor >= flag_factor).then_some(factor)
-    }
-
-    /// The operator of this subtree whose estimate is furthest off, with its
-    /// factor ([`PlanProfile::misestimate_with`]); the first one in pre-order
-    /// when several tie. What the journal records and `EXPLAIN ANALYZE` owns
-    /// up to.
-    pub fn worst_misestimate(&self, flag_factor: f64) -> Option<(&PlanProfile, f64)> {
-        let mut worst: Option<(&PlanProfile, f64)> = None;
-        self.walk(&mut |node| {
-            if let Some(factor) = node.misestimate_with(flag_factor) {
-                if worst.is_none_or(|(_, f)| factor > f) {
-                    worst = Some((node, factor));
-                }
-            }
-        });
-        worst
+    /// [`ProfileNode::worst_misestimate`] of the whole tree.
+    pub fn worst_misestimate(&self, flag_factor: f64) -> Option<(ProfileNode<'_>, f64)> {
+        self.root().worst_misestimate(flag_factor)
     }
 
     /// Render the profile as a stable ASCII tree. Every line shows the
@@ -265,6 +336,279 @@ impl PlanProfile {
     /// [`PlanProfile::render_tree`] with an explicit misestimate-flagging
     /// threshold.
     pub fn render_tree_with(&self, analyze: bool, flag_factor: f64) -> String {
+        self.root().render_tree_with(analyze, flag_factor)
+    }
+}
+
+/// One node of a [`PlanProfile`]: its shape, its counters, and the
+/// literals its detail's slots stand for. Cheap to copy; every text it
+/// gives is written from those on the spot.
+#[derive(Clone, Copy)]
+pub struct ProfileNode<'a> {
+    shape: &'a OpShape,
+    /// This subtree's counters, this node's first.
+    counters: &'a [OpMetrics],
+    params: &'a [Value],
+    /// False inside an accumulated subplan ([`OpShape::accumulates`]).
+    live: bool,
+    /// What estimates are multiplied by: an apply's evaluations, for its
+    /// subplan's per-evaluation estimates to compare with totals.
+    scale: f64,
+}
+
+impl<'a> ProfileNode<'a> {
+    /// The operator kind.
+    pub fn kind(self) -> OpKind {
+        self.shape.kind
+    }
+
+    /// The operator name ("scan", "hash join", …).
+    pub fn operator(self) -> &'static str {
+        self.shape.kind.name()
+    }
+
+    /// Operator-specific detail ("MOVIES as m", "m.year > 2000", …), with
+    /// its literals and what it counted filled in. Borrowed when there is
+    /// nothing to fill in.
+    pub fn detail(self) -> Cow<'a, str> {
+        if !self.shape.kind.tallies() && !self.shape.detail.has_slots() {
+            return Cow::Borrowed(self.shape.detail.as_str());
+        }
+        let mut text = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_detail(&mut text);
+        Cow::Owned(text)
+    }
+
+    /// True unless the operator has no detail to show ("distinct").
+    pub fn has_detail(self) -> bool {
+        !self.shape.detail.as_str().is_empty() || self.shape.kind == OpKind::Exchange
+    }
+
+    /// Write [`ProfileNode::detail`] into `out`.
+    pub fn write_detail(self, mut out: impl fmt::Write) -> fmt::Result {
+        let ran = self.ran();
+        if self.shape.kind == OpKind::Exchange {
+            match ran.morsels {
+                0 => out.write_str("morsels ")?,
+                n => write!(out, "{n} morsel{} ", plural(n, "s"))?,
+            }
+        }
+        self.shape.detail.fill(self.params, &mut out)?;
+        match self.shape.kind {
+            OpKind::IndexProbe if ran.rows_in > 0 => {
+                let (probes, matches) = (ran.rows_in, ran.rows_out);
+                write!(
+                    out,
+                    " ({probes} probe{}, {matches} match{})",
+                    plural(probes, "s"),
+                    plural(matches, "es"),
+                )
+            }
+            OpKind::ScalarSubquery if ran.evaluations > 0 && !self.keys().is_empty() => {
+                let groups = ran.groups;
+                write!(out, "; {groups} group{}", plural(groups, "s"))
+            }
+            OpKind::Apply if ran.evaluations > 0 => {
+                let (evaluations, hits) = (ran.evaluations, ran.cache_hits);
+                write!(
+                    out,
+                    "; {evaluations} evaluation{}, {hits} cache hit{}",
+                    plural(evaluations, "s"),
+                    plural(hits, "s"),
+                )?;
+                match ran.evictions {
+                    0 => Ok(()),
+                    n => write!(out, ", {n} eviction{}", plural(n, "s")),
+                }
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The counters a detail's tallies are read from: this node's, or none
+    /// inside an accumulated subplan, whose details read as before a run.
+    fn ran(self) -> OpMetrics {
+        if self.live {
+            self.counters[0]
+        } else {
+            OpMetrics::default()
+        }
+    }
+
+    fn keys(self) -> &'a [String] {
+        self.shape.keys.as_deref().unwrap_or_default()
+    }
+
+    /// Bracketed annotations rendered after the detail — `[vectorized]`,
+    /// `[partial-agg]`, `[top-k k=10]` and friends.
+    pub fn tags(self) -> &'a [Cow<'static, str>] {
+        &self.shape.tags
+    }
+
+    /// True when the node carries `tag`.
+    pub fn has_tag(self, tag: &str) -> bool {
+        self.shape.tags.iter().any(|t| t == tag)
+    }
+
+    /// Worker threads this operator fans work out across (`None` for plain
+    /// sequential operators): an exchange that ran says how many it spawned.
+    /// Rendered as `[workers=N]` in plan trees.
+    pub fn workers(self) -> Option<usize> {
+        let spawned = self.ran().workers as usize;
+        (self.shape.workers).map(|planned| if spawned > 0 { spawned } else { planned })
+    }
+
+    /// Index access-path metadata, when this operator probes one.
+    pub fn access(self) -> Option<&'a IndexAccess> {
+        self.shape.access.as_ref()
+    }
+
+    /// An index scan's probe predicate with its literals filled in.
+    pub fn access_predicate(self) -> Option<Cow<'a, str>> {
+        let predicate = self.shape.access.as_ref()?.predicate.as_ref()?;
+        Some(if predicate.has_slots() {
+            Cow::Owned(predicate.bind(self.params).as_str().to_string())
+        } else {
+            Cow::Borrowed(predicate.as_str())
+        })
+    }
+
+    /// Output columns of this operator, shared with the operator that
+    /// produced them.
+    pub fn columns(self) -> &'a Columns {
+        &self.shape.columns
+    }
+
+    /// The planner's estimated output rows for this operator, when the plan
+    /// carried one.
+    pub fn estimated_rows(self) -> Option<f64> {
+        self.shape.estimated_rows.map(|est| est * self.scale)
+    }
+
+    /// This execution's counters for the node.
+    pub fn metrics(self) -> &'a OpMetrics {
+        &self.counters[0]
+    }
+
+    /// The planner's name for the pushed conjunct a filter was lowered from
+    /// ([`crate::exec::PlanNode::Filter`]); what is learned from this node is
+    /// filed under it.
+    pub fn shape_key(self) -> Option<&'a Arc<ShapeKey>> {
+        self.shape.shape_key.as_ref()
+    }
+
+    /// What a subquery operator (`apply`, `scalar subquery`) did.
+    pub fn subquery(self) -> Option<SubqueryTally<'a>> {
+        let keys = self.shape.keys.as_deref()?;
+        let ran = self.ran();
+        Some(SubqueryTally {
+            keys,
+            evaluations: ran.evaluations,
+            cache_hits: ran.cache_hits,
+            groups: ran.groups,
+        })
+    }
+
+    /// The node's children (inputs of this operator, then the child that
+    /// shows more than an input would), in order.
+    pub fn children(self) -> Children<'a> {
+        Children {
+            parent: self,
+            next: 0,
+            at: 1,
+        }
+    }
+
+    /// The `i`th child; panics past the last, like indexing.
+    pub fn child(self, i: usize) -> ProfileNode<'a> {
+        self.children().nth(i).expect("child index in range")
+    }
+
+    /// The stored table this operator itself reads — an index access's
+    /// table, or a `scan`'s — and `None` for every operator that reads only
+    /// its children. The one place a scan's detail (`TABLE` or `TABLE as
+    /// alias`) is taken apart again; ledgers and narrators that attribute an
+    /// operator to a relation all ask here.
+    pub fn table(self) -> Option<&'a str> {
+        match &self.shape.access {
+            Some(access) => Some(&access.table),
+            None if self.shape.kind == OpKind::Scan => self.shape.detail.as_str().split(' ').next(),
+            None => None,
+        }
+    }
+
+    /// Depth-first pre-order walk over the subtree.
+    pub fn walk(self, f: &mut dyn FnMut(ProfileNode<'a>)) {
+        f(self);
+        for c in self.children() {
+            c.walk(f);
+        }
+    }
+
+    /// Parallel speedup of an executed exchange: total operator time of its
+    /// subtree (each worker's wall time, summed) divided by the wall-clock
+    /// time the fan-out took — the conventional "work over span" ratio. On
+    /// an oversubscribed machine a preempted worker still accumulates wall
+    /// time, so the ratio reflects scheduling pressure, not pure CPU
+    /// speedup. `None` for anything but a multi-worker exchange (an apply's
+    /// `blocked` mixes input waits with its fan-out, so the ratio would be
+    /// meaningless there) and for un-executed profiles.
+    pub fn parallel_speedup(self) -> Option<f64> {
+        if self.workers()? <= 1 || self.shape.kind != OpKind::Exchange {
+            return None;
+        }
+        let wall = self.metrics().blocked.as_secs_f64();
+        let work: f64 = (self.children())
+            .map(|c| c.metrics().elapsed.as_secs_f64())
+            .sum();
+        (wall > 0.0 && work > 0.0).then(|| work / wall)
+    }
+
+    /// How far the planner's estimate is off from the actual output, as a
+    /// ≥ 1.0 factor — `Some` only when the plan carried an estimate and the
+    /// factor reaches [`MISESTIMATE_FACTOR`]. Cardinalities are clamped to 1
+    /// so "estimated 0, saw 3" compares as 3×, not ∞.
+    pub fn misestimate(self) -> Option<f64> {
+        self.misestimate_with(MISESTIMATE_FACTOR)
+    }
+
+    /// [`ProfileNode::misestimate`] against an explicit flagging threshold —
+    /// how `PlannerOptions::misestimate_factor` reaches the renderer.
+    pub fn misestimate_with(self, flag_factor: f64) -> Option<f64> {
+        let est = self.estimated_rows()?.round().max(1.0);
+        let actual = (self.metrics().rows_out as f64).max(1.0);
+        let factor = if est > actual {
+            est / actual
+        } else {
+            actual / est
+        };
+        (factor >= flag_factor).then_some(factor)
+    }
+
+    /// The operator of this subtree whose estimate is furthest off, with its
+    /// factor ([`ProfileNode::misestimate_with`]); the first one in
+    /// pre-order when several tie. What the journal records and `EXPLAIN
+    /// ANALYZE` owns up to.
+    pub fn worst_misestimate(self, flag_factor: f64) -> Option<(ProfileNode<'a>, f64)> {
+        let mut worst: Option<(ProfileNode<'a>, f64)> = None;
+        self.walk(&mut |node| {
+            if let Some(factor) = node.misestimate_with(flag_factor) {
+                if worst.is_none_or(|(_, f)| factor > f) {
+                    worst = Some((node, factor));
+                }
+            }
+        });
+        worst
+    }
+
+    /// [`PlanProfile::render_tree`] of this subtree.
+    pub fn render_tree(self, analyze: bool) -> String {
+        self.render_tree_with(analyze, MISESTIMATE_FACTOR)
+    }
+
+    /// [`PlanProfile::render_tree_with`] of this subtree.
+    pub fn render_tree_with(self, analyze: bool, flag_factor: f64) -> String {
         let mut out = String::new();
         self.render_into(&mut out, &mut String::new(), analyze, flag_factor);
         out
@@ -273,22 +617,22 @@ impl PlanProfile {
     /// Write this node's line (after the prefix its parent wrote) and then
     /// its children's, each under `indent` and its branch; `indent` grows
     /// by one level for the children and is given back as it came.
-    fn render_into(&self, out: &mut String, indent: &mut String, analyze: bool, flag_factor: f64) {
+    fn render_into(self, out: &mut String, indent: &mut String, analyze: bool, flag_factor: f64) {
         use fmt::Write;
-        out.push_str(&self.operator);
-        if !self.detail.is_empty() {
-            out.push_str(": ");
-            out.push_str(&self.detail);
-        }
+        out.push_str(self.operator());
         // Writing into a `String` cannot fail.
-        for tag in &self.tags {
+        if self.has_detail() {
+            out.push_str(": ");
+            let _ = self.write_detail(&mut *out);
+        }
+        for tag in self.tags() {
             let _ = write!(out, "  [{tag}]");
         }
-        if let Some(workers) = self.workers.filter(|&w| w > 1) {
+        if let Some(workers) = self.workers().filter(|&w| w > 1) {
             let _ = write!(out, "  [workers={workers}]");
         }
-        let est = self.estimated_rows.map(f64::round);
-        let m = &self.metrics;
+        let est = self.estimated_rows().map(f64::round);
+        let m = self.metrics();
         if analyze {
             out.push_str("  [");
             if let Some(est) = est {
@@ -306,8 +650,8 @@ impl PlanProfile {
             let _ = write!(out, "  [est={est:.0}]");
         }
         out.push('\n');
-        let n = self.children.len();
-        for (i, child) in self.children.iter().enumerate() {
+        let n = self.shape.children.len();
+        for (i, child) in self.children().enumerate() {
             let (branch, cont) = if i + 1 == n {
                 ("└─ ", "   ")
             } else {
@@ -323,26 +667,71 @@ impl PlanProfile {
     }
 }
 
-/// How an operator presents itself in a [`PlanProfile`]: everything except
+/// The children of a [`ProfileNode`], in order.
+#[derive(Clone)]
+pub struct Children<'a> {
+    parent: ProfileNode<'a>,
+    /// The next child's position among its siblings, and its counters'.
+    next: usize,
+    at: usize,
+}
+
+impl<'a> Iterator for Children<'a> {
+    type Item = ProfileNode<'a>;
+
+    fn next(&mut self) -> Option<ProfileNode<'a>> {
+        let parent = self.parent;
+        let shape = parent.shape.children.get(self.next)?;
+        self.next += 1;
+        let at = self.at;
+        self.at += shape.size;
+        let accumulated = parent.shape.accumulates && self.next == parent.shape.children.len();
+        // A running apply's subplan estimates are per evaluation; its
+        // counters span all of them.
+        let evaluations = parent.ran().evaluations;
+        let scale = match parent.shape.kind {
+            OpKind::Apply if accumulated && evaluations > 1 => parent.scale * evaluations as f64,
+            _ => parent.scale,
+        };
+        Some(ProfileNode {
+            shape,
+            counters: &parent.counters[at..at + shape.size],
+            params: parent.params,
+            live: parent.live && !accumulated,
+            scale,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.parent.shape.children.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Children<'_> {}
+
+/// How an operator presents itself in its [`OpShape`]: everything except
 /// what the metering wrapper in [`crate::exec::stream`] owns (columns,
-/// estimate, counters) and its inputs' profiles.
+/// estimate) and its inputs' shapes. Nothing here is counted.
 pub(crate) struct Description {
-    pub(crate) operator: &'static str,
+    pub(crate) operator: OpKind,
     pub(crate) detail: String,
-    pub(crate) tags: Vec<String>,
+    pub(crate) tags: Vec<Cow<'static, str>>,
     pub(crate) workers: Option<usize>,
     pub(crate) access: Option<IndexAccess>,
     pub(crate) shape_key: Option<Arc<ShapeKey>>,
-    pub(crate) subquery: Option<SubqueryTally>,
+    pub(crate) keys: Option<Vec<String>>,
     /// A child that is not an operator of this tree, listed after the
     /// inputs: an index join's probe leaf, the scan/filter chain a fused
-    /// aggregate absorbed, an apply's accumulated subplan, an exchange's
-    /// merged worker pipelines.
-    pub(crate) synthetic: Option<PlanProfile>,
+    /// aggregate absorbed, an apply's subplan, an exchange's worker
+    /// pipeline.
+    pub(crate) synthetic: Option<OpShape>,
+    /// The synthetic child accumulates every run of a subplan.
+    pub(crate) accumulates: bool,
 }
 
 impl Description {
-    pub(crate) fn new(operator: &'static str, detail: String) -> Description {
+    pub(crate) fn new(operator: OpKind, detail: String) -> Description {
         Description {
             operator,
             detail,
@@ -350,41 +739,43 @@ impl Description {
             workers: None,
             access: None,
             shape_key: None,
-            subquery: None,
+            keys: None,
             synthetic: None,
+            accumulates: false,
         }
     }
 
-    /// The one place a [`PlanProfile`] node is put together — for running
-    /// operators and synthetic children alike. `inputs` are the profiles of
+    /// The one place an [`OpShape`] node is put together — for running
+    /// operators and synthetic children alike. `inputs` are the shapes of
     /// the operators this one pulls from.
-    pub(crate) fn assemble(
+    pub(crate) fn shape(
         self,
         columns: &Columns,
         est: Option<f64>,
-        metrics: OpMetrics,
-        inputs: impl IntoIterator<Item = PlanProfile>,
-    ) -> PlanProfile {
-        PlanProfile {
-            operator: self.operator.to_string(),
-            detail: self.detail,
+        inputs: impl IntoIterator<Item = OpShape>,
+    ) -> OpShape {
+        // One exact allocation: both halves know their length.
+        let children: Vec<OpShape> = inputs.into_iter().chain(self.synthetic).collect();
+        OpShape {
+            kind: self.operator,
+            detail: SqlText::verbatim(self.detail),
+            tags: self.tags,
+            workers: self.workers,
+            access: self.access,
             columns: Arc::clone(columns),
             estimated_rows: est,
-            metrics,
-            workers: self.workers,
-            tags: self.tags,
-            access: self.access,
             shape_key: self.shape_key,
-            subquery: self.subquery,
-            // One exact allocation: both halves know their length.
-            children: inputs.into_iter().chain(self.synthetic).collect(),
+            keys: self.keys,
+            accumulates: self.accumulates,
+            size: 1 + children.iter().map(OpShape::size).sum::<usize>(),
+            children,
         }
     }
 }
 
 /// The `[vectorized]` annotation, when `on`.
-pub(crate) fn vectorized_tag(on: bool) -> Vec<String> {
-    Vec::from_iter(on.then(|| "vectorized".to_string()))
+pub(crate) fn vectorized_tag(on: bool) -> Vec<Cow<'static, str>> {
+    Vec::from_iter(on.then_some(Cow::Borrowed("vectorized")))
 }
 
 /// The plural suffix a tally of `n` takes in an operator's detail

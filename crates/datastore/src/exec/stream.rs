@@ -36,20 +36,21 @@ use crate::exec::plan::{
     aggregate_output_columns, ApplyMode, ColumnInfo, Columns, JoinOutput, Plan, PlanNode, Relation,
     SortKey,
 };
-use crate::exec::profile::{
-    column_label, expr_label, plural, separated, vectorized_tag, Description,
-};
+use crate::exec::profile::{column_label, expr_label, separated, vectorized_tag, Description};
 pub use crate::exec::profile::{
-    render_expr, IndexAccess, OpMetrics, PlanProfile, SubqueryTally, MISESTIMATE_FACTOR,
+    render_expr, IndexAccess, OpKind, OpMetrics, OpShape, PlanProfile, ProfileNode, SubqueryTally,
+    MISESTIMATE_FACTOR,
 };
 use crate::exec::vector::{gather_selected, VectorPredicate};
 use crate::expr::{CmpOp, Expr};
 use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
+use crate::obs::SqlText;
 use crate::obs::{Counter, ObsRegistry};
 use crate::table::Table;
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt::{self, Write as _};
@@ -141,12 +142,30 @@ pub trait RowSource: Send {
     /// [`RowSource::next_batch`], and the wall time it took as this operator
     /// measured it — what a consumer spent waiting for it.
     fn timed_batch(&mut self) -> (Result<Option<Vec<Row>>, StoreError>, Duration);
-    /// Snapshot this operator subtree (name, detail, metrics, children).
-    fn profile(&self) -> PlanProfile;
-    /// Add this subtree's counters into `profile`, node by node in pre-order:
-    /// `profile` has the subtree's shape (another open of the same plan
-    /// described it). Nothing is described.
-    fn absorb_into(&self, profile: &mut PlanProfile);
+    /// Describe this operator subtree's shape: kinds, details, tags,
+    /// estimates, children — everything but the counters.
+    fn shape(&self) -> OpShape;
+    /// Add this subtree's counters into `counters`, node by node in
+    /// pre-order (`counters[0]` is this operator's), and return how many
+    /// nodes that was. `counters` follows the subtree's shape, which this
+    /// or another open of the same plan described. Nothing is described.
+    fn absorb_into(&self, counters: &mut [OpMetrics]) -> usize;
+    /// Nodes in this subtree's shape.
+    fn node_count(&self) -> usize;
+    /// This execution's profile: the subtree's shape, described now, and
+    /// its counters.
+    fn profile(&self) -> PlanProfile {
+        self.profile_as(Arc::new(self.shape()), Vec::new())
+    }
+    /// This execution's profile against `shape`, a description of the same
+    /// plan kept from before (a plan-cache template's, its slots filled by
+    /// `params`): only the counters are written.
+    fn profile_as(&self, shape: Arc<OpShape>, params: Vec<Value>) -> PlanProfile {
+        debug_assert_eq!(self.node_count(), shape.size(), "a shape of another plan");
+        let mut counters = vec![OpMetrics::default(); shape.size()];
+        self.absorb_into(&mut counters);
+        PlanProfile::new(shape, counters, params)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -155,25 +174,34 @@ pub trait RowSource: Send {
 
 /// What an operator *does*: its output columns, its work, how it presents
 /// itself, and which operators feed it. Nothing about timing, `rows_out`,
-/// `batches`, estimates or [`PlanProfile`] — [`Metered`] owns those, so an
+/// `batches`, estimates or [`OpShape`] nodes — [`Metered`] owns those, so an
 /// operator cannot forget a rule.
 pub(crate) trait Operator: Send {
     /// Output column descriptors.
     fn columns(&self) -> &Columns;
     /// Produce the next output batch (`None` when exhausted). Inputs are
     /// taken through [`OpMetrics::pull`]; any other wait on someone else's
-    /// work goes through [`OpMetrics::wait`].
+    /// work goes through [`OpMetrics::wait`]. What the operator tallies
+    /// besides rows (evaluations, groups, morsels) goes into `meter` too.
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError>;
-    /// Name, detail and annotations for the profile, rendered from what the
-    /// operator holds anyway: opening renders nothing.
+    /// Name, detail and annotations for the shape, rendered from what the
+    /// operator holds anyway: opening renders nothing, and neither does a
+    /// run. Nothing counted goes in.
     fn describe(&self) -> Description;
     /// The operators this one pulls from, in profile order (none for a leaf).
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
         std::iter::empty()
     }
+    /// Nodes in `describe()`'s synthetic child.
+    fn synthetic_nodes(&self) -> usize {
+        0
+    }
     /// Add the counters behind `describe()`'s synthetic child into
-    /// `synthetic`, a node of the same shape ([`RowSource::absorb_into`]).
-    fn absorb_synthetic(&self, _synthetic: &mut PlanProfile) {}
+    /// `counters`, its nodes in pre-order ([`RowSource::absorb_into`]), and
+    /// return how many nodes that was.
+    fn absorb_synthetic(&self, _counters: &mut [OpMetrics]) -> usize {
+        0
+    }
     /// Box the operator with its metering.
     fn metered(self, est: Option<f64>) -> Box<dyn RowSource>
     where
@@ -188,8 +216,9 @@ pub(crate) trait Operator: Send {
 }
 
 /// The metering half of every operator: owns the planner's estimate and the
-/// counters, times each `next_batch`, counts what is returned, and assembles
-/// the profile. Statically dispatched over the operator it wraps.
+/// counters, times each `next_batch`, counts what is returned, puts the
+/// shape node together and writes the counters out. Statically dispatched
+/// over the operator it wraps.
 struct Metered<O> {
     op: O,
     est: Option<f64>,
@@ -220,23 +249,26 @@ impl<O: Operator> RowSource for Metered<O> {
         (result, took)
     }
 
-    fn profile(&self) -> PlanProfile {
-        let inputs = self.op.inputs().map(|input| input.profile());
+    fn shape(&self) -> OpShape {
+        let inputs = self.op.inputs().map(|input| input.shape());
         self.op
             .describe()
-            .assemble(self.op.columns(), self.est, self.meter, inputs)
+            .shape(self.op.columns(), self.est, inputs)
     }
 
-    fn absorb_into(&self, profile: &mut PlanProfile) {
-        profile.metrics += self.meter;
-        let mut children = profile.children.iter_mut();
-        for (input, child) in self.op.inputs().zip(children.by_ref()) {
-            input.absorb_into(child);
+    fn absorb_into(&self, counters: &mut [OpMetrics]) -> usize {
+        counters[0] += self.meter;
+        let mut at = 1;
+        for input in self.op.inputs() {
+            at += input.absorb_into(&mut counters[at..]);
         }
         // What is left is the synthetic child, listed after the inputs.
-        if let Some(synthetic) = children.next() {
-            self.op.absorb_synthetic(synthetic);
-        }
+        at + self.op.absorb_synthetic(&mut counters[at..])
+    }
+
+    fn node_count(&self) -> usize {
+        let inputs: usize = self.op.inputs().map(|input| input.node_count()).sum();
+        1 + inputs + self.op.synthetic_nodes()
     }
 }
 
@@ -736,15 +768,10 @@ pub(crate) fn open_in(
             workers,
         } => {
             let input = on_spine(input)?;
-            // Open the unbound template once: this validates the subplan and
-            // yields the profile skeleton the per-binding executions will
-            // accumulate their counters into.
-            let mut sub_template = open_owned(ctx, subplan)?.profile();
-            if mode.row_goal().is_some() {
-                // Each evaluation is opened toward its first row and stops
-                // there (`evaluate_binding`).
-                sub_template.tags.push("first-row".to_string());
-            }
+            // Open the unbound template once: this validates the subplan,
+            // describes it when asked, and sizes the counters the
+            // per-binding executions accumulate into.
+            let sub_template = open_owned(ctx, subplan)?;
             ApplySource {
                 ctx: Arc::clone(ctx),
                 input,
@@ -753,12 +780,10 @@ pub(crate) fn open_in(
                 params: params.clone(),
                 mode: mode.clone(),
                 workers: (*workers).max(1),
-                sub_profile: sub_template,
+                sub_counters: vec![OpMetrics::default(); sub_template.node_count()],
+                sub_template,
                 cache: HashMap::new(),
                 cache_order: VecDeque::new(),
-                evictions: 0,
-                evaluations: 0,
-                cache_hits: 0,
             }
             .metered(est)
         }
@@ -822,7 +847,7 @@ impl Operator for ScanSource {
     }
 
     fn describe(&self) -> Description {
-        Description::new("scan", self.relation.to_string())
+        Description::new(OpKind::Scan, self.relation.to_string())
     }
 }
 
@@ -912,7 +937,7 @@ impl IndexScanSource {
         })
     }
 
-    fn resolve(&mut self) -> Result<(), StoreError> {
+    fn resolve(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
         if self.positions.is_some() || self.index_rows.is_some() {
             return Ok(());
         }
@@ -937,6 +962,7 @@ impl IndexScanSource {
             positions.retain(|&p| in_range(p));
             self.positions = Some(positions);
         }
+        meter.probes += 1;
         self.obs.incr(Counter::IndexProbes);
         if self.remaining() == 0 {
             self.obs.incr(Counter::EmptyIndexProbes);
@@ -964,7 +990,7 @@ impl Operator for IndexScanSource {
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        self.resolve()?;
+        self.resolve(meter)?;
         if self.remaining() == 0 {
             return Ok(None);
         }
@@ -1012,11 +1038,11 @@ impl Operator for IndexScanSource {
                 alias: self.relation.alias.to_string(),
                 index: name.clone(),
                 point: self.exact,
-                predicate: Some(predicate),
+                predicate: Some(SqlText::verbatim(predicate)),
                 order: self.order,
                 index_only: self.index_only,
             }),
-            ..Description::new("index scan", detail)
+            ..Description::new(OpKind::IndexScan, detail)
         }
     }
 }
@@ -1063,6 +1089,7 @@ impl Operator for IndexNljSource {
                 Some(batch) => {
                     let index = &self.table.indexes()[self.index_pos];
                     let rows = self.table.rows();
+                    let matched_before = self.matches;
                     let mut probes = 0u64;
                     let mut empty = 0u64;
                     for lr in &batch {
@@ -1083,6 +1110,10 @@ impl Operator for IndexNljSource {
                     self.probes += probes;
                     self.obs.add(Counter::IndexProbes, probes);
                     self.obs.add(Counter::EmptyIndexProbes, empty);
+                    // The inner rows fetched were read from storage, as a
+                    // scan's are.
+                    self.obs
+                        .add(Counter::RowsScanned, self.matches - matched_before);
                 }
             }
         }
@@ -1094,17 +1125,9 @@ impl Operator for IndexNljSource {
         let inner = &self.inner;
         // The probe side is not an operator of its own (there is no build),
         // but the profile still shows it as a child so narrations and the
-        // empty-result detective can see both sides of the join.
-        let mut probe_detail = format!("{inner} [index={}]", def.name);
-        if self.probes > 0 {
-            let (probes, matches) = (self.probes, self.matches);
-            let _ = write!(
-                probe_detail,
-                " ({probes} probe{}, {matches} match{})",
-                plural(probes, "s"),
-                plural(matches, "es"),
-            );
-        }
+        // empty-result detective can see both sides of the join. Its detail
+        // says how many probes and matches there were when it is read.
+        let probe_detail = format!("{inner} [index={}]", def.name);
         let probe_side = Description {
             access: Some(IndexAccess {
                 table: inner.table.to_string(),
@@ -1115,9 +1138,9 @@ impl Operator for IndexNljSource {
                 order: ProbeOrder::Position,
                 index_only: false,
             }),
-            ..Description::new("index probe", probe_detail)
+            ..Description::new(OpKind::IndexProbe, probe_detail)
         }
-        .assemble(&inner.columns, None, self.probed(), []);
+        .shape(&inner.columns, None, []);
         let detail = format!(
             "{} = {}.{} [index={}]",
             column_label(self.left.columns(), self.left_key),
@@ -1127,7 +1150,7 @@ impl Operator for IndexNljSource {
         );
         Description {
             synthetic: Some(probe_side),
-            ..Description::new("index nested-loop join", detail)
+            ..Description::new(OpKind::IndexNestedLoopJoin, detail)
         }
     }
 
@@ -1135,19 +1158,16 @@ impl Operator for IndexNljSource {
         [&*self.left].into_iter()
     }
 
-    fn absorb_synthetic(&self, probe_side: &mut PlanProfile) {
-        probe_side.metrics += self.probed();
+    fn synthetic_nodes(&self) -> usize {
+        1
     }
-}
 
-impl IndexNljSource {
-    /// The probe side's counters: probes issued in, matches out.
-    fn probed(&self) -> OpMetrics {
-        OpMetrics {
-            rows_in: self.probes,
-            rows_out: self.matches,
-            ..OpMetrics::default()
-        }
+    fn absorb_synthetic(&self, probe_side: &mut [OpMetrics]) -> usize {
+        // The probe side's counters: probes issued in, matches out.
+        probe_side[0].rows_in += self.probes;
+        probe_side[0].probes += self.probes;
+        probe_side[0].rows_out += self.matches;
+        1
     }
 }
 
@@ -1177,7 +1197,7 @@ impl Operator for ValuesSource {
     }
 
     fn describe(&self) -> Description {
-        Description::new("values", format!("{} literal rows", self.rows.len()))
+        Description::new(OpKind::Values, format!("{} literal rows", self.rows.len()))
     }
 }
 
@@ -1222,7 +1242,10 @@ impl Operator for FilterSource {
         Description {
             tags: vectorized_tag(self.kernel.is_some()),
             shape_key: self.shape_key.clone(),
-            ..Description::new("filter", render_expr(&self.predicate, self.input.columns()))
+            ..Description::new(
+                OpKind::Filter,
+                render_expr(&self.predicate, self.input.columns()),
+            )
         }
     }
 
@@ -1280,7 +1303,10 @@ impl Operator for ProjectSource {
     }
 
     fn describe(&self) -> Description {
-        Description::new("project", separated(", ", self.columns.iter()).to_string())
+        Description::new(
+            OpKind::Project,
+            separated(", ", self.columns.iter()).to_string(),
+        )
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
@@ -1359,7 +1385,7 @@ impl Operator for NestedLoopJoinSource {
             Some(p) => render_expr(p, &self.columns),
             None => "cross product".to_string(),
         };
-        Description::new("nested-loop join", detail)
+        Description::new(OpKind::NestedLoopJoin, detail)
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
@@ -1467,7 +1493,7 @@ impl Operator for HashJoinSource {
         let keys = equi_detail(left, &self.left_keys, right, &self.right_keys);
         Description {
             tags: vectorized_tag(self.vectorized),
-            ..Description::new("hash join", keys.to_string())
+            ..Description::new(OpKind::HashJoin, keys.to_string())
         }
     }
 
@@ -1519,7 +1545,7 @@ impl Operator for AggregateSource {
         Description {
             tags: vectorized_tag(self.vectorized),
             ..Description::new(
-                "aggregate",
+                OpKind::Aggregate,
                 aggregate_detail(
                     self.input.columns(),
                     &self.group_by,
@@ -1738,39 +1764,37 @@ impl Operator for FusedAggregateScanSource {
         // aggregate over (filter over) scan, each with its own counters.
         let scan_columns = &self.relation.columns;
         let scan = self.relation.to_string();
-        let mut child = Description::new("scan", scan).assemble(
-            scan_columns,
-            self.scan_est,
-            self.scan_meter,
-            [],
-        );
+        let mut child = Description::new(OpKind::Scan, scan).shape(scan_columns, self.scan_est, []);
         if let Some(f) = &self.filter {
             child = Description {
                 tags: vectorized_tag(true),
                 shape_key: f.shape_key.clone(),
-                ..Description::new("filter", render_expr(&f.predicate, scan_columns))
+                ..Description::new(OpKind::Filter, render_expr(&f.predicate, scan_columns))
             }
-            .assemble(scan_columns, f.est, f.meter, [child]);
+            .shape(scan_columns, f.est, [child]);
         }
         Description {
             tags: vectorized_tag(true),
             synthetic: Some(child),
             ..Description::new(
-                "aggregate",
+                OpKind::Aggregate,
                 aggregate_detail(scan_columns, &self.group_by, &self.aggregates, &self.having),
             )
         }
     }
 
-    fn absorb_synthetic(&self, synthetic: &mut PlanProfile) {
-        let scan = match &self.filter {
-            Some(f) => {
-                synthetic.metrics += f.meter;
-                &mut synthetic.children[0]
-            }
-            None => synthetic,
-        };
-        scan.metrics += self.scan_meter;
+    fn synthetic_nodes(&self) -> usize {
+        1 + usize::from(self.filter.is_some())
+    }
+
+    fn absorb_synthetic(&self, synthetic: &mut [OpMetrics]) -> usize {
+        // Pre-order: the filter, when there is one, then the scan under it.
+        if let Some(f) = &self.filter {
+            synthetic[0] += f.meter;
+        }
+        let scan = self.synthetic_nodes() - 1;
+        synthetic[scan] += self.scan_meter;
+        scan + 1
     }
 }
 
@@ -1816,7 +1840,7 @@ impl Operator for SortSource {
             let desc = if key.ascending { "" } else { " DESC" };
             fmt::from_fn(move |f| write!(f, "{}{desc}", column_label(columns, key.column)))
         });
-        Description::new("sort", separated(", ", keys).to_string())
+        Description::new(OpKind::Sort, separated(", ", keys).to_string())
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
@@ -1895,7 +1919,7 @@ impl Operator for LimitSource {
     }
 
     fn describe(&self) -> Description {
-        Description::new("limit", self.n.to_string())
+        Description::new(OpKind::Limit, self.n.to_string())
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
@@ -1928,7 +1952,7 @@ impl Operator for DistinctSource {
     }
 
     fn describe(&self) -> Description {
-        Description::new("distinct", String::new())
+        Description::new(OpKind::Distinct, String::new())
     }
 
     fn inputs(&self) -> impl Iterator<Item = &dyn RowSource> {
@@ -2037,7 +2061,11 @@ impl Operator for SemiJoinSource {
         );
         let null_aware = if self.null_aware { " (NULL-aware)" } else { "" };
         Description::new(
-            if self.anti { "anti join" } else { "semi join" },
+            if self.anti {
+                OpKind::AntiJoin
+            } else {
+                OpKind::SemiJoin
+            },
             format!("{keys}{null_aware}"),
         )
     }
@@ -2103,6 +2131,8 @@ impl ScalarSubquerySource {
         let SharedBuild::Scalar(lookup) = built else {
             unreachable!("scalar cell always holds a lookup");
         };
+        meter.evaluations += 1;
+        meter.groups += lookup.keys.len() as u64;
         self.lookup = Some(Arc::clone(&lookup));
         Ok(lookup)
     }
@@ -2136,7 +2166,6 @@ impl Operator for ScalarSubquerySource {
     }
 
     fn describe(&self) -> Description {
-        let groups = self.lookup.as_ref().map_or(0, |l| l.keys.len() as u64);
         let input = self.input.columns();
         let mut detail = format!(
             "{} {} (subquery)",
@@ -2146,18 +2175,10 @@ impl Operator for ScalarSubquerySource {
         if !self.probe.is_empty() {
             let keys = equi_detail(input, &self.probe, self.sub.columns(), &self.build);
             let _ = write!(detail, " on {keys}");
-            if self.lookup.is_some() {
-                let _ = write!(detail, "; {groups} group{}", plural(groups, "s"));
-            }
         }
         Description {
-            subquery: Some(SubqueryTally {
-                keys: labels(self.input.columns(), &self.probe),
-                evaluations: u64::from(self.lookup.is_some()),
-                cache_hits: 0,
-                groups,
-            }),
-            ..Description::new("scalar subquery", detail)
+            keys: Some(labels(self.input.columns(), &self.probe)),
+            ..Description::new(OpKind::ScalarSubquery, detail)
         }
     }
 
@@ -2198,18 +2219,18 @@ struct ApplySource {
     mode: ApplyMode,
     /// Threads for per-binding subquery evaluations (1 = sequential).
     workers: usize,
-    /// Template profile of the subplan, accumulating every execution's
-    /// counters in place (same tree shape as each bound execution).
-    sub_profile: PlanProfile,
+    /// The subplan opened unbound, never run: what its shape is described
+    /// from.
+    sub_template: Box<dyn RowSource>,
+    /// Every execution's counters, accumulated in place (one per node of
+    /// the subplan's shape, which each bound execution shares).
+    sub_counters: Vec<OpMetrics>,
     /// Results by binding, keyed by exact identity rather than by `=` like
     /// the hash operators' keys: a binding of `-0.0` can answer differently
     /// from `0.0` (`1 / $0`), and `3` from `3.0`.
     cache: HashMap<Vec<GroupKey>, SubResult>,
     /// Insertion order of `cache` keys, for oldest-first eviction.
     cache_order: VecDeque<Vec<GroupKey>>,
-    evictions: u64,
-    evaluations: u64,
-    cache_hits: u64,
 }
 
 /// Execute an apply's subplan for one parameter binding, producing the
@@ -2287,7 +2308,6 @@ impl ApplySource {
         for row in batch {
             let key = row.group_key(&self.param_cols);
             if self.cache.contains_key(&key) || scheduled.contains(&key) {
-                self.cache_hits += 1;
                 hits += 1;
             } else {
                 scheduled.insert(key.clone());
@@ -2295,11 +2315,12 @@ impl ApplySource {
             }
             row_keys.push(key);
         }
+        meter.cache_hits += hits;
         self.ctx.obs().add(Counter::ApplyCacheHits, hits);
         if fresh.is_empty() {
             return Ok(row_keys);
         }
-        self.evaluations += fresh.len() as u64;
+        meter.evaluations += fresh.len() as u64;
         self.ctx
             .obs()
             .add(Counter::ApplyEvaluations, fresh.len() as u64);
@@ -2346,7 +2367,7 @@ impl ApplySource {
                 flat
             };
         for (key, result, src) in results {
-            src.absorb_into(&mut self.sub_profile);
+            src.absorb_into(&mut self.sub_counters);
             self.cache.insert(key.clone(), result);
             self.cache_order.push_back(key);
         }
@@ -2356,18 +2377,17 @@ impl ApplySource {
     /// Evict oldest cache entries down to [`APPLY_CACHE_CAP`]. Called after
     /// a batch's verdicts, so entries the current batch needs are never
     /// evicted out from under it.
-    fn enforce_cache_cap(&mut self) {
-        let before = self.evictions;
+    fn enforce_cache_cap(&mut self, meter: &mut OpMetrics) {
+        let mut evicted = 0;
         while self.cache.len() > APPLY_CACHE_CAP {
             let Some(oldest) = self.cache_order.pop_front() else {
                 break;
             };
             self.cache.remove(&oldest);
-            self.evictions += 1;
+            evicted += 1;
         }
-        self.ctx
-            .obs()
-            .add(Counter::ApplyCacheEvictions, self.evictions - before);
+        meter.evictions += evicted;
+        self.ctx.obs().add(Counter::ApplyCacheEvictions, evicted);
     }
 
     /// Three-valued verdict for one input row against its cached subquery
@@ -2462,7 +2482,7 @@ impl Operator for ApplySource {
                 kept.push(row);
             }
         }
-        self.enforce_cache_cap();
+        self.enforce_cache_cap(meter);
         Ok(Some(kept))
     }
 
@@ -2473,36 +2493,20 @@ impl Operator for ApplySource {
             let keys = self.param_cols.iter().map(|&c| column_label(in_cols, c));
             let _ = write!(detail, " correlated on {}", separated(", ", keys));
         }
-        if self.evaluations > 0 {
-            let (evaluations, hits) = (self.evaluations, self.cache_hits);
-            let _ = write!(
-                detail,
-                "; {evaluations} evaluation{}, {hits} cache hit{}",
-                plural(evaluations, "s"),
-                plural(hits, "s"),
-            );
-            if self.evictions > 0 {
-                let s = plural(self.evictions, "s");
-                let _ = write!(detail, ", {} eviction{s}", self.evictions);
-            }
+        let mut subplan = self.sub_template.shape();
+        if self.mode.row_goal().is_some() {
+            // Each evaluation is opened toward its first row and stops
+            // there (`evaluate_binding`).
+            subplan.tags.push(Cow::Borrowed("first-row"));
         }
-        let mut sub_profile = self.sub_profile.clone();
-        if self.evaluations > 1 {
-            // The subplan's estimates are per evaluation; its accumulated
-            // counters span all of them. Scale so est-vs-actual compares
-            // totals with totals.
-            sub_profile.scale_estimates(self.evaluations as f64);
-        }
+        // The subplan's estimates are per evaluation and its counters span
+        // all of them: a reader scales the estimates by the evaluations.
         Description {
             workers: (self.workers > 1).then_some(self.workers),
-            subquery: Some(SubqueryTally {
-                keys: labels(self.input.columns(), &self.param_cols),
-                evaluations: self.evaluations,
-                cache_hits: self.cache_hits,
-                groups: 0,
-            }),
-            synthetic: Some(sub_profile),
-            ..Description::new("apply", detail)
+            keys: Some(labels(self.input.columns(), &self.param_cols)),
+            synthetic: Some(subplan),
+            accumulates: true,
+            ..Description::new(OpKind::Apply, detail)
         }
     }
 
@@ -2510,8 +2514,13 @@ impl Operator for ApplySource {
         [&*self.input].into_iter()
     }
 
-    fn absorb_synthetic(&self, sub_profile: &mut PlanProfile) {
-        sub_profile.absorb(&self.sub_profile);
+    fn synthetic_nodes(&self) -> usize {
+        self.sub_counters.len()
+    }
+
+    fn absorb_synthetic(&self, subplan: &mut [OpMetrics]) -> usize {
+        OpMetrics::add_all(subplan, &self.sub_counters);
+        self.sub_counters.len()
     }
 }
 

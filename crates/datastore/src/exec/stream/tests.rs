@@ -61,12 +61,12 @@ fn index_scan_matches_filtered_scan_byte_for_byte() {
     let hash_point = Plan::index_scan("T", "t", "h_id", IndexBounds::point(Value::int(42)));
     let (rows, profile) = run_profiled(&db, &hash_point);
     assert_eq!(rows.len(), 1);
-    assert_eq!(profile.operator, "index scan");
-    assert_eq!(profile.metrics.rows_in, 1, "only the match is read");
+    assert_eq!(profile.operator(), "index scan");
+    assert_eq!(profile.metrics().rows_in, 1, "only the match is read");
     assert!(
-        profile.detail.contains("[index=h_id point t.id = 42]"),
+        profile.detail().contains("[index=h_id point t.id = 42]"),
         "detail names the probe: {}",
-        profile.detail
+        profile.detail()
     );
     // …but refuses ranges at open time.
     let hash_range = Plan::index_scan(
@@ -125,16 +125,16 @@ fn index_nested_loop_join_matches_hash_join() {
     assert_eq!(h, i);
 
     let (_, profile) = run_profiled(&db, &inlj);
-    assert_eq!(profile.operator, "index nested-loop join");
+    assert_eq!(profile.operator(), "index nested-loop join");
     assert!(
-        profile.detail.contains("o.v = t.v [index=idx_v]"),
+        profile.detail().contains("o.v = t.v [index=idx_v]"),
         "detail: {}",
-        profile.detail
+        profile.detail()
     );
-    let probe = &profile.children[1];
-    assert_eq!(probe.operator, "index probe");
-    assert_eq!(probe.metrics.rows_in, 10, "one probe per outer row");
-    assert_eq!(probe.metrics.rows_out, 2500, "matches fetched");
+    let probe = &profile.child(1);
+    assert_eq!(probe.operator(), "index probe");
+    assert_eq!(probe.metrics().rows_in, 10, "one probe per outer row");
+    assert_eq!(probe.metrics().rows_out, 2500, "matches fetched");
 }
 
 #[test]
@@ -177,8 +177,8 @@ fn scan_streams_in_batches() {
     }
     assert_eq!(total, 2500);
     let profile = src.profile();
-    assert_eq!(profile.metrics.rows_out, 2500);
-    assert_eq!(profile.metrics.batches, 3);
+    assert_eq!(profile.metrics().rows_out, 2500);
+    assert_eq!(profile.metrics().batches, 3);
 }
 
 /// The sizes of the batches a plan yields when it is opened toward `goal`.
@@ -204,9 +204,10 @@ fn a_row_goal_ramps_the_scan_it_reaches_and_no_other() {
     assert_eq!(batch_sizes(&db, &streaming, Some(1)), ramp);
     let mut src = open_toward(&Arc::new(ExecContext::new(&db)), &streaming, Some(1)).unwrap();
     src.next_batch().unwrap();
-    let join = &src.profile().children[0];
-    assert_eq!(join.children[0].metrics.rows_out, 1);
-    assert_eq!(join.children[1].metrics.rows_out, 2500);
+    let profile = src.profile();
+    let join = profile.child(0);
+    assert_eq!(join.child(0).metrics().rows_out, 1);
+    assert_eq!(join.child(1).metrics().rows_out, 2500);
     // A breaker needs its whole input for its first row: the goal stops.
     let sorted = scan("T", "t").sort(vec![SortKey {
         column: 0,
@@ -214,7 +215,7 @@ fn a_row_goal_ramps_the_scan_it_reaches_and_no_other() {
     }]);
     let mut src = open_toward(&Arc::new(ExecContext::new(&db)), &sorted, Some(1)).unwrap();
     src.next_batch().unwrap();
-    assert_eq!(src.profile().children[0].metrics.batches, 3);
+    assert_eq!(src.profile().child(0).metrics().batches, 3);
 }
 
 #[test]
@@ -225,8 +226,8 @@ fn limit_stops_pulling_early() {
     assert_eq!(rows.len(), 5);
     // The limit consumed only the first batch of its input, not all 2500
     // rows: streaming means the scan never read past the first batch.
-    let scan_profile = &profile.children[0];
-    assert_eq!(scan_profile.metrics.rows_out as usize, BATCH_SIZE);
+    let scan_profile = &profile.child(0);
+    assert_eq!(scan_profile.metrics().rows_out as usize, BATCH_SIZE);
 }
 
 #[test]
@@ -235,9 +236,9 @@ fn filter_counts_rows_in_and_out() {
     let plan = scan("T", "t").filter(Expr::col_cmp_value(1, CmpOp::Eq, Value::int(3)));
     let (rows, profile) = run_profiled(&db, &plan);
     assert_eq!(rows.len(), 250);
-    assert_eq!(profile.operator, "filter");
-    assert_eq!(profile.metrics.rows_in, 2500);
-    assert_eq!(profile.metrics.rows_out, 250);
+    assert_eq!(profile.operator(), "filter");
+    assert_eq!(profile.metrics().rows_in, 2500);
+    assert_eq!(profile.metrics().rows_out, 250);
 }
 
 #[test]
@@ -248,9 +249,9 @@ fn open_does_not_read_rows() {
     let profile = src.profile();
     // Describing a freshly opened plan shows zero activity everywhere.
     profile.walk(&mut |p| {
-        assert_eq!(p.metrics.rows_in, 0);
-        assert_eq!(p.metrics.rows_out, 0);
-        assert_eq!(p.metrics.batches, 0);
+        assert_eq!(p.metrics().rows_in, 0);
+        assert_eq!(p.metrics().rows_out, 0);
+        assert_eq!(p.metrics().batches, 0);
     });
 }
 
@@ -268,17 +269,17 @@ fn apply_cache_is_bounded_and_tallies_evictions() {
     let (rows, profile) = run_profiled(&db, &plan);
     assert_eq!(rows.len(), 2500, "NOT EXISTS over an always-empty subquery");
     assert!(
-        profile.detail.contains("2500 evaluations"),
+        profile.detail().contains("2500 evaluations"),
         "distinct bindings each evaluate once: {}",
-        profile.detail
+        profile.detail()
     );
     let expected_evictions = 2500 - APPLY_CACHE_CAP;
     assert!(
         profile
-            .detail
+            .detail()
             .contains(&format!("{expected_evictions} evictions")),
         "evictions must surface in the cache tally: {}",
-        profile.detail
+        profile.detail()
     );
 }
 
@@ -302,13 +303,14 @@ fn apply_parallel_workers_agree_with_sequential() {
     assert_eq!(seq_rows, par_rows, "parallel apply must keep row order");
     // Same evaluation and cache-hit tallies, and the parallel profile
     // advertises its workers.
-    assert!(par_profile.detail.contains("10 evaluations"));
-    assert!(par_profile.detail.contains("2490 cache hits"));
+    assert!(par_profile.detail().contains("10 evaluations"));
+    assert!(par_profile.detail().contains("2490 cache hits"));
     assert_eq!(
-        seq_profile.children[1].metrics.rows_out, par_profile.children[1].metrics.rows_out,
+        seq_profile.child(1).metrics().rows_out,
+        par_profile.child(1).metrics().rows_out,
         "subplan counters must aggregate identically"
     );
-    assert_eq!(par_profile.workers, Some(4));
+    assert_eq!(par_profile.root().workers(), Some(4));
     assert!(par_profile.render_tree(false).contains("[workers=4]"));
 }
 
@@ -324,19 +326,19 @@ fn blocked_time_never_exceeds_elapsed() {
     let (_, profile) = run_profiled(&db, &plan);
     profile.walk(&mut |p| {
         assert!(
-            p.metrics.blocked <= p.metrics.elapsed,
+            p.metrics().blocked <= p.metrics().elapsed,
             "{}: blocked {:?} > elapsed {:?}",
-            p.operator,
-            p.metrics.blocked,
-            p.metrics.elapsed
+            p.operator(),
+            p.metrics().blocked,
+            p.metrics().elapsed
         );
         assert_eq!(
-            p.metrics.self_elapsed(),
-            p.metrics.elapsed - p.metrics.blocked
+            p.metrics().self_elapsed(),
+            p.metrics().elapsed - p.metrics().blocked
         );
     });
     // The sort waited on its child for at least the child's own time.
-    assert!(profile.metrics.blocked >= profile.children[0].metrics.self_elapsed());
+    assert!(profile.metrics().blocked >= profile.child(0).metrics().self_elapsed());
 }
 
 #[test]
@@ -446,8 +448,8 @@ fn scalar_subquery_filters_against_the_cached_value() {
     );
     let (rows, profile) = run_profiled(&db, &plan);
     assert_eq!(rows.len(), 250);
-    assert_eq!(profile.operator, "scalar subquery");
-    assert_eq!(profile.children[1].metrics.rows_out, 1);
+    assert_eq!(profile.operator(), "scalar subquery");
+    assert_eq!(profile.child(1).metrics().rows_out, 1);
 }
 
 #[test]
@@ -498,13 +500,13 @@ fn apply_exists_binds_params_and_caches_per_binding() {
     let plan = Plan::scan("T", "t").apply(sub, vec![(0, 1)], ApplyMode::Exists { negated: false });
     let (rows, profile) = run_profiled(&db, &plan);
     assert_eq!(rows.len(), 2500);
-    assert_eq!(profile.operator, "apply");
+    assert_eq!(profile.operator(), "apply");
     assert!(
-        profile.detail.contains("10 evaluations"),
+        profile.detail().contains("10 evaluations"),
         "memoization missing from: {}",
-        profile.detail
+        profile.detail()
     );
-    assert!(profile.detail.contains("2490 cache hits"));
+    assert!(profile.detail().contains("2490 cache hits"));
 }
 
 #[test]
@@ -598,13 +600,13 @@ fn a_sort_under_a_limit_keeps_and_emits_only_the_limit() {
     let (mut all, _) = run_profiled(&db, &sorted);
     all.truncate(5);
     assert_eq!(rows, all);
-    let sort = &profile.children[0];
-    assert_eq!(sort.operator, "sort");
-    assert_eq!((sort.metrics.rows_in, sort.metrics.rows_out), (2500, 5));
-    assert_eq!(profile.metrics.rows_in, 5);
+    let sort = &profile.child(0);
+    assert_eq!(sort.operator(), "sort");
+    assert_eq!((sort.metrics().rows_in, sort.metrics().rows_out), (2500, 5));
+    assert_eq!(profile.metrics().rows_in, 5);
     // A limit that is not directly above the sort says nothing to it: the
     // sort hands on a full first batch.
     let (_, profile) = run_profiled(&db, &sorted.filter(Expr::col_eq(0, 0)).limit(5));
-    let sort = &profile.children[0].children[0];
-    assert_eq!(sort.metrics.rows_out as usize, BATCH_SIZE);
+    let sort = &profile.child(0).child(0);
+    assert_eq!(sort.metrics().rows_out as usize, BATCH_SIZE);
 }

@@ -18,7 +18,8 @@
 //! ledger's display shape of an unkeyed operator, the doctor's statement
 //! shapes, and [`plan_shape_hash`].
 
-use crate::exec::stream::PlanProfile;
+use crate::exec::{PlanProfile, ProfileNode};
+use std::fmt;
 
 /// The name of one pushed selection's shape: the stored table it selects on
 /// and the conjunct as written, with the relation's own columns spelled
@@ -54,21 +55,23 @@ pub fn fnv_hash(bytes: &[u8]) -> u64 {
 
 /// A stable hash over a plan's *shape* — operator names, normalized details,
 /// and tree structure, but not literals or row counts — so two runs of the
-/// same query template land on the same hash. Nothing is copied to hash it.
+/// same query template land on the same hash. Each detail is written, as a
+/// reader sees it, straight into the hash: nothing is copied.
 pub fn plan_shape_hash(profile: &PlanProfile) -> u64 {
     let mut hash = FNV_OFFSET;
-    hash_shape(profile, &mut hash);
+    hash_shape(profile.root(), &mut hash);
     hash
 }
 
-fn hash_shape(p: &PlanProfile, hash: &mut u64) {
-    fnv(hash, p.operator.as_bytes());
+fn hash_shape(node: ProfileNode<'_>, hash: &mut u64) {
+    fnv(hash, node.operator().as_bytes());
     let mut utf8 = [0; 4];
-    for_each_shape_char(&p.detail, |c| {
-        fnv(hash, c.encode_utf8(&mut utf8).as_bytes())
-    });
+    let mut shape = ShapeChars::new(|c: char| fnv(hash, c.encode_utf8(&mut utf8).as_bytes()));
+    // The writer never fails.
+    let _ = node.write_detail(&mut shape);
+    shape.finish();
     fnv(hash, b"(");
-    for c in &p.children {
+    for c in node.children() {
         hash_shape(c, hash);
     }
     fnv(hash, b")");
@@ -84,35 +87,83 @@ pub fn normalize_predicate(detail: &str) -> String {
 }
 
 /// [`normalize_predicate`], one character at a time into `out`.
-fn for_each_shape_char(detail: &str, mut out: impl FnMut(char)) {
-    let mut chars = detail.chars().peekable();
-    let mut prev_ident = false;
-    while let Some(c) = chars.next() {
-        if c == '\'' {
-            // Quoted string literal ('' is the embedded-quote escape).
-            while let Some(n) = chars.next() {
-                if n == '\'' {
-                    if chars.peek() == Some(&'\'') {
-                        chars.next();
-                    } else {
-                        break;
-                    }
+fn for_each_shape_char(detail: &str, out: impl FnMut(char)) {
+    let mut shape = ShapeChars::new(out);
+    // The writer never fails.
+    let _ = fmt::Write::write_str(&mut shape, detail);
+    shape.finish();
+}
+
+/// Where [`ShapeChars`] is in the text written to it so far.
+#[derive(Clone, Copy)]
+enum ShapeState {
+    /// Outside a literal; whether the last character continued an
+    /// identifier (so a digit after it is part of the name).
+    Text { ident: bool },
+    /// Inside a quoted string literal.
+    Quoted,
+    /// Just past a quote inside a literal: `''` is the embedded-quote
+    /// escape, anything else ended the literal.
+    QuoteClosed,
+    /// Inside a number.
+    Number,
+}
+
+/// The shape of text written to it, as it is written: every quoted string
+/// and every number not part of an identifier becomes one `?`, handed to
+/// `out` with every other character.
+struct ShapeChars<F> {
+    out: F,
+    state: ShapeState,
+}
+
+impl<F: FnMut(char)> ShapeChars<F> {
+    fn new(out: F) -> ShapeChars<F> {
+        ShapeChars {
+            out,
+            state: ShapeState::Text { ident: false },
+        }
+    }
+
+    fn push(&mut self, c: char) {
+        self.state = match self.state {
+            ShapeState::Quoted if c == '\'' => ShapeState::QuoteClosed,
+            ShapeState::Quoted => ShapeState::Quoted,
+            ShapeState::QuoteClosed if c == '\'' => ShapeState::Quoted,
+            ShapeState::Number if c.is_ascii_digit() || c == '.' => ShapeState::Number,
+            ShapeState::QuoteClosed | ShapeState::Number => {
+                if matches!(self.state, ShapeState::QuoteClosed) {
+                    (self.out)('?');
+                }
+                self.state = ShapeState::Text { ident: false };
+                return self.push(c);
+            }
+            ShapeState::Text { .. } if c == '\'' => ShapeState::Quoted,
+            ShapeState::Text { ident: false } if c.is_ascii_digit() => {
+                (self.out)('?');
+                ShapeState::Number
+            }
+            ShapeState::Text { .. } => {
+                (self.out)(c);
+                ShapeState::Text {
+                    ident: c.is_alphanumeric() || c == '_' || c == '.',
                 }
             }
-            out('?');
-            prev_ident = false;
-        } else if c.is_ascii_digit() && !prev_ident {
-            while chars
-                .peek()
-                .is_some_and(|n| n.is_ascii_digit() || *n == '.')
-            {
-                chars.next();
-            }
-            out('?');
-        } else {
-            prev_ident = c.is_alphanumeric() || c == '_' || c == '.';
-            out(c);
+        };
+    }
+
+    /// The end of the text: a literal still open is one `?`.
+    fn finish(mut self) {
+        if matches!(self.state, ShapeState::Quoted | ShapeState::QuoteClosed) {
+            (self.out)('?');
         }
+    }
+}
+
+impl<F: FnMut(char)> fmt::Write for ShapeChars<F> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        s.chars().for_each(|c| self.push(c));
+        Ok(())
     }
 }
 
@@ -127,10 +178,10 @@ pub fn feedback_shape(conjunct: &str) -> String {
 /// The table a profiled operator is best attributed to: its own index
 /// access, or the leftmost scan underneath it. How the misestimate ledger
 /// files an operator that carries no [`ShapeKey`].
-pub fn profile_table(node: &PlanProfile) -> Option<String> {
+pub fn profile_table<'a>(node: ProfileNode<'a>) -> Option<&'a str> {
     match node.table() {
-        Some(table) => Some(table.to_string()),
-        None => node.children.iter().find_map(profile_table),
+        Some(table) => Some(table),
+        None => node.children().find_map(profile_table),
     }
 }
 

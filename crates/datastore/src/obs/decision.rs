@@ -449,24 +449,34 @@ impl SqlText {
         !self.slots.is_empty()
     }
 
+    /// A text said in full, never shortened, each `?k` in it the slot of
+    /// parameter `k` — how a profile keeps an operator's detail.
+    pub fn verbatim(text: String) -> SqlText {
+        SqlText::new(text, usize::MAX, true)
+    }
+
     /// This quote with each slot filled by its literal in `params`, written
     /// as SQL writes a literal, then shortened.
     pub fn bind(&self, params: &[Value]) -> SqlText {
         let mut text = String::with_capacity(self.text.len() + 16);
+        // Writing into a `String` cannot fail.
+        let _ = self.fill(params, &mut text);
+        SqlText::new(text, self.limit, false)
+    }
+
+    /// Write the text with each slot filled by its literal in `params` (a
+    /// slot `params` has no literal for stays as written), unshortened.
+    pub fn fill(&self, params: &[Value], mut out: impl fmt::Write) -> fmt::Result {
         let mut copied = 0;
         for (at, param) in &self.slots {
-            text.push_str(&self.text[copied..at.start]);
+            out.write_str(&self.text[copied..at.start])?;
             match params.get(*param) {
-                Some(value) => {
-                    // Writing into a `String` cannot fail.
-                    let _ = value.write_sql_literal(&mut text);
-                }
-                None => text.push_str(&self.text[at.clone()]),
+                Some(value) => value.write_sql_literal(&mut out)?,
+                None => out.write_str(&self.text[at.clone()])?,
             }
             copied = at.end;
         }
-        text.push_str(&self.text[copied..]);
-        SqlText::new(text, self.limit, false)
+        out.write_str(&self.text[copied..])
     }
 }
 

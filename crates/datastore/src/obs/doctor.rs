@@ -25,7 +25,7 @@
 use super::{
     bucket_quantile, latency_bucket, CacheStatus, StatementMeta, StatementPhases, HIST_BUCKETS,
 };
-use crate::exec::stream::PlanProfile;
+use crate::exec::{OpKind, PlanProfile};
 use crate::fingerprint::{fnv_hash, normalize_predicate};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -67,16 +67,15 @@ pub struct WorkloadSample<'a> {
     pub rows_scanned: u64,
     /// Rows the statement returned.
     pub rows_emitted: u64,
-    /// Tables full-scanned, with the rows each scan read.
-    pub full_scans: Vec<(&'a str, u64)>,
-    /// Index names probed (index scans, INLJ probes).
-    pub index_scans: Vec<&'a str>,
+    /// The executed profile: the tables it full-scans (with the rows each
+    /// scan read) and the indexes it probes are filed from it.
+    pub profile: &'a PlanProfile,
     /// Rows fed through `Apply` operators (per-row subquery evaluation).
     pub apply_rows: u64,
     /// Sort operators executed, with the first sort's key rendering.
     pub sorts: u64,
     /// Rendering of the first sort's keys, for sort-without-index advice.
-    pub sort_keys: Option<&'a str>,
+    pub sort_keys: Option<Cow<'a, str>>,
     /// Worst flagged est-vs-actual factor, when one crossed the threshold.
     pub misestimate: Option<f64>,
     /// How the plan cache treated the statement.
@@ -113,8 +112,7 @@ impl<'a> WorkloadSample<'a> {
             execute: phases.execute,
             rows_scanned: 0,
             rows_emitted: result_rows,
-            full_scans: Vec::new(),
-            index_scans: Vec::new(),
+            profile,
             apply_rows: 0,
             sorts: 0,
             sort_keys: None,
@@ -122,30 +120,17 @@ impl<'a> WorkloadSample<'a> {
             cache: meta.cache,
             epoch: meta.epoch,
         };
-        profile.walk(&mut |node| match node.operator.as_str() {
-            "scan" => {
-                sample.rows_scanned += node.metrics.rows_out;
-                let table = node.table().unwrap_or_default();
-                sample.full_scans.push((table, node.metrics.rows_out));
+        profile.walk(&mut |node| match node.kind() {
+            OpKind::Scan | OpKind::IndexScan | OpKind::IndexProbe => {
+                sample.rows_scanned += node.metrics().rows_out;
             }
-            "index scan" | "index probe" => {
-                sample.rows_scanned += node.metrics.rows_out;
-                if let Some(access) = &node.access {
-                    sample.index_scans.push(&access.index);
-                }
+            OpKind::Apply => {
+                sample.apply_rows += node.metrics().rows_in;
             }
-            "index nested-loop join" => {
-                if let Some(access) = &node.access {
-                    sample.index_scans.push(&access.index);
-                }
-            }
-            "apply" => {
-                sample.apply_rows += node.metrics.rows_in;
-            }
-            "sort" => {
+            OpKind::Sort => {
                 sample.sorts += 1;
-                if sample.sort_keys.is_none() && !node.detail.is_empty() {
-                    sample.sort_keys = Some(&node.detail);
+                if sample.sort_keys.is_none() && node.has_detail() {
+                    sample.sort_keys = Some(node.detail());
                 }
             }
             _ => {}
@@ -255,22 +240,29 @@ impl WorkloadStat {
         self.rows_emitted += sample.rows_emitted;
         // A table or index already on file is counted without copying its
         // name again.
-        for &(table, rows) in &sample.full_scans {
-            match self.full_scans.get_mut(table) {
-                Some((scans, read)) => (*scans, *read) = (*scans + 1, *read + rows),
-                None => _ = self.full_scans.insert(table.to_string(), (1, rows)),
-            }
-        }
-        for &index in &sample.index_scans {
-            match self.index_scans.get_mut(index) {
-                Some(probes) => *probes += 1,
-                None => _ = self.index_scans.insert(index.to_string(), 1),
-            }
-        }
+        sample
+            .profile
+            .walk(&mut |node| match (node.kind(), node.access()) {
+                (OpKind::Scan, _) => {
+                    let (table, rows) = (node.table().unwrap_or_default(), node.metrics().rows_out);
+                    match self.full_scans.get_mut(table) {
+                        Some((scans, read)) => (*scans, *read) = (*scans + 1, *read + rows),
+                        None => _ = self.full_scans.insert(table.to_string(), (1, rows)),
+                    }
+                }
+                (
+                    OpKind::IndexScan | OpKind::IndexProbe | OpKind::IndexNestedLoopJoin,
+                    Some(access),
+                ) => match self.index_scans.get_mut(&access.index) {
+                    Some(probes) => *probes += 1,
+                    None => _ = self.index_scans.insert(access.index.clone(), 1),
+                },
+                _ => {}
+            });
         self.apply_rows += sample.apply_rows;
         self.sorts += sample.sorts;
         if self.sort_keys.is_none() {
-            self.sort_keys = sample.sort_keys.map(str::to_string);
+            self.sort_keys = sample.sort_keys.as_deref().map(str::to_string);
         }
         if let Some(factor) = sample.misestimate {
             self.flagged += 1;
@@ -615,6 +607,22 @@ pub fn regressions(stats: &[WorkloadStat]) -> Vec<Regression> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::profile::Description;
+    use crate::exec::{Columns, OpMetrics};
+    use std::sync::{Arc, LazyLock};
+
+    /// A full scan of CAST that read 100 rows.
+    static CAST_SCAN: LazyLock<PlanProfile> = LazyLock::new(|| {
+        let scan = Description::new(OpKind::Scan, "CAST as c".to_string());
+        let shape = Arc::new(scan.shape(&Columns::default(), None, []));
+        let read = OpMetrics {
+            rows_in: 100,
+            rows_out: 100,
+            batches: 1,
+            ..OpMetrics::default()
+        };
+        PlanProfile::new(shape, vec![read], Vec::new())
+    });
 
     fn sample(sql: &str, micros: u64) -> WorkloadSample<'_> {
         let normalized = normalize_predicate(sql);
@@ -627,8 +635,7 @@ mod tests {
             execute: Duration::from_micros(micros),
             rows_scanned: 100,
             rows_emitted: 2,
-            full_scans: vec![("CAST", 100)],
-            index_scans: Vec::new(),
+            profile: &CAST_SCAN,
             apply_rows: 0,
             sorts: 0,
             sort_keys: None,

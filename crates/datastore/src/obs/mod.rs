@@ -12,9 +12,11 @@
 //!   Every hot-path increment is gated on one relaxed atomic load, so a
 //!   disabled registry costs a branch and nothing else.
 //! * [`Journal`] — a bounded ring buffer of executed statements: SQL text,
-//!   plan-shape hash, phase timings as a [`Span`] tree (parse → plan →
-//!   execute, with per-operator child spans from the executed profile),
-//!   and est-vs-actual row counts.
+//!   plan-shape hash, phase timings, and the executed [`PlanProfile`] as it
+//!   came: the plan's shape (shared, an `Arc`, with every other execution
+//!   of a plan-cache template) and this execution's counters. Nothing is
+//!   rendered when a statement is recorded; [`JournalEntry::span`] writes
+//!   the phase + operator [`Span`] tree when `SHOW PROFILE` asks for it.
 //! * the **misestimate ledger** — worst-offender cardinality errors keyed
 //!   by `(table, operator + shape)`. A filter the planner named (a pushed
 //!   conjunct, [`crate::fingerprint::ShapeKey`]) is filed under that name —
@@ -40,7 +42,7 @@ pub use decision::{
 };
 
 use crate::adaptive::Uncacheable;
-use crate::exec::stream::PlanProfile;
+use crate::exec::{PlanProfile, ProfileNode};
 use crate::fingerprint::{normalize_predicate, plan_shape_hash, profile_table};
 use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, VecDeque};
@@ -313,7 +315,8 @@ fn summarize(buckets: &[u64; HIST_BUCKETS]) -> HistogramSummary {
 // ---------------------------------------------------------------------------
 
 /// One timed node of a statement's trace: a phase (parse, plan, execute) or
-/// an executed operator, with nested children.
+/// an executed operator, with nested children — what
+/// [`JournalEntry::span`] renders for a reader.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Phase or operator name ("execute", "hash join", …).
@@ -355,35 +358,15 @@ impl Span {
     }
 }
 
-impl From<&PlanProfile> for Span {
-    /// An executed operator profile's span subtree, copied.
-    fn from(profile: &PlanProfile) -> Span {
+impl From<ProfileNode<'_>> for Span {
+    /// An executed operator's span subtree, its details written out.
+    fn from(node: ProfileNode<'_>) -> Span {
         Span {
-            name: profile.operator.clone().into(),
-            detail: profile.detail.clone(),
-            elapsed: profile.metrics.elapsed,
-            rows: Some(profile.metrics.rows_out),
-            children: profile.children.iter().map(Span::from).collect(),
-        }
-    }
-}
-
-impl From<PlanProfile> for Span {
-    /// An executed operator profile's span subtree, its names and details
-    /// moved.
-    fn from(profile: PlanProfile) -> Span {
-        Span {
-            name: profile.operator.into(),
-            detail: profile.detail,
-            elapsed: profile.metrics.elapsed,
-            rows: Some(profile.metrics.rows_out),
-            // Not collected in place: shrinking the profile's vector in two
-            // slows the allocator down for what runs next.
-            children: {
-                let mut children = Vec::with_capacity(profile.children.len());
-                children.extend(profile.children.into_iter().map(Span::from));
-                children
-            },
+            name: node.operator().into(),
+            detail: node.detail().into_owned(),
+            elapsed: node.metrics().elapsed,
+            rows: Some(node.metrics().rows_out),
+            children: node.children().map(Span::from).collect(),
         }
     }
 }
@@ -449,13 +432,35 @@ pub struct JournalEntry {
     pub result_rows: u64,
     /// End-to-end wall-clock time.
     pub total: Duration,
-    /// Phase + operator trace of the statement.
-    pub span: Span,
+    /// Time in each phase.
+    pub phases: StatementPhases,
+    /// The executed plan's profile: its shape and this execution's counters.
+    pub profile: PlanProfile,
     /// The single worst est-vs-actual error in the plan, as
     /// `(operator detail, factor)`, when one crossed the flagging threshold.
     pub worst_misestimate: Option<(String, f64)>,
     /// How the plan cache treated the statement.
     pub cache: CacheStatus,
+}
+
+impl JournalEntry {
+    /// Phase + operator trace of the statement: parse, plan, and execute
+    /// with the executed operators under it, written out now.
+    pub fn span(&self) -> Span {
+        let mut execute = Span::phase("execute", self.phases.execute);
+        execute.children.push(self.profile.root().into());
+        Span {
+            name: "statement".into(),
+            detail: String::new(),
+            elapsed: self.total,
+            rows: Some(self.result_rows),
+            children: vec![
+                Span::phase("parse", self.phases.parse),
+                Span::phase("plan", self.phases.plan),
+                execute,
+            ],
+        }
+    }
 }
 
 struct JournalInner {
@@ -617,7 +622,7 @@ impl MisestimateStat {
 // ---------------------------------------------------------------------------
 
 /// Phase durations of one executed statement, as measured by the caller.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StatementPhases {
     /// Time in the SQL parser.
     pub parse: Duration,
@@ -819,17 +824,18 @@ impl ObsRegistry {
     }
 
     /// Record one executed statement: phase latencies into the histograms, a
-    /// journal entry with the full span tree, every flagged est-vs-actual
-    /// error into the misestimate ledger, and the statement's workload facts
-    /// into the doctor's ledger. `flag_factor` is the caller's misestimate
-    /// threshold (`PlannerOptions::misestimate_factor`); `meta` carries the
-    /// plan-cache outcome and adaptive epoch. A profile handed over by value
-    /// becomes the span tree as it is; a borrowed one is copied. No-op when
-    /// the registry is disabled.
+    /// journal entry with its profile, every flagged est-vs-actual error into
+    /// the misestimate ledger, and the statement's workload facts into the
+    /// doctor's ledger. `flag_factor` is the caller's misestimate threshold
+    /// (`PlannerOptions::misestimate_factor`); `meta` carries the plan-cache
+    /// outcome and adaptive epoch. A profile handed over by value is
+    /// journaled as it is; a borrowed one is copied (its shape is shared).
+    /// Only a flagged misestimate, and the shape hash when the caller has
+    /// none, are written out as text. No-op when the registry is disabled.
     pub fn record_statement<'s>(
         &self,
         statement: impl Into<Statement<'s>>,
-        profile: impl Borrow<PlanProfile> + Into<Span>,
+        profile: impl Borrow<PlanProfile> + Into<PlanProfile>,
         phases: StatementPhases,
         result_rows: u64,
         flag_factor: f64,
@@ -858,26 +864,14 @@ impl ObsRegistry {
             meta,
         ));
 
-        let mut execute_span = Span::phase("execute", phases.execute);
-        execute_span.children.push(profile.into());
-        let span = Span {
-            name: "statement".into(),
-            detail: String::new(),
-            elapsed: total,
-            rows: Some(result_rows),
-            children: vec![
-                Span::phase("parse", phases.parse),
-                Span::phase("plan", phases.plan),
-                execute_span,
-            ],
-        };
         self.journal.push(JournalEntry {
             seq: 0, // assigned by the journal
             sql: statement.sql.trim().to_string(),
             plan_hash,
             result_rows,
             total,
-            span,
+            phases,
+            profile: profile.into(),
             worst_misestimate: worst,
             cache: meta.cache,
         });
@@ -897,14 +891,18 @@ impl ObsRegistry {
             let Some(factor) = node.misestimate_with(flag_factor) else {
                 return;
             };
-            let key = match &node.shape_key {
+            let key = match node.shape_key() {
                 Some(key) => ledger_key(&key.table, &key.shape),
                 None => (
-                    profile_table(node).unwrap_or_else(|| "(none)".to_string()),
-                    if node.detail.is_empty() {
-                        node.operator.clone()
+                    profile_table(node).unwrap_or("(none)").to_string(),
+                    if node.has_detail() {
+                        format!(
+                            "{} {}",
+                            node.operator(),
+                            normalize_predicate(&node.detail())
+                        )
                     } else {
-                        format!("{} {}", node.operator, normalize_predicate(&node.detail))
+                        node.operator().to_string()
                     },
                 ),
             };
@@ -912,13 +910,13 @@ impl ObsRegistry {
             stat.count += 1;
             stat.sum_factor += factor;
             stat.max_factor = stat.max_factor.max(factor);
-            stat.last_estimated = node.estimated_rows.unwrap_or(0.0).round().max(0.0) as u64;
-            stat.last_actual = node.metrics.rows_out;
+            stat.last_estimated = node.estimated_rows().unwrap_or(0.0).round().max(0.0) as u64;
+            stat.last_actual = node.metrics().rows_out;
         });
-        let detail = if worst.detail.is_empty() {
-            worst.operator.clone()
+        let detail = if worst.has_detail() {
+            format!("{}: {}", worst.operator(), worst.detail())
         } else {
-            format!("{}: {}", worst.operator, worst.detail)
+            worst.operator().to_string()
         };
         Some((detail, worst_factor))
     }
@@ -945,15 +943,21 @@ fn ledger_key(table: &str, shape: &str) -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::profile::Description;
+    use crate::exec::{Columns, OpKind, OpMetrics};
+    use std::sync::Arc;
 
     fn entry(sql: &str) -> JournalEntry {
+        let values = Description::new(OpKind::Values, "1 literal rows".to_string());
+        let shape = Arc::new(values.shape(&Columns::default(), None, []));
         JournalEntry {
             seq: 0,
             sql: sql.to_string(),
             plan_hash: 7,
             result_rows: 1,
             total: Duration::from_micros(10),
-            span: Span::phase("statement", Duration::from_micros(10)),
+            phases: StatementPhases::default(),
+            profile: PlanProfile::new(shape, vec![OpMetrics::default()], Vec::new()),
             worst_misestimate: None,
             cache: CacheStatus::Off,
         }

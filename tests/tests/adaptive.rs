@@ -18,7 +18,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use talkback::{PlanDecision, PlannerOptions, Talkback};
-use talkback_tests::{assert_recorded_feedback_is_found, counted_run};
+use talkback_tests::{
+    assert_recorded_feedback_is_found, counted_run, normalize_durations, squash_ws,
+};
 
 /// The paper's nine example queries (same SQL as the indexes suite).
 const PAPER_QUERIES: &[&str] = &[
@@ -712,6 +714,25 @@ fn cached_and_uncached_agree(seed: u64) {
             )
         }
     };
+    // The last statement each engine journaled reads the same in `SHOW
+    // PROFILE`, times (and the column widths they set) aside: the cached
+    // one's profile is its template's shape with its own counters and
+    // literals.
+    let profiles_agree = |cached: &Talkback, uncached: &Talkback, what: &str| {
+        let profile = |t: &Talkback| {
+            let table = normalize_durations(&t.execute_show("show profile").unwrap().table);
+            let line = |l: &str| {
+                let indent = l.len() - l.trim_start().len();
+                format!("{}{}", &l[..indent], squash_ws(l))
+            };
+            table.lines().map(line).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            profile(cached),
+            profile(uncached),
+            "seed {seed} {what}: SHOW PROFILE diverged"
+        );
+    };
     // `explain_result` calls served from a template.
     let mut explained_hits = 0u32;
     // `EXPLAIN [ANALYZE]` calls served from a template.
@@ -726,6 +747,9 @@ fn cached_and_uncached_agree(seed: u64) {
             (&b.tree, &b.narration, &b.decisions),
             "seed {seed} {step}: {text} diverged"
         );
+        if a.analyzed {
+            profiles_agree(cached, uncached, &format!("{step}: {text}"));
+        }
         explain_plan_hits += hits() - before;
         a
     };
@@ -869,6 +893,7 @@ fn cached_and_uncached_agree(seed: u64) {
                             );
                             let ja = cached.database().obs().journal().last().unwrap();
                             explained_hits += u32::from(ja.cache == CacheStatus::Hit);
+                            profiles_agree(&cached, &uncached, &format!("step {step}: {sql}"));
                         }
                         continue;
                     }
@@ -892,6 +917,7 @@ fn cached_and_uncached_agree(seed: u64) {
                             ja.plan_hash, jb.plan_hash,
                             "seed {seed} step {step}: plan shape diverged for {sql}"
                         );
+                        profiles_agree(&cached, &uncached, &format!("step {step}: {sql}"));
                         // The two single-table shapes a hash index can answer.
                         let watched = ["from ACTOR a where a.name", "from CAST c where c.aid"]
                             .iter()
@@ -906,7 +932,7 @@ fn cached_and_uncached_agree(seed: u64) {
                         if let (Some(shape), CacheStatus::Hit) = (watched, ja.cache) {
                             let index = INDEXES[1 + shape].0;
                             let probed = ja
-                                .span
+                                .span()
                                 .flatten()
                                 .iter()
                                 .any(|(_, s)| s.detail.contains(index));

@@ -11,13 +11,16 @@
 //!
 //! Narration has four rows, each with an exact ceiling: Q1's
 //! `Talkback::explain_result` on the 100-movie database, served from its
-//! template (162); `EXPLAIN` of Q1 and `EXPLAIN ANALYZE` of Q6 there, served
+//! template (101); `EXPLAIN` of Q1 and `EXPLAIN ANALYZE` of Q6 there, served
 //! from their templates, the plan and its decisions bound, nothing parsed or
-//! planned (220 and 4,084); and `explain_query` of `talkback`'s insert,
+//! planned (176 and 3,601); and `explain_query` of `talkback`'s insert,
 //! translated afresh on every call (42). Before every sentence was finished
 //! in one pass and the plan tree written in place (7c2e3fb) they made 186,
 //! 310, 4,200 and 54. The two EXPLAINs planned afresh every time, as they
 //! were before a template kept its decisions (3aa8c26), made 542 and 4,578.
+//! Before a template kept its profile's shape (c06f1aa) the first three made
+//! 162, 220 and 4,084: every execution described its operators into strings
+//! and the journal copied them into a span tree.
 //!
 //! The miss path: each `lookup` shape's plan-cache miss after an epoch bump
 //! (parse, plan, plan the template and compare, execute) and
@@ -29,21 +32,26 @@
 //! name join 1,214, year + id range 410, index-only 483; `plan_query_with` —
 //! point read 152, CAST slice 162, name join 497, year + id range 253,
 //! index-only 187; a fresh `EXISTS` 858 and a fresh `NOT IN` 791. The five
-//! misses are now exact counts (189, 197, 559, 350, 205), and so are the
-//! point read's, the name join's and the year + id range's hits (36, 102
-//! and 87): an index probe with a one-column key seeks through a slice of
-//! one value on the stack, the probe terms are read where they lie, and an
-//! index-only scan makes one key row per key. Before that (45d32bb) the hits
-//! counted 39 and 111 and the misses 194, 203, 567, 220 and 214.
+//! misses are now exact counts (185, 193, 547, 343, 201), and so are all five
+//! hits (point read 20, CAST prefix 22, name join 55, year + id range 64,
+//! index-only 21): an index probe with a one-column key seeks through a slice
+//! of one value on the stack, the probe terms are read where they lie, an
+//! index-only scan makes one key row per key, and a hit writes its counters
+//! against its template's shape — one allocation — where it described every
+//! operator and copied the description into the journal. Before that
+//! (c06f1aa) the hits counted 36, 38, 102, 87 and 38 and the misses 189, 197,
+//! 559, 350 and 205; before 45d32bb the hits counted 39 and 111 and the
+//! misses 194, 203, 567, 220 and 214.
 //!
 //! A range bound is a template parameter, one template per class of its
 //! estimate (0785da0 planned every year + id range afresh, 217 allocations
 //! a statement). So the year + id shape's miss, and the fresh `EXISTS` and
 //! `NOT IN` (whose bounds are ranges too), now also plan the template and
 //! compare it with the fresh plan, as every other miss does: 350, 731 and
-//! 686, against 217, 514 and 474 when they were refused unexamined. The
-//! other four misses no longer collect the literals' kinds into a list of
-//! their own: 189, 197, 559 and 205, against 191, 199, 561 and 207.
+//! 686 (343, 718 and 674 since c06f1aa), against 217, 514 and 474 when they
+//! were refused unexamined. The other four misses no longer collect the
+//! literals' kinds into a list of their own: 189, 197, 559 and 205, against
+//! 191, 199, 561 and 207.
 //!
 //! Index DDL, on the ×300 database: `create index idx_movies_title on MOVIES
 //! (title)` and `create index idx_cast_aid on CAST (aid)` through
@@ -257,7 +265,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
             system.run_query_with(&sql, options).unwrap();
         }
     }
-    let ceilings = [Some(36), None, Some(102), Some(87), None];
+    let ceilings = [20, 22, 55, 64, 21].map(Some);
     for ((what, sql), ceiling) in lookup_shapes(&actors, 1000).into_iter().zip(ceilings) {
         let (n, answer) = allocations(|| system.run_query_with(&sql, options).unwrap());
         assert!(!answer.is_empty() || what.contains("range"), "{sql}");
@@ -268,7 +276,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     // A plan-cache miss: an epoch bump retires every template, so the
     // statement is parsed, planned, planned again as its template and
     // compared, then executed. Then the planner alone on the parsed shape.
-    let ceilings = [(189, 91), (197, 97), (559, 298), (350, 151), (205, 112)];
+    let ceilings = [(185, 91), (193, 97), (547, 298), (343, 151), (201, 112)];
     for ((what, sql), (miss, plan)) in lookup_shapes(&actors, 1001).into_iter().zip(ceilings) {
         system
             .database()
@@ -344,7 +352,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
         ));
     }
 
-    for (name, sql, ceiling) in [("EXISTS", EXISTS, 731), ("NOT IN", NOT_IN, 686)] {
+    for (name, sql, ceiling) in [("EXISTS", EXISTS, 718), ("NOT IN", NOT_IN, 674)] {
         system
             .database()
             .adaptive()
@@ -370,18 +378,18 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     rows.push(Row::new(
         "explain_result of Q1 from a template",
         n,
-        Some(162),
+        Some(101),
     ));
 
     // `EXPLAIN [ANALYZE]` served from a template: the plan and its decisions
     // bound, neither parsed nor planned.
     for (what, form, sql, ceiling) in [
-        ("EXPLAIN of Q1 from a template", "explain", Q1, 220),
+        ("EXPLAIN of Q1 from a template", "explain", Q1, 176),
         (
             "EXPLAIN ANALYZE of Q6 from a template",
             "explain analyze",
             Q6,
-            4_084,
+            3_601,
         ),
     ] {
         let explain = format!("{form} {sql}");

@@ -296,9 +296,14 @@ fn explain_does_not_execute_the_query() {
     assert!(!e.analyzed);
     assert_eq!(e.result_rows, None);
     e.profile.walk(&mut |p| {
-        assert_eq!(p.metrics.rows_in, 0, "EXPLAIN read rows in {}", p.operator);
-        assert_eq!(p.metrics.rows_out, 0);
-        assert_eq!(p.metrics.batches, 0);
+        assert_eq!(
+            p.metrics().rows_in,
+            0,
+            "EXPLAIN read rows in {}",
+            p.operator()
+        );
+        assert_eq!(p.metrics().rows_out, 0);
+        assert_eq!(p.metrics().batches, 0);
     });
 }
 
@@ -312,7 +317,7 @@ fn explain_analyze_narration_row_counts_match_actual_execution() {
         .unwrap();
     let direct = system.run_query(sql).unwrap();
     assert_eq!(e.result_rows, Some(direct.len()));
-    assert_eq!(e.profile.metrics.rows_out as usize, direct.len());
+    assert_eq!(e.profile.metrics().rows_out as usize, direct.len());
     // The narration reports the final cardinality in words.
     assert!(mentions(&e.narration, "two rows"));
     assert!(mentions(&e.narration, "scanned"));
@@ -332,7 +337,7 @@ fn instrumented_execution_matches_plain_execution() {
     let plain = execute(&db, &planned.plan).unwrap();
     let (instrumented, profile) = execute_with_stats(&db, &planned.plan).unwrap();
     assert_eq!(plain, instrumented);
-    assert_eq!(profile.metrics.rows_out as usize, plain.len());
+    assert_eq!(profile.metrics().rows_out as usize, plain.len());
     // The described plan (no execution) has the same shape as the profile.
     let described = describe_plan(&db, &planned.plan).unwrap();
     assert_eq!(described.operator_count(), profile.operator_count());
@@ -544,7 +549,7 @@ fn explain_analyze_golden_a_sort_under_a_limit_emits_the_limit() {
         e.narration
     );
     e.profile
-        .walk(&mut |p| assert!(p.misestimate().is_none(), "{}: {}", p.operator, e.tree));
+        .walk(&mut |p| assert!(p.misestimate().is_none(), "{}: {}", p.operator(), e.tree));
 
     // The same rows as the whole sort's first fifteen, ties on `year` broken
     // by `id` as written.
@@ -568,10 +573,10 @@ fn explain_analyze_golden_a_sort_under_a_limit_emits_the_limit() {
         }])
         .with_estimate(15.0);
     let (_, profile) = execute_with_stats(system.database(), &plan).unwrap();
-    assert_eq!(profile.operator, "sort");
-    assert_eq!(profile.metrics.rows_out, 3000);
+    assert_eq!(profile.operator(), "sort");
+    assert_eq!(profile.metrics().rows_out, 3000);
     assert!(
-        profile.misestimate().is_some(),
+        profile.root().misestimate().is_some(),
         "{}",
         profile.render_tree(true)
     );

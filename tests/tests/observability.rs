@@ -135,6 +135,9 @@ fn show_metrics_golden_table_and_narration() {
     assert_eq!(row("counter", "queries_executed")[2], "2");
     assert_eq!(row("counter", "rows_emitted")[2], "12");
     assert_eq!(row("counter", "index_probes")[2], "2");
+    // Q1 reads six actors and twelve credits by scan and its two movies
+    // through `pk_movies`; the full scan reads ten.
+    assert_eq!(row("counter", "rows_scanned")[2], "30");
     assert_eq!(row("counter", "hash_build_rows")[2], "12");
     assert_eq!(row("decision", "start")[2], "1");
     assert_eq!(row("gauge", "journal_entries")[2], "2");
@@ -150,7 +153,10 @@ fn show_metrics_golden_table_and_narration() {
         narration.starts_with("Since startup I have executed two queries"),
         "{narration}"
     );
-    assert!(narration.contains("to return twelve"), "{narration}");
+    assert!(
+        narration.contains("scanning 30 rows to return twelve"),
+        "{narration}"
+    );
     assert!(
         narration.contains("my median statement finishes within <t>"),
         "{narration}"
@@ -479,7 +485,7 @@ type Remembered = (
 
 fn remembered(system: &Talkback) -> Remembered {
     let entry = system.database().obs().journal().last().expect("journaled");
-    let spans = (entry.span.flatten().into_iter())
+    let spans = (entry.span().flatten().into_iter())
         .map(|(depth, s)| (depth, s.name.to_string(), s.detail.clone(), s.rows))
         .collect();
     let worst = entry.worst_misestimate;
@@ -693,4 +699,111 @@ fn explain_analyze_is_journaled_as_the_select_it_runs() {
     assert_eq!(row[0], "select f.id from FILMS f where f.genre = ?");
     let runs = header.iter().position(|h| h == "runs").unwrap();
     assert_eq!(row[runs], "2", "{workload:?}");
+}
+
+/// The registry's `rows_scanned` and `index_probes` move by exactly what the
+/// journaled profile says the statement read: the rows its scans, index
+/// scans and index probes handed on, and the probes they issued — for Q1–Q9
+/// and `lookup`'s five shapes, each run fresh and then from its template.
+#[test]
+fn scan_and_probe_counters_reconcile_with_the_journaled_profile() {
+    use datastore::exec::OpKind;
+    use datastore::sample::{scaled_movie_database, ScaleConfig};
+    use datastore::CacheStatus;
+    let check = |system: &Talkback, sql: &str, cache: CacheStatus| {
+        let obs = system.database().obs();
+        let read = || {
+            (
+                obs.counter(Counter::RowsScanned),
+                obs.counter(Counter::IndexProbes),
+            )
+        };
+        let before = read();
+        system.run_query(sql).unwrap();
+        let entry = obs.journal().last().expect("journaled");
+        assert_eq!(entry.cache, cache, "{sql}");
+        let (mut scanned, mut probes) = (0, 0);
+        entry.profile.walk(&mut |node| {
+            if matches!(
+                node.kind(),
+                OpKind::Scan | OpKind::IndexScan | OpKind::IndexProbe
+            ) {
+                scanned += node.metrics().rows_out;
+            }
+            probes += node.metrics().probes;
+        });
+        let tree = entry.profile.render_tree(true);
+        assert_eq!(
+            read().0 - before.0,
+            scanned,
+            "rows scanned by {sql}\n{tree}"
+        );
+        assert_eq!(read().1 - before.1, probes, "index probes of {sql}\n{tree}");
+    };
+    let paper = Talkback::new(movie_database());
+    for sql in PAPER_QUERIES {
+        check(&paper, sql, CacheStatus::Miss);
+        check(&paper, sql, CacheStatus::Hit);
+    }
+    let mut lookup = Talkback::new(scaled_movie_database(ScaleConfig {
+        movies: 3000,
+        actors: 1800,
+        directors: 600,
+        ..ScaleConfig::default()
+    }));
+    for ddl in [
+        "create index idx_movies_year on MOVIES (year)",
+        "create index idx_cast_aid on CAST (aid)",
+        "create index idx_cast_mid_aid on CAST (mid, aid)",
+        "create index idx_actor_name on ACTOR (name) using hash",
+    ] {
+        lookup.execute_ddl(ddl).unwrap();
+    }
+    let actors: Vec<String> = (lookup.database().table("ACTOR").unwrap())
+        .column_values("name")
+        .iter()
+        .filter_map(|v| v.as_str().map(str::to_string))
+        .collect();
+    for (fresh, cached) in lookup_shapes(&actors, 0)
+        .iter()
+        .zip(lookup_shapes(&actors, 1))
+    {
+        check(&lookup, fresh, CacheStatus::Miss);
+        check(&lookup, &cached, CacheStatus::Hit);
+    }
+}
+
+/// A journaled statement holds its plan's shape and its counters, not the
+/// catalog: after an index on MOVIES(year) is created and dropped again and
+/// a movie is inserted, the point read and Q1 read the same in `SHOW QUERY
+/// LOG` and `SHOW PROFILE` (durations masked) as they did when they ran.
+#[test]
+fn a_journaled_statement_does_not_depend_on_the_catalog() {
+    let mut system = Talkback::new(movie_database());
+    let point = "select m.title from MOVIES m where m.id = 3";
+    let read = |system: &Talkback| {
+        let show = |what: &str| {
+            let report = system.execute_show(what).unwrap();
+            normalize_durations(&format!("{}\n{}", report.table, report.narration))
+        };
+        let journal = system.database().obs().journal().tail(None);
+        let spans: Vec<_> = journal.iter().map(|e| format!("{:?}", e.span())).collect();
+        (show("show query log"), show("show profile"), spans)
+    };
+    system.run_query(point).unwrap();
+    let point_profile = read(&system).1;
+    system.run_query(Q1).unwrap();
+    let before = read(&system);
+    system
+        .execute_ddl("create index idx_movies_year on MOVIES (year)")
+        .unwrap();
+    system.execute_ddl("drop index idx_movies_year").unwrap();
+    let movie = vec![Value::int(11), Value::text("Late Entry"), Value::int(2009)];
+    system.database_mut().insert("MOVIES", movie).unwrap();
+    let after = read(&system);
+    assert_eq!(after.0, before.0, "SHOW QUERY LOG changed");
+    assert_eq!(after.1, before.1, "SHOW PROFILE of Q1 changed");
+    assert_eq!(after.2, before.2, "a journaled span tree changed");
+    assert!(point_profile.contains("index scan: MOVIES as m [index=pk_movies point m.id = 3]"));
+    assert!(after.2[0].contains("m.id = 3"), "{}", after.2[0]);
 }

@@ -146,11 +146,16 @@ fn plan_walk_visits_exactly_the_operators_the_executor_opens() {
         described.walk(&mut |p| {
             // The probe side of an index nested-loop join is a profile
             // leaf with no plan node of its own.
-            if p.operator != "index probe" {
-                opened.push(p.operator.as_str());
+            if p.operator() != "index probe" {
+                opened.push(p.operator());
             }
             // Describing executes nothing: every meter is still at zero.
-            assert_eq!(p.metrics, OpMetrics::default(), "{sql}: {}", p.operator);
+            assert_eq!(
+                *p.metrics(),
+                OpMetrics::default(),
+                "{sql}: {}",
+                p.operator()
+            );
         });
         assert_eq!(walked, opened, "{sql} under {options:?}");
         seen.extend(walked);
@@ -186,32 +191,33 @@ fn every_executed_profile_node_obeys_the_metering_protocol() {
     for_each_planned_corner(|db, sql, plan, options| {
         let (_, profile) = execute_with_stats(db, plan).unwrap();
         profile.walk(&mut |p| {
-            let at = format!("{sql} under {options:?}: {}: {}", p.operator, p.detail);
-            let m = &p.metrics;
+            let at = format!("{sql} under {options:?}: {}: {}", p.operator(), p.detail());
+            let m = p.metrics();
             assert!(m.elapsed >= m.blocked, "blocked is part of elapsed: {at}");
             // The probe leaf of an index join tallies probes and matches and
             // never returns a batch of its own.
-            if p.operator != "index probe" {
+            if p.operator() != "index probe" {
                 assert_eq!(m.batches == 0, m.rows_out == 0, "no empty batches: {at}");
             }
             // An operator pulls from its children, minus the subplan of an
             // apply or scalar-subquery filter and the probe leaf.
-            let pulled = match p.operator.as_str() {
-                "apply" | "scalar subquery" | "index nested-loop join" => &p.children[..1],
-                _ => &p.children[..],
-            };
+            let pulled: Vec<_> = match p.operator() {
+                "apply" | "scalar subquery" | "index nested-loop join" => p.children().take(1),
+                _ => p.children().take(usize::MAX),
+            }
+            .collect();
             // A parallel operator waits wall time while its workers' times
             // add up; anyone else waits as long as what it pulls from ran.
-            if p.workers.is_none() {
-                let waited_for: Duration = pulled.iter().map(|c| c.metrics.elapsed).sum();
+            if p.workers().is_none() {
+                let waited_for: Duration = pulled.iter().map(|c| c.metrics().elapsed).sum();
                 assert!(m.blocked >= waited_for, "a pull is a wait: {at}");
             }
             // A non-row gather receives partial states or truncated runs,
             // not its pipeline's rows; every other operator counts in
             // exactly what its inputs handed out.
-            let partial_gather = p.operator == "exchange" && !p.tags.is_empty();
+            let partial_gather = p.operator() == "exchange" && !p.tags().is_empty();
             if !pulled.is_empty() && !partial_gather {
-                let handed_out: u64 = pulled.iter().map(|c| c.metrics.rows_out).sum();
+                let handed_out: u64 = pulled.iter().map(|c| c.metrics().rows_out).sum();
                 assert_eq!(m.rows_in, handed_out, "rows in = rows pulled: {at}");
             }
         });
@@ -223,8 +229,12 @@ fn every_executed_profile_node_obeys_the_metering_protocol() {
 fn flatten_counters(profile: &PlanProfile) -> Vec<(String, u64, u64)> {
     let mut out = Vec::new();
     profile.walk(&mut |p| {
-        if p.operator != "exchange" {
-            out.push((p.operator.clone(), p.metrics.rows_in, p.metrics.rows_out));
+        if p.operator() != "exchange" {
+            out.push((
+                p.operator().to_string(),
+                p.metrics().rows_in,
+                p.metrics().rows_out,
+            ));
         }
     });
     out
@@ -250,9 +260,9 @@ fn per_worker_counters_aggregate_to_single_threaded_totals() {
     // ≥1024-row morsels, so 3 of the 4 requested threads ran).
     let mut exchanges = 0;
     par_profile.walk(&mut |p| {
-        if p.operator == "exchange" {
+        if p.operator() == "exchange" {
             exchanges += 1;
-            assert_eq!(p.workers, Some(3));
+            assert_eq!(p.workers(), Some(3));
         }
     });
     assert_eq!(exchanges, 1, "expected exactly one exchange in the plan");
@@ -387,7 +397,7 @@ fn parallel_apply_is_recorded_and_agrees_with_sequential() {
     assert_eq!(seq_rs.rows, par_rs.rows);
     let mut saw_parallel_apply = false;
     par_profile.walk(&mut |p| {
-        if p.operator == "apply" && p.workers == Some(4) {
+        if p.operator() == "apply" && p.workers() == Some(4) {
             saw_parallel_apply = true;
         }
     });

@@ -3,7 +3,7 @@
 //! level, and the acceptance check that every paper query (Q1–Q9) executes
 //! *and* narrates its plan.
 
-use datastore::exec::PlanProfile;
+use datastore::exec::{PlanProfile, ProfileNode};
 use datastore::sample::{employee_database, movie_database, scaled_movie_database, ScaleConfig};
 use datastore::{Row, StoreError, Value};
 use sqlparse::parse_query;
@@ -351,10 +351,10 @@ fn analyze_at_default_scale(sql: &str) -> talkback::PlanExplanation {
 }
 
 /// The first operator of that name, pre-order.
-fn find<'a>(profile: &'a PlanProfile, operator: &str, detail: &str) -> &'a PlanProfile {
+fn find<'a>(profile: ProfileNode<'a>, operator: &str, detail: &str) -> ProfileNode<'a> {
     let mut found = None;
     profile.walk(&mut |p| {
-        if found.is_none() && p.operator == operator && p.detail.starts_with(detail) {
+        if found.is_none() && p.operator() == operator && p.detail().starts_with(detail) {
             found = Some(p);
         }
     });
@@ -362,8 +362,11 @@ fn find<'a>(profile: &'a PlanProfile, operator: &str, detail: &str) -> &'a PlanP
 }
 
 /// The accumulated subplan under the plan's apply.
-fn apply_subplan(profile: &PlanProfile) -> &PlanProfile {
-    find(profile, "apply", "").children.last().expect("subplan")
+fn apply_subplan(profile: &PlanProfile) -> ProfileNode<'_> {
+    find(profile.root(), "apply", "")
+        .children()
+        .last()
+        .expect("subplan")
 }
 
 /// Inside a subquery block an estimate may be flagged only where nothing
@@ -371,10 +374,10 @@ fn apply_subplan(profile: &PlanProfile) -> &PlanProfile {
 fn assert_block_estimates_are_believable(e: &talkback::PlanExplanation) {
     apply_subplan(&e.profile).walk(&mut |p| {
         assert!(
-            p.misestimate().is_none() || p.metrics.rows_out == 0,
+            p.misestimate().is_none() || p.metrics().rows_out == 0,
             "{}: {} is flagged in\n{}",
-            p.operator,
-            p.detail,
+            p.operator(),
+            p.detail(),
             e.tree
         );
     });
@@ -422,10 +425,10 @@ fn explain_analyze_golden_q9_filters_reach_their_scans() {
     // reads its tables whole — no row goal reaches them.
     let sub = apply_subplan(&e.profile);
     let join = find(sub, "nested-loop join", "");
-    assert!(join.metrics.rows_in <= 400, "{}", e.tree);
-    assert!(join.metrics.rows_out <= 200, "{}", e.tree);
-    assert!(sub.tags.is_empty(), "{:?}", sub.tags);
-    assert_eq!(find(sub, "scan", "MOVIES as m1").metrics.rows_in, 10_000);
+    assert!(join.metrics().rows_in <= 400, "{}", e.tree);
+    assert!(join.metrics().rows_out <= 200, "{}", e.tree);
+    assert!(sub.tags().is_empty(), "{:?}", sub.tags());
+    assert_eq!(find(sub, "scan", "MOVIES as m1").metrics().rows_in, 10_000);
 }
 
 #[test]
@@ -473,8 +476,8 @@ fn explain_analyze_golden_q6_stops_each_check_at_its_first_row() {
     // Counted: each of the 100 checks used to read all 200 rows of GENRE to
     // learn that one survives (20 000 in, 20 300 scanned in all).
     let g1 = find(apply_subplan(&e.profile), "scan", "GENRE as g1");
-    assert!(g1.metrics.rows_in <= 5_000, "{}", e.tree);
-    assert_eq!(scanned, 100 + g1.metrics.rows_in + 200, "{}", e.tree);
+    assert!(g1.metrics().rows_in <= 5_000, "{}", e.tree);
+    assert_eq!(scanned, 100 + g1.metrics().rows_in + 200, "{}", e.tree);
 }
 
 #[test]
@@ -504,10 +507,7 @@ fn explain_analyze_golden_two_correlated_relations_are_priced_per_binding() {
     );
     // The join is fed two rows a side per evaluation.
     let join = find(apply_subplan(&e.profile), "nested-loop join", "");
-    assert!(join
-        .children
-        .iter()
-        .all(|side| side.metrics.rows_out <= 200));
+    assert!(join.children().all(|side| side.metrics().rows_out <= 200));
 }
 
 #[test]
@@ -537,11 +537,11 @@ fn a_row_goal_stops_at_breakers_and_is_never_given_to_other_applies() {
     ];
     for (sql, scan, table_rows) in cases {
         let e = analyze_at_default_scale(sql);
-        let apply = find(&e.profile, "apply", "");
-        assert!(apply.detail.contains("100 evaluations"), "{}", e.tree);
+        let apply = find(e.profile.root(), "apply", "");
+        assert!(apply.detail().contains("100 evaluations"), "{}", e.tree);
         let scan = find(apply_subplan(&e.profile), "scan", scan);
-        assert_eq!(scan.metrics.rows_in, 100 * table_rows, "{}", e.tree);
-        assert_eq!(scan.metrics.batches, 100, "{}", e.tree);
+        assert_eq!(scan.metrics().rows_in, 100 * table_rows, "{}", e.tree);
+        assert_eq!(scan.metrics().batches, 100, "{}", e.tree);
     }
 }
 
@@ -564,7 +564,7 @@ fn explain_golden_q7_narration_says_each_decision_once() {
          genre counts as 0. I compiled the aggregate on `count(*)` into typed column kernels — \
          every aggregate reads a plain column — so it runs a 1,024-value vector at a time. I \
          will scan the movies, then will scan the casting credits, then will match the movies \
-         to their casting credits on m.id = c.mid, then will summarize them (group by m.id, \
+         to their casting credits on `m.id = c.mid`, then will summarize them (group by m.id, \
          m.title; count(*)), then will compute the subquery once per group and look each \
          row's m.id up among them."
     );
@@ -580,9 +580,9 @@ fn keyed_answer(system: &Talkback, sql: &str) -> Vec<String> {
     let e = system
         .explain_plan_with(&format!("explain {sql}"), PlannerOptions::sequential())
         .unwrap();
-    let keyed = find(&e.profile, "scalar subquery", "");
+    let keyed = find(e.profile.root(), "scalar subquery", "");
     assert!(
-        !keyed.subquery.as_ref().unwrap().keys.is_empty(),
+        !keyed.subquery().as_ref().unwrap().keys.is_empty(),
         "{}",
         e.tree
     );
