@@ -52,7 +52,8 @@
 //! 3. **datastore/exec** opens the plan into a tree of streaming, pull-based
 //!    `RowSource` operators exchanging row batches; one metering wrapper
 //!    counts every operator's rows in/out, batches and elapsed time
-//!    ([`datastore::exec::OpMetrics`]) and assembles its
+//!    ([`datastore::exec::OpMetrics`]) and writes them out against the
+//!    plan's shape, described once per plan — a
 //!    [`datastore::exec::PlanProfile`]; filter details are rendered by
 //!    [`datastore::exec::profile::render_expr`].
 //!    Operator trees are owned (`Arc` table handles), so a *parallel* phase
