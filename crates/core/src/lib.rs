@@ -84,8 +84,8 @@
 //!
 //! [`Talkback::run_query`], `EXPLAIN ANALYZE`, [`Talkback::explain_result`]
 //! and [`Talkback::voice_answer`] take one crate-private path: *prepare*
-//! (normalize, probe the plan cache, on a miss parse, plan and examine)
-//! then *run*, the one place that executes a plan, absorbs its cardinality
+//! (normalize, probe the plan cache, on a miss parse and plan the statement
+//! once, as its template) then *run*, the one place that executes a plan, absorbs its cardinality
 //! feedback and journals it. So every `SHOW` counts the same statements,
 //! and an `EXPLAIN` narrating a feedback correction finds its misestimate in
 //! the ledger. A plain `EXPLAIN` prepares and stops: it reads, absorbs and
@@ -271,7 +271,8 @@ impl Talkback {
     /// * **Plan cache** — the statement text is literal-normalized and the
     ///   cache probed once under (text, options, literal kinds). A template
     ///   there is re-bound with the new literals and executed: no lexing,
-    ///   parsing, or planning. A *negative* entry there says the shape
+    ///   parsing, or planning. On a miss the statement is planned once, as
+    ///   its template, and runs from it. A *negative* entry says the shape
     ///   cannot be templated (and why), so the statement goes straight to
     ///   the parser and planner without being examined again. Entries of
     ///   both kinds die with the database's adaptive epoch — DDL, a write

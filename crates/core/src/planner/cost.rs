@@ -167,6 +167,11 @@ impl<'a> Estimator<'a> {
         ParamKind::of(value).map(ParamKind::data_type)
     }
 
+    /// True when a template is being planned: its literals are parameters.
+    pub fn is_template(&self) -> bool {
+        !self.params.is_empty()
+    }
+
     /// The range conjuncts whose estimate read a parameter, in first-read
     /// order. Draining resets the list.
     pub fn take_ranges(&self) -> Vec<RangeParam> {

@@ -209,19 +209,39 @@ pub fn plan_query_with(
 }
 
 /// Plan a plan-cache template: a statement whose liftable literals are
-/// `?i` placeholders, `?i` standing for `params[i]` — typed by its kind, and
-/// read by a range estimate through its class. Returns the plan and the
-/// range conjuncts whose estimates read a parameter, the record a later
-/// statement of the shape is classified by. Nothing is recorded into the
-/// observability registry — this is the engine's own second look at a
-/// statement the user ran once.
-pub(crate) fn plan_template(
+/// `?k` placeholders, `?k` standing for `params[k]`. Returns the plan and
+/// the range conjuncts whose estimates read a parameter, the record a later
+/// statement of the shape is classified by. The choices are recorded as
+/// [`plan_query_with`] records them: on a plan-cache miss the template is
+/// the statement's plan.
+///
+/// Bound to `params`, the template is the plan [`plan_query_with`] makes of
+/// the statement with its literals, node for node and decision for
+/// decision, because the planner reads a `?k` in these places only, and
+/// each answers from the kind or the range class of `params[k]` alone:
+///
+/// * the access path's equality type, [`access`]'s `as_sarg`, and the
+///   vectorizer's verdict on `column = ?k`, through
+///   [`cost::Estimator::param_type`] (the literal's kind);
+/// * a range estimate, through `Estimator::bound` and `read_range`: the
+///   value is read only to be snapped to its [`datastore::stats::RangeClass`],
+///   and the read is recorded for the class record;
+/// * lowering ([`physical`]), which turns `?k` into the statement parameter
+///   `Param::Stmt(k)` without reading it;
+/// * a decision that quotes SQL, whose `?k` is a slot the literal fills
+///   ([`SqlText`]).
+///
+/// An equality's estimate (1/NDV) and a feedback shape (`?`) read no
+/// literal at all. The plan-cache differential in `tests/tests/adaptive.rs`
+/// is the oracle that holds the list complete: at every step it plans each
+/// statement both ways and demands the two agree.
+pub fn plan_template(
     db: &Database,
     query: &SelectStatement,
     options: PlannerOptions,
     params: &[Value],
 ) -> Result<(PlannedQuery, Vec<RangeParam>), TalkbackError> {
-    plan_query_impl(db, query, options, false, Vec::new(), params)
+    plan_query_impl(db, query, options, true, Vec::new(), params)
 }
 
 /// What-if planning for the advisor: plan silently with metadata-only
@@ -270,7 +290,7 @@ fn plan_query_impl(
     let (order, mut decisions) = cost::choose_join_order(&graph, &estimator, &hints);
     // A template's statement has its literals as parameters; the decisions'
     // quotes of SQL keep their slots.
-    let template = !params.is_empty();
+    let template = estimator.is_template();
     let subctx = subquery::SubqueryContext::new(db, options, template);
     let scopes = subquery::ScopeChain::root(&subctx);
     let (mut plan, _columns) = physical::lower_select(
@@ -288,7 +308,7 @@ fn plan_query_impl(
     decisions.extend(subctx.take_decisions());
     // The vectorize pass always runs: with the vector kernels switched off
     // it still records which builds a parallel run would partition.
-    vectorize::vectorize_plan(db, &mut plan, &options, template, &mut decisions);
+    vectorize::vectorize_plan(db, &mut plan, &options, &estimator, &mut decisions);
     // Parallelization runs last, over the final physical plan: wrap
     // qualifying pipelines in exchanges (pushing aggregation, sorting, and
     // top-k below them when profitable) and fan out qualifying applies,

@@ -26,34 +26,36 @@
 //! [`PARALLEL_BUILD_MIN`] — the executor's floor for hash-partitioning a
 //! build across workers — as a [`PlanDecision::PartitionedBuild`].
 
+use super::cost::Estimator;
 use super::{PlanDecision, PlannerOptions, SqlText};
 use datastore::exec::profile::render_expr;
 use datastore::exec::{ColumnInfo, Plan, PlanNode, VectorPredicate, PARALLEL_BUILD_MIN};
-use datastore::expr::Expr;
+use datastore::expr::{Expr, Param};
 use datastore::{DataType, Database, Value};
 
 /// Apply the vectorize pass (always runs; the vector flags are only set when
 /// `options.use_vectorized`, but partitioned builds are recorded either
-/// way): children first, then the node's own verdict. `template` says the
-/// plan is a plan-cache template's, so a quoted expression keeps the slots
-/// of its statement parameters.
+/// way): children first, then the node's own verdict. A plan-cache
+/// template's statement parameters are typed by `estimator`, and a quoted
+/// expression keeps their slots.
 pub(super) fn vectorize_plan(
     db: &Database,
     plan: &mut Plan,
     options: &PlannerOptions,
-    template: bool,
+    estimator: &Estimator,
     decisions: &mut Vec<PlanDecision>,
 ) {
     for (_, child) in plan.children_mut() {
-        vectorize_plan(db, child, options, template, decisions);
+        vectorize_plan(db, child, options, estimator, decisions);
     }
+    let template = estimator.is_template();
     match &mut plan.node {
         PlanNode::Filter {
             input,
             predicate,
             vectorized,
             ..
-        } => *vectorized = decide_filter(db, input, predicate, options, template, decisions),
+        } => *vectorized = decide_filter(db, input, predicate, options, estimator, decisions),
         PlanNode::HashJoin {
             right, vectorized, ..
         } => {
@@ -73,6 +75,11 @@ pub(super) fn vectorize_plan(
                 .all(|a| matches!(&a.arg, None | Some(Expr::Column(_))));
             *vectorized = eligible && options.use_vectorized;
             if options.use_vectorized {
+                let reason = if eligible {
+                    "every aggregate reads a plain column"
+                } else {
+                    "an aggregate argument is a computed expression"
+                };
                 decisions.push(PlanDecision::Vectorize {
                     operator: "aggregate".to_string(),
                     expression: SqlText::new(
@@ -85,11 +92,7 @@ pub(super) fn vectorize_plan(
                         template,
                     ),
                     vectorized: *vectorized,
-                    reason: if eligible {
-                        "every aggregate reads a plain column".to_string()
-                    } else {
-                        "an aggregate argument is a computed expression".to_string()
-                    },
+                    reason: SqlText::new(reason.to_string(), usize::MAX, false),
                 });
             }
         }
@@ -106,7 +109,7 @@ fn decide_filter(
     input: &Plan,
     predicate: &Expr,
     options: &PlannerOptions,
-    template: bool,
+    estimator: &Estimator,
     decisions: &mut Vec<PlanDecision>,
 ) -> bool {
     let shape_ok = VectorPredicate::compile(predicate).is_some();
@@ -119,18 +122,19 @@ fn decide_filter(
             "it is not a flat conjunction of simple comparisons".to_string(),
         )
     } else {
-        match type_verdict(predicate, &types, &columns) {
+        match type_verdict(predicate, &types, &columns, estimator) {
             Ok(()) => (true, "a flat conjunction of typed comparisons".to_string()),
             Err(why) => (false, why),
         }
     };
     let vectorized = eligible && options.use_vectorized;
     if options.use_vectorized {
+        let template = estimator.is_template();
         decisions.push(PlanDecision::Vectorize {
             operator: "filter".to_string(),
             expression: SqlText::new(render_expr(predicate, &columns), usize::MAX, template),
             vectorized,
-            reason,
+            reason: SqlText::new(reason, usize::MAX, template),
         });
     }
     vectorized
@@ -245,12 +249,18 @@ fn literal_family(value: &Value) -> Option<Family> {
 }
 
 /// Check every conjunct of a shape-eligible predicate against the scan's
-/// column types; `Err` carries the narrated rejection.
-fn type_verdict(expr: &Expr, types: &[DataType], columns: &[ColumnInfo]) -> Result<(), String> {
+/// column types; `Err` carries the narrated rejection, quoting the
+/// conjunct.
+fn type_verdict(
+    expr: &Expr,
+    types: &[DataType],
+    columns: &[ColumnInfo],
+    estimator: &Estimator,
+) -> Result<(), String> {
     match expr {
         Expr::And(a, b) => {
-            type_verdict(a, types, columns)?;
-            type_verdict(b, types, columns)
+            type_verdict(a, types, columns, estimator)?;
+            type_verdict(b, types, columns, estimator)
         }
         Expr::Compare { left, right, .. } => {
             let sides = match (left.as_ref(), right.as_ref()) {
@@ -260,11 +270,18 @@ fn type_verdict(expr: &Expr, types: &[DataType], columns: &[ColumnInfo]) -> Resu
                 (Expr::Column(i), Expr::Column(j)) => {
                     Some((column_family(types[*i]), Some(column_family(types[*j]))))
                 }
-                // A plan-cache parameter always binds a literal of its
-                // column's family (the cache key pins the kind), so only
-                // the column side can disqualify — mirror it onto both
-                // sides so the verdict matches the bound counterpart's.
-                (Expr::Column(i), Expr::Param(_)) | (Expr::Param(_), Expr::Column(i)) => {
+                // A statement parameter has the family of its literal's
+                // kind (the cache key pins the kind), as the literal would.
+                (Expr::Column(i), Expr::Param(Param::Stmt(k)))
+                | (Expr::Param(Param::Stmt(k)), Expr::Column(i)) => Some((
+                    column_family(types[*i]),
+                    estimator.param_type(*k).map(column_family),
+                )),
+                // A correlation value comes from the enclosing block, whose
+                // column types this scan does not know: only its own column
+                // can disqualify the comparison.
+                (Expr::Column(i), Expr::Param(Param::Outer(_)))
+                | (Expr::Param(Param::Outer(_)), Expr::Column(i)) => {
                     Some((column_family(types[*i]), Some(column_family(types[*i]))))
                 }
                 _ => None,

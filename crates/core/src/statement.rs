@@ -1,11 +1,13 @@
 //! One path for every statement that runs a query: [`prepare`] turns SQL
-//! into a plan and the decisions that shaped it — a cached template's, bound
-//! to the statement's literals, or fresh ones that are then examined for the
-//! cache — and [`Prepared::run`] executes the plan, folds its cardinality
-//! feedback into the adaptive state and journals it. `run_query`,
-//! `explain_result` and `EXPLAIN ANALYZE` all go through both halves; plain
-//! `EXPLAIN` prepares and describes ([`Prepared::describe`]), so it reads,
-//! absorbs and records nothing. A template-served statement neither parses
+//! into a plan and the decisions that shaped it — a plan-cache template's,
+//! bound to the statement's literals (on a miss the template is planned
+//! once, and is the statement's plan by construction), or fresh ones where
+//! no template can hold the statement — and [`Prepared::run`] executes the
+//! plan, folds its cardinality feedback into the adaptive state and
+//! journals it. `run_query`, `explain_result` and `EXPLAIN ANALYZE` all go
+//! through both halves; plain `EXPLAIN` prepares and describes
+//! ([`Prepared::describe`]), so it reads, absorbs and records nothing. A
+//! statement served from a template its shape already had neither parses
 //! nor plans, and its profile is the template's shape — described once —
 //! with this run's counters and the statement's literals.
 
@@ -48,18 +50,19 @@ enum Source {
 }
 
 /// Prepare `sql` under `options`, since `start`; `parse` gives the
-/// statement, called only when it is to be planned. The text is
+/// statement, called only when it is to be planned (again, when its
+/// template cannot be). The text is
 /// literal-normalized and, with the plan cache on, the cache is probed for
 /// the shape: a template there is bound to the new literals (no parsing or
 /// planning), and a negative entry sends the statement to the planner
 /// without examining it again. A shape whose estimates read its range
 /// literals holds one entry per class of them, so its record classifies the
 /// literals and the cache is probed once more, with the classes. On a miss
-/// the fresh plan is examined and its verdict cached.
+/// the statement is planned once, by [`plan_and_cache`].
 pub(crate) fn prepare<'s, 'q>(
     db: &'s Database,
     sql: &'s str,
-    parse: impl FnOnce() -> Result<Cow<'q, SelectStatement>, TalkbackError>,
+    mut parse: impl FnMut() -> Result<Cow<'q, SelectStatement>, TalkbackError>,
     options: PlannerOptions,
     start: Instant,
 ) -> Result<Prepared<'s>, TalkbackError> {
@@ -106,26 +109,15 @@ pub(crate) fn prepare<'s, 'q>(
         _ => {
             let query = parse()?;
             let planning = Instant::now();
-            let planned = plan_query_with(db, &query, options)?;
-            if let (Some(key), CacheStatus::Miss | CacheStatus::Stale) = (&key, meta.cache) {
-                let (verdict, ranges) =
-                    examine_for_caching(db, query.into_owned(), key, &planned, options);
-                let (mut key, mut evicted) = (*key, 0);
-                let classes: Vec<RangeClass>;
-                // A shape met for the first time this epoch whose estimates
-                // read its range literals: its record, then this class.
-                if key.classes.is_empty() && !ranges.is_empty() {
-                    let ranges: Arc<[RangeParam]> = ranges.into();
-                    classes = ranges.iter().map(|r| r.class(key.params)).collect();
-                    evicted += cache.insert(&key, epoch, CachedVerdict::Classified(ranges));
-                    key.classes = &classes;
+            let source = match (&key, meta.cache) {
+                (Some(key), CacheStatus::Miss | CacheStatus::Stale) => {
+                    plan_and_cache(db, query, key, epoch, options, parse)?
                 }
-                evicted += cache.insert(&key, epoch, verdict);
-                db.obs().add(Counter::PlanCacheEvictions, evicted);
-            }
+                _ => Source::Fresh(Box::new(plan_query_with(db, &query, options)?)),
+            };
             phases.parse = planning - start;
             phases.plan = planning.elapsed();
-            Source::Fresh(Box::new(planned))
+            source
         }
     };
     Ok(Prepared {
@@ -258,54 +250,62 @@ impl Prepared<'_> {
     }
 }
 
-/// Decide, once per epoch and class, what the plan cache should hold for a
-/// just-planned statement the cache did not know. A template is trusted
-/// only when (a) the AST lifts exactly the literals the text scanner
-/// extracted, in the same order — so future text-extracted literals bind
-/// positionally — and (b) planning the parameterized statement, each `?i`
-/// typed by its literal's kind and a range estimate reading it through its
-/// class, and re-binding the original literals reproduces the fresh plan
-/// node for node, estimates and all, and the fresh decisions, the SQL they
-/// quote included. Anything else is a negative verdict with its reason: the
-/// next execution of the shape (of the class) is planned fresh without
-/// coming back here. Returned beside the verdict: the range conjuncts whose
-/// estimates read a parameter, by which the shape's later statements are
-/// classified.
-fn examine_for_caching(
+/// Plan a statement the plan cache does not know in this epoch (and class)
+/// once, and cache what its shape gets. When the AST lifts exactly the
+/// literals the text scanner extracted, in order, the parameterized statement
+/// is planned, each `?k` read by its literal's kind or range class alone
+/// ([`planner::plan_template`] lists the reads), and cached; bound, it is the
+/// statement's plan, equal to a fresh plan by construction (the plan-cache
+/// differential is the oracle). A shape refused before planning, or whose
+/// template fails to plan, is parsed again and planned afresh, and the
+/// negative verdict cached. A range shape also gets the record its later
+/// statements are classified by.
+fn plan_and_cache<'q>(
     db: &Database,
-    query: SelectStatement,
+    query: Cow<'q, SelectStatement>,
     key: &CacheKey,
-    fresh: &PlannedQuery,
+    epoch: u64,
     options: PlannerOptions,
-) -> (CachedVerdict<PlanTemplate>, Vec<RangeParam>) {
-    let refuse = |why| (CachedVerdict::Uncacheable(why), Vec::new());
-    let (template_stmt, lifted) = match sqlparse::parameterize_select(query) {
-        Ok(parameterized) => parameterized,
-        Err(why) => return refuse(why),
-    };
-    // `Value` equality is SQL's (3 = 3.0); a template's is also by kind.
-    let same = |(a, b): (&Value, &Value)| a == b && ParamKind::of(a) == ParamKind::of(b);
-    if lifted.len() != key.params.len() || !lifted.iter().zip(key.params).all(same) {
-        // What the text scanner and the parser disagree on is a constant
-        // neither can be trusted to lift.
-        return refuse(Uncacheable::Constant);
-    }
-    let binds_to_fresh = |template: &PlannedQuery| {
-        template.plan.bind_params(key.params) == fresh.plan
-            && template.decisions.len() == fresh.decisions.len()
-            && (template.decisions.iter().zip(&fresh.decisions))
-                .all(|(t, f)| *t.bind(key.params) == *f)
-    };
-    match planner::plan_template(db, &template_stmt, options, key.params) {
-        Ok((template, ranges)) if binds_to_fresh(&template) => {
-            let (plan, decisions) = (template.plan, template.decisions);
-            let template = PlanTemplate::new(plan, decisions, template.where_conditions);
-            (CachedVerdict::Template(Arc::new(template)), ranges)
+    mut parse: impl FnMut() -> Result<Cow<'q, SelectStatement>, TalkbackError>,
+) -> Result<Source, TalkbackError> {
+    let template = || -> Result<_, Uncacheable> {
+        let (template_stmt, lifted) = sqlparse::parameterize_select(query.into_owned())?;
+        // `Value` equality is SQL's (3 = 3.0); a template's is also by kind.
+        let same = |(a, b): (&Value, &Value)| a == b && ParamKind::of(a) == ParamKind::of(b);
+        if lifted.len() != key.params.len() || !lifted.iter().zip(key.params).all(same) {
+            // What the text scanner and the parser disagree on is a constant
+            // neither can be trusted to lift.
+            return Err(Uncacheable::Constant);
         }
-        Ok((_, ranges)) => (
-            CachedVerdict::Uncacheable(Uncacheable::ValueDependent),
-            ranges,
-        ),
-        Err(_) => refuse(Uncacheable::ValueDependent),
+        planner::plan_template(db, &template_stmt, options, key.params)
+            .map_err(|_| Uncacheable::ValueDependent)
+    };
+    let (verdict, ranges, source) = match template() {
+        Ok((planned, ranges)) => {
+            let (plan, decisions) = (planned.plan, planned.decisions);
+            let template = Arc::new(PlanTemplate::new(plan, decisions, planned.where_conditions));
+            let plan = template.plan.bind_params(key.params);
+            let verdict = CachedVerdict::Template(Arc::clone(&template));
+            (verdict, ranges, Source::Template(template, plan))
+        }
+        Err(why) => {
+            let planned = plan_query_with(db, parse()?.as_ref(), options)?;
+            let verdict = CachedVerdict::Uncacheable(why);
+            (verdict, Vec::new(), Source::Fresh(Box::new(planned)))
+        }
+    };
+    let cache = db.adaptive().plan_cache();
+    let (mut key, mut evicted) = (*key, 0);
+    let classes: Vec<RangeClass>;
+    // A shape met for the first time this epoch whose estimates read its
+    // range literals: its record, then this class.
+    if key.classes.is_empty() && !ranges.is_empty() {
+        let ranges: Arc<[RangeParam]> = ranges.into();
+        classes = ranges.iter().map(|r| r.class(key.params)).collect();
+        evicted += cache.insert(&key, epoch, CachedVerdict::Classified(ranges));
+        key.classes = &classes;
     }
+    evicted += cache.insert(&key, epoch, verdict);
+    db.obs().add(Counter::PlanCacheEvictions, evicted);
+    Ok(source)
 }

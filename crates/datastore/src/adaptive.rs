@@ -156,8 +156,10 @@ pub enum Uncacheable {
     /// the projection, arithmetic, `<>` — or where the text scanner and the
     /// parser do not find the same literals in the same order.
     Constant,
-    /// The template did not reproduce the fresh plan (or translation): it
-    /// depends on the value compared, not only on its kind.
+    /// The plan-cache template failed to plan, so the statement was planned
+    /// afresh; or the translation template did not reproduce the fresh
+    /// translation. A plan template that plans is the statement's plan by
+    /// construction and needs no comparison.
     ValueDependent,
 }
 
@@ -232,13 +234,13 @@ impl<'a> CacheKey<'a> {
     }
 }
 
-/// What a cache holds for one key: a verified template (for the plan cache,
-/// a plan with statement-parameter placeholders), the verdict that the
+/// What a cache holds for one key: a template (for the plan cache, a plan
+/// with statement-parameter placeholders), the verdict that the
 /// shape cannot have one, or — for a shape whose estimates read its range
 /// literals — how to tell which class of the shape a statement is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CachedVerdict<T> {
-    /// A verified template, shared with whoever is binding it.
+    /// A template, shared with whoever is binding it.
     Template(Arc<T>),
     /// A negative entry.
     Uncacheable(Uncacheable),
@@ -354,7 +356,7 @@ struct CacheInner<T> {
     clock: u64,
 }
 
-/// Bounded LRU map from statement identity ([`CacheKey`]) to a verified
+/// Bounded LRU map from statement identity ([`CacheKey`]) to a
 /// template of type `T` or a negative verdict. Entries of both kinds share
 /// the capacity, and an entry made in another epoch is dropped when probed.
 /// What an epoch is belongs to the owner: the plan cache passes the
@@ -368,7 +370,7 @@ pub struct ShapeCache<T> {
 /// The plan cache: physical plan templates.
 pub type PlanCache = ShapeCache<PlanTemplate>;
 
-/// A verified plan template, the decisions that shaped it, and what its
+/// A plan template, the decisions that shaped it, and what its
 /// executions share of their profiles: the described shape and its hash.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanTemplate {

@@ -5,12 +5,13 @@
 //! template-served `EXPLAIN` binds them to the statement's literals as the
 //! plan is bound, and neither parses nor plans.
 //!
-//! Two decision fields quote SQL that may hold a statement literal:
+//! Three decision fields quote SQL that may hold a statement literal:
 //! [`PlanDecision::Subquery`]'s `construct` and [`PlanDecision::Vectorize`]'s
-//! `expression`. Each is a [`SqlText`]: in a template, text segments with a
-//! slot wherever a statement parameter stands; bound, the slots are filled
-//! with the literals as SQL writes them and only then is the text shortened.
-//! A bound decision is therefore the fresh one by construction.
+//! `expression` and `reason`. Each is a [`SqlText`]: in a template, text
+//! segments with a slot wherever a statement parameter stands; bound, the
+//! slots are filled with the literals as SQL writes them and only then is
+//! the text shortened. A bound decision is therefore the fresh one by
+//! construction.
 //!
 //! [`ObsRegistry`]: super::ObsRegistry
 
@@ -258,8 +259,9 @@ pub enum PlanDecision {
         expression: SqlText,
         /// True when the vectorized kernels were installed.
         vectorized: bool,
-        /// Why — the eligibility verdict in plain words.
-        reason: String,
+        /// Why — the eligibility verdict in plain words, quoting the
+        /// comparison that disqualified it.
+        reason: SqlText,
     },
     /// A histogram estimate overridden by observed cardinality feedback: a
     /// previous run of this predicate shape was flagged as a misestimate, the
@@ -331,15 +333,29 @@ impl PlanDecision {
     /// ([`SqlText::bind`]); a decision without slots is itself.
     pub fn bind(&self, params: &[Value]) -> Cow<'_, PlanDecision> {
         match self {
-            PlanDecision::Subquery { construct: sql, .. }
-            | PlanDecision::Vectorize {
-                expression: sql, ..
-            } if sql.has_slots() => {
+            PlanDecision::Subquery { construct: sql, .. } if sql.has_slots() => {
                 let mut bound = self.clone();
-                if let PlanDecision::Subquery { construct: to, .. }
-                | PlanDecision::Vectorize { expression: to, .. } = &mut bound
-                {
+                if let PlanDecision::Subquery { construct: to, .. } = &mut bound {
                     *to = sql.bind(params);
+                }
+                Cow::Owned(bound)
+            }
+            // The reason quotes a conjunct of the expression, so it has
+            // slots only when the expression does.
+            PlanDecision::Vectorize {
+                expression, reason, ..
+            } if expression.has_slots() => {
+                let mut bound = self.clone();
+                if let PlanDecision::Vectorize {
+                    expression: e,
+                    reason: r,
+                    ..
+                } = &mut bound
+                {
+                    *e = expression.bind(params);
+                    if reason.has_slots() {
+                        *r = reason.bind(params);
+                    }
                 }
                 Cow::Owned(bound)
             }

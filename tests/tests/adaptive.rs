@@ -11,13 +11,14 @@
 use datastore::obs::Counter;
 use datastore::sample::{movie_database, scaled_movie_database, ScaleConfig};
 use datastore::{
-    CacheStatus, ColumnDef, DataType, Database, EpochCause, IndexDef, IndexKind, TableSchema,
-    Uncacheable, Value,
+    CacheStatus, ColumnDef, DataType, Database, EpochCause, IndexDef, IndexKind, ParamKind,
+    TableSchema, Uncacheable, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use talkback::{PlanDecision, PlannerOptions, Talkback};
+use talkback::planner::plan_template;
+use talkback::{plan_query_with, PlanDecision, PlannerOptions, Talkback};
 use talkback_tests::{
     assert_recorded_feedback_is_found, counted_run, normalize_durations, squash_ws,
 };
@@ -586,6 +587,43 @@ fn ddl_and_writes_invalidate_cached_plans() {
     assert_eq!(system.database().obs().counter(Counter::PlanCacheMisses), 3);
 }
 
+/// The plan cache's oracle. On a miss the engine plans a statement once, as
+/// its template, and runs the template bound to the statement's literals:
+/// that must be the plan `plan_query_with` makes of the statement, node for
+/// node (estimates included), with the same decisions once bound and the
+/// same `WHERE` count. The statement is parsed, its literals lifted and the
+/// template planned with each `?k` standing for its literal, as the engine
+/// does; `false` when the parameterizer refuses the statement, which the
+/// engine then plans afresh.
+fn template_is_the_fresh_plan(db: &Database, sql: &str, options: PlannerOptions) -> bool {
+    let literals = sqlparse::normalize_statement(sql).unwrap().literals;
+    let query = sqlparse::parse_query(sql).unwrap();
+    let fresh = plan_query_with(db, &query, options).unwrap();
+    let Ok((parameterized, lifted)) = sqlparse::parameterize_select(query) else {
+        return false;
+    };
+    let same = |(a, b): (&Value, &Value)| a == b && ParamKind::of(a) == ParamKind::of(b);
+    assert!(
+        lifted.len() == literals.len() && lifted.iter().zip(&literals).all(same),
+        "{sql}: the parser lifted {lifted:?}, the text scanner {literals:?}"
+    );
+    let (template, _) = plan_template(db, &parameterized, options, &literals).unwrap();
+    assert_eq!(
+        template.plan.bind_params(&literals),
+        fresh.plan,
+        "{sql}: the bound template is not the fresh plan"
+    );
+    let bound: Vec<_> = (template.decisions.iter())
+        .map(|d| d.bind(&literals).into_owned())
+        .collect();
+    assert_eq!(
+        bound, fresh.decisions,
+        "{sql}: the bound template's decisions are not the fresh ones"
+    );
+    assert_eq!(template.where_conditions, fresh.where_conditions, "{sql}");
+    true
+}
+
 /// Seeded pseudo-random property test (the workspace has no proptest): two
 /// engines over identical data — one with the plan cache, one without —
 /// stay byte-identical in rows, row order, columns, and executed plan shape
@@ -593,8 +631,12 @@ fn ddl_and_writes_invalidate_cached_plans() {
 /// correlated EXISTS) and range shapes (`<`, `<=`, `>`, `>=` and `[NOT]
 /// BETWEEN` on MOVIES.year and MOVIES.id, at the top and inside an EXISTS
 /// and a NOT IN, bounds below, at, inside and above the column's range)
-/// with literals of varying value *and kind*, inserts, and CREATE/DROP
-/// INDEX of ordered and hash indexes. Some
+/// with literals of varying value *and kind* (a text literal against an
+/// integer column under `=` and as a range bound, a float against an integer
+/// key), inserts, and CREATE/DROP INDEX of ordered and hash indexes. Before
+/// each statement is planned or run, the oracle
+/// ([`template_is_the_fresh_plan`]) holds its template to its fresh plan,
+/// and at the end no shape's verdict is "value dependent". Some
 /// statements are also explained, plain and with ANALYZE, and the two
 /// engines' trees, narrations and decisions must agree — the cached one's
 /// bound from a template when it has one — and so must they after feedback
@@ -631,6 +673,8 @@ fn cached_and_uncached_agree(seed: u64) {
     // Which steps also ask a range question, and the question: drawn apart
     // for the same reason.
     let mut range_rng = StdRng::seed_from_u64(seed ^ 0x5A9E_B0D5);
+    // Which kind-mismatched question shape 6 asks: drawn apart too.
+    let mut kind_rng = StdRng::seed_from_u64(seed ^ 0x0C1A_55E5);
     let mut cached = Talkback::new(movie_database());
     let mut uncached = Talkback::new(movie_database());
     let cached_opts = sequential();
@@ -735,6 +779,8 @@ fn cached_and_uncached_agree(seed: u64) {
     };
     // `explain_result` calls served from a template.
     let mut explained_hits = 0u32;
+    // Statements the oracle held to their fresh plans.
+    let mut templated = 0u32;
     // `EXPLAIN [ANALYZE]` calls served from a template.
     let mut explain_plan_hits = 0u64;
     let mut explain_agree = |cached: &Talkback, uncached: &Talkback, text: &str, step: &str| {
@@ -815,11 +861,20 @@ fn cached_and_uncached_agree(seed: u64) {
                         };
                         format!("select c.role from CAST c where c.aid = {literal}")
                     }
-                    // A text literal on the other integer column.
-                    6 => format!(
-                        "select a.name from ACTOR a where a.id = '{}'",
-                        rng.gen_range(10..16i64)
-                    ),
+                    // A text literal on the other integer column, a text
+                    // bound on a range over an integer column, or a float
+                    // literal against an integer key.
+                    6 => {
+                        let n = rng.gen_range(10..16i64);
+                        match kind_rng.gen_range(0..3u8) {
+                            0 => format!("select a.name from ACTOR a where a.id = '{n}'"),
+                            1 => format!(
+                                "select m.title from MOVIES m where m.year > '{}'",
+                                1990 + n
+                            ),
+                            _ => format!("select m.title from MOVIES m where m.id = {n}.0"),
+                        }
+                    }
                     // The index-nested-loop join driven by one actor found
                     // by (hashed) name.
                     7 => format!(
@@ -860,6 +915,10 @@ fn cached_and_uncached_agree(seed: u64) {
                     statements.push((shape, range_statement(&mut range_rng, shape)));
                 }
                 for (shape, sql) in statements {
+                    let oracle = |uncached: &Talkback| {
+                        template_is_the_fresh_plan(uncached.database(), &sql, cached_opts)
+                    };
+                    templated += u32::from(oracle(&uncached));
                     // One statement in four is also explained on both engines,
                     // plainly and with ANALYZE (which runs it on both).
                     let explain = match shape {
@@ -880,6 +939,7 @@ fn cached_and_uncached_agree(seed: u64) {
                         _ => range_rng.gen_bool(0.2),
                     };
                     if result {
+                        oracle(&uncached);
                         let query = sqlparse::parse_query(&sql).unwrap();
                         for _ in 0..2 {
                             let a = cached.explain_result(&sql).unwrap();
@@ -900,6 +960,7 @@ fn cached_and_uncached_agree(seed: u64) {
                     // Twice: an epoch lasts a few steps, so the second run is
                     // what meets the template the first one left behind.
                     for _ in 0..2 {
+                        oracle(&uncached);
                         let a = cached.run_query_with(&sql, cached_opts).unwrap();
                         let b = uncached.run_query_with(&sql, uncached_opts).unwrap();
                         assert_eq!(
@@ -1010,6 +1071,15 @@ fn cached_and_uncached_agree(seed: u64) {
     assert!(
         explained_hits >= 10,
         "seed {seed}: explain_result should be served from templates, got {explained_hits}"
+    );
+    assert!(
+        templated >= 500,
+        "seed {seed}: the oracle should have compared templates, got {templated}"
+    );
+    let metrics = cached.execute_show("show metrics").unwrap().narration;
+    assert!(
+        !metrics.contains(Uncacheable::ValueDependent.clause()),
+        "seed {seed}: no shape's template should fail to plan:\n{metrics}"
     );
     assert_eq!(uncached.database().obs().counter(Counter::PlanCacheHits), 0);
 }
@@ -1253,6 +1323,45 @@ fn plan_cache_verdicts_of_the_paper_queries_and_the_workload_shapes() {
     ] {
         assert_eq!(verdict(&scaled, sql), CacheStatus::Hit, "{sql}");
     }
+}
+
+/// A statement parameter has its literal's family in the vectorizer's
+/// verdict, not its column's: the template of `c.aid = '14'` keeps the
+/// filter row-at-a-time, as the fresh plan does ("mixes text and numbers"),
+/// so the shape is served from its template, narrated as the uncached
+/// engine narrates it, and never counted as one whose plan changes with the
+/// value compared.
+#[test]
+fn a_text_literal_against_an_integer_column_is_served_from_its_template() {
+    let cached = Talkback::new(movie_database());
+    let uncached = Talkback::new(movie_database());
+    let fresh = PlannerOptions {
+        use_plan_cache: false,
+        ..sequential()
+    };
+    let sql = "select c.role from CAST c where c.aid = '14'";
+    for run in 0..3 {
+        cached.run_query_with(sql, sequential()).unwrap();
+        let status = cached.database().obs().journal().last().unwrap().cache;
+        let expected = [CacheStatus::Miss, CacheStatus::Hit, CacheStatus::Hit][run];
+        assert_eq!(status, expected, "run {run}");
+    }
+    let explain = format!("explain {sql}");
+    let a = cached.explain_plan_with(&explain, sequential()).unwrap();
+    let b = uncached.explain_plan_with(&explain, fresh).unwrap();
+    assert_eq!((&a.tree, &a.narration), (&b.tree, &b.narration));
+    assert!(!a.tree.contains("[vectorized]"), "{}", a.tree);
+    assert!(
+        a.narration
+            .contains("`c.aid = '14'` mixes text and numbers"),
+        "{}",
+        a.narration
+    );
+    let metrics = cached.execute_show("show metrics").unwrap().narration;
+    assert!(
+        !metrics.contains(Uncacheable::ValueDependent.clause()),
+        "{metrics}"
+    );
 }
 
 /// A template's decisions quote SQL with a slot where each literal stands,

@@ -23,35 +23,35 @@
 //! and the journal copied them into a span tree.
 //!
 //! The miss path: each `lookup` shape's plan-cache miss after an epoch bump
-//! (parse, plan, plan the template and compare, execute) and
-//! `plan_query_with` alone on the parsed shape, and a fresh correlated
-//! `EXISTS` and a fresh `NOT IN` on the 100-movie database. Their ceilings
-//! were set at 60 % of what the same rows counted when every name lookup
-//! folded a copy of the name and the lexer, flattener, binder and planner
-//! copied the statement (e3acde2): misses — point read 397, CAST slice 420,
-//! name join 1,214, year + id range 410, index-only 483; `plan_query_with` —
-//! point read 152, CAST slice 162, name join 497, year + id range 253,
-//! index-only 187; a fresh `EXISTS` 858 and a fresh `NOT IN` 791. The five
-//! misses are now exact counts (185, 193, 547, 343, 201), and so are all five
-//! hits (point read 20, CAST prefix 22, name join 55, year + id range 64,
-//! index-only 21): an index probe with a one-column key seeks through a slice
-//! of one value on the stack, the probe terms are read where they lie, an
-//! index-only scan makes one key row per key, and a hit writes its counters
-//! against its template's shape — one allocation — where it described every
-//! operator and copied the description into the journal. Before that
-//! (c06f1aa) the hits counted 36, 38, 102, 87 and 38 and the misses 189, 197,
-//! 559, 350 and 205; before 45d32bb the hits counted 39 and 111 and the
-//! misses 194, 203, 567, 220 and 214.
+//! (parse, plan the template, bind it, execute) and `plan_query_with` alone
+//! on the parsed shape, and a fresh correlated `EXISTS` and a fresh `NOT IN`
+//! on the 100-movie database. Their ceilings were set at 60 % of what the
+//! same rows counted when every name lookup folded a copy of the name and
+//! the lexer, flattener, binder and planner copied the statement (e3acde2):
+//! misses — point read 397, CAST slice 420, name join 1,214, year + id range
+//! 410, index-only 483; `plan_query_with` — point read 152, CAST slice 162,
+//! name join 497, year + id range 253, index-only 187; a fresh `EXISTS` 858
+//! and a fresh `NOT IN` 791. The seven misses are now exact counts (124,
+//! 129, 347, 241, 135; 472 and 490), and so are all five hits (point read
+//! 20, CAST prefix 22, name join 55, year + id range 64, index-only 21): an
+//! index probe with a one-column key seeks through a slice of one value on
+//! the stack, the probe terms are read where they lie, an index-only scan
+//! makes one key row per key, and a hit writes its counters against its
+//! template's shape — one allocation — where it described every operator
+//! and copied the description into the journal. Before that (c06f1aa) the
+//! hits counted 36, 38, 102, 87 and 38 and the misses 189, 197, 559, 350
+//! and 205; before 45d32bb the hits counted 39 and 111 and the misses 194,
+//! 203, 567, 220 and 214.
 //!
-//! A range bound is a template parameter, one template per class of its
-//! estimate (0785da0 planned every year + id range afresh, 217 allocations
-//! a statement). So the year + id shape's miss, and the fresh `EXISTS` and
-//! `NOT IN` (whose bounds are ranges too), now also plan the template and
-//! compare it with the fresh plan, as every other miss does: 350, 731 and
-//! 686 (343, 718 and 674 since c06f1aa), against 217, 514 and 474 when they
-//! were refused unexamined. The other four misses no longer collect the
-//! literals' kinds into a list of their own: 189, 197, 559 and 205, against
-//! 191, 199, 561 and 207.
+//! A miss plans the statement once, as its template, and runs the template
+//! bound to its literals. Until cd829c6 it planned the statement, planned
+//! the template a second time and compared the two node for node: the five
+//! `lookup` misses made 185, 193, 547, 343 and 201, and the fresh `EXISTS`
+//! and `NOT IN` 718 and 674. Each `lookup` miss fell by about its shape's
+//! `plan_query_with` row (67, 70, 212, 110, 72). A range bound is a
+//! template parameter, one template per class of its estimate (0785da0
+//! planned every year + id range afresh, 217 allocations a statement, and
+//! refused the `EXISTS` and `NOT IN` unexamined at 514 and 474).
 //!
 //! Index DDL, on the ×300 database: `create index idx_movies_title on MOVIES
 //! (title)` and `create index idx_cast_aid on CAST (aid)` through
@@ -274,9 +274,9 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
         rows.push(Row::new(format!("lookup: {what}"), n, ceiling));
     }
     // A plan-cache miss: an epoch bump retires every template, so the
-    // statement is parsed, planned, planned again as its template and
-    // compared, then executed. Then the planner alone on the parsed shape.
-    let ceilings = [(185, 91), (193, 97), (547, 298), (343, 151), (201, 112)];
+    // statement is parsed, planned as its template, bound and executed.
+    // Then the planner alone on the parsed shape.
+    let ceilings = [(124, 91), (129, 97), (347, 298), (241, 151), (135, 112)];
     for ((what, sql), (miss, plan)) in lookup_shapes(&actors, 1001).into_iter().zip(ceilings) {
         system
             .database()
@@ -352,7 +352,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
         ));
     }
 
-    for (name, sql, ceiling) in [("EXISTS", EXISTS, 718), ("NOT IN", NOT_IN, 674)] {
+    for (name, sql, ceiling) in [("EXISTS", EXISTS, 472), ("NOT IN", NOT_IN, 490)] {
         system
             .database()
             .adaptive()
