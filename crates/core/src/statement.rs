@@ -62,7 +62,7 @@ enum Source {
 pub(crate) fn prepare<'s, 'q>(
     db: &'s Database,
     sql: &'s str,
-    mut parse: impl FnMut() -> Result<Cow<'q, SelectStatement>, TalkbackError>,
+    parse: impl FnOnce() -> Result<Cow<'q, SelectStatement>, TalkbackError>,
     options: PlannerOptions,
     start: Instant,
 ) -> Result<Prepared<'s>, TalkbackError> {
@@ -111,7 +111,7 @@ pub(crate) fn prepare<'s, 'q>(
             let planning = Instant::now();
             let source = match (&key, meta.cache) {
                 (Some(key), CacheStatus::Miss | CacheStatus::Stale) => {
-                    plan_and_cache(db, query, key, epoch, options, parse)?
+                    plan_and_cache(db, query, key, epoch, options)?
                 }
                 _ => Source::Fresh(Box::new(plan_query_with(db, &query, options)?)),
             };
@@ -257,30 +257,36 @@ impl Prepared<'_> {
 /// ([`planner::plan_template`] lists the reads), and cached; bound, it is the
 /// statement's plan, equal to a fresh plan by construction (the plan-cache
 /// differential is the oracle). A shape refused before planning, or whose
-/// template fails to plan, is parsed again and planned afresh, and the
-/// negative verdict cached. A range shape also gets the record its later
-/// statements are classified by.
-fn plan_and_cache<'q>(
+/// template fails to plan, gets its literals back
+/// ([`sqlparse::restore_literals`]) and is planned afresh as it was parsed,
+/// and the negative verdict cached. A range shape also gets the record its
+/// later statements are classified by.
+fn plan_and_cache(
     db: &Database,
-    query: Cow<'q, SelectStatement>,
+    query: Cow<'_, SelectStatement>,
     key: &CacheKey,
     epoch: u64,
     options: PlannerOptions,
-    mut parse: impl FnMut() -> Result<Cow<'q, SelectStatement>, TalkbackError>,
 ) -> Result<Source, TalkbackError> {
-    let template = || -> Result<_, Uncacheable> {
-        let (template_stmt, lifted) = sqlparse::parameterize_select(query.into_owned())?;
+    let mut query = query.into_owned();
+    let template = |query: &mut SelectStatement| {
+        let lifted = sqlparse::parameterize_select(query)?;
         // `Value` equality is SQL's (3 = 3.0); a template's is also by kind.
         let same = |(a, b): (&Value, &Value)| a == b && ParamKind::of(a) == ParamKind::of(b);
-        if lifted.len() != key.params.len() || !lifted.iter().zip(key.params).all(same) {
+        let why = if lifted.len() != key.params.len() || !lifted.iter().zip(key.params).all(same) {
             // What the text scanner and the parser disagree on is a constant
             // neither can be trusted to lift.
-            return Err(Uncacheable::Constant);
-        }
-        planner::plan_template(db, &template_stmt, options, key.params)
-            .map_err(|_| Uncacheable::ValueDependent)
+            Uncacheable::Constant
+        } else {
+            match planner::plan_template(db, query, options, key.params) {
+                Ok(planned) => return Ok(planned),
+                Err(_) => Uncacheable::ValueDependent,
+            }
+        };
+        sqlparse::restore_literals(query, &lifted);
+        Err(why)
     };
-    let (verdict, ranges, source) = match template() {
+    let (verdict, ranges, source) = match template(&mut query) {
         Ok((planned, ranges)) => {
             let (plan, decisions) = (planned.plan, planned.decisions);
             let template = Arc::new(PlanTemplate::new(plan, decisions, planned.where_conditions));
@@ -289,7 +295,7 @@ fn plan_and_cache<'q>(
             (verdict, ranges, Source::Template(template, plan))
         }
         Err(why) => {
-            let planned = plan_query_with(db, parse()?.as_ref(), options)?;
+            let planned = plan_query_with(db, &query, options)?;
             let verdict = CachedVerdict::Uncacheable(why);
             (verdict, Vec::new(), Source::Fresh(Box::new(planned)))
         }

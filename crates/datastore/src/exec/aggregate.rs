@@ -3,7 +3,7 @@
 //! partial-aggregation workers.
 
 use crate::error::StoreError;
-use crate::exec::keys::{Key, KeyTable, RowKey};
+use crate::exec::keys::{Key, KeyBatch, KeyTable, RowKey};
 use crate::exec::vector::ValueVector;
 use crate::expr::Expr;
 use crate::tuple::Row;
@@ -339,8 +339,10 @@ fn group_of(
 /// plain column (or `*`), each batch's argument columns are transposed into
 /// [`ValueVector`]s and accumulated with the typed `update_{i64,f64,str}`
 /// kernels; batches whose columns resist transposition fall back to the row
-/// path, batch by batch, with identical results. Either way a group's key is
-/// read from its row.
+/// path, batch by batch, with identical results. On that path the group-key
+/// columns are transposed once per batch too and the batch's groups looked
+/// up together (`KeyBatch`, `KeyTable::insert_batch`); a batch whose key
+/// column mixes kinds, and the row path, read each row's key where it lies.
 #[derive(Debug)]
 pub struct GroupedAggregator {
     group_by: Vec<usize>,
@@ -495,13 +497,11 @@ impl GroupedAggregator {
         };
         // Resolve every row's group id first, then accumulate column-major:
         // one tight, monomorphic loop per aggregate over the whole batch.
-        let (groups, accs, aggregates) = (&mut self.groups, &mut self.accs, &self.aggregates);
-        let ids: Vec<usize> = (0..sel.map_or(rows.len(), <[usize]>::len))
-            .map(|i| {
-                let key = RowKey(row(i), &self.group_by);
-                group_of(groups, accs, aggregates, key.hash(), &key)
-            })
-            .collect();
+        let len = sel.map_or(rows.len(), <[usize]>::len);
+        let ids = match sel {
+            None => self.group_ids(rows.iter(), len),
+            Some(sel) => self.group_ids(sel.iter().map(|&i| &rows[i]), len),
+        };
         let n = self.aggregates.len();
         for (j, slot) in arg_slots.iter().enumerate() {
             let accs = &mut self.accs;
@@ -543,6 +543,33 @@ impl GroupedAggregator {
             }
         }
         true
+    }
+
+    /// The group ids of a batch's `len` rows, new groups given fresh
+    /// accumulators: its key columns read once and looked up as a batch, or,
+    /// for a batch whose key column does not transpose, row by row into the
+    /// same table.
+    fn group_ids<'a>(
+        &mut self,
+        rows: impl Iterator<Item = &'a Row> + Clone,
+        len: usize,
+    ) -> Vec<usize> {
+        let known = self.groups.len();
+        let ids = if self.group_by.is_empty() {
+            // No key: the one group there is.
+            vec![0; len]
+        } else if let Some(batch) = KeyBatch::read(rows.clone(), len, &self.group_by) {
+            self.groups.insert_batch(&batch)
+        } else {
+            (rows.map(|row| RowKey(row, &self.group_by)))
+                .map(|key| self.groups.insert(key.hash(), &key).0 as usize)
+                .collect()
+        };
+        let fresh = self.groups.len() - known;
+        (self.accs).extend(
+            (0..fresh).flat_map(|_| self.aggregates.iter().map(|a| Accumulator::new(a.func))),
+        );
+        ids
     }
 
     /// Merge another aggregator's groups into this one — a partial over one

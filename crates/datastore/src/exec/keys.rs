@@ -9,6 +9,15 @@
 //! operators keep their per-key state (a join's row run, a group's
 //! accumulators) in vectors indexed by that id.
 //!
+//! The grouped aggregator's vector path reads a batch's keys once instead:
+//! [`KeyBatch`] transposes its key columns (Integers, Floats or Text, NULL
+//! aside; Text borrowed) and writes each row's hash column by column, to the
+//! words [`Key::hash`] writes for the same key, and
+//! [`KeyTable::insert_batch`] looks the rows up in order, comparing typed
+//! values with the stored ones. Same table, same ids, same first-encounter
+//! order: a batch whose key column mixes kinds goes row by row into it, and a
+//! partial aggregate merges into it, as before.
+//!
 //! Two keys are the same key when every pair of values is SQL `=`, with NULL
 //! the same as NULL ([`Value::total_cmp`] says `Equal`; the joins drop a key
 //! with a NULL before they reach the table). So `1 = 1.0` and `-0.0 = 0.0`
@@ -20,23 +29,29 @@
 //! key it equals, in first-encounter order.
 
 use crate::tuple::Row;
-use crate::value::Value;
+use crate::value::{cmp_f64, Value};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The hasher of the key tables and the shape caches: multiply and rotate,
 /// one step per 8 bytes. The keys are values this process read out of its own
 /// tables, hashed for the length of one statement — nobody gets to choose
 /// them against a hash they cannot observe — so SipHash's per-key set-up,
 /// most of what hashing a one-integer key cost, buys nothing here.
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 pub(crate) struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
+        // Little-endian words, the last one zero-padded, assembled in
+        // registers: a short string is one word and no copy.
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            self.write_u64(rest.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
         }
     }
 
@@ -145,6 +160,132 @@ impl Key for [&Value] {
     }
 }
 
+/// A batch's keys, read once: one typed column per key column, a NULL as
+/// `None` and Text borrowed from its rows, and each row's hash, written as
+/// the columns were read. What [`KeyTable::insert_batch`] looks up without a
+/// `Value` match per value.
+pub(crate) struct KeyBatch<'a> {
+    columns: Vec<KeyColumn<'a>>,
+    hashers: Vec<KeyHasher>,
+}
+
+enum KeyColumn<'a> {
+    Integer(Vec<Option<i64>>),
+    Float(Vec<Option<f64>>),
+    Text(Vec<Option<&'a Arc<str>>>),
+}
+
+impl<'a> KeyBatch<'a> {
+    /// Columns `columns` of the `len` rows `rows` yields, or `None` when one
+    /// of them does not hold a single kind of the three (NULL aside).
+    pub(crate) fn read<I>(rows: I, len: usize, columns: &[usize]) -> Option<KeyBatch<'a>>
+    where
+        I: Iterator<Item = &'a Row> + Clone,
+    {
+        let mut hashers = vec![KeyHasher::default(); len];
+        let columns = (columns.iter())
+            .map(|&c| {
+                KeyColumn::read(
+                    rows.clone().map(move |r| r.get(c).unwrap_or(&NULL)),
+                    &mut hashers,
+                )
+            })
+            .collect::<Option<_>>()?;
+        Some(KeyBatch { columns, hashers })
+    }
+}
+
+static NULL: Value = Value::Null;
+
+impl<'a> KeyColumn<'a> {
+    /// One column, each value's words written to its row's hasher: the
+    /// words [`Key::hash`] writes for the same value.
+    fn read<I>(values: I, hashers: &mut [KeyHasher]) -> Option<KeyColumn<'a>>
+    where
+        I: Iterator<Item = &'a Value> + Clone,
+    {
+        /// The values of the kind `typed` picks out, or `None` at the first
+        /// value of another kind.
+        fn gather<'a, T: Copy>(
+            values: impl Iterator<Item = &'a Value>,
+            hashers: &mut [KeyHasher],
+            typed: impl Fn(&'a Value) -> Option<T>,
+        ) -> Option<Vec<Option<T>>> {
+            let mut out = Vec::with_capacity(hashers.len());
+            for (value, h) in values.zip(hashers) {
+                hash_value(value, h);
+                match typed(value) {
+                    Some(v) => out.push(Some(v)),
+                    None if value.is_null() => out.push(None),
+                    None => return None,
+                }
+            }
+            Some(out)
+        }
+        Some(match values.clone().find(|v| !v.is_null()) {
+            None | Some(Value::Integer(_)) => KeyColumn::Integer(gather(values, hashers, |v| {
+                if let Value::Integer(i) = v {
+                    Some(*i)
+                } else {
+                    None
+                }
+            })?),
+            Some(Value::Float(_)) => KeyColumn::Float(gather(values, hashers, |v| {
+                if let Value::Float(f) = v {
+                    Some(*f)
+                } else {
+                    None
+                }
+            })?),
+            Some(Value::Text(_)) => KeyColumn::Text(gather(values, hashers, |v| {
+                if let Value::Text(s) = v {
+                    Some(s)
+                } else {
+                    None
+                }
+            })?),
+            Some(_) => return None,
+        })
+    }
+
+    /// Whether row `i`'s value is `stored`'s under [`same`].
+    #[inline]
+    fn same(&self, i: usize, stored: &Value) -> bool {
+        match self {
+            KeyColumn::Integer(v) => same_integer(v[i], stored),
+            KeyColumn::Float(v) => match (v[i], stored) {
+                (Some(a), Value::Float(b)) => cmp_f64(a, *b).is_eq(),
+                (Some(a), Value::Integer(b)) => cmp_f64(a, *b as f64).is_eq(),
+                (a, b) => a.is_none() && b.is_null(),
+            },
+            KeyColumn::Text(v) => match (v[i], stored) {
+                (Some(a), Value::Text(b)) => a == b,
+                (a, b) => a.is_none() && b.is_null(),
+            },
+        }
+    }
+
+    /// Row `i`'s value, to be stored.
+    fn value(&self, i: usize) -> Value {
+        let value = match self {
+            KeyColumn::Integer(v) => v[i].map(Value::Integer),
+            KeyColumn::Float(v) => v[i].map(Value::Float),
+            KeyColumn::Text(v) => v[i].map(|s| Value::Text(Arc::clone(s))),
+        };
+        value.unwrap_or(Value::Null)
+    }
+}
+
+/// [`same`] for an Integer (or NULL) read from a batch.
+#[inline]
+fn same_integer(a: Option<i64>, stored: &Value) -> bool {
+    match (a, stored) {
+        (Some(a), Value::Integer(b)) => a == *b,
+        (Some(a), Value::Float(b)) => cmp_f64(a as f64, *b).is_eq(),
+        (a, b) => a.is_none() && b.is_null(),
+    }
+}
+
 /// Distinct keys of one width, stored once each in first-encounter order and
 /// named by their position (see the module docs).
 #[derive(Debug, Default)]
@@ -188,14 +329,21 @@ impl KeyTable {
     /// The id of `key`, whose [`Key::hash`] is `hash`, if the table holds it.
     #[inline]
     pub(crate) fn find(&self, hash: u64, key: &(impl Key + ?Sized)) -> Option<u32> {
+        self.find_by(hash, |stored| {
+            (stored.iter().enumerate()).all(|(j, value)| same(key.at(j), value))
+        })
+    }
+
+    /// The id of the key whose hash is `hash` and whose stored values `is`
+    /// accepts, if the table holds one.
+    #[inline]
+    fn find_by(&self, hash: u64, mut is: impl FnMut(&[Value]) -> bool) -> Option<u32> {
         let mask = self.slots.len().checked_sub(1)?;
         let mut i = hash as usize & mask;
         loop {
             let id = self.slots[i].checked_sub(1)?;
             let start = id as usize * self.width;
-            if self.hashes[id as usize] == hash
-                && (0..key.width()).all(|j| same(key.at(j), &self.values[start + j]))
-            {
+            if self.hashes[id as usize] == hash && is(&self.values[start..start + self.width]) {
                 return Some(id);
             }
             i = (i + 1) & mask;
@@ -208,15 +356,57 @@ impl KeyTable {
     pub(crate) fn insert(&mut self, hash: u64, key: &(impl Key + ?Sized)) -> (u32, bool) {
         match self.find(hash, key) {
             Some(id) => (id, false),
-            None => (self.store(hash, key), true),
+            None => (
+                self.store(hash, (0..self.width).map(|j| key.at(j).clone())),
+                true,
+            ),
         }
+    }
+
+    /// The ids of a batch's keys, storing each new one as it is met: the ids,
+    /// hashes and first-encounter order [`KeyTable::insert`] gives row by row.
+    pub(crate) fn insert_batch(&mut self, batch: &KeyBatch) -> Vec<usize> {
+        debug_assert_eq!(batch.columns.len(), self.width, "key width");
+        match &batch.columns[..] {
+            // The commonest key, compared without a match on its column.
+            [KeyColumn::Integer(v)] => self.insert_each(
+                &batch.hashers,
+                |i, stored| same_integer(v[i], &stored[0]),
+                |i| [v[i].map_or(Value::Null, Value::Integer)],
+            ),
+            columns => self.insert_each(
+                &batch.hashers,
+                |i, stored| (columns.iter().zip(stored)).all(|(c, value)| c.same(i, value)),
+                |i| columns.iter().map(move |c| c.value(i)),
+            ),
+        }
+    }
+
+    /// [`KeyTable::insert_batch`] given how row `i` compares with a stored
+    /// key and what it stores.
+    #[inline]
+    fn insert_each<K: IntoIterator<Item = Value>>(
+        &mut self,
+        hashers: &[KeyHasher],
+        is: impl Fn(usize, &[Value]) -> bool,
+        key: impl Fn(usize) -> K,
+    ) -> Vec<usize> {
+        (hashers.iter().enumerate())
+            .map(|(i, hasher)| {
+                let hash = hasher.finish();
+                let id = match self.find_by(hash, |stored| is(i, stored)) {
+                    Some(id) => id,
+                    None => self.store(hash, key(i)),
+                };
+                id as usize
+            })
+            .collect()
     }
 
     /// Store a key the table does not hold: out of line, so that the probe
     /// every row takes stays small enough to inline.
     #[inline(never)]
-    fn store(&mut self, hash: u64, key: &(impl Key + ?Sized)) -> u32 {
-        debug_assert_eq!(key.width(), self.width, "key width");
+    fn store(&mut self, hash: u64, key: impl IntoIterator<Item = Value>) -> u32 {
         if self.slots.len() <= 2 * self.hashes.len() {
             // Double the slots (at least 16) and place every id again, in id
             // order, so a key still comes before any later key on its path.
@@ -230,8 +420,12 @@ impl KeyTable {
         let id = self.hashes.len() as u32;
         self.place(hash, id);
         self.hashes.push(hash);
-        self.values
-            .extend((0..self.width).map(|j| key.at(j).clone()));
+        self.values.extend(key);
+        debug_assert_eq!(
+            self.values.len(),
+            self.hashes.len() * self.width,
+            "key width"
+        );
         id
     }
 
@@ -310,6 +504,73 @@ mod tests {
             let key = RowKey(row, &[0, 1]);
             assert_eq!(table.find(key.hash(), &key), Some(id as u32));
             assert_eq!(table.hash_of(id as u32), row.values().hash());
+        }
+    }
+
+    #[test]
+    fn a_batch_lookup_is_the_row_lookup() {
+        // Batches of typed columns and batches that go row by row, into one
+        // table, against a table fed row by row: the same ids and hashes.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0040_0001);
+        let mut draw = |kind: usize| match (kind, rng.gen_range(0..8)) {
+            (_, 0) => Value::Null,
+            (0, v) => Value::int([0, 1, -1, 1 << 60, (1 << 53) + 1, i64::MIN, 7][v - 1]),
+            (1, v) => {
+                Value::Float([0.0, -0.0, 1.0, f64::NAN, 0.5, (1u64 << 60) as f64, 7.0][v - 1])
+            }
+            (_, v) => Value::text(["", "a", "ab", "abcdefgh", "abcdefghi", "7", "é"][v - 1]),
+        };
+        for kinds in [vec![0], vec![1], vec![2], vec![0, 2], vec![2, 1, 0]] {
+            let (mut batched, mut rowwise) =
+                (KeyTable::new(kinds.len()), KeyTable::new(kinds.len()));
+            for round in 0..20 {
+                // Every third batch mixes two kinds in its first column, so
+                // it does not transpose.
+                let rows: Vec<Row> = (0..64)
+                    .map(|i| {
+                        let first = if round % 3 == 2 && i % 2 == 1 {
+                            1 - kinds[0].min(1)
+                        } else {
+                            kinds[0]
+                        };
+                        Row::new(
+                            std::iter::once(first)
+                                .chain(kinds[1..].iter().copied())
+                                .map(&mut draw)
+                                .collect::<Vec<_>>(),
+                        )
+                    })
+                    .collect();
+                let columns: Vec<usize> = (0..kinds.len()).collect();
+                let expected: Vec<usize> = (rows.iter())
+                    .map(|row| {
+                        let key = RowKey(row, &columns);
+                        rowwise.insert(key.hash(), &key).0 as usize
+                    })
+                    .collect();
+                let got: Vec<usize> = match KeyBatch::read(rows.iter(), rows.len(), &columns) {
+                    Some(batch) => batched.insert_batch(&batch),
+                    None => {
+                        assert_eq!(round % 3, 2, "{kinds:?} round {round}");
+                        (rows.iter())
+                            .map(|row| {
+                                let key = RowKey(row, &columns);
+                                batched.insert(key.hash(), &key).0 as usize
+                            })
+                            .collect()
+                    }
+                };
+                assert_eq!(got, expected, "{kinds:?} round {round}");
+            }
+            assert_eq!(batched.len(), rowwise.len());
+            for id in 0..batched.len() as u32 {
+                assert_eq!(batched.hash_of(id), rowwise.hash_of(id));
+                assert_eq!(
+                    format!("{:?}", batched.key(id)),
+                    format!("{:?}", rowwise.key(id))
+                );
+            }
         }
     }
 

@@ -52,6 +52,7 @@ use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
 use std::borrow::Cow;
 use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
@@ -1848,46 +1849,210 @@ impl Operator for SortSource {
     }
 }
 
-/// The order `keys` put two rows in; the values are compared where they are.
-fn cmp_rows(a: &Row, b: &Row, keys: &[SortKey]) -> std::cmp::Ordering {
-    for key in keys {
-        let av = a.get(key.column).unwrap_or(&Value::Null);
-        let bv = b.get(key.column).unwrap_or(&Value::Null);
-        let ord = av.total_cmp(bv);
-        let ord = if key.ascending { ord } else { ord.reverse() };
-        if !ord.is_eq() {
-            return ord;
-        }
+/// The first `k` rows of the stable sort of `rows` by `keys`, ties to the
+/// earlier row: the sort operator's order (`k = usize::MAX`), and what a
+/// sort under a limit, a top-k exchange's workers and its gather keep.
+///
+/// Each key is read once per row. When there are at most three keys and
+/// each holds numbers of one kind, a row becomes fixed-width order words —
+/// an Integer sign-flipped, a Float ordered as [`Value::total_cmp`] orders
+/// it, NULL first, a DESC key inverted — with its position last, packed
+/// into one `u64` or `u128` where they fit; the position makes the order
+/// strict, so an unstable selection and sort give exactly the stable order.
+/// Otherwise positions are sorted by typed key columns (Text as `&str`, a
+/// column of mixed kinds as `&Value`), position last. Only the rows that
+/// can be among the first `k`, found by selection, are sorted, and they are
+/// moved into their places, not cloned.
+pub fn top_k(rows: Vec<Row>, keys: &[SortKey], k: usize) -> Vec<Row> {
+    let k = k.min(rows.len());
+    if k == 0 {
+        return Vec::new();
     }
-    std::cmp::Ordering::Equal
+    let order = match keys.len() {
+        1 => word_order::<2>(&rows, keys, k),
+        2 => word_order::<3>(&rows, keys, k),
+        3 => word_order::<4>(&rows, keys, k),
+        _ => None,
+    };
+    let order = order.unwrap_or_else(|| {
+        let columns: Vec<SortColumn> = (keys.iter())
+            .map(|key| SortColumn::read(&rows, key.column))
+            .collect();
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        first_k(&mut order, k, |&a, &b| {
+            (columns.iter().zip(keys))
+                .map(|(column, key)| match column.cmp(a, b) {
+                    ord if key.ascending => ord,
+                    ord => ord.reverse(),
+                })
+                .find(|ord| ord.is_ne())
+                .unwrap_or_else(|| a.cmp(&b))
+        });
+        order
+    });
+    // Each row moves once; the rows left behind are dropped with `slots`.
+    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
+    (order.into_iter())
+        .map(|at| slots[at].take().expect("a position is kept once"))
+        .collect()
 }
 
-/// Stable multi-key sort used by the sort operator.
-pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) {
-    rows.sort_by(|a, b| cmp_rows(a, b, keys));
+/// Keep the `k` least of `entries` by `cmp`, sorted: a selection first when
+/// that leaves some out.
+fn first_k<T>(entries: &mut Vec<T>, k: usize, mut cmp: impl FnMut(&T, &T) -> Ordering) {
+    if k < entries.len() {
+        entries.select_nth_unstable_by(k - 1, &mut cmp);
+        entries.truncate(k);
+    }
+    entries.sort_unstable_by(cmp);
 }
 
-/// The first `k` rows of the stable sort of `rows` — exactly
-/// `sort_rows` + `truncate(k)`, ties included — without sorting the rows
-/// that cannot be among them. What a sort under a limit, a top-k exchange's
-/// workers and its gather all keep.
-pub fn top_k(mut rows: Vec<Row>, keys: &[SortKey], k: usize) -> Vec<Row> {
-    if k < rows.len() {
-        // With position as the last key the order is strict, so an unstable
-        // selection finds precisely the rows the stable sort would put
-        // first; back in input order, the stable sort below finishes.
-        let mut winners: Vec<usize> = (0..rows.len()).collect();
-        if k > 0 {
-            winners.select_nth_unstable_by(k - 1, |&a, &b| {
-                cmp_rows(&rows[a], &rows[b], keys).then(a.cmp(&b))
-            });
+/// A number as a word whose unsigned order is [`Value::total_cmp`]'s: an
+/// Integer with its sign bit flipped, a Float as [`f64::total_cmp`] orders
+/// its bits once `-0.0` is `0.0` — so a NaN, by its sign, sorts before or
+/// after every number and equals only itself, as [`crate::value::cmp_f64`]
+/// has it.
+fn order_word(value: &Value) -> Option<u64> {
+    match value {
+        Value::Integer(i) => Some(*i as u64 ^ 1 << 63),
+        Value::Float(f) => {
+            let bits = if *f == 0.0 { 0 } else { f.to_bits() };
+            Some(if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | 1 << 63
+            })
         }
-        winners.truncate(k);
-        winners.sort_unstable();
-        rows = winners.into_iter().map(|i| rows[i].clone()).collect();
+        _ => None,
     }
-    sort_rows(&mut rows, keys);
-    rows
+}
+
+/// The positions of the first `k` rows by `W - 1` keys each holding numbers
+/// of one kind (and NULL, as the word 0); `None` when a key holds anything
+/// else, or holds NULL beside a number whose word is 0 (`i64::MIN`, or a NaN
+/// of all ones).
+///
+/// Each key's words are then narrowed to their range (less its least) and
+/// the keys and the position packed into one `u64`, or one `u128`, when they
+/// fit — the order of the packed words is the order of the arrays.
+fn word_order<const W: usize>(rows: &[Row], keys: &[SortKey], k: usize) -> Option<Vec<usize>> {
+    let mut entries = vec![[0u64; W]; rows.len()];
+    let mut least = [u64::MAX; W];
+    let mut most = [0u64; W];
+    for (j, key) in keys.iter().enumerate() {
+        let flip = if key.ascending { 0 } else { u64::MAX };
+        let (mut kind, mut null, mut zero) = (None, false, false);
+        for (entry, row) in entries.iter_mut().zip(rows) {
+            let value = row.get(key.column).unwrap_or(&Value::Null);
+            let word = match value {
+                Value::Null => {
+                    null = true;
+                    0
+                }
+                _ => {
+                    let this = std::mem::discriminant(value);
+                    if *kind.get_or_insert(this) != this {
+                        return None;
+                    }
+                    let word = order_word(value)?;
+                    zero |= word == 0;
+                    word
+                }
+            } ^ flip;
+            entry[j] = word;
+            least[j] = least[j].min(word);
+            most[j] = most[j].max(word);
+        }
+        if null && zero {
+            return None;
+        }
+    }
+    let width = |span: u64| u64::BITS - span.leading_zeros();
+    let (least, most) = (&least[..W - 1], &most[..W - 1]);
+    let mut bits: Vec<u32> = least.iter().zip(most).map(|(l, m)| width(m - l)).collect();
+    bits.push(width(rows.len() as u64 - 1));
+    let total: u32 = bits.iter().sum();
+    let pack = |entry: &[u64; W], position: usize| {
+        let words = entry[..W - 1].iter().zip(least).map(|(w, l)| w - l);
+        let words = words.chain([position as u64]);
+        (words.zip(&bits)).fold(0u128, |packed, (word, &b)| packed << b | u128::from(word))
+    };
+    let low = |packed: u128| (packed & ((1 << bits[W - 1]) - 1)) as usize;
+    let order = if total <= u64::BITS {
+        let mut packed: Vec<u64> = (entries.iter().enumerate())
+            .map(|(position, entry)| pack(entry, position) as u64)
+            .collect();
+        first_k(&mut packed, k, u64::cmp);
+        packed.into_iter().map(|p| low(p.into())).collect()
+    } else if total <= u128::BITS {
+        let mut packed: Vec<u128> = (entries.iter().enumerate())
+            .map(|(position, entry)| pack(entry, position))
+            .collect();
+        first_k(&mut packed, k, u128::cmp);
+        packed.into_iter().map(low).collect()
+    } else {
+        for (position, entry) in entries.iter_mut().enumerate() {
+            entry[W - 1] = position as u64;
+        }
+        first_k(&mut entries, k, <[u64; W]>::cmp);
+        entries.iter().map(|entry| entry[W - 1] as usize).collect()
+    };
+    Some(order)
+}
+
+/// One `ORDER BY` key of a batch of rows, read once, where [`word_order`]
+/// does not apply: the form it is compared in without a `Value` match per
+/// comparison, when there is one.
+enum SortColumn<'a> {
+    /// Integers, or Floats, as [`order_word`]s; `None` is NULL, which sorts
+    /// first.
+    Words(Vec<Option<u64>>),
+    /// Text, borrowed from its rows; `None` is NULL.
+    Text(Vec<Option<&'a str>>),
+    /// Anything else (Integers beside Floats, Booleans, Dates): the values
+    /// themselves, compared by [`Value::total_cmp`]. Above 2^53 a mix of
+    /// Integers and Floats is not transitively ordered, so no word can
+    /// stand for it.
+    Values(Vec<&'a Value>),
+}
+
+impl<'a> SortColumn<'a> {
+    /// Column `column` of `rows`, in the narrowest form that orders it: the
+    /// first value that is not NULL sets the kind the others must share.
+    fn read(rows: &'a [Row], column: usize) -> SortColumn<'a> {
+        let at = |row: &'a Row| row.get(column).unwrap_or(&Value::Null);
+        let first = rows.iter().map(at).find(|v| !v.is_null());
+        let kind = first.map(std::mem::discriminant);
+        let of_kind = |v: &Value| v.is_null() || Some(std::mem::discriminant(v)) == kind;
+        match first {
+            None | Some(Value::Integer(_) | Value::Float(_)) => {
+                let words = rows
+                    .iter()
+                    .map(at)
+                    .map(|v| of_kind(v).then(|| order_word(v)));
+                if let Some(words) = words.collect() {
+                    return SortColumn::Words(words);
+                }
+            }
+            Some(Value::Text(_)) => {
+                let text = rows.iter().map(at).map(|v| of_kind(v).then(|| v.as_str()));
+                if let Some(text) = text.collect() {
+                    return SortColumn::Text(text);
+                }
+            }
+            Some(_) => {}
+        }
+        SortColumn::Values(rows.iter().map(at).collect())
+    }
+
+    /// Rows `a` and `b` in this column's order, ascending.
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        match self {
+            SortColumn::Words(w) => w[a].cmp(&w[b]),
+            SortColumn::Text(t) => t[a].cmp(&t[b]),
+            SortColumn::Values(v) => v[a].total_cmp(v[b]),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -544,42 +544,97 @@ fn apply_quantified_all_and_any_verdicts() {
     );
 }
 
-/// Rows of (few distinct integers or NULL, few distinct texts, position):
-/// every key column is full of ties, the last column tells rows apart.
+/// Rows of (few distinct integers or NULL — `i64::MIN` and `i64::MAX`
+/// among them —, few distinct texts, floats or NULL — `±0.0`, infinities
+/// and NaNs of both signs among them —, a mix of Integers, Floats, Text and
+/// a Boolean, position): every key column is full of ties, the last column
+/// tells rows apart.
 fn tied_rows(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<Row> {
     use rand::Rng;
+    let floats = [
+        -0.0,
+        0.0,
+        1.5,
+        -1.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(u64::MAX),
+    ];
     (0..n)
         .map(|i| {
-            let a = match rng.gen_range(0..6) {
+            let a = match rng.gen_range(0..8) {
                 0 => Value::Null,
+                6 => Value::int(i64::MIN),
+                7 => Value::int(i64::MAX),
                 v => Value::int(v),
             };
-            let b = Value::text(["x", "y", "z"][rng.gen_range(0..3usize)]);
-            Row::new(vec![a, b, Value::int(i as i64)])
+            let b = Value::text(["x", "y", "z", ""][rng.gen_range(0..4usize)]);
+            let c = match rng.gen_range(0..10usize) {
+                0 => Value::Null,
+                v => Value::Float(floats[v - 1]),
+            };
+            let d = match rng.gen_range(0..5) {
+                0 => Value::int(1),
+                1 => Value::Float(1.0),
+                2 => Value::Float(-0.0),
+                3 => Value::text("1"),
+                _ => Value::Boolean(true),
+            };
+            Row::new(vec![a, b, c, d, Value::int(i as i64)])
         })
         .collect()
+}
+
+/// The stable sort by [`Value::total_cmp`], key by key, truncated to `k`.
+fn stable_sort(mut rows: Vec<Row>, keys: &[SortKey], k: usize) -> Vec<Row> {
+    rows.sort_by(|a, b| {
+        (keys.iter())
+            .map(|key| {
+                let ord = a.values()[key.column].total_cmp(&b.values()[key.column]);
+                if key.ascending {
+                    ord
+                } else {
+                    ord.reverse()
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    rows.truncate(k);
+    rows
 }
 
 #[test]
 fn top_k_is_the_stable_sort_truncated() {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x0022_0001);
-    for round in 0..200 {
+    for round in 0..400 {
         let n = rng.gen_range(0..60usize);
-        let rows = tied_rows(&mut rng, n);
-        let keys: Vec<SortKey> = (0..rng.gen_range(1..=2usize))
+        let mut rows = tied_rows(&mut rng, n);
+        if round % 2 == 0 {
+            // The mixed column all Floats and the integers without NULL: the
+            // other layouts of the words.
+            for row in &mut rows {
+                if row.values()[3].data_type() != Some(DataType::Float) {
+                    *row.get_mut(3).unwrap() = Value::Float(2.5);
+                }
+                if row.values()[0].is_null() {
+                    *row.get_mut(0).unwrap() = Value::int(3);
+                }
+            }
+        }
+        let keys: Vec<SortKey> = (0..rng.gen_range(1..=3usize))
             .map(|_| SortKey {
-                column: rng.gen_range(0..2usize),
+                column: rng.gen_range(0..4usize),
                 ascending: rng.gen_bool(0.5),
             })
             .collect();
-        for k in [0, 1, 2, n / 2, n.saturating_sub(1), n, n + 1] {
-            let mut expected = rows.clone();
-            sort_rows(&mut expected, &keys);
-            expected.truncate(k);
+        for k in [0, 1, 2, n / 2, n.saturating_sub(1), n, n + 1, usize::MAX] {
             assert_eq!(
                 top_k(rows.clone(), &keys, k),
-                expected,
+                stable_sort(rows.clone(), &keys, k),
                 "round {round}: n={n} k={k} keys={keys:?}"
             );
         }

@@ -29,7 +29,10 @@ pub use ast::{
 };
 pub use bind::{bind_query, bind_subquery, join_edges, BoundQuery, BoundTable, JoinEdge};
 pub use error::{BindError, ParseError};
-pub use param::{normalize_statement, normalize_strings, parameterize_select, NormalizedStatement};
+pub use param::{
+    normalize_statement, normalize_strings, parameterize_select, restore_literals,
+    NormalizedStatement,
+};
 pub use parser::{parse_query, parse_statement};
 pub use rewrite::{
     detect_division, equivalent_modulo_commutativity, flatten_in_subqueries, normalize,

@@ -35,9 +35,9 @@
 //! = 2`), which no estimate reads. Any other literal (a LIKE pattern, an
 //! IN-list member, a projected constant, a bound of arithmetic) would make
 //! the sequences diverge, so the pass stops there and says which it was
-//! ([`Uncacheable`]): the verdict is cached, and the statement is planned
-//! fresh every time. The caller still plans the template and keeps it only
-//! if it reproduces the fresh plan.
+//! ([`Uncacheable`]), puts back what it had lifted ([`restore_literals`]),
+//! and the statement is planned as parsed; the verdict is cached, and the
+//! statement is planned fresh every time.
 
 use crate::ast::{BinaryOperator, Expr, Literal, SelectItem, SelectStatement};
 use datastore::{Uncacheable, Value};
@@ -295,10 +295,10 @@ fn param_select(stmt: &mut SelectStatement, out: &mut Vec<Value>) -> Result<(), 
     Ok(())
 }
 
-/// Lift a statement's literals into numbered [`Expr::Param`]s — statement
-/// parameters, which a plan binds from the literals of the statement it
-/// serves — returning the rewritten statement and the lifted values in the
-/// order of the text. A literal is lifted where it is compared with a column
+/// Lift a statement's literals, in place, into numbered [`Expr::Param`]s —
+/// statement parameters, which a plan binds from the literals of the
+/// statement it serves — returning the lifted values in the order of the
+/// text. A literal is lifted where it is compared with a column
 /// by `=` or a range comparison (`BETWEEN`'s bounds included), or with an
 /// aggregate or a scalar or quantified subquery by any comparison; subquery
 /// bodies are lifted the same way, in place.
@@ -306,13 +306,81 @@ fn param_select(stmt: &mut SelectStatement, out: &mut Vec<Value>) -> Result<(), 
 /// Fails, saying why, at the first literal this pass cannot lift — a `LIKE`
 /// pattern, an `IN` list member, any other constant — since the text
 /// scanner extracts *every* literal and the two sequences could no longer
-/// agree.
-pub fn parameterize_select(
-    mut stmt: SelectStatement,
-) -> Result<(SelectStatement, Vec<Value>), Uncacheable> {
+/// agree. The statement is then left as it was given
+/// ([`restore_literals`]), to be planned as it is.
+pub fn parameterize_select(stmt: &mut SelectStatement) -> Result<Vec<Value>, Uncacheable> {
     let mut lifted = Vec::new();
-    param_select(&mut stmt, &mut lifted)?;
-    Ok((stmt, lifted))
+    param_select(stmt, &mut lifted).inspect_err(|_| restore_literals(stmt, &lifted))?;
+    Ok(lifted)
+}
+
+/// Put every [`Expr::Param`] `?k` of a statement back to the literal
+/// `lifted[k]` it replaced: the statement [`parameterize_select`] was
+/// given, since an Integer, a Float and a string are each one `Value` kind.
+pub fn restore_literals(stmt: &mut SelectStatement, lifted: &[Value]) {
+    let order_by = stmt.order_by.iter_mut().map(|o| &mut o.expr);
+    let projection = stmt.projection.iter_mut().filter_map(|item| match item {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    let clauses = stmt.selection.iter_mut().chain(&mut stmt.group_by);
+    for expr in projection
+        .chain(clauses)
+        .chain(&mut stmt.having)
+        .chain(order_by)
+    {
+        restore_expr(expr, lifted);
+    }
+}
+
+fn restore_expr(expr: &mut Expr, lifted: &[Value]) {
+    match expr {
+        Expr::Param(k) => {
+            *expr = Expr::Literal(match &lifted[*k as usize] {
+                Value::Integer(i) => Literal::Integer(*i),
+                Value::Float(f) => Literal::Float(*f),
+                Value::Text(s) => Literal::String(s.to_string()),
+                other => unreachable!("only numbers and strings are lifted, not {other:?}"),
+            })
+        }
+        Expr::Column(_) | Expr::Literal(_) => {}
+        Expr::BinaryOp { left, right, .. } => {
+            restore_expr(left, lifted);
+            restore_expr(right, lifted);
+        }
+        Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } => restore_expr(expr, lifted),
+        Expr::Aggregate { arg, .. } => {
+            if let Some(a) = arg {
+                restore_expr(a, lifted);
+            }
+        }
+        Expr::InList { expr, list, .. } => {
+            restore_expr(expr, lifted);
+            list.iter_mut().for_each(|e| restore_expr(e, lifted));
+        }
+        Expr::Between {
+            expr, low, high, ..
+        } => {
+            for e in [expr, low, high] {
+                restore_expr(e, lifted);
+            }
+        }
+        Expr::Like { expr, pattern, .. } => {
+            restore_expr(expr, lifted);
+            restore_expr(pattern, lifted);
+        }
+        Expr::InSubquery { expr, subquery, .. } => {
+            restore_expr(expr, lifted);
+            restore_literals(subquery, lifted);
+        }
+        Expr::QuantifiedComparison { left, subquery, .. } => {
+            restore_expr(left, lifted);
+            restore_literals(subquery, lifted);
+        }
+        Expr::Exists { subquery, .. } | Expr::ScalarSubquery(subquery) => {
+            restore_literals(subquery, lifted)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -387,7 +455,8 @@ mod tests {
     fn parameterization_matches_text_extraction_for_equalities() {
         let sql = "SELECT m.title FROM movies m WHERE m.year = 1968 AND m.genre = 'Drama'";
         let stmt = parse_query(sql).unwrap();
-        let (template, lits) = parameterize_select(stmt).unwrap();
+        let mut template = stmt;
+        let lits = parameterize_select(&mut template).unwrap();
         assert_eq!(
             lits,
             normalize_statement(sql).unwrap().literals,
@@ -401,7 +470,8 @@ mod tests {
     #[test]
     fn range_bounds_are_lifted_in_text_order() {
         let lift = |sql: &str| {
-            let (template, lifted) = parameterize_select(parse_query(sql).unwrap()).unwrap();
+            let mut template = parse_query(sql).unwrap();
+            let lifted = parameterize_select(&mut template).unwrap();
             assert_eq!(lifted, normalize_statement(sql).unwrap().literals, "{sql}");
             template.to_string()
         };
@@ -424,7 +494,14 @@ mod tests {
     fn unliftable_literals_stay_in_place_so_sequences_diverge() {
         // The AST pass could lift only the equality while the text scanner
         // sees both literals: it stops at the constant and names it.
-        let blame = |sql: &str| parameterize_select(parse_query(sql).unwrap()).unwrap_err();
+        // A refused statement comes back as it was parsed.
+        let blame = |sql: &str| {
+            let parsed = parse_query(sql).unwrap();
+            let mut back = parsed.clone();
+            let why = parameterize_select(&mut back).unwrap_err();
+            assert_eq!(back, parsed, "{sql}");
+            why
+        };
         assert_eq!(
             blame("SELECT * FROM movies m WHERE m.year + 1 > 1968 AND m.genre = 'Drama'"),
             Uncacheable::Constant
@@ -455,15 +532,20 @@ mod tests {
         );
         // Keywords are not literals to either pass.
         let sql = "SELECT * FROM movies m WHERE m.year IS NOT NULL AND m.id = 7";
-        let (_, lifted) = parameterize_select(parse_query(sql).unwrap()).unwrap();
+        let lifted = parameterize_select(&mut parse_query(sql).unwrap()).unwrap();
         assert_eq!(lifted, normalize_statement(sql).unwrap().literals);
     }
 
     #[test]
     fn subqueries_are_lifted_in_text_order() {
         let lift = |sql: &str| {
-            let (template, lifted) = parameterize_select(parse_query(sql).unwrap()).unwrap();
+            let mut template = parse_query(sql).unwrap();
+            let lifted = parameterize_select(&mut template).unwrap();
             assert_eq!(lifted, normalize_statement(sql).unwrap().literals, "{sql}");
+            // Every `?k` put back is the statement as parsed.
+            let mut restored = template.clone();
+            restore_literals(&mut restored, &lifted);
+            assert_eq!(restored, parse_query(sql).unwrap(), "{sql}");
             template.to_string()
         };
         // Inside an IN chain, around an EXISTS, and on both sides of one.
@@ -506,17 +588,23 @@ mod tests {
         // No literal, nothing lifted: a template all the same.
         assert_eq!(
             parameterize_select(
-                parse_query("select m.id from M m where exists (select * from C c)").unwrap()
+                &mut parse_query("select m.id from M m where exists (select * from C c)").unwrap()
             )
-            .unwrap()
-            .1,
+            .unwrap(),
             Vec::<Value>::new()
         );
     }
 
     #[test]
     fn what_a_subquery_cannot_lift_is_refused_as_at_the_top() {
-        let blame = |sql: &str| parameterize_select(parse_query(sql).unwrap()).unwrap_err();
+        // A refused statement comes back as it was parsed.
+        let blame = |sql: &str| {
+            let parsed = parse_query(sql).unwrap();
+            let mut back = parsed.clone();
+            let why = parameterize_select(&mut back).unwrap_err();
+            assert_eq!(back, parsed, "{sql}");
+            why
+        };
         let exists = |body: &str| {
             format!("select m.title from M m where m.id = 4 and exists (select * from C c where {body})")
         };

@@ -599,7 +599,8 @@ fn template_is_the_fresh_plan(db: &Database, sql: &str, options: PlannerOptions)
     let literals = sqlparse::normalize_statement(sql).unwrap().literals;
     let query = sqlparse::parse_query(sql).unwrap();
     let fresh = plan_query_with(db, &query, options).unwrap();
-    let Ok((parameterized, lifted)) = sqlparse::parameterize_select(query) else {
+    let mut parameterized = query;
+    let Ok(lifted) = sqlparse::parameterize_select(&mut parameterized) else {
         return false;
     };
     let same = |(a, b): (&Value, &Value)| a == b && ParamKind::of(a) == ParamKind::of(b);

@@ -15,6 +15,13 @@
 //!   their exact spelling (`1` is not `1.0`), with nested loops over
 //!   [`Value::sql_eq`]. The build sides are larger than `PARALLEL_BUILD_MIN`,
 //!   so the builds at four workers are partitioned.
+//! * *The aggregator's two lookups are one table.* Its vector path reads a
+//!   batch's key columns once, typed, and looks the batch up; a batch whose
+//!   key column mixes kinds goes row by row into the same table. A key column
+//!   that changes kind between batches (Integers alone, then Integers with a
+//!   Float `1.0`, `-0.0` and NULL, then Integers), and two-column Integer +
+//!   Text keys in batches of 1 023, 1 024 and 1 025 rows (whole, and as four
+//!   partials merged), are held to the same nested loops.
 //!
 //! The differential's seeds are fixed; `KEYS_SEED=<u64>` adds one more (CI
 //! passes the clock), and every failure names its seed.
@@ -351,8 +358,22 @@ fn scalar_lookups(probe: &[Row], build: &[Row], keys: &[usize], at: &str) {
 }
 
 /// `select keys, count(*), count(distinct d) group by keys`, where `d` is
-/// the first key column shifted by one row.
+/// the first key column shifted by one row: in batches of 1 024, and as
+/// partials over morsels of 1 000 rows in batches of 300 merged in order.
 fn aggregates(build: &[Row], keys: &[usize], at: &str) {
+    aggregates_in(build, keys, 1024, 1000, 300, at);
+}
+
+/// [`aggregates`] in batches of `batch` rows, and as partials over morsels of
+/// `morsel` rows in batches of `morsel_batch`.
+fn aggregates_in(
+    build: &[Row],
+    keys: &[usize],
+    batch: usize,
+    morsel: usize,
+    morsel_batch: usize,
+    at: &str,
+) {
     let rows: Vec<Row> = (build.iter().enumerate())
         .map(|(i, r)| {
             let d = build[(i + 1) % build.len()].values()[0].clone();
@@ -403,16 +424,19 @@ fn aggregates(build: &[Row], keys: &[usize], at: &str) {
     };
     for vectorized in [false, true] {
         let mut whole = GroupedAggregator::new(keys.to_vec(), aggs(), vectorized);
-        for batch in rows.chunks(1024) {
+        for batch in rows.chunks(batch) {
             whole.push_batch(batch).unwrap();
         }
         let answer = spelled(&whole.finish(None).unwrap());
-        assert_eq!(answer, expected, "aggregate, vectorized {vectorized}, {at}");
+        assert_eq!(
+            answer, expected,
+            "aggregate in batches of {batch}, vectorized {vectorized}, {at}"
+        );
 
         let mut gather = GroupedAggregator::new(keys.to_vec(), aggs(), vectorized);
-        for morsel in rows.chunks(1000) {
+        for morsel in rows.chunks(morsel) {
             let mut partial = GroupedAggregator::new(keys.to_vec(), aggs(), vectorized);
-            for batch in morsel.chunks(300) {
+            for batch in morsel.chunks(morsel_batch) {
                 partial.push_batch(batch).unwrap();
             }
             gather.merge_partial(partial);
@@ -440,5 +464,49 @@ fn distinct(build: &[Row], width: usize, at: &str) {
     let expected = spelled(&expected);
     for (workers, answer) in both(values("k", &rows).distinct()) {
         assert_eq!(answer, expected, "distinct, {workers} workers, {at}");
+    }
+}
+
+/// A grouping key column read a batch at a time changes kind within one
+/// statement: a batch of Integers alone (looked up as a batch of typed
+/// keys), then one where Integers meet a Float `1.0`, `-0.0` and NULL (read
+/// row by row), then Integers again — all into one table, `1` and `1.0`, `0`
+/// and `-0.0` one group each.
+#[test]
+fn a_key_column_that_changes_kind_between_batches_keeps_its_groups() {
+    for seed in seeds() {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let integers = |rng: &mut StdRng, n: usize| -> Vec<Row> {
+            (0..n)
+                .map(|_| Row::new(vec![Value::int(rng.gen_range(-1..4)), Value::int(1)]))
+                .collect()
+        };
+        let mut build = integers(&mut rng, 1024);
+        let mut mixed = integers(&mut rng, 1024);
+        for (at, value) in [Value::Float(1.0), Value::Float(-0.0), Value::Null]
+            .into_iter()
+            .enumerate()
+        {
+            mixed[100 + 300 * at] = Row::new(vec![value, Value::int(1)]);
+        }
+        build.extend(mixed);
+        build.extend(integers(&mut rng, 700));
+        let at = format!("seed {seed}, Integers, then a mixed batch");
+        aggregates_in(&build, &[0], 1024, 1024, 1024, &at);
+        aggregates_in(&build, &[0], 1024, 1000, 300, &at);
+    }
+}
+
+/// Two-column keys (Integer, then Text), NULL-heavy, in batches of 1 023,
+/// 1 024 and 1 025 rows: on one thread, and as four partials merged in order.
+#[test]
+fn two_column_keys_agree_in_batches_around_a_batch() {
+    for seed in seeds() {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let build = rows(&mut rng, &[Kind::Integer, Kind::Text], 4 * 1025 + 300);
+        for batch in [1023, 1024, 1025] {
+            let at = format!("seed {seed}, key [Integer, Text]");
+            aggregates_in(&build, &[0, 1], batch, build.len().div_ceil(4), batch, &at);
+        }
     }
 }

@@ -3,10 +3,20 @@
 //! a row, not the order of two rows with equal keys.
 //!
 //! Seeded statements over the movie schema (2 100 movies: `year` is full of
-//! ties, `genre` is eight strings over 4 200 rows) and a NULL-heavy EMP/DEPT:
-//! one to three keys, ASC and DESC mixed, integer and text, under a filter, a
-//! join and an aggregate. Two things are held, rows compared **in order**:
+//! ties, `genre` is eight strings over 4 200 rows), a NULL-heavy EMP/DEPT and
+//! a table of numbers (a FLOAT column of NaN, `±0.0`, infinities, Floats,
+//! Integers and NULL; one of Floats and NULL only; an INTEGER column holding
+//! `i64::MIN` and `i64::MAX`): one to three keys, ASC and DESC mixed, under a
+//! filter, a join and an aggregate. Three things are held, rows compared
+//! **in order**:
 //!
+//! * *the sort is the stable sort written here.* Under the default options
+//!   on one thread and on four, and under the reference options, the sorted
+//!   statement returns the same statement's unsorted answer sorted by this
+//!   file's own comparator ([`order`]: NULL first, numbers by value with
+//!   `-0.0 = 0.0` and NaN after every number, Text by bytes, DESC reversed),
+//!   ties in the order the unsorted answer has them. The engine's sort reads
+//!   its keys into words; this comparator shares no code with it.
 //! * *top-k ≡ stable sort + truncate.* Under the default options on one
 //!   thread and on four (threshold 0, so the sort really becomes a top-k
 //!   exchange), the statement with `LIMIT k` returns the first `k` rows of
@@ -22,9 +32,10 @@
 //! clock), and every failure names its seed and statement.
 
 use datastore::sample::{employee_database, scaled_movie_database, ScaleConfig};
-use datastore::{Database, Row, Value};
+use datastore::{ColumnDef, DataType, Database, Row, TableSchema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 use talkback::{PlannerOptions, Talkback};
 
 fn seeds() -> Vec<u64> {
@@ -200,6 +211,77 @@ fn company_shapes(rng: &mut StdRng) -> Vec<Shape> {
     ]
 }
 
+/// N(id, f, g, i): `f` a FLOAT column of NaN, `±0.0`, infinities, Floats,
+/// Integers and NULL; `g` the same without Integers; `i` an INTEGER column
+/// with `i64::MIN` and `i64::MAX` among a few small values and NULL. 2 500
+/// rows, so an answer spans batches.
+fn number_database(seed: u64) -> Database {
+    let mut db = Database::new();
+    db.create_table(TableSchema::new(
+        "N",
+        vec![
+            ColumnDef::new("id", DataType::Integer),
+            ColumnDef::nullable("f", DataType::Float),
+            ColumnDef::nullable("g", DataType::Float),
+            ColumnDef::nullable("i", DataType::Integer),
+        ],
+    ))
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let floats = [
+        f64::NAN,
+        -0.0,
+        0.0,
+        1.5,
+        -2.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    for id in 0..2500 {
+        let mut float = |integers: bool| match rng.gen_range(0..10) {
+            0 => Value::Null,
+            1 | 2 if integers => Value::int(rng.gen_range(-2..3)),
+            v => Value::Float(floats[v % floats.len()]),
+        };
+        let (f, g) = (float(true), float(false));
+        let i = match rng.gen_range(0..6) {
+            0 => Value::Null,
+            1 => Value::int(i64::MIN),
+            2 => Value::int(i64::MAX),
+            _ => Value::int(rng.gen_range(-3..3)),
+        };
+        db.insert("N", vec![Value::int(id), f, g, i]).unwrap();
+    }
+    db
+}
+
+fn number_shapes(rng: &mut StdRng) -> Vec<Shape> {
+    let id = rng.gen_range(100..2400);
+    vec![
+        Shape {
+            projection: "n.id, n.f, n.g, n.i",
+            body: "N n".into(),
+            group_by: "",
+            keys: &["n.f", "n.g", "n.i"],
+            unique: &[],
+        },
+        Shape {
+            projection: "n.f, n.g, n.i",
+            body: format!("N n where n.id <= {id}"),
+            group_by: "",
+            keys: &["n.g", "n.i", "n.f"],
+            unique: &[],
+        },
+        Shape {
+            projection: "n.i, n.g, count(*)",
+            body: "N n".into(),
+            group_by: " group by n.i, n.g",
+            keys: &["n.i", "n.g"],
+            unique: &[],
+        },
+    ]
+}
+
 /// One to three keys of the shape, each ascending or descending.
 fn order_by(rng: &mut StdRng, shape: &Shape) -> Vec<String> {
     let mut keys: Vec<String> = Vec::new();
@@ -220,6 +302,58 @@ fn rows(system: &Talkback, sql: &str, options: PlannerOptions, seed: u64) -> Vec
         .rows
 }
 
+/// The order of two values, written apart from the engine's: NULL first,
+/// numbers by value (`-0.0 = 0.0`, two Integers exactly, a NaN after every
+/// number and equal to a NaN), Text by its bytes.
+fn order(a: &Value, b: &Value) -> Ordering {
+    let number = |v: &Value| match v {
+        Value::Integer(i) => Some((*i, *i as f64)),
+        Value::Float(f) => Some((0, *f)),
+        _ => None,
+    };
+    match (a, b) {
+        (Value::Null, Value::Null) => Ordering::Equal,
+        (Value::Null, _) => Ordering::Less,
+        (_, Value::Null) => Ordering::Greater,
+        (Value::Integer(x), Value::Integer(y)) => x.cmp(y),
+        (Value::Text(x), Value::Text(y)) => x.as_bytes().cmp(y.as_bytes()),
+        _ => {
+            let ((_, x), (_, y)) = (number(a).expect("a number"), number(b).expect("a number"));
+            match (x.is_nan(), y.is_nan()) {
+                (true, true) => Ordering::Equal,
+                (true, false) => Ordering::Greater,
+                (false, true) => Ordering::Less,
+                (false, false) => x.partial_cmp(&y).expect("numbers"),
+            }
+        }
+    }
+}
+
+/// `rows` stably sorted by `keys` (projected position, ascending) with
+/// [`order`].
+fn stably_sorted(mut rows: Vec<Row>, keys: &[(usize, bool)]) -> Vec<Row> {
+    rows.sort_by(|a, b| {
+        (keys.iter())
+            .map(|&(at, ascending)| {
+                let ord = order(&a.values()[at], &b.values()[at]);
+                if ascending {
+                    ord
+                } else {
+                    ord.reverse()
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    rows
+}
+
+/// Rows as their values are spelled (`1` is not `1.0`, `-0.0` is not
+/// `0.0`, a NaN is itself).
+fn spelled(rows: &[Row]) -> Vec<String> {
+    rows.iter().map(|r| format!("{:?}", r.values())).collect()
+}
+
 /// Where two answers first differ, for the failure message.
 fn first_difference(got: &[Row], expected: &[Row]) -> String {
     match got.iter().zip(expected).position(|(g, e)| g != e) {
@@ -237,19 +371,32 @@ fn differential(seed: u64, db: Database, shapes: fn(&mut StdRng) -> Vec<Shape>) 
     for _ in 0..2 {
         for shape in shapes(&mut rng) {
             let keys = order_by(&mut rng, &shape);
-            let statement = |keys: &[String]| {
-                format!(
-                    "select {} from {}{} order by {}",
-                    shape.projection,
-                    shape.body,
-                    shape.group_by,
-                    keys.join(", ")
-                )
-            };
-            // The sort is the reference engine's sort.
+            let unsorted = format!(
+                "select {} from {}{}",
+                shape.projection, shape.body, shape.group_by
+            );
+            let statement = |keys: &[String]| format!("{unsorted} order by {}", keys.join(", "));
+            // The sort is the stable sort written here, and the reference
+            // engine's sort.
             let mut total = keys.clone();
             total.extend(shape.unique.iter().map(|c| c.to_string()));
             let sql = statement(&total);
+            let positions: Vec<(usize, bool)> = (total.iter())
+                .map(|k| {
+                    let column = k.trim_end_matches(" desc");
+                    let at = shape.projection.split(", ").position(|c| c == column);
+                    (at.expect("keys are projected"), column.len() == k.len())
+                })
+                .collect();
+            for options in subjects().into_iter().chain([reference()]) {
+                let got = rows(&system, &sql, options, seed);
+                let oracle = stably_sorted(rows(&system, &unsorted, options, seed), &positions);
+                assert!(
+                    spelled(&got) == spelled(&oracle),
+                    "seed {seed}: {sql}\nunder {options:?} against the stable sort: {}",
+                    first_difference(&got, &oracle)
+                );
+            }
             let expected = rows(&system, &sql, reference(), seed);
             for options in subjects() {
                 let got = rows(&system, &sql, options, seed);
@@ -307,6 +454,15 @@ fn null_heavy_company_schema_top_k_is_the_stable_sort_truncated() {
     for seed in seeds() {
         let [ran, tied, _] = differential(seed, company_database(seed), company_shapes);
         assert!(ran >= 100, "seed {seed}: {ran} statements");
+        assert!(tied >= 3, "seed {seed}: {tied} orders had ties");
+    }
+}
+
+#[test]
+fn numbers_sort_by_value_with_nan_last_and_null_first() {
+    for seed in seeds() {
+        let [ran, tied, _] = differential(seed, number_database(seed), number_shapes);
+        assert!(ran >= 90, "seed {seed}: {ran} statements");
         assert!(tied >= 3, "seed {seed}: {tied} orders had ties");
     }
 }
