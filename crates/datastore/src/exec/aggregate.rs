@@ -341,8 +341,9 @@ fn group_of(
 /// kernels; batches whose columns resist transposition fall back to the row
 /// path, batch by batch, with identical results. On that path the group-key
 /// columns are transposed once per batch too and the batch's groups looked
-/// up together (`KeyBatch`, `KeyTable::insert_batch`); a batch whose key
-/// column mixes kinds, and the row path, read each row's key where it lies.
+/// up together (`KeyBatch`, `KeyTable::insert_batch`), in arrays kept from
+/// batch to batch; a batch whose key column holds Floats or mixes kinds, and
+/// the row path, read each row's key where it lies.
 #[derive(Debug)]
 pub struct GroupedAggregator {
     group_by: Vec<usize>,
@@ -356,6 +357,10 @@ pub struct GroupedAggregator {
     /// Per aggregate, the (group, value) pairs a `COUNT(DISTINCT)` has seen.
     distinct: Vec<Option<KeyTable>>,
     vector_batches: u64,
+    /// The vector path's arrays, kept from one batch to the next: its key
+    /// columns and hashes, and each row's group id.
+    keys: KeyBatch<'static>,
+    ids: Vec<usize>,
 }
 
 impl GroupedAggregator {
@@ -384,6 +389,8 @@ impl GroupedAggregator {
             accs: Vec::new(),
             distinct,
             vector_batches: 0,
+            keys: KeyBatch::default(),
+            ids: Vec::new(),
         };
         if agg.group_by.is_empty() {
             let all: &[Value] = &[];
@@ -498,10 +505,11 @@ impl GroupedAggregator {
         // Resolve every row's group id first, then accumulate column-major:
         // one tight, monomorphic loop per aggregate over the whole batch.
         let len = sel.map_or(rows.len(), <[usize]>::len);
-        let ids = match sel {
-            None => self.group_ids(rows.iter(), len),
-            Some(sel) => self.group_ids(sel.iter().map(|&i| &rows[i]), len),
-        };
+        let mut ids = std::mem::take(&mut self.ids);
+        match sel {
+            None => self.group_ids(rows.iter(), len, &mut ids),
+            Some(sel) => self.group_ids(sel.iter().map(|&i| &rows[i]), len, &mut ids),
+        }
         let n = self.aggregates.len();
         for (j, slot) in arg_slots.iter().enumerate() {
             let accs = &mut self.accs;
@@ -542,34 +550,40 @@ impl GroupedAggregator {
                 }
             }
         }
+        self.ids = ids;
         true
     }
 
-    /// The group ids of a batch's `len` rows, new groups given fresh
-    /// accumulators: its key columns read once and looked up as a batch, or,
-    /// for a batch whose key column does not transpose, row by row into the
-    /// same table.
+    /// Put the group ids of a batch's `len` rows in `ids`, new groups given
+    /// fresh accumulators: its key columns read once and looked up as a
+    /// batch, or, for a batch whose key column does not transpose, row by
+    /// row into the same table.
     fn group_ids<'a>(
         &mut self,
         rows: impl Iterator<Item = &'a Row> + Clone,
         len: usize,
-    ) -> Vec<usize> {
+        ids: &mut Vec<usize>,
+    ) {
         let known = self.groups.len();
-        let ids = if self.group_by.is_empty() {
+        ids.clear();
+        ids.reserve(len);
+        let mut keys: KeyBatch<'a> = std::mem::take(&mut self.keys);
+        if self.group_by.is_empty() {
             // No key: the one group there is.
-            vec![0; len]
-        } else if let Some(batch) = KeyBatch::read(rows.clone(), len, &self.group_by) {
-            self.groups.insert_batch(&batch)
+            ids.resize(len, 0);
+        } else if keys.read(rows.clone(), len, &self.group_by) {
+            self.groups.insert_batch(&keys, ids);
         } else {
-            (rows.map(|row| RowKey(row, &self.group_by)))
-                .map(|key| self.groups.insert(key.hash(), &key).0 as usize)
-                .collect()
-        };
+            ids.extend(rows.map(|row| {
+                let key = RowKey(row, &self.group_by);
+                self.groups.insert(key.hash(), &key).0 as usize
+            }));
+        }
+        self.keys = keys.recycle();
         let fresh = self.groups.len() - known;
         (self.accs).extend(
             (0..fresh).flat_map(|_| self.aggregates.iter().map(|a| Accumulator::new(a.func))),
         );
-        ids
     }
 
     /// Merge another aggregator's groups into this one — a partial over one

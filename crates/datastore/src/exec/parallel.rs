@@ -411,7 +411,8 @@ impl ExchangeShared {
 /// through the vector kernels.
 enum WorkerOutput {
     Rows(Vec<Row>),
-    Partial(GroupedAggregator),
+    /// Boxed: an aggregator carries its vector path's arrays.
+    Partial(Box<GroupedAggregator>),
 }
 
 /// Morsel-driven parallel execution of a pipeline subtree (see the module
@@ -581,7 +582,7 @@ impl ExchangeSource {
                     };
                     meter.rows_in += partial.group_count() as u64;
                     meter.vector_batches += partial.vector_batches();
-                    agg.merge_partial(partial);
+                    agg.merge_partial(*partial);
                 }
                 rows.extend(agg.finish(having.as_ref())?);
             }
@@ -633,7 +634,7 @@ impl ExchangeSource {
                 for batch in &all {
                     agg.push_batch(batch)?;
                 }
-                WorkerOutput::Partial(agg)
+                WorkerOutput::Partial(Box::new(agg))
             }
             GatherMode::MergeSort { .. } | GatherMode::TopK { .. } => {
                 WorkerOutput::Rows(all.into_iter().flatten().collect())
@@ -696,7 +697,7 @@ fn worker_loop(
                     while let Some(batch) = src.next_batch()? {
                         agg.push_batch(&batch)?;
                     }
-                    WorkerOutput::Partial(agg)
+                    WorkerOutput::Partial(Box::new(agg))
                 }
                 rows_gather => {
                     let mut rows = Vec::new();

@@ -1853,28 +1853,22 @@ impl Operator for SortSource {
 /// earlier row: the sort operator's order (`k = usize::MAX`), and what a
 /// sort under a limit, a top-k exchange's workers and its gather keep.
 ///
-/// Each key is read once per row. When there are at most three keys and
-/// each holds numbers of one kind, a row becomes fixed-width order words —
-/// an Integer sign-flipped, a Float ordered as [`Value::total_cmp`] orders
-/// it, NULL first, a DESC key inverted — with its position last, packed
-/// into one `u64` or `u128` where they fit; the position makes the order
-/// strict, so an unstable selection and sort give exactly the stable order.
-/// Otherwise positions are sorted by typed key columns (Text as `&str`, a
-/// column of mixed kinds as `&Value`), position last. Only the rows that
-/// can be among the first `k`, found by selection, are sorted, and they are
-/// moved into their places, not cloned.
+/// Each key is read once per row. When each key holds numbers of one kind,
+/// a row becomes fixed-width order words — an Integer sign-flipped, a Float
+/// ordered as [`Value::total_cmp`] orders it, NULL first, a DESC key
+/// inverted — packed with its position last into one `u64` where they fit;
+/// the position makes the order strict, so an unstable selection and sort
+/// give exactly the stable order. Otherwise positions are sorted by typed
+/// key columns (numbers as words, Text as `&str`, a column of mixed kinds as
+/// `&Value`), position last. Only the rows that can be among the first `k`,
+/// found by selection, are sorted, and they are moved into their places,
+/// not cloned.
 pub fn top_k(rows: Vec<Row>, keys: &[SortKey], k: usize) -> Vec<Row> {
     let k = k.min(rows.len());
     if k == 0 {
         return Vec::new();
     }
-    let order = match keys.len() {
-        1 => word_order::<2>(&rows, keys, k),
-        2 => word_order::<3>(&rows, keys, k),
-        3 => word_order::<4>(&rows, keys, k),
-        _ => None,
-    };
-    let order = order.unwrap_or_else(|| {
+    let order = packed_order(&rows, keys, k).unwrap_or_else(|| {
         let columns: Vec<SortColumn> = (keys.iter())
             .map(|key| SortColumn::read(&rows, key.column))
             .collect();
@@ -1927,23 +1921,45 @@ fn order_word(value: &Value) -> Option<u64> {
     }
 }
 
-/// The positions of the first `k` rows by `W - 1` keys each holding numbers
-/// of one kind (and NULL, as the word 0); `None` when a key holds anything
-/// else, or holds NULL beside a number whose word is 0 (`i64::MIN`, or a NaN
-/// of all ones).
+/// The positions of the first `k` rows by `keys`, each holding numbers of
+/// one kind (and NULL, as the word 0), when the keys narrowed to their
+/// ranges fit one `u64` beside the position; `None` when they do not, when
+/// a key holds anything else, or when it holds NULL beside a number whose
+/// word is 0 (`i64::MIN`, or a NaN of all ones).
 ///
-/// Each key's words are then narrowed to their range (less its least) and
-/// the keys and the position packed into one `u64`, or one `u128`, when they
-/// fit — the order of the packed words is the order of the arrays.
-fn word_order<const W: usize>(rows: &[Row], keys: &[SortKey], k: usize) -> Option<Vec<usize>> {
-    let mut entries = vec![[0u64; W]; rows.len()];
-    let mut least = [u64::MAX; W];
-    let mut most = [0u64; W];
-    for (j, key) in keys.iter().enumerate() {
+/// Each key's words, less the least of them, are packed below the keys
+/// before it and the position below them all, so the order of the packed
+/// words is the order by the keys, ties to the earlier row.
+fn packed_order(rows: &[Row], keys: &[SortKey], k: usize) -> Option<Vec<usize>> {
+    fn at(row: &Row, column: usize) -> &Value {
+        row.get(column).unwrap_or(&Value::Null)
+    }
+    // A key whose first value is not a number (Text, most often) is not
+    // read at all.
+    let numbers = |key: &SortKey| match rows
+        .iter()
+        .map(|r| at(r, key.column))
+        .find(|v| !v.is_null())
+    {
+        None | Some(Value::Integer(_) | Value::Float(_)) => true,
+        Some(_) => false,
+    };
+    if !keys.iter().all(numbers) {
+        return None;
+    }
+    let width = |span: u64| u64::BITS - span.leading_zeros();
+    // At least one bit, so that no key is shifted by a whole word.
+    let position_bits = width(rows.len() as u64);
+    let mut room = u64::BITS - position_bits;
+    let mut packed = vec![0u64; rows.len()];
+    let mut words = Vec::with_capacity(rows.len());
+    for key in keys {
         let flip = if key.ascending { 0 } else { u64::MAX };
         let (mut kind, mut null, mut zero) = (None, false, false);
-        for (entry, row) in entries.iter_mut().zip(rows) {
-            let value = row.get(key.column).unwrap_or(&Value::Null);
+        let (mut least, mut most) = (u64::MAX, 0);
+        words.clear();
+        for row in rows {
+            let value = at(row, key.column);
             let word = match value {
                 Value::Null => {
                     null = true;
@@ -1959,48 +1975,28 @@ fn word_order<const W: usize>(rows: &[Row], keys: &[SortKey], k: usize) -> Optio
                     word
                 }
             } ^ flip;
-            entry[j] = word;
-            least[j] = least[j].min(word);
-            most[j] = most[j].max(word);
+            least = least.min(word);
+            most = most.max(word);
+            words.push(word);
         }
         if null && zero {
             return None;
         }
-    }
-    let width = |span: u64| u64::BITS - span.leading_zeros();
-    let (least, most) = (&least[..W - 1], &most[..W - 1]);
-    let mut bits: Vec<u32> = least.iter().zip(most).map(|(l, m)| width(m - l)).collect();
-    bits.push(width(rows.len() as u64 - 1));
-    let total: u32 = bits.iter().sum();
-    let pack = |entry: &[u64; W], position: usize| {
-        let words = entry[..W - 1].iter().zip(least).map(|(w, l)| w - l);
-        let words = words.chain([position as u64]);
-        (words.zip(&bits)).fold(0u128, |packed, (word, &b)| packed << b | u128::from(word))
-    };
-    let low = |packed: u128| (packed & ((1 << bits[W - 1]) - 1)) as usize;
-    let order = if total <= u64::BITS {
-        let mut packed: Vec<u64> = (entries.iter().enumerate())
-            .map(|(position, entry)| pack(entry, position) as u64)
-            .collect();
-        first_k(&mut packed, k, u64::cmp);
-        packed.into_iter().map(|p| low(p.into())).collect()
-    } else if total <= u128::BITS {
-        let mut packed: Vec<u128> = (entries.iter().enumerate())
-            .map(|(position, entry)| pack(entry, position))
-            .collect();
-        first_k(&mut packed, k, u128::cmp);
-        packed.into_iter().map(low).collect()
-    } else {
-        for (position, entry) in entries.iter_mut().enumerate() {
-            entry[W - 1] = position as u64;
+        let bits = width(most - least);
+        room = room.checked_sub(bits)?;
+        for (p, word) in packed.iter_mut().zip(&words) {
+            *p = *p << bits | (word - least);
         }
-        first_k(&mut entries, k, <[u64; W]>::cmp);
-        entries.iter().map(|entry| entry[W - 1] as usize).collect()
-    };
-    Some(order)
+    }
+    for (position, p) in packed.iter_mut().enumerate() {
+        *p = *p << position_bits | position as u64;
+    }
+    first_k(&mut packed, k, u64::cmp);
+    let mask = (1 << position_bits) - 1;
+    Some(packed.into_iter().map(|p| (p & mask) as usize).collect())
 }
 
-/// One `ORDER BY` key of a batch of rows, read once, where [`word_order`]
+/// One `ORDER BY` key of a batch of rows, read once, where [`packed_order`]
 /// does not apply: the form it is compared in without a `Value` match per
 /// comparison, when there is one.
 enum SortColumn<'a> {

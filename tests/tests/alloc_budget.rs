@@ -10,13 +10,15 @@
 //! included, and executed alone.
 //!
 //! The four `analytic` executions have exact ceilings: the CAST aggregate
-//! 1,905, the three-way join 20,954 (it makes 18,150), the two-way join +
-//! aggregate 9,274 and the full sort 34. Before a sort read its keys once
+//! 1,873, the three-way join 20,954 (it makes 18,150), the two-way join +
+//! aggregate 9,242 and the full sort 32. Before a sort read its keys once
 //! into words and the aggregator a batch's key columns (046736b) the first,
 //! third and fourth made 1,878, 9,247 and 30: the aggregator now reads each
-//! batch's keys into a typed column, a hash array and an id array (three
-//! allocations per batch of 1,024, nine batches over CAST), and the sort
-//! makes its key arrays and moves the rows instead of cloning the winners.
+//! batch's keys into a typed column, a hash array and an id array that it
+//! keeps from batch to batch, where it collected a fresh id array for each
+//! batch of 1,024 (nine over CAST), and the sort makes two key arrays (the
+//! packed words and one key's words) and moves the rows instead of cloning
+//! the winners.
 //!
 //! Narration has four rows, each with an exact ceiling: Q1's
 //! `Talkback::explain_result` on the 100-movie database, served from its
@@ -327,12 +329,12 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     rows.push(Row::new("miss of a refused shape (IN list)", n, Some(246)));
 
     for (what, sql, ceiling) in [
-        ("CAST groups by aid", CAST_GROUPS, 1_905),
+        ("CAST groups by aid", CAST_GROUPS, 1_873),
         // Neither join's output row nor the projection's is more than the
         // one column read above it.
         ("three-way join", THREE_WAY, 20_954),
-        ("two-way join + aggregate", JOIN_GROUPS, 9_274),
-        ("full sort", FULL_SORT, 34),
+        ("two-way join + aggregate", JOIN_GROUPS, 9_242),
+        ("full sort", FULL_SORT, 32),
     ] {
         let query = sqlparse::parse_query(sql).unwrap();
         let planned = plan_query_with(system.database(), &query, options).unwrap();
