@@ -60,9 +60,8 @@
 //!    in the planner can wrap pipelines whose driver scan clears
 //!    [`PlannerOptions::parallel_row_threshold`] in a morsel-driven
 //!    exchange running across [`PlannerOptions::parallelism`] workers
-//!    (deterministically — output is gathered in morsel order), fan an
-//!    `Apply`'s per-binding evaluations out the same way, and record a
-//!    [`PlanDecision`] for every choice, including the choice to stay on
+//!    (deterministically — output is gathered in morsel order), and record
+//!    a [`PlanDecision`] for every choice, including the choice to stay on
 //!    one thread.
 //! 4. **[`query::plan_explain`]** renders the (instrumented) operator tree
 //!    as a stable ASCII plan with estimated vs. actual rows per operator

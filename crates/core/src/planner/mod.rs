@@ -77,7 +77,7 @@ pub struct PlannerOptions {
     /// [`std::thread::available_parallelism`]). 1 disables the
     /// parallelization pass entirely; with more, pipelines whose driver scan
     /// clears `parallel_row_threshold` run morsel-parallel through an
-    /// exchange, and qualifying `Apply` evaluations fan out.
+    /// exchange.
     ///
     /// The default is read from the OS once per process — asking costs
     /// 12–17 µs, more than a cached point read — so a cgroup CPU quota that
@@ -311,8 +311,8 @@ fn plan_query_impl(
     vectorize::vectorize_plan(db, &mut plan, &options, &estimator, &mut decisions);
     // Parallelization runs last, over the final physical plan: wrap
     // qualifying pipelines in exchanges (pushing aggregation, sorting, and
-    // top-k below them when profitable) and fan out qualifying applies,
-    // recording each choice (including the choice not to).
+    // top-k below them when profitable), recording each choice (including
+    // the choice not to).
     parallel::parallelize_plan(&mut plan, &options, &mut decisions);
     // Last, over the plan as it will run: each join emits only the columns
     // read above it. A what-if plan is only costed.

@@ -13,9 +13,8 @@
 //!   a [`PlanNode::Exchange`], which executes it morsel-by-morsel across
 //!   [`PlannerOptions::parallelism`] workers (see
 //!   [`datastore::exec::parallel`]).
-//! * An `Apply` whose input clears the threshold has its per-binding
-//!   subquery evaluations fanned out across the same worker count (they are
-//!   embarrassingly parallel).
+//! * An `Apply`'s subplan stays on one thread: the executor opens it once
+//!   and rewinds it for each binding. Its input is a plan like any other.
 //! * Three blocking operators are *pushed into* the exchange when they sit
 //!   directly on a qualifying pipeline, via the exchange's
 //!   [`datastore::exec::GatherMode`]: an aggregate becomes per-worker
@@ -36,8 +35,8 @@ use super::{ParallelKind, PlanDecision};
 use datastore::exec::{Edge, GatherMode, Plan, PlanNode};
 use std::mem;
 
-/// Default minimum estimated driver rows before a pipeline (or apply) is
-/// parallelized: below this, thread startup costs more than it saves.
+/// Default minimum estimated driver rows before a pipeline is parallelized:
+/// below this, thread startup costs more than it saves.
 pub const PARALLEL_ROW_THRESHOLD: f64 = 1024.0;
 
 /// Apply the parallelization pass (no-op when `options.parallelism <= 1`).
@@ -223,20 +222,10 @@ fn descend(
     decisions: &mut Vec<PlanDecision>,
     prefix_bounded: bool,
 ) {
-    if let PlanNode::Apply { input, workers, .. } = &mut plan.node {
-        // The per-binding evaluations are embarrassingly parallel; fan
-        // them out when enough bindings are expected to arrive. The
-        // subplan itself runs per binding and stays sequential inside
-        // each worker.
-        let binding_rows = input.estimated_rows;
+    if let PlanNode::Apply { input, .. } = &mut plan.node {
+        // The subplan is one open tree, rewound for each binding: it stays
+        // on one thread.
         transform(input, options, decisions, prefix_bounded);
-        let target = "the per-row subquery evaluations of the apply".to_string();
-        *workers = match binding_rows {
-            Some(rows) if decide(ParallelKind::Apply, target, rows, options, decisions) => {
-                options.parallelism
-            }
-            _ => 1,
-        };
         return;
     }
     let driver_bounded = match &plan.node {

@@ -282,20 +282,10 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                 threshold,
                 parallelized,
             } => {
-                // An apply fans out per-binding evaluations; a pipeline is
-                // split into scan morsels. Say which actually happened.
+                // A pipeline is split into scan morsels; say what each
+                // worker did with them.
                 use crate::planner::ParallelKind as PK;
-                let is_apply = *kind == PK::Apply;
-                let text = if *parallelized && is_apply {
-                    format!(
-                        "I fanned {} (an estimated {}) out across {}, since the \
-                         binding count cleared my {}-row bar for going parallel",
-                        target,
-                        rows_phrase(*estimated_rows),
-                        counted(*workers, "worker"),
-                        threshold.round() as usize
-                    )
-                } else if *parallelized {
+                let text = if *parallelized {
                     let mut text = format!(
                         "I split {} (an estimated {}) into morsels across {}, since \
                          it cleared my {}-row bar for going parallel",
@@ -317,7 +307,7 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                             " — each worker keeps only its own best rows and I merge \
                              those short runs",
                         ),
-                        PK::Pipeline | PK::Apply => {}
+                        PK::Pipeline => {}
                     }
                     text
                 } else {
@@ -684,8 +674,7 @@ fn parallel_speedup_sentences(profile: &PlanProfile) -> Vec<String> {
         let Some(workers) = p.workers().filter(|&w| w > 1) else {
             return;
         };
-        // parallel_speedup is None for everything but an executed exchange,
-        // so this also filters parallel applies (whose ratio is undefined).
+        // parallel_speedup is None for everything but an executed exchange.
         let Some(speedup) = p.parallel_speedup() else {
             return;
         };

@@ -25,12 +25,16 @@ pub fn procedural_translation(
     let mut sentences = Vec::new();
     sentences.push(block_sentence(catalog, lexicon, graph, 0, query));
     for edge in &graph.nesting {
+        let quantified;
         let connector = match &edge.connector {
             NestingConnector::In { negated: false } => "whose values appear in",
             NestingConnector::In { negated: true } => "whose values do not appear in",
             NestingConnector::Exists { negated: false } => "for which there exists a match in",
             NestingConnector::Exists { negated: true } => "for which there is no match in",
-            NestingConnector::Quantified { .. } => "compared against every result of",
+            NestingConnector::Quantified { op, all } => {
+                quantified = quantified_words(op, *all);
+                &quantified
+            }
             NestingConnector::Scalar => "compared with the result of",
         };
         sentences.push(finish_sentence(&format!(
@@ -40,6 +44,22 @@ pub fn procedural_translation(
         )));
     }
     sentences.join(" ")
+}
+
+/// `op ALL` / `op ANY` in words: the comparison, then "every result" or
+/// "at least one result".
+fn quantified_words(op: &str, all: bool) -> String {
+    let compared = match op {
+        "=" => "equal to",
+        "<>" => "different from",
+        "<" => "less than",
+        "<=" => "less than or equal to",
+        ">" => "greater than",
+        ">=" => "greater than or equal to",
+        other => other,
+    };
+    let quantifier = if all { "every" } else { "at least one" };
+    format!("{compared} {quantifier} result of")
 }
 
 fn block_sentence(
@@ -184,6 +204,27 @@ mod tests {
         assert!(text.contains("ordered by m.year DESC"));
         assert!(text.contains("first 3 results"));
         assert!(text.contains("count(*)"));
+    }
+
+    #[test]
+    fn says_the_operator_and_the_quantifier() {
+        let nested = |quantified: &str| {
+            translate(&format!(
+                "select m.title from MOVIES m where m.year {quantified} \
+                 (select m1.year from MOVIES m1 where m1.id <> m.id)"
+            ))
+        };
+        let said = [
+            ("= any", "equal to at least one result"),
+            ("= all", "equal to every result"),
+            ("< any", "less than at least one result"),
+            ("<= all", "less than or equal to every result"),
+        ];
+        for (quantified, words) in said {
+            let text = nested(quantified);
+            let sentence = format!("The previous condition is {words} of a nested query");
+            assert!(text.contains(&sentence), "{quantified}: {text}");
+        }
     }
 
     #[test]

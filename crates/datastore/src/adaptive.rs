@@ -31,9 +31,10 @@
 //! them once
 //! ([`Plan::bind_params`]). Its *outer-row* parameters `$k` are the
 //! correlation values of its `Apply` operators and parameterized index
-//! probes, left in place by that binding and bound per outer row by the
-//! `Apply` that owns them ([`Plan::bind_outer`]). So a nested statement is
-//! templated like a flat one: probe, bind, execute.
+//! probes, left in place by that binding and bound per distinct outer row
+//! by the `Apply` that owns them, which rewinds its open subplan with the
+//! row's values ([`crate::exec::RowSource::rewind`]). So a nested statement
+//! is templated like a flat one: probe, bind, execute.
 //!
 //! A range bound's estimate reads its value, but only through its class
 //! ([`crate::stats::RangeClass`]: the estimate snapped to a geometric

@@ -35,8 +35,10 @@
 //! 2. Time spent waiting on someone else's work lands in `blocked`
 //!    (`elapsed - blocked` is the operator's own work) — an operator takes
 //!    its inputs through `meter.pull(child)`, which charges the time the
-//!    child measured for itself, and any other wait (a shared build another
-//!    worker is finishing, a fan-out to threads) through `meter.wait(..)`.
+//!    child measured for itself, a subplan run on the side (an apply's)
+//!    through `meter.wait_for(sub)`, and any other wait (a shared build
+//!    another worker is finishing, an exchange's threads) through
+//!    `meter.wait(..)`.
 //! 3. `rows_in` counts what was pulled — the same `meter.pull(child)`; a
 //!    leaf adds the rows it read from storage.
 //! 4. `rows_out` and `batches` move exactly when a batch is returned — the
@@ -66,10 +68,10 @@
 //! join's `index probe` leaf (no build-side operator exists, but narrations
 //! want both sides), the fused aggregate's scan/filter chain (the unfused
 //! tree it replaced, each node with its own counters), `Apply`'s subplan
-//! (its shape described from the subplan opened unbound, its counters summed
-//! over every evaluation, its estimates scaled by the number of evaluations
-//! when read), and the exchange's pipeline (its shape, its counters summed
-//! over every worker's morsels). The last two *accumulate*: their nodes'
+//! (one open tree rewound for every evaluation, so its counters sum over
+//! them; its estimates scaled by the evaluations when read), and the
+//! exchange's pipeline (its shape, its counters summed over every worker's
+//! morsels). The last two *accumulate*: their nodes'
 //! details read as before any run. None writes its own `shape()` or
 //! `absorb_into()`. A subplan evaluated on the side (`Apply`, the
 //! scalar-subquery filter) is not an input: its rows are not counted into
@@ -83,6 +85,14 @@
 //! `Apply` fallback that re-runs a genuinely correlated subplan per row,
 //! memoized (bounded, with eviction tallies) per distinct
 //! correlation-parameter binding.
+//!
+//! An `Apply` opens its subplan once and rewinds it for each distinct
+//! binding ([`stream::RowSource::rewind`], Volcano's rescan): every operator
+//! resets in place, an index probe or an expression that reads a `$k`
+//! overwrites only that constant, and a vector kernel takes the new value
+//! without recompiling. A rewind binds only the values it carries, so an
+//! apply inside a subplan rebinds its own while its parent's stay bound
+//! (and forgets its memo, computed under the parent's old values).
 //!
 //! # The row goal
 //!
@@ -152,9 +162,8 @@
 //! `describe()` renders it once per plan**, when a fresh plan's profile is
 //! asked for; a plan-cache template's shape is described once and every
 //! execution of it allocates only its counters. Column lists are shared
-//! ([`plan::Columns`]; a scan's from its table), and an apply adds each
-//! binding's counters to its subplan's in place
-//! ([`stream::RowSource::absorb_into`]).
+//! ([`plan::Columns`]; a scan's from its table), and an apply's subplan
+//! counts every binding's run in its own counters, in place.
 //!
 //! Operator trees are owned (`Arc` table handles, no borrowed lifetimes), so
 //! subtrees are `Send` and the [`parallel`] layer can execute pipelines
@@ -193,5 +202,5 @@ pub use profile::{
     Children, IndexAccess, OpKind, OpMetrics, OpShape, PlanProfile, ProfileNode, SubqueryTally,
     MISESTIMATE_FACTOR,
 };
-pub use stream::{open, open_owned, ExecContext, RowSource, APPLY_CACHE_CAP, BATCH_SIZE};
+pub use stream::{open, ExecContext, RowSource, APPLY_CACHE_CAP, BATCH_SIZE};
 pub use vector::{ValueVector, VectorPredicate};

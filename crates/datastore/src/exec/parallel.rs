@@ -57,6 +57,7 @@ use crate::exec::profile::{Description, OpKind, OpMetrics};
 use crate::exec::stream::{
     drain_pending, open_in, top_k, ExecContext, OpenEnv, Operator, RowSource,
 };
+use crate::expr::ParamLookup;
 use crate::obs::Counter;
 use crate::tuple::Row;
 use crate::value::Value;
@@ -373,6 +374,13 @@ impl ExchangeShared {
             .get_or_init(|| (0..count).map(|_| Mutex::new(None)).collect());
     }
 
+    /// Empty every cell, for a rewound run to build again.
+    fn clear(&self) {
+        for cell in self.cells.get().into_iter().flatten() {
+            *cell.lock().expect("shared build cell poisoned") = None;
+        }
+    }
+
     /// Worker threads of the owning exchange — stateful builds use this as
     /// their own parallelism degree (e.g. the partitioned hash-join build).
     pub(crate) fn workers(&self) -> usize {
@@ -437,7 +445,7 @@ pub(crate) struct ExchangeSource {
     driver: Option<Arc<Relation>>,
     /// Gathered output in morsel order, filled by the first pull.
     gathered: Option<VecDeque<Row>>,
-    /// The workers' pipeline counters, summed over every morsel, after the
+    /// The workers' pipeline counters, summed over every morsel of every
     /// run.
     absorbed: Option<Vec<OpMetrics>>,
 }
@@ -461,6 +469,7 @@ impl ExchangeSource {
         let env = OpenEnv {
             shared: Some(&shared),
             next_cell: &cell,
+            one_thread: false,
         };
         // Opening the pipeline validates the subtree and fixes the profile
         // shape every worker's profile will share; it reads no rows. On the
@@ -553,7 +562,10 @@ impl ExchangeSource {
         // morsels than workers): what the executed profile reports.
         meter.morsels += total_morsels as u64;
         meter.workers += spawned as u64;
-        self.absorbed = Some(absorbed);
+        match &mut self.absorbed {
+            Some(total) => OpMetrics::add_all(total, &absorbed),
+            None => self.absorbed = Some(absorbed),
+        }
         self.gathered = Some(rows);
         Ok(())
     }
@@ -680,6 +692,7 @@ fn worker_loop(
         let env = OpenEnv {
             shared: Some(shared),
             next_cell: &cell,
+            one_thread: false,
         };
         let result = (|| {
             let mut src = open_in(ctx, plan, &env, Some((start, end)), None, None)?;
@@ -753,6 +766,15 @@ impl Operator for ExchangeSource {
         Ok(drain_pending(
             self.gathered.as_mut().expect("gathered above"),
         ))
+    }
+
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        // The workers open their copies from the plan as written, which no
+        // rewind binds: under an apply, where the values are bound, an
+        // exchange is opened on one thread (`OpenEnv::one_thread`).
+        self.pipeline.rewind(bindings);
+        self.shared.clear();
+        self.gathered = None;
     }
 
     fn describe(&self) -> Description {
@@ -969,6 +991,7 @@ mod tests {
         let env = OpenEnv {
             shared: Some(&exchange.shared),
             next_cell: &indexed,
+            one_thread: false,
         };
         open_in(&ctx, &pipeline, &env, Some((0, 1024)), None, None).unwrap();
         assert_eq!(indexed.get(), 1);

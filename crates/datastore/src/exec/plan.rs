@@ -10,8 +10,9 @@
 //! its NULL-aware variant), [`PlanNode::ScalarSubquery`] (a scalar, or a
 //! correlated aggregate grouped by its keys, evaluated once and cached), and
 //! [`PlanNode::Apply`] (the fallback that re-runs a correlated subplan per
-//! row, substituting its [`Param::Outer`] correlation values and caching per
-//! distinct binding).
+//! distinct binding of its [`Param::Outer`] correlation values: the subplan
+//! is opened once and rewound with each binding, and the answers are cached
+//! per binding).
 
 use crate::exec::aggregate::AggExpr;
 use crate::expr::{CmpOp, Expr, Param, ParamLookup};
@@ -277,8 +278,8 @@ pub enum PlanNode {
     /// Index-backed access path: probe `index` with `bounds` and read only
     /// the matching rows. The bounds may carry parameters: statement literals
     /// [`Plan::bind_params`] resolves on a plan-cache hit, and correlation
-    /// values [`Plan::bind_outer`] resolves per `Apply` binding — the probe
-    /// stays symbolic until the outer row arrives. With `order` other than
+    /// values an `Apply` binds each time it rewinds its open subplan — the
+    /// probe stays symbolic until the outer row arrives. With `order` other than
     /// [`ProbeOrder::Position`] rows come back sorted by the indexed key
     /// (ascending or descending) — what an `ORDER BY`-eliding plan wants;
     /// in position order they are byte-identical to the equivalent filtered
@@ -412,11 +413,12 @@ pub enum PlanNode {
         absent: Value,
     },
     /// The fallback for genuinely correlated subqueries: for each input row,
-    /// bind the row's correlation values into `subplan` (substituting the
-    /// [`Param::Outer`]s listed in `params`), run it, and keep the row when
-    /// `mode` says so. Results are cached per distinct parameter binding, so
-    /// an uncorrelated subquery is evaluated exactly once and a subquery
-    /// correlated on a low-cardinality key is evaluated once per key.
+    /// bind the row's correlation values (the [`Param::Outer`]s listed in
+    /// `params`) into `subplan`, run it, and keep the row when `mode` says
+    /// so. The subplan is opened once and rewound for each binding. Results
+    /// are cached per distinct parameter binding, so an uncorrelated
+    /// subquery is evaluated exactly once and a subquery correlated on a
+    /// low-cardinality key is evaluated once per key.
     Apply {
         input: Box<Plan>,
         subplan: Box<Plan>,
@@ -424,10 +426,6 @@ pub enum PlanNode {
         /// operator binds.
         params: Vec<(u32, usize)>,
         mode: ApplyMode,
-        /// Worker threads for the per-binding subquery evaluations (the
-        /// distinct bindings of one input batch are embarrassingly
-        /// parallel). 1 = evaluate sequentially.
-        workers: usize,
     },
     /// Morsel-driven parallel execution of a pipeline: the subtree's driver
     /// scan (its leftmost leaf) is split into row-range morsels, `workers`
@@ -726,19 +724,8 @@ impl Plan {
             subplan: Box::new(subplan),
             params,
             mode,
-            workers: 1,
         }
         .into()
-    }
-
-    /// Set the worker count of an `Apply` root (no-op on other operators):
-    /// the planner's way of marking the per-binding subquery evaluations as
-    /// parallel.
-    pub fn with_apply_workers(mut self, n: usize) -> Plan {
-        if let PlanNode::Apply { workers, .. } = &mut self.node {
-            *workers = n.max(1);
-        }
-        self
     }
 
     /// Wrap this plan in a morsel-driven exchange running it across
@@ -768,31 +755,21 @@ impl Plan {
     /// template becomes for one statement. Correlation values stay in place
     /// for their `Apply` operators to bind.
     pub fn bind_params(&self, values: &[Value]) -> Plan {
-        let mut plan = self.clone();
-        plan.bind_in_place(&|param| match param {
+        self.bound(&|param| match param {
             Param::Stmt(k) => values.get(k as usize),
             Param::Outer(_) => None,
-        });
-        plan
+        })
     }
 
-    /// Clone this plan with each correlation value `$id` of `params`
-    /// ((id, position) pairs) bound to `row[position]`: one evaluation of an
-    /// `Apply`'s subplan. Statement parameters and other correlation values
-    /// stay in place.
-    pub fn bind_outer(&self, params: &[(u32, usize)], row: &Row) -> Plan {
+    /// Clone this plan with each parameter `bindings` has a value for bound
+    /// to it; the others stay in place.
+    pub(crate) fn bound(&self, bindings: ParamLookup<'_>) -> Plan {
         let mut plan = self.clone();
-        plan.bind_in_place(&|param| {
-            let Param::Outer(id) = param else { return None };
-            let &(_, idx) = params.iter().find(|&&(owned, _)| owned == id)?;
-            Some(row.get(idx).unwrap_or(&Value::Null))
-        });
+        plan.bind_in_place(bindings);
         plan
     }
 
     fn bind_in_place(&mut self, bindings: ParamLookup<'_>) {
-        // The probe itself may be parameterized: an Apply binding turns
-        // `mid = $0` into a concrete point probe here.
         if let PlanNode::IndexScan { bounds, .. } = &mut self.node {
             bounds.bind(bindings);
         }
@@ -944,7 +921,7 @@ impl Plan {
     /// scans, filters, projections, join probes, scalar-subquery filters —
     /// and so may run as one copy per morsel under an exchange. Blocking
     /// operators (sort, aggregate, limit, distinct) carry cross-morsel state
-    /// and `Apply` parallelizes internally; a key-ordered index scan exists
+    /// and `Apply` keeps one open subplan it rewinds; a key-ordered index scan exists
     /// to *preserve* an order a sort was elided for, which gathering by
     /// morsel would destroy.
     pub fn is_pipeline_op(&self) -> bool {

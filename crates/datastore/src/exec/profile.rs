@@ -551,9 +551,8 @@ impl<'a> ProfileNode<'a> {
     /// time the fan-out took — the conventional "work over span" ratio. On
     /// an oversubscribed machine a preempted worker still accumulates wall
     /// time, so the ratio reflects scheduling pressure, not pure CPU
-    /// speedup. `None` for anything but a multi-worker exchange (an apply's
-    /// `blocked` mixes input waits with its fan-out, so the ratio would be
-    /// meaningless there) and for un-executed profiles.
+    /// speedup. `None` for anything but a multi-worker exchange and for
+    /// un-executed profiles.
     pub fn parallel_speedup(self) -> Option<f64> {
         if self.workers()? <= 1 || self.shape.kind != OpKind::Exchange {
             return None;

@@ -42,7 +42,7 @@ pub use crate::exec::profile::{
     MISESTIMATE_FACTOR,
 };
 use crate::exec::vector::{gather_selected, VectorPredicate};
-use crate::expr::{CmpOp, Expr};
+use crate::expr::{BoundExpr, CmpOp, Expr, Param, ParamLookup};
 use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
 use crate::obs::SqlText;
@@ -53,7 +53,7 @@ use crate::value::{GroupKey, Value};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -118,6 +118,9 @@ impl ExecContext {
 pub(crate) struct OpenEnv<'e> {
     pub(crate) shared: Option<&'e Arc<ExchangeShared>>,
     pub(crate) next_cell: &'e Cell<usize>,
+    /// Open every exchange on one thread: an apply's subplan is one tree,
+    /// rewound for each binding.
+    pub(crate) one_thread: bool,
 }
 
 impl OpenEnv<'_> {
@@ -140,6 +143,11 @@ pub trait RowSource: Send {
     fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
         self.timed_batch().0
     }
+    /// Start over (Volcano's rescan) with each parameter `bindings` has a
+    /// value for bound to it; the others keep the values bound before.
+    /// Every operator resets in place (a build side is built again), and
+    /// the counters keep accumulating over every run.
+    fn rewind(&mut self, bindings: ParamLookup<'_>);
     /// [`RowSource::next_batch`], and the wall time it took as this operator
     /// measured it — what a consumer spent waiting for it.
     fn timed_batch(&mut self) -> (Result<Option<Vec<Row>>, StoreError>, Duration);
@@ -185,6 +193,8 @@ pub(crate) trait Operator: Send {
     /// work goes through [`OpMetrics::wait`]. What the operator tallies
     /// besides rows (evaluations, groups, morsels) goes into `meter` too.
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError>;
+    /// [`RowSource::rewind`]: reset, rewind the inputs, rebind each `$k`.
+    fn rewind(&mut self, bindings: ParamLookup<'_>);
     /// Name, detail and annotations for the shape, rendered from what the
     /// operator holds anyway: opening renders nothing, and neither does a
     /// run. Nothing counted goes in.
@@ -250,6 +260,10 @@ impl<O: Operator> RowSource for Metered<O> {
         (result, took)
     }
 
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.op.rewind(bindings);
+    }
+
     fn shape(&self) -> OpShape {
         let inputs = self.op.inputs().map(|input| input.shape());
         self.op
@@ -299,7 +313,7 @@ impl OpMetrics {
 
     /// Pull one batch from a source that is not an input (a subplan run on
     /// the side): only the time it took is charged, to `blocked`.
-    fn wait_for(
+    pub(crate) fn wait_for(
         &mut self,
         source: &mut Box<dyn RowSource>,
     ) -> Result<Option<Vec<Row>>, StoreError> {
@@ -417,27 +431,23 @@ fn index_position(table: &Table, index: &str) -> Result<usize, StoreError> {
 /// validates table names and resolves output columns but does **not** read
 /// data — `EXPLAIN` uses this to describe a plan without executing it.
 pub fn open(db: &Database, plan: &Plan) -> Result<Box<dyn RowSource>, StoreError> {
-    open_owned(&Arc::new(ExecContext::new(db)), plan)
-}
-
-/// [`open`] against an owned table snapshot (the entry point for callers
-/// that already hold an [`ExecContext`], e.g. per-binding `Apply`
-/// executions on worker threads).
-pub fn open_owned(ctx: &Arc<ExecContext>, plan: &Plan) -> Result<Box<dyn RowSource>, StoreError> {
-    open_toward(ctx, plan, None)
+    open_toward(&Arc::new(ExecContext::new(db)), plan, None, false)
 }
 
 /// Open a plan whose consumer will stop after `row_goal` rows (an `EXISTS`
-/// check after one), outside any exchange.
+/// check after one), outside any exchange, its own exchanges on one thread
+/// if `one_thread`.
 fn open_toward(
     ctx: &Arc<ExecContext>,
     plan: &Plan,
     row_goal: Option<usize>,
+    one_thread: bool,
 ) -> Result<Box<dyn RowSource>, StoreError> {
     let cell = Cell::new(0);
     let env = OpenEnv {
         shared: None,
         next_cell: &cell,
+        one_thread,
     };
     open_in(ctx, plan, &env, None, row_goal, None)
 }
@@ -477,11 +487,12 @@ pub(crate) fn open_in(
     Ok(match &plan.node {
         PlanNode::Scan { table, alias } => {
             let stored = Arc::clone(ctx.require_table(table)?);
-            let (cursor, end) = morsel_bounds(driver_range, stored.len());
+            let (start, end) = morsel_bounds(driver_range, stored.len());
             ScanSource {
                 relation: stored.relation(table, alias),
                 table: stored,
-                cursor,
+                start,
+                cursor: start,
                 end,
                 pull_size: BatchRamp::new(row_goal),
                 obs: Arc::clone(ctx.obs()),
@@ -559,7 +570,7 @@ pub(crate) fn open_in(
             shape_key,
         } => FilterSource {
             input: on_spine(input)?,
-            predicate: predicate.clone(),
+            predicate: BoundExpr::new(predicate),
             kernel: vectorized
                 .then(|| VectorPredicate::compile(predicate))
                 .flatten(),
@@ -584,7 +595,7 @@ pub(crate) fn open_in(
                     Projection::Identity
                 }
                 Some(picks) => Projection::Picks(picks),
-                None => Projection::Exprs(exprs.clone()),
+                None => Projection::Exprs(exprs.iter().map(BoundExpr::new).collect()),
             };
             ProjectSource {
                 input,
@@ -605,7 +616,7 @@ pub(crate) fn open_in(
                 columns: joined(left.columns(), right.columns()),
                 left,
                 right,
-                predicate: predicate.clone(),
+                predicate: predicate.as_ref().map(BoundExpr::new),
                 right_rows: None,
                 shared,
                 pending: VecDeque::new(),
@@ -671,7 +682,10 @@ pub(crate) fn open_in(
                 input,
                 group_by: group_by.clone(),
                 aggregates: aggregates.clone(),
-                having: having.clone(),
+                args: (aggregates.iter().enumerate())
+                    .filter_map(|(i, a)| Some((i, BoundExpr::correlated(a.arg.as_ref()?)?)))
+                    .collect(),
+                having: having.as_ref().map(BoundExpr::new),
                 vectorized: *vectorized,
                 pending: None,
             }
@@ -746,7 +760,7 @@ pub(crate) fn open_in(
             ScalarSubquerySource {
                 input,
                 sub,
-                expr: expr.clone(),
+                expr: BoundExpr::new(expr),
                 op: *op,
                 probe,
                 build,
@@ -760,31 +774,36 @@ pub(crate) fn open_in(
             input,
             workers,
             gather,
-        } => ExchangeSource::open(ctx, input, *workers, gather.clone())?.metered(est),
+        } => {
+            let workers = if env.one_thread { 1 } else { *workers };
+            ExchangeSource::open(ctx, input, workers, gather.clone())?.metered(est)
+        }
         PlanNode::Apply {
             input,
             subplan,
             params,
             mode,
-            workers,
         } => {
             let input = on_spine(input)?;
-            // Open the unbound template once: this validates the subplan,
-            // describes it when asked, and sizes the counters the
-            // per-binding executions accumulate into.
-            let sub_template = open_owned(ctx, subplan)?;
+            // Opened once, unbound, toward the first row when the mode
+            // needs only that: each evaluation rewinds it with a binding.
+            let sub = open_toward(ctx, subplan, mode.row_goal(), true)?;
+            let operand = match mode {
+                ApplyMode::Exists { .. } => None,
+                ApplyMode::In { expr, .. }
+                | ApplyMode::Compare { expr, .. }
+                | ApplyMode::Quantified { expr, .. } => Some(BoundExpr::new(expr)),
+            };
             ApplySource {
-                ctx: Arc::clone(ctx),
                 input,
-                subplan: (**subplan).clone(),
+                sub,
                 param_cols: params.iter().map(|&(_, i)| i).collect(),
                 params: params.clone(),
                 mode: mode.clone(),
-                workers: (*workers).max(1),
-                sub_counters: vec![OpMetrics::default(); sub_template.node_count()],
-                sub_template,
+                operand,
                 cache: HashMap::new(),
                 cache_order: VecDeque::new(),
+                obs: Arc::clone(ctx.obs()),
             }
             .metered(est)
         }
@@ -801,14 +820,19 @@ pub(crate) fn open_in(
 /// consumer that wanted one row has usually stopped by then; one that keeps
 /// pulling is back at full batches within six pulls.
 struct BatchRamp {
+    first: usize,
     next: usize,
 }
 
 impl BatchRamp {
     fn new(row_goal: Option<usize>) -> BatchRamp {
-        BatchRamp {
-            next: row_goal.map_or(BATCH_SIZE, |goal| goal.clamp(1, BATCH_SIZE)),
-        }
+        let first = row_goal.map_or(BATCH_SIZE, |goal| goal.clamp(1, BATCH_SIZE));
+        BatchRamp { first, next: first }
+    }
+
+    /// Back to the first pull's size, for a rewound run.
+    fn reset(&mut self) {
+        self.next = self.first;
     }
 
     /// The size of this pull; the next one is larger.
@@ -822,6 +846,8 @@ impl BatchRamp {
 struct ScanSource {
     table: Arc<Table>,
     relation: Arc<Relation>,
+    /// The first row this scan reads, and the next.
+    start: usize,
     cursor: usize,
     /// One past the last row this scan reads — the table length for a full
     /// scan, the morsel's upper bound for a partitioned one.
@@ -845,6 +871,11 @@ impl Operator for ScanSource {
         meter.rows_in += batch.len() as u64;
         self.obs.add(Counter::RowsScanned, batch.len() as u64);
         Ok(Some(batch))
+    }
+
+    fn rewind(&mut self, _bindings: ParamLookup<'_>) {
+        self.cursor = self.start;
+        self.pull_size.reset();
     }
 
     fn describe(&self) -> Description {
@@ -872,7 +903,10 @@ struct IndexScanSource {
     /// Position of the probed index within the table's index list (stable
     /// for the lifetime of this snapshot).
     index_pos: usize,
+    /// The probe as the plan wrote it (what is described), and, when it
+    /// reads a correlation value, the copy a rewind binds.
     bounds: IndexBounds,
+    bound: Option<IndexBounds>,
     /// The bounds pin every key column.
     exact: bool,
     order: ProbeOrder,
@@ -925,6 +959,7 @@ impl IndexScanSource {
             key: idx.relation(table_name, alias),
             table,
             index_pos,
+            bound: bounds.is_correlated().then(|| bounds.clone()),
             bounds,
             exact,
             order,
@@ -943,6 +978,7 @@ impl IndexScanSource {
             return Ok(());
         }
         let index = &self.table.indexes()[self.index_pos];
+        let bounds = self.bound.as_ref().unwrap_or(&self.bounds);
         let in_range = |p: usize| match self.driver_range {
             // Morsel restriction: keep only matches inside this morsel's row
             // range (the relative order of survivors is unchanged).
@@ -950,7 +986,7 @@ impl IndexScanSource {
             None => true,
         };
         if self.index_only {
-            let entries = index.probe_entries(&self.bounds, self.order)?;
+            let entries = index.probe_entries(bounds, self.order)?;
             self.index_rows = Some(
                 entries
                     .into_iter()
@@ -959,7 +995,7 @@ impl IndexScanSource {
                     .collect(),
             );
         } else {
-            let mut positions = index.probe(&self.bounds, self.order)?;
+            let mut positions = index.probe(bounds, self.order)?;
             positions.retain(|&p| in_range(p));
             self.positions = Some(positions);
         }
@@ -1010,6 +1046,16 @@ impl Operator for IndexScanSource {
         meter.rows_in += batch.len() as u64;
         self.obs.add(Counter::RowsScanned, batch.len() as u64);
         Ok(Some(batch))
+    }
+
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        if let Some(bound) = &mut self.bound {
+            bound.rebind(&self.bounds, bindings);
+        }
+        self.positions = None;
+        self.index_rows = None;
+        self.cursor = 0;
+        self.pull_size.reset();
     }
 
     fn describe(&self) -> Description {
@@ -1121,6 +1167,13 @@ impl Operator for IndexNljSource {
         Ok(drain_pending(&mut self.pending))
     }
 
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.left.rewind(bindings);
+        self.pending.clear();
+        self.fill.reset();
+        self.done = false;
+    }
+
     fn describe(&self) -> Description {
         let def = self.table.indexes()[self.index_pos].def();
         let inner = &self.inner;
@@ -1197,6 +1250,10 @@ impl Operator for ValuesSource {
         Ok(Some(batch))
     }
 
+    fn rewind(&mut self, _bindings: ParamLookup<'_>) {
+        self.cursor = 0;
+    }
+
     fn describe(&self) -> Description {
         Description::new(OpKind::Values, format!("{} literal rows", self.rows.len()))
     }
@@ -1208,7 +1265,7 @@ impl Operator for ValuesSource {
 
 struct FilterSource {
     input: Box<dyn RowSource>,
-    predicate: Expr,
+    predicate: BoundExpr,
     /// Typed-kernel compilation of the predicate, when the planner marked
     /// this filter vectorized and the expression shape allows it. Batches
     /// whose columns resist transposition still fall back to row-at-a-time
@@ -1232,11 +1289,19 @@ impl Operator for FilterSource {
         }
         let mut kept = Vec::new();
         for row in batch {
-            if self.predicate.eval_predicate(&row)? {
+            if self.predicate.get().eval_predicate(&row)? {
                 kept.push(row);
             }
         }
         Ok(Some(kept))
+    }
+
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.input.rewind(bindings);
+        self.predicate.rebind(bindings);
+        if let Some(kernel) = &mut self.kernel {
+            kernel.rebind(bindings);
+        }
     }
 
     fn describe(&self) -> Description {
@@ -1245,7 +1310,7 @@ impl Operator for FilterSource {
             shape_key: self.shape_key.clone(),
             ..Description::new(
                 OpKind::Filter,
-                render_expr(&self.predicate, self.input.columns()),
+                render_expr(self.predicate.written(), self.input.columns()),
             )
         }
     }
@@ -1273,7 +1338,7 @@ enum Projection {
     /// expression is evaluated.
     Picks(Vec<usize>),
     /// Anything else: each expression evaluated.
-    Exprs(Vec<Expr>),
+    Exprs(Vec<BoundExpr>),
 }
 
 impl Operator for ProjectSource {
@@ -1293,7 +1358,7 @@ impl Operator for ProjectSource {
                 let mut values = Vec::with_capacity(exprs.len());
                 for row in &batch {
                     for e in exprs {
-                        values.push(e.eval(row)?);
+                        values.push(e.get().eval(row)?);
                     }
                     // Straight into the row's one allocation.
                     rows.push(values.drain(..).collect());
@@ -1301,6 +1366,13 @@ impl Operator for ProjectSource {
                 rows
             }
         }))
+    }
+
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.input.rewind(bindings);
+        if let Projection::Exprs(exprs) = &mut self.projection {
+            exprs.iter_mut().for_each(|e| e.rebind(bindings));
+        }
     }
 
     fn describe(&self) -> Description {
@@ -1322,7 +1394,7 @@ impl Operator for ProjectSource {
 struct NestedLoopJoinSource {
     left: Box<dyn RowSource>,
     right: Box<dyn RowSource>,
-    predicate: Option<Expr>,
+    predicate: Option<BoundExpr>,
     columns: Columns,
     /// Materialized inner side (built on first pull, shared across the
     /// workers of an enclosing exchange).
@@ -1368,7 +1440,7 @@ impl Operator for NestedLoopJoinSource {
                             let joined = lr.concat(rr);
                             let keep = match &self.predicate {
                                 None => true,
-                                Some(p) => p.eval_predicate(&joined)?,
+                                Some(p) => p.get().eval_predicate(&joined)?,
                             };
                             if keep {
                                 self.pending.push_back(joined);
@@ -1381,9 +1453,21 @@ impl Operator for NestedLoopJoinSource {
         Ok(drain_pending(&mut self.pending))
     }
 
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.left.rewind(bindings);
+        self.right.rewind(bindings);
+        if let Some(predicate) = &mut self.predicate {
+            predicate.rebind(bindings);
+        }
+        self.right_rows = None;
+        self.pending.clear();
+        self.fill.reset();
+        self.done = false;
+    }
+
     fn describe(&self) -> Description {
         let detail = match &self.predicate {
-            Some(p) => render_expr(p, &self.columns),
+            Some(p) => render_expr(p.written(), &self.columns),
             None => "cross product".to_string(),
         };
         Description::new(OpKind::NestedLoopJoin, detail)
@@ -1489,6 +1573,15 @@ impl Operator for HashJoinSource {
         Ok(drain_pending(&mut self.pending))
     }
 
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.left.rewind(bindings);
+        self.right.rewind(bindings);
+        self.build = None;
+        self.pending.clear();
+        self.fill.reset();
+        self.done = false;
+    }
+
     fn describe(&self) -> Description {
         let (left, right) = (self.left.columns(), self.right.columns());
         let keys = equi_detail(left, &self.left_keys, right, &self.right_keys);
@@ -1510,8 +1603,11 @@ impl Operator for HashJoinSource {
 struct AggregateSource {
     input: Box<dyn RowSource>,
     group_by: Vec<usize>,
+    /// As the plan wrote them; the arguments that read a parameter are
+    /// bound in `args`.
     aggregates: Vec<AggExpr>,
-    having: Option<Expr>,
+    args: Vec<(usize, BoundExpr)>,
+    having: Option<BoundExpr>,
     /// Accumulate column-major when every aggregate argument is a column.
     vectorized: bool,
     columns: Columns,
@@ -1526,20 +1622,32 @@ impl Operator for AggregateSource {
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
         if self.pending.is_none() {
-            let mut agg = GroupedAggregator::new(
-                self.group_by.clone(),
-                self.aggregates.clone(),
-                self.vectorized,
-            );
+            let mut aggregates = self.aggregates.clone();
+            for (i, arg) in &self.args {
+                aggregates[*i].arg = Some(arg.get().clone());
+            }
+            let mut agg =
+                GroupedAggregator::new(self.group_by.clone(), aggregates, self.vectorized);
             while let Some(batch) = meter.pull(&mut self.input)? {
                 agg.push_batch(&batch)?;
             }
-            meter.vector_batches = agg.vector_batches();
-            self.pending = Some(agg.finish(self.having.as_ref())?.into());
+            meter.vector_batches += agg.vector_batches();
+            self.pending = Some(agg.finish(self.having.as_ref().map(BoundExpr::get))?.into());
         }
         Ok(drain_pending(
             self.pending.as_mut().expect("computed above"),
         ))
+    }
+
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.input.rewind(bindings);
+        self.args
+            .iter_mut()
+            .for_each(|(_, arg)| arg.rebind(bindings));
+        if let Some(having) = &mut self.having {
+            having.rebind(bindings);
+        }
+        self.pending = None;
     }
 
     fn describe(&self) -> Description {
@@ -1567,7 +1675,7 @@ fn aggregate_detail(
     input_columns: &[ColumnInfo],
     group_by: &[usize],
     aggregates: &[AggExpr],
-    having: &Option<Expr>,
+    having: &Option<BoundExpr>,
 ) -> String {
     let mut detail = String::new();
     if !group_by.is_empty() {
@@ -1589,7 +1697,7 @@ fn aggregate_detail(
 /// The filter half of a fused pipeline: the compiled kernel plus everything
 /// needed to report the operator as if it had run standalone.
 struct FusedFilter {
-    predicate: Expr,
+    predicate: BoundExpr,
     kernel: VectorPredicate,
     shape_key: Option<Arc<ShapeKey>>,
     est: Option<f64>,
@@ -1607,11 +1715,12 @@ struct FusedFilter {
 /// to the unfused pipeline; only the hand-offs are gone.
 struct FusedAggregateScanSource {
     table: Arc<Table>,
+    start: usize,
     cursor: usize,
     end: usize,
     group_by: Vec<usize>,
     aggregates: Vec<AggExpr>,
-    having: Option<Expr>,
+    having: Option<BoundExpr>,
     filter: Option<FusedFilter>,
     /// Output columns of the aggregate (group keys then aggregate values).
     columns: Columns,
@@ -1666,9 +1775,9 @@ impl FusedAggregateScanSource {
         };
         let t = Arc::clone(ctx.require_table(table)?);
         let relation = t.relation(table, alias);
-        let (cursor, end) = morsel_bounds(driver_range, t.len());
+        let (start, end) = morsel_bounds(driver_range, t.len());
         let filter = filter_parts.map(|(predicate, kernel, shape_key, fest)| FusedFilter {
-            predicate: predicate.clone(),
+            predicate: BoundExpr::new(predicate),
             kernel,
             shape_key: shape_key.clone(),
             est: fest,
@@ -1678,13 +1787,14 @@ impl FusedAggregateScanSource {
             scan_est: scan_plan.estimated_rows,
             scan_meter: OpMetrics::default(),
             table: t,
-            cursor,
+            start,
+            cursor: start,
             end,
             columns: aggregate_output_columns(&relation.columns, group_by, aggregates).into(),
             relation,
             group_by: group_by.to_vec(),
             aggregates: aggregates.to_vec(),
-            having: having.clone(),
+            having: having.as_ref().map(BoundExpr::new),
             filter,
             pending: None,
             obs: Arc::clone(ctx.obs()),
@@ -1726,7 +1836,7 @@ impl FusedAggregateScanSource {
                             // This batch resists the kernel (mixed column
                             // types): evaluate row-at-a-time, still borrowed.
                             for (i, row) in chunk.iter().enumerate() {
-                                if f.predicate.eval_predicate(row)? {
+                                if f.predicate.get().eval_predicate(row)? {
                                     sel.push(i);
                                 }
                             }
@@ -1741,8 +1851,8 @@ impl FusedAggregateScanSource {
                 }
             }
         }
-        meter.vector_batches = agg.vector_batches();
-        Ok(agg.finish(self.having.as_ref())?.into())
+        meter.vector_batches += agg.vector_batches();
+        Ok(agg.finish(self.having.as_ref().map(BoundExpr::get))?.into())
     }
 }
 
@@ -1760,6 +1870,18 @@ impl Operator for FusedAggregateScanSource {
         ))
     }
 
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        if let Some(f) = &mut self.filter {
+            f.predicate.rebind(bindings);
+            f.kernel.rebind(bindings);
+        }
+        if let Some(having) = &mut self.having {
+            having.rebind(bindings);
+        }
+        self.cursor = self.start;
+        self.pending = None;
+    }
+
     fn describe(&self) -> Description {
         // Report the fused pipeline exactly as its unfused tree would:
         // aggregate over (filter over) scan, each with its own counters.
@@ -1770,7 +1892,10 @@ impl Operator for FusedAggregateScanSource {
             child = Description {
                 tags: vectorized_tag(true),
                 shape_key: f.shape_key.clone(),
-                ..Description::new(OpKind::Filter, render_expr(&f.predicate, scan_columns))
+                ..Description::new(
+                    OpKind::Filter,
+                    render_expr(f.predicate.written(), scan_columns),
+                )
             }
             .shape(scan_columns, f.est, [child]);
         }
@@ -1833,6 +1958,11 @@ impl Operator for SortSource {
             self.pending = Some(top_k(rows, &self.keys, self.keep).into());
         }
         Ok(drain_pending(self.pending.as_mut().expect("sorted above")))
+    }
+
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.input.rewind(bindings);
+        self.pending = None;
     }
 
     fn describe(&self) -> Description {
@@ -2079,6 +2209,11 @@ impl Operator for LimitSource {
         Ok(Some(batch))
     }
 
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.input.rewind(bindings);
+        self.remaining = self.n;
+    }
+
     fn describe(&self) -> Description {
         Description::new(OpKind::Limit, self.n.to_string())
     }
@@ -2110,6 +2245,11 @@ impl Operator for DistinctSource {
         let seen = &mut self.seen;
         batch.retain(|row| seen.insert(row.values().hash(), row.values()).1);
         Ok(Some(batch))
+    }
+
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.input.rewind(bindings);
+        self.seen = KeyTable::new(self.input.columns().len());
     }
 
     fn describe(&self) -> Description {
@@ -2213,6 +2353,12 @@ impl Operator for SemiJoinSource {
         Ok(Some(batch))
     }
 
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.left.rewind(bindings);
+        self.right.rewind(bindings);
+        self.build = None;
+    }
+
     fn describe(&self) -> Description {
         let keys = equi_detail(
             self.left.columns(),
@@ -2245,7 +2391,7 @@ impl Operator for SemiJoinSource {
 struct ScalarSubquerySource {
     input: Box<dyn RowSource>,
     sub: Box<dyn RowSource>,
-    expr: Expr,
+    expr: BoundExpr,
     op: CmpOp,
     /// Input positions of the probe key, and the subplan columns of the
     /// build key it is looked up by (both empty when uncorrelated).
@@ -2317,7 +2463,7 @@ impl Operator for ScalarSubquerySource {
             let value = found
                 .flatten()
                 .map_or(&self.absent, |k| &lookup.values[k as usize]);
-            let v = self.expr.eval(&row)?;
+            let v = self.expr.get().eval(&row)?;
             // Three-valued: NULL on either side is UNKNOWN.
             if v.sql_cmp(value).is_some_and(|ord| self.op.holds(ord)) {
                 kept.push(row);
@@ -2326,11 +2472,18 @@ impl Operator for ScalarSubquerySource {
         Ok(Some(kept))
     }
 
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        self.input.rewind(bindings);
+        self.sub.rewind(bindings);
+        self.expr.rebind(bindings);
+        self.lookup = None;
+    }
+
     fn describe(&self) -> Description {
         let input = self.input.columns();
         let mut detail = format!(
             "{} {} (subquery)",
-            expr_label(&self.expr, input),
+            expr_label(self.expr.written(), input),
             self.op.sql()
         );
         if !self.probe.is_empty() {
@@ -2362,177 +2515,111 @@ enum SubResult {
     Scalar(Value),
 }
 
-/// The correlated-subquery fallback: for each input row, substitute the
-/// row's correlation values into the subplan, execute it, and keep the row
-/// when `mode` says so. Results are cached per distinct parameter binding,
-/// bounded at [`APPLY_CACHE_CAP`] entries (oldest-first eviction, surfaced
-/// in the cache tally). The distinct uncached bindings of one input batch
-/// are independent of each other — with `workers > 1` they are evaluated in
-/// parallel on worker threads.
+/// The correlated-subquery fallback: for each input row, bind the row's
+/// correlation values into the subplan, run it, and keep the row when `mode`
+/// says so. The subplan is opened once and rewound for each binding
+/// ([`RowSource::rewind`]), so its counters accumulate in place over every
+/// evaluation. Results are cached per distinct parameter binding, bounded at
+/// [`APPLY_CACHE_CAP`] entries (oldest-first eviction, surfaced in the cache
+/// tally).
 struct ApplySource {
-    ctx: Arc<ExecContext>,
     input: Box<dyn RowSource>,
-    subplan: Plan,
+    /// The subplan, opened once (toward its first row when `mode` needs only
+    /// that); what its shape is described from.
+    sub: Box<dyn RowSource>,
     params: Vec<(u32, usize)>,
     /// The input-column positions of `params`, precomputed once — the cache
     /// key of every probe row is `row.group_key(&param_cols)`.
     param_cols: Vec<usize>,
     mode: ApplyMode,
-    /// Threads for per-binding subquery evaluations (1 = sequential).
-    workers: usize,
-    /// The subplan opened unbound, never run: what its shape is described
-    /// from.
-    sub_template: Box<dyn RowSource>,
-    /// Every execution's counters, accumulated in place (one per node of
-    /// the subplan's shape, which each bound execution shares).
-    sub_counters: Vec<OpMetrics>,
+    /// The mode's operand over the input row (none for `EXISTS`).
+    operand: Option<BoundExpr>,
     /// Results by binding, keyed by exact identity rather than by `=` like
     /// the hash operators' keys: a binding of `-0.0` can answer differently
     /// from `0.0` (`1 / $0`), and `3` from `3.0`.
     cache: HashMap<Vec<GroupKey>, SubResult>,
     /// Insertion order of `cache` keys, for oldest-first eviction.
     cache_order: VecDeque<Vec<GroupKey>>,
-}
-
-/// Execute an apply's subplan for one parameter binding, producing the
-/// summary `mode` needs and the drained operator tree, whose counters the
-/// apply adds to its own. `EXISTS` stops at the first row, and says so when
-/// it opens the subplan, so the scan under it does not read a batch to
-/// deliver one row. A free function over `Sync` inputs, so apply worker
-/// threads can run bindings concurrently without sharing the operator
-/// itself.
-fn evaluate_binding(
-    ctx: &Arc<ExecContext>,
-    subplan: &Plan,
-    params: &[(u32, usize)],
-    mode: &ApplyMode,
-    row: &Row,
-) -> Result<(SubResult, Box<dyn RowSource>), StoreError> {
-    let bound = subplan.bind_outer(params, row);
-    let mut src = open_toward(ctx, &bound, mode.row_goal())?;
-    let result = match mode {
-        ApplyMode::Exists { .. } => {
-            let mut exists = false;
-            while let Some(batch) = src.next_batch()? {
-                if !batch.is_empty() {
-                    exists = true;
-                    break; // Early exit: existence needs only one row.
-                }
-            }
-            SubResult::Exists(exists)
-        }
-        ApplyMode::In { .. } | ApplyMode::Quantified { .. } => {
-            let mut values = Vec::new();
-            while let Some(batch) = src.next_batch()? {
-                for r in &batch {
-                    values.push(r.get(0).cloned().unwrap_or(Value::Null));
-                }
-            }
-            SubResult::Column(values)
-        }
-        ApplyMode::Compare { .. } => {
-            let mut rows = 0usize;
-            let mut value = Value::Null;
-            while let Some(batch) = src.next_batch()? {
-                for r in &batch {
-                    rows += 1;
-                    if rows > 1 {
-                        return Err(StoreError::Eval {
-                            message: "correlated scalar subquery produced more than one row".into(),
-                        });
-                    }
-                    value = r.get(0).cloned().unwrap_or(Value::Null);
-                }
-            }
-            SubResult::Scalar(value)
-        }
-    };
-    Ok((result, src))
+    obs: Arc<ObsRegistry>,
 }
 
 impl ApplySource {
-    /// Evaluate every distinct uncached binding of one input batch —
-    /// sequentially, or fanned out across `self.workers` threads — and merge
-    /// the results into the bounded cache. Rows whose binding is already
-    /// cached (or already scheduled within this batch) count as cache hits,
-    /// exactly as they would evaluating row by row. Returns each row's
-    /// correlation key so the verdict pass doesn't recompute them.
+    /// Look up, or evaluate and cache, the subquery result of every row of
+    /// one input batch: a row whose binding is already cached — or was met
+    /// earlier in the batch — is a cache hit. Returns each row's correlation
+    /// key so the verdict pass doesn't recompute them.
     fn evaluate_batch(
         &mut self,
         batch: &[Row],
         meter: &mut OpMetrics,
     ) -> Result<Vec<Vec<GroupKey>>, StoreError> {
         let mut row_keys: Vec<Vec<GroupKey>> = Vec::with_capacity(batch.len());
-        let mut fresh: Vec<(Vec<GroupKey>, Row)> = Vec::new();
-        let mut scheduled: HashSet<Vec<GroupKey>> = HashSet::new();
-        let mut hits = 0u64;
+        let (mut hits, mut evaluations) = (0u64, 0u64);
         for row in batch {
             let key = row.group_key(&self.param_cols);
-            if self.cache.contains_key(&key) || scheduled.contains(&key) {
+            if self.cache.contains_key(&key) {
                 hits += 1;
             } else {
-                scheduled.insert(key.clone());
-                fresh.push((key.clone(), row.clone()));
+                evaluations += 1;
+                let result = self.evaluate_binding(row, meter)?;
+                self.cache.insert(key.clone(), result);
+                self.cache_order.push_back(key.clone());
             }
             row_keys.push(key);
         }
         meter.cache_hits += hits;
-        self.ctx.obs().add(Counter::ApplyCacheHits, hits);
-        if fresh.is_empty() {
-            return Ok(row_keys);
-        }
-        meter.evaluations += fresh.len() as u64;
-        self.ctx
-            .obs()
-            .add(Counter::ApplyEvaluations, fresh.len() as u64);
-        let (ctx, subplan, params, mode) = (&self.ctx, &self.subplan, &self.params, &self.mode);
-        let results: Vec<(Vec<GroupKey>, SubResult, Box<dyn RowSource>)> =
-            if self.workers > 1 && fresh.len() > 1 {
-                // The embarrassingly parallel case: each binding's subquery
-                // execution is independent; split them across workers. The
-                // fan-out's wall time is charged to `blocked` (this operator
-                // is waiting on its worker threads), mirroring the exchange.
-                let chunk = fresh.len().div_ceil(self.workers);
-                let evaluated: Vec<Result<Vec<_>, StoreError>> = meter.wait(|_| {
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = fresh
-                            .chunks(chunk)
-                            .map(|part| {
-                                s.spawn(move || {
-                                    part.iter()
-                                        .map(|(key, row)| {
-                                            evaluate_binding(ctx, subplan, params, mode, row)
-                                                .map(|(r, src)| (key.clone(), r, src))
-                                        })
-                                        .collect()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("apply worker panicked"))
-                            .collect()
-                    })
-                });
-                let mut flat = Vec::with_capacity(fresh.len());
-                for worker_results in evaluated {
-                    flat.extend(worker_results?);
-                }
-                flat
-            } else {
-                let mut flat = Vec::with_capacity(fresh.len());
-                for (key, row) in &fresh {
-                    let (result, src) = evaluate_binding(ctx, subplan, params, mode, row)?;
-                    flat.push((key.clone(), result, src));
-                }
-                flat
-            };
-        for (key, result, src) in results {
-            src.absorb_into(&mut self.sub_counters);
-            self.cache.insert(key.clone(), result);
-            self.cache_order.push_back(key);
-        }
+        meter.evaluations += evaluations;
+        self.obs.add(Counter::ApplyCacheHits, hits);
+        self.obs.add(Counter::ApplyEvaluations, evaluations);
         Ok(row_keys)
+    }
+
+    /// Rewind the subplan with `row`'s correlation values and run it to the
+    /// summary `mode` needs: `EXISTS` stops at the first row (the subplan
+    /// was opened toward it, so the scan under it does not read a batch to
+    /// deliver one row). The subplan is not an input: the time it takes is
+    /// charged to `blocked` and its rows are not counted into `rows_in`.
+    fn evaluate_binding(
+        &mut self,
+        row: &Row,
+        meter: &mut OpMetrics,
+    ) -> Result<SubResult, StoreError> {
+        let params = &self.params;
+        self.sub.rewind(&|param| {
+            let Param::Outer(id) = param else { return None };
+            let &(_, at) = params.iter().find(|&&(owned, _)| owned == id)?;
+            Some(row.get(at).unwrap_or(&Value::Null))
+        });
+        let sub = &mut self.sub;
+        Ok(match self.mode {
+            ApplyMode::Exists { .. } => SubResult::Exists(meter.wait_for(sub)?.is_some()),
+            ApplyMode::In { .. } | ApplyMode::Quantified { .. } => {
+                let mut values = Vec::new();
+                while let Some(batch) = meter.wait_for(sub)? {
+                    values.extend(
+                        batch
+                            .iter()
+                            .map(|r| r.get(0).cloned().unwrap_or(Value::Null)),
+                    );
+                }
+                SubResult::Column(values)
+            }
+            ApplyMode::Compare { .. } => {
+                let mut value = None;
+                while let Some(batch) = meter.wait_for(sub)? {
+                    for r in &batch {
+                        if value.is_some() {
+                            return Err(StoreError::Eval {
+                                message: "correlated scalar subquery produced more than one row"
+                                    .into(),
+                            });
+                        }
+                        value = Some(r.get(0).cloned().unwrap_or(Value::Null));
+                    }
+                }
+                SubResult::Scalar(value.unwrap_or(Value::Null))
+            }
+        })
     }
 
     /// Evict oldest cache entries down to [`APPLY_CACHE_CAP`]. Called after
@@ -2548,25 +2635,26 @@ impl ApplySource {
             evicted += 1;
         }
         meter.evictions += evicted;
-        self.ctx.obs().add(Counter::ApplyCacheEvictions, evicted);
+        self.obs.add(Counter::ApplyCacheEvictions, evicted);
     }
 
     /// Three-valued verdict for one input row against its cached subquery
     /// result; `None` is SQL UNKNOWN (the row is filtered out).
     fn verdict(&self, key: &[GroupKey], row: &Row) -> Result<Option<bool>, StoreError> {
         let cached = self.cache.get(key).expect("evaluated before verdict");
+        let probe = match &self.operand {
+            Some(operand) => operand.get().eval(row)?,
+            None => Value::Null,
+        };
         Ok(match (&self.mode, cached) {
             (ApplyMode::Exists { negated }, SubResult::Exists(exists)) => Some(exists ^ negated),
-            (ApplyMode::In { expr, negated }, SubResult::Column(values)) => {
-                let probe = expr.eval(row)?;
+            (ApplyMode::In { negated, .. }, SubResult::Column(values)) => {
                 in_membership(&probe, values).map(|b| b ^ negated)
             }
-            (ApplyMode::Compare { expr, op }, SubResult::Scalar(scalar)) => {
-                let probe = expr.eval(row)?;
+            (ApplyMode::Compare { op, .. }, SubResult::Scalar(scalar)) => {
                 probe.sql_cmp(scalar).map(|ord| op.holds(ord))
             }
-            (ApplyMode::Quantified { expr, op, all }, SubResult::Column(values)) => {
-                let probe = expr.eval(row)?;
+            (ApplyMode::Quantified { op, all, .. }, SubResult::Column(values)) => {
                 quantified_verdict(&probe, *op, *all, values)
             }
             _ => unreachable!("cache entry shape always matches the mode"),
@@ -2647,6 +2735,19 @@ impl Operator for ApplySource {
         Ok(Some(kept))
     }
 
+    fn rewind(&mut self, bindings: ParamLookup<'_>) {
+        // An enclosing apply's values may reach into the subplan too; they
+        // stay bound while this apply rebinds its own. The cached answers
+        // were computed under the old values.
+        self.input.rewind(bindings);
+        self.sub.rewind(bindings);
+        if let Some(operand) = &mut self.operand {
+            operand.rebind(bindings);
+        }
+        self.cache.clear();
+        self.cache_order.clear();
+    }
+
     fn describe(&self) -> Description {
         let in_cols = self.input.columns();
         let mut detail = self.mode.describe(&|e| render_expr(e, in_cols));
@@ -2654,16 +2755,15 @@ impl Operator for ApplySource {
             let keys = self.param_cols.iter().map(|&c| column_label(in_cols, c));
             let _ = write!(detail, " correlated on {}", separated(", ", keys));
         }
-        let mut subplan = self.sub_template.shape();
+        let mut subplan = self.sub.shape();
         if self.mode.row_goal().is_some() {
-            // Each evaluation is opened toward its first row and stops
-            // there (`evaluate_binding`).
+            // Each evaluation runs toward its first row and stops there
+            // (`evaluate_binding`).
             subplan.tags.push(Cow::Borrowed("first-row"));
         }
         // The subplan's estimates are per evaluation and its counters span
         // all of them: a reader scales the estimates by the evaluations.
         Description {
-            workers: (self.workers > 1).then_some(self.workers),
             keys: Some(labels(self.input.columns(), &self.param_cols)),
             synthetic: Some(subplan),
             accumulates: true,
@@ -2676,12 +2776,11 @@ impl Operator for ApplySource {
     }
 
     fn synthetic_nodes(&self) -> usize {
-        self.sub_counters.len()
+        self.sub.node_count()
     }
 
     fn absorb_synthetic(&self, subplan: &mut [OpMetrics]) -> usize {
-        OpMetrics::add_all(subplan, &self.sub_counters);
-        self.sub_counters.len()
+        self.sub.absorb_into(subplan)
     }
 }
 

@@ -183,7 +183,7 @@ fn scan_streams_in_batches() {
 
 /// The sizes of the batches a plan yields when it is opened toward `goal`.
 fn batch_sizes(db: &Database, plan: &Plan, goal: Option<usize>) -> Vec<usize> {
-    let mut src = open_toward(&Arc::new(ExecContext::new(db)), plan, goal).unwrap();
+    let mut src = open_toward(&Arc::new(ExecContext::new(db)), plan, goal, false).unwrap();
     let mut sizes = Vec::new();
     while let Some(batch) = src.next_batch().unwrap() {
         sizes.push(batch.len());
@@ -202,7 +202,8 @@ fn a_row_goal_ramps_the_scan_it_reaches_and_no_other() {
     let join = Plan::hash_join(scan("T", "a"), scan("T", "b"), vec![0], vec![0]);
     let streaming = join.project(vec![Expr::Column(0)], vec![ColumnInfo::unqualified("id")]);
     assert_eq!(batch_sizes(&db, &streaming, Some(1)), ramp);
-    let mut src = open_toward(&Arc::new(ExecContext::new(&db)), &streaming, Some(1)).unwrap();
+    let mut src =
+        open_toward(&Arc::new(ExecContext::new(&db)), &streaming, Some(1), false).unwrap();
     src.next_batch().unwrap();
     let profile = src.profile();
     let join = profile.child(0);
@@ -213,7 +214,7 @@ fn a_row_goal_ramps_the_scan_it_reaches_and_no_other() {
         column: 0,
         ascending: true,
     }]);
-    let mut src = open_toward(&Arc::new(ExecContext::new(&db)), &sorted, Some(1)).unwrap();
+    let mut src = open_toward(&Arc::new(ExecContext::new(&db)), &sorted, Some(1), false).unwrap();
     src.next_batch().unwrap();
     assert_eq!(src.profile().child(0).metrics().batches, 3);
 }
@@ -281,37 +282,6 @@ fn apply_cache_is_bounded_and_tallies_evictions() {
         "evictions must surface in the cache tally: {}",
         profile.detail()
     );
-}
-
-#[test]
-fn apply_parallel_workers_agree_with_sequential() {
-    let db = db();
-    let sub = Plan::scan("T", "u")
-        .filter(Expr::Compare {
-            op: CmpOp::Eq,
-            left: Box::new(Expr::Column(1)),
-            right: Box::new(Expr::Param(Param::Outer(0))),
-        })
-        .filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(5)));
-    let mode = ApplyMode::Exists { negated: false };
-    let sequential = scan("T", "t").apply(sub.clone(), vec![(0, 1)], mode.clone());
-    let parallel = scan("T", "t")
-        .apply(sub, vec![(0, 1)], mode)
-        .with_apply_workers(4);
-    let (seq_rows, seq_profile) = run_profiled(&db, &sequential);
-    let (par_rows, par_profile) = run_profiled(&db, &parallel);
-    assert_eq!(seq_rows, par_rows, "parallel apply must keep row order");
-    // Same evaluation and cache-hit tallies, and the parallel profile
-    // advertises its workers.
-    assert!(par_profile.detail().contains("10 evaluations"));
-    assert!(par_profile.detail().contains("2490 cache hits"));
-    assert_eq!(
-        seq_profile.child(1).metrics().rows_out,
-        par_profile.child(1).metrics().rows_out,
-        "subplan counters must aggregate identically"
-    );
-    assert_eq!(par_profile.root().workers(), Some(4));
-    assert!(par_profile.render_tree(false).contains("[workers=4]"));
 }
 
 #[test]
@@ -664,4 +634,244 @@ fn a_sort_under_a_limit_keeps_and_emits_only_the_limit() {
     let (_, profile) = run_profiled(&db, &sorted.filter(Expr::col_eq(0, 0)).limit(5));
     let sort = &profile.child(0).child(0);
     assert_eq!(sort.metrics().rows_out as usize, BATCH_SIZE);
+}
+
+// ---------------------------------------------------------------------------
+// Rewind
+// ---------------------------------------------------------------------------
+
+/// What a run of a source returns: its first batch only when it was opened
+/// toward one row (what an `EXISTS` apply takes), every batch otherwise.
+fn run_source(src: &mut Box<dyn RowSource>, goal: Option<usize>) -> Vec<Row> {
+    let mut rows = Vec::new();
+    while let Some(batch) = src.next_batch().unwrap() {
+        rows.extend(batch);
+        if goal.is_some() {
+            break;
+        }
+    }
+    rows
+}
+
+/// A source's counters, node by node, times left out.
+fn counts(src: &dyn RowSource) -> Vec<OpMetrics> {
+    let mut counters = vec![OpMetrics::default(); src.node_count()];
+    src.absorb_into(&mut counters);
+    (counters.into_iter())
+        .map(|m| OpMetrics {
+            elapsed: Duration::ZERO,
+            blocked: Duration::ZERO,
+            ..m
+        })
+        .collect()
+}
+
+/// Open `plan` once and rewind it with each of `bindings` for `$0` in turn:
+/// every run returns what a fresh open of the plan bound to that value
+/// returns, and the rewound tree's counters are the fresh opens' summed.
+fn assert_rewinds_like_fresh_opens(
+    db: &Database,
+    plan: &Plan,
+    goal: Option<usize>,
+    bindings: &[Value],
+) {
+    let ctx = Arc::new(ExecContext::new(db));
+    let mut kept = open_toward(&ctx, plan, goal, true).unwrap();
+    let mut fresh_counts = vec![OpMetrics::default(); kept.node_count()];
+    for value in bindings {
+        let binding = |p: Param| (p == Param::Outer(0)).then_some(value);
+        kept.rewind(&binding);
+        let rewound = run_source(&mut kept, goal);
+        let mut fresh = open_toward(&ctx, &plan.bound(&binding), goal, true).unwrap();
+        assert_eq!(rewound, run_source(&mut fresh, goal), "$0 = {value:?}");
+        OpMetrics::add_all(&mut fresh_counts, &counts(&*fresh));
+    }
+    assert_eq!(counts(&*kept), fresh_counts);
+}
+
+/// Integer, NULL, Float, Text and Integer again: each kind a binding can
+/// take, and back.
+fn kinds() -> Vec<Value> {
+    vec![
+        Value::int(3),
+        Value::Null,
+        Value::Float(4.0),
+        Value::text("x"),
+        Value::int(7),
+    ]
+}
+
+fn vectorized_filter(input: Plan, predicate: Expr) -> Plan {
+    PlanNode::Filter {
+        input: Box::new(input),
+        predicate,
+        vectorized: true,
+        shape_key: None,
+    }
+    .into()
+}
+
+fn v_eq_outer0() -> Expr {
+    Expr::Compare {
+        op: CmpOp::Eq,
+        left: Box::new(Expr::Column(1)),
+        right: Box::new(Expr::Param(Param::Outer(0))),
+    }
+}
+
+#[test]
+fn a_rewound_kernel_filter_is_a_fresh_one_whatever_the_kind_bound() {
+    let db = db();
+    let plan = vectorized_filter(scan("T", "u"), v_eq_outer0());
+    assert_rewinds_like_fresh_opens(&db, &plan, None, &kinds());
+    // The kernel stays compiled: a batch bound to a number takes it.
+    let ctx = Arc::new(ExecContext::new(&db));
+    let mut kept = open_toward(&ctx, &plan, None, true).unwrap();
+    let three = Value::int(3);
+    kept.rewind(&|p| (p == Param::Outer(0)).then_some(&three));
+    assert_eq!(run_source(&mut kept, None).len(), 250);
+    assert_eq!(counts(&*kept)[0].vector_batches, 3);
+}
+
+#[test]
+fn a_rewound_index_probe_is_a_fresh_one_whatever_the_kind_bound() {
+    use crate::index::BoundTerm;
+    let db = indexed_db();
+    let probe = IndexBounds::prefix(vec![BoundTerm::Param(Param::Outer(0))]);
+    let plan = Plan::index_scan("T", "u", "idx_v", probe);
+    assert_rewinds_like_fresh_opens(&db, &plan, None, &kinds());
+    // The same under the first-row goal, and joined, projected and
+    // anti-joined, so every operator between rewinds its inputs.
+    assert_rewinds_like_fresh_opens(&db, &plan, Some(1), &kinds());
+    let project = Expr::Arith {
+        op: crate::expr::ArithOp::Add,
+        left: Box::new(Expr::Column(0)),
+        right: Box::new(Expr::Param(Param::Outer(0))),
+    };
+    let joined = Plan::nested_loop_join(
+        scan("T", "t").filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(3))),
+        plan.clone(),
+        Some(Expr::col_eq(1, 3)),
+    )
+    .project(vec![project], vec![ColumnInfo::unqualified("x")]);
+    assert_rewinds_like_fresh_opens(&db, &joined, None, &kinds());
+    let anti = Plan::anti_join(scan("T", "t"), plan, vec![0], vec![0], false).limit(5);
+    assert_rewinds_like_fresh_opens(&db, &anti, Some(1), &kinds());
+}
+
+#[test]
+fn a_rewound_exchange_builds_again() {
+    // Under an apply an exchange runs its one pipeline on this thread; its
+    // shared build cells are emptied by each rewind, so the hash join over
+    // `u.v = $0` builds again for every binding.
+    let db = db();
+    let build = vectorized_filter(scan("T", "u"), v_eq_outer0());
+    let probe = scan("T", "t").filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(50)));
+    let plan = Plan::hash_join(probe, build, vec![1], vec![1]).exchange(4);
+    assert_rewinds_like_fresh_opens(&db, &plan, None, &kinds());
+}
+
+#[test]
+fn an_apply_rewinds_one_subplan_across_evictions() {
+    // Bindings 0..1099, then 0..1099 again, then 0..299, in batches of
+    // 1,024 against a memo of APPLY_CACHE_CAP = 1,024: batch one evaluates
+    // 0..1023; batch two evaluates 1024..1099, answers 0..947 from the memo
+    // and evicts 0..75; batch three answers 948..1099 and 76..299 from it,
+    // evaluates 0..75 again and evicts 76 more.
+    let db = Database::new();
+    let keys: Vec<Value> = (0..2500).map(|i| Value::int(i % 1100)).collect();
+    let sub = values_plan("s", &[Value::int(1), Value::int(2)]).filter(Expr::Compare {
+        op: CmpOp::Lt,
+        left: Box::new(Expr::Param(Param::Outer(0))),
+        right: Box::new(Expr::Literal(Value::int(1000))),
+    });
+    let plan =
+        values_plan("x", &keys).apply(sub, vec![(0, 0)], ApplyMode::Exists { negated: false });
+    let (rows, profile) = run_profiled(&db, &plan);
+    assert_eq!(rows.len(), 2300, "the bindings under 1000");
+    let apply = profile.metrics();
+    assert_eq!(
+        (apply.evaluations, apply.cache_hits, apply.evictions),
+        (1176, 1324, 152)
+    );
+    // One tree, rewound 1,176 times: its counters span every run. Each
+    // run's values hand on their two rows in one batch, and the filter
+    // keeps them for the 1,076 bindings under 1000 it evaluated.
+    let (filter, values) = (profile.child(1), profile.child(1).child(0));
+    assert_eq!(
+        (values.metrics().rows_out, values.metrics().batches),
+        (2352, 1176)
+    );
+    assert_eq!(
+        (filter.metrics().rows_in, filter.metrics().rows_out),
+        (2352, 2152)
+    );
+}
+
+#[test]
+fn an_exists_apply_scans_what_fresh_opens_toward_one_row_scan() {
+    let db = db();
+    let scanned = || db.obs().counter(Counter::RowsScanned);
+    let sub = vectorized_filter(scan("T", "u"), v_eq_outer0());
+    // t.id bound for u.v: 0..9 find a row in the first few, 10..19 none.
+    let input = scan("T", "t").filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(20)));
+    let plan = input.apply(
+        sub.clone(),
+        vec![(0, 0)],
+        ApplyMode::Exists { negated: false },
+    );
+    let before = scanned();
+    let (rows, profile) = run_profiled(&db, &plan);
+    let by_apply = scanned() - before;
+    assert_eq!(rows.len(), 10);
+    assert_eq!(profile.metrics().evaluations, 20);
+    let ctx = Arc::new(ExecContext::new(&db));
+    let before = scanned();
+    for id in 0..20 {
+        let value = Value::int(id);
+        let bound = sub.bound(&|p| (p == Param::Outer(0)).then_some(&value));
+        let mut fresh = open_toward(&ctx, &bound, Some(1), true).unwrap();
+        run_source(&mut fresh, Some(1));
+    }
+    let by_fresh_opens = scanned() - before;
+    assert_eq!(by_apply, 2500 + by_fresh_opens);
+    // The ramp reached the scan: 0..9 stop within 1 + 4 + 16 rows.
+    assert!(by_fresh_opens < 10 * 21 + 10 * 2500, "{by_fresh_opens}");
+}
+
+#[test]
+fn an_apply_inside_an_apply_subplan_rewinds_with_both_bindings() {
+    // For each u of T (u.id < 30): EXISTS (w of T where w.id = $1 + $0 and
+    // w.v < 5), $1 = u.v bound by the inner apply, $0 by the outer one —
+    // an outer value the inner apply must keep bound across its own
+    // rewinds.
+    let db = db();
+    let inner = scan("T", "w")
+        .filter(Expr::Compare {
+            op: CmpOp::Eq,
+            left: Box::new(Expr::Column(0)),
+            right: Box::new(Expr::Arith {
+                op: crate::expr::ArithOp::Add,
+                left: Box::new(Expr::Param(Param::Outer(1))),
+                right: Box::new(Expr::Param(Param::Outer(0))),
+            }),
+        })
+        .filter(Expr::col_cmp_value(1, CmpOp::Lt, Value::int(5)));
+    let outer_sub = scan("T", "u")
+        .filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(30)))
+        .apply(inner, vec![(1, 1)], ApplyMode::Exists { negated: false });
+    let bindings: Vec<Value> = [0, 1, 2, 3, 0, 4].map(Value::int).to_vec();
+    assert_rewinds_like_fresh_opens(&db, &outer_sub, None, &bindings);
+    assert_rewinds_like_fresh_opens(&db, &outer_sub, Some(1), &bindings);
+}
+
+#[test]
+fn an_apply_charges_its_subplan_runs_to_blocked() {
+    let db = db();
+    let sub = vectorized_filter(scan("T", "u"), v_eq_outer0());
+    let plan = scan("T", "t").apply(sub, vec![(0, 1)], ApplyMode::Exists { negated: false });
+    let (_, profile) = run_profiled(&db, &plan);
+    let (apply, subplan) = (profile.metrics(), profile.child(1).metrics());
+    assert!(apply.blocked >= subplan.elapsed, "{apply:?} {subplan:?}");
+    profile.walk(&mut |p| assert!(p.metrics().blocked <= p.metrics().elapsed));
 }

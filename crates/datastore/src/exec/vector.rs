@@ -14,7 +14,7 @@
 //! three-valued comparison semantics of [`Value::sql_cmp`] exactly, with
 //! NULL never selected by a WHERE mask.
 
-use crate::expr::{CmpOp, Expr};
+use crate::expr::{CmpOp, Expr, Param, ParamLookup};
 use crate::tuple::Row;
 use crate::value::{cmp_f64, Value};
 use std::sync::Arc;
@@ -307,16 +307,18 @@ fn numeric_at(vec: &ValueVector, i: usize) -> f64 {
 }
 
 /// One compiled conjunct of a vectorizable predicate.
-// Every term is a comparison by construction; a shared `Compare` prefix is
-// the point, not a naming accident.
-#[allow(clippy::enum_variant_names)]
 #[derive(Debug, Clone)]
 enum KernelTerm {
-    /// `column <op> literal` (either written order, normalized).
+    /// `column <op> literal` (either written order, normalized). The
+    /// literal of a parameter is the value it was bound to last
+    /// ([`VectorPredicate::rebind`]); unbound or bound to NULL it has no
+    /// typed kernel, so every batch falls back, as a predicate on a NULL
+    /// literal is never compiled.
     CompareLiteral {
         column: usize,
         op: CmpOp,
         literal: Value,
+        param: Option<Param>,
     },
     /// `column <op> column`.
     CompareColumns {
@@ -324,11 +326,6 @@ enum KernelTerm {
         op: CmpOp,
         right: usize,
     },
-    /// `column <op> ?n` — a plan-cache template term. The shape is
-    /// kernel-eligible (the parameter binds to a literal before execution),
-    /// but an unbound template can never evaluate, so this term always
-    /// falls back.
-    CompareParam { column: usize },
 }
 
 /// A predicate compiled for vector evaluation: a conjunction of simple
@@ -356,7 +353,6 @@ impl VectorPredicate {
             .flat_map(|t| match t {
                 KernelTerm::CompareLiteral { column, .. } => vec![*column],
                 KernelTerm::CompareColumns { left, right, .. } => vec![*left, *right],
-                KernelTerm::CompareParam { column } => vec![*column],
             })
             .collect();
         columns.sort_unstable();
@@ -367,6 +363,23 @@ impl VectorPredicate {
     /// The column positions the compiled terms read.
     pub fn referenced_columns(&self) -> &[usize] {
         &self.columns
+    }
+
+    /// Bind each parameter term `bindings` has a value for to that value, in
+    /// place: the kernel stays compiled whatever the value's kind.
+    pub fn rebind(&mut self, bindings: ParamLookup<'_>) {
+        for term in &mut self.terms {
+            if let KernelTerm::CompareLiteral {
+                literal,
+                param: Some(param),
+                ..
+            } = term
+            {
+                if let Some(v) = bindings(*param) {
+                    literal.clone_from(v);
+                }
+            }
+        }
     }
 
     /// Evaluate the predicate over a batch: `Some(mask)` with one selection
@@ -392,12 +405,11 @@ impl VectorPredicate {
                     column,
                     op,
                     literal,
+                    ..
                 } => and_compare_literal(vector_of(*column), *op, literal, &mut mask),
                 KernelTerm::CompareColumns { left, op, right } => {
                     and_compare_columns(vector_of(*left), *op, vector_of(*right), &mut mask)
                 }
-                // Unbound templates cannot evaluate; row-at-a-time fallback.
-                KernelTerm::CompareParam { .. } => false,
             };
             if !ok {
                 return None;
@@ -416,42 +428,36 @@ fn collect_terms(expr: &Expr, terms: &mut Vec<KernelTerm>) -> Option<()> {
             collect_terms(b, terms)
         }
         Expr::Compare { op, left, right } => {
-            match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(c), Expr::Literal(v)) if !v.is_null() => {
-                    terms.push(KernelTerm::CompareLiteral {
-                        column: *c,
-                        op: *op,
-                        literal: v.clone(),
-                    });
-                    Some(())
-                }
-                (Expr::Literal(v), Expr::Column(c)) if !v.is_null() => {
-                    // Flip the operand order, mirroring the operator.
-                    terms.push(KernelTerm::CompareLiteral {
-                        column: *c,
-                        op: flip(*op),
-                        literal: v.clone(),
-                    });
-                    Some(())
-                }
+            let (column, op, other) = match (left.as_ref(), right.as_ref()) {
                 (Expr::Column(l), Expr::Column(r)) => {
                     terms.push(KernelTerm::CompareColumns {
                         left: *l,
                         op: *op,
                         right: *r,
                     });
-                    Some(())
+                    return Some(());
                 }
-                // A plan-cache parameter compares like the literal it will
-                // be bound to, so the shape is eligible — the vectorize
-                // decision must match between a template and its bound
-                // counterpart for templates to be cacheable at all.
-                (Expr::Column(c), Expr::Param(_)) | (Expr::Param(_), Expr::Column(c)) => {
-                    terms.push(KernelTerm::CompareParam { column: *c });
-                    Some(())
-                }
-                _ => None,
-            }
+                (Expr::Column(c), other) => (*c, *op, other),
+                // Flip the operand order, mirroring the operator.
+                (other, Expr::Column(c)) => (*c, flip(*op), other),
+                _ => return None,
+            };
+            let (literal, param) = match other {
+                Expr::Literal(v) if !v.is_null() => (v.clone(), None),
+                // A parameter compares like the literal it will be bound
+                // to, so the shape is eligible — the vectorize decision must
+                // match between a plan-cache template and its bound
+                // counterpart, and a correlation value is bound in place.
+                Expr::Param(param) => (Value::Null, Some(*param)),
+                _ => return None,
+            };
+            terms.push(KernelTerm::CompareLiteral {
+                column,
+                op,
+                literal,
+                param,
+            });
+            Some(())
         }
         _ => None,
     }

@@ -119,8 +119,9 @@ pub enum Param {
     /// a statement's literals ([`crate::exec::Plan::bind_params`]).
     Stmt(u32),
     /// Correlation value `k`: a column of an enclosing row, bound for each
-    /// outer row by the `Apply` that owns it
-    /// ([`crate::exec::Plan::bind_outer`]).
+    /// distinct outer row by the `Apply` that owns it, which rewinds its
+    /// open subplan with the row's values
+    /// ([`crate::exec::RowSource::rewind`]).
     Outer(u32),
 }
 
@@ -136,11 +137,78 @@ impl std::fmt::Display for Param {
 }
 
 /// The values a parameter substitution binds: `Some` for a parameter the
-/// caller owns, `None` for one it leaves in place. Made only by
+/// caller owns, `None` for one it leaves in place. Made by
 /// [`crate::exec::Plan::bind_params`], which answers statement parameters,
-/// and [`crate::exec::Plan::bind_outer`], which answers the correlation
-/// values of one `Apply`.
-pub(crate) type ParamLookup<'a> = &'a dyn Fn(Param) -> Option<&'a Value>;
+/// and by an `Apply`, which answers its correlation values from one outer
+/// row when it rewinds its subplan ([`crate::exec::RowSource::rewind`]).
+pub type ParamLookup<'a> = &'a dyn Fn(Param) -> Option<&'a Value>;
+
+/// An operator's expression as its plan wrote it — what it is described
+/// by — and, when it reads a correlation value ([`Param::Outer`]), the copy
+/// it evaluates, in which each rebinding overwrites only the constants that
+/// stand where the correlation values were.
+#[derive(Debug, Clone)]
+pub(crate) struct BoundExpr {
+    written: Expr,
+    /// The evaluated copy and the pre-order positions of its correlation
+    /// values; `None` when there are none and the written expression runs.
+    bound: Option<(Expr, Vec<(usize, Param)>)>,
+}
+
+impl BoundExpr {
+    pub(crate) fn new(expr: &Expr) -> BoundExpr {
+        Self::correlated(expr).unwrap_or_else(|| BoundExpr {
+            written: expr.clone(),
+            bound: None,
+        })
+    }
+
+    /// [`BoundExpr::new`], when `expr` reads a correlation value.
+    pub(crate) fn correlated(expr: &Expr) -> Option<BoundExpr> {
+        let (mut slots, mut at) = (Vec::new(), 0);
+        expr.walk(&mut |e| {
+            if let Expr::Param(param @ Param::Outer(_)) = e {
+                slots.push((at, *param));
+            }
+            at += 1;
+        });
+        (!slots.is_empty()).then(|| BoundExpr {
+            written: expr.clone(),
+            bound: Some((expr.clone(), slots)),
+        })
+    }
+
+    /// The expression as the plan wrote it, `$k` and all.
+    pub(crate) fn written(&self) -> &Expr {
+        &self.written
+    }
+
+    /// The expression to evaluate: each correlation value replaced by the
+    /// value it was bound to last (still a parameter, which fails to
+    /// evaluate, until it is bound).
+    pub(crate) fn get(&self) -> &Expr {
+        self.bound
+            .as_ref()
+            .map_or(&self.written, |(bound, _)| bound)
+    }
+
+    /// Overwrite the constant of each correlation value `bindings` has a
+    /// value for; the others keep what they were bound to before.
+    pub(crate) fn rebind(&mut self, bindings: ParamLookup<'_>) {
+        let Some((bound, slots)) = &mut self.bound else {
+            return;
+        };
+        let (mut at, mut next) = (0, slots.iter().peekable());
+        bound.walk_mut(&mut |e| {
+            if let Some(&(_, param)) = next.next_if(|(slot, _)| *slot == at) {
+                if let Some(v) = bindings(param) {
+                    *e = Expr::Literal(v.clone());
+                }
+            }
+            at += 1;
+        });
+    }
+}
 
 /// The operands of every expression node — written once for shared and
 /// mutable access (`$r` is `&` or `&mut`).
@@ -590,9 +658,9 @@ mod tests {
     /// The two namespaces through a plan. Statement parameter `?0` and
     /// correlation value `$0` share a number and nothing else: binding the
     /// statement reaches every `?0` — in the subplans too — and no `$0`;
-    /// binding the outer Apply's `$0` reaches the filter, the index probe and
-    /// the inner Apply's operand, and leaves `?0` and the inner Apply's `$1`
-    /// wherever they sit.
+    /// binding `$0` (what the rewind tests hold a rewound tree to) reaches
+    /// the filter, the index probe and the inner Apply's operand, and leaves
+    /// `?0` and the inner Apply's `$1` wherever they sit.
     #[test]
     fn statement_and_outer_parameters_bind_apart() {
         use crate::exec::{ApplyMode, Plan};
@@ -630,15 +698,18 @@ mod tests {
         assert_eq!(bound, expected);
         assert_eq!(template.bind_params(&[]), template);
 
-        let row = Row::new(vec![ten.clone()]);
+        let row = [ten.clone()];
         let expected = plan(
             Expr::Param(stmt),
             BoundTerm::Value(ten.clone()),
             literal(&ten),
         );
-        assert_eq!(template.bind_outer(&[(0, 0)], &row), expected);
-        // An outer binding only binds what it lists.
-        assert_eq!(template.bind_outer(&[(2, 0)], &row), template);
+        let value = &row[0];
+        let outer = |owned: u32| move |p: Param| (p == Param::Outer(owned)).then_some(value);
+        let (own, other) = (outer(0), outer(2));
+        assert_eq!(template.bound(&own), expected);
+        // An outer binding only binds what it answers.
+        assert_eq!(template.bound(&other), template);
     }
 
     #[test]

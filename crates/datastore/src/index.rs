@@ -385,8 +385,27 @@ impl IndexBounds {
     /// Substitute, in place, every parameter that `params` carries by its
     /// value (the probe's part of binding a plan).
     pub(crate) fn bind(&mut self, params: ParamLookup<'_>) {
+        self.terms_mut().for_each(|t| t.bind(params));
+    }
+
+    /// Overwrite, in place, each term that stands where `written` — the
+    /// probe these bounds were copied from — has a parameter `params`
+    /// carries; the others keep the values they were bound to before.
+    pub(crate) fn rebind(&mut self, written: &IndexBounds, params: ParamLookup<'_>) {
+        let range = written.lo.iter().chain(&written.hi).map(|(t, _)| t);
+        for (term, was) in self.terms_mut().zip(written.eq.iter().chain(range)) {
+            if let BoundTerm::Param(param) = was {
+                if let Some(v) = params(*param) {
+                    *term = BoundTerm::Value(v.clone());
+                }
+            }
+        }
+    }
+
+    /// Every term, equalities first, then the range's two sides.
+    fn terms_mut(&mut self) -> impl Iterator<Item = &mut BoundTerm> {
         let range = self.lo.iter_mut().chain(&mut self.hi).map(|(t, _)| t);
-        self.eq.iter_mut().chain(range).for_each(|t| t.bind(params));
+        self.eq.iter_mut().chain(range)
     }
 
     /// Compact SQL-flavoured rendering against the (qualified) names of the

@@ -226,18 +226,17 @@ pub enum PlanDecision {
         /// backwards to serve `ORDER BY … DESC`.
         ascending: bool,
     },
-    /// Whether a pipeline (or an apply's per-binding evaluations) was split
-    /// across worker threads — and, when it was not, why: the cost-aware
-    /// knob only parallelizes work whose estimated driver rows clear a
-    /// threshold, and the rejected alternative is recorded either way so the
-    /// narration can honestly say "only ten rows expected, so I kept it on
-    /// one thread".
+    /// Whether a pipeline was split across worker threads — and, when it
+    /// was not, why: the cost-aware knob only parallelizes work whose
+    /// estimated driver rows clear a threshold, and the rejected alternative
+    /// is recorded either way so the narration can honestly say "only ten
+    /// rows expected, so I kept it on one thread".
     Parallel {
         /// Which mechanism was (or would have been) used, so the narration
-        /// describes morsels vs. per-binding fan-out correctly.
+        /// says what each worker did with its morsels.
         kind: ParallelKind,
         /// What would be (or was) parallelized: "the scan of CAST as c", or
-        /// "the per-row subquery evaluations of the apply".
+        /// "the aggregation over CAST as c".
         target: String,
         /// The worker threads available (the planner's parallelism degree).
         workers: usize,
@@ -395,8 +394,6 @@ pub enum JoinEnumeration {
 pub enum ParallelKind {
     /// A pipeline run morsel-by-morsel over its driver scan (an exchange).
     Pipeline,
-    /// An apply's per-binding subquery evaluations fanned across workers.
-    Apply,
     /// A GROUP BY pushed below the exchange: per-morsel partial aggregates,
     /// merged in morsel order above it.
     PartialAggregate,

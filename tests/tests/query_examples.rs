@@ -282,3 +282,29 @@ fn the_verify_step_keeps_in_lists_signed_numbers_and_the_empty_string() {
         }
     }
 }
+
+/// `= ANY`, `= ALL` and `< ANY` over one subquery answer differently, and
+/// the verify step says so: the comparison and the quantifier are in words,
+/// "at least one result" for `ANY`, "every result" for `ALL`.
+#[test]
+fn quantified_comparisons_say_their_operator_and_quantifier() {
+    let system = Talkback::new(movie_database());
+    let said = [
+        ("= any", 2, "equal to at least one result"),
+        ("= all", 0, "equal to every result"),
+        ("< any", 9, "less than at least one result"),
+    ]
+    .map(|(quantified, rows, words)| {
+        let sql = format!(
+            "select m.title from MOVIES m where m.year {quantified} \
+             (select m1.year from MOVIES m1 where m1.id <> m.id and m1.year >= 2000)"
+        );
+        let answer = system.run_query(&sql).unwrap();
+        assert_eq!(answer.rows.len(), rows, "{sql}");
+        let best = system.explain_query(&sql).unwrap().best;
+        let sentence = format!("The previous condition is {words} of a nested query");
+        assert!(best.contains(&sentence), "{sql}: {best}");
+        best
+    });
+    assert!(said[0] != said[1] && said[1] != said[2] && said[0] != said[2]);
+}
