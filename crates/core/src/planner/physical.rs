@@ -991,8 +991,8 @@ pub(super) fn lower_expr_scoped(
                 .ok_or(unresolved),
         },
         Expr::Literal(l) => Ok(PExpr::Literal(literal_value(l))),
-        // A plan-cache placeholder is a statement parameter: `bind_params`
-        // substitutes the statement's literal before execution, and no
+        // A plan-cache placeholder is a statement parameter: a hit binds the
+        // statement's literal when it rewinds the template's tree, and no
         // Apply's per-row binding can reach it.
         Expr::Param(k) => Ok(PExpr::Param(Param::Stmt(*k))),
         Expr::BinaryOp { left, op, right } => binary(

@@ -1,21 +1,21 @@
 //! One path for every statement that runs a query: [`prepare`] turns SQL
-//! into a plan and the decisions that shaped it — a plan-cache template's,
-//! bound to the statement's literals (on a miss the template is planned
-//! once, and is the statement's plan by construction), or fresh ones where
-//! no template can hold the statement — and [`Prepared::run`] executes the
-//! plan, folds its cardinality feedback into the adaptive state and
-//! journals it. `run_query`, `explain_result` and `EXPLAIN ANALYZE` all go
-//! through both halves; plain `EXPLAIN` prepares and describes
-//! ([`Prepared::describe`]), so it reads, absorbs and records nothing. A
-//! statement served from a template its shape already had neither parses
-//! nor plans, and its profile is the template's shape — described once —
-//! with this run's counters and the statement's literals.
+//! into a plan and the decisions that shaped it — a plan-cache template,
+//! whose statement parameters stand for the statement's literals (on a miss
+//! the template is planned once, and is the statement's plan by
+//! construction), or a fresh plan where no template can hold the statement
+//! — and [`Prepared::run`] executes the plan, folds its cardinality feedback
+//! into the adaptive state and journals it. `run_query`, `explain_result`
+//! and `EXPLAIN ANALYZE` all go through both halves; plain `EXPLAIN`
+//! prepares and describes ([`Prepared::describe`]), so it reads, absorbs and
+//! records nothing. A statement served from a template its shape already
+//! had neither parses, plans, copies nor opens a plan: the template's kept
+//! operator tree is rewound with the statement's literals and run
+//! ([`PlanTemplate::execute`]), and its profile is the template's shape —
+//! described once — with this run's counters and the statement's literals.
 
 use crate::error::TalkbackError;
 use crate::planner::{self, plan_query_with, PlanDecision, PlannedQuery, PlannerOptions};
-use datastore::exec::{
-    describe_plan, execute_as, execute_with_stats, OpMetrics, Plan, PlanProfile, ResultSet,
-};
+use datastore::exec::{describe_plan, execute_with_stats, OpMetrics, PlanProfile, ResultSet};
 use datastore::obs::{Counter, Statement, StatementPhases};
 use datastore::stats::RangeClass;
 use datastore::{
@@ -43,18 +43,18 @@ pub(crate) struct Prepared<'s> {
 }
 
 enum Source {
-    /// A cached template and its plan bound to this statement's literals.
-    Template(Arc<PlanTemplate>, Plan),
+    /// A cached template, which this statement's literals bind.
+    Template(Arc<PlanTemplate>),
     /// A plan made for this statement, with the decisions that shaped it.
     Fresh(Box<PlannedQuery>),
 }
 
 /// Prepare `sql` under `options`, since `start`; `parse` gives the
 /// statement, called only when it is to be planned (again, when its
-/// template cannot be). The text is
-/// literal-normalized and, with the plan cache on, the cache is probed for
-/// the shape: a template there is bound to the new literals (no parsing or
-/// planning), and a negative entry sends the statement to the planner
+/// template cannot be). The text is literal-normalized and, with the plan
+/// cache on, the cache is probed for the shape: a template there is what
+/// runs, bound to the new literals as it runs (no parsing or planning), and
+/// a negative entry sends the statement to the planner
 /// without examining it again. A shape whose estimates read its range
 /// literals holds one entry per class of them, so its record classifies the
 /// literals and the cache is probed once more, with the classes. On a miss
@@ -100,13 +100,12 @@ pub(crate) fn prepare<'s, 'q>(
         };
         db.obs().incr(counter);
     }
-    let source = match (template, &key) {
-        (Some(template), Some(key)) => {
-            let plan = template.plan.bind_params(key.params);
+    let source = match template {
+        Some(template) => {
             phases.plan = start.elapsed();
-            Source::Template(template, plan)
+            Source::Template(template)
         }
-        _ => {
+        None => {
             let query = parse()?;
             let planning = Instant::now();
             let source = match (&key, meta.cache) {
@@ -143,14 +142,6 @@ pub(crate) fn prepare_select<'s>(
 }
 
 impl Prepared<'_> {
-    /// The plan the statement executes.
-    pub(crate) fn plan_ref(&self) -> &Plan {
-        match &self.source {
-            Source::Template(_, plan) => plan,
-            Source::Fresh(planned) => &planned.plan,
-        }
-    }
-
     /// The optimizer's decisions: those of a fresh plan, or a template's
     /// bound to the statement's literals.
     pub(crate) fn into_decisions(self) -> Vec<PlanDecision> {
@@ -163,7 +154,7 @@ impl Prepared<'_> {
     /// [`Prepared::into_decisions`], copied out of a statement still to run.
     pub(crate) fn decisions(&self) -> Vec<PlanDecision> {
         match &self.source {
-            Source::Template(template, _) => {
+            Source::Template(template) => {
                 let literals = self.literals();
                 let bind = |d: &PlanDecision| d.bind(literals).into_owned();
                 template.decisions.iter().map(bind).collect()
@@ -179,23 +170,23 @@ impl Prepared<'_> {
 
     /// The profile of the plan, described but not executed (all counters
     /// zero): a template's shape, else the plan's opened and described.
+    /// Opening a plan validates it but reads no rows.
     pub(crate) fn describe(&self) -> Result<PlanProfile, TalkbackError> {
-        if let Source::Template(template, _) = &self.source {
-            if let Some(shape) = template.shape(self.db) {
+        Ok(match &self.source {
+            Source::Template(template) => {
+                let shape = template.shape(self.db)?;
                 let counters = vec![OpMetrics::default(); shape.size()];
-                let literals = self.literals().to_vec();
-                return Ok(PlanProfile::new(Arc::clone(shape), counters, literals));
+                PlanProfile::new(shape, counters, self.literals().to_vec())
             }
-        }
-        // Opening the plan validates it but reads no rows.
-        Ok(describe_plan(self.db, self.plan_ref())?)
+            Source::Fresh(planned) => describe_plan(self.db, &planned.plan)?,
+        })
     }
 
     /// How many conditions the statement's flattened `WHERE` clause applies,
     /// as counted when it (or its template) was planned.
     pub(crate) fn where_conditions(&self) -> usize {
         match &self.source {
-            Source::Template(template, _) => template.where_conditions,
+            Source::Template(template) => template.where_conditions,
             Source::Fresh(planned) => planned.where_conditions,
         }
     }
@@ -210,17 +201,12 @@ impl Prepared<'_> {
     ) -> Result<(ResultSet, K), TalkbackError> {
         let (db, options) = (self.db, self.options);
         let start = Instant::now();
-        let shape = match &self.source {
-            Source::Template(template, _) => template.shape(db),
-            Source::Fresh(_) => None,
-        };
-        let (result, profile) = match shape {
-            Some(shape) => {
+        let (result, profile) = match &self.source {
+            Source::Template(template) => {
                 let literals = (self.normalized.as_mut()).map(|n| std::mem::take(&mut n.literals));
-                let shape = Arc::clone(shape);
-                execute_as(db, self.plan_ref(), shape, literals.unwrap_or_default())?
+                template.execute(db, literals.unwrap_or_default())?
             }
-            None => execute_with_stats(db, self.plan_ref())?,
+            Source::Fresh(planned) => execute_with_stats(db, &planned.plan)?,
         };
         let phases = StatementPhases {
             execute: start.elapsed(),
@@ -234,7 +220,7 @@ impl Prepared<'_> {
             sql: self.sql,
             shape: self.normalized.as_ref().map(|n| n.text.as_str()),
             plan_hash: match &self.source {
-                Source::Template(template, _) => Some(template.shape_hash(&profile)),
+                Source::Template(template) => Some(template.shape_hash(&profile)),
                 Source::Fresh(_) => None,
             },
         };
@@ -254,9 +240,9 @@ impl Prepared<'_> {
 /// once, and cache what its shape gets. When the AST lifts exactly the
 /// literals the text scanner extracted, in order, the parameterized statement
 /// is planned, each `?k` read by its literal's kind or range class alone
-/// ([`planner::plan_template`] lists the reads), and cached; bound, it is the
-/// statement's plan, equal to a fresh plan by construction (the plan-cache
-/// differential is the oracle). A shape refused before planning, or whose
+/// ([`planner::plan_template`] lists the reads), cached and run; bound, it is
+/// the statement's plan, equal to a fresh plan by construction (the
+/// plan-cache differential is the oracle). A shape refused before planning, or whose
 /// template fails to plan, gets its literals back
 /// ([`sqlparse::restore_literals`]) and is planned afresh as it was parsed,
 /// and the negative verdict cached. A range shape also gets the record its
@@ -290,9 +276,8 @@ fn plan_and_cache(
         Ok((planned, ranges)) => {
             let (plan, decisions) = (planned.plan, planned.decisions);
             let template = Arc::new(PlanTemplate::new(plan, decisions, planned.where_conditions));
-            let plan = template.plan.bind_params(key.params);
             let verdict = CachedVerdict::Template(Arc::clone(&template));
-            (verdict, ranges, Source::Template(template, plan))
+            (verdict, ranges, Source::Template(template))
         }
         Err(why) => {
             let planned = plan_query_with(db, &query, options)?;

@@ -17,9 +17,9 @@
 //! The [`PlanCache`] makes the second run cheaper as well as better: a
 //! bounded map from a statement's identity — literal-normalized text,
 //! planner options, literal kinds — to a physical [`Plan`] template
-//! ([`PlanTemplate`]), re-bound with the statement's literals on a hit, or
-//! to the verdict that the shape cannot be templated and why
-//! ([`Uncacheable`]). Both structures are invalidated by one epoch counter,
+//! ([`PlanTemplate`]), whose opened operator tree a hit runs with the
+//! statement's literals, or to the verdict that the shape cannot be
+//! templated and why ([`Uncacheable`]). Both structures are invalidated by one epoch counter,
 //! bumped on DDL, statistics invalidation, and feedback absorption —
 //! anything that could make a cached decision stale.
 //!
@@ -28,13 +28,13 @@
 //! normalized text, wherever the parameterizer lifted it — a column
 //! equality or range bound, or a constant compared with an aggregate or a
 //! subquery, in the outer block or inside any subquery — and a hit binds
-//! them once
-//! ([`Plan::bind_params`]). Its *outer-row* parameters `$k` are the
+//! them by rewinding the template's kept tree with the statement's literals
+//! ([`PlanTemplate::execute`]). Its *outer-row* parameters `$k` are the
 //! correlation values of its `Apply` operators and parameterized index
 //! probes, left in place by that binding and bound per distinct outer row
 //! by the `Apply` that owns them, which rewinds its open subplan with the
-//! row's values ([`crate::exec::RowSource::rewind`]). So a nested statement
-//! is templated like a flat one: probe, bind, execute.
+//! row's values ([`crate::exec::RowSource::rewind`]) — the same way. So a
+//! nested statement is templated like a flat one: probe, rewind, drain.
 //!
 //! A range bound's estimate reads its value, but only through its class
 //! ([`crate::stats::RangeClass`]: the estimate snapped to a geometric
@@ -50,16 +50,18 @@
 //! of the epoch, under the same key comparison, LRU and stale-entry rule.
 
 use crate::database::Database;
+use crate::error::StoreError;
 use crate::exec::keys::KeyHasher;
 use crate::exec::plan::Plan;
-use crate::exec::{describe_shape, OpShape, PlanProfile};
+use crate::exec::{describe_shape, OpShape, OpenPlan, PlanProfile, ResultSet};
 use crate::fingerprint::plan_shape_hash;
 use crate::obs::{CacheStatus, PlanDecision};
 use crate::stats::{RangeClass, TableStats};
 use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default plan-cache capacity (templates and negative verdicts retained).
@@ -372,7 +374,8 @@ pub struct ShapeCache<T> {
 pub type PlanCache = ShapeCache<PlanTemplate>;
 
 /// A plan template, the decisions that shaped it, and what its
-/// executions share of their profiles: the described shape and its hash.
+/// executions share: the described shape and its hash, and the operator
+/// tree they run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanTemplate {
     /// The plan, statement parameters where the literals go.
@@ -385,15 +388,37 @@ pub struct PlanTemplate {
     /// (what a result explanation counts), the same for every statement of
     /// the shape.
     pub where_conditions: usize,
-    /// [`plan_shape_hash`] of the first execution; `None` when an operator's
-    /// detail tallies its probes, morsels, evaluations or groups, whose
-    /// plurals the hash reads.
-    shape_hash: Option<OnceLock<u64>>,
+    /// [`plan_shape_hash`] of the first execution, which reads no counter.
+    shape_hash: OnceLock<u64>,
     /// The plan's profile shape, described at the first execution or
     /// `EXPLAIN`: each literal a `?k` slot, filled from the statement's
-    /// literals when a profile is read. `None` when the plan could not be
-    /// opened to describe it.
-    shape: OnceLock<Option<Arc<OpShape>>>,
+    /// literals when a profile is read.
+    shape: OnceLock<Arc<OpShape>>,
+    tree: KeptTree,
+}
+
+/// The operator tree a template keeps between its executions, when no
+/// execution holds it. A copy of the template keeps none of its own yet,
+/// and two templates are equal whatever trees they keep.
+#[derive(Default)]
+struct KeptTree(Mutex<Option<OpenPlan>>);
+
+impl Clone for KeptTree {
+    fn clone(&self) -> KeptTree {
+        KeptTree::default()
+    }
+}
+
+impl PartialEq for KeptTree {
+    fn eq(&self, _: &KeptTree) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for KeptTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("KeptTree")
+    }
 }
 
 impl PlanTemplate {
@@ -401,38 +426,56 @@ impl PlanTemplate {
     /// statement whose flattened `WHERE` clause applies `where_conditions`
     /// conditions.
     pub fn new(plan: Plan, decisions: Vec<PlanDecision>, where_conditions: usize) -> PlanTemplate {
-        let mut tallies = false;
-        plan.walk(&mut |p| {
-            tallies |= matches!(
-                p.operator_name(),
-                "index nested-loop join" | "exchange" | "apply" | "scalar subquery"
-            )
-        });
         PlanTemplate {
-            shape_hash: (!tallies).then(OnceLock::new),
-            shape: OnceLock::new(),
             plan,
             decisions,
             where_conditions,
+            shape_hash: OnceLock::new(),
+            shape: OnceLock::new(),
+            tree: KeptTree::default(),
         }
     }
 
     /// The shape hash of an execution of this template whose profile is
-    /// `profile`: the first execution's, where they all share it.
+    /// `profile`: the first execution's, which they all share.
     pub fn shape_hash(&self, profile: &PlanProfile) -> u64 {
-        match &self.shape_hash {
-            Some(hash) => *hash.get_or_init(|| plan_shape_hash(profile)),
-            None => plan_shape_hash(profile),
-        }
+        *self.shape_hash.get_or_init(|| plan_shape_hash(profile))
     }
 
     /// The profile shape every execution of the template shares, described
     /// against `db` the first time it is asked for.
-    pub fn shape(&self, db: &Database) -> Option<&Arc<OpShape>> {
-        let described = self
-            .shape
-            .get_or_init(|| describe_shape(db, &self.plan).ok().map(Arc::new));
-        described.as_ref()
+    pub fn shape(&self, db: &Database) -> Result<Arc<OpShape>, StoreError> {
+        if let Some(shape) = self.shape.get() {
+            return Ok(Arc::clone(shape));
+        }
+        let shape = Arc::new(describe_shape(db, &self.plan)?);
+        Ok(Arc::clone(self.shape.get_or_init(|| shape)))
+    }
+
+    /// Execute the template for a statement whose literals are `params`, on
+    /// the tree the template keeps: taken (or, while another execution holds
+    /// it or `db` was written since it was opened, opened afresh), rewound
+    /// with the literals, drained, and put back holding no rows. The profile
+    /// is the template's shape with this run's counters and the literals.
+    pub fn execute(
+        &self,
+        db: &Database,
+        params: Vec<Value>,
+    ) -> Result<(ResultSet, PlanProfile), StoreError> {
+        let shape = self.shape(db)?;
+        let kept = self.tree.0.lock().expect("kept tree lock").take();
+        let mut tree = match kept.filter(|tree| tree.reads(db)) {
+            Some(tree) => tree,
+            None => OpenPlan::open(db, &self.plan)?,
+        };
+        let ran = tree.run(db, shape, params)?;
+        self.tree
+            .0
+            .lock()
+            .expect("kept tree lock")
+            .get_or_insert(tree);
+        db.adaptive().trees_kept.store(true, Ordering::Release);
+        Ok(ran)
     }
 }
 
@@ -541,6 +584,8 @@ pub struct AdaptiveState {
     /// holds the store it started with and takes no lock per lookup.
     feedback: Mutex<Arc<FeedbackStore>>,
     cache: PlanCache,
+    /// Set when a template keeps a tree, cleared when they are let go of.
+    trees_kept: AtomicBool,
     epoch_log: Mutex<EpochLog>,
 }
 
@@ -557,6 +602,7 @@ impl AdaptiveState {
             epoch: AtomicU64::new(0),
             feedback: Mutex::new(Arc::default()),
             cache: PlanCache::new(cache_cap),
+            trees_kept: AtomicBool::new(false),
             epoch_log: Mutex::new((None, [0; EpochCause::ALL.len()])),
         }
     }
@@ -590,6 +636,20 @@ impl AdaptiveState {
     /// The plan cache.
     pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
+    }
+
+    /// Let go of the operator trees the plan cache's templates keep, if any
+    /// kept one since the last time: a tree pins the tables it was opened
+    /// on, so a write would copy each table it changes.
+    pub fn close_trees(&self) {
+        if !self.trees_kept.swap(false, Ordering::AcqRel) {
+            return;
+        }
+        for entry in &self.cache.inner.lock().expect("shape cache lock").entries {
+            if let CachedVerdict::Template(template) = &entry.verdict {
+                template.tree.0.lock().expect("kept tree lock").take();
+            }
+        }
     }
 
     /// Everything the engine has learned so far. A planning pass takes this
@@ -805,6 +865,57 @@ mod tests {
             CacheLookup::Found(CachedVerdict::Uncacheable(Uncacheable::LikePattern))
         );
         assert_eq!(cache.lookup(&key("four"), 1), CacheLookup::Stale);
+    }
+
+    /// A hit that finds the kept tree held by another execution opens a tree
+    /// of its own, answers as the template bound to its literals does, and
+    /// keeps its tree; the holder's tree, put back into a taken slot, is let
+    /// go.
+    #[test]
+    fn a_hit_while_another_execution_holds_the_tree_opens_its_own() {
+        use crate::exec::execute_with_stats;
+        use crate::expr::{CmpOp, Expr, Param};
+        let db = crate::sample::movie_database();
+        let year = Expr::Compare {
+            op: CmpOp::Eq,
+            left: Box::new(Expr::Column(2)),
+            right: Box::new(Expr::Param(Param::Stmt(0))),
+        };
+        let template = PlanTemplate::new(Plan::scan("MOVIES", "m").filter(year), Vec::new(), 1);
+        let run = |year: i64| {
+            let params = vec![Value::int(year)];
+            let fresh = execute_with_stats(&db, &template.plan.bind_params(&params)).unwrap();
+            let (rows, profile) = template.execute(&db, params).unwrap();
+            assert_eq!(rows, fresh.0, "{year}");
+            let counts = |p: &PlanProfile| p.root().metrics().rows_out;
+            assert_eq!(counts(&profile), counts(&fresh.1), "{year}");
+            assert_eq!(
+                profile.root().metrics().batches,
+                fresh.1.root().metrics().batches
+            );
+            rows.len()
+        };
+        let slot = || template.tree.0.lock().unwrap();
+        assert!(run(2004) > 0);
+        assert!(slot().is_some(), "the first execution keeps its tree");
+        let (held, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let tree = slot().take().expect("a kept tree");
+                held.wait();
+                done.wait();
+                assert!(slot().get_or_insert(tree).reads(&db));
+            });
+            held.wait();
+            assert!(slot().is_none(), "held by the other thread");
+            assert!(run(2005) > 0);
+            assert!(slot().is_some(), "the hit keeps the tree it opened");
+            done.wait();
+        });
+        // Nothing is kept from run to run but the tree: a year no movie has
+        // finds nothing.
+        assert_eq!(run(2004), run(2004));
+        assert_eq!(run(1850), 0);
     }
 
     /// Eight threads insert templates and negative verdicts, probe, and bump

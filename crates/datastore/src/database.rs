@@ -251,8 +251,10 @@ impl Database {
         &self.tables
     }
 
-    /// The map of tables, copied first if a snapshot still holds it.
+    /// The map of tables, copied first if a snapshot still holds it — once
+    /// the plan cache's kept trees, which would, are closed.
     fn tables_mut(&mut self) -> &mut BTreeMap<String, Arc<Table>> {
+        self.adaptive.close_trees();
         Arc::make_mut(&mut self.tables)
     }
 

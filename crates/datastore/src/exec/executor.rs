@@ -6,11 +6,20 @@
 //! [`PlanProfile`] that the EXPLAIN narrator and the empty-result detective
 //! read, and [`describe_plan`] returns the same profile, all counters zero,
 //! without pulling a row.
+//!
+//! A plan-cache template runs as an [`OpenPlan`]: its operator tree, opened
+//! once and kept by the template, is rewound with each statement's literals
+//! and drained, so a hit neither copies the plan to bind it nor opens and
+//! drops a tree; each run's counters are the tree's totals less those after
+//! the run before.
 
 use crate::database::Database;
 use crate::error::StoreError;
 use crate::exec::plan::{Columns, Plan};
-use crate::exec::stream::{open, OpShape, PlanProfile, RowSource};
+use crate::exec::stream::{
+    open, open_toward, ExecContext, OpMetrics, OpShape, PlanProfile, RowSource,
+};
+use crate::expr::{Param, ParamLookup};
 use crate::obs::Counter;
 use crate::tuple::Row;
 use crate::value::Value;
@@ -82,10 +91,9 @@ impl ResultSet {
     }
 }
 
-/// Open a plan, pull it dry, and count the statement; the drained source
-/// still holds every operator's counters.
-fn drain(db: &Database, plan: &Plan) -> Result<(ResultSet, Box<dyn RowSource>), StoreError> {
-    let mut source = open(db, plan)?;
+/// Pull an open tree dry and count the statement; the drained tree still
+/// holds every operator's counters.
+fn drain(db: &Database, source: &mut Box<dyn RowSource>) -> Result<ResultSet, StoreError> {
     let columns = source.columns().clone();
     let mut rows = Vec::new();
     while let Some(batch) = source.next_batch()? {
@@ -93,12 +101,12 @@ fn drain(db: &Database, plan: &Plan) -> Result<(ResultSet, Box<dyn RowSource>), 
     }
     db.obs().incr(Counter::QueriesExecuted);
     db.obs().add(Counter::RowsEmitted, rows.len() as u64);
-    Ok((ResultSet { columns, rows }, source))
+    Ok(ResultSet { columns, rows })
 }
 
 /// Execute a plan against a database, materializing the full result.
 pub fn execute(db: &Database, plan: &Plan) -> Result<ResultSet, StoreError> {
-    Ok(drain(db, plan)?.0)
+    drain(db, &mut open(db, plan)?)
 }
 
 /// Execute a plan and return both the materialized result and the
@@ -108,22 +116,64 @@ pub fn execute_with_stats(
     db: &Database,
     plan: &Plan,
 ) -> Result<(ResultSet, PlanProfile), StoreError> {
-    let (result, source) = drain(db, plan)?;
-    Ok((result, source.profile()))
+    let mut source = open(db, plan)?;
+    Ok((drain(db, &mut source)?, source.profile()))
 }
 
-/// [`execute_with_stats`] for a plan whose shape was described before:
-/// `plan` is the plan `shape` describes with its statement parameters bound
-/// to `params`, which fill the shape's slots. The run writes only its
-/// counters.
-pub fn execute_as(
-    db: &Database,
-    plan: &Plan,
-    shape: Arc<OpShape>,
-    params: Vec<Value>,
-) -> Result<(ResultSet, PlanProfile), StoreError> {
-    let (result, source) = drain(db, plan)?;
-    Ok((result, source.profile_as(shape, params)))
+/// A plan-cache template's operator tree, opened once and run for each of
+/// its statements: what the template keeps between them.
+pub struct OpenPlan {
+    /// The tables the tree was opened on.
+    ctx: Arc<ExecContext>,
+    root: Box<dyn RowSource>,
+    /// The counters of every run so far, node by node in pre-order.
+    totals: Vec<OpMetrics>,
+}
+
+impl OpenPlan {
+    /// Open `plan`, statement parameters and all, on `db`'s tables; opening
+    /// reads no rows.
+    pub fn open(db: &Database, plan: &Plan) -> Result<OpenPlan, StoreError> {
+        let ctx = Arc::new(ExecContext::new(db));
+        let root = open_toward(&ctx, plan, None, false)?;
+        let totals = vec![OpMetrics::default(); root.node_count()];
+        Ok(OpenPlan { ctx, root, totals })
+    }
+
+    /// True when the tree reads `db`'s tables as they are now: it was opened
+    /// on this database, or on a clone of it that has not been written since.
+    pub fn reads(&self, db: &Database) -> bool {
+        self.ctx.reads(db)
+    }
+
+    /// Run the tree with statement parameter `?k` bound to `params[k]`:
+    /// rewind it with them, drain it, and rewind it again so that it holds
+    /// no rows between runs. Returns the result and its profile: `shape`,
+    /// which describes the plan the tree was opened from, with this run's
+    /// counters and `params`.
+    pub fn run(
+        &mut self,
+        db: &Database,
+        shape: Arc<OpShape>,
+        params: Vec<Value>,
+    ) -> Result<(ResultSet, PlanProfile), StoreError> {
+        debug_assert_eq!(self.totals.len(), shape.size(), "a shape of another plan");
+        let bindings: ParamLookup<'_> = &|param| match param {
+            Param::Stmt(k) => params.get(k as usize),
+            Param::Outer(_) => None,
+        };
+        self.root.rewind(bindings);
+        let result = drain(db, &mut self.root)?;
+        self.root.rewind(bindings);
+        let mut counters = vec![OpMetrics::default(); self.totals.len()];
+        self.root.absorb_into(&mut counters);
+        for (run, total) in counters.iter_mut().zip(&mut self.totals) {
+            let now = *run;
+            *run -= *total;
+            *total = now;
+        }
+        Ok((result, PlanProfile::new(shape, counters, params)))
+    }
 }
 
 /// Describe a plan — operator tree, details, output columns — without

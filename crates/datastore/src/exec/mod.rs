@@ -17,8 +17,9 @@
 //! details, tags, index access, columns, estimates), described once per
 //! plan, and the **counters** of each execution, one [`profile::OpMetrics`]
 //! per shape node in pre-order. A plan-cache template keeps its shape, its
-//! literals as slots; each execution of it writes only its counters. Text is
-//! written when a reader asks for it.
+//! literals as slots, and one opened operator tree ([`executor::OpenPlan`]);
+//! each execution of it rewinds the tree with its literals and writes only
+//! its counters. Text is written when a reader asks for it.
 //!
 //! # The metering protocol
 //!
@@ -92,7 +93,10 @@
 //! overwrites only that constant, and a vector kernel takes the new value
 //! without recompiling. A rewind binds only the values it carries, so an
 //! apply inside a subplan rebinds its own while its parent's stay bound
-//! (and forgets its memo, computed under the parent's old values).
+//! (and forgets its memo, computed under the parent's old values). A
+//! plan-cache hit binds a template's `?k` the same way, rewinding the tree
+//! the template keeps; an exchange, whose workers open copies of its
+//! pipeline, binds a copy of the pipeline's plan.
 //!
 //! # The row goal
 //!
@@ -191,7 +195,7 @@ pub mod vector;
 
 pub use aggregate::{AggExpr, AggFunc, GroupedAggregator};
 pub use executor::{
-    describe_plan, describe_shape, execute, execute_as, execute_with_stats, ResultSet,
+    describe_plan, describe_shape, execute, execute_with_stats, OpenPlan, ResultSet,
 };
 pub use parallel::{morsel_size, JoinIndex, MORSEL_MIN, PARALLEL_BUILD_MIN};
 pub use plan::{

@@ -57,7 +57,7 @@ use crate::exec::profile::{Description, OpKind, OpMetrics};
 use crate::exec::stream::{
     drain_pending, open_in, top_k, ExecContext, OpenEnv, Operator, RowSource,
 };
-use crate::expr::ParamLookup;
+use crate::expr::{BoundExpr, ParamLookup};
 use crate::obs::Counter;
 use crate::tuple::Row;
 use crate::value::Value;
@@ -429,10 +429,15 @@ enum WorkerOutput {
 /// morsel-ordered output.
 pub(crate) struct ExchangeSource {
     ctx: Arc<ExecContext>,
+    /// The pipeline as the plan wrote it, and the copy the workers open,
+    /// its parameters bound by the last rewind.
+    written: Arc<Plan>,
     input: Arc<Plan>,
     workers: usize,
-    /// How per-morsel outputs are combined above the workers.
+    /// How per-morsel outputs are combined above the workers, and the
+    /// merged aggregate's `HAVING`, bound like the pipeline.
     gather: GatherMode,
+    having: Option<BoundExpr>,
     columns: Columns,
     /// The pipeline subtree, opened once. On the parallel path it is never
     /// pulled: its shape is the one every worker's pipeline shares. On the
@@ -490,10 +495,16 @@ impl ExchangeSource {
             } => aggregate_output_columns(pipeline.columns(), group_by, aggregates).into(),
             _ => Arc::clone(pipeline.columns()),
         };
+        let input = Arc::new(input.clone());
         Ok(ExchangeSource {
             ctx: Arc::clone(ctx),
-            input: Arc::new(input.clone()),
+            written: Arc::clone(&input),
+            input,
             workers,
+            having: match &gather {
+                GatherMode::MergeAggregate { having, .. } => having.as_ref().map(BoundExpr::new),
+                _ => None,
+            },
             gather,
             columns,
             pipeline,
@@ -582,8 +593,8 @@ impl ExchangeSource {
             GatherMode::MergeAggregate {
                 group_by,
                 aggregates,
-                having,
                 vectorized,
+                ..
             } => {
                 // Merging in morsel order reproduces the sequential
                 // first-encounter group order exactly.
@@ -596,7 +607,7 @@ impl ExchangeSource {
                     meter.vector_batches += partial.vector_batches();
                     agg.merge_partial(*partial);
                 }
-                rows.extend(agg.finish(having.as_ref())?);
+                rows.extend(agg.finish(self.having.as_ref().map(BoundExpr::get))?);
             }
             // Plain rows, sorted runs and bounded runs alike arrive as rows.
             gather => {
@@ -769,9 +780,16 @@ impl Operator for ExchangeSource {
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
-        // The workers open their copies from the plan as written, which no
-        // rewind binds: under an apply, where the values are bound, an
-        // exchange is opened on one thread (`OpenEnv::one_thread`).
+        // The workers open their copies of the plan as written, bound anew:
+        // a rewind that runs workers carries every statement parameter,
+        // since under an apply, whose rewinds carry only its correlation
+        // values, an exchange is opened on one thread (`OpenEnv::one_thread`).
+        if !self.passthrough {
+            self.input = Arc::new(self.written.bound(bindings));
+        }
+        if let Some(having) = &mut self.having {
+            having.rebind(bindings);
+        }
         self.pipeline.rewind(bindings);
         self.shared.clear();
         self.gathered = None;

@@ -277,9 +277,9 @@ pub enum PlanNode {
     Scan { table: String, alias: String },
     /// Index-backed access path: probe `index` with `bounds` and read only
     /// the matching rows. The bounds may carry parameters: statement literals
-    /// [`Plan::bind_params`] resolves on a plan-cache hit, and correlation
-    /// values an `Apply` binds each time it rewinds its open subplan — the
-    /// probe stays symbolic until the outer row arrives. With `order` other than
+    /// a plan-cache hit binds when it rewinds its template's open tree, and
+    /// correlation values an `Apply` binds each time it rewinds its open
+    /// subplan — the probe stays symbolic until the values arrive. With `order` other than
     /// [`ProbeOrder::Position`] rows come back sorted by the indexed key
     /// (ascending or descending) — what an `ORDER BY`-eliding plan wants;
     /// in position order they are byte-identical to the equivalent filtered
@@ -751,9 +751,10 @@ impl Plan {
     }
 
     /// Clone this plan with statement parameter `?k` bound to `values[k]`
-    /// in every expression and index probe, subplans included: what a cached
-    /// template becomes for one statement. Correlation values stay in place
-    /// for their `Apply` operators to bind.
+    /// in every expression and index probe, subplans included: the reference
+    /// binder the plan-cache differentials hold a template to (a hit binds
+    /// its literals by rewinding the template's open tree instead).
+    /// Correlation values stay in place for their `Apply` operators to bind.
     pub fn bind_params(&self, values: &[Value]) -> Plan {
         self.bound(&|param| match param {
             Param::Stmt(k) => values.get(k as usize),

@@ -22,7 +22,7 @@ use crate::obs::SqlText;
 use crate::value::Value;
 use std::borrow::Cow;
 use std::fmt;
-use std::ops::AddAssign;
+use std::ops::{AddAssign, SubAssign};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -100,6 +100,26 @@ impl AddAssign for OpMetrics {
         self.groups += other.groups;
         self.morsels += other.morsels;
         self.workers += other.workers;
+    }
+}
+
+impl SubAssign for OpMetrics {
+    /// Take away an earlier run's counters: what a kept tree's totals hold
+    /// beyond them is what the runs since then counted.
+    fn sub_assign(&mut self, earlier: OpMetrics) {
+        self.rows_in -= earlier.rows_in;
+        self.rows_out -= earlier.rows_out;
+        self.batches -= earlier.batches;
+        self.elapsed -= earlier.elapsed;
+        self.blocked -= earlier.blocked;
+        self.vector_batches -= earlier.vector_batches;
+        self.probes -= earlier.probes;
+        self.evaluations -= earlier.evaluations;
+        self.cache_hits -= earlier.cache_hits;
+        self.evictions -= earlier.evictions;
+        self.groups -= earlier.groups;
+        self.morsels -= earlier.morsels;
+        self.workers -= earlier.workers;
     }
 }
 
@@ -394,7 +414,7 @@ impl<'a> ProfileNode<'a> {
                 n => write!(out, "{n} morsel{} ", plural(n, "s"))?,
             }
         }
-        self.shape.detail.fill(self.params, &mut out)?;
+        self.write_planned_detail(&mut out)?;
         match self.shape.kind {
             OpKind::IndexProbe if ran.rows_in > 0 => {
                 let (probes, matches) = (ran.rows_in, ran.rows_out);
@@ -424,6 +444,12 @@ impl<'a> ProfileNode<'a> {
             }
             _ => Ok(()),
         }
+    }
+
+    /// Write the detail as planned into `out`: its literals filled in,
+    /// nothing it counted (no probes, morsels, evaluations or groups).
+    pub fn write_planned_detail(self, out: impl fmt::Write) -> fmt::Result {
+        self.shape.detail.fill(self.params, out)
     }
 
     /// The counters a detail's tallies are read from: this node's, or none

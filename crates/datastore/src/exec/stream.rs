@@ -105,6 +105,11 @@ impl ExecContext {
         })
     }
 
+    /// True when this is a snapshot of `db`'s tables as they are now.
+    pub(crate) fn reads(&self, db: &Database) -> bool {
+        Arc::ptr_eq(&self.tables, db.table_map())
+    }
+
     /// The engine-wide observability registry this snapshot reports into.
     pub fn obs(&self) -> &Arc<ObsRegistry> {
         &self.obs
@@ -145,8 +150,12 @@ pub trait RowSource: Send {
     }
     /// Start over (Volcano's rescan) with each parameter `bindings` has a
     /// value for bound to it; the others keep the values bound before.
-    /// Every operator resets in place (a build side is built again), and
-    /// the counters keep accumulating over every run.
+    /// Statement parameters and correlation values are bound the same way:
+    /// a plan-cache hit rewinds its template's tree with the statement's
+    /// literals, an `Apply` its subplan with an outer row's values. Every
+    /// operator resets in place and lets go of what its last run held (a
+    /// build side is built again), and the counters keep accumulating over
+    /// every run.
     fn rewind(&mut self, bindings: ParamLookup<'_>);
     /// [`RowSource::next_batch`], and the wall time it took as this operator
     /// measured it — what a consumer spent waiting for it.
@@ -164,16 +173,10 @@ pub trait RowSource: Send {
     /// This execution's profile: the subtree's shape, described now, and
     /// its counters.
     fn profile(&self) -> PlanProfile {
-        self.profile_as(Arc::new(self.shape()), Vec::new())
-    }
-    /// This execution's profile against `shape`, a description of the same
-    /// plan kept from before (a plan-cache template's, its slots filled by
-    /// `params`): only the counters are written.
-    fn profile_as(&self, shape: Arc<OpShape>, params: Vec<Value>) -> PlanProfile {
-        debug_assert_eq!(self.node_count(), shape.size(), "a shape of another plan");
+        let shape = Arc::new(self.shape());
         let mut counters = vec![OpMetrics::default(); shape.size()];
         self.absorb_into(&mut counters);
-        PlanProfile::new(shape, counters, params)
+        PlanProfile::new(shape, counters, Vec::new())
     }
 }
 
@@ -437,7 +440,7 @@ pub fn open(db: &Database, plan: &Plan) -> Result<Box<dyn RowSource>, StoreError
 /// Open a plan whose consumer will stop after `row_goal` rows (an `EXISTS`
 /// check after one), outside any exchange, its own exchanges on one thread
 /// if `one_thread`.
-fn open_toward(
+pub(crate) fn open_toward(
     ctx: &Arc<ExecContext>,
     plan: &Plan,
     row_goal: Option<usize>,
@@ -683,7 +686,7 @@ pub(crate) fn open_in(
                 group_by: group_by.clone(),
                 aggregates: aggregates.clone(),
                 args: (aggregates.iter().enumerate())
-                    .filter_map(|(i, a)| Some((i, BoundExpr::correlated(a.arg.as_ref()?)?)))
+                    .filter_map(|(i, a)| Some((i, BoundExpr::parameterized(a.arg.as_ref()?)?)))
                     .collect(),
                 having: having.as_ref().map(BoundExpr::new),
                 vectorized: *vectorized,
@@ -904,7 +907,7 @@ struct IndexScanSource {
     /// for the lifetime of this snapshot).
     index_pos: usize,
     /// The probe as the plan wrote it (what is described), and, when it
-    /// reads a correlation value, the copy a rewind binds.
+    /// reads a parameter, the copy a rewind binds.
     bounds: IndexBounds,
     bound: Option<IndexBounds>,
     /// The bounds pin every key column.
@@ -959,7 +962,7 @@ impl IndexScanSource {
             key: idx.relation(table_name, alias),
             table,
             index_pos,
-            bound: bounds.is_correlated().then(|| bounds.clone()),
+            bound: bounds.has_params().then(|| bounds.clone()),
             bounds,
             exact,
             order,

@@ -115,13 +115,13 @@ pub enum Expr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Param {
     /// The `k`-th literal lifted out of a statement (the `k`-th `?` of its
-    /// normalized text): bound once, when a cached plan template is bound to
-    /// a statement's literals ([`crate::exec::Plan::bind_params`]).
+    /// normalized text): bound for each statement of a cached plan template
+    /// by rewinding the template's open operator tree with the statement's
+    /// literals ([`crate::exec::RowSource::rewind`]).
     Stmt(u32),
     /// Correlation value `k`: a column of an enclosing row, bound for each
     /// distinct outer row by the `Apply` that owns it, which rewinds its
-    /// open subplan with the row's values
-    /// ([`crate::exec::RowSource::rewind`]).
+    /// open subplan with the row's values — the same way.
     Outer(u32),
 }
 
@@ -137,37 +137,38 @@ impl std::fmt::Display for Param {
 }
 
 /// The values a parameter substitution binds: `Some` for a parameter the
-/// caller owns, `None` for one it leaves in place. Made by
-/// [`crate::exec::Plan::bind_params`], which answers statement parameters,
-/// and by an `Apply`, which answers its correlation values from one outer
-/// row when it rewinds its subplan ([`crate::exec::RowSource::rewind`]).
+/// caller owns, `None` for one it leaves in place. Made by a plan-cache hit,
+/// which answers statement parameters, and by an `Apply`, which answers its
+/// correlation values from one outer row, each when it rewinds an open tree
+/// ([`crate::exec::RowSource::rewind`]); and by
+/// [`crate::exec::Plan::bind_params`], the reference binder.
 pub type ParamLookup<'a> = &'a dyn Fn(Param) -> Option<&'a Value>;
 
 /// An operator's expression as its plan wrote it — what it is described
-/// by — and, when it reads a correlation value ([`Param::Outer`]), the copy
-/// it evaluates, in which each rebinding overwrites only the constants that
-/// stand where the correlation values were.
+/// by — and, when it reads a parameter ([`Param`]), the copy it evaluates,
+/// in which each rebinding overwrites only the constants that stand where
+/// the parameters were.
 #[derive(Debug, Clone)]
 pub(crate) struct BoundExpr {
     written: Expr,
-    /// The evaluated copy and the pre-order positions of its correlation
-    /// values; `None` when there are none and the written expression runs.
+    /// The evaluated copy and the pre-order positions of its parameters;
+    /// `None` when there are none and the written expression runs.
     bound: Option<(Expr, Vec<(usize, Param)>)>,
 }
 
 impl BoundExpr {
     pub(crate) fn new(expr: &Expr) -> BoundExpr {
-        Self::correlated(expr).unwrap_or_else(|| BoundExpr {
+        Self::parameterized(expr).unwrap_or_else(|| BoundExpr {
             written: expr.clone(),
             bound: None,
         })
     }
 
-    /// [`BoundExpr::new`], when `expr` reads a correlation value.
-    pub(crate) fn correlated(expr: &Expr) -> Option<BoundExpr> {
+    /// [`BoundExpr::new`], when `expr` reads a parameter.
+    pub(crate) fn parameterized(expr: &Expr) -> Option<BoundExpr> {
         let (mut slots, mut at) = (Vec::new(), 0);
         expr.walk(&mut |e| {
-            if let Expr::Param(param @ Param::Outer(_)) = e {
+            if let Expr::Param(param) = e {
                 slots.push((at, *param));
             }
             at += 1;
@@ -178,13 +179,13 @@ impl BoundExpr {
         })
     }
 
-    /// The expression as the plan wrote it, `$k` and all.
+    /// The expression as the plan wrote it, `$k` and `?k` and all.
     pub(crate) fn written(&self) -> &Expr {
         &self.written
     }
 
-    /// The expression to evaluate: each correlation value replaced by the
-    /// value it was bound to last (still a parameter, which fails to
+    /// The expression to evaluate: each parameter replaced by the value it
+    /// was bound to last (still a parameter, which fails to
     /// evaluate, until it is bound).
     pub(crate) fn get(&self) -> &Expr {
         self.bound
@@ -192,8 +193,8 @@ impl BoundExpr {
             .map_or(&self.written, |(bound, _)| bound)
     }
 
-    /// Overwrite the constant of each correlation value `bindings` has a
-    /// value for; the others keep what they were bound to before.
+    /// Overwrite the constant of each parameter `bindings` has a value for;
+    /// the others keep what they were bound to before.
     pub(crate) fn rebind(&mut self, bindings: ParamLookup<'_>) {
         let Some((bound, slots)) = &mut self.bound else {
             return;

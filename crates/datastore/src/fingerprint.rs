@@ -68,7 +68,7 @@ fn hash_shape(node: ProfileNode<'_>, hash: &mut u64) {
     let mut utf8 = [0; 4];
     let mut shape = ShapeChars::new(|c: char| fnv(hash, c.encode_utf8(&mut utf8).as_bytes()));
     // The writer never fails.
-    let _ = node.write_detail(&mut shape);
+    let _ = node.write_planned_detail(&mut shape);
     shape.finish();
     fnv(hash, b"(");
     for c in node.children() {

@@ -382,6 +382,13 @@ impl IndexBounds {
         (self.eq.iter().chain(range)).any(|t| matches!(t, BoundTerm::Param(Param::Outer(_))))
     }
 
+    /// True when a term is a parameter of either kind: the probe is bound
+    /// when its open tree is rewound.
+    pub(crate) fn has_params(&self) -> bool {
+        let range = self.lo.iter().chain(&self.hi).map(|(t, _)| t);
+        (self.eq.iter().chain(range)).any(|t| matches!(t, BoundTerm::Param(_)))
+    }
+
     /// Substitute, in place, every parameter that `params` carries by its
     /// value (the probe's part of binding a plan).
     pub(crate) fn bind(&mut self, params: ParamLookup<'_>) {
