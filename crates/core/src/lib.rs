@@ -56,13 +56,8 @@
 //!    plan's shape, described once per plan — a
 //!    [`datastore::exec::PlanProfile`]; filter details are rendered by
 //!    [`datastore::exec::profile::render_expr`].
-//!    Operator trees are owned (`Arc` table handles), so a *parallel* phase
-//!    in the planner can wrap pipelines whose driver scan clears
-//!    [`PlannerOptions::parallel_row_threshold`] in a morsel-driven
-//!    exchange running across [`PlannerOptions::parallelism`] workers
-//!    (deterministically — output is gathered in morsel order), and record
-//!    a [`PlanDecision`] for every choice, including the choice to stay on
-//!    one thread.
+//!    Every operator runs on the thread that pulls from it: a statement is
+//!    one operator tree, pulled to exhaustion by its caller.
 //! 4. **[`query::plan_explain`]** renders the (instrumented) operator tree
 //!    as a stable ASCII plan with estimated vs. actual rows per operator
 //!    (flagging estimates off by more than 10×) and narrates both the
@@ -117,9 +112,7 @@ pub use content::{ContentConfig, ContentTranslator, UserProfile};
 pub use error::TalkbackError;
 pub use narrative_metrics::{narrative_metrics, NarrativeMetrics};
 pub use pipeline::{Recognition, SpeechRecognizer, SpokenChunk, TextToSpeech};
-pub use planner::{
-    plan_query, plan_query_with, ParallelKind, PlanDecision, PlannedQuery, PlannerOptions,
-};
+pub use planner::{plan_query, plan_query_with, PlanDecision, PlannedQuery, PlannerOptions};
 pub use query::advise::{recommendations, Recommendation};
 pub use query::explain::{explain_result, ResultExplanation};
 pub use query::plan_explain::{explain_plan, explain_plan_with, PlanExplanation};
@@ -247,9 +240,8 @@ impl Talkback {
         query::plan_explain::explain_plan(&self.db, self.queries.lexicon(), sql)
     }
 
-    /// [`Talkback::explain_plan`] with explicit planner options (pin a
-    /// parallelism degree for reproducible plan trees, switch to the
-    /// full-scan or row-at-a-time reference engine, …).
+    /// [`Talkback::explain_plan`] with explicit planner options (switch to
+    /// the full-scan or row-at-a-time reference engine, …).
     pub fn explain_plan_with(
         &self,
         sql: &str,
@@ -284,8 +276,8 @@ impl Talkback {
         self.run_query_with(sql, PlannerOptions::default())
     }
 
-    /// [`Talkback::run_query`] with explicit planner options: the worker
-    /// count, or the switches that select the reference engine.
+    /// [`Talkback::run_query`] with explicit planner options: the switches
+    /// that select the reference engine.
     pub fn run_query_with(
         &self,
         sql: &str,

@@ -1,6 +1,6 @@
 //! The columns pass: a join emits only the columns read above it.
 //!
-//! Runs last, over the finished physical plan (after parallelization), in one
+//! Runs last, over the finished physical plan, in one
 //! walk. Top-down it carries which of a node's output columns its consumer
 //! reads — the root's consumer reads all of them. Bottom-up it returns the
 //! node's arity and where each of its old output positions went. A hash join
@@ -8,19 +8,18 @@
 //! [`JoinOutput`] list), and every position held above a join that shrank is
 //! remapped: filter predicates, projection expressions and sort keys,
 //! group-by columns and aggregate arguments, join and semi-/anti-join keys, a
-//! scalar subquery's keys and operand, `Apply` parameters and operand, and an
-//! exchange's gather keys.
+//! scalar subquery's keys and operand, and `Apply` parameters and operand.
 //!
 //! Nothing else is narrowed. Scans, index scans and literal rows hand out
 //! shared rows, which a narrower copy would have to allocate. A nested-loop
-//! join's predicate reads its whole candidate row. `DISTINCT`, a
-//! merging-aggregate exchange and every subplan root read their whole input.
+//! join's predicate reads its whole candidate row. `DISTINCT` and every
+//! subplan root read their whole input.
 //! A list that would be every column in place stays `None`, so a plan with
 //! nothing to narrow is the plan lowering made. Trees, estimates, answers and
 //! row order do not change: positions are rendered by name, and a projection
 //! left reading its input in place hands its rows on as they are.
 
-use datastore::exec::{ApplyMode, GatherMode, JoinOutput, Plan, PlanNode};
+use datastore::exec::{ApplyMode, JoinOutput, Plan, PlanNode};
 use datastore::expr::Expr;
 use datastore::Database;
 
@@ -161,38 +160,15 @@ fn narrow(db: &Database, plan: &mut Plan, reads: Reads) -> Shape {
             args.for_each(|e| shape.remap_expr(e));
             Shape::same(group_by.len() + aggregates.len())
         }
-        PlanNode::Sort { input, keys }
-        | PlanNode::Exchange {
-            input,
-            gather: GatherMode::MergeSort { keys } | GatherMode::TopK { keys, .. },
-            ..
-        } => {
+        PlanNode::Sort { input, keys } => {
             let shape = narrow(db, input, &|i| {
                 reads(i) || keys.iter().any(|k| k.column == i)
             });
             keys.iter_mut().for_each(|k| k.column = shape.at(k.column));
             shape
         }
-        PlanNode::Limit { input, .. }
-        | PlanNode::Exchange {
-            input,
-            gather: GatherMode::Rows,
-            ..
-        } => narrow(db, input, reads),
+        PlanNode::Limit { input, .. } => narrow(db, input, reads),
         PlanNode::Distinct { input } => narrow(db, input, &all),
-        PlanNode::Exchange {
-            input,
-            gather:
-                GatherMode::MergeAggregate {
-                    group_by,
-                    aggregates,
-                    ..
-                },
-            ..
-        } => {
-            narrow(db, input, &all);
-            Shape::same(group_by.len() + aggregates.len())
-        }
         PlanNode::HashSemiJoin {
             left,
             right,
@@ -305,7 +281,7 @@ mod tests {
     fn join_outputs(sql: &str) -> (Vec<Emitted>, String) {
         let db = movie_database();
         let query = parse_query(sql).unwrap();
-        let plan = plan_query_with(&db, &query, PlannerOptions::sequential())
+        let plan = plan_query_with(&db, &query, PlannerOptions::default())
             .unwrap()
             .plan;
         let profile = describe_plan(&db, &plan).unwrap();

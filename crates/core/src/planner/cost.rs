@@ -580,8 +580,7 @@ pub fn plan_cost(plan: &Plan) -> f64 {
         | PlanNode::Project { input, .. }
         | PlanNode::Aggregate { input, .. }
         | PlanNode::Limit { input, .. }
-        | PlanNode::Distinct { input }
-        | PlanNode::Exchange { input, .. } => plan_cost(input) + out,
+        | PlanNode::Distinct { input } => plan_cost(input) + out,
         PlanNode::NestedLoopJoin { left, right, .. } => {
             plan_cost(left)
                 + plan_cost(right)

@@ -31,16 +31,14 @@
 //!    operators and attaches the subquery operators, with the estimated row
 //!    count on every plan node so `EXPLAIN ANALYZE` can show estimates next
 //!    to actuals.
-//! 5. **[`vectorize`]** and **[`parallel`]** mark the operators that run on
-//!    the column kernels and the pipelines that run across workers, and the
-//!    columns pass (`columns.rs`) runs last: each join emits only the columns
-//!    read above it.
+//! 5. **[`vectorize`]** marks the operators that run on the column kernels,
+//!    and the columns pass (`columns.rs`) runs last: each join emits only
+//!    the columns read above it.
 
 pub mod access;
 mod columns;
 pub mod cost;
 pub mod logical;
-pub mod parallel;
 pub mod physical;
 pub mod subquery;
 pub mod vectorize;
@@ -48,10 +46,9 @@ pub mod vectorize;
 pub use access::INDEX_PROBE_ROW_COST;
 pub use cost::{plan_cost, DP_MAX_RELATIONS};
 pub use datastore::obs::{
-    AccessPathKind, Alternative, GroupedLookup, JoinEnumeration, ParallelKind, PlanDecision,
-    SqlText, SubqueryStrategy,
+    AccessPathKind, Alternative, GroupedLookup, JoinEnumeration, PlanDecision, SqlText,
+    SubqueryStrategy,
 };
-pub use parallel::PARALLEL_ROW_THRESHOLD;
 pub use physical::lower_expr;
 
 use crate::error::TalkbackError;
@@ -60,12 +57,10 @@ use datastore::exec::Plan;
 use datastore::{Database, Value};
 use sqlparse::ast::SelectStatement;
 use sqlparse::bind::bind_query;
-use std::sync::OnceLock;
 
-/// Planner options: how many threads and from how many rows, how far off an
-/// estimate must be to be flagged, and the switches whose "off" side is the
-/// naive reference engine the tests and the benchmark's verifier compare
-/// every answer against.
+/// Planner options: how far off an estimate must be to be flagged, and the
+/// switches whose "off" side is the naive reference engine the tests and the
+/// benchmark's verifier compare every answer against.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerOptions {
     /// Decorrelate subqueries into semi-/anti-joins, evaluate-once scalars
@@ -73,21 +68,10 @@ pub struct PlannerOptions {
     /// naive per-row `Apply` — the reference the decorrelated plans are
     /// tested against.
     pub decorrelate_subqueries: bool,
-    /// Worker threads the executor may use (defaults to the machine's
-    /// [`std::thread::available_parallelism`]). 1 disables the
-    /// parallelization pass entirely; with more, pipelines whose driver scan
-    /// clears `parallel_row_threshold` run morsel-parallel through an
-    /// exchange.
-    ///
-    /// The default is read from the OS once per process — asking costs
-    /// 12–17 µs, more than a cached point read — so a cgroup CPU quota that
-    /// changes after start-up is not seen; set the field to follow one.
+    /// Read by nothing: every statement runs on the thread that calls it.
+    /// Kept only because the `e2e` benchmark sets it; ROADMAP item 16(g), a
+    /// change to the benchmark alone, deletes it.
     pub parallelism: usize,
-    /// Minimum estimated driver rows before work is parallelized (default
-    /// [`PARALLEL_ROW_THRESHOLD`]); below it, thread startup costs more than
-    /// it saves and the plan stays on one thread — with the choice recorded
-    /// as a [`PlanDecision::Parallel`] either way.
-    pub parallel_row_threshold: f64,
     /// Consider index access paths — point/range index scans for sargable
     /// pushed predicates, index-nested-loop joins for tiny outer sides —
     /// recording a [`PlanDecision::AccessPath`] either way (on by default).
@@ -122,15 +106,9 @@ pub struct PlannerOptions {
 
 impl Default for PlannerOptions {
     fn default() -> PlannerOptions {
-        static CORES: OnceLock<usize> = OnceLock::new();
         PlannerOptions {
             decorrelate_subqueries: true,
-            parallelism: *CORES.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            }),
-            parallel_row_threshold: PARALLEL_ROW_THRESHOLD,
+            parallelism: 1,
             use_indexes: true,
             misestimate_factor: datastore::exec::MISESTIMATE_FACTOR,
             use_vectorized: true,
@@ -148,8 +126,8 @@ impl PlannerOptions {
     pub(crate) fn cache_bits(&self) -> OptionBits {
         let PlannerOptions {
             decorrelate_subqueries,
-            parallelism,
-            parallel_row_threshold,
+            // Read by nothing (see the field).
+            parallelism: _,
             use_indexes,
             misestimate_factor,
             use_vectorized,
@@ -163,19 +141,8 @@ impl PlannerOptions {
                 | u64::from(use_indexes) << 1
                 | u64::from(use_vectorized) << 2
                 | u64::from(use_feedback) << 3,
-            parallelism as u64,
-            parallel_row_threshold.to_bits(),
             misestimate_factor.to_bits(),
         ]
-    }
-
-    /// Options with parallelism disabled — the single-threaded baseline used
-    /// by order-sensitive golden tests.
-    pub fn sequential() -> PlannerOptions {
-        PlannerOptions {
-            parallelism: 1,
-            ..PlannerOptions::default()
-        }
     }
 }
 
@@ -306,14 +273,9 @@ fn plan_query_impl(
         true,
     )?;
     decisions.extend(subctx.take_decisions());
-    // The vectorize pass always runs: with the vector kernels switched off
-    // it still records which builds a parallel run would partition.
-    vectorize::vectorize_plan(db, &mut plan, &options, &estimator, &mut decisions);
-    // Parallelization runs last, over the final physical plan: wrap
-    // qualifying pipelines in exchanges (pushing aggregation, sorting, and
-    // top-k below them when profitable), recording each choice (including
-    // the choice not to).
-    parallel::parallelize_plan(&mut plan, &options, &mut decisions);
+    if options.use_vectorized {
+        vectorize::vectorize_plan(db, &mut plan, &estimator, &mut decisions);
+    }
     // Last, over the plan as it will run: each join emits only the columns
     // read above it. A what-if plan is only costed.
     if !what_if {
@@ -335,7 +297,7 @@ fn plan_query_impl(
     }
     decisions.splice(0..0, overrides);
     // Count every recorded choice by kind, so SHOW METRICS can report how
-    // often the optimizer reordered, decorrelated, parallelized, ….
+    // often the optimizer reordered, decorrelated, vectorized, ….
     if record {
         for decision in &decisions {
             db.obs().record_decision(decision.kind());
@@ -464,9 +426,7 @@ mod tests {
              where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
         )
         .unwrap();
-        // Sequential options: the parallel pass appends its own decisions,
-        // and this test pins the join-order decision sequence exactly.
-        let planned = plan_query_with(&db, &q, PlannerOptions::sequential()).unwrap();
+        let planned = plan_query(&db, &q).unwrap();
         // The filter on a.name makes ACTOR the smallest estimated relation;
         // the optimizer starts there instead of the written MOVIES-first
         // order.
@@ -532,14 +492,6 @@ mod tests {
                 ..base
             },
             PlannerOptions {
-                parallelism: base.parallelism + 1,
-                ..base
-            },
-            PlannerOptions {
-                parallel_row_threshold: base.parallel_row_threshold + 1.0,
-                ..base
-            },
-            PlannerOptions {
                 use_indexes: !base.use_indexes,
                 ..base
             },
@@ -564,11 +516,20 @@ mod tests {
             assert!(!seen.contains(&bits), "aliased cache bits for {options:?}");
             seen.push(bits);
         }
-        let uncached = PlannerOptions {
-            use_plan_cache: false,
-            ..base
-        };
-        assert_eq!(uncached.cache_bits(), base.cache_bits());
+        // Neither says which plan a consulted cache holds: the facade's
+        // defaults and a caller that sets `parallelism` share a template.
+        for other in [
+            PlannerOptions {
+                use_plan_cache: false,
+                ..base
+            },
+            PlannerOptions {
+                parallelism: 4,
+                ..base
+            },
+        ] {
+            assert_eq!(other.cache_bits(), base.cache_bits());
+        }
     }
 
     #[test]
@@ -608,7 +569,7 @@ mod tests {
         ];
         for sql in queries {
             let q = parse_query(sql).unwrap();
-            let planned = plan_query_with(&db, &q, PlannerOptions::sequential()).unwrap();
+            let planned = plan_query_with(&db, &q, PlannerOptions::default()).unwrap();
             let comparison = planned
                 .decisions
                 .iter()

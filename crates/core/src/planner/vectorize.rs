@@ -1,8 +1,9 @@
 //! The vectorize pass: decide — on the record — which operators of the
 //! lowered physical plan run on the typed column kernels.
 //!
-//! Runs after physical lowering and before parallelization, rewriting the
-//! plan in place, bottom-up, over [`Plan::children_mut`] (the traversal
+//! Runs after physical lowering, when [`PlannerOptions::use_vectorized`] is
+//! on (with it off no operator is marked and nothing is recorded), rewriting
+//! the plan in place, bottom-up, over [`Plan::children_mut`] (the traversal
 //! contract is documented on [`Plan`]); only the operators it decides about
 //! are named here:
 //!
@@ -18,35 +19,29 @@
 //!   through the typed kernels; a computed argument keeps the whole
 //!   aggregation row-at-a-time.
 //! * Hash joins carry the mark (`[vectorized]`, one vector counted per probe
-//!   batch) whenever the option is on: the probe has one form — a reused key
-//!   per row — so there is nothing to reject and no decision is logged.
+//!   batch): the probe has one form — a reused key per row — so there is
+//!   nothing to reject and no decision is logged.
 //!
-//! Whatever [`PlannerOptions::use_vectorized`] says, the pass also records,
-//! when parallelism is on, whether each hash-join build side clears
-//! [`PARALLEL_BUILD_MIN`] — the executor's floor for hash-partitioning a
-//! build across workers — as a [`PlanDecision::PartitionedBuild`].
+//! [`PlannerOptions::use_vectorized`]: super::PlannerOptions::use_vectorized
 
 use super::cost::Estimator;
-use super::{PlanDecision, PlannerOptions, SqlText};
+use super::{PlanDecision, SqlText};
 use datastore::exec::profile::render_expr;
-use datastore::exec::{ColumnInfo, Plan, PlanNode, VectorPredicate, PARALLEL_BUILD_MIN};
+use datastore::exec::{ColumnInfo, Plan, PlanNode, VectorPredicate};
 use datastore::expr::{Expr, Param};
 use datastore::{DataType, Database, Value};
 
-/// Apply the vectorize pass (always runs; the vector flags are only set when
-/// `options.use_vectorized`, but partitioned builds are recorded either
-/// way): children first, then the node's own verdict. A plan-cache
-/// template's statement parameters are typed by `estimator`, and a quoted
-/// expression keeps their slots.
+/// Apply the vectorize pass: children first, then the node's own verdict. A
+/// plan-cache template's statement parameters are typed by `estimator`, and
+/// a quoted expression keeps their slots.
 pub(super) fn vectorize_plan(
     db: &Database,
     plan: &mut Plan,
-    options: &PlannerOptions,
     estimator: &Estimator,
     decisions: &mut Vec<PlanDecision>,
 ) {
     for (_, child) in plan.children_mut() {
-        vectorize_plan(db, child, options, estimator, decisions);
+        vectorize_plan(db, child, estimator, decisions);
     }
     let template = estimator.is_template();
     match &mut plan.node {
@@ -55,16 +50,8 @@ pub(super) fn vectorize_plan(
             predicate,
             vectorized,
             ..
-        } => *vectorized = decide_filter(db, input, predicate, options, estimator, decisions),
-        PlanNode::HashJoin {
-            right, vectorized, ..
-        } => {
-            record_build(right, options, decisions);
-            *vectorized = options.use_vectorized;
-        }
-        PlanNode::HashSemiJoin { right, .. } | PlanNode::HashAntiJoin { right, .. } => {
-            record_build(right, options, decisions)
-        }
+        } => *vectorized = decide_filter(db, input, predicate, estimator, decisions),
+        PlanNode::HashJoin { vectorized, .. } => *vectorized = true,
         PlanNode::Aggregate {
             aggregates,
             vectorized,
@@ -73,28 +60,26 @@ pub(super) fn vectorize_plan(
             let eligible = aggregates
                 .iter()
                 .all(|a| matches!(&a.arg, None | Some(Expr::Column(_))));
-            *vectorized = eligible && options.use_vectorized;
-            if options.use_vectorized {
-                let reason = if eligible {
-                    "every aggregate reads a plain column"
-                } else {
-                    "an aggregate argument is a computed expression"
-                };
-                decisions.push(PlanDecision::Vectorize {
-                    operator: "aggregate".to_string(),
-                    expression: SqlText::new(
-                        aggregates
-                            .iter()
-                            .map(|a| a.output_name.clone())
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                        usize::MAX,
-                        template,
-                    ),
-                    vectorized: *vectorized,
-                    reason: SqlText::new(reason.to_string(), usize::MAX, false),
-                });
-            }
+            *vectorized = eligible;
+            let reason = if eligible {
+                "every aggregate reads a plain column"
+            } else {
+                "an aggregate argument is a computed expression"
+            };
+            decisions.push(PlanDecision::Vectorize {
+                operator: "aggregate".to_string(),
+                expression: SqlText::new(
+                    aggregates
+                        .iter()
+                        .map(|a| a.output_name.clone())
+                        .collect::<Vec<_>>()
+                        .join(", "),
+                    usize::MAX,
+                    template,
+                ),
+                vectorized: eligible,
+                reason: SqlText::new(reason.to_string(), usize::MAX, false),
+            });
         }
         _ => {}
     }
@@ -108,13 +93,12 @@ fn decide_filter(
     db: &Database,
     input: &Plan,
     predicate: &Expr,
-    options: &PlannerOptions,
     estimator: &Estimator,
     decisions: &mut Vec<PlanDecision>,
 ) -> bool {
     let shape_ok = VectorPredicate::compile(predicate).is_some();
     let Some((columns, types)) = scan_columns(db, &input.node) else {
-        return shape_ok && options.use_vectorized;
+        return shape_ok;
     };
     let (eligible, reason) = if !shape_ok {
         (
@@ -127,62 +111,14 @@ fn decide_filter(
             Err(why) => (false, why),
         }
     };
-    let vectorized = eligible && options.use_vectorized;
-    if options.use_vectorized {
-        let template = estimator.is_template();
-        decisions.push(PlanDecision::Vectorize {
-            operator: "filter".to_string(),
-            expression: SqlText::new(render_expr(predicate, &columns), usize::MAX, template),
-            vectorized,
-            reason: SqlText::new(reason, usize::MAX, template),
-        });
-    }
-    vectorized
-}
-
-/// Record whether a join's build side clears [`PARALLEL_BUILD_MIN`]. Only
-/// meaningful when the plan may go parallel, and only possible when the
-/// build side has an estimate.
-fn record_build(build: &Plan, options: &PlannerOptions, decisions: &mut Vec<PlanDecision>) {
-    if options.parallelism <= 1 {
-        return;
-    }
-    let Some(est) = build.estimated_rows else {
-        return;
-    };
-    decisions.push(PlanDecision::PartitionedBuild {
-        target: base_desc(build),
-        estimated_rows: est,
-        build_min: PARALLEL_BUILD_MIN,
-        partitioned: est >= PARALLEL_BUILD_MIN as f64,
+    let template = estimator.is_template();
+    decisions.push(PlanDecision::Vectorize {
+        operator: "filter".to_string(),
+        expression: SqlText::new(render_expr(predicate, &columns), usize::MAX, template),
+        vectorized: eligible,
+        reason: SqlText::new(reason, usize::MAX, template),
     });
-}
-
-/// Base-table description of a build side ("CAST as c"), looking through
-/// filters, projections, and a semi- or anti-join to its probe input (the
-/// rows it emits).
-fn base_desc(mut plan: &Plan) -> String {
-    while let (
-        PlanNode::Filter { .. }
-        | PlanNode::Project { .. }
-        | PlanNode::Distinct { .. }
-        | PlanNode::HashSemiJoin { .. }
-        | PlanNode::HashAntiJoin { .. },
-        Some((_, input)),
-    ) = (&plan.node, plan.children().next())
-    {
-        plan = input;
-    }
-    match &plan.node {
-        PlanNode::Scan { table, alias } | PlanNode::IndexScan { table, alias, .. } => {
-            if alias == table {
-                table.clone()
-            } else {
-                format!("{table} as {alias}")
-            }
-        }
-        _ => "the build side".to_string(),
-    }
+    eligible
 }
 
 /// Output columns and types of a base-table access path, when the node is

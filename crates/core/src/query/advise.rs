@@ -444,7 +444,7 @@ fn best_candidate_for(
 /// and the same advice argued in the system's own voice.
 pub fn execute_advise(db: &Database, limit: Option<u64>) -> ShowReport {
     let limit = limit.map(|n| n as usize).unwrap_or(DEFAULT_LIMIT).max(1);
-    let options = PlannerOptions::sequential();
+    let options = PlannerOptions::default();
     let recs = recommendations(db, options);
     let shown = &recs[..recs.len().min(limit)];
     let stats = db.obs().workload().snapshot();

@@ -69,8 +69,8 @@ pub fn explain_plan(
     explain_plan_with(db, lexicon, sql, PlannerOptions::default())
 }
 
-/// [`explain_plan`] with explicit planner options — how callers pin a
-/// parallelism degree (or disable parallelism) for reproducible plans. With
+/// [`explain_plan`] with explicit planner options — how callers switch the
+/// indexes, vector kernels, decorrelation or the plan cache off. With
 /// the plan cache on, the SELECT is prepared through it like any other: a
 /// template serves the plan and its decisions without parsing or planning.
 /// [`crate::Talkback::explain_plan`] says what each form executes and
@@ -274,55 +274,6 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                      order{direction}, so I skipped the sort"
                 )));
             }
-            PlanDecision::Parallel {
-                kind,
-                target,
-                workers,
-                estimated_rows,
-                threshold,
-                parallelized,
-            } => {
-                // A pipeline is split into scan morsels; say what each
-                // worker did with them.
-                use crate::planner::ParallelKind as PK;
-                let text = if *parallelized {
-                    let mut text = format!(
-                        "I split {} (an estimated {}) into morsels across {}, since \
-                         it cleared my {}-row bar for going parallel",
-                        target,
-                        rows_phrase(*estimated_rows),
-                        counted(*workers, "worker"),
-                        threshold.round() as usize
-                    );
-                    match kind {
-                        PK::PartialAggregate => text.push_str(
-                            " — each worker aggregates its own morsels and I merge the \
-                             partial results",
-                        ),
-                        PK::MergeSort => text.push_str(
-                            " — each worker sorts its own runs and I merge them back \
-                             together",
-                        ),
-                        PK::TopK => text.push_str(
-                            " — each worker keeps only its own best rows and I merge \
-                             those short runs",
-                        ),
-                        PK::Pipeline => {}
-                    }
-                    text
-                } else {
-                    format!(
-                        "I expected only {} from {}, under my {}-row bar for going \
-                         parallel, so I kept it on one thread",
-                        rows_phrase(*estimated_rows),
-                        target
-                            .strip_prefix("the scan of ")
-                            .unwrap_or(target.as_str()),
-                        threshold.round() as usize
-                    )
-                };
-                sentences.push(finish_sentence(&text));
-            }
             PlanDecision::Vectorize {
                 operator,
                 expression,
@@ -343,32 +294,6 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                         operator,
                         quote_sql(expression.as_str()),
                         reason
-                    )
-                };
-                sentences.push(finish_sentence(&text));
-            }
-            PlanDecision::PartitionedBuild {
-                target,
-                estimated_rows,
-                build_min,
-                partitioned,
-            } => {
-                let text = if *partitioned {
-                    format!(
-                        "With {} expected on the build side ({}), parallel runs partition \
-                         the hash build across the workers — over my {}-row bar",
-                        rows_phrase(*estimated_rows),
-                        target,
-                        build_min
-                    )
-                } else {
-                    format!(
-                        "The build side ({}, an estimated {}) stays under my {}-row bar \
-                         for a partitioned build, so each parallel run builds its hash \
-                         table in one piece",
-                        target,
-                        rows_phrase(*estimated_rows),
-                        build_min
                     )
                 };
                 sentences.push(finish_sentence(&text));
@@ -534,12 +459,10 @@ fn narrate_join_order(decisions: &[PlanDecision]) -> Vec<String> {
             PlanDecision::Join { .. } => joins.push(d),
             PlanDecision::OrderComparison { .. } => comparison = Some(d),
             PlanDecision::Subquery { .. }
-            | PlanDecision::Parallel { .. }
             | PlanDecision::AccessPath { .. }
             | PlanDecision::SortElided { .. }
             | PlanDecision::Vectorize { .. }
             | PlanDecision::Feedback { .. }
-            | PlanDecision::PartitionedBuild { .. }
             | PlanDecision::CorrelatedSelection { .. } => {}
         }
     }
@@ -658,55 +581,8 @@ pub fn narrate_profile_with(
         if let Some(sentence) = worst_misestimate_sentence(profile, misestimate_factor) {
             sentences.push(sentence);
         }
-        sentences.extend(parallel_speedup_sentences(profile));
     }
     join_sentences(&sentences)
-}
-
-/// For every parallel fan-out in an analyzed profile: how much operator work
-/// it did versus the wall-clock time it took — the measured speedup the
-/// morsel scheduling bought. Uses each operator's *own* time accounting
-/// (`blocked` excluded), so the sentence blames the operator that actually
-/// burned the cycles rather than a parent that merely waited.
-fn parallel_speedup_sentences(profile: &PlanProfile) -> Vec<String> {
-    let mut sentences = Vec::new();
-    profile.walk(&mut |p| {
-        let Some(workers) = p.workers().filter(|&w| w > 1) else {
-            return;
-        };
-        // parallel_speedup is None for everything but an executed exchange.
-        let Some(speedup) = p.parallel_speedup() else {
-            return;
-        };
-        let work: std::time::Duration = p.children().map(|c| c.metrics().elapsed).sum();
-        let wall = p.metrics().blocked;
-        // Name the hungriest operator inside the parallel section by its own
-        // (non-blocked) time, so the blame lands on real work.
-        let mut hungriest: Option<(&str, std::time::Duration)> = None;
-        for child in p.children() {
-            child.walk(&mut |inner| {
-                let own = inner.metrics().self_elapsed();
-                if hungriest.is_none_or(|(_, t)| own > t) {
-                    hungriest = Some((inner.operator(), own));
-                }
-            });
-        }
-        let mut text = format!(
-            "The parallel section did {} of operator work in {} \
-             of wall time across {} (a {speedup:.1}× speedup)",
-            datastore::format_duration(work),
-            datastore::format_duration(wall),
-            counted(workers, "worker"),
-        );
-        if let Some((op, own)) = hungriest.filter(|(_, t)| !t.is_zero()) {
-            text.push_str(&format!(
-                ", most of it in the {op} ({} of its own time)",
-                datastore::format_duration(own)
-            ));
-        }
-        sentences.push(finish_sentence(&text));
-    });
-    sentences
 }
 
 /// The sentence owning up to the worst cardinality misestimate (off by more
@@ -1042,63 +918,6 @@ fn narrate_node(node: ProfileNode, lexicon: &Lexicon, analyzed: bool, clauses: &
                 "will remove duplicates".to_string()
             }
         }
-        "exchange" => {
-            let workers = node.workers().unwrap_or(1);
-            let partial_agg = node.has_tag("partial-agg");
-            let merge_sort = node.has_tag("merge-sort");
-            let top_k = node
-                .tags()
-                .iter()
-                .find_map(|t| t.strip_prefix("top-k k="))
-                .map(str::to_string);
-            if analyzed {
-                let base = format!(
-                    "ran that pipeline across {} ({})",
-                    counted(workers, "worker"),
-                    detail(),
-                );
-                let out = |noun| counted(m.rows_out as usize, noun);
-                if partial_agg {
-                    let mut text = format!(
-                        "{base}, merging the per-morsel partial aggregates into {}",
-                        out("group")
-                    );
-                    if m.vector_batches > 0 {
-                        text.push_str(&format!(
-                            " after accumulating {} through the typed kernels",
-                            counted(m.vector_batches as usize, "vector")
-                        ));
-                    }
-                    text
-                } else if merge_sort {
-                    format!(
-                        "{base}, merging their sorted runs into {}",
-                        out("ordered row")
-                    )
-                } else if let Some(k) = top_k {
-                    format!(
-                        "{base}, each worker keeping only its best {k} rows, merged into {}",
-                        out("row")
-                    )
-                } else {
-                    format!("{base}, gathering {} back in order", out("row"))
-                }
-            } else {
-                let base = format!(
-                    "will run that pipeline across {}, splitting its scan into morsels",
-                    counted(workers, "worker")
-                );
-                if partial_agg {
-                    format!("{base} and merging each worker's partial aggregates")
-                } else if merge_sort {
-                    format!("{base} and merging each worker's sorted run")
-                } else if let Some(k) = top_k {
-                    format!("{base}, each worker keeping only its best {k} rows")
-                } else {
-                    base
-                }
-            }
-        }
         "project" => {
             // Projection is bookkeeping, not a step users care about; only
             // mention it when it is the sole operator.
@@ -1408,7 +1227,7 @@ mod tests {
             sql,
             crate::planner::PlannerOptions {
                 misestimate_factor: 1.01,
-                ..crate::planner::PlannerOptions::sequential()
+                ..crate::planner::PlannerOptions::default()
             },
         )
         .unwrap();
@@ -1428,7 +1247,7 @@ mod tests {
             sql,
             crate::planner::PlannerOptions {
                 misestimate_factor: 1000.0,
-                ..crate::planner::PlannerOptions::sequential()
+                ..crate::planner::PlannerOptions::default()
             },
         )
         .unwrap();
@@ -1467,10 +1286,7 @@ mod tests {
             db.insert("FILMS", vec![Value::int(i), Value::text(genre)])
                 .unwrap();
         }
-        let options = crate::planner::PlannerOptions {
-            parallelism: 1,
-            ..crate::planner::PlannerOptions::default()
-        };
+        let options = crate::planner::PlannerOptions::default();
         let sql = "explain analyze select f.id from FILMS f where f.genre = 'noir'";
 
         // First run: the uniform-NDV estimate (100 rows / 2 genres = 50) is

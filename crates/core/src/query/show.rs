@@ -211,14 +211,6 @@ fn show_metrics(obs: &ObsRegistry) -> ShowReport {
                 if rederived == 1 { "" } else { "s" },
             )));
         }
-        let workers = obs.counter(Counter::WorkersSpawned);
-        if workers > 0 {
-            sentences.push(finish_sentence(&format!(
-                "I spread work across {} claiming {}",
-                counted(workers as usize, "worker thread"),
-                counted(obs.counter(Counter::MorselsClaimed) as usize, "morsel"),
-            )));
-        }
         let decisions = obs.decisions();
         let decision_total: u64 = decisions.values().sum();
         if decision_total > 0 {

@@ -188,7 +188,7 @@ impl Uncacheable {
 }
 
 /// Words in [`OptionBits`].
-pub const OPTION_WORDS: usize = 4;
+pub const OPTION_WORDS: usize = 2;
 
 /// The planner knobs an entry was planned under, bit for bit and opaque to
 /// the cache: the same text planned under different options must not share

@@ -18,8 +18,8 @@ use std::sync::{Arc, RwLock};
 /// populated per-table statistics cache the optimizer plans with.
 ///
 /// Tables are held behind `Arc` so the executor can take *owned* handles to
-/// them ([`Database::table_arc`]) and ship operator subtrees to worker
-/// threads without tying the operator tree to the database's lifetime. The
+/// them ([`Database::table_arc`]) without tying the operator tree to the
+/// database's lifetime: a plan-cache template keeps its tree open. The
 /// map of them is shared too: a statement's snapshot is one reference count.
 /// Mutation goes through [`Arc::make_mut`], which copies the map, and then
 /// the table, only when a concurrently running query still holds the old
@@ -35,8 +35,8 @@ pub struct Database {
     stats: RwLock<BTreeMap<String, Arc<TableStats>>>,
     /// Engine-wide observability: counters, latency histograms, the query
     /// journal, and the misestimate ledger. Behind an `Arc` so executor
-    /// snapshots ([`crate::exec::ExecContext`]) and worker threads report
-    /// into the same registry the database answers `SHOW METRICS` from.
+    /// snapshots ([`crate::exec::ExecContext`]) report into the same
+    /// registry the database answers `SHOW METRICS` from.
     obs: Arc<ObsRegistry>,
     /// Adaptive planning state: the cardinality-feedback store, the plan
     /// cache, and the epoch counter that invalidates both. Behind an `Arc`
@@ -239,7 +239,7 @@ impl Database {
     }
 
     /// Owned handle to a table, shared with the database. Executors hold
-    /// these so operator subtrees can move to worker threads; a concurrent
+    /// these so an operator tree can outlive the borrow it was opened under; a concurrent
     /// write copies the table ([`Arc::make_mut`]) rather than mutating the
     /// rows a running query is reading.
     pub fn table_arc(&self, name: &str) -> Option<Arc<Table>> {

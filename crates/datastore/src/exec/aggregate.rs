@@ -1,6 +1,5 @@
-//! Aggregate functions, their accumulators, and the shared grouping engine
-//! used by both the sequential aggregate operator and the parallel
-//! partial-aggregation workers.
+//! Aggregate functions, their accumulators, and the grouping engine the
+//! aggregate operators run on.
 
 use crate::error::StoreError;
 use crate::exec::keys::{Key, KeyBatch, KeyTable, RowKey};
@@ -213,47 +212,6 @@ impl Accumulator {
         }
     }
 
-    /// Absorb another accumulator's state, as when merging per-worker
-    /// partial aggregates. Folding rows into two accumulators and merging
-    /// them equals folding all rows into one: counts and sums add, and
-    /// MIN/MAX replace only on a strict improvement so the earlier
-    /// (sequential-order) value wins ties — keeping merged results
-    /// byte-identical to the single-threaded run. A `COUNT(DISTINCT)` is
-    /// recounted from the merged pairs instead.
-    pub(crate) fn merge(&mut self, other: &Accumulator) {
-        debug_assert_eq!(self.func, other.func, "merging mismatched accumulators");
-        match self.func {
-            AggFunc::Count => self.count += other.count,
-            AggFunc::CountDistinct => {}
-            AggFunc::Sum | AggFunc::Avg => {
-                self.sum += other.sum;
-                self.count += other.count;
-            }
-            AggFunc::Min => {
-                if let Some(v) = &other.min {
-                    let better = match &self.min {
-                        None => true,
-                        Some(cur) => v.total_cmp(cur).is_lt(),
-                    };
-                    if better {
-                        self.min = Some(v.clone());
-                    }
-                }
-            }
-            AggFunc::Max => {
-                if let Some(v) = &other.max {
-                    let better = match &self.max {
-                        None => true,
-                        Some(cur) => v.total_cmp(cur).is_gt(),
-                    };
-                    if better {
-                        self.max = Some(v.clone());
-                    }
-                }
-            }
-        }
-    }
-
     /// Final value of the aggregate for its group.
     pub(crate) fn finish(&self) -> Value {
         match self.func {
@@ -327,13 +285,9 @@ fn group_of(
     id as usize
 }
 
-/// Hash-grouping engine shared by the sequential `aggregate` operator and
-/// the per-morsel partial aggregates that run below an exchange. Groups are
-/// a key table's ids, in first-encounter order, so output order is
-/// deterministic, and [`GroupedAggregator::merge_partial`] folds another
-/// aggregator's groups in (in morsel order) without disturbing that order —
-/// the key to parallel GROUP BY staying byte-identical to the single-threaded
-/// run.
+/// Hash-grouping engine of the `aggregate` operator and the fused
+/// scan-aggregate. Groups are a key table's ids, in first-encounter order,
+/// so output order is deterministic.
 ///
 /// When built with `vectorized = true` and every aggregate argument is a
 /// plain column (or `*`), each batch's argument columns are transposed into
@@ -408,11 +362,6 @@ impl GroupedAggregator {
     /// Number of batches accumulated through the typed vector kernels.
     pub fn vector_batches(&self) -> u64 {
         self.vector_batches
-    }
-
-    /// Number of groups so far.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
     }
 
     /// Fold one batch of input rows into the group table.
@@ -586,43 +535,6 @@ impl GroupedAggregator {
         );
     }
 
-    /// Merge another aggregator's groups into this one — a partial over one
-    /// morsel, built with the same grouping and aggregates. New groups are
-    /// appended in the order the partial discovered them; calling this in
-    /// morsel order therefore reproduces the sequential first-encounter
-    /// group order exactly.
-    pub fn merge_partial(&mut self, partial: GroupedAggregator) {
-        let n = self.aggregates.len();
-        let mut mine = Vec::with_capacity(partial.groups.len());
-        for p in 0..partial.groups.len() as u32 {
-            let (hash, key) = (partial.groups.hash_of(p), partial.groups.key(p));
-            let g = group_of(
-                &mut self.groups,
-                &mut self.accs,
-                &self.aggregates,
-                hash,
-                key,
-            );
-            let theirs = &partial.accs[p as usize * n..(p as usize + 1) * n];
-            for (acc, other) in self.accs[g * n..(g + 1) * n].iter_mut().zip(theirs) {
-                acc.merge(other);
-            }
-            mine.push(g);
-        }
-        for (j, theirs) in partial.distinct.iter().enumerate() {
-            for q in 0..theirs.as_ref().map_or(0, KeyTable::len) as u32 {
-                let [Value::Integer(p), value] = theirs.as_ref().expect("counted above").key(q)
-                else {
-                    unreachable!("a distinct pair is a group id and a value");
-                };
-                let g = mine[*p as usize];
-                if first_in_group(self.distinct[j].as_mut(), g, value) {
-                    self.accs[g * n + j].update(value);
-                }
-            }
-        }
-    }
-
     /// Finalize: one output row per group (group values then aggregate
     /// results), filtered by HAVING.
     pub fn finish(self, having: Option<&Expr>) -> Result<Vec<Row>, StoreError> {
@@ -794,38 +706,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn merge_equals_single_accumulation() {
-        let all: Vec<Row> = [2i64, 9, 2, 5, 9, 1]
-            .map(|v| Row::new(vec![Value::int(v % 2), Value::int(v)]))
-            .to_vec();
-        for func in [
-            AggFunc::Count,
-            AggFunc::CountDistinct,
-            AggFunc::Sum,
-            AggFunc::Avg,
-            AggFunc::Min,
-            AggFunc::Max,
-        ] {
-            let aggs = || vec![AggExpr::new(func, Expr::Column(1), "x")];
-            let mut whole = GroupedAggregator::new(vec![0], aggs(), false);
-            whole.push_batch(&all).unwrap();
-            let mut gather = GroupedAggregator::new(vec![0], aggs(), false);
-            for part in all.chunks(3) {
-                let mut partial = GroupedAggregator::new(vec![0], aggs(), true);
-                partial.push_batch(part).unwrap();
-                gather.merge_partial(partial);
-            }
-            let expected = whole.finish(None).unwrap();
-            assert_eq!(gather.finish(None).unwrap(), expected, "merge for {func:?}");
-        }
-        // Merging an empty partial changes nothing.
-        let mut acc = Accumulator::new(AggFunc::Min);
-        acc.update(&Value::int(4));
-        acc.merge(&Accumulator::new(AggFunc::Min));
-        assert_eq!(acc.finish(), Value::Integer(4));
-    }
-
     fn rows_of(values: &[(i64, i64)]) -> Vec<Row> {
         values
             .iter()
@@ -877,28 +757,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_partials_in_order_reproduces_sequential_groups() {
-        let rows = rows_of(&[(5, 1), (3, 2), (5, 3), (9, 4), (3, 5), (7, 6)]);
-        let mut sequential = GroupedAggregator::new(vec![0], sample_aggs(), false);
-        sequential.push_batch(&rows).unwrap();
-        let expected = sequential.finish(None).unwrap();
-
-        let mut first = GroupedAggregator::new(vec![0], sample_aggs(), true);
-        let mut second = GroupedAggregator::new(vec![0], sample_aggs(), true);
-        first.push_batch(&rows[..3]).unwrap();
-        second.push_batch(&rows[3..]).unwrap();
-        let mut gather = GroupedAggregator::new(vec![0], sample_aggs(), false);
-        gather.merge_partial(first);
-        gather.merge_partial(second);
-        assert_eq!(gather.finish(None).unwrap(), expected);
-    }
-
-    #[test]
     fn empty_group_by_partials_keep_scalar_semantics() {
-        // Zero partials merged: the gather's own seeded group still yields
+        // No rows pushed: the aggregator's own seeded group still yields
         // the scalar-aggregate row for empty input.
-        let gather = GroupedAggregator::new(Vec::new(), sample_aggs(), false);
-        let out = gather.finish(None).unwrap();
+        let empty = GroupedAggregator::new(Vec::new(), sample_aggs(), false);
+        let out = empty.finish(None).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0), Some(&Value::Integer(0)));
         assert_eq!(out[0].get(1), Some(&Value::Null));

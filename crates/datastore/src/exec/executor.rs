@@ -135,7 +135,7 @@ impl OpenPlan {
     /// reads no rows.
     pub fn open(db: &Database, plan: &Plan) -> Result<OpenPlan, StoreError> {
         let ctx = Arc::new(ExecContext::new(db));
-        let root = open_toward(&ctx, plan, None, false)?;
+        let root = open_toward(&ctx, plan, None)?;
         let totals = vec![OpMetrics::default(); root.node_count()];
         Ok(OpenPlan { ctx, root, totals })
     }

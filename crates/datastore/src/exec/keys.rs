@@ -346,11 +346,6 @@ impl KeyTable {
         &self.values[start..start + self.width]
     }
 
-    /// Key `id`'s hash ([`Key::hash`] of its values).
-    pub(crate) fn hash_of(&self, id: u32) -> u64 {
-        self.hashes[id as usize]
-    }
-
     /// The id of `key`, whose [`Key::hash`] is `hash`, if the table holds it.
     #[inline]
     pub(crate) fn find(&self, hash: u64, key: &(impl Key + ?Sized)) -> Option<u32> {
@@ -533,7 +528,7 @@ mod tests {
             assert_eq!(table.key(id as u32), row.values());
             let key = RowKey(row, &[0, 1]);
             assert_eq!(table.find(key.hash(), &key), Some(id as u32));
-            assert_eq!(table.hash_of(id as u32), row.values().hash());
+            assert_eq!(table.hashes[id], row.values().hash());
         }
     }
 
@@ -601,7 +596,7 @@ mod tests {
             }
             assert_eq!(batched.len(), rowwise.len());
             for id in 0..batched.len() as u32 {
-                assert_eq!(batched.hash_of(id), rowwise.hash_of(id));
+                assert_eq!(batched.hashes[id as usize], rowwise.hashes[id as usize]);
                 assert_eq!(
                     format!("{:?}", batched.key(id)),
                     format!("{:?}", rowwise.key(id))

@@ -24,22 +24,19 @@
 //! # The metering protocol
 //!
 //! How an operator is measured is stated once, as types. An operator in
-//! [`stream`] (and the exchange in [`parallel`]) implements the crate-private
-//! `Operator` trait — output columns, `pull(&mut self, meter)` that does only
-//! the operator's work, `describe()` (name, detail, tags, workers,
-//! [`profile::IndexAccess`], a synthetic child) and `inputs()` — and one
-//! generic wrapper, `Metered`, boxes it as a [`stream::RowSource`]. The
-//! rules, and who keeps them:
+//! [`stream`] implements the crate-private `Operator` trait — output
+//! columns, `pull(&mut self, meter)` that does only the operator's work,
+//! `describe()` (name, detail, tags, [`profile::IndexAccess`], a synthetic
+//! child) and `inputs()` — and one generic wrapper, `Metered`, boxes it as a
+//! [`stream::RowSource`]. The rules, and who keeps them:
 //!
 //! 1. `elapsed` is the wall time inside `next_batch`, children included —
 //!    the wrapper starts and stops the clock.
 //! 2. Time spent waiting on someone else's work lands in `blocked`
 //!    (`elapsed - blocked` is the operator's own work) — an operator takes
 //!    its inputs through `meter.pull(child)`, which charges the time the
-//!    child measured for itself, a subplan run on the side (an apply's)
-//!    through `meter.wait_for(sub)`, and any other wait (a shared build
-//!    another worker is finishing, an exchange's threads) through
-//!    `meter.wait(..)`.
+//!    child measured for itself, and a subplan run on the side (an apply's,
+//!    a scalar subquery's) through `meter.wait_for(sub)`.
 //! 3. `rows_in` counts what was pulled — the same `meter.pull(child)`; a
 //!    leaf adds the rows it read from storage.
 //! 4. `rows_out` and `batches` move exactly when a batch is returned — the
@@ -55,29 +52,27 @@
 //!    ([`stream::RowSource::absorb_into`]: its own, then its inputs', then
 //!    its synthetic child's, in pre-order). What an operator tallies besides
 //!    rows — an apply's evaluations, cache hits and evictions, a scalar
-//!    subquery's groups, an exchange's morsels and workers, an index scan's
-//!    probes — it adds to its meter while it pulls; `describe()` holds
-//!    nothing counted, so a reader writes `(3 probes, 2 matches)` or
-//!    `4 morsels over …` from the counters. The planner's other annotation, a
-//!    filter's [`ShapeKey`](crate::fingerprint::ShapeKey), travels the same
+//!    subquery's groups, an index scan's probes — it adds to its meter
+//!    while it pulls; `describe()` holds nothing counted, so a reader writes
+//!    `(3 probes, 2 matches)` from the counters. The planner's other
+//!    annotation, a filter's [`ShapeKey`](crate::fingerprint::ShapeKey), travels the same
 //!    road — plan node, operator (`describe()`), shape node — and nothing
 //!    between the planner that made it and the stores that file under it
 //!    reads it.
 //!
-//! Four operators show more than themselves, through
+//! Three operators show more than themselves, through
 //! `Description::synthetic` and the same protocol: the index nested-loop
 //! join's `index probe` leaf (no build-side operator exists, but narrations
 //! want both sides), the fused aggregate's scan/filter chain (the unfused
-//! tree it replaced, each node with its own counters), `Apply`'s subplan
+//! tree it replaced, each node with its own counters), and `Apply`'s subplan
 //! (one open tree rewound for every evaluation, so its counters sum over
-//! them; its estimates scaled by the evaluations when read), and the
-//! exchange's pipeline (its shape, its counters summed over every worker's
-//! morsels). The last two *accumulate*: their nodes'
-//! details read as before any run. None writes its own `shape()` or
-//! `absorb_into()`. A subplan evaluated on the side (`Apply`, the
-//! scalar-subquery filter) is not an input: its rows are not counted into
-//! `rows_in`. `tests/tests/parallel.rs` checks rules 1–5 on every node of
-//! every executed plan corner.
+//! them; its estimates scaled by the evaluations when read). The last
+//! *accumulates*: its nodes' details read as before any run. None writes
+//! its own `shape()` or `absorb_into()`. A subplan evaluated on the side
+//! (`Apply`, the scalar-subquery filter) is not an input: its rows are not
+//! counted into `rows_in`.
+//! `tests/tests/executor_and_explain.rs::every_executed_profile_node_obeys_the_metering_protocol`
+//! checks rules 1–5 on every node of every executed plan corner.
 //!
 //! Subqueries run through four dedicated operators (see [`plan::PlanNode`]):
 //! hash semi- and anti-joins for decorrelated `EXISTS` / `[NOT] IN` (the
@@ -95,24 +90,22 @@
 //! apply inside a subplan rebinds its own while its parent's stay bound
 //! (and forgets its memo, computed under the parent's old values). A
 //! plan-cache hit binds a template's `?k` the same way, rewinding the tree
-//! the template keeps; an exchange, whose workers open copies of its
-//! pipeline, binds a copy of the pipeline's plan.
+//! the template keeps.
 //!
 //! # The row goal
 //!
 //! An `[NOT] EXISTS` apply needs one row of each evaluation
 //! ([`plan::ApplyMode::row_goal`]), and opens the subplan saying so. The goal
-//! is a parameter of the recursive open, forwarded the way a morsel's row
-//! range is — down the driver spine, never to a build side or a subplan —
-//! with one more rule: it passes only through operators that hand a row on
-//! as soon as they have found it ([`plan::Plan::emits_rows_as_found`]:
-//! filter, project, limit, distinct, the probe side of hash, semi-, anti-,
-//! nested-loop and index nested-loop joins, the input of an apply or
-//! scalar-subquery filter) and is dropped at an aggregate, a sort or an
-//! exchange, whose first output row needs their whole input. The scan that
-//! receives it reads that many rows on its first pull and four times as many
-//! on each further one, up to [`BATCH_SIZE`]; the joins it passed buffer by
-//! the same ramp. Nothing outside this module can set it, no scan ramps
+//! is a parameter of the recursive open, forwarded down the driver spine,
+//! never to a build side or a subplan, and it passes only through operators
+//! that hand a row on as soon as they have found it
+//! ([`plan::Plan::emits_rows_as_found`]: filter, project, limit, distinct,
+//! the probe side of hash, semi-, anti-, nested-loop and index nested-loop
+//! joins, the input of an apply or scalar-subquery filter) and is dropped at
+//! an aggregate or a sort, whose first output row needs their whole input.
+//! The scan that receives it reads that many rows on its first pull and four
+//! times as many on each further one, up to [`BATCH_SIZE`]; the joins it
+//! passed buffer by the same ramp. Nothing outside this module can set it, no scan ramps
 //! without it, and the planner prices it with
 //! [`plan::Plan::scale_to_row_goal`]; `EXPLAIN` tags the subplan root
 //! `[first-row]`.
@@ -126,9 +119,7 @@
 //! row, found by selection, never holding more than `2·max(k, BATCH_SIZE)`
 //! rows) and emits `k` — what the planner already estimates for it. The goal
 //! travels that one step and no further; a sort anywhere else sorts
-//! everything. An `ORDER BY … LIMIT k` the planner pushed below an exchange
-//! ([`plan::GatherMode::TopK`]) keeps its runs with the same function, in
-//! each worker and in the gather.
+//! everything.
 //!
 //! # Rows are shared, not copied
 //!
@@ -169,14 +160,10 @@
 //! ([`plan::Columns`]; a scan's from its table), and an apply's subplan
 //! counts every binding's run in its own counters, in place.
 //!
-//! Operator trees are owned (`Arc` table handles, no borrowed lifetimes), so
-//! subtrees are `Send` and the [`parallel`] layer can execute pipelines
-//! morsel-by-morsel across worker threads via [`plan::PlanNode::Exchange`] —
-//! deterministically, because output is gathered in morsel order. The
-//! exchange's [`plan::GatherMode`] also parallelizes blocking operators:
-//! per-worker partial aggregates merged in morsel order, per-worker sorted
-//! runs merged above the exchange, and bounded top-k runs for
-//! `ORDER BY … LIMIT k`.
+//! Every operator runs on the thread that pulls from it: a statement is one
+//! open operator tree, pulled to exhaustion by its caller. Operator trees
+//! are owned (`Arc` table handles, no borrowed lifetimes), so a tree is
+//! `Send` and a plan-cache template can keep one open between statements.
 //!
 //! The [`vector`] module holds the columnar side of the executor: typed
 //! [`vector::ValueVector`] batches with null bitmaps, and the comparison
@@ -187,7 +174,6 @@
 pub mod aggregate;
 pub mod executor;
 pub(crate) mod keys;
-pub mod parallel;
 pub mod plan;
 pub mod profile;
 pub mod stream;
@@ -197,10 +183,9 @@ pub use aggregate::{AggExpr, AggFunc, GroupedAggregator};
 pub use executor::{
     describe_plan, describe_shape, execute, execute_with_stats, OpenPlan, ResultSet,
 };
-pub use parallel::{morsel_size, JoinIndex, MORSEL_MIN, PARALLEL_BUILD_MIN};
 pub use plan::{
-    aggregate_output_columns, ApplyMode, ColumnInfo, Columns, Edge, GatherMode, JoinOutput, Plan,
-    PlanNode, SortKey,
+    aggregate_output_columns, ApplyMode, ColumnInfo, Columns, Edge, JoinOutput, Plan, PlanNode,
+    SortKey,
 };
 pub use profile::{
     Children, IndexAccess, OpKind, OpMetrics, OpShape, PlanProfile, ProfileNode, SubqueryTally,

@@ -20,7 +20,6 @@ use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
 use crate::tuple::Row;
 use crate::value::Value;
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -171,47 +170,6 @@ pub struct SortKey {
     pub ascending: bool,
 }
 
-/// How a [`PlanNode::Exchange`] reassembles per-morsel worker output.
-///
-/// Every mode gathers in morsel order, so the result is byte-identical to
-/// the single-threaded run at any worker count.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GatherMode {
-    /// Concatenate worker outputs in morsel order (plain pipelines).
-    Rows,
-    /// Parallel GROUP BY: each worker hash-aggregates its morsel locally
-    /// and ships the partial group states; the gather merges them in morsel
-    /// order, reproducing the sequential first-encounter group order.
-    MergeAggregate {
-        group_by: Vec<usize>,
-        aggregates: Vec<AggExpr>,
-        /// HAVING predicate over the merged aggregate output row.
-        having: Option<Expr>,
-        /// Accumulate through the typed vector kernels where possible.
-        vectorized: bool,
-    },
-    /// Parallel ORDER BY: each worker sorts its morsel; the gather merges
-    /// the sorted runs into one total order.
-    MergeSort { keys: Vec<SortKey> },
-    /// Top-k pushdown for `ORDER BY … LIMIT k`: each worker sorts its
-    /// morsel and keeps only its first `limit` rows, so no one ever
-    /// materializes the full sort; the gather merges the bounded runs and
-    /// keeps the global first `limit`.
-    TopK { keys: Vec<SortKey>, limit: usize },
-}
-
-impl GatherMode {
-    /// Tags rendered after the exchange's detail in plan trees.
-    pub fn tags(&self) -> Vec<Cow<'static, str>> {
-        match self {
-            GatherMode::Rows => Vec::new(),
-            GatherMode::MergeAggregate { .. } => vec![Cow::Borrowed("partial-agg")],
-            GatherMode::MergeSort { .. } => vec![Cow::Borrowed("merge-sort")],
-            GatherMode::TopK { limit, .. } => vec![Cow::Owned(format!("top-k k={limit}"))],
-        }
-    }
-}
-
 /// A physical plan node: the operator itself plus the planner's annotations.
 ///
 /// The operator lives in [`PlanNode`]; the wrapper carries the estimated
@@ -222,13 +180,13 @@ impl GatherMode {
 ///
 /// Which children an operator has, and what each is to it, is stated once —
 /// in [`Plan::children`] / [`Plan::children_mut`] — and every pass over a
-/// plan (parameter binding, the vectorize and parallelize passes, the
-/// advisor's index check, the exchange's driver lookup) is written against
-/// that statement instead of matching on [`PlanNode`] for itself:
+/// plan (parameter binding, the vectorize pass, the advisor's index check,
+/// the row-goal pricing) is written against that statement instead of
+/// matching on [`PlanNode`] for itself:
 ///
 /// * **Edge roles.** Each child comes with its [`Edge`]: the `Driver` (a
 ///   unary operator's `input`, a join's `left`) is the streaming spine a
-///   morsel's row range is forwarded along; a join's `right` is a `Build`
+///   row goal is forwarded along; a join's `right` is a `Build`
 ///   side, consumed whole before the first probe; the `subplan` of a
 ///   `ScalarSubquery` or `Apply` is a `Subplan`, a separate pipeline run
 ///   once, or once per binding.
@@ -239,9 +197,8 @@ impl GatherMode {
 ///   at the node, and records its `PlanDecision`s in that same child order.
 /// * **Expressions.** [`Plan::exprs_mut`] visits a node's *own* expressions
 ///   and no child's: a filter's predicate, a projection's expressions, a
-///   nested-loop join's predicate, aggregate arguments and `HAVING` (of an
-///   `Aggregate`, and of an exchange gathering with
-///   [`GatherMode::MergeAggregate`]), a scalar subquery's operand, an
+///   nested-loop join's predicate, an `Aggregate`'s arguments and `HAVING`,
+///   a scalar subquery's operand, an
 ///   [`ApplyMode`]'s operand. Join keys, sort keys and group-by columns are
 ///   positions, not expressions; an `IndexScan`'s parameterized
 ///   [`IndexBounds`] bind themselves.
@@ -427,20 +384,6 @@ pub enum PlanNode {
         params: Vec<(u32, usize)>,
         mode: ApplyMode,
     },
-    /// Morsel-driven parallel execution of a pipeline: the subtree's driver
-    /// scan (its leftmost leaf) is split into row-range morsels, `workers`
-    /// threads claim morsels and run their own copy of the pipeline over
-    /// them (build sides are built once and shared), and the outputs are
-    /// gathered back in morsel order — so the row order is identical to a
-    /// single-threaded run and `ORDER BY` stays deterministic. The
-    /// [`GatherMode`] says how worker output is reassembled: plain
-    /// concatenation, partial-aggregate merging, sorted-run merging, or a
-    /// bounded top-k merge.
-    Exchange {
-        input: Box<Plan>,
-        workers: usize,
-        gather: GatherMode,
-    },
 }
 
 /// The columns a join emits: positions of its left input's columns followed
@@ -507,7 +450,7 @@ impl ApplyMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Edge {
     /// The streaming spine: rows flow from this child through the parent one
-    /// batch at a time, and a morsel's row range is forwarded along it.
+    /// batch at a time, and a row goal is forwarded along it.
     Driver,
     /// A join's build side, consumed whole before the first probe.
     Build,
@@ -530,8 +473,7 @@ macro_rules! child_edges {
             | PlanNode::Aggregate { input, .. }
             | PlanNode::Sort { input, .. }
             | PlanNode::Limit { input, .. }
-            | PlanNode::Distinct { input }
-            | PlanNode::Exchange { input, .. } => [Some((Edge::Driver, $($r)+ **input)), None],
+            | PlanNode::Distinct { input } => [Some((Edge::Driver, $($r)+ **input)), None],
             PlanNode::NestedLoopJoin { left, right, .. }
             | PlanNode::HashJoin { left, right, .. }
             | PlanNode::HashSemiJoin { left, right, .. }
@@ -728,28 +670,6 @@ impl Plan {
         .into()
     }
 
-    /// Wrap this plan in a morsel-driven exchange running it across
-    /// `workers` threads (see [`PlanNode::Exchange`]).
-    pub fn exchange(self, workers: usize) -> Plan {
-        self.exchange_gather(workers, GatherMode::Rows)
-    }
-
-    /// Wrap this plan in an exchange with an explicit gather mode
-    /// (partial-aggregate merge, merge-sort, or top-k).
-    pub fn exchange_gather(self, workers: usize, gather: GatherMode) -> Plan {
-        let est = self.estimated_rows;
-        let plan: Plan = PlanNode::Exchange {
-            input: Box::new(self),
-            workers: workers.max(1),
-            gather,
-        }
-        .into();
-        match est {
-            Some(e) => plan.with_estimate(e),
-            None => plan,
-        }
-    }
-
     /// Clone this plan with statement parameter `?k` bound to `values[k]`
     /// in every expression and index probe, subplans included: the reference
     /// binder the plan-cache differentials hold a template to (a hit binds
@@ -885,13 +805,6 @@ impl Plan {
             PlanNode::NestedLoopJoin { predicate, .. } => predicate.iter_mut().for_each(f),
             PlanNode::Aggregate {
                 aggregates, having, ..
-            }
-            | PlanNode::Exchange {
-                gather:
-                    GatherMode::MergeAggregate {
-                        aggregates, having, ..
-                    },
-                ..
             } => aggregates
                 .iter_mut()
                 .filter_map(|a| a.arg.as_mut())
@@ -913,51 +826,20 @@ impl Plan {
             | PlanNode::HashAntiJoin { .. }
             | PlanNode::Sort { .. }
             | PlanNode::Limit { .. }
-            | PlanNode::Distinct { .. }
-            | PlanNode::Exchange { .. } => {}
-        }
-    }
-
-    /// True for the operators that treat every driver row independently —
-    /// scans, filters, projections, join probes, scalar-subquery filters —
-    /// and so may run as one copy per morsel under an exchange. Blocking
-    /// operators (sort, aggregate, limit, distinct) carry cross-morsel state
-    /// and `Apply` keeps one open subplan it rewinds; a key-ordered index scan exists
-    /// to *preserve* an order a sort was elided for, which gathering by
-    /// morsel would destroy.
-    pub fn is_pipeline_op(&self) -> bool {
-        match &self.node {
-            PlanNode::Scan { .. }
-            | PlanNode::Values { .. }
-            | PlanNode::IndexNestedLoopJoin { .. }
-            | PlanNode::Filter { .. }
-            | PlanNode::Project { .. }
-            | PlanNode::NestedLoopJoin { .. }
-            | PlanNode::HashJoin { .. }
-            | PlanNode::HashSemiJoin { .. }
-            | PlanNode::HashAntiJoin { .. }
-            | PlanNode::ScalarSubquery { .. } => true,
-            PlanNode::IndexScan { order, .. } => *order == ProbeOrder::Position,
-            PlanNode::Sort { .. }
-            | PlanNode::Limit { .. }
-            | PlanNode::Distinct { .. }
-            | PlanNode::Aggregate { .. }
-            | PlanNode::Apply { .. }
-            | PlanNode::Exchange { .. } => false,
+            | PlanNode::Distinct { .. } => {}
         }
     }
 
     /// True for the operators that hand a row on as soon as they have found
     /// it — everything except the ones whose first output row needs their
-    /// whole input (aggregate, sort) or that run their input as pipelines of
-    /// their own (exchange). A consumer's *row goal* ("one row will do", an
-    /// `EXISTS` check) travels down the [`Edge::Driver`] spine through these
-    /// and stops at the others: the executor opens the spine toward it, and
-    /// [`Plan::scale_to_row_goal`] prices it.
+    /// whole input (aggregate, sort). A consumer's *row goal* ("one row will
+    /// do", an `EXISTS` check) travels down the [`Edge::Driver`] spine
+    /// through these and stops at the others: the executor opens the spine
+    /// toward it, and [`Plan::scale_to_row_goal`] prices it.
     pub fn emits_rows_as_found(&self) -> bool {
         !matches!(
             self.node,
-            PlanNode::Aggregate { .. } | PlanNode::Sort { .. } | PlanNode::Exchange { .. }
+            PlanNode::Aggregate { .. } | PlanNode::Sort { .. }
         )
     }
 
@@ -984,28 +866,6 @@ impl Plan {
         }
     }
 
-    /// The driver scan of a pipeline — the stored-table leaf at the end of
-    /// the [`Edge::Driver`] spine, the scan an exchange splits into morsels
-    /// — as `(table, alias, estimated rows)`. `None` when anything but a
-    /// pipeline operator sits on the spine (running a limit or an aggregate
-    /// once per morsel would change its meaning, so neither the planner nor
-    /// the executor partitions through one) or the leaf is not a stored
-    /// table.
-    pub fn driver_scan(&self) -> Option<(&str, &str, Option<f64>)> {
-        if !self.is_pipeline_op() {
-            return None;
-        }
-        match self.children().find(|(edge, _)| *edge == Edge::Driver) {
-            Some((_, spine)) => spine.driver_scan(),
-            None => match &self.node {
-                PlanNode::Scan { table, alias } | PlanNode::IndexScan { table, alias, .. } => {
-                    Some((table, alias, self.estimated_rows))
-                }
-                _ => None,
-            },
-        }
-    }
-
     /// Short operator name, used in explain-style narrations of plans.
     pub fn operator_name(&self) -> &'static str {
         match &self.node {
@@ -1025,7 +885,6 @@ impl Plan {
             PlanNode::HashAntiJoin { .. } => "anti join",
             PlanNode::ScalarSubquery { .. } => "scalar subquery",
             PlanNode::Apply { .. } => "apply",
-            PlanNode::Exchange { .. } => "exchange",
         }
     }
 }

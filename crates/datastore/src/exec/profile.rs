@@ -40,11 +40,10 @@ pub struct OpMetrics {
     /// Wall-clock time spent inside this operator's `next_batch`, inclusive
     /// of children (like `EXPLAIN ANALYZE`'s actual time).
     pub elapsed: Duration,
-    /// The part of `elapsed` spent waiting inside child `next_batch` calls.
-    /// `elapsed - blocked` is the operator's *own* work — for a parallel
-    /// child the whole fan-out/gather wall time lands in the parent's
-    /// `blocked`, so time attribution blames the operator that actually
-    /// burned the cycles.
+    /// The part of `elapsed` spent waiting inside child `next_batch` calls
+    /// (and on a subplan run on the side). `elapsed - blocked` is the
+    /// operator's *own* work, so time attribution blames the operator that
+    /// actually burned the cycles.
     pub blocked: Duration,
     /// Input batches this operator evaluated through the typed vector
     /// kernels (zero for row-at-a-time operators); the remainder of its
@@ -62,25 +61,13 @@ pub struct OpMetrics {
     pub evictions: u64,
     /// The groups a keyed scalar subquery looks rows up among.
     pub groups: u64,
-    /// Morsels an exchange ran.
-    pub morsels: u64,
-    /// Worker threads an exchange spawned (zero before it ran).
-    pub workers: u64,
 }
 
 impl OpMetrics {
     /// Time this operator spent on its own work, excluding time blocked
-    /// waiting on children (parallel or otherwise).
+    /// waiting on children.
     pub fn self_elapsed(&self) -> Duration {
         self.elapsed.saturating_sub(self.blocked)
-    }
-
-    /// Add `other`'s counters, node by node, into `into` (two subtrees of
-    /// one shape, in pre-order).
-    pub(crate) fn add_all(into: &mut [OpMetrics], other: &[OpMetrics]) {
-        for (mine, theirs) in into.iter_mut().zip(other) {
-            *mine += *theirs;
-        }
     }
 }
 
@@ -98,8 +85,6 @@ impl AddAssign for OpMetrics {
         self.cache_hits += other.cache_hits;
         self.evictions += other.evictions;
         self.groups += other.groups;
-        self.morsels += other.morsels;
-        self.workers += other.workers;
     }
 }
 
@@ -118,8 +103,6 @@ impl SubAssign for OpMetrics {
         self.cache_hits -= earlier.cache_hits;
         self.evictions -= earlier.evictions;
         self.groups -= earlier.groups;
-        self.morsels -= earlier.morsels;
-        self.workers -= earlier.workers;
     }
 }
 
@@ -147,7 +130,6 @@ pub enum OpKind {
     AntiJoin,
     ScalarSubquery,
     Apply,
-    Exchange,
 }
 
 impl OpKind {
@@ -171,16 +153,15 @@ impl OpKind {
             OpKind::AntiJoin => "anti join",
             OpKind::ScalarSubquery => "scalar subquery",
             OpKind::Apply => "apply",
-            OpKind::Exchange => "exchange",
         }
     }
 
-    /// True when the node's detail says what it counted (probes, morsels,
+    /// True when the node's detail says what it counted (probes,
     /// evaluations, groups), so it is written from the counters on read.
     fn tallies(self) -> bool {
         matches!(
             self,
-            OpKind::IndexProbe | OpKind::ScalarSubquery | OpKind::Apply | OpKind::Exchange
+            OpKind::IndexProbe | OpKind::ScalarSubquery | OpKind::Apply
         )
     }
 }
@@ -222,8 +203,6 @@ pub struct OpShape {
     /// The detail without what it counted (see [`OpKind::tallies`]).
     pub(crate) detail: SqlText,
     pub(crate) tags: Vec<Cow<'static, str>>,
-    /// The degree a parallel operator was planned with.
-    pub(crate) workers: Option<usize>,
     pub(crate) access: Option<IndexAccess>,
     pub(crate) columns: Columns,
     pub(crate) estimated_rows: Option<f64>,
@@ -231,8 +210,8 @@ pub struct OpShape {
     /// A subquery operator's correlation columns (none when uncorrelated).
     pub(crate) keys: Option<Vec<String>>,
     /// The last child is a subplan whose counters accumulate every run of
-    /// it (an apply's subplan, a running exchange's worker pipelines): its
-    /// nodes' details show no tallies, as before any run.
+    /// it (an apply's subplan): its nodes' details show no tallies, as
+    /// before any run.
     pub(crate) accumulates: bool,
     /// Nodes in this subtree, this one included.
     pub(crate) size: usize,
@@ -402,18 +381,12 @@ impl<'a> ProfileNode<'a> {
 
     /// True unless the operator has no detail to show ("distinct").
     pub fn has_detail(self) -> bool {
-        !self.shape.detail.as_str().is_empty() || self.shape.kind == OpKind::Exchange
+        !self.shape.detail.as_str().is_empty()
     }
 
     /// Write [`ProfileNode::detail`] into `out`.
     pub fn write_detail(self, mut out: impl fmt::Write) -> fmt::Result {
         let ran = self.ran();
-        if self.shape.kind == OpKind::Exchange {
-            match ran.morsels {
-                0 => out.write_str("morsels ")?,
-                n => write!(out, "{n} morsel{} ", plural(n, "s"))?,
-            }
-        }
         self.write_planned_detail(&mut out)?;
         match self.shape.kind {
             OpKind::IndexProbe if ran.rows_in > 0 => {
@@ -447,7 +420,7 @@ impl<'a> ProfileNode<'a> {
     }
 
     /// Write the detail as planned into `out`: its literals filled in,
-    /// nothing it counted (no probes, morsels, evaluations or groups).
+    /// nothing it counted (no probes, evaluations or groups).
     pub fn write_planned_detail(self, out: impl fmt::Write) -> fmt::Result {
         self.shape.detail.fill(self.params, out)
     }
@@ -467,7 +440,7 @@ impl<'a> ProfileNode<'a> {
     }
 
     /// Bracketed annotations rendered after the detail — `[vectorized]`,
-    /// `[partial-agg]`, `[top-k k=10]` and friends.
+    /// `[first-row]`.
     pub fn tags(self) -> &'a [Cow<'static, str>] {
         &self.shape.tags
     }
@@ -475,14 +448,6 @@ impl<'a> ProfileNode<'a> {
     /// True when the node carries `tag`.
     pub fn has_tag(self, tag: &str) -> bool {
         self.shape.tags.iter().any(|t| t == tag)
-    }
-
-    /// Worker threads this operator fans work out across (`None` for plain
-    /// sequential operators): an exchange that ran says how many it spawned.
-    /// Rendered as `[workers=N]` in plan trees.
-    pub fn workers(self) -> Option<usize> {
-        let spawned = self.ran().workers as usize;
-        (self.shape.workers).map(|planned| if spawned > 0 { spawned } else { planned })
     }
 
     /// Index access-path metadata, when this operator probes one.
@@ -572,24 +537,6 @@ impl<'a> ProfileNode<'a> {
         }
     }
 
-    /// Parallel speedup of an executed exchange: total operator time of its
-    /// subtree (each worker's wall time, summed) divided by the wall-clock
-    /// time the fan-out took — the conventional "work over span" ratio. On
-    /// an oversubscribed machine a preempted worker still accumulates wall
-    /// time, so the ratio reflects scheduling pressure, not pure CPU
-    /// speedup. `None` for anything but a multi-worker exchange and for
-    /// un-executed profiles.
-    pub fn parallel_speedup(self) -> Option<f64> {
-        if self.workers()? <= 1 || self.shape.kind != OpKind::Exchange {
-            return None;
-        }
-        let wall = self.metrics().blocked.as_secs_f64();
-        let work: f64 = (self.children())
-            .map(|c| c.metrics().elapsed.as_secs_f64())
-            .sum();
-        (wall > 0.0 && work > 0.0).then(|| work / wall)
-    }
-
     /// How far the planner's estimate is off from the actual output, as a
     /// ≥ 1.0 factor — `Some` only when the plan carried an estimate and the
     /// factor reaches [`MISESTIMATE_FACTOR`]. Cardinalities are clamped to 1
@@ -652,9 +599,6 @@ impl<'a> ProfileNode<'a> {
         }
         for tag in self.tags() {
             let _ = write!(out, "  [{tag}]");
-        }
-        if let Some(workers) = self.workers().filter(|&w| w > 1) {
-            let _ = write!(out, "  [workers={workers}]");
         }
         let est = self.estimated_rows().map(f64::round);
         let m = self.metrics();
@@ -742,14 +686,12 @@ pub(crate) struct Description {
     pub(crate) operator: OpKind,
     pub(crate) detail: String,
     pub(crate) tags: Vec<Cow<'static, str>>,
-    pub(crate) workers: Option<usize>,
     pub(crate) access: Option<IndexAccess>,
     pub(crate) shape_key: Option<Arc<ShapeKey>>,
     pub(crate) keys: Option<Vec<String>>,
     /// A child that is not an operator of this tree, listed after the
     /// inputs: an index join's probe leaf, the scan/filter chain a fused
-    /// aggregate absorbed, an apply's subplan, an exchange's worker
-    /// pipeline.
+    /// aggregate absorbed, an apply's subplan.
     pub(crate) synthetic: Option<OpShape>,
     /// The synthetic child accumulates every run of a subplan.
     pub(crate) accumulates: bool,
@@ -761,7 +703,6 @@ impl Description {
             operator,
             detail,
             tags: Vec::new(),
-            workers: None,
             access: None,
             shape_key: None,
             keys: None,
@@ -785,7 +726,6 @@ impl Description {
             kind: self.operator,
             detail: SqlText::verbatim(self.detail),
             tags: self.tags,
-            workers: self.workers,
             access: self.access,
             columns: Arc::clone(columns),
             estimated_rows: est,

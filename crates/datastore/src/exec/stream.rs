@@ -18,20 +18,16 @@
 //! satisfied.
 //!
 //! Operator trees are **owned**: scans hold `Arc` handles to their tables
-//! (via [`ExecContext`]) rather than borrowing from the database, so a
-//! subtree is `Send` and can be shipped to a worker thread — the foundation
-//! of the morsel-driven [`crate::exec::parallel`] layer. An
-//! [`PlanNode::Exchange`] node splits its subtree's driver scan into row
-//! ranges and runs one copy of the pipeline per morsel across workers,
-//! gathering output in morsel order so results stay deterministic.
+//! (via [`ExecContext`]) rather than borrowing from the database, so a tree
+//! is `Send` — a plan-cache template keeps one open, and whichever thread
+//! runs the template's next statement rewinds it — and a writer copies a
+//! table on write instead of waiting for a running query. Every operator
+//! runs on the thread that pulls from it.
 
 use crate::database::Database;
 use crate::error::StoreError;
 use crate::exec::aggregate::{AggExpr, GroupedAggregator};
 use crate::exec::keys::{Key, KeyTable, RowKey};
-use crate::exec::parallel::{
-    ExchangeShared, ExchangeSource, JoinIndex, ScalarLookup, SemiBuild, SharedBuild,
-};
 use crate::exec::plan::{
     aggregate_output_columns, ApplyMode, ColumnInfo, Columns, JoinOutput, Plan, PlanNode, Relation,
     SortKey,
@@ -51,7 +47,6 @@ use crate::table::Table;
 use crate::tuple::Row;
 use crate::value::{GroupKey, Value};
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::{self, Write as _};
@@ -68,15 +63,14 @@ pub const APPLY_CACHE_CAP: usize = 1024;
 
 /// An owned snapshot of the tables a plan can touch. Operator trees hold
 /// `Arc` handles from here instead of borrowing the [`Database`], which is
-/// what lets subtrees move to worker threads (and lets writers copy-on-write
-/// under a running query instead of blocking it).
+/// what lets a kept tree outlive the borrow it was opened under (and lets
+/// writers copy-on-write under a running query instead of blocking it).
 #[derive(Debug, Clone)]
 pub struct ExecContext {
     /// The database's own map of tables, shared.
     tables: Arc<BTreeMap<String, Arc<Table>>>,
     /// The owning database's observability registry — carried alongside the
-    /// table snapshot so operators (including ones shipped to worker
-    /// threads) report into the same engine-wide counters.
+    /// table snapshot so operators report into the engine-wide counters.
     obs: Arc<ObsRegistry>,
 }
 
@@ -116,31 +110,9 @@ impl ExecContext {
     }
 }
 
-/// Per-open environment threaded through [`open_in`]: the shared build-state
-/// cells of an enclosing exchange (if any) and the pre-order counter that
-/// assigns each stateful node its cell index. Every worker of an exchange
-/// opens the same plan with a fresh counter, so the indices line up.
-pub(crate) struct OpenEnv<'e> {
-    pub(crate) shared: Option<&'e Arc<ExchangeShared>>,
-    pub(crate) next_cell: &'e Cell<usize>,
-    /// Open every exchange on one thread: an apply's subplan is one tree,
-    /// rewound for each binding.
-    pub(crate) one_thread: bool,
-}
-
-impl OpenEnv<'_> {
-    /// Allocate the next stateful-node cell index (always advances, so the
-    /// walk stays aligned whether or not an exchange is sharing state).
-    fn alloc_cell(&self) -> Option<(Arc<ExchangeShared>, usize)> {
-        let idx = self.next_cell.get();
-        self.next_cell.set(idx + 1);
-        self.shared.map(|s| (Arc::clone(s), idx))
-    }
-}
-
 /// A pull-based operator: a batched row iterator with instrumentation.
 /// Sources are `Send` — they own their state (table handles are `Arc`s), so
-/// a subtree can execute on a worker thread.
+/// a tree a plan-cache template keeps can be run from any thread.
 pub trait RowSource: Send {
     /// Output column descriptors.
     fn columns(&self) -> &Columns;
@@ -192,9 +164,9 @@ pub(crate) trait Operator: Send {
     /// Output column descriptors.
     fn columns(&self) -> &Columns;
     /// Produce the next output batch (`None` when exhausted). Inputs are
-    /// taken through [`OpMetrics::pull`]; any other wait on someone else's
-    /// work goes through [`OpMetrics::wait`]. What the operator tallies
-    /// besides rows (evaluations, groups, morsels) goes into `meter` too.
+    /// taken through [`OpMetrics::pull`], a subplan run on the side through
+    /// [`OpMetrics::wait_for`]. What the operator tallies besides rows
+    /// (evaluations, groups, probes) goes into `meter` too.
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError>;
     /// [`RowSource::rewind`]: reset, rewind the inputs, rebind each `$k`.
     fn rewind(&mut self, bindings: ParamLookup<'_>);
@@ -291,15 +263,6 @@ impl<O: Operator> RowSource for Metered<O> {
 }
 
 impl OpMetrics {
-    /// Run `f` — a wait on someone else's work: a child's `next_batch`, a
-    /// fan-out to worker threads — and charge its wall time to `blocked`.
-    pub(crate) fn wait<T>(&mut self, f: impl FnOnce(&mut OpMetrics) -> T) -> T {
-        let start = Instant::now();
-        let out = f(self);
-        self.blocked += start.elapsed();
-        out
-    }
-
     /// Pull one batch from an input: the time the input took lands in
     /// `blocked` (it timed itself; no second clock is read), the rows in
     /// `rows_in`.
@@ -333,41 +296,6 @@ impl OpMetrics {
             rows.extend(batch);
         }
         Ok(rows)
-    }
-}
-
-/// Fetch-or-build one piece of stateful operator input. Under an exchange
-/// (`shared` is `Some`), the build goes through the shared cell so it
-/// happens exactly once across workers; a worker that finds the cell
-/// already claimed waits on the builder, and that wait is charged to its
-/// `blocked` tally (it is not the operator's own work). Outside an exchange
-/// the build simply runs.
-fn build_or_share(
-    shared: &Option<(Arc<ExchangeShared>, usize)>,
-    meter: &mut OpMetrics,
-    build: impl FnOnce(&mut OpMetrics) -> Result<SharedBuild, StoreError>,
-) -> Result<SharedBuild, StoreError> {
-    let Some((cells, idx)) = shared else {
-        return build(meter);
-    };
-    let wait_start = Instant::now();
-    let mut built_here = false;
-    let built = cells.get_or_build(*idx, || {
-        built_here = true;
-        build(meter)
-    })?;
-    if !built_here {
-        meter.blocked += wait_start.elapsed();
-    }
-    Ok(built)
-}
-
-/// The row positions a scan of `len` rows reads: all of them, or the part of
-/// a morsel's range that exists.
-fn morsel_bounds(range: Option<(usize, usize)>, len: usize) -> (usize, usize) {
-    match range {
-        Some((start, end)) => (start.min(len), end.min(len)),
-        None => (0, len),
     }
 }
 
@@ -434,69 +362,52 @@ fn index_position(table: &Table, index: &str) -> Result<usize, StoreError> {
 /// validates table names and resolves output columns but does **not** read
 /// data — `EXPLAIN` uses this to describe a plan without executing it.
 pub fn open(db: &Database, plan: &Plan) -> Result<Box<dyn RowSource>, StoreError> {
-    open_toward(&Arc::new(ExecContext::new(db)), plan, None, false)
+    open_toward(&Arc::new(ExecContext::new(db)), plan, None)
 }
 
 /// Open a plan whose consumer will stop after `row_goal` rows (an `EXISTS`
-/// check after one), outside any exchange, its own exchanges on one thread
-/// if `one_thread`.
+/// check after one).
 pub(crate) fn open_toward(
     ctx: &Arc<ExecContext>,
     plan: &Plan,
     row_goal: Option<usize>,
-    one_thread: bool,
 ) -> Result<Box<dyn RowSource>, StoreError> {
-    let cell = Cell::new(0);
-    let env = OpenEnv {
-        shared: None,
-        next_cell: &cell,
-        one_thread,
-    };
-    open_in(ctx, plan, &env, None, row_goal, None)
+    open_in(ctx, plan, row_goal, None)
 }
 
-/// Recursive open. Two things travel down the driver spine (inputs and join
-/// left sides) to the scan at its end, which consumes them:
-///
-/// * `driver_range` restricts the pipeline's driver scan to a morsel's row
-///   range; every operator on the spine hands it on.
-/// * `row_goal` says the consumer wants only that many rows — an `EXISTS`
-///   apply wants one. It is handed on by the operators that emit rows as
-///   they find them ([`Plan::emits_rows_as_found`]: filter, project, limit,
-///   distinct, the probe side of every join, the input of an apply or
-///   scalar-subquery filter) and dropped where the first output row needs
-///   the whole input (aggregate, sort, exchange) — and, like the range,
-///   never given to a build side or a subplan. A scan that receives it reads
-///   that many rows first and four times as many on each further pull, up to
-///   [`BATCH_SIZE`] ([`BatchRamp`]); the joins on the way buffer by the same
-///   ramp before they hand a batch on. Without a goal everything moves in
-///   full batches, as it always did.
+/// Recursive open. `row_goal` travels down the driver spine (inputs and
+/// join left sides) to the scan at its end, which consumes it: the consumer
+/// wants only that many rows — an `EXISTS` apply wants one. It is handed on
+/// by the operators that emit rows as they find them
+/// ([`Plan::emits_rows_as_found`]: filter, project, limit, distinct, the
+/// probe side of every join, the input of an apply or scalar-subquery
+/// filter) and dropped where the first output row needs the whole input
+/// (aggregate, sort) — and never given to a build side or a subplan. A scan
+/// that receives it reads that many rows first and four times as many on
+/// each further pull, up to [`BATCH_SIZE`] ([`BatchRamp`]); the joins on the
+/// way buffer by the same ramp before they hand a batch on. Without a goal
+/// everything moves in full batches, as it always did.
 ///
 /// `sort_goal` travels one step only: a limit opens its input with its `k`,
 /// and a sort that finds it keeps the first `k` rows of its order ([`top_k`])
 /// instead of all of them. Every other operator ignores it.
-pub(crate) fn open_in(
+fn open_in(
     ctx: &Arc<ExecContext>,
     plan: &Plan,
-    env: &OpenEnv,
-    driver_range: Option<(usize, usize)>,
     row_goal: Option<usize>,
     sort_goal: Option<usize>,
 ) -> Result<Box<dyn RowSource>, StoreError> {
     let est = plan.estimated_rows;
     let row_goal = row_goal.filter(|_| plan.emits_rows_as_found());
-    let on_spine = |p: &Plan| open_in(ctx, p, env, driver_range, row_goal, None);
-    let off_spine = |p: &Plan| open_in(ctx, p, env, None, None, None);
+    let on_spine = |p: &Plan| open_in(ctx, p, row_goal, None);
+    let off_spine = |p: &Plan| open_in(ctx, p, None, None);
     Ok(match &plan.node {
         PlanNode::Scan { table, alias } => {
             let stored = Arc::clone(ctx.require_table(table)?);
-            let (start, end) = morsel_bounds(driver_range, stored.len());
             ScanSource {
                 relation: stored.relation(table, alias),
                 table: stored,
-                start,
-                cursor: start,
-                end,
+                cursor: 0,
                 pull_size: BatchRamp::new(row_goal),
                 obs: Arc::clone(ctx.obs()),
             }
@@ -517,7 +428,6 @@ pub(crate) fn open_in(
             bounds.clone(),
             *order,
             *index_only,
-            driver_range,
             row_goal,
         )?
         .metered(est),
@@ -612,7 +522,6 @@ pub(crate) fn open_in(
             right,
             predicate,
         } => {
-            let shared = env.alloc_cell();
             let left = on_spine(left)?;
             let right = off_spine(right)?;
             NestedLoopJoinSource {
@@ -621,7 +530,6 @@ pub(crate) fn open_in(
                 right,
                 predicate: predicate.as_ref().map(BoundExpr::new),
                 right_rows: None,
-                shared,
                 pending: VecDeque::new(),
                 fill: BatchRamp::new(row_goal),
                 done: false,
@@ -636,7 +544,6 @@ pub(crate) fn open_in(
             vectorized,
             output,
         } => {
-            let shared = env.alloc_cell();
             let left = on_spine(left)?;
             let right = off_spine(right)?;
             let (output, columns) = join_output(left.columns(), right.columns(), output);
@@ -649,7 +556,6 @@ pub(crate) fn open_in(
                 right_keys: right_keys.clone(),
                 vectorized: *vectorized,
                 build: None,
-                shared,
                 pending: VecDeque::new(),
                 fill: BatchRamp::new(row_goal),
                 done: false,
@@ -668,14 +574,9 @@ pub(crate) fn open_in(
                 // A vectorized aggregate directly over a (possibly
                 // kernel-filtered) base-table scan fuses into one columnar
                 // operator that reads the table in place.
-                if let Some(fused) = FusedAggregateScanSource::try_open(
-                    ctx,
-                    input,
-                    group_by,
-                    aggregates,
-                    having,
-                    driver_range,
-                )? {
+                if let Some(fused) =
+                    FusedAggregateScanSource::try_open(ctx, input, group_by, aggregates, having)?
+                {
                     return Ok(fused.metered(est));
                 }
             }
@@ -702,7 +603,7 @@ pub(crate) fn open_in(
         }
         .metered(est),
         PlanNode::Limit { input, n } => {
-            let input = open_in(ctx, input, env, driver_range, row_goal, Some(*n))?;
+            let input = open_in(ctx, input, row_goal, Some(*n))?;
             LimitSource {
                 input,
                 remaining: *n,
@@ -731,7 +632,6 @@ pub(crate) fn open_in(
             right_keys,
             ..
         } => SemiJoinSource {
-            shared: env.alloc_cell(),
             left: on_spine(left)?,
             right: off_spine(right)?,
             left_keys: left_keys.clone(),
@@ -756,7 +656,6 @@ pub(crate) fn open_in(
             keys,
             absent,
         } => {
-            let shared = env.alloc_cell();
             let input = on_spine(input)?;
             let sub = off_spine(subplan)?;
             let (probe, build): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
@@ -769,17 +668,8 @@ pub(crate) fn open_in(
                 build,
                 absent: absent.clone(),
                 lookup: None,
-                shared,
             }
             .metered(est)
-        }
-        PlanNode::Exchange {
-            input,
-            workers,
-            gather,
-        } => {
-            let workers = if env.one_thread { 1 } else { *workers };
-            ExchangeSource::open(ctx, input, workers, gather.clone())?.metered(est)
         }
         PlanNode::Apply {
             input,
@@ -790,7 +680,7 @@ pub(crate) fn open_in(
             let input = on_spine(input)?;
             // Opened once, unbound, toward the first row when the mode
             // needs only that: each evaluation rewinds it with a binding.
-            let sub = open_toward(ctx, subplan, mode.row_goal(), true)?;
+            let sub = open_toward(ctx, subplan, mode.row_goal())?;
             let operand = match mode {
                 ApplyMode::Exists { .. } => None,
                 ApplyMode::In { expr, .. }
@@ -849,12 +739,8 @@ impl BatchRamp {
 struct ScanSource {
     table: Arc<Table>,
     relation: Arc<Relation>,
-    /// The first row this scan reads, and the next.
-    start: usize,
+    /// The next row this scan reads.
     cursor: usize,
-    /// One past the last row this scan reads — the table length for a full
-    /// scan, the morsel's upper bound for a partitioned one.
-    end: usize,
     pull_size: BatchRamp,
     obs: Arc<ObsRegistry>,
 }
@@ -865,11 +751,12 @@ impl Operator for ScanSource {
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        if self.cursor >= self.end {
+        let rows = self.table.rows();
+        if self.cursor >= rows.len() {
             return Ok(None);
         }
-        let end = (self.cursor + self.pull_size.take()).min(self.end);
-        let batch = self.table.rows()[self.cursor..end].to_vec();
+        let end = (self.cursor + self.pull_size.take()).min(rows.len());
+        let batch = rows[self.cursor..end].to_vec();
         self.cursor = end;
         meter.rows_in += batch.len() as u64;
         self.obs.add(Counter::RowsScanned, batch.len() as u64);
@@ -877,7 +764,7 @@ impl Operator for ScanSource {
     }
 
     fn rewind(&mut self, _bindings: ParamLookup<'_>) {
-        self.cursor = self.start;
+        self.cursor = 0;
         self.pull_size.reset();
     }
 
@@ -920,9 +807,6 @@ struct IndexScanSource {
     /// (index-only mode).
     index_rows: Option<Vec<Row>>,
     cursor: usize,
-    /// Morsel restriction over table row positions, when this scan drives an
-    /// exchange pipeline.
-    driver_range: Option<(usize, usize)>,
     pull_size: BatchRamp,
     obs: Arc<ObsRegistry>,
 }
@@ -937,7 +821,6 @@ impl IndexScanSource {
         bounds: IndexBounds,
         order: ProbeOrder,
         index_only: bool,
-        driver_range: Option<(usize, usize)>,
         row_goal: Option<usize>,
     ) -> Result<IndexScanSource, StoreError> {
         let table = Arc::clone(ctx.require_table(table_name)?);
@@ -970,7 +853,6 @@ impl IndexScanSource {
             positions: None,
             index_rows: None,
             cursor: 0,
-            driver_range,
             pull_size: BatchRamp::new(row_goal),
             obs: Arc::clone(ctx.obs()),
         })
@@ -982,25 +864,11 @@ impl IndexScanSource {
         }
         let index = &self.table.indexes()[self.index_pos];
         let bounds = self.bound.as_ref().unwrap_or(&self.bounds);
-        let in_range = |p: usize| match self.driver_range {
-            // Morsel restriction: keep only matches inside this morsel's row
-            // range (the relative order of survivors is unchanged).
-            Some((start, end)) => p >= start && p < end,
-            None => true,
-        };
         if self.index_only {
             let entries = index.probe_entries(bounds, self.order)?;
-            self.index_rows = Some(
-                entries
-                    .into_iter()
-                    .filter(|(p, _)| in_range(*p))
-                    .map(|(_, row)| row)
-                    .collect(),
-            );
+            self.index_rows = Some(entries.into_iter().map(|(_, row)| row).collect());
         } else {
-            let mut positions = index.probe(bounds, self.order)?;
-            positions.retain(|&p| in_range(p));
-            self.positions = Some(positions);
+            self.positions = Some(index.probe(bounds, self.order)?);
         }
         meter.probes += 1;
         self.obs.incr(Counter::IndexProbes);
@@ -1399,30 +1267,11 @@ struct NestedLoopJoinSource {
     right: Box<dyn RowSource>,
     predicate: Option<BoundExpr>,
     columns: Columns,
-    /// Materialized inner side (built on first pull, shared across the
-    /// workers of an enclosing exchange).
-    right_rows: Option<Arc<Vec<Row>>>,
-    shared: Option<(Arc<ExchangeShared>, usize)>,
+    /// Materialized inner side, built on first pull.
+    right_rows: Option<Vec<Row>>,
     pending: VecDeque<Row>,
     fill: BatchRamp,
     done: bool,
-}
-
-impl NestedLoopJoinSource {
-    fn build(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
-        if self.right_rows.is_some() {
-            return Ok(());
-        }
-        let right = &mut self.right;
-        let built = build_or_share(&self.shared, meter, |meter| {
-            Ok(SharedBuild::Rows(Arc::new(meter.drain(right)?)))
-        })?;
-        let SharedBuild::Rows(rows) = built else {
-            unreachable!("nested-loop cell always holds rows");
-        };
-        self.right_rows = Some(rows);
-        Ok(())
-    }
 }
 
 impl Operator for NestedLoopJoinSource {
@@ -1431,7 +1280,9 @@ impl Operator for NestedLoopJoinSource {
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        self.build(meter)?;
+        if self.right_rows.is_none() {
+            self.right_rows = Some(meter.drain(&mut self.right)?);
+        }
         let fill = self.fill.take();
         while self.pending.len() < fill && !self.done {
             match meter.pull(&mut self.left)? {
@@ -1482,7 +1333,7 @@ impl Operator for NestedLoopJoinSource {
 }
 
 /// Emit up to one batch from an operator's output buffer.
-pub(crate) fn drain_pending(pending: &mut VecDeque<Row>) -> Option<Vec<Row>> {
+fn drain_pending(pending: &mut VecDeque<Row>) -> Option<Vec<Row>> {
     if pending.is_empty() {
         return None;
     }
@@ -1506,42 +1357,72 @@ struct HashJoinSource {
     output: Arc<[usize]>,
     columns: Columns,
     /// Hash index over the build (right) side, built on first pull: key →
-    /// build rows with that key. Shared across the workers of an enclosing
-    /// exchange (built once, by whichever worker gets there first) and
-    /// hash-partitioned across threads for large builds.
-    build: Option<Arc<JoinIndex>>,
-    shared: Option<(Arc<ExchangeShared>, usize)>,
+    /// build rows with that key.
+    build: Option<JoinIndex>,
     pending: VecDeque<Row>,
     fill: BatchRamp,
     done: bool,
     obs: Arc<ObsRegistry>,
 }
 
-impl HashJoinSource {
-    fn build(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
-        if self.build.is_some() {
-            return Ok(());
+/// The build side of a hash join: its rows grouped by key — every key's rows
+/// side by side, in build order — and where each key's run lies.
+#[derive(Debug)]
+struct JoinIndex {
+    /// The distinct keys; a key's id numbers its run.
+    keys: KeyTable,
+    /// Key `k`'s rows are `rows[bounds[k]..bounds[k + 1]]`.
+    bounds: Vec<usize>,
+    rows: Vec<Row>,
+}
+
+impl JoinIndex {
+    /// Group `rows` by key. Each row's key is hashed where it lies and only
+    /// a new key is stored; the row is then moved — not copied — to its place
+    /// in its key's run. Rows whose key holds a NULL join nothing and are
+    /// dropped.
+    fn build(rows: Vec<Row>, key_cols: &[usize]) -> JoinIndex {
+        const DROPPED: u32 = u32::MAX;
+        let mut keys = KeyTable::new(key_cols.len());
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut key_of: Vec<u32> = Vec::with_capacity(rows.len());
+        for row in &rows {
+            let key = RowKey(row, key_cols);
+            if key.has_null() {
+                key_of.push(DROPPED);
+                continue;
+            }
+            let (id, fresh) = keys.insert(key.hash(), &key);
+            if fresh {
+                sizes.push(0);
+            }
+            sizes[id as usize] += 1;
+            key_of.push(id);
         }
-        let right = &mut self.right;
-        let right_keys = &self.right_keys;
-        let build_workers = self.shared.as_ref().map(|(s, _)| s.workers()).unwrap_or(1);
-        let obs = &self.obs;
-        let built = build_or_share(&self.shared, meter, |meter| {
-            let rows = meter.drain(right)?;
-            // Counted inside the build closure: under an exchange the build
-            // runs once across workers, and so must the counter.
-            obs.add(Counter::HashBuildRows, rows.len() as u64);
-            Ok(SharedBuild::Join(Arc::new(JoinIndex::build(
-                rows,
-                right_keys,
-                build_workers,
-            ))))
-        })?;
-        let SharedBuild::Join(index) = built else {
-            unreachable!("hash-join cell always holds a join index");
-        };
-        self.build = Some(index);
-        Ok(())
+        let mut bounds = Vec::with_capacity(sizes.len() + 1);
+        bounds.push(0);
+        for size in &sizes {
+            bounds.push(bounds[bounds.len() - 1] + size);
+        }
+        let mut next = bounds.clone();
+        let mut placed: Vec<Option<Row>> = vec![None; bounds[sizes.len()]];
+        for (row, id) in rows.into_iter().zip(key_of) {
+            if id != DROPPED {
+                placed[next[id as usize]] = Some(row);
+                next[id as usize] += 1;
+            }
+        }
+        JoinIndex {
+            keys,
+            bounds,
+            rows: placed.into_iter().flatten().collect(),
+        }
+    }
+
+    /// Build rows whose key is `=` to a NULL-free probe key, in build order.
+    fn lookup(&self, key: &(impl Key + ?Sized)) -> Option<&[Row]> {
+        let id = self.keys.find(key.hash(), key)? as usize;
+        Some(&self.rows[self.bounds[id]..self.bounds[id + 1]])
     }
 }
 
@@ -1551,7 +1432,11 @@ impl Operator for HashJoinSource {
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        self.build(meter)?;
+        if self.build.is_none() {
+            let rows = meter.drain(&mut self.right)?;
+            self.obs.add(Counter::HashBuildRows, rows.len() as u64);
+            self.build = Some(JoinIndex::build(rows, &self.right_keys));
+        }
         let fill = self.fill.take();
         while self.pending.len() < fill && !self.done {
             match meter.pull(&mut self.left)? {
@@ -1718,9 +1603,7 @@ struct FusedFilter {
 /// to the unfused pipeline; only the hand-offs are gone.
 struct FusedAggregateScanSource {
     table: Arc<Table>,
-    start: usize,
     cursor: usize,
-    end: usize,
     group_by: Vec<usize>,
     aggregates: Vec<AggExpr>,
     having: Option<BoundExpr>,
@@ -1747,7 +1630,6 @@ impl FusedAggregateScanSource {
         group_by: &[usize],
         aggregates: &[AggExpr],
         having: &Option<Expr>,
-        driver_range: Option<(usize, usize)>,
     ) -> Result<Option<FusedAggregateScanSource>, StoreError> {
         if aggregates
             .iter()
@@ -1778,7 +1660,6 @@ impl FusedAggregateScanSource {
         };
         let t = Arc::clone(ctx.require_table(table)?);
         let relation = t.relation(table, alias);
-        let (start, end) = morsel_bounds(driver_range, t.len());
         let filter = filter_parts.map(|(predicate, kernel, shape_key, fest)| FusedFilter {
             predicate: BoundExpr::new(predicate),
             kernel,
@@ -1790,9 +1671,7 @@ impl FusedAggregateScanSource {
             scan_est: scan_plan.estimated_rows,
             scan_meter: OpMetrics::default(),
             table: t,
-            start,
-            cursor: start,
-            end,
+            cursor: 0,
             columns: aggregate_output_columns(&relation.columns, group_by, aggregates).into(),
             relation,
             group_by: group_by.to_vec(),
@@ -1810,8 +1689,8 @@ impl FusedAggregateScanSource {
         let table = Arc::clone(&self.table);
         let rows = table.rows();
         let mut sel: Vec<usize> = Vec::with_capacity(BATCH_SIZE);
-        while self.cursor < self.end {
-            let stop = (self.cursor + BATCH_SIZE).min(self.end);
+        while self.cursor < rows.len() {
+            let stop = (self.cursor + BATCH_SIZE).min(rows.len());
             let chunk = &rows[self.cursor..stop];
             self.cursor = stop;
             self.scan_meter.rows_in += chunk.len() as u64;
@@ -1881,7 +1760,7 @@ impl Operator for FusedAggregateScanSource {
         if let Some(having) = &mut self.having {
             having.rebind(bindings);
         }
-        self.cursor = self.start;
+        self.cursor = 0;
         self.pending = None;
     }
 
@@ -1984,7 +1863,7 @@ impl Operator for SortSource {
 
 /// The first `k` rows of the stable sort of `rows` by `keys`, ties to the
 /// earlier row: the sort operator's order (`k = usize::MAX`), and what a
-/// sort under a limit, a top-k exchange's workers and its gather keep.
+/// sort under a limit keeps.
 ///
 /// Each key is read once per row. When each key holds numbers of one kind,
 /// a row becomes fixed-width order words — an Integer sign-flipped, a Float
@@ -2280,38 +2159,49 @@ struct SemiJoinSource {
     right_keys: Vec<usize>,
     anti: bool,
     null_aware: bool,
-    /// Key set plus NULL-semantics flags, shared across the workers of an
-    /// enclosing exchange.
-    build: Option<Arc<SemiBuild>>,
-    shared: Option<(Arc<ExchangeShared>, usize)>,
+    /// Key set plus NULL-semantics flags, built on first pull.
+    build: Option<SemiBuild>,
     obs: Arc<ObsRegistry>,
 }
 
-impl SemiJoinSource {
-    fn build(&mut self, meter: &mut OpMetrics) -> Result<(), StoreError> {
-        if self.build.is_some() {
-            return Ok(());
+/// The build side of a semi-/anti-join: the distinct non-NULL key set plus
+/// the two flags `NOT IN`'s three-valued NULL semantics need.
+#[derive(Debug)]
+struct SemiBuild {
+    keys: KeyTable,
+    /// Whether the build side produced any rows at all.
+    any_rows: bool,
+    /// Whether any build key contained a NULL.
+    null_key: bool,
+}
+
+impl SemiBuild {
+    /// Build the key set from materialized build-side rows.
+    fn build(rows: &[Row], key_cols: &[usize]) -> SemiBuild {
+        let mut keys = KeyTable::new(key_cols.len());
+        let mut null_key = false;
+        for row in rows {
+            let key = RowKey(row, key_cols);
+            if key.has_null() {
+                null_key = true;
+            } else {
+                keys.insert(key.hash(), &key);
+            }
         }
-        let right = &mut self.right;
-        let right_keys = &self.right_keys;
-        let build_workers = self.shared.as_ref().map(|(s, _)| s.workers()).unwrap_or(1);
-        let obs = &self.obs;
-        let built = build_or_share(&self.shared, meter, |meter| {
-            let rows = meter.drain(right)?;
-            obs.add(Counter::HashBuildRows, rows.len() as u64);
-            Ok(SharedBuild::Keys(Arc::new(SemiBuild::build(
-                rows,
-                right_keys,
-                build_workers,
-            ))))
-        })?;
-        let SharedBuild::Keys(build) = built else {
-            unreachable!("semi-join cell always holds a key set");
-        };
-        self.build = Some(build);
-        Ok(())
+        SemiBuild {
+            keys,
+            any_rows: !rows.is_empty(),
+            null_key,
+        }
     }
 
+    /// Whether the build-side key set holds a key `=` to `key`.
+    fn contains(&self, key: &(impl Key + ?Sized)) -> bool {
+        self.keys.find(key.hash(), key).is_some()
+    }
+}
+
+impl SemiJoinSource {
     /// Whether a probe row with this key survives the (anti-)semi-join.
     fn keep(&self, build: &SemiBuild, key: &RowKey) -> bool {
         let probe_null = key.has_null();
@@ -2344,7 +2234,11 @@ impl Operator for SemiJoinSource {
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        self.build(meter)?;
+        if self.build.is_none() {
+            let rows = meter.drain(&mut self.right)?;
+            self.obs.add(Counter::HashBuildRows, rows.len() as u64);
+            self.build = Some(SemiBuild::build(&rows, &self.right_keys));
+        }
         let Some(mut batch) = meter.pull(&mut self.left)? else {
             return Ok(None);
         };
@@ -2402,48 +2296,43 @@ struct ScalarSubquerySource {
     build: Vec<usize>,
     /// The value of a row with no group.
     absent: Value,
-    /// Values by key, computed once — and shared across the workers of an
-    /// enclosing exchange, so the subquery runs once per query, not once
-    /// per morsel.
-    lookup: Option<Arc<ScalarLookup>>,
-    shared: Option<(Arc<ExchangeShared>, usize)>,
+    /// Values by key, computed on first pull: the subquery runs once per
+    /// run of this operator.
+    lookup: Option<ScalarLookup>,
+}
+
+/// A scalar subquery's values by key (the empty key when uncorrelated): key
+/// `k`'s value is `values[k]`.
+#[derive(Debug)]
+struct ScalarLookup {
+    keys: KeyTable,
+    values: Vec<Value>,
 }
 
 impl ScalarSubquerySource {
-    fn build_lookup(&mut self, meter: &mut OpMetrics) -> Result<Arc<ScalarLookup>, StoreError> {
-        if let Some(lookup) = &self.lookup {
-            return Ok(Arc::clone(lookup));
-        }
-        let (sub, build) = (&mut self.sub, &self.build);
-        let built = build_or_share(&self.shared, meter, |meter| {
-            let mut lookup = ScalarLookup {
-                keys: KeyTable::new(build.len()),
-                values: Vec::new(),
-            };
-            let value_col = sub.columns().len().saturating_sub(1);
-            // The subquery's rows are not this filter's input: waited for,
-            // not counted into `rows_in`.
-            while let Some(batch) = meter.wait_for(sub)? {
-                for row in &batch {
-                    let key = RowKey(row, build);
-                    lookup
-                        .values
-                        .push(row.get(value_col).cloned().unwrap_or(Value::Null));
-                    if !lookup.keys.insert(key.hash(), &key).1 {
-                        return Err(StoreError::Eval {
-                            message: "scalar subquery produced more than one row".into(),
-                        });
-                    }
+    fn build_lookup(&mut self, meter: &mut OpMetrics) -> Result<ScalarLookup, StoreError> {
+        let mut lookup = ScalarLookup {
+            keys: KeyTable::new(self.build.len()),
+            values: Vec::new(),
+        };
+        let value_col = self.sub.columns().len().saturating_sub(1);
+        // The subquery's rows are not this filter's input: waited for, not
+        // counted into `rows_in`.
+        while let Some(batch) = meter.wait_for(&mut self.sub)? {
+            for row in &batch {
+                let key = RowKey(row, &self.build);
+                lookup
+                    .values
+                    .push(row.get(value_col).cloned().unwrap_or(Value::Null));
+                if !lookup.keys.insert(key.hash(), &key).1 {
+                    return Err(StoreError::Eval {
+                        message: "scalar subquery produced more than one row".into(),
+                    });
                 }
             }
-            Ok(SharedBuild::Scalar(Arc::new(lookup)))
-        })?;
-        let SharedBuild::Scalar(lookup) = built else {
-            unreachable!("scalar cell always holds a lookup");
-        };
+        }
         meter.evaluations += 1;
         meter.groups += lookup.keys.len() as u64;
-        self.lookup = Some(Arc::clone(&lookup));
         Ok(lookup)
     }
 }
@@ -2454,10 +2343,13 @@ impl Operator for ScalarSubquerySource {
     }
 
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        let lookup = self.build_lookup(meter)?;
+        if self.lookup.is_none() {
+            self.lookup = Some(self.build_lookup(meter)?);
+        }
         let Some(batch) = meter.pull(&mut self.input)? else {
             return Ok(None);
         };
+        let lookup = self.lookup.as_ref().expect("built above");
         let mut kept = Vec::new();
         for row in batch {
             let key = RowKey(&row, &self.probe);

@@ -183,7 +183,7 @@ fn scan_streams_in_batches() {
 
 /// The sizes of the batches a plan yields when it is opened toward `goal`.
 fn batch_sizes(db: &Database, plan: &Plan, goal: Option<usize>) -> Vec<usize> {
-    let mut src = open_toward(&Arc::new(ExecContext::new(db)), plan, goal, false).unwrap();
+    let mut src = open_toward(&Arc::new(ExecContext::new(db)), plan, goal).unwrap();
     let mut sizes = Vec::new();
     while let Some(batch) = src.next_batch().unwrap() {
         sizes.push(batch.len());
@@ -202,8 +202,7 @@ fn a_row_goal_ramps_the_scan_it_reaches_and_no_other() {
     let join = Plan::hash_join(scan("T", "a"), scan("T", "b"), vec![0], vec![0]);
     let streaming = join.project(vec![Expr::Column(0)], vec![ColumnInfo::unqualified("id")]);
     assert_eq!(batch_sizes(&db, &streaming, Some(1)), ramp);
-    let mut src =
-        open_toward(&Arc::new(ExecContext::new(&db)), &streaming, Some(1), false).unwrap();
+    let mut src = open_toward(&Arc::new(ExecContext::new(&db)), &streaming, Some(1)).unwrap();
     src.next_batch().unwrap();
     let profile = src.profile();
     let join = profile.child(0);
@@ -214,7 +213,7 @@ fn a_row_goal_ramps_the_scan_it_reaches_and_no_other() {
         column: 0,
         ascending: true,
     }]);
-    let mut src = open_toward(&Arc::new(ExecContext::new(&db)), &sorted, Some(1), false).unwrap();
+    let mut src = open_toward(&Arc::new(ExecContext::new(&db)), &sorted, Some(1)).unwrap();
     src.next_batch().unwrap();
     assert_eq!(src.profile().child(0).metrics().batches, 3);
 }
@@ -676,15 +675,17 @@ fn assert_rewinds_like_fresh_opens(
     bindings: &[Value],
 ) {
     let ctx = Arc::new(ExecContext::new(db));
-    let mut kept = open_toward(&ctx, plan, goal, true).unwrap();
+    let mut kept = open_toward(&ctx, plan, goal).unwrap();
     let mut fresh_counts = vec![OpMetrics::default(); kept.node_count()];
     for value in bindings {
         let binding = |p: Param| (p == Param::Outer(0)).then_some(value);
         kept.rewind(&binding);
         let rewound = run_source(&mut kept, goal);
-        let mut fresh = open_toward(&ctx, &plan.bound(&binding), goal, true).unwrap();
+        let mut fresh = open_toward(&ctx, &plan.bound(&binding), goal).unwrap();
         assert_eq!(rewound, run_source(&mut fresh, goal), "$0 = {value:?}");
-        OpMetrics::add_all(&mut fresh_counts, &counts(&*fresh));
+        for (total, run) in fresh_counts.iter_mut().zip(counts(&*fresh)) {
+            *total += run;
+        }
     }
     assert_eq!(counts(&*kept), fresh_counts);
 }
@@ -726,7 +727,7 @@ fn a_rewound_kernel_filter_is_a_fresh_one_whatever_the_kind_bound() {
     assert_rewinds_like_fresh_opens(&db, &plan, None, &kinds());
     // The kernel stays compiled: a batch bound to a number takes it.
     let ctx = Arc::new(ExecContext::new(&db));
-    let mut kept = open_toward(&ctx, &plan, None, true).unwrap();
+    let mut kept = open_toward(&ctx, &plan, None).unwrap();
     let three = Value::int(3);
     kept.rewind(&|p| (p == Param::Outer(0)).then_some(&three));
     assert_eq!(run_source(&mut kept, None).len(), 250);
@@ -760,15 +761,30 @@ fn a_rewound_index_probe_is_a_fresh_one_whatever_the_kind_bound() {
 }
 
 #[test]
-fn a_rewound_exchange_builds_again() {
-    // Under an apply an exchange runs its one pipeline on this thread; its
-    // shared build cells are emptied by each rewind, so the hash join over
-    // `u.v = $0` builds again for every binding.
+fn a_rewound_hash_join_builds_again() {
+    // A rewind lets go of the build, so the hash join over `u.v = $0`
+    // builds again for every binding.
     let db = db();
     let build = vectorized_filter(scan("T", "u"), v_eq_outer0());
     let probe = scan("T", "t").filter(Expr::col_cmp_value(0, CmpOp::Lt, Value::int(50)));
-    let plan = Plan::hash_join(probe, build, vec![1], vec![1]).exchange(4);
+    let plan = Plan::hash_join(probe, build, vec![1], vec![1]);
     assert_rewinds_like_fresh_opens(&db, &plan, None, &kinds());
+}
+
+#[test]
+fn join_index_drops_null_keys() {
+    let rows = vec![
+        Row::new(vec![Value::int(1)]),
+        Row::new(vec![Value::Null]),
+        Row::new(vec![Value::int(1)]),
+    ];
+    let index = JoinIndex::build(rows, &[0]);
+    assert_eq!(index.keys.len(), 1);
+    assert_eq!(index.rows.len(), 2);
+    assert_eq!(
+        index.lookup(&[Value::int(1)][..]).map(<[Row]>::len),
+        Some(2)
+    );
 }
 
 #[test]
@@ -830,7 +846,7 @@ fn an_exists_apply_scans_what_fresh_opens_toward_one_row_scan() {
     for id in 0..20 {
         let value = Value::int(id);
         let bound = sub.bound(&|p| (p == Param::Outer(0)).then_some(&value));
-        let mut fresh = open_toward(&ctx, &bound, Some(1), true).unwrap();
+        let mut fresh = open_toward(&ctx, &bound, Some(1)).unwrap();
         run_source(&mut fresh, Some(1));
     }
     let by_fresh_opens = scanned() - before;

@@ -21,7 +21,7 @@ use std::fmt;
 use std::ops::Range;
 
 /// The kinds of decision the planner records, one atomic slot each: how
-/// often the optimizer reordered, decorrelated, parallelized, ….
+/// often the optimizer reordered, decorrelated, vectorized, ….
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum DecisionKind {
@@ -31,26 +31,22 @@ pub enum DecisionKind {
     Subquery,
     AccessPath,
     SortElided,
-    Parallel,
     Vectorize,
     Feedback,
-    PartitionedBuild,
     CorrelatedSelection,
 }
 
 impl DecisionKind {
     /// Every kind, in declaration order.
-    pub const ALL: [DecisionKind; 11] = [
+    pub const ALL: [DecisionKind; 9] = [
         DecisionKind::Start,
         DecisionKind::Join,
         DecisionKind::OrderComparison,
         DecisionKind::Subquery,
         DecisionKind::AccessPath,
         DecisionKind::SortElided,
-        DecisionKind::Parallel,
         DecisionKind::Vectorize,
         DecisionKind::Feedback,
-        DecisionKind::PartitionedBuild,
         DecisionKind::CorrelatedSelection,
     ];
 
@@ -63,10 +59,8 @@ impl DecisionKind {
             DecisionKind::Subquery => "subquery",
             DecisionKind::AccessPath => "access_path",
             DecisionKind::SortElided => "sort_elided",
-            DecisionKind::Parallel => "parallel",
             DecisionKind::Vectorize => "vectorize",
             DecisionKind::Feedback => "feedback",
-            DecisionKind::PartitionedBuild => "partitioned_build",
             DecisionKind::CorrelatedSelection => "correlated_selection",
         }
     }
@@ -226,27 +220,6 @@ pub enum PlanDecision {
         /// backwards to serve `ORDER BY … DESC`.
         ascending: bool,
     },
-    /// Whether a pipeline was split across worker threads — and, when it
-    /// was not, why: the cost-aware knob only parallelizes work whose
-    /// estimated driver rows clear a threshold, and the rejected alternative
-    /// is recorded either way so the narration can honestly say "only ten
-    /// rows expected, so I kept it on one thread".
-    Parallel {
-        /// Which mechanism was (or would have been) used, so the narration
-        /// says what each worker did with its morsels.
-        kind: ParallelKind,
-        /// What would be (or was) parallelized: "the scan of CAST as c", or
-        /// "the aggregation over CAST as c".
-        target: String,
-        /// The worker threads available (the planner's parallelism degree).
-        workers: usize,
-        /// Estimated rows of the driver (morsel source).
-        estimated_rows: f64,
-        /// The row threshold the estimate was compared against.
-        threshold: f64,
-        /// True when the plan was actually parallelized.
-        parallelized: bool,
-    },
     /// Whether an operator was handed to the vectorized (columnar-batch)
     /// kernels or kept row-at-a-time — recorded either way, with the reason,
     /// so the narration can own up to honest rejections ("`m.title = 5`
@@ -282,19 +255,6 @@ pub enum PlanDecision {
         /// The observed selectivity this plan was costed with.
         selectivity: f64,
     },
-    /// Whether a hash (semi-/anti-)join's build side qualifies for the
-    /// hash-partitioned parallel build
-    /// ([`crate::exec::PARALLEL_BUILD_MIN`]).
-    PartitionedBuild {
-        /// The join's build-side description ("CAST as c").
-        target: String,
-        /// Estimated build-side rows.
-        estimated_rows: f64,
-        /// The executor's minimum build rows for partitioning.
-        build_min: usize,
-        /// True when the estimate cleared it.
-        partitioned: bool,
-    },
     /// A conjunct of a subquery block that compares one of the block's
     /// relations with the enclosing row, applied while that relation is read
     /// — once per evaluation of the block — instead of above the block's
@@ -319,10 +279,8 @@ impl PlanDecision {
             PlanDecision::Subquery { .. } => DecisionKind::Subquery,
             PlanDecision::AccessPath { .. } => DecisionKind::AccessPath,
             PlanDecision::SortElided { .. } => DecisionKind::SortElided,
-            PlanDecision::Parallel { .. } => DecisionKind::Parallel,
             PlanDecision::Vectorize { .. } => DecisionKind::Vectorize,
             PlanDecision::Feedback { .. } => DecisionKind::Feedback,
-            PlanDecision::PartitionedBuild { .. } => DecisionKind::PartitionedBuild,
             PlanDecision::CorrelatedSelection { .. } => DecisionKind::CorrelatedSelection,
         }
     }
@@ -387,22 +345,6 @@ pub enum JoinEnumeration {
     /// The greedy smallest-next-output walk (wide joins past
     /// the planner's `DP_MAX_RELATIONS`).
     Greedy,
-}
-
-/// The shapes of parallel work the planner can choose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelKind {
-    /// A pipeline run morsel-by-morsel over its driver scan (an exchange).
-    Pipeline,
-    /// A GROUP BY pushed below the exchange: per-morsel partial aggregates,
-    /// merged in morsel order above it.
-    PartialAggregate,
-    /// An ORDER BY pushed below the exchange: per-morsel sorted runs,
-    /// merged into one total order above it.
-    MergeSort,
-    /// An `ORDER BY … LIMIT k` pushed below the exchange: each morsel keeps
-    /// only its top k rows.
-    TopK,
 }
 
 /// How many characters of a subquery predicate a decision quotes: a

@@ -37,8 +37,8 @@ mod decision;
 pub mod doctor;
 
 pub use decision::{
-    AccessPathKind, Alternative, DecisionKind, GroupedLookup, JoinEnumeration, ParallelKind,
-    PlanDecision, SqlText, SubqueryStrategy, CONSTRUCT_CHARS,
+    AccessPathKind, Alternative, DecisionKind, GroupedLookup, JoinEnumeration, PlanDecision,
+    SqlText, SubqueryStrategy, CONSTRUCT_CHARS,
 };
 
 use crate::adaptive::Uncacheable;
@@ -87,7 +87,11 @@ pub enum Counter {
     ApplyEvaluations,
     ApplyCacheHits,
     ApplyCacheEvictions,
+    /// Counts nothing: the executor runs every operator on the thread that
+    /// pulls from it. Kept only because the `e2e` benchmark names it;
+    /// ROADMAP item 16(g), a change to the benchmark alone, deletes it.
     MorselsClaimed,
+    /// Counts nothing, like [`Counter::MorselsClaimed`], and goes with it.
     WorkersSpawned,
     PlanCacheHits,
     PlanCacheMisses,

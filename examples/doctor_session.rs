@@ -19,7 +19,7 @@ fn main() {
         seed: 42,
     });
     let mut system = Talkback::new(db);
-    let options = PlannerOptions::sequential();
+    let options = PlannerOptions::default();
 
     // A lopsided workload: the same point-and-range shape over CAST, with
     // shifting literals, twenty times — every run a full scan.
@@ -45,7 +45,7 @@ fn main() {
 
     // Take the doctor's advice and re-measure.
     let advice =
-        talkback::query::advise::recommendations(system.database(), PlannerOptions::sequential());
+        talkback::query::advise::recommendations(system.database(), PlannerOptions::default());
     if let Some(top) = advice.first() {
         println!("\n== taking the advice ==");
         println!("{}", system.execute_ddl(&top.create_sql).unwrap());

@@ -8,7 +8,7 @@ fn main() {
     for use_indexes in [false, true] {
         let opts = PlannerOptions {
             use_indexes,
-            ..PlannerOptions::sequential()
+            ..PlannerOptions::default()
         };
         let e = system.explain_plan_with(q6, opts).unwrap();
         println!("=== use_indexes={use_indexes} ===");

@@ -6,7 +6,7 @@
 //! INDEX (ordered and hash), and literals of varying value and kind to check
 //! cached and uncached executions stay byte-identical; negative cache entries
 //! are followed through their life; and the nine paper queries are run under
-//! every feedback × cache × parallelism combination.
+//! every feedback × cache combination.
 
 use datastore::exec::{execute_with_stats, OpMetrics, PlanProfile, ResultSet};
 use datastore::obs::Counter;
@@ -51,13 +51,6 @@ const PAPER_QUERIES: &[&str] = &[
      and m.year <= all (select m1.year from MOVIES m1, MOVIES m2 \
      where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)",
 ];
-
-fn sequential() -> PlannerOptions {
-    PlannerOptions {
-        parallelism: 1,
-        ..PlannerOptions::default()
-    }
-}
 
 /// A fact/dimension pair where the uniform-NDV assumption is badly wrong:
 /// half of FACTS shares one `category` value while the other half spreads
@@ -119,7 +112,7 @@ fn misestimated_join_replans_on_second_run() {
 
     // First plan: trusts the histogram (≈20 rows) and probes DIM's index
     // once per expected row.
-    let before = system.explain_plan_with(sql, sequential()).unwrap();
+    let before = system.explain_plan(sql).unwrap();
     assert!(
         before.tree.contains("index nested-loop join"),
         "first plan should INLJ:\n{}",
@@ -128,12 +121,12 @@ fn misestimated_join_replans_on_second_run() {
 
     // Execute: the filter actually passes 1,000 rows, a flagged misestimate
     // that the engine folds into its feedback store.
-    let rows = system.run_query_with(sql, sequential()).unwrap();
+    let rows = system.run_query(sql).unwrap();
     assert_eq!(rows.len(), 1000);
 
     // Second plan: the observed selectivity (0.5, not 1/101) makes 1,000
     // index probes cost more than building a 500-row hash table.
-    let after = system.explain_plan_with(sql, sequential()).unwrap();
+    let after = system.explain_plan(sql).unwrap();
     assert!(
         after.tree.contains("hash join"),
         "replanned query should hash-join:\n{}",
@@ -172,7 +165,7 @@ fn misestimated_join_replans_on_second_run() {
             sql,
             PlannerOptions {
                 use_feedback: false,
-                ..sequential()
+                ..PlannerOptions::default()
             },
         )
         .unwrap();
@@ -220,7 +213,7 @@ fn overestimated_filter_switches_to_the_index_and_reads_fewer_rows() {
     // about what the planner does with what it learned.
     let options = PlannerOptions {
         use_plan_cache: false,
-        ..sequential()
+        ..PlannerOptions::default()
     };
     // The two plans may hand the rows on in different orders.
     let run = || {
@@ -260,7 +253,7 @@ fn overestimated_filter_switches_to_the_index_and_reads_fewer_rows() {
 fn show_misestimates_reports_corrected_shapes() {
     let system = Talkback::new(skewed_join_database());
     let sql = "select f.id from FACTS f where f.category = 'hot'";
-    system.run_query_with(sql, sequential()).unwrap();
+    system.run_query(sql).unwrap();
 
     // Not corrected yet: the engine has absorbed the miss but no later plan
     // has consulted it.
@@ -274,7 +267,7 @@ fn show_misestimates_reports_corrected_shapes() {
 
     // Re-plan (the run also re-executes, which is fine): the override fires
     // and the ledger's `corrected` column flips.
-    system.run_query_with(sql, sequential()).unwrap();
+    system.run_query(sql).unwrap();
     let report = system.execute_show("show misestimates").unwrap();
     let row = report
         .table
@@ -309,12 +302,12 @@ fn an_unfindable_misestimate_no_longer_flushes_the_plan_cache() {
         let mut lookups = 0;
         let mut lookup = |id: i64| {
             let sql = format!("select m.title from MOVIES m where m.id = {id}");
-            system.run_query_with(&sql, sequential()).unwrap();
+            system.run_query(&sql).unwrap();
             lookups += 1;
         };
         lookup(1);
         for round in 0..runs {
-            system.run_query_with(statement, sequential()).unwrap();
+            system.run_query(statement).unwrap();
             lookup(2 + 2 * round);
             lookup(3 + 2 * round);
         }
@@ -370,7 +363,7 @@ fn what_a_run_records_the_next_plan_finds() {
     let system = Talkback::new(db);
     let uncached = PlannerOptions {
         use_plan_cache: false,
-        ..sequential()
+        ..PlannerOptions::default()
     };
     let movies = "select m.title from MOVIES m where";
     let notes = "select n.id from NOTES n where n.id <= 20 and";
@@ -468,7 +461,7 @@ fn lookup_shapes_still_bind_to_their_fresh_plan() {
     let obs = system.database().obs();
     for (n, shape) in shapes.iter().enumerate() {
         for i in 0..3 {
-            system.run_query_with(&shape(i), sequential()).unwrap();
+            system.run_query(&shape(i)).unwrap();
         }
         assert_eq!(
             obs.counter(Counter::PlanCacheHits),
@@ -487,7 +480,7 @@ fn repeated_point_lookups_hit_the_plan_cache() {
     let obs = system.database().obs();
 
     let first = system
-        .run_query_with("select m.title from MOVIES m where m.id = 6", sequential())
+        .run_query("select m.title from MOVIES m where m.id = 6")
         .unwrap();
     assert_eq!(obs.counter(Counter::PlanCacheMisses), 1);
     assert_eq!(obs.counter(Counter::PlanCacheHits), 0);
@@ -498,7 +491,7 @@ fn repeated_point_lookups_hit_the_plan_cache() {
     let planned = obs.decisions();
     assert!(!planned.is_empty());
     let second = system
-        .run_query_with("select m.title from MOVIES m where m.id = 3", sequential())
+        .run_query("select m.title from MOVIES m where m.id = 3")
         .unwrap();
     assert_eq!(obs.counter(Counter::PlanCacheHits), 1);
     assert_eq!(obs.counter(Counter::PlanCacheMisses), 1);
@@ -509,7 +502,7 @@ fn repeated_point_lookups_hit_the_plan_cache() {
 
     // A literal of another kind is another template, not a replacement for
     // this one: the float shape misses once, then both shapes hit.
-    let run = |sql: &str| system.run_query_with(sql, sequential()).unwrap();
+    let run = |sql: &str| system.run_query(sql).unwrap();
     assert_eq!(
         run("select m.title from MOVIES m where m.id = 6.0").rows,
         first.rows
@@ -533,7 +526,7 @@ fn repeated_point_lookups_hit_the_plan_cache() {
     // A/B knob: with the cache off, nothing is consulted or counted.
     let off = PlannerOptions {
         use_plan_cache: false,
-        ..sequential()
+        ..PlannerOptions::default()
     };
     system
         .run_query_with("select m.title from MOVIES m where m.id = 6", off)
@@ -548,8 +541,8 @@ fn repeated_point_lookups_hit_the_plan_cache() {
 fn ddl_and_writes_invalidate_cached_plans() {
     let mut system = Talkback::new(movie_database());
     let q = "select m.title from MOVIES m where m.year = 2000";
-    system.run_query_with(q, sequential()).unwrap(); // miss, cached
-    system.run_query_with(q, sequential()).unwrap(); // hit
+    system.run_query(q).unwrap(); // miss, cached
+    system.run_query(q).unwrap(); // hit
     let obs_hits = system.database().obs().counter(Counter::PlanCacheHits);
     assert_eq!(obs_hits, 1);
 
@@ -558,16 +551,16 @@ fn ddl_and_writes_invalidate_cached_plans() {
     system
         .execute_ddl("create index by_year on MOVIES(year)")
         .unwrap();
-    system.run_query_with(q, sequential()).unwrap(); // stale → miss, re-cached
+    system.run_query(q).unwrap(); // stale → miss, re-cached
     assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 1);
     assert_eq!(system.database().obs().counter(Counter::PlanCacheMisses), 2);
     // EXPLAIN is served from that template too: a hit.
-    let e = system.explain_plan_with(q, sequential()).unwrap();
+    let e = system.explain_plan(q).unwrap();
     assert!(e.tree.contains("index scan"), "{}", e.tree);
     assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 2);
 
     // A write invalidates too (statistics may have shifted).
-    system.run_query_with(q, sequential()).unwrap(); // hit again
+    system.run_query(q).unwrap(); // hit again
     system
         .database_mut()
         .insert(
@@ -575,7 +568,7 @@ fn ddl_and_writes_invalidate_cached_plans() {
             vec![Value::int(900), Value::text("Epoch"), Value::int(2000)],
         )
         .unwrap();
-    system.run_query_with(q, sequential()).unwrap(); // stale → miss
+    system.run_query(q).unwrap(); // stale → miss
     assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 3);
     assert_eq!(system.database().obs().counter(Counter::PlanCacheMisses), 3);
 
@@ -584,7 +577,7 @@ fn ddl_and_writes_invalidate_cached_plans() {
     let epoch = system.database().adaptive().epoch();
     assert!(system.database_mut().table_mut("NOPE").is_none());
     assert_eq!(system.database().adaptive().epoch(), epoch);
-    system.run_query_with(q, sequential()).unwrap(); // hit
+    system.run_query(q).unwrap(); // hit
     assert_eq!(system.database().obs().counter(Counter::PlanCacheHits), 4);
     assert_eq!(system.database().obs().counter(Counter::PlanCacheMisses), 3);
 }
@@ -619,7 +612,7 @@ fn bound_template_run(
 
 /// A hit runs the operator tree its template keeps, rewound with the
 /// statement's literals: on `lookup`'s five shapes, Q6, Q9 and a correlated
-/// `EXISTS` with range bounds, sequential and with four workers, every hit
+/// `EXISTS` with range bounds, every hit
 /// answers and counts, node for node, what a fresh open of the template
 /// bound to its literals does — however many runs the kept tree has behind
 /// it.
@@ -689,28 +682,22 @@ fn a_hit_runs_its_kept_tree_as_a_fresh_open_of_the_bound_template() {
             )
         },
     ];
-    let parallel = PlannerOptions {
-        parallelism: 4,
-        parallel_row_threshold: 0.0,
-        ..PlannerOptions::default()
-    };
-    for options in [sequential(), parallel] {
-        for shape in shapes {
-            let mut hits = 0;
-            for i in 0..6 {
-                let sql = shape(i);
-                let answer = system.run_query_with(&sql, options).unwrap();
-                let entry = system.database().obs().journal().last().unwrap();
-                if entry.cache != CacheStatus::Hit {
-                    continue;
-                }
-                hits += 1;
-                let (fresh, profile) = bound_template_run(system.database(), &sql, options);
-                assert_eq!(answer, fresh, "{sql}");
-                assert_eq!(counted(&entry.profile), counted(&profile), "{sql}");
+    let options = PlannerOptions::default();
+    for shape in shapes {
+        let mut hits = 0;
+        for i in 0..6 {
+            let sql = shape(i);
+            let answer = system.run_query_with(&sql, options).unwrap();
+            let entry = system.database().obs().journal().last().unwrap();
+            if entry.cache != CacheStatus::Hit {
+                continue;
             }
-            assert!(hits >= 3, "{}: {hits} hits", shape(0));
+            hits += 1;
+            let (fresh, profile) = bound_template_run(system.database(), &sql, options);
+            assert_eq!(answer, fresh, "{sql}");
+            assert_eq!(counted(&entry.profile), counted(&profile), "{sql}");
         }
+        assert!(hits >= 3, "{}: {hits} hits", shape(0));
     }
 }
 
@@ -723,7 +710,7 @@ fn a_write_after_a_hit_copies_no_table_and_is_seen() {
     let mut system = Talkback::new(movie_database());
     let q = "select m.title from MOVIES m where m.year = 2004";
     let ran = |system: &Talkback, expected: CacheStatus| {
-        let answer = system.run_query_with(q, sequential()).unwrap();
+        let answer = system.run_query(q).unwrap();
         let entry = system.database().obs().journal().last().unwrap();
         assert_eq!(entry.cache, expected, "{q}");
         answer.rows.len()
@@ -767,7 +754,7 @@ fn a_template_journals_one_plan_hash_whatever_its_joins_count() {
     let (one, several) = (named(&|n| n == 1), named(&|n| n >= 2));
     let options = PlannerOptions {
         use_feedback: false,
-        ..sequential()
+        ..PlannerOptions::default()
     };
     let mut runs = Vec::new();
     for name in [&one, &several, &one, &several] {
@@ -888,10 +875,10 @@ fn cached_and_uncached_agree(seed: u64) {
     let mut kind_rng = StdRng::seed_from_u64(seed ^ 0x0C1A_55E5);
     let mut cached = Talkback::new(movie_database());
     let mut uncached = Talkback::new(movie_database());
-    let cached_opts = sequential();
+    let cached_opts = PlannerOptions::default();
     let uncached_opts = PlannerOptions {
         use_plan_cache: false,
-        ..sequential()
+        ..PlannerOptions::default()
     };
 
     let mut indexed = [false; INDEXES.len()];
@@ -1312,21 +1299,17 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
 
     // First execution: a plain miss, examined. From the second on the
     // negative entry answers — whatever the literals.
-    system
-        .run_query_with(&listed(2004, 8), sequential())
-        .unwrap();
+    system.run_query(&listed(2004, 8)).unwrap();
     assert_eq!(status(&system), CacheStatus::Miss);
-    system.run_query_with(nested, sequential()).unwrap();
+    system.run_query(nested).unwrap();
     assert_eq!(status(&system), CacheStatus::Miss);
     assert_eq!(counter(&system, Counter::PlanCacheUncacheable), 0);
-    let expected = system
-        .run_query_with(&listed(2005, 9), sequential())
-        .unwrap();
+    let expected = system.run_query(&listed(2005, 9)).unwrap();
     assert_eq!(
         status(&system),
         CacheStatus::Uncacheable(Uncacheable::InList)
     );
-    system.run_query_with(nested, sequential()).unwrap();
+    system.run_query(nested).unwrap();
     assert_eq!(
         status(&system),
         CacheStatus::Uncacheable(Uncacheable::LikePattern)
@@ -1339,7 +1322,7 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
     // Planned fresh means answered right.
     let uncached = PlannerOptions {
         use_plan_cache: false,
-        ..sequential()
+        ..PlannerOptions::default()
     };
     let reference = system.run_query_with(&listed(2005, 9), uncached).unwrap();
     assert_eq!(expected.rows, reference.rows);
@@ -1374,13 +1357,9 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
                 .execute_ddl("create index by_year on MOVIES(year)")
                 .unwrap();
         }
-        system
-            .run_query_with(&listed(2005, 9), sequential())
-            .unwrap();
+        system.run_query(&listed(2005, 9)).unwrap();
         assert_eq!(status(&system), CacheStatus::Stale, "after the {bump}");
-        system
-            .run_query_with(&listed(2005, 9), sequential())
-            .unwrap();
+        system.run_query(&listed(2005, 9)).unwrap();
         assert_eq!(
             status(&system),
             CacheStatus::Uncacheable(Uncacheable::InList),
@@ -1397,7 +1376,7 @@ fn uncacheable_shapes_are_examined_once_per_epoch() {
         } else {
             format!("select x{i}.title from MOVIES x{i} where x{i}.title like 'M%'")
         };
-        system.run_query_with(&sql, sequential()).unwrap();
+        system.run_query(&sql).unwrap();
         assert!(cache_len(&system) <= capacity, "statement {i}");
     }
     assert_eq!(cache_len(&system), capacity);
@@ -1423,7 +1402,7 @@ fn statement_literals_and_correlation_values_do_not_collide() {
     for decorrelate_subqueries in [true, false] {
         let cached = PlannerOptions {
             decorrelate_subqueries,
-            ..sequential()
+            ..PlannerOptions::default()
         };
         let fresh = PlannerOptions {
             use_plan_cache: false,
@@ -1477,7 +1456,7 @@ fn a_template_keeps_the_null_semantics_of_not_in() {
     let system = Talkback::new(db);
     let fresh = PlannerOptions {
         use_plan_cache: false,
-        ..sequential()
+        ..PlannerOptions::default()
     };
     let forms = [
         "select a.name from ACTOR a where a.id not in \
@@ -1491,7 +1470,7 @@ fn a_template_keeps_the_null_semantics_of_not_in() {
     for (form, (first, second)) in forms.iter().flat_map(|f| [(f, (10, 11)), (f, (60, 62))]) {
         for bound in [first, second] {
             let sql = form.replace("{}", &bound.to_string());
-            let cached = system.run_query_with(&sql, sequential()).unwrap();
+            let cached = system.run_query(&sql).unwrap();
             let served = system.database().obs().journal().last().unwrap().cache;
             let expected = system.run_query_with(&sql, fresh).unwrap();
             assert_eq!(cached.rows, expected.rows, "{sql}");
@@ -1514,7 +1493,7 @@ fn a_template_keeps_the_null_semantics_of_not_in() {
 fn plan_cache_verdicts_of_the_paper_queries_and_the_workload_shapes() {
     let verdict = |system: &Talkback, sql: &str| {
         for _ in 0..2 {
-            system.run_query_with(sql, sequential()).unwrap();
+            system.run_query(sql).unwrap();
         }
         system.database().obs().journal().last().unwrap().cache
     };
@@ -1548,17 +1527,17 @@ fn a_text_literal_against_an_integer_column_is_served_from_its_template() {
     let uncached = Talkback::new(movie_database());
     let fresh = PlannerOptions {
         use_plan_cache: false,
-        ..sequential()
+        ..PlannerOptions::default()
     };
     let sql = "select c.role from CAST c where c.aid = '14'";
     for run in 0..3 {
-        cached.run_query_with(sql, sequential()).unwrap();
+        cached.run_query(sql).unwrap();
         let status = cached.database().obs().journal().last().unwrap().cache;
         let expected = [CacheStatus::Miss, CacheStatus::Hit, CacheStatus::Hit][run];
         assert_eq!(status, expected, "run {run}");
     }
     let explain = format!("explain {sql}");
-    let a = cached.explain_plan_with(&explain, sequential()).unwrap();
+    let a = cached.explain_plan(&explain).unwrap();
     let b = uncached.explain_plan_with(&explain, fresh).unwrap();
     assert_eq!((&a.tree, &a.narration), (&b.tree, &b.narration));
     assert!(!a.tree.contains("[vectorized]"), "{}", a.tree);
@@ -1604,16 +1583,16 @@ fn literal_length_does_not_change_a_bound_decision() {
     ];
     let fresh = PlannerOptions {
         use_plan_cache: false,
-        ..sequential()
+        ..PlannerOptions::default()
     };
     for (sql, literal, others) in cases {
         let system = Talkback::new(movie_database());
-        system.run_query_with(sql, sequential()).unwrap();
+        system.run_query(sql).unwrap();
         let mut constructs = Vec::new();
         for other in others {
             let explain = format!("explain {}", sql.replace(literal, &other));
             let hits = system.database().obs().counter(Counter::PlanCacheHits);
-            let bound = system.explain_plan_with(&explain, sequential()).unwrap();
+            let bound = system.explain_plan(&explain).unwrap();
             let served = system.database().obs().counter(Counter::PlanCacheHits) - hits;
             assert_eq!(served, 1, "{explain} should be served from the template");
             let planned = system.explain_plan_with(&explain, fresh).unwrap();
@@ -1631,17 +1610,8 @@ fn literal_length_does_not_change_a_bound_decision() {
     }
 }
 
-/// The default worker count is the machine's core count, asked for once.
-#[test]
-fn default_parallelism_is_the_core_count_on_every_call() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for _ in 0..3 {
-        assert_eq!(PlannerOptions::default().parallelism, cores);
-    }
-}
-
 /// The nine paper queries return byte-identical rows, order, and columns
-/// under every feedback × cache × parallelism combination — including on a
+/// under every feedback × cache combination — including on a
 /// *second* run, after feedback absorption and plan caching have had their
 /// chance to change something.
 #[test]
@@ -1654,31 +1624,28 @@ fn paper_queries_identical_under_all_adaptive_knobs() {
                 PlannerOptions {
                     use_feedback: false,
                     use_plan_cache: false,
-                    ..sequential()
+                    ..PlannerOptions::default()
                 },
             )
             .unwrap();
         for use_feedback in [false, true] {
             for use_plan_cache in [false, true] {
-                for parallelism in [1, 4] {
-                    let opts = PlannerOptions {
-                        use_feedback,
-                        use_plan_cache,
-                        parallelism,
-                        ..PlannerOptions::default()
-                    };
-                    let system = Talkback::new(movie_database());
-                    for run in 0..2 {
-                        let rs = system.run_query_with(sql, opts).unwrap();
-                        assert_eq!(
-                            base.rows,
-                            rs.rows,
-                            "Q{} run {run} diverged at feedback={use_feedback} \
-                             cache={use_plan_cache} parallelism={parallelism}",
-                            i + 1
-                        );
-                        assert_eq!(base.columns, rs.columns);
-                    }
+                let opts = PlannerOptions {
+                    use_feedback,
+                    use_plan_cache,
+                    ..PlannerOptions::default()
+                };
+                let system = Talkback::new(movie_database());
+                for run in 0..2 {
+                    let rs = system.run_query_with(sql, opts).unwrap();
+                    assert_eq!(
+                        base.rows,
+                        rs.rows,
+                        "Q{} run {run} diverged at feedback={use_feedback} \
+                         cache={use_plan_cache}",
+                        i + 1
+                    );
+                    assert_eq!(base.columns, rs.columns);
                 }
             }
         }

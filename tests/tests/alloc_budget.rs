@@ -228,7 +228,7 @@ fn print(rows: &[Row]) {
 
 #[test]
 fn a_repeated_statement_stays_within_its_allocation_budget() {
-    let options = PlannerOptions::sequential();
+    let options = PlannerOptions::default();
     let mut rows = Vec::new();
 
     let mut system = Talkback::new(scaled_movie_database(ScaleConfig {

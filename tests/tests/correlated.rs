@@ -11,10 +11,9 @@
 //! constant an empty group passes (`0 = count`, `-1 < count`). Sixty more
 //! equality-correlated scalar and `HAVING` statements follow the grid, and
 //! each seed must reach both the grouped lookup and an apply the cost gate
-//! kept at least five times. Each runs under the default options on one
-//! thread and on four (threshold 0, so exchanges and parallel applies really
-//! happen), twice each so that the second run meets the plan-cache template
-//! the first left behind, and must return the multiset the naive reference
+//! kept at least five times. Each runs under the default options twice, so
+//! that the second run meets the plan-cache template the first left behind,
+//! and must return the multiset the naive reference
 //! engine returns: every subquery a per-row apply, no index, no vector
 //! kernel, no feedback, no plan cache. The seeds are fixed;
 //! `CORRELATED_SEED=<u64>` adds one more (CI passes the clock), and every
@@ -44,20 +43,8 @@ fn reference() -> PlannerOptions {
         use_vectorized: false,
         use_plan_cache: false,
         use_feedback: false,
-        parallelism: 1,
         ..PlannerOptions::default()
     }
-}
-
-fn subjects() -> [PlannerOptions; 2] {
-    [
-        PlannerOptions::sequential(),
-        PlannerOptions {
-            parallelism: 4,
-            parallel_row_threshold: 0.0,
-            ..PlannerOptions::default()
-        },
-    ]
 }
 
 const KINDS: [&str; 8] = [
@@ -464,7 +451,7 @@ fn statement(
 /// applies the cost gate kept).
 fn strategies(system: &Talkback, sql: &str) -> (usize, usize) {
     let explained = system
-        .explain_plan_with(&format!("explain {sql}"), PlannerOptions::sequential())
+        .explain_plan(&format!("explain {sql}"))
         .unwrap_or_else(|e| panic!("{sql}\nfailed to explain: {e}"));
     let mut counts = (0, 0);
     for d in &explained.decisions {
@@ -520,26 +507,25 @@ fn differential(seed: u64, schema: &Schema, db: Database) -> usize {
     for (kind, correlation, shape) in grid {
         let (sql, what) = statement(&mut rng, schema, kind, correlation, shape);
         let expected = multiset(&system, &sql, reference(), seed);
-        for options in subjects() {
-            // Twice: the second run meets the template the first one left.
-            for run in 1..=2 {
-                let got = multiset(&system, &sql, options, seed);
-                assert!(
-                    got == expected,
-                    "seed {seed}: {sql}\n{} rows under {options:?} (run {run}), {} under the \
-                     reference",
-                    got.len(),
-                    expected.len()
-                );
-            }
-            let journal = system.database().obs().journal();
-            templated += usize::from(journal.last().unwrap().cache == CacheStatus::Hit);
+        let options = PlannerOptions::default();
+        // Twice: the second run meets the template the first one left.
+        for run in 1..=2 {
+            let got = multiset(&system, &sql, options, seed);
+            assert!(
+                got == expected,
+                "seed {seed}: {sql}\n{} rows under {options:?} (run {run}), {} under the \
+                 reference",
+                got.len(),
+                expected.len()
+            );
         }
+        let journal = system.database().obs().journal();
+        templated += usize::from(journal.last().unwrap().cache == CacheStatus::Hit);
         // Recorded ⇒ found: whatever this run teaches the feedback store,
         // the statement's next plan looks up.
         let uncached = PlannerOptions {
             use_plan_cache: false,
-            ..PlannerOptions::sequential()
+            ..PlannerOptions::default()
         };
         learned += assert_recorded_feedback_is_found(&system, &sql, uncached).len();
         let (k, g) = strategies(&system, &sql);

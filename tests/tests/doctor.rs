@@ -16,10 +16,6 @@ use std::time::{Duration, Instant};
 use talkback::{PlannerOptions, Talkback};
 use talkback_tests::{counted_run, normalize_durations};
 
-fn sequential() -> PlannerOptions {
-    PlannerOptions::sequential()
-}
-
 /// Median wall-clock time of `runs` executions of one statement.
 fn median_total(system: &Talkback, sql: &str, runs: usize) -> Duration {
     let mut samples = sample_totals(system, sql, runs);
@@ -31,7 +27,7 @@ fn sample_totals(system: &Talkback, sql: &str, runs: usize) -> Vec<Duration> {
     (0..runs)
         .map(|_| {
             let t0 = Instant::now();
-            system.run_query_with(sql, sequential()).unwrap();
+            system.run_query(sql).unwrap();
             t0.elapsed()
         })
         .collect()
@@ -54,15 +50,10 @@ fn show_workload_golden_table_and_narration() {
     // Three literal variants of one shape plus one distinct shape.
     for name in ["'Brad Pitt'", "'Julia Roberts'", "'G. Loucas'"] {
         system
-            .run_query_with(
-                &format!("select a.id from ACTOR a where a.name = {name}"),
-                sequential(),
-            )
+            .run_query(&format!("select a.id from ACTOR a where a.name = {name}"))
             .unwrap();
     }
-    system
-        .run_query_with("select m.title from MOVIES m", sequential())
-        .unwrap();
+    system.run_query("select m.title from MOVIES m").unwrap();
 
     let report = system.execute_show("show workload").unwrap();
     let table = normalize_durations(&report.table);
@@ -124,7 +115,7 @@ fn show_workload_files_spellings_of_one_shape_as_the_plan_cache_does() {
         "select  m.title from MOVIES m where m.id = 2",
         "select m.title\nfrom MOVIES m where m.id = 3",
     ] {
-        system.run_query_with(sql, sequential()).unwrap();
+        system.run_query(sql).unwrap();
     }
     let hits = system
         .database()
@@ -211,14 +202,11 @@ fn advise_prescribes_a_costed_index_and_narrates_the_what_if() {
 
     for i in 0..6 {
         system
-            .run_query_with(
-                &format!(
-                    "select c.role from CAST c where c.aid = {} and c.mid > {}",
-                    10 + i,
-                    20 + i
-                ),
-                sequential(),
-            )
+            .run_query(&format!(
+                "select c.role from CAST c where c.aid = {} and c.mid > {}",
+                10 + i,
+                20 + i
+            ))
             .unwrap();
     }
 
@@ -288,16 +276,16 @@ fn advise_respects_limit_and_stays_a_pure_read() {
     let system = Talkback::new(clinic_database());
     for i in 0..4 {
         system
-            .run_query_with(
-                &format!("select c.role from CAST c where c.aid = {}", 30 + i),
-                sequential(),
-            )
+            .run_query(&format!(
+                "select c.role from CAST c where c.aid = {}",
+                30 + i
+            ))
             .unwrap();
         system
-            .run_query_with(
-                &format!("select g.genre from GENRE g where g.mid = {}", 40 + i),
-                sequential(),
-            )
+            .run_query(&format!(
+                "select g.genre from GENRE g where g.mid = {}",
+                40 + i
+            ))
             .unwrap();
     }
     let executed_before = system
@@ -326,9 +314,7 @@ fn advise_respects_limit_and_stays_a_pure_read() {
 #[test]
 fn checkup_reports_health_when_nothing_is_wrong() {
     let system = Talkback::new(movie_database());
-    system
-        .run_query_with("select m.title from MOVIES m", sequential())
-        .unwrap();
+    system.run_query("select m.title from MOVIES m").unwrap();
     let report = system.execute_show("checkup").unwrap();
     for check in [
         "workload",
@@ -381,7 +367,7 @@ fn checkup_sentinel_flags_drift_and_names_data_growth() {
     let mut system = Talkback::new(db);
     let q = "select f.id from FILMS f where f.genre = 'noir'";
     for _ in 0..4 {
-        system.run_query_with(q, sequential()).unwrap();
+        system.run_query(q).unwrap();
     }
     for i in 700..30000 {
         system
@@ -390,7 +376,7 @@ fn checkup_sentinel_flags_drift_and_names_data_growth() {
             .unwrap();
     }
     for _ in 0..4 {
-        system.run_query_with(q, sequential()).unwrap();
+        system.run_query(q).unwrap();
     }
 
     let report = system.execute_show("checkup").unwrap();
@@ -444,10 +430,10 @@ fn journal_capacity_knob_trims_journal_but_ledger_survives_eviction() {
 
     for i in 0..10 {
         system
-            .run_query_with(
-                &format!("select m.title from MOVIES m where m.year > {}", 1990 + i),
-                sequential(),
-            )
+            .run_query(&format!(
+                "select m.title from MOVIES m where m.year > {}",
+                1990 + i
+            ))
             .unwrap();
     }
     let obs = system.database().obs();
@@ -485,10 +471,10 @@ fn query_log_shows_plan_cache_status_per_statement() {
     let system = Talkback::new(movie_database());
     // Point lookups with shifting literals: first is a miss, repeats hit.
     system
-        .run_query_with("select m.title from MOVIES m where m.id = 1", sequential())
+        .run_query("select m.title from MOVIES m where m.id = 1")
         .unwrap();
     system
-        .run_query_with("select m.title from MOVIES m where m.id = 2", sequential())
+        .run_query("select m.title from MOVIES m where m.id = 2")
         .unwrap();
     let report = system.execute_show("show query log").unwrap();
     let lines: Vec<&str> = report.table.lines().collect();
@@ -508,9 +494,7 @@ fn query_log_shows_plan_cache_status_per_statement() {
 fn profile_quotes_interpolated_percentiles_for_the_phases() {
     let system = Talkback::new(movie_database());
     for _ in 0..3 {
-        system
-            .run_query_with("select m.title from MOVIES m", sequential())
-            .unwrap();
+        system.run_query("select m.title from MOVIES m").unwrap();
     }
     let report = system.execute_show("show profile").unwrap();
     let table = normalize_durations(&report.table);
@@ -566,18 +550,15 @@ fn advise_what_if_estimate_matches_measured_speedup_at_scale() {
     let mut system = Talkback::new(db);
     for i in 0..20 {
         system
-            .run_query_with(
-                &format!(
-                    "select c.role from CAST c where c.aid = {} and c.mid > {}",
-                    10 + i,
-                    100 + i
-                ),
-                sequential(),
-            )
+            .run_query(&format!(
+                "select c.role from CAST c where c.aid = {} and c.mid > {}",
+                10 + i,
+                100 + i
+            ))
             .unwrap();
     }
 
-    let recs = talkback::recommendations(system.database(), sequential());
+    let recs = talkback::recommendations(system.database(), PlannerOptions::default());
     let top = recs.first().expect("the workload must yield advice");
     assert_eq!(top.table, "CAST");
     assert!(
@@ -593,10 +574,11 @@ fn advise_what_if_estimate_matches_measured_speedup_at_scale() {
     // Count, take the advice, count again.
     let evidence = top.evidence_sql.clone();
     let (answer_before, scanned_before, probes_before) =
-        counted_run(&system, &evidence, sequential());
+        counted_run(&system, &evidence, PlannerOptions::default());
     system.execute_ddl(&top.create_sql).unwrap();
     assert!(system.database().find_index("idx_cast_aid_mid").is_some());
-    let (answer_after, scanned_after, probes_after) = counted_run(&system, &evidence, sequential());
+    let (answer_after, scanned_after, probes_after) =
+        counted_run(&system, &evidence, PlannerOptions::default());
     eprintln!(
         "cost {:.0} -> {:.0}; scanned {scanned_before} -> {scanned_after}, \
          probes {probes_before} -> {probes_after}, {} rows",
@@ -649,9 +631,9 @@ fn advise_sees_the_correlated_equality_in_q9() {
               and m.year <= all (select m1.year from MOVIES m1, MOVIES m2 \
               where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)";
     for _ in 0..5 {
-        system.run_query_with(q9, sequential()).unwrap();
+        system.run_query(q9).unwrap();
     }
-    let recs = talkback::recommendations(system.database(), sequential());
+    let recs = talkback::recommendations(system.database(), PlannerOptions::default());
     let top = recs.first().expect("Q9 must yield advice");
     assert_eq!(
         (top.table.as_str(), &top.columns[..]),
@@ -669,10 +651,11 @@ fn advise_sees_the_correlated_equality_in_q9() {
 
     // Take the advice: the evidence statement then reads MOVIES through the
     // index, once per binding, with the same answer.
-    let (before, scanned_before, _) = counted_run(&system, &top.evidence_sql, sequential());
+    let (before, scanned_before, _) =
+        counted_run(&system, &top.evidence_sql, PlannerOptions::default());
     system.execute_ddl(&top.create_sql).unwrap();
     let (after, scanned_after, probes_after) =
-        counted_run(&system, &top.evidence_sql, sequential());
+        counted_run(&system, &top.evidence_sql, PlannerOptions::default());
     assert_eq!(before.rows, after.rows);
     assert_eq!(probes_after, 200, "two probes for each of 100 titles");
     assert!(
@@ -680,7 +663,7 @@ fn advise_sees_the_correlated_equality_in_q9() {
         "{scanned_before} -> {scanned_after} rows"
     );
     let e = system
-        .explain_plan_with(&format!("explain {}", top.evidence_sql), sequential())
+        .explain_plan(&format!("explain {}", top.evidence_sql))
         .unwrap();
     for alias in ["m1", "m2"] {
         let probe = format!(
@@ -715,14 +698,14 @@ fn advise_survives_a_concurrent_random_workload() {
                             rng.gen_range(1..80),
                             rng.gen_range(1..150)
                         );
-                        sys.run_query_with(&sql, sequential()).unwrap();
+                        sys.run_query(&sql).unwrap();
                     }
                     4..=6 => {
                         let sql = format!(
                             "select m.title, m.year from MOVIES m where m.year > {} order by m.year",
                             rng.gen_range(1950..2010)
                         );
-                        sys.run_query_with(&sql, sequential()).unwrap();
+                        sys.run_query(&sql).unwrap();
                     }
                     7..=8 => {
                         let sql = format!(
@@ -730,7 +713,7 @@ fn advise_survives_a_concurrent_random_workload() {
                              where m.id = c.mid and c.aid = {}",
                             rng.gen_range(1..80)
                         );
-                        sys.run_query_with(&sql, sequential()).unwrap();
+                        sys.run_query(&sql).unwrap();
                     }
                     9 => {
                         // Writes: each clone copy-on-writes its own data but
@@ -763,7 +746,7 @@ fn advise_survives_a_concurrent_random_workload() {
     }
 
     // ADVISE never panics, through both the API and the statement.
-    let recs = talkback::recommendations(system.database(), sequential());
+    let recs = talkback::recommendations(system.database(), PlannerOptions::default());
     system.execute_show("advise").unwrap();
     system.execute_show("checkup").unwrap();
     system.execute_show("show workload").unwrap();

@@ -1,10 +1,12 @@
 //! Operator-level executor tests and EXPLAIN golden-output tests, across the
 //! whole stack (sqlparse → planner → streaming executor → narration).
 
-use datastore::exec::{describe_plan, execute, execute_with_stats};
+use datastore::exec::{describe_plan, execute, execute_with_stats, OpMetrics, Plan};
 use datastore::sample::{movie_database, scaled_movie_database, ScaleConfig};
 use datastore::Row;
-use talkback::{plan_query, Talkback};
+use sqlparse::parse_query;
+use std::time::Duration;
+use talkback::{plan_query, plan_query_with, PlannerOptions, Talkback};
 use talkback_tests::mentions;
 
 /// Sort rows for order-insensitive result comparison.
@@ -229,7 +231,7 @@ fn explain_with_indexes_off_keeps_the_all_hash_join_tree() {
              where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
             talkback::PlannerOptions {
                 use_indexes: false,
-                ..talkback::PlannerOptions::sequential()
+                ..talkback::PlannerOptions::default()
             },
         )
         .unwrap();
@@ -393,7 +395,7 @@ fn integer_overflow_is_a_typed_error_not_a_panic_or_a_wrong_answer() {
         for use_vectorized in [false, true] {
             let options = PlannerOptions {
                 use_vectorized,
-                ..PlannerOptions::sequential()
+                ..PlannerOptions::default()
             };
             match system.run_query_with(sql, options) {
                 Err(TalkbackError::Store(datastore::StoreError::Eval { message: got })) => {
@@ -452,7 +454,7 @@ fn a_nan_equals_nothing_but_itself_and_sorts_last() {
     let run = |sql: &str, use_vectorized: bool| {
         let options = PlannerOptions {
             use_vectorized,
-            ..PlannerOptions::sequential()
+            ..PlannerOptions::default()
         };
         system.run_query_with(sql, options).unwrap().rows
     };
@@ -522,7 +524,6 @@ fn a_nan_equals_nothing_but_itself_and_sorts_last() {
 /// the narration, in the ledger and in the query log.
 #[test]
 fn explain_analyze_golden_a_sort_under_a_limit_emits_the_limit() {
-    use talkback::PlannerOptions;
     let system = Talkback::new(scaled_movie_database(ScaleConfig {
         movies: 3000,
         actors: 1800,
@@ -531,10 +532,7 @@ fn explain_analyze_golden_a_sort_under_a_limit_emits_the_limit() {
     }));
     let sql = "select m.id, m.title, m.year from MOVIES m order by m.year, m.id limit 15";
     let e = system
-        .explain_plan_with(
-            &format!("explain analyze {sql}"),
-            PlannerOptions::sequential(),
-        )
+        .explain_plan(&format!("explain analyze {sql}"))
         .unwrap();
     assert_eq!(
         e.tree,
@@ -553,15 +551,8 @@ fn explain_analyze_golden_a_sort_under_a_limit_emits_the_limit() {
 
     // The same rows as the whole sort's first fifteen, ties on `year` broken
     // by `id` as written.
-    let limited = system
-        .run_query_with(sql, PlannerOptions::sequential())
-        .unwrap();
-    let whole = system
-        .run_query_with(
-            sql.trim_end_matches(" limit 15"),
-            PlannerOptions::sequential(),
-        )
-        .unwrap();
+    let limited = system.run_query(sql).unwrap();
+    let whole = system.run_query(sql.trim_end_matches(" limit 15")).unwrap();
     assert_eq!(whole.len(), 3000);
     assert_eq!(limited.rows, whole.rows[..15]);
 
@@ -580,4 +571,159 @@ fn explain_analyze_golden_a_sort_under_a_limit_emits_the_limit() {
         "{}",
         profile.render_tree(true)
     );
+}
+
+/// The paper's nine example queries (same SQL as the indexes suite).
+const PAPER_QUERIES: &[&str] = &[
+    "select m.title from MOVIES m, CAST c, ACTOR a \
+     where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
+    "select a.name, m.title from MOVIES m, CAST c, ACTOR a, DIRECTED r, DIRECTOR d, GENRE g \
+     where m.id = c.mid and c.aid = a.id and m.id = r.mid and r.did = d.id \
+       and m.id = g.mid and d.name = 'G. Loucas' and g.genre = 'action'",
+    "select a1.name, a2.name from MOVIES m, CAST c1, ACTOR a1, CAST c2, ACTOR a2 \
+     where m.id = c1.mid and c1.aid = a1.id and m.id = c2.mid and c2.aid = a2.id \
+       and a1.id > a2.id",
+    "select m.title from MOVIES m, CAST c where m.id = c.mid and c.role = m.title",
+    "select m.title from MOVIES m where m.id in ( \
+        select c.mid from CAST c where c.aid in ( \
+            select a.id from ACTOR a where a.name = 'Brad Pitt'))",
+    "select m.title from MOVIES m where not exists ( \
+        select * from GENRE g1 where not exists ( \
+            select * from GENRE g2 where g2.mid = m.id and g2.genre = g1.genre))",
+    "select m.id, m.title, count(*) from MOVIES m, CAST c where m.id = c.mid \
+     group by m.id, m.title having 1 < (select count(*) from GENRE g where g.mid = m.id)",
+    "select a.id, a.name from MOVIES m, CAST c, ACTOR a \
+     where m.id = c.mid and c.aid = a.id \
+     group by a.id, a.name having count(distinct m.year) = 1",
+    "select a.name from MOVIES m, CAST c, ACTOR a where m.id = c.mid and c.aid = a.id \
+     and m.year <= all (select m1.year from MOVIES m1, MOVIES m2 \
+     where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)",
+];
+
+/// Shapes the paper's queries leave out: sort/limit/distinct, an
+/// uncorrelated scalar subquery, a correlated EXISTS.
+const SHAPE_QUERIES: &[&str] = &[
+    "select distinct m.year from MOVIES m order by m.year desc limit 3",
+    "select m.title from MOVIES m where m.year = (select max(m2.year) from MOVIES m2)",
+    "select m.title from MOVIES m where exists (select * from CAST c where c.mid = m.id)",
+];
+
+/// The §3.1 EMP/DEPT queries the other suites run.
+const EMP_QUERIES: &[&str] = &[
+    "select e1.name from EMP e1, EMP e2, DEPT d \
+     where e1.did = d.did and d.mgr = e2.eid and e1.sal > e2.sal",
+    "select e.name from EMP e where e.eid not in (select d.mgr from DEPT d)",
+    "select e.name from EMP e where e.eid not in \
+     (select d.mgr from DEPT d where d.mgr is not null)",
+];
+
+/// Plan every paper, shape and EMP/DEPT query under the 8 planner corners
+/// (indexes × vectorized × decorrelation) and hand each plan to `f`.
+fn for_each_planned_corner(mut f: impl FnMut(&datastore::Database, &str, &Plan, PlannerOptions)) {
+    let movies = movie_database();
+    let employees = datastore::sample::employee_database();
+    let queries = PAPER_QUERIES
+        .iter()
+        .chain(SHAPE_QUERIES)
+        .map(|sql| (&movies, *sql))
+        .chain(EMP_QUERIES.iter().map(|sql| (&employees, *sql)));
+    for (db, sql) in queries {
+        let q = parse_query(sql).unwrap();
+        for corner in 0..8u32 {
+            let options = PlannerOptions {
+                use_indexes: corner & 1 != 0,
+                use_vectorized: corner & 2 != 0,
+                decorrelate_subqueries: corner & 4 != 0,
+                ..PlannerOptions::default()
+            };
+            let plan = plan_query_with(db, &q, options).unwrap().plan;
+            f(db, sql, &plan, options);
+        }
+    }
+}
+
+#[test]
+fn plan_walk_visits_exactly_the_operators_the_executor_opens() {
+    // `open_in` states every operator's children independently of
+    // `Plan::children`: the profile it builds must list the operators
+    // `Plan::walk` visits, in the same pre-order, under every planner corner
+    // — so a child `children()` forgot, or yielded out of order, fails here.
+    let mut seen = std::collections::BTreeSet::new();
+    for_each_planned_corner(|db, sql, plan, options| {
+        let mut walked = Vec::new();
+        plan.walk(&mut |p| walked.push(p.operator_name()));
+        let described = describe_plan(db, plan).unwrap();
+        let mut opened = Vec::new();
+        described.walk(&mut |p| {
+            // The probe side of an index nested-loop join is a profile
+            // leaf with no plan node of its own.
+            if p.operator() != "index probe" {
+                opened.push(p.operator());
+            }
+            // Describing executes nothing: every meter is still at zero.
+            assert_eq!(
+                *p.metrics(),
+                OpMetrics::default(),
+                "{sql}: {}",
+                p.operator()
+            );
+        });
+        assert_eq!(walked, opened, "{sql} under {options:?}");
+        seen.extend(walked);
+        // Binding nothing changes nothing, whatever the operators.
+        assert_eq!(plan.bind_params(&[]), *plan, "{sql}");
+    });
+    // Every operator the planner can emit took part.
+    let all = [
+        "aggregate",
+        "anti join",
+        "apply",
+        "distinct",
+        "filter",
+        "hash join",
+        "index nested-loop join",
+        "index scan",
+        "limit",
+        "nested-loop join",
+        "project",
+        "scalar subquery",
+        "scan",
+        "semi join",
+        "sort",
+    ];
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
+}
+
+#[test]
+fn every_executed_profile_node_obeys_the_metering_protocol() {
+    // The protocol `exec/mod.rs` states, checked on every node of every
+    // executed corner rather than trusted per operator.
+    for_each_planned_corner(|db, sql, plan, options| {
+        let (_, profile) = execute_with_stats(db, plan).unwrap();
+        profile.walk(&mut |p| {
+            let at = format!("{sql} under {options:?}: {}: {}", p.operator(), p.detail());
+            let m = p.metrics();
+            assert!(m.elapsed >= m.blocked, "blocked is part of elapsed: {at}");
+            // The probe leaf of an index join tallies probes and matches and
+            // never returns a batch of its own.
+            if p.operator() != "index probe" {
+                assert_eq!(m.batches == 0, m.rows_out == 0, "no empty batches: {at}");
+            }
+            // An operator pulls from its children, minus the subplan of an
+            // apply or scalar-subquery filter and the probe leaf.
+            let pulled: Vec<_> = match p.operator() {
+                "apply" | "scalar subquery" | "index nested-loop join" => p.children().take(1),
+                _ => p.children().take(usize::MAX),
+            }
+            .collect();
+            // An operator waits as long as what it pulls from ran.
+            let waited_for: Duration = pulled.iter().map(|c| c.metrics().elapsed).sum();
+            assert!(m.blocked >= waited_for, "a pull is a wait: {at}");
+            // It counts in exactly what its inputs handed out.
+            if !pulled.is_empty() {
+                let handed_out: u64 = pulled.iter().map(|c| c.metrics().rows_out).sum();
+                assert_eq!(m.rows_in, handed_out, "rows in = rows pulled: {at}");
+            }
+        });
+    });
 }

@@ -1,6 +1,6 @@
 //! Acceptance tests for the secondary-index subsystem: every paper query
 //! must answer byte-identically across indexes {off, on} × vectorized
-//! {off, on} × parallelism {1, 2, 4, 8}; a seeded-random property test pins
+//! {off, on}; a seeded-random property test pins
 //! index scans (single-column, composite-prefix, and index-only) to their
 //! filtered full-scan baseline — including after interleaved inserts that
 //! exercise index maintenance under copy-on-write; golden `EXPLAIN` trees
@@ -16,7 +16,7 @@ use sqlparse::parse_query;
 use talkback::{plan_query_with, PlannerOptions, Talkback};
 use talkback_tests::mentions;
 
-/// The paper's nine example queries (same SQL as the parallel suite).
+/// The paper's nine example queries (same SQL as `tests/executor_and_explain.rs`).
 const PAPER_QUERIES: &[&str] = &[
     "select m.title from MOVIES m, CAST c, ACTOR a \
      where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
@@ -43,22 +43,18 @@ const PAPER_QUERIES: &[&str] = &[
      where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)",
 ];
 
-fn options(use_indexes: bool, use_vectorized: bool, parallelism: usize) -> PlannerOptions {
+fn options(use_indexes: bool, use_vectorized: bool) -> PlannerOptions {
     PlannerOptions {
         use_indexes,
         use_vectorized,
-        parallelism,
-        // Force the parallel decision so the small fixtures exercise the
-        // exchange ∘ index-scan composition too.
-        parallel_row_threshold: 0.0,
         ..PlannerOptions::default()
     }
 }
 
 #[test]
-fn q1_to_q9_byte_identical_with_indexes_on_off_and_parallel() {
-    // The acceptance matrix: indexes {off, on} × vectorized {off, on} ×
-    // parallelism {1, 2, 4, 8}, with extra secondary indexes layered on —
+fn q1_to_q9_byte_identical_with_indexes_on_and_off() {
+    // The acceptance matrix: indexes {off, on} × vectorized {off, on}, with
+    // extra secondary indexes layered on —
     // single-column, composite, and hash — so more access paths than just
     // the automatic PKs are in play (parameterized probes under Q6's apply,
     // composite-prefix probes into CAST, hash points into ACTOR).
@@ -86,25 +82,22 @@ fn q1_to_q9_byte_identical_with_indexes_on_off_and_parallel() {
     .unwrap();
     for (i, sql) in PAPER_QUERIES.iter().enumerate() {
         let q = parse_query(sql).unwrap();
-        let baseline = plan_query_with(&db, &q, options(false, false, 1)).unwrap();
+        let baseline = plan_query_with(&db, &q, options(false, false)).unwrap();
         let reference = execute(&db, &baseline.plan).unwrap();
         for use_indexes in [false, true] {
             for use_vectorized in [false, true] {
-                for parallelism in [1usize, 2, 4, 8] {
-                    if (use_indexes, use_vectorized, parallelism) == (false, false, 1) {
-                        continue; // that cell is the baseline itself
-                    }
-                    let opts = options(use_indexes, use_vectorized, parallelism);
-                    let planned = plan_query_with(&db, &q, opts).unwrap();
-                    let rs = execute(&db, &planned.plan).unwrap();
-                    assert_eq!(
-                        reference.rows,
-                        rs.rows,
-                        "Q{} diverged at indexes={use_indexes} vectorized={use_vectorized} \
-                         parallelism={parallelism}",
-                        i + 1
-                    );
+                if (use_indexes, use_vectorized) == (false, false) {
+                    continue; // that cell is the baseline itself
                 }
+                let opts = options(use_indexes, use_vectorized);
+                let planned = plan_query_with(&db, &q, opts).unwrap();
+                let rs = execute(&db, &planned.plan).unwrap();
+                assert_eq!(
+                    reference.rows,
+                    rs.rows,
+                    "Q{} diverged at indexes={use_indexes} vectorized={use_vectorized}",
+                    i + 1
+                );
             }
         }
     }
@@ -171,7 +164,7 @@ fn run_with(db: &Database, sql: &str, use_indexes: bool) -> Vec<datastore::Row> 
         &q,
         PlannerOptions {
             use_indexes,
-            ..PlannerOptions::sequential()
+            ..PlannerOptions::default()
         },
     )
     .unwrap();

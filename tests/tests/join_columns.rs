@@ -21,8 +21,7 @@
 //! Each answer is held, rows in order and values by their spelling, to the
 //! same reader run over the join's `select *` answer stored as a table of its
 //! own — where there is no join, so nothing is narrowed. That runs under the
-//! default options on one thread and on four (threshold 0, so exchanges
-//! appear) and under the naive reference options. The seeds are fixed;
+//! default options and under the naive reference options. The seeds are fixed;
 //! `COLUMNS_SEED=<u64>` adds one more (CI passes the clock), and every failure
 //! names its seed and statement.
 
@@ -41,21 +40,15 @@ fn seeds() -> Vec<u64> {
     seeds
 }
 
-fn options() -> [PlannerOptions; 3] {
+fn options() -> [PlannerOptions; 2] {
     [
-        PlannerOptions::sequential(),
-        PlannerOptions {
-            parallelism: 4,
-            parallel_row_threshold: 0.0,
-            ..PlannerOptions::default()
-        },
+        PlannerOptions::default(),
         PlannerOptions {
             decorrelate_subqueries: false,
             use_indexes: false,
             use_vectorized: false,
             use_plan_cache: false,
             use_feedback: false,
-            parallelism: 1,
             ..PlannerOptions::default()
         },
     ]

@@ -3,48 +3,34 @@
 //! * *The engine agrees with itself.* On `T(id INTEGER, f FLOAT)` holding
 //!   `1.0`, the Integer `1`, `-0.0` and `0.0`, `WHERE t.f = 1` and
 //!   `WHERE t.f = 0` each find two rows; so must a hash join, `IN`, `NOT IN`,
-//!   `GROUP BY`, `DISTINCT` and `COUNT(DISTINCT)`, on one thread and on four,
-//!   and so must the reference options.
+//!   `GROUP BY`, `DISTINCT` and `COUNT(DISTINCT)`, and so must the reference
+//!   options.
 //! * *A differential that shares no hashing code with the engine.* Seeded,
 //!   NULL-heavy rows — Integers inside Float columns, `±0.0`, NaN, empty and
 //!   shared-prefix strings, one to three key columns — go through the hash
 //!   join, the semi-, anti- and NULL-aware anti-join, the keyed scalar
 //!   subquery, the grouped aggregator (groups and `COUNT(DISTINCT)`; row and
-//!   vector paths; per-morsel partials merged in morsel order) and
-//!   `DISTINCT`, and each answer is compared, rows in order and values by
-//!   their exact spelling (`1` is not `1.0`), with nested loops over
-//!   [`Value::sql_eq`]. The build sides are larger than `PARALLEL_BUILD_MIN`,
-//!   so the builds at four workers are partitioned.
+//!   vector paths) and `DISTINCT`, and each answer is compared, rows in
+//!   order and values by their exact spelling (`1` is not `1.0`), with
+//!   nested loops over [`Value::sql_eq`]. The build sides span several
+//!   batches.
 //! * *The aggregator's two lookups are one table.* Its vector path reads a
 //!   batch's key columns once, typed, and looks the batch up; a batch whose
 //!   key column mixes kinds goes row by row into the same table. A key column
 //!   that changes kind between batches (Integers alone, then Integers with a
 //!   Float `1.0`, `-0.0` and NULL, then Integers), and two-column Integer +
-//!   Text keys in batches of 1 023, 1 024 and 1 025 rows (whole, and as four
-//!   partials merged), are held to the same nested loops.
+//!   Text keys in batches of 1 023, 1 024 and 1 025 rows, are held to the
+//!   same nested loops.
 //!
 //! The differential's seeds are fixed; `KEYS_SEED=<u64>` adds one more (CI
 //! passes the clock), and every failure names its seed.
 
-use datastore::exec::{
-    execute, AggExpr, AggFunc, ColumnInfo, GroupedAggregator, JoinIndex, Plan, PARALLEL_BUILD_MIN,
-};
+use datastore::exec::{execute, AggExpr, AggFunc, ColumnInfo, GroupedAggregator, Plan};
 use datastore::expr::{CmpOp, Expr};
 use datastore::{ColumnDef, DataType, Database, Row, TableSchema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use talkback::{PlannerOptions, Talkback};
-
-fn threads() -> [PlannerOptions; 2] {
-    [
-        PlannerOptions::sequential(),
-        PlannerOptions {
-            parallelism: 4,
-            parallel_row_threshold: 0.0,
-            ..PlannerOptions::default()
-        },
-    ]
-}
 
 fn reference() -> PlannerOptions {
     PlannerOptions {
@@ -53,7 +39,6 @@ fn reference() -> PlannerOptions {
         use_vectorized: false,
         use_plan_cache: false,
         use_feedback: false,
-        parallelism: 1,
         ..PlannerOptions::default()
     }
 }
@@ -128,7 +113,7 @@ fn hash_operators_agree_with_equals_on_numbers() {
         ("select count(distinct *) from T t", ids(&[1])),
     ];
     for (sql, expected) in &cases {
-        for options in threads().into_iter().chain([reference()]) {
+        for options in [PlannerOptions::default(), reference()] {
             let answer = system.run_query_with(sql, options).unwrap();
             assert_eq!(
                 &sorted(spelled(&answer.rows)),
@@ -138,7 +123,7 @@ fn hash_operators_agree_with_equals_on_numbers() {
         }
     }
     // The first of the equal values speaks for its group.
-    for options in threads().into_iter().chain([reference()]) {
+    for options in [PlannerOptions::default(), reference()] {
         let distinct = system
             .run_query_with("select distinct t.f from T t", options)
             .unwrap();
@@ -242,11 +227,8 @@ fn run(plan: &Plan) -> Vec<String> {
     spelled(&execute(&Database::new(), plan).unwrap().rows)
 }
 
-/// The plan at one worker and under a four-worker exchange, whose hash
-/// builds are partitioned.
-fn both(plan: Plan) -> [(usize, Vec<String>); 2] {
-    [(1, run(&plan)), (4, run(&plan.exchange(4)))]
-}
+/// Rows in each build side: several batches.
+const BUILD_ROWS: usize = 4_596;
 
 #[test]
 fn key_tables_agree_with_nested_loops() {
@@ -263,7 +245,7 @@ fn key_tables_agree_with_nested_loops() {
             let width = kinds.len();
             let at = format!("seed {seed}, key {kinds:?}");
             let probe = rows(&mut rng, &kinds, 300);
-            let build = rows(&mut rng, &kinds, PARALLEL_BUILD_MIN + 500);
+            let build = rows(&mut rng, &kinds, BUILD_ROWS);
             let keys: Vec<usize> = (0..width).collect();
             joins(&probe, &build, &keys, &at);
             semi_joins(&probe, &build, &keys, &at);
@@ -279,7 +261,6 @@ fn values(prefix: &str, rows: &[Row]) -> Plan {
 }
 
 fn joins(probe: &[Row], build: &[Row], keys: &[usize], at: &str) {
-    assert_eq!(JoinIndex::build(build.to_vec(), keys, 4).partitions(), 4);
     let mut expected = Vec::new();
     for l in probe.iter().filter(|l| !has_null(l, keys)) {
         for r in build.iter().filter(|r| equal(l, keys, r, keys)) {
@@ -293,9 +274,7 @@ fn joins(probe: &[Row], build: &[Row], keys: &[usize], at: &str) {
         keys.into(),
         keys.into(),
     );
-    for (workers, answer) in both(plan) {
-        assert_eq!(answer, expected, "hash join, {workers} workers, {at}");
-    }
+    assert_eq!(run(&plan), expected, "hash join, {at}");
 }
 
 fn semi_joins(probe: &[Row], build: &[Row], keys: &[usize], at: &str) {
@@ -326,9 +305,7 @@ fn semi_joins(probe: &[Row], build: &[Row], keys: &[usize], at: &str) {
         cases.push(("NULL-aware anti join", null_aware, kept(&not_in)));
     }
     for (what, plan, expected) in cases {
-        for (workers, answer) in both(plan) {
-            assert_eq!(answer, expected, "{what}, {workers} workers, {at}");
-        }
+        assert_eq!(run(&plan), expected, "{what}, {at}");
     }
 }
 
@@ -352,28 +329,17 @@ fn scalar_lookups(probe: &[Row], build: &[Row], keys: &[usize], at: &str) {
         .cloned()
         .collect();
     let expected = spelled(&expected);
-    for (workers, answer) in both(plan) {
-        assert_eq!(answer, expected, "scalar subquery, {workers} workers, {at}");
-    }
+    assert_eq!(run(&plan), expected, "scalar subquery, {at}");
 }
 
 /// `select keys, count(*), count(distinct d) group by keys`, where `d` is
-/// the first key column shifted by one row: in batches of 1 024, and as
-/// partials over morsels of 1 000 rows in batches of 300 merged in order.
+/// the first key column shifted by one row, in batches of 1 024.
 fn aggregates(build: &[Row], keys: &[usize], at: &str) {
-    aggregates_in(build, keys, 1024, 1000, 300, at);
+    aggregates_in(build, keys, 1024, at);
 }
 
-/// [`aggregates`] in batches of `batch` rows, and as partials over morsels of
-/// `morsel` rows in batches of `morsel_batch`.
-fn aggregates_in(
-    build: &[Row],
-    keys: &[usize],
-    batch: usize,
-    morsel: usize,
-    morsel_batch: usize,
-    at: &str,
-) {
+/// [`aggregates`] in batches of `batch` rows.
+fn aggregates_in(build: &[Row], keys: &[usize], batch: usize, at: &str) {
     let rows: Vec<Row> = (build.iter().enumerate())
         .map(|(i, r)| {
             let d = build[(i + 1) % build.len()].values()[0].clone();
@@ -432,20 +398,6 @@ fn aggregates_in(
             answer, expected,
             "aggregate in batches of {batch}, vectorized {vectorized}, {at}"
         );
-
-        let mut gather = GroupedAggregator::new(keys.to_vec(), aggs(), vectorized);
-        for morsel in rows.chunks(morsel) {
-            let mut partial = GroupedAggregator::new(keys.to_vec(), aggs(), vectorized);
-            for batch in morsel.chunks(morsel_batch) {
-                partial.push_batch(batch).unwrap();
-            }
-            gather.merge_partial(partial);
-        }
-        let answer = spelled(&gather.finish(None).unwrap());
-        assert_eq!(
-            answer, expected,
-            "merged partials, vectorized {vectorized}, {at}"
-        );
     }
 }
 
@@ -462,9 +414,11 @@ fn distinct(build: &[Row], width: usize, at: &str) {
         }
     }
     let expected = spelled(&expected);
-    for (workers, answer) in both(values("k", &rows).distinct()) {
-        assert_eq!(answer, expected, "distinct, {workers} workers, {at}");
-    }
+    assert_eq!(
+        run(&values("k", &rows).distinct()),
+        expected,
+        "distinct, {at}"
+    );
 }
 
 /// A grouping key column read a batch at a time changes kind within one
@@ -492,13 +446,12 @@ fn a_key_column_that_changes_kind_between_batches_keeps_its_groups() {
         build.extend(mixed);
         build.extend(integers(&mut rng, 700));
         let at = format!("seed {seed}, Integers, then a mixed batch");
-        aggregates_in(&build, &[0], 1024, 1024, 1024, &at);
-        aggregates_in(&build, &[0], 1024, 1000, 300, &at);
+        aggregates_in(&build, &[0], 1024, &at);
     }
 }
 
 /// Two-column keys (Integer, then Text), NULL-heavy, in batches of 1 023,
-/// 1 024 and 1 025 rows: on one thread, and as four partials merged in order.
+/// 1 024 and 1 025 rows.
 #[test]
 fn two_column_keys_agree_in_batches_around_a_batch() {
     for seed in seeds() {
@@ -506,7 +459,7 @@ fn two_column_keys_agree_in_batches_around_a_batch() {
         let build = rows(&mut rng, &[Kind::Integer, Kind::Text], 4 * 1025 + 300);
         for batch in [1023, 1024, 1025] {
             let at = format!("seed {seed}, key [Integer, Text]");
-            aggregates_in(&build, &[0, 1], batch, build.len().div_ceil(4), batch, &at);
+            aggregates_in(&build, &[0, 1], batch, &at);
         }
     }
 }

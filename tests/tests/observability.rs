@@ -415,9 +415,7 @@ fn a_top_k_statement_confesses_no_misestimate() {
         ..ScaleConfig::default()
     }));
     let sql = "select m.id, m.title, m.year from MOVIES m order by m.year, m.id limit 15";
-    let answer = system
-        .run_query_with(sql, talkback::PlannerOptions::sequential())
-        .unwrap();
+    let answer = system.run_query(sql).unwrap();
     assert_eq!(answer.len(), 15);
     let ledger = system.execute_show("show misestimates").unwrap();
     assert!(!ledger.table.contains("sort"), "{}", ledger.table);
@@ -528,7 +526,7 @@ fn cells(system: &Talkback, show: &str, skip: &[&str]) -> Vec<Vec<String>> {
 fn a_cached_statement_is_journaled_exactly_as_a_fresh_one() {
     use datastore::sample::{scaled_movie_database, ScaleConfig};
     use talkback::PlannerOptions;
-    let cached_options = PlannerOptions::sequential();
+    let cached_options = PlannerOptions::default();
     let fresh_options = PlannerOptions {
         use_plan_cache: false,
         ..cached_options

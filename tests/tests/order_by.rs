@@ -11,20 +11,19 @@
 //! **in order**:
 //!
 //! * *the sort is the stable sort written here.* Under the default options
-//!   on one thread and on four, and under the reference options, the sorted
+//!   and under the reference options, the sorted
 //!   statement returns the same statement's unsorted answer sorted by this
 //!   file's own comparator ([`order`]: NULL first, numbers by value with
 //!   `-0.0 = 0.0` and NaN after every number, Text by bytes, DESC reversed),
 //!   ties in the order the unsorted answer has them. The engine's sort reads
 //!   its keys into words; this comparator shares no code with it.
-//! * *top-k ≡ stable sort + truncate.* Under the default options on one
-//!   thread and on four (threshold 0, so the sort really becomes a top-k
-//!   exchange), the statement with `LIMIT k` returns the first `k` rows of
+//! * *top-k ≡ stable sort + truncate.* Under the default options, the
+//!   statement with `LIMIT k` returns the first `k` rows of
 //!   the same statement without it, for `k` around nothing, one, a batch
 //!   (1 023, 1 024, 1 025) and the whole answer (`n`, `n + 1`).
 //! * *the sort is the reference engine's sort.* The unlimited statement
 //!   returns the naive reference engine's rows in the reference engine's
-//!   order: no index, no vector kernel, no plan cache, one thread. (A join
+//!   order: no index, no vector kernel, no plan cache. (A join
 //!   may be executed in another order there, so its keys are made total
 //!   first; everywhere else ties are compared as they fall.)
 //!
@@ -54,20 +53,8 @@ fn reference() -> PlannerOptions {
         use_vectorized: false,
         use_plan_cache: false,
         use_feedback: false,
-        parallelism: 1,
         ..PlannerOptions::default()
     }
-}
-
-fn subjects() -> [PlannerOptions; 2] {
-    [
-        PlannerOptions::sequential(),
-        PlannerOptions {
-            parallelism: 4,
-            parallel_row_threshold: 0.0,
-            ..PlannerOptions::default()
-        },
-    ]
 }
 
 /// One statement without its `ORDER BY`: what it projects, what it reads,
@@ -388,7 +375,7 @@ fn differential(seed: u64, db: Database, shapes: fn(&mut StdRng) -> Vec<Shape>) 
                     (at.expect("keys are projected"), column.len() == k.len())
                 })
                 .collect();
-            for options in subjects().into_iter().chain([reference()]) {
+            for options in [PlannerOptions::default(), reference()] {
                 let got = rows(&system, &sql, options, seed);
                 let oracle = stably_sorted(rows(&system, &unsorted, options, seed), &positions);
                 assert!(
@@ -398,31 +385,29 @@ fn differential(seed: u64, db: Database, shapes: fn(&mut StdRng) -> Vec<Shape>) 
                 );
             }
             let expected = rows(&system, &sql, reference(), seed);
-            for options in subjects() {
-                let got = rows(&system, &sql, options, seed);
-                assert!(
-                    got == expected,
-                    "seed {seed}: {sql}\nunder {options:?} against the reference: {}",
-                    first_difference(&got, &expected)
-                );
-            }
+            let options = PlannerOptions::default();
+            let got = rows(&system, &sql, options, seed);
+            assert!(
+                got == expected,
+                "seed {seed}: {sql}\nunder {options:?} against the reference: {}",
+                first_difference(&got, &expected)
+            );
             // Top-k is that sort, truncated — ties as they fall.
             let sql = statement(&keys);
             let n = expected.len();
-            for options in subjects() {
-                let whole = rows(&system, &sql, options, seed);
-                assert_eq!(whole.len(), n, "seed {seed}: {sql}");
-                for k in [0, 1, 15, 1023, 1024, 1025, n, n + 1] {
-                    let limited = format!("{sql} limit {k}");
-                    let got = rows(&system, &limited, options, seed);
-                    let expected = &whole[..k.min(n)];
-                    assert!(
-                        got == expected,
-                        "seed {seed}: {limited}\nunder {options:?} against sort + truncate: {}",
-                        first_difference(&got, expected)
-                    );
-                    ran += 1;
-                }
+            let options = PlannerOptions::default();
+            let whole = rows(&system, &sql, options, seed);
+            assert_eq!(whole.len(), n, "seed {seed}: {sql}");
+            for k in [0, 1, 15, 1023, 1024, 1025, n, n + 1] {
+                let limited = format!("{sql} limit {k}");
+                let got = rows(&system, &limited, options, seed);
+                let expected = &whole[..k.min(n)];
+                assert!(
+                    got == expected,
+                    "seed {seed}: {limited}\nunder {options:?} against sort + truncate: {}",
+                    first_difference(&got, expected)
+                );
+                ran += 1;
             }
             let whole = rows(&system, &sql, reference(), seed);
             let sorted_on: Vec<usize> = keys
@@ -443,7 +428,7 @@ fn differential(seed: u64, db: Database, shapes: fn(&mut StdRng) -> Vec<Shape>) 
 fn movie_schema_top_k_is_the_stable_sort_truncated() {
     for seed in seeds() {
         let [ran, tied, largest] = differential(seed, movie_database(), movie_shapes);
-        assert!(ran >= 200, "seed {seed}: {ran} statements");
+        assert!(ran >= 100, "seed {seed}: {ran} statements");
         assert!(tied >= 4, "seed {seed}: {tied} orders had ties");
         assert!(largest > 2048, "seed {seed}: largest answer {largest}");
     }
@@ -453,7 +438,7 @@ fn movie_schema_top_k_is_the_stable_sort_truncated() {
 fn null_heavy_company_schema_top_k_is_the_stable_sort_truncated() {
     for seed in seeds() {
         let [ran, tied, _] = differential(seed, company_database(seed), company_shapes);
-        assert!(ran >= 100, "seed {seed}: {ran} statements");
+        assert!(ran >= 50, "seed {seed}: {ran} statements");
         assert!(tied >= 3, "seed {seed}: {tied} orders had ties");
     }
 }
@@ -462,7 +447,7 @@ fn null_heavy_company_schema_top_k_is_the_stable_sort_truncated() {
 fn numbers_sort_by_value_with_nan_last_and_null_first() {
     for seed in seeds() {
         let [ran, tied, _] = differential(seed, number_database(seed), number_shapes);
-        assert!(ran >= 90, "seed {seed}: {ran} statements");
+        assert!(ran >= 45, "seed {seed}: {ran} statements");
         assert!(tied >= 3, "seed {seed}: {tied} orders had ties");
     }
 }

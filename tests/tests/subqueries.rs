@@ -115,10 +115,7 @@ fn explain_analyze_golden_q7_is_a_keyed_lookup() {
     // apply, no probe per movie.
     let system = Talkback::new(movie_database());
     let e = system
-        .explain_plan_with(
-            &format!("explain analyze {Q7}"),
-            PlannerOptions::sequential(),
-        )
+        .explain_plan(&format!("explain analyze {Q7}"))
         .unwrap();
     assert_eq!(e.result_rows, Some(4));
     assert_eq!(
@@ -343,10 +340,7 @@ const TWO_GENRES: &str = "select m.title from MOVIES m where 2 = ( \
 fn analyze_at_default_scale(sql: &str) -> talkback::PlanExplanation {
     let system = Talkback::new(scaled_movie_database(ScaleConfig::default()));
     system
-        .explain_plan_with(
-            &format!("explain analyze {sql}"),
-            PlannerOptions::sequential(),
-        )
+        .explain_plan(&format!("explain analyze {sql}"))
         .unwrap()
 }
 
@@ -442,10 +436,7 @@ fn explain_analyze_golden_q6_stops_each_check_at_its_first_row() {
     };
     let before = scanned();
     let e = system
-        .explain_plan_with(
-            &format!("explain analyze {Q6}"),
-            PlannerOptions::sequential(),
-        )
+        .explain_plan(&format!("explain analyze {Q6}"))
         .unwrap();
     let scanned = scanned() - before;
     assert_eq!(
@@ -551,9 +542,7 @@ fn explain_golden_q7_narration_says_each_decision_once() {
     // on `count(*)`; the sentence used to be said twice in a row. The
     // grouped lookup says what a movie without a genre counts as.
     let system = Talkback::new(movie_database());
-    let e = system
-        .explain_plan_with(&format!("explain {Q7}"), PlannerOptions::sequential())
-        .unwrap();
+    let e = system.explain_plan(&format!("explain {Q7}")).unwrap();
     assert_eq!(
         e.narration,
         "I started from MOVIES (an estimated ten rows) and joined CAST next (expecting twelve \
@@ -577,9 +566,7 @@ fn explain_golden_q7_narration_says_each_decision_once() {
 /// The answer's first column, sorted, after checking the plan looked the
 /// subquery up by key rather than re-running it per row.
 fn keyed_answer(system: &Talkback, sql: &str) -> Vec<String> {
-    let e = system
-        .explain_plan_with(&format!("explain {sql}"), PlannerOptions::sequential())
-        .unwrap();
+    let e = system.explain_plan(&format!("explain {sql}")).unwrap();
     let keyed = find(e.profile.root(), "scalar subquery", "");
     assert!(
         !keyed.subquery().as_ref().unwrap().keys.is_empty(),

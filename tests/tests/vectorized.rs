@@ -1,8 +1,8 @@
-//! Acceptance tests for the vectorized execution layer (PR 6): results must
-//! be byte-identical with the kernels on or off at any parallelism degree,
-//! the A/B matrix over random queries must agree with the row engine, the
-//! plan trees must render `[vectorized]` / `[partial-agg]` / `[top-k k=N]`,
-//! and the narration must explain both acceptances and rejections.
+//! Acceptance tests for the vectorized execution layer: results must be
+//! byte-identical with the kernels on or off, the A/B matrix over random
+//! queries must agree with the row engine, the plan trees must render
+//! `[vectorized]`, and the narration must explain both acceptances and
+//! rejections.
 
 use datastore::exec::execute_with_stats;
 use datastore::sample::{scaled_movie_database, ScaleConfig};
@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use sqlparse::parse_query;
 use talkback::{plan_query_with, PlannerOptions, Talkback};
 
-/// The paper's nine example queries (same SQL as `tests/parallel.rs`).
+/// The paper's nine example queries (same SQL as `tests/executor_and_explain.rs`).
 const PAPER_QUERIES: &[&str] = &[
     "select m.title from MOVIES m, CAST c, ACTOR a \
      where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
@@ -38,14 +38,11 @@ const PAPER_QUERIES: &[&str] = &[
      where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)",
 ];
 
-/// One point of the A/B matrix, with the row threshold forced to zero so
-/// every qualifying region actually parallelizes/vectorizes.
-fn opts(vectorized: bool, indexes: bool, workers: usize) -> PlannerOptions {
+/// One point of the A/B matrix.
+fn opts(vectorized: bool, indexes: bool) -> PlannerOptions {
     PlannerOptions {
         use_vectorized: vectorized,
         use_indexes: indexes,
-        parallelism: workers,
-        parallel_row_threshold: 0.0,
         ..PlannerOptions::default()
     }
 }
@@ -55,8 +52,7 @@ fn scaled_db() -> datastore::Database {
 }
 
 fn big_scaled_db() -> datastore::Database {
-    // Big enough for several 1,024-row vectors per scan and multiple
-    // morsels per exchange.
+    // Big enough for several 1,024-row vectors per scan.
     scaled_movie_database(ScaleConfig {
         movies: 5000,
         actors: 3000,
@@ -66,25 +62,16 @@ fn big_scaled_db() -> datastore::Database {
 }
 
 #[test]
-fn q1_to_q9_identical_with_vectors_on_or_off_at_any_parallelism() {
+fn q1_to_q9_identical_with_vectors_on_or_off() {
     let db = scaled_db();
     for (i, sql) in PAPER_QUERIES.iter().enumerate() {
         let q = parse_query(sql).unwrap();
-        let baseline = plan_query_with(&db, &q, opts(false, true, 1)).unwrap();
+        let baseline = plan_query_with(&db, &q, opts(false, true)).unwrap();
         let (base_rs, _) = execute_with_stats(&db, &baseline.plan).unwrap();
-        for vectorized in [false, true] {
-            for workers in [1, 2, 4, 8] {
-                let planned = plan_query_with(&db, &q, opts(vectorized, true, workers)).unwrap();
-                let (rs, _) = execute_with_stats(&db, &planned.plan).unwrap();
-                assert_eq!(
-                    base_rs.rows,
-                    rs.rows,
-                    "Q{} diverged at vectorized={vectorized} parallelism={workers}",
-                    i + 1
-                );
-                assert_eq!(base_rs.columns, rs.columns);
-            }
-        }
+        let planned = plan_query_with(&db, &q, opts(true, true)).unwrap();
+        let (rs, _) = execute_with_stats(&db, &planned.plan).unwrap();
+        assert_eq!(base_rs.rows, rs.rows, "Q{} diverged", i + 1);
+        assert_eq!(base_rs.columns, rs.columns);
     }
 }
 
@@ -143,26 +130,23 @@ fn random_queries_agree_across_the_full_ab_matrix() {
         // feedback store, its next plan looks up.
         let uncached = PlannerOptions {
             use_plan_cache: false,
-            ..PlannerOptions::sequential()
+            ..PlannerOptions::default()
         };
         talkback_tests::assert_recorded_feedback_is_found(&learner, &sql, uncached);
         let q = parse_query(&sql).unwrap_or_else(|e| panic!("generated bad SQL {sql:?}: {e}"));
         let mut baseline: Option<Vec<datastore::Row>> = None;
         for vectorized in [false, true] {
             for indexes in [false, true] {
-                for workers in [1, 4] {
-                    let planned = plan_query_with(&db, &q, opts(vectorized, indexes, workers))
-                        .unwrap_or_else(|e| panic!("planning {sql:?} failed: {e}"));
-                    let (rs, _) = execute_with_stats(&db, &planned.plan)
-                        .unwrap_or_else(|e| panic!("executing {sql:?} failed: {e}"));
-                    match &baseline {
-                        None => baseline = Some(rs.rows),
-                        Some(expected) => assert_eq!(
-                            expected, &rs.rows,
-                            "{sql:?} diverged at vectorized={vectorized} \
-                             indexes={indexes} parallelism={workers}"
-                        ),
-                    }
+                let planned = plan_query_with(&db, &q, opts(vectorized, indexes))
+                    .unwrap_or_else(|e| panic!("planning {sql:?} failed: {e}"));
+                let (rs, _) = execute_with_stats(&db, &planned.plan)
+                    .unwrap_or_else(|e| panic!("executing {sql:?} failed: {e}"));
+                match &baseline {
+                    None => baseline = Some(rs.rows),
+                    Some(expected) => assert_eq!(
+                        expected, &rs.rows,
+                        "{sql:?} diverged at vectorized={vectorized} indexes={indexes}"
+                    ),
                 }
             }
         }
@@ -170,20 +154,20 @@ fn random_queries_agree_across_the_full_ab_matrix() {
 }
 
 #[test]
-fn explain_golden_partial_aggregate_tree() {
+fn explain_golden_aggregate_tree() {
     let system = Talkback::new(scaled_db());
     let e = system
         .explain_plan_with(
             "explain select m.year, count(*) from MOVIES m where m.year > 1980 group by m.year",
-            opts(true, true, 2),
+            opts(true, true),
         )
         .unwrap();
     assert_eq!(
         e.tree,
-        "exchange: morsels over MOVIES as m  [partial-agg]  [workers=2]  [est=53]\n\
+        "aggregate: group by m.year; count(*)  [vectorized]  [est=53]\n\
          └─ filter: m.year > 1980  [vectorized]  [est=59]\n\
          \u{20}\u{20}\u{20}└─ scan: MOVIES as m  [est=100]\n",
-        "partial-aggregate tree changed:\n{}",
+        "aggregate tree changed:\n{}",
         e.tree
     );
 }
@@ -194,13 +178,13 @@ fn explain_golden_top_k_tree() {
     let e = system
         .explain_plan_with(
             "explain select m.id, m.title, m.year from MOVIES m order by m.year limit 5",
-            opts(true, true, 2),
+            opts(true, true),
         )
         .unwrap();
     assert_eq!(
         e.tree,
         "limit: 5  [est=5]\n\
-         └─ exchange: morsels over MOVIES as m  [top-k k=5]  [workers=2]  [est=5]\n\
+         └─ sort: m.year  [est=5]\n\
          \u{20}\u{20}\u{20}└─ project: m.id, m.title, m.year  [est=100]\n\
          \u{20}\u{20}\u{20}\u{20}\u{20}\u{20}└─ scan: MOVIES as m  [est=100]\n",
         "top-k tree changed:\n{}",
@@ -215,7 +199,7 @@ fn top_k_estimate_is_bounded_by_the_limit() {
     let db = scaled_db();
     let q =
         parse_query("select m.id, m.title, m.year from MOVIES m order by m.year limit 5").unwrap();
-    let planned = plan_query_with(&db, &q, PlannerOptions::sequential()).unwrap();
+    let planned = plan_query_with(&db, &q, PlannerOptions::default()).unwrap();
     // The sort node (directly under the limit) carries the bounded estimate.
     let datastore::exec::PlanNode::Limit { input: sort, .. } = &planned.plan.node else {
         panic!("expected a limit at the root");
@@ -228,10 +212,7 @@ fn top_k_estimate_is_bounded_by_the_limit() {
 fn mixed_type_predicates_stay_row_at_a_time_with_a_narrated_reason() {
     let system = Talkback::new(scaled_db());
     let e = system
-        .explain_plan_with(
-            "explain select m.title from MOVIES m where m.title = 5",
-            PlannerOptions::sequential(),
-        )
+        .explain_plan("explain select m.title from MOVIES m where m.title = 5")
         .unwrap();
     assert!(
         !e.tree.contains("[vectorized]"),
@@ -249,7 +230,7 @@ fn mixed_type_predicates_stay_row_at_a_time_with_a_narrated_reason() {
             "explain select m.title from MOVIES m where m.year > 1980",
             PlannerOptions {
                 use_vectorized: false,
-                ..PlannerOptions::sequential()
+                ..PlannerOptions::default()
             },
         )
         .unwrap();
@@ -258,38 +239,18 @@ fn mixed_type_predicates_stay_row_at_a_time_with_a_narrated_reason() {
 }
 
 #[test]
-fn explain_analyze_narrates_batch_shape_and_partial_merge() {
+fn explain_analyze_narrates_batch_shape() {
     let system = Talkback::new(big_scaled_db());
     let e = system
         .explain_plan_with(
             "explain analyze select m.year, count(*) from MOVIES m \
              where m.year > 1900 group by m.year",
-            opts(true, true, 4),
+            opts(true, true),
         )
         .unwrap();
     assert!(
         e.narration.contains("vector"),
         "analyzed narration must mention the vector batches:\n{}",
         e.narration
-    );
-    assert!(
-        e.narration
-            .contains("merging the per-morsel partial aggregates"),
-        "analyzed narration must describe the merging gather:\n{}",
-        e.narration
-    );
-    // Plan-mode narration names the pushdown decision too.
-    let plan = system
-        .explain_plan_with(
-            "explain select m.year, count(*) from MOVIES m \
-             where m.year > 1900 group by m.year",
-            opts(true, true, 4),
-        )
-        .unwrap();
-    assert!(
-        plan.narration
-            .contains("each worker aggregates its own morsels"),
-        "plan narration must describe partial aggregation:\n{}",
-        plan.narration
     );
 }
