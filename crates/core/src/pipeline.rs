@@ -109,14 +109,6 @@ impl TextToSpeech {
             })
             .collect()
     }
-
-    /// Total estimated duration of a narrative in milliseconds.
-    pub fn total_duration_ms(&self, narrative: &str) -> u64 {
-        self.synthesize(narrative)
-            .iter()
-            .map(|c| c.duration_ms)
-            .sum()
-    }
 }
 
 /// Common abbreviations that end with a period without ending a sentence.
@@ -211,10 +203,6 @@ mod tests {
         let chunks = tts.synthesize("Woody Allen was born in Brooklyn. He directed Match Point.");
         assert_eq!(chunks.len(), 2);
         assert!(chunks.iter().all(|c| c.duration_ms > 0));
-        assert_eq!(
-            tts.total_duration_ms("Woody Allen was born in Brooklyn. He directed Match Point."),
-            chunks.iter().map(|c| c.duration_ms).sum::<u64>()
-        );
     }
 
     #[test]

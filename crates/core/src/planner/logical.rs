@@ -1,31 +1,30 @@
 //! Logical query representation: the join graph.
 //!
 //! Before any physical operator is chosen, the WHERE clause is decomposed
-//! into a graph over the FROM relations, each conjunct filed one of three
-//! ways:
+//! into a graph over the FROM relations. What each conjunct is, the binder
+//! has decided ([`sqlparse::ConjunctRole`]); this module only reads it:
 //!
-//! * an **edge** — a hash-joinable equi-join `a.x = b.y` between two of this
-//!   block's relations;
-//! * a **selection** — every column reference that is one of this block's
-//!   belongs to a single relation R, and every other one resolves to an
-//!   enclosing block (a *correlated* selection: `m1.title = m.title`,
+//! * an **edge** — a join `a.x = b.y` between two of this block's relations
+//!   whose columns have the same declared type;
+//! * a **selection** — every column it reads is one relation R's or an
+//!   enclosing block's (a *correlated* selection: `m1.title = m.title`,
 //!   `c.mid + 0 = m.id`, `a.id < m.id` inside a subquery over `m`). It is
 //!   *pushed* onto R: estimated with R ([`super::cost::Estimator`] prices an
 //!   equality at 1/NDV), lowered directly above R's scan with the outer
 //!   column as a correlation parameter, and offered to access-path selection
 //!   as a parameterized sarg. Under an `Apply` the outer column is a constant
-//!   for the length of one evaluation, which is all a selection needs;
+//!   for the length of one evaluation, which is all a selection needs. Two
+//!   columns of one relation (`m.year = M.id`) are a selection too;
 //! * a **residual** — anything else (cross-relation non-equi predicates,
 //!   OR-connected multi-relation predicates, mixed-type equalities,
-//!   predicates over enclosing blocks only, unresolvable names …), applied
-//!   above all joins.
+//!   predicates over enclosing blocks only …), applied above all joins.
 //!
-//! The cost-based enumerator walks this graph to pick a join order; the
-//! physical layer lowers the chosen order to operators.
+//! A conjunct holding a subquery is the subquery pass's
+//! ([`super::subquery`]). The cost-based enumerator walks this graph to pick
+//! a join order; the physical layer lowers the chosen order to operators.
 
-use datastore::Database;
 use sqlparse::ast::{flip, BinaryOperator, ColumnRef, Expr, SelectStatement};
-use sqlparse::bind::BoundQuery;
+use sqlparse::bind::{BoundQuery, ConjunctRole};
 
 /// One FROM relation with the predicates pushed down onto its scan.
 #[derive(Debug, Clone)]
@@ -136,19 +135,10 @@ pub fn ref_alias<'a>(c: &'a ColumnRef, bound: &'a BoundQuery) -> Option<&'a str>
     c.qualifier.as_deref().or_else(|| bound.qualifier_of(c))
 }
 
-/// Declared type of a column, if the table and column exist. The subquery
-/// pass uses this too, to keep mixed-type equalities out of hash keys.
-pub(super) fn column_type(db: &Database, table: &str, column: &str) -> Option<datastore::DataType> {
-    let schema = db.table(table)?.schema();
-    schema
-        .columns
-        .iter()
-        .find(|c| c.name.eq_ignore_ascii_case(column))
-        .map(|c| c.data_type)
-}
-
-/// Decompose a query's WHERE clause into a [`JoinGraph`].
-pub fn build_join_graph(db: &Database, query: &SelectStatement, bound: &BoundQuery) -> JoinGraph {
+/// Decompose a query's WHERE clause into a [`JoinGraph`]: each conjunct
+/// goes where its role ([`BoundQuery::roles`]) says. `query` is the
+/// statement `bound` was bound from.
+pub fn build_join_graph(query: &SelectStatement, bound: &BoundQuery) -> JoinGraph {
     let mut relations: Vec<Relation> = bound
         .tables
         .iter()
@@ -161,92 +151,43 @@ pub fn build_join_graph(db: &Database, query: &SelectStatement, bound: &BoundQue
     let mut edges = Vec::new();
     let mut residual = Vec::new();
 
-    for conjunct in query.where_conjuncts() {
-        if let Some((l, r)) = conjunct.as_join_predicate() {
-            // `as_join_predicate` guarantees both sides carry explicit,
-            // textually distinct qualifiers — but its comparison is
-            // case-sensitive, so `m.year = M.id` still reaches here; both
-            // sides then resolve to the same relation and must not become
-            // an edge (a self-edge can never be consumed by a join step).
-            let li = l
-                .qualifier
-                .as_deref()
-                .and_then(|q| relation_index(&relations, q));
-            let ri = r
-                .qualifier
-                .as_deref()
-                .and_then(|q| relation_index(&relations, q));
-            if let (Some(li), Some(ri)) = (li, ri) {
-                let lt = column_type(db, &relations[li].table, &l.column);
-                let rt = column_type(db, &relations[ri].table, &r.column);
-                if li != ri && lt.is_some() && lt == rt {
-                    edges.push(JoinEdge {
-                        left_rel: li,
-                        right_rel: ri,
-                        left_column: l.column.clone(),
-                        right_column: r.column.clone(),
-                    });
-                } else {
-                    // Same-relation or mixed-type equality: keep as a
-                    // residual filter so no predicate is lost.
-                    residual.push(conjunct.clone());
-                }
+    for (conjunct, role) in bound.conjuncts(query) {
+        let (table, correlated) = match *role {
+            ConjunctRole::Join {
+                left,
+                right,
+                same_type: true,
+            } => {
+                let (l, r) = role.columns(conjunct).expect("a join equates two columns");
+                edges.push(JoinEdge {
+                    left_rel: left,
+                    right_rel: right,
+                    left_column: l.column.clone(),
+                    right_column: r.column.clone(),
+                });
                 continue;
             }
-            // One side is an enclosing block's column: not a join of this
-            // block but a selection on the other side's relation.
-        }
-        match selection_target(&relations, conjunct, bound) {
-            Some((i, correlated)) => {
-                let mut pushed = conjunct.clone();
-                if correlated {
-                    // What tells an enclosing block's column from the
-                    // relation's own, everywhere below, is its qualifier.
-                    pushed.column_refs_mut(&mut |c| {
-                        c.qualifier = ref_alias(c, bound).map(str::to_string)
-                    });
-                }
-                relations[i].pushed.push(pushed);
+            ConjunctRole::Selection { table, correlated } => (table, correlated),
+            ConjunctRole::Correlation { table, .. } => (table, true),
+            ConjunctRole::Subquery { .. } => continue,
+            ConjunctRole::Join { .. } | ConjunctRole::Residual { .. } => {
+                residual.push(conjunct.clone());
+                continue;
             }
-            None => residual.push(conjunct.clone()),
+        };
+        let mut pushed = conjunct.clone();
+        if correlated {
+            // What tells an enclosing block's column from the relation's
+            // own, everywhere below, is its qualifier.
+            pushed.column_refs_mut(&mut |c| c.qualifier = ref_alias(c, bound).map(str::to_string));
         }
+        relations[table].pushed.push(pushed);
     }
     JoinGraph {
         relations,
         edges,
         residual,
     }
-}
-
-/// Position of the block's relation with this tuple variable.
-fn relation_index(relations: &[Relation], alias: &str) -> Option<usize> {
-    relations
-        .iter()
-        .position(|r| r.alias.eq_ignore_ascii_case(alias))
-}
-
-/// The relation a conjunct is a selection on — every column reference is
-/// either that relation's or resolves to an enclosing block, and at least
-/// one is the relation's — and whether any is the enclosing kind. `None` for
-/// predicates over several of this block's relations, over none of them, or
-/// with a name the binder could not place (which keeps its error by staying
-/// residual).
-fn selection_target(
-    relations: &[Relation],
-    conjunct: &Expr,
-    bound: &BoundQuery,
-) -> Option<(usize, bool)> {
-    let mut target = None;
-    let mut correlated = false;
-    for c in conjunct.column_refs() {
-        let alias = ref_alias(c, bound)?;
-        match relation_index(relations, alias) {
-            Some(i) if target.is_none_or(|t| t == i) => target = Some(i),
-            Some(_) => return None,
-            None => correlated = true,
-        }
-    }
-    Some((target?, correlated))
 }
 
 #[cfg(test)]
@@ -259,7 +200,7 @@ mod tests {
         let db = movie_database();
         let q = parse_query(sql).unwrap();
         let bound = bind_query(db.catalog(), &q).unwrap();
-        build_join_graph(&db, &q, &bound)
+        build_join_graph(&q, &bound)
     }
 
     #[test]
@@ -299,13 +240,29 @@ mod tests {
     }
 
     #[test]
-    fn case_twisted_self_equality_stays_residual_not_a_self_edge() {
-        // `m.year = M.id` passes as_join_predicate (case-sensitive qualifier
-        // comparison) but both sides are the same relation; it must survive
-        // as a residual predicate, never as an unconsumable self-edge.
-        let g = graph_for("select m.title from MOVIES m where m.year = M.id");
-        assert!(g.edges.is_empty());
-        assert_eq!(g.residual.len(), 1);
+    fn case_twisted_self_equality_is_a_selection_not_a_self_edge() {
+        // `m.year = M.id` equates two columns of one relation, however its
+        // qualifiers are spelled: a selection pushed onto it, as
+        // `m.year = m.id` is, never an unconsumable self-edge.
+        for sql in [
+            "select m.title from MOVIES m where m.year = M.id",
+            "select m.title from MOVIES m where m.year = m.id",
+        ] {
+            let g = graph_for(sql);
+            assert!(g.edges.is_empty() && g.residual.is_empty(), "{sql}");
+            assert_eq!(g.relations[0].pushed.len(), 1, "{sql}");
+        }
+    }
+
+    #[test]
+    fn unqualified_join_columns_are_edges() {
+        let g = graph_for(
+            "select m.title from MOVIES m, CAST c, ACTOR a \
+             where m.id = mid and aid = a.id and name = 'Brad Pitt'",
+        );
+        assert_eq!(g.edges.len(), 2);
+        assert!(g.residual.is_empty());
+        assert_eq!(g.relations[2].pushed.len(), 1);
     }
 
     #[test]

@@ -239,10 +239,11 @@ fn plan_query_impl(
             "queries without a FROM clause".into(),
         ));
     }
-    // Subquery conjuncts are stripped before the join graph is built; the
-    // subquery pass attaches them as dedicated operators during lowering.
-    let (stripped, where_subs, having_subs) = subquery::split_subqueries(query);
-    let graph = logical::build_join_graph(db, &stripped, &bound);
+    // Subquery conjuncts are left out of the join graph and stripped for
+    // plain lowering; the subquery pass attaches them as dedicated
+    // operators during lowering.
+    let (stripped, where_subs, having_subs) = subquery::split_subqueries(query, &bound);
+    let graph = logical::build_join_graph(query, &bound);
     let mut estimator = if options.use_feedback {
         cost::Estimator::with_feedback(db)
     } else {
@@ -615,7 +616,7 @@ mod tests {
         for sql in queries {
             let q = parse_query(sql).unwrap();
             let bound = sqlparse::bind_query(db.catalog(), &q).unwrap();
-            let graph = logical::build_join_graph(&db, &q, &bound);
+            let graph = logical::build_join_graph(&q, &bound);
             assert!(graph.relations.len() > 1, "graph degenerate for {sql}");
             let estimator = cost::Estimator::new(&db);
             let (dp, _) = cost::choose_join_order(&graph, &estimator, &[]);

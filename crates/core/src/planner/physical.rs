@@ -12,7 +12,7 @@
 use super::access::{self, literal_value, ScanPath};
 use super::cost::{Estimator, JoinOrder};
 use super::logical::{ref_alias, JoinGraph, Relation};
-use super::subquery::ScopeChain;
+use super::subquery::{ScopeChain, SubConjunct};
 use super::{AccessPathKind, PlanDecision};
 use crate::error::TalkbackError;
 use datastore::exec::{AggExpr, AggFunc, ColumnInfo, Plan, PlanNode};
@@ -57,8 +57,8 @@ pub(super) fn lower_select(
     order: &JoinOrder,
     estimator: &Estimator,
     scopes: &ScopeChain,
-    where_subs: &[&Expr],
-    having_subs: &[&Expr],
+    where_subs: &[SubConjunct],
+    having_subs: &[SubConjunct],
     project: bool,
 ) -> Result<(Plan, Vec<ColumnInfo>), TalkbackError> {
     let use_indexes = scopes.ctx().options.use_indexes;
@@ -325,10 +325,10 @@ pub(super) fn lower_select(
     // 3b. WHERE subquery conjuncts, each as a dedicated operator
     //     (semi-/anti-join, scalar subquery, or apply) chosen by the
     //     decorrelation pass.
-    for conjunct in where_subs {
+    for &sub in where_subs {
         let (attached, new_rows) = scopes
             .ctx()
-            .attach_where(estimator, plan, &columns, bound, conjunct, scopes, rows)?;
+            .attach_where(estimator, plan, &columns, bound, sub, scopes, rows)?;
         plan = attached;
         rows = new_rows;
     }
@@ -370,7 +370,7 @@ pub(super) fn lower_select(
         plan = plan.with_estimate(rows);
         // 4b. HAVING subquery conjuncts, attached above the aggregate; the
         //     outer side of each predicate reads the aggregate output row.
-        for conjunct in having_subs {
+        for &sub in having_subs {
             let (attached, new_rows) = scopes.ctx().attach_having(
                 estimator,
                 plan,
@@ -379,7 +379,7 @@ pub(super) fn lower_select(
                 &aggregates,
                 &columns,
                 bound,
-                conjunct,
+                sub,
                 scopes,
                 rows,
             )?;
@@ -513,8 +513,8 @@ fn referenced_columns(
     query: &SelectStatement,
     graph: &JoinGraph,
     bound: &BoundQuery,
-    where_subs: &[&Expr],
-    having_subs: &[&Expr],
+    where_subs: &[SubConjunct],
+    having_subs: &[SubConjunct],
 ) -> Option<Vec<(String, Vec<String>)>> {
     let mut refs = RefCollector {
         bound,
@@ -541,8 +541,8 @@ fn referenced_columns(
     for o in &query.order_by {
         refs.expr(&o.expr);
     }
-    for e in where_subs.iter().chain(having_subs) {
-        refs.expr(e);
+    for sub in where_subs.iter().chain(having_subs) {
+        refs.expr(sub.expr);
     }
     for edge in &graph.edges {
         refs.edge(&graph.relations[edge.left_rel].alias, &edge.left_column);
@@ -757,7 +757,7 @@ fn lower_aggregate(
     bound: &BoundQuery,
     input: Plan,
     columns: &[ColumnInfo],
-    having_subs: &[&Expr],
+    having_subs: &[SubConjunct],
     scopes: &ScopeChain,
 ) -> Result<Plan, TalkbackError> {
     // Group-by keys must be plain column references for this substrate.
@@ -822,11 +822,11 @@ fn lower_aggregate(
         // directly.
         collect_aggs(h)?;
     }
-    for conjunct in having_subs {
+    for sub in having_subs {
         // The outer side of `count(*) > (SELECT …)` references aggregates
         // too; collect them so the attachment can resolve them. The walk
         // does not descend into the subquery bodies.
-        collect_aggs(conjunct)?;
+        collect_aggs(sub.expr)?;
     }
 
     // The aggregate's output row is [group_by columns..., aggregates...];

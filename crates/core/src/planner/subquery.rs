@@ -54,7 +54,7 @@
 //! spirit of the paper.
 
 use super::cost::{plan_cost, Estimator};
-use super::logical::{build_join_graph, column_type, ref_alias};
+use super::logical::{build_join_graph, ref_alias};
 use super::physical::{
     comparison_op, lower_expr_scoped, lower_having, lower_select, not_a_comparison,
 };
@@ -69,7 +69,7 @@ use sqlparse::ast::{
     AggregateFunction, BinaryOperator, ColumnRef, Expr, Literal, Quantifier, SelectItem,
     SelectStatement,
 };
-use sqlparse::bind::{bind_subquery, BoundQuery};
+use sqlparse::bind::{bind_subquery, BoundQuery, ConjunctRole};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashSet};
@@ -212,16 +212,16 @@ pub(super) fn semi_join_hints(
     estimator: &Estimator,
     graph: &super::logical::JoinGraph,
     bound: &BoundQuery,
-    where_subs: &[&Expr],
+    where_subs: &[SubConjunct],
 ) -> Vec<f64> {
     let mut hints = vec![1.0_f64; graph.relations.len()];
     if graph.relations.len() <= 1 {
         return hints;
     }
-    for conjunct in where_subs {
-        match conjunct {
+    for sub in where_subs {
+        match sub.expr {
             Expr::Exists { subquery, negated } => {
-                for (rel, sel) in exists_hint_terms(db, estimator, graph, subquery) {
+                for (rel, sel) in exists_hint_terms(db, estimator, graph, subquery, sub.bound) {
                     apply_hint(&mut hints, rel, sel, *negated);
                 }
             }
@@ -230,7 +230,8 @@ pub(super) fn semi_join_hints(
                 subquery,
                 negated,
             } => {
-                if let Some((rel, sel)) = in_hint_term(db, estimator, graph, bound, expr, subquery)
+                if let Some((rel, sel)) =
+                    in_hint_term(db, estimator, graph, bound, expr, subquery, sub.bound)
                 {
                     apply_hint(&mut hints, rel, sel, *negated);
                 }
@@ -253,68 +254,36 @@ fn apply_hint(hints: &mut [f64], rel: usize, selectivity: f64, negated: bool) {
 }
 
 /// The `(relation index, semi-join selectivity)` terms contributed by an
-/// `EXISTS` subquery's top-level correlation equalities `inner.x = outer.y`.
+/// `EXISTS` subquery's correlations `inner.x = outer.y` with this block.
 fn exists_hint_terms(
     db: &Database,
     estimator: &Estimator,
     graph: &super::logical::JoinGraph,
     sub: &SelectStatement,
+    sub_bound: &BoundQuery,
 ) -> Vec<(usize, f64)> {
-    let locals: HashSet<String> = sub
-        .tuple_variables()
-        .iter()
-        .map(|v| v.to_lowercase())
-        .collect();
     let mut out = Vec::new();
-    for conjunct in sub.where_conjuncts() {
-        let Expr::BinaryOp { left, op, right } = conjunct else {
-            continue;
-        };
-        if *op != BinaryOperator::Eq {
-            continue;
-        }
-        let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
-            continue;
-        };
-        let qual = |c: &ColumnRef| c.qualifier.as_deref().map(str::to_lowercase);
-        let (Some(a_q), Some(b_q)) = (qual(a), qual(b)) else {
-            continue;
-        };
-        let (inner, inner_alias, outer, outer_alias) = if locals.contains(&a_q) {
-            (a, a_q, b, b_q)
-        } else if locals.contains(&b_q) {
-            (b, b_q, a, a_q)
-        } else {
-            continue;
-        };
-        let Some(rel_idx) = graph
-            .relations
-            .iter()
-            .position(|r| r.alias.eq_ignore_ascii_case(&outer_alias))
+    for (conjunct, role) in sub_bound.conjuncts(sub) {
+        let ConjunctRole::Correlation {
+            table,
+            parent: Some(rel_idx),
+            ..
+        } = *role
         else {
             continue;
         };
-        let Some(build_table) = sub
-            .from
-            .iter()
-            .find(|t| {
-                t.alias
-                    .as_deref()
-                    .unwrap_or(&t.table)
-                    .eq_ignore_ascii_case(&inner_alias)
-            })
-            .map(|t| t.table.clone())
-        else {
-            continue;
-        };
+        let (inner, outer) = role
+            .columns(conjunct)
+            .expect("a correlation equates two columns");
+        let build_table = &sub_bound.tables[table].table;
         let rel = &graph.relations[rel_idx];
         let probe_rows = estimator.relation_rows(rel);
         let probe_ndv = estimator.table_column_ndv(&rel.table, &outer.column, probe_rows);
         let build_rows = db
-            .table_stats(&build_table)
+            .table_stats(build_table)
             .map(|s| s.row_count as f64)
             .unwrap_or(1.0);
-        let build_ndv = estimator.table_column_ndv(&build_table, &inner.column, build_rows);
+        let build_ndv = estimator.table_column_ndv(build_table, &inner.column, build_rows);
         out.push((rel_idx, semi_join_selectivity(probe_ndv, build_ndv)));
     }
     out
@@ -329,6 +298,7 @@ fn in_hint_term(
     bound: &BoundQuery,
     probe: &Expr,
     sub: &SelectStatement,
+    sub_bound: &BoundQuery,
 ) -> Option<(usize, f64)> {
     let Expr::Column(c) = probe else {
         return None;
@@ -345,58 +315,78 @@ fn in_hint_term(
     else {
         return None;
     };
-    let inner_alias = inner.qualifier.clone().unwrap_or_else(|| {
-        sub.from
-            .first()
-            .map(|t| t.table.clone())
-            .unwrap_or_default()
-    });
-    let build_table = sub
-        .from
-        .iter()
-        .find(|t| {
-            t.alias
-                .as_deref()
-                .unwrap_or(&t.table)
-                .eq_ignore_ascii_case(&inner_alias)
-        })
-        .map(|t| t.table.clone())?;
+    let build_table = sub_bound.table_of_alias(sub_bound.qualifier_of(inner)?)?;
     let rel = &graph.relations[rel_idx];
     let probe_rows = estimator.relation_rows(rel);
     let probe_ndv = estimator.table_column_ndv(&rel.table, &c.column, probe_rows);
     let build_rows = db
-        .table_stats(&build_table)
+        .table_stats(build_table)
         .map(|s| s.row_count as f64)
         .unwrap_or(1.0);
-    let build_ndv = estimator.table_column_ndv(&build_table, &inner.column, build_rows);
+    let build_ndv = estimator.table_column_ndv(build_table, &inner.column, build_rows);
     Some((rel_idx, semi_join_selectivity(probe_ndv, build_ndv)))
 }
 
+/// A WHERE or HAVING conjunct holding a subquery, with the block the binder
+/// bound its subquery as (its first: a whole connector has only that one).
+#[derive(Clone, Copy)]
+pub(super) struct SubConjunct<'a> {
+    pub expr: &'a Expr,
+    pub bound: &'a BoundQuery,
+}
+
 /// Split a statement's WHERE and HAVING into the subquery-free remainder
-/// (what the join graph and plain lowering see) and the conjuncts containing
-/// subqueries, which the subquery pass attaches as dedicated operators.
-pub(super) fn split_subqueries(
-    stmt: &SelectStatement,
-) -> (Cow<'_, SelectStatement>, Vec<&Expr>, Vec<&Expr>) {
+/// (what plain lowering sees) and the conjuncts holding subqueries, which
+/// the subquery pass attaches as dedicated operators. `bound` is the
+/// statement's binding: a WHERE conjunct's role says whether it holds a
+/// subquery and which.
+pub(super) fn split_subqueries<'a>(
+    stmt: &'a SelectStatement,
+    bound: &'a BoundQuery,
+) -> (
+    Cow<'a, SelectStatement>,
+    Vec<SubConjunct<'a>>,
+    Vec<SubConjunct<'a>>,
+) {
     // Without a subquery the remainder is the statement itself, unless a
     // parenthesized AND has to be re-associated the way `and_all` joins.
     let predicates = [&stmt.selection, &stmt.having];
     if !stmt.has_subquery() && predicates.into_iter().flatten().all(is_left_deep) {
         return (Cow::Borrowed(stmt), Vec::new(), Vec::new());
     }
-    fn split(pred: &Option<Expr>) -> (Option<Expr>, Vec<&Expr>) {
-        let Some(p) = pred else {
-            return (None, Vec::new());
-        };
-        let (subs, plain): (Vec<&Expr>, Vec<&Expr>) = p
-            .conjuncts()
-            .into_iter()
-            .partition(|c| c.contains_subquery());
-        (Expr::and_all(plain.into_iter().cloned().collect()), subs)
+    let (mut plain, mut where_subs) = (Vec::new(), Vec::new());
+    for (expr, role) in bound.conjuncts(stmt) {
+        match *role {
+            ConjunctRole::Subquery { index, .. } => where_subs.push(SubConjunct {
+                expr,
+                bound: &bound.subqueries[index],
+            }),
+            _ => plain.push(expr.clone()),
+        }
     }
-    let (selection, where_subs) = split(&stmt.selection);
-    let (having, having_subs) = split(&stmt.having);
-    let stripped = with_predicates(stmt, selection, having);
+    let selection = Expr::and_all(plain);
+    // HAVING's subqueries follow WHERE's among the block's.
+    let having = stmt
+        .having
+        .as_ref()
+        .map(Expr::conjuncts)
+        .unwrap_or_default();
+    let mut next = bound.subqueries.len();
+    next -= having.iter().map(|c| c.subqueries().len()).sum::<usize>();
+    let (mut plain, mut having_subs) = (Vec::new(), Vec::new());
+    for expr in having {
+        let subqueries = expr.subqueries().len();
+        if subqueries == 0 {
+            plain.push(expr.clone());
+            continue;
+        }
+        having_subs.push(SubConjunct {
+            expr,
+            bound: &bound.subqueries[next],
+        });
+        next += subqueries;
+    }
+    let stripped = with_predicates(stmt, selection, Expr::and_all(plain));
     (Cow::Owned(stripped), where_subs, having_subs)
 }
 
@@ -489,32 +479,32 @@ impl<'c> SubqueryContext<'c> {
         });
     }
 
-    /// Plan one subquery block (recursively — its own subqueries go through
-    /// this same subsystem). With `project` false, planning stops after
-    /// joins, filters, and subquery attachments, exposing the raw FROM
-    /// columns — the shape a semi-/anti-join build side needs so its join
-    /// keys can address any inner column.
+    /// Plan one subquery block, bound as `bound` (recursively — its own
+    /// subqueries go through this same subsystem). With `project` false,
+    /// planning stops after joins, filters, and subquery attachments,
+    /// exposing the raw FROM columns — the shape a semi-/anti-join build
+    /// side needs so its join keys can address any inner column.
     pub fn plan_block(
         &self,
         estimator: &Estimator,
         stmt: &SelectStatement,
+        bound: &BoundQuery,
         scopes: &ScopeChain,
         project: bool,
-    ) -> Result<(Plan, Vec<ColumnInfo>, BoundQuery), TalkbackError> {
-        let bound = bind_subquery(self.db.catalog(), stmt, &scopes.bound_chain())?;
+    ) -> Result<(Plan, Vec<ColumnInfo>), TalkbackError> {
         if bound.tables.is_empty() {
             return Err(TalkbackError::Unsupported(
                 "subqueries without a FROM clause".into(),
             ));
         }
-        let (stripped, where_subs, having_subs) = split_subqueries(stmt);
-        let graph = build_join_graph(self.db, &stripped, &bound);
-        let hints = semi_join_hints(self.db, estimator, &graph, &bound, &where_subs);
+        let (stripped, where_subs, having_subs) = split_subqueries(stmt, bound);
+        let graph = build_join_graph(stmt, bound);
+        let hints = semi_join_hints(self.db, estimator, &graph, bound, &where_subs);
         let (order, _) = super::cost::choose_join_order(&graph, estimator, &hints);
-        let (plan, columns) = lower_select(
+        lower_select(
             self.db,
             &stripped,
-            &bound,
+            bound,
             &graph,
             &order,
             estimator,
@@ -522,8 +512,7 @@ impl<'c> SubqueryContext<'c> {
             &where_subs,
             &having_subs,
             project,
-        )?;
-        Ok((plan, columns, bound))
+        )
     }
 
     /// Attach one WHERE conjunct containing a subquery on top of `plan`
@@ -536,13 +525,15 @@ impl<'c> SubqueryContext<'c> {
         plan: Plan,
         columns: &[ColumnInfo],
         bound: &BoundQuery,
-        conjunct: &Expr,
+        sub: SubConjunct,
         scopes: &ScopeChain,
         rows: f64,
     ) -> Result<(Plan, f64), TalkbackError> {
+        let (conjunct, sub_bound) = (sub.expr, sub.bound);
         match conjunct {
             Expr::Exists { subquery, negated } => self.lower_exists(
-                estimator, plan, columns, bound, conjunct, subquery, *negated, scopes, rows,
+                estimator, plan, columns, bound, conjunct, subquery, sub_bound, *negated, scopes,
+                rows,
             ),
             Expr::InSubquery {
                 expr,
@@ -558,6 +549,7 @@ impl<'c> SubqueryContext<'c> {
                     conjunct,
                     expr,
                     subquery,
+                    sub_bound,
                     *negated,
                     scopes,
                     rows,
@@ -581,6 +573,7 @@ impl<'c> SubqueryContext<'c> {
                     *op,
                     *quantifier,
                     subquery,
+                    sub_bound,
                     scopes,
                     rows,
                     &lower_outer,
@@ -594,6 +587,7 @@ impl<'c> SubqueryContext<'c> {
                     columns,
                     bound,
                     conjunct,
+                    sub_bound,
                     scopes,
                     rows,
                     &lower_outer,
@@ -618,11 +612,12 @@ impl<'c> SubqueryContext<'c> {
         aggregates: &[AggExpr],
         input_columns: &[ColumnInfo],
         bound: &BoundQuery,
-        conjunct: &Expr,
+        sub: SubConjunct,
         scopes: &ScopeChain,
         rows: f64,
     ) -> Result<(Plan, f64), TalkbackError> {
         let lower_outer = |e: &Expr| lower_having(e, group_by, aggregates, input_columns, bound);
+        let (conjunct, sub_bound) = (sub.expr, sub.bound);
         match conjunct {
             Expr::BinaryOp { op, .. } if op.is_comparison() => self.lower_scalar_against(
                 estimator,
@@ -630,6 +625,7 @@ impl<'c> SubqueryContext<'c> {
                 output_columns,
                 bound,
                 conjunct,
+                sub_bound,
                 scopes,
                 rows,
                 &lower_outer,
@@ -641,6 +637,7 @@ impl<'c> SubqueryContext<'c> {
                 bound,
                 conjunct,
                 subquery,
+                sub_bound,
                 scopes,
                 ApplyMode::Exists { negated: *negated },
                 rows,
@@ -659,6 +656,7 @@ impl<'c> SubqueryContext<'c> {
                     bound,
                     conjunct,
                     subquery,
+                    sub_bound,
                     scopes,
                     ApplyMode::In {
                         expr: probe,
@@ -682,6 +680,7 @@ impl<'c> SubqueryContext<'c> {
                     bound,
                     conjunct,
                     subquery,
+                    sub_bound,
                     scopes,
                     ApplyMode::Quantified {
                         expr: probe,
@@ -710,17 +709,20 @@ impl<'c> SubqueryContext<'c> {
         bound: &BoundQuery,
         conjunct: &Expr,
         sub: &SelectStatement,
+        sub_bound: &BoundQuery,
         negated: bool,
         scopes: &ScopeChain,
         rows: f64,
     ) -> Result<(Plan, f64), TalkbackError> {
         if self.options.decorrelate_subqueries && !sub.is_aggregate() && sub.limit.is_none() {
-            if let Some((keys, stripped_sub)) = self.exists_keys(sub, bound, scopes)? {
+            if let Some((keys, stripped_sub, bound_build)) =
+                self.exists_keys(sub, sub_bound, bound, scopes)?
+            {
                 // Build side: the subquery minus its correlation equalities,
                 // planned against the *enclosing* scopes only (the stripped
                 // sub provably no longer references the attachment block).
-                let (sub_plan, sub_columns, bound_build) =
-                    self.plan_block(estimator, &stripped_sub, scopes, false)?;
+                let (sub_plan, sub_columns) =
+                    self.plan_block(estimator, &stripped_sub, &bound_build, scopes, false)?;
                 let mut left_keys = Vec::new();
                 let mut right_keys = Vec::new();
                 let mut selectivity = 1.0_f64;
@@ -773,6 +775,7 @@ impl<'c> SubqueryContext<'c> {
             bound,
             conjunct,
             sub,
+            sub_bound,
             scopes,
             ApplyMode::Exists { negated },
             rows,
@@ -792,6 +795,7 @@ impl<'c> SubqueryContext<'c> {
         conjunct: &Expr,
         outer_expr: &Expr,
         sub: &SelectStatement,
+        sub_bound: &BoundQuery,
         negated: bool,
         scopes: &ScopeChain,
         rows: f64,
@@ -800,20 +804,18 @@ impl<'c> SubqueryContext<'c> {
         single_column_subquery(sub, "an IN")?;
         if self.options.decorrelate_subqueries {
             if let Some((probe_pos, probe_ref)) = self.hashable_probe(outer_expr, columns, bound) {
-                let full_chain = scopes.bound_chain_with(bound);
-                let bound_sub = bind_subquery(self.db.catalog(), sub, &full_chain)?;
                 let targets = block_aliases(bound);
-                let uncorrelated = !correlates_with(sub, &bound_sub, &targets, &HashSet::new());
-                let inner_type = self.projected_type(sub, &bound_sub);
+                let uncorrelated = !correlates_with(sub_bound, &targets, &HashSet::new());
+                let inner_type = self.projected_type(sub, sub_bound);
                 let probe_type = self.column_ref_type(bound, &probe_ref);
                 if uncorrelated && inner_type.is_some() && inner_type == probe_type {
-                    let (sub_plan, sub_columns, _) =
-                        self.plan_block(estimator, sub, scopes, true)?;
+                    let (sub_plan, sub_columns) =
+                        self.plan_block(estimator, sub, sub_bound, scopes, true)?;
                     let build_rows = sub_plan.estimated_rows.unwrap_or(1.0);
                     let probe_ndv = self.ref_ndv(estimator, bound, &probe_ref, rows);
                     let build_ndv = self
                         .projected_column(sub)
-                        .map(|c| self.ref_ndv(estimator, &bound_sub, &c, build_rows))
+                        .map(|c| self.ref_ndv(estimator, sub_bound, &c, build_rows))
                         .unwrap_or(1);
                     let on = format!(
                         "{} = {}",
@@ -850,6 +852,7 @@ impl<'c> SubqueryContext<'c> {
             bound,
             conjunct,
             sub,
+            sub_bound,
             scopes,
             ApplyMode::In {
                 expr: probe,
@@ -871,6 +874,7 @@ impl<'c> SubqueryContext<'c> {
         columns: &[ColumnInfo],
         bound: &BoundQuery,
         conjunct: &Expr,
+        sub_bound: &BoundQuery,
         scopes: &ScopeChain,
         rows: f64,
         lower_outer: &dyn Fn(&Expr) -> Result<PExpr, TalkbackError>,
@@ -888,13 +892,11 @@ impl<'c> SubqueryContext<'c> {
         single_column_subquery(sub, "a scalar")?;
         let probe = lower_outer(outer_expr)?;
         let op = comparison_op(op).ok_or_else(|| not_a_comparison(op))?;
-        let chain_with_self = scopes.bound_chain_with(bound);
-        let bound_sub = bind_subquery(self.db.catalog(), sub, &chain_with_self)?;
         let targets = block_aliases(bound);
         if self.options.decorrelate_subqueries
-            && !correlates_with(sub, &bound_sub, &targets, &HashSet::new())
+            && !correlates_with(sub_bound, &targets, &HashSet::new())
         {
-            let (sub_plan, _, _) = self.plan_block(estimator, sub, scopes, true)?;
+            let (sub_plan, _) = self.plan_block(estimator, sub, sub_bound, scopes, true)?;
             let est = (rows * DEFAULT_SELECTIVITY).max(0.0);
             self.record(
                 conjunct,
@@ -915,14 +917,16 @@ impl<'c> SubqueryContext<'c> {
             op,
         };
         let (applied, est) = self.lower_apply(
-            estimator, plan, columns, bound, conjunct, sub, scopes, mode, rows,
+            estimator, plan, columns, bound, conjunct, sub, sub_bound, scopes, mode, rows,
         )?;
         let (after, PlanNode::Apply { subplan, .. }) =
             (self.decisions.borrow().len(), &applied.node)
         else {
             unreachable!("lower_apply returns an apply");
         };
-        let grouped = self.grouped_scalar(estimator, sub, columns, bound, scopes, rows, subplan)?;
+        let grouped = self.grouped_scalar(
+            estimator, sub, sub_bound, columns, bound, scopes, rows, subplan,
+        )?;
         let Some((lookup, keys, absent, grouped)) = grouped else {
             return Ok((applied, est));
         };
@@ -962,6 +966,7 @@ impl<'c> SubqueryContext<'c> {
         &self,
         estimator: &Estimator,
         sub: &SelectStatement,
+        sub_bound: &BoundQuery,
         columns: &[ColumnInfo],
         bound: &BoundQuery,
         scopes: &ScopeChain,
@@ -984,7 +989,7 @@ impl<'c> SubqueryContext<'c> {
             .flatten())
         .and_then(|e| lower_expr_scoped(&e, &[], bound, None).ok())
         .and_then(|e| e.eval(&Row::empty()).ok());
-        let Some((keys, mut grouped)) = self.exists_keys(sub, bound, scopes)? else {
+        let Some((keys, mut grouped, _)) = self.exists_keys(sub, sub_bound, bound, scopes)? else {
             return Ok(None);
         };
         let probe: Option<Vec<usize>> = keys
@@ -1001,7 +1006,8 @@ impl<'c> SubqueryContext<'c> {
                 alias: None,
             })
             .collect();
-        let (lookup, _, bound_build) = self.plan_block(estimator, &grouped, scopes, true)?;
+        let bound_build = bind_subquery(self.db.catalog(), &grouped, &scopes.bound_chain())?;
+        let (lookup, _) = self.plan_block(estimator, &grouped, &bound_build, scopes, true)?;
         let bindings = keys
             .iter()
             .map(|k| self.ref_ndv(estimator, bound, &k.outer, rows) as f64)
@@ -1050,6 +1056,7 @@ impl<'c> SubqueryContext<'c> {
         op: BinaryOperator,
         quantifier: Quantifier,
         sub: &SelectStatement,
+        sub_bound: &BoundQuery,
         scopes: &ScopeChain,
         rows: f64,
         lower_outer: &dyn Fn(&Expr) -> Result<PExpr, TalkbackError>,
@@ -1063,6 +1070,7 @@ impl<'c> SubqueryContext<'c> {
             bound,
             conjunct,
             sub,
+            sub_bound,
             scopes,
             ApplyMode::Quantified {
                 expr: probe,
@@ -1085,6 +1093,7 @@ impl<'c> SubqueryContext<'c> {
         bound: &BoundQuery,
         conjunct: &Expr,
         sub: &SelectStatement,
+        sub_bound: &BoundQuery,
         scopes: &ScopeChain,
         mode: ApplyMode,
         rows: f64,
@@ -1092,7 +1101,7 @@ impl<'c> SubqueryContext<'c> {
         let scope = OuterScope::new(columns, bound);
         let sub_plan = {
             let chain = scopes.child(&scope);
-            let (mut sub_plan, _, _) = self.plan_block(estimator, sub, &chain, true)?;
+            let (mut sub_plan, _) = self.plan_block(estimator, sub, sub_bound, &chain, true)?;
             if let Some(goal) = mode.row_goal() {
                 // The executor stops each evaluation there; estimate it so.
                 sub_plan.scale_to_row_goal(goal as f64);
@@ -1120,35 +1129,42 @@ impl<'c> SubqueryContext<'c> {
         Ok((plan.apply(sub_plan, params, mode).with_estimate(est), est))
     }
 
-    /// For an `EXISTS` subquery, extract the top-level equality conjuncts
-    /// that correlate it with the attachment block as join keys. Returns
-    /// `None` (not an error) when decorrelation is impossible: no such
-    /// equality, a correlated reference anywhere else, or untypable /
+    /// For an `EXISTS` subquery (bound as `sub_bound`), extract the
+    /// conjuncts the binder filed as correlations with the attachment block
+    /// as join keys, and return them with the subquery stripped of them and
+    /// its binding. `None` (not an error) when decorrelation is impossible:
+    /// no such equality, a correlated reference anywhere else, or
     /// mixed-type keys (hash keys compare exactly, so mixed-type equality
     /// must keep SQL `=` semantics through `Apply`).
+    #[allow(clippy::type_complexity)]
     fn exists_keys(
         &self,
         sub: &SelectStatement,
+        sub_bound: &BoundQuery,
         bound: &BoundQuery,
         scopes: &ScopeChain,
-    ) -> Result<Option<(Vec<KeyPair>, SelectStatement)>, TalkbackError> {
-        let chain_with_self = scopes.bound_chain_with(bound);
-        let bound_sub = bind_subquery(self.db.catalog(), sub, &chain_with_self)?;
-        let targets = block_aliases(bound);
-        let locals: HashSet<String> = sub
-            .tuple_variables()
-            .iter()
-            .map(|v| v.to_lowercase())
-            .collect();
-
+    ) -> Result<Option<(Vec<KeyPair>, SelectStatement, BoundQuery)>, TalkbackError> {
         let mut keys = Vec::new();
         let mut remaining = Vec::new();
-        for conjunct in sub.where_conjuncts() {
-            if let Some(pair) = self.key_pair(conjunct, &locals, &targets, &bound_sub, bound) {
-                keys.push(pair);
-            } else {
+        for (conjunct, role) in sub_bound.conjuncts(sub) {
+            let ConjunctRole::Correlation {
+                table,
+                parent: Some(outer_table),
+                same_type: true,
+                ..
+            } = *role
+            else {
                 remaining.push(conjunct.clone());
-            }
+                continue;
+            };
+            let (inner, outer) = role
+                .columns(conjunct)
+                .expect("a correlation equates two columns");
+            let alias = |t: &sqlparse::BoundTable| t.alias.to_lowercase();
+            keys.push(KeyPair {
+                outer: qualified(outer, &alias(&bound.tables[outer_table])),
+                inner: qualified(inner, &alias(&sub_bound.tables[table])),
+            });
         }
         if keys.is_empty() {
             return Ok(None);
@@ -1158,68 +1174,12 @@ impl<'c> SubqueryContext<'c> {
         // block survives (in the projection, a nested block, a non-equality
         // predicate…), the build side would depend on the probe row and a
         // one-shot semi-join would be wrong — fall back to Apply.
+        let chain_with_self = scopes.bound_chain_with(bound);
         let bound_stripped = bind_subquery(self.db.catalog(), &stripped, &chain_with_self)?;
-        if correlates_with(&stripped, &bound_stripped, &targets, &HashSet::new()) {
+        if correlates_with(&bound_stripped, &block_aliases(bound), &HashSet::new()) {
             return Ok(None);
         }
-        Ok(Some((keys, stripped)))
-    }
-
-    /// Classify one subquery conjunct as a decorrelatable key: an equality
-    /// between one of the subquery's own columns and one attachment-block
-    /// column, with matching declared types.
-    fn key_pair(
-        &self,
-        conjunct: &Expr,
-        locals: &HashSet<String>,
-        targets: &[String],
-        bound_sub: &BoundQuery,
-        outer_bound: &BoundQuery,
-    ) -> Option<KeyPair> {
-        let Expr::BinaryOp { left, op, right } = conjunct else {
-            return None;
-        };
-        if *op != BinaryOperator::Eq {
-            return None;
-        }
-        let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
-            return None;
-        };
-        let alias_of = |c: &ColumnRef| ref_alias(c, bound_sub).map(str::to_lowercase);
-        let (a_alias, b_alias) = (alias_of(a)?, alias_of(b)?);
-        let (inner, inner_alias, outer, outer_alias) = if locals.contains(&a_alias)
-            && !locals.contains(&b_alias)
-            && targets.contains(&b_alias)
-        {
-            (a, a_alias, b, b_alias)
-        } else if locals.contains(&b_alias)
-            && !locals.contains(&a_alias)
-            && targets.contains(&a_alias)
-        {
-            (b, b_alias, a, a_alias)
-        } else {
-            return None;
-        };
-        // Require identical declared types, like the join graph does for
-        // ordinary equi-joins. Hash keys compare by SQL `=`, so this pins the
-        // plan; the answer is the same either way.
-        let inner_type = column_type(
-            self.db,
-            bound_sub.table_of_alias(&inner_alias)?,
-            &inner.column,
-        )?;
-        let outer_type = column_type(
-            self.db,
-            outer_bound.table_of_alias(&outer_alias)?,
-            &outer.column,
-        )?;
-        if inner_type != outer_type {
-            return None;
-        }
-        Some(KeyPair {
-            outer: qualified(outer, &outer_alias),
-            inner: qualified(inner, &inner_alias),
-        })
+        Ok(Some((keys, stripped, bound_stripped)))
     }
 
     /// NDV of a column reference resolved in the given block, capped by the
@@ -1300,7 +1260,12 @@ impl<'c> SubqueryContext<'c> {
 
     fn column_ref_type(&self, bound: &BoundQuery, c: &ColumnRef) -> Option<DataType> {
         let table = bound.table_of_alias(ref_alias(c, bound)?)?;
-        column_type(self.db, table, &c.column)
+        let schema = self.db.table(table)?.schema();
+        let column = schema
+            .columns
+            .iter()
+            .find(|d| d.name.eq_ignore_ascii_case(&c.column));
+        column.map(|d| d.data_type)
     }
 }
 
@@ -1314,15 +1279,11 @@ fn block_aliases(bound: &BoundQuery) -> Vec<String> {
         .collect()
 }
 
-/// True when the subquery (or any nested block) references one of the
-/// attachment block's tuple variables. `shadowed` carries aliases redefined
-/// by blocks between the checked block and the attachment block.
-fn correlates_with(
-    stmt: &SelectStatement,
-    bound: &BoundQuery,
-    targets: &[String],
-    shadowed: &HashSet<String>,
-) -> bool {
+/// True when the subquery bound as `bound` (or any nested block) references
+/// one of the attachment block's tuple variables. `shadowed` carries
+/// aliases redefined by blocks between the checked block and the attachment
+/// block.
+fn correlates_with(bound: &BoundQuery, targets: &[String], shadowed: &HashSet<String>) -> bool {
     for col in &bound.correlated {
         if let Some(alias) = bound.qualifier_of(col) {
             let a = alias.to_lowercase();
@@ -1332,29 +1293,8 @@ fn correlates_with(
         }
     }
     let mut inner_shadow = shadowed.clone();
-    for v in stmt.tuple_variables() {
-        inner_shadow.insert(v.to_lowercase());
-    }
-    let sub_asts = collect_sub_asts(stmt);
-    for (ast, sub_bound) in sub_asts.iter().zip(&bound.subqueries) {
-        if correlates_with(ast, sub_bound, targets, &inner_shadow) {
-            return true;
-        }
-    }
-    false
-}
-
-/// The direct subquery blocks of a statement, in the same discovery order
-/// the binder records them (WHERE first, then HAVING).
-fn collect_sub_asts(stmt: &SelectStatement) -> Vec<&SelectStatement> {
-    let mut out = Vec::new();
-    if let Some(w) = &stmt.selection {
-        out.extend(w.subqueries());
-    }
-    if let Some(h) = &stmt.having {
-        out.extend(h.subqueries());
-    }
-    out
+    inner_shadow.extend(bound.tables.iter().map(|t| t.alias.to_lowercase()));
+    (bound.subqueries.iter()).any(|sub| correlates_with(sub, targets, &inner_shadow))
 }
 
 /// Position of a qualified reference in an operator's output columns.

@@ -10,6 +10,12 @@
 //! `CREATE INDEX idx_cast_mid ON CAST (mid)` should bring them from 2.1 ms
 //! to about 80 µs — shall I?"
 //!
+//! The candidates come from the statement as the binder files it: each
+//! WHERE conjunct's role ([`sqlparse::ConjunctRole`]) says whether a column
+//! is an equality or range key (a selection), a join key (a join), or an
+//! equality key against an enclosing block (a correlation), and under which
+//! tuple variable, however the column was qualified.
+//!
 //! `CHECKUP` is the other direction of initiative: a health report with a
 //! regression sentinel that compares each statement shape's recent runs
 //! against its first runs and, when one has drifted ≥3× slower, names the
@@ -25,7 +31,8 @@ use datastore::obs::doctor::{mine, regressions, DriftCause, Issue, IssueKind, Wo
 use datastore::obs::Counter;
 use datastore::{format_duration, Database, EpochCause, Value};
 use nlg::{capitalize_first, count_phrase, finish_sentence, join_sentences, quote_sql};
-use sqlparse::ast::{BinaryOperator, ColumnRef, SelectItem, SelectStatement};
+use sqlparse::ast::{BinaryOperator, Expr, SelectItem, SelectStatement};
+use sqlparse::bind::{BoundQuery, ConjunctRole};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -109,11 +116,25 @@ fn push_unique(list: &mut Vec<String>, col: &str) {
     }
 }
 
-/// Walk a statement (and its subqueries) and file every column reference
-/// under its tuple variable with the role it plays — equality key, range
-/// key, join key, order key, or plain projection.
+/// File `column` in `list` of the key roles of tuple variable `alias`.
+fn file(
+    roles: &mut BTreeMap<String, (String, KeyRoles)>,
+    alias: &str,
+    list: fn(&mut KeyRoles) -> &mut Vec<String>,
+    column: &str,
+) {
+    if let Some((_, r)) = roles.get_mut(&alias.to_lowercase()) {
+        push_unique(list(r), column);
+    }
+}
+
+/// Walk a statement (and its subqueries), bound as `bound`, and file every
+/// column reference under its tuple variable with the role it plays —
+/// equality key, range key, join key, order key, or plain projection. What
+/// a WHERE conjunct is, and whose columns it reads, is the binder's answer.
 fn collect_roles(
     query: &SelectStatement,
+    bound: &BoundQuery,
     top_level: bool,
     roles: &mut BTreeMap<String, (String, KeyRoles)>,
 ) {
@@ -122,85 +143,67 @@ fn collect_roles(
             .entry(table_ref.variable().to_lowercase())
             .or_insert_with(|| (table_ref.table.clone(), KeyRoles::default()));
     }
-    // With a single tuple variable, unqualified columns belong to it.
-    let default_var = match query.from.len() {
-        1 => Some(query.from[0].variable().to_lowercase()),
-        _ => None,
-    };
-    let resolve = |qualifier: Option<&str>| -> Option<String> {
-        match qualifier {
-            Some(q) => Some(q.to_lowercase()),
-            None => default_var.clone(),
-        }
-    };
-    for conjunct in query.where_conjuncts() {
-        if let Some((col, op, _)) = conjunct.as_selection_predicate() {
-            if let Some(var) = resolve(col.qualifier.as_deref()) {
-                if let Some((_, r)) = roles.get_mut(&var) {
-                    match op {
-                        BinaryOperator::Eq => push_unique(&mut r.eq, &col.column),
-                        BinaryOperator::Lt
-                        | BinaryOperator::LtEq
-                        | BinaryOperator::Gt
-                        | BinaryOperator::GtEq => push_unique(&mut r.range, &col.column),
-                        _ => {}
-                    }
-                }
-            }
-        } else if let Some((l, r_col)) = conjunct.as_join_predicate() {
-            let local = |c: &ColumnRef| {
-                c.qualifier.as_deref().is_some_and(|q| {
-                    query
-                        .from
-                        .iter()
-                        .any(|t| t.variable().eq_ignore_ascii_case(q))
-                })
-            };
-            for (col, other) in [(l, r_col), (r_col, l)] {
-                // Against an enclosing block's column this is no join of the
-                // block: the planner pushes it onto the local side as a
-                // selection — one value per outer row, an equality key (so
-                // composites lead with it) — and asks nothing of the outer.
-                let correlated = local(col) != local(other);
-                if correlated && !local(col) {
+    let alias = |table: usize| bound.tables[table].alias.as_str();
+    let mut subqueries = bound.subqueries.iter();
+    for (conjunct, role) in bound.conjuncts(query) {
+        match *role {
+            ConjunctRole::Selection { table, .. } => {
+                let Some((col, op, _)) = conjunct.as_selection_predicate() else {
                     continue;
-                }
-                if let Some(var) = resolve(col.qualifier.as_deref()) {
-                    if let Some((_, r)) = roles.get_mut(&var) {
-                        let list = if correlated { &mut r.eq } else { &mut r.join };
-                        push_unique(list, &col.column);
+                };
+                match op {
+                    BinaryOperator::Eq => file(roles, alias(table), |r| &mut r.eq, &col.column),
+                    BinaryOperator::Lt
+                    | BinaryOperator::LtEq
+                    | BinaryOperator::Gt
+                    | BinaryOperator::GtEq => {
+                        file(roles, alias(table), |r| &mut r.range, &col.column)
                     }
+                    _ => {}
                 }
             }
-        }
-        for sub in conjunct.subqueries() {
-            collect_roles(sub, false, roles);
+            ConjunctRole::Join { left, right, .. } => {
+                let (l, r) = role.columns(conjunct).expect("a join equates two columns");
+                file(roles, alias(left), |r| &mut r.join, &l.column);
+                file(roles, alias(right), |r| &mut r.join, &r.column);
+            }
+            // Against an enclosing block's column this is no join of the
+            // block: the planner pushes it onto the own side as a selection
+            // — one value per outer row, an equality key (so composites lead
+            // with it) — and asks nothing of the outer.
+            ConjunctRole::Correlation { table, .. } => {
+                let (own, _) = role
+                    .columns(conjunct)
+                    .expect("a correlation equates two columns");
+                file(roles, alias(table), |r| &mut r.eq, &own.column);
+            }
+            ConjunctRole::Residual { .. } => {}
+            ConjunctRole::Subquery { .. } => {
+                for (sub, sub_bound) in conjunct.subqueries().into_iter().zip(&mut subqueries) {
+                    collect_roles(sub, sub_bound, false, roles);
+                }
+            }
         }
     }
     if let Some(having) = &query.having {
-        for sub in having.subqueries() {
-            collect_roles(sub, false, roles);
+        for (sub, sub_bound) in having.subqueries().into_iter().zip(subqueries) {
+            collect_roles(sub, sub_bound, false, roles);
         }
     }
     if top_level {
-        for item in &query.order_by {
-            for col in item.expr.column_refs() {
-                if let Some(var) = resolve(col.qualifier.as_deref()) {
-                    if let Some((_, r)) = roles.get_mut(&var) {
-                        push_unique(&mut r.order, &col.column);
-                    }
+        let mut file_refs = |expr: &Expr, list: fn(&mut KeyRoles) -> &mut Vec<String>| {
+            for col in expr.column_refs() {
+                if let Some(alias) = bound.qualifier_of(col) {
+                    file(roles, alias, list, &col.column);
                 }
             }
+        };
+        for item in &query.order_by {
+            file_refs(&item.expr, |r| &mut r.order);
         }
         for item in &query.projection {
             if let SelectItem::Expr { expr, .. } = item {
-                for col in expr.column_refs() {
-                    if let Some(var) = resolve(col.qualifier.as_deref()) {
-                        if let Some((_, r)) = roles.get_mut(&var) {
-                            push_unique(&mut r.proj, &col.column);
-                        }
-                    }
-                }
+                file_refs(expr, |r| &mut r.proj);
             }
         }
     }
@@ -216,9 +219,9 @@ struct Candidate {
 /// Candidate indexes for one statement: composites from the predicate and
 /// join keys, a covering (index-only) variant, and an order-prefix variant
 /// for sort elimination.
-fn synthesize_candidates(query: &SelectStatement) -> Vec<Candidate> {
+fn synthesize_candidates(query: &SelectStatement, bound: &BoundQuery) -> Vec<Candidate> {
     let mut roles = BTreeMap::new();
-    collect_roles(query, true, &mut roles);
+    collect_roles(query, bound, true, &mut roles);
     let mut out: Vec<Candidate> = Vec::new();
     let mut seen: Vec<(String, Vec<String>)> = Vec::new();
     let mut push = |table: &str, columns: Vec<String>| {
@@ -384,10 +387,11 @@ fn best_candidate_for(
     options: &PlannerOptions,
 ) -> Option<Recommendation> {
     let query = sqlparse::parse_query(&stat.last_sql).ok()?;
+    let bound = sqlparse::bind_query(db.catalog(), &query).ok()?;
     let base = planner::plan_query_what_if(db, &query, *options, Vec::new()).ok()?;
     let base_cost = plan_cost(&base.plan).max(1.0);
     let mut best: Option<(f64, Candidate, String)> = None;
-    for cand in synthesize_candidates(&query) {
+    for cand in synthesize_candidates(&query, &bound) {
         if already_covered(db, &cand) {
             continue;
         }

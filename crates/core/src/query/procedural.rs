@@ -15,7 +15,9 @@ use schemagraph::{NestingConnector, QueryGraph};
 use sqlparse::ast::SelectStatement;
 use templates::Lexicon;
 
-/// Verbalize every block of the query graph, outer block first.
+/// Verbalize every block of the query graph, outer block first. A block
+/// whose connector is not its whole conjunct is not narrated on its own:
+/// the conjunct is quoted whole among its block's conditions.
 pub fn procedural_translation(
     catalog: &Catalog,
     lexicon: &Lexicon,
@@ -24,7 +26,11 @@ pub fn procedural_translation(
 ) -> String {
     let mut sentences = Vec::new();
     sentences.push(block_sentence(catalog, lexicon, graph, 0, query));
-    for edge in &graph.nesting {
+    for edge in graph
+        .nesting
+        .iter()
+        .filter(|e| narrated(graph, e.inner_block))
+    {
         let quantified;
         let connector = match &edge.connector {
             NestingConnector::In { negated: false } => "whose values appear in",
@@ -32,7 +38,7 @@ pub fn procedural_translation(
             NestingConnector::Exists { negated: false } => "for which there exists a match in",
             NestingConnector::Exists { negated: true } => "for which there is no match in",
             NestingConnector::Quantified { op, all } => {
-                quantified = quantified_words(op, *all);
+                quantified = quantified_words(op.sql(), *all);
                 &quantified
             }
             NestingConnector::Scalar => "compared with the result of",
@@ -44,6 +50,14 @@ pub fn procedural_translation(
         )));
     }
     sentences.join(" ")
+}
+
+/// Whether a block gets sentences of its own: the outer block, and a block
+/// whose connector is its whole conjunct in a block that does.
+fn narrated(graph: &QueryGraph, block: usize) -> bool {
+    block == 0
+        || (graph.nesting.iter())
+            .any(|e| e.inner_block == block && e.whole && narrated(graph, e.outer_block))
 }
 
 /// `op ALL` / `op ANY` in words: the comparison, then "every result" or

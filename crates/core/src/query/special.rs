@@ -6,8 +6,9 @@ use crate::query::phrases::concept_plural;
 use crate::query::spj::declarative_spj;
 use datastore::Catalog;
 use nlg::finish_sentence;
-use schemagraph::{HigherOrderIdiom, QueryBlock, QueryGraph};
+use schemagraph::{HigherOrderIdiom, NestingConnector, QueryBlock, QueryGraph};
 use sqlparse::ast::{BinaryOperator, Expr, Literal, SelectStatement};
+use sqlparse::bind::ConjunctRole;
 use sqlparse::rewrite::{detect_division, flatten_in_subqueries};
 use templates::Lexicon;
 
@@ -209,7 +210,8 @@ pub fn translate_impossible(
                 .unwrap_or_else(|| "are related to".to_string());
             // Describe the comparison set: Q9 compares against movies that
             // share their title (i.e. repeated movies).
-            let restriction = quantified_subquery_restriction(lexicon, query).unwrap_or_default();
+            let restriction =
+                quantified_subquery_restriction(lexicon, query, graph).unwrap_or_default();
             Some(finish_sentence(&format!(
                 "Find the {projected} that {verb} the {owner_plural} with the {superlative} {}{restriction}",
                 attribute.to_lowercase()
@@ -249,34 +251,51 @@ fn attribute_owner(catalog: &Catalog, block: &QueryBlock, attribute: &str) -> Op
 /// Describe the comparison set of a quantified subquery. For Q9 — a
 /// multi-instance self-join on the correlated title — this yields the
 /// "movies that have been repeated" restriction.
-fn quantified_subquery_restriction(lexicon: &Lexicon, query: &SelectStatement) -> Option<String> {
-    let selection = query.selection.as_ref()?;
-    let mut restriction = None;
-    selection.walk(&mut |e| {
-        if restriction.is_some() {
-            return;
-        }
+fn quantified_subquery_restriction(
+    lexicon: &Lexicon,
+    query: &SelectStatement,
+    graph: &QueryGraph,
+) -> Option<String> {
+    let mut quantified = Vec::new();
+    query.selection.as_ref()?.walk(&mut |e| {
         if let Expr::QuantifiedComparison { subquery, .. } = e {
+            quantified.push(subquery.as_ref());
+        }
+    });
+    // The outer block's quantified subqueries, in the same order.
+    let blocks = (graph.nesting.iter())
+        .filter(|e| {
+            e.outer_block == 0 && matches!(e.connector, NestingConnector::Quantified { .. })
+        })
+        .map(|e| &graph.blocks[e.inner_block]);
+    quantified
+        .into_iter()
+        .zip(blocks)
+        .find_map(|(subquery, block)| {
             let tables: Vec<&str> = subquery.from.iter().map(|t| t.table.as_str()).collect();
             let multi_instance =
                 tables.len() > 1 && tables.iter().all(|t| t.eq_ignore_ascii_case(tables[0]));
-            if multi_instance {
-                let concept = concept_plural(lexicon, tables[0]);
-                // The correlation attribute (e.g. title) that the copies share.
-                let shared = subquery
-                    .where_conjuncts()
-                    .iter()
-                    .find_map(|c| c.as_join_predicate().map(|(l, _)| l.column.clone()))
-                    .or_else(|| subquery.column_refs().first().map(|c| c.column.clone()))
-                    .unwrap_or_else(|| "value".to_string());
-                restriction = Some(format!(
-                    ", considering only {concept} that have been repeated (that share their {})",
-                    shared.to_lowercase()
-                ));
+            if !multi_instance {
+                return None;
             }
-        }
-    });
-    restriction
+            let concept = concept_plural(lexicon, tables[0]);
+            // The correlation attribute (e.g. title) that the copies share.
+            let conjuncts = subquery.where_conjuncts().into_iter().zip(&block.roles);
+            let shared = conjuncts
+                .filter(|(_, role)| {
+                    matches!(
+                        role,
+                        ConjunctRole::Join { .. } | ConjunctRole::Correlation { .. }
+                    )
+                })
+                .find_map(|(c, _)| c.as_column_equality().map(|(l, _)| l.column.clone()))
+                .or_else(|| subquery.column_refs().first().map(|c| c.column.clone()))
+                .unwrap_or_else(|| "value".to_string());
+            Some(format!(
+                ", considering only {concept} that have been repeated (that share their {})",
+                shared.to_lowercase()
+            ))
+        })
 }
 
 #[cfg(test)]

@@ -7,6 +7,11 @@
 //! idioms the paper calls for ("pairs of actors who have played in the same
 //! movie", "movies whose title is one of their roles") and fall back to the
 //! caller's procedural strategy otherwise.
+//!
+//! What each WHERE conjunct constrains is read from the block's roles (the
+//! binder's): a class's constraints are the conjuncts in its `<<WHERE>>`
+//! compartment, and a comparison between two classes is a residual over
+//! them, however the query spells its qualifiers.
 
 use crate::query::phrases::{
     collapsed_adjacency, concept_plural, connector_classes, constraint_phrase, entity_mention,
@@ -16,29 +21,17 @@ use datastore::Catalog;
 use nlg::finish_sentence;
 use schemagraph::QueryBlock;
 use sqlparse::ast::{BinaryOperator, Expr, SelectStatement};
+use sqlparse::bind::ConjunctRole;
 use templates::Lexicon;
 
-/// Constraints (non-join, non-subquery WHERE conjuncts) attached to a class
-/// by alias.
+/// The conjuncts in a class's `<<WHERE>>` compartment.
 fn class_constraints<'a>(
     query: &'a SelectStatement,
     block: &QueryBlock,
     class: usize,
 ) -> Vec<&'a Expr> {
-    let alias = &block.classes[class].alias;
-    query
-        .where_conjuncts()
-        .into_iter()
-        .filter(|c| c.as_join_predicate().is_none() && !c.contains_subquery())
-        .filter(|c| {
-            c.column_refs().iter().any(|r| {
-                r.qualifier
-                    .as_deref()
-                    .map(|q| q.eq_ignore_ascii_case(alias))
-                    .unwrap_or(false)
-            })
-        })
-        .collect()
+    let conjuncts = query.where_conjuncts();
+    block.class_conjuncts(class).map(|i| conjuncts[i]).collect()
 }
 
 /// Indices of the projected classes (classes with a non-empty SELECT
@@ -112,24 +105,21 @@ fn symmetric_pair_idiom(
     let meeting = *common.first()?;
     // An ordering / inequality constraint between the two instances marks
     // the symmetric-pair intent (it removes mirrored duplicates).
-    let has_ordering = query.where_conjuncts().iter().any(|c| {
-        if let Expr::BinaryOp { left, op, right } = c {
-            if matches!(
-                op,
-                BinaryOperator::Gt | BinaryOperator::Lt | BinaryOperator::NotEq
-            ) {
-                if let (Expr::Column(l), Expr::Column(r)) = (left.as_ref(), right.as_ref()) {
-                    let aliases = [
-                        block.classes[a].alias.to_lowercase(),
-                        block.classes[b].alias.to_lowercase(),
-                    ];
-                    let lq = l.qualifier.as_deref().unwrap_or("").to_lowercase();
-                    let rq = r.qualifier.as_deref().unwrap_or("").to_lowercase();
-                    return aliases.contains(&lq) && aliases.contains(&rq) && lq != rq;
-                }
-            }
-        }
-        false
+    let mut conjuncts = query.where_conjuncts().into_iter().zip(&block.roles);
+    let has_ordering = conjuncts.any(|(c, role)| {
+        let (ConjunctRole::Residual { tables }, Expr::BinaryOp { left, op, right }) = (role, c)
+        else {
+            return false;
+        };
+        let ordering = matches!(
+            op,
+            BinaryOperator::Gt | BinaryOperator::Lt | BinaryOperator::NotEq
+        );
+        let columns = matches!(
+            (left.as_ref(), right.as_ref()),
+            (Expr::Column(_), Expr::Column(_))
+        );
+        ordering && columns && (tables[..] == [a, b] || tables[..] == [b, a])
     });
     if !has_ordering {
         return None;
@@ -300,11 +290,12 @@ fn general_spj(
     // Theta-join predicates spanning two tuple variables ("e1.sal > e2.sal")
     // are verbalized explicitly; they are what the EMP/DEPT example of §3.1
     // hinges on ("employees who make more than their managers").
-    let cross: Vec<String> = query
-        .where_conjuncts()
-        .into_iter()
-        .filter(|c| c.as_join_predicate().is_none() && !c.contains_subquery())
-        .filter_map(cross_constraint_phrase)
+    let conjuncts = query.where_conjuncts().into_iter().zip(&block.roles);
+    let cross: Vec<String> = conjuncts
+        .filter_map(|(c, role)| match role {
+            ConjunctRole::Residual { tables } => cross_constraint_phrase(block, c, tables),
+            _ => None,
+        })
         .collect();
     if !cross.is_empty() {
         text.push_str(&format!(" such that {}", cross.join(" and ")));
@@ -313,28 +304,28 @@ fn general_spj(
 }
 
 /// Verbalize a comparison between attributes of two different tuple
-/// variables ("the sal of e1 is greater than the sal of e2").
-fn cross_constraint_phrase(constraint: &Expr) -> Option<String> {
+/// variables, a residual over `tables` ("the sal of e1 is greater than the
+/// sal of e2").
+fn cross_constraint_phrase(
+    block: &QueryBlock,
+    constraint: &Expr,
+    tables: &[usize],
+) -> Option<String> {
     let Expr::BinaryOp { left, op, right } = constraint else {
         return None;
     };
-    if !op.is_comparison() {
-        return None;
-    }
-    let (Expr::Column(l), Expr::Column(r)) = (left.as_ref(), right.as_ref()) else {
+    let (Expr::Column(l), Expr::Column(r), true, &[lt, rt]) =
+        (left.as_ref(), right.as_ref(), op.is_comparison(), tables)
+    else {
         return None;
     };
-    let (lq, rq) = (l.qualifier.as_deref()?, r.qualifier.as_deref()?);
-    if lq.eq_ignore_ascii_case(rq) {
-        return None;
-    }
     Some(format!(
         "the {} of {} {} the {} of {}",
         l.column.to_lowercase(),
-        lq,
+        block.classes[lt].alias,
         op.narrative_phrase(),
         r.column.to_lowercase(),
-        rq
+        block.classes[rt].alias
     ))
 }
 

@@ -319,11 +319,6 @@ impl Database {
         self.tables.values().map(Arc::as_ref)
     }
 
-    /// Total number of tuples across all relations.
-    pub fn total_rows(&self) -> usize {
-        self.tables.values().map(|t| t.len()).sum()
-    }
-
     /// Insert a row into a table, enforcing local constraints and all
     /// foreign keys whose referencing table is `table`.
     pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<usize, StoreError> {
@@ -820,15 +815,5 @@ mod tests {
                 .unwrap_err(),
             StoreError::UnknownTable { .. }
         ));
-    }
-
-    #[test]
-    fn total_rows_counts_every_relation() {
-        let mut db = movie_db();
-        db.insert("MOVIES", vec![Value::int(1), Value::text("Troy")])
-            .unwrap();
-        db.insert("ACTOR", vec![Value::int(10), Value::text("Brad Pitt")])
-            .unwrap();
-        assert_eq!(db.total_rows(), 2);
     }
 }

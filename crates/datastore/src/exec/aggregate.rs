@@ -22,18 +22,6 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
-    /// SQL spelling used when narrating or printing plans.
-    pub fn sql_name(&self) -> &'static str {
-        match self {
-            AggFunc::Count => "count",
-            AggFunc::CountDistinct => "count(distinct)",
-            AggFunc::Sum => "sum",
-            AggFunc::Avg => "avg",
-            AggFunc::Min => "min",
-            AggFunc::Max => "max",
-        }
-    }
-
     /// The English phrase used by the query narrator ("the number of …").
     pub fn narrative_phrase(&self) -> &'static str {
         match self {
@@ -667,7 +655,6 @@ mod tests {
     fn narrative_phrases() {
         assert_eq!(AggFunc::Count.narrative_phrase(), "the number of");
         assert_eq!(AggFunc::Max.narrative_phrase(), "the largest");
-        assert_eq!(AggFunc::CountDistinct.sql_name(), "count(distinct)");
     }
 
     #[test]

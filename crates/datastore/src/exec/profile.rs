@@ -445,11 +445,6 @@ impl<'a> ProfileNode<'a> {
         &self.shape.tags
     }
 
-    /// True when the node carries `tag`.
-    pub fn has_tag(self, tag: &str) -> bool {
-        self.shape.tags.iter().any(|t| t == tag)
-    }
-
     /// Index access-path metadata, when this operator probes one.
     pub fn access(self) -> Option<&'a IndexAccess> {
         self.shape.access.as_ref()

@@ -5,7 +5,7 @@
 //! reproduction regenerates them as DOT text that can be rendered with
 //! `dot -Tpng`.
 
-use crate::query_graph::QueryGraph;
+use crate::query_graph::{NestingConnector, QueryGraph};
 use crate::schema_graph::SchemaGraph;
 use std::fmt::Write as _;
 
@@ -144,13 +144,27 @@ pub fn query_graph_to_dot(graph: &QueryGraph) -> String {
         let _ = writeln!(
             out,
             "  {outer_anchor} -> {inner_anchor} [label=\"{}\" lhead=cluster_{} style=bold{}];",
-            escape(&edge.connector.label()),
+            escape(&connector_label(&edge.connector)),
             edge.inner_block,
             if edge.correlated { " color=blue" } else { "" }
         );
     }
     let _ = writeln!(out, "}}");
     out
+}
+
+/// A nesting edge's label: `IN`, `NOT EXISTS`, `<= ALL`, `scalar`.
+pub fn connector_label(connector: &NestingConnector) -> String {
+    match connector {
+        NestingConnector::In { negated: false } => "IN".to_string(),
+        NestingConnector::In { negated: true } => "NOT IN".to_string(),
+        NestingConnector::Exists { negated: false } => "EXISTS".to_string(),
+        NestingConnector::Exists { negated: true } => "NOT EXISTS".to_string(),
+        NestingConnector::Quantified { op, all } => {
+            format!("{} {}", op.sql(), if *all { "ALL" } else { "ANY" })
+        }
+        NestingConnector::Scalar => "scalar".to_string(),
+    }
 }
 
 #[cfg(test)]

@@ -5,11 +5,21 @@
 //! `<<WHERE>>`, `<<HAVING>>` — plus `<<GROUP BY>>`/`<<ORDER BY>>` notes at
 //! the block level. Generic join edges connect classes; nesting edges connect
 //! a block to the blocks of its subqueries (Figure 7's `NQ1`).
+//!
+//! Where a WHERE conjunct goes is read from the role the binder gave it
+//! ([`ConjunctRole`]), which each block keeps: a join is an edge, a
+//! selection or a residual a constraint in a class's `<<WHERE>>`
+//! compartment, a subquery connector a nesting edge. This module decides
+//! only what the binder does not: which joins are declared foreign keys.
 
 use datastore::Catalog;
-use sqlparse::ast::{Expr, Quantifier, SelectItem, SelectStatement};
-use sqlparse::bind::{bind_query, join_edges, BoundQuery};
+use sqlparse::ast::{Expr, SelectItem, SelectStatement};
+use sqlparse::bind::{bind_query, BoundQuery, ConjunctRole};
 use sqlparse::error::BindError;
+
+/// How a nested block connects to its parent: the binder's
+/// [`sqlparse::Connector`].
+pub use sqlparse::bind::Connector as NestingConnector;
 
 /// One projected attribute of a relation class (`<<SELECT>>` compartment).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,40 +63,6 @@ pub struct QueryJoinEdge {
     pub is_foreign_key: bool,
 }
 
-/// How a nested block connects to its parent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NestingConnector {
-    In {
-        negated: bool,
-    },
-    Exists {
-        negated: bool,
-    },
-    /// Quantified comparison, e.g. `<= ALL`.
-    Quantified {
-        op: String,
-        all: bool,
-    },
-    /// Scalar subquery in an expression (e.g. inside HAVING).
-    Scalar,
-}
-
-impl NestingConnector {
-    /// Short label used in DOT output and narrations.
-    pub fn label(&self) -> String {
-        match self {
-            NestingConnector::In { negated: false } => "IN".to_string(),
-            NestingConnector::In { negated: true } => "NOT IN".to_string(),
-            NestingConnector::Exists { negated: false } => "EXISTS".to_string(),
-            NestingConnector::Exists { negated: true } => "NOT EXISTS".to_string(),
-            NestingConnector::Quantified { op, all } => {
-                format!("{} {}", op, if *all { "ALL" } else { "ANY" })
-            }
-            NestingConnector::Scalar => "scalar".to_string(),
-        }
-    }
-}
-
 /// A nesting edge between blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NestingEdge {
@@ -96,6 +72,11 @@ pub struct NestingEdge {
     /// True when the inner block references tuple variables of the outer
     /// block (correlation).
     pub correlated: bool,
+    /// True when the connector is the whole of its conjunct (always, for a
+    /// HAVING subquery). A WHERE conjunct that is more than its connector
+    /// (`m.id IN (…) OR m.year = 1999`) is a constraint of its block
+    /// instead, and its connector is not narrated on its own.
+    pub whole: bool,
 }
 
 /// One query block: the outer query or one subquery.
@@ -115,6 +96,9 @@ pub struct QueryBlock {
     pub is_aggregate: bool,
     /// `SELECT DISTINCT`.
     pub distinct: bool,
+    /// The binder's role of each WHERE conjunct of the block, in
+    /// [`SelectStatement::where_conjuncts`] order.
+    pub roles: Vec<ConjunctRole>,
 }
 
 impl QueryBlock {
@@ -161,6 +145,31 @@ impl QueryBlock {
     pub fn all_joins_are_foreign_keys(&self) -> bool {
         self.joins.iter().all(|j| j.is_foreign_key)
     }
+
+    /// The class whose `<<WHERE>>` compartment holds a conjunct of this
+    /// role: a selection's own class, the first class a residual reads, the
+    /// first class a subquery conjunct that is more than its connector reads
+    /// (or the block's first). `None` for joins (edges), whole connectors
+    /// (nesting edges) and correlations (the nesting edge's correlation).
+    pub fn constrained_class(&self, role: &ConjunctRole) -> Option<usize> {
+        match role {
+            ConjunctRole::Selection { table, .. } => Some(*table),
+            ConjunctRole::Residual { tables } => tables.first().copied(),
+            ConjunctRole::Subquery {
+                whole: false,
+                table,
+                ..
+            } => table.or((!self.classes.is_empty()).then_some(0)),
+            _ => None,
+        }
+    }
+
+    /// The positions, in [`SelectStatement::where_conjuncts`], of the
+    /// conjuncts in class `class`'s `<<WHERE>>` compartment.
+    pub fn class_conjuncts(&self, class: usize) -> impl Iterator<Item = usize> + '_ {
+        let roles = self.roles.iter().enumerate();
+        roles.filter_map(move |(i, r)| (self.constrained_class(r) == Some(class)).then_some(i))
+    }
 }
 
 /// The query graph: one block per query block plus nesting edges.
@@ -174,29 +183,6 @@ impl QueryGraph {
     /// The outer (root) block.
     pub fn root(&self) -> &QueryBlock {
         &self.blocks[0]
-    }
-
-    /// Total number of relation classes across all blocks.
-    pub fn class_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.classes.len()).sum()
-    }
-
-    /// Depth of block nesting (1 for a flat query).
-    pub fn nesting_depth(&self) -> usize {
-        fn depth(graph: &QueryGraph, block: usize) -> usize {
-            1 + graph
-                .nesting
-                .iter()
-                .filter(|e| e.outer_block == block)
-                .map(|e| depth(graph, e.inner_block))
-                .max()
-                .unwrap_or(0)
-        }
-        if self.blocks.is_empty() {
-            0
-        } else {
-            depth(self, 0)
-        }
     }
 
     /// Build the query graph for a bound query.
@@ -267,64 +253,30 @@ fn build_block(
         }
     }
 
-    // 3. WHERE: join predicates become edges, unary predicates go into the
-    //    class they constrain, anything else (e.g. subquery connectors) is
-    //    represented by the nesting edges built below.
-    for join in join_edges(query, bound) {
-        let (Some(left), Some(right)) = (
-            block.class_index(&join.left_alias),
-            block.class_index(&join.right_alias),
-        ) else {
-            continue;
-        };
-        let left_table = &block.classes[left].relation;
-        let right_table = &block.classes[right].relation;
-        let is_fk = catalog.foreign_keys().iter().any(|fk| {
-            (fk.table.eq_ignore_ascii_case(left_table)
-                && fk.ref_table.eq_ignore_ascii_case(right_table)
-                && fk
-                    .columns
-                    .iter()
-                    .any(|c| c.eq_ignore_ascii_case(&join.left_column))
-                && fk
-                    .ref_columns
-                    .iter()
-                    .any(|c| c.eq_ignore_ascii_case(&join.right_column)))
-                || (fk.table.eq_ignore_ascii_case(right_table)
-                    && fk.ref_table.eq_ignore_ascii_case(left_table)
-                    && fk
-                        .columns
-                        .iter()
-                        .any(|c| c.eq_ignore_ascii_case(&join.right_column))
-                    && fk
-                        .ref_columns
-                        .iter()
-                        .any(|c| c.eq_ignore_ascii_case(&join.left_column)))
-        });
-        block.joins.push(QueryJoinEdge {
-            left,
-            right,
-            predicate: join.predicate.to_string(),
-            left_column: join.left_column,
-            right_column: join.right_column,
-            is_foreign_key: is_fk,
-        });
-    }
-    for conjunct in query.where_conjuncts() {
-        if conjunct.as_join_predicate().is_some() || conjunct.contains_subquery() {
-            continue;
-        }
-        // Attribute the constraint to the single class it references; if it
-        // references several (a theta join), record it on the first one.
-        let refs = conjunct.column_refs();
-        let owner = refs
-            .iter()
-            .find_map(|c| bound.qualifier_of(c))
-            .and_then(|alias| block.class_index(alias));
-        if let Some(idx) = owner {
-            block.classes[idx]
-                .where_constraints
-                .push(conjunct.to_string());
+    // 3. WHERE, each conjunct where its role says: joins become edges,
+    //    selections and residuals constraints of a class; subquery
+    //    connectors are the nesting edges built below.
+    let conjuncts = query.where_conjuncts();
+    block.roles = bound.roles.clone();
+    for (conjunct, role) in conjuncts.iter().zip(&bound.roles) {
+        if let ConjunctRole::Join { left, right, .. } = *role {
+            let (l, r) = role.columns(conjunct).expect("a join equates two columns");
+            let is_foreign_key = is_foreign_key(
+                catalog,
+                (&block.classes[left].relation, &l.column),
+                (&block.classes[right].relation, &r.column),
+            );
+            block.joins.push(QueryJoinEdge {
+                left,
+                right,
+                predicate: conjunct.to_string(),
+                left_column: l.column.clone(),
+                right_column: r.column.clone(),
+                is_foreign_key,
+            });
+        } else if let Some(class) = block.constrained_class(role) {
+            let constraint = conjunct.to_string();
+            block.classes[class].where_constraints.push(constraint);
         }
     }
 
@@ -361,63 +313,46 @@ fn build_block(
     let block_index = graph.blocks.len();
     graph.blocks.push(block);
 
-    // 5. Nesting edges: subqueries of WHERE and HAVING, in the same
-    //    discovery order the binder used.
-    let mut connectors: Vec<NestingConnector> = Vec::new();
-    let mut sub_asts: Vec<&SelectStatement> = Vec::new();
-    for root in [&query.selection, &query.having].into_iter().flatten() {
-        collect_connectors(root, &mut connectors, &mut sub_asts);
-    }
-    for (i, (sub, connector)) in sub_asts.iter().zip(connectors).enumerate() {
-        if let Some(sub_bound) = bound.subqueries.get(i) {
-            let inner_index = build_block(catalog, sub, sub_bound, graph);
-            graph.nesting.push(NestingEdge {
-                outer_block: block_index,
-                inner_block: inner_index,
-                connector,
-                correlated: sub_bound.is_correlated(),
-            });
+    // 5. Nesting edges: subqueries of WHERE and HAVING, in the order the
+    //    binder bound them, each connected as it says.
+    let mut subqueries: Vec<(&SelectStatement, bool)> = Vec::new();
+    for (conjunct, role) in conjuncts.iter().zip(&bound.roles) {
+        if let ConjunctRole::Subquery { whole, .. } = *role {
+            subqueries.extend(conjunct.subqueries().into_iter().map(|sub| (sub, whole)));
         }
+    }
+    if let Some(having) = &query.having {
+        subqueries.extend(having.subqueries().into_iter().map(|sub| (sub, true)));
+    }
+    for ((sub, whole), sub_bound) in subqueries.into_iter().zip(&bound.subqueries) {
+        let inner_index = build_block(catalog, sub, sub_bound, graph);
+        graph.nesting.push(NestingEdge {
+            outer_block: block_index,
+            inner_block: inner_index,
+            connector: sub_bound
+                .connector
+                .clone()
+                .expect("a bound subquery has a connector"),
+            correlated: sub_bound.is_correlated(),
+            whole,
+        });
     }
     block_index
 }
 
-/// Walk an expression collecting subqueries together with the connector that
-/// introduces each, in the same order as [`Expr::subqueries`].
-fn collect_connectors<'a>(
-    expr: &'a Expr,
-    connectors: &mut Vec<NestingConnector>,
-    subs: &mut Vec<&'a SelectStatement>,
-) {
-    expr.walk(&mut |e| match e {
-        Expr::InSubquery {
-            subquery, negated, ..
-        } => {
-            connectors.push(NestingConnector::In { negated: *negated });
-            subs.push(subquery);
-        }
-        Expr::Exists { subquery, negated } => {
-            connectors.push(NestingConnector::Exists { negated: *negated });
-            subs.push(subquery);
-        }
-        Expr::QuantifiedComparison {
-            subquery,
-            op,
-            quantifier,
-            ..
-        } => {
-            connectors.push(NestingConnector::Quantified {
-                op: op.sql().to_string(),
-                all: matches!(quantifier, Quantifier::All),
-            });
-            subs.push(subquery);
-        }
-        Expr::ScalarSubquery(subquery) => {
-            connectors.push(NestingConnector::Scalar);
-            subs.push(subquery);
-        }
-        _ => {}
-    });
+/// Whether `left = right`, each a (relation, column), is a declared foreign
+/// key, either way round.
+fn is_foreign_key(catalog: &Catalog, left: (&str, &str), right: (&str, &str)) -> bool {
+    let named = |names: &[String], name: &str| names.iter().any(|n| n.eq_ignore_ascii_case(name));
+    let refers = |(table, column): (&str, &str), (ref_table, ref_column): (&str, &str)| {
+        catalog.foreign_keys().iter().any(|fk| {
+            fk.table.eq_ignore_ascii_case(table)
+                && fk.ref_table.eq_ignore_ascii_case(ref_table)
+                && named(&fk.columns, column)
+                && named(&fk.ref_columns, ref_column)
+        })
+    };
+    refers(left, right) || refers(right, left)
 }
 
 #[cfg(test)]
@@ -491,7 +426,13 @@ mod tests {
         );
         assert_eq!(g.blocks.len(), 3);
         assert_eq!(g.nesting.len(), 2);
-        assert_eq!(g.nesting_depth(), 3);
+        let mut edges: Vec<_> = g
+            .nesting
+            .iter()
+            .map(|e| (e.outer_block, e.inner_block))
+            .collect();
+        edges.sort_unstable();
+        assert_eq!(edges, [(0, 1), (1, 2)]);
         assert!(matches!(
             g.nesting[0].connector,
             NestingConnector::In { negated: false }
@@ -539,7 +480,7 @@ mod tests {
         );
         assert_eq!(g.blocks.len(), 2);
         let edge = &g.nesting[0];
-        assert_eq!(edge.connector.label(), "<= ALL");
+        assert_eq!(crate::dot::connector_label(&edge.connector), "<= ALL");
         assert!(edge.correlated);
         assert!(g.blocks[1].has_multiple_instances());
     }
@@ -549,7 +490,7 @@ mod tests {
         let g = graph_for(
             "select m.title from MOVIES m, GENRE g where m.id = g.mid order by m.year desc",
         );
-        assert_eq!(g.class_count(), 2);
+        assert_eq!(g.root().classes.len(), 2);
         assert_eq!(g.root().order_by, vec!["m.year DESC"]);
     }
 }

@@ -130,20 +130,6 @@ impl SchemaGraph {
             .collect()
     }
 
-    /// Relation nodes adjacent to `relation` through join edges (either
-    /// direction), with the connecting edge.
-    pub fn joined_relations(&self, relation: usize) -> Vec<(usize, &JoinEdge)> {
-        let mut out = Vec::new();
-        for edge in &self.join_edges {
-            if edge.from == relation {
-                out.push((edge.to, edge));
-            } else if edge.to == relation {
-                out.push((edge.from, edge));
-            }
-        }
-        out
-    }
-
     /// The join edge between two relations, if one exists (in either
     /// direction).
     pub fn join_between(&self, a: usize, b: usize) -> Option<&JoinEdge> {
@@ -240,7 +226,7 @@ mod tests {
         assert!(g.join_between(movies, director).is_none());
         // MOVIES is referenced by DIRECTED, CAST and GENRE.
         assert_eq!(g.join_degree(movies), 3);
-        assert_eq!(g.joined_relations(director).len(), 1);
+        assert_eq!(g.join_degree(director), 1);
     }
 
     #[test]

@@ -35,15 +35,6 @@ impl TraversalPlan {
         self.steps.iter().map(|s| s.relation).collect()
     }
 
-    /// Children of a relation in the traversal tree.
-    pub fn children_of(&self, relation: usize) -> Vec<usize> {
-        self.steps
-            .iter()
-            .filter(|s| s.reached_from == Some(relation))
-            .map(|s| s.relation)
-            .collect()
-    }
-
     /// True when the plan contains a relation.
     pub fn visits(&self, relation: usize) -> bool {
         self.steps.iter().any(|s| s.relation == relation)
@@ -211,8 +202,12 @@ mod tests {
         let plan = dfs_traversal(&g, Some(director), TraversalConfig::default());
         assert_eq!(plan.steps[0].relation, director);
         assert!(plan.visits(g.relation_index("ACTOR").unwrap()));
-        let children = plan.children_of(director);
-        assert_eq!(children.len(), 1); // only DIRECTED is adjacent
+        // Only DIRECTED is adjacent.
+        let reached = plan
+            .steps
+            .iter()
+            .filter(|s| s.reached_from == Some(director));
+        assert_eq!(reached.count(), 1);
     }
 
     #[test]

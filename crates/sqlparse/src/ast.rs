@@ -7,6 +7,7 @@
 //! (including subqueries in `HAVING`), `ORDER BY`, plus DML statements and
 //! view definitions, which §3.1 argues also deserve narration.
 
+use crate::bind::Connector;
 use std::fmt;
 
 /// A top-level SQL statement.
@@ -505,21 +506,23 @@ impl Expr {
     /// Split the expression on top-level ANDs.
     pub fn conjuncts(&self) -> Vec<&Expr> {
         let mut out = Vec::new();
-        self.push_conjuncts(&mut out);
+        self.each_conjunct(&mut |c| out.push(c));
         out
     }
 
-    fn push_conjuncts<'a>(&'a self, out: &mut Vec<&'a Expr>) {
+    /// Call `f` on each conjunct, in [`Expr::conjuncts`] order, without
+    /// collecting them.
+    pub fn each_conjunct<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
         match self {
             Expr::BinaryOp {
                 left,
                 op: BinaryOperator::And,
                 right,
             } => {
-                left.push_conjuncts(out);
-                right.push_conjuncts(out);
+                left.each_conjunct(f);
+                right.each_conjunct(f);
             }
-            other => out.push(other),
+            other => f(other),
         }
     }
 
@@ -538,30 +541,14 @@ impl Expr {
     /// True if the expression contains any kind of subquery.
     pub fn contains_subquery(&self) -> bool {
         let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(
-                e,
-                Expr::InSubquery { .. }
-                    | Expr::Exists { .. }
-                    | Expr::QuantifiedComparison { .. }
-                    | Expr::ScalarSubquery(_)
-            ) {
-                found = true;
-            }
-        });
+        self.walk(&mut |e| found |= Connector::of(e).is_some());
         found
     }
 
     /// The subqueries directly nested in this expression.
     pub fn subqueries(&self) -> Vec<&SelectStatement> {
         let mut out = Vec::new();
-        self.walk(&mut |e| match e {
-            Expr::InSubquery { subquery, .. }
-            | Expr::Exists { subquery, .. }
-            | Expr::QuantifiedComparison { subquery, .. }
-            | Expr::ScalarSubquery(subquery) => out.push(subquery.as_ref()),
-            _ => {}
-        });
+        self.walk(&mut |e| out.extend(Connector::of(e).map(|(_, sub)| sub)));
         out
     }
 
@@ -662,22 +649,23 @@ impl Expr {
         }
     }
 
-    /// If this expression is an equi-join predicate between two different
-    /// tuple variables (`a.x = b.y`), return the two column references.
-    pub fn as_join_predicate(&self) -> Option<(&ColumnRef, &ColumnRef)> {
-        if let Expr::BinaryOp {
+    /// If this expression is an equality of two column references (`x = y`),
+    /// return them as written. Whether it joins two tuple variables, selects
+    /// on one or correlates with an enclosing block is the binder's call
+    /// ([`crate::bind::ConjunctRole`]).
+    pub fn as_column_equality(&self) -> Option<(&ColumnRef, &ColumnRef)> {
+        let Expr::BinaryOp {
             left,
             op: BinaryOperator::Eq,
             right,
         } = self
-        {
-            if let (Expr::Column(l), Expr::Column(r)) = (left.as_ref(), right.as_ref()) {
-                if l.qualifier.is_some() && r.qualifier.is_some() && l.qualifier != r.qualifier {
-                    return Some((l, r));
-                }
-            }
+        else {
+            return None;
+        };
+        match (left.as_ref(), right.as_ref()) {
+            (Expr::Column(l), Expr::Column(r)) => Some((l, r)),
+            _ => None,
         }
-        None
     }
 
     /// If this expression compares a column with a literal, return them
@@ -799,7 +787,7 @@ mod tests {
             ColumnRef::qualified("m", "id"),
             ColumnRef::qualified("c", "mid"),
         );
-        assert!(join.as_join_predicate().is_some());
+        assert!(join.as_column_equality().is_some());
         assert!(join.as_selection_predicate().is_none());
 
         let sel = Expr::BinaryOp {
@@ -811,15 +799,6 @@ mod tests {
         assert_eq!(c.column, "year");
         assert_eq!(op, BinaryOperator::Gt);
         assert_eq!(*v, Literal::Integer(2000));
-    }
-
-    #[test]
-    fn same_variable_equality_is_not_a_join() {
-        let e = Expr::col_eq(
-            ColumnRef::qualified("m", "id"),
-            ColumnRef::qualified("m", "other"),
-        );
-        assert!(e.as_join_predicate().is_none());
     }
 
     #[test]

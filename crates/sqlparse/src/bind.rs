@@ -1,14 +1,21 @@
-//! Binding (name resolution) of parsed queries against a catalog.
+//! Binding (name resolution) of parsed queries against a catalog, and the
+//! one decision of what each WHERE conjunct does.
 //!
-//! The query-graph construction of §3.2 needs to know, for every column
-//! reference, which tuple variable (relation instance) it belongs to, and
-//! whether a reference inside a subquery is *correlated* — i.e. refers to a
-//! tuple variable of an enclosing query, which becomes a nesting edge in the
-//! query graph.
+//! The binder finds, for every column reference, the tuple variable
+//! (relation instance) it belongs to, and whether it is *correlated* — a
+//! tuple variable of an enclosing block, which becomes a nesting edge of the
+//! query graph of §3.2 and a correlation value of the planner. With those
+//! resolutions it files every conjunct of a block's WHERE clause once, as a
+//! [`ConjunctRole`]: a join, a selection, a correlation, a residual or a
+//! subquery connector. `mid`, `M.id` and `m.id` file alike, since the role
+//! is read from the resolutions, never from the qualifiers as written. The
+//! planner's join graph, its subquery pass, the query graph, the declarative
+//! translator and the index advisor read the roles; none of them decides
+//! again. The binder renders no text and looks up no foreign keys.
 
-use crate::ast::{ColumnRef, Expr, SelectStatement};
+use crate::ast::{BinaryOperator, ColumnRef, Expr, Quantifier, SelectStatement};
 use crate::error::BindError;
-use datastore::Catalog;
+use datastore::{Catalog, DataType};
 
 /// A tuple variable bound to a base relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,6 +24,109 @@ pub struct BoundTable {
     pub alias: String,
     /// The catalog relation it ranges over (catalog spelling).
     pub table: String,
+}
+
+/// What one conjunct of a block's WHERE clause does. A tuple variable is an
+/// index into the block's [`BoundQuery::tables`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConjunctRole {
+    /// `l = r` between columns of two different tuple variables of the block
+    /// (`left` is `l`'s); `same_type` when the declared types match.
+    Join {
+        left: usize,
+        right: usize,
+        same_type: bool,
+    },
+    /// Every column it reads is `table`'s or, when `correlated`, an
+    /// enclosing block's (`c.mid + 0 = m.id`, `a.id < m.id`).
+    Selection { table: usize, correlated: bool },
+    /// `own = outer` between a column of `table` and one of an enclosing
+    /// block: a selection correlated by one equality, the shape a semi-join
+    /// key takes. `own_left` when the own column is `l`; `parent` is the
+    /// outer column's tuple variable when it belongs to the immediately
+    /// enclosing block (an index into that block's `tables`); `same_type`
+    /// when the declared types match.
+    Correlation {
+        table: usize,
+        own_left: bool,
+        parent: Option<usize>,
+        same_type: bool,
+    },
+    /// Reads columns of several of the block's tuple variables (`tables`, in
+    /// order of first reference), or of none.
+    Residual { tables: Vec<usize> },
+    /// Holds a subquery: `index` is its first subquery's in
+    /// [`BoundQuery::subqueries`]; `whole` when the conjunct is that
+    /// subquery's connector and nothing more (`x IN (…)`, `[NOT] EXISTS (…)`,
+    /// `x op ALL (…)`, `x op (…)`); `table` is the first of the block's tuple
+    /// variables it reads outside its subqueries.
+    Subquery {
+        index: usize,
+        whole: bool,
+        table: Option<usize>,
+    },
+}
+
+impl ConjunctRole {
+    /// The two columns of a join, as written (`l`, `r`), or of a
+    /// correlation, as (own, outer). `None` for every other role.
+    pub fn columns<'e>(&self, conjunct: &'e Expr) -> Option<(&'e ColumnRef, &'e ColumnRef)> {
+        let (l, r) = conjunct.as_column_equality()?;
+        match self {
+            ConjunctRole::Join { .. } | ConjunctRole::Correlation { own_left: true, .. } => {
+                Some((l, r))
+            }
+            ConjunctRole::Correlation { .. } => Some((r, l)),
+            _ => None,
+        }
+    }
+}
+
+/// How a subquery block connects to the block it is nested in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Connector {
+    In {
+        negated: bool,
+    },
+    Exists {
+        negated: bool,
+    },
+    /// Quantified comparison, e.g. `<= ALL`.
+    Quantified {
+        op: BinaryOperator,
+        all: bool,
+    },
+    /// Scalar subquery in an expression (e.g. inside HAVING).
+    Scalar,
+}
+
+impl Connector {
+    /// The connector of `expr` and the subquery it introduces, when `expr`
+    /// is one.
+    pub(crate) fn of(expr: &Expr) -> Option<(Connector, &SelectStatement)> {
+        Some(match expr {
+            Expr::InSubquery {
+                subquery, negated, ..
+            } => (Connector::In { negated: *negated }, subquery),
+            Expr::Exists { subquery, negated } => {
+                (Connector::Exists { negated: *negated }, subquery)
+            }
+            Expr::QuantifiedComparison {
+                subquery,
+                op,
+                quantifier,
+                ..
+            } => (
+                Connector::Quantified {
+                    op: *op,
+                    all: *quantifier == Quantifier::All,
+                },
+                subquery,
+            ),
+            Expr::ScalarSubquery(subquery) => (Connector::Scalar, subquery),
+            _ => return None,
+        })
+    }
 }
 
 /// The result of binding one query block (and, recursively, its subqueries).
@@ -32,9 +142,15 @@ pub struct BoundQuery {
     /// References in this block that resolve to a tuple variable of an
     /// enclosing block (correlation), as written.
     pub correlated: Vec<ColumnRef>,
+    /// The role of each conjunct of this block's WHERE clause, in
+    /// [`SelectStatement::where_conjuncts`] order.
+    pub roles: Vec<ConjunctRole>,
     /// Bound subqueries of this block (WHERE and HAVING), in discovery
     /// order.
     pub subqueries: Vec<BoundQuery>,
+    /// How this block connects to the block it is nested in (`None` for a
+    /// statement's outermost block).
+    pub connector: Option<Connector>,
 }
 
 impl BoundQuery {
@@ -54,18 +170,18 @@ impl BoundQuery {
             .map(|t| t.table.as_str())
     }
 
+    /// `query`'s WHERE conjuncts, each with its role. `query` is the
+    /// statement this block was bound from.
+    pub fn conjuncts<'q>(
+        &self,
+        query: &'q SelectStatement,
+    ) -> impl Iterator<Item = (&'q Expr, &ConjunctRole)> {
+        query.where_conjuncts().into_iter().zip(&self.roles)
+    }
+
     /// True when this block or any nested block has a correlated reference.
     pub fn is_correlated(&self) -> bool {
         !self.correlated.is_empty() || self.subqueries.iter().any(BoundQuery::is_correlated)
-    }
-
-    /// Total number of query blocks (this one plus nested ones).
-    pub fn block_count(&self) -> usize {
-        1 + self
-            .subqueries
-            .iter()
-            .map(BoundQuery::block_count)
-            .sum::<usize>()
     }
 }
 
@@ -122,23 +238,15 @@ fn is_ascii(col: &ColumnRef) -> bool {
 
 /// Bind a query against a catalog.
 pub fn bind_query(catalog: &Catalog, query: &SelectStatement) -> Result<BoundQuery, BindError> {
-    bind_with_outer(catalog, query, &[])
+    bind_subquery(catalog, query, &[])
 }
 
 /// Bind a subquery with the enclosing blocks in scope, outermost first.
-/// The planner's decorrelation pass uses this to (re-)bind a subquery block
-/// on its own — e.g. after stripping the correlated equality conjuncts it
-/// turned into semi-join keys — while references to enclosing tuple
-/// variables still resolve (and are recorded as correlated).
+/// The planner's decorrelation pass uses this to re-bind a subquery block it
+/// changed — after stripping the correlated equality conjuncts it turned
+/// into semi-join keys — while references to enclosing tuple variables
+/// still resolve (and are recorded as correlated).
 pub fn bind_subquery(
-    catalog: &Catalog,
-    query: &SelectStatement,
-    outer: &[&BoundQuery],
-) -> Result<BoundQuery, BindError> {
-    bind_with_outer(catalog, query, outer)
-}
-
-fn bind_with_outer(
     catalog: &Catalog,
     query: &SelectStatement,
     outer: &[&BoundQuery],
@@ -168,23 +276,194 @@ fn bind_with_outer(
         });
     }
 
-    // 2. Column references at this level.
-    for col in query.column_refs() {
-        resolve_column(catalog, col, &mut bound, outer)?;
+    // 2. Column references at this level, in `visit_expressions` order; each
+    //    WHERE conjunct is filed as its references resolve.
+    let mut failed = None;
+    query.visit_expressions(&mut |expr| {
+        if failed.is_some() {
+            return;
+        }
+        let resolved = match &query.selection {
+            Some(selection) if std::ptr::eq(selection, expr) => {
+                file_conjuncts(catalog, selection, &mut bound, outer)
+            }
+            _ => resolve_refs(catalog, expr, &mut bound, outer, &mut Reads::default()),
+        };
+        failed = resolved.err();
+    });
+    if let Some(error) = failed {
+        return Err(error);
     }
 
     // 3. Subqueries in WHERE and HAVING, bound with this block in scope.
-    let mut scopes: Vec<&BoundQuery> = Vec::with_capacity(outer.len() + 1);
-    scopes.extend(outer);
-    scopes.push(&bound);
     let mut subqueries = Vec::new();
     for predicate in [&query.selection, &query.having].into_iter().flatten() {
-        for sub in predicate.subqueries() {
-            subqueries.push(bind_with_outer(catalog, sub, &scopes)?);
+        predicate.walk(&mut |e| subqueries.extend(Connector::of(e)));
+    }
+    if !subqueries.is_empty() {
+        let mut scopes: Vec<&BoundQuery> = Vec::with_capacity(outer.len() + 1);
+        scopes.extend(outer);
+        scopes.push(&bound);
+        let mut bound_subqueries = Vec::with_capacity(subqueries.len());
+        for (connector, sub) in subqueries {
+            let mut bound_sub = bind_subquery(catalog, sub, &scopes)?;
+            bound_sub.connector = Some(connector);
+            bound_subqueries.push(bound_sub);
+        }
+        bound.subqueries = bound_subqueries;
+    }
+    Ok(bound)
+}
+
+/// Where a column reference resolved: tuple variable `at` of the block
+/// `depth` blocks out (0: the block being bound, 1: the immediately
+/// enclosing one), and the column's declared type.
+#[derive(Clone, Copy)]
+struct Place {
+    depth: usize,
+    at: usize,
+    ty: DataType,
+}
+
+/// Where the column references of one conjunct resolved, folded as they
+/// resolve.
+#[derive(Default)]
+struct Reads {
+    /// The places of its first two references: an equality of two columns
+    /// is judged by them.
+    pair: [Option<Place>; 2],
+    /// The first of the block's tuple variables it reads.
+    first: Option<usize>,
+    /// The others it reads, in order of first reference.
+    more: Vec<usize>,
+    /// Whether it reads an enclosing block's column.
+    outer: bool,
+}
+
+impl Reads {
+    fn add(&mut self, place: Place) {
+        if let Some(slot) = self.pair.iter_mut().find(|slot| slot.is_none()) {
+            *slot = Some(place);
+        }
+        let at = place.at;
+        match self.first {
+            _ if place.depth > 0 => self.outer = true,
+            None => self.first = Some(at),
+            Some(first) if first == at || self.more.contains(&at) => {}
+            Some(_) => self.more.push(at),
         }
     }
-    bound.subqueries = subqueries;
-    Ok(bound)
+}
+
+/// Resolve every column reference of `expr` (not entering subqueries),
+/// folding where each resolved into `reads`.
+fn resolve_refs(
+    catalog: &Catalog,
+    expr: &Expr,
+    bound: &mut BoundQuery,
+    outer: &[&BoundQuery],
+    reads: &mut Reads,
+) -> Result<(), BindError> {
+    let mut resolved = Ok(());
+    expr.walk(&mut |e| match e {
+        Expr::Column(col) if resolved.is_ok() => {
+            resolved = resolve_column(catalog, col, bound, outer).map(|place| reads.add(place));
+        }
+        _ => {}
+    });
+    resolved
+}
+
+/// Resolve the references of each conjunct of `selection` and file the
+/// conjunct in [`BoundQuery::roles`].
+fn file_conjuncts(
+    catalog: &Catalog,
+    selection: &Expr,
+    bound: &mut BoundQuery,
+    outer: &[&BoundQuery],
+) -> Result<(), BindError> {
+    let mut count = 0;
+    selection.each_conjunct(&mut |_| count += 1);
+    bound.roles = Vec::with_capacity(count);
+    let (mut subqueries, mut resolved) = (0, Ok(()));
+    selection.each_conjunct(&mut |conjunct| {
+        if resolved.is_err() {
+            return;
+        }
+        let mut reads = Reads::default();
+        resolved = resolve_refs(catalog, conjunct, bound, outer, &mut reads);
+        let mut own = 0;
+        conjunct.walk(&mut |e| own += usize::from(Connector::of(e).is_some()));
+        bound
+            .roles
+            .push(role_of(conjunct, reads, (own > 0).then_some(subqueries)));
+        subqueries += own;
+    });
+    resolved
+}
+
+/// The role of `conjunct`, whose references resolved as `reads` says;
+/// `subquery` is the index its first subquery has among the block's, if it
+/// holds one.
+fn role_of(conjunct: &Expr, reads: Reads, subquery: Option<usize>) -> ConjunctRole {
+    if let Some(index) = subquery {
+        return ConjunctRole::Subquery {
+            index,
+            whole: is_whole_connector(conjunct),
+            table: reads.first,
+        };
+    }
+    if let (Some(_), [Some(l), Some(r)]) = (conjunct.as_column_equality(), reads.pair) {
+        let same_type = l.ty == r.ty;
+        match (l.depth, r.depth) {
+            (0, 0) if l.at != r.at => {
+                let (left, right) = (l.at, r.at);
+                return ConjunctRole::Join {
+                    left,
+                    right,
+                    same_type,
+                };
+            }
+            (0, depth) | (depth, 0) if depth > 0 => {
+                let (own, outer) = if l.depth == 0 { (l, r) } else { (r, l) };
+                return ConjunctRole::Correlation {
+                    table: own.at,
+                    own_left: l.depth == 0,
+                    parent: (outer.depth == 1).then_some(outer.at),
+                    same_type,
+                };
+            }
+            _ => {}
+        }
+    }
+    match reads.first {
+        Some(table) if reads.more.is_empty() => ConjunctRole::Selection {
+            table,
+            correlated: reads.outer,
+        },
+        first => ConjunctRole::Residual {
+            tables: first.into_iter().chain(reads.more).collect(),
+        },
+    }
+}
+
+/// Whether `conjunct` is its subquery's connector and nothing more, the
+/// shapes the planner attaches as one operator.
+fn is_whole_connector(conjunct: &Expr) -> bool {
+    let plain = |e: &Expr| !e.contains_subquery();
+    match conjunct {
+        Expr::Exists { .. } => true,
+        Expr::InSubquery { expr, .. } | Expr::QuantifiedComparison { left: expr, .. } => {
+            plain(expr)
+        }
+        Expr::BinaryOp { left, op, right } if op.is_comparison() => {
+            match (left.as_ref(), right.as_ref()) {
+                (Expr::ScalarSubquery(_), e) | (e, Expr::ScalarSubquery(_)) => plain(e),
+                _ => false,
+            }
+        }
+        _ => false,
+    }
 }
 
 fn resolve_column(
@@ -192,141 +471,64 @@ fn resolve_column(
     col: &ColumnRef,
     bound: &mut BoundQuery,
     outer: &[&BoundQuery],
-) -> Result<(), BindError> {
-    match &col.qualifier {
-        Some(q) => {
-            // Qualified: the qualifier must be a tuple variable in this block
-            // or an enclosing one.
-            if let Some(local) = bound
-                .tables
-                .iter()
-                .find(|t| t.alias.eq_ignore_ascii_case(q))
-            {
-                check_column_exists(catalog, &local.table, col)?;
-                resolve(&mut bound.resolutions, col, &local.alias);
-                return Ok(());
-            }
-            for scope in outer.iter().rev() {
-                if let Some(t) = scope
-                    .tables
-                    .iter()
-                    .find(|t| t.alias.eq_ignore_ascii_case(q))
-                {
-                    check_column_exists(catalog, &t.table, col)?;
-                    bound.correlated.push(col.clone());
-                    resolve(&mut bound.resolutions, col, &t.alias);
-                    return Ok(());
-                }
-            }
-            Err(BindError::UnknownAlias { alias: q.clone() })
-        }
-        None => {
-            // Unqualified: must match exactly one relation in this block,
-            // otherwise look outward.
-            let local_matches: Vec<&BoundTable> = bound
-                .tables
-                .iter()
-                .filter(|t| {
-                    catalog
-                        .table(&t.table)
-                        .map(|schema| schema.has_column(&col.column))
-                        .unwrap_or(false)
-                })
-                .collect();
-            match local_matches.len() {
-                1 => {
-                    resolve(&mut bound.resolutions, col, &local_matches[0].alias);
-                    Ok(())
-                }
-                0 => {
-                    for scope in outer.iter().rev() {
-                        let outer_matches: Vec<&BoundTable> = scope
-                            .tables
-                            .iter()
-                            .filter(|t| {
-                                catalog
-                                    .table(&t.table)
-                                    .map(|schema| schema.has_column(&col.column))
-                                    .unwrap_or(false)
-                            })
-                            .collect();
-                        if outer_matches.len() == 1 {
-                            bound.correlated.push(col.clone());
-                            resolve(&mut bound.resolutions, col, &outer_matches[0].alias);
-                            return Ok(());
-                        }
-                        if outer_matches.len() > 1 {
-                            return Err(BindError::AmbiguousColumn {
-                                column: col.column.clone(),
-                                candidates: outer_matches.iter().map(|t| t.table.clone()).collect(),
-                            });
-                        }
-                    }
-                    Err(BindError::UnresolvedColumn {
-                        column: col.column.clone(),
-                    })
-                }
-                _ => Err(BindError::AmbiguousColumn {
-                    column: col.column.clone(),
-                    candidates: local_matches.iter().map(|t| t.table.clone()).collect(),
-                }),
-            }
+) -> Result<Place, BindError> {
+    let has_column = |t: &&BoundTable| {
+        catalog
+            .table(&t.table)
+            .is_some_and(|schema| schema.has_column(&col.column))
+    };
+    // The tuple variable of one block `col` names: by its qualifier, or,
+    // unqualified, the one relation with the column (several: ambiguous).
+    let find = |tables: &[BoundTable]| match &col.qualifier {
+        Some(q) => Ok(tables.iter().position(|t| t.alias.eq_ignore_ascii_case(q))),
+        None => match tables.iter().filter(has_column).count() {
+            0 => Ok(None),
+            1 => Ok(tables.iter().position(|t| has_column(&t))),
+            _ => Err(BindError::AmbiguousColumn {
+                column: col.column.clone(),
+                candidates: (tables.iter().filter(has_column))
+                    .map(|t| t.table.clone())
+                    .collect(),
+            }),
+        },
+    };
+    // This block first, then the enclosing ones, innermost first.
+    if let Some(at) = find(&bound.tables)? {
+        let ty = column_type(catalog, &bound.tables[at].table, col)?;
+        resolve(&mut bound.resolutions, col, &bound.tables[at].alias);
+        return Ok(Place { depth: 0, at, ty });
+    }
+    for (depth, scope) in (1..).zip(outer.iter().rev()) {
+        if let Some(at) = find(&scope.tables)? {
+            let t = &scope.tables[at];
+            let ty = column_type(catalog, &t.table, col)?;
+            bound.correlated.push(col.clone());
+            resolve(&mut bound.resolutions, col, &t.alias);
+            return Ok(Place { depth, at, ty });
         }
     }
+    Err(match &col.qualifier {
+        Some(q) => BindError::UnknownAlias { alias: q.clone() },
+        None => BindError::UnresolvedColumn {
+            column: col.column.clone(),
+        },
+    })
 }
 
-fn check_column_exists(catalog: &Catalog, table: &str, col: &ColumnRef) -> Result<(), BindError> {
+/// The declared type of `col` on `table`; an error if it has no such column.
+fn column_type(catalog: &Catalog, table: &str, col: &ColumnRef) -> Result<DataType, BindError> {
     let schema = catalog
         .table(table)
         .ok_or_else(|| BindError::UnknownTable {
             table: table.to_string(),
         })?;
-    if schema.has_column(&col.column) {
-        Ok(())
-    } else {
-        Err(BindError::UnknownColumn {
+    match schema.column(&col.column) {
+        Some(column) => Ok(column.data_type),
+        None => Err(BindError::UnknownColumn {
             qualifier: table.to_string(),
             column: col.column.clone(),
-        })
+        }),
     }
-}
-
-/// Convenience: the join predicates of a bound query, as pairs of
-/// (alias, column) endpoints. Only equality predicates between two different
-/// tuple variables count, mirroring the join edges of the query graph.
-pub fn join_edges(query: &SelectStatement, bound: &BoundQuery) -> Vec<JoinEdge> {
-    let mut out = Vec::new();
-    for conjunct in query.where_conjuncts() {
-        if let Some((l, r)) = conjunct.as_join_predicate() {
-            let left_alias = bound
-                .qualifier_of(l)
-                .unwrap_or(l.qualifier.as_deref().unwrap_or(""))
-                .to_string();
-            let right_alias = bound
-                .qualifier_of(r)
-                .unwrap_or(r.qualifier.as_deref().unwrap_or(""))
-                .to_string();
-            out.push(JoinEdge {
-                left_alias,
-                left_column: l.column.clone(),
-                right_alias,
-                right_column: r.column.clone(),
-                predicate: conjunct.clone(),
-            });
-        }
-    }
-    out
-}
-
-/// An equi-join between two tuple variables, extracted from the WHERE clause.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JoinEdge {
-    pub left_alias: String,
-    pub left_column: String,
-    pub right_alias: String,
-    pub right_column: String,
-    /// The original predicate expression.
-    pub predicate: Expr,
 }
 
 #[cfg(test)]
@@ -340,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn binds_q1_and_extracts_join_edges() {
+    fn binds_q1_and_files_its_conjuncts() {
         let q = parse_query(
             "select m.title from MOVIES m, CAST c, ACTOR a \
              where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
@@ -354,10 +556,122 @@ mod tests {
             Some("a")
         );
         assert!(!b.is_correlated());
-        let joins = join_edges(&q, &b);
-        assert_eq!(joins.len(), 2);
-        assert_eq!(joins[0].left_alias, "m");
-        assert_eq!(joins[0].right_alias, "c");
+        let join = |left, right| ConjunctRole::Join {
+            left,
+            right,
+            same_type: true,
+        };
+        let selection = ConjunctRole::Selection {
+            table: 2,
+            correlated: false,
+        };
+        assert_eq!(b.roles, [join(0, 1), join(1, 2), selection]);
+    }
+
+    #[test]
+    fn unqualified_and_case_twisted_references_file_as_written_ones() {
+        let roles = |sql: &str| {
+            bind_query(&catalog(), &parse_query(sql).unwrap())
+                .unwrap()
+                .roles
+        };
+        let q1 = "select m.title from MOVIES m, CAST c, ACTOR a \
+                  where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'";
+        for variant in [
+            "select m.title from MOVIES m, CAST c, ACTOR a \
+             where m.id = mid and aid = a.id and name = 'Brad Pitt'",
+            "select m.title from MOVIES m, CAST c, ACTOR a \
+             where M.id = C.mid and C.aid = A.id and A.name = 'Brad Pitt'",
+        ] {
+            assert_eq!(roles(variant), roles(q1), "{variant}");
+        }
+        // Two columns of one tuple variable select on it, however spelled.
+        let selection = vec![ConjunctRole::Selection {
+            table: 0,
+            correlated: false,
+        }];
+        for sql in [
+            "select m.title from MOVIES m where m.year = m.id",
+            "select m.title from MOVIES m where m.year = M.id",
+            "select m.title from MOVIES m where year = id",
+        ] {
+            assert_eq!(roles(sql), selection, "{sql}");
+        }
+        // A comparison of two tuple variables that is no equality, a
+        // mixed-type equality and a constant conjunct.
+        let b = roles(
+            "select m.title from MOVIES m, CAST c \
+             where m.id < c.mid and c.role = m.id and 1 = 1",
+        );
+        assert_eq!(
+            b,
+            [
+                ConjunctRole::Residual { tables: vec![0, 1] },
+                ConjunctRole::Join {
+                    left: 1,
+                    right: 0,
+                    same_type: false
+                },
+                ConjunctRole::Residual { tables: vec![] },
+            ]
+        );
+    }
+
+    #[test]
+    fn correlations_and_connectors_are_filed_in_their_blocks() {
+        let q = parse_query(
+            "select m.title from MOVIES m where m.year > 1990 and not exists ( \
+                select * from GENRE g1 where not exists ( \
+                    select * from GENRE g2 where g2.mid = m.id and genre = g1.genre)) \
+             and (m.id in (select c.mid from CAST c) or m.year = 1999)",
+        )
+        .unwrap();
+        let b = bind_query(&catalog(), &q).unwrap();
+        assert_eq!(
+            b.roles[1..],
+            [
+                ConjunctRole::Subquery {
+                    index: 0,
+                    whole: true,
+                    table: None
+                },
+                ConjunctRole::Subquery {
+                    index: 1,
+                    whole: false,
+                    table: Some(0)
+                },
+            ]
+        );
+        assert_eq!(
+            b.subqueries[0].connector,
+            Some(Connector::Exists { negated: true })
+        );
+        assert_eq!(
+            b.subqueries[1].connector,
+            Some(Connector::In { negated: false })
+        );
+        let innermost = &b.subqueries[0].subqueries[0];
+        let correlation = |own_left, parent| ConjunctRole::Correlation {
+            table: 0,
+            own_left,
+            parent,
+            same_type: true,
+        };
+        // `m` is two blocks out, `g1` one: only `g1` is the parent.
+        assert_eq!(
+            innermost.roles,
+            [correlation(true, None), correlation(true, Some(0))]
+        );
+        let (own, outer) = innermost.roles[1]
+            .columns(
+                q.where_conjuncts()[1].subqueries()[0].where_conjuncts()[0].subqueries()[0]
+                    .where_conjuncts()[1],
+            )
+            .unwrap();
+        assert_eq!(
+            (own.to_string(), outer.to_string()),
+            ("genre".into(), "g1.genre".into())
+        );
     }
 
     #[test]
@@ -437,7 +751,7 @@ mod tests {
         assert_eq!(b.subqueries.len(), 1);
         assert!(b.subqueries[0].is_correlated());
         assert!(b.is_correlated());
-        assert_eq!(b.block_count(), 2);
+        assert!(b.subqueries[0].subqueries.is_empty());
     }
 
     #[test]
@@ -449,7 +763,7 @@ mod tests {
         )
         .unwrap();
         let b = bind_query(&catalog(), &q).unwrap();
-        assert_eq!(b.block_count(), 3);
+        assert_eq!(b.subqueries[0].subqueries[0].tables[0].table, "ACTOR");
         assert!(!b.subqueries[0].subqueries[0].is_correlated());
     }
 
@@ -477,6 +791,8 @@ mod tests {
         assert_eq!(b.tables.len(), 5);
         assert_eq!(b.table_of_alias("a1"), Some("ACTOR"));
         assert_eq!(b.table_of_alias("a2"), Some("ACTOR"));
-        assert_eq!(join_edges(&q, &b).len(), 4);
+        let joins = b.roles.iter();
+        let joins = joins.filter(|r| matches!(r, ConjunctRole::Join { .. }));
+        assert_eq!(joins.count(), 4);
     }
 }

@@ -178,13 +178,6 @@ pub enum Token<'a> {
     Semicolon,
 }
 
-impl Token<'_> {
-    /// True if the token is the given keyword.
-    pub fn is_keyword(&self, kw: Keyword) -> bool {
-        matches!(self, Token::Keyword(k, _) if *k == kw)
-    }
-}
-
 /// A token plus its position in the input, counted in characters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpannedToken<'a> {
@@ -343,7 +336,7 @@ mod tests {
     #[test]
     fn tokenizes_simple_select() {
         let toks = tokenize("select m.title from MOVIES m where m.year >= 2000").unwrap();
-        assert!(toks[0].token.is_keyword(Keyword::Select));
+        assert!(matches!(toks[0].token, Token::Keyword(Keyword::Select, _)));
         assert_eq!(toks[1].token, Token::Identifier("m"));
         assert_eq!(toks[2].token, Token::Dot);
         assert!(toks.iter().any(|t| t.token == Token::GtEq));

@@ -27,7 +27,7 @@ pub use ast::{
     AggregateFunction, BinaryOperator, ColumnRef, ExplainStatement, Expr, Literal, OrderByItem,
     Quantifier, SelectItem, SelectStatement, Statement, TableRef, UnaryOperator,
 };
-pub use bind::{bind_query, bind_subquery, join_edges, BoundQuery, BoundTable, JoinEdge};
+pub use bind::{bind_query, bind_subquery, BoundQuery, BoundTable, ConjunctRole, Connector};
 pub use error::{BindError, ParseError};
 pub use param::{
     normalize_statement, normalize_strings, parameterize_select, restore_literals,

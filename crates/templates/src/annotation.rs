@@ -123,37 +123,6 @@ impl AnnotationRegistry {
         ])
     }
 
-    /// The label for a join edge, synthesized as `<subject heading> <verb>
-    /// <object heading>` when no designer label exists.
-    pub fn join_label(
-        &self,
-        catalog: &Catalog,
-        lexicon: &Lexicon,
-        from: &str,
-        to: &str,
-    ) -> Template {
-        if let Some(t) = self.label(&AnnotationTarget::JoinEdge {
-            from: from.to_string(),
-            to: to.to_string(),
-        }) {
-            return t.clone();
-        }
-        let from_heading = catalog
-            .table(from)
-            .map(|t| format!("{}.{}", t.name, t.effective_heading()))
-            .unwrap_or_else(|| from.to_string());
-        let to_heading = catalog
-            .table(to)
-            .map(|t| format!("{}.{}", t.name, t.effective_heading()))
-            .unwrap_or_else(|| to.to_string());
-        let verb = lexicon.verb_phrase(from, to);
-        Template::new(vec![
-            Segment::attr(from_heading),
-            Segment::lit(format!(" {verb} ")),
-            Segment::attr(to_heading),
-        ])
-    }
-
     /// The designer annotations used for the paper's §2.2 examples: the
     /// DIRECTOR birth templates and the "As a director, …" join label.
     pub fn movie_domain() -> AnnotationRegistry {
@@ -252,17 +221,6 @@ mod tests {
             instantiate(&t, &b).unwrap(),
             "The director's name is Woody Allen"
         );
-    }
-
-    #[test]
-    fn default_join_label_uses_headings_and_verb() {
-        let db = movie_database();
-        let lex = Lexicon::movie_domain();
-        let reg = AnnotationRegistry::new();
-        let t = reg.join_label(db.catalog(), &lex, "ACTOR", "MOVIES");
-        let mut b = Bindings::new();
-        b.set("ACTOR.name", "Brad Pitt").set("MOVIES.title", "Troy");
-        assert_eq!(instantiate(&t, &b).unwrap(), "Brad Pitt plays in Troy");
     }
 
     #[test]

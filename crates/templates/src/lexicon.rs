@@ -28,15 +28,6 @@ impl Gender {
             Gender::Neuter => "it",
         }
     }
-
-    /// Possessive pronoun ("his", "her", "its").
-    pub fn possessive_pronoun(&self) -> &'static str {
-        match self {
-            Gender::Masculine => "his",
-            Gender::Feminine => "her",
-            Gender::Neuter => "its",
-        }
-    }
 }
 
 /// A verb phrase describing the relationship expressed by a join edge,
@@ -155,12 +146,6 @@ impl Lexicon {
             .unwrap_or_else(|| format!("has {}", attribute.to_lowercase()))
     }
 
-    /// True when an explicit phrase was registered for this attribute.
-    pub fn has_attribute_phrase(&self, relation: &str, attribute: &str) -> bool {
-        self.attribute_phrases
-            .contains_key(&attr_key(relation, attribute))
-    }
-
     /// Register a verb phrase for the relationship `subject -> object`.
     pub fn add_verb(
         &mut self,
@@ -233,7 +218,6 @@ mod tests {
         let lex = Lexicon::new();
         assert_eq!(lex.concept("COMPANIES"), "company");
         assert_eq!(lex.attribute_phrase("MOVIES", "Budget"), "has budget");
-        assert!(!lex.has_attribute_phrase("MOVIES", "budget"));
         assert_eq!(lex.verb_phrase("A", "B"), "is related to");
         assert_eq!(lex.gender("ANYTHING"), Gender::Neuter);
     }
@@ -248,7 +232,7 @@ mod tests {
     #[test]
     fn pronouns_follow_gender() {
         assert_eq!(Gender::Masculine.subject_pronoun(), "he");
-        assert_eq!(Gender::Feminine.possessive_pronoun(), "her");
+        assert_eq!(Gender::Feminine.subject_pronoun(), "she");
         assert_eq!(Gender::Neuter.subject_pronoun(), "it");
         let mut lex = Lexicon::new();
         lex.set_gender("DIRECTOR", Gender::Feminine);

@@ -19,11 +19,11 @@
 //!   kept tree first, so the table it changes is written in place; a tree
 //!   still pinning it would have the insert copy the table and its indexes.
 //! - Each shape's miss after an epoch bump — parse, plan the statement once
-//!   as its template, open the template's tree and run it — 121, 126, 336,
-//!   241 and 132, and `plan_query_with` alone on the parsed shape, with
-//!   ceilings of 91, 97, 298, 151 and 112 (it makes 67, 70, 212, 110 and
-//!   72). A shape the parameterizer refuses (an `IN` list), planned afresh
-//!   from the statement as parsed: 246.
+//!   as its template, open the template's tree and run it — 119, 124, 335,
+//!   238 and 130, and `plan_query_with` alone on the parsed shape, with
+//!   ceilings of 91, 97, 298, 151 and 112 (it makes 65, 68, 211, 107 and
+//!   70). A shape the parameterizer refuses (an `IN` list), planned afresh
+//!   from the statement as parsed: 244.
 //! - The execution alone of `analytic`'s many-groups aggregate over CAST
 //!   (1,873), its unfiltered three-way join (18,150, ceiling 20,954: about
 //!   two per CAST row, a joined row per level), its two-way join +
@@ -38,8 +38,8 @@
 //!   Q9 executed alone from a fresh plan: 1,287 and 3,630. Their applies
 //!   rewind one open subplan for each of their 100 bindings. Q8 is printed
 //!   only.
-//! - A fresh correlated `EXISTS` and a fresh `NOT IN`, each a miss: 469 and
-//!   482.
+//! - A fresh correlated `EXISTS` and a fresh `NOT IN`, each a miss: 435 and
+//!   457.
 //! - Narration: Q1's `Talkback::explain_result` from its template (62);
 //!   `EXPLAIN` of Q1 (159) and `EXPLAIN ANALYZE` of Q6 (1,329) from their
 //!   templates, the decisions bound, nothing parsed or planned; and
@@ -279,7 +279,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     // A plan-cache miss: an epoch bump retires every template, so the
     // statement is parsed, planned as its template, bound and executed.
     // Then the planner alone on the parsed shape.
-    let ceilings = [(121, 91), (126, 97), (336, 298), (241, 151), (132, 112)];
+    let ceilings = [(119, 91), (124, 97), (335, 298), (238, 151), (130, 112)];
     for ((what, sql), (miss, plan)) in lookup_shapes(&actors, 1001).into_iter().zip(ceilings) {
         system
             .database()
@@ -306,7 +306,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     let (n, _) = allocations(|| system.run_query_with(REFUSED, options).unwrap());
     let cache = system.database().obs().journal().last().unwrap().cache;
     assert_ne!(cache, datastore::CacheStatus::Hit, "{REFUSED}");
-    rows.push(Row::new("miss of a refused shape (IN list)", n, Some(246)));
+    rows.push(Row::new("miss of a refused shape (IN list)", n, Some(244)));
 
     for (what, sql, ceiling) in [
         ("CAST groups by aid", CAST_GROUPS, 1_873),
@@ -371,7 +371,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
         ));
     }
 
-    for (name, sql, ceiling) in [("EXISTS", EXISTS, 469), ("NOT IN", NOT_IN, 482)] {
+    for (name, sql, ceiling) in [("EXISTS", EXISTS, 435), ("NOT IN", NOT_IN, 457)] {
         system
             .database()
             .adaptive()

@@ -784,3 +784,34 @@ fn advise_survives_a_concurrent_random_workload() {
         );
     }
 }
+
+/// An unqualified column files under the tuple variable the binder resolved
+/// it to. Before, `role = …` in a two-table statement was filed nowhere (the
+/// advisor resolved only unqualified columns of one-table statements), so
+/// no candidate led with it.
+#[test]
+fn advise_files_an_unqualified_equality_under_its_tuple_variable() {
+    let system = Talkback::new(clinic_database());
+    let role = system
+        .database()
+        .table("CAST")
+        .unwrap()
+        .column_values("role");
+    let role = role.iter().find_map(|v| v.as_str()).unwrap().to_string();
+    let sql = format!(
+        "select m.title from MOVIES m, CAST c where m.id = c.mid and role = {}",
+        Value::text(role.as_str()).sql_literal()
+    );
+    for _ in 0..6 {
+        system.run_query(&sql).unwrap();
+    }
+    let recs = talkback::recommendations(system.database(), PlannerOptions::default());
+    let top = recs.first().expect("the CAST scans must yield advice");
+    assert_eq!(top.table, "CAST", "{:?}", top.create_sql);
+    assert_eq!(
+        top.columns.first().map(String::as_str),
+        Some("role"),
+        "{}",
+        top.create_sql
+    );
+}
