@@ -62,7 +62,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Default plan-cache capacity (templates and negative verdicts retained).
 pub const PLAN_CACHE_CAP: usize = 64;
@@ -401,7 +401,12 @@ pub struct PlanTemplate {
 /// execution holds it. A copy of the template keeps none of its own yet,
 /// and two templates are equal whatever trees they keep.
 #[derive(Default)]
-struct KeptTree(Mutex<Option<OpenPlan>>);
+struct KeptTree {
+    tree: Mutex<Option<OpenPlan>>,
+    /// Whether the template is on the database's list of templates that
+    /// may hold a tree ([`AdaptiveState::close_trees`]).
+    listed: AtomicBool,
+}
 
 impl Clone for KeptTree {
     fn clone(&self) -> KeptTree {
@@ -458,23 +463,32 @@ impl PlanTemplate {
     /// with the literals, drained, and put back holding no rows. The profile
     /// is the template's shape with this run's counters and the literals.
     pub fn execute(
-        &self,
+        self: &Arc<Self>,
         db: &Database,
         params: Vec<Value>,
     ) -> Result<(ResultSet, PlanProfile), StoreError> {
         let shape = self.shape(db)?;
-        let kept = self.tree.0.lock().expect("kept tree lock").take();
+        let slot = &self.tree;
+        let kept = slot.tree.lock().expect("kept tree lock").take();
         let mut tree = match kept.filter(|tree| tree.reads(db)) {
             Some(tree) => tree,
             None => OpenPlan::open(db, &self.plan)?,
         };
         let ran = tree.run(db, shape, params)?;
-        self.tree
-            .0
+        slot.tree
             .lock()
             .expect("kept tree lock")
             .get_or_insert(tree);
-        db.adaptive().trees_kept.store(true, Ordering::Release);
+        if !slot.listed.swap(true, Ordering::AcqRel) {
+            // Listed for the next write; once the list is twice the cache's
+            // size, the templates the cache has dropped since leave it.
+            let state = db.adaptive();
+            let mut parked = state.parked.lock().expect("parked trees lock");
+            if parked.len() >= 2 * state.cache.capacity() {
+                parked.retain(|template| template.strong_count() > 0);
+            }
+            parked.push(Arc::downgrade(self));
+        }
         Ok(ran)
     }
 }
@@ -584,8 +598,9 @@ pub struct AdaptiveState {
     /// holds the store it started with and takes no lock per lookup.
     feedback: Mutex<Arc<FeedbackStore>>,
     cache: PlanCache,
-    /// Set when a template keeps a tree, cleared when they are let go of.
-    trees_kept: AtomicBool,
+    /// The templates that parked a tree since the trees were last let go
+    /// of: what a write visits.
+    parked: Mutex<Vec<Weak<PlanTemplate>>>,
     epoch_log: Mutex<EpochLog>,
 }
 
@@ -602,7 +617,8 @@ impl AdaptiveState {
             epoch: AtomicU64::new(0),
             feedback: Mutex::new(Arc::default()),
             cache: PlanCache::new(cache_cap),
-            trees_kept: AtomicBool::new(false),
+            // Its whole room at once: pruned at this length, it never grows.
+            parked: Mutex::new(Vec::with_capacity(2 * cache_cap)),
             epoch_log: Mutex::new((None, [0; EpochCause::ALL.len()])),
         }
     }
@@ -638,17 +654,15 @@ impl AdaptiveState {
         &self.cache
     }
 
-    /// Let go of the operator trees the plan cache's templates keep, if any
-    /// kept one since the last time: a tree pins the tables it was opened
-    /// on, so a write would copy each table it changes.
+    /// Let go of the operator trees the templates parked since the last
+    /// time: a tree pins the tables it was opened on, so a write would copy
+    /// each table it changes. Only the listed templates are visited.
     pub fn close_trees(&self) {
-        if !self.trees_kept.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        for entry in &self.cache.inner.lock().expect("shape cache lock").entries {
-            if let CachedVerdict::Template(template) = &entry.verdict {
-                template.tree.0.lock().expect("kept tree lock").take();
-            }
+        let mut parked = self.parked.lock().expect("parked trees lock");
+        for template in parked.drain(..).filter_map(|parked| parked.upgrade()) {
+            // Unlisted first: a tree parked from here on lists it again.
+            template.tree.listed.store(false, Ordering::Release);
+            template.tree.tree.lock().expect("kept tree lock").take();
         }
     }
 
@@ -881,7 +895,11 @@ mod tests {
             left: Box::new(Expr::Column(2)),
             right: Box::new(Expr::Param(Param::Stmt(0))),
         };
-        let template = PlanTemplate::new(Plan::scan("MOVIES", "m").filter(year), Vec::new(), 1);
+        let template = Arc::new(PlanTemplate::new(
+            Plan::scan("MOVIES", "m").filter(year),
+            Vec::new(),
+            1,
+        ));
         let run = |year: i64| {
             let params = vec![Value::int(year)];
             let fresh = execute_with_stats(&db, &template.plan.bind_params(&params)).unwrap();
@@ -895,7 +913,7 @@ mod tests {
             );
             rows.len()
         };
-        let slot = || template.tree.0.lock().unwrap();
+        let slot = || template.tree.tree.lock().unwrap();
         assert!(run(2004) > 0);
         assert!(slot().is_some(), "the first execution keeps its tree");
         let (held, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));

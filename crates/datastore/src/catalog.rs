@@ -202,22 +202,6 @@ impl Catalog {
                 || (fk.table.eq_ignore_ascii_case(b) && fk.ref_table.eq_ignore_ascii_case(a))
         })
     }
-
-    /// Tables adjacent to `table` through any foreign key (either
-    /// direction); this is the neighbourhood used by schema-graph traversal.
-    pub fn neighbors(&self, table: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        for fk in &self.foreign_keys {
-            if fk.table.eq_ignore_ascii_case(table) {
-                out.push(fk.ref_table.clone());
-            } else if fk.ref_table.eq_ignore_ascii_case(table) {
-                out.push(fk.table.clone());
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -318,11 +302,6 @@ mod tests {
     #[test]
     fn neighbors_and_join_between() {
         let c = mini_catalog();
-        assert_eq!(
-            c.neighbors("CAST"),
-            vec!["ACTOR".to_string(), "MOVIES".to_string()]
-        );
-        assert_eq!(c.neighbors("MOVIES"), vec!["CAST".to_string()]);
         assert!(c.join_between("MOVIES", "CAST").is_some());
         assert!(c.join_between("CAST", "MOVIES").is_some());
         assert!(c.join_between("MOVIES", "ACTOR").is_none());

@@ -2,10 +2,11 @@
 //! aggregate operators run on.
 
 use crate::error::StoreError;
+use crate::exec::batch::Batch;
 use crate::exec::keys::{Key, KeyBatch, KeyTable, RowKey};
 use crate::exec::vector::ValueVector;
 use crate::expr::Expr;
-use crate::tuple::Row;
+use crate::tuple::{Row, RowView};
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -228,7 +229,7 @@ impl Accumulator {
 
 /// Evaluate the argument of an aggregate for one input row. `COUNT(*)` maps
 /// every row to a non-NULL marker so it counts all rows.
-pub fn agg_input(agg: &AggExpr, row: &Row) -> Value {
+pub fn agg_input(agg: &AggExpr, row: &(impl RowView + ?Sized)) -> Value {
     match &agg.arg {
         None => Value::Integer(1),
         Some(e) => e.eval(row).unwrap_or(Value::Null),
@@ -273,9 +274,10 @@ fn group_of(
     id as usize
 }
 
-/// Hash-grouping engine of the `aggregate` operator and the fused
-/// scan-aggregate. Groups are a key table's ids, in first-encounter order,
-/// so output order is deterministic.
+/// Hash-grouping engine of the `aggregate` operator. Groups are a key
+/// table's ids, in first-encounter order, so output order is deterministic.
+/// Every column is read where the input batch holds it; only a group's key
+/// and its accumulators are stored.
 ///
 /// When built with `vectorized = true` and every aggregate argument is a
 /// plain column (or `*`), each batch's argument columns are transposed into
@@ -353,38 +355,21 @@ impl GroupedAggregator {
     }
 
     /// Fold one batch of input rows into the group table.
-    pub fn push_batch(&mut self, rows: &[Row]) -> Result<(), StoreError> {
-        if rows.is_empty() {
+    pub fn push_batch(&mut self, batch: &Batch) -> Result<(), StoreError> {
+        if batch.is_empty() {
             return Ok(());
         }
-        if self.vectorized && self.push_batch_vectorized(rows, None) {
+        if self.vectorized && self.push_batch_vectorized(batch) {
             self.vector_batches += 1;
             return Ok(());
         }
-        for row in rows {
-            self.push_row(row);
+        for i in 0..batch.len() {
+            self.push_row(&batch.row(i));
         }
         Ok(())
     }
 
-    /// Fold the rows at the selected positions of a batch — the fused
-    /// scan→filter→aggregate path, which never materializes the surviving
-    /// rows: the transpose gathers straight through the selection vector.
-    pub fn push_selected(&mut self, rows: &[Row], sel: &[usize]) -> Result<(), StoreError> {
-        if sel.is_empty() {
-            return Ok(());
-        }
-        if self.vectorized && self.push_batch_vectorized(rows, Some(sel)) {
-            self.vector_batches += 1;
-            return Ok(());
-        }
-        for &i in sel {
-            self.push_row(&rows[i]);
-        }
-        Ok(())
-    }
-
-    fn push_row(&mut self, row: &Row) {
+    fn push_row(&mut self, row: &impl RowView) {
         let key = RowKey(row, &self.group_by);
         let g = group_of(
             &mut self.groups,
@@ -404,13 +389,9 @@ impl GroupedAggregator {
 
     /// Typed-kernel accumulation; `false` when this batch resists
     /// vectorization (mixed or non-vectorizable column types) and the row
-    /// path must run instead. With a selection vector, only the selected
-    /// positions are transposed (compacting the batch in the gather).
-    fn push_batch_vectorized(&mut self, rows: &[Row], sel: Option<&[usize]>) -> bool {
-        let transpose = |col: usize| match sel {
-            None => ValueVector::from_rows(rows, col),
-            Some(sel) => ValueVector::from_rows_selected(rows, col, sel),
-        };
+    /// path must run instead.
+    fn push_batch_vectorized(&mut self, batch: &Batch) -> bool {
+        let transpose = |col: usize| ValueVector::from_column(batch.column(col), batch.len());
         // Transpose each argument column once, even when several aggregates
         // read it (`sum(x), min(x), max(x)` is one gather). A `COUNT(DISTINCT)`
         // reads its values from the rows, as the groups' keys are read.
@@ -435,18 +416,10 @@ impl GroupedAggregator {
                 _ => arg_slots.push(None),
             }
         }
-        let row = |i: usize| match sel {
-            None => &rows[i],
-            Some(sel) => &rows[sel[i]],
-        };
         // Resolve every row's group id first, then accumulate column-major:
         // one tight, monomorphic loop per aggregate over the whole batch.
-        let len = sel.map_or(rows.len(), <[usize]>::len);
         let mut ids = std::mem::take(&mut self.ids);
-        match sel {
-            None => self.group_ids(rows.iter(), len, &mut ids),
-            Some(sel) => self.group_ids(sel.iter().map(|&i| &rows[i]), len, &mut ids),
-        }
+        self.group_ids(batch, &mut ids);
         let n = self.aggregates.len();
         for (j, slot) in arg_slots.iter().enumerate() {
             let accs = &mut self.accs;
@@ -458,7 +431,7 @@ impl GroupedAggregator {
                 }
                 (_, Some(pairs)) => {
                     for (i, &g) in ids.iter().enumerate() {
-                        let value = agg_input(&self.aggregates[j], row(i));
+                        let value = agg_input(&self.aggregates[j], &batch.row(i));
                         if !value.is_null() && first_in_group(Some(&mut *pairs), g, &value) {
                             accs[g * n + j].update(&value);
                         }
@@ -481,7 +454,7 @@ impl GroupedAggregator {
                 (Some(ValueVector::Text { values, nulls }), None) => {
                     for (i, &g) in ids.iter().enumerate() {
                         if !nulls.get(i) {
-                            accs[g * n + j].update_str(&values[i]);
+                            accs[g * n + j].update_str(values[i]);
                         }
                     }
                 }
@@ -491,28 +464,23 @@ impl GroupedAggregator {
         true
     }
 
-    /// Put the group ids of a batch's `len` rows in `ids`, new groups given
-    /// fresh accumulators: its key columns read once and looked up as a
-    /// batch, or, for a batch whose key column does not transpose, row by
-    /// row into the same table.
-    fn group_ids<'a>(
-        &mut self,
-        rows: impl Iterator<Item = &'a Row> + Clone,
-        len: usize,
-        ids: &mut Vec<usize>,
-    ) {
-        let known = self.groups.len();
+    /// Put the group ids of a batch's rows in `ids`, new groups given fresh
+    /// accumulators: its key columns read once and looked up as a batch, or,
+    /// for a batch whose key column does not transpose, row by row into the
+    /// same table.
+    fn group_ids<'a>(&mut self, batch: &'a Batch, ids: &mut Vec<usize>) {
+        let (known, len) = (self.groups.len(), batch.len());
         ids.clear();
         ids.reserve(len);
         let mut keys: KeyBatch<'a> = std::mem::take(&mut self.keys);
         if self.group_by.is_empty() {
             // No key: the one group there is.
             ids.resize(len, 0);
-        } else if keys.read(rows.clone(), len, &self.group_by) {
+        } else if keys.read(len, &self.group_by, |c| batch.column(c)) {
             self.groups.insert_batch(&keys, ids);
         } else {
-            ids.extend(rows.map(|row| {
-                let key = RowKey(row, &self.group_by);
+            ids.extend((0..len).map(|i| {
+                let key = RowKey(&batch.row(i), &self.group_by);
                 self.groups.insert(key.hash(), &key).0 as usize
             }));
         }
@@ -576,7 +544,7 @@ mod tests {
             vectorized,
         );
         let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
-        agg.push_batch(&rows).unwrap();
+        agg.push_batch(&Batch::from(rows)).unwrap();
         agg.finish(None).unwrap()[0].get(0).unwrap().clone()
     }
 
@@ -615,7 +583,7 @@ mod tests {
                 output_name: "x".into(),
             };
             let mut agg = GroupedAggregator::new(vec![0], vec![star], vectorized);
-            agg.push_batch(&rows).unwrap();
+            agg.push_batch(&Batch::from(rows.clone())).unwrap();
             assert_eq!(agg.vector_batches(), u64::from(vectorized));
             let counts: Vec<Value> = (agg.finish(None).unwrap().iter())
                 .map(|r| r.get(1).unwrap().clone())
@@ -713,8 +681,8 @@ mod tests {
         let rows = rows_of(&[(1, 10), (2, 20), (1, 30), (3, 5), (2, 2)]);
         let mut vectorized = GroupedAggregator::new(vec![0], sample_aggs(), true);
         let mut plain = GroupedAggregator::new(vec![0], sample_aggs(), false);
-        vectorized.push_batch(&rows).unwrap();
-        plain.push_batch(&rows).unwrap();
+        vectorized.push_batch(&Batch::from(rows.clone())).unwrap();
+        plain.push_batch(&Batch::from(rows)).unwrap();
         assert_eq!(vectorized.vector_batches(), 1);
         assert_eq!(plain.vector_batches(), 0);
         assert_eq!(
@@ -734,12 +702,12 @@ mod tests {
             Row::new(vec![Value::int(1), Value::text("oops")]),
         ];
         let mut agg = GroupedAggregator::new(vec![0], sample_aggs(), true);
-        agg.push_batch(&clean).unwrap();
-        agg.push_batch(&mixed).unwrap();
+        agg.push_batch(&Batch::from(clean.clone())).unwrap();
+        agg.push_batch(&Batch::from(mixed.clone())).unwrap();
         assert_eq!(agg.vector_batches(), 1);
         let mut plain = GroupedAggregator::new(vec![0], sample_aggs(), false);
-        plain.push_batch(&clean).unwrap();
-        plain.push_batch(&mixed).unwrap();
+        plain.push_batch(&Batch::from(clean)).unwrap();
+        plain.push_batch(&Batch::from(mixed)).unwrap();
         assert_eq!(agg.finish(None).unwrap(), plain.finish(None).unwrap());
     }
 

@@ -97,7 +97,7 @@ fn drain(db: &Database, source: &mut Box<dyn RowSource>) -> Result<ResultSet, St
     let columns = source.columns().clone();
     let mut rows = Vec::new();
     while let Some(batch) = source.next_batch()? {
-        rows.extend(batch);
+        batch.drain_into(&mut rows);
     }
     db.obs().incr(Counter::QueriesExecuted);
     db.obs().add(Counter::RowsEmitted, rows.len() as u64);

@@ -29,7 +29,7 @@
 //! Float are not, so `=` is not transitive there: such a value joins the first
 //! key it equals, in first-encounter order.
 
-use crate::tuple::Row;
+use crate::tuple::{Row, RowView};
 use crate::value::{cmp_f64, Value};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -124,16 +124,17 @@ pub(crate) trait Key {
     }
 }
 
-/// A row's values at the key columns: `RowKey(row, cols)`.
-pub(crate) struct RowKey<'a>(pub(crate) &'a Row, pub(crate) &'a [usize]);
+/// A row's values at the key columns, wherever the row lies:
+/// `RowKey(row, cols)`.
+pub(crate) struct RowKey<'a, R: ?Sized = Row>(pub(crate) &'a R, pub(crate) &'a [usize]);
 
-impl Key for RowKey<'_> {
+impl<R: RowView + ?Sized> Key for RowKey<'_, R> {
     fn width(&self) -> usize {
         self.1.len()
     }
 
     fn at(&self, j: usize) -> &Value {
-        self.0.get(self.1[j]).unwrap_or(&Value::Null)
+        self.0.value(self.1[j]).unwrap_or(&NULL)
     }
 }
 
@@ -162,7 +163,7 @@ impl Key for [&Value] {
 }
 
 /// A batch's keys, read once: one typed column per key column, a NULL as
-/// `None` and Text borrowed from its rows, and each row's hash, written as
+/// `None` and Text borrowed from where it lies, and each row's hash, written as
 /// the columns were read. What [`KeyTable::insert_batch`] looks up without a
 /// `Value` match per value. The grouped aggregator keeps one and reads each
 /// batch into the arrays of the one before ([`KeyBatch::recycle`]).
@@ -179,22 +180,24 @@ enum KeyColumn<'a> {
 }
 
 impl<'a> KeyBatch<'a> {
-    /// Read columns `columns` of the `len` rows `rows` yields; `false` when
-    /// one of them does not hold Integers or Text alone (NULL aside).
-    pub(crate) fn read<I>(&mut self, rows: I, len: usize, columns: &[usize]) -> bool
+    /// Read columns `columns` of `len` rows, the values of column `c`
+    /// being `column(c)`'s; `false` when one of them does not hold Integers
+    /// or Text alone (NULL aside).
+    pub(crate) fn read<I>(
+        &mut self,
+        len: usize,
+        columns: &[usize],
+        column: impl Fn(usize) -> I,
+    ) -> bool
     where
-        I: Iterator<Item = &'a Row> + Clone,
+        I: Iterator<Item = &'a Value> + Clone,
     {
         self.hashers.clear();
         self.hashers.resize(len, KeyHasher::default());
         self.columns
             .resize_with(columns.len(), || KeyColumn::Integer(Vec::new()));
-        (self.columns.iter_mut().zip(columns)).all(|(column, &c)| {
-            column.read(
-                rows.clone().map(move |r| r.get(c).unwrap_or(&NULL)),
-                &mut self.hashers,
-            )
-        })
+        (self.columns.iter_mut().zip(columns))
+            .all(|(key, &c)| key.read(column(c), &mut self.hashers))
     }
 
     /// These arrays, emptied, to read a batch of rows of another lifetime
@@ -578,7 +581,8 @@ mod tests {
                     })
                     .collect();
                 let (mut batch, mut got) = (std::mem::take(&mut arrays), Vec::new());
-                if batch.read(rows.iter(), rows.len(), &columns) {
+                let stored = crate::exec::batch::Batch::from(rows.clone());
+                if batch.read(stored.len(), &columns, |c| stored.column(c)) {
                     batched.insert_batch(&batch, &mut got);
                 } else {
                     // Floats, and a column of mixed kinds, go row by row.

@@ -60,15 +60,14 @@
 //!    between the planner that made it and the stores that file under it
 //!    reads it.
 //!
-//! Three operators show more than themselves, through
+//! Two operators show more than themselves, through
 //! `Description::synthetic` and the same protocol: the index nested-loop
 //! join's `index probe` leaf (no build-side operator exists, but narrations
-//! want both sides), the fused aggregate's scan/filter chain (the unfused
-//! tree it replaced, each node with its own counters), and `Apply`'s subplan
-//! (one open tree rewound for every evaluation, so its counters sum over
-//! them; its estimates scaled by the evaluations when read). The last
-//! *accumulates*: its nodes' details read as before any run. None writes
-//! its own `shape()` or `absorb_into()`. A subplan evaluated on the side
+//! want both sides), and `Apply`'s subplan (one open tree rewound for every
+//! evaluation, so its counters sum over them; its estimates scaled by the
+//! evaluations when read). The second *accumulates*: its nodes' details
+//! read as before any run. Neither writes its own `shape()` or
+//! `absorb_into()`. A subplan evaluated on the side
 //! (`Apply`, the scalar-subquery filter) is not an input: its rows are not
 //! counted into `rows_in`.
 //! `tests/tests/executor_and_explain.rs::every_executed_profile_node_obeys_the_metering_protocol`
@@ -121,23 +120,32 @@
 //! travels that one step and no further; a sort anywhere else sorts
 //! everything.
 //!
-//! # Rows are shared, not copied
+//! # Batches: rows are made once
 //!
-//! A [`Row`](crate::tuple::Row) is a handle on one shared allocation and a
-//! text value a handle on one shared string, so **handing a stored row on
-//! costs a reference count; only an operator that creates a row allocates
-//! one** — scan, filter, limit, distinct, sort and both join builds create
-//! none. A projection of plain columns, a join output and an aggregate
-//! result are new rows: one allocation each, the values in them counted
-//! references to the strings they came from. A projection that keeps every
-//! input column in place is no new row either. **A join's output row holds
-//! only the columns its consumers read** ([`plan::JoinOutput`], set by the
-//! planner's last pass): `select m.title` over a three-way join emits
-//! one-value rows from both joins, and the projection on top hands them on
-//! as they are. A hash join's build places the rows it was handed side by
-//! side, one run per key in build order.
-//! Writers never see any of this: `Row::get_mut` copies a row that anyone
-//! else still holds before it changes it.
+//! What an operator hands its parent is a [`batch::Batch`]: positions in
+//! the stores that hold the rows, not the rows. A batch has one or more
+//! parts, each a row store and a selection of positions in it — a scan lends
+//! its table, a hash join its build side, an index nested-loop join the
+//! table it probes — and a column map saying which part's row, and which
+//! column of it, each output column is. Every kernel reads columns where
+//! they lie: the filter kernels, the typed transposes ([`vector::ValueVector`]
+//! borrows its strings), the grouping and hash keys, and
+//! [`crate::expr::Expr::eval`] through [`crate::tuple::RowView`].
+//!
+//! So filters, semi- and anti-joins, `DISTINCT`, an apply and the scalar
+//! subquery filter narrow the selections, and `LIMIT` cuts them short; a
+//! hash or index nested-loop join gathers each probe position beside the
+//! position it matched, in the row order and at the batch boundaries the
+//! joined rows would have had, keeping only the parts its output reads
+//! ([`plan::JoinOutput`], set by the planner's last pass: `count(*)` above a
+//! join reads none); a projection of plain columns rewrites the map. **Only
+//! an operator whose rows outlive the batch builds a row**: the result set,
+//! a sort's input, a hash join's build side (one run per key, in build
+//! order), an aggregate's groups, an apply's memo (values) and the
+//! nested-loop join's pairs — by cloning a stored row's handle (a reference
+//! count) when the batch's columns are that row's, else in one allocation.
+//! Writers never see any of this: a kept tree lets go of every lent batch
+//! when it is rewound, and `Row::get_mut` copies a shared row first.
 //!
 //! # Keys are read where they lie
 //!
@@ -172,6 +180,7 @@
 //! byte-identical when a batch defies the typed layout.
 
 pub mod aggregate;
+pub mod batch;
 pub mod executor;
 pub(crate) mod keys;
 pub mod plan;
@@ -180,6 +189,7 @@ pub mod stream;
 pub mod vector;
 
 pub use aggregate::{AggExpr, AggFunc, GroupedAggregator};
+pub use batch::{Batch, BatchRow};
 pub use executor::{
     describe_plan, describe_shape, execute, execute_with_stats, OpenPlan, ResultSet,
 };

@@ -685,8 +685,7 @@ pub(crate) struct Description {
     pub(crate) shape_key: Option<Arc<ShapeKey>>,
     pub(crate) keys: Option<Vec<String>>,
     /// A child that is not an operator of this tree, listed after the
-    /// inputs: an index join's probe leaf, the scan/filter chain a fused
-    /// aggregate absorbed, an apply's subplan.
+    /// inputs: an index join's probe leaf, an apply's subplan.
     pub(crate) synthetic: Option<OpShape>,
     /// The synthetic child accumulates every run of a subplan.
     pub(crate) accumulates: bool,

@@ -15,7 +15,8 @@
 //! pipelining operators (scan, filter, project, probe side of a hash join,
 //! limit, distinct) stream batches of [`BATCH_SIZE`] rows end to end; a
 //! `LIMIT` therefore stops pulling from its input as soon as it is
-//! satisfied.
+//! satisfied. A batch ([`Batch`]) names the rows by their positions in the
+//! stores that hold them; see [`crate::exec::batch`].
 //!
 //! Operator trees are **owned**: scans hold `Arc` handles to their tables
 //! (via [`ExecContext`]) rather than borrowing from the database, so a tree
@@ -27,6 +28,7 @@
 use crate::database::Database;
 use crate::error::StoreError;
 use crate::exec::aggregate::{AggExpr, GroupedAggregator};
+use crate::exec::batch::{Batch, BatchRow, Gathered, LayoutCache, Store};
 use crate::exec::keys::{Key, KeyTable, RowKey};
 use crate::exec::plan::{
     aggregate_output_columns, ApplyMode, ColumnInfo, Columns, JoinOutput, Plan, PlanNode, Relation,
@@ -37,19 +39,20 @@ pub use crate::exec::profile::{
     render_expr, IndexAccess, OpKind, OpMetrics, OpShape, PlanProfile, ProfileNode, SubqueryTally,
     MISESTIMATE_FACTOR,
 };
-use crate::exec::vector::{gather_selected, VectorPredicate};
+use crate::exec::vector::VectorPredicate;
 use crate::expr::{BoundExpr, CmpOp, Expr, Param, ParamLookup};
 use crate::fingerprint::ShapeKey;
 use crate::index::{IndexBounds, ProbeOrder};
 use crate::obs::SqlText;
 use crate::obs::{Counter, ObsRegistry};
 use crate::table::Table;
-use crate::tuple::Row;
+use crate::tuple::{Row, RowView};
 use crate::value::{GroupKey, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::{self, Write as _};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -117,7 +120,7 @@ pub trait RowSource: Send {
     /// Output column descriptors.
     fn columns(&self) -> &Columns;
     /// Pull the next batch of rows; `None` when exhausted.
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, StoreError> {
         self.timed_batch().0
     }
     /// Start over (Volcano's rescan) with each parameter `bindings` has a
@@ -131,7 +134,7 @@ pub trait RowSource: Send {
     fn rewind(&mut self, bindings: ParamLookup<'_>);
     /// [`RowSource::next_batch`], and the wall time it took as this operator
     /// measured it — what a consumer spent waiting for it.
-    fn timed_batch(&mut self) -> (Result<Option<Vec<Row>>, StoreError>, Duration);
+    fn timed_batch(&mut self) -> (Result<Option<Batch>, StoreError>, Duration);
     /// Describe this operator subtree's shape: kinds, details, tags,
     /// estimates, children — everything but the counters.
     fn shape(&self) -> OpShape;
@@ -167,7 +170,7 @@ pub(crate) trait Operator: Send {
     /// taken through [`OpMetrics::pull`], a subplan run on the side through
     /// [`OpMetrics::wait_for`]. What the operator tallies besides rows
     /// (evaluations, groups, probes) goes into `meter` too.
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError>;
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError>;
     /// [`RowSource::rewind`]: reset, rewind the inputs, rebind each `$k`.
     fn rewind(&mut self, bindings: ParamLookup<'_>);
     /// Name, detail and annotations for the shape, rendered from what the
@@ -216,7 +219,7 @@ impl<O: Operator> RowSource for Metered<O> {
         self.op.columns()
     }
 
-    fn timed_batch(&mut self) -> (Result<Option<Vec<Row>>, StoreError>, Duration) {
+    fn timed_batch(&mut self) -> (Result<Option<Batch>, StoreError>, Duration) {
         let start = Instant::now();
         let result = loop {
             match self.op.pull(&mut self.meter) {
@@ -269,7 +272,7 @@ impl OpMetrics {
     pub(crate) fn pull(
         &mut self,
         child: &mut Box<dyn RowSource>,
-    ) -> Result<Option<Vec<Row>>, StoreError> {
+    ) -> Result<Option<Batch>, StoreError> {
         let batch = self.wait_for(child)?;
         if let Some(batch) = &batch {
             self.rows_in += batch.len() as u64;
@@ -282,18 +285,18 @@ impl OpMetrics {
     pub(crate) fn wait_for(
         &mut self,
         source: &mut Box<dyn RowSource>,
-    ) -> Result<Option<Vec<Row>>, StoreError> {
+    ) -> Result<Option<Batch>, StoreError> {
         let (batch, took) = source.timed_batch();
         self.blocked += took;
         batch
     }
 
-    /// [`OpMetrics::pull`] an input to exhaustion (a build side, a sort's
-    /// input).
+    /// [`OpMetrics::pull`] an input to exhaustion, its rows made rows of
+    /// their own (the nested-loop join's inner side, a sort's input).
     fn drain(&mut self, child: &mut Box<dyn RowSource>) -> Result<Vec<Row>, StoreError> {
         let mut rows = Vec::new();
         while let Some(batch) = self.pull(child)? {
-            rows.extend(batch);
+            batch.drain_into(&mut rows);
         }
         Ok(rows)
     }
@@ -460,7 +463,9 @@ fn open_in(
                 inner,
                 index_pos,
                 left_key: *left_key,
-                pending: VecDeque::new(),
+                pending: Gathered::default(),
+                layout: LayoutCache::default(),
+                pairs: Pairs::default(),
                 fill: BatchRamp::new(row_goal),
                 done: false,
                 probes: 0,
@@ -472,7 +477,7 @@ fn open_in(
         }
         PlanNode::Values { columns, rows } => ValuesSource {
             columns: Arc::clone(columns),
-            rows: rows.clone(),
+            rows: rows.iter().cloned().collect(),
             cursor: 0,
         }
         .metered(est),
@@ -514,6 +519,7 @@ fn open_in(
                 input,
                 projection,
                 columns: Arc::clone(columns),
+                map: LayoutCache::default(),
             }
             .metered(est)
         }
@@ -556,7 +562,9 @@ fn open_in(
                 right_keys: right_keys.clone(),
                 vectorized: *vectorized,
                 build: None,
-                pending: VecDeque::new(),
+                pending: Gathered::default(),
+                layout: LayoutCache::default(),
+                pairs: Pairs::default(),
                 fill: BatchRamp::new(row_goal),
                 done: false,
                 obs: Arc::clone(ctx.obs()),
@@ -570,16 +578,6 @@ fn open_in(
             having,
             vectorized,
         } => {
-            if *vectorized {
-                // A vectorized aggregate directly over a (possibly
-                // kernel-filtered) base-table scan fuses into one columnar
-                // operator that reads the table in place.
-                if let Some(fused) =
-                    FusedAggregateScanSource::try_open(ctx, input, group_by, aggregates, having)?
-                {
-                    return Ok(fused.metered(est));
-                }
-            }
             let input = on_spine(input)?;
             AggregateSource {
                 columns: aggregate_output_columns(input.columns(), group_by, aggregates).into(),
@@ -615,6 +613,7 @@ fn open_in(
             let input = on_spine(input)?;
             DistinctSource {
                 seen: KeyTable::new(input.columns().len()),
+                all: (0..input.columns().len()).collect(),
                 input,
             }
             .metered(est)
@@ -750,13 +749,14 @@ impl Operator for ScanSource {
         &self.relation.columns
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        let rows = self.table.rows();
-        if self.cursor >= rows.len() {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
+        let len = self.table.len();
+        if self.cursor >= len {
             return Ok(None);
         }
-        let end = (self.cursor + self.pull_size.take()).min(rows.len());
-        let batch = rows[self.cursor..end].to_vec();
+        let end = (self.cursor + self.pull_size.take()).min(len);
+        // The table's rows are lent, not copied.
+        let batch = Batch::span(Store::Table(Arc::clone(&self.table)), self.cursor..end);
         self.cursor = end;
         meter.rows_in += batch.len() as u64;
         self.obs.add(Counter::RowsScanned, batch.len() as u64);
@@ -805,7 +805,7 @@ struct IndexScanSource {
     positions: Option<Vec<usize>>,
     /// Rows synthesized from index keys, resolved on first pull
     /// (index-only mode).
-    index_rows: Option<Vec<Row>>,
+    index_rows: Option<Arc<[Row]>>,
     cursor: usize,
     pull_size: BatchRamp,
     obs: Arc<ObsRegistry>,
@@ -897,21 +897,22 @@ impl Operator for IndexScanSource {
         }
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         self.resolve(meter)?;
         if self.remaining() == 0 {
             return Ok(None);
         }
         let end = self.cursor + self.remaining().min(self.pull_size.take());
-        let batch: Vec<Row> = if let Some(positions) = &self.positions {
-            let rows = self.table.rows();
-            positions[self.cursor..end]
-                .iter()
-                .map(|&p| rows[p].clone())
-                .collect()
-        } else {
-            let rows = self.index_rows.as_ref().expect("resolved above");
-            rows[self.cursor..end].to_vec()
+        let batch = match &mut self.positions {
+            // One batch takes every position: the list itself is handed on.
+            Some(positions) if self.cursor == 0 && end == positions.len() => {
+                Batch::positions(&self.table, std::mem::take(positions))
+            }
+            Some(positions) => Batch::positions(&self.table, positions[self.cursor..end].to_vec()),
+            None => {
+                let rows = self.index_rows.as_ref().expect("resolved above");
+                Batch::span(Store::Shared(Arc::clone(rows)), self.cursor..end)
+            }
         };
         self.cursor = end;
         meter.rows_in += batch.len() as u64;
@@ -984,7 +985,10 @@ struct IndexNljSource {
     /// The positions of `left ++ inner` each joined row is made of.
     output: Arc<[usize]>,
     columns: Columns,
-    pending: VecDeque<Row>,
+    /// Joined rows not yet handed on: left rows beside heap rows.
+    pending: Gathered,
+    layout: LayoutCache,
+    pairs: Pairs,
     fill: BatchRamp,
     done: bool,
     /// Probes issued (non-NULL left keys).
@@ -999,32 +1003,36 @@ impl Operator for IndexNljSource {
         &self.columns
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         let fill = self.fill.take();
         while self.pending.len() < fill && !self.done {
             match meter.pull(&mut self.left)? {
                 None => self.done = true,
                 Some(batch) => {
                     let index = &self.table.indexes()[self.index_pos];
-                    let rows = self.table.rows();
                     let matched_before = self.matches;
                     let mut probes = 0u64;
                     let mut empty = 0u64;
-                    for lr in &batch {
-                        let probe = lr.get(self.left_key).cloned().unwrap_or(Value::Null);
+                    self.pairs.clear();
+                    for i in 0..batch.len() {
+                        let probe = batch.value(i, self.left_key).unwrap_or(&Value::Null);
                         if probe.is_null() {
                             continue; // SQL equality never matches NULL.
                         }
                         probes += 1;
-                        let positions = index.probe_point(&probe);
+                        let positions = index.probe_point(probe);
                         if positions.is_empty() {
                             empty += 1;
                         }
                         for &pos in positions {
                             self.matches += 1;
-                            self.pending.push_back(lr.join(&rows[pos], &self.output));
+                            self.pairs.push((i, pos));
                         }
                     }
+                    let split = self.left.columns().len();
+                    let layout = self.layout.get(&batch, &self.output, Some(split));
+                    let heap = Store::Table(Arc::clone(&self.table));
+                    self.pending.append(batch, &self.pairs, heap, layout);
                     self.probes += probes;
                     self.obs.add(Counter::IndexProbes, probes);
                     self.obs.add(Counter::EmptyIndexProbes, empty);
@@ -1035,7 +1043,7 @@ impl Operator for IndexNljSource {
                 }
             }
         }
-        Ok(drain_pending(&mut self.pending))
+        Ok(self.pending.take(BATCH_SIZE))
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
@@ -1102,7 +1110,7 @@ impl Operator for IndexNljSource {
 
 struct ValuesSource {
     columns: Columns,
-    rows: Vec<Row>,
+    rows: Arc<[Row]>,
     cursor: usize,
 }
 
@@ -1111,12 +1119,12 @@ impl Operator for ValuesSource {
         &self.columns
     }
 
-    fn pull(&mut self, _meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, _meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         if self.cursor >= self.rows.len() {
             return Ok(None);
         }
         let end = (self.cursor + BATCH_SIZE).min(self.rows.len());
-        let batch = self.rows[self.cursor..end].to_vec();
+        let batch = Batch::span(Store::Shared(Arc::clone(&self.rows)), self.cursor..end);
         self.cursor = end;
         Ok(Some(batch))
     }
@@ -1150,21 +1158,16 @@ impl Operator for FilterSource {
         self.input.columns()
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        let Some(batch) = meter.pull(&mut self.input)? else {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
+        let Some(mut batch) = meter.pull(&mut self.input)? else {
             return Ok(None);
         };
-        if let Some(mask) = self.kernel.as_ref().and_then(|k| k.evaluate(&batch)) {
-            meter.vector_batches += 1;
-            return Ok(Some(gather_selected(batch, &mask)));
-        }
-        let mut kept = Vec::new();
-        for row in batch {
-            if self.predicate.get().eval_predicate(&row)? {
-                kept.push(row);
-            }
-        }
-        Ok(Some(kept))
+        let Some(mask) = self.kernel.as_ref().and_then(|k| k.evaluate(&batch)) else {
+            return retain(batch, |row| self.predicate.get().eval_predicate(&row));
+        };
+        meter.vector_batches += 1;
+        batch.narrow(&mask);
+        Ok(Some(batch))
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
@@ -1199,14 +1202,16 @@ struct ProjectSource {
     input: Box<dyn RowSource>,
     projection: Projection,
     columns: Columns,
+    /// The column map of `Picks` over the input's layout.
+    map: LayoutCache,
 }
 
 /// How a projection makes its output row from an input row.
 enum Projection {
     /// Every input column in its own place: the input row is the output row.
     Identity,
-    /// Plain columns at these input positions: [`Row::project`], no
-    /// expression is evaluated.
+    /// Plain columns at these input positions: the batch is read through
+    /// another column map, no row is made and no expression evaluated.
     Picks(Vec<usize>),
     /// Anything else: each expression evaluated.
     Exprs(Vec<BoundExpr>),
@@ -1217,24 +1222,27 @@ impl Operator for ProjectSource {
         &self.columns
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        let Some(batch) = meter.pull(&mut self.input)? else {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
+        let Some(mut batch) = meter.pull(&mut self.input)? else {
             return Ok(None);
         };
         Ok(Some(match &self.projection {
             Projection::Identity => batch,
-            Projection::Picks(picks) => batch.iter().map(|row| row.project(picks)).collect(),
+            Projection::Picks(picks) => {
+                batch.remap(Arc::clone(&self.map.get(&batch, picks, None).map));
+                batch
+            }
             Projection::Exprs(exprs) => {
                 let mut rows = Vec::with_capacity(batch.len());
                 let mut values = Vec::with_capacity(exprs.len());
-                for row in &batch {
+                for i in 0..batch.len() {
                     for e in exprs {
-                        values.push(e.get().eval(row)?);
+                        values.push(e.get().eval(&batch.row(i))?);
                     }
                     // Straight into the row's one allocation.
                     rows.push(values.drain(..).collect());
                 }
-                rows
+                Batch::from(rows)
             }
         }))
     }
@@ -1279,7 +1287,7 @@ impl Operator for NestedLoopJoinSource {
         &self.columns
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         if self.right_rows.is_none() {
             self.right_rows = Some(meter.drain(&mut self.right)?);
         }
@@ -1289,7 +1297,8 @@ impl Operator for NestedLoopJoinSource {
                 None => self.done = true,
                 Some(batch) => {
                     let right = self.right_rows.as_ref().expect("built above");
-                    for lr in &batch {
+                    for i in 0..batch.len() {
+                        let lr = batch.to_row(i);
                         for rr in right.iter() {
                             let joined = lr.concat(rr);
                             let keep = match &self.predicate {
@@ -1332,14 +1341,32 @@ impl Operator for NestedLoopJoinSource {
     }
 }
 
-/// Emit up to one batch from an operator's output buffer.
-fn drain_pending(pending: &mut VecDeque<Row>) -> Option<Vec<Row>> {
+/// Emit up to one batch from an operator's buffer of rows it made.
+fn drain_pending(pending: &mut VecDeque<Row>) -> Option<Batch> {
     if pending.is_empty() {
         return None;
     }
     let take = pending.len().min(BATCH_SIZE);
-    Some(pending.drain(..take).collect())
+    Some(Batch::from(pending.drain(..take).collect::<Vec<_>>()))
 }
+
+/// `batch`, holding only the rows `keep` accepts.
+fn retain(
+    mut batch: Batch,
+    mut keep: impl FnMut(BatchRow) -> Result<bool, StoreError>,
+) -> Result<Option<Batch>, StoreError> {
+    let mut mask = Vec::with_capacity(batch.len());
+    for i in 0..batch.len() {
+        mask.push(keep(batch.row(i))?);
+    }
+    batch.narrow(&mask);
+    Ok(Some(batch))
+}
+
+/// The pairs a join found in one probe batch: each probe row's position in
+/// the batch beside the position of one of its matches on the other side.
+/// Kept from batch to batch, so finding them allocates nothing.
+type Pairs = Vec<(usize, usize)>;
 
 // ---------------------------------------------------------------------------
 // Hash join
@@ -1359,70 +1386,88 @@ struct HashJoinSource {
     /// Hash index over the build (right) side, built on first pull: key →
     /// build rows with that key.
     build: Option<JoinIndex>,
-    pending: VecDeque<Row>,
+    /// Joined rows not yet handed on: probe rows beside build rows.
+    pending: Gathered,
+    layout: LayoutCache,
+    pairs: Pairs,
     fill: BatchRamp,
     done: bool,
     obs: Arc<ObsRegistry>,
 }
 
 /// The build side of a hash join: its rows grouped by key — every key's rows
-/// side by side, in build order — and where each key's run lies.
+/// side by side, in build order — and where each key's run lies. The rows
+/// are lent to every batch the join hands on.
 #[derive(Debug)]
 struct JoinIndex {
     /// The distinct keys; a key's id numbers its run.
     keys: KeyTable,
-    /// Key `k`'s rows are `rows[bounds[k]..bounds[k + 1]]`.
-    bounds: Vec<usize>,
-    rows: Vec<Row>,
+    /// Key `k`'s rows end at `ends[k]`, where key `k + 1`'s begin.
+    ends: Vec<usize>,
+    rows: Arc<[Row]>,
 }
 
 impl JoinIndex {
-    /// Group `rows` by key. Each row's key is hashed where it lies and only
-    /// a new key is stored; the row is then moved — not copied — to its place
-    /// in its key's run. Rows whose key holds a NULL join nothing and are
-    /// dropped.
-    fn build(rows: Vec<Row>, key_cols: &[usize]) -> JoinIndex {
-        const DROPPED: u32 = u32::MAX;
+    /// Pull the build side dry and group its rows by key. Each row's key is
+    /// hashed where it lies and only a new key is stored; a row whose key
+    /// holds a NULL joins nothing and is never made. The others are made
+    /// rows of their own ([`Batch::to_row`]) and moved to their places in
+    /// their keys' runs. Returns the index and the number of rows pulled.
+    fn build(
+        meter: &mut OpMetrics,
+        right: &mut Box<dyn RowSource>,
+        key_cols: &[usize],
+    ) -> Result<(JoinIndex, usize), StoreError> {
         let mut keys = KeyTable::new(key_cols.len());
-        let mut sizes: Vec<usize> = Vec::new();
-        let mut key_of: Vec<u32> = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let key = RowKey(row, key_cols);
-            if key.has_null() {
-                key_of.push(DROPPED);
-                continue;
-            }
-            let (id, fresh) = keys.insert(key.hash(), &key);
-            if fresh {
-                sizes.push(0);
-            }
-            sizes[id as usize] += 1;
-            key_of.push(id);
-        }
-        let mut bounds = Vec::with_capacity(sizes.len() + 1);
-        bounds.push(0);
-        for size in &sizes {
-            bounds.push(bounds[bounds.len() - 1] + size);
-        }
-        let mut next = bounds.clone();
-        let mut placed: Vec<Option<Row>> = vec![None; bounds[sizes.len()]];
-        for (row, id) in rows.into_iter().zip(key_of) {
-            if id != DROPPED {
-                placed[next[id as usize]] = Some(row);
-                next[id as usize] += 1;
+        let (mut rows, mut place, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+        let mut pulled = 0;
+        while let Some(batch) = meter.pull(right)? {
+            pulled += batch.len();
+            for i in 0..batch.len() {
+                let key = RowKey(&batch.row(i), key_cols);
+                if key.has_null() {
+                    continue;
+                }
+                let (id, fresh) = keys.insert(key.hash(), &key);
+                if fresh {
+                    ends.push(0);
+                }
+                ends[id as usize] += 1;
+                place.push(id as usize);
+                rows.push(batch.to_row(i));
             }
         }
-        JoinIndex {
-            keys,
-            bounds,
-            rows: placed.into_iter().flatten().collect(),
+        // Run sizes to run starts; placing a row moves its run's start on,
+        // so that each run ends where the next begins.
+        let mut start = 0;
+        for end in &mut ends {
+            let size = *end;
+            *end = start;
+            start += size;
         }
+        for at in &mut place {
+            let id = *at;
+            *at = ends[id];
+            ends[id] += 1;
+        }
+        // Every row to its place, following the placement's cycles.
+        for i in 0..rows.len() {
+            while place[i] != i {
+                let to = place[i];
+                rows.swap(i, to);
+                place.swap(i, to);
+            }
+        }
+        let rows = rows.into();
+        Ok((JoinIndex { keys, ends, rows }, pulled))
     }
 
-    /// Build rows whose key is `=` to a NULL-free probe key, in build order.
-    fn lookup(&self, key: &(impl Key + ?Sized)) -> Option<&[Row]> {
+    /// The positions of the build rows whose key is `=` to a NULL-free probe
+    /// key, in build order.
+    fn lookup(&self, key: &(impl Key + ?Sized)) -> Option<Range<usize>> {
         let id = self.keys.find(key.hash(), key)? as usize;
-        Some(&self.rows[self.bounds[id]..self.bounds[id + 1]])
+        let start = id.checked_sub(1).map_or(0, |before| self.ends[before]);
+        Some(start..self.ends[id])
     }
 }
 
@@ -1431,11 +1476,11 @@ impl Operator for HashJoinSource {
         &self.columns
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         if self.build.is_none() {
-            let rows = meter.drain(&mut self.right)?;
-            self.obs.add(Counter::HashBuildRows, rows.len() as u64);
-            self.build = Some(JoinIndex::build(rows, &self.right_keys));
+            let (index, pulled) = JoinIndex::build(meter, &mut self.right, &self.right_keys)?;
+            self.obs.add(Counter::HashBuildRows, pulled as u64);
+            self.build = Some(index);
         }
         let fill = self.fill.take();
         while self.pending.len() < fill && !self.done {
@@ -1444,21 +1489,26 @@ impl Operator for HashJoinSource {
                 Some(batch) => {
                     let index = self.build.as_ref().expect("built above");
                     meter.vector_batches += u64::from(self.vectorized);
-                    // The key is read where it lies: only a row that is
-                    // emitted is allocated.
-                    for lr in &batch {
-                        let key = RowKey(lr, &self.left_keys);
+                    // The key is read where it lies, and a match is a pair
+                    // of positions: no row is made.
+                    self.pairs.clear();
+                    for i in 0..batch.len() {
+                        let key = RowKey(&batch.row(i), &self.left_keys);
                         if key.has_null() {
                             continue;
                         }
-                        for rr in index.lookup(&key).into_iter().flatten() {
-                            self.pending.push_back(lr.join(rr, &self.output));
+                        for b in index.lookup(&key).into_iter().flatten() {
+                            self.pairs.push((i, b));
                         }
                     }
+                    let split = self.left.columns().len();
+                    let layout = self.layout.get(&batch, &self.output, Some(split));
+                    let build = Store::Shared(Arc::clone(&index.rows));
+                    self.pending.append(batch, &self.pairs, build, layout);
                 }
             }
         }
-        Ok(drain_pending(&mut self.pending))
+        Ok(self.pending.take(BATCH_SIZE))
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
@@ -1508,7 +1558,7 @@ impl Operator for AggregateSource {
         &self.columns
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         if self.pending.is_none() {
             let mut aggregates = self.aggregates.clone();
             for (i, arg) in &self.args {
@@ -1579,234 +1629,6 @@ fn aggregate_detail(
 }
 
 // ---------------------------------------------------------------------------
-// Fused columnar scan → filter → aggregate
-// ---------------------------------------------------------------------------
-
-/// The filter half of a fused pipeline: the compiled kernel plus everything
-/// needed to report the operator as if it had run standalone.
-struct FusedFilter {
-    predicate: BoundExpr,
-    kernel: VectorPredicate,
-    shape_key: Option<Arc<ShapeKey>>,
-    est: Option<f64>,
-    meter: OpMetrics,
-}
-
-/// A vectorized `aggregate ← [filter ←] scan` pipeline collapsed into one
-/// columnar operator. The generic sources hand `Row`s from operator to
-/// operator — a reference taken and dropped per row and batch vectors
-/// filled and freed — only for the aggregate to read two integer columns.
-/// This source instead walks the table's row slice in place, evaluates the
-/// filter kernel over borrowed batches, and gathers just the referenced
-/// columns through the selection vector into the accumulation kernels.
-/// Results, the profile tree, and all per-operator counters are identical
-/// to the unfused pipeline; only the hand-offs are gone.
-struct FusedAggregateScanSource {
-    table: Arc<Table>,
-    cursor: usize,
-    group_by: Vec<usize>,
-    aggregates: Vec<AggExpr>,
-    having: Option<BoundExpr>,
-    filter: Option<FusedFilter>,
-    /// Output columns of the aggregate (group keys then aggregate values).
-    columns: Columns,
-    /// Reporting state for the fused scan leaf.
-    relation: Arc<Relation>,
-    scan_est: Option<f64>,
-    scan_meter: OpMetrics,
-    pending: Option<VecDeque<Row>>,
-    obs: Arc<ObsRegistry>,
-}
-
-impl FusedAggregateScanSource {
-    /// Fuse when the input is a base-table scan, optionally under exactly
-    /// one vectorized filter whose predicate compiles, and every aggregate
-    /// argument is a plain column (or `*`) — the shapes where the typed
-    /// kernels can actually engage. Anything else returns `None` and the
-    /// caller builds the generic operator chain.
-    fn try_open(
-        ctx: &ExecContext,
-        input: &Plan,
-        group_by: &[usize],
-        aggregates: &[AggExpr],
-        having: &Option<Expr>,
-    ) -> Result<Option<FusedAggregateScanSource>, StoreError> {
-        if aggregates
-            .iter()
-            .any(|a| matches!(&a.arg, Some(e) if !matches!(e, Expr::Column(_))))
-        {
-            return Ok(None);
-        }
-        let (filter_parts, scan_plan) = match &input.node {
-            PlanNode::Scan { .. } => (None, input),
-            PlanNode::Filter {
-                input: scan,
-                predicate,
-                vectorized: true,
-                shape_key,
-            } if matches!(scan.node, PlanNode::Scan { .. }) => {
-                match VectorPredicate::compile(predicate) {
-                    Some(kernel) => (
-                        Some((predicate, kernel, shape_key, input.estimated_rows)),
-                        scan.as_ref(),
-                    ),
-                    None => return Ok(None),
-                }
-            }
-            _ => return Ok(None),
-        };
-        let PlanNode::Scan { table, alias } = &scan_plan.node else {
-            return Ok(None);
-        };
-        let t = Arc::clone(ctx.require_table(table)?);
-        let relation = t.relation(table, alias);
-        let filter = filter_parts.map(|(predicate, kernel, shape_key, fest)| FusedFilter {
-            predicate: BoundExpr::new(predicate),
-            kernel,
-            shape_key: shape_key.clone(),
-            est: fest,
-            meter: OpMetrics::default(),
-        });
-        Ok(Some(FusedAggregateScanSource {
-            scan_est: scan_plan.estimated_rows,
-            scan_meter: OpMetrics::default(),
-            table: t,
-            cursor: 0,
-            columns: aggregate_output_columns(&relation.columns, group_by, aggregates).into(),
-            relation,
-            group_by: group_by.to_vec(),
-            aggregates: aggregates.to_vec(),
-            having: having.as_ref().map(BoundExpr::new),
-            filter,
-            pending: None,
-            obs: Arc::clone(ctx.obs()),
-        }))
-    }
-
-    /// One pass over the table's rows in place, on the first pull.
-    fn compute(&mut self, meter: &mut OpMetrics) -> Result<VecDeque<Row>, StoreError> {
-        let mut agg = GroupedAggregator::new(self.group_by.clone(), self.aggregates.clone(), true);
-        let table = Arc::clone(&self.table);
-        let rows = table.rows();
-        let mut sel: Vec<usize> = Vec::with_capacity(BATCH_SIZE);
-        while self.cursor < rows.len() {
-            let stop = (self.cursor + BATCH_SIZE).min(rows.len());
-            let chunk = &rows[self.cursor..stop];
-            self.cursor = stop;
-            self.scan_meter.rows_in += chunk.len() as u64;
-            self.scan_meter.rows_out += chunk.len() as u64;
-            self.scan_meter.batches += 1;
-            self.obs.add(Counter::RowsScanned, chunk.len() as u64);
-            match &mut self.filter {
-                None => {
-                    meter.rows_in += chunk.len() as u64;
-                    agg.push_batch(chunk)?;
-                }
-                Some(f) => {
-                    f.meter.rows_in += chunk.len() as u64;
-                    sel.clear();
-                    match f.kernel.evaluate(chunk) {
-                        Some(mask) => {
-                            f.meter.vector_batches += 1;
-                            sel.extend(
-                                mask.iter()
-                                    .enumerate()
-                                    .filter_map(|(i, &keep)| keep.then_some(i)),
-                            );
-                        }
-                        None => {
-                            // This batch resists the kernel (mixed column
-                            // types): evaluate row-at-a-time, still borrowed.
-                            for (i, row) in chunk.iter().enumerate() {
-                                if f.predicate.get().eval_predicate(row)? {
-                                    sel.push(i);
-                                }
-                            }
-                        }
-                    }
-                    f.meter.rows_out += sel.len() as u64;
-                    if !sel.is_empty() {
-                        f.meter.batches += 1;
-                    }
-                    meter.rows_in += sel.len() as u64;
-                    agg.push_selected(chunk, &sel)?;
-                }
-            }
-        }
-        meter.vector_batches += agg.vector_batches();
-        Ok(agg.finish(self.having.as_ref().map(BoundExpr::get))?.into())
-    }
-}
-
-impl Operator for FusedAggregateScanSource {
-    fn columns(&self) -> &Columns {
-        &self.columns
-    }
-
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        if self.pending.is_none() {
-            self.pending = Some(self.compute(meter)?);
-        }
-        Ok(drain_pending(
-            self.pending.as_mut().expect("computed above"),
-        ))
-    }
-
-    fn rewind(&mut self, bindings: ParamLookup<'_>) {
-        if let Some(f) = &mut self.filter {
-            f.predicate.rebind(bindings);
-            f.kernel.rebind(bindings);
-        }
-        if let Some(having) = &mut self.having {
-            having.rebind(bindings);
-        }
-        self.cursor = 0;
-        self.pending = None;
-    }
-
-    fn describe(&self) -> Description {
-        // Report the fused pipeline exactly as its unfused tree would:
-        // aggregate over (filter over) scan, each with its own counters.
-        let scan_columns = &self.relation.columns;
-        let scan = self.relation.to_string();
-        let mut child = Description::new(OpKind::Scan, scan).shape(scan_columns, self.scan_est, []);
-        if let Some(f) = &self.filter {
-            child = Description {
-                tags: vectorized_tag(true),
-                shape_key: f.shape_key.clone(),
-                ..Description::new(
-                    OpKind::Filter,
-                    render_expr(f.predicate.written(), scan_columns),
-                )
-            }
-            .shape(scan_columns, f.est, [child]);
-        }
-        Description {
-            tags: vectorized_tag(true),
-            synthetic: Some(child),
-            ..Description::new(
-                OpKind::Aggregate,
-                aggregate_detail(scan_columns, &self.group_by, &self.aggregates, &self.having),
-            )
-        }
-    }
-
-    fn synthetic_nodes(&self) -> usize {
-        1 + usize::from(self.filter.is_some())
-    }
-
-    fn absorb_synthetic(&self, synthetic: &mut [OpMetrics]) -> usize {
-        // Pre-order: the filter, when there is one, then the scan under it.
-        if let Some(f) = &self.filter {
-            synthetic[0] += f.meter;
-        }
-        let scan = self.synthetic_nodes() - 1;
-        synthetic[scan] += self.scan_meter;
-        scan + 1
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Sort
 // ---------------------------------------------------------------------------
 
@@ -1824,7 +1646,7 @@ impl Operator for SortSource {
         self.input.columns()
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         if self.pending.is_none() {
             // Never hold more than the rows that can still win plus two
             // batches of candidates: the top k of (the top k so far, then
@@ -1832,7 +1654,7 @@ impl Operator for SortSource {
             let bound = self.keep.max(BATCH_SIZE).saturating_mul(2);
             let mut rows = Vec::new();
             while let Some(batch) = meter.pull(&mut self.input)? {
-                rows.extend(batch);
+                batch.drain_into(&mut rows);
                 if rows.len() >= bound {
                     rows = top_k(rows, &self.keys, self.keep);
                 }
@@ -2078,7 +1900,7 @@ impl Operator for LimitSource {
         self.input.columns()
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         if self.remaining == 0 {
             // Early termination: stop pulling from the input entirely.
             return Ok(None);
@@ -2111,8 +1933,10 @@ impl Operator for LimitSource {
 
 struct DistinctSource {
     input: Box<dyn RowSource>,
-    /// Every distinct row so far, NULL the same as NULL.
+    /// Every distinct row so far, NULL the same as NULL: the whole row is
+    /// the key.
     seen: KeyTable,
+    all: Vec<usize>,
 }
 
 impl Operator for DistinctSource {
@@ -2120,13 +1944,14 @@ impl Operator for DistinctSource {
         self.input.columns()
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
-        let Some(mut batch) = meter.pull(&mut self.input)? else {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
+        let Some(batch) = meter.pull(&mut self.input)? else {
             return Ok(None);
         };
-        let seen = &mut self.seen;
-        batch.retain(|row| seen.insert(row.values().hash(), row.values()).1);
-        Ok(Some(batch))
+        retain(batch, |row| {
+            let key = RowKey(&row, &self.all);
+            Ok(self.seen.insert(key.hash(), &key).1)
+        })
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
@@ -2176,23 +2001,32 @@ struct SemiBuild {
 }
 
 impl SemiBuild {
-    /// Build the key set from materialized build-side rows.
-    fn build(rows: &[Row], key_cols: &[usize]) -> SemiBuild {
+    /// Pull the build side dry into its key set, each key read where it
+    /// lies. Returns the build and the number of rows pulled.
+    fn build(
+        meter: &mut OpMetrics,
+        right: &mut Box<dyn RowSource>,
+        key_cols: &[usize],
+    ) -> Result<(SemiBuild, usize), StoreError> {
         let mut keys = KeyTable::new(key_cols.len());
-        let mut null_key = false;
-        for row in rows {
-            let key = RowKey(row, key_cols);
-            if key.has_null() {
-                null_key = true;
-            } else {
-                keys.insert(key.hash(), &key);
+        let (mut null_key, mut pulled) = (false, 0);
+        while let Some(batch) = meter.pull(right)? {
+            pulled += batch.len();
+            for i in 0..batch.len() {
+                let key = RowKey(&batch.row(i), key_cols);
+                if key.has_null() {
+                    null_key = true;
+                } else {
+                    keys.insert(key.hash(), &key);
+                }
             }
         }
-        SemiBuild {
+        let build = SemiBuild {
             keys,
-            any_rows: !rows.is_empty(),
+            any_rows: pulled > 0,
             null_key,
-        }
+        };
+        Ok((build, pulled))
     }
 
     /// Whether the build-side key set holds a key `=` to `key`.
@@ -2203,7 +2037,7 @@ impl SemiBuild {
 
 impl SemiJoinSource {
     /// Whether a probe row with this key survives the (anti-)semi-join.
-    fn keep(&self, build: &SemiBuild, key: &RowKey) -> bool {
+    fn keep(&self, build: &SemiBuild, key: &RowKey<BatchRow>) -> bool {
         let probe_null = key.has_null();
         if !self.anti {
             // Semi: a NULL probe key can never equal anything.
@@ -2233,21 +2067,19 @@ impl Operator for SemiJoinSource {
         self.left.columns()
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         if self.build.is_none() {
-            let rows = meter.drain(&mut self.right)?;
-            self.obs.add(Counter::HashBuildRows, rows.len() as u64);
-            self.build = Some(SemiBuild::build(&rows, &self.right_keys));
+            let (build, pulled) = SemiBuild::build(meter, &mut self.right, &self.right_keys)?;
+            self.obs.add(Counter::HashBuildRows, pulled as u64);
+            self.build = Some(build);
         }
-        let Some(mut batch) = meter.pull(&mut self.left)? else {
+        let Some(batch) = meter.pull(&mut self.left)? else {
             return Ok(None);
         };
         let build = self.build.as_ref().expect("built above");
-        batch.retain(|row| {
-            let key = RowKey(row, &self.left_keys);
-            self.keep(build, &key)
-        });
-        Ok(Some(batch))
+        retain(batch, |row| {
+            Ok(self.keep(build, &RowKey(&row, &self.left_keys)))
+        })
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
@@ -2319,11 +2151,12 @@ impl ScalarSubquerySource {
         // The subquery's rows are not this filter's input: waited for, not
         // counted into `rows_in`.
         while let Some(batch) = meter.wait_for(&mut self.sub)? {
-            for row in &batch {
-                let key = RowKey(row, &self.build);
+            for i in 0..batch.len() {
+                let row = batch.row(i);
+                let key = RowKey(&row, &self.build);
                 lookup
                     .values
-                    .push(row.get(value_col).cloned().unwrap_or(Value::Null));
+                    .push(row.value(value_col).cloned().unwrap_or(Value::Null));
                 if !lookup.keys.insert(key.hash(), &key).1 {
                     return Err(StoreError::Eval {
                         message: "scalar subquery produced more than one row".into(),
@@ -2342,7 +2175,7 @@ impl Operator for ScalarSubquerySource {
         self.input.columns()
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         if self.lookup.is_none() {
             self.lookup = Some(self.build_lookup(meter)?);
         }
@@ -2350,8 +2183,7 @@ impl Operator for ScalarSubquerySource {
             return Ok(None);
         };
         let lookup = self.lookup.as_ref().expect("built above");
-        let mut kept = Vec::new();
-        for row in batch {
+        retain(batch, |row| {
             let key = RowKey(&row, &self.probe);
             // `g.mid = NULL` matches nothing: a NULL key has no group.
             let found = (!key.has_null()).then(|| lookup.keys.find(key.hash(), &key));
@@ -2360,11 +2192,8 @@ impl Operator for ScalarSubquerySource {
                 .map_or(&self.absent, |k| &lookup.values[k as usize]);
             let v = self.expr.get().eval(&row)?;
             // Three-valued: NULL on either side is UNKNOWN.
-            if v.sql_cmp(value).is_some_and(|ord| self.op.holds(ord)) {
-                kept.push(row);
-            }
-        }
-        Ok(Some(kept))
+            Ok(v.sql_cmp(value).is_some_and(|ord| self.op.holds(ord)))
+        })
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
@@ -2445,18 +2274,21 @@ impl ApplySource {
     /// key so the verdict pass doesn't recompute them.
     fn evaluate_batch(
         &mut self,
-        batch: &[Row],
+        batch: &Batch,
         meter: &mut OpMetrics,
     ) -> Result<Vec<Vec<GroupKey>>, StoreError> {
         let mut row_keys: Vec<Vec<GroupKey>> = Vec::with_capacity(batch.len());
         let (mut hits, mut evaluations) = (0u64, 0u64);
-        for row in batch {
-            let key = row.group_key(&self.param_cols);
+        for i in 0..batch.len() {
+            let row = batch.row(i);
+            let key: Vec<GroupKey> = (self.param_cols.iter())
+                .map(|&c| row.value(c).map_or(GroupKey::Null, Value::group_key))
+                .collect();
             if self.cache.contains_key(&key) {
                 hits += 1;
             } else {
                 evaluations += 1;
-                let result = self.evaluate_binding(row, meter)?;
+                let result = self.evaluate_binding(&row, meter)?;
                 self.cache.insert(key.clone(), result);
                 self.cache_order.push_back(key.clone());
             }
@@ -2476,14 +2308,14 @@ impl ApplySource {
     /// charged to `blocked` and its rows are not counted into `rows_in`.
     fn evaluate_binding(
         &mut self,
-        row: &Row,
+        row: &BatchRow,
         meter: &mut OpMetrics,
     ) -> Result<SubResult, StoreError> {
         let params = &self.params;
         self.sub.rewind(&|param| {
             let Param::Outer(id) = param else { return None };
             let &(_, at) = params.iter().find(|&&(owned, _)| owned == id)?;
-            Some(row.get(at).unwrap_or(&Value::Null))
+            Some(row.value(at).unwrap_or(&Value::Null))
         });
         let sub = &mut self.sub;
         Ok(match self.mode {
@@ -2491,25 +2323,21 @@ impl ApplySource {
             ApplyMode::In { .. } | ApplyMode::Quantified { .. } => {
                 let mut values = Vec::new();
                 while let Some(batch) = meter.wait_for(sub)? {
-                    values.extend(
-                        batch
-                            .iter()
-                            .map(|r| r.get(0).cloned().unwrap_or(Value::Null)),
-                    );
+                    values.extend(batch.column(0).cloned());
                 }
                 SubResult::Column(values)
             }
             ApplyMode::Compare { .. } => {
                 let mut value = None;
                 while let Some(batch) = meter.wait_for(sub)? {
-                    for r in &batch {
+                    for v in batch.column(0) {
                         if value.is_some() {
                             return Err(StoreError::Eval {
                                 message: "correlated scalar subquery produced more than one row"
                                     .into(),
                             });
                         }
-                        value = Some(r.get(0).cloned().unwrap_or(Value::Null));
+                        value = Some(v.clone());
                     }
                 }
                 SubResult::Scalar(value.unwrap_or(Value::Null))
@@ -2535,7 +2363,7 @@ impl ApplySource {
 
     /// Three-valued verdict for one input row against its cached subquery
     /// result; `None` is SQL UNKNOWN (the row is filtered out).
-    fn verdict(&self, key: &[GroupKey], row: &Row) -> Result<Option<bool>, StoreError> {
+    fn verdict(&self, key: &[GroupKey], row: &BatchRow) -> Result<Option<bool>, StoreError> {
         let cached = self.cache.get(key).expect("evaluated before verdict");
         let probe = match &self.operand {
             Some(operand) => operand.get().eval(row)?,
@@ -2615,19 +2443,18 @@ impl Operator for ApplySource {
         self.input.columns()
     }
 
-    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Vec<Row>>, StoreError> {
+    fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError> {
         let Some(batch) = meter.pull(&mut self.input)? else {
             return Ok(None);
         };
         let row_keys = self.evaluate_batch(&batch, meter)?;
-        let mut kept = Vec::new();
-        for (row, key) in batch.into_iter().zip(&row_keys) {
-            if self.verdict(key, &row)? == Some(true) {
-                kept.push(row);
-            }
-        }
+        let mut keys = row_keys.iter();
+        let kept = retain(batch, |row| {
+            let key = keys.next().expect("a key per row");
+            Ok(self.verdict(key, &row)? == Some(true))
+        })?;
         self.enforce_cache_cap(meter);
-        Ok(Some(kept))
+        Ok(kept)
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {

@@ -329,7 +329,7 @@ fn aggregate_over_empty_input_still_produces_one_group() {
     let mut src = open(&db, &plan).unwrap();
     let batch = src.next_batch().unwrap().unwrap();
     assert_eq!(batch.len(), 1);
-    assert_eq!(batch[0].get(0), Some(&Value::int(0)));
+    assert_eq!(batch.value(0, 0), Some(&Value::int(0)));
     assert!(src.next_batch().unwrap().is_none());
 }
 
@@ -346,7 +346,7 @@ fn run_profiled(db: &Database, plan: &Plan) -> (Vec<Row>, PlanProfile) {
     let mut src = open(db, plan).unwrap();
     let mut out = Vec::new();
     while let Some(batch) = src.next_batch().unwrap() {
-        out.extend(batch);
+        batch.drain_into(&mut out);
     }
     (out, src.profile())
 }
@@ -644,7 +644,7 @@ fn a_sort_under_a_limit_keeps_and_emits_only_the_limit() {
 fn run_source(src: &mut Box<dyn RowSource>, goal: Option<usize>) -> Vec<Row> {
     let mut rows = Vec::new();
     while let Some(batch) = src.next_batch().unwrap() {
-        rows.extend(batch);
+        batch.drain_into(&mut rows);
         if goal.is_some() {
             break;
         }
@@ -772,17 +772,47 @@ fn a_rewound_hash_join_builds_again() {
 }
 
 #[test]
+fn a_rewound_tree_holds_no_lent_batch() {
+    // Each probe row of `a` meets the 250 rows of `b` with its `v`: the
+    // first batch leaves most of the join's output gathered, lending `T`.
+    let db = db();
+    let table = db.table_arc("T").unwrap();
+    let join = Plan::hash_join(scan("T", "a"), scan("T", "b"), vec![1], vec![1]);
+    let plan = join.project(vec![Expr::Column(0)], vec![ColumnInfo::unqualified("id")]);
+    let mut tree = open_toward(&Arc::new(ExecContext::new(&db)), &plan, None).unwrap();
+    let opened = Arc::strong_count(&table);
+    let (mut first, mut again) = (Vec::new(), Vec::new());
+    tree.next_batch().unwrap().unwrap().drain_into(&mut first);
+    assert_eq!(first.len(), BATCH_SIZE);
+    assert!(
+        Arc::strong_count(&table) > opened,
+        "the gathered rows lend T"
+    );
+    tree.rewind(&|_| None);
+    assert_eq!(
+        Arc::strong_count(&table),
+        opened,
+        "the rewound tree lends nothing"
+    );
+    tree.next_batch().unwrap().unwrap().drain_into(&mut again);
+    assert_eq!(again, first);
+}
+
+#[test]
 fn join_index_drops_null_keys() {
     let rows = vec![
         Row::new(vec![Value::int(1)]),
         Row::new(vec![Value::Null]),
         Row::new(vec![Value::int(1)]),
     ];
-    let index = JoinIndex::build(rows, &[0]);
+    let values = Plan::values(vec![ColumnInfo::unqualified("k")], rows);
+    let mut build = open(&Database::new(), &values).unwrap();
+    let (index, pulled) = JoinIndex::build(&mut OpMetrics::default(), &mut build, &[0]).unwrap();
+    assert_eq!(pulled, 3);
     assert_eq!(index.keys.len(), 1);
     assert_eq!(index.rows.len(), 2);
     assert_eq!(
-        index.lookup(&[Value::int(1)][..]).map(<[Row]>::len),
+        index.lookup(&[Value::int(1)][..]).map(|run| run.len()),
         Some(2)
     );
 }

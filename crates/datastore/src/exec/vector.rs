@@ -1,11 +1,12 @@
 //! Columnar batches and typed kernels for the vectorized execution path.
 //!
 //! The row engine evaluates expressions one `Value` at a time, paying an
-//! enum match (and often an allocation) per row on the hottest loops. This
-//! module transposes a batch of rows into per-column [`ValueVector`]s —
-//! typed `i64`/`f64`/shared-string arrays with a word-packed [`NullBitmap`] —
-//! and evaluates comparison predicates and conjunctions with tight typed
-//! loops over those arrays instead.
+//! enum match per row on the hottest loops. This module transposes the
+//! columns a kernel reads, from where a [`Batch`] holds them, into
+//! [`ValueVector`]s — typed `i64`/`f64` arrays, or the batch's own strings
+//! borrowed, with a word-packed [`NullBitmap`] — and evaluates comparison
+//! predicates and conjunctions with tight typed loops over those arrays
+//! instead.
 //!
 //! Vectorization is best-effort by design: a batch whose column mixes types
 //! (or uses a type outside the three vectorized ones) simply refuses to
@@ -14,8 +15,8 @@
 //! three-valued comparison semantics of [`Value::sql_cmp`] exactly, with
 //! NULL never selected by a WHERE mask.
 
+use crate::exec::batch::Batch;
 use crate::expr::{CmpOp, Expr, Param, ParamLookup};
-use crate::tuple::Row;
 use crate::value::{cmp_f64, Value};
 use std::sync::Arc;
 
@@ -24,7 +25,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct NullBitmap {
     words: Vec<u64>,
-    len: usize,
 }
 
 impl NullBitmap {
@@ -32,7 +32,6 @@ impl NullBitmap {
     pub fn new(len: usize) -> NullBitmap {
         NullBitmap {
             words: vec![0; len.div_ceil(64)],
-            len,
         }
     }
 
@@ -45,34 +44,14 @@ impl NullBitmap {
     pub fn get(&self, i: usize) -> bool {
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the bitmap covers zero slots.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True when any slot is NULL — lets kernels skip the per-slot null
-    /// check entirely on fully-valid vectors, the common case.
-    pub fn any(&self) -> bool {
-        self.words.iter().any(|w| *w != 0)
-    }
-
-    /// Number of NULL slots.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
 }
 
-/// One column of a batch, transposed into a typed array plus a null bitmap.
-/// NULL slots hold an arbitrary placeholder in the typed array; the bitmap
-/// is authoritative.
+/// One column of a batch, transposed into a typed array plus a null bitmap;
+/// a Text column borrows its strings from the rows that hold them. NULL
+/// slots hold an arbitrary placeholder in the typed array; the bitmap is
+/// authoritative.
 #[derive(Debug, Clone)]
-pub enum ValueVector {
+pub enum ValueVector<'a> {
     Int {
         values: Vec<i64>,
         nulls: NullBitmap,
@@ -82,37 +61,23 @@ pub enum ValueVector {
         nulls: NullBitmap,
     },
     Text {
-        values: Vec<Arc<str>>,
+        values: Vec<&'a Arc<str>>,
         nulls: NullBitmap,
     },
 }
 
-impl ValueVector {
-    /// Transpose column `col` of a batch of rows. Returns `None` when the
-    /// column resists typed vectorization for this batch: a mix of types, or
-    /// a type (boolean, date) the vectors do not cover — the caller then
-    /// falls back to the per-row path for the whole batch.
-    pub fn from_rows(rows: &[Row], col: usize) -> Option<ValueVector> {
-        Self::transpose(rows.iter(), rows.len(), col)
-    }
-
-    /// Transpose column `col` of the rows at the selected positions — the
-    /// gather a fused filter hands to the aggregation kernels, compacting
-    /// the batch without materializing the surviving rows.
-    pub fn from_rows_selected(rows: &[Row], col: usize, sel: &[usize]) -> Option<ValueVector> {
-        Self::transpose(sel.iter().map(|&i| &rows[i]), sel.len(), col)
-    }
-
-    fn transpose<'a>(
-        rows: impl Iterator<Item = &'a Row> + Clone,
+impl<'a> ValueVector<'a> {
+    /// Transpose the `len` values of one column of a batch
+    /// ([`Batch::column`]). Returns `None` when the column resists typed
+    /// vectorization for this batch: a mix of types, or a type (boolean,
+    /// date) the vectors do not cover — the caller then falls back to the
+    /// per-row path for the whole batch.
+    pub fn from_column(
+        column: impl Iterator<Item = &'a Value> + Clone,
         len: usize,
-        col: usize,
-    ) -> Option<ValueVector> {
+    ) -> Option<ValueVector<'a>> {
         // The first non-NULL value fixes the vector's type.
-        let first = rows
-            .clone()
-            .map(|r| r.get(col).unwrap_or(&Value::Null))
-            .find(|v| !v.is_null());
+        let first = column.clone().find(|v| !v.is_null());
         let mut nulls = NullBitmap::new(len);
         match first {
             // An all-NULL column vectorizes as integers of nothing but
@@ -128,8 +93,8 @@ impl ValueVector {
             }
             Some(Value::Integer(_)) => {
                 let mut values = Vec::with_capacity(len);
-                for (i, row) in rows.enumerate() {
-                    match row.get(col).unwrap_or(&Value::Null) {
+                for (i, value) in column.enumerate() {
+                    match value {
                         Value::Integer(v) => values.push(*v),
                         Value::Null => {
                             nulls.set(i);
@@ -142,8 +107,8 @@ impl ValueVector {
             }
             Some(Value::Float(_)) => {
                 let mut values = Vec::with_capacity(len);
-                for (i, row) in rows.enumerate() {
-                    match row.get(col).unwrap_or(&Value::Null) {
+                for (i, value) in column.enumerate() {
+                    match value {
                         Value::Float(v) => values.push(*v),
                         Value::Null => {
                             nulls.set(i);
@@ -154,14 +119,15 @@ impl ValueVector {
                 }
                 Some(ValueVector::Float { values, nulls })
             }
-            Some(Value::Text(_)) => {
+            Some(Value::Text(first)) => {
                 let mut values = Vec::with_capacity(len);
-                for (i, row) in rows.enumerate() {
-                    match row.get(col).unwrap_or(&Value::Null) {
-                        Value::Text(v) => values.push(v.clone()),
+                for (i, value) in column.enumerate() {
+                    match value {
+                        Value::Text(v) => values.push(v),
+                        // Any string will do as the placeholder.
                         Value::Null => {
                             nulls.set(i);
-                            values.push(Arc::from(""));
+                            values.push(first);
                         }
                         _ => return None,
                     }
@@ -173,17 +139,12 @@ impl ValueVector {
     }
 
     /// Number of slots.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             ValueVector::Int { values, .. } => values.len(),
             ValueVector::Float { values, .. } => values.len(),
             ValueVector::Text { values, .. } => values.len(),
         }
-    }
-
-    /// True when the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// True when slot `i` is NULL.
@@ -234,7 +195,7 @@ pub fn and_compare_literal(
         }
         (ValueVector::Text { values, nulls }, Value::Text(b)) => {
             for (i, v) in values.iter().enumerate() {
-                mask[i] &= !nulls.get(i) && op.holds(v.cmp(b));
+                mask[i] &= !nulls.get(i) && op.holds(str::cmp(v, b));
             }
             true
         }
@@ -277,7 +238,7 @@ pub fn and_compare_columns(
             },
         ) => {
             for i in 0..a.len() {
-                mask[i] &= !an.get(i) && !bn.get(i) && op.holds(a[i].cmp(&b[i]));
+                mask[i] &= !an.get(i) && !bn.get(i) && op.holds(str::cmp(a[i], b[i]));
             }
             true
         }
@@ -360,11 +321,6 @@ impl VectorPredicate {
         Some(VectorPredicate { terms, columns })
     }
 
-    /// The column positions the compiled terms read.
-    pub fn referenced_columns(&self) -> &[usize] {
-        &self.columns
-    }
-
     /// Bind each parameter term `bindings` has a value for to that value, in
     /// place: the kernel stays compiled whatever the value's kind.
     pub fn rebind(&mut self, bindings: ParamLookup<'_>) {
@@ -386,10 +342,10 @@ impl VectorPredicate {
     /// flag per row (NULL comparisons unselected, per WHERE semantics), or
     /// `None` when this batch resists vectorization and the caller should
     /// evaluate row-at-a-time instead.
-    pub fn evaluate(&self, rows: &[Row]) -> Option<Vec<bool>> {
+    pub fn evaluate(&self, batch: &Batch) -> Option<Vec<bool>> {
         let mut vectors: Vec<(usize, ValueVector)> = Vec::with_capacity(self.columns.len());
         for &c in &self.columns {
-            vectors.push((c, ValueVector::from_rows(rows, c)?));
+            vectors.push((c, ValueVector::from_column(batch.column(c), batch.len())?));
         }
         let vector_of = |col: usize| -> &ValueVector {
             let idx = vectors
@@ -398,7 +354,7 @@ impl VectorPredicate {
                 .expect("column transposed");
             &vectors[idx].1
         };
-        let mut mask = vec![true; rows.len()];
+        let mut mask = vec![true; batch.len()];
         for term in &self.terms {
             let ok = match term {
                 KernelTerm::CompareLiteral {
@@ -475,18 +431,15 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
-/// Gather the rows selected by a mask, preserving order.
-pub fn gather_selected(rows: Vec<Row>, mask: &[bool]) -> Vec<Row> {
-    rows.into_iter()
-        .zip(mask)
-        .filter_map(|(row, keep)| keep.then_some(row))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use crate::tuple::Row;
+
+    fn from_rows(rows: &Batch, col: usize) -> Option<ValueVector<'_>> {
+        ValueVector::from_column(rows.column(col), rows.len())
+    }
 
     fn rows() -> Vec<Row> {
         vec![
@@ -499,31 +452,34 @@ mod tests {
 
     #[test]
     fn transpose_types_and_nulls() {
-        let rs = rows();
-        let ints = ValueVector::from_rows(&rs, 0).unwrap();
+        let rs = Batch::from(rows());
+        let ints = from_rows(&rs, 0).unwrap();
         assert_eq!(ints.len(), 4);
         assert!(ints.is_null(2));
         assert!(!ints.is_null(0));
         assert!(matches!(&ints, ValueVector::Int { values, .. } if values[3] == 4));
-        let texts = ValueVector::from_rows(&rs, 1).unwrap();
+        let texts = from_rows(&rs, 1).unwrap();
         assert!(texts.is_null(1));
-        assert!(matches!(&texts, ValueVector::Text { values, .. } if &*values[0] == "a"));
+        assert!(matches!(&texts, ValueVector::Text { values, .. } if &**values[0] == "a"));
     }
 
     #[test]
     fn mixed_and_unsupported_columns_refuse_to_transpose() {
-        let rs = vec![
+        let rs = Batch::from(vec![
             Row::new(vec![Value::int(1), Value::Boolean(true)]),
             Row::new(vec![Value::text("x"), Value::Boolean(false)]),
-        ];
-        assert!(ValueVector::from_rows(&rs, 0).is_none(), "mixed types");
-        assert!(ValueVector::from_rows(&rs, 1).is_none(), "booleans");
+        ]);
+        assert!(from_rows(&rs, 0).is_none(), "mixed types");
+        assert!(from_rows(&rs, 1).is_none(), "booleans");
     }
 
     #[test]
     fn all_null_column_transposes_with_every_slot_null() {
-        let rs = vec![Row::new(vec![Value::Null]), Row::new(vec![Value::Null])];
-        let vec = ValueVector::from_rows(&rs, 0).unwrap();
+        let rs = Batch::from(vec![
+            Row::new(vec![Value::Null]),
+            Row::new(vec![Value::Null]),
+        ]);
+        let vec = from_rows(&rs, 0).unwrap();
         assert!(vec.is_null(0) && vec.is_null(1));
     }
 
@@ -532,7 +488,7 @@ mod tests {
         let rs = rows();
         let pred = Expr::col_cmp_value(0, CmpOp::Gt, Value::int(1));
         let compiled = VectorPredicate::compile(&pred).unwrap();
-        let mask = compiled.evaluate(&rs).unwrap();
+        let mask = compiled.evaluate(&Batch::from(rs.clone())).unwrap();
         let expected: Vec<bool> = rs.iter().map(|r| pred.eval_predicate(r).unwrap()).collect();
         assert_eq!(mask, expected);
         // NULL never selected.
@@ -552,7 +508,7 @@ mod tests {
             Box::new(Expr::col_cmp_value(2, CmpOp::Lt, Value::Float(4.0))),
         );
         let compiled = VectorPredicate::compile(&pred).unwrap();
-        let mask = compiled.evaluate(&rs).unwrap();
+        let mask = compiled.evaluate(&Batch::from(rs.clone())).unwrap();
         let expected: Vec<bool> = rs.iter().map(|r| pred.eval_predicate(r).unwrap()).collect();
         assert_eq!(mask, expected);
         assert_eq!(mask, vec![false, true, false, false]);
@@ -568,7 +524,7 @@ mod tests {
         let pred = Expr::col_eq(0, 0);
         let compiled = VectorPredicate::compile(&pred).unwrap();
         assert_eq!(
-            compiled.evaluate(&rs).unwrap(),
+            compiled.evaluate(&Batch::from(rs.clone())).unwrap(),
             vec![true, true, false],
             "x = x is false for NULL"
         );
@@ -579,7 +535,7 @@ mod tests {
         };
         let mask = VectorPredicate::compile(&pred)
             .unwrap()
-            .evaluate(&rs)
+            .evaluate(&Batch::from(rs.clone()))
             .unwrap();
         let expected: Vec<bool> = rs.iter().map(|r| pred.eval_predicate(r).unwrap()).collect();
         assert_eq!(mask, expected);
@@ -607,13 +563,6 @@ mod tests {
         // but the kernel has no typed arm, so evaluation falls back.
         let pred = Expr::col_cmp_value(0, CmpOp::Eq, Value::text("x"));
         let compiled = VectorPredicate::compile(&pred).unwrap();
-        assert!(compiled.evaluate(&rs).is_none());
-    }
-
-    #[test]
-    fn gather_keeps_the_selected_rows_in_order() {
-        let kept = gather_selected(rows(), &[true, false, false, true]);
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[1].get(0), Some(&Value::int(4)));
+        assert!(compiled.evaluate(&Batch::from(rs)).is_none());
     }
 }

@@ -7,7 +7,7 @@
 //! crate.
 
 use crate::error::StoreError;
-use crate::tuple::Row;
+use crate::tuple::RowView;
 use crate::value::Value;
 use std::cmp::Ordering;
 
@@ -259,12 +259,12 @@ impl Expr {
         }
     }
 
-    /// Evaluate the expression against a row, producing a value
-    /// (`Value::Null` encodes SQL UNKNOWN for boolean contexts).
-    pub fn eval(&self, row: &Row) -> Result<Value, StoreError> {
+    /// Evaluate the expression against a row, wherever it lies, producing
+    /// a value (`Value::Null` encodes SQL UNKNOWN for boolean contexts).
+    pub fn eval<R: RowView + ?Sized>(&self, row: &R) -> Result<Value, StoreError> {
         match self {
             Expr::Literal(v) => Ok(v.clone()),
-            Expr::Column(i) => Ok(row.get(*i).cloned().unwrap_or(Value::Null)),
+            Expr::Column(i) => Ok(row.value(*i).cloned().unwrap_or(Value::Null)),
             Expr::Compare { op, left, right } => {
                 let l = left.eval(row)?;
                 let r = right.eval(row)?;
@@ -341,7 +341,7 @@ impl Expr {
 
     /// Evaluate as a filter predicate: UNKNOWN (NULL) counts as false, per
     /// SQL WHERE semantics.
-    pub fn eval_predicate(&self, row: &Row) -> Result<bool, StoreError> {
+    pub fn eval_predicate<R: RowView + ?Sized>(&self, row: &R) -> Result<bool, StoreError> {
         Ok(matches!(self.eval(row)?, Value::Boolean(true)))
     }
 
@@ -497,6 +497,7 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Row;
 
     fn row() -> Row {
         Row::new(vec![

@@ -170,20 +170,6 @@ pub fn top_values(table: &Table, column: &str, k: usize) -> Vec<(Value, usize)> 
     out
 }
 
-/// A uniform sample of row indices (first `k` of a deterministic stride),
-/// deterministic so narrated samples are stable across runs.
-pub fn sample_rows(table: &Table, k: usize) -> Vec<usize> {
-    let n = table.len();
-    if n == 0 || k == 0 {
-        return Vec::new();
-    }
-    if k >= n {
-        return (0..n).collect();
-    }
-    let stride = n as f64 / k as f64;
-    (0..k).map(|i| (i as f64 * stride) as usize).collect()
-}
-
 /// Basic numeric summary of a column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnSummary {
@@ -1203,15 +1189,6 @@ mod tests {
         let top = top_values(&t, "year", 2);
         assert_eq!(top[0].1, 2);
         assert_eq!(top[0].0, Value::int(2005));
-    }
-
-    #[test]
-    fn sample_rows_is_deterministic_and_bounded() {
-        let t = table();
-        assert_eq!(sample_rows(&t, 3).len(), 3);
-        assert_eq!(sample_rows(&t, 100).len(), 6);
-        assert_eq!(sample_rows(&t, 3), sample_rows(&t, 3));
-        assert!(sample_rows(&t, 0).is_empty());
     }
 
     #[test]

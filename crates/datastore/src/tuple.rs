@@ -9,11 +9,13 @@ use std::sync::Arc;
 /// A single tuple: an ordered list of values matching a relation's columns.
 ///
 /// The values sit behind one shared allocation, so a clone is a reference
-/// count: a scan, a join build, a result set and the table itself can all
-/// hold "the same row" without copying a value. Only an operation that
-/// makes a *new* tuple ([`Row::new`], [`Row::concat`], [`Row::project`],
-/// collecting an iterator) allocates, once; writing through
-/// [`Row::get_mut`] copies first when anyone else still holds the row.
+/// count: a table, a hash join's build side and a result set can all hold
+/// "the same row" without copying a value. Operators hand each other
+/// positions ([`crate::exec::Batch`]) and read rows where they lie
+/// ([`RowView`]); a `Row` is made only where a row outlives its batch, by
+/// cloning a stored row's handle or by collecting values into one new
+/// allocation. Writing through [`Row::get_mut`] copies first when anyone
+/// else still holds the row.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Row {
     values: Arc<[Value]>,
@@ -68,31 +70,6 @@ impl Row {
             .collect()
     }
 
-    /// The row a join emits for `self` beside `right`: the values at the
-    /// `output` positions of `self ++ right`, allocated once — or the empty
-    /// row, which allocates nothing, when the consumers read no column (a
-    /// `count(*)` above the join).
-    pub(crate) fn join(&self, right: &Row, output: &[usize]) -> Row {
-        if output.is_empty() {
-            return Row::empty();
-        }
-        let split = self.values.len();
-        (output.iter())
-            .map(|&i| match self.values.get(i) {
-                Some(v) => v.clone(),
-                None => right.values[i - split].clone(),
-            })
-            .collect()
-    }
-
-    /// Project the row onto the given positions.
-    pub fn project(&self, indices: &[usize]) -> Row {
-        indices
-            .iter()
-            .map(|&i| self.values.get(i).cloned().unwrap_or(Value::Null))
-            .collect()
-    }
-
     /// Hashable key over the given positions, telling apart what `=` does
     /// not (`3` and `3.0`, `-0.0` and `0.0`): the apply memo's and the
     /// primary key's identity. The hash operators compare by `=` instead.
@@ -105,6 +82,26 @@ impl Row {
     /// Consume the row and return its values.
     pub fn into_values(self) -> Vec<Value> {
         self.values.to_vec()
+    }
+}
+
+/// Read access to one row's values by position, wherever they lie: a
+/// [`Row`], or a row of a [`crate::exec::Batch`] read where its store holds
+/// it. What [`crate::expr::Expr::eval`] and the hash operators' keys read.
+pub trait RowView {
+    /// The value at position `i`; `None` past the row's end.
+    fn value(&self, i: usize) -> Option<&Value>;
+}
+
+impl RowView for Row {
+    fn value(&self, i: usize) -> Option<&Value> {
+        self.values.get(i)
+    }
+}
+
+impl<R: RowView + ?Sized> RowView for &R {
+    fn value(&self, i: usize) -> Option<&Value> {
+        (**self).value(i)
     }
 }
 
@@ -189,15 +186,6 @@ mod tests {
             Value::text("Match Point"),
             Value::int(2005),
         ])
-    }
-
-    #[test]
-    fn project_reorders_and_pads_missing() {
-        let r = row();
-        let p = r.project(&[2, 0]);
-        assert_eq!(p.values(), &[Value::int(2005), Value::int(1)]);
-        let padded = r.project(&[5]);
-        assert_eq!(padded.values(), &[Value::Null]);
     }
 
     #[test]

@@ -122,14 +122,6 @@ impl SchemaGraph {
         self.relation_index(name).map(|i| &self.relations[i])
     }
 
-    /// Attribute nodes belonging to a relation, in schema order.
-    pub fn attributes_of(&self, relation: usize) -> Vec<&AttributeNode> {
-        self.attributes
-            .iter()
-            .filter(|a| a.relation == relation)
-            .collect()
-    }
-
     /// The join edge between two relations, if one exists (in either
     /// direction).
     pub fn join_between(&self, a: usize, b: usize) -> Option<&JoinEdge> {
@@ -152,17 +144,6 @@ impl SchemaGraph {
     pub fn set_relation_weight(&mut self, name: &str, weight: f64) {
         if let Some(i) = self.relation_index(name) {
             self.relations[i].weight = weight;
-        }
-    }
-
-    /// Set the weight of an attribute node.
-    pub fn set_attribute_weight(&mut self, relation: &str, attribute: &str, weight: f64) {
-        if let Some(r) = self.relation_index(relation) {
-            for a in &mut self.attributes {
-                if a.relation == r && a.name.eq_ignore_ascii_case(attribute) {
-                    a.weight = weight;
-                }
-            }
         }
     }
 
@@ -240,31 +221,11 @@ mod tests {
         g.set_relation_weight("DIRECTOR", 5.0);
         let central = g.central_relation().unwrap();
         assert_eq!(g.relations[central].name, "DIRECTOR");
-        // Attribute weight setter is tolerant of unknown names.
-        g.set_attribute_weight("DIRECTOR", "bdate", 3.0);
-        g.set_attribute_weight("NOPE", "x", 3.0);
-        let director = g.relation_index("DIRECTOR").unwrap();
-        assert!(g
-            .attributes_of(director)
-            .iter()
-            .any(|a| a.name == "bdate" && a.weight == 3.0));
     }
 
     #[test]
     fn catalog_without_data_also_builds() {
         let g = SchemaGraph::from_catalog(movie_catalog().catalog());
         assert_eq!(g.relation_count(), 6);
-    }
-
-    #[test]
-    fn attributes_of_returns_schema_order() {
-        let g = graph();
-        let movies = g.relation_index("MOVIES").unwrap();
-        let names: Vec<&str> = g
-            .attributes_of(movies)
-            .iter()
-            .map(|a| a.name.as_str())
-            .collect();
-        assert_eq!(names, vec!["id", "title", "year"]);
     }
 }

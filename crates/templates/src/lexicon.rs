@@ -170,19 +170,6 @@ impl Lexicon {
             .find(|v| v.subject == key(subject) && v.object == key(object))
     }
 
-    /// A verb phrase connecting two relations in either direction, preferring
-    /// the requested direction; falls back to a neutral "is related to".
-    pub fn verb_phrase(&self, subject: &str, object: &str) -> String {
-        if let Some(v) = self.verb(subject, object) {
-            return v.verb.clone();
-        }
-        if let Some(v) = self.verb(object, subject) {
-            // Passive-ish fallback for the reverse direction.
-            return format!("is involved with ({})", v.verb);
-        }
-        "is related to".to_string()
-    }
-
     /// Set the gender hint for a relation's tuples.
     pub fn set_gender(&mut self, relation: &str, gender: Gender) -> &mut Self {
         self.genders.insert(key(relation), gender);
@@ -210,7 +197,7 @@ mod tests {
         assert_eq!(lex.attribute_phrase("DIRECTOR", "blocation"), "was born in");
         assert_eq!(lex.attribute_phrase("DIRECTOR", "BDATE"), "was born on");
         assert_eq!(lex.verb("ACTOR", "MOVIES").unwrap().verb, "plays in");
-        assert_eq!(lex.verb_phrase("DIRECTOR", "MOVIES"), "directed");
+        assert_eq!(lex.verb("DIRECTOR", "MOVIES").unwrap().verb, "directed");
     }
 
     #[test]
@@ -218,15 +205,8 @@ mod tests {
         let lex = Lexicon::new();
         assert_eq!(lex.concept("COMPANIES"), "company");
         assert_eq!(lex.attribute_phrase("MOVIES", "Budget"), "has budget");
-        assert_eq!(lex.verb_phrase("A", "B"), "is related to");
+        assert!(lex.verb("A", "B").is_none());
         assert_eq!(lex.gender("ANYTHING"), Gender::Neuter);
-    }
-
-    #[test]
-    fn reverse_direction_verbs_fall_back_to_a_passive_phrase() {
-        let mut lex = Lexicon::new();
-        lex.add_verb("ACTOR", "MOVIES", "plays in", "play in");
-        assert!(lex.verb_phrase("MOVIES", "ACTOR").contains("plays in"));
     }
 
     #[test]

@@ -9,39 +9,40 @@
 //!
 //! On the ×300 database with its four indexes:
 //!
-//! - `lookup`'s five read shapes, each a plan-cache hit: point read 9, CAST
-//!   prefix 11, index nested-loop join by hashed name 23, year + id range
-//!   44, index-only 10. A hit neither parses, plans, copies nor opens a
-//!   plan: it rewinds the operator tree its template keeps with the
-//!   statement's literals, drains it and writes its counters against the
-//!   template's shape.
-//! - An insert into MOVIES right after them: 6. A write lets go of every
-//!   kept tree first, so the table it changes is written in place; a tree
-//!   still pinning it would have the insert copy the table and its indexes.
+//! - `lookup`'s five read shapes, each a plan-cache hit: point read 7, CAST
+//!   prefix 9, index nested-loop join by hashed name 18, year + id range 42,
+//!   index-only 10. A hit neither parses, plans, copies nor opens a plan: it
+//!   rewinds the operator tree its template keeps with the statement's
+//!   literals, drains it and writes its counters against the template's
+//!   shape.
+//! - An insert into MOVIES right after them: 6. A write lets go of the trees
+//!   the templates parked first, so the table it changes is written in
+//!   place; a tree still pinning it would have the insert copy the table and
+//!   its indexes.
 //! - Each shape's miss after an epoch bump — parse, plan the statement once
-//!   as its template, open the template's tree and run it — 119, 124, 335,
-//!   238 and 130, and `plan_query_with` alone on the parsed shape, with
+//!   as its template, open the template's tree and run it — 118, 123, 335,
+//!   237 and 130, and `plan_query_with` alone on the parsed shape, with
 //!   ceilings of 91, 97, 298, 151 and 112 (it makes 65, 68, 211, 107 and
 //!   70). A shape the parameterizer refuses (an `IN` list), planned afresh
-//!   from the statement as parsed: 244.
+//!   from the statement as parsed: 231.
 //! - The execution alone of `analytic`'s many-groups aggregate over CAST
-//!   (1,873), its unfiltered three-way join (18,150, ceiling 20,954: about
-//!   two per CAST row, a joined row per level), its two-way join +
-//!   aggregate (9,242) and its full sort (32).
+//!   (1,873), its unfiltered three-way join (9,168, ceiling 9,300: its 9,000
+//!   one-value result rows, which are the only rows it makes), its two-way
+//!   join + aggregate (244) and its full sort (29).
 //! - Index DDL through `Talkback::execute_ddl`, the build and its narrated
 //!   confirmation: `create index idx_movies_title on MOVIES (title)` 315
 //!   and `create index idx_cast_aid on CAST (aid)` 1,944.
 //!
 //! On the 100-movie database:
 //!
-//! - Q6, Q7 and Q9 from their templates, whole: 1,242, 656 and 3,499; Q6 and
-//!   Q9 executed alone from a fresh plan: 1,287 and 3,630. Their applies
-//!   rewind one open subplan for each of their 100 bindings. Q8 is printed
-//!   only.
+//! - Q6, Q7, Q8 and Q9 from their templates, whole: 855, 356, 208 and 2,794;
+//!   Q6 and Q9 executed alone from a fresh plan: 900 and 2,930. Their applies
+//!   rewind one open subplan for each of their 100 bindings. Q7's and Q8's
+//!   executions alone are printed only.
 //! - A fresh correlated `EXISTS` and a fresh `NOT IN`, each a miss: 435 and
-//!   457.
+//!   301.
 //! - Narration: Q1's `Talkback::explain_result` from its template (62);
-//!   `EXPLAIN` of Q1 (159) and `EXPLAIN ANALYZE` of Q6 (1,329) from their
+//!   `EXPLAIN` of Q1 (159) and `EXPLAIN ANALYZE` of Q6 (942) from their
 //!   templates, the decisions bound, nothing parsed or planned; and
 //!   `explain_query` of `talkback`'s insert, translated afresh on every
 //!   call (42).
@@ -252,7 +253,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
             system.run_query_with(&sql, options).unwrap();
         }
     }
-    let ceilings = [9, 11, 23, 44, 10].map(Some);
+    let ceilings = [7, 9, 18, 42, 10].map(Some);
     for ((what, sql), ceiling) in lookup_shapes(&actors, 1000).into_iter().zip(ceilings) {
         let (n, answer) = allocations(|| system.run_query_with(&sql, options).unwrap());
         assert!(!answer.is_empty() || what.contains("range"), "{sql}");
@@ -279,7 +280,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     // A plan-cache miss: an epoch bump retires every template, so the
     // statement is parsed, planned as its template, bound and executed.
     // Then the planner alone on the parsed shape.
-    let ceilings = [(119, 91), (124, 97), (335, 298), (238, 151), (130, 112)];
+    let ceilings = [(118, 91), (123, 97), (335, 298), (237, 151), (130, 112)];
     for ((what, sql), (miss, plan)) in lookup_shapes(&actors, 1001).into_iter().zip(ceilings) {
         system
             .database()
@@ -306,15 +307,15 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     let (n, _) = allocations(|| system.run_query_with(REFUSED, options).unwrap());
     let cache = system.database().obs().journal().last().unwrap().cache;
     assert_ne!(cache, datastore::CacheStatus::Hit, "{REFUSED}");
-    rows.push(Row::new("miss of a refused shape (IN list)", n, Some(244)));
+    rows.push(Row::new("miss of a refused shape (IN list)", n, Some(231)));
 
     for (what, sql, ceiling) in [
         ("CAST groups by aid", CAST_GROUPS, 1_873),
-        // Neither join's output row nor the projection's is more than the
-        // one column read above it.
-        ("three-way join", THREE_WAY, 20_954),
-        ("two-way join + aggregate", JOIN_GROUPS, 9_242),
-        ("full sort", FULL_SORT, 32),
+        // Neither join makes a row: the result set makes its one-value
+        // rows.
+        ("three-way join", THREE_WAY, 9_300),
+        ("two-way join + aggregate", JOIN_GROUPS, 244),
+        ("full sort", FULL_SORT, 29),
     ] {
         let query = sqlparse::parse_query(sql).unwrap();
         let planned = plan_query_with(system.database(), &query, options).unwrap();
@@ -346,10 +347,10 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
     }
     let q7 = q7(2);
     for (name, sql, ceilings) in [
-        ("Q6", Q6, [Some(1_242), Some(1_287)]),
-        ("Q7", &q7, [Some(656), None]),
-        ("Q8", Q8, [None, None]),
-        ("Q9", Q9, [Some(3_499), Some(3_630)]),
+        ("Q6", Q6, [Some(855), Some(900)]),
+        ("Q7", &q7, [Some(356), None]),
+        ("Q8", Q8, [Some(208), None]),
+        ("Q9", Q9, [Some(2_794), Some(2_930)]),
     ] {
         // A cache hit, binding included: what the statement costs whole.
         let (whole, _) = allocations(|| system.run_query_with(sql, options).unwrap());
@@ -371,7 +372,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
         ));
     }
 
-    for (name, sql, ceiling) in [("EXISTS", EXISTS, 435), ("NOT IN", NOT_IN, 457)] {
+    for (name, sql, ceiling) in [("EXISTS", EXISTS, 435), ("NOT IN", NOT_IN, 301)] {
         system
             .database()
             .adaptive()
@@ -408,7 +409,7 @@ fn a_repeated_statement_stays_within_its_allocation_budget() {
             "EXPLAIN ANALYZE of Q6 from a template",
             "explain analyze",
             Q6,
-            1_329,
+            942,
         ),
     ] {
         let explain = format!("{form} {sql}");

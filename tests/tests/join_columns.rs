@@ -16,7 +16,11 @@
 //!   a scalar subquery over it;
 //! * the join as the outer block of a correlated `[NOT] EXISTS` or a
 //!   correlated count (a semi-/anti-join, a keyed scalar subquery or an
-//!   `Apply` over the narrowed join).
+//!   `Apply` over the narrowed join);
+//! * the join joined once more: to DIRECTOR on a range of ids (a nested-loop
+//!   join), or to MOVIES on its key (an index nested-loop join, or a hash
+//!   join, above the narrowed one);
+//! * `LIMIT` alone, and `ORDER BY` alone.
 //!
 //! Each answer is held, rows in order and values by their spelling, to the
 //! same reader run over the join's `select *` answer stored as a table of its
@@ -232,6 +236,11 @@ enum Reader {
     /// The join as the outer block of a correlated subquery on GENRE: `[NOT]
     /// EXISTS`, or a count compared with one (`Some(count)`).
     Outer(Vec<Col>, Col, Option<i64>, bool),
+    /// The join joined again on an integer column: to DIRECTOR by a range
+    /// of ids (`true`), or to MOVIES by its key.
+    Again(Vec<Col>, Col, bool),
+    Limit(Vec<Col>, usize),
+    Sort(Vec<Col>, Vec<(Col, bool)>),
 }
 
 /// A projected column: a plain column, or a computed one.
@@ -313,12 +322,31 @@ fn draw_reader(rng: &mut StdRng, join: &Join, kind: usize) -> Reader {
         }
         6 => Reader::Exists(pick(rng, &ints), rng.gen_bool(0.5)),
         7 => Reader::Scalar(pick(rng, &["max", "min", "count"]), pick(rng, &ints)),
+        9 | 10 => Reader::Again(draw_columns(rng, join, 2), pick(rng, &ints), kind == 9),
+        11 => Reader::Limit(draw_columns(rng, join, 3), rng.gen_range(1..=40)),
+        12 => {
+            let keys: Vec<(Col, bool)> = (0..rng.gen_range(1..=2))
+                .map(|_| (pick(rng, &join.columns), rng.gen_bool(0.7)))
+                .collect();
+            // A sort key is one of the columns projected.
+            let mut columns = draw_columns(rng, join, 2);
+            columns.extend(keys.iter().map(|&(c, _)| c));
+            Reader::Sort(columns, keys)
+        }
         _ => {
             let count = rng.gen_bool(0.5).then(|| rng.gen_range(0..3));
             let columns = draw_columns(rng, join, 3);
             Reader::Outer(columns, pick(rng, &ints), count, rng.gen_bool(0.5))
         }
     }
+}
+
+/// `ORDER BY` keys, `desc` where a key descends.
+fn order(keys: &[(Col, bool)], spell: Spell) -> String {
+    (keys.iter())
+        .map(|(c, asc)| format!("{}{}", spell(*c), if *asc { "" } else { " desc" }))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 fn list(columns: &[Col], spell: Spell) -> String {
@@ -357,12 +385,36 @@ fn statement(reader: &Reader, source: &str, spell: Spell) -> String {
         }
         Reader::CountStar => format!("select count(*) from {source}"),
         Reader::TopK(columns, keys, limit) => {
-            let keys = (keys.iter())
-                .map(|(c, asc)| format!("{}{}", spell(*c), if *asc { "" } else { " desc" }))
-                .collect::<Vec<_>>()
-                .join(", ");
+            let keys = order(keys, spell);
             let columns = list(columns, spell);
             format!("select {columns} from {source} order by {keys} limit {limit}")
+        }
+        Reader::Sort(columns, keys) => {
+            let (keys, columns) = (order(keys, spell), list(columns, spell));
+            format!("select {columns} from {source} order by {keys}")
+        }
+        Reader::Limit(columns, limit) => {
+            format!(
+                "select {} from {source} limit {limit}",
+                list(columns, spell)
+            )
+        }
+        Reader::Again(columns, key, range) => {
+            let (from, conjuncts) = match source.split_once(" where ") {
+                Some((from, conjuncts)) => (from, format!("{conjuncts} and ")),
+                None => (source, String::new()),
+            };
+            let key = spell(*key);
+            let (other, read, test) = match range {
+                true => (
+                    "DIRECTOR dx",
+                    "dx.id",
+                    format!("dx.id < {key} and dx.id > {key} - 3"),
+                ),
+                false => ("MOVIES mx", "mx.title", format!("mx.id = {key}")),
+            };
+            let columns = list(columns, spell);
+            format!("select {columns}, {read} from {from}, {other} where {conjuncts}{test}")
         }
         Reader::Distinct(columns) => {
             format!("select distinct {} from {source}", list(columns, spell))
@@ -461,10 +513,11 @@ fn spelled(rows: &[Row]) -> Vec<String> {
 /// `rows` as the comparison takes them: in order, except where the join is
 /// planned beside a subquery — an `IN` the rewriter flattens into the outer
 /// block, or the outer block of a correlated subquery, which the planner
-/// may order by the subquery's selectivity — and each join is ordered as
-/// its own plan has it.
+/// may order by the subquery's selectivity — or beside one more relation,
+/// whose place among the others the planner chooses; each join is ordered
+/// as its own plan has it.
 fn in_order(mut rows: Vec<String>, reader: &Reader) -> Vec<String> {
-    if let Reader::In(_, false) | Reader::Outer(..) = reader {
+    if let Reader::In(_, false) | Reader::Outer(..) | Reader::Again(..) = reader {
         rows.sort();
     }
     rows
@@ -516,7 +569,7 @@ fn narrowed(plan: &Plan) -> bool {
     found
 }
 
-const READERS: usize = 9;
+const READERS: usize = 13;
 
 #[test]
 fn narrowed_joins_answer_as_their_stored_select_star() {

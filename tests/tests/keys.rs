@@ -25,7 +25,7 @@
 //! The differential's seeds are fixed; `KEYS_SEED=<u64>` adds one more (CI
 //! passes the clock), and every failure names its seed.
 
-use datastore::exec::{execute, AggExpr, AggFunc, ColumnInfo, GroupedAggregator, Plan};
+use datastore::exec::{execute, AggExpr, AggFunc, Batch, ColumnInfo, GroupedAggregator, Plan};
 use datastore::expr::{CmpOp, Expr};
 use datastore::{ColumnDef, DataType, Database, Row, TableSchema, Value};
 use rand::rngs::StdRng;
@@ -391,7 +391,7 @@ fn aggregates_in(build: &[Row], keys: &[usize], batch: usize, at: &str) {
     for vectorized in [false, true] {
         let mut whole = GroupedAggregator::new(keys.to_vec(), aggs(), vectorized);
         for batch in rows.chunks(batch) {
-            whole.push_batch(batch).unwrap();
+            whole.push_batch(&Batch::from(batch.to_vec())).unwrap();
         }
         let answer = spelled(&whole.finish(None).unwrap());
         assert_eq!(

@@ -118,12 +118,21 @@ fn random_query(rng: &mut StdRng) -> String {
     }
 }
 
+/// The seed of the 48 random queries: fixed, or `VECTORIZED_SEED=<u64>`
+/// (CI passes the clock).
+fn seed() -> u64 {
+    std::env::var("VECTORIZED_SEED").map_or(0xDB06, |seed| {
+        seed.parse().expect("VECTORIZED_SEED is a u64")
+    })
+}
+
 #[test]
 fn random_queries_agree_across_the_full_ab_matrix() {
     let db = scaled_db();
     // Its own database: what this one learns must not steer the plans below.
     let learner = Talkback::new(scaled_db());
-    let mut rng = StdRng::seed_from_u64(0xDB06);
+    let seed = seed();
+    let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..48 {
         let sql = random_query(&mut rng);
         // Recorded ⇒ found: whatever a run of this statement teaches the
@@ -138,14 +147,14 @@ fn random_queries_agree_across_the_full_ab_matrix() {
         for vectorized in [false, true] {
             for indexes in [false, true] {
                 let planned = plan_query_with(&db, &q, opts(vectorized, indexes))
-                    .unwrap_or_else(|e| panic!("planning {sql:?} failed: {e}"));
+                    .unwrap_or_else(|e| panic!("seed {seed}: planning {sql:?} failed: {e}"));
                 let (rs, _) = execute_with_stats(&db, &planned.plan)
-                    .unwrap_or_else(|e| panic!("executing {sql:?} failed: {e}"));
+                    .unwrap_or_else(|e| panic!("seed {seed}: executing {sql:?} failed: {e}"));
                 match &baseline {
                     None => baseline = Some(rs.rows),
                     Some(expected) => assert_eq!(
                         expected, &rs.rows,
-                        "{sql:?} diverged at vectorized={vectorized} indexes={indexes}"
+                        "seed {seed}: {sql:?} diverged at vectorized={vectorized} indexes={indexes}"
                     ),
                 }
             }
