@@ -50,14 +50,15 @@
 //! compares, hashes and borrows as the slice of its values, so a one-column
 //! probe looks its key up through a slice of one value on the stack. A
 //! posting list holds a lone row position inline until a second row
-//! arrives. [`Index::build`] sorts `(key, position)` once, folds each run of
-//! equal keys into one posting list and loads the map from the sorted runs
-//! (a hash index fills a map sized up front). `3` and `3.0` (or `0.0` and
-//! `-0.0`) fall into one ordered run, spelled by its lowest position — the
-//! spelling an index-only scan reports and that maintenance keeps row by
-//! row (a row entering in front of a key's rows respells it; the first row
-//! leaving hands the spelling on), so a bulk-built index and one grown by
-//! `Index::insert` are the same index.
+//! arrives. [`Index::build`] sorts `(key, position)` once — as `i64`s or
+//! `&str`s when a one-column key's values are all Integer or all Text —
+//! folds each run of equal keys into one posting list and loads the map
+//! from the sorted runs (a hash index fills a map sized up front). `3` and
+//! `3.0` (or `0.0` and `-0.0`) fall into one ordered run, spelled by its
+//! lowest position — the spelling an index-only scan reports and that
+//! maintenance keeps row by row (a row entering in front of a key's rows
+//! respells it; the first row leaving hands the spelling on), so a
+//! bulk-built index and one grown by `Index::insert` are the same index.
 
 use crate::error::StoreError;
 use crate::exec::plan::{Relation, RelationMemo};
@@ -227,6 +228,53 @@ fn with_key<'v, T, R>(
 
 fn ord_key(value: &Value) -> OrdKey {
     OrdKey(value.clone())
+}
+
+/// The `(key, position)` pairs of a one-column key whose non-NULL values
+/// all have a `K` (`of`); `None` for a wider key, or when one has none.
+fn one_column_keys<'r, K>(
+    rows: &'r [Row],
+    column_pos: &[usize],
+    of: impl Fn(&'r Value) -> Option<K>,
+) -> Option<Vec<(K, usize)>> {
+    let &[only] = column_pos else { return None };
+    let values = rows.iter().map(|row| row.get(only).unwrap_or(&Value::Null));
+    if !values.clone().all(|v| v.is_null() || of(v).is_some()) {
+        return None;
+    }
+    let mut keyed = Vec::with_capacity(rows.len());
+    keyed.extend(
+        values
+            .enumerate()
+            .filter_map(|(pos, v)| Some((of(v)?, pos))),
+    );
+    Some(keyed)
+}
+
+/// Sort `(key, position)` pairs and fold each run of equal keys into one
+/// posting list, its lowest position first; `key` turns a run's key and
+/// first position into the stored key. Also the number of pairs.
+fn load<K: Ord>(
+    mut keyed: Vec<(K, usize)>,
+    key: impl Fn(K, usize) -> Key<OrdKey>,
+) -> (usize, BTreeMap<Key<OrdKey>, Postings>) {
+    let entries = keyed.len();
+    keyed.sort_unstable();
+    let mut sorted = keyed.into_iter().peekable();
+    let mut run = Vec::new();
+    let runs = std::iter::from_fn(|| {
+        let (k, first) = sorted.next()?;
+        run.clear();
+        while let Some((_, pos)) = sorted.next_if(|(next, _)| *next == k) {
+            run.push(pos);
+        }
+        let postings = match run[..] {
+            [] => Postings::One(first),
+            _ => Postings::Many([&[first], &run[..]].concat()),
+        };
+        Some((key(k, first), postings))
+    });
+    (entries, runs.collect())
 }
 
 /// The row positions under one key, in position order: a lone row inline,
@@ -491,8 +539,11 @@ impl Index {
     /// Build an index over the given key column positions of the rows, in
     /// bulk: an ordered index sorts `(key, position)` once and loads the map
     /// from the sorted runs of equal keys, each spelled by its lowest
-    /// position; a hash index is filled in one pass into a map sized up
-    /// front.
+    /// position's value; a hash index is filled in one pass into a map sized
+    /// up front. The sort's comparator is chosen once per build: `i64` for a
+    /// one-column key whose values are all Integer, `&str` for one whose
+    /// values are all Text (which order and tie there as
+    /// [`Value::total_cmp`] does), and `total_cmp` for any other key.
     pub fn build(def: IndexDef, rows: &[Row], column_pos: Vec<usize>) -> Index {
         debug_assert_eq!(def.columns.len(), column_pos.len());
         let mut index = Index {
@@ -509,29 +560,21 @@ impl Index {
             }
             return index;
         }
-        let mut keyed = Vec::with_capacity(rows.len());
-        for (pos, row) in rows.iter().enumerate() {
-            keyed.extend(row_key(&index.column_pos, row, ord_key).map(|key| (key, pos)));
-        }
-        index.entries = keyed.len();
-        // Equal keys in position order, so a run's first row is its lowest
-        // position.
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut sorted = keyed.into_iter().peekable();
-        let mut run = Vec::new();
-        let runs = std::iter::from_fn(|| {
-            let (key, first) = sorted.next()?;
-            run.clear();
-            while let Some((_, pos)) = sorted.next_if(|(next, _)| *next == key) {
-                run.push(pos);
-            }
-            let postings = match run[..] {
-                [] => Postings::One(first),
-                _ => Postings::Many([&[first], &run[..]].concat()),
-            };
-            Some((key, postings))
-        });
-        index.store = IndexStore::Ordered(runs.collect());
+        let column_pos = &index.column_pos;
+        // A one-column key's run is spelled by the value of its first row.
+        let spell = |pos: usize| Key::One(ord_key(&rows[pos].values()[column_pos[0]]));
+        let integer = |v: &Value| v.as_i64().filter(|_| matches!(v, Value::Integer(_)));
+        let (entries, map) = if let Some(keyed) = one_column_keys(rows, column_pos, integer) {
+            load(keyed, |_, first| spell(first))
+        } else if let Some(keyed) = one_column_keys(rows, column_pos, Value::as_str) {
+            load(keyed, |_, first| spell(first))
+        } else {
+            let keyed = (rows.iter().enumerate())
+                .filter_map(|(pos, row)| Some((row_key(column_pos, row, ord_key)?, pos)));
+            load(keyed.collect(), |key, _| key)
+        };
+        index.entries = entries;
+        index.store = IndexStore::Ordered(map);
         index
     }
 

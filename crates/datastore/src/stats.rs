@@ -15,7 +15,9 @@
 //! Nothing here reads a table's rows. Every [`Table`] keeps one
 //! `LiveColumn` per column current as rows come and go, and statistics,
 //! histograms and frequency tables are all views of those: exact at all
-//! times, at the price of one counter update per value written.
+//! times, at the price of one counter update per value written (an Integer
+//! column's counts are kept in value order, so a snapshot finds its bounds
+//! and buckets by binary search).
 
 use crate::catalog::FoldedName;
 use crate::table::Table;
@@ -438,15 +440,16 @@ fn extreme_cmp(a: &Value, b: &Value) -> Ordering {
 }
 
 /// How often each distinct non-NULL value of one column occurs. Typed by the
-/// column's declared type, because the map stays resident: an integer costs
-/// its eight bytes, a text one boxed string that a lookup borrows — counting
-/// a value already present allocates nothing. A value of another type (only
-/// an unchecked `update_where` can store one) turns the map into the general
-/// one, which a Float column starts with: it tells `3` from `3.0`, as
+/// column's declared type, because the counts stay resident: an integer
+/// costs its eight bytes in an ordered summary ([`IntegerCounts`]), a text
+/// one boxed string that a lookup borrows — counting a value already present
+/// allocates nothing. A value of another type (only an unchecked
+/// `update_where` can store one) turns the counts into the general map,
+/// which a Float column starts with: it tells `3` from `3.0`, as
 /// [`Value::group_key`] does.
 #[derive(Debug, Clone)]
 enum ValueCounts {
-    Integer(HashMap<i64, u32>),
+    Integer(IntegerCounts),
     /// Keyed by the rows' own shared strings: counting a value copies none.
     Text(HashMap<Arc<str>, u32>),
     Other(HashMap<GroupKey, u32>),
@@ -455,7 +458,7 @@ enum ValueCounts {
 impl ValueCounts {
     fn for_type(data_type: DataType) -> ValueCounts {
         match data_type {
-            DataType::Integer => ValueCounts::Integer(HashMap::new()),
+            DataType::Integer => ValueCounts::Integer(IntegerCounts::default()),
             DataType::Text => ValueCounts::Text(HashMap::new()),
             _ => ValueCounts::Other(HashMap::new()),
         }
@@ -463,7 +466,7 @@ impl ValueCounts {
 
     fn add(&mut self, v: &Value) {
         match (&mut *self, v) {
-            (ValueCounts::Integer(m), Value::Integer(i)) => *m.entry(*i).or_insert(0) += 1,
+            (ValueCounts::Integer(counts), Value::Integer(i)) => _ = counts.bump(*i, true),
             (ValueCounts::Text(m), Value::Text(s)) => match m.get_mut(&**s) {
                 Some(count) => *count += 1,
                 None => {
@@ -480,9 +483,9 @@ impl ValueCounts {
 
     fn generalize(&mut self) {
         let general = match std::mem::replace(self, ValueCounts::Other(HashMap::new())) {
-            ValueCounts::Integer(m) => m
-                .into_iter()
-                .map(|(i, count)| (GroupKey::Integer(i), count))
+            ValueCounts::Integer(counts) => counts
+                .pairs()
+                .map(|(i, count)| (GroupKey::Integer(i), count as u32))
                 .collect(),
             ValueCounts::Text(m) => m
                 .into_iter()
@@ -513,7 +516,7 @@ impl ValueCounts {
             }
         }
         match (self, v) {
-            (ValueCounts::Integer(m), Value::Integer(i)) => take(m, i),
+            (ValueCounts::Integer(counts), Value::Integer(i)) => counts.bump(*i, false),
             (ValueCounts::Text(m), Value::Text(s)) => take::<_, str>(m, s),
             (ValueCounts::Other(m), _) => take(m, &v.group_key()),
             // A typed map that met another type is no longer typed.
@@ -524,7 +527,7 @@ impl ValueCounts {
     /// Number of distinct values.
     fn distinct(&self) -> usize {
         match self {
-            ValueCounts::Integer(m) => m.len(),
+            ValueCounts::Integer(counts) => counts.distinct,
             ValueCounts::Text(m) => m.len(),
             ValueCounts::Other(m) => m.len(),
         }
@@ -533,9 +536,9 @@ impl ValueCounts {
     /// Every distinct value with its count, in no particular order.
     fn values(&self) -> Vec<(Value, usize)> {
         match self {
-            ValueCounts::Integer(m) => m
-                .iter()
-                .map(|(i, count)| (Value::Integer(*i), *count as usize))
+            ValueCounts::Integer(counts) => counts
+                .pairs()
+                .map(|(i, count)| (Value::Integer(i), count))
                 .collect(),
             ValueCounts::Text(m) => m
                 .iter()
@@ -549,7 +552,7 @@ impl ValueCounts {
     }
 
     /// Extremes and histogram from scratch: two passes over the distinct
-    /// values.
+    /// values, or for integers, binary searches in their ordered summary.
     fn shape(&self) -> Shape {
         fn bounds(values: impl Iterator<Item = Value>) -> Option<(Value, Value)> {
             let mut bounds: Option<(Value, Value)> = None;
@@ -564,21 +567,7 @@ impl ValueCounts {
             bounds
         }
         match self {
-            // Integers are their own numeric view: the extremes are the
-            // histogram's range (`as f64` is monotone).
-            ValueCounts::Integer(m) => {
-                let range = m.keys().fold(None, |range: Option<(i64, i64)>, &i| {
-                    let (lo, hi) = range.unwrap_or((i, i));
-                    Some((lo.min(i), hi.max(i)))
-                });
-                Shape {
-                    bounds: range.map(|(lo, hi)| (Value::Integer(lo), Value::Integer(hi))),
-                    buckets: range.map(|(lo, hi)| {
-                        let values = m.iter().map(|(i, count)| (*i as f64, *count));
-                        Buckets::fill(lo as f64, hi as f64, values, STATS_HISTOGRAM_BUCKETS)
-                    }),
-                }
-            }
+            ValueCounts::Integer(counts) => counts.summary().0.shape(),
             // Strings are compared where they lie; only the two extremes
             // are copied.
             ValueCounts::Text(m) => {
@@ -599,9 +588,7 @@ impl ValueCounts {
     /// An equi-width histogram of `n` buckets over the numeric values.
     fn buckets(&self, n: usize) -> Option<Buckets> {
         match self {
-            ValueCounts::Integer(m) => {
-                Buckets::build(m.iter().map(|(i, count)| (*i as f64, *count)), n)
-            }
+            ValueCounts::Integer(counts) => counts.summary().0.buckets(n),
             ValueCounts::Text(_) => None,
             ValueCounts::Other(m) => Buckets::build(
                 m.iter()
@@ -609,6 +596,175 @@ impl ValueCounts {
                 n,
             ),
         }
+    }
+}
+
+/// The counts of an Integer column in value order. A write is O(log NDV): a
+/// value already present, or above the largest, is counted in place; a new
+/// value below the largest is staged, and the next snapshot merges the staged
+/// values in — the one step that walks every distinct value (a re-derived
+/// column). A count that falls to 0 stays as a tombstone until a merge (one
+/// is also made once tombstones outnumber the live values).
+#[derive(Debug, Clone, Default)]
+struct IntegerCounts {
+    sorted: SortedCounts,
+    /// New values below the largest sorted one, with their counts.
+    staged: BTreeMap<i64, usize>,
+    /// Both merged by a snapshot (through `&self`), taken in by the next write.
+    merged: OnceLock<SortedCounts>,
+    /// Number of values counted at least once, staged ones included.
+    distinct: usize,
+}
+
+impl IntegerCounts {
+    /// One more (`up`) or one fewer occurrence of `i`; true when that was
+    /// the first or the last of its value.
+    fn bump(&mut self, i: i64, up: bool) -> bool {
+        if let Some(merged) = self.merged.take() {
+            self.sorted = merged;
+            self.staged.clear();
+        }
+        let sorted = &mut self.sorted;
+        let edge = match sorted.values.binary_search(&i) {
+            Ok(at) => sorted.bump(at, up) == usize::from(up),
+            Err(at) if at == sorted.values.len() && up => {
+                sorted.push(i, 1);
+                true
+            }
+            Err(_) => {
+                let count = self.staged.entry(i).or_insert(0);
+                step(count, up);
+                let count = *count;
+                if count == 0 {
+                    self.staged.remove(&i);
+                }
+                count == usize::from(up)
+            }
+        };
+        self.distinct = self.distinct + usize::from(edge && up) - usize::from(edge && !up);
+        edge
+    }
+
+    /// Every value counted at least once, with its count, sorted ones first.
+    fn pairs(&self) -> impl Iterator<Item = (i64, usize)> + '_ {
+        let sorted = self.sorted.values.iter().zip(&self.sorted.counts);
+        (sorted.chain(&self.staged))
+            .map(|(&i, &count)| (i, count))
+            .filter(|&(_, count)| count > 0)
+    }
+
+    /// The counts with every staged value in; true when this call merged.
+    fn summary(&self) -> (&SortedCounts, bool) {
+        let tombstones = self.sorted.values.len() + self.staged.len() - self.distinct;
+        if self.staged.is_empty() && tombstones <= self.distinct {
+            return (&self.sorted, false);
+        }
+        let mut merged = false;
+        let summary = self.merged.get_or_init(|| {
+            merged = true;
+            let mut pairs: Vec<(i64, usize)> = self.pairs().collect();
+            pairs.sort(); // two ascending runs: one merge
+            let mut summary = SortedCounts::default();
+            pairs
+                .into_iter()
+                .for_each(|(i, count)| summary.push(i, count));
+            summary
+        });
+        (summary, merged)
+    }
+}
+
+/// `n` one up, or one down.
+fn step(n: &mut usize, up: bool) {
+    *n = *n + usize::from(up) - usize::from(!up);
+}
+
+/// Distinct integers in ascending order, their counts, and a Fenwick tree
+/// over the counts (*A New Data Structure for Cumulative Frequency Tables*,
+/// 1994): the number of values below any position in O(log n).
+#[derive(Debug, Clone, Default)]
+struct SortedCounts {
+    values: Vec<i64>,
+    counts: Vec<usize>,
+    /// `tree[i]` sums `counts[i & (i + 1)..=i]`.
+    tree: Vec<usize>,
+}
+
+impl SortedCounts {
+    /// One more or one fewer occurrence of the value at `at`; its new count.
+    fn bump(&mut self, at: usize, up: bool) -> usize {
+        let mut i = at;
+        while i < self.tree.len() {
+            step(&mut self.tree[i], up);
+            i |= i + 1;
+        }
+        step(&mut self.counts[at], up);
+        self.counts[at]
+    }
+
+    /// Append `value`, above every value held, `count` times.
+    fn push(&mut self, value: i64, count: usize) {
+        let at = self.values.len();
+        self.tree
+            .push(count + self.prefix(at) - self.prefix(at & (at + 1)));
+        self.values.push(value);
+        self.counts.push(count);
+    }
+
+    /// The number of occurrences of the values before position `end`.
+    fn prefix(&self, end: usize) -> usize {
+        let (mut sum, mut i) = (0, end);
+        while i > 0 {
+            sum += self.tree[i - 1];
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// The extremes, read from the ends past any tombstones.
+    fn shape(&self) -> Shape {
+        let live = |&(_, &count): &(&i64, &usize)| count > 0;
+        let mut pairs = self.values.iter().zip(&self.counts);
+        let lo = pairs.clone().find(live).map(|(&i, _)| Value::Integer(i));
+        let hi = pairs.rfind(live).map(|(&i, _)| Value::Integer(i));
+        Shape {
+            bounds: lo.zip(hi),
+            buckets: self.buckets(STATS_HISTOGRAM_BUCKETS),
+        }
+    }
+
+    /// `n` equi-width buckets between the live extremes. [`Buckets::slot`]
+    /// never decreases as the value grows (above 2^53 too), so a bucket is a
+    /// run of positions, and its count a difference of two prefix counts.
+    fn buckets(&self, n: usize) -> Option<Buckets> {
+        let lo = self.counts.iter().position(|&count| count > 0)?;
+        let hi = self.counts.iter().rposition(|&count| count > 0)?;
+        let mut buckets = Buckets::empty(self.values[lo] as f64, self.values[hi] as f64, n)?;
+        let mut below = 0;
+        for k in 0..n {
+            let upto = self.prefix(self.first_in(&buckets, k + 1));
+            buckets.counts[k] = upto - below;
+            below = upto;
+        }
+        Some(buckets)
+    }
+
+    /// The first position [`Buckets::slot`] puts in bucket `k` or above:
+    /// searched for at `min + k · width`, then moved by the exact test.
+    fn first_in(&self, buckets: &Buckets, k: usize) -> usize {
+        if k >= buckets.counts.len() {
+            return self.values.len();
+        }
+        let start = buckets.min + buckets.width * k as f64;
+        let mut at = self.values.partition_point(|&i| (i as f64) < start);
+        let below = |at: usize| buckets.slot(self.values[at] as f64) < k;
+        while at > 0 && !below(at - 1) {
+            at -= 1;
+        }
+        while at < self.values.len() && below(at) {
+            at += 1;
+        }
+        at
     }
 }
 
@@ -625,36 +781,33 @@ struct Buckets {
 impl Buckets {
     /// From (value, count) pairs: one pass for the range, one to fill.
     fn build(values: impl Iterator<Item = (f64, u32)> + Clone, n: usize) -> Option<Buckets> {
-        if n == 0 {
-            return None;
-        }
         let mut range: Option<(f64, f64)> = None;
         for (x, _) in values.clone() {
             let (min, max) = range.unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
             range = Some((min.min(x), max.max(x)));
         }
         let (min, max) = range?;
-        Some(Buckets::fill(min, max, values, n))
+        let mut buckets = Buckets::empty(min, max, n)?;
+        for (x, count) in values {
+            let slot = buckets.slot(x);
+            buckets.counts[slot] += count as usize;
+        }
+        Some(buckets)
     }
 
-    /// `n` buckets between `min` and `max`, counting `values`.
-    fn fill(min: f64, max: f64, values: impl Iterator<Item = (f64, u32)>, n: usize) -> Buckets {
+    /// `n` empty buckets between `min` and `max`; `None` for no buckets.
+    fn empty(min: f64, max: f64, n: usize) -> Option<Buckets> {
         let width = if max > min {
             (max - min) / n as f64
         } else {
             1.0
         };
-        let mut buckets = Buckets {
+        (n > 0).then(|| Buckets {
             min,
             max,
             width,
             counts: vec![0; n],
-        };
-        for (x, count) in values {
-            let slot = buckets.slot(x);
-            buckets.counts[slot] += count as usize;
-        }
-        buckets
+        })
     }
 
     /// The bucket `x` falls in.
@@ -728,9 +881,9 @@ impl Shape {
 /// one counter update per value, and where the value lies between the
 /// current extremes, one bucket update. Only a value that widens the
 /// histogram's range, or the disappearance of the last copy of an extreme,
-/// leaves the [`Shape`] to be re-derived — from the value counts, in one
-/// step per distinct value of this column, when statistics are next asked
-/// for; any number of such writes in between cost nothing more.
+/// leaves the [`Shape`] to be derived again when statistics are next asked
+/// for: by binary search in an Integer column's ordered counts, and in one
+/// step per distinct value in any other column's.
 #[derive(Debug, Clone)]
 pub(crate) struct LiveColumn {
     counts: ValueCounts,
@@ -778,12 +931,16 @@ impl LiveColumn {
         }
     }
 
-    /// The column's statistics over `rows` rows, and whether the shape had
-    /// to be re-derived for them.
+    /// The column's statistics over `rows` rows, and whether they walked
+    /// every distinct value (to merge staged integers or derive a shape).
     fn stats(&self, table: &str, column: &str, rows: usize) -> (ColumnStats, bool) {
-        let mut rederived = false;
+        let integer = match &self.counts {
+            ValueCounts::Integer(counts) => Some(counts.summary().1),
+            _ => None,
+        };
+        let mut rederived = integer == Some(true);
         let shape = self.shape.get_or_init(|| {
-            rederived = true;
+            rederived |= integer.is_none();
             self.counts.shape()
         });
         let (min, max) = shape.bounds.clone().unzip();
@@ -1079,35 +1236,76 @@ mod tests {
     }
 
     #[test]
-    fn only_writes_past_the_extremes_leave_a_column_to_re_derive() {
+    fn only_staged_integers_and_a_lost_text_extreme_leave_a_column_to_re_derive() {
         let mut t = table();
         let rederived = |t: &Table| TableStats::snapshot(t).1;
-        assert_eq!(rederived(&t), 3, "a new table derives every column once");
+        assert_eq!(
+            rederived(&t),
+            1,
+            "a new table derives its text column once; its integers came in order"
+        );
         assert_eq!(rederived(&t), 0, "and keeps what it derived");
-        // Inside [min, max] of every column: buckets move, nothing else.
+        // A middle row leaves a tombstone in each integer column, and the
+        // same values coming back revive them.
         t.delete_where(|r| r.get(0) == Some(&Value::int(3)));
         assert_eq!(rederived(&t), 0, "a middle value left");
-        t.insert_values(vec![Value::int(3), Value::text("C"), Value::int(1995)])
+        t.insert_values(vec![Value::int(3), Value::text("C"), Value::int(2000)])
             .unwrap();
         assert_eq!(rederived(&t), 0, "and came back");
-        // Six inserts that each push `id` and `title` further out: the text
-        // column has no histogram and just takes the new maximum, the
-        // integer one is re-derived once for all six.
+        // Six inserts past every extreme: the integers are appended, the
+        // text column just takes the new maximum.
         for id in 7..13 {
             t.insert_values(vec![
                 Value::int(id),
                 Value::text(format!("Z{id}")),
-                Value::int(2000),
+                Value::int(2000 + id),
             ])
             .unwrap();
         }
-        assert_eq!(rederived(&t), 1);
-        // The last copy of the maximum year leaves; one of two copies does not.
-        t.delete_where(|r| r.get(0) == Some(&Value::int(4)));
-        assert_eq!(rederived(&t), 0, "2005 is still there");
-        t.delete_where(|r| r.get(0) == Some(&Value::int(5)));
-        assert_eq!(rederived(&t), 1, "2005 is gone: year only");
+        assert_eq!(rederived(&t), 0, "appends");
+        // The maxima of both integer columns leave: tombstones, found past.
+        t.delete_where(|r| r.get(0).and_then(Value::as_i64) >= Some(10));
+        assert_eq!(rederived(&t), 0, "the largest ids and years are gone");
+        // Two new years inside the range are staged and merged once.
+        for (id, year) in [(20, 1995), (21, 1996)] {
+            t.insert_values(vec![Value::int(id), Value::text("Y"), Value::int(year)])
+                .unwrap();
+        }
+        assert_eq!(rederived(&t), 1, "year only");
+        // The last copy of the largest title leaves.
+        t.delete_where(|r| r.get(1) == Some(&Value::text("Z9")));
+        assert_eq!(rederived(&t), 1, "title only");
         assert_live_matches_rows(&t, "after all of it");
+    }
+
+    /// Buckets found by binary search in an ordered summary are the ones a
+    /// pass over the values fills, where `as f64` rounds many integers to
+    /// one float (above 2^53) and where the range is all of `i64`.
+    #[test]
+    fn integer_buckets_hold_at_the_ends_of_i64() {
+        let mut t = Table::new(TableSchema::new(
+            "W",
+            vec![ColumnDef::new("x", DataType::Integer)],
+        ));
+        let mut rng = StdRng::seed_from_u64(0xDB15_0004);
+        let near = |rng: &mut StdRng, at: i64| at.saturating_add(rng.gen_range(-3000..3000i64));
+        for step in 0..400 {
+            let x = match rng.gen_range(0..4u8) {
+                0 => near(&mut rng, 1 << 53),
+                1 => near(&mut rng, i64::MAX),
+                2 => near(&mut rng, i64::MIN),
+                _ => near(&mut rng, 0),
+            };
+            t.insert_values(vec![Value::int(x)]).unwrap();
+            if step % 3 == 0 {
+                t.delete_where(|r| r.get(0) == Some(&Value::int(x)));
+            }
+            if step % 40 == 39 {
+                // The low half goes: the range shrinks to the top end.
+                t.delete_where(|r| r.get(0).and_then(Value::as_i64) < Some(1 << 52));
+            }
+            assert_live_matches_rows(&t, &format!("step {step}"));
+        }
     }
 
     #[test]

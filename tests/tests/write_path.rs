@@ -17,6 +17,7 @@
 //! over fixed seeds plus one from `INDEX_BUILD_SEED=<u64>`.
 
 use datastore::index::{BoundTerm, IndexBounds, ProbeOrder};
+use datastore::obs::Counter;
 use datastore::sample::{employee_database, movie_database};
 use datastore::stats::{ColumnStats, Histogram, TableStats, STATS_HISTOGRAM_BUCKETS};
 use datastore::value::GroupKey;
@@ -468,13 +469,98 @@ fn employee_schema_statistics_and_indexes_equal_a_rebuild_after_every_write() {
     }
 }
 
+/// `churn`'s pattern on an Integer key: appends of the next id, each read
+/// back, then the largest ids deleted one by one. Neither walks a column's
+/// distinct values (`stats_columns_rederived` stays put): an append lands
+/// past the largest value, and a deleted maximum is a tombstone that a
+/// snapshot looks past. A new value inside the range is staged and merged
+/// once, by the next snapshot; NULLs touch no summary; a Float in an Integer
+/// column makes its counts the general map. The statistics equal the
+/// oracle's after every step.
+#[test]
+fn appends_and_deleted_maxima_walk_no_column_and_staged_values_merge_once() {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "SEQ",
+            vec![
+                ColumnDef::new("id", DataType::Integer),
+                ColumnDef::nullable("n", DataType::Integer),
+                ColumnDef::nullable("x", DataType::Integer),
+            ],
+        )
+        .with_primary_key(&["id"]),
+    )
+    .unwrap();
+    let rederived = |db: &Database| db.obs().counter(Counter::StatsColumnsRederived);
+    let check = |db: &Database, context: &str| {
+        let stats = db.table_stats("SEQ").unwrap();
+        assert_stats_match_rows(&stats, db.table("SEQ").unwrap(), context);
+    };
+    let row = |id: i64, n: Value| vec![Value::int(id), n, Value::int(id * 2)];
+    // Ids 0, 10, …, 100 in order; `n` out of order, merged at the first look.
+    for id in (0..=100).step_by(10) {
+        db.insert("SEQ", row(id, Value::int(id % 7))).unwrap();
+    }
+    check(&db, "loaded");
+    let loaded = rederived(&db);
+    for id in 101..=160 {
+        db.insert("SEQ", row(id, Value::int(id % 7))).unwrap();
+        check(&db, &format!("appended {id}"));
+    }
+    assert_eq!(rederived(&db), loaded, "appends walk no column");
+    for id in (131..=160).rev() {
+        let table = db.table_mut("SEQ").unwrap();
+        assert_eq!(table.delete_where(|r| r.get(0) == Some(&Value::int(id))), 1);
+        check(&db, &format!("deleted the maximum {id}"));
+    }
+    assert_eq!(rederived(&db), loaded, "deleted maxima walk no column");
+    // New ids and `x` values inside their ranges: two columns stage, and
+    // one snapshot merges each once.
+    for id in [5, 15, 25] {
+        db.insert("SEQ", row(id, Value::int(3))).unwrap();
+    }
+    check(&db, "staged inside the range");
+    assert_eq!(rederived(&db), loaded + 2, "id and x merged, once each");
+    check(&db, "looked at again");
+    assert_eq!(rederived(&db), loaded + 2, "nothing left to merge");
+    for id in [200, 201] {
+        db.insert("SEQ", row(id, Value::Null)).unwrap();
+        check(&db, &format!("NULL in row {id}"));
+    }
+    let table = db.table_mut("SEQ").unwrap();
+    table.delete_where(|r| r.get(1) == Some(&Value::Null));
+    check(&db, "NULLs deleted");
+    assert_eq!(rederived(&db), loaded + 2, "NULLs walk no column");
+    // A Float past the maximum of the Integer column `x`: its counts become
+    // the general map, which derives the new shape by walking them.
+    let table = db.table_mut("SEQ").unwrap();
+    table
+        .update_where(
+            |r| r.get(0) == Some(&Value::int(40)),
+            |r| *r.get_mut(2).unwrap() = Value::Float(1000.5),
+        )
+        .unwrap();
+    check(&db, "a Float in an Integer column");
+    assert_eq!(
+        rederived(&db),
+        loaded + 3,
+        "x re-derived from its general map"
+    );
+    db.insert("SEQ", row(300, Value::int(1))).unwrap();
+    check(&db, "appended after");
+}
+
 // ---------------------------------------------------------------------------
 // The bulk build against the index grown row by row
 // ---------------------------------------------------------------------------
 
 /// A key value for [`a_bulk_built_index_is_the_index_grown_row_by_row`]:
 /// NULL, few distinct values (so keys repeat), `3` beside `3.0` and `0.0`
-/// beside `-0.0` in the Float column, text in the Text one.
+/// beside `-0.0` in the Float column, text in the Text ones (shared
+/// prefixes in the second), and the extremes of `i64` among negatives in
+/// the fifth column. The last column is Integer; some of its `3`s and `7`s
+/// are later made `3.0` and `7.5`.
 fn build_key_value(rng: &mut StdRng, column: usize) -> Value {
     if rng.gen_bool(0.15) {
         return Value::Null;
@@ -489,13 +575,22 @@ fn build_key_value(rng: &mut StdRng, column: usize) -> Value {
         Value::Integer(-2),
         Value::Integer(7),
     ];
+    const WIDE: [i64; 7] = [i64::MIN, i64::MAX, -5, -1, 0, 1, i64::MIN + 1];
+    let pick = |rng: &mut StdRng, n: usize| rng.gen_range(0..n);
     match column {
-        0 => X[rng.gen_range(0..X.len())].clone(),
-        1 => Value::text(["", "a", "b", "Troy", "troy", "zz"][rng.gen_range(0..6usize)]),
-        _ => Value::int(rng.gen_range(0..12)),
+        0 => X[pick(rng, X.len())].clone(),
+        1 => Value::text(["", "a", "b", "Troy", "troy", "zz"][pick(rng, 6)]),
+        2 => Value::int(rng.gen_range(0..12)),
+        3 => Value::text(["", "a", "ab", "abc", "abd", "ab ", "b"][pick(rng, 7)]),
+        4 => Value::int(WIDE[pick(rng, WIDE.len())]),
+        _ => Value::int([0, 3, 7][pick(rng, 3)]),
     }
 }
 
+/// Every index kind over one-column Integer keys, one-column Text keys (the
+/// two a bulk build sorts with a typed comparator), an Integer column that
+/// holds `3.0` beside `3` (which must not take the Integer one), a Float
+/// column, and composite keys, NULL leads everywhere.
 #[test]
 fn a_bulk_built_index_is_the_index_grown_row_by_row() {
     let schema = TableSchema::new(
@@ -504,19 +599,26 @@ fn a_bulk_built_index_is_the_index_grown_row_by_row() {
             ColumnDef::nullable("x", DataType::Float),
             ColumnDef::nullable("t", DataType::Text),
             ColumnDef::nullable("n", DataType::Integer),
+            ColumnDef::nullable("w", DataType::Text),
+            ColumnDef::nullable("i", DataType::Integer),
+            ColumnDef::nullable("m", DataType::Integer),
         ],
     );
     let mut seeds = vec![0x0036_0001, 0x0036_0002, 0x0036_0003];
     if let Ok(extra) = std::env::var("INDEX_BUILD_SEED") {
         seeds.push(extra.parse().expect("INDEX_BUILD_SEED is a u64"));
     }
-    let columns: [&[&str]; 6] = [
+    let columns: [&[&str]; 10] = [
         &["x"],
         &["t"],
         &["n"],
+        &["w"],
+        &["i"],
+        &["m"],
         &["x", "t"],
         &["t", "x"],
         &["n", "x"],
+        &["i", "w"],
     ];
     // Both orders of each two-spelling pair, ahead of the random rows.
     let pairs = [
@@ -544,14 +646,31 @@ fn a_bulk_built_index_is_the_index_grown_row_by_row() {
             if reversed {
                 spellings.iter_mut().for_each(|pair| pair.swap(0, 1));
             }
-            for x in spellings.into_iter().flatten() {
-                let t = build_key_value(&mut rng, 1);
-                grown.insert(Row::new(vec![x, t, Value::Null])).unwrap();
-            }
-            for _ in 0..rng.gen_range(0..160) {
-                let row = (0..3).map(|c| build_key_value(&mut rng, c)).collect();
+            for (n, x) in spellings.into_iter().flatten().enumerate() {
+                let mut row: Vec<Value> = (0..6).map(|c| build_key_value(&mut rng, c)).collect();
+                (row[0], row[2], row[5]) = (x, Value::int(n as i64), Value::int(3));
                 grown.insert(Row::new(row)).unwrap();
             }
+            for _ in 0..rng.gen_range(0..160) {
+                let row = (0..6).map(|c| build_key_value(&mut rng, c)).collect();
+                grown.insert(Row::new(row)).unwrap();
+            }
+            // Every other `3` of the Integer column `m` becomes `3.0`, and
+            // every other `7` a `7.5`, which only an unchecked update can
+            // store.
+            let parity = i64::from(reversed);
+            grown
+                .update_where(
+                    |r| {
+                        matches!(r.get(5), Some(Value::Integer(3 | 7)))
+                            && r.get(2).and_then(Value::as_i64).unwrap_or(0) % 2 == parity
+                    },
+                    |r| {
+                        let m = r.get_mut(5).unwrap();
+                        *m = Value::Float(if *m == Value::Integer(3) { 3.0 } else { 7.5 });
+                    },
+                )
+                .unwrap();
             for index in grown.indexes() {
                 assert_index_matches_rows(index, grown.rows(), &mut rng, &context);
             }
