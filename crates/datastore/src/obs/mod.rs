@@ -103,8 +103,8 @@ pub enum Counter {
     /// Statistics snapshots taken of a table's live column summaries (the
     /// first read of a table's statistics after a write to it).
     StatsSnapshots,
-    /// Of the columns in those snapshots, the ones whose bounds and
-    /// histogram had to be re-derived from the column's value counts.
+    /// Of the columns in those snapshots, the ones that walked their
+    /// distinct values: to merge staged integers, or to re-derive a shape.
     StatsColumnsRederived,
     /// SELECTs `explain_query` answered by filling a sentence template.
     TranslationHits,

@@ -54,11 +54,13 @@ for patch in "${patches[@]}"; do
   for file in "${previous[@]}"; do
     [ -e "$tree/$file" ] && touch "$tree/$file"
   done
-  if ! (cd "$tree" && git apply "$patch" 2>/dev/null); then
+  # The tree may lie inside this checkout: stop git from finding its
+  # repository, or it would read the patch's paths relative to that.
+  if ! (cd "$tree" && GIT_CEILING_DIRECTORIES=$work git apply "$patch" 2>/dev/null); then
     printf '%s\tn/a\tdoes not apply to %s\n' "$name" "${commit:0:12}" | tee -a "$report"
     continue
   fi
-  mapfile -t previous < <(cd "$tree" && git apply --numstat "$patch" | cut -f3)
+  mapfile -t previous < <(sed -n 's|^+++ b/||p' "$patch")
   applied=$((applied + 1))
   log=$work/$name.log
   status=0
