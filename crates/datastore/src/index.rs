@@ -232,7 +232,7 @@ fn ord_key(value: &Value) -> OrdKey {
 
 /// The `(key, position)` pairs of a one-column key whose non-NULL values
 /// all have a `K` (`of`); `None` for a wider key, or when one has none.
-fn one_column_keys<'r, K>(
+fn typed_keys<'r, K>(
     rows: &'r [Row],
     column_pos: &[usize],
     of: impl Fn(&'r Value) -> Option<K>,
@@ -257,7 +257,7 @@ fn one_column_keys<'r, K>(
 fn load<K: Ord>(
     mut keyed: Vec<(K, usize)>,
     key: impl Fn(K, usize) -> Key<OrdKey>,
-) -> (usize, BTreeMap<Key<OrdKey>, Postings>) {
+) -> (usize, IndexStore) {
     let entries = keyed.len();
     keyed.sort_unstable();
     let mut sorted = keyed.into_iter().peekable();
@@ -274,7 +274,7 @@ fn load<K: Ord>(
         };
         Some((key(k, first), postings))
     });
-    (entries, runs.collect())
+    (entries, IndexStore::Ordered(runs.collect()))
 }
 
 /// The row positions under one key, in position order: a lone row inline,
@@ -564,17 +564,17 @@ impl Index {
         // A one-column key's run is spelled by the value of its first row.
         let spell = |pos: usize| Key::One(ord_key(&rows[pos].values()[column_pos[0]]));
         let integer = |v: &Value| v.as_i64().filter(|_| matches!(v, Value::Integer(_)));
-        let (entries, map) = if let Some(keyed) = one_column_keys(rows, column_pos, integer) {
+        (index.entries, index.store) = if let Some(keyed) = typed_keys(rows, column_pos, integer) {
             load(keyed, |_, first| spell(first))
-        } else if let Some(keyed) = one_column_keys(rows, column_pos, Value::as_str) {
+        } else if let Some(keyed) = typed_keys(rows, column_pos, Value::as_str) {
             load(keyed, |_, first| spell(first))
         } else {
-            let keyed = (rows.iter().enumerate())
-                .filter_map(|(pos, row)| Some((row_key(column_pos, row, ord_key)?, pos)));
-            load(keyed.collect(), |key, _| key)
+            let mut keyed = Vec::with_capacity(rows.len());
+            for (pos, row) in rows.iter().enumerate() {
+                keyed.extend(row_key(column_pos, row, ord_key).map(|key| (key, pos)));
+            }
+            load(keyed, |key, _| key)
         };
-        index.entries = entries;
-        index.store = IndexStore::Ordered(map);
         index
     }
 
