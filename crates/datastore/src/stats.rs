@@ -15,9 +15,8 @@
 //! Nothing here reads a table's rows. Every [`Table`] keeps one
 //! `LiveColumn` per column current as rows come and go, and statistics,
 //! histograms and frequency tables are all views of those: exact at all
-//! times, at the price of one counter update per value written (an Integer
-//! column's counts are kept in value order, so a snapshot finds its bounds
-//! and buckets by binary search).
+//! times, at the price of one counter update per value written (O(log NDV)
+//! for an Integer column, whose counts are kept in value order).
 
 use crate::catalog::FoldedName;
 use crate::table::Table;
@@ -26,7 +25,7 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Buckets used for the histograms collected into [`TableStats`].
 pub const STATS_HISTOGRAM_BUCKETS: usize = 10;
@@ -441,11 +440,10 @@ fn extreme_cmp(a: &Value, b: &Value) -> Ordering {
 
 /// How often each distinct non-NULL value of one column occurs. Typed by the
 /// column's declared type, because the counts stay resident: an integer
-/// costs its eight bytes in an ordered summary ([`IntegerCounts`]), a text
-/// one boxed string that a lookup borrows — counting a value already present
-/// allocates nothing. A value of another type (only an unchecked
-/// `update_where` can store one) turns the counts into the general map,
-/// which a Float column starts with: it tells `3` from `3.0`, as
+/// costs three words in an ordered summary ([`OrderedCounts`]), a text one
+/// boxed string that a lookup borrows. A value of another type (only an
+/// unchecked `update_where` can store one) turns the counts into the general
+/// map, which a Float column starts with: it tells `3` from `3.0`, as
 /// [`Value::group_key`] does.
 #[derive(Debug, Clone)]
 enum ValueCounts {
@@ -466,7 +464,9 @@ impl ValueCounts {
 
     fn add(&mut self, v: &Value) {
         match (&mut *self, v) {
-            (ValueCounts::Integer(counts), Value::Integer(i)) => _ = counts.bump(*i, true),
+            (ValueCounts::Integer(counts), Value::Integer(i)) => {
+                _ = counts.get_mut().count(*i, true)
+            }
             (ValueCounts::Text(m), Value::Text(s)) => match m.get_mut(&**s) {
                 Some(count) => *count += 1,
                 None => {
@@ -483,8 +483,7 @@ impl ValueCounts {
 
     fn generalize(&mut self) {
         let general = match std::mem::replace(self, ValueCounts::Other(HashMap::new())) {
-            ValueCounts::Integer(counts) => counts
-                .pairs()
+            ValueCounts::Integer(mut counts) => (counts.get_mut().pairs())
                 .map(|(i, count)| (GroupKey::Integer(i), count as u32))
                 .collect(),
             ValueCounts::Text(m) => m
@@ -516,7 +515,7 @@ impl ValueCounts {
             }
         }
         match (self, v) {
-            (ValueCounts::Integer(counts), Value::Integer(i)) => counts.bump(*i, false),
+            (ValueCounts::Integer(counts), Value::Integer(i)) => counts.get_mut().count(*i, false),
             (ValueCounts::Text(m), Value::Text(s)) => take::<_, str>(m, s),
             (ValueCounts::Other(m), _) => take(m, &v.group_key()),
             // A typed map that met another type is no longer typed.
@@ -527,7 +526,7 @@ impl ValueCounts {
     /// Number of distinct values.
     fn distinct(&self) -> usize {
         match self {
-            ValueCounts::Integer(counts) => counts.distinct,
+            ValueCounts::Integer(counts) => counts.lock().distinct,
             ValueCounts::Text(m) => m.len(),
             ValueCounts::Other(m) => m.len(),
         }
@@ -536,8 +535,7 @@ impl ValueCounts {
     /// Every distinct value with its count, in no particular order.
     fn values(&self) -> Vec<(Value, usize)> {
         match self {
-            ValueCounts::Integer(counts) => counts
-                .pairs()
+            ValueCounts::Integer(counts) => (counts.lock().pairs())
                 .map(|(i, count)| (Value::Integer(i), count))
                 .collect(),
             ValueCounts::Text(m) => m
@@ -567,7 +565,7 @@ impl ValueCounts {
             bounds
         }
         match self {
-            ValueCounts::Integer(counts) => counts.summary().0.shape(),
+            ValueCounts::Integer(counts) => counts.lock().shape(STATS_HISTOGRAM_BUCKETS),
             // Strings are compared where they lie; only the two extremes
             // are copied.
             ValueCounts::Text(m) => {
@@ -588,7 +586,7 @@ impl ValueCounts {
     /// An equi-width histogram of `n` buckets over the numeric values.
     fn buckets(&self, n: usize) -> Option<Buckets> {
         match self {
-            ValueCounts::Integer(counts) => counts.summary().0.buckets(n),
+            ValueCounts::Integer(counts) => counts.lock().shape(n).buckets,
             ValueCounts::Text(_) => None,
             ValueCounts::Other(m) => Buckets::build(
                 m.iter()
@@ -599,36 +597,59 @@ impl ValueCounts {
     }
 }
 
-/// The counts of an Integer column in value order. A write is O(log NDV): a
-/// value already present, or above the largest, is counted in place; a new
-/// value below the largest is staged, and the next snapshot merges the staged
-/// values in — the one step that walks every distinct value (a re-derived
-/// column). A count that falls to 0 stays as a tombstone until a merge (one
-/// is also made once tombstones outnumber the live values).
+/// The counts of an Integer column in value order ([`OrderedCounts`]), behind
+/// a lock that only a snapshot takes, to merge them in place through
+/// `&Table`; a write holds `&mut` and takes none.
+#[derive(Debug, Default)]
+struct IntegerCounts(Mutex<OrderedCounts>);
+
+impl Clone for IntegerCounts {
+    fn clone(&self) -> IntegerCounts {
+        IntegerCounts(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl IntegerCounts {
+    fn get_mut(&mut self) -> &mut OrderedCounts {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, OrderedCounts> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// `n` one up, or one down.
+fn step(n: &mut usize, up: bool) {
+    *n = *n + usize::from(up) - usize::from(!up);
+}
+
+/// Distinct integers in ascending order, their counts, and a Fenwick tree
+/// of prefix counts (*A New Data Structure for Cumulative Frequency Tables*,
+/// 1994). A value already present, or above the largest, is counted in
+/// place in O(log NDV); a new one below the largest is staged until the next
+/// snapshot merges it in, the one step that walks every distinct value. A
+/// count that falls to 0 stays as a tombstone until a merge.
 #[derive(Debug, Clone, Default)]
-struct IntegerCounts {
-    sorted: SortedCounts,
-    /// New values below the largest sorted one, with their counts.
+struct OrderedCounts {
+    values: Vec<i64>,
+    counts: Vec<usize>,
+    /// `tree[i]` sums `counts[i & (i + 1)..=i]`.
+    tree: Vec<usize>,
+    /// New values below the largest of `values`, with their counts.
     staged: BTreeMap<i64, usize>,
-    /// Both merged by a snapshot (through `&self`), taken in by the next write.
-    merged: OnceLock<SortedCounts>,
     /// Number of values counted at least once, staged ones included.
     distinct: usize,
 }
 
-impl IntegerCounts {
+impl OrderedCounts {
     /// One more (`up`) or one fewer occurrence of `i`; true when that was
     /// the first or the last of its value.
-    fn bump(&mut self, i: i64, up: bool) -> bool {
-        if let Some(merged) = self.merged.take() {
-            self.sorted = merged;
-            self.staged.clear();
-        }
-        let sorted = &mut self.sorted;
-        let edge = match sorted.values.binary_search(&i) {
-            Ok(at) => sorted.bump(at, up) == usize::from(up),
-            Err(at) if at == sorted.values.len() && up => {
-                sorted.push(i, 1);
+    fn count(&mut self, i: i64, up: bool) -> bool {
+        let edge = match self.values.binary_search(&i) {
+            Ok(at) => self.bump(at, up) == usize::from(up),
+            Err(at) if at == self.values.len() && up => {
+                self.push(i, 1);
                 true
             }
             Err(_) => {
@@ -645,52 +666,6 @@ impl IntegerCounts {
         edge
     }
 
-    /// Every value counted at least once, with its count, sorted ones first.
-    fn pairs(&self) -> impl Iterator<Item = (i64, usize)> + '_ {
-        let sorted = self.sorted.values.iter().zip(&self.sorted.counts);
-        (sorted.chain(&self.staged))
-            .map(|(&i, &count)| (i, count))
-            .filter(|&(_, count)| count > 0)
-    }
-
-    /// The counts with every staged value in; true when this call merged.
-    fn summary(&self) -> (&SortedCounts, bool) {
-        let tombstones = self.sorted.values.len() + self.staged.len() - self.distinct;
-        if self.staged.is_empty() && tombstones <= self.distinct {
-            return (&self.sorted, false);
-        }
-        let mut merged = false;
-        let summary = self.merged.get_or_init(|| {
-            merged = true;
-            let mut pairs: Vec<(i64, usize)> = self.pairs().collect();
-            pairs.sort(); // two ascending runs: one merge
-            let mut summary = SortedCounts::default();
-            pairs
-                .into_iter()
-                .for_each(|(i, count)| summary.push(i, count));
-            summary
-        });
-        (summary, merged)
-    }
-}
-
-/// `n` one up, or one down.
-fn step(n: &mut usize, up: bool) {
-    *n = *n + usize::from(up) - usize::from(!up);
-}
-
-/// Distinct integers in ascending order, their counts, and a Fenwick tree
-/// over the counts (*A New Data Structure for Cumulative Frequency Tables*,
-/// 1994): the number of values below any position in O(log n).
-#[derive(Debug, Clone, Default)]
-struct SortedCounts {
-    values: Vec<i64>,
-    counts: Vec<usize>,
-    /// `tree[i]` sums `counts[i & (i + 1)..=i]`.
-    tree: Vec<usize>,
-}
-
-impl SortedCounts {
     /// One more or one fewer occurrence of the value at `at`; its new count.
     fn bump(&mut self, at: usize, up: bool) -> usize {
         let mut i = at;
@@ -711,6 +686,34 @@ impl SortedCounts {
         self.counts.push(count);
     }
 
+    /// Every value counted at least once, with its count, in no order.
+    fn pairs(&self) -> impl Iterator<Item = (i64, usize)> + '_ {
+        let sorted = self.values.iter().zip(&self.counts);
+        (sorted.chain(&self.staged))
+            .map(|(&i, &count)| (i, count))
+            .filter(|&(_, count)| count > 0)
+    }
+
+    /// Put the staged values in place and drop the tombstones, if any are
+    /// staged or tombstones outnumber live values; true when it did.
+    fn merge(&mut self) -> bool {
+        let tombstones = self.values.len() + self.staged.len() - self.distinct;
+        if self.staged.is_empty() && tombstones <= self.distinct {
+            return false;
+        }
+        let mut pairs: Vec<(i64, usize)> = self.pairs().collect();
+        pairs.sort(); // two ascending runs: one merge
+        *self = OrderedCounts {
+            values: Vec::with_capacity(pairs.len()),
+            counts: Vec::with_capacity(pairs.len()),
+            tree: Vec::with_capacity(pairs.len()),
+            staged: BTreeMap::new(),
+            distinct: self.distinct,
+        };
+        pairs.into_iter().for_each(|(i, count)| self.push(i, count));
+        true
+    }
+
     /// The number of occurrences of the values before position `end`.
     fn prefix(&self, end: usize) -> usize {
         let (mut sum, mut i) = (0, end);
@@ -721,50 +724,46 @@ impl SortedCounts {
         sum
     }
 
-    /// The extremes, read from the ends past any tombstones.
-    fn shape(&self) -> Shape {
-        let live = |&(_, &count): &(&i64, &usize)| count > 0;
-        let mut pairs = self.values.iter().zip(&self.counts);
-        let lo = pairs.clone().find(live).map(|(&i, _)| Value::Integer(i));
-        let hi = pairs.rfind(live).map(|(&i, _)| Value::Integer(i));
-        Shape {
-            bounds: lo.zip(hi),
-            buckets: self.buckets(STATS_HISTOGRAM_BUCKETS),
-        }
-    }
-
-    /// `n` equi-width buckets between the live extremes. [`Buckets::slot`]
-    /// never decreases as the value grows (above 2^53 too), so a bucket is a
-    /// run of positions, and its count a difference of two prefix counts.
-    fn buckets(&self, n: usize) -> Option<Buckets> {
-        let lo = self.counts.iter().position(|&count| count > 0)?;
-        let hi = self.counts.iter().rposition(|&count| count > 0)?;
-        let mut buckets = Buckets::empty(self.values[lo] as f64, self.values[hi] as f64, n)?;
-        let mut below = 0;
-        for k in 0..n {
-            let upto = self.prefix(self.first_in(&buckets, k + 1));
-            buckets.counts[k] = upto - below;
-            below = upto;
-        }
-        Some(buckets)
-    }
-
-    /// The first position [`Buckets::slot`] puts in bucket `k` or above:
-    /// searched for at `min + k · width`, then moved by the exact test.
-    fn first_in(&self, buckets: &Buckets, k: usize) -> usize {
-        if k >= buckets.counts.len() {
-            return self.values.len();
-        }
-        let start = buckets.min + buckets.width * k as f64;
-        let mut at = self.values.partition_point(|&i| (i as f64) < start);
-        let below = |at: usize| buckets.slot(self.values[at] as f64) < k;
-        while at > 0 && !below(at - 1) {
-            at -= 1;
-        }
-        while at < self.values.len() && below(at) {
-            at += 1;
+    /// The first position whose prefix count, itself included, exceeds `k`.
+    fn position_past(&self, mut k: usize) -> usize {
+        let (mut at, mut width) = (0, (self.tree.len() + 1).next_power_of_two() / 2);
+        while width > 0 {
+            if at + width <= self.tree.len() && self.tree[at + width - 1] <= k {
+                at += width;
+                k -= self.tree[at - 1];
+            }
+            width /= 2;
         }
         at
+    }
+
+    /// Merge, then find the extremes past any tombstones by two descents of
+    /// the tree, and `n` equi-width buckets between them: [`Buckets::slot`]
+    /// never decreases as the value grows (above 2^53 too), so a bucket is a
+    /// run of positions, and its count a difference of two prefix counts.
+    fn shape(&mut self, n: usize) -> Shape {
+        self.merge();
+        let Some(last) = self.prefix(self.values.len()).checked_sub(1) else {
+            return Shape::default();
+        };
+        let live = |k| self.values[self.position_past(k)];
+        let (lo, hi) = (live(0), live(last));
+        let buckets = Buckets::empty(lo as f64, hi as f64, n).map(|mut buckets| {
+            let mut below = 0;
+            for k in 0..n {
+                let upto = self.prefix(self.first_in(&buckets, k + 1));
+                buckets.counts[k] = upto - below;
+                below = upto;
+            }
+            buckets
+        });
+        let bounds = Some((Value::Integer(lo), Value::Integer(hi)));
+        Shape { bounds, buckets }
+    }
+
+    /// The first position [`Buckets::slot`] puts in bucket `k` or above.
+    fn first_in(&self, buckets: &Buckets, k: usize) -> usize {
+        self.values.partition_point(|&i| buckets.slot(i as f64) < k)
     }
 }
 
@@ -830,7 +829,7 @@ impl Buckets {
 /// What of a column's statistics depends on where its values lie: the
 /// extremes, and the [`STATS_HISTOGRAM_BUCKETS`] buckets between the numeric
 /// ones.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Shape {
     bounds: Option<(Value, Value)>,
     buckets: Option<Buckets>,
@@ -934,13 +933,12 @@ impl LiveColumn {
     /// The column's statistics over `rows` rows, and whether they walked
     /// every distinct value (to merge staged integers or derive a shape).
     fn stats(&self, table: &str, column: &str, rows: usize) -> (ColumnStats, bool) {
-        let integer = match &self.counts {
-            ValueCounts::Integer(counts) => Some(counts.summary().1),
-            _ => None,
+        let mut rederived = match &self.counts {
+            ValueCounts::Integer(counts) => counts.lock().merge(),
+            _ => false,
         };
-        let mut rederived = integer == Some(true);
         let shape = self.shape.get_or_init(|| {
-            rederived |= integer.is_none();
+            rederived |= !matches!(self.counts, ValueCounts::Integer(_));
             self.counts.shape()
         });
         let (min, max) = shape.bounds.clone().unzip();

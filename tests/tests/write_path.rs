@@ -470,10 +470,10 @@ fn employee_schema_statistics_and_indexes_equal_a_rebuild_after_every_write() {
 }
 
 /// `churn`'s pattern on an Integer key: appends of the next id, each read
-/// back, then the largest ids deleted one by one. Neither walks a column's
-/// distinct values (`stats_columns_rederived` stays put): an append lands
-/// past the largest value, and a deleted maximum is a tombstone that a
-/// snapshot looks past. A new value inside the range is staged and merged
+/// back, then the largest ids deleted one by one, then the smallest. None of
+/// it walks a column's distinct values (`stats_columns_rederived` stays
+/// put): an append lands past the largest value, and a deleted extreme is a
+/// tombstone that a snapshot looks past. A new value inside the range is staged and merged
 /// once, by the next snapshot; NULLs touch no summary; a Float in an Integer
 /// column makes its counts the general map. The statistics equal the
 /// oracle's after every step.
@@ -515,9 +515,15 @@ fn appends_and_deleted_maxima_walk_no_column_and_staged_values_merge_once() {
         check(&db, &format!("deleted the maximum {id}"));
     }
     assert_eq!(rederived(&db), loaded, "deleted maxima walk no column");
+    for id in [0, 10, 20, 30] {
+        let table = db.table_mut("SEQ").unwrap();
+        assert_eq!(table.delete_where(|r| r.get(0) == Some(&Value::int(id))), 1);
+        check(&db, &format!("deleted the minimum {id}"));
+    }
+    assert_eq!(rederived(&db), loaded, "deleted minima walk no column");
     // New ids and `x` values inside their ranges: two columns stage, and
     // one snapshot merges each once.
-    for id in [5, 15, 25] {
+    for id in [45, 55, 65] {
         db.insert("SEQ", row(id, Value::int(3))).unwrap();
     }
     check(&db, "staged inside the range");
