@@ -440,7 +440,7 @@ fn extreme_cmp(a: &Value, b: &Value) -> Ordering {
 
 /// How often each distinct non-NULL value of one column occurs. Typed by the
 /// column's declared type, because the counts stay resident: an integer
-/// costs three words in an ordered summary ([`OrderedCounts`]), a text one
+/// costs 16 bytes in an ordered summary ([`OrderedCounts`]), a text one
 /// boxed string that a lookup borrows. A value of another type (only an
 /// unchecked `update_where` can store one) turns the counts into the general
 /// map, which a Float column starts with: it tells `3` from `3.0`, as
@@ -484,7 +484,7 @@ impl ValueCounts {
     fn generalize(&mut self) {
         let general = match std::mem::replace(self, ValueCounts::Other(HashMap::new())) {
             ValueCounts::Integer(mut counts) => (counts.get_mut().pairs())
-                .map(|(i, count)| (GroupKey::Integer(i), count as u32))
+                .map(|(i, count)| (GroupKey::Integer(i), count))
                 .collect(),
             ValueCounts::Text(m) => m
                 .into_iter()
@@ -536,7 +536,7 @@ impl ValueCounts {
     fn values(&self) -> Vec<(Value, usize)> {
         match self {
             ValueCounts::Integer(counts) => (counts.lock().pairs())
-                .map(|(i, count)| (Value::Integer(i), count))
+                .map(|(i, count)| (Value::Integer(i), count as usize))
                 .collect(),
             ValueCounts::Text(m) => m
                 .iter()
@@ -620,8 +620,8 @@ impl IntegerCounts {
 }
 
 /// `n` one up, or one down.
-fn step(n: &mut usize, up: bool) {
-    *n = *n + usize::from(up) - usize::from(!up);
+fn step(n: &mut u32, up: bool) {
+    *n = *n + u32::from(up) - u32::from(!up);
 }
 
 /// Distinct integers in ascending order, their counts, and a Fenwick tree
@@ -633,11 +633,11 @@ fn step(n: &mut usize, up: bool) {
 #[derive(Debug, Clone, Default)]
 struct OrderedCounts {
     values: Vec<i64>,
-    counts: Vec<usize>,
+    counts: Vec<u32>,
     /// `tree[i]` sums `counts[i & (i + 1)..=i]`.
-    tree: Vec<usize>,
+    tree: Vec<u32>,
     /// New values below the largest of `values`, with their counts.
-    staged: BTreeMap<i64, usize>,
+    staged: BTreeMap<i64, u32>,
     /// Number of values counted at least once, staged ones included.
     distinct: usize,
 }
@@ -647,7 +647,7 @@ impl OrderedCounts {
     /// the first or the last of its value.
     fn count(&mut self, i: i64, up: bool) -> bool {
         let edge = match self.values.binary_search(&i) {
-            Ok(at) => self.bump(at, up) == usize::from(up),
+            Ok(at) => self.bump(at, up) == u32::from(up),
             Err(at) if at == self.values.len() && up => {
                 self.push(i, 1);
                 true
@@ -659,7 +659,7 @@ impl OrderedCounts {
                 if count == 0 {
                     self.staged.remove(&i);
                 }
-                count == usize::from(up)
+                count == u32::from(up)
             }
         };
         self.distinct = self.distinct + usize::from(edge && up) - usize::from(edge && !up);
@@ -667,7 +667,7 @@ impl OrderedCounts {
     }
 
     /// One more or one fewer occurrence of the value at `at`; its new count.
-    fn bump(&mut self, at: usize, up: bool) -> usize {
+    fn bump(&mut self, at: usize, up: bool) -> u32 {
         let mut i = at;
         while i < self.tree.len() {
             step(&mut self.tree[i], up);
@@ -678,16 +678,16 @@ impl OrderedCounts {
     }
 
     /// Append `value`, above every value held, `count` times.
-    fn push(&mut self, value: i64, count: usize) {
+    fn push(&mut self, value: i64, count: u32) {
         let at = self.values.len();
-        self.tree
-            .push(count + self.prefix(at) - self.prefix(at & (at + 1)));
+        let below = self.prefix(at) - self.prefix(at & (at + 1));
+        self.tree.push(count + below as u32);
         self.values.push(value);
         self.counts.push(count);
     }
 
     /// Every value counted at least once, with its count, in no order.
-    fn pairs(&self) -> impl Iterator<Item = (i64, usize)> + '_ {
+    fn pairs(&self) -> impl Iterator<Item = (i64, u32)> + '_ {
         let sorted = self.values.iter().zip(&self.counts);
         (sorted.chain(&self.staged))
             .map(|(&i, &count)| (i, count))
@@ -701,7 +701,7 @@ impl OrderedCounts {
         if self.staged.is_empty() && tombstones <= self.distinct {
             return false;
         }
-        let mut pairs: Vec<(i64, usize)> = self.pairs().collect();
+        let mut pairs: Vec<(i64, u32)> = self.pairs().collect();
         pairs.sort(); // two ascending runs: one merge
         *self = OrderedCounts {
             values: Vec::with_capacity(pairs.len()),
@@ -718,7 +718,7 @@ impl OrderedCounts {
     fn prefix(&self, end: usize) -> usize {
         let (mut sum, mut i) = (0, end);
         while i > 0 {
-            sum += self.tree[i - 1];
+            sum += self.tree[i - 1] as usize;
             i &= i - 1;
         }
         sum
@@ -728,9 +728,9 @@ impl OrderedCounts {
     fn position_past(&self, mut k: usize) -> usize {
         let (mut at, mut width) = (0, (self.tree.len() + 1).next_power_of_two() / 2);
         while width > 0 {
-            if at + width <= self.tree.len() && self.tree[at + width - 1] <= k {
+            if at + width <= self.tree.len() && self.tree[at + width - 1] as usize <= k {
                 at += width;
-                k -= self.tree[at - 1];
+                k -= self.tree[at - 1] as usize;
             }
             width /= 2;
         }
