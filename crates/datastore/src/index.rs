@@ -243,11 +243,9 @@ fn typed_keys<'r, K>(
         return None;
     }
     let mut keyed = Vec::with_capacity(rows.len());
-    keyed.extend(
-        values
-            .enumerate()
-            .filter_map(|(pos, v)| Some((of(v)?, pos))),
-    );
+    for (pos, v) in values.enumerate() {
+        keyed.extend(of(v).map(|key| (key, pos)));
+    }
     Some(keyed)
 }
 

@@ -15,8 +15,7 @@
 //! Nothing here reads a table's rows. Every [`Table`] keeps one
 //! `LiveColumn` per column current as rows come and go, and statistics,
 //! histograms and frequency tables are all views of those: exact at all
-//! times, at the price of one counter update per value written (O(log NDV)
-//! for an Integer column, whose counts are kept in value order).
+//! times, at the price of one counter update per value written.
 
 use crate::catalog::FoldedName;
 use crate::table::Table;
@@ -597,9 +596,8 @@ impl ValueCounts {
     }
 }
 
-/// The counts of an Integer column in value order ([`OrderedCounts`]), behind
-/// a lock that only a snapshot takes, to merge them in place through
-/// `&Table`; a write holds `&mut` and takes none.
+/// An Integer column's [`OrderedCounts`], behind a lock that only a snapshot
+/// takes, to merge through `&Table`; a write holds `&mut` and takes none.
 #[derive(Debug, Default)]
 struct IntegerCounts(Mutex<OrderedCounts>);
 
@@ -680,8 +678,7 @@ impl OrderedCounts {
     /// Append `value`, above every value held, `count` times.
     fn push(&mut self, value: i64, count: u32) {
         let at = self.values.len();
-        let below = self.prefix(at) - self.prefix(at & (at + 1));
-        self.tree.push(count + below as u32);
+        (self.tree).push(count + (self.prefix(at) - self.prefix(at & (at + 1))) as u32);
         self.values.push(value);
         self.counts.push(count);
     }
@@ -689,9 +686,7 @@ impl OrderedCounts {
     /// Every value counted at least once, with its count, in no order.
     fn pairs(&self) -> impl Iterator<Item = (i64, u32)> + '_ {
         let sorted = self.values.iter().zip(&self.counts);
-        (sorted.chain(&self.staged))
-            .map(|(&i, &count)| (i, count))
-            .filter(|&(_, count)| count > 0)
+        (sorted.chain(&self.staged)).filter_map(|(&i, &count)| (count > 0).then_some((i, count)))
     }
 
     /// Put the staged values in place and drop the tombstones, if any are
@@ -761,9 +756,18 @@ impl OrderedCounts {
         Shape { bounds, buckets }
     }
 
-    /// The first position [`Buckets::slot`] puts in bucket `k` or above.
+    /// The first position [`Buckets::slot`] puts in bucket `k` or above:
+    /// searched for at `min + k · width`, then moved by the exact test.
     fn first_in(&self, buckets: &Buckets, k: usize) -> usize {
-        self.values.partition_point(|&i| buckets.slot(i as f64) < k)
+        if k >= buckets.counts.len() {
+            return self.values.len();
+        }
+        let start = buckets.min + buckets.width * k as f64;
+        let guess = self.values.partition_point(|&i| (i as f64) < start);
+        let below = |at: &usize| buckets.slot(self.values[*at] as f64) < k;
+        let from = (0..guess).rev().find(below).map_or(0, |at| at + 1);
+        let end = self.values.len();
+        (from..end).find(|at| !below(at)).unwrap_or(end)
     }
 }
 
