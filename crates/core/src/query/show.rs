@@ -423,23 +423,24 @@ fn profile_narration(entry: &JournalEntry) -> String {
         format_duration(phases.execute),
         counted(entry.result_rows as usize, "row"),
     ))];
-    // Blame the operator that burned the most inclusive time under execute:
-    // the first in pre-order when several tie.
+    // Blame the operator that burned the most time of its own under execute
+    // (inclusive time would always name the root): the first in pre-order
+    // when several tie.
     let root = entry.profile.root();
     let mut op = root;
     root.walk(&mut |node| {
-        if node.metrics().elapsed > op.metrics().elapsed {
+        if node.metrics().self_elapsed() > op.metrics().self_elapsed() {
             op = node;
         }
     });
     sentences.push(finish_sentence(&format!(
-        "Inside the plan, the {} did the heaviest lifting at {}",
+        "Inside the plan, the {} did the heaviest lifting, {} of its own work",
         if op.has_detail() {
             format!("{} on {}", op.operator(), op.detail())
         } else {
             op.operator().to_string()
         },
-        format_duration(op.metrics().elapsed)
+        format_duration(op.metrics().self_elapsed())
     )));
     if let Some((detail, factor)) = &entry.worst_misestimate {
         sentences.push(finish_sentence(&format!(

@@ -16,7 +16,7 @@
 use crate::error::TalkbackError;
 use crate::planner::{self, plan_query_with, PlanDecision, PlannedQuery, PlannerOptions};
 use datastore::exec::{describe_plan, execute_with_stats, OpMetrics, PlanProfile, ResultSet};
-use datastore::obs::{Counter, Statement, StatementPhases};
+use datastore::obs::{Counter, FoldPlan, Statement, StatementPhases};
 use datastore::stats::RangeClass;
 use datastore::{
     CacheKey, CacheLookup, CacheStatus, CachedVerdict, Database, ParamKind, PlanTemplate,
@@ -39,6 +39,8 @@ pub(crate) struct Prepared<'s> {
     source: Source,
     options: PlannerOptions,
     phases: StatementPhases,
+    /// The instant preparing ended, which the execute phase starts at.
+    ready: Instant,
     meta: StatementMeta,
 }
 
@@ -100,10 +102,12 @@ pub(crate) fn prepare<'s, 'q>(
         };
         db.obs().incr(counter);
     }
-    let source = match template {
+    // Each phase ends at the instant the next begins: one clock read each.
+    let (source, ready) = match template {
         Some(template) => {
-            phases.plan = start.elapsed();
-            Source::Template(template)
+            let ready = Instant::now();
+            phases.plan = ready - start;
+            (Source::Template(template), ready)
         }
         None => {
             let query = parse()?;
@@ -114,9 +118,10 @@ pub(crate) fn prepare<'s, 'q>(
                 }
                 _ => Source::Fresh(Box::new(plan_query_with(db, &query, options)?)),
             };
+            let ready = Instant::now();
             phases.parse = planning - start;
-            phases.plan = planning.elapsed();
-            source
+            phases.plan = ready - planning;
+            (source, ready)
         }
     };
     Ok(Prepared {
@@ -126,6 +131,7 @@ pub(crate) fn prepare<'s, 'q>(
         source,
         options,
         phases,
+        ready,
         meta,
     })
 }
@@ -192,15 +198,17 @@ impl Prepared<'_> {
     }
 
     /// Execute the plan, absorb its cardinality feedback and journal it —
-    /// the one place a prepared statement does any of the three. `keep`
-    /// takes what the caller needs of the profile before the journal is
-    /// handed the profile itself, the statement's literals with it.
+    /// the one place a prepared statement does any of the three. The
+    /// execute phase runs from the instant preparing ended. One pass over
+    /// the run's counters, by the plan's fold plan (a template's, found
+    /// once), serves the feedback and the record. `keep` takes what the
+    /// caller needs of the profile before it is journaled, the statement's
+    /// literals with it.
     pub(crate) fn run<K>(
         mut self,
         keep: impl FnOnce(&PlanProfile) -> K,
     ) -> Result<(ResultSet, K), TalkbackError> {
         let (db, options) = (self.db, self.options);
-        let start = Instant::now();
         let (result, profile) = match &self.source {
             Source::Template(template) => {
                 let literals = (self.normalized.as_mut()).map(|n| std::mem::take(&mut n.literals));
@@ -209,29 +217,32 @@ impl Prepared<'_> {
             Source::Fresh(planned) => execute_with_stats(db, &planned.plan)?,
         };
         let phases = StatementPhases {
-            execute: start.elapsed(),
+            execute: self.ready.elapsed(),
             ..self.phases
         };
+        let fresh;
+        let (fold, plan_hash) = match &self.source {
+            Source::Template(template) => {
+                (template.fold(&profile), Some(template.shape_hash(&profile)))
+            }
+            Source::Fresh(_) => {
+                fresh = FoldPlan::new(profile.shape());
+                (&fresh, None)
+            }
+        };
+        let tally = fold.tally(profile.counters(), options.misestimate_factor);
         if options.use_feedback {
-            db.adaptive().absorb(&profile, options.misestimate_factor);
+            db.adaptive().learn(&profile, &tally);
         }
         let kept = keep(&profile);
         let statement = Statement {
             sql: self.sql,
             shape: self.normalized.as_ref().map(|n| n.text.as_str()),
-            plan_hash: match &self.source {
-                Source::Template(template) => Some(template.shape_hash(&profile)),
-                Source::Fresh(_) => None,
-            },
+            plan_hash,
         };
-        db.obs().record_statement(
-            statement,
-            profile,
-            phases,
-            result.len() as u64,
-            options.misestimate_factor,
-            self.meta,
-        );
+        let (rows, meta) = (result.len() as u64, self.meta);
+        db.obs()
+            .record(statement, Cow::Owned(profile), &tally, phases, rows, meta);
         Ok((result, kept))
     }
 }

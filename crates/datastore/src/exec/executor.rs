@@ -92,11 +92,15 @@ impl ResultSet {
 }
 
 /// Pull an open tree dry and count the statement; the drained tree still
-/// holds every operator's counters.
+/// holds every operator's counters. A tree that says its last batch was its
+/// last is not pulled again.
 fn drain(db: &Database, source: &mut Box<dyn RowSource>) -> Result<ResultSet, StoreError> {
     let columns = source.columns().clone();
     let mut rows = Vec::new();
-    while let Some(batch) = source.next_batch()? {
+    while !source.exhausted() {
+        let Some(batch) = source.next_batch()? else {
+            break;
+        };
         batch.drain_into(&mut rows);
     }
     db.obs().incr(Counter::QueriesExecuted);

@@ -241,16 +241,47 @@ pub struct SubqueryTally<'a> {
 /// tree rendering and the narration flag it.
 pub const MISESTIMATE_FACTOR: f64 = 10.0;
 
+/// How far `est` is off from `actual`, as a ≥ 1.0 factor, when it reaches
+/// `flag_factor` ([`ProfileNode::misestimate_with`]).
+pub(crate) fn misestimate(est: f64, actual: u64, flag_factor: f64) -> Option<f64> {
+    let est = est.round().max(1.0);
+    let actual = (actual as f64).max(1.0);
+    let factor = if est > actual {
+        est / actual
+    } else {
+        actual / est
+    };
+    (factor >= flag_factor).then_some(factor)
+}
+
 /// One execution of a plan, as it profiles itself: the plan's shape, shared
 /// with every other execution of it, this execution's counters (one per
 /// node, in pre-order), and the literals the shape's slots stand for. Read
 /// it through [`PlanProfile::root`] and [`ProfileNode`]; all counters are
 /// zero when the plan was only described, not executed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct PlanProfile {
     shape: Arc<OpShape>,
     counters: Vec<OpMetrics>,
     params: Vec<Value>,
+}
+
+impl Clone for PlanProfile {
+    fn clone(&self) -> PlanProfile {
+        PlanProfile {
+            shape: Arc::clone(&self.shape),
+            counters: self.counters.clone(),
+            params: self.params.clone(),
+        }
+    }
+
+    /// A copy written into this profile's own buffers (a reused journal
+    /// slot's): nothing is allocated when they are large enough.
+    fn clone_from(&mut self, source: &PlanProfile) {
+        self.shape.clone_from(&source.shape);
+        self.counters.clone_from(&source.counters);
+        self.params.clone_from(&source.params);
+    }
 }
 
 impl From<&PlanProfile> for PlanProfile {
@@ -280,6 +311,34 @@ impl PlanProfile {
             live: true,
             scale: 1.0,
         }
+    }
+
+    /// The node at pre-order position `at`, found by descending from the
+    /// root (no walk); panics past the last node, like indexing.
+    pub fn node(&self, at: usize) -> ProfileNode<'_> {
+        let (mut node, mut first) = (self.root(), 0);
+        while first != at {
+            // The children's subtrees follow their parent's position in turn.
+            first += 1;
+            node = (node.children())
+                .find(|child| {
+                    let holds = at < first + child.shape.size;
+                    first += if holds { 0 } else { child.shape.size };
+                    holds
+                })
+                .expect("a position in the tree");
+        }
+        node
+    }
+
+    /// The shape every execution of the plan shares.
+    pub fn shape(&self) -> &Arc<OpShape> {
+        &self.shape
+    }
+
+    /// This execution's counters, one per node in pre-order.
+    pub fn counters(&self) -> &[OpMetrics] {
+        &self.counters
     }
 
     /// The root's operator name.
@@ -543,14 +602,7 @@ impl<'a> ProfileNode<'a> {
     /// [`ProfileNode::misestimate`] against an explicit flagging threshold —
     /// how `PlannerOptions::misestimate_factor` reaches the renderer.
     pub fn misestimate_with(self, flag_factor: f64) -> Option<f64> {
-        let est = self.estimated_rows()?.round().max(1.0);
-        let actual = (self.metrics().rows_out as f64).max(1.0);
-        let factor = if est > actual {
-            est / actual
-        } else {
-            actual / est
-        };
-        (factor >= flag_factor).then_some(factor)
+        misestimate(self.estimated_rows()?, self.metrics().rows_out, flag_factor)
     }
 
     /// The operator of this subtree whose estimate is furthest off, with its

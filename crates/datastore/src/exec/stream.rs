@@ -123,6 +123,9 @@ pub trait RowSource: Send {
     fn next_batch(&mut self) -> Result<Option<Batch>, StoreError> {
         self.timed_batch().0
     }
+    /// True when the next pull would return `None`, known without pulling:
+    /// the last batch handed on was the last. No consumer pulls it again.
+    fn exhausted(&self) -> bool;
     /// Start over (Volcano's rescan) with each parameter `bindings` has a
     /// value for bound to it; the others keep the values bound before.
     /// Statement parameters and correlation values are bound the same way:
@@ -171,6 +174,10 @@ pub(crate) trait Operator: Send {
     /// [`OpMetrics::wait_for`]. What the operator tallies besides rows
     /// (evaluations, groups, probes) goes into `meter` too.
     fn pull(&mut self, meter: &mut OpMetrics) -> Result<Option<Batch>, StoreError>;
+    /// [`RowSource::exhausted`]; an operator that cannot tell says `false`.
+    fn exhausted(&self) -> bool {
+        false
+    }
     /// [`RowSource::rewind`]: reset, rewind the inputs, rebind each `$k`.
     fn rewind(&mut self, bindings: ParamLookup<'_>);
     /// Name, detail and annotations for the shape, rendered from what the
@@ -219,13 +226,25 @@ impl<O: Operator> RowSource for Metered<O> {
         self.op.columns()
     }
 
+    fn exhausted(&self) -> bool {
+        self.op.exhausted()
+    }
+
     fn timed_batch(&mut self) -> (Result<Option<Batch>, StoreError>, Duration) {
+        // An exhausted operator is not called again, and no clock is read.
+        if self.op.exhausted() {
+            return (Ok(None), Duration::ZERO);
+        }
         let start = Instant::now();
         let result = loop {
             match self.op.pull(&mut self.meter) {
                 // An operator that filtered a whole input batch away pulls
-                // again: an empty batch is never handed to a parent.
-                Ok(Some(batch)) if batch.is_empty() => continue,
+                // again, unless that was its last: an empty batch is never
+                // handed to a parent.
+                Ok(Some(batch)) if batch.is_empty() => match self.op.exhausted() {
+                    true => break Ok(None),
+                    false => continue,
+                },
                 other => break other,
             }
         };
@@ -763,6 +782,10 @@ impl Operator for ScanSource {
         Ok(Some(batch))
     }
 
+    fn exhausted(&self) -> bool {
+        self.cursor >= self.table.len()
+    }
+
     fn rewind(&mut self, _bindings: ParamLookup<'_>) {
         self.cursor = 0;
         self.pull_size.reset();
@@ -920,6 +943,11 @@ impl Operator for IndexScanSource {
         Ok(Some(batch))
     }
 
+    fn exhausted(&self) -> bool {
+        // Unresolved, the probe is still to be made.
+        (self.positions.is_some() || self.index_rows.is_some()) && self.remaining() == 0
+    }
+
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
         if let Some(bound) = &mut self.bound {
             bound.rebind(&self.bounds, bindings);
@@ -1046,6 +1074,10 @@ impl Operator for IndexNljSource {
         Ok(self.pending.take(BATCH_SIZE))
     }
 
+    fn exhausted(&self) -> bool {
+        self.pending.len() == 0 && (self.done || self.left.exhausted())
+    }
+
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
         self.left.rewind(bindings);
         self.pending.clear();
@@ -1129,6 +1161,10 @@ impl Operator for ValuesSource {
         Ok(Some(batch))
     }
 
+    fn exhausted(&self) -> bool {
+        self.cursor >= self.rows.len()
+    }
+
     fn rewind(&mut self, _bindings: ParamLookup<'_>) {
         self.cursor = 0;
     }
@@ -1168,6 +1204,10 @@ impl Operator for FilterSource {
         meter.vector_batches += 1;
         batch.narrow(&mask);
         Ok(Some(batch))
+    }
+
+    fn exhausted(&self) -> bool {
+        self.input.exhausted()
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
@@ -1245,6 +1285,10 @@ impl Operator for ProjectSource {
                 Batch::from(rows)
             }
         }))
+    }
+
+    fn exhausted(&self) -> bool {
+        self.input.exhausted()
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {
@@ -1911,6 +1955,10 @@ impl Operator for LimitSource {
         batch.truncate(self.remaining);
         self.remaining -= batch.len();
         Ok(Some(batch))
+    }
+
+    fn exhausted(&self) -> bool {
+        self.remaining == 0 || self.input.exhausted()
     }
 
     fn rewind(&mut self, bindings: ParamLookup<'_>) {

@@ -23,14 +23,19 @@
 //! `talkback` crate; this module only aggregates and detects.
 
 use super::{
-    bucket_quantile, latency_bucket, CacheStatus, StatementMeta, StatementPhases, HIST_BUCKETS,
+    bucket_quantile, latency_bucket, CacheStatus, Filed, FoldPlan, StatementMeta, StatementPhases,
+    Tally, HIST_BUCKETS,
 };
-use crate::exec::{OpKind, PlanProfile};
+use crate::exec::PlanProfile;
 use crate::fingerprint::{fnv_hash, normalize_predicate};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
+
+/// Filed nodes of a plan whose places in a shape's ledger row are kept
+/// between its executions.
+const FILED_SLOTS: usize = 8;
 
 /// Executions of a shape before the miner takes it seriously.
 pub const MIN_EXECUTIONS: u64 = 3;
@@ -67,15 +72,15 @@ pub struct WorkloadSample<'a> {
     pub rows_scanned: u64,
     /// Rows the statement returned.
     pub rows_emitted: u64,
-    /// The executed profile: the tables it full-scans (with the rows each
-    /// scan read) and the indexes it probes are filed from it.
+    /// The executed profile and its fold plan: the tables it full-scans
+    /// (with the rows each scan read), the indexes it probes and the first
+    /// sort's keys are filed from them.
     pub profile: &'a PlanProfile,
+    pub fold: &'a FoldPlan,
     /// Rows fed through `Apply` operators (per-row subquery evaluation).
     pub apply_rows: u64,
-    /// Sort operators executed, with the first sort's key rendering.
+    /// Sort operators executed.
     pub sorts: u64,
-    /// Rendering of the first sort's keys, for sort-without-index advice.
-    pub sort_keys: Option<Cow<'a, str>>,
     /// Worst flagged est-vs-actual factor, when one crossed the threshold.
     pub misestimate: Option<f64>,
     /// How the plan cache treated the statement.
@@ -85,13 +90,15 @@ pub struct WorkloadSample<'a> {
 }
 
 impl<'a> WorkloadSample<'a> {
-    /// Extract the ledger-relevant facts from one executed statement, filed
-    /// under `shape` (the plan cache's key) or else its literals normalized.
+    /// The ledger-relevant facts of one executed statement, as one pass over
+    /// its counters (`tally`) found them, filed under `shape` (the plan
+    /// cache's key) or else its literals normalized.
     #[allow(clippy::too_many_arguments)]
     pub fn collect(
         sql: &'a str,
         shape: Option<&'a str>,
         profile: &'a PlanProfile,
+        tally: &Tally<'a>,
         phases: StatementPhases,
         result_rows: u64,
         plan_hash: u64,
@@ -103,39 +110,23 @@ impl<'a> WorkloadSample<'a> {
             Some(shape) => Cow::Borrowed(shape),
             None => Cow::Owned(normalize_predicate(sql)),
         };
-        let mut sample = WorkloadSample {
+        WorkloadSample {
             statement_key: fnv_hash(normalized_sql.as_bytes()),
             normalized_sql,
             sql,
             plan_hash,
             total: phases.total(),
             execute: phases.execute,
-            rows_scanned: 0,
+            rows_scanned: tally.rows_scanned(),
             rows_emitted: result_rows,
             profile,
-            apply_rows: 0,
-            sorts: 0,
-            sort_keys: None,
+            fold: tally.plan(),
+            apply_rows: tally.apply_rows(),
+            sorts: tally.plan().sorts(),
             misestimate: worst_misestimate,
             cache: meta.cache,
             epoch: meta.epoch,
-        };
-        profile.walk(&mut |node| match node.kind() {
-            OpKind::Scan | OpKind::IndexScan | OpKind::IndexProbe => {
-                sample.rows_scanned += node.metrics().rows_out;
-            }
-            OpKind::Apply => {
-                sample.apply_rows += node.metrics().rows_in;
-            }
-            OpKind::Sort => {
-                sample.sorts += 1;
-                if sample.sort_keys.is_none() && node.has_detail() {
-                    sample.sort_keys = Some(node.detail());
-                }
-            }
-            _ => {}
-        });
-        sample
+        }
     }
 }
 
@@ -173,6 +164,14 @@ pub struct WorkloadStat {
     pub full_scans: BTreeMap<String, (u64, u64)>,
     /// Index probes by index name.
     pub index_scans: BTreeMap<String, u64>,
+    /// What `full_scans` and `index_scans` are written from when the ledger
+    /// is read: each table or index a plan of the shape filed, with its
+    /// count and rows read, in the order first met.
+    filed: Vec<(Filed, String, u64, u64)>,
+    /// The plan whose filed nodes were last looked up, and their places in
+    /// `filed` (the first [`FILED_SLOTS`]): another execution of it files
+    /// without comparing a name.
+    resolved: Option<(u64, [u32; FILED_SLOTS])>,
     /// Rows fed through `Apply` operators across all executions.
     pub apply_rows: u64,
     /// Sort operators executed across all executions.
@@ -212,6 +211,8 @@ impl WorkloadStat {
             rows_emitted: 0,
             full_scans: BTreeMap::new(),
             index_scans: BTreeMap::new(),
+            filed: Vec::new(),
+            resolved: None,
             apply_rows: 0,
             sorts: 0,
             sort_keys: None,
@@ -238,31 +239,11 @@ impl WorkloadStat {
         self.hist[latency_bucket(sample.total)] += 1;
         self.rows_scanned += sample.rows_scanned;
         self.rows_emitted += sample.rows_emitted;
-        // A table or index already on file is counted without copying its
-        // name again.
-        sample
-            .profile
-            .walk(&mut |node| match (node.kind(), node.access()) {
-                (OpKind::Scan, _) => {
-                    let (table, rows) = (node.table().unwrap_or_default(), node.metrics().rows_out);
-                    match self.full_scans.get_mut(table) {
-                        Some((scans, read)) => (*scans, *read) = (*scans + 1, *read + rows),
-                        None => _ = self.full_scans.insert(table.to_string(), (1, rows)),
-                    }
-                }
-                (
-                    OpKind::IndexScan | OpKind::IndexProbe | OpKind::IndexNestedLoopJoin,
-                    Some(access),
-                ) => match self.index_scans.get_mut(&access.index) {
-                    Some(probes) => *probes += 1,
-                    None => _ = self.index_scans.insert(access.index.clone(), 1),
-                },
-                _ => {}
-            });
+        self.file(sample);
         self.apply_rows += sample.apply_rows;
         self.sorts += sample.sorts;
-        if self.sort_keys.is_none() {
-            self.sort_keys = sample.sort_keys.as_deref().map(str::to_string);
+        if let (None, Some(at)) = (&self.sort_keys, sample.fold.sort_keys()) {
+            self.sort_keys = Some(sample.profile.node(at).detail().into_owned());
         }
         if let Some(factor) = sample.misestimate {
             self.flagged += 1;
@@ -296,6 +277,57 @@ impl WorkloadStat {
                 self.recent.pop_front();
             }
         }
+    }
+
+    /// Count the sample's full scans and index probes under their tables
+    /// and indexes. Their places in `filed` are looked up by name only for a
+    /// plan other than the last one; a name met for the first time is
+    /// copied once.
+    fn file(&mut self, sample: &WorkloadSample) {
+        let counters = sample.profile.counters();
+        let known = match self.resolved {
+            Some((hash, slots)) if hash == sample.plan_hash => Some(slots),
+            _ => None,
+        };
+        let mut slots = [0; FILED_SLOTS];
+        for (i, (at, filed)) in sample.fold.filed().enumerate() {
+            let slot = match known.filter(|_| i < FILED_SLOTS) {
+                Some(slots) => slots[i] as usize,
+                None => {
+                    let node = sample.profile.node(at);
+                    let name = match filed {
+                        Filed::Table => node.table().unwrap_or_default(),
+                        Filed::Index => &node.access().expect("an index access").index,
+                    };
+                    let by_name =
+                        |entry: &(Filed, String, u64, u64)| (entry.0, &*entry.1) == (filed, name);
+                    (self.filed.iter().position(by_name)).unwrap_or_else(|| {
+                        self.filed.push((filed, name.to_string(), 0, 0));
+                        self.filed.len() - 1
+                    })
+                }
+            };
+            if let Some(kept) = slots.get_mut(i) {
+                *kept = slot as u32;
+            }
+            let entry = &mut self.filed[slot];
+            entry.2 += 1;
+            entry.3 += counters[at].rows_out;
+        }
+        self.resolved = Some((sample.plan_hash, slots));
+    }
+
+    /// This shape as readers see it: `full_scans` and `index_scans` written
+    /// out.
+    fn published(&self) -> WorkloadStat {
+        let mut stat = self.clone();
+        for (filed, name, count, rows) in &self.filed {
+            match filed {
+                Filed::Table => _ = stat.full_scans.insert(name.clone(), (*count, *rows)),
+                Filed::Index => _ = stat.index_scans.insert(name.clone(), *count),
+            }
+        }
+        stat
     }
 
     /// Mean end-to-end time per execution.
@@ -381,7 +413,7 @@ impl WorkloadLedger {
             .lock()
             .expect("workload ledger lock")
             .values()
-            .cloned()
+            .map(WorkloadStat::published)
             .collect();
         stats.sort_by(|a, b| {
             b.total_time
@@ -397,7 +429,7 @@ impl WorkloadLedger {
             .lock()
             .expect("workload ledger lock")
             .get(&statement_key)
-            .cloned()
+            .map(WorkloadStat::published)
     }
 
     /// Forget everything (tests, resets).
@@ -608,7 +640,7 @@ pub fn regressions(stats: &[WorkloadStat]) -> Vec<Regression> {
 mod tests {
     use super::*;
     use crate::exec::profile::Description;
-    use crate::exec::{Columns, OpMetrics};
+    use crate::exec::{Columns, OpKind, OpMetrics};
     use std::sync::{Arc, LazyLock};
 
     /// A full scan of CAST that read 100 rows.
@@ -623,6 +655,7 @@ mod tests {
         };
         PlanProfile::new(shape, vec![read], Vec::new())
     });
+    static CAST_SCAN_FOLD: LazyLock<FoldPlan> = LazyLock::new(|| FoldPlan::new(CAST_SCAN.shape()));
 
     fn sample(sql: &str, micros: u64) -> WorkloadSample<'_> {
         let normalized = normalize_predicate(sql);
@@ -636,9 +669,9 @@ mod tests {
             rows_scanned: 100,
             rows_emitted: 2,
             profile: &CAST_SCAN,
+            fold: &CAST_SCAN_FOLD,
             apply_rows: 0,
             sorts: 0,
-            sort_keys: None,
             misestimate: None,
             cache: CacheStatus::Miss,
             epoch: 0,

@@ -35,11 +35,13 @@
 
 mod decision;
 pub mod doctor;
+mod fold;
 
 pub use decision::{
     AccessPathKind, Alternative, DecisionKind, GroupedLookup, JoinEnumeration, PlanDecision,
     SqlText, SubqueryStrategy, CONSTRUCT_CHARS,
 };
+pub use fold::{Filed, FoldPlan, Tally};
 
 use crate::adaptive::Uncacheable;
 use crate::exec::{PlanProfile, ProfileNode};
@@ -382,6 +384,10 @@ impl From<ProfileNode<'_>> for Span {
 /// Default journal capacity (statements retained).
 pub const JOURNAL_CAP: usize = 256;
 
+/// Bytes a journal slot's SQL buffer holds before it grows: a slot is
+/// reused for statements of other lengths than its first.
+const JOURNAL_SQL_BYTES: usize = 128;
+
 /// How the plan cache treated one statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheStatus {
@@ -585,6 +591,56 @@ impl Journal {
             .iter()
             .max_by_key(|e| e.total)
             .cloned()
+    }
+}
+
+impl JournalInner {
+    /// Journal a statement of `sql` that ran `profile`, with `fill` writing
+    /// the rest. A full journal writes it into its oldest slot: the SQL into
+    /// the slot's `String`, a borrowed profile into its `Vec`s (nothing is
+    /// allocated when they are large enough), and an owned one in their
+    /// place (nothing to copy).
+    fn write(
+        &mut self,
+        cap: usize,
+        sql: &str,
+        profile: Cow<'_, PlanProfile>,
+        fill: impl FnOnce(&mut JournalEntry),
+    ) {
+        let mut entry = match self.entries.len() >= cap {
+            true => {
+                let mut oldest = self
+                    .entries
+                    .pop_front()
+                    .expect("a full journal holds an entry");
+                oldest.sql.clear();
+                oldest.sql.push_str(sql);
+                match profile {
+                    Cow::Borrowed(profile) => oldest.profile.clone_from(profile),
+                    Cow::Owned(profile) => oldest.profile = profile,
+                }
+                oldest
+            }
+            false => JournalEntry {
+                seq: 0,
+                sql: {
+                    let mut buffer = String::with_capacity(sql.len().max(JOURNAL_SQL_BYTES));
+                    buffer.push_str(sql);
+                    buffer
+                },
+                plan_hash: 0,
+                result_rows: 0,
+                total: Duration::ZERO,
+                phases: StatementPhases::default(),
+                profile: profile.into_owned(),
+                worst_misestimate: None,
+                cache: CacheStatus::Off,
+            },
+        };
+        entry.seq = self.next_seq;
+        self.next_seq += 1;
+        fill(&mut entry);
+        self.entries.push_back(entry);
     }
 }
 
@@ -832,10 +888,9 @@ impl ObsRegistry {
     /// the misestimate ledger, and the statement's workload facts into the
     /// doctor's ledger. `flag_factor` is the caller's misestimate threshold
     /// (`PlannerOptions::misestimate_factor`); `meta` carries the plan-cache
-    /// outcome and adaptive epoch. A profile handed over by value is
-    /// journaled as it is; a borrowed one is copied (its shape is shared).
-    /// Only a flagged misestimate, and the shape hash when the caller has
-    /// none, are written out as text. No-op when the registry is disabled.
+    /// outcome and adaptive epoch. The profile's fold plan is made on the
+    /// spot and [`ObsRegistry::record`] takes the one pass it guides. No-op
+    /// when the registry is disabled.
     pub fn record_statement<'s>(
         &self,
         statement: impl Into<Statement<'s>>,
@@ -848,53 +903,75 @@ impl ObsRegistry {
         if !self.enabled() {
             return;
         }
-        let statement: Statement = statement.into();
-        let total = phases.total();
-        self.record_latency(Phase::Parse, phases.parse);
-        self.record_latency(Phase::Plan, phases.plan);
-        self.record_latency(Phase::Execute, phases.execute);
-        self.record_latency(Phase::Total, total);
+        let fold = FoldPlan::new(profile.borrow().shape());
+        let tally = fold.tally(profile.borrow().counters(), flag_factor);
+        let profile = Cow::Borrowed(profile.borrow());
+        self.record(statement.into(), profile, &tally, phases, result_rows, meta);
+    }
 
-        let worst = self.absorb_misestimates(profile.borrow(), flag_factor);
-        let plan_hash = (statement.plan_hash).unwrap_or_else(|| plan_shape_hash(profile.borrow()));
+    /// Record one executed statement from what one pass over its counters
+    /// found (`tally`, by its plan's [`FoldPlan`]): every flagged error
+    /// into the misestimate ledger, then, in one lock order — the journal's
+    /// lock, and the workload ledger's inside it — the workload facts, the
+    /// phase latencies and the journal entry, written into the oldest slot
+    /// once the journal is full. A profile handed over by value is journaled
+    /// as it is; a borrowed one is copied. Only a flagged misestimate, and
+    /// the shape hash when the caller has none, are written out as text.
+    /// No-op when the registry is disabled.
+    pub fn record(
+        &self,
+        statement: Statement<'_>,
+        profile: Cow<'_, PlanProfile>,
+        tally: &Tally<'_>,
+        phases: StatementPhases,
+        result_rows: u64,
+        meta: StatementMeta,
+    ) {
+        if !self.enabled() {
+            return;
+        }
+        let worst = self.absorb_misestimates(&profile, tally);
+        let plan_hash = (statement.plan_hash).unwrap_or_else(|| plan_shape_hash(&profile));
+        let sql = statement.sql.trim();
+        let mut journal = self.journal.inner.lock().expect("journal lock");
         self.workload.observe(&doctor::WorkloadSample::collect(
-            statement.sql,
+            sql,
             statement.shape,
-            profile.borrow(),
+            &profile,
+            tally,
             phases,
             result_rows,
             plan_hash,
             worst.as_ref().map(|(_, f)| *f),
             meta,
         ));
-
-        self.journal.push(JournalEntry {
-            seq: 0, // assigned by the journal
-            sql: statement.sql.trim().to_string(),
-            plan_hash,
-            result_rows,
-            total,
-            phases,
-            profile: profile.into(),
-            worst_misestimate: worst,
-            cache: meta.cache,
+        let total = phases.total();
+        self.record_latency(Phase::Parse, phases.parse);
+        self.record_latency(Phase::Plan, phases.plan);
+        self.record_latency(Phase::Execute, phases.execute);
+        self.record_latency(Phase::Total, total);
+        journal.write(self.journal.capacity(), sql, profile, |entry| {
+            entry.plan_hash = plan_hash;
+            entry.result_rows = result_rows;
+            entry.total = total;
+            entry.phases = phases;
+            entry.worst_misestimate = worst;
+            entry.cache = meta.cache;
         });
     }
 
-    /// Walk an executed profile, fold every flagged misestimate into the
-    /// ledger, and return the worst one as `(detail, factor)`.
+    /// Fold every misestimate `tally` flagged into the ledger, and return
+    /// the worst one as `(detail, factor)`.
     fn absorb_misestimates(
         &self,
         profile: &PlanProfile,
-        flag_factor: f64,
+        tally: &Tally<'_>,
     ) -> Option<(String, f64)> {
         // Nothing flagged (the common statement): nothing to file, no lock.
-        let (worst, worst_factor) = profile.worst_misestimate(flag_factor)?;
+        let (worst, worst_factor) = tally.worst()?;
         let mut ledger = self.misestimates.lock().expect("misestimates lock");
-        profile.walk(&mut |node| {
-            let Some(factor) = node.misestimate_with(flag_factor) else {
-                return;
-            };
+        for (at, factor) in tally.flagged() {
+            let node = profile.node(at);
             let key = match node.shape_key() {
                 Some(key) => ledger_key(&key.table, &key.shape),
                 None => (
@@ -916,7 +993,8 @@ impl ObsRegistry {
             stat.max_factor = stat.max_factor.max(factor);
             stat.last_estimated = node.estimated_rows().unwrap_or(0.0).round().max(0.0) as u64;
             stat.last_actual = node.metrics().rows_out;
-        });
+        }
+        let worst = profile.node(worst);
         let detail = if worst.has_detail() {
             format!("{}: {}", worst.operator(), worst.detail())
         } else {
@@ -949,6 +1027,7 @@ mod tests {
     use super::*;
     use crate::exec::profile::Description;
     use crate::exec::{Columns, OpKind, OpMetrics};
+    use crate::value::Value;
     use std::sync::Arc;
 
     fn entry(sql: &str) -> JournalEntry {
@@ -965,6 +1044,41 @@ mod tests {
             worst_misestimate: None,
             cache: CacheStatus::Off,
         }
+    }
+
+    #[test]
+    fn a_reused_journal_slot_holds_only_the_statement_written_into_it() {
+        // One shape shared by every statement, as a template's is: a reused
+        // slot must take each statement's counters and literals whole.
+        let scan = Description::new(OpKind::Scan, "MOVIES as m".to_string());
+        let shape = Arc::new(scan.shape(&Columns::default(), Some(5.0), []));
+        let reg = ObsRegistry::new(2);
+        for i in 0..6u64 {
+            let ran = OpMetrics {
+                rows_in: i,
+                rows_out: i,
+                batches: 1,
+                ..OpMetrics::default()
+            };
+            let literals = (0..i % 3).map(|k| Value::int(k as i64)).collect();
+            let profile = PlanProfile::new(Arc::clone(&shape), vec![ran], literals);
+            let sql = format!("select m.title from MOVIES m where m.id = {}", 10 - i);
+            let phases = StatementPhases::default();
+            // Half of them handed over by value, half borrowed.
+            let meta = StatementMeta::default();
+            let fold = FoldPlan::new(&shape);
+            let tally = fold.tally(profile.counters(), 10.0);
+            let owned = Cow::Owned(profile.clone());
+            match i % 2 {
+                0 => reg.record_statement(sql.as_str(), &profile, phases, i, 10.0, meta),
+                _ => reg.record(sql.as_str().into(), owned, &tally, phases, i, meta),
+            }
+            let entry = reg.journal().last().unwrap();
+            assert_eq!((entry.seq, entry.sql.as_str()), (i + 1, sql.as_str()));
+            assert_eq!(entry.profile, profile);
+            assert_eq!(entry.result_rows, i);
+        }
+        assert_eq!(reg.journal().len(), 2);
     }
 
     #[test]

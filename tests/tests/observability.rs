@@ -329,9 +329,43 @@ fn show_profile_golden_span_tree() {
     );
     assert!(narration.contains("returned two rows."), "{narration}");
     assert!(
-        narration.contains("did the heaviest lifting at <t>"),
+        narration.contains("did the heaviest lifting, <t> of its own work"),
         "{narration}"
     );
+}
+
+/// `SHOW PROFILE` blames the operator that spent the most time on its own
+/// work: inclusive time never ranks a child above the root, so it would
+/// always name the root. The operator is worked out from the journaled
+/// entry's own counters, so the test does not depend on timing.
+#[test]
+fn show_profile_blames_the_operator_with_the_most_time_of_its_own() {
+    let system = Talkback::new(movie_database());
+    let words = |text: &str| text.split_whitespace().collect::<Vec<_>>().join(" ");
+    for sql in PAPER_QUERIES {
+        system.run_query(sql).unwrap();
+        let entry = system.database().obs().journal().last().expect("journaled");
+        let root = entry.profile.root();
+        let mut heaviest = root;
+        root.walk(&mut |node| {
+            if node.metrics().self_elapsed() > heaviest.metrics().self_elapsed() {
+                heaviest = node;
+            }
+        });
+        let named = match heaviest.has_detail() {
+            true => format!("the {} on {}", heaviest.operator(), heaviest.detail()),
+            false => format!("the {}", heaviest.operator()),
+        };
+        let took = datastore::obs::format_duration(heaviest.metrics().self_elapsed());
+        let expected = words(&format!(
+            "{named} did the heaviest lifting, {took} of its own work."
+        ));
+        let narration = system.execute_show("show profile").unwrap().narration;
+        assert!(
+            words(&narration).contains(&expected),
+            "{sql}: expected {expected:?} in {narration:?}"
+        );
+    }
 }
 
 /// A table where the uniform-NDV assumption is badly wrong: 99 rows share
@@ -771,6 +805,136 @@ fn scan_and_probe_counters_reconcile_with_the_journaled_profile() {
         check(&lookup, fresh, CacheStatus::Miss);
         check(&lookup, &cached, CacheStatus::Hit);
     }
+}
+
+/// Item 7's "consistent": while the journal holds every statement, each
+/// workload-ledger row, `SHOW METRICS`' rows-scanned and index-probe
+/// counters and the count of the `Total` latency histogram equal a fold over
+/// the journal's entries — for `lookup`'s five shapes at several literals,
+/// each a miss and then hits, a write, Q1–Q9 and a shape the plan cache
+/// refuses. A record that skipped a node in its fold fails it.
+#[test]
+fn the_workload_ledger_and_the_metrics_are_a_fold_over_the_journal() {
+    use datastore::exec::OpKind;
+    use datastore::obs::Phase;
+    use datastore::sample::{scaled_movie_database, ScaleConfig};
+    use std::collections::BTreeMap;
+    let mut system = Talkback::new(scaled_movie_database(ScaleConfig {
+        movies: 300,
+        actors: 180,
+        directors: 60,
+        ..ScaleConfig::default()
+    }));
+    for ddl in [
+        "create index idx_movies_year on MOVIES (year)",
+        "create index idx_cast_aid on CAST (aid)",
+        "create index idx_cast_mid_aid on CAST (mid, aid)",
+        "create index idx_actor_name on ACTOR (name) using hash",
+    ] {
+        system.execute_ddl(ddl).unwrap();
+    }
+    system.database().obs().journal().set_capacity(1_000);
+    let actors: Vec<String> = (system.database().table("ACTOR").unwrap())
+        .column_values("name")
+        .iter()
+        .filter_map(|v| v.as_str().map(str::to_string))
+        .collect();
+    for i in 0..4 {
+        for sql in lookup_shapes(&actors, i) {
+            system.run_query(&sql).unwrap();
+        }
+    }
+    let movie = vec![Value::int(301), Value::text("Folded"), Value::int(2009)];
+    system.database_mut().insert("MOVIES", movie).unwrap();
+    for sql in PAPER_QUERIES.iter().chain(&[
+        "select m.title from MOVIES m where m.year in (1990, 1991)",
+        "select m.title from MOVIES m where m.id = 7",
+    ]) {
+        system.run_query(sql).unwrap();
+    }
+
+    let obs = system.database().obs();
+    let journal = obs.journal().tail(None);
+    assert_eq!(
+        journal.len() as u64,
+        obs.journal().recorded(),
+        "nothing evicted"
+    );
+    assert_eq!(
+        obs.latency_summary(Phase::Total).count,
+        obs.journal().recorded()
+    );
+    // The fold, by statement shape: what the ledger should say.
+    #[derive(Debug, Default, PartialEq)]
+    struct Folded {
+        executions: u64,
+        rows_scanned: u64,
+        rows_emitted: u64,
+        cache_hits: u64,
+        full_scans: BTreeMap<String, (u64, u64)>,
+        index_scans: BTreeMap<String, u64>,
+    }
+    let ledger: BTreeMap<String, Folded> = (obs.workload().snapshot().into_iter())
+        .map(|stat| {
+            let row = Folded {
+                executions: stat.executions,
+                rows_scanned: stat.rows_scanned,
+                rows_emitted: stat.rows_emitted,
+                cache_hits: stat.cache_hits,
+                full_scans: stat.full_scans,
+                index_scans: stat.index_scans,
+            };
+            (stat.last_sql, row)
+        })
+        .collect();
+    let mut folded: BTreeMap<String, Folded> = BTreeMap::new();
+    let (mut scanned, mut probes) = (0, 0);
+    for entry in &journal {
+        // Each shape is filed under its latest statement, its evidence.
+        let last = (ledger.keys())
+            .find(|last| normalized(last) == normalized(&entry.sql))
+            .unwrap_or_else(|| panic!("no ledger row for {}", entry.sql));
+        let row = folded.entry(last.clone()).or_default();
+        row.executions += 1;
+        row.rows_emitted += entry.result_rows;
+        row.cache_hits += u64::from(entry.cache == datastore::CacheStatus::Hit);
+        entry.profile.walk(&mut |node| {
+            let m = node.metrics();
+            probes += m.probes;
+            if matches!(
+                node.kind(),
+                OpKind::Scan | OpKind::IndexScan | OpKind::IndexProbe
+            ) {
+                row.rows_scanned += m.rows_out;
+                scanned += m.rows_out;
+            }
+            if node.kind() == OpKind::Scan {
+                let scans = row.full_scans.entry(node.table().unwrap().to_string());
+                let (count, rows) = scans.or_default();
+                (*count, *rows) = (*count + 1, *rows + m.rows_out);
+            }
+            if let Some(access) = node.access() {
+                *row.index_scans.entry(access.index.clone()).or_default() += 1;
+            }
+        });
+    }
+    assert_eq!(ledger, folded);
+    let metric = |name: &str| -> u64 {
+        let report = system.execute_show("show metrics").unwrap();
+        let row = (report.table.lines())
+            .map(|line| line.split_whitespace().collect::<Vec<_>>())
+            .find(|cells| cells.get(..2) == Some(&["counter", name][..]))
+            .unwrap_or_else(|| panic!("no counter {name} in:\n{}", report.table))
+            .clone();
+        row[2].parse().unwrap()
+    };
+    assert_eq!(metric("rows_scanned"), scanned);
+    assert_eq!(metric("index_probes"), probes);
+}
+
+/// A statement's text with its literals lifted, as the workload ledger files it.
+fn normalized(sql: &str) -> String {
+    sqlparse::normalize_statement(sql).map_or_else(|| sql.to_string(), |n| n.text)
 }
 
 /// A journaled statement holds its plan's shape and its counters, not the
