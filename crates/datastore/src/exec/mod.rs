@@ -31,7 +31,13 @@
 //! [`stream::RowSource`]. The rules, and who keeps them:
 //!
 //! 1. `elapsed` is the wall time inside `next_batch`, children included —
-//!    the wrapper starts and stops the clock.
+//!    the wrapper starts and stops the clock. An operator that knows its
+//!    last batch was its last says so ([`stream::RowSource::exhausted`]:
+//!    scans, index and index-only scans, `VALUES`, project, filter, limit,
+//!    the index nested-loop join; every other operator cannot tell), and it
+//!    is not called again — neither the wrapper nor the executor's drain
+//!    calls it, and no clock is read — so `elapsed` covers the calls that
+//!    were made.
 //! 2. Time spent waiting on someone else's work lands in `blocked`
 //!    (`elapsed - blocked` is the operator's own work) — an operator takes
 //!    its inputs through `meter.pull(child)`, which charges the time the

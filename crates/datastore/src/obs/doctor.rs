@@ -22,12 +22,8 @@
 //! (`SHOW WORKLOAD`, `ADVISE`, `CHECKUP`) and the what-if coster live in the
 //! `talkback` crate; this module only aggregates and detects.
 
-use super::{
-    bucket_quantile, latency_bucket, CacheStatus, Filed, FoldPlan, StatementMeta, StatementPhases,
-    Tally, HIST_BUCKETS,
-};
+use super::{bucket_quantile, latency_bucket, CacheStatus, Filed, FoldPlan, HIST_BUCKETS};
 use crate::exec::PlanProfile;
-use crate::fingerprint::{fnv_hash, normalize_predicate};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -52,8 +48,8 @@ pub const DRIFT_FLOOR: Duration = Duration::from_micros(100);
 /// to advise about.
 pub const SCAN_ROWS_FLOOR: u64 = 32;
 
-/// The per-statement facts [`super::ObsRegistry::record_statement`] folds
-/// into the ledger, read from one executed statement and its profile.
+/// The per-statement facts [`super::ObsRegistry::record`] folds into the
+/// ledger, as one pass over the statement's counters found them.
 #[derive(Debug, Clone)]
 pub struct WorkloadSample<'a> {
     /// FNV hash of the literal-normalized statement text.
@@ -87,47 +83,6 @@ pub struct WorkloadSample<'a> {
     pub cache: CacheStatus,
     /// The adaptive epoch the statement executed in.
     pub epoch: u64,
-}
-
-impl<'a> WorkloadSample<'a> {
-    /// The ledger-relevant facts of one executed statement, as one pass over
-    /// its counters (`tally`) found them, filed under `shape` (the plan
-    /// cache's key) or else its literals normalized.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect(
-        sql: &'a str,
-        shape: Option<&'a str>,
-        profile: &'a PlanProfile,
-        tally: &Tally<'a>,
-        phases: StatementPhases,
-        result_rows: u64,
-        plan_hash: u64,
-        worst_misestimate: Option<f64>,
-        meta: StatementMeta,
-    ) -> WorkloadSample<'a> {
-        let sql = sql.trim();
-        let normalized_sql = match shape {
-            Some(shape) => Cow::Borrowed(shape),
-            None => Cow::Owned(normalize_predicate(sql)),
-        };
-        WorkloadSample {
-            statement_key: fnv_hash(normalized_sql.as_bytes()),
-            normalized_sql,
-            sql,
-            plan_hash,
-            total: phases.total(),
-            execute: phases.execute,
-            rows_scanned: tally.rows_scanned(),
-            rows_emitted: result_rows,
-            profile,
-            fold: tally.plan(),
-            apply_rows: tally.apply_rows(),
-            sorts: tally.plan().sorts(),
-            misestimate: worst_misestimate,
-            cache: meta.cache,
-            epoch: meta.epoch,
-        }
-    }
 }
 
 /// One recent execution kept for the sentinel's drift window.
@@ -242,7 +197,7 @@ impl WorkloadStat {
         self.file(sample);
         self.apply_rows += sample.apply_rows;
         self.sorts += sample.sorts;
-        if let (None, Some(at)) = (&self.sort_keys, sample.fold.sort_keys()) {
+        if let (None, Some(at)) = (&self.sort_keys, sample.fold.sort_keys) {
             self.sort_keys = Some(sample.profile.node(at).detail().into_owned());
         }
         if let Some(factor) = sample.misestimate {
@@ -641,6 +596,7 @@ mod tests {
     use super::*;
     use crate::exec::profile::Description;
     use crate::exec::{Columns, OpKind, OpMetrics};
+    use crate::fingerprint::{fnv_hash, normalize_predicate};
     use std::sync::{Arc, LazyLock};
 
     /// A full scan of CAST that read 100 rows.

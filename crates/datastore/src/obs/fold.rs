@@ -1,47 +1,38 @@
-//! What recording an execution reads of its counters, found once per plan
-//! shape: a [`FoldPlan`]. A plan-cache template keeps its own beside its
-//! shape hash; a fresh plan's is made on the spot by the same code. One pass
-//! over an execution's counters by it ([`FoldPlan::tally`]) yields everything
-//! the registry, the feedback store and the workload ledger fold in: the
-//! flagged misestimates (the worst of them, and the filters the planner
-//! named, which feedback learns from), the rows read from storage and fed
-//! through applies, and which nodes a full scan or an index probe is filed
-//! under. No [`crate::exec::ProfileNode`] is walked for it.
+//! A [`FoldPlan`]: what recording an execution reads of its counters, found
+//! once per plan shape. A plan-cache template keeps one beside its shape
+//! hash; a fresh plan makes one on the spot, through the same code. One pass
+//! by it over a run's counters ([`FoldPlan::tally`]) yields everything the
+//! record folds in: the flagged misestimates (the worst, and the filters
+//! feedback learns from), the rows read from storage and fed through
+//! applies, and the nodes the workload ledger files. No profile node is
+//! walked for it.
 
 use crate::exec::profile::misestimate;
 use crate::exec::{OpKind, OpMetrics, OpShape};
 
-/// The nodes of one plan shape that an execution's record reads, in
-/// pre-order, and what each is read for.
+/// The nodes of one plan shape that a record reads, in pre-order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FoldPlan {
     nodes: Box<[FoldNode]>,
     /// Sort operators in the plan.
-    sorts: u64,
-    /// Position of the first sort with keys to show.
-    sort_keys: Option<usize>,
+    pub sorts: u64,
+    /// Position of the first sort whose keys can be shown.
+    pub sort_keys: Option<usize>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FoldNode {
-    /// Pre-order position: the node's counters.
     at: usize,
-    /// The planner's estimate; inside an apply's subplan, per evaluation.
+    kind: OpKind,
+    /// The estimate; per evaluation of the apply at `scaled_by`, if any.
     est: Option<f64>,
-    /// The apply whose evaluations multiply `est`, when there is one.
     scaled_by: Option<usize>,
-    /// Its rows out are rows read from storage.
-    reads: bool,
-    /// Its rows in are rows fed through an apply.
-    feeds: bool,
-    /// The workload ledger files it under its table or its index.
     filed: Option<Filed>,
-    /// A filter the planner named: its input's position, whose rows out are
-    /// the filter's rows in.
+    /// A filter the planner named: its input's position.
     learns_from: Option<usize>,
 }
 
-/// What a node is filed under in the workload ledger.
+/// What the workload ledger files a node under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Filed {
     /// A full scan, under its table.
@@ -64,21 +55,14 @@ impl FoldPlan {
         plan
     }
 
-    /// File `shape` at `at`, then its children; `scaled_by` and `live` as
-    /// [`crate::exec::ProfileNode`] reads them: only an apply outside every
-    /// accumulated subplan scales its subplan's estimates.
-    fn visit(
-        &mut self,
-        shape: &OpShape,
-        nodes: &mut Vec<FoldNode>,
-        (at, scaled_by, live): (usize, Option<usize>, bool),
-    ) {
+    /// Add `shape`, at `at`, and its subtree. Like a profile node's, an
+    /// estimate is scaled only by an apply outside every accumulated subplan.
+    fn visit(&mut self, shape: &OpShape, nodes: &mut Vec<FoldNode>, (at, scaled_by, live): Walk) {
         let kind = shape.kind;
         if kind == OpKind::Sort {
             self.sorts += 1;
-            if self.sort_keys.is_none() && !shape.detail.as_str().is_empty() {
-                self.sort_keys = Some(at);
-            }
+            let shown = !shape.detail.as_str().is_empty();
+            self.sort_keys = self.sort_keys.or(shown.then_some(at));
         }
         let filed = match (kind, &shape.access) {
             (OpKind::Scan, _) => Some(Filed::Table),
@@ -87,141 +71,119 @@ impl FoldPlan {
             }
             _ => None,
         };
+        let learns = shape.shape_key.is_some() && !shape.children.is_empty();
+        let (est, learns_from) = (shape.estimated_rows, learns.then_some(at + 1));
         nodes.push(FoldNode {
             at,
-            est: shape.estimated_rows,
+            kind,
+            est,
             scaled_by,
-            reads: matches!(kind, OpKind::Scan | OpKind::IndexScan | OpKind::IndexProbe),
-            feeds: kind == OpKind::Apply,
             filed,
-            learns_from: (shape.shape_key.is_some() && !shape.children.is_empty())
-                .then_some(at + 1),
+            learns_from,
         });
         let mut child_at = at + 1;
         for (i, child) in shape.children.iter().enumerate() {
             let accumulated = shape.accumulates && i + 1 == shape.children.len();
-            let scaled_by = match kind {
-                OpKind::Apply if accumulated && live => Some(at),
-                _ => scaled_by,
-            };
-            self.visit(child, nodes, (child_at, scaled_by, live && !accumulated));
+            let scales = kind == OpKind::Apply && accumulated && live;
+            let walk = (
+                child_at,
+                if scales { Some(at) } else { scaled_by },
+                live && !accumulated,
+            );
+            self.visit(child, nodes, walk);
             child_at += child.size;
         }
     }
 
-    /// One pass over an execution's `counters` (one per node of the shape,
-    /// in pre-order): what the record of it folds in, with every estimate
-    /// off by at least `flag_factor` flagged.
+    /// One pass over a run's `counters` (one per node, in pre-order), every
+    /// estimate off by at least `flag_factor` flagged.
     pub fn tally(&self, counters: &[OpMetrics], flag_factor: f64) -> Tally<'_> {
         let mut tally = Tally {
             plan: self,
             rows_scanned: 0,
             apply_rows: 0,
-            flagged: (0, [(0, 0.0); FLAGGED_INLINE]),
-            more_flagged: Vec::new(),
+            flagged: (0, [(0, 0.0); INLINE], Vec::new()),
         };
         for (i, node) in self.nodes.iter().enumerate() {
             let m = &counters[node.at];
-            if node.reads {
-                tally.rows_scanned += m.rows_out;
+            match node.kind {
+                OpKind::Scan | OpKind::IndexScan | OpKind::IndexProbe => {
+                    tally.rows_scanned += m.rows_out
+                }
+                OpKind::Apply => tally.apply_rows += m.rows_in,
+                _ => {}
             }
-            if node.feeds {
-                tally.apply_rows += m.rows_in;
-            }
-            let Some(est) = node.est else { continue };
             let scale = match node.scaled_by.map(|apply| counters[apply].evaluations) {
                 Some(evaluations) if evaluations > 1 => evaluations as f64,
                 _ => 1.0,
             };
-            if let Some(factor) = misestimate(est * scale, m.rows_out, flag_factor) {
-                let (n, inline) = &mut tally.flagged;
-                match inline.get_mut(*n) {
-                    Some(slot) => *slot = (i, factor),
-                    None => tally.more_flagged.push((i, factor)),
-                }
-                *n += 1;
+            let Some(factor) =
+                (node.est).and_then(|est| misestimate(est * scale, m.rows_out, flag_factor))
+            else {
+                continue;
+            };
+            let (n, inline, more) = &mut tally.flagged;
+            match inline.get_mut(*n) {
+                Some(slot) => *slot = (i, factor),
+                None => more.push((i, factor)),
             }
+            *n += 1;
         }
         tally
     }
 
-    /// Sort operators in the plan.
-    pub fn sorts(&self) -> u64 {
-        self.sorts
-    }
-
-    /// Position of the first sort whose keys a reader can be shown.
-    pub fn sort_keys(&self) -> Option<usize> {
-        self.sort_keys
-    }
-
-    /// The nodes the workload ledger files, with their positions, in
-    /// pre-order.
+    /// The nodes the workload ledger files, and their positions.
     pub fn filed(&self) -> impl Iterator<Item = (usize, Filed)> + '_ {
         (self.nodes.iter()).filter_map(|node| Some((node.at, node.filed?)))
     }
 }
 
-/// What one pass over an execution's counters found, by its [`FoldPlan`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tally<'p> {
-    plan: &'p FoldPlan,
-    rows_scanned: u64,
-    apply_rows: u64,
-    /// How many nodes were flagged, and the first of them (each one's
-    /// index in the plan and its factor, in pre-order): nothing is allocated
-    /// unless more than [`FLAGGED_INLINE`] are.
-    flagged: (usize, [(usize, f64); FLAGGED_INLINE]),
-    more_flagged: Vec<(usize, f64)>,
-}
+/// Where [`FoldPlan::visit`] is: a position, the apply scaling its estimates,
+/// and whether it is outside every accumulated subplan.
+type Walk = (usize, Option<usize>, bool);
 
 /// Flagged nodes a [`Tally`] holds without allocating.
-const FLAGGED_INLINE: usize = 4;
+const INLINE: usize = 4;
 
-impl<'p> Tally<'p> {
-    /// The fold plan the pass followed.
-    pub fn plan(&self) -> &'p FoldPlan {
-        self.plan
-    }
+/// A flagged node's index in its plan, and its factor.
+type Flag = (usize, f64);
 
-    /// Rows read from storage: by scans, index scans and index probes.
-    pub fn rows_scanned(&self) -> u64 {
-        self.rows_scanned
-    }
-
+/// What one pass over a run's counters found, by its [`FoldPlan`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tally<'p> {
+    /// The plan the pass followed.
+    pub plan: &'p FoldPlan,
+    /// Rows read from storage, by scans, index scans and index probes.
+    pub rows_scanned: u64,
     /// Rows fed through applies.
-    pub fn apply_rows(&self) -> u64 {
-        self.apply_rows
-    }
+    pub apply_rows: u64,
+    /// How many nodes were flagged, and each one's index in the plan and
+    /// factor, in pre-order: the first [`INLINE`] of them held inline.
+    flagged: (usize, [Flag; INLINE], Vec<Flag>),
+}
 
+impl Tally<'_> {
     /// Every flagged node's position and factor, in pre-order.
     pub fn flagged(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.flagged_nodes()
-            .map(|(i, factor)| (self.plan.nodes[i].at, factor))
+        let (n, inline, more) = &self.flagged;
+        let flagged = inline[..(*n).min(INLINE)].iter().chain(more);
+        flagged.map(|&(i, factor)| (self.plan.nodes[i].at, factor))
     }
 
     /// The flagged node whose estimate is furthest off, and its factor: the
     /// first in pre-order when several tie.
     pub fn worst(&self) -> Option<(usize, f64)> {
-        self.flagged()
-            .fold(None, |worst, (at, factor)| match worst {
-                Some((_, f)) if factor <= f => worst,
-                _ => Some((at, factor)),
-            })
+        (self.flagged()).fold(None, |worst, (at, factor)| match worst {
+            Some((_, f)) if factor <= f => worst,
+            _ => Some((at, factor)),
+        })
     }
 
-    /// The flagged filters the planner named: each one's position and its
-    /// input's, what cardinality feedback learns from.
+    /// Each flagged filter the planner named, and its input: the positions
+    /// cardinality feedback learns from.
     pub fn learned(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let nodes = &self.plan.nodes;
-        (self.flagged_nodes()).filter_map(|(i, _)| Some((nodes[i].at, nodes[i].learns_from?)))
-    }
-
-    /// Every flagged node's index in the plan, and its factor, in pre-order.
-    fn flagged_nodes(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (n, inline) = &self.flagged;
-        (inline[..(*n).min(FLAGGED_INLINE)].iter())
-            .chain(&self.more_flagged)
-            .copied()
+        let (n, inline, more) = &self.flagged;
+        let flagged = inline[..(*n).min(INLINE)].iter().chain(more);
+        flagged.filter_map(|&(i, _)| Some((self.plan.nodes[i].at, self.plan.nodes[i].learns_from?)))
     }
 }

@@ -17,6 +17,14 @@
 //!   of a plan-cache template) and this execution's counters. Nothing is
 //!   rendered when a statement is recorded; [`JournalEntry::span`] writes
 //!   the phase + operator [`Span`] tree when `SHOW PROFILE` asks for it.
+//! * one **record** per executed statement ([`ObsRegistry::record`]): what
+//!   one pass over its counters found ([`Tally`]), guided by the plan's
+//!   [`FoldPlan`] — found once per plan shape and kept by a plan-cache
+//!   template beside its shape hash, made on the spot for a fresh plan by
+//!   the same code — feeds the misestimate ledger, the workload ledger, the
+//!   latency histograms and the journal, the last three under one lock
+//!   order (the journal's lock, the ledger's inside it). No profile node is
+//!   walked for it, and a full journal writes into its oldest slot.
 //! * the **misestimate ledger** — worst-offender cardinality errors keyed
 //!   by `(table, operator + shape)`. A filter the planner named (a pushed
 //!   conjunct, [`crate::fingerprint::ShapeKey`]) is filed under that name —
@@ -45,7 +53,7 @@ pub use fold::{Filed, FoldPlan, Tally};
 
 use crate::adaptive::Uncacheable;
 use crate::exec::{PlanProfile, ProfileNode};
-use crate::fingerprint::{normalize_predicate, plan_shape_hash, profile_table};
+use crate::fingerprint::{fnv_hash, normalize_predicate, plan_shape_hash, profile_table};
 use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -542,21 +550,6 @@ impl Journal {
         self.inner.lock().expect("journal lock").next_seq - 1
     }
 
-    /// Append an entry (its `seq` is assigned here), evicting the oldest
-    /// entry when full. Returns the assigned sequence number.
-    pub fn push(&self, mut entry: JournalEntry) -> u64 {
-        let mut inner = self.inner.lock().expect("journal lock");
-        let cap = self.capacity();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        entry.seq = seq;
-        inner.entries.push_back(entry);
-        while inner.entries.len() > cap {
-            inner.entries.pop_front();
-        }
-        seq
-    }
-
     /// The most recent `limit` entries (all retained entries if `None`),
     /// newest last.
     pub fn tail(&self, limit: Option<usize>) -> Vec<JournalEntry> {
@@ -595,11 +588,10 @@ impl Journal {
 }
 
 impl JournalInner {
-    /// Journal a statement of `sql` that ran `profile`, with `fill` writing
-    /// the rest. A full journal writes it into its oldest slot: the SQL into
-    /// the slot's `String`, a borrowed profile into its `Vec`s (nothing is
-    /// allocated when they are large enough), and an owned one in their
-    /// place (nothing to copy).
+    /// Journal a statement of `sql` that ran `profile`, `fill` writing the
+    /// rest. A full journal writes it into its oldest slot: the SQL into its
+    /// `String`, a borrowed profile into its `Vec`s, an owned one in their
+    /// place.
     fn write(
         &mut self,
         cap: usize,
@@ -889,8 +881,7 @@ impl ObsRegistry {
     /// doctor's ledger. `flag_factor` is the caller's misestimate threshold
     /// (`PlannerOptions::misestimate_factor`); `meta` carries the plan-cache
     /// outcome and adaptive epoch. The profile's fold plan is made on the
-    /// spot and [`ObsRegistry::record`] takes the one pass it guides. No-op
-    /// when the registry is disabled.
+    /// spot for [`ObsRegistry::record`]. No-op when the registry is disabled.
     pub fn record_statement<'s>(
         &self,
         statement: impl Into<Statement<'s>>,
@@ -910,14 +901,12 @@ impl ObsRegistry {
     }
 
     /// Record one executed statement from what one pass over its counters
-    /// found (`tally`, by its plan's [`FoldPlan`]): every flagged error
-    /// into the misestimate ledger, then, in one lock order — the journal's
-    /// lock, and the workload ledger's inside it — the workload facts, the
-    /// phase latencies and the journal entry, written into the oldest slot
-    /// once the journal is full. A profile handed over by value is journaled
-    /// as it is; a borrowed one is copied. Only a flagged misestimate, and
-    /// the shape hash when the caller has none, are written out as text.
-    /// No-op when the registry is disabled.
+    /// found (`tally`): every flagged error into the misestimate ledger, then,
+    /// under the journal's lock (the workload ledger's inside it), the
+    /// workload facts, the phase latencies and the journal entry. A profile
+    /// handed over by value is journaled as it is; a borrowed one is copied.
+    /// Only a flagged misestimate, and the shape hash when the caller has
+    /// none, are written out as text. No-op when the registry is disabled.
     pub fn record(
         &self,
         statement: Statement<'_>,
@@ -932,20 +921,29 @@ impl ObsRegistry {
         }
         let worst = self.absorb_misestimates(&profile, tally);
         let plan_hash = (statement.plan_hash).unwrap_or_else(|| plan_shape_hash(&profile));
-        let sql = statement.sql.trim();
+        let (sql, total) = (statement.sql.trim(), phases.total());
+        let normalized_sql = match statement.shape {
+            Some(shape) => Cow::Borrowed(shape),
+            None => Cow::Owned(normalize_predicate(sql)),
+        };
         let mut journal = self.journal.inner.lock().expect("journal lock");
-        self.workload.observe(&doctor::WorkloadSample::collect(
+        self.workload.observe(&doctor::WorkloadSample {
+            statement_key: fnv_hash(normalized_sql.as_bytes()),
+            normalized_sql,
             sql,
-            statement.shape,
-            &profile,
-            tally,
-            phases,
-            result_rows,
             plan_hash,
-            worst.as_ref().map(|(_, f)| *f),
-            meta,
-        ));
-        let total = phases.total();
+            total,
+            execute: phases.execute,
+            rows_scanned: tally.rows_scanned,
+            rows_emitted: result_rows,
+            profile: &profile,
+            fold: tally.plan,
+            apply_rows: tally.apply_rows,
+            sorts: tally.plan.sorts,
+            misestimate: worst.as_ref().map(|(_, f)| *f),
+            cache: meta.cache,
+            epoch: meta.epoch,
+        });
         self.record_latency(Phase::Parse, phases.parse);
         self.record_latency(Phase::Plan, phases.plan);
         self.record_latency(Phase::Execute, phases.execute);
@@ -1030,20 +1028,14 @@ mod tests {
     use crate::value::Value;
     use std::sync::Arc;
 
-    fn entry(sql: &str) -> JournalEntry {
+    /// Journal a one-row `VALUES` statement of `sql`.
+    fn push(journal: &Journal, sql: &str) {
         let values = Description::new(OpKind::Values, "1 literal rows".to_string());
         let shape = Arc::new(values.shape(&Columns::default(), None, []));
-        JournalEntry {
-            seq: 0,
-            sql: sql.to_string(),
-            plan_hash: 7,
-            result_rows: 1,
-            total: Duration::from_micros(10),
-            phases: StatementPhases::default(),
-            profile: PlanProfile::new(shape, vec![OpMetrics::default()], Vec::new()),
-            worst_misestimate: None,
-            cache: CacheStatus::Off,
-        }
+        let profile = PlanProfile::new(shape, vec![OpMetrics::default()], Vec::new());
+        let cap = journal.capacity();
+        let mut inner = journal.inner.lock().unwrap();
+        inner.write(cap, sql, Cow::Owned(profile), |_| {});
     }
 
     #[test]
@@ -1122,7 +1114,7 @@ mod tests {
     fn journal_evicts_fifo_and_keeps_seq() {
         let journal = Journal::new(3);
         for i in 0..5 {
-            journal.push(entry(&format!("q{i}")));
+            push(&journal, &format!("q{i}"));
         }
         assert_eq!(journal.len(), 3);
         assert_eq!(journal.recorded(), 5);
@@ -1160,7 +1152,7 @@ mod tests {
         let journal = Journal::new(cap);
         let total = 2_000 + (next() % 1_000);
         for i in 0..total {
-            journal.push(entry(&format!("q{i}")));
+            push(&journal, &format!("q{i}"));
             assert!(journal.len() <= cap, "journal exceeded its capacity");
         }
         let tail = journal.tail(None);
@@ -1185,7 +1177,7 @@ mod tests {
                 let journal = Arc::clone(&journal);
                 s.spawn(move || {
                     for i in 0..PER_THREAD {
-                        journal.push(entry(&format!("t{t}-{i}")));
+                        push(&journal, &format!("t{t}-{i}"));
                     }
                 });
             }
@@ -1219,7 +1211,7 @@ mod tests {
                 let journal = Arc::clone(&journal);
                 s.spawn(move || {
                     for i in 0..PER_THREAD {
-                        journal.push(entry(&format!("t{t}-{i}")));
+                        push(&journal, &format!("t{t}-{i}"));
                     }
                 });
             }
