@@ -16,7 +16,7 @@
 use crate::error::TalkbackError;
 use crate::planner::{self, plan_query_with, PlanDecision, PlannedQuery, PlannerOptions};
 use datastore::exec::{describe_plan, execute_with_stats, OpMetrics, PlanProfile, ResultSet};
-use datastore::obs::{Counter, FoldPlan, Statement, StatementPhases};
+use datastore::obs::{Counter, Statement, StatementPhases, Tally};
 use datastore::stats::RangeClass;
 use datastore::{
     CacheKey, CacheLookup, CacheStatus, CachedVerdict, Database, ParamKind, PlanTemplate,
@@ -39,8 +39,6 @@ pub(crate) struct Prepared<'s> {
     source: Source,
     options: PlannerOptions,
     phases: StatementPhases,
-    /// The instant preparing ended, which the execute phase starts at.
-    ready: Instant,
     meta: StatementMeta,
 }
 
@@ -102,12 +100,10 @@ pub(crate) fn prepare<'s, 'q>(
         };
         db.obs().incr(counter);
     }
-    // Each phase ends at the instant the next begins: one clock read each.
-    let (source, ready) = match template {
+    let source = match template {
         Some(template) => {
-            let ready = Instant::now();
-            phases.plan = ready - start;
-            (Source::Template(template), ready)
+            phases.plan = start.elapsed();
+            Source::Template(template)
         }
         None => {
             let query = parse()?;
@@ -118,10 +114,9 @@ pub(crate) fn prepare<'s, 'q>(
                 }
                 _ => Source::Fresh(Box::new(plan_query_with(db, &query, options)?)),
             };
-            let ready = Instant::now();
             phases.parse = planning - start;
-            phases.plan = ready - planning;
-            (source, ready)
+            phases.plan = planning.elapsed();
+            source
         }
     };
     Ok(Prepared {
@@ -131,7 +126,6 @@ pub(crate) fn prepare<'s, 'q>(
         source,
         options,
         phases,
-        ready,
         meta,
     })
 }
@@ -198,17 +192,16 @@ impl Prepared<'_> {
     }
 
     /// Execute the plan, absorb its cardinality feedback and journal it —
-    /// the one place a prepared statement does any of the three. The
-    /// execute phase runs from the instant preparing ended. One pass over
-    /// the run's counters, by the plan's fold plan (a template's, found
-    /// once), serves the feedback and the record. `keep` takes what the
-    /// caller needs of the profile before it is journaled, the statement's
-    /// literals with it.
+    /// the one place a prepared statement does any of the three. One pass
+    /// over the run's counters ([`Tally`]) serves the feedback and the
+    /// record. `keep` takes what the caller needs of the profile before it
+    /// is journaled, the statement's literals with it.
     pub(crate) fn run<K>(
         mut self,
         keep: impl FnOnce(&PlanProfile) -> K,
     ) -> Result<(ResultSet, K), TalkbackError> {
         let (db, options) = (self.db, self.options);
+        let start = Instant::now();
         let (result, profile) = match &self.source {
             Source::Template(template) => {
                 let literals = (self.normalized.as_mut()).map(|n| std::mem::take(&mut n.literals));
@@ -217,32 +210,29 @@ impl Prepared<'_> {
             Source::Fresh(planned) => execute_with_stats(db, &planned.plan)?,
         };
         let phases = StatementPhases {
-            execute: self.ready.elapsed(),
+            execute: start.elapsed(),
             ..self.phases
         };
-        let fresh;
-        let (fold, plan_hash) = match &self.source {
-            Source::Template(template) => {
-                (template.fold(&profile), Some(template.shape_hash(&profile)))
-            }
-            Source::Fresh(_) => {
-                fresh = FoldPlan::new(profile.shape());
-                (&fresh, None)
-            }
-        };
-        let tally = fold.tally(profile.counters(), options.misestimate_factor);
-        if options.use_feedback {
-            db.adaptive().learn(&profile, &tally);
+        let tally = Tally::new(
+            profile.shape(),
+            profile.counters(),
+            options.misestimate_factor,
+        );
+        if options.use_feedback && tally.learns {
+            db.adaptive().absorb(&profile, options.misestimate_factor);
         }
         let kept = keep(&profile);
         let statement = Statement {
             sql: self.sql,
             shape: self.normalized.as_ref().map(|n| n.text.as_str()),
-            plan_hash,
+            plan_hash: match &self.source {
+                Source::Template(template) => Some(template.shape_hash(&profile)),
+                Source::Fresh(_) => None,
+            },
         };
         let (rows, meta) = (result.len() as u64, self.meta);
         db.obs()
-            .record(statement, Cow::Owned(profile), &tally, phases, rows, meta);
+            .record(statement, profile, &tally, phases, rows, meta);
         Ok((result, kept))
     }
 }

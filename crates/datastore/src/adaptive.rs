@@ -55,7 +55,7 @@ use crate::exec::keys::KeyHasher;
 use crate::exec::plan::Plan;
 use crate::exec::{describe_shape, OpShape, OpenPlan, PlanProfile, ResultSet};
 use crate::fingerprint::plan_shape_hash;
-use crate::obs::{CacheStatus, FoldPlan, PlanDecision, Tally};
+use crate::obs::{CacheStatus, PlanDecision};
 use crate::stats::{RangeClass, TableStats};
 use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
@@ -374,8 +374,8 @@ pub struct ShapeCache<T> {
 pub type PlanCache = ShapeCache<PlanTemplate>;
 
 /// A plan template, the decisions that shaped it, and what its
-/// executions share: the described shape, its hash and its fold plan, and
-/// the operator tree they run.
+/// executions share: the described shape and its hash, and the operator
+/// tree they run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanTemplate {
     /// The plan, statement parameters where the literals go.
@@ -390,8 +390,6 @@ pub struct PlanTemplate {
     pub where_conditions: usize,
     /// [`plan_shape_hash`] of the first execution, which reads no counter.
     shape_hash: OnceLock<u64>,
-    /// What recording an execution reads of its counters, found once.
-    fold: OnceLock<FoldPlan>,
     /// The plan's profile shape, described at the first execution or
     /// `EXPLAIN`: each literal a `?k` slot, filled from the statement's
     /// literals when a profile is read.
@@ -438,7 +436,6 @@ impl PlanTemplate {
             decisions,
             where_conditions,
             shape_hash: OnceLock::new(),
-            fold: OnceLock::new(),
             shape: OnceLock::new(),
             tree: KeptTree::default(),
         }
@@ -448,12 +445,6 @@ impl PlanTemplate {
     /// `profile`: the first execution's, which they all share.
     pub fn shape_hash(&self, profile: &PlanProfile) -> u64 {
         *self.shape_hash.get_or_init(|| plan_shape_hash(profile))
-    }
-
-    /// The fold plan of the template's shape, which every execution's
-    /// profile (`profile`) has: found at the first execution.
-    pub fn fold(&self, profile: &PlanProfile) -> &FoldPlan {
-        self.fold.get_or_init(|| FoldPlan::new(profile.shape()))
     }
 
     /// The profile shape every execution of the template shares, described
@@ -685,32 +676,28 @@ impl AdaptiveState {
     /// Fold an executed profile's flagged filter misestimates into the
     /// feedback store, each under the key the planner stamped on the filter
     /// ([`crate::exec::ProfileNode::shape_key`]); a node that carries none
-    /// is skipped. The profile's fold plan is made on the spot, and
-    /// [`AdaptiveState::learn`] reads what its pass flagged.
+    /// is skipped.
     /// Returns the number of entries absorbed; when any were, the epoch is
     /// bumped so stale cached plans (planned without this knowledge) die.
     pub fn absorb(&self, profile: &PlanProfile, flag_factor: f64) -> usize {
-        let fold = FoldPlan::new(profile.shape());
-        self.learn(profile, &fold.tally(profile.counters(), flag_factor))
-    }
-
-    /// [`AdaptiveState::absorb`], from the filters one pass over the
-    /// profile's counters (`tally`) flagged.
-    pub fn learn(&self, profile: &PlanProfile, tally: &Tally<'_>) -> usize {
+        // The planner's override point is the selectivity of one pushed
+        // conjunct, and the in/out rows of its filter measure exactly that.
+        let mut flagged = Vec::new();
+        profile.walk(&mut |node| {
+            if let (Some(key), Some(child)) = (node.shape_key(), node.children().next()) {
+                if node.misestimate_with(flag_factor).is_some() {
+                    flagged.push((key, child.metrics().rows_out, node));
+                }
+            }
+        });
         // Nothing to learn (the common statement): no lock, no epoch.
-        let mut flagged = tally.learned().peekable();
-        if flagged.peek().is_none() {
+        if flagged.is_empty() {
             return 0;
         }
         let mut store = self.feedback.lock().expect("feedback lock");
         let learned = Arc::make_mut(&mut store);
-        let mut absorbed = 0;
-        // The planner's override point is the selectivity of one pushed
-        // conjunct, and the in/out rows of its filter measure exactly that.
-        for (at, input) in flagged {
-            let node = profile.node(at);
-            let key = node.shape_key().expect("a filter the planner named");
-            let (rows_in, rows_out) = (profile.counters()[input].rows_out, node.metrics().rows_out);
+        for &(key, rows_in, node) in &flagged {
+            let rows_out = node.metrics().rows_out;
             let shapes = learned.entry(key.table.clone()).or_default();
             let entry = shapes.entry(key.shape.clone()).or_default();
             entry.selectivity = if rows_in == 0 {
@@ -721,11 +708,10 @@ impl AdaptiveState {
             entry.last_estimated = node.estimated_rows().unwrap_or(0.0).round().max(0.0) as u64;
             entry.last_actual = rows_out;
             entry.observations += 1;
-            absorbed += 1;
         }
         drop(store);
         self.bump_epoch_for(EpochCause::Feedback);
-        absorbed
+        flagged.len()
     }
 }
 

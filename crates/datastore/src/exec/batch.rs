@@ -2,7 +2,7 @@
 //! the rows (see "Batches" in the [`crate::exec`] docs). An operator's
 //! batches have one layout — part count and column map — for a whole run,
 //! which is what lets a join gather batch after batch into one output
-//! ([`Gathered`]) and make its column map once ([`LayoutCache`]).
+//! (`Gathered`) and make its column map once (`LayoutCache`).
 
 use crate::table::Table;
 use crate::tuple::{Row, RowView};

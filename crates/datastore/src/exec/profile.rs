@@ -224,6 +224,15 @@ impl OpShape {
     pub fn size(&self) -> usize {
         self.size
     }
+
+    /// [`ProfileNode::table`] of a node of this shape.
+    pub fn table(&self) -> Option<&str> {
+        match &self.access {
+            Some(access) => Some(&access.table),
+            None if self.kind == OpKind::Scan => self.detail.as_str().split(' ').next(),
+            None => None,
+        }
+    }
 }
 
 /// What a subquery operator did, so narrations need not parse the detail.
@@ -259,29 +268,11 @@ pub(crate) fn misestimate(est: f64, actual: u64, flag_factor: f64) -> Option<f64
 /// node, in pre-order), and the literals the shape's slots stand for. Read
 /// it through [`PlanProfile::root`] and [`ProfileNode`]; all counters are
 /// zero when the plan was only described, not executed.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanProfile {
     shape: Arc<OpShape>,
     counters: Vec<OpMetrics>,
     params: Vec<Value>,
-}
-
-impl Clone for PlanProfile {
-    fn clone(&self) -> PlanProfile {
-        PlanProfile {
-            shape: Arc::clone(&self.shape),
-            counters: self.counters.clone(),
-            params: self.params.clone(),
-        }
-    }
-
-    /// A copy written into this profile's own buffers (a reused journal
-    /// slot's): nothing is allocated when they are large enough.
-    fn clone_from(&mut self, source: &PlanProfile) {
-        self.shape.clone_from(&source.shape);
-        self.counters.clone_from(&source.counters);
-        self.params.clone_from(&source.params);
-    }
 }
 
 impl From<&PlanProfile> for PlanProfile {
@@ -311,24 +302,6 @@ impl PlanProfile {
             live: true,
             scale: 1.0,
         }
-    }
-
-    /// The node at pre-order position `at`, found by descending from the
-    /// root (no walk); panics past the last node, like indexing.
-    pub fn node(&self, at: usize) -> ProfileNode<'_> {
-        let (mut node, mut first) = (self.root(), 0);
-        while first != at {
-            // The children's subtrees follow their parent's position in turn.
-            first += 1;
-            node = (node.children())
-                .find(|child| {
-                    let holds = at < first + child.shape.size;
-                    first += if holds { 0 } else { child.shape.size };
-                    holds
-                })
-                .expect("a position in the tree");
-        }
-        node
     }
 
     /// The shape every execution of the plan shares.
@@ -576,11 +549,7 @@ impl<'a> ProfileNode<'a> {
     /// alias`) is taken apart again; ledgers and narrators that attribute an
     /// operator to a relation all ask here.
     pub fn table(self) -> Option<&'a str> {
-        match &self.shape.access {
-            Some(access) => Some(&access.table),
-            None if self.shape.kind == OpKind::Scan => self.shape.detail.as_str().split(' ').next(),
-            None => None,
-        }
+        self.shape.table()
     }
 
     /// Depth-first pre-order walk over the subtree.

@@ -22,16 +22,12 @@
 //! (`SHOW WORKLOAD`, `ADVISE`, `CHECKUP`) and the what-if coster live in the
 //! `talkback` crate; this module only aggregates and detects.
 
-use super::{bucket_quantile, latency_bucket, CacheStatus, Filed, FoldPlan, HIST_BUCKETS};
-use crate::exec::PlanProfile;
+use super::{bucket_quantile, latency_bucket, CacheStatus, HIST_BUCKETS};
+use crate::exec::{OpKind, OpMetrics, OpShape, PlanProfile};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Filed nodes of a plan whose places in a shape's ledger row are kept
-/// between its executions.
-const FILED_SLOTS: usize = 8;
 
 /// Executions of a shape before the miner takes it seriously.
 pub const MIN_EXECUTIONS: u64 = 3;
@@ -68,11 +64,9 @@ pub struct WorkloadSample<'a> {
     pub rows_scanned: u64,
     /// Rows the statement returned.
     pub rows_emitted: u64,
-    /// The executed profile and its fold plan: the tables it full-scans
-    /// (with the rows each scan read), the indexes it probes and the first
-    /// sort's keys are filed from them.
+    /// The executed profile: the tables it full-scans (with the rows each
+    /// scan read) and the indexes it probes are filed from it.
     pub profile: &'a PlanProfile,
-    pub fold: &'a FoldPlan,
     /// Rows fed through `Apply` operators (per-row subquery evaluation).
     pub apply_rows: u64,
     /// Sort operators executed.
@@ -119,14 +113,6 @@ pub struct WorkloadStat {
     pub full_scans: BTreeMap<String, (u64, u64)>,
     /// Index probes by index name.
     pub index_scans: BTreeMap<String, u64>,
-    /// What `full_scans` and `index_scans` are written from when the ledger
-    /// is read: each table or index a plan of the shape filed, with its
-    /// count and rows read, in the order first met.
-    filed: Vec<(Filed, String, u64, u64)>,
-    /// The plan whose filed nodes were last looked up, and their places in
-    /// `filed` (the first [`FILED_SLOTS`]): another execution of it files
-    /// without comparing a name.
-    resolved: Option<(u64, [u32; FILED_SLOTS])>,
     /// Rows fed through `Apply` operators across all executions.
     pub apply_rows: u64,
     /// Sort operators executed across all executions.
@@ -166,8 +152,6 @@ impl WorkloadStat {
             rows_emitted: 0,
             full_scans: BTreeMap::new(),
             index_scans: BTreeMap::new(),
-            filed: Vec::new(),
-            resolved: None,
             apply_rows: 0,
             sorts: 0,
             sort_keys: None,
@@ -194,11 +178,16 @@ impl WorkloadStat {
         self.hist[latency_bucket(sample.total)] += 1;
         self.rows_scanned += sample.rows_scanned;
         self.rows_emitted += sample.rows_emitted;
-        self.file(sample);
+        self.file(sample.profile.shape(), sample.profile.counters());
         self.apply_rows += sample.apply_rows;
         self.sorts += sample.sorts;
-        if let (None, Some(at)) = (&self.sort_keys, sample.fold.sort_keys) {
-            self.sort_keys = Some(sample.profile.node(at).detail().into_owned());
+        if self.sort_keys.is_none() && sample.sorts > 0 {
+            // The first sort's keys, for sort-without-index advice.
+            sample.profile.walk(&mut |node| {
+                if self.sort_keys.is_none() && node.kind() == OpKind::Sort && node.has_detail() {
+                    self.sort_keys = Some(node.detail().into_owned());
+                }
+            });
         }
         if let Some(factor) = sample.misestimate {
             self.flagged += 1;
@@ -234,55 +223,32 @@ impl WorkloadStat {
         }
     }
 
-    /// Count the sample's full scans and index probes under their tables
-    /// and indexes. Their places in `filed` are looked up by name only for a
-    /// plan other than the last one; a name met for the first time is
-    /// copied once.
-    fn file(&mut self, sample: &WorkloadSample) {
-        let counters = sample.profile.counters();
-        let known = match self.resolved {
-            Some((hash, slots)) if hash == sample.plan_hash => Some(slots),
-            _ => None,
-        };
-        let mut slots = [0; FILED_SLOTS];
-        for (i, (at, filed)) in sample.fold.filed().enumerate() {
-            let slot = match known.filter(|_| i < FILED_SLOTS) {
-                Some(slots) => slots[i] as usize,
-                None => {
-                    let node = sample.profile.node(at);
-                    let name = match filed {
-                        Filed::Table => node.table().unwrap_or_default(),
-                        Filed::Index => &node.access().expect("an index access").index,
-                    };
-                    let by_name =
-                        |entry: &(Filed, String, u64, u64)| (entry.0, &*entry.1) == (filed, name);
-                    (self.filed.iter().position(by_name)).unwrap_or_else(|| {
-                        self.filed.push((filed, name.to_string(), 0, 0));
-                        self.filed.len() - 1
-                    })
+    /// Count the full scans and index probes of `shape` (its counters first
+    /// in `counters`) under their tables and indexes. A table or index
+    /// already on file is counted without copying its name again.
+    fn file(&mut self, shape: &OpShape, counters: &[OpMetrics]) {
+        match (shape.kind, &shape.access) {
+            (OpKind::Scan, _) => {
+                let (table, rows) = (shape.table().unwrap_or_default(), counters[0].rows_out);
+                match self.full_scans.get_mut(table) {
+                    Some((scans, read)) => (*scans, *read) = (*scans + 1, *read + rows),
+                    None => _ = self.full_scans.insert(table.to_string(), (1, rows)),
                 }
-            };
-            if let Some(kept) = slots.get_mut(i) {
-                *kept = slot as u32;
             }
-            let entry = &mut self.filed[slot];
-            entry.2 += 1;
-            entry.3 += counters[at].rows_out;
+            (
+                OpKind::IndexScan | OpKind::IndexProbe | OpKind::IndexNestedLoopJoin,
+                Some(access),
+            ) => match self.index_scans.get_mut(&access.index) {
+                Some(probes) => *probes += 1,
+                None => _ = self.index_scans.insert(access.index.clone(), 1),
+            },
+            _ => {}
         }
-        self.resolved = Some((sample.plan_hash, slots));
-    }
-
-    /// This shape as readers see it: `full_scans` and `index_scans` written
-    /// out.
-    fn published(&self) -> WorkloadStat {
-        let mut stat = self.clone();
-        for (filed, name, count, rows) in &self.filed {
-            match filed {
-                Filed::Table => _ = stat.full_scans.insert(name.clone(), (*count, *rows)),
-                Filed::Index => _ = stat.index_scans.insert(name.clone(), *count),
-            }
+        let mut at = 1;
+        for child in &shape.children {
+            self.file(child, &counters[at..]);
+            at += child.size;
         }
-        stat
     }
 
     /// Mean end-to-end time per execution.
@@ -368,7 +334,7 @@ impl WorkloadLedger {
             .lock()
             .expect("workload ledger lock")
             .values()
-            .map(WorkloadStat::published)
+            .cloned()
             .collect();
         stats.sort_by(|a, b| {
             b.total_time
@@ -384,7 +350,7 @@ impl WorkloadLedger {
             .lock()
             .expect("workload ledger lock")
             .get(&statement_key)
-            .map(WorkloadStat::published)
+            .cloned()
     }
 
     /// Forget everything (tests, resets).
@@ -595,7 +561,7 @@ pub fn regressions(stats: &[WorkloadStat]) -> Vec<Regression> {
 mod tests {
     use super::*;
     use crate::exec::profile::Description;
-    use crate::exec::{Columns, OpKind, OpMetrics};
+    use crate::exec::Columns;
     use crate::fingerprint::{fnv_hash, normalize_predicate};
     use std::sync::{Arc, LazyLock};
 
@@ -611,7 +577,6 @@ mod tests {
         };
         PlanProfile::new(shape, vec![read], Vec::new())
     });
-    static CAST_SCAN_FOLD: LazyLock<FoldPlan> = LazyLock::new(|| FoldPlan::new(CAST_SCAN.shape()));
 
     fn sample(sql: &str, micros: u64) -> WorkloadSample<'_> {
         let normalized = normalize_predicate(sql);
@@ -625,7 +590,6 @@ mod tests {
             rows_scanned: 100,
             rows_emitted: 2,
             profile: &CAST_SCAN,
-            fold: &CAST_SCAN_FOLD,
             apply_rows: 0,
             sorts: 0,
             misestimate: None,

@@ -1,189 +1,75 @@
-//! A [`FoldPlan`]: what recording an execution reads of its counters, found
-//! once per plan shape. A plan-cache template keeps one beside its shape
-//! hash; a fresh plan makes one on the spot, through the same code. One pass
-//! by it over a run's counters ([`FoldPlan::tally`]) yields everything the
-//! record folds in: the flagged misestimates (the worst, and the filters
-//! feedback learns from), the rows read from storage and fed through
-//! applies, and the nodes the workload ledger files. No profile node is
-//! walked for it.
+//! A [`Tally`]: what recording an execution reads of its counters, found by
+//! one walk of the plan's shape beside them — the rows read from storage
+//! and fed through applies, the sorts, and whether an estimate was flagged
+//! and feedback has a filter to learn from. No profile node is walked for
+//! it; only a statement with a flagged estimate walks its profile again, to
+//! file each one.
 
 use crate::exec::profile::misestimate;
 use crate::exec::{OpKind, OpMetrics, OpShape};
 
-/// The nodes of one plan shape that a record reads, in pre-order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FoldPlan {
-    nodes: Box<[FoldNode]>,
-    /// Sort operators in the plan.
-    pub sorts: u64,
-    /// Position of the first sort whose keys can be shown.
-    pub sort_keys: Option<usize>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FoldNode {
-    at: usize,
-    kind: OpKind,
-    /// The estimate; per evaluation of the apply at `scaled_by`, if any.
-    est: Option<f64>,
-    scaled_by: Option<usize>,
-    filed: Option<Filed>,
-    /// A filter the planner named: its input's position.
-    learns_from: Option<usize>,
-}
-
-/// What the workload ledger files a node under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Filed {
-    /// A full scan, under its table.
-    Table,
-    /// An index access, under its index.
-    Index,
-}
-
-impl FoldPlan {
-    /// The fold plan of `shape`, found by one walk of it.
-    pub fn new(shape: &OpShape) -> FoldPlan {
-        let mut plan = FoldPlan {
-            nodes: Box::default(),
-            sorts: 0,
-            sort_keys: None,
-        };
-        let mut nodes = Vec::with_capacity(shape.size);
-        plan.visit(shape, &mut nodes, (0, None, true));
-        plan.nodes = nodes.into();
-        plan
-    }
-
-    /// Add `shape`, at `at`, and its subtree. Like a profile node's, an
-    /// estimate is scaled only by an apply outside every accumulated subplan.
-    fn visit(&mut self, shape: &OpShape, nodes: &mut Vec<FoldNode>, (at, scaled_by, live): Walk) {
-        let kind = shape.kind;
-        if kind == OpKind::Sort {
-            self.sorts += 1;
-            let shown = !shape.detail.as_str().is_empty();
-            self.sort_keys = self.sort_keys.or(shown.then_some(at));
-        }
-        let filed = match (kind, &shape.access) {
-            (OpKind::Scan, _) => Some(Filed::Table),
-            (OpKind::IndexScan | OpKind::IndexProbe | OpKind::IndexNestedLoopJoin, Some(_)) => {
-                Some(Filed::Index)
-            }
-            _ => None,
-        };
-        let learns = shape.shape_key.is_some() && !shape.children.is_empty();
-        let (est, learns_from) = (shape.estimated_rows, learns.then_some(at + 1));
-        nodes.push(FoldNode {
-            at,
-            kind,
-            est,
-            scaled_by,
-            filed,
-            learns_from,
-        });
-        let mut child_at = at + 1;
-        for (i, child) in shape.children.iter().enumerate() {
-            let accumulated = shape.accumulates && i + 1 == shape.children.len();
-            let scales = kind == OpKind::Apply && accumulated && live;
-            let walk = (
-                child_at,
-                if scales { Some(at) } else { scaled_by },
-                live && !accumulated,
-            );
-            self.visit(child, nodes, walk);
-            child_at += child.size;
-        }
-    }
-
-    /// One pass over a run's `counters` (one per node, in pre-order), every
-    /// estimate off by at least `flag_factor` flagged.
-    pub fn tally(&self, counters: &[OpMetrics], flag_factor: f64) -> Tally<'_> {
-        let mut tally = Tally {
-            plan: self,
-            rows_scanned: 0,
-            apply_rows: 0,
-            flagged: (0, [(0, 0.0); INLINE], Vec::new()),
-        };
-        for (i, node) in self.nodes.iter().enumerate() {
-            let m = &counters[node.at];
-            match node.kind {
-                OpKind::Scan | OpKind::IndexScan | OpKind::IndexProbe => {
-                    tally.rows_scanned += m.rows_out
-                }
-                OpKind::Apply => tally.apply_rows += m.rows_in,
-                _ => {}
-            }
-            let scale = match node.scaled_by.map(|apply| counters[apply].evaluations) {
-                Some(evaluations) if evaluations > 1 => evaluations as f64,
-                _ => 1.0,
-            };
-            let Some(factor) =
-                (node.est).and_then(|est| misestimate(est * scale, m.rows_out, flag_factor))
-            else {
-                continue;
-            };
-            let (n, inline, more) = &mut tally.flagged;
-            match inline.get_mut(*n) {
-                Some(slot) => *slot = (i, factor),
-                None => more.push((i, factor)),
-            }
-            *n += 1;
-        }
-        tally
-    }
-
-    /// The nodes the workload ledger files, and their positions.
-    pub fn filed(&self) -> impl Iterator<Item = (usize, Filed)> + '_ {
-        (self.nodes.iter()).filter_map(|node| Some((node.at, node.filed?)))
-    }
-}
-
-/// Where [`FoldPlan::visit`] is: a position, the apply scaling its estimates,
-/// and whether it is outside every accumulated subplan.
-type Walk = (usize, Option<usize>, bool);
-
-/// Flagged nodes a [`Tally`] holds without allocating.
-const INLINE: usize = 4;
-
-/// A flagged node's index in its plan, and its factor.
-type Flag = (usize, f64);
-
-/// What one pass over a run's counters found, by its [`FoldPlan`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tally<'p> {
-    /// The plan the pass followed.
-    pub plan: &'p FoldPlan,
+/// What one pass over a run's counters found.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Tally {
     /// Rows read from storage, by scans, index scans and index probes.
     pub rows_scanned: u64,
     /// Rows fed through applies.
     pub apply_rows: u64,
-    /// How many nodes were flagged, and each one's index in the plan and
-    /// factor, in pre-order: the first [`INLINE`] of them held inline.
-    flagged: (usize, [Flag; INLINE], Vec<Flag>),
+    /// Sort operators in the plan.
+    pub sorts: u64,
+    /// The factor an estimate is flagged at.
+    pub flag_factor: f64,
+    /// Whether an estimate is off by at least `flag_factor`.
+    pub flagged: bool,
+    /// Whether a flagged node is a filter the planner named, one that
+    /// cardinality feedback learns from.
+    pub learns: bool,
 }
 
-impl Tally<'_> {
-    /// Every flagged node's position and factor, in pre-order.
-    pub fn flagged(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (n, inline, more) = &self.flagged;
-        let flagged = inline[..(*n).min(INLINE)].iter().chain(more);
-        flagged.map(|&(i, factor)| (self.plan.nodes[i].at, factor))
+/// Where [`Tally::visit`] is: a position, the apply scaling its estimates,
+/// and whether it is outside every accumulated subplan.
+type Walk = (usize, Option<usize>, bool);
+
+impl Tally {
+    /// One pass over `counters` (one per node of `shape`, in pre-order),
+    /// every estimate off by at least `flag_factor` flagged.
+    pub fn new(shape: &OpShape, counters: &[OpMetrics], flag_factor: f64) -> Tally {
+        let mut tally = Tally {
+            flag_factor,
+            ..Tally::default()
+        };
+        tally.visit(shape, counters, (0, None, true));
+        tally
     }
 
-    /// The flagged node whose estimate is furthest off, and its factor: the
-    /// first in pre-order when several tie.
-    pub fn worst(&self) -> Option<(usize, f64)> {
-        (self.flagged()).fold(None, |worst, (at, factor)| match worst {
-            Some((_, f)) if factor <= f => worst,
-            _ => Some((at, factor)),
-        })
-    }
-
-    /// Each flagged filter the planner named, and its input: the positions
-    /// cardinality feedback learns from.
-    pub fn learned(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let (n, inline, more) = &self.flagged;
-        let flagged = inline[..(*n).min(INLINE)].iter().chain(more);
-        flagged.filter_map(|&(i, _)| Some((self.plan.nodes[i].at, self.plan.nodes[i].learns_from?)))
+    /// Add `shape`, at `at`, and its subtree. Like a profile node's, an
+    /// estimate is scaled only by an apply outside every accumulated subplan.
+    fn visit(&mut self, shape: &OpShape, counters: &[OpMetrics], (at, scaled_by, live): Walk) {
+        let m = &counters[at];
+        match shape.kind {
+            OpKind::Scan | OpKind::IndexScan | OpKind::IndexProbe => {
+                self.rows_scanned += m.rows_out
+            }
+            OpKind::Apply => self.apply_rows += m.rows_in,
+            OpKind::Sort => self.sorts += 1,
+            _ => {}
+        }
+        let scale = match scaled_by.map(|apply| counters[apply].evaluations) {
+            Some(evaluations) if evaluations > 1 => evaluations as f64,
+            _ => 1.0,
+        };
+        let est = shape.estimated_rows.map(|est| est * scale);
+        if est.is_some_and(|est| misestimate(est, m.rows_out, self.flag_factor).is_some()) {
+            self.flagged = true;
+            self.learns |= shape.shape_key.is_some() && !shape.children.is_empty();
+        }
+        let mut child_at = at + 1;
+        for (i, child) in shape.children.iter().enumerate() {
+            let accumulated = shape.accumulates && i + 1 == shape.children.len();
+            let scales = shape.kind == OpKind::Apply && accumulated && live;
+            let scaled_by = if scales { Some(at) } else { scaled_by };
+            self.visit(child, counters, (child_at, scaled_by, live && !accumulated));
+            child_at += child.size;
+        }
     }
 }

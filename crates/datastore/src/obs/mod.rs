@@ -18,10 +18,8 @@
 //!   rendered when a statement is recorded; [`JournalEntry::span`] writes
 //!   the phase + operator [`Span`] tree when `SHOW PROFILE` asks for it.
 //! * one **record** per executed statement ([`ObsRegistry::record`]): what
-//!   one pass over its counters found ([`Tally`]), guided by the plan's
-//!   [`FoldPlan`] — found once per plan shape and kept by a plan-cache
-//!   template beside its shape hash, made on the spot for a fresh plan by
-//!   the same code — feeds the misestimate ledger, the workload ledger, the
+//!   one walk of the plan's shape over its counters found ([`Tally`]) feeds
+//!   cardinality feedback, the misestimate ledger, the workload ledger, the
 //!   latency histograms and the journal, the last three under one lock
 //!   order (the journal's lock, the ledger's inside it). No profile node is
 //!   walked for it, and a full journal writes into its oldest slot.
@@ -49,7 +47,7 @@ pub use decision::{
     AccessPathKind, Alternative, DecisionKind, GroupedLookup, JoinEnumeration, PlanDecision,
     SqlText, SubqueryStrategy, CONSTRUCT_CHARS,
 };
-pub use fold::{Filed, FoldPlan, Tally};
+pub use fold::Tally;
 
 use crate::adaptive::Uncacheable;
 use crate::exec::{PlanProfile, ProfileNode};
@@ -588,50 +586,18 @@ impl Journal {
 }
 
 impl JournalInner {
-    /// Journal a statement of `sql` that ran `profile`, `fill` writing the
-    /// rest. A full journal writes it into its oldest slot: the SQL into its
-    /// `String`, a borrowed profile into its `Vec`s, an owned one in their
-    /// place.
-    fn write(
-        &mut self,
-        cap: usize,
-        sql: &str,
-        profile: Cow<'_, PlanProfile>,
-        fill: impl FnOnce(&mut JournalEntry),
-    ) {
-        let mut entry = match self.entries.len() >= cap {
-            true => {
-                let mut oldest = self
-                    .entries
-                    .pop_front()
-                    .expect("a full journal holds an entry");
-                oldest.sql.clear();
-                oldest.sql.push_str(sql);
-                match profile {
-                    Cow::Borrowed(profile) => oldest.profile.clone_from(profile),
-                    Cow::Owned(profile) => oldest.profile = profile,
-                }
-                oldest
-            }
-            false => JournalEntry {
-                seq: 0,
-                sql: {
-                    let mut buffer = String::with_capacity(sql.len().max(JOURNAL_SQL_BYTES));
-                    buffer.push_str(sql);
-                    buffer
-                },
-                plan_hash: 0,
-                result_rows: 0,
-                total: Duration::ZERO,
-                phases: StatementPhases::default(),
-                profile: profile.into_owned(),
-                worst_misestimate: None,
-                cache: CacheStatus::Off,
-            },
+    /// Append `entry` with `sql` as its text (its `seq` is assigned here).
+    /// A full journal evicts its oldest entry, whose SQL buffer takes the
+    /// text.
+    fn push(&mut self, cap: usize, mut entry: JournalEntry, sql: &str) {
+        let mut text = match self.entries.len() >= cap {
+            true => self.entries.pop_front().expect("a full journal").sql,
+            false => String::with_capacity(sql.len().max(JOURNAL_SQL_BYTES)),
         };
-        entry.seq = self.next_seq;
+        text.clear();
+        text.push_str(sql);
+        (entry.sql, entry.seq) = (text, self.next_seq);
         self.next_seq += 1;
-        fill(&mut entry);
         self.entries.push_back(entry);
     }
 }
@@ -880,8 +846,10 @@ impl ObsRegistry {
     /// the misestimate ledger, and the statement's workload facts into the
     /// doctor's ledger. `flag_factor` is the caller's misestimate threshold
     /// (`PlannerOptions::misestimate_factor`); `meta` carries the plan-cache
-    /// outcome and adaptive epoch. The profile's fold plan is made on the
-    /// spot for [`ObsRegistry::record`]. No-op when the registry is disabled.
+    /// outcome and adaptive epoch. A profile handed over by value is
+    /// journaled as it is; a borrowed one is copied (its shape is shared).
+    /// Its [`Tally`] is made here for [`ObsRegistry::record`]. No-op when
+    /// the registry is disabled.
     pub fn record_statement<'s>(
         &self,
         statement: impl Into<Statement<'s>>,
@@ -894,24 +862,22 @@ impl ObsRegistry {
         if !self.enabled() {
             return;
         }
-        let fold = FoldPlan::new(profile.borrow().shape());
-        let tally = fold.tally(profile.borrow().counters(), flag_factor);
-        let profile = Cow::Borrowed(profile.borrow());
+        let profile: PlanProfile = profile.into();
+        let tally = Tally::new(profile.shape(), profile.counters(), flag_factor);
         self.record(statement.into(), profile, &tally, phases, result_rows, meta);
     }
 
     /// Record one executed statement from what one pass over its counters
     /// found (`tally`): every flagged error into the misestimate ledger, then,
     /// under the journal's lock (the workload ledger's inside it), the
-    /// workload facts, the phase latencies and the journal entry. A profile
-    /// handed over by value is journaled as it is; a borrowed one is copied.
-    /// Only a flagged misestimate, and the shape hash when the caller has
+    /// workload facts, the phase latencies and the journal entry, which
+    /// keeps `profile` as it is. Only a flagged misestimate, and the shape hash when the caller has
     /// none, are written out as text. No-op when the registry is disabled.
     pub fn record(
         &self,
         statement: Statement<'_>,
-        profile: Cow<'_, PlanProfile>,
-        tally: &Tally<'_>,
+        profile: PlanProfile,
+        tally: &Tally,
         phases: StatementPhases,
         result_rows: u64,
         meta: StatementMeta,
@@ -919,7 +885,10 @@ impl ObsRegistry {
         if !self.enabled() {
             return;
         }
-        let worst = self.absorb_misestimates(&profile, tally);
+        let worst = match tally.flagged {
+            true => self.absorb_misestimates(&profile, tally.flag_factor),
+            false => None,
+        };
         let plan_hash = (statement.plan_hash).unwrap_or_else(|| plan_shape_hash(&profile));
         let (sql, total) = (statement.sql.trim(), phases.total());
         let normalized_sql = match statement.shape {
@@ -937,9 +906,8 @@ impl ObsRegistry {
             rows_scanned: tally.rows_scanned,
             rows_emitted: result_rows,
             profile: &profile,
-            fold: tally.plan,
             apply_rows: tally.apply_rows,
-            sorts: tally.plan.sorts,
+            sorts: tally.sorts,
             misestimate: worst.as_ref().map(|(_, f)| *f),
             cache: meta.cache,
             epoch: meta.epoch,
@@ -948,28 +916,34 @@ impl ObsRegistry {
         self.record_latency(Phase::Plan, phases.plan);
         self.record_latency(Phase::Execute, phases.execute);
         self.record_latency(Phase::Total, total);
-        journal.write(self.journal.capacity(), sql, profile, |entry| {
-            entry.plan_hash = plan_hash;
-            entry.result_rows = result_rows;
-            entry.total = total;
-            entry.phases = phases;
-            entry.worst_misestimate = worst;
-            entry.cache = meta.cache;
-        });
+        let entry = JournalEntry {
+            seq: 0, // assigned by the journal
+            sql: String::new(),
+            plan_hash,
+            result_rows,
+            total,
+            phases,
+            profile,
+            worst_misestimate: worst,
+            cache: meta.cache,
+        };
+        journal.push(self.journal.capacity(), entry, sql);
     }
 
-    /// Fold every misestimate `tally` flagged into the ledger, and return
-    /// the worst one as `(detail, factor)`.
+    /// Walk an executed profile, fold every flagged misestimate into the
+    /// ledger, and return the worst one as `(detail, factor)`.
     fn absorb_misestimates(
         &self,
         profile: &PlanProfile,
-        tally: &Tally<'_>,
+        flag_factor: f64,
     ) -> Option<(String, f64)> {
         // Nothing flagged (the common statement): nothing to file, no lock.
-        let (worst, worst_factor) = tally.worst()?;
+        let (worst, worst_factor) = profile.worst_misestimate(flag_factor)?;
         let mut ledger = self.misestimates.lock().expect("misestimates lock");
-        for (at, factor) in tally.flagged() {
-            let node = profile.node(at);
+        profile.walk(&mut |node| {
+            let Some(factor) = node.misestimate_with(flag_factor) else {
+                return;
+            };
             let key = match node.shape_key() {
                 Some(key) => ledger_key(&key.table, &key.shape),
                 None => (
@@ -991,8 +965,7 @@ impl ObsRegistry {
             stat.max_factor = stat.max_factor.max(factor);
             stat.last_estimated = node.estimated_rows().unwrap_or(0.0).round().max(0.0) as u64;
             stat.last_actual = node.metrics().rows_out;
-        }
-        let worst = profile.node(worst);
+        });
         let detail = if worst.has_detail() {
             format!("{}: {}", worst.operator(), worst.detail())
         } else {
@@ -1032,16 +1005,25 @@ mod tests {
     fn push(journal: &Journal, sql: &str) {
         let values = Description::new(OpKind::Values, "1 literal rows".to_string());
         let shape = Arc::new(values.shape(&Columns::default(), None, []));
-        let profile = PlanProfile::new(shape, vec![OpMetrics::default()], Vec::new());
+        let entry = JournalEntry {
+            seq: 0,
+            sql: String::new(),
+            plan_hash: 7,
+            result_rows: 1,
+            total: Duration::from_micros(10),
+            phases: StatementPhases::default(),
+            profile: PlanProfile::new(shape, vec![OpMetrics::default()], Vec::new()),
+            worst_misestimate: None,
+            cache: CacheStatus::Off,
+        };
         let cap = journal.capacity();
-        let mut inner = journal.inner.lock().unwrap();
-        inner.write(cap, sql, Cow::Owned(profile), |_| {});
+        journal.inner.lock().unwrap().push(cap, entry, sql);
     }
 
     #[test]
     fn a_reused_journal_slot_holds_only_the_statement_written_into_it() {
         // One shape shared by every statement, as a template's is: a reused
-        // slot must take each statement's counters and literals whole.
+        // slot must take each statement's text, counters and literals whole.
         let scan = Description::new(OpKind::Scan, "MOVIES as m".to_string());
         let shape = Arc::new(scan.shape(&Columns::default(), Some(5.0), []));
         let reg = ObsRegistry::new(2);
@@ -1056,11 +1038,10 @@ mod tests {
             let profile = PlanProfile::new(Arc::clone(&shape), vec![ran], literals);
             let sql = format!("select m.title from MOVIES m where m.id = {}", 10 - i);
             let phases = StatementPhases::default();
-            // Half of them handed over by value, half borrowed.
+            // Half of them borrowed, half handed over by value.
             let meta = StatementMeta::default();
-            let fold = FoldPlan::new(&shape);
-            let tally = fold.tally(profile.counters(), 10.0);
-            let owned = Cow::Owned(profile.clone());
+            let tally = Tally::new(&shape, profile.counters(), 10.0);
+            let owned = profile.clone();
             match i % 2 {
                 0 => reg.record_statement(sql.as_str(), &profile, phases, i, 10.0, meta),
                 _ => reg.record(sql.as_str().into(), owned, &tally, phases, i, meta),

@@ -1,7 +1,8 @@
 //! Operator-level executor tests and EXPLAIN golden-output tests, across the
 //! whole stack (sqlparse → planner → streaming executor → narration).
 
-use datastore::exec::{describe_plan, execute, execute_with_stats, OpMetrics, Plan};
+use datastore::exec::{describe_plan, execute, execute_with_stats, OpKind, OpMetrics, Plan};
+use datastore::obs::Tally;
 use datastore::sample::{movie_database, scaled_movie_database, ScaleConfig};
 use datastore::Row;
 use sqlparse::parse_query;
@@ -726,4 +727,46 @@ fn every_executed_profile_node_obeys_the_metering_protocol() {
             }
         });
     });
+}
+
+#[test]
+fn a_tally_finds_what_a_walk_of_the_profile_finds() {
+    // The record reads a statement's counters through one walk of its shape
+    // (`Tally`); the profile's own nodes are the reference, at a factor that
+    // flags little and one that flags much.
+    let (mut flagged, mut learned) = (0, 0);
+    for_each_planned_corner(|db, sql, plan, options| {
+        let (_, profile) = execute_with_stats(db, plan).unwrap();
+        for flag_factor in [10.0, 1.5] {
+            let tally = Tally::new(profile.shape(), profile.counters(), flag_factor);
+            let mut walked = Tally {
+                flag_factor,
+                ..Tally::default()
+            };
+            profile.walk(&mut |node| {
+                let m = node.metrics();
+                match node.kind() {
+                    OpKind::Scan | OpKind::IndexScan | OpKind::IndexProbe => {
+                        walked.rows_scanned += m.rows_out
+                    }
+                    OpKind::Apply => walked.apply_rows += m.rows_in,
+                    OpKind::Sort => walked.sorts += 1,
+                    _ => {}
+                }
+                if node.misestimate_with(flag_factor).is_some() {
+                    walked.flagged = true;
+                    walked.learns |= node.shape_key().is_some() && node.children().next().is_some();
+                }
+            });
+            assert_eq!(tally, walked, "{sql} under {options:?} at {flag_factor}");
+            (flagged, learned) = (
+                flagged + tally.flagged as u32,
+                learned + tally.learns as u32,
+            );
+        }
+    });
+    assert!(
+        flagged > 0 && learned > 0,
+        "{flagged} flagged, {learned} learned"
+    );
 }
