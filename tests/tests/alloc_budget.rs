@@ -14,8 +14,8 @@
 //!   index-only 9. A hit neither parses, plans, copies nor opens a plan: it
 //!   rewinds the operator tree its template keeps with the statement's
 //!   literals, drains it and writes its counters against the template's
-//!   shape; the full journal takes it into its oldest slot, whose SQL buffer
-//!   is reused.
+//!   shape; the full journal writes its text into the SQL buffer of the
+//!   entry it evicts.
 //! - An insert into MOVIES right after them: 6. A write lets go of the trees
 //!   the templates parked first, so the table it changes is written in
 //!   place; a tree still pinning it would have the insert copy the table and
