@@ -226,7 +226,7 @@ impl OpShape {
     }
 
     /// [`ProfileNode::table`] of a node of this shape.
-    pub fn table(&self) -> Option<&str> {
+    pub(crate) fn table(&self) -> Option<&str> {
         match &self.access {
             Some(access) => Some(&access.table),
             None if self.kind == OpKind::Scan => self.detail.as_str().split(' ').next(),
